@@ -58,7 +58,7 @@ func reportQuality(b *testing.B, res *core.Result, gt *synthetic.GroundTruth) {
 // depends on α.
 func BenchmarkFig4Alpha(b *testing.B) {
 	ds, gt := benchDataset(b, "10d")
-	tree, err := ctree.Build(ds, core.DefaultH)
+	tree, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func BenchmarkBetaSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := ctree.Build(ds, core.DefaultH)
+	tree, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func BenchmarkScalingH(b *testing.B) {
 		b.Run(fmt.Sprintf("H=%d", h), func(b *testing.B) {
 			var tree *ctree.Tree
 			for i := 0; i < b.N; i++ {
-				tree, err = ctree.Build(ds, h)
+				tree, err = ctree.Build(ds, h, ctree.BuildOptions{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

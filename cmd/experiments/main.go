@@ -31,12 +31,11 @@
 // writing per-row phase-two wall times and speedups as JSON. CI runs
 // it at a small scale; EXPERIMENTS.md records the full-scale series.
 //
-// -benchbuild isolates phase one (the Counting-tree build): the serial
-// sorted-batch build at Workers=1, then BuildParallel at 4 and 8
-// workers, writing wall times, throughput, heap-allocation counts and
-// the arena/batch counters as JSON. CI runs it at a small scale;
-// EXPERIMENTS.md records the full-scale series next to the pre-arena
-// baseline.
+// -benchbuild isolates phase one (the Counting-tree build): ctree.Build
+// at each -workers count (default 1, 4 and 8), writing wall times,
+// throughput, heap-allocation counts and the arena/batch counters as
+// JSON. CI runs it at a small scale; EXPERIMENTS.md records the
+// full-scale series next to the pre-arena baseline.
 //
 // -benchsnapshot measures the persistence layer: snapshot save/load
 // throughput over the bench tree, and the disk-backed external build

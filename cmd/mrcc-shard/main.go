@@ -372,11 +372,8 @@ func checkSerial(ctx context.Context, opt options, merged *ctree.Tree, stdout io
 	if err := shard.NormalizeDomain(ds, min, max); err != nil {
 		return fmt.Errorf("check-serial: %w", err)
 	}
-	serial, err := ctree.BuildParallelOpts(ds, opt.h, ctree.BuildOptions{Workers: 1, Ctx: ctx})
+	serial, err := ctree.Build(ds, opt.h, ctree.BuildOptions{Workers: 1, Ctx: ctx})
 	if err != nil {
-		return fmt.Errorf("check-serial: %w", err)
-	}
-	if serial, err = ctree.Canonicalize(serial); err != nil {
 		return fmt.Errorf("check-serial: %w", err)
 	}
 	if !ctree.Equal(serial, merged) {

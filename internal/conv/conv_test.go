@@ -19,7 +19,7 @@ func buildTree(t testing.TB, d, n int, seed int64, h int) (*ctree.Tree, *dataset
 		}
 		ds.Append(p)
 	}
-	tr, err := ctree.Build(ds, h)
+	tr, err := ctree.Build(ds, h, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFaceValueIsolatedCellIsPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ctree.Build(ds, 4)
+	tr, err := ctree.Build(ds, 4, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFullValueMatchesFaceOnSparseDiagonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ctree.Build(ds, 4)
+	tr, err := ctree.Build(ds, 4, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func BenchmarkRun(b *testing.B) {
 // BenchmarkFindBetas isolates phase two over a pre-built tree.
 func BenchmarkFindBetas(b *testing.B) {
 	ds := benchWorkload(b)
-	tree, err := ctree.Build(ds, core.DefaultH)
+	tree, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

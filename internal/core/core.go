@@ -83,11 +83,13 @@ type Config struct {
 	// to set it.
 	NoCacheRepair bool
 	// Workers sets the parallelism of the pipeline: the Counting-tree
-	// build, the convolution scan, and point labeling all fan out over
-	// this many goroutines. 0 selects GOMAXPROCS; 1 forces the serial
-	// fast path. The result is bit-identical for every worker count —
-	// the convolution scan reduces per-chunk argmaxes with the same
-	// lexicographic-path tie-break the serial scan uses (DESIGN.md §5).
+	// build's sort phase, the convolution scan, and point labeling all
+	// fan out over this many goroutines. 0 selects GOMAXPROCS; 1 runs
+	// each phase single-threaded. The result is bit-identical for every
+	// worker count — the build merges one sorted stream per worker into
+	// the same canonical tree (DESIGN.md §9), and the convolution scan
+	// reduces per-chunk argmaxes with the same lexicographic-path
+	// tie-break the serial scan uses (DESIGN.md §5).
 	Workers int
 	// CollectStats enables the observability layer: per-phase wall
 	// times, runtime.MemStats deltas and pipeline counters land in
@@ -118,8 +120,8 @@ type Config struct {
 	// exceeds the limit does the run return a *ResourceError.
 	DegradeOnMemoryLimit bool
 	// ExternalSpillDir, when non-empty, builds the Counting-tree
-	// out-of-core (ctree.BuildExternal): quantized points are sorted in
-	// bounded-memory chunks, spilled as runs under this directory, and
+	// out-of-core (ctree.BuildOptions.SpillDir): quantized points are
+	// sorted in bounded-memory runs, spilled under this directory, and
 	// k-way merged into the tree. The resulting tree — and therefore the
 	// whole clustering Result — is identical to the in-memory build's.
 	// In this mode MemoryLimitBytes bounds the spill sort buffer rather
@@ -274,8 +276,8 @@ func (r *Result) NumClusters() int { return len(r.Clusters) }
 // [0,1)^d. Use dataset.Normalize first for raw data. It is exactly
 // RunContext with a background context.
 //
-// With Config.Workers != 1 the Counting-tree is built from merged
-// per-goroutine shards (ctree.BuildParallel) and the convolution scan
+// With Config.Workers != 1 the Counting-tree build sorts per-goroutine
+// shards before merging them (ctree.Build), and the convolution scan
 // and point labeling fan out too; the result is bit-identical to the
 // serial run for every worker count.
 func Run(ds *dataset.Dataset, cfg Config) (*Result, error) {
@@ -342,43 +344,25 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (res *Resu
 //
 // The authoritative limit check happens here, after the flat level
 // indexes are materialized, against the exact slab accounting:
-// Tree.MemoryBytes is an O(1) sum of arena capacities (and equals the
-// monotone estimate the build itself polls — ApproxMemoryBytes IS the
-// exact figure under the arena layout), and IndexMemoryBytes covers
+// Tree.MemoryBytes is an O(1) sum of arena capacities (the same
+// monotone figure the build itself polls), and IndexMemoryBytes covers
 // the disjoint index slabs, so the sum is the run's true steady-state
 // footprint with no double counting and no divergence between the
 // load-shedding decision and this check. A refused footprint degrades
 // to H-1 when allowed — the retry builds a fresh tree, so the result
 // is identical to a run configured with the smaller H from the start —
-// and otherwise becomes a *ResourceError.
+// and otherwise becomes a *ResourceError. With ExternalSpillDir the
+// one Build call spills instead, and MemoryLimitBytes bounds its sort
+// buffer rather than the tree.
 func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, progress ctree.ProgressFunc) (*ctree.Tree, int, error) {
-	if cfg.ExternalSpillDir != "" {
-		// Out-of-core build: MemoryLimitBytes bounds the spill sort
-		// buffer inside BuildExternal, not the finished tree, so neither
-		// the degrade ladder nor the authoritative footprint check
-		// applies (validate rejects the DegradeOnMemoryLimit combination
-		// up front). The produced tree is identical to the in-memory
-		// build's (external_test.go), so everything downstream is too.
-		t, err := ctree.BuildExternal(ds, cfg.H, ctree.ExternalBuildOptions{
-			BuildOptions: ctree.BuildOptions{
-				Progress:         progress,
-				Ctx:              ctx,
-				MemoryLimitBytes: cfg.MemoryLimitBytes,
-			},
-			SpillDir: cfg.ExternalSpillDir,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return t, cfg.H, nil
-	}
 	h := cfg.H
 	for {
-		t, err := ctree.BuildParallelOpts(ds, h, ctree.BuildOptions{
+		t, err := ctree.Build(ds, h, ctree.BuildOptions{
 			Workers:          cfg.workerCount(),
 			Progress:         progress,
 			Ctx:              ctx,
 			MemoryLimitBytes: cfg.MemoryLimitBytes,
+			SpillDir:         cfg.ExternalSpillDir,
 		})
 		var le *ctree.LimitError
 		if errors.As(err, &le) {
@@ -396,7 +380,9 @@ func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, prog
 		if err != nil {
 			return nil, 0, err
 		}
-		if cfg.MemoryLimitBytes > 0 {
+		// Out of core, MemoryLimitBytes bounds the spill sort buffer, not
+		// the tree (validate rejects DegradeOnMemoryLimit there).
+		if cfg.MemoryLimitBytes > 0 && cfg.ExternalSpillDir == "" {
 			// Materialize the level indexes now (the β-search would build
 			// them lazily anyway) so the authoritative check covers the
 			// run's true steady-state footprint.
@@ -572,7 +558,7 @@ func runOnTreeAbortable(t *ctree.Tree, ds *dataset.Dataset, cfg Config, col *obs
 	treeBytes := t.MemoryBytes() + t.IndexMemoryBytes()
 	col.SetTreeBytes(treeBytes)
 	runs, runPoints := t.BatchRuns()
-	col.SetArenaStats(t.ArenaBytes(), t.ArenaGrows(), runs, runPoints, t.RadixChunks())
+	col.SetArenaStats(t.MemoryBytes(), t.ArenaGrows(), runs, runPoints, t.RadixChunks())
 	if spillRuns, spillBytes := t.SpillStats(); spillRuns > 0 {
 		col.SetSpillStats(spillRuns, spillBytes)
 	}

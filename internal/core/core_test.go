@@ -169,7 +169,7 @@ func TestRunOnTreeMismatchRejected(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{
 		Dims: 5, Points: 500, Clusters: 1, MinClusterDim: 3, MaxClusterDim: 4, Seed: 1,
 	})
-	tree, err := ctree.Build(ds, 4)
+	tree, err := ctree.Build(ds, 4, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

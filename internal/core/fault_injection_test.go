@@ -11,6 +11,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -22,43 +23,59 @@ import (
 )
 
 // faultPoints maps every core-pipeline injection point to the phase a
-// *PipelineError must name when the point fires. minWorkers marks
-// points that only exist on the parallel path (the shard merge).
+// *PipelineError must name when the point fires. spill marks the tree
+// build's points, which the out-of-core build (ExternalSpillDir) polls
+// too.
 var faultPoints = []struct {
-	point      string
-	phase      obs.Phase
-	minWorkers int
+	point string
+	phase obs.Phase
+	spill bool
 }{
-	{fault.BuildChunk, obs.PhaseTreeBuild, 1},
-	{fault.BuildMerge, obs.PhaseTreeBuild, 2},
-	{fault.ScanPass, obs.PhaseBetaSearch, 1},
-	{fault.ScanLevel, obs.PhaseBetaSearch, 1},
-	{fault.ScanChunk, obs.PhaseBetaSearch, 1},
-	{fault.BetaTest, obs.PhaseBetaSearch, 1},
-	{fault.Merge, obs.PhaseClusterMerge, 1},
-	{fault.LabelChunk, obs.PhaseLabeling, 1},
+	{fault.BuildChunk, obs.PhaseTreeBuild, true},
+	{fault.BuildMerge, obs.PhaseTreeBuild, true},
+	{fault.ScanPass, obs.PhaseBetaSearch, false},
+	{fault.ScanLevel, obs.PhaseBetaSearch, false},
+	{fault.ScanChunk, obs.PhaseBetaSearch, false},
+	{fault.BetaTest, obs.PhaseBetaSearch, false},
+	{fault.Merge, obs.PhaseClusterMerge, false},
+	{fault.LabelChunk, obs.PhaseLabeling, false},
+}
+
+// faultConfigs are the pipeline configurations every point is armed
+// under: serial, parallel, and — for the build's points — spilled.
+var faultConfigs = []struct {
+	name    string
+	workers int
+	spill   bool
+}{
+	{"workers=1", 1, false},
+	{"workers=8", 8, false},
+	{"spill", 8, true},
 }
 
 // TestInjectedFaultAbortsCleanly arms every injection point in turn,
-// across worker counts, and demands: a *PipelineError naming the
-// point's phase, the armed cause reachable via errors.Is, partial
-// stats marked Aborted, no goroutine leaks, and an unmutated dataset.
+// across worker counts and the spilled build, and demands: a
+// *PipelineError naming the point's phase, the armed cause reachable
+// via errors.Is, partial stats marked Aborted, no goroutine leaks, an
+// unmutated dataset and an empty spill directory.
 func TestInjectedFaultAbortsCleanly(t *testing.T) {
 	ds := robustDS(t)
 	snapshot := ds.Clone()
 	boom := errors.New("injected failure")
 	for _, tc := range faultPoints {
-		for _, workers := range []int{1, 8} {
-			if workers < tc.minWorkers {
+		for _, c := range faultConfigs {
+			if c.spill && !tc.spill {
 				continue
 			}
-			t.Run(tc.point+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
+			t.Run(tc.point+"/"+c.name, func(t *testing.T) {
 				t.Cleanup(fault.Reset)
 				baseline := runtime.NumGoroutine()
+				cfg := core.Config{Workers: c.workers, CollectStats: true}
+				if c.spill {
+					cfg.ExternalSpillDir = t.TempDir()
+				}
 				fault.Set(tc.point, func() error { return boom })
-				res, err := core.RunContext(context.Background(), ds, core.Config{
-					Workers: workers, CollectStats: true,
-				})
+				res, err := core.RunContext(context.Background(), ds, cfg)
 				if res != nil {
 					t.Fatal("faulted run returned a result")
 				}
@@ -82,6 +99,11 @@ func TestInjectedFaultAbortsCleanly(t *testing.T) {
 				checkGoroutinesDrained(t, baseline)
 				if !reflect.DeepEqual(ds.Points, snapshot.Points) {
 					t.Fatal("aborted run mutated the caller's dataset")
+				}
+				if c.spill {
+					if entries, err := os.ReadDir(cfg.ExternalSpillDir); err != nil || len(entries) != 0 {
+						t.Fatalf("aborted spilled run left %d entries in the spill dir (err=%v)", len(entries), err)
+					}
 				}
 			})
 		}

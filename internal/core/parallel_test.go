@@ -17,11 +17,11 @@ func TestParallelTreeSameClustering(t *testing.T) {
 		Dims: 8, Points: 8000, Clusters: 3, NoiseFrac: 0.15,
 		MinClusterDim: 5, MaxClusterDim: 7, Seed: 61,
 	})
-	seq, err := ctree.Build(ds, core.DefaultH)
+	seq, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ctree.BuildParallel(ds, core.DefaultH, 4)
+	par, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

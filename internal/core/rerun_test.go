@@ -21,7 +21,7 @@ func TestRunOnTreeTwiceIdentical(t *testing.T) {
 		Dims: 8, Points: 6000, Clusters: 3, NoiseFrac: 0.1,
 		MinClusterDim: 4, MaxClusterDim: 6, Seed: 11,
 	})
-	tree, err := ctree.Build(ds, core.DefaultH)
+	tree, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestRunTreeMatchesRunOnTree(t *testing.T) {
 		Dims: 7, Points: 5000, Clusters: 2, NoiseFrac: 0.1,
 		MinClusterDim: 4, MaxClusterDim: 5, Seed: 12,
 	})
-	tree, err := ctree.Build(ds, core.DefaultH)
+	tree, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

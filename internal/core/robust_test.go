@@ -172,20 +172,16 @@ func TestMemoryLimitResourceError(t *testing.T) {
 }
 
 // treeFootprint builds the Counting-tree at resolution h and returns
-// the authoritative footprint estimate the memory limit is checked
-// against (tree + level indexes, floored by the build-time estimate).
+// the authoritative footprint the memory limit is checked against
+// (tree + level indexes).
 func treeFootprint(t *testing.T, ds *dataset.Dataset, h int) uint64 {
 	t.Helper()
-	tr, err := ctree.Build(ds, h)
+	tr, err := ctree.Build(ds, h, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.EnsureLevelIndexes()
-	est := tr.MemoryBytes() + tr.IndexMemoryBytes()
-	if a := tr.ApproxMemoryBytes(); a > est {
-		est = a
-	}
-	return est
+	return tr.MemoryBytes() + tr.IndexMemoryBytes()
 }
 
 // TestDegradeOnMemoryLimit pins the deterministic degradation

@@ -154,7 +154,7 @@ func TestScanCacheEquivalenceAllUsed(t *testing.T) {
 	})
 	run := func(naive, exhaust bool) *core.Result {
 		t.Helper()
-		tr, err := ctree.Build(ds, core.DefaultH)
+		tr, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestScanCacheEquivalenceSingleCellLevel(t *testing.T) {
 		t.Fatalf("cached run: %v", err)
 	}
 	assertResultsIdentical(t, naive, cached)
-	tr, err := ctree.Build(ds, core.DefaultH)
+	tr, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func scanPairTree(t *testing.T, gen synthetic.Config, h int) (*ctree.Tree, *data
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ctree.Build(ds, h)
+	tr, err := ctree.Build(ds, h, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestDensestCellSingleCellLevel(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ds.Points = append(ds.Points, []float64{0.001, 0.002, 0.003})
 	}
-	tr, err := ctree.Build(ds, 4)
+	tr, err := ctree.Build(ds, 4, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

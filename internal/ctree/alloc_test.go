@@ -36,7 +36,7 @@ func TestBuildAllocationBudget(t *testing.T) {
 	}
 	const budget = 1300
 	allocs := testing.AllocsPerRun(3, func() {
-		tr, err := Build(ds, 4)
+		tr, err := Build(ds, 4, BuildOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

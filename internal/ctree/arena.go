@@ -102,8 +102,8 @@ type Tree struct {
 	runPoints   int64
 	radixChunks int64 // chunks sorted by the LSD radix kernels (radix.go)
 
-	// spillRuns/spillBytes record the external build's disk traffic
-	// (external.go): sorted runs spilled and bytes written. Zero for
+	// spillRuns/spillBytes record a spilled build's disk traffic
+	// (spill.go): sorted runs spilled and bytes written. Zero for
 	// in-memory builds and loaded snapshots.
 	spillRuns  int64
 	spillBytes int64
@@ -403,22 +403,11 @@ func (t *Tree) MemoryBytes() uint64 {
 	return total
 }
 
-// ApproxMemoryBytes is the footprint estimate the memory-limited build
-// polls at every report interval. With the arena layout the exact
-// accounting is itself O(1) and monotone (capacities and table sizes
-// only grow), so the estimate IS the exact figure — no divergence
-// between the load-shedding decision and the authoritative check.
-func (t *Tree) ApproxMemoryBytes() uint64 { return t.MemoryBytes() }
-
-// ArenaBytes is the arena's exact slab footprint (== MemoryBytes),
-// exposed under the name the observability counters use.
-func (t *Tree) ArenaBytes() uint64 { return t.MemoryBytes() }
-
 // ArenaGrows returns the number of arena growth events (column
 // reallocation), accumulated across merged shards.
 func (t *Tree) ArenaGrows() int64 { return t.grows }
 
-// SpillStats returns the external build's disk-traffic statistics:
+// SpillStats returns a spilled build's disk-traffic statistics:
 // the number of sorted runs spilled and the bytes written to the
 // spill files. Both are zero for trees built in memory or loaded from
 // a snapshot.
@@ -431,10 +420,11 @@ func (t *Tree) SpillStats() (runs, bytes int64) { return t.spillRuns, t.spillByt
 // over. Both accumulate across merged shards.
 func (t *Tree) BatchRuns() (runs, points int64) { return t.runs, t.runPoints }
 
-// RadixChunks returns how many point chunks were ordered by the LSD
-// radix kernels (radix.go) during this tree's build — zero when every
-// chunk took the multi-word comparison-sort fallback or the tree was
-// built per-point. Merged shards fold their counts into the
+// RadixChunks returns how many point batches were ordered by the LSD
+// radix kernels (radix.go) during this tree's build — one per Build
+// sort worker or spilled run, one per InsertBatch chunk; zero when
+// every batch took the multi-word comparison-sort fallback or the
+// tree was built per-point. Merged shards fold their counts into the
 // destination, like the other build counters.
 func (t *Tree) RadixChunks() int64 { return t.radixChunks }
 

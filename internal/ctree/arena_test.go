@@ -17,11 +17,11 @@ func TestMergeForcesArenaGrowMidWalk(t *testing.T) {
 	d, h := 6, 4
 	small := uniformDataset(t, d, 8, 41)
 	big := uniformDataset(t, d, 4000, 42)
-	dst, err := Build(small, h)
+	dst, err := Build(small, h, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := Build(big, h)
+	src, err := Build(big, h, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMergeForcesArenaGrowMidWalk(t *testing.T) {
 			src.CellCount(), 8, growsBefore, dst.ArenaGrows())
 	}
 	all := &dataset.Dataset{Dims: d, Points: append(append([][]float64{}, small.Points...), big.Points...)}
-	whole, err := Build(all, h)
+	whole, err := Build(all, h, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +47,15 @@ func TestMergeForcesArenaGrowMidWalk(t *testing.T) {
 
 // TestMergeSingleCellShard merges a shard holding exactly one stored
 // cell chain (one point) into a populated tree — the smallest non-empty
-// shard BuildParallel can produce.
+// shard a tree merge can see.
 func TestMergeSingleCellShard(t *testing.T) {
 	ds := uniformDataset(t, 4, 500, 43)
 	one := &dataset.Dataset{Dims: 4, Points: [][]float64{{0.9, 0.1, 0.5, 0.3}}}
-	dst, err := Build(ds, 4)
+	dst, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard, err := Build(one, 4)
+	shard, err := Build(one, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMergeSingleCellShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := &dataset.Dataset{Dims: 4, Points: append(append([][]float64{}, ds.Points...), one.Points...)}
-	whole, err := Build(all, 4)
+	whole, err := Build(all, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +75,11 @@ func TestMergeSingleCellShard(t *testing.T) {
 	}
 }
 
-// TestBatchBuildEqualsPerPointInsert pins the sorted batch inserter
-// against the per-point descent on layouts chosen to stress its run
-// detection: heavy duplicates, dense single-cell clumps, and a random
-// mix — including a duplicate run that straddles a sort-chunk boundary.
+// TestBatchBuildEqualsPerPointInsert pins InsertBatch's sorted chunk
+// loop against the per-point descent on layouts chosen to stress its
+// run detection: heavy duplicates, dense single-cell clumps, and a
+// random mix — including a duplicate run that straddles a sort-chunk
+// boundary.
 func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	d := 5
@@ -106,8 +107,8 @@ func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 		pts = append(pts, p)
 	}
 	ds := &dataset.Dataset{Dims: d, Points: pts}
-	batch, err := Build(ds, 5)
-	if err != nil {
+	batch := New(d, 5)
+	if err := batch.InsertBatch(ds.Points); err != nil {
 		t.Fatal(err)
 	}
 	perPoint := New(d, 5)
@@ -117,7 +118,7 @@ func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 		}
 	}
 	if !treesEqual(t, batch, perPoint) {
-		t.Fatal("sorted batch build diverged from per-point insertion")
+		t.Fatal("sorted batch insertion diverged from per-point insertion")
 	}
 	runs, runPoints := batch.BatchRuns()
 	if runPoints != int64(len(pts)) {
@@ -129,15 +130,15 @@ func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 }
 
 // TestBatchRunsOnIdenticalPoints pins the batch accounting on the
-// degenerate all-identical dataset: each sort chunk collapses to
-// exactly one run.
+// degenerate all-identical dataset: the merge counts one run per
+// buffer of buildReportEvery equal-path records.
 func TestBatchRunsOnIdenticalPoints(t *testing.T) {
 	n := 2*buildReportEvery + 100
 	pts := make([][]float64, n)
 	for i := range pts {
 		pts[i] = []float64{0.25, 0.75, 0.5}
 	}
-	tr, err := Build(&dataset.Dataset{Dims: 3, Points: pts}, 4)
+	tr, err := Build(&dataset.Dataset{Dims: 3, Points: pts}, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestWideFanOutUsesChildTable(t *testing.T) {
 		pts = append(pts, p)
 	}
 	ds := &dataset.Dataset{Dims: d, Points: pts}
-	tr, err := Build(ds, 4)
+	tr, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,19 @@
-// Sorted batch insertion: the Counting-tree build's hot path.
+// Sorted batch counting: the quantize kernels, the carry-over descent
+// every build path counts through, and InsertBatch's chunk loop.
 //
 // Instead of one root-to-leaf descent per point (H-1 child lookups,
-// each a hash probe or chain scan), Build quantizes a whole chunk of
-// points to the full level-H grid in one pass, sorts the chunk by each
-// point's root-to-leaf cell path (level-major, i.e. Morton/Z-order over
-// the grid), and then counts maximal runs of points sharing one stored
-// path in a single descent: the run's shared-prefix cells are reached
-// by resuming the previous run's descent stack at the first diverging
-// level, N and the level-1..H-2 half-space counters are bumped by the
-// run length at once, and only the deepest level's half-space update
-// (which depends on each point's level-H parity) stays per point.
+// each a hash probe or chain scan), points are quantized to the full
+// level-H grid in one pass, sorted by their root-to-leaf cell path
+// (level-major, i.e. Morton/Z-order over the grid), and maximal runs
+// of points sharing one stored path are counted in a single descent:
+// the run's shared-prefix cells are reached by resuming the previous
+// run's descent stack at the first diverging level, N and the
+// level-1..H-2 half-space counters are bumped by the run length at
+// once, and only the deepest level's half-space update (which depends
+// on each point's level-H parity) stays per point. Build (build.go)
+// sorts whole shards or spilled runs and feeds the merged runs to
+// countRunPacked/countRunAt; InsertBatch sorts and counts chunks of
+// buildReportEvery points into a live tree through batchInserter.insert.
 //
 // The quantize pass is branch-reduced (DESIGN.md §12): one float
 // multiply + floor per coordinate gives the level-H grid value, the
@@ -21,29 +25,23 @@
 // reproduce the exact historical error text.
 //
 // Determinism: the sort key is the path itself with the point's
-// original chunk index as the tie-break, so the permutation — and with
-// it the first-touch cell order — is a pure function of the chunk's
-// contents. Two builds of the same dataset produce byte-identical
-// trees; shard decompositions produce the same cell SET with the same
-// counts (order may differ, which the clustering phase's total-order
-// tie-breaks absorb, and the arena's count-determined sizing keeps the
-// memory accounting identical — see arena.go).
+// arrival index as the tie-break, so the permutation — and with it the
+// first-touch cell order — is a pure function of the points.
 //
-// When d·(H-1) <= 64 bits the whole path packs into one uint64 and the
+// When d·(H-1) <= 64 bits the whole path packs into one uint64 and a
 // chunk sorts with the LSD radix kernels of radix.go — usually as one
 // combo word per point, (key << idxBits | index), whose plain integer
 // order IS the (path, index) order. Multi-word keys (d·(H-1) > 64)
-// fall back to slices.SortFunc over the permutation. Quantization at
-// level H is bit-exact with the per-level locAtLevel arithmetic:
-// v·2^H is an exact float64 product (power-of-two scale), so
-// floor(v·2^h) == floor(v·2^H) >> (H-h) for every level h.
+// fall back to a comparison sort over the permutation (sortKeyOrder).
+// Quantization at level H is bit-exact with the per-level locAtLevel
+// arithmetic: v·2^H is an exact float64 product (power-of-two scale),
+// so floor(v·2^h) == floor(v·2^H) >> (H-h) for every level h.
 package ctree
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // f64OneBits is the bit pattern of float64(1.0): a float is a valid
@@ -58,9 +56,9 @@ const f64OneBits = 0x3FF0000000000000
 // must too).
 const f64NegZeroBits = uint64(1) << 63
 
-// batchInserter holds the reusable scratch of one build's chunk loop:
-// parity words, sort keys, the permutation, and the descent stack
-// resumed across runs. One inserter serves one tree.
+// batchInserter holds the descent stack resumed across runs and, for
+// InsertBatch's chunk loop, the reusable scratch: parity words, sort
+// keys and the permutation. One inserter serves one tree.
 type batchInserter struct {
 	t      *Tree
 	packed bool // whole path fits one uint64 (d·(H-1) <= 64)
@@ -88,21 +86,17 @@ type batchInserter struct {
 	// `have` levels are valid carry-over from the previous run.
 	refs []Ref
 	locs []uint64
-	cand []uint64 // next run's locs, compared against locs to find the divergence level
 	have int
 }
 
 // newBatchInserter returns a fresh inserter for t.
 func newBatchInserter(t *Tree) *batchInserter {
-	b := &batchInserter{t: t, words: 1, packed: t.D*(t.H-1) <= 64}
-	if !b.packed {
-		b.words = t.H - 1
-	}
+	b := &batchInserter{t: t, words: keyWords(t.D, t.H)}
+	b.packed = b.words == 1
 	b.qi = make([]uint64, t.D)
 	b.refs = make([]Ref, t.H)
 	b.refs[0] = rootRef
 	b.locs = make([]uint64, t.H)
-	b.cand = make([]uint64, t.H)
 	return b
 }
 
@@ -116,49 +110,11 @@ func growU64(s *[]uint64, n int) []uint64 {
 	return *s
 }
 
-// keysEqual reports whether points a and c share the full stored path
-// (multi-word layout).
-func (b *batchInserter) keysEqual(a, c int32) bool {
-	w := b.words
-	ka := b.key[int(a)*w : int(a)*w+w]
-	kc := b.key[int(c)*w : int(c)*w+w]
-	for k := 0; k < w; k++ {
-		if ka[k] != kc[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// setCandPacked unpacks a single-word path key into cand[1..H-1].
-func (b *batchInserter) setCandPacked(k uint64) {
-	H := b.t.H
-	d := uint(b.t.D)
-	for h := H - 1; h >= 1; h-- {
-		b.cand[h] = k & b.t.dmask
-		k >>= d
-	}
-}
-
-// setCandFromKey unpacks a path key — one packed word, or H-1 loc
-// words — into cand[1..H-1]. The external merge (external.go) feeds
-// keys read back from spill records through this.
-func (b *batchInserter) setCandFromKey(kw []uint64) {
-	if b.packed {
-		b.setCandPacked(kw[0])
-		return
-	}
-	for h := 1; h <= b.t.H-1; h++ {
-		b.cand[h] = kw[h-1]
-	}
-}
-
 // quantizeLevelH validates one point and writes its level-H grid
 // coordinates into qi; index is the point's position in the slice the
 // caller reports errors against. It is the slow, exact-error kernel:
-// the external build's spill pass uses it directly, and the fused fast
-// pass below re-runs it on the rare invalid point to reproduce the
-// historical error text.
+// the fused fast pass below re-runs it on the rare invalid point to
+// reproduce the historical error text.
 func quantizeLevelH(p []float64, d, H int, qi []uint64, index int) error {
 	if len(p) != d {
 		return fmt.Errorf("ctree: point %d: ctree: point has %d values, want %d", index, len(p), d)
@@ -187,7 +143,7 @@ func quantizeLevelH(p []float64, d, H int, qi []uint64, index int) error {
 // shifts cost more than the extra pass over the d-word qi scratch.
 // It also accumulates the level-H parity word (bit j = low bit of the
 // axis-j grid value) while the coordinate is already in a register —
-// one fewer pass than a separate leafParity call, measurably cheaper.
+// one fewer pass than a separate parity loop, measurably cheaper.
 //
 //go:noinline
 func quantizeFast(p []float64, scale float64, qi []uint64) (leaf uint64, ok bool) {
@@ -227,8 +183,8 @@ func quantizeKeyWords(p []float64, d, H int, kw []uint64, qi []uint64) (leaf uin
 }
 
 // packedPathKey packs a quantized point's level-1..H-1 path into one
-// uint64, level-major; the caller guarantees d·(H-1) <= 64. The spill
-// pass of the external build keys records through this.
+// uint64, level-major; the caller guarantees d·(H-1) <= 64.
+//
 //go:noinline
 func packedPathKey(qi []uint64, d, H int) uint64 {
 	var k uint64
@@ -254,37 +210,25 @@ func pathKeyWords(qi []uint64, d, H int, kw []uint64) {
 	}
 }
 
-// leafParity returns the level-H parity word of a quantized point: bit
-// j is the low bit of the axis-j grid coordinate — the input of the
-// deepest stored level's half-space update.
-//go:noinline
-func leafParity(qi []uint64, d int) uint64 {
-	var leaf uint64
-	for j := 0; j < d; j++ {
-		leaf |= (qi[j] & 1) << uint(j)
-	}
-	return leaf
-}
-
-// countRunAt counts one run of cnt points sharing the path in
-// cand[1..H-1]: it resumes the carry-over descent stack at the first
-// diverging level, bumps N at every level and the level-1..H-2
-// half-space counters by cnt, and returns the deepest cell's P row so
-// the caller can apply the per-point leaf-parity updates. The chunk
-// loop, the merged-stream parallel build and the external merge share
-// it; callers must present paths in sorted order for the carry-over to
-// be correct.
-func (b *batchInserter) countRunAt(cnt int32) []int32 {
+// countRunAt counts one run of cnt points sharing the multi-word path
+// key kw (kw[h-1] is the level-h loc): it resumes the carry-over
+// descent stack at the first diverging level, bumps N at every level
+// and the level-1..H-2 half-space counters by cnt, and returns the
+// deepest cell's P row so the caller can apply the per-point
+// leaf-parity updates. Build's merge and InsertBatch's multi-word
+// chunks share it; callers must present paths in sorted order for the
+// carry-over to be correct.
+func (b *batchInserter) countRunAt(kw []uint64, cnt int32) []int32 {
 	t := b.t
 	H := t.H
 	div := 1
-	for div <= b.have && b.cand[div] == b.locs[div] {
+	for div <= b.have && kw[div-1] == b.locs[div] {
 		div++
 	}
 	for h := div; h <= H-1; h++ {
-		r, _ := t.ensureChild(b.refs[h-1], b.cand[h])
+		r, _ := t.ensureChild(b.refs[h-1], kw[h-1])
 		b.refs[h] = r
-		b.locs[h] = b.cand[h]
+		b.locs[h] = kw[h-1]
 	}
 	b.have = H - 1
 	// N at every level gets the whole run at once; so do the half-space
@@ -308,8 +252,8 @@ func (b *batchInserter) countRunAt(cnt int32) []int32 {
 // layouts: the divergence level comes straight from the XOR of the
 // run's key with the previous run's (the highest differing bit lives
 // in the highest diverging level's d-bit lane), and per-level locs are
-// shifted out of the key on demand — no cand/locs array maintenance,
-// no per-level compare loop. prev is ignored when first is true.
+// shifted out of the key on demand — no locs array maintenance, no
+// per-level compare loop. prev is ignored when first is true.
 // Sorted key order makes the carry-over exact, as in countRunAt.
 func (b *batchInserter) countRunPacked(k, prev uint64, first bool, cnt int32) []int32 {
 	t := b.t
@@ -344,33 +288,23 @@ func (b *batchInserter) countRunPacked(k, prev uint64, first bool, cnt int32) []
 
 // quantizeErr reproduces the exact per-point validation error after
 // the fused fast pass flagged the point as invalid.
-func (b *batchInserter) quantizeErr(p []float64, index int) error {
+func quantizeErr(p []float64, d, H, index int) error {
 	var qi [MaxDims]uint64
-	if err := quantizeLevelH(p, b.t.D, b.t.H, qi[:b.t.D], index); err != nil {
+	if err := quantizeLevelH(p, d, H, qi[:d], index); err != nil {
 		return err
 	}
 	// Unreachable: the fast and slow validators accept the same set.
 	return fmt.Errorf("ctree: point %d: invalid point", index)
 }
 
-// insert counts one chunk of points into the tree. base is the chunk's
-// offset inside the build's dataset slice, used only for error
-// messages ("point %d" is relative to the slice Build was handed,
-// matching the per-point build this replaces). The tree is only
-// mutated once the whole chunk has been validated and quantized.
+// insert counts one chunk of InsertBatch's points into the tree. base
+// is the chunk's offset inside the batch, used only for error messages.
+// The chunk is non-empty, and the tree is only mutated once all of it
+// has been validated and quantized; the caller has already ruled out
+// counter overflow.
 func (b *batchInserter) insert(points [][]float64, base int) error {
 	m := len(points)
-	if m == 0 {
-		return nil
-	}
-	t := b.t
-	if t.Eta+m > MaxPoints {
-		// The chunk would cross the int32 counter ceiling: fall back to
-		// the per-point path, which counts up to the limit in original
-		// order and reports the exact point that overflows.
-		return b.insertSlow(points, base)
-	}
-	d, H := t.D, t.H
+	d, H := b.t.D, b.t.H
 	b.leaf = growU64(&b.leaf, m)
 	idxBits := uint(bits.Len(uint(m - 1)))
 	switch {
@@ -386,7 +320,7 @@ func (b *batchInserter) insert(points [][]float64, base int) error {
 // insertCombo is the default chunk layout: key and original index
 // share one word, so the radix sort delivers the (path, index) total
 // order as a plain integer order. Covers every chunk of the standard
-// build (45-bit key + 13-bit index at d=15, H=4, chunks of 8192).
+// geometry (45-bit key + 13-bit index at d=15, H=4, chunks of 8192).
 func (b *batchInserter) insertCombo(points [][]float64, base int, idxBits uint) error {
 	t := b.t
 	d, H := t.D, t.H
@@ -401,7 +335,7 @@ func (b *batchInserter) insertCombo(points [][]float64, base int, idxBits uint) 
 		}
 		k, lf, ok := quantizePackedKey(p, d, H, b.qi)
 		if !ok {
-			return b.quantizeErr(p, base+i)
+			return quantizeErr(p, d, H, base+i)
 		}
 		combo[i] = k<<idxBits | uint64(i)
 		b.leaf[i] = lf
@@ -454,7 +388,7 @@ func (b *batchInserter) insertPairs(points [][]float64, base int) error {
 		}
 		k, lf, ok := quantizePackedKey(p, d, H, b.qi)
 		if !ok {
-			return b.quantizeErr(p, base+i)
+			return quantizeErr(p, d, H, base+i)
 		}
 		key[i] = k
 		pay[i] = uint64(i)
@@ -482,8 +416,8 @@ func (b *batchInserter) insertPairs(points [][]float64, base int) error {
 }
 
 // insertMultiWord is the d·(H-1) > 64 fallback: per-level loc words
-// compared lexicographically under slices.SortFunc, with the original
-// index as the explicit tie-break.
+// sorted by sortKeyOrder, with the original index as the explicit
+// tie-break.
 func (b *batchInserter) insertMultiWord(points [][]float64, base int) error {
 	t := b.t
 	d, H, w := t.D, t.H, b.words
@@ -499,51 +433,26 @@ func (b *batchInserter) insertMultiWord(points [][]float64, base int) error {
 		}
 		lf, ok := quantizeKeyWords(p, d, H, key[i*w:(i+1)*w], b.qi)
 		if !ok {
-			return b.quantizeErr(p, base+i)
+			return quantizeErr(p, d, H, base+i)
 		}
 		b.leaf[i] = lf
 		b.ord[i] = int32(i)
 	}
-	slices.SortFunc(b.ord, func(a, c int32) int {
-		ka := key[int(a)*w : int(a)*w+w]
-		kc := key[int(c)*w : int(c)*w+w]
-		for k := 0; k < w; k++ {
-			if ka[k] != kc[k] {
-				if ka[k] < kc[k] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return int(a) - int(c)
-	})
+	sortKeyOrder(key, w, b.ord)
 	t.invalidateIndexes()
 	b.have = 0
 	for i := 0; i < m; {
-		leader := b.ord[i]
+		lk := key[int(b.ord[i])*w : int(b.ord[i])*w+w]
 		j := i + 1
-		for j < m && b.keysEqual(b.ord[j], leader) {
+		for j < m && compareKeys(key[int(b.ord[j])*w:int(b.ord[j])*w+w], lk) == 0 {
 			j++
 		}
-		b.setCandFromKey(key[int(leader)*w : (int(leader)+1)*w])
-		deep := b.countRunAt(int32(j - i))
+		deep := b.countRunAt(lk, int32(j-i))
 		for q := i; q < j; q++ {
 			popcountLower(deep, b.leaf[b.ord[q]], t.dmask)
 		}
 		i = j
 	}
 	t.Eta += m
-	return nil
-}
-
-// insertSlow is the per-point fallback for chunks that would cross
-// MaxPoints: identical semantics (and error text) to the pre-batch
-// build loop.
-func (b *batchInserter) insertSlow(points [][]float64, base int) error {
-	for i, p := range points {
-		if err := b.t.Insert(p); err != nil {
-			return fmt.Errorf("ctree: point %d: %w", base+i, err)
-		}
-	}
 	return nil
 }

@@ -11,7 +11,7 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Build(ds, 4); err != nil {
+				if _, err := Build(ds, 4, BuildOptions{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -24,7 +24,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildParallel(ds, 4, workers); err != nil {
+				if _, err := Build(ds, 4, BuildOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -34,7 +34,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 
 func BenchmarkInsert(b *testing.B) {
 	ds := uniformDataset(b, 10, 10000, 1)
-	tr, err := Build(ds, 4)
+	tr, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func BenchmarkInsert(b *testing.B) {
 
 func BenchmarkNeighborLookup(b *testing.B) {
 	ds := uniformDataset(b, 10, 5000, 1)
-	tr, err := Build(ds, 4)
+	tr, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func BenchmarkNeighborLookup(b *testing.B) {
 
 func BenchmarkWalkLevel(b *testing.B) {
 	ds := uniformDataset(b, 10, 20000, 1)
-	tr, err := Build(ds, 4)
+	tr, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,0 +1,512 @@
+// The Counting-tree build (Algorithm 1): one entry point for the
+// serial, parallel and out-of-core builds (DESIGN.md §8–§10).
+//
+// Build splits the paper's single data scan into a sort phase and a
+// count phase. The sort phase quantizes the points to the level-H
+// grid and radix-sorts them by their root-to-leaf path into sorted
+// (path key, leaf parity) record streams — one per worker in memory,
+// or one per bounded run spilled to disk under SpillDir (spill.go) —
+// touching no tree at all. The count phase k-way merges the streams in
+// (key, stream index) order and counts each run of equal paths into
+// ONE tree through the carry-over descent of batch.go. Whether a
+// stream lives in a worker's memory or in a disk run is a property of
+// the stream, not a second counting loop.
+//
+// Streams cover contiguous slices of the dataset and sort stably, so
+// the merged order is (key, dataset index) — a pure function of the
+// dataset. Every configuration therefore builds the same tree in the
+// same canonical arena order (DFS preorder, siblings ascending by Loc;
+// see Canonicalize), with the same MemoryBytes and byte-identical
+// treeio snapshots, whatever Workers or the run size.
+//
+// Robustness: sort workers and the merge poll one checkpoint (an armed
+// fault point, the context and, in the merge, the memory cap against
+// the tree's MemoryBytes) every buildReportEvery points. A panic
+// inside a sort worker is recovered in the goroutine itself, so its
+// peers always drain and Build returns the panic as an error instead
+// of crashing the host. The memory-cap decision is deterministic for
+// a fixed (dataset, H, limit) because the merged record sequence — and
+// with it the tree's growth — is.
+package ctree
+
+import (
+	"cmp"
+	"context"
+	"fmt"
+	"os"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"mrcc/internal/dataset"
+	"mrcc/internal/fault"
+	"mrcc/internal/panics"
+)
+
+// buildReportEvery is the build's checkpoint interval: sort workers
+// poll the build control once per buildReportEvery points, and the
+// merge once per buildReportEvery records, buffering at most that
+// many leaf words of one path. InsertBatch sorts chunks of this size.
+const buildReportEvery = 8192
+
+// LimitError reports that a build (or the index construction that
+// follows it) exceeded the caller's memory budget. The core layer
+// converts it into the facade's *ResourceError, after optionally
+// degrading to a smaller H.
+type LimitError struct {
+	// LimitBytes is the configured budget.
+	LimitBytes uint64
+	// EstimateBytes is the footprint that tripped the limit (the
+	// tree's MemoryBytes during the build, plus IndexMemoryBytes
+	// afterwards).
+	EstimateBytes uint64
+	// H is the resolution count of the refused build.
+	H int
+}
+
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("ctree: counting-tree at H=%d needs ~%d bytes, over the %d-byte memory limit",
+		e.H, e.EstimateBytes, e.LimitBytes)
+}
+
+// ProgressFunc reports build progress: done of total points have been
+// counted into the tree. Build calls it from a single goroutine.
+type ProgressFunc func(done, total int)
+
+// BuildOptions configures Build. The zero value builds in memory on
+// GOMAXPROCS workers, with no cancellation, progress or memory cap.
+type BuildOptions struct {
+	// Workers is the number of goroutines that quantize and sort the
+	// in-memory build's shards; <= 0 selects GOMAXPROCS. It never
+	// changes the tree. A spilled build sorts its runs one at a time.
+	Workers int
+	// Progress receives cumulative counted-point totals from the merge
+	// every 8192 records and once at the end; nil adds no overhead.
+	Progress ProgressFunc
+	// Ctx cancels the build cooperatively: it is polled at every sort
+	// chunk and every merged chunk. nil means no cancellation.
+	Ctx context.Context
+	// MemoryLimitBytes is the build's memory budget; 0 means
+	// unlimited. In memory it caps the tree's MemoryBytes, polled every
+	// merged chunk (a refused build returns a *LimitError); the
+	// authoritative check that includes the level indexes is the
+	// caller's job. With SpillDir it bounds the sort buffer instead:
+	// each run holds at most MemoryLimitBytes/ExternalRecordBytes(d, H)
+	// points (at least 8192), and the tree is not capped.
+	MemoryLimitBytes uint64
+	// SpillDir, when non-empty, selects the out-of-core build: sorted
+	// runs are spilled to a private directory created under SpillDir
+	// (which must exist and be writable) and removed on every exit
+	// path. The tree is the same as the in-memory build's.
+	SpillDir string
+
+	// runPoints, when positive, overrides the run size a spilled build
+	// derives from MemoryLimitBytes; tests set it to force exact run
+	// counts.
+	runPoints int
+}
+
+// Build constructs the Counting-tree of a dataset normalized to
+// [0,1)^d with H resolutions (Algorithm 1): O(η·H·d) time, one pass
+// over the data. It validates the geometry once, sorts the points into
+// record streams (in memory, or spilled with opt.SpillDir) and counts
+// them into one tree with a single k-way merge; see the file comment
+// for why every configuration yields the same tree.
+//
+// Without SpillDir, Build holds sorted record columns for every point
+// next to the tree — η·ExternalRecordBytes(d, H) bytes while it runs;
+// SpillDir is the bounded-memory path.
+func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
+	if err := validateBuild(ds, H); err != nil {
+		return nil, err
+	}
+	bc := &buildControl{ctx: opt.Ctx}
+	t := New(ds.Dims, H)
+	var streams []*recordStream
+	var err error
+	if opt.SpillDir == "" {
+		bc.limit = opt.MemoryLimitBytes
+		streams, err = sortShards(ds, H, opt.Workers, bc)
+	} else {
+		dir, derr := os.MkdirTemp(opt.SpillDir, "mrcc-spill-*")
+		if derr != nil {
+			return nil, fmt.Errorf("ctree: creating spill directory: %w", derr)
+		}
+		// Run files only matter until the merge ends: every exit path,
+		// success included, closes and removes them.
+		defer os.RemoveAll(dir)
+		streams, err = spillRuns(t, ds, dir, opt, bc)
+		defer closeRuns(streams)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if keyWords(ds.Dims, H) == 1 {
+		t.radixChunks = int64(len(streams)) // sortShard radix-sorts packed keys
+	}
+	if err := countMerged(t, streams, bc, opt.Progress, ds.Len()); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// BuildParallelOpts is Build under its former name, kept for callers
+// outside this module's packages.
+func BuildParallelOpts(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
+	return Build(ds, H, opt)
+}
+
+// validateBuild is the build's one geometry check.
+func validateBuild(ds *dataset.Dataset, H int) error {
+	switch {
+	case ds == nil || ds.Len() == 0:
+		return fmt.Errorf("ctree: empty dataset")
+	case ds.Dims > MaxDims:
+		return fmt.Errorf("ctree: dimensionality %d exceeds the maximum %d", ds.Dims, MaxDims)
+	case H < MinLevels:
+		return fmt.Errorf("ctree: H must be >= %d, got %d", MinLevels, H)
+	case H > MaxLevels:
+		return fmt.Errorf("ctree: H must be <= %d, got %d", MaxLevels, H)
+	case ds.Len() > MaxPoints:
+		return fmt.Errorf("ctree: %d points exceed the int32 cell-counter maximum %d (MaxPoints); shard into separate trees", ds.Len(), MaxPoints)
+	}
+	return nil
+}
+
+// buildControl is the shared abort channel of one build: the first
+// failure wins, and every later checkpoint observes it through one
+// atomic load.
+type buildControl struct {
+	ctx     context.Context
+	limit   uint64
+	stopped atomic.Bool
+	mu      sync.Mutex
+	err     error
+}
+
+// fail records the first error, raises the stop flag and returns the
+// recorded (winning) error.
+func (bc *buildControl) fail(err error) error {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+	if bc.err == nil {
+		bc.err = err
+	}
+	bc.stopped.Store(true)
+	return bc.err
+}
+
+// firstErr returns the recorded failure, or nil.
+func (bc *buildControl) firstErr() error {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
+	return bc.err
+}
+
+// check is the build's one checkpoint. It observes, in order: a
+// failure a peer already recorded, the armed fault-injection point,
+// context cancellation and — when t is the tree being counted — the
+// memory cap against its MemoryBytes.
+func (bc *buildControl) check(point string, t *Tree) error {
+	if bc.stopped.Load() {
+		return bc.firstErr()
+	}
+	if err := fault.Inject(point); err != nil {
+		return bc.fail(err)
+	}
+	if bc.ctx != nil {
+		if err := bc.ctx.Err(); err != nil {
+			return bc.fail(err)
+		}
+	}
+	if t != nil && bc.limit > 0 {
+		if est := t.MemoryBytes(); est > bc.limit {
+			return bc.fail(&LimitError{LimitBytes: bc.limit, EstimateBytes: est, H: t.H})
+		}
+	}
+	return nil
+}
+
+// recordStream is one sorted run of (path key, leaf parity) records in
+// (key, arrival) order: keys holds the key words of each record (one
+// packed word when d·(H-1) <= 64, else the H-1 per-level loc words),
+// leaf the matching level-H parity words, and pos is the merge cursor.
+// A spilled run holds one block in memory and reads the next one back
+// from src as the merge drains it (spill.go).
+type recordStream struct {
+	keys []uint64
+	leaf []uint64
+	pos  int
+	src  *spillReader
+}
+
+// keyWords returns the words of one path key for a d-dimensional tree
+// at H resolutions.
+func keyWords(d, H int) int {
+	if d*(H-1) <= 64 {
+		return 1
+	}
+	return H - 1
+}
+
+// sortShards sorts the dataset into one record stream per worker, each
+// over a contiguous shard, in parallel.
+func sortShards(ds *dataset.Dataset, H, workers int, bc *buildControl) ([]*recordStream, error) {
+	n := ds.Len()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	size := (n + workers - 1) / workers
+	shards := (n + size - 1) / size
+	streams := make([]*recordStream, shards)
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for s := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Contain worker panics inside the goroutine: the WaitGroup
+			// always drains and Build reports the panic as an error.
+			defer func() {
+				if r := recover(); r != nil {
+					errs[s] = bc.fail(panics.New(r))
+				}
+			}()
+			streams[s], errs[s] = sortShard(ds, s*size, min((s+1)*size, n), H, bc)
+		}()
+	}
+	wg.Wait()
+	// The first checkpoint failure wins over the follow-on errors of
+	// peers that observed the stop flag; validation errors are not
+	// recorded there, so the lowest shard's (the dataset's first
+	// invalid point) is reported, exactly as a one-stream build would.
+	if err := bc.firstErr(); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return streams, nil
+}
+
+// sortShard quantizes and sorts the dataset slice [lo, hi) into a
+// recordStream. Packed keys sort with the stable pair-radix kernel
+// (radix.go), so equal keys keep dataset order — the tie-break the
+// deterministic merge relies on; multi-word keys fall back to a
+// comparison sort over the permutation.
+func sortShard(ds *dataset.Dataset, lo, hi, H int, bc *buildControl) (*recordStream, error) {
+	d := ds.Dims
+	s := hi - lo
+	w := keyWords(d, H)
+	keys := make([]uint64, s*w)
+	leaf := make([]uint64, s)
+	qi := make([]uint64, d)
+	for i := 0; i < s; i++ {
+		if i%buildReportEvery == 0 {
+			if err := bc.check(fault.BuildChunk, nil); err != nil {
+				return nil, err
+			}
+		}
+		p := ds.Points[lo+i]
+		if len(p) != d {
+			return nil, fmt.Errorf("ctree: point %d: ctree: point has %d values, want %d", lo+i, len(p), d)
+		}
+		var ok bool
+		if w == 1 {
+			keys[i], leaf[i], ok = quantizePackedKey(p, d, H, qi)
+		} else {
+			leaf[i], ok = quantizeKeyWords(p, d, H, keys[i*w:(i+1)*w], qi)
+		}
+		if !ok {
+			return nil, quantizeErr(p, d, H, lo+i)
+		}
+	}
+	if w == 1 {
+		sk, sp := radixSortPairs(keys, leaf, make([]uint64, s), make([]uint64, s))
+		return &recordStream{keys: sk, leaf: sp}, nil
+	}
+	// Multi-word: sort a permutation, then materialize the columns in
+	// sorted order so the merge reads them like any other stream.
+	ord := make([]int32, s)
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	sortKeyOrder(keys, w, ord)
+	sk := make([]uint64, s*w)
+	sp := make([]uint64, s)
+	for i, o := range ord {
+		copy(sk[i*w:(i+1)*w], keys[int(o)*w:(int(o)+1)*w])
+		sp[i] = leaf[o]
+	}
+	return &recordStream{keys: sk, leaf: sp}, nil
+}
+
+// compareKeys orders two path keys of equal word count
+// lexicographically, which for level-major keys is the tree's
+// canonical DFS preorder.
+func compareKeys(a, b []uint64) int {
+	for i := range a {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// sortKeyOrder sorts ord, a permutation of records whose w-word keys
+// are laid out back to back in keys, by (key, record index) — the one
+// multi-word (key, arrival) order, shared by sortShard and InsertBatch.
+func sortKeyOrder(keys []uint64, w int, ord []int32) {
+	slices.SortFunc(ord, func(a, c int32) int {
+		if r := compareKeys(keys[int(a)*w:int(a)*w+w], keys[int(c)*w:int(c)*w+w]); r != 0 {
+			return r
+		}
+		return cmp.Compare(a, c)
+	})
+}
+
+// streamHeap is the merge front: a binary min-heap over the streams
+// with records left, ordered by (head key, stream index), so picking
+// the next record costs O(log R) over R streams. Each entry caches its
+// head record's first key word, which settles every comparison of
+// packed keys without touching the stream.
+type streamHeap struct {
+	streams []*recordStream
+	w       int
+	heads   []streamHead
+}
+
+// streamHead is one heap entry: a stream and its head's first key word.
+type streamHead struct {
+	key uint64
+	s   int
+}
+
+// less orders two heap entries by their head records.
+func (h *streamHeap) less(a, b streamHead) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return h.tieLess(a, b)
+}
+
+// tieLess orders two heads whose first key words agree: by the
+// remaining key words, then by stream index.
+func (h *streamHeap) tieLess(a, b streamHead) bool {
+	if c := compareKeys(h.streams[a.s].head(h.w), h.streams[b.s].head(h.w)); c != 0 {
+		return c < 0
+	}
+	return a.s < b.s
+}
+
+// down restores the heap order below position i.
+func (h *streamHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h.heads) {
+			return
+		}
+		if r := c + 1; r < len(h.heads) && h.less(h.heads[r], h.heads[c]) {
+			c = r
+		}
+		if !h.less(h.heads[c], h.heads[i]) {
+			return
+		}
+		h.heads[i], h.heads[c] = h.heads[c], h.heads[i]
+		i = c
+	}
+}
+
+// head returns the key words of the stream's current record.
+func (rs *recordStream) head(w int) []uint64 { return rs.keys[rs.pos*w : rs.pos*w+w] }
+
+// countMerged counts the sorted streams into the empty tree t in
+// (key, stream index) order — the build's one counting loop. Records
+// sharing a path are buffered, at most buildReportEvery leaf words at
+// a time, and counted in one carry-over descent (batch.go), so shared
+// prefixes are bumped once per run of equal paths rather than once
+// per point. The build control is polled every buildReportEvery
+// records and once at the end; progress reports done of total records.
+func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress ProgressFunc, total int) error {
+	ins := newBatchInserter(t)
+	w := ins.words
+	h := &streamHeap{streams: streams, w: w}
+	for i, rs := range streams { // every stream holds at least one record
+		h.heads = append(h.heads, streamHead{rs.keys[0], i})
+	}
+	for i := len(h.heads)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	key := make([]uint64, w) // path of the buffered records
+	leafs := make([]uint64, 0, buildReportEvery)
+	var prev uint64
+	counted := false
+	flush := func() {
+		if len(leafs) == 0 {
+			return
+		}
+		var deep []int32
+		if ins.packed {
+			deep = ins.countRunPacked(key[0], prev, !counted, int32(len(leafs)))
+			prev = key[0]
+		} else {
+			deep = ins.countRunAt(key, int32(len(leafs)))
+		}
+		counted = true
+		for _, lf := range leafs {
+			popcountLower(deep, lf, t.dmask)
+		}
+		leafs = leafs[:0]
+	}
+	done := 0
+	for len(h.heads) > 0 {
+		top := &h.heads[0]
+		rs := streams[top.s]
+		if len(leafs) == 0 || top.key != key[0] || (w > 1 && compareKeys(rs.head(w), key) != 0) {
+			flush()
+			copy(key, rs.head(w))
+		}
+		leafs = append(leafs, rs.leaf[rs.pos])
+		if len(leafs) == cap(leafs) {
+			flush()
+		}
+		if rs.pos++; rs.pos == len(rs.leaf) && rs.src != nil && rs.src.remaining > 0 {
+			if err := rs.src.fill(rs, w); err != nil {
+				return err
+			}
+		}
+		if rs.pos < len(rs.leaf) {
+			top.key = rs.keys[rs.pos*w]
+		} else {
+			last := len(h.heads) - 1
+			h.heads[0] = h.heads[last]
+			h.heads = h.heads[:last]
+		}
+		h.down(0)
+		done++
+		if done%buildReportEvery == 0 {
+			if err := bc.check(fault.BuildMerge, t); err != nil {
+				return err
+			}
+			if progress != nil {
+				progress(done, total)
+			}
+		}
+	}
+	flush()
+	t.Eta = done
+	if err := bc.check(fault.BuildMerge, t); err != nil {
+		return err
+	}
+	if progress != nil {
+		progress(done, total)
+	}
+	return nil
+}

@@ -11,8 +11,8 @@ import (
 // BenchmarkTreeBuild isolates phase one (the Counting-tree build) on
 // the bench dataset — 15 dims, 10 subspace clusters, 15% noise, seed
 // 314, the same generator settings BenchmarkBetaSearch uses — at
-// several sizes, serially and at Workers=GOMAXPROCS (the parallel
-// sort-and-merge build, which produces the identical tree). It reports
+// several sizes, at Workers=1 and Workers=GOMAXPROCS (more sort
+// goroutines, the identical tree). It reports
 // points/s alongside allocs/op so the build's two acceptance numbers —
 // throughput and build-phase allocations — are read off one run:
 //
@@ -35,13 +35,7 @@ func BenchmarkTreeBuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var tr *Tree
-				var err error
-				if workers <= 1 {
-					tr, err = Build(ds, 4)
-				} else {
-					tr, err = BuildParallel(ds, 4, workers)
-				}
+				tr, err := Build(ds, 4, BuildOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,15 +8,13 @@
 // a level holds at most η cells even though the full grid has 2^(dh).
 //
 // Cells live in an arena of structure-of-arrays slabs and are addressed
-// by int32 Refs — see arena.go for the layout and batch.go for the
-// sorted batch insertion Build runs on top of it.
+// by int32 Refs — see arena.go for the layout and build.go for the
+// sort-and-merge build that fills it.
 package ctree
 
 import (
 	"fmt"
 	"math"
-
-	"mrcc/internal/dataset"
 )
 
 // MaxDims bounds the dimensionality so a cell's relative position fits
@@ -41,69 +39,6 @@ const MaxLevels = 60
 // silently wrap the counts. Insert and MergeFrom refuse instead;
 // datasets beyond this size must be sharded into separate trees.
 const MaxPoints = math.MaxInt32
-
-// Build constructs the Counting-tree for a dataset normalized to
-// [0,1)^d, with H resolutions (Algorithm 1). It is a single scan over
-// the data — O(η·H·d) time, O(H·η·d) space — executed in sorted
-// batches (batch.go): each chunk of points is quantized to the full
-// level-H grid once, sorted by its root-to-leaf cell path, and runs of
-// points sharing a path are counted in one descent.
-func Build(ds *dataset.Dataset, H int) (*Tree, error) {
-	return buildReporting(ds, H, nil, nil)
-}
-
-// buildReportEvery is how many insertions a shard batches before
-// invoking the progress report. It is also the sorted-insertion chunk
-// size: one chunk is quantized, sorted and counted between two
-// checkpoints, so cancellation, injected faults and the memory cap are
-// still observed within one report interval of work.
-const buildReportEvery = 8192
-
-// buildReporting is Build with an optional progress report — report is
-// invoked with insertion-count deltas roughly every buildReportEvery
-// points (and once with the remainder); the observability layer hooks
-// the sharded parallel build through it — and an optional build
-// control (robust.go), polled at the same interval.
-func buildReporting(ds *dataset.Dataset, H int, report func(delta int), bc *buildControl) (*Tree, error) {
-	if ds == nil || ds.Len() == 0 {
-		return nil, fmt.Errorf("ctree: empty dataset")
-	}
-	if ds.Dims > MaxDims {
-		return nil, fmt.Errorf("ctree: dimensionality %d exceeds the maximum %d", ds.Dims, MaxDims)
-	}
-	if H < MinLevels {
-		return nil, fmt.Errorf("ctree: H must be >= %d, got %d", MinLevels, H)
-	}
-	if H > MaxLevels {
-		return nil, fmt.Errorf("ctree: H must be <= %d, got %d", MaxLevels, H)
-	}
-	t := New(ds.Dims, H)
-	ins := newBatchInserter(t)
-	n := ds.Len()
-	for lo := 0; lo < n; lo += buildReportEvery {
-		hi := lo + buildReportEvery
-		if hi > n {
-			hi = n
-		}
-		if err := ins.insert(ds.Points[lo:hi], lo); err != nil {
-			return nil, err
-		}
-		if hi-lo == buildReportEvery {
-			if report != nil {
-				report(buildReportEvery)
-			}
-			if err := bc.check(t); err != nil {
-				return nil, err
-			}
-		} else if report != nil {
-			report(hi - lo)
-		}
-	}
-	if err := bc.check(t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
 
 // locAtLevel computes the relative position bits of the level-h cell
 // containing p: bit j is the parity of floor(p[j]·2^h), i.e. whether the

@@ -23,33 +23,53 @@ func uniformDataset(t testing.TB, d, n int, seed int64) *dataset.Dataset {
 	return ds
 }
 
+// TestBuildRejectsBadInput pins the build's one geometry validation:
+// every configuration — in memory at several worker counts, and
+// spilled — refuses the same inputs with the same error, before it
+// shards, sorts or spills anything.
 func TestBuildRejectsBadInput(t *testing.T) {
-	if _, err := Build(nil, 4); err == nil {
-		t.Error("nil dataset accepted")
+	wide := dataset.New(MaxDims+1, 100)
+	for i := 0; i < 100; i++ {
+		wide.Append(make([]float64, MaxDims+1))
 	}
-	if _, err := Build(dataset.New(3, 0), 4); err == nil {
-		t.Error("empty dataset accepted")
+	ds := uniformDataset(t, 3, 100, 1)
+	cases := []struct {
+		name string
+		ds   *dataset.Dataset
+		H    int
+		want string
+	}{
+		{"nil", nil, 4, "ctree: empty dataset"},
+		{"empty", dataset.New(3, 0), 4, "ctree: empty dataset"},
+		{"d=64", wide, 4, "ctree: dimensionality 64 exceeds the maximum 63"},
+		{"H=0", ds, 0, "ctree: H must be >= 3, got 0"},
+		{"H=2", ds, 2, "ctree: H must be >= 3, got 2"},
+		{"H=61", ds, 61, "ctree: H must be <= 60, got 61"},
 	}
-	ds := uniformDataset(t, 3, 10, 1)
-	if _, err := Build(ds, 2); err == nil {
-		t.Error("H=2 accepted, minimum is 3")
-	}
-	big := uniformDataset(t, 3, 2, 1)
-	big.Dims = MaxDims + 1
-	big.Points[0] = make([]float64, MaxDims+1)
-	big.Points[1] = make([]float64, MaxDims+1)
-	if _, err := Build(big, 4); err == nil {
-		t.Error("dimensionality above MaxDims accepted")
+	for _, workers := range []int{1, 2, 8} {
+		for _, spill := range []bool{false, true} {
+			for _, tc := range cases {
+				opt := BuildOptions{Workers: workers}
+				if spill {
+					opt.SpillDir = t.TempDir()
+				}
+				tr, err := Build(tc.ds, tc.H, opt)
+				if err == nil || err.Error() != tc.want || tr != nil {
+					t.Errorf("workers=%d spill=%v %s: got (%v, %v), want error %q",
+						workers, spill, tc.name, tr, err, tc.want)
+				}
+			}
+		}
 	}
 	bad, _ := dataset.FromRows([][]float64{{0.5, 1.5}})
-	if _, err := Build(bad, 4); err == nil {
+	if _, err := Build(bad, 4, BuildOptions{}); err == nil {
 		t.Error("non-normalized dataset accepted")
 	}
 }
 
 func TestLevelCountsSumToEta(t *testing.T) {
 	ds := uniformDataset(t, 4, 500, 7)
-	tr, err := Build(ds, 5)
+	tr, err := Build(ds, 5, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +84,7 @@ func TestLevelCountsSumToEta(t *testing.T) {
 
 func TestChildCountsSumToParent(t *testing.T) {
 	ds := uniformDataset(t, 3, 800, 11)
-	tr, err := Build(ds, 5)
+	tr, err := Build(ds, 5, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +107,7 @@ func TestHalfSpaceCountsMatchData(t *testing.T) {
 	// compare: P[j] counts the cell's points in its lower half along j.
 	ds := uniformDataset(t, 3, 400, 13)
 	const H = 4
-	tr, err := Build(ds, H)
+	tr, err := Build(ds, H, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +140,7 @@ func TestHalfSpaceCountsMatchData(t *testing.T) {
 
 func TestCellAtFindsEveryWalkedCell(t *testing.T) {
 	ds := uniformDataset(t, 4, 300, 17)
-	tr, err := Build(ds, 4)
+	tr, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +251,8 @@ func TestPathCompare(t *testing.T) {
 
 func TestDeterministicWalkOrder(t *testing.T) {
 	ds := uniformDataset(t, 4, 200, 23)
-	t1, _ := Build(ds, 4)
-	t2, _ := Build(ds, 4)
+	t1, _ := Build(ds, 4, BuildOptions{})
+	t2, _ := Build(ds, 4, BuildOptions{})
 	var p1, p2 []Path
 	t1.WalkLevel(2, func(p Path, _ Ref) { p1 = append(p1, p.Clone()) })
 	t2.WalkLevel(2, func(p Path, _ Ref) { p2 = append(p2, p.Clone()) })
@@ -248,7 +268,7 @@ func TestDeterministicWalkOrder(t *testing.T) {
 
 func TestResetUsed(t *testing.T) {
 	ds := uniformDataset(t, 3, 100, 29)
-	tr, _ := Build(ds, 4)
+	tr, _ := Build(ds, 4, BuildOptions{})
 	tr.WalkLevel(2, func(_ Path, r Ref) { tr.SetUsed(r, true) })
 	tr.ResetUsed()
 	tr.WalkLevel(2, func(_ Path, r Ref) {
@@ -259,8 +279,8 @@ func TestResetUsed(t *testing.T) {
 }
 
 func TestMemoryBytesGrowsWithData(t *testing.T) {
-	small, _ := Build(uniformDataset(t, 4, 100, 31), 4)
-	large, _ := Build(uniformDataset(t, 4, 10000, 31), 4)
+	small, _ := Build(uniformDataset(t, 4, 100, 31), 4, BuildOptions{})
+	large, _ := Build(uniformDataset(t, 4, 10000, 31), 4, BuildOptions{})
 	if small.MemoryBytes() >= large.MemoryBytes() {
 		t.Errorf("memory should grow with data: %d vs %d", small.MemoryBytes(), large.MemoryBytes())
 	}
@@ -276,7 +296,7 @@ func TestSideLen(t *testing.T) {
 
 func TestLevelCellCountBounds(t *testing.T) {
 	ds := uniformDataset(t, 5, 1000, 37)
-	tr, _ := Build(ds, 4)
+	tr, _ := Build(ds, 4, BuildOptions{})
 	for h := 1; h <= 3; h++ {
 		n := tr.LevelCellCount(h)
 		if n < 1 || n > ds.Len() {

@@ -10,11 +10,11 @@ import (
 	"mrcc/internal/fault"
 )
 
-// TestBuildExternalFaultLeavesNoOrphans arms the external build's two
-// injection points in turn — mid-spill and mid-merge — and demands the
-// aborted build surface the armed cause as a *fault.Error and leave
-// the spill directory empty: no orphan run files, no leftover temp
-// directory.
+// TestBuildExternalFaultLeavesNoOrphans arms the build's two injection
+// points on the spilled path in turn — a sort chunk after runs are
+// already on disk, and the merge — and demands the aborted build
+// surface the armed cause as a *fault.Error and leave the spill
+// directory empty: no orphan run files, no leftover temp directory.
 func TestBuildExternalFaultLeavesNoOrphans(t *testing.T) {
 	ds := uniformDataset(t, 4, 30_000, 51)
 	boom := errors.New("injected failure")
@@ -22,18 +22,18 @@ func TestBuildExternalFaultLeavesNoOrphans(t *testing.T) {
 		point string
 		after int
 	}{
-		{fault.ExternalSpill, 1},
-		{fault.ExternalSpill, 3},
-		{fault.ExternalMerge, 1},
-		{fault.ExternalMerge, 2},
+		{fault.BuildChunk, 1},
+		{fault.BuildChunk, 3}, // run 0 (two chunks) is spilled when it fires
+		{fault.BuildMerge, 1},
+		{fault.BuildMerge, 2},
 	} {
 		t.Run(tc.point, func(t *testing.T) {
 			t.Cleanup(fault.Reset)
 			dir := t.TempDir()
 			fault.SetAfter(tc.point, tc.after, func() error { return boom })
-			_, err := BuildExternal(ds, 4, ExternalBuildOptions{
+			_, err := Build(ds, 4, BuildOptions{
 				SpillDir:  dir,
-				RunPoints: 10_000, // 3 runs: the merge phase is multi-way when it aborts
+				runPoints: 10_000, // 3 runs: the merge phase is multi-way when it aborts
 			})
 			if !errors.Is(err, boom) {
 				t.Fatalf("got %v, want the injected cause", err)
@@ -60,19 +60,19 @@ func TestBuildExternalFaultLeavesNoOrphans(t *testing.T) {
 	}
 }
 
-// TestBuildExternalUnfiredFault pins the harness no-op property for
-// the new points: an armed-but-unfired trigger (count beyond the
-// build's checkpoints) changes nothing about the output.
+// TestBuildExternalUnfiredFault pins the harness no-op property on the
+// spilled path: an armed-but-unfired trigger (count beyond the build's
+// checkpoints) changes nothing about the output.
 func TestBuildExternalUnfiredFault(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ds := uniformDataset(t, 4, 9_000, 52)
-	want, err := BuildExternal(ds, 4, ExternalBuildOptions{SpillDir: t.TempDir()})
+	want, err := Build(ds, 4, BuildOptions{SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault.SetAfter(fault.ExternalSpill, 1_000_000, func() error { return errors.New("never") })
-	fault.SetAfter(fault.ExternalMerge, 1_000_000, func() error { return errors.New("never") })
-	got, err := BuildExternal(ds, 4, ExternalBuildOptions{SpillDir: t.TempDir()})
+	fault.SetAfter(fault.BuildChunk, 1_000_000, func() error { return errors.New("never") })
+	fault.SetAfter(fault.BuildMerge, 1_000_000, func() error { return errors.New("never") })
+	got, err := Build(ds, 4, BuildOptions{SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

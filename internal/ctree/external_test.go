@@ -9,59 +9,6 @@ import (
 	"mrcc/internal/dataset"
 )
 
-// externalRunCount derives how many spill runs a dataset of n points
-// produces at the given RunPoints override.
-func externalRunCount(n, runPoints int) int {
-	return (n + runPoints - 1) / runPoints
-}
-
-// TestBuildExternalEqualsBuildParallel pins the tentpole equivalence:
-// the spill-and-merge build with 1, 2 and 7 runs produces a tree
-// cell-for-cell identical to the in-memory build, with identical
-// MemoryBytes — on both the packed single-word key layout and the
-// multi-word layout (d·(H-1) > 64).
-func TestBuildExternalEqualsBuildParallel(t *testing.T) {
-	shapes := []struct {
-		d, H, n int
-	}{
-		{4, 4, 20_000},  // packed keys
-		{15, 6, 20_000}, // 15·5 = 75 > 64: multi-word keys
-	}
-	for _, s := range shapes {
-		ds := uniformDataset(t, s.d, s.n, int64(s.d))
-		want, err := BuildParallel(ds, s.H, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, runs := range []int{1, 2, 7} {
-			runPoints := (s.n + runs - 1) / runs
-			if got := externalRunCount(s.n, runPoints); got != runs {
-				t.Fatalf("test setup: runPoints %d gives %d runs, want %d", runPoints, got, runs)
-			}
-			opt := ExternalBuildOptions{RunPoints: runPoints, SpillDir: t.TempDir()}
-			got, err := BuildExternal(ds, s.H, opt)
-			if err != nil {
-				t.Fatalf("d=%d runs=%d: %v", s.d, runs, err)
-			}
-			if !treesEqual(t, want, got) {
-				t.Fatalf("d=%d: external build with %d runs diverged from the in-memory build", s.d, runs)
-			}
-			if !Equal(want, got) {
-				t.Fatalf("d=%d runs=%d: ctree.Equal disagrees with treesEqual", s.d, runs)
-			}
-			if wm, gm := want.MemoryBytes(), got.MemoryBytes(); wm != gm {
-				t.Fatalf("d=%d runs=%d: MemoryBytes diverged: in-memory %d, external %d", s.d, runs, wm, gm)
-			}
-			if sr, sb := got.SpillStats(); sr != int64(runs) || sb <= 0 {
-				t.Fatalf("d=%d: SpillStats = (%d, %d), want (%d, >0)", s.d, sr, sb, runs)
-			}
-			if sr, sb := want.SpillStats(); sr != 0 || sb != 0 {
-				t.Fatalf("in-memory build reports spill stats (%d, %d)", sr, sb)
-			}
-		}
-	}
-}
-
 // TestBuildExternalDuplicateHeavy forces long equal-path groups that
 // span run boundaries and the group-flush window.
 func TestBuildExternalDuplicateHeavy(t *testing.T) {
@@ -70,11 +17,11 @@ func TestBuildExternalDuplicateHeavy(t *testing.T) {
 	for i := 0; i < 30_000; i++ {
 		ds.Append(base.Points[i%len(base.Points)])
 	}
-	want, err := Build(ds, 4)
+	want, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := BuildExternal(ds, 4, ExternalBuildOptions{RunPoints: 9000, SpillDir: t.TempDir()})
+	got, err := Build(ds, 4, BuildOptions{runPoints: 9000, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,21 +34,18 @@ func TestBuildExternalDuplicateHeavy(t *testing.T) {
 }
 
 // TestBuildExternalMemoryBudget pins the MemoryLimitBytes derivation:
-// a budget of ~1/10 of the record stream yields multiple runs and the
-// build still completes with the exact in-memory tree.
+// a budget of ~1/10 of the sort buffer an in-memory build holds yields
+// multiple runs, and the build still completes with the exact
+// in-memory tree.
 func TestBuildExternalMemoryBudget(t *testing.T) {
 	const n = 60_000
 	ds := uniformDataset(t, 5, n, 31)
-	want, err := BuildParallel(ds, 4, 0)
+	want, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, recWords := spillRecordWords(5, 4)
-	streamBytes := uint64(n * (recWords*8 + 4))
-	got, err := BuildExternal(ds, 4, ExternalBuildOptions{
-		BuildOptions: BuildOptions{MemoryLimitBytes: streamBytes / 10},
-		SpillDir:     t.TempDir(),
-	})
+	streamBytes := uint64(n * ExternalRecordBytes(5, 4))
+	got, err := Build(ds, 4, BuildOptions{MemoryLimitBytes: streamBytes / 10, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +66,7 @@ func TestBuildExternalMemoryBudget(t *testing.T) {
 func TestBuildExternalCleansSpillDir(t *testing.T) {
 	dir := t.TempDir()
 	ds := uniformDataset(t, 4, 10_000, 17)
-	if _, err := BuildExternal(ds, 4, ExternalBuildOptions{RunPoints: 2500, SpillDir: dir}); err != nil {
+	if _, err := Build(ds, 4, BuildOptions{runPoints: 2500, SpillDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -144,22 +88,17 @@ func TestBuildExternalCancel(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := BuildExternal(ds, 4, ExternalBuildOptions{
-		BuildOptions: BuildOptions{Ctx: cancelled},
-		SpillDir:     dir,
-	})
+	_, err := Build(ds, 4, BuildOptions{Ctx: cancelled, SpillDir: dir})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled context: got %v, want context.Canceled", err)
 	}
 
 	ctx, cancelMid := context.WithCancel(context.Background())
-	_, err = BuildExternal(ds, 4, ExternalBuildOptions{
-		BuildOptions: BuildOptions{
-			Ctx: ctx,
-			// Progress only fires from the merge loop: cancelling here
-			// aborts mid-merge.
-			Progress: func(done, total int) { cancelMid() },
-		},
+	_, err = Build(ds, 4, BuildOptions{
+		Ctx: ctx,
+		// Progress only fires from the merge loop: cancelling here
+		// aborts mid-merge.
+		Progress: func(done, total int) { cancelMid() },
 		SpillDir: dir,
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -175,25 +114,20 @@ func TestBuildExternalCancel(t *testing.T) {
 	}
 }
 
-// TestBuildExternalValidation mirrors the in-memory build's input
-// validation.
+// TestBuildExternalValidation pins the spill-specific refusals: an
+// invalid point aborts the spill with the in-memory build's error, and
+// an unwritable spill parent fails fast. (The geometry checks are
+// shared with every configuration: TestBuildRejectsBadInput.)
 func TestBuildExternalValidation(t *testing.T) {
-	if _, err := BuildExternal(nil, 4, ExternalBuildOptions{}); err == nil {
-		t.Error("nil dataset accepted")
-	}
-	if _, err := BuildExternal(dataset.New(3, 0), 4, ExternalBuildOptions{}); err == nil {
-		t.Error("empty dataset accepted")
+	bad := uniformDataset(t, 2, 20_000, 1)
+	bad.Points[12_345] = []float64{0.5, 1.5}
+	_, want := Build(bad, 4, BuildOptions{})
+	_, err := Build(bad, 4, BuildOptions{runPoints: 5000, SpillDir: t.TempDir()})
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Errorf("out-of-cube point: spilled build got %v, in-memory %v", err, want)
 	}
 	ds := uniformDataset(t, 3, 10, 1)
-	if _, err := BuildExternal(ds, 2, ExternalBuildOptions{}); err == nil {
-		t.Error("H below MinLevels accepted")
-	}
-	bad := dataset.New(2, 1)
-	bad.Append([]float64{0.5, 1.5})
-	if _, err := BuildExternal(bad, 4, ExternalBuildOptions{}); err == nil {
-		t.Error("out-of-cube point accepted")
-	}
-	if _, err := BuildExternal(ds, 4, ExternalBuildOptions{SpillDir: "/nonexistent/dir/for/mrcc"}); err == nil {
+	if _, err := Build(ds, 4, BuildOptions{SpillDir: "/nonexistent/dir/for/mrcc"}); err == nil {
 		t.Error("unwritable spill parent accepted")
 	}
 }
@@ -204,8 +138,8 @@ func TestBuildExternalProgress(t *testing.T) {
 	const n = 20_000
 	ds := uniformDataset(t, 3, n, 41)
 	last, calls := 0, 0
-	_, err := BuildExternal(ds, 4, ExternalBuildOptions{
-		BuildOptions: BuildOptions{Progress: func(done, total int) {
+	_, err := Build(ds, 4, BuildOptions{
+		Progress: func(done, total int) {
 			if total != n {
 				t.Fatalf("progress total %d, want %d", total, n)
 			}
@@ -214,9 +148,9 @@ func TestBuildExternalProgress(t *testing.T) {
 			}
 			last = done
 			calls++
-		}},
-		SpillDir: t.TempDir(),
-		RunPoints: 6000,
+		},
+		SpillDir:  t.TempDir(),
+		runPoints: 6000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,12 +3,10 @@ package ctree
 import (
 	"fmt"
 	"math"
-
-	"mrcc/internal/dataset"
 )
 
-// Insert counts one additional point (in [0,1)^d) into the tree,
-// exactly as Build's batched scan does. The clustering phase can then
+// Insert counts one additional point (in [0,1)^d) into the tree with
+// the same counts Build gives it. The clustering phase can then
 // be re-run over the updated tree, which is how a downstream system
 // keeps clusters fresh while data streams in (InsertBatch amortizes
 // the descent over sorted chunks when points arrive in batches).
@@ -109,26 +107,4 @@ func (t *Tree) MergeFrom(other *Tree) error {
 	t.runPoints += other.runPoints
 	t.radixChunks += other.radixChunks
 	return nil
-}
-
-// ProgressFunc reports build progress: done of total points have been
-// counted into the tree. Shard goroutines may invoke it concurrently;
-// BuildParallelProgress callers that need serialization must provide it
-// (the obs.Collector does).
-type ProgressFunc func(done, total int)
-
-// BuildParallel builds the Counting-tree with `workers` goroutines, each
-// counting a shard of the dataset into a private tree, then merging.
-// It produces exactly the same counts as Build (cell iteration order may
-// differ, but the clustering phase's deterministic tie-break makes the
-// final clustering identical). workers <= 0 selects GOMAXPROCS.
-func BuildParallel(ds *dataset.Dataset, H, workers int) (*Tree, error) {
-	return BuildParallelProgress(ds, H, workers, nil)
-}
-
-// BuildParallelProgress is BuildParallel with an optional progress
-// callback, invoked with the cumulative insertion count roughly every
-// few thousand points. A nil progress adds no overhead.
-func BuildParallelProgress(ds *dataset.Dataset, H, workers int, progress ProgressFunc) (*Tree, error) {
-	return BuildParallelOpts(ds, H, BuildOptions{Workers: workers, Progress: progress})
 }

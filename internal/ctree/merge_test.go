@@ -37,7 +37,7 @@ func treesEqual(t *testing.T, a, b *Tree) bool {
 
 func TestInsertMatchesBuild(t *testing.T) {
 	ds := uniformDataset(t, 4, 500, 3)
-	built, err := Build(ds, 4)
+	built, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestInsertMatchesBuild(t *testing.T) {
 }
 
 func TestInsertValidation(t *testing.T) {
-	tr, err := Build(uniformDataset(t, 3, 10, 1), 4)
+	tr, err := Build(uniformDataset(t, 3, 10, 1), 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,16 +70,16 @@ func TestInsertValidation(t *testing.T) {
 
 func TestMergeFromEqualsWholeBuild(t *testing.T) {
 	ds := uniformDataset(t, 5, 700, 7)
-	whole, err := Build(ds, 4)
+	whole, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	half := ds.Len() / 2
-	left, err := Build(&dataset.Dataset{Dims: ds.Dims, Points: ds.Points[:half]}, 4)
+	left, err := Build(&dataset.Dataset{Dims: ds.Dims, Points: ds.Points[:half]}, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	right, err := Build(&dataset.Dataset{Dims: ds.Dims, Points: ds.Points[half:]}, 4)
+	right, err := Build(&dataset.Dataset{Dims: ds.Dims, Points: ds.Points[half:]}, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +91,15 @@ func TestMergeFromEqualsWholeBuild(t *testing.T) {
 	}
 }
 
-// TestMergeFromEmptyShard pins the edge case BuildParallel hits when a
-// shard is empty: merging an empty tree must change nothing, in either
-// direction.
+// TestMergeFromEmptyShard pins the edge case of an empty shard tree:
+// merging an empty tree must change nothing, in either direction.
 func TestMergeFromEmptyShard(t *testing.T) {
 	ds := uniformDataset(t, 4, 300, 5)
-	whole, err := Build(ds, 4)
+	whole, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	built, err := Build(ds, 4)
+	built, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +125,13 @@ func TestMergeFromEmptyShard(t *testing.T) {
 // P[j] half-space counts, and (clear) usedCell flags cell-for-cell.
 func TestMergeFromSinglePointShards(t *testing.T) {
 	ds := uniformDataset(t, 5, 120, 13)
-	whole, err := Build(ds, 4)
+	whole, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	merged := New(5, 4)
 	for i := range ds.Points {
-		shard, err := Build(&dataset.Dataset{Dims: ds.Dims, Points: ds.Points[i : i+1]}, 4)
+		shard, err := Build(&dataset.Dataset{Dims: ds.Dims, Points: ds.Points[i : i+1]}, 4, BuildOptions{})
 		if err != nil {
 			t.Fatalf("point %d: %v", i, err)
 		}
@@ -156,7 +155,7 @@ func TestMergeFromSinglePointShards(t *testing.T) {
 // count identically.
 func TestMergeFromDifferingIterationOrders(t *testing.T) {
 	ds := uniformDataset(t, 5, 800, 29)
-	whole, err := Build(ds, 4)
+	whole, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +166,11 @@ func TestMergeFromDifferingIterationOrders(t *testing.T) {
 	}
 	// Shard A: first half, natural order. Shard B: second half, reversed
 	// order (same multiset of points, different insertion order).
-	a, err := Build(&dataset.Dataset{Dims: ds.Dims, Points: ds.Points[:half]}, 4)
+	a, err := Build(&dataset.Dataset{Dims: ds.Dims, Points: ds.Points[:half]}, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(&dataset.Dataset{Dims: ds.Dims, Points: reversed.Points[:ds.Len()-half]}, 4)
+	b, err := Build(&dataset.Dataset{Dims: ds.Dims, Points: reversed.Points[:ds.Len()-half]}, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +195,12 @@ func TestMergeFromDifferingIterationOrders(t *testing.T) {
 }
 
 func TestMergeFromValidation(t *testing.T) {
-	a, _ := Build(uniformDataset(t, 3, 20, 1), 4)
-	b, _ := Build(uniformDataset(t, 4, 20, 1), 4)
+	a, _ := Build(uniformDataset(t, 3, 20, 1), 4, BuildOptions{})
+	b, _ := Build(uniformDataset(t, 4, 20, 1), 4, BuildOptions{})
 	if err := a.MergeFrom(b); err == nil {
 		t.Error("dimensionality mismatch accepted")
 	}
-	c, _ := Build(uniformDataset(t, 3, 20, 1), 5)
+	c, _ := Build(uniformDataset(t, 3, 20, 1), 5, BuildOptions{})
 	if err := a.MergeFrom(c); err == nil {
 		t.Error("resolution mismatch accepted")
 	}
@@ -210,25 +209,8 @@ func TestMergeFromValidation(t *testing.T) {
 	}
 }
 
-func TestBuildParallelEqualsBuild(t *testing.T) {
-	ds := uniformDataset(t, 4, 2000, 11)
-	whole, err := Build(ds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		par, err := BuildParallel(ds, 4, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !treesEqual(t, whole, par) {
-			t.Fatalf("workers=%d: parallel build diverged", workers)
-		}
-	}
-}
-
 func TestBuildParallelEmpty(t *testing.T) {
-	if _, err := BuildParallel(dataset.New(3, 0), 4, 2); err == nil {
+	if _, err := Build(dataset.New(3, 0), 4, BuildOptions{Workers: 2}); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }

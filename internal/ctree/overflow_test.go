@@ -3,7 +3,6 @@ package ctree
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"mrcc/internal/dataset"
@@ -16,7 +15,7 @@ import (
 func TestInsertRefusesPastMaxPoints(t *testing.T) {
 	ds := dataset.New(2, 1)
 	ds.Append([]float64{0.25, 0.75})
-	tree, err := Build(ds, 4)
+	tree, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func TestMergeRefusesOverflow(t *testing.T) {
 	build := func(v float64) *Tree {
 		ds := dataset.New(2, 1)
 		ds.Append([]float64{v, v})
-		tree, err := Build(ds, 4)
+		tree, err := Build(ds, 4, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,28 +77,23 @@ func TestMaxPointsIsInt32Max(t *testing.T) {
 	}
 }
 
-// TestBuildParallelProgress checks the cumulative progress stream: it
+// TestBuildParallelProgress checks the cumulative progress stream of
+// a multi-worker build: the merge reports it from one goroutine, so it
 // must be non-decreasing, end at the dataset size, and the built tree
-// must match the plain build.
+// must match the single-worker build.
 func TestBuildParallelProgress(t *testing.T) {
 	ds := uniformDataset(t, 4, 20000, 7)
-	// Shard goroutines may call progress concurrently (the collector
-	// serializes in production; here a mutex does). The cumulative done
-	// values come from one atomic counter, but invocations can be
-	// observed out of order — so assert on the maximum, not monotonicity.
-	var mu sync.Mutex
 	var maxDone, calls int
-	tree, err := BuildParallelProgress(ds, 4, 4, func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
+	tree, err := Build(ds, 4, BuildOptions{Workers: 4, Progress: func(done, total int) {
 		calls++
 		if total != ds.Len() {
 			t.Errorf("total = %d, want %d", total, ds.Len())
 		}
-		if done > maxDone {
-			maxDone = done
+		if done < maxDone {
+			t.Errorf("progress went backwards: %d after %d", done, maxDone)
 		}
-	})
+		maxDone = done
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +106,11 @@ func TestBuildParallelProgress(t *testing.T) {
 	if tree.Eta != ds.Len() {
 		t.Errorf("Eta = %d, want %d", tree.Eta, ds.Len())
 	}
-	serial, err := Build(ds, 4)
+	serial, err := Build(ds, 4, BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.LevelCellCount(3) != serial.LevelCellCount(3) {
+	if !Equal(tree, serial) {
 		t.Error("progress-built tree differs from serial build")
 	}
 }

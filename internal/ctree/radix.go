@@ -1,9 +1,9 @@
 // LSD radix sorting of packed path keys — the build's Morton sort
 // (DESIGN.md §12).
 //
-// The sorted batch insertion (batch.go) and the merged-stream parallel
-// build (robust.go) both order points by their packed root-to-leaf path
-// key before counting. The keys are dense unsigned integers (d·(H-1)
+// InsertBatch's chunk loop (batch.go) and Build's sort phase
+// (build.go) both order points by their packed root-to-leaf path key
+// before counting. The keys are dense unsigned integers (d·(H-1)
 // bits for the single-word layout), which makes an LSD counting sort
 // strictly cheaper than comparison sorting: one histogram pass over all
 // eight byte lanes, then one scatter pass per byte lane that actually
@@ -16,19 +16,19 @@
 //
 //   - radixSortCombo sorts one word per point that packs (key << idxBits
 //     | original index). Sorting the combined word yields exactly the
-//     (key asc, index asc) total order the batch inserter needs, with
+//     (key asc, index asc) total order InsertBatch's chunks need, with
 //     the tie-break for free. It applies whenever keyBits + idxBits
-//     <= 64 — every chunk of the default build (45-bit key, 13-bit
+//     <= 64 — every chunk of the default geometry (45-bit key, 13-bit
 //     chunk index).
 //   - radixSortPairs sorts a key column with one uint64 payload column
-//     riding along (the level-H parity word of the merged-stream build,
+//     riding along (the level-H parity word of Build's record streams,
 //     or an index column when the combo word would overflow). LSD
 //     counting passes are stable, so equal keys keep their arrival
 //     order — the same tie-break, encoded positionally.
 //
-// Multi-word keys (d·(H-1) > 64) fall back to slices.SortFunc over the
-// permutation with a lexicographic word comparison (batch.go); the
-// radix kernels are deliberately single-word.
+// Multi-word keys (d·(H-1) > 64) fall back to a comparison sort over
+// the permutation (sortKeyOrder in build.go); the radix kernels are
+// deliberately single-word.
 package ctree
 
 // radixSortCombo sorts a ascending in place (ping-ponging with tmp,

@@ -164,10 +164,11 @@ func TestQuantizeKeyWordsMatchesSlow(t *testing.T) {
 	}
 }
 
-// TestBatchLayoutsMatchPerPointInsert forces each of the three chunk
-// sort layouts — combo (key+index in one word), pair radix (packed key
-// whose combo word would overflow), multi-word comparison fallback —
-// and pins the resulting tree cell-identical to per-point insertion.
+// TestBatchLayoutsMatchPerPointInsert forces each of InsertBatch's
+// three chunk sort layouts — combo (key+index in one word), pair radix
+// (packed key whose combo word would overflow), multi-word comparison
+// fallback — and pins the resulting tree cell-identical to per-point
+// insertion.
 func TestBatchLayoutsMatchPerPointInsert(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -190,8 +191,8 @@ func TestBatchLayoutsMatchPerPointInsert(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				ds.Points[n-1-i] = ds.Points[i]
 			}
-			batched, err := Build(ds, tc.H)
-			if err != nil {
+			batched := New(tc.d, tc.H)
+			if err := batched.InsertBatch(ds.Points); err != nil {
 				t.Fatal(err)
 			}
 			perPoint := New(tc.d, tc.H)
@@ -215,14 +216,14 @@ func TestBatchLayoutsMatchPerPointInsert(t *testing.T) {
 	}
 }
 
-// TestBatchInsertErrorMessagesUnchanged pins the chunked fast path to
-// the historical per-point error text: the fused validator flags the
-// chunk, the slow validator re-derives the exact message.
+// TestBatchInsertErrorMessagesUnchanged pins Build's fused fast path
+// to the historical per-point error text: the fused validator flags
+// the point, the slow validator re-derives the exact message.
 func TestBatchInsertErrorMessagesUnchanged(t *testing.T) {
 	d := 5
 	ds := uniformDataset(t, d, 50, 9)
 	ds.Points[17][3] = 1.25
-	_, err := Build(ds, 4)
+	_, err := Build(ds, 4, BuildOptions{})
 	if err == nil {
 		t.Fatal("invalid point accepted")
 	}
@@ -232,7 +233,7 @@ func TestBatchInsertErrorMessagesUnchanged(t *testing.T) {
 	}
 	ds.Points[17] = ds.Points[0]
 	ds.Points[33] = []float64{0.1, 0.2}
-	_, err = Build(ds, 4)
+	_, err = Build(ds, 4, BuildOptions{})
 	if err == nil {
 		t.Fatal("short point accepted")
 	}
@@ -337,4 +338,14 @@ func BenchmarkMortonSort(b *testing.B) {
 		}
 		b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	})
+}
+
+// leafParity is the slow oracle of the fused quantizer's parity word:
+// bit j is the low bit of the axis-j level-H grid coordinate.
+func leafParity(qi []uint64, d int) uint64 {
+	var leaf uint64
+	for j := 0; j < d; j++ {
+		leaf |= (qi[j] & 1) << uint(j)
+	}
+	return leaf
 }

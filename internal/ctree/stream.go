@@ -1,10 +1,10 @@
 // Streaming support: public batch insertion and deep cloning — the two
 // tree operations the long-running service (internal/serve) layers its
 // two-tree window rotation and RCU view publication on. InsertBatch
-// folds a whole point batch into a live tree through the same sorted
-// batch insertion Build uses (batch.go); Clone produces an independent
-// tree the re-cluster loop can merge and scan while ingestion keeps
-// mutating the original.
+// folds a whole point batch into a live tree through sorted chunks
+// counted by the same descent Build uses (batch.go); Clone produces an
+// independent tree the re-cluster loop can merge and scan while
+// ingestion keeps mutating the original.
 package ctree
 
 import (
@@ -13,7 +13,7 @@ import (
 )
 
 // InsertBatch counts a batch of points (each in [0,1)^d) into the
-// tree, exactly as Build's batched scan does: the batch is processed
+// tree with the same counts Build gives them: the batch is processed
 // in sorted chunks, so runs of points sharing a cell path are counted
 // in one descent instead of len(points) separate root-to-leaf walks.
 //

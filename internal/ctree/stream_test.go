@@ -14,7 +14,7 @@ import (
 func TestInsertBatchEqualsBuild(t *testing.T) {
 	for _, d := range []int{3, 9} {
 		ds := uniformDataset(t, d, 7001, 61)
-		whole, err := Build(ds, 4)
+		whole, err := Build(ds, 4, BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestInsertBatchEqualsBuild(t *testing.T) {
 // partial counts into a live serving tree.
 func TestInsertBatchAtomicOnError(t *testing.T) {
 	ds := uniformDataset(t, 5, 300, 62)
-	tree, err := Build(ds, 4)
+	tree, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestInsertBatchAtomicOnError(t *testing.T) {
 // alone.
 func TestCloneIndependence(t *testing.T) {
 	ds := uniformDataset(t, 7, 2500, 63)
-	orig, err := Build(ds, 4)
+	orig, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestCloneThenMergeMatchesCombinedBuild(t *testing.T) {
 	d := 6
 	agingPts := uniformDataset(t, d, 1500, 65)
 	activePts := uniformDataset(t, d, 900, 66)
-	aging, err := Build(agingPts, 4)
+	aging, err := Build(agingPts, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	active, err := Build(activePts, 4)
+	active, err := Build(activePts, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCloneThenMergeMatchesCombinedBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := &dataset.Dataset{Dims: d, Points: append(append([][]float64{}, agingPts.Points...), activePts.Points...)}
-	whole, err := Build(all, 4)
+	whole, err := Build(all, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

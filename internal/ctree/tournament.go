@@ -9,10 +9,9 @@
 // reduction shape — but its ARENA ORDER (and therefore its snapshot
 // bytes) depends on the merge walk. Canonicalize closes that gap: it
 // rewrites any tree into the one canonical arena order (DFS preorder,
-// siblings ascending by Loc), which is exactly the order a
-// single-chunk serial build creates cells in, because the batch
-// inserter's packed path keys are level-major (level-1 position in the
-// most significant bits, see packedPathKey in batch.go) and sorted
+// siblings ascending by Loc), which is exactly the order Build creates
+// cells in, because its path keys are level-major (level-1 position in
+// the most significant bits, see packedPathKey in batch.go) and merged
 // ascending. Two canonicalized trees that are Equal serialize to
 // byte-identical treeio snapshots.
 package ctree
@@ -94,12 +93,12 @@ func MergeTournament(trees []*Tree, parallel int, check func() error) (*Tree, in
 
 // Canonicalize returns a tree storing exactly the same cells in the
 // canonical arena order: DFS preorder with every parent's children
-// ascending by Loc. A single-chunk serial build (η <= buildReportEvery
-// points) already creates cells in this order — its sorted, level-major
-// packed path keys ARE the preorder walk — so canonicalizing any
-// equal tree (a tournament merge, a multi-chunk build, a parallel
-// build) makes their treeio snapshots byte-identical. When the tree is
-// already canonical it is returned unchanged; otherwise a rewritten
+// ascending by Loc. Build already creates cells in this order — its
+// merged, level-major path keys ARE the preorder walk — so it returns
+// a built tree unchanged, and canonicalizing any equal tree (a
+// tournament merge, a MergeFrom fold, a tree grown by InsertBatch)
+// makes its treeio snapshot byte-identical to Build's. When the tree
+// is already canonical it is returned unchanged; otherwise a rewritten
 // tree is returned and the input is left untouched. Build statistics
 // (BatchRuns, RadixChunks, ArenaGrows) carry over, and MemoryBytes is
 // preserved exactly (a permutation neither adds nor removes cells).

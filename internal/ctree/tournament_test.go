@@ -29,7 +29,7 @@ func buildShardTrees(t *testing.T, shards []*dataset.Dataset, h int) []*Tree {
 	t.Helper()
 	trees := make([]*Tree, len(shards))
 	for i, s := range shards {
-		tr, err := Build(s, h)
+		tr, err := Build(s, h, BuildOptions{})
 		if err != nil {
 			t.Fatalf("shard %d build: %v", i, err)
 		}
@@ -40,7 +40,7 @@ func buildShardTrees(t *testing.T, shards []*dataset.Dataset, h int) []*Tree {
 
 func TestMergeTournamentMatchesSerial(t *testing.T) {
 	ds := uniformDataset(t, 5, 4000, 77)
-	serial, err := Build(ds, 4)
+	serial, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestMergeTournamentPermutations(t *testing.T) {
 }
 
 // TestCanonicalizeMatchesSingleChunkBuild pins the canonical-order
-// claim: a single-chunk serial build (η <= buildReportEvery) creates
+// claim on a dataset that fits one InsertBatch chunk: Build creates
 // cells in exactly the canonical DFS preorder, so Canonicalize leaves
 // it untouched and rewrites a tournament merge into the identical
 // arena layout, row for row.
@@ -102,7 +102,7 @@ func TestCanonicalizeMatchesSingleChunkBuild(t *testing.T) {
 	if len(ds.Points) > buildReportEvery {
 		t.Fatalf("test dataset must fit one build chunk (%d points)", buildReportEvery)
 	}
-	serial, err := Build(ds, 4)
+	serial, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +137,17 @@ func TestCanonicalizeMatchesSingleChunkBuild(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeMultiChunk checks that canonicalizing a multi-chunk
-// serial build and a tournament merge of the same dataset land on the
-// same arena layout (neither input order is canonical on its own).
+// TestCanonicalizeMultiChunk checks that canonicalizing a tree grown
+// by multi-chunk InsertBatch calls and a tournament merge of the same
+// dataset land on the same arena layout (neither input order is
+// canonical on its own) — the layout Build produces directly.
 func TestCanonicalizeMultiChunk(t *testing.T) {
 	ds := uniformDataset(t, 4, 3*buildReportEvery+100, 7)
-	serial, err := Build(ds, 4)
+	serial := New(4, 4)
+	if err := serial.InsertBatch(ds.Points); err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +163,11 @@ func TestCanonicalizeMultiChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := ca.Columns(), cb.Columns()
-	if a.Rows() != b.Rows() {
-		t.Fatalf("row counts differ: %d vs %d", a.Rows(), b.Rows())
+	if !sameColumns(ca.Columns(), cb.Columns()) {
+		t.Fatal("canonicalized InsertBatch tree and merge differ")
 	}
-	for r := 0; r < a.Rows(); r++ {
-		if a.Loc[r] != b.Loc[r] || a.N[r] != b.N[r] || a.Level[r] != b.Level[r] || a.Parent[r] != b.Parent[r] {
-			t.Fatalf("row %d differs between canonicalized serial and merge", r)
-		}
+	if !sameColumns(ca.Columns(), built.Columns()) {
+		t.Fatal("canonical layout differs from Build's")
 	}
 	if !Equal(ca, serial) {
 		t.Fatal("canonicalization changed the cell set")
@@ -203,7 +205,7 @@ func TestMergeTournamentRejectsBadInput(t *testing.T) {
 
 func TestNewFromColumnsTrustedMatchesValidated(t *testing.T) {
 	ds := uniformDataset(t, 5, 2500, 21)
-	tr, err := Build(ds, 4)
+	tr, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

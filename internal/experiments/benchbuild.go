@@ -32,8 +32,7 @@ type BenchBuildRecord struct {
 	Points    int     `json:"points"`
 	Dims      int     `json:"dims"`
 	H         int     `json:"h"`
-	// Workers is the build parallelism: 1 is the serial ctree.Build,
-	// >1 the sharded ctree.BuildParallel.
+	// Workers is the ctree.Build sort parallelism (BuildOptions.Workers).
 	Workers int `json:"workers"`
 	// BuildSeconds is the best-of-reps wall time of one tree build;
 	// PointsPerSec the corresponding throughput.
@@ -90,13 +89,7 @@ func BenchBuild(opt Options, workerCounts []int) ([]BenchBuildRecord, error) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			start := time.Now()
-			var tr *ctree.Tree
-			var err error
-			if w <= 1 {
-				tr, err = ctree.Build(ds, core.DefaultH)
-			} else {
-				tr, err = ctree.BuildParallel(ds, core.DefaultH, w)
-			}
+			tr, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{Workers: w})
 			secs := time.Since(start).Seconds()
 			runtime.ReadMemStats(&after)
 			if err != nil {
@@ -121,7 +114,7 @@ func BenchBuild(opt Options, workerCounts []int) ([]BenchBuildRecord, error) {
 			PointsPerSec:   float64(ds.Len()) / best,
 			Allocs:         allocs,
 			CellCount:      tree.CellCount(),
-			ArenaBytes:     tree.ArenaBytes(),
+			ArenaBytes:     tree.MemoryBytes(),
 			ArenaGrows:     tree.ArenaGrows(),
 			BatchRuns:      runs,
 			BatchRunPoints: runPoints,

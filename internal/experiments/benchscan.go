@@ -78,7 +78,7 @@ func BenchScan(opt Options, workerCounts []int) ([]BenchScanRecord, error) {
 	if err != nil {
 		return nil, fmt.Errorf("benchscan: generate: %w", err)
 	}
-	tree, err := ctree.Build(ds, core.DefaultH)
+	tree, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("benchscan: build tree: %w", err)
 	}

@@ -107,12 +107,9 @@ func BenchShard(opt Options, shardCounts []int) ([]BenchShardRecord, error) {
 		if err != nil {
 			return nil, fmt.Errorf("benchshard: baseline parse: %w", err)
 		}
-		t, err := ctree.Build(dsOnDisk, core.DefaultH)
+		t, err := ctree.Build(dsOnDisk, core.DefaultH, ctree.BuildOptions{Workers: 1})
 		if err != nil {
 			return nil, fmt.Errorf("benchshard: baseline build: %w", err)
-		}
-		if t, err = ctree.Canonicalize(t); err != nil {
-			return nil, fmt.Errorf("benchshard: baseline canonicalize: %w", err)
 		}
 		secs := time.Since(start).Seconds()
 		if rep == 0 || secs < base.BuildSeconds {

@@ -72,7 +72,7 @@ func BenchSnapshot(opt Options) (BenchSnapshotRecord, error) {
 		return rec, fmt.Errorf("benchsnapshot: generate: %w", err)
 	}
 	start := time.Now()
-	tree, err := ctree.Build(ds, core.DefaultH)
+	tree, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{Workers: 1})
 	if err != nil {
 		return rec, fmt.Errorf("benchsnapshot: build: %w", err)
 	}
@@ -136,10 +136,7 @@ func BenchSnapshot(opt Options) (BenchSnapshotRecord, error) {
 	streamBytes := int64(ds.Len()) * int64(ctree.ExternalRecordBytes(ds.Dims, core.DefaultH))
 	budget := uint64(streamBytes) / 10
 	start = time.Now()
-	ext, err := ctree.BuildExternal(ds, core.DefaultH, ctree.ExternalBuildOptions{
-		BuildOptions: ctree.BuildOptions{MemoryLimitBytes: budget},
-		SpillDir:     dir,
-	})
+	ext, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{MemoryLimitBytes: budget, SpillDir: dir})
 	extSecs := time.Since(start).Seconds()
 	if err != nil {
 		return rec, fmt.Errorf("benchsnapshot: external build: %w", err)

@@ -144,7 +144,7 @@ func figSensitivityAlpha(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		tree, err := ctree.BuildParallel(ds, core.DefaultH, opt.Workers)
+		tree, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{Workers: opt.Workers})
 		if err != nil {
 			return err
 		}

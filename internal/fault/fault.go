@@ -17,17 +17,13 @@ import "fmt"
 // phase boundaries poll once per phase, chunk points once per worker
 // chunk segment (so cancellation latency is bounded by one segment).
 const (
-	// BuildChunk fires inside a Counting-tree build shard, once per
-	// report interval (ctree.buildReporting).
+	// BuildChunk fires in ctree.Build's sort phase, once per chunk of
+	// points a worker quantizes and sorts (in memory or for a spilled
+	// run).
 	BuildChunk = "ctree.build.chunk"
-	// BuildMerge fires before each shard merge of the parallel build.
+	// BuildMerge fires in ctree.Build's k-way merge, once per chunk of
+	// merged records and once at the end.
 	BuildMerge = "ctree.build.merge"
-	// ExternalSpill fires inside the external build's spill phase, once
-	// per chunk of quantized points (ctree.BuildExternal).
-	ExternalSpill = "ctree.external.spill"
-	// ExternalMerge fires inside the external build's k-way merge, once
-	// per chunk of merged records (ctree.BuildExternal).
-	ExternalMerge = "ctree.external.merge"
 	// ScanPass fires at the top of each β-search restart pass.
 	ScanPass = "core.scan.pass"
 	// ScanLevel fires before each per-level convolution-cache build.

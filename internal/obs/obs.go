@@ -161,14 +161,14 @@ type Counters struct {
 	// batching win over per-point descents.
 	BatchRuns      int64 `json:"batchRuns,omitempty"`
 	BatchRunPoints int64 `json:"batchRunPoints,omitempty"`
-	// RadixSortChunks counts the point chunks the build ordered with the
-	// LSD radix kernel (ctree/radix.go) — serial chunk sorts plus one per
-	// parallel sort shard. Zero when every chunk took the multi-word
+	// RadixSortChunks counts the record streams the build ordered with
+	// the LSD radix kernel (ctree/radix.go) — one per sort worker or
+	// spilled run. Zero when every stream took the multi-word
 	// comparison-sort fallback (d·(H-1) > 64).
 	RadixSortChunks int64 `json:"radixSortChunks,omitempty"`
 	// SpillRuns / SpillBytes describe an out-of-core tree build
-	// (ctree.BuildExternal): sorted runs spilled to disk and the bytes
-	// they carried. Zero for in-memory builds.
+	// (ctree.BuildOptions.SpillDir): sorted runs spilled to disk and
+	// the bytes they carried. Zero for in-memory builds.
 	SpillRuns  int64 `json:"spillRuns,omitempty"`
 	SpillBytes int64 `json:"spillBytes,omitempty"`
 	// SnapshotSaveBytes / SnapshotLoadBytes count tree snapshot IO

@@ -120,7 +120,7 @@ func TestMergeFaultDoesNotDeadlock(t *testing.T) {
 func TestCorruptSnapshotRefused(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	_, ds := writeTestCSV(t, 3, 500, 11, false)
-	tr, err := ctree.Build(ds, 4)
+	tr, err := ctree.Build(ds, 4, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // bit-identically inside one process and this package exploits across
 // processes and machines (the multi-tree statistics program of Gray &
 // Moore is the template). Each worker runs the ordinary radix/arena
-// build (ctree.BuildParallelOpts) over its shard and streams the
+// build (ctree.Build) over its shard and streams the
 // finished tree back as a size-prefixed treeio snapshot — the PR 6
 // snapshot format IS the wire format, so a captured stream can be
 // spooled to disk and inspected with the ordinary tooling. The
@@ -30,6 +30,8 @@ package shard
 
 import (
 	"fmt"
+
+	"mrcc/internal/ctree"
 )
 
 // JobKind selects what a worker reads to build its shard tree.
@@ -68,8 +70,9 @@ type Job struct {
 	// Dims is the expected dimensionality; 0 accepts whatever the
 	// input holds. Mismatches are refused, not truncated.
 	Dims int `json:"dims,omitempty"`
-	// H is the resolution count of the shard tree. Every job of one
-	// build must agree (MergeFrom refuses mixed geometry).
+	// H is the resolution count of the shard tree, in
+	// [ctree.MinLevels, ctree.MaxLevels]. Every job of one build must
+	// agree (MergeFrom refuses mixed geometry).
 	H int `json:"h"`
 	// Min/Max declare the per-axis value domain. When set, the worker
 	// maps values into [0,1)^d exactly like the streaming service
@@ -91,6 +94,9 @@ func (j *Job) validate() error {
 	}
 	if j.Path == "" {
 		return fmt.Errorf("job has no input path")
+	}
+	if j.H < ctree.MinLevels || j.H > ctree.MaxLevels {
+		return fmt.Errorf("job H=%d is outside [%d, %d]", j.H, ctree.MinLevels, ctree.MaxLevels)
 	}
 	if j.Start < 0 || j.End < j.Start {
 		return fmt.Errorf("byte range [%d, %d) is invalid", j.Start, j.End)

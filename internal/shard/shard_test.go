@@ -76,21 +76,17 @@ func writeTestCSV(t *testing.T, d, n int, seed int64, header bool) (string, *dat
 // TestRunMatchesSerialByteIdentical is the acceptance pin: for W in
 // {1, 2, 4, 8} local workers the merged tree is ctree.Equal to the
 // single-process build AND re-saves byte-identically through treeio
-// (against the canonicalized serial tree — serial multi-chunk builds
-// have their own arena order).
+// (the tournament's canonicalized winner against the single-process
+// build, which is canonical as built).
 func TestRunMatchesSerialByteIdentical(t *testing.T) {
-	const d, n, h = 6, 9000, 4 // > one build chunk, so canonicalization is exercised
+	const d, n, h = 6, 9000, 4 // > one build chunk
 	path, ds := writeTestCSV(t, d, n, 314, false)
-	serial, err := ctree.Build(ds, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	canonSerial, err := ctree.Canonicalize(serial)
+	serial, err := ctree.Build(ds, h, ctree.BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if _, err := treeio.Save(&want, canonSerial); err != nil {
+	if _, err := treeio.Save(&want, serial); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 4, 8} {
@@ -168,7 +164,7 @@ func TestRunWithHeaderAndDomain(t *testing.T) {
 		}
 		ref.Append(q)
 	}
-	serial, err := ctree.Build(ref, h)
+	serial, err := ctree.Build(ref, h, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +187,7 @@ func TestRunWithHeaderAndDomain(t *testing.T) {
 func TestRunSnapshotJobs(t *testing.T) {
 	const d, n, h = 5, 4000, 4
 	_, ds := writeTestCSV(t, d, n, 55, false)
-	serial, err := ctree.Build(ds, h)
+	serial, err := ctree.Build(ds, h, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +199,7 @@ func TestRunSnapshotJobs(t *testing.T) {
 		for _, p := range ds.Points[lo:hi] {
 			part.Append(p)
 		}
-		tr, err := ctree.Build(part, h)
+		tr, err := ctree.Build(part, h, ctree.BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,10 +327,26 @@ func TestJobValidate(t *testing.T) {
 		{Kind: KindCSV, Path: "x", Start: 9, End: 3, H: 4},
 		{Kind: KindCSV, Path: "x", Min: []float64{0}, H: 4},
 		{Kind: KindCSV, Path: "x", Min: []float64{1}, Max: []float64{1}, H: 4},
+		{Kind: KindCSV, Path: "x"}, // no "h" on the wire
+		{Kind: KindCSV, Path: "x", H: ctree.MinLevels - 1},
+		{Kind: KindSnapshot, Path: "x", H: ctree.MaxLevels + 1},
 	}
 	for i, job := range cases {
 		if err := job.validate(); err == nil {
 			t.Errorf("case %d accepted: %+v", i, job)
+		}
+	}
+}
+
+// TestRunJobRejectsBadH pins that a CSV job without "h" is refused
+// with an error on the multi-worker build path too, instead of
+// panicking the worker process.
+func TestRunJobRejectsBadH(t *testing.T) {
+	path, _ := writeTestCSV(t, 3, 100, 5, false)
+	for _, h := range []int{0, 2, 61} {
+		tr, err := runJob(context.Background(), Job{Kind: KindCSV, Path: path, H: h, Workers: 2})
+		if err == nil || tr != nil {
+			t.Fatalf("H=%d: got (%v, %v), want an error", h, tr, err)
 		}
 	}
 }

@@ -92,7 +92,7 @@ func runJob(ctx context.Context, job Job) (*ctree.Tree, error) {
 		if job.Dims > 0 && t.D != job.Dims {
 			return nil, fmt.Errorf("snapshot holds d=%d, job wants d=%d", t.D, job.Dims)
 		}
-		if job.H > 0 && t.H != job.H {
+		if t.H != job.H {
 			return nil, fmt.Errorf("snapshot holds H=%d, job wants H=%d", t.H, job.H)
 		}
 		return t, nil
@@ -107,7 +107,7 @@ func runJob(ctx context.Context, job Job) (*ctree.Tree, error) {
 		if err := NormalizeDomain(ds, job.Min, job.Max); err != nil {
 			return nil, err
 		}
-		return ctree.BuildParallelOpts(ds, job.H, ctree.BuildOptions{Workers: job.Workers, Ctx: ctx})
+		return ctree.Build(ds, job.H, ctree.BuildOptions{Workers: job.Workers, Ctx: ctx})
 	}
 	return nil, fmt.Errorf("unknown job kind %q", job.Kind)
 }

@@ -14,7 +14,7 @@ func benchTree(b *testing.B) *ctree.Tree {
 	b.Helper()
 	rng := rand.New(rand.NewSource(4242))
 	ds := layouts["uniform"](rng, 10, 200_000)
-	tr, err := ctree.BuildParallel(ds, 4, 0)
+	tr, err := ctree.Build(ds, 4, ctree.BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 func fuzzSeedSnapshot() []byte {
 	rng := rand.New(rand.NewSource(77))
 	ds := layouts["clumped"](rng, 3, 120)
-	tr, err := ctree.Build(ds, 4)
+	tr, err := ctree.Build(ds, 4, ctree.BuildOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -30,7 +30,7 @@ func fuzzSeedSnapshot() []byte {
 func fuzzSeedCheckpoint(seq uint64) []byte {
 	rng := rand.New(rand.NewSource(77))
 	ds := layouts["clumped"](rng, 3, 120)
-	tr, err := ctree.Build(ds, 4)
+	tr, err := ctree.Build(ds, 4, ctree.BuildOptions{})
 	if err != nil {
 		panic(err)
 	}

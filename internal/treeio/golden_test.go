@@ -60,7 +60,7 @@ func goldenDataset() *dataset.Dataset {
 // dataset at H = 4 with the three probe cells marked used.
 func goldenTree(t *testing.T) *ctree.Tree {
 	t.Helper()
-	tr, err := ctree.Build(goldenDataset(), 4)
+	tr, err := ctree.Build(goldenDataset(), 4, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func buildTree(t *testing.T, layout string, d, n, H int, seed int64) *ctree.Tree
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ds := layouts[layout](rng, d, n)
-	tr, err := ctree.Build(ds, H)
+	tr, err := ctree.Build(ds, H, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func smallTree(t *testing.T) *ctree.Tree {
 		{0.1, 0.2, 0.3}, {0.15, 0.22, 0.31}, {0.8, 0.7, 0.6}, {0.82, 0.71, 0.66},
 		{0.4, 0.5, 0.9}, {0.41, 0.52, 0.91},
 	}}
-	tree, err := ctree.Build(ds, 4)
+	tree, err := ctree.Build(ds, 4, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
