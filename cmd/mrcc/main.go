@@ -12,8 +12,8 @@
 //
 // -stats prints the per-phase wall/memory table and the pipeline
 // counters, including the β-search scan-cache line (level builds,
-// cached values, index lookups, eligibility skips, scan depth — see
-// DESIGN.md §7); -json emits the same record machine-readably.
+// cached values, eligibility skips, scan depth — see DESIGN.md §7);
+// -json emits the same record machine-readably.
 //
 // -save-tree snapshots the run's Counting-tree to a versioned binary
 // file after clustering; -load-tree skips phase one entirely by

@@ -37,99 +37,51 @@ func FaceValueScratch(t *ctree.Tree, p ctree.Path, r ctree.Ref, buf ctree.Path) 
 	return v
 }
 
-// FaceValueIndexed is FaceValue over a level-index entry: neighbor
-// resolution goes through the index's coordinate-keyed flat hash (one
-// probe per neighbor) instead of a root-to-leaf CellAt descent through
-// per-node maps. It returns the convolution value and the number of
-// index lookups performed (in-grid neighbors only), so callers can
-// merge the count into the observability layer per chunk. buf is path
-// scratch (grown as needed); each worker owns its own.
-func FaceValueIndexed(ix *ctree.LevelIndex, i int, buf ctree.Path) (v, lookups int64) {
-	d := ix.Dims()
-	v = int64(2*d) * int64(ix.N(i))
-	for j := 0; j < d; j++ {
-		for _, upper := range [2]bool{false, true} {
-			var ni int
-			ni, buf = ix.NeighborLookup(i, j, upper, buf)
-			if ni >= 0 {
-				v -= int64(ix.N(ni))
-			}
-			lookups++
-		}
-	}
-	return v, lookups
-}
-
-// FaceValuesSerial fills vals — one slot per entry of the level index,
-// zeroed by the caller — with the face-mask value of every entry, using
-// ONE upper-neighbor probe per (entry, axis) instead of two: face
-// adjacency is symmetric, so when entry k turns up as entry i's upper
-// neighbor along axis j, i is exactly k's lower neighbor there, and
-// both subtractions come off the single probe. That halves the hash
-// traffic of the one-shot convolution-cache build (core's scancache).
-// The parallel build keeps the per-entry gather (FaceValueIndexed)
-// because the scatter write to vals[k] would cross chunk boundaries.
-// Both produce identical values — the same integer terms, added in a
-// different order. Returns the number of index probes performed.
-func FaceValuesSerial(ix *ctree.LevelIndex, vals []int64) (lookups int64) {
-	return FaceValuesChunk(ix, 0, ix.Len(), vals)
-}
-
 // FaceValuesChunk scatters the symmetric face-mask contributions of
 // entries [lo, hi) into out, which must span the whole level (length
 // ix.Len(), zeroed): entry i's own 2d·n(i) term plus the ±1 adjacency
 // terms for every stored upper neighbor — written to BOTH ends of the
-// adjacency, which may land outside [lo, hi). Parallel builders give
-// each worker a private out slab and sum the slabs; integer addition
-// commutes exactly, so any chunking and merge order yields the same
-// values as the serial pass.
-func FaceValuesChunk(ix *ctree.LevelIndex, lo, hi int, out []int64) (lookups int64) {
+// adjacency, which may land outside [lo, hi). Face adjacency is
+// symmetric, so when entry k is entry i's upper neighbor along axis j,
+// i is exactly k's lower neighbor there, and the index's upper links
+// (LevelIndex.Upper) alone reach every adjacency once. Integer addition
+// commutes exactly, so any chunking of [0, Len()) yields the values
+// FaceValueScratch computes entry by entry.
+func FaceValuesChunk(ix *ctree.LevelIndex, lo, hi int, out []int64) {
 	d := ix.Dims()
 	twoD := int64(2 * d)
-	var buf ctree.Path
 	for i := lo; i < hi; i++ {
 		ci := int64(ix.N(i))
 		out[i] += twoD * ci
 		for j := 0; j < d; j++ {
-			var k int
-			k, buf = ix.NeighborLookup(i, j, true, buf)
-			lookups++
-			if k >= 0 {
+			if k := ix.Upper(i, j); k >= 0 {
 				out[i] -= int64(ix.N(k))
 				out[k] -= ci
 			}
 		}
 	}
-	return lookups
 }
 
 // FaceNeighborCounts returns, for each axis j, the point counts of the
 // lower and upper face neighbors of the cell at path p (zero when the
-// neighbor is absent or outside the cube). The clustering phase reuses
-// this both for the statistical test and for bound refinement. Lookups
-// are served by the level's flat index (materializing the tree's level
-// indexes on first use) instead of per-neighbor CellAt descents.
+// neighbor is absent or outside the cube), each resolved by a CellAt
+// descent. The clustering phase calls it twice per tested β-cluster
+// candidate (for the statistical test and for bound refinement), so it
+// is off the per-cell hot path the level-index links serve.
 func FaceNeighborCounts(t *ctree.Tree, p ctree.Path) (lower, upper []int32) {
 	d := t.D
 	lower = make([]int32, d)
 	upper = make([]int32, d)
-	ix := t.LevelIndex(p.Level())
 	buf := make(ctree.Path, 0, p.Level())
 	for j := 0; j < d; j++ {
 		for _, up := range [2]bool{false, true} {
-			var np ctree.Path
-			var ok bool
-			np, ok = p.NeighborInto(buf, j, up)
+			np, ok := p.NeighborInto(buf, j, up)
 			if !ok {
 				continue
 			}
 			buf = np
 			var n int32
-			if ix != nil {
-				if ni := ix.Lookup(np); ni >= 0 {
-					n = ix.N(ni)
-				}
-			} else if nc := t.CellAt(np); nc != ctree.NilRef {
+			if nc := t.CellAt(np); nc != ctree.NilRef {
 				n = t.N(nc)
 			}
 			if up {
@@ -143,62 +95,66 @@ func FaceNeighborCounts(t *ctree.Tree, p ctree.Path) (lower, upper []int32) {
 }
 
 // FullValue returns the full order-3 Laplacian convolution value:
-// (3^d−1)·n(c) − Σ over all 3^d−1 offset neighbors. Cost is O(3^d·h·d);
+// (3^d−1)·n(c) − Σ over all 3^d−1 offset neighbors. Cost is O(3^d·h);
 // it exists only for the mask ablation (experiment A-mask) on small d.
+// The neighbors are visited by moving one scratch path axis by axis —
+// set on the way down the recursion, restored on the way back up — so
+// an evaluation allocates nothing.
 func FullValue(t *ctree.Tree, p ctree.Path, r ctree.Ref) int64 {
-	d := t.D
 	total := int64(1)
-	for i := 0; i < d; i++ {
+	for i := 0; i < t.D; i++ {
 		total *= 3
 	}
-	v := (total - 1) * int64(t.N(r))
-	offsets := make([]int, d)
-	coords := make([]uint64, d)
-	for j := 0; j < d; j++ {
-		coords[j] = p.Coord(j)
-	}
-	h := p.Level()
-	limit := uint64(1) << uint(h)
-	var rec func(axis int, anyNonZero bool)
-	rec = func(axis int, anyNonZero bool) {
-		if axis == d {
-			if !anyNonZero {
-				return
-			}
-			np := offsetPath(p, coords, offsets, limit)
-			if np == nil {
-				return
-			}
-			if nc := t.CellAt(np); nc != ctree.NilRef {
-				v -= int64(t.N(nc))
-			}
-			return
-		}
-		for _, o := range [3]int{-1, 0, 1} {
-			offsets[axis] = o
-			rec(axis+1, anyNonZero || o != 0)
-		}
-	}
-	rec(0, false)
-	return v
+	var scratch [ctree.MaxLevels]uint64
+	w := fullWalk{t: t, p: p, q: append(scratch[:0], p...), top: uint64(1)<<uint(p.Level()) - 1}
+	w.visit(0, false)
+	return (total-1)*int64(t.N(r)) - w.sum
 }
 
-// offsetPath returns the path of the cell displaced by offsets from the
-// cell at p, or nil when the displaced coordinates leave the grid.
-func offsetPath(p ctree.Path, coords []uint64, offsets []int, limit uint64) ctree.Path {
-	h := p.Level()
-	out := make(ctree.Path, h)
-	for j, c := range coords {
-		nc := int64(c) + int64(offsets[j])
-		if nc < 0 || uint64(nc) >= limit {
-			return nil
-		}
-		mask := uint64(1) << uint(j)
-		for l := 0; l < h; l++ {
-			if (uint64(nc)>>uint(h-1-l))&1 == 1 {
-				out[l] |= mask
+// fullWalk is FullValue's recursion state: q is the center path p with
+// axes [0, axis) displaced by the current offsets.
+type fullWalk struct {
+	t    *ctree.Tree
+	p, q ctree.Path
+	top  uint64 // largest grid coordinate at the level
+	sum  int64  // Σ n over the stored offset neighbors visited so far
+}
+
+// visit enumerates the offsets {0, −1, +1} of axes [axis, d); moved
+// reports whether an earlier axis is displaced (the all-zero offset is
+// the center cell, not a neighbor).
+func (w *fullWalk) visit(axis int, moved bool) {
+	if axis == w.t.D {
+		if moved {
+			if nc := w.t.CellAt(w.q); nc != ctree.NilRef {
+				w.sum += int64(w.t.N(nc))
 			}
 		}
+		return
 	}
-	return out
+	w.visit(axis+1, moved)
+	c := w.p.Coord(axis)
+	if c > 0 {
+		setCoord(w.q, axis, c-1)
+		w.visit(axis+1, true)
+	}
+	if c < w.top {
+		setCoord(w.q, axis, c+1)
+		w.visit(axis+1, true)
+	}
+	setCoord(w.q, axis, c)
+}
+
+// setCoord rewrites axis j's bit in every word of q so that the path
+// addresses grid coordinate c along j.
+func setCoord(q ctree.Path, j int, c uint64) {
+	h := len(q)
+	mask := uint64(1) << uint(j)
+	for l := range q {
+		if (c>>uint(h-1-l))&1 == 1 {
+			q[l] |= mask
+		} else {
+			q[l] &^= mask
+		}
+	}
 }

@@ -213,26 +213,156 @@ func TestFaceNeighborCountsMatchLookups(t *testing.T) {
 	})
 }
 
-// TestFaceValuesSerialMatchesIndexed pins the symmetric bulk pass
-// (half the probes, scatter to both sides of each adjacency) value-
-// for-value against the per-entry gather and against FaceValueScratch,
-// for every entry of every level.
-func TestFaceValuesSerialMatchesIndexed(t *testing.T) {
-	tr, _ := buildTree(t, 6, 3000, 9, 5)
-	for h := 1; h <= tr.H-1; h++ {
-		ix := tr.LevelIndex(h)
-		n := ix.Len()
-		bulk := make([]int64, n)
-		FaceValuesSerial(ix, bulk)
-		buf := make(ctree.Path, 0, h)
-		scratch := make(ctree.Path, 0, h)
-		for i := 0; i < n; i++ {
-			want, _ := FaceValueIndexed(ix, i, buf)
-			if bulk[i] != want {
-				t.Fatalf("level %d entry %d: bulk %d, gather %d", h, i, bulk[i], want)
+// mergedWindowTree grows two trees batch by batch from the same kind
+// of points buildTree draws and merges them the way the streaming
+// service builds its clustering input (aging.Clone() + MergeFrom),
+// leaving an arena whose order is not the canonical build order.
+func mergedWindowTree(t testing.TB, d, n int, seed int64, h int) *ctree.Tree {
+	t.Helper()
+	_, ds := buildTree(t, d, n, seed, h)
+	aging, active := ctree.New(d, h), ctree.New(d, h)
+	for i := 0; i < n; i += 97 {
+		dst := aging
+		if i >= n/2 {
+			dst = active
+		}
+		if err := dst.InsertBatch(ds.Points[i:min(i+97, n)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := aging.Clone()
+	if err := merged.MergeFrom(active); err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
+
+// TestFaceValuesChunkMatchesScratch pins the symmetric bulk pass over
+// the level index's upper-neighbor links value-for-value against the
+// per-cell CellAt reference (FaceValueScratch), for every entry of
+// every level, on a built tree and on a clone+merge window tree, both
+// as one call over the whole level and in uneven segments.
+func TestFaceValuesChunkMatchesScratch(t *testing.T) {
+	built, _ := buildTree(t, 6, 3000, 9, 5)
+	for name, tr := range map[string]*ctree.Tree{
+		"build":  built,
+		"merged": mergedWindowTree(t, 6, 3000, 10, 5),
+	} {
+		for h := 1; h <= tr.H-1; h++ {
+			ix := tr.LevelIndex(h)
+			n := ix.Len()
+			whole := make([]int64, n)
+			FaceValuesChunk(ix, 0, n, whole)
+			segmented := make([]int64, n)
+			for lo := 0; lo < n; lo += 37 {
+				FaceValuesChunk(ix, lo, min(lo+37, n), segmented)
 			}
-			if got := FaceValueScratch(tr, ix.PathOf(i), ix.Ref(i), scratch); got != want {
-				t.Fatalf("level %d entry %d: scratch %d, gather %d", h, i, got, want)
+			scratch := make(ctree.Path, 0, h)
+			for i := 0; i < n; i++ {
+				want := FaceValueScratch(tr, ix.PathOf(i), ix.Ref(i), scratch)
+				if whole[i] != want || segmented[i] != want {
+					t.Fatalf("%s level %d entry %d: bulk %d, segmented %d, scratch %d",
+						name, h, i, whole[i], segmented[i], want)
+				}
+			}
+		}
+	}
+}
+
+// fullValueOffsets is the original FullValue, kept as the oracle of
+// the allocation-free one: it builds each of the 3^d−1 offset paths
+// from scratch (offsetPath) and resolves it with CellAt.
+func fullValueOffsets(t *ctree.Tree, p ctree.Path, r ctree.Ref) int64 {
+	d := t.D
+	total := int64(1)
+	for i := 0; i < d; i++ {
+		total *= 3
+	}
+	v := (total - 1) * int64(t.N(r))
+	offsets := make([]int, d)
+	coords := make([]uint64, d)
+	for j := 0; j < d; j++ {
+		coords[j] = p.Coord(j)
+	}
+	limit := uint64(1) << uint(p.Level())
+	var rec func(axis int, anyNonZero bool)
+	rec = func(axis int, anyNonZero bool) {
+		if axis == d {
+			if !anyNonZero {
+				return
+			}
+			np := offsetPath(p, coords, offsets, limit)
+			if np == nil {
+				return
+			}
+			if nc := t.CellAt(np); nc != ctree.NilRef {
+				v -= int64(t.N(nc))
+			}
+			return
+		}
+		for _, o := range [3]int{-1, 0, 1} {
+			offsets[axis] = o
+			rec(axis+1, anyNonZero || o != 0)
+		}
+	}
+	rec(0, false)
+	return v
+}
+
+// offsetPath returns the path of the cell displaced by offsets from the
+// cell at p, or nil when the displaced coordinates leave the grid.
+func offsetPath(p ctree.Path, coords []uint64, offsets []int, limit uint64) ctree.Path {
+	h := p.Level()
+	out := make(ctree.Path, h)
+	for j, c := range coords {
+		nc := int64(c) + int64(offsets[j])
+		if nc < 0 || uint64(nc) >= limit {
+			return nil
+		}
+		mask := uint64(1) << uint(j)
+		for l := 0; l < h; l++ {
+			if (uint64(nc)>>uint(h-1-l))&1 == 1 {
+				out[l] |= mask
+			}
+		}
+	}
+	return out
+}
+
+// TestFullValueMatchesOffsetOracle pins FullValue against the original
+// offset-path implementation on every cell of every level, for
+// d ∈ {2, 3, 5, 7} × H ∈ {3, 4, 6}, on clustered data so that most
+// cells have stored neighbors in every direction. It also pins the
+// evaluation allocation-free.
+func TestFullValueMatchesOffsetOracle(t *testing.T) {
+	for _, d := range []int{2, 3, 5, 7} {
+		for _, H := range []int{3, 4, 6} {
+			rng := rand.New(rand.NewSource(int64(10*d + H)))
+			ds := dataset.New(d, 400)
+			for i := 0; i < 400; i++ {
+				p := make([]float64, d)
+				for j := range p {
+					p[j] = 0.3 + 0.4*rng.Float64()
+				}
+				ds.Append(p)
+			}
+			tr, err := ctree.Build(ds, H, ctree.BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for h := 1; h <= H-1; h++ {
+				tr.WalkLevel(h, func(p ctree.Path, c ctree.Ref) {
+					if got, want := FullValue(tr, p, c), fullValueOffsets(tr, p, c); got != want {
+						t.Fatalf("d=%d H=%d level %d cell %v: FullValue %d, oracle %d", d, H, h, p, got, want)
+					}
+				})
+			}
+			if raceEnabled {
+				continue
+			}
+			ix := tr.LevelIndex(H - 1)
+			if allocs := testing.AllocsPerRun(5, func() { FullValue(tr, ix.PathOf(0), ix.Ref(0)) }); allocs != 0 {
+				t.Fatalf("d=%d H=%d: FullValue allocated %.1f times per call, want 0", d, H, allocs)
 			}
 		}
 	}

@@ -755,18 +755,7 @@ func (s *searcher) testCell(p ctree.Path, ah ctree.Ref) (BetaCluster, bool) {
 	d := s.tree.D
 	h := p.Level()
 	parentPath := p[:h-1]
-	// Parent resolution goes through the level index (one hash probe)
-	// instead of a root-to-leaf CellAt descent; the CellAt fallback only
-	// runs for levels outside the indexed range, which testCell never
-	// sees in practice.
-	parent := ctree.NilRef
-	if ix := s.tree.LevelIndex(h); ix != nil {
-		if i := ix.Lookup(p); i >= 0 {
-			parent = ix.Parent(i)
-		}
-	} else {
-		parent = s.tree.CellAt(parentPath)
-	}
+	parent := s.tree.ParentOf(ah)
 	if parent == ctree.NilRef {
 		return BetaCluster{}, false
 	}

@@ -184,8 +184,8 @@ func parallelRangesErr(n, workers int, fn func(lo, hi int) error) error {
 }
 
 // parallelRangesIndexedErr is parallelRangesErr additionally passing
-// each worker's ordinal, for callers that keep per-worker state (e.g.
-// the scatter slabs of the face-value cache build). Panics inside fn
+// each worker's ordinal, for callers that keep per-worker state (the
+// naive scan's per-chunk winners). Panics inside fn
 // are recovered in the worker goroutine itself, so the WaitGroup
 // always drains — no abandoned peers, no leaked goroutines — and the
 // panic value (with its stack) is reported as a *panics.Error.

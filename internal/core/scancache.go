@@ -6,21 +6,23 @@
 // re-convolving every cell of every level on every restart pass (the
 // naive scan, kept behind Config.NaiveScan for the equivalence suite
 // and the phase-two benchmark), the searcher computes each level's
-// values ONCE into a flat slab — fanned out across Config.Workers,
-// trivially deterministic since the values do not depend on evaluation
-// order — sorts the entries once under the scan's existing total order
-// (value descending, lexicographic path ascending), and turns every
-// subsequent densestCell call into an eligibility skip-scan: walk the
-// cached order and return the first entry that is neither Used nor
+// values ONCE into a flat slab — trivially deterministic, since the
+// values do not depend on evaluation order — sorts the entries once
+// under the scan's existing total order (value descending,
+// lexicographic path ascending), and turns every subsequent
+// densestCell call into an eligibility skip-scan: walk the cached
+// order and return the first entry that is neither Used nor
 // β-overlapping. Because the cached order IS the argmax order, the
 // first eligible entry is exactly the cell the naive scan would pick,
 // so the serial-equivalence guarantee survives unchanged (pinned by
 // internal/core/scan_equiv_test.go).
 //
-// Restart passes drop from O(cells · d) re-convolution to O(skips)
-// eligibility checks, and the overlap check reads the level index's
-// precomputed bounds instead of re-deriving Path.Bounds (O(d·h)) per
-// cell per pass.
+// The values themselves come from one array pass over the level
+// index's upper-neighbor links (ctree.LevelIndex.Upper), so building
+// the cache costs O(cells · d) reads and no neighbor lookups. Restart
+// passes drop from O(cells · d) re-convolution to O(skips) eligibility
+// checks, and the overlap check reads the level index's O(1) bounds
+// instead of re-deriving Path.Bounds (O(d·h)) per cell per pass.
 package core
 
 import (
@@ -70,96 +72,49 @@ func (s *searcher) levelScan(h int) (*levelScan, error) {
 	return sc, nil
 }
 
-// buildLevelScan computes level h's mask values (in parallel for
-// Workers > 1; values are pure integer sums, so any chunking and merge
-// order yields the same slab) and the total-order permutation over
-// them. The face mask uses the symmetric scatter pass — one index
-// probe per stored adjacency instead of two (conv.FaceValuesChunk) —
-// with per-worker slabs summed after the fan-out; the full 3^d mask
-// keeps the per-entry walk.
+// buildLevelScan computes level h's mask values and the total-order
+// permutation over them. The face mask is one serial pass over the
+// level index's upper-neighbor links (conv.FaceValuesChunk): O(n·d)
+// array reads, too little work to pay for a fan-out. The full 3^d mask
+// keeps the per-entry walk, in parallel for Workers > 1; its values are
+// pure integer sums, so any chunking yields the same slab.
 //
-// The build is segmented (scanCheckEvery entries per segment) so every
-// worker — and the serial path — polls the run's abort checkpoint a
-// few thousand cells apart: a cancelled context stops the one-shot
-// cache build, the run's single largest scan-side computation, within
-// one segment. Segmenting changes nothing about the values: each
-// FaceValuesChunk call scatters a disjoint entry range's contributions
-// and integer addition commutes exactly, so any segmentation yields
-// the same slab as the one-call pass (conv.FaceValuesSerial is itself
-// FaceValuesChunk over the whole range).
+// Both passes are segmented (scanCheckEvery entries per segment) and
+// poll the run's abort checkpoint a few thousand cells apart: a
+// cancelled context stops the one-shot cache build, the run's single
+// largest scan-side computation, within one segment. Segmenting changes
+// nothing about the values: each FaceValuesChunk call scatters a
+// disjoint entry range's contributions and integer addition commutes
+// exactly.
 func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 	ix := s.tree.LevelIndex(h)
 	n := ix.Len()
 	vals := make([]int64, n)
-	parallel := s.workers > 1 && n >= minParallelCells
+	segmented := func(lo, hi int, fill func(lo, hi int)) error {
+		for seg := lo; seg < hi; seg += scanCheckEvery {
+			if err := s.abort.check(fault.ScanChunk); err != nil {
+				return err
+			}
+			fill(seg, min(seg+scanCheckEvery, hi))
+		}
+		return nil
+	}
 	var err error
-	switch {
-	case s.cfg.FullMask:
-		compute := func(lo, hi int) error {
-			for seg := lo; seg < hi; seg += scanCheckEvery {
-				end := seg + scanCheckEvery
-				if end > hi {
-					end = hi
-				}
-				if err := s.abort.check(fault.ScanChunk); err != nil {
-					return err
-				}
-				for i := seg; i < end; i++ {
+	if s.cfg.FullMask {
+		full := func(lo, hi int) error {
+			return segmented(lo, hi, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
 					vals[i] = conv.FullValue(s.tree, ix.PathOf(i), ix.Ref(i))
 				}
-			}
-			return nil
+			})
 		}
-		if parallel {
-			err = parallelRangesErr(n, s.workers, compute)
+		if s.workers > 1 && n >= minParallelCells {
+			err = parallelRangesErr(n, s.workers, full)
 		} else {
-			err = compute(0, n)
+			err = full(0, n)
 		}
-	default:
-		workers := 1
-		if parallel {
-			workers = s.workers
-			if workers > n {
-				workers = n
-			}
-		}
-		slabs := make([][]int64, workers)
-		lookups := make([]int64, workers)
-		scatter := func(w, lo, hi int) error {
-			slab := vals // serial: scatter straight into the result
-			if workers > 1 {
-				slab = make([]int64, n)
-				slabs[w] = slab
-			}
-			for seg := lo; seg < hi; seg += scanCheckEvery {
-				end := seg + scanCheckEvery
-				if end > hi {
-					end = hi
-				}
-				if err := s.abort.check(fault.ScanChunk); err != nil {
-					return err
-				}
-				lookups[w] += conv.FaceValuesChunk(ix, seg, end, slab)
-			}
-			return nil
-		}
-		if workers > 1 {
-			err = parallelRangesIndexedErr(n, workers, scatter)
-		} else {
-			err = scatter(0, 0, n)
-		}
-		if err == nil {
-			var total int64
-			for w := 0; w < workers; w++ {
-				total += lookups[w]
-				if slab := slabs[w]; slab != nil {
-					for i, v := range slab {
-						vals[i] += v
-					}
-				}
-			}
-			s.col.AddIndexLookups(total)
-		}
+	} else {
+		err = segmented(0, n, func(lo, hi int) { conv.FaceValuesChunk(ix, lo, hi, vals) })
 	}
 	if err != nil {
 		return nil, err
@@ -230,10 +185,11 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, ctree.Ref, int64) {
 }
 
 // overlapsBetaIndexed reports whether index entry i overlaps any found
-// β-cluster in every axis, reading the precomputed bounds slab instead
-// of re-deriving Path.Bounds. The float arithmetic is bit-identical to
-// BetaCluster.SharesSpace over Path.Bounds (the index stores exactly
-// float64(coord)·side and (float64(coord)+1)·side).
+// β-cluster in every axis, reading the entry's bounds from the index's
+// coordinate slab (O(1) per axis) instead of re-deriving Path.Bounds
+// (O(h)). The float arithmetic is bit-identical to
+// BetaCluster.SharesSpace over Path.Bounds: LevelIndex.Bounds computes
+// the same float64(coord)·side and (float64(coord)+1)·side products.
 func (s *searcher) overlapsBetaIndexed(ix *ctree.LevelIndex, i int) bool {
 	d := s.tree.D
 	for bi := range s.betas {

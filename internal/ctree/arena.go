@@ -16,11 +16,10 @@
 // order (firstChild/lastChild/nextSib columns). Small nodes (≤
 // inlineChildren children) are resolved by scanning that list; a node
 // that grows past the threshold gets an open-addressing table keyed by
-// the child's Loc under the same FNV-1a probe scheme the flat level
-// indexes use. Table sizes are a pure function of the child count
-// (power of two, load ≤ ½), so two trees storing the same cells have
-// byte-identical accounting no matter how they were built — the
-// property the serial/parallel MemoryBytes equality tests pin.
+// the child's Loc (hashLoc). Table sizes are a pure function of the
+// child count (power of two, load ≤ ½), so two trees storing the same
+// cells have byte-identical accounting no matter how they were built —
+// the property the serial/parallel MemoryBytes equality tests pin.
 //
 // Ref 0 is the root sentinel: a pseudo-cell whose children are the
 // level-1 cells. It is never counted, walked or returned by lookups.
@@ -200,11 +199,12 @@ func (t *Tree) pushCell(parent Ref, loc uint64, lvl uint8) Ref {
 // murmur3 finalizer (fmix64): two multiplies and three xor-shifts
 // instead of the byte-at-a-time FNV-1a loop it replaces — ~8× fewer
 // multiplies on the child-table probe that sits inside every tree
-// descent. Safe to change at will: child tables are rebuilt from the
-// sibling chains, never persisted (treeio serializes cells, not
-// tables), and open addressing returns the unique matching Loc
-// whatever the probe order. The level indexes keep FNV-1a over
-// multi-word paths (hashWords in levelindex.go).
+// descent and behind every level-index neighbor link. Safe to change
+// at will: child tables are rebuilt from the sibling chains, never
+// persisted (treeio serializes cells, not tables), and open addressing
+// returns the unique matching Loc whatever the probe order. The child
+// tables are the tree's only hash: the level indexes resolve
+// neighbors through them (LevelIndex.Upper, levelindex.go).
 func hashLoc(w uint64) uint64 {
 	w ^= w >> 33
 	w *= 0xff51afd7ed558ccd
@@ -270,6 +270,16 @@ func (t *Tree) linkChild(par, r Ref) {
 	}
 }
 
+// tableSize returns the power-of-two open-addressing table size for n
+// children (load factor <= 0.5).
+func tableSize(n int) uint64 {
+	size := uint64(8)
+	for size < uint64(n)*2 {
+		size <<= 1
+	}
+	return size
+}
+
 // buildTab promotes an inline node to an open-addressing child table,
 // sized by tableSize so the layout depends only on the child count.
 func (t *Tree) buildTab(par Ref) {
@@ -309,7 +319,7 @@ func (t *Tree) tabInsert(par Ref, tb int, r Ref) {
 	t.tabPut(tab, r)
 }
 
-// tabPut inserts r into tab by the FNV-1a probe of its Loc. The caller
+// tabPut inserts r into tab by the hashLoc probe of its Loc. The caller
 // guarantees the Loc is not yet present and the table has a free slot.
 func (t *Tree) tabPut(tab []Ref, r Ref) {
 	mask := uint64(len(tab) - 1)

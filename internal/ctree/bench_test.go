@@ -47,22 +47,32 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkNeighborLookup(b *testing.B) {
-	ds := uniformDataset(b, 10, 5000, 1)
-	tr, err := Build(ds, 4, BuildOptions{})
-	if err != nil {
+// BenchmarkEnsureLevelIndexes times the level-index build — the walk
+// that fills the path and coordinate slabs plus the upper-neighbor
+// links — over a streaming window tree: two InsertBatch-grown halves
+// merged by Clone + MergeFrom, the input every re-cluster pass of the
+// service indexes.
+func BenchmarkEnsureLevelIndexes(b *testing.B) {
+	ds := uniformDataset(b, 10, 20000, 1)
+	aging, active := New(10, 5), New(10, 5)
+	for i := 0; i < ds.Len(); i += 1000 {
+		dst := aging
+		if i >= ds.Len()/2 {
+			dst = active
+		}
+		if err := dst.InsertBatch(ds.Points[i : i+1000]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	merged := aging.Clone()
+	if err := merged.MergeFrom(active); err != nil {
 		b.Fatal(err)
 	}
-	var paths []Path
-	tr.WalkLevel(2, func(p Path, _ Ref) { paths = append(paths, p.Clone()) })
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := paths[i%len(paths)]
-		for j := 0; j < tr.D; j++ {
-			if np, ok := p.Neighbor(j, true); ok {
-				tr.CellAt(np)
-			}
-		}
+		merged.invalidateIndexes()
+		merged.EnsureLevelIndexes()
 	}
 }
 

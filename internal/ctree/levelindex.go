@@ -1,9 +1,9 @@
 // Level indexes: flat, immutable snapshots of the Counting-tree's
-// levels that turn the β-search's neighbor/parent resolution from
-// root-to-leaf descents (Tree.CellAt, O(h) child lookups per probe)
-// into a single probe of a coordinate-keyed open-addressing table, and
-// precompute the per-axis cell bounds the overlap checks would
-// otherwise re-derive from the path (O(d·h)) on every scan pass.
+// levels for the β-search. Each entry carries its cell's root path,
+// per-axis grid coordinates and arena Ref, plus one link per axis to
+// the entry of its upper face neighbor, so the face-mask convolution
+// reads its O(d) neighbors from an array instead of resolving each one
+// by a root-to-leaf descent (Tree.CellAt, O(h) child lookups per probe).
 //
 // One pass over the arena builds the indexes for every stored level at
 // once (Tree.EnsureLevelIndexes); the snapshots stay valid for as long
@@ -19,30 +19,24 @@ import (
 
 // LevelIndex is the flat snapshot of one tree level: one slab of
 // entries in the level's deterministic first-touch walk order, with the
-// full root path, packed per-axis grid coordinates, precomputed bounds
-// and the arena Ref of every entry and its parent, plus a
-// coordinate-keyed flat hash over the paths for O(1)-ish cell
-// resolution. Entries resolve counters (N, Used) through the owning
-// tree's arena columns, so an index adds no copy of the counts.
+// full root path, packed per-axis grid coordinates, the upper face
+// neighbor links and the arena Ref of every entry. Entries resolve
+// counters (N, Used) through the owning tree's arena columns, so an
+// index adds no copy of the counts.
 type LevelIndex struct {
 	// Level is the tree level the index covers (1 <= Level <= H-1).
 	Level int
 
-	t *Tree
-	d int
-	n int
+	t    *Tree
+	d    int
+	n    int
+	side float64 // cell side length at the level (SideLen(Level))
 
 	// Slabs, entry i occupying [i*width, (i+1)*width):
-	paths   []uint64  // width Level: the cell's root path words
-	coords  []uint64  // width d: grid coordinate per axis at this level
-	lo, hi  []float64 // width d: per-axis cell bounds (== Path.Bounds)
-	refs    []Ref     // the stored cell's arena Ref
-	parents []Ref     // the level-(Level-1) parent's Ref; NilRef at level 1
-
-	// Open-addressing hash over the path slab: table[k] is an entry
-	// index or -1 when empty; mask is len(table)-1 (a power of two).
-	table []int32
-	mask  uint64
+	paths  []uint64 // width Level: the cell's root path words
+	coords []uint64 // width d: grid coordinate per axis at this level
+	up     []int32  // width d: entry index of the upper face neighbor per axis, -1 when absent
+	refs   []Ref    // the stored cell's arena Ref
 }
 
 // Len returns the number of stored cells at the level.
@@ -53,9 +47,6 @@ func (ix *LevelIndex) Dims() int { return ix.d }
 
 // Ref returns entry i's arena Ref in the owning tree.
 func (ix *LevelIndex) Ref(i int) Ref { return ix.refs[i] }
-
-// Parent returns entry i's parent Ref (NilRef for level-1 entries).
-func (ix *LevelIndex) Parent(i int) Ref { return ix.parents[i] }
 
 // N returns entry i's point count, read through the owning tree's
 // arena.
@@ -73,16 +64,18 @@ func (ix *LevelIndex) PathOf(i int) Path {
 	return Path(ix.paths[i*h : (i+1)*h : (i+1)*h])
 }
 
-// Coord returns entry i's integer grid coordinate along axis j,
-// identical to PathOf(i).Coord(j) but O(1).
-func (ix *LevelIndex) Coord(i, j int) uint64 { return ix.coords[i*ix.d+j] }
-
-// Bounds returns entry i's precomputed bounds along axis j, identical
-// to PathOf(i).Bounds(j) bit for bit.
+// Bounds returns entry i's bounds along axis j, identical to
+// PathOf(i).Bounds(j) bit for bit (the same float64(coord)·side
+// products) but O(1).
 func (ix *LevelIndex) Bounds(i, j int) (lo, hi float64) {
-	k := i*ix.d + j
-	return ix.lo[k], ix.hi[k]
+	c := float64(ix.coords[i*ix.d+j])
+	return c * ix.side, (c + 1) * ix.side
 }
+
+// Upper returns the entry index of entry i's upper face neighbor along
+// axis j — the stored cell at PathOf(i).Neighbor(j, true) — or -1 when
+// that neighbor falls outside the unit cube or is not stored.
+func (ix *LevelIndex) Upper(i, j int) int { return int(ix.up[i*ix.d+j]) }
 
 // ComparePaths orders entries a and b by their lexicographic path
 // order (the convolution scan's deterministic tie-break) without
@@ -102,102 +95,54 @@ func (ix *LevelIndex) ComparePaths(a, b int) int {
 	return 0
 }
 
-// hashWords is FNV-1a over the path words, the key of the flat hash.
-// (The child tables hash single Loc words with the cheaper fmix64 —
-// hashLoc in arena.go; the level indexes keep FNV-1a because their key
-// is a variable-length word sequence.)
-func hashWords(words []uint64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, w := range words {
-		for b := 0; b < 64; b += 8 {
-			h ^= (w >> uint(b)) & 0xff
-			h *= 1099511628211
-		}
-	}
-	return h
-}
-
-// Lookup returns the entry index of the cell with the given root path,
-// or -1 when no such cell is stored. p must address this index's level.
-func (ix *LevelIndex) Lookup(p Path) int {
-	if len(p) != ix.Level {
-		return -1
-	}
-	h := ix.Level
-	slot := hashWords(p) & ix.mask
-	for {
-		e := ix.table[slot]
-		if e < 0 {
-			return -1
-		}
-		cand := ix.paths[int(e)*h : (int(e)+1)*h]
-		match := true
-		for k := 0; k < h; k++ {
-			if cand[k] != p[k] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return int(e)
-		}
-		slot = (slot + 1) & ix.mask
-	}
-}
-
-// NeighborLookup returns the entry index of entry i's face neighbor
-// along axis j (upper side when upper is true), or -1 when the
-// neighbor falls outside the unit cube or is not stored. buf is path
-// scratch (grown as needed) so hot loops allocate nothing per lookup.
-func (ix *LevelIndex) NeighborLookup(i, j int, upper bool, buf Path) (int, Path) {
-	h := ix.Level
-	c := ix.Coord(i, j)
-	if upper {
-		if c == (uint64(1)<<uint(h))-1 {
-			return -1, buf
-		}
-		c++
-	} else {
-		if c == 0 {
-			return -1, buf
-		}
-		c--
-	}
-	out := append(buf[:0], ix.paths[i*h:(i+1)*h]...)
-	mask := uint64(1) << uint(j)
-	for l := 0; l < h; l++ {
-		if (c>>uint(h-1-l))&1 == 1 {
-			out[l] |= mask
-		} else {
-			out[l] &^= mask
-		}
-	}
-	return ix.Lookup(out), out
-}
-
-// MemoryBytes is the exact footprint of the index: slabs, ref slices,
-// and the flat hash table.
+// MemoryBytes is the exact footprint of the index: its slabs and ref
+// slice.
 func (ix *LevelIndex) MemoryBytes() uint64 {
 	var total uint64
 	total += uint64(unsafe.Sizeof(*ix))
 	total += uint64(cap(ix.paths)) * 8
 	total += uint64(cap(ix.coords)) * 8
-	total += uint64(cap(ix.lo)) * 8
-	total += uint64(cap(ix.hi)) * 8
+	total += uint64(cap(ix.up)) * 4
 	total += uint64(cap(ix.refs)) * uint64(unsafe.Sizeof(NilRef))
-	total += uint64(cap(ix.parents)) * uint64(unsafe.Sizeof(NilRef))
-	total += uint64(cap(ix.table)) * 4
 	return total
 }
 
-// tableSize returns the power-of-two open-addressing table size for n
-// entries (load factor <= 0.5).
-func tableSize(n int) uint64 {
-	size := uint64(8)
-	for size < uint64(n)*2 {
-		size <<= 1
+// linkUpper fills the upper face neighbor links of every entry from
+// those of the level above (above is nil at level 1), by the
+// hierarchical neighbor rule of quadtrees: along axis j, a cell whose
+// loc bit j is clear sits in the lower half of its parent, so its upper
+// neighbor is the sibling at loc|1<<j; a cell whose bit j is set sits
+// in the upper half, so its upper neighbor is the child at loc&^1<<j of
+// the parent's upper neighbor — absent when that one is absent, and
+// always absent at level 1, where the parent is the whole cube. Each
+// link costs at most one child lookup (findChild) instead of a
+// root-to-leaf descent. entry maps every stored Ref to its index within
+// its level.
+func (ix *LevelIndex) linkUpper(above *LevelIndex, entry []int32) {
+	t, d := ix.t, ix.d
+	ix.up = make([]int32, ix.n*d)
+	for i, r := range ix.refs {
+		loc, par := t.loc[r], t.parent[r]
+		var parUp []int32
+		if above != nil {
+			pi := int(entry[par])
+			parUp = above.up[pi*d : (pi+1)*d]
+		}
+		row := ix.up[i*d : (i+1)*d]
+		for j := range row {
+			bit := uint64(1) << uint(j)
+			nb := NilRef
+			if loc&bit == 0 {
+				nb = t.findChild(par, loc|bit)
+			} else if parUp != nil && parUp[j] >= 0 {
+				nb = t.findChild(above.refs[parUp[j]], loc&^bit)
+			}
+			row[j] = -1
+			if nb >= 0 {
+				row[j] = entry[nb]
+			}
+		}
 	}
-	return size
 }
 
 // EnsureLevelIndexes materializes the level indexes for every stored
@@ -218,22 +163,23 @@ func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 	for h := 1; h <= t.H-1; h++ {
 		n := counts[h]
 		idxs[h-1] = &LevelIndex{
-			Level:   h,
-			t:       t,
-			d:       d,
-			paths:   make([]uint64, 0, n*h),
-			coords:  make([]uint64, 0, n*d),
-			lo:      make([]float64, 0, n*d),
-			hi:      make([]float64, 0, n*d),
-			refs:    make([]Ref, 0, n),
-			parents: make([]Ref, 0, n),
+			Level:  h,
+			t:      t,
+			d:      d,
+			n:      n,
+			side:   SideLen(h),
+			paths:  make([]uint64, 0, n*h),
+			coords: make([]uint64, 0, n*d),
+			refs:   make([]Ref, 0, n),
 		}
 	}
 	// One iterative DFS over the arena linkage fills every level in
 	// first-touch walk order: path words and per-axis grid coordinates
 	// are carried down the descent (coords frame l lives at
 	// coordScratch[l*d:(l+1)*d]), so each entry costs O(d) on top of
-	// the walk itself.
+	// the walk itself. entry records each cell's index within its level
+	// for the neighbor links below; it is dropped once they are built.
+	entry := make([]int32, len(t.loc))
 	pathScratch := make([]uint64, t.H-1)
 	coordScratch := make([]uint64, t.H*d)
 	stack := make([]Ref, t.H-1)
@@ -253,7 +199,6 @@ func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 		pathScratch[depth] = loc
 		prev := coordScratch[depth*d : (depth+1)*d]
 		cur := coordScratch[h*d : (h+1)*d]
-		side := SideLen(h)
 		for j := 0; j < d; j++ {
 			cur[j] = prev[j] << 1
 			if loc&(1<<uint(j)) != 0 {
@@ -261,21 +206,10 @@ func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 			}
 		}
 		ix := idxs[h-1]
+		entry[r] = int32(len(ix.refs))
 		ix.paths = append(ix.paths, pathScratch[:h]...)
 		ix.coords = append(ix.coords, cur...)
-		for j := 0; j < d; j++ {
-			// Matches Path.Bounds bit for bit: float64(coord)*side and
-			// (float64(coord)+1)*side.
-			fc := float64(cur[j])
-			ix.lo = append(ix.lo, fc*side)
-			ix.hi = append(ix.hi, (fc+1)*side)
-		}
 		ix.refs = append(ix.refs, r)
-		if par := t.parent[r]; par == rootRef {
-			ix.parents = append(ix.parents, NilRef)
-		} else {
-			ix.parents = append(ix.parents, par)
-		}
 		if h < t.H-1 && t.firstChild[r] >= 0 {
 			depth++
 			stack[depth] = t.firstChild[r]
@@ -283,22 +217,11 @@ func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 		}
 		stack[depth] = t.nextSib[r]
 	}
+	// Links run top-down: level h's rule reads level h-1's links.
+	var above *LevelIndex
 	for _, ix := range idxs {
-		ix.n = len(ix.refs)
-		size := tableSize(ix.n)
-		ix.mask = size - 1
-		ix.table = make([]int32, size)
-		for k := range ix.table {
-			ix.table[k] = -1
-		}
-		h := ix.Level
-		for i := 0; i < ix.n; i++ {
-			slot := hashWords(ix.paths[i*h:(i+1)*h]) & ix.mask
-			for ix.table[slot] >= 0 {
-				slot = (slot + 1) & ix.mask
-			}
-			ix.table[slot] = int32(i)
-		}
+		ix.linkUpper(above, entry)
+		above = ix
 	}
 	t.indexes = idxs
 	return idxs

@@ -1,0 +1,174 @@
+package ctree_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"mrcc/internal/ctree"
+	"mrcc/internal/dataset"
+	"mrcc/internal/treeio"
+)
+
+// checkUpperLinks pins LevelIndex.Upper against the reference neighbor
+// resolution — Path.NeighborInto + CellAt — for every entry and axis of
+// every stored level, and returns how many links resolved to a stored
+// cell on each level (links[h]) and how many were absent in total.
+func checkUpperLinks(t *testing.T, name string, tr *ctree.Tree) (links []int, absent int) {
+	t.Helper()
+	links = make([]int, tr.H)
+	var buf ctree.Path
+	for h := 1; h <= tr.H-1; h++ {
+		ix := tr.LevelIndex(h)
+		for i := 0; i < ix.Len(); i++ {
+			p := ix.PathOf(i)
+			for j := 0; j < tr.D; j++ {
+				want := ctree.NilRef
+				np, ok := p.NeighborInto(buf, j, true)
+				if ok {
+					want = tr.CellAt(np)
+					buf = np
+				}
+				got := ctree.NilRef
+				if k := ix.Upper(i, j); k >= 0 {
+					got = ix.Ref(k)
+					links[h]++
+				} else {
+					absent++
+				}
+				if got != want {
+					t.Fatalf("%s: level %d entry %d axis %d: upper link %d, CellAt(neighbor) %d",
+						name, h, i, j, got, want)
+				}
+			}
+		}
+	}
+	return links, absent
+}
+
+// linkPoints returns n uniform points plus, when shifted is set, a
+// layout rich in face neighbors at every dimensionality: a base point
+// in the middle half of the cube and copies of it moved by one cell
+// side along a single axis, at levels 1, 2 and fine. Uniform points in
+// high dimensions almost never share a face; the shifted copies do, at
+// all three levels, and the random base puts about half of those pairs
+// across a parent boundary.
+func linkPoints(d, fine, n int, shifted bool, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	var pts [][]float64
+	for i := 0; i < n; i++ {
+		p := make([]float64, d)
+		for j := range p {
+			p[j] = rng.Float64()
+		}
+		pts = append(pts, p)
+	}
+	if !shifted {
+		return pts
+	}
+	base := make([]float64, d)
+	for j := range base {
+		base[j] = 0.25 + 0.5*rng.Float64()
+	}
+	pts = append(pts, base)
+	for _, h := range []int{1, 2, fine} {
+		side := ctree.SideLen(h)
+		for j := 0; j < d; j++ {
+			q := append([]float64(nil), base...)
+			if q[j] += side; q[j] >= 1 {
+				q[j] = base[j] - side
+			}
+			pts = append(pts, q)
+		}
+	}
+	return pts
+}
+
+// TestLevelIndexNeighborLookup pins the upper face neighbor links against
+// the Path.NeighborInto + CellAt oracle on every tree producer the
+// β-search reads: Build at Workers 1 and 8, the streaming service's
+// window tree (InsertBatch-grown trees merged by aging.Clone() +
+// MergeFrom(active), whose arena order is not canonical), and a treeio
+// save/load round trip of that window tree — over d ∈ {1, 2, 15, 63}
+// and H ∈ {3, 4, MaxLevels}, with uniform and neighbor-rich layouts.
+// It also checks that the oracle saw both outcomes: absent links (the
+// upper grid edge always has them) and, on the neighbor-rich layout,
+// resolved ones at levels 1, 2 and the finest shifted level.
+func TestLevelIndexNeighborLookup(t *testing.T) {
+	for _, d := range []int{1, 2, 15, 63} {
+		for _, H := range []int{3, 4, ctree.MaxLevels} {
+			for _, shifted := range []bool{false, true} {
+				n := 300
+				if H == ctree.MaxLevels || d == 63 {
+					n = 60
+				}
+				// A one-cell shift below 2^-50 would round away in the
+				// float64 coordinate of a point near the middle of the cube.
+				fine := min(H-1, 50)
+				name := fmt.Sprintf("d%d_H%d_shifted=%v", d, H, shifted)
+				t.Run(name, func(t *testing.T) {
+					pts := linkPoints(d, fine, n, shifted, int64(d*100+H))
+					for name, tr := range linkProducers(t, d, H, pts) {
+						links, absent := checkUpperLinks(t, name, tr)
+						if absent == 0 {
+							t.Errorf("%s: no absent link, the grid edge was never reached", name)
+						}
+						for _, h := range []int{1, 2, fine} {
+							if shifted && links[h] == 0 {
+								t.Errorf("%s: neighbor-rich layout resolved no link at level %d", name, h)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// linkProducers builds pts through every producer TestLevelIndexNeighborLookup
+// covers, keyed by a readable name.
+func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string]*ctree.Tree {
+	t.Helper()
+	ds := dataset.New(d, len(pts))
+	for _, p := range pts {
+		ds.Append(p)
+	}
+	out := map[string]*ctree.Tree{}
+	for _, w := range []int{1, 8} {
+		tr, err := ctree.Build(ds, H, ctree.BuildOptions{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fmt.Sprintf("build/workers=%d", w)] = tr
+	}
+	// The service's window: the older half of the stream in the aging
+	// tree, the newer half in the active one, each grown batch by batch.
+	aging, active := ctree.New(d, H), ctree.New(d, H)
+	half := len(pts) / 2
+	for i := 0; i < len(pts); i += 17 {
+		end := min(i+17, len(pts))
+		dst := aging
+		if i >= half {
+			dst = active
+		}
+		if err := dst.InsertBatch(pts[i:end]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := aging.Clone()
+	if err := merged.MergeFrom(active); err != nil {
+		t.Fatal(err)
+	}
+	out["window/clone+merge"] = merged
+	var buf bytes.Buffer
+	if _, err := treeio.Save(&buf, merged); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := treeio.LoadBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["window/treeio-roundtrip"] = loaded
+	return out
+}

@@ -28,8 +28,8 @@ func indexTestTree(t *testing.T, d, n, H int, seed int64) (*Tree, *dataset.Datas
 
 // TestLevelIndexMatchesWalk pins the flat snapshot against the tree
 // walk it replaces: same cells in the same deterministic order, paths,
-// O(1) coords and bounds identical to the Path methods, parents equal
-// to ParentCell, and Lookup the inverse of PathOf.
+// and O(1) bounds identical to Path.Bounds. The neighbor links are
+// pinned in levelindex_links_test.go.
 func TestLevelIndexMatchesWalk(t *testing.T) {
 	tr, _ := indexTestTree(t, 6, 3000, 5, 1)
 	for h := 1; h <= tr.H-1; h++ {
@@ -52,70 +52,55 @@ func TestLevelIndexMatchesWalk(t *testing.T) {
 				t.Fatalf("level %d entry %d: path %v, walk %v", h, i, ix.PathOf(i), p)
 			}
 			for j := 0; j < tr.D; j++ {
-				if ix.Coord(i, j) != p.Coord(j) {
-					t.Fatalf("level %d entry %d axis %d: coord %d, want %d", h, i, j, ix.Coord(i, j), p.Coord(j))
-				}
 				lo, hi := ix.Bounds(i, j)
 				wl, wh := p.Bounds(j)
 				if lo != wl || hi != wh {
 					t.Fatalf("level %d entry %d axis %d: bounds (%v,%v), want (%v,%v)", h, i, j, lo, hi, wl, wh)
 				}
 			}
-			if got, want := ix.Parent(i), tr.ParentCell(p); got != want {
-				t.Fatalf("level %d entry %d: parent %d, want %d", h, i, got, want)
-			}
-			if got := ix.Lookup(p); got != i {
-				t.Fatalf("level %d: Lookup(%v) = %d, want %d", h, p, got, i)
-			}
 			i++
 		})
 	}
 }
 
-// TestLevelIndexNeighborLookup pins NeighborLookup against the
-// Path.Neighbor + CellAt reference for every entry, axis and side.
-func TestLevelIndexNeighborLookup(t *testing.T) {
-	tr, _ := indexTestTree(t, 5, 2000, 4, 2)
-	for h := 1; h <= tr.H-1; h++ {
-		ix := tr.LevelIndex(h)
-		buf := make(Path, 0, h)
-		for i := 0; i < ix.Len(); i++ {
-			p := ix.PathOf(i)
-			for j := 0; j < tr.D; j++ {
-				for _, upper := range []bool{false, true} {
-					want := NilRef
-					if np, ok := p.Neighbor(j, upper); ok {
-						want = tr.CellAt(np)
-					}
-					got := NilRef
-					var ni int
-					ni, buf = ix.NeighborLookup(i, j, upper, buf)
-					if ni >= 0 {
-						got = ix.Ref(ni)
-					}
-					if got != want {
-						t.Fatalf("level %d entry %d axis %d upper=%v: neighbor %d, want %d", h, i, j, upper, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestLevelIndexLookupAbsent pins the miss path: paths addressing
-// unstored cells must return -1, not a false positive.
+// TestLevelIndexLookupAbsent pins the miss path of the upper links: a
+// neighbor cell that is not stored must link to -1, not to a stored
+// cell nearby. The two points sit at x-coords 0 and 1 on level 1, 1
+// and 3 on level 2, 2 and 7 on level 3, all at y-coord 0, so the one
+// stored face neighbor is level 1's (0,0) → (1,0) along x. Every other
+// link must be absent: an unstored sibling, the grid edge, and level
+// 2's (1,0), whose parent's upper neighbor is stored but whose own
+// upper neighbor (2,0) is not.
 func TestLevelIndexLookupAbsent(t *testing.T) {
-	ds := &dataset.Dataset{Dims: 2, Points: [][]float64{{0.1, 0.1}, {0.12, 0.11}}}
+	ds := &dataset.Dataset{Dims: 2, Points: [][]float64{{0.3, 0.1}, {0.9, 0.1}}}
 	tr, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := tr.LevelIndex(2)
-	if got := ix.Lookup(Path{3, 3}); got != -1 {
-		t.Errorf("Lookup(absent) = %d, want -1", got)
+	resolved := 0
+	for h := 1; h <= tr.H-1; h++ {
+		ix := tr.LevelIndex(h)
+		for i := 0; i < ix.Len(); i++ {
+			p := ix.PathOf(i)
+			for j := 0; j < tr.D; j++ {
+				k := ix.Upper(i, j)
+				if k == -1 {
+					continue
+				}
+				if k < 0 || k >= ix.Len() {
+					t.Fatalf("level %d cell (%d,%d) axis %d: link %d out of range", h, p.Coord(0), p.Coord(1), j, k)
+				}
+				resolved++
+				q := ix.PathOf(k)
+				if h != 1 || j != 0 || p.Coord(0) != 0 || q.Coord(0) != 1 || q.Coord(1) != 0 {
+					t.Errorf("level %d cell (%d,%d) axis %d: linked to (%d,%d), want absent (-1)",
+						h, p.Coord(0), p.Coord(1), j, q.Coord(0), q.Coord(1))
+				}
+			}
+		}
 	}
-	if got := ix.Lookup(Path{0}); got != -1 {
-		t.Errorf("Lookup(wrong level) = %d, want -1", got)
+	if resolved != 1 {
+		t.Errorf("%d links resolved, want 1 (level 1: (0,0) → (1,0) along x)", resolved)
 	}
 }
 

@@ -22,7 +22,6 @@ type Collector struct {
 	labeled      atomic.Int64
 	noise        atomic.Int64
 	buildDone    atomic.Int64
-	indexLookups atomic.Int64
 	skips        atomic.Int64
 	scanDepth    atomic.Int64
 	cacheRepair  atomic.Int64
@@ -357,15 +356,6 @@ func (c *Collector) AddCacheFullRebuild() {
 	c.cacheRebuild.Add(1)
 }
 
-// AddIndexLookups merges one worker chunk's count of level-index
-// neighbor/cell resolutions (single atomic add per chunk).
-func (c *Collector) AddIndexLookups(n int64) {
-	if c == nil || n == 0 {
-		return
-	}
-	c.indexLookups.Add(n)
-}
-
 // AddLabeled merges one labeling chunk's (labeled, noise) counts and
 // returns the cumulative number of points processed, which doubles as
 // the labeling progress numerator.
@@ -395,7 +385,6 @@ func (c *Collector) Finish() *Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Counters.MaskEvals = c.maskEvals.Load()
-	c.stats.Counters.IndexLookups = c.indexLookups.Load()
 	c.stats.Counters.EligibilitySkips = c.skips.Load()
 	c.stats.Counters.ScanDepth = c.scanDepth.Load()
 	c.stats.Counters.CacheRepairCells = c.cacheRepair.Load()

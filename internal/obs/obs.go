@@ -145,9 +145,6 @@ type Counters struct {
 	// Config.NoCacheRepair baseline is set.
 	CacheRepairCells  int64 `json:"cacheRepairCells,omitempty"`
 	CacheFullRebuilds int64 `json:"cacheFullRebuilds,omitempty"`
-	// IndexLookups counts neighbor/cell resolutions served by the flat
-	// level indexes (coordinate-hash probes) in the scan hot path.
-	IndexLookups int64 `json:"indexLookups"`
 	// ArenaGrows counts arena slab reallocations (capacity doublings)
 	// across the tree build, including every parallel shard. A build
 	// that pre-sizes well grows a handful of times; a pathological one
@@ -349,8 +346,8 @@ func (s *Stats) Format() string {
 	fmt.Fprintf(&b, "mask evals: %d in %d passes; β-tests: %d (%d accepted, %d rejected)\n",
 		c.MaskEvals, c.ScanPasses, c.BetaTests, c.BetaAccepted, c.BetaRejected)
 	if c.ValueCacheBuilds > 0 {
-		fmt.Fprintf(&b, "scan cache: %d level builds (%d values, %d index lookups); %d eligibility skips, scan depth %d\n",
-			c.ValueCacheBuilds, c.ValueCacheEntries, c.IndexLookups, c.EligibilitySkips, c.ScanDepth)
+		fmt.Fprintf(&b, "scan cache: %d level builds (%d values); %d eligibility skips, scan depth %d\n",
+			c.ValueCacheBuilds, c.ValueCacheEntries, c.EligibilitySkips, c.ScanDepth)
 		fmt.Fprintf(&b, "scan cache repair: %d cells retired, %d full rebuilds\n",
 			c.CacheRepairCells, c.CacheFullRebuilds)
 	}

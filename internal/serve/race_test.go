@@ -236,7 +236,7 @@ func TestConcurrentCheckpointsNeverLoseCoverage(t *testing.T) {
 	rows := streamRows(10, 300, 71) // 660 rows
 	var batches [][][]float64
 	for i := 0; i+30 <= len(rows); i += 30 {
-		batches = append(batches, rows[i : i+30])
+		batches = append(batches, rows[i:i+30])
 	}
 
 	const checkpointers = 4

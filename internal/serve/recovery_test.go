@@ -349,7 +349,7 @@ func TestReplayAppliesWindowRotation(t *testing.T) {
 	rows := streamRows(10, 100, 67) // 220 rows
 	var batches [][][]float64
 	for i := 0; i+55 <= len(rows); i += 55 { // 4 batches of 55
-		batches = append(batches, rows[i : i+55])
+		batches = append(batches, rows[i:i+55])
 	}
 	ingestBatches(t, s, batches)
 	// Crash with no checkpoint: the whole stream is in the WAL tail.
