@@ -1,0 +1,34 @@
+package core
+
+import (
+	"testing"
+
+	"mrcc/internal/ctree"
+)
+
+// WindowTree builds the streaming service's clustering input from a
+// stream of points the way the service does: the older half counted
+// into an aging tree and the newer half into the active one, each in
+// InsertBatch batches of batch points, then aging.Clone() +
+// MergeFrom(active). The result stores the same cells as a Build of
+// the points at H levels, in a different arena order: each cell's
+// children are chained in first-touch order, not ascending by loc.
+// Shared by the package's internal and external tests.
+func WindowTree(t testing.TB, pts [][]float64, d, H, batch int) *ctree.Tree {
+	t.Helper()
+	aging, active := ctree.New(d, H), ctree.New(d, H)
+	for i := 0; i < len(pts); i += batch {
+		dst := aging
+		if i >= len(pts)/2 {
+			dst = active
+		}
+		if err := dst.InsertBatch(pts[i:min(i+batch, len(pts))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := aging.Clone()
+	if err := merged.MergeFrom(active); err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}

@@ -159,24 +159,8 @@ func (s *searcher) scanChunk(ix *ctree.LevelIndex, lo, hi int) chunkBest {
 	return best
 }
 
-// parallelRanges splits [0, n) into `workers` contiguous ranges and
-// runs fn on each concurrently. fn must be safe on disjoint ranges. A
-// panicking worker is contained and re-panicked on the caller's
-// goroutine — after the WaitGroup drained — wrapped as *panics.Error,
-// which the run-level recover converts into a *PipelineError.
-func parallelRanges(n, workers int, fn func(lo, hi int)) {
-	err := parallelRangesIndexedErr(n, workers, func(_, lo, hi int) error {
-		fn(lo, hi)
-		return nil
-	})
-	if err != nil {
-		// fn never returns an error, so err can only be a contained
-		// worker panic; resurface it once every goroutine has exited.
-		panic(panics.New(err))
-	}
-}
-
-// parallelRangesErr is parallelRanges for error-returning workers: the
+// parallelRangesErr splits [0, n) into `workers` contiguous ranges and
+// runs fn on each concurrently; fn must be safe on disjoint ranges. The
 // first error (in worker order) wins, the rest drain, and a panicking
 // worker yields a *panics.Error instead of crashing the process.
 func parallelRangesErr(n, workers int, fn func(lo, hi int) error) error {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"mrcc/internal/ctree"
@@ -50,6 +52,12 @@ func betaFromCell(tr *ctree.Tree, p ctree.Path) BetaCluster {
 // argmax re-scan — including after Used flags flip and β-clusters join
 // the overlap set. This is the per-pass pin the end-to-end equivalence
 // suite cannot give (it only sees final results).
+//
+// The window cases run on the streaming service's window tree, whose
+// sibling chains are in first-touch order, over a duplicate-heavy
+// stream on which many cells tie on value: the cached scan breaks those
+// ties by level-index entry, the naive scan by Path.Compare, so the two
+// agree only while the index lists every level in path order.
 func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 	for _, full := range []bool{false, true} {
 		name := "face"
@@ -62,49 +70,96 @@ func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 				MinClusterDim: 3, MaxClusterDim: 5, Seed: 210,
 			}, 5)
 			naive, cached := newScanPair(tr, full)
-			hits := 0
-			for pass := 0; pass < 40; pass++ {
-				progressed := false
-				for h := 2; h <= tr.H-1; h++ {
-					np, nc, nv := naive.densestCell(h)
-					cp, cc, cv := cached.densestCell(h)
-					if nc != cc {
-						t.Fatalf("pass %d level %d: winners differ: naive %v (ref %d), cached %v (ref %d)",
-							pass, h, np, nc, cp, cc)
-					}
-					if nc == ctree.NilRef {
-						continue
-					}
-					if np.Compare(cp) != 0 {
-						t.Fatalf("pass %d level %d: paths differ: naive %v, cached %v", pass, h, np, cp)
-					}
-					if nv != cv {
-						t.Fatalf("pass %d level %d: values differ at %v: naive %d, cached %d",
-							pass, h, np, nv, cv)
-					}
-					// Mark the shared winner used, exactly as
-					// findBetaClusters does after a scan.
-					tr.SetUsed(nc, true)
-					progressed = true
-					hits++
-					// Every third hit also becomes a β-cluster in BOTH
-					// searchers, so the overlap-skip path diverges from
-					// the Used path and gets pinned too.
-					if hits%3 == 0 {
-						b := betaFromCell(tr, np)
-						naive.betas = append(naive.betas, b)
-						cached.betas = append(cached.betas, b)
-					}
-				}
-				if !progressed {
-					break
-				}
-			}
-			if hits < 5 {
+			if hits, _ := stepScanPair(t, tr, naive, cached); hits < 5 {
 				t.Fatalf("only %d scan winners exercised; per-pass pin is too weak", hits)
 			}
 		})
 	}
+	tr := duplicateWindowTree(t)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("window/workers=%d", workers), func(t *testing.T) {
+			tr.ResetUsed()
+			naive := &searcher{tree: tr, cfg: Config{NaiveScan: true, Workers: workers}, workers: workers}
+			cached := &searcher{tree: tr, cfg: Config{Workers: workers}, workers: workers}
+			hits, ties := stepScanPair(t, tr, naive, cached)
+			if hits < 5 || ties < 5 {
+				t.Fatalf("%d scan winners, %d of them tied with the previous winner of their level; the tie-break pin is too weak", hits, ties)
+			}
+		})
+	}
+}
+
+// stepScanPair runs up to 40 restart passes over levels 2..H-1 of tr
+// with both searchers, failing on the first pass whose winners differ.
+// Each winner is marked Used, and every third becomes a β-cluster in
+// both searchers, so the overlap-skip path diverges from the Used path
+// and gets pinned too. It returns the number of winners and how many of
+// them had the same value as the previous winner of their level.
+func stepScanPair(t *testing.T, tr *ctree.Tree, naive, cached *searcher) (hits, ties int) {
+	t.Helper()
+	last := make(map[int]int64)
+	for pass := 0; pass < 40; pass++ {
+		progressed := false
+		for h := 2; h <= tr.H-1; h++ {
+			np, nc, nv := naive.densestCell(h)
+			cp, cc, cv := cached.densestCell(h)
+			if nc != cc {
+				t.Fatalf("pass %d level %d: winners differ: naive %v (ref %d), cached %v (ref %d)",
+					pass, h, np, nc, cp, cc)
+			}
+			if nc == ctree.NilRef {
+				continue
+			}
+			if np.Compare(cp) != 0 {
+				t.Fatalf("pass %d level %d: paths differ: naive %v, cached %v", pass, h, np, cp)
+			}
+			if nv != cv {
+				t.Fatalf("pass %d level %d: values differ at %v: naive %d, cached %d",
+					pass, h, np, nv, cv)
+			}
+			if v, ok := last[h]; ok && v == nv {
+				ties++
+			}
+			last[h] = nv
+			// Mark the shared winner used, exactly as findBetaClusters
+			// does after a scan.
+			tr.SetUsed(nc, true)
+			progressed = true
+			hits++
+			if hits%3 == 0 {
+				b := betaFromCell(tr, np)
+				naive.betas = append(naive.betas, b)
+				cached.betas = append(cached.betas, b)
+			}
+		}
+		if !progressed {
+			break
+		}
+	}
+	return hits, ties
+}
+
+// duplicateWindowTree builds the streaming service's window tree
+// (WindowTree, H = 5, batches of 200) over a duplicate-heavy stream:
+// 600 distinct points, each sent six times, in shuffled order. Cells
+// holding one repeated point and no stored face neighbor all share one
+// mask value, so the scans meet long runs of ties.
+func duplicateWindowTree(t *testing.T) *ctree.Tree {
+	t.Helper()
+	ds, _, err := synthetic.Generate(synthetic.Config{
+		Dims: 5, Points: 600, Clusters: 2, NoiseFrac: 0.3,
+		MinClusterDim: 3, MaxClusterDim: 5, Seed: 214,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pts [][]float64
+	for rep := 0; rep < 6; rep++ {
+		pts = append(pts, ds.Points...)
+	}
+	rng := rand.New(rand.NewSource(215))
+	rng.Shuffle(len(pts), func(a, b int) { pts[a], pts[b] = pts[b], pts[a] })
+	return WindowTree(t, pts, ds.Dims, 5, 200)
 }
 
 // TestDensestCellAllBetaOverlapped is the every-cell-β-overlapped edge

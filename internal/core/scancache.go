@@ -9,24 +9,27 @@
 // values ONCE into a flat slab — trivially deterministic, since the
 // values do not depend on evaluation order — sorts the entries once
 // under the scan's existing total order (value descending,
-// lexicographic path ascending), and turns every subsequent
-// densestCell call into an eligibility skip-scan: walk the cached
-// order and return the first entry that is neither Used nor
-// β-overlapping. Because the cached order IS the argmax order, the
-// first eligible entry is exactly the cell the naive scan would pick,
-// so the serial-equivalence guarantee survives unchanged (pinned by
-// internal/core/scan_equiv_test.go).
+// lexicographic path ascending; the level index lists its entries in
+// path order, so the tie-break compares entry indexes), and turns
+// every subsequent densestCell call into an eligibility skip-scan:
+// walk the cached order and return the first entry that is neither
+// Used nor β-overlapping. Because the cached order IS the argmax
+// order, the first eligible entry is exactly the cell the naive scan
+// would pick, so the serial-equivalence guarantee survives unchanged
+// (pinned by internal/core/scan_equiv_test.go).
 //
 // The values themselves come from one array pass over the level
 // index's upper-neighbor links (ctree.LevelIndex.Upper), so building
-// the cache costs O(cells · d) reads and no neighbor lookups. Restart
-// passes drop from O(cells · d) re-convolution to O(skips) eligibility
-// checks, and the overlap check reads the level index's O(1) bounds
-// instead of re-deriving Path.Bounds (O(d·h)) per cell per pass.
+// the cache costs O(cells · d) reads and no neighbor lookups, plus one
+// sort of the level's int32 entry order. Restart passes drop from
+// O(cells · d) re-convolution to O(skips) eligibility checks, and the
+// overlap check reads the level index's O(1) bounds instead of
+// re-deriving Path.Bounds (O(d·h)) per cell per pass.
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mrcc/internal/conv"
 	"mrcc/internal/ctree"
@@ -123,12 +126,13 @@ func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := int(order[a]), int(order[b])
-		if vals[ia] != vals[ib] {
-			return vals[ia] > vals[ib]
+	// Entries are in path order (ctree.LevelIndex), so the path
+	// tie-break is an entry-index compare.
+	slices.SortFunc(order, func(a, b int32) int {
+		if vals[a] != vals[b] {
+			return cmp.Compare(vals[b], vals[a])
 		}
-		return ix.ComparePaths(ia, ib) < 0
+		return cmp.Compare(a, b)
 	})
 	s.col.AddValueCacheBuild(int64(n))
 	s.col.AddMaskEvals(int64(n))

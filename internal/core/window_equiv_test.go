@@ -11,31 +11,6 @@ import (
 	"mrcc/internal/synthetic"
 )
 
-// windowTree builds the streaming service's clustering input from a
-// stream of points the way the service does: the older half counted
-// into an aging tree and the newer half into the active one, each in
-// InsertBatch batches of batch points, then aging.Clone() +
-// MergeFrom(active). The result stores the same cells as a Build of
-// the points, in a different arena order.
-func windowTree(t *testing.T, pts [][]float64, d, batch int) *ctree.Tree {
-	t.Helper()
-	aging, active := ctree.New(d, core.DefaultH), ctree.New(d, core.DefaultH)
-	for i := 0; i < len(pts); i += batch {
-		dst := aging
-		if i >= len(pts)/2 {
-			dst = active
-		}
-		if err := dst.InsertBatch(pts[i:min(i+batch, len(pts))]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged := aging.Clone()
-	if err := merged.MergeFrom(active); err != nil {
-		t.Fatal(err)
-	}
-	return merged
-}
-
 // driftingStream returns a synthetic subspace-cluster dataset in
 // stream order — shuffled, then every cluster's centre moved along a
 // fixed ±1 direction of its relevant axes in proportion to the point's
@@ -75,7 +50,7 @@ func driftingStream(t *testing.T) *dataset.Dataset {
 }
 
 // TestWindowTreeMatchesBuild is the cross-path check for the served
-// β-search: clustering the service's window tree (windowTree) with
+// β-search: clustering the service's window tree (core.WindowTree) with
 // core.RunTree must give the same β-clusters — bounds, relevances,
 // centers — and the same clusters as clustering ctree.Build of the
 // same points, at Workers 1, 2 and 8, on a drifting stream and on a
@@ -95,7 +70,7 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		window := windowTree(t, ds.Points, ds.Dims, 1000)
+		window := core.WindowTree(t, ds.Points, ds.Dims, core.DefaultH, 1000)
 		if !ctree.Equal(built, window) {
 			t.Fatalf("%s: the window tree stores different cells than the build", name)
 		}

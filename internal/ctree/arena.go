@@ -199,12 +199,13 @@ func (t *Tree) pushCell(parent Ref, loc uint64, lvl uint8) Ref {
 // murmur3 finalizer (fmix64): two multiplies and three xor-shifts
 // instead of the byte-at-a-time FNV-1a loop it replaces — ~8× fewer
 // multiplies on the child-table probe that sits inside every tree
-// descent and behind every level-index neighbor link. Safe to change
-// at will: child tables are rebuilt from the sibling chains, never
-// persisted (treeio serializes cells, not tables), and open addressing
-// returns the unique matching Loc whatever the probe order. The child
-// tables are the tree's only hash: the level indexes resolve
-// neighbors through them (LevelIndex.Upper, levelindex.go).
+// descent (insertion, MergeFrom, CellAt). Safe to change at will:
+// child tables are rebuilt from the sibling chains, never persisted
+// (treeio serializes cells, not tables), and open addressing returns
+// the unique matching Loc whatever the probe order. The child tables
+// are the tree's only hash; the level indexes need no child lookup, as
+// they link neighbors by merge walks over sibling runs sorted by loc
+// (LevelIndex.Upper, levelindex.go).
 func hashLoc(w uint64) uint64 {
 	w ^= w >> 33
 	w *= 0xff51afd7ed558ccd

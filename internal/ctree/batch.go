@@ -34,8 +34,9 @@
 // order IS the (path, index) order. Multi-word keys (d·(H-1) > 64)
 // fall back to a comparison sort over the permutation (sortKeyOrder).
 // Quantization at level H is bit-exact with the per-level locAtLevel
-// arithmetic: v·2^H is an exact float64 product (power-of-two scale),
-// so floor(v·2^h) == floor(v·2^H) >> (H-h) for every level h.
+// arithmetic (the oracle of TestQuantizeLevelHMatchesLocAtLevel): v·2^H
+// is an exact float64 product (power-of-two scale), so
+// floor(v·2^h) == floor(v·2^H) >> (H-h) for every level h.
 package ctree
 
 import (

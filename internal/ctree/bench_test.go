@@ -3,6 +3,8 @@ package ctree
 import (
 	"fmt"
 	"testing"
+
+	"mrcc/internal/synthetic"
 )
 
 func BenchmarkBuild(b *testing.B) {
@@ -47,32 +49,55 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkEnsureLevelIndexes times the level-index build — the walk
-// that fills the path and coordinate slabs plus the upper-neighbor
-// links — over a streaming window tree: two InsertBatch-grown halves
-// merged by Clone + MergeFrom, the input every re-cluster pass of the
-// service indexes.
+// BenchmarkEnsureLevelIndexes times the level-index build — the
+// level-by-level fill of the path, coordinate and ref slabs plus the
+// merge walks that link upper face neighbors — over the same 100k
+// points (d = 15, H = 4, the stream-grow shape) in both child orders
+// the pipeline indexes. "build" is the canonical Build tree of the
+// batch path, whose sibling chains already ascend by loc, so no child
+// run gets sorted; "window" is the streaming service's window tree, two
+// InsertBatch-grown halves merged by Clone + MergeFrom, whose
+// first-touch sibling chains get sorted run by run.
+//
+//	go test -run '^$' -bench BenchmarkEnsureLevelIndexes ./internal/ctree
 func BenchmarkEnsureLevelIndexes(b *testing.B) {
-	ds := uniformDataset(b, 10, 20000, 1)
-	aging, active := New(10, 5), New(10, 5)
+	const d, H = 15, 4
+	ds, _, err := synthetic.Generate(synthetic.Config{
+		Dims: d, Points: 100000, Clusters: 10, NoiseFrac: 0.15,
+		MinClusterDim: 8, MaxClusterDim: 13, Seed: 314,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	built, err := Build(ds, H, BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	aging, active := New(d, H), New(d, H)
 	for i := 0; i < ds.Len(); i += 1000 {
 		dst := aging
 		if i >= ds.Len()/2 {
 			dst = active
 		}
-		if err := dst.InsertBatch(ds.Points[i : i+1000]); err != nil {
+		if err := dst.InsertBatch(ds.Points[i:min(i+1000, ds.Len())]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	merged := aging.Clone()
-	if err := merged.MergeFrom(active); err != nil {
+	window := aging.Clone()
+	if err := window.MergeFrom(active); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		merged.invalidateIndexes()
-		merged.EnsureLevelIndexes()
+	for _, bc := range []struct {
+		name string
+		tr   *Tree
+	}{{"build", built}, {"window", window}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bc.tr.invalidateIndexes()
+				bc.tr.EnsureLevelIndexes()
+			}
+		})
 	}
 }
 

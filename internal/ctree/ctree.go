@@ -13,7 +13,6 @@
 package ctree
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -39,23 +38,6 @@ const MaxLevels = 60
 // silently wrap the counts. Insert and MergeFrom refuse instead;
 // datasets beyond this size must be sharded into separate trees.
 const MaxPoints = math.MaxInt32
-
-// locAtLevel computes the relative position bits of the level-h cell
-// containing p: bit j is the parity of floor(p[j]·2^h), i.e. whether the
-// point is in the upper half of its level-(h-1) cell along axis j.
-func locAtLevel(p []float64, h int) (uint64, error) {
-	var loc uint64
-	scale := float64(uint64(1) << uint(h))
-	for j, v := range p {
-		if v < 0 || v >= 1 || math.IsNaN(v) {
-			return 0, fmt.Errorf("axis %d value %g outside [0,1): dataset must be normalized", j, v)
-		}
-		if uint64(v*scale)&1 == 1 {
-			loc |= 1 << uint(j)
-		}
-	}
-	return loc, nil
-}
 
 // SideLen returns ξh = 1/2^h, the cell side length at level h.
 func SideLen(h int) float64 { return 1 / float64(uint64(1)<<uint(h)) }

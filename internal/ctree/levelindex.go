@@ -5,24 +5,36 @@
 // reads its O(d) neighbors from an array instead of resolving each one
 // by a root-to-leaf descent (Tree.CellAt, O(h) child lookups per probe).
 //
-// One pass over the arena builds the indexes for every stored level at
-// once (Tree.EnsureLevelIndexes); the snapshots stay valid for as long
-// as the tree's cell set does not change — Insert and MergeFrom
-// invalidate them. Mutating the tree concurrently with index access is
-// not supported (the pipeline never does: indexes are built before the
-// scan workers fan out, and scan workers only read).
+// Every level lists its cells in lexicographic path order, whatever
+// arena order the tree was built in: level h holds, for each level h-1
+// entry in turn, that cell's children ascending by loc. Each parent's
+// children therefore form one sorted, contiguous run, which makes the
+// entry index the path order (the β-search breaks value ties by index)
+// and lets the neighbor links come from merge walks over runs instead
+// of child lookups.
+//
+// Tree.EnsureLevelIndexes builds every stored level at once, top down;
+// the snapshots stay valid for as long as the tree's cell set does not
+// change — Insert and MergeFrom invalidate them. Mutating the tree
+// concurrently with index access is not supported (the pipeline never
+// does: indexes are built before the scan workers fan out, and scan
+// workers only read).
 package ctree
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
 	"unsafe"
 )
 
 // LevelIndex is the flat snapshot of one tree level: one slab of
-// entries in the level's deterministic first-touch walk order, with the
-// full root path, packed per-axis grid coordinates, the upper face
-// neighbor links and the arena Ref of every entry. Entries resolve
-// counters (N, Used) through the owning tree's arena columns, so an
-// index adds no copy of the counts.
+// entries in lexicographic path order (entry a precedes entry b exactly
+// when PathOf(a).Compare(PathOf(b)) < 0), with the full root path,
+// packed per-axis grid coordinates, the upper face neighbor links and
+// the arena Ref of every entry. Entries resolve counters (N, Used)
+// through the owning tree's arena columns, so an index adds no copy of
+// the counts.
 type LevelIndex struct {
 	// Level is the tree level the index covers (1 <= Level <= H-1).
 	Level int
@@ -77,24 +89,6 @@ func (ix *LevelIndex) Bounds(i, j int) (lo, hi float64) {
 // that neighbor falls outside the unit cube or is not stored.
 func (ix *LevelIndex) Upper(i, j int) int { return int(ix.up[i*ix.d+j]) }
 
-// ComparePaths orders entries a and b by their lexicographic path
-// order (the convolution scan's deterministic tie-break) without
-// materializing Path values.
-func (ix *LevelIndex) ComparePaths(a, b int) int {
-	h := ix.Level
-	pa := ix.paths[a*h : (a+1)*h]
-	pb := ix.paths[b*h : (b+1)*h]
-	for k := 0; k < h; k++ {
-		switch {
-		case pa[k] < pb[k]:
-			return -1
-		case pa[k] > pb[k]:
-			return 1
-		}
-	}
-	return 0
-}
-
 // MemoryBytes is the exact footprint of the index: its slabs and ref
 // slice.
 func (ix *LevelIndex) MemoryBytes() uint64 {
@@ -107,6 +101,78 @@ func (ix *LevelIndex) MemoryBytes() uint64 {
 	return total
 }
 
+// levelRuns is the transient by-product of one level's fill that its
+// links read: the children of the level above's entry p are entries
+// kids[p] to kids[p+1]-1, and locs[i] is entry i's loc (the last word
+// of its path), kept contiguous for the merge walks.
+type levelRuns struct {
+	kids []int32
+	locs []uint64
+}
+
+// fillLevel lists level h's n cells in path order — for each entry of
+// above in turn (the root sentinel at level 1, where above is nil),
+// that cell's children ascending by loc — and fills each entry's path,
+// grid coordinates and Ref from its parent entry's. Build, a spilled
+// build and Canonicalize chain siblings ascending already, so only the
+// runs of a tree grown in first-touch order (InsertBatch, MergeFrom)
+// get sorted.
+func (t *Tree) fillLevel(h, n int, above *LevelIndex) (*LevelIndex, levelRuns) {
+	d := t.D
+	ix := &LevelIndex{
+		Level:  h,
+		t:      t,
+		d:      d,
+		n:      n,
+		side:   SideLen(h),
+		paths:  make([]uint64, n*h),
+		coords: make([]uint64, n*d),
+		refs:   make([]Ref, 0, n),
+	}
+	parRefs := []Ref{rootRef}
+	var parPaths []uint64
+	parCoords := make([]uint64, d)
+	if above != nil {
+		parRefs, parPaths, parCoords = above.refs, above.paths, above.coords
+	}
+	runs := levelRuns{kids: make([]int32, len(parRefs)+1), locs: make([]uint64, n)}
+	byLoc := func(a, b Ref) int { return cmp.Compare(t.loc[a], t.loc[b]) }
+	for p, par := range parRefs {
+		lo := len(ix.refs)
+		runs.kids[p] = int32(lo)
+		sorted := true
+		for c := t.firstChild[par]; c >= 0; c = t.nextSib[c] {
+			i := len(ix.refs)
+			ix.refs = append(ix.refs, c)
+			runs.locs[i] = t.loc[c]
+			if i > lo && runs.locs[i] < runs.locs[i-1] {
+				sorted = false
+			}
+		}
+		hi := len(ix.refs)
+		if !sorted {
+			slices.SortFunc(ix.refs[lo:hi], byLoc)
+			for i, r := range ix.refs[lo:hi] {
+				runs.locs[lo+i] = t.loc[r]
+			}
+		}
+		parPath := parPaths[p*(h-1) : (p+1)*(h-1)]
+		parCoord := parCoords[p*d : (p+1)*d]
+		for i, loc := range runs.locs[lo:hi] {
+			i += lo
+			path := ix.paths[i*h : (i+1)*h]
+			copy(path, parPath)
+			path[h-1] = loc
+			coord := ix.coords[i*d : (i+1)*d]
+			for j, c := range parCoord {
+				coord[j] = c<<1 | loc>>uint(j)&1
+			}
+		}
+	}
+	runs.kids[len(parRefs)] = int32(len(ix.refs))
+	return ix, runs
+}
+
 // linkUpper fills the upper face neighbor links of every entry from
 // those of the level above (above is nil at level 1), by the
 // hierarchical neighbor rule of quadtrees: along axis j, a cell whose
@@ -114,43 +180,87 @@ func (ix *LevelIndex) MemoryBytes() uint64 {
 // neighbor is the sibling at loc|1<<j; a cell whose bit j is set sits
 // in the upper half, so its upper neighbor is the child at loc&^1<<j of
 // the parent's upper neighbor — absent when that one is absent, and
-// always absent at level 1, where the parent is the whole cube. Each
-// link costs at most one child lookup (findChild) instead of a
-// root-to-leaf descent. entry maps every stored Ref to its index within
-// its level.
-func (ix *LevelIndex) linkUpper(above *LevelIndex, entry []int32) {
-	t, d := ix.t, ix.d
+// always absent at level 1, where the parent is the whole cube.
+//
+// Each run is sorted by loc, and flipping bit j keeps the order of the
+// locs that share bit j, so one forward merge walk per run and axis
+// finds every link of a kind: cousins against the child run of the
+// parent's upper neighbor along each axis that neighbor resolves and
+// some child has set, and siblings within the run. Siblings along j
+// differ in bit j alone, and the top bit in which two sorted locs
+// differ is the top bit in which some two adjacent locs between them
+// differ, so siblings are walked only along the axes that top an
+// adjacent pair's difference: one axis for a two-cell run.
+func (ix *LevelIndex) linkUpper(above *LevelIndex, runs levelRuns) {
+	d, kids, locs := ix.d, runs.kids, runs.locs
 	ix.up = make([]int32, ix.n*d)
-	for i, r := range ix.refs {
-		loc, par := t.loc[r], t.parent[r]
-		var parUp []int32
-		if above != nil {
-			pi := int(entry[par])
-			parUp = above.up[pi*d : (pi+1)*d]
-		}
-		row := ix.up[i*d : (i+1)*d]
-		for j := range row {
-			bit := uint64(1) << uint(j)
-			nb := NilRef
-			if loc&bit == 0 {
-				nb = t.findChild(par, loc|bit)
-			} else if parUp != nil && parUp[j] >= 0 {
-				nb = t.findChild(above.refs[parUp[j]], loc&^bit)
+	for i := range ix.up {
+		ix.up[i] = -1
+	}
+	for p := 0; p+1 < len(kids); p++ {
+		lo, hi := int(kids[p]), int(kids[p+1])
+		or, sib := uint64(0), uint64(0)
+		for a := lo; a < hi; a++ {
+			or |= locs[a]
+			if a > lo {
+				// The top bit in which adjacent locs differ (none for a
+				// duplicate loc, which a trusted snapshot load does not
+				// rule out).
+				sib |= uint64(1<<63) >> bits.LeadingZeros64(locs[a-1]^locs[a])
 			}
-			row[j] = -1
-			if nb >= 0 {
-				row[j] = entry[nb]
+		}
+		for m := sib; m != 0; m &= m - 1 {
+			mergeLinks(ix.up, locs, lo, hi, lo, hi, d, bits.TrailingZeros64(m), false)
+		}
+		if above == nil {
+			continue
+		}
+		parUp := above.up[p*d : (p+1)*d]
+		for m := or; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			if q := parUp[j]; q >= 0 {
+				mergeLinks(ix.up, locs, lo, hi, int(kids[q]), int(kids[q+1]), d, j, true)
 			}
 		}
 	}
 }
 
+// mergeLinks links every entry of the sorted run [lo, hi) whose loc bit
+// j equals set to the entry of the sorted run [blo, bhi) at its loc
+// with bit j flipped, when that entry is stored, writing the links into
+// up (width d). The flipped locs ascend with the sources, so the target
+// cursor only moves forward.
+func mergeLinks(up []int32, locs []uint64, lo, hi, blo, bhi, d, j int, set bool) {
+	bit := uint64(1) << uint(j)
+	from := uint64(0)
+	if set {
+		from = bit
+	}
+	b := blo
+	for a := lo; a < hi; a++ {
+		la := locs[a]
+		if la&bit != from {
+			continue
+		}
+		want := la ^ bit
+		for b < bhi && locs[b] < want {
+			b++
+		}
+		if b == bhi {
+			return
+		}
+		if locs[b] == want {
+			up[a*d+j] = int32(b)
+		}
+	}
+}
+
 // EnsureLevelIndexes materializes the level indexes for every stored
-// level (1..H-1) in one pass over the arena and returns them
-// (indexes[h-1] is level h). The call is idempotent and cheap after
-// the first build; Insert and MergeFrom invalidate the cache.
-// Concurrent calls are safe; calling concurrently with tree mutation
-// is not.
+// level (1..H-1), top down, and returns them (indexes[h-1] is level
+// h): level h is filled from level h-1's entries and linked from
+// level h-1's links. The call is idempotent and cheap after the first
+// build; Insert and MergeFrom invalidate the cache. Concurrent calls
+// are safe; calling concurrently with tree mutation is not.
 func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
@@ -158,69 +268,12 @@ func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 		return t.indexes
 	}
 	counts := t.levelCellCountsWalk()
-	d := t.D
 	idxs := make([]*LevelIndex, t.H-1)
-	for h := 1; h <= t.H-1; h++ {
-		n := counts[h]
-		idxs[h-1] = &LevelIndex{
-			Level:  h,
-			t:      t,
-			d:      d,
-			n:      n,
-			side:   SideLen(h),
-			paths:  make([]uint64, 0, n*h),
-			coords: make([]uint64, 0, n*d),
-			refs:   make([]Ref, 0, n),
-		}
-	}
-	// One iterative DFS over the arena linkage fills every level in
-	// first-touch walk order: path words and per-axis grid coordinates
-	// are carried down the descent (coords frame l lives at
-	// coordScratch[l*d:(l+1)*d]), so each entry costs O(d) on top of
-	// the walk itself. entry records each cell's index within its level
-	// for the neighbor links below; it is dropped once they are built.
-	entry := make([]int32, len(t.loc))
-	pathScratch := make([]uint64, t.H-1)
-	coordScratch := make([]uint64, t.H*d)
-	stack := make([]Ref, t.H-1)
-	stack[0] = t.firstChild[rootRef]
-	depth := 0
-	for depth >= 0 {
-		r := stack[depth]
-		if r < 0 {
-			depth--
-			if depth >= 0 {
-				stack[depth] = t.nextSib[stack[depth]]
-			}
-			continue
-		}
-		h := depth + 1 // level of the cell at r
-		loc := t.loc[r]
-		pathScratch[depth] = loc
-		prev := coordScratch[depth*d : (depth+1)*d]
-		cur := coordScratch[h*d : (h+1)*d]
-		for j := 0; j < d; j++ {
-			cur[j] = prev[j] << 1
-			if loc&(1<<uint(j)) != 0 {
-				cur[j] |= 1
-			}
-		}
-		ix := idxs[h-1]
-		entry[r] = int32(len(ix.refs))
-		ix.paths = append(ix.paths, pathScratch[:h]...)
-		ix.coords = append(ix.coords, cur...)
-		ix.refs = append(ix.refs, r)
-		if h < t.H-1 && t.firstChild[r] >= 0 {
-			depth++
-			stack[depth] = t.firstChild[r]
-			continue
-		}
-		stack[depth] = t.nextSib[r]
-	}
-	// Links run top-down: level h's rule reads level h-1's links.
 	var above *LevelIndex
-	for _, ix := range idxs {
-		ix.linkUpper(above, entry)
+	for h := 1; h <= t.H-1; h++ {
+		ix, runs := t.fillLevel(h, counts[h], above)
+		ix.linkUpper(above, runs)
+		idxs[h-1] = ix
 		above = ix
 	}
 	t.indexes = idxs

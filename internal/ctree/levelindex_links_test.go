@@ -172,3 +172,66 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string]*ctree.Tr
 	out["window/treeio-roundtrip"] = loaded
 	return out
 }
+
+// TestLevelIndexMatchesWalk pins the level index's path-order contract
+// on every tree producer: Build at Workers 1 and 8, the streaming
+// service's window tree (InsertBatch-grown halves merged by
+// aging.Clone() + MergeFrom(active), whose sibling chains are in
+// first-touch order), that window tree after a treeio round trip and
+// after Canonicalize. On each, every level's entries must ascend
+// strictly by Path.Compare, hold exactly the (path, ref) pairs
+// WalkLevel visits, read N and Used from the arena, and give Bounds
+// equal to Path.Bounds. The neighbor links are pinned by
+// TestLevelIndexNeighborLookup.
+func TestLevelIndexMatchesWalk(t *testing.T) {
+	for _, c := range []struct{ d, H, n int }{{6, 5, 3000}, {15, 4, 2000}, {2, ctree.MaxLevels, 300}} {
+		pts := linkPoints(c.d, min(c.H-1, 50), c.n, true, int64(c.d*100+c.H))
+		producers := linkProducers(t, c.d, c.H, pts)
+		window := producers["window/clone+merge"]
+		canon, err := ctree.Canonicalize(window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canon == window {
+			t.Fatalf("d%d_H%d: the window tree is already canonical, so it cannot test the child-run sort", c.d, c.H)
+		}
+		producers["window/canonicalized"] = canon
+		for name, tr := range producers {
+			checkIndexMatchesWalk(t, fmt.Sprintf("d%d_H%d/%s", c.d, c.H, name), tr)
+		}
+	}
+}
+
+// checkIndexMatchesWalk is TestLevelIndexMatchesWalk's check of one
+// tree.
+func checkIndexMatchesWalk(t *testing.T, name string, tr *ctree.Tree) {
+	t.Helper()
+	for h := 1; h <= tr.H-1; h++ {
+		walk := map[ctree.Ref]ctree.Path{}
+		tr.WalkLevel(h, func(p ctree.Path, r ctree.Ref) { walk[r] = p.Clone() })
+		ix := tr.LevelIndex(h)
+		if ix.Len() != len(walk) {
+			t.Fatalf("%s: level %d index has %d entries, WalkLevel visits %d", name, h, ix.Len(), len(walk))
+		}
+		for i := 0; i < ix.Len(); i++ {
+			p := ix.PathOf(i)
+			if i > 0 && ix.PathOf(i-1).Compare(p) >= 0 {
+				t.Fatalf("%s: level %d entries %d and %d are out of path order: %v, %v", name, h, i-1, i, ix.PathOf(i-1), p)
+			}
+			r := ix.Ref(i)
+			if wp, ok := walk[r]; !ok || wp.Compare(p) != 0 {
+				t.Fatalf("%s: level %d entry %d: (path %v, ref %d) is not a WalkLevel pair (walk path %v)", name, h, i, p, r, wp)
+			}
+			if ix.N(i) != tr.N(r) || ix.Used(i) != tr.Used(r) {
+				t.Fatalf("%s: level %d entry %d: N/Used differ from the arena", name, h, i)
+			}
+			for j := 0; j < tr.D; j++ {
+				lo, hi := ix.Bounds(i, j)
+				wl, wh := p.Bounds(j)
+				if lo != wl || hi != wh {
+					t.Fatalf("%s: level %d entry %d axis %d: bounds (%v,%v), want (%v,%v)", name, h, i, j, lo, hi, wl, wh)
+				}
+			}
+		}
+	}
+}

@@ -26,43 +26,6 @@ func indexTestTree(t *testing.T, d, n, H int, seed int64) (*Tree, *dataset.Datas
 	return tr, ds
 }
 
-// TestLevelIndexMatchesWalk pins the flat snapshot against the tree
-// walk it replaces: same cells in the same deterministic order, paths,
-// and O(1) bounds identical to Path.Bounds. The neighbor links are
-// pinned in levelindex_links_test.go.
-func TestLevelIndexMatchesWalk(t *testing.T) {
-	tr, _ := indexTestTree(t, 6, 3000, 5, 1)
-	for h := 1; h <= tr.H-1; h++ {
-		ix := tr.LevelIndex(h)
-		if ix == nil {
-			t.Fatalf("no index for level %d", h)
-		}
-		if ix.Len() != tr.LevelCellCount(h) {
-			t.Fatalf("level %d: index has %d entries, walk counts %d", h, ix.Len(), tr.LevelCellCount(h))
-		}
-		i := 0
-		tr.WalkLevel(h, func(p Path, r Ref) {
-			if ix.Ref(i) != r {
-				t.Fatalf("level %d entry %d: cell differs from walk order", h, i)
-			}
-			if ix.N(i) != tr.N(r) || ix.Used(i) != tr.Used(r) {
-				t.Fatalf("level %d entry %d: N/Used differ from the arena", h, i)
-			}
-			if ix.PathOf(i).Compare(p) != 0 {
-				t.Fatalf("level %d entry %d: path %v, walk %v", h, i, ix.PathOf(i), p)
-			}
-			for j := 0; j < tr.D; j++ {
-				lo, hi := ix.Bounds(i, j)
-				wl, wh := p.Bounds(j)
-				if lo != wl || hi != wh {
-					t.Fatalf("level %d entry %d axis %d: bounds (%v,%v), want (%v,%v)", h, i, j, lo, hi, wl, wh)
-				}
-			}
-			i++
-		})
-	}
-}
-
 // TestLevelIndexLookupAbsent pins the miss path of the upper links: a
 // neighbor cell that is not stored must link to -1, not to a stored
 // cell nearby. The two points sit at x-coords 0 and 1 on level 1, 1

@@ -22,7 +22,8 @@ func (t *Tree) Insert(p []float64) error {
 	}
 	// Validate and quantize every axis once at level H before touching
 	// the tree; per-level locs are bit slices of the level-H coordinate
-	// (bit-exact with locAtLevel, see batch.go).
+	// (bit-exact with locAtLevel, the oracle of
+	// TestQuantizeLevelHMatchesLocAtLevel; see batch.go).
 	var qs [MaxDims]uint64
 	scale := float64(uint64(1) << uint(t.H))
 	for j, v := range p {

@@ -1,6 +1,7 @@
 package ctree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -125,6 +126,78 @@ func TestQuantizePackedKeyMatchesSlow(t *testing.T) {
 			p := slices.Clone(base)
 			p[pos] = v
 			check(p)
+		}
+	}
+}
+
+// locAtLevel computes the relative position bits of the level-h cell
+// containing p straight from the definition: bit j is the parity of
+// floor(p[j]·2^h), i.e. whether the point is in the upper half of its
+// level-(h-1) cell along axis j. It is the per-level oracle of the
+// build's single level-H quantization.
+func locAtLevel(p []float64, h int) (uint64, error) {
+	var loc uint64
+	scale := float64(uint64(1) << uint(h))
+	for j, v := range p {
+		if v < 0 || v >= 1 || math.IsNaN(v) {
+			return 0, fmt.Errorf("axis %d value %g outside [0,1): dataset must be normalized", j, v)
+		}
+		if uint64(v*scale)&1 == 1 {
+			loc |= 1 << uint(j)
+		}
+	}
+	return loc, nil
+}
+
+// TestQuantizeLevelHMatchesLocAtLevel pins the identity every tree
+// producer relies on (batch.go, Insert, MergeFrom's callers): the loc
+// of a point's level-h cell, read as bit H-h of its level-H grid
+// coordinates (qi[j] >> (H-h) & 1 after quantizeLevelH), equals
+// locAtLevel(p, h) for every level h <= H — over random points and the
+// values whose products with 2^h are most likely to round: ±0.0, 0.1,
+// 0.5, the largest float64 below 1 and a subnormal, at H ∈ {3, 4, 20,
+// MaxLevels}.
+func TestQuantizeLevelHMatchesLocAtLevel(t *testing.T) {
+	const d = 6
+	rng := rand.New(rand.NewSource(11))
+	var pts [][]float64
+	for i := 0; i < 500; i++ {
+		p := make([]float64, d)
+		for j := range p {
+			p[j] = rng.Float64()
+		}
+		pts = append(pts, p)
+	}
+	edges := []float64{0, math.Copysign(0, -1), 0.1, 0.5, math.Nextafter(1, 0), math.SmallestNonzeroFloat64}
+	for _, v := range edges {
+		for pos := 0; pos < d; pos++ {
+			p := make([]float64, d)
+			for j := range p {
+				p[j] = edges[(pos+j)%len(edges)]
+			}
+			p[pos] = v
+			pts = append(pts, p)
+		}
+	}
+	for _, H := range []int{3, 4, 20, MaxLevels} {
+		qi := make([]uint64, d)
+		for _, p := range pts {
+			if err := quantizeLevelH(p, d, H, qi, 0); err != nil {
+				t.Fatalf("H=%d point %v: %v", H, p, err)
+			}
+			for h := 1; h <= H; h++ {
+				var got uint64
+				for j := range qi {
+					got |= (qi[j] >> uint(H-h) & 1) << uint(j)
+				}
+				want, err := locAtLevel(p, h)
+				if err != nil {
+					t.Fatalf("H=%d point %v level %d: %v", H, p, h, err)
+				}
+				if got != want {
+					t.Fatalf("H=%d point %v level %d: level-H bits give loc %#x, locAtLevel %#x", H, p, h, got, want)
+				}
+			}
 		}
 	}
 }
