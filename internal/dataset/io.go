@@ -2,7 +2,7 @@ package dataset
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -10,7 +10,15 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"strings"
 )
+
+// readBufferSize is the smallest line buffer ReadCSV reads through; a
+// longer line goes to the encoding/csv loop.
+const readBufferSize = 64 << 10
+
+// rowBlockFloats is the size of the shared blocks ReadCSV cuts rows from.
+const rowBlockFloats = 1 << 16
 
 // ReadCSV parses a dataset from CSV. When header is true the first record
 // is taken as axis names. Every record must have the same number of
@@ -20,15 +28,132 @@ import (
 // column of the offending value in the error. Ragged records — a row
 // with a different field count than the first — are reported the same
 // way.
+//
+// Lines are read one at a time. A regular line — no quote, no '\r'
+// before its "\r\n" or "\n" ending, the first record's width, and
+// finite numbers the float routine or strconv.ParseFloat reads — is
+// split on commas and parsed into a view of a shared block of rows.
+// The first irregular line and everything after it go to the
+// encoding/csv loop (readRecords), which accepts, rejects and words its
+// errors exactly as it would have from the start of the input.
 func ReadCSV(r io.Reader, header bool) (*Dataset, error) {
+	br := bufio.NewReaderSize(r, readBufferSize)
+	var ds *Dataset
+	var block []float64
+	lines := 0 // lines consumed, blank ones included
+	for {
+		raw, err := br.ReadSlice('\n')
+		if err != nil && err != io.EOF {
+			// A line longer than the buffer, or a read error.
+			return handOff(raw, br, ds, header, lines)
+		}
+		if len(raw) == 0 {
+			break
+		}
+		s := trimLineEnd(raw)
+		switch {
+		case len(s) == 0: // a blank line, skipped as encoding/csv skips it
+		case ds == nil:
+			if bytes.IndexByte(s, '"') >= 0 || bytes.IndexByte(s, '\r') >= 0 {
+				return handOff(raw, br, ds, header, lines)
+			}
+			ds = New(bytes.Count(s, []byte{','})+1, 1024)
+			if header {
+				ds.Names = strings.Split(string(s), ",")
+				break
+			}
+			fallthrough
+		default:
+			d := ds.Dims
+			if len(block) < d {
+				block = make([]float64, max(rowBlockFloats, d))
+			}
+			row := block[:d:d]
+			if !parseRow(s, row) {
+				return handOff(raw, br, ds, header, lines)
+			}
+			block = block[d:]
+			ds.Points = append(ds.Points, row)
+		}
+		lines++
+		if err == io.EOF {
+			break
+		}
+	}
+	return withRows(ds, nil)
+}
+
+// trimLineEnd strips one "\n" or "\r\n" line ending.
+func trimLineEnd(line []byte) []byte {
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
+		if n > 1 && line[n-2] == '\r' {
+			line = line[:n-2]
+		}
+	}
+	return line
+}
+
+// parseRow parses a line of exactly len(row) comma-separated finite
+// numbers into row. A quote or a '\r' fails the parse too: neither
+// float parser accepts one, and neither accepts a comma, so a line
+// with too many fields fails on its last.
+func parseRow(s []byte, row []float64) bool {
+	last := len(row) - 1
+	for j := range row {
+		f := s
+		if j < last {
+			i := bytes.IndexByte(s, ',')
+			if i < 0 {
+				return false
+			}
+			f, s = s[:i], s[i+1:]
+		}
+		v, ok := parseFloat(f)
+		if !ok {
+			var err error
+			v, err = strconv.ParseFloat(string(f), 64)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+		row[j] = v
+	}
+	return true
+}
+
+// handOff parses the irregular line raw and the rest of br with the
+// encoding/csv loop, keeping the rows of ds read so far. raw is copied,
+// since the next read of br overwrites it.
+func handOff(raw []byte, br *bufio.Reader, ds *Dataset, header bool, lines int) (*Dataset, error) {
+	rest := io.MultiReader(bytes.NewReader(append([]byte(nil), raw...)), br)
+	return withRows(readRecords(rest, ds, header, lines))
+}
+
+// withRows passes err on, or rejects a dataset without data rows.
+func withRows(ds *Dataset, err error) (*Dataset, error) {
+	if err != nil {
+		return nil, err
+	}
+	if ds == nil || ds.Len() == 0 {
+		return nil, errors.New("dataset: no data rows")
+	}
+	return ds, nil
+}
+
+// readRecords is ReadCSV's encoding/csv loop. It appends the records of
+// r to ds, or starts ds from r's first record when ds is nil, and
+// numbers lines as if r began after the input's first line0 lines.
+func readRecords(r io.Reader, ds *Dataset, header bool, line0 int) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
-	first := true
-	var ds *Dataset
+	if ds != nil {
+		cr.FieldsPerRecord = ds.Dims
+	}
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			break
+			return ds, nil
 		}
 		if err != nil {
 			var pe *csv.ParseError
@@ -37,14 +162,13 @@ func ReadCSV(r io.Reader, header bool) (*Dataset, error) {
 					// Read returns the (ragged) record alongside
 					// ErrFieldCount, so the message can carry both counts.
 					return nil, fmt.Errorf("dataset: line %d: record has %d fields, want %d (as in the first record)",
-						pe.Line, len(rec), ds.Dims)
+						line0+pe.Line, len(rec), ds.Dims)
 				}
-				return nil, fmt.Errorf("dataset: line %d, column %d: %w", pe.Line, pe.Column, pe.Err)
+				return nil, fmt.Errorf("dataset: line %d, column %d: %w", line0+pe.Line, pe.Column, pe.Err)
 			}
 			return nil, fmt.Errorf("dataset: reading CSV: %w", err)
 		}
-		if first {
-			first = false
+		if ds == nil {
 			if len(rec) == 0 {
 				return nil, errors.New("dataset: empty CSV record")
 			}
@@ -59,20 +183,16 @@ func ReadCSV(r io.Reader, header bool) (*Dataset, error) {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				line, col := cr.FieldPos(j)
-				return nil, fmt.Errorf("dataset: line %d, column %d: value %q is not a number: %w", line, col, f, err)
+				return nil, fmt.Errorf("dataset: line %d, column %d: value %q is not a number: %w", line0+line, col, f, err)
 			}
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				line, col := cr.FieldPos(j)
-				return nil, fmt.Errorf("dataset: line %d, column %d: non-finite value %q (NaN and ±Inf are not allowed)", line, col, f)
+				return nil, fmt.Errorf("dataset: line %d, column %d: non-finite value %q (NaN and ±Inf are not allowed)", line0+line, col, f)
 			}
 			p[j] = v
 		}
 		ds.Points = append(ds.Points, p)
 	}
-	if ds == nil || ds.Len() == 0 {
-		return nil, errors.New("dataset: no data rows")
-	}
-	return ds, nil
 }
 
 // WriteCSV writes the dataset as CSV; a header row is emitted when the
@@ -129,70 +249,4 @@ func (ds *Dataset) SaveCSVFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// binaryMagic identifies the compact binary dataset format.
-var binaryMagic = [4]byte{'M', 'R', 'D', '1'}
-
-// WriteBinary serializes the dataset in a compact little-endian binary
-// format: magic, d, η, then η·d float64 values.
-func (ds *Dataset) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return fmt.Errorf("dataset: writing binary: %w", err)
-	}
-	hdr := [16]byte{}
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(ds.Dims))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(ds.Len()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("dataset: writing binary: %w", err)
-	}
-	buf := make([]byte, 8*ds.Dims)
-	for _, p := range ds.Points {
-		for j, v := range p {
-			binary.LittleEndian.PutUint64(buf[8*j:], math.Float64bits(v))
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return fmt.Errorf("dataset: writing binary: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a dataset written by WriteBinary.
-func ReadBinary(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary magic: %w", err)
-	}
-	if magic != binaryMagic {
-		return nil, errors.New("dataset: bad binary magic")
-	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("dataset: reading binary header: %w", err)
-	}
-	d := int(binary.LittleEndian.Uint64(hdr[0:8]))
-	n := int(binary.LittleEndian.Uint64(hdr[8:16]))
-	if d < 1 || d > 1<<20 {
-		return nil, fmt.Errorf("dataset: implausible dimensionality %d", d)
-	}
-	if n < 0 || n > 1<<40 {
-		return nil, fmt.Errorf("dataset: implausible point count %d", n)
-	}
-	ds := New(d, n)
-	buf := make([]byte, 8*d)
-	backing := make([]float64, n*d)
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("dataset: reading binary point %d: %w", i, err)
-		}
-		p := backing[i*d : (i+1)*d]
-		for j := 0; j < d; j++ {
-			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
-		}
-		ds.Points = append(ds.Points, p)
-	}
-	return ds, nil
 }

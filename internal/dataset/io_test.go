@@ -2,10 +2,12 @@ package dataset
 
 import (
 	"bytes"
-	"math"
+	"errors"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -49,6 +51,83 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
+// TestReadCSVContract pins ReadCSV's accepted inputs and its exact
+// error text: line and column numbers, wrapped strconv and
+// encoding/csv errors, blank lines, CRLF endings and quoting.
+func TestReadCSVContract(t *testing.T) {
+	ioErr := errors.New("disk on fire")
+	long := strings.Repeat("0", 100000) + "4" // longer than any read buffer
+	const nonFinite = "(NaN and ±Inf are not allowed)"
+	bad := []struct {
+		name   string
+		r      io.Reader
+		header bool
+		want   string
+	}{
+		{"not a number", strings.NewReader("1,2\n3,nope\n"), false,
+			`dataset: line 2, column 3: value "nope" is not a number: strconv.ParseFloat: parsing "nope": invalid syntax`},
+		{"NaN after blank lines", strings.NewReader("1,2\n\n\n3,NaN\n"), false,
+			`dataset: line 4, column 3: non-finite value "NaN" ` + nonFinite},
+		{"+Inf with CRLF", strings.NewReader("1,2\r\n3,+Inf\r\n"), false,
+			`dataset: line 2, column 3: non-finite value "+Inf" ` + nonFinite},
+		{"ragged after header", strings.NewReader("x,y\n1,2\n3\n"), true,
+			`dataset: line 3: record has 1 fields, want 2 (as in the first record)`},
+		{"bare quote", strings.NewReader("1,2\n3,4\"\n"), false,
+			`dataset: line 2, column 4: bare " in non-quoted-field`},
+		{"unterminated quote", strings.NewReader("1,2\n\"3,4\n"), false,
+			`dataset: line 2, column 6: extraneous or missing " in quoted-field`},
+		{"leading space", strings.NewReader("1, 2\n"), false,
+			`dataset: line 1, column 3: value " 2" is not a number: strconv.ParseFloat: parsing " 2": invalid syntax`},
+		{"trailing comma", strings.NewReader("1,2,\n"), false,
+			`dataset: line 1, column 5: value "" is not a number: strconv.ParseFloat: parsing "": invalid syntax`},
+		{"out of range", strings.NewReader("1e400,1\n"), false,
+			`dataset: line 1, column 1: value "1e400" is not a number: strconv.ParseFloat: parsing "1e400": value out of range`},
+		{"error after a line longer than the read buffer", strings.NewReader("1,2\n3," + long + "\n5,x\n"), false,
+			`dataset: line 3, column 3: value "x" is not a number: strconv.ParseFloat: parsing "x": invalid syntax`},
+		{"I/O error", io.MultiReader(strings.NewReader("1,2\n3,"), iotest.ErrReader(ioErr)), false,
+			`dataset: reading CSV: disk on fire`},
+		{"empty", strings.NewReader(""), false, `dataset: no data rows`},
+		{"header only", strings.NewReader("x,y\n"), true, `dataset: no data rows`},
+	}
+	for _, c := range bad {
+		ds, err := ReadCSV(c.r, c.header)
+		if err == nil {
+			t.Errorf("%s: accepted %d rows, want error %q", c.name, ds.Len(), c.want)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("%s:\n got %q\nwant %q", c.name, err, c.want)
+		}
+	}
+
+	good := []struct {
+		in   string
+		want [][]float64
+	}{
+		{"\"1\",2\n3,4\n", [][]float64{{1, 2}, {3, 4}}},
+		{"0x1p-2,1\n", [][]float64{{0.25, 1}}},
+		{"1,2\n3," + long + "\n", [][]float64{{1, 2}, {3, 4}}},
+	}
+	for k, c := range good {
+		ds, err := ReadCSV(strings.NewReader(c.in), false)
+		if err != nil {
+			t.Errorf("input %d: %v", k, err)
+			continue
+		}
+		if ds.Len() != len(c.want) {
+			t.Errorf("input %d: %d rows, want %d", k, ds.Len(), len(c.want))
+			continue
+		}
+		for i, row := range c.want {
+			for j, v := range row {
+				if ds.Points[i][j] != v {
+					t.Errorf("input %d: point %d axis %d = %g, want %g", k, i, j, ds.Points[i][j], v)
+				}
+			}
+		}
+	}
+}
+
 func TestCSVFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "data.csv")
@@ -65,46 +144,5 @@ func TestCSVFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadCSVFile(filepath.Join(dir, "absent.csv"), false); err == nil {
 		t.Error("missing file accepted")
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	ds, _ := FromRows([][]float64{
-		{0, math.Pi, -math.MaxFloat64},
-		{math.SmallestNonzeroFloat64, 1, 2},
-	})
-	var buf bytes.Buffer
-	if err := ds.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ds.Points {
-		for j := range ds.Points[i] {
-			if ds.Points[i][j] != back.Points[i][j] {
-				t.Errorf("point %d axis %d: %g != %g", i, j, ds.Points[i][j], back.Points[i][j])
-			}
-		}
-	}
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader([]byte("MRD1\x00\x00"))); err == nil {
-		t.Error("truncated header accepted")
-	}
-	// Valid magic + header claiming more points than the body holds.
-	var buf bytes.Buffer
-	ds, _ := FromRows([][]float64{{1, 2}})
-	if err := ds.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-8]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated body accepted")
 	}
 }
