@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
 	"mrcc/internal/core"
 	"mrcc/internal/ctree"
@@ -45,6 +46,74 @@ func BenchmarkFindBetas(b *testing.B) {
 		if _, err := core.RunOnTree(tree, ds, core.Config{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBetaSearch isolates phase two — the β-cluster search over a
+// pre-built Counting-tree — on a 100k-point, 15-dimensional dataset
+// with 10 subspace clusters. The naive/workers=1 sub-benchmark is the
+// per-pass re-convolving scan (the WithNaiveScan oracle); the cached
+// sub-benchmarks are the default one-shot convolution cache at 1, 4 and
+// 8 workers. Each sub-benchmark reports the phase-two wall time
+// (betaSearch-ms) next to the full RunOnTree timing; the cached runs
+// add their phase-two speedup over the naive baseline and their
+// phase-two throughput (points/s = η ÷ phase-two seconds), the metric
+// scripts/bench_floors.sh floors. The scan-equivalence suite
+// (scan_equiv_test.go) separately proves the outputs identical, so this
+// benchmark only has to watch the clock.
+func BenchmarkBetaSearch(b *testing.B) {
+	ds, _, err := synthetic.Generate(synthetic.Config{
+		Dims: 15, Points: 100000, Clusters: 10, NoiseFrac: 0.15,
+		MinClusterDim: 8, MaxClusterDim: 13, Seed: 314,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		naive   bool
+		workers int
+	}{
+		{"naive/workers=1", true, 1},
+		{"cached/workers=1", false, 1},
+		{"cached/workers=4", false, 4},
+		{"cached/workers=8", false, 8},
+	}
+	var naivePhase2 float64 // ns per op of the naive workers=1 baseline
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := core.Config{Workers: tc.workers}
+			if tc.naive {
+				cfg = core.WithNaiveScan(cfg)
+			}
+			var res *core.Result
+			var phase2 time.Duration
+			for i := 0; i < b.N; i++ {
+				tree.ResetUsed()
+				res, err = core.RunOnTree(tree, ds, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				phase2 += res.Timings.FindBetas
+			}
+			if len(res.Betas) < 8 {
+				b.Fatalf("only %d β-clusters found, want >= 8 (phase two underloaded)", len(res.Betas))
+			}
+			phase2NsPerOp := float64(phase2.Nanoseconds()) / float64(b.N)
+			b.ReportMetric(phase2NsPerOp/1e6, "betaSearch-ms")
+			if tc.naive {
+				naivePhase2 = phase2NsPerOp
+				return
+			}
+			b.ReportMetric(float64(ds.Len())/(phase2NsPerOp/1e9), "points/s")
+			if naivePhase2 > 0 {
+				b.ReportMetric(naivePhase2/phase2NsPerOp, "betaSearch-speedup")
+			}
+		})
 	}
 }
 

@@ -65,23 +65,6 @@ type Config struct {
 	// for the A-mdl ablation that quantifies what the paper's MDL step
 	// buys; the method proper always uses MDL.
 	FixedRelevanceThreshold float64
-	// NaiveScan disables the one-shot convolution cache and runs the
-	// β-search with the original per-pass re-convolving scan. It exists
-	// only for the scan-equivalence suite and the phase-two benchmark
-	// that measures what the cache buys (BenchmarkBetaSearch); it is not
-	// exposed through the public facade. The cached scan is pinned
-	// bit-identical to the naive one (scan_equiv_test.go), so there is
-	// never a functional reason to set it.
-	NaiveScan bool
-	// NoCacheRepair disables the incremental eligibility repair of the
-	// one-shot scan cache: every restart pass re-walks each level's
-	// cached order from the top instead of resuming past the permanently
-	// retired ineligible prefix (scancache.go). Like NaiveScan it exists
-	// only for the equivalence suite and the phase-two benchmark — the
-	// repaired scan is pinned bit-identical to the full re-walk
-	// (TestScanCacheEquivalence), so there is never a functional reason
-	// to set it.
-	NoCacheRepair bool
 	// Workers sets the parallelism of the pipeline: the Counting-tree
 	// build's sort phase, the convolution scan, and point labeling all
 	// fan out over this many goroutines. 0 selects GOMAXPROCS; 1 runs
@@ -139,6 +122,18 @@ type Config struct {
 	// dominant allocation and holding it in the Result keeps it
 	// reachable.
 	KeepTree bool
+
+	// naiveScan and noCacheRepair select the scan oracles the
+	// equivalence suites compare the default β-search against; only
+	// tests set them (export_test.go). naiveScan re-convolves every
+	// eligible cell per pass instead of reading the one-shot
+	// convolution cache; noCacheRepair makes the cached scan re-walk
+	// each level's order from the top on every restart pass instead of
+	// resuming past the permanently ineligible prefix (scancache.go).
+	// Both are pinned bit-identical to the default scan
+	// (scan_equiv_test.go).
+	naiveScan     bool
+	noCacheRepair bool
 }
 
 // wantsStats reports whether the run needs a collector at all.
@@ -658,12 +653,12 @@ func (s *searcher) findBetaClusters() ([]BetaCluster, error) {
 // at level h with the largest convolution value, ties broken by the
 // lexicographically smallest path so the method stays deterministic.
 // The default path reads the first eligible entry of the level's
-// cached (value desc, path asc) order (scancache.go); Config.NaiveScan
-// re-convolves every eligible cell per pass instead — serially via
+// cached (value desc, path asc) order (scancache.go); the naiveScan
+// oracle re-convolves every eligible cell per pass instead — serially via
 // WalkLevel or chunked across workers (parallel.go) — and is pinned
 // bit-identical to the cached path by the scan-equivalence suite.
 func (s *searcher) densestCell(h int) (ctree.Path, ctree.Ref, int64) {
-	if !s.cfg.NaiveScan {
+	if !s.cfg.naiveScan {
 		return s.densestCellCached(h)
 	}
 	if s.workers > 1 {

@@ -6,6 +6,25 @@ import (
 	"mrcc/internal/ctree"
 )
 
+// WithNaiveScan returns cfg with the naive scan oracle on: every
+// restart pass re-convolves every eligible cell (serially, or chunked
+// across cfg.Workers) instead of reading the one-shot convolution
+// cache. The scan-equivalence suites and BenchmarkBetaSearch's
+// baseline row reach it through here.
+func WithNaiveScan(cfg Config) Config {
+	cfg.naiveScan = true
+	return cfg
+}
+
+// WithoutCacheRepair returns cfg with the scan cache's incremental
+// eligibility repair off: every restart pass re-walks each level's
+// cached order from the top, the full-rebuild oracle the repair cursor
+// is pinned against.
+func WithoutCacheRepair(cfg Config) Config {
+	cfg.noCacheRepair = true
+	return cfg
+}
+
 // WindowTree builds the streaming service's clustering input from a
 // stream of points the way the service does: the older half counted
 // into an aging tree and the newer half into the active one, each in

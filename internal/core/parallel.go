@@ -65,9 +65,9 @@ func (b *chunkBest) better(cur *chunkBest) bool {
 
 // densestCellNaiveParallel is the naive (per-pass re-convolving)
 // densestCell fanned out over s.workers chunks of the level's flat
-// index. It survives only behind Config.NaiveScan (the cached scan in
-// scancache.go replaced it as the default); the equivalence suite
-// still exercises it at every worker count.
+// index. It survives only behind the naiveScan test hook (the cached
+// scan in scancache.go replaced it as the default); the equivalence
+// suite still exercises it at every worker count.
 func (s *searcher) densestCellNaiveParallel(h int) (ctree.Path, ctree.Ref, int64) {
 	ix := s.tree.LevelIndex(h)
 	n := ix.Len()

@@ -11,9 +11,9 @@ import (
 
 // TestScanCacheEquivalence pins the cached incremental β-search
 // (scancache.go, the default) bit-identical to the naive re-convolving
-// scan it replaced (Config.NaiveScan), end to end: same β-cluster list
+// scan it replaced (WithNaiveScan), end to end: same β-cluster list
 // (bounds, relevances, centers), same clusters, same labels. Each entry
-// additionally runs the cached scan with Config.NoCacheRepair — the
+// additionally runs the cached scan through WithoutCacheRepair — the
 // full eligibility re-walk — and pins it identical to the repaired
 // default, so the repair-cursor optimization is swept over the same
 // matrix. The matrix spans dims {5, 10, 18} × workers {1, 2, 8} ×
@@ -113,14 +113,10 @@ func TestScanCacheEquivalence(t *testing.T) {
 				t.Skip("skipping large equivalence entry in -short mode")
 			}
 			ds, _ := genSmall(t, tc.gen)
-			naiveCfg := tc.cfg
-			naiveCfg.NaiveScan = true
-			naiveCfg.Workers = tc.workers
 			cachedCfg := tc.cfg
 			cachedCfg.Workers = tc.workers
-			fullCfg := tc.cfg
-			fullCfg.Workers = tc.workers
-			fullCfg.NoCacheRepair = true
+			naiveCfg := core.WithNaiveScan(cachedCfg)
+			fullCfg := core.WithoutCacheRepair(cachedCfg)
 			naive, err := core.Run(ds, naiveCfg)
 			if err != nil {
 				t.Fatalf("naive run: %v", err)
@@ -163,7 +159,11 @@ func TestScanCacheEquivalenceAllUsed(t *testing.T) {
 				tr.WalkLevel(h, func(p ctree.Path, c ctree.Ref) { tr.SetUsed(c, true) })
 			}
 		}
-		res, err := core.RunOnTree(tr, ds, core.Config{NaiveScan: naive, H: tr.H})
+		cfg := core.Config{H: tr.H}
+		if naive {
+			cfg = core.WithNaiveScan(cfg)
+		}
+		res, err := core.RunOnTree(tr, ds, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestScanCacheEquivalenceSingleCellLevel(t *testing.T) {
 		}
 		ds.Points = append(ds.Points, p)
 	}
-	naive, err := core.Run(ds, core.Config{NaiveScan: true})
+	naive, err := core.Run(ds, core.WithNaiveScan(core.Config{}))
 	if err != nil {
 		t.Fatalf("naive run: %v", err)
 	}

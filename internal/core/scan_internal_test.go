@@ -30,7 +30,7 @@ func scanPairTree(t *testing.T, gen synthetic.Config, h int) (*ctree.Tree, *data
 // Both run serial; parallel chunking is pinned elsewhere
 // (TestScanCacheEquivalence, TestParallelEquivalence).
 func newScanPair(tr *ctree.Tree, fullMask bool) (*searcher, *searcher) {
-	naive := &searcher{tree: tr, cfg: Config{NaiveScan: true, FullMask: fullMask}, workers: 1}
+	naive := &searcher{tree: tr, cfg: WithNaiveScan(Config{FullMask: fullMask}), workers: 1}
 	cached := &searcher{tree: tr, cfg: Config{FullMask: fullMask}, workers: 1}
 	return naive, cached
 }
@@ -79,7 +79,7 @@ func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("window/workers=%d", workers), func(t *testing.T) {
 			tr.ResetUsed()
-			naive := &searcher{tree: tr, cfg: Config{NaiveScan: true, Workers: workers}, workers: workers}
+			naive := &searcher{tree: tr, cfg: WithNaiveScan(Config{Workers: workers}), workers: workers}
 			cached := &searcher{tree: tr, cfg: Config{Workers: workers}, workers: workers}
 			hits, ties := stepScanPair(t, tr, naive, cached)
 			if hits < 5 || ties < 5 {
@@ -189,7 +189,7 @@ func TestDensestCellAllBetaOverlapped(t *testing.T) {
 
 // TestCacheRepairMatchesFullRebuildPerPass steps the restart loop by
 // hand with THREE searchers over one tree — naive, cached-with-repair
-// (the default) and cached-without-repair (NoCacheRepair) — and
+// (the default) and cached-without-repair (WithoutCacheRepair) — and
 // demands identical winners on every pass and level while Used flags
 // flip and β-clusters accumulate. This pins the repair cursor at scan
 // granularity, which the end-to-end sweep cannot (it only sees final
@@ -199,9 +199,9 @@ func TestCacheRepairMatchesFullRebuildPerPass(t *testing.T) {
 		Dims: 5, Points: 5000, Clusters: 3, NoiseFrac: 0.15,
 		MinClusterDim: 3, MaxClusterDim: 5, Seed: 212,
 	}, 5)
-	naive := &searcher{tree: tr, cfg: Config{NaiveScan: true}, workers: 1}
+	naive := &searcher{tree: tr, cfg: WithNaiveScan(Config{}), workers: 1}
 	repaired := &searcher{tree: tr, cfg: Config{}, workers: 1}
-	rebuilt := &searcher{tree: tr, cfg: Config{NoCacheRepair: true}, workers: 1}
+	rebuilt := &searcher{tree: tr, cfg: WithoutCacheRepair(Config{}), workers: 1}
 	hits := 0
 	for pass := 0; pass < 40; pass++ {
 		progressed := false

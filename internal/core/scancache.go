@@ -4,11 +4,11 @@
 // restart loop of Algorithm 2 mutates only the Used flags and the
 // β-cluster overlap set, never a cell count. So instead of
 // re-convolving every cell of every level on every restart pass (the
-// naive scan, kept behind Config.NaiveScan for the equivalence suite
-// and the phase-two benchmark), the searcher computes each level's
-// values ONCE into a flat slab — trivially deterministic, since the
-// values do not depend on evaluation order — sorts the entries once
-// under the scan's existing total order (value descending,
+// naive scan, kept behind the naiveScan test hook for the equivalence
+// suite and the phase-two benchmark), the searcher computes each
+// level's values ONCE into a flat slab — trivially deterministic,
+// since the values do not depend on evaluation order — sorts the
+// entries once under the scan's existing total order (value descending,
 // lexicographic path ascending; the level index lists its entries in
 // path order, so the tie-break compares entry indexes), and turns
 // every subsequent densestCell call into an eligibility skip-scan:
@@ -47,8 +47,8 @@ import (
 // again, and each restart pass resumes the skip-scan at start instead
 // of re-deriving the whole prefix's eligibility: the per-pass cost is
 // O(newly flipped cells), not O(all previously skipped cells).
-// Config.NoCacheRepair restores the full re-walk for the equivalence
-// sweep.
+// The noCacheRepair test hook restores the full re-walk for the
+// equivalence sweep.
 type levelScan struct {
 	ix    *ctree.LevelIndex
 	vals  []int64 // mask value per index entry
@@ -148,9 +148,9 @@ func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 // every ineligible entry it passes (see levelScan): entries whose Used
 // flag or β-overlap status did not change since the previous pass are
 // never re-examined, so the pass costs O(changed) eligibility checks.
-// With Config.NoCacheRepair the scan re-walks the order from the top
-// — the full-rebuild baseline the equivalence sweep compares against —
-// and the cursor is neither read nor advanced.
+// With the noCacheRepair test hook the scan re-walks the order from
+// the top — the full-rebuild baseline the equivalence sweep compares
+// against — and the cursor is neither read nor advanced.
 func (s *searcher) densestCellCached(h int) (ctree.Path, ctree.Ref, int64) {
 	sc, err := s.levelScan(h)
 	if err != nil {
@@ -160,11 +160,10 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, ctree.Ref, int64) {
 		s.failWorker(err)
 		return nil, ctree.NilRef, 0
 	}
-	repair := !s.cfg.NoCacheRepair
+	repair := !s.cfg.noCacheRepair
 	from := int(sc.start)
 	if !repair {
 		from = 0
-		s.col.AddCacheFullRebuild()
 	}
 	var skips int64
 	for pos := from; pos < len(sc.order); pos++ {

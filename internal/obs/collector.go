@@ -18,14 +18,13 @@ type Collector struct {
 	stats    Stats
 
 	// Hot counters: merged per worker chunk with one atomic add each.
-	maskEvals    atomic.Int64
-	labeled      atomic.Int64
-	noise        atomic.Int64
-	buildDone    atomic.Int64
-	skips        atomic.Int64
-	scanDepth    atomic.Int64
-	cacheRepair  atomic.Int64
-	cacheRebuild atomic.Int64
+	maskEvals   atomic.Int64
+	labeled     atomic.Int64
+	noise       atomic.Int64
+	buildDone   atomic.Int64
+	skips       atomic.Int64
+	scanDepth   atomic.Int64
+	cacheRepair atomic.Int64
 }
 
 // New returns a collector with an optional progress callback (nil for
@@ -347,15 +346,6 @@ func (c *Collector) AddCacheRepair(n int64) {
 	c.cacheRepair.Add(n)
 }
 
-// AddCacheFullRebuild counts one cached scan that re-derived the whole
-// order's eligibility from the top (the NoCacheRepair baseline).
-func (c *Collector) AddCacheFullRebuild() {
-	if c == nil {
-		return
-	}
-	c.cacheRebuild.Add(1)
-}
-
 // AddLabeled merges one labeling chunk's (labeled, noise) counts and
 // returns the cumulative number of points processed, which doubles as
 // the labeling progress numerator.
@@ -388,7 +378,6 @@ func (c *Collector) Finish() *Stats {
 	c.stats.Counters.EligibilitySkips = c.skips.Load()
 	c.stats.Counters.ScanDepth = c.scanDepth.Load()
 	c.stats.Counters.CacheRepairCells = c.cacheRepair.Load()
-	c.stats.Counters.CacheFullRebuilds = c.cacheRebuild.Load()
 	total := c.labeled.Load()
 	noise := c.noise.Load()
 	c.stats.Counters.NoisePoints = noise

@@ -140,11 +140,7 @@ type Counters struct {
 	// CacheRepairCells counts scan-cache entries permanently retired by
 	// the incremental eligibility repair (the cursor advances of
 	// scancache.go); each retired cell is re-examined on no later pass.
-	// CacheFullRebuilds counts scans that re-derived eligibility from the
-	// top of the cached order instead — always zero unless the
-	// Config.NoCacheRepair baseline is set.
-	CacheRepairCells  int64 `json:"cacheRepairCells,omitempty"`
-	CacheFullRebuilds int64 `json:"cacheFullRebuilds,omitempty"`
+	CacheRepairCells int64 `json:"cacheRepairCells,omitempty"`
 	// ArenaGrows counts arena slab reallocations (capacity doublings)
 	// across the tree build, including every parallel shard. A build
 	// that pre-sizes well grows a handful of times; a pathological one
@@ -348,8 +344,7 @@ func (s *Stats) Format() string {
 	if c.ValueCacheBuilds > 0 {
 		fmt.Fprintf(&b, "scan cache: %d level builds (%d values); %d eligibility skips, scan depth %d\n",
 			c.ValueCacheBuilds, c.ValueCacheEntries, c.EligibilitySkips, c.ScanDepth)
-		fmt.Fprintf(&b, "scan cache repair: %d cells retired, %d full rebuilds\n",
-			c.CacheRepairCells, c.CacheFullRebuilds)
+		fmt.Fprintf(&b, "scan cache repair: %d cells retired\n", c.CacheRepairCells)
 	}
 	fmt.Fprintf(&b, "critical-value cache: %d hits, %d misses\n",
 		c.CritCacheHits, c.CritCacheMisses)

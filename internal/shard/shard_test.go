@@ -22,7 +22,7 @@ import (
 // startWorkers launches n in-process workers on loopback listeners and
 // returns their addresses. Real TCP, real framing — only the process
 // boundary is elided (cmd/mrcc-shard's TestMain covers that).
-func startWorkers(t *testing.T, n int) []string {
+func startWorkers(t testing.TB, n int) []string {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
