@@ -37,37 +37,12 @@ func FaceValueScratch(t *ctree.Tree, p ctree.Path, r ctree.Ref, buf ctree.Path) 
 	return v
 }
 
-// FaceValuesChunk scatters the symmetric face-mask contributions of
-// entries [lo, hi) into out, which must span the whole level (length
-// ix.Len(), zeroed): entry i's own 2d·n(i) term plus the ±1 adjacency
-// terms for every stored upper neighbor — written to BOTH ends of the
-// adjacency, which may land outside [lo, hi). Face adjacency is
-// symmetric, so when entry k is entry i's upper neighbor along axis j,
-// i is exactly k's lower neighbor there, and the index's upper links
-// (LevelIndex.Upper) alone reach every adjacency once. Integer addition
-// commutes exactly, so any chunking of [0, Len()) yields the values
-// FaceValueScratch computes entry by entry.
-func FaceValuesChunk(ix *ctree.LevelIndex, lo, hi int, out []int64) {
-	d := ix.Dims()
-	twoD := int64(2 * d)
-	for i := lo; i < hi; i++ {
-		ci := int64(ix.N(i))
-		out[i] += twoD * ci
-		for j := 0; j < d; j++ {
-			if k := ix.Upper(i, j); k >= 0 {
-				out[i] -= int64(ix.N(k))
-				out[k] -= ci
-			}
-		}
-	}
-}
-
 // FaceNeighborCounts returns, for each axis j, the point counts of the
 // lower and upper face neighbors of the cell at path p (zero when the
 // neighbor is absent or outside the cube), each resolved by a CellAt
 // descent. The clustering phase calls it twice per tested β-cluster
 // candidate (for the statistical test and for bound refinement), so it
-// is off the per-cell hot path the level-index links serve.
+// is off the per-cell hot path the level index's face sums serve.
 func FaceNeighborCounts(t *ctree.Tree, p ctree.Path) (lower, upper []int32) {
 	d := t.D
 	lower = make([]int32, d)

@@ -1,11 +1,14 @@
 package conv
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"mrcc/internal/ctree"
 	"mrcc/internal/dataset"
+	"mrcc/internal/treeio"
 )
 
 func buildTree(t testing.TB, d, n int, seed int64, h int) (*ctree.Tree, *dataset.Dataset) {
@@ -213,56 +216,110 @@ func TestFaceNeighborCountsMatchLookups(t *testing.T) {
 	})
 }
 
-// mergedWindowTree grows two trees batch by batch from the same kind
-// of points buildTree draws and merges them the way the streaming
-// service builds its clustering input (aging.Clone() + MergeFrom),
-// leaving an arena whose order is not the canonical build order.
-func mergedWindowTree(t testing.TB, d, n int, seed int64, h int) *ctree.Tree {
+// faceSumPoints returns n uniform points in d dimensions plus a layout
+// rich in face neighbors at every dimensionality: a base point in the
+// middle half of the cube and copies of it moved by one cell side along
+// a single axis, at levels 1, 2 and fine. Uniform points in high
+// dimensions almost never share a face; the shifted copies do.
+func faceSumPoints(d, n, fine int, seed int64) *dataset.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	ds := dataset.New(d, n)
+	for i := 0; i < n; i++ {
+		p := make([]float64, d)
+		for j := range p {
+			p[j] = rng.Float64()
+		}
+		ds.Append(p)
+	}
+	base := make([]float64, d)
+	for j := range base {
+		base[j] = 0.25 + 0.5*rng.Float64()
+	}
+	ds.Append(base)
+	for _, h := range []int{1, 2, fine} {
+		for j := 0; j < d; j++ {
+			q := append([]float64(nil), base...)
+			if q[j] += ctree.SideLen(h); q[j] >= 1 {
+				q[j] = base[j] - ctree.SideLen(h)
+			}
+			ds.Append(q)
+		}
+	}
+	return ds
+}
+
+// faceSumProducers counts ds through the tree producers the β-search
+// reads: Build; the streaming service's window tree, two trees grown
+// batch by batch and merged by aging.Clone() + MergeFrom(active), whose
+// sibling chains are in first-touch order; and that window tree after a
+// treeio save/load round trip.
+func faceSumProducers(t *testing.T, ds *dataset.Dataset, H int) map[string]*ctree.Tree {
 	t.Helper()
-	_, ds := buildTree(t, d, n, seed, h)
-	aging, active := ctree.New(d, h), ctree.New(d, h)
-	for i := 0; i < n; i += 97 {
+	built, err := ctree.Build(ds, H, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aging, active := ctree.New(ds.Dims, H), ctree.New(ds.Dims, H)
+	for i := 0; i < ds.Len(); i += 17 {
 		dst := aging
-		if i >= n/2 {
+		if i >= ds.Len()/2 {
 			dst = active
 		}
-		if err := dst.InsertBatch(ds.Points[i:min(i+97, n)]); err != nil {
+		if err := dst.InsertBatch(ds.Points[i:min(i+17, ds.Len())]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	merged := aging.Clone()
-	if err := merged.MergeFrom(active); err != nil {
+	window := aging.Clone()
+	if err := window.MergeFrom(active); err != nil {
 		t.Fatal(err)
 	}
-	return merged
+	var buf bytes.Buffer
+	if _, err := treeio.Save(&buf, window); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := treeio.LoadBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*ctree.Tree{"build": built, "window": window, "window/treeio-roundtrip": loaded}
 }
 
-// TestFaceValuesChunkMatchesScratch pins the symmetric bulk pass over
-// the level index's upper-neighbor links value-for-value against the
-// per-cell CellAt reference (FaceValueScratch), for every entry of
-// every level, on a built tree and on a clone+merge window tree, both
-// as one call over the whole level and in uneven segments.
-func TestFaceValuesChunkMatchesScratch(t *testing.T) {
-	built, _ := buildTree(t, 6, 3000, 9, 5)
-	for name, tr := range map[string]*ctree.Tree{
-		"build":  built,
-		"merged": mergedWindowTree(t, 6, 3000, 10, 5),
-	} {
-		for h := 1; h <= tr.H-1; h++ {
-			ix := tr.LevelIndex(h)
-			n := ix.Len()
-			whole := make([]int64, n)
-			FaceValuesChunk(ix, 0, n, whole)
-			segmented := make([]int64, n)
-			for lo := 0; lo < n; lo += 37 {
-				FaceValuesChunk(ix, lo, min(lo+37, n), segmented)
+// TestFaceSumMatchesScratch pins the level index's face sums, which the
+// index build accumulates as it links face neighbors, value for value
+// against the per-cell CellAt reference: 2d·N(i) − FaceSum(i) must equal
+// FaceValueScratch for every entry of every level, on every producer,
+// at d ∈ {1, 15, 63} and H ∈ {4, MaxLevels}. It also checks that some
+// face sum is non-zero at levels 1, 2 and the finest shifted one, so
+// the pin covers resolved neighbors, not only absent ones.
+func TestFaceSumMatchesScratch(t *testing.T) {
+	for _, d := range []int{1, 15, 63} {
+		for _, H := range []int{4, ctree.MaxLevels} {
+			n := 300
+			if H == ctree.MaxLevels || d == 63 {
+				n = 60
 			}
-			scratch := make(ctree.Path, 0, h)
-			for i := 0; i < n; i++ {
-				want := FaceValueScratch(tr, ix.PathOf(i), ix.Ref(i), scratch)
-				if whole[i] != want || segmented[i] != want {
-					t.Fatalf("%s level %d entry %d: bulk %d, segmented %d, scratch %d",
-						name, h, i, whole[i], segmented[i], want)
+			// A one-cell shift below 2^-50 would round away in the
+			// float64 coordinate of a point near the middle of the cube.
+			fine := min(H-1, 50)
+			ds := faceSumPoints(d, n, fine, int64(d*100+H))
+			for name, tr := range faceSumProducers(t, ds, H) {
+				name = fmt.Sprintf("d%d_H%d/%s", d, H, name)
+				twoD := int64(2 * d)
+				for h := 1; h <= tr.H-1; h++ {
+					ix := tr.LevelIndex(h)
+					scratch := make(ctree.Path, 0, h)
+					resolved := false
+					for i := 0; i < ix.Len(); i++ {
+						got := twoD*int64(ix.N(i)) - ix.FaceSum(i)
+						if want := FaceValueScratch(tr, ix.PathOf(i), ix.Ref(i), scratch); got != want {
+							t.Fatalf("%s level %d entry %d: 2d·N − FaceSum = %d, FaceValueScratch %d",
+								name, h, i, got, want)
+						}
+						resolved = resolved || ix.FaceSum(i) != 0
+					}
+					if !resolved && (h == 1 || h == 2 || h == fine) {
+						t.Errorf("%s level %d: every face sum is zero; no neighbor resolved", name, h)
+					}
 				}
 			}
 		}

@@ -653,7 +653,8 @@ func (s *searcher) findBetaClusters() ([]BetaCluster, error) {
 // at level h with the largest convolution value, ties broken by the
 // lexicographically smallest path so the method stays deterministic.
 // The default path reads the first eligible entry of the level's
-// cached (value desc, path asc) order (scancache.go); the naiveScan
+// (value desc, path asc) order over its cached values, popped from a
+// heap as the scan reaches it (scancache.go); the naiveScan
 // oracle re-convolves every eligible cell per pass instead — serially via
 // WalkLevel or chunked across workers (parallel.go) — and is pinned
 // bit-identical to the cached path by the scan-equivalence suite.

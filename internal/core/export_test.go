@@ -18,7 +18,7 @@ func WithNaiveScan(cfg Config) Config {
 
 // WithoutCacheRepair returns cfg with the scan cache's incremental
 // eligibility repair off: every restart pass re-walks each level's
-// cached order from the top, the full-rebuild oracle the repair cursor
+// scan order from the top, the full-rebuild oracle the repair cursor
 // is pinned against.
 func WithoutCacheRepair(cfg Config) Config {
 	cfg.noCacheRepair = true

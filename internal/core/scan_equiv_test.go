@@ -210,3 +210,39 @@ func TestScanCacheEquivalenceSingleCellLevel(t *testing.T) {
 		}
 	}
 }
+
+// TestScanCacheEquivalenceAtLimits runs the cached and the naive scan
+// end to end at the tree's two size limits, on tiny inputs: d =
+// ctree.MaxDims, where a loc fills 63 bits, and H = ctree.MaxLevels,
+// where the finest scanned level's grid coordinates are 59 bits wide,
+// so the bounds the overlap check derives from a path multiply a 59-bit
+// integer by 2^-59. Both results must be identical and non-empty.
+func TestScanCacheEquivalenceAtLimits(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gen  synthetic.Config
+		H    int
+	}{
+		{"d63_H4", synthetic.Config{Dims: ctree.MaxDims, Points: 1500, Clusters: 2, NoiseFrac: 0.1,
+			MinClusterDim: 60, MaxClusterDim: 63, Seed: 120}, 4},
+		{"d4_H60", synthetic.Config{Dims: 4, Points: 1500, Clusters: 2, NoiseFrac: 0.1,
+			MinClusterDim: 2, MaxClusterDim: 4, Seed: 121}, ctree.MaxLevels},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ds, _ := genSmall(t, c.gen)
+			cfg := core.Config{H: c.H}
+			naive, err := core.Run(ds, core.WithNaiveScan(cfg))
+			if err != nil {
+				t.Fatalf("naive run: %v", err)
+			}
+			cached, err := core.Run(ds, cfg)
+			if err != nil {
+				t.Fatalf("cached run: %v", err)
+			}
+			assertResultsIdentical(t, naive, cached)
+			if len(naive.Betas) == 0 {
+				t.Fatal("degenerate input: no β-clusters found, equivalence is vacuous")
+			}
+		})
+	}
+}

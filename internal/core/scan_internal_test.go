@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mrcc/internal/ctree"
@@ -310,6 +312,75 @@ func TestDensestCellSingleCellLevel(t *testing.T) {
 		}
 		if _, cc2, _ := cached.densestCell(h); cc2 != ctree.NilRef {
 			t.Fatalf("level %d: cached scan re-found the used lone cell", h)
+		}
+	}
+}
+
+// TestLevelScanHeapPopsSortedOrder pins the lazy scan order against the
+// full sort it replaced: popping a level's heap to the end must give
+// its entries sorted by (value desc, entry index asc), as
+// slices.SortFunc orders them. It runs on every level of a Build tree,
+// of the duplicate-heavy window tree (long runs of value ties), of a
+// tree whose levels hold one cell each, and of an empty tree, whose
+// heaps are empty.
+func TestLevelScanHeapPopsSortedOrder(t *testing.T) {
+	built, _ := scanPairTree(t, synthetic.Config{
+		Dims: 5, Points: 5000, Clusters: 3, NoiseFrac: 0.15,
+		MinClusterDim: 3, MaxClusterDim: 5, Seed: 216,
+	}, 5)
+	single := &dataset.Dataset{Dims: 3}
+	for i := 0; i < 200; i++ {
+		single.Points = append(single.Points, []float64{0.001, 0.002, 0.003})
+	}
+	singleTree, err := ctree.Build(single, 4, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		tr   *ctree.Tree
+		size func(n int) bool // the level size the case is about
+	}{
+		{"build", built, func(n int) bool { return n > 1 }},
+		{"window", duplicateWindowTree(t), func(n int) bool { return n > 1 }},
+		{"single-cell", singleTree, func(n int) bool { return n == 1 }},
+		{"empty", ctree.New(3, 4), func(n int) bool { return n == 0 }},
+	} {
+		s := &searcher{tree: c.tr, cfg: Config{}, workers: 1}
+		ties := 0
+		for h := 1; h <= c.tr.H-1; h++ {
+			sc, err := s.levelScan(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(sc.vals)
+			if !c.size(n) {
+				t.Fatalf("%s level %d has %d entries; the case is vacuous", c.name, h, n)
+			}
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i)
+			}
+			slices.SortFunc(want, func(a, b int32) int {
+				if sc.vals[a] != sc.vals[b] {
+					return cmp.Compare(sc.vals[b], sc.vals[a])
+				}
+				return cmp.Compare(a, b)
+			})
+			for sc.pop() {
+			}
+			if len(sc.heap) != 0 || !slices.Equal(sc.order, want) {
+				t.Fatalf("%s level %d: popped %d of %d entries, in an order other than the sort's",
+					c.name, h, len(sc.order), n)
+			}
+			for i := 1; i < n; i++ {
+				if sc.vals[want[i]] == sc.vals[want[i-1]] {
+					ties++
+				}
+			}
+		}
+		if c.name == "window" && ties < 100 {
+			t.Fatalf("window tree: only %d value ties; the tie-break pin is too weak", ties)
 		}
 	}
 }

@@ -7,36 +7,39 @@
 // naive scan, kept behind the naiveScan test hook for the equivalence
 // suite and the phase-two benchmark), the searcher computes each
 // level's values ONCE into a flat slab — trivially deterministic,
-// since the values do not depend on evaluation order — sorts the
-// entries once under the scan's existing total order (value descending,
-// lexicographic path ascending; the level index lists its entries in
-// path order, so the tie-break compares entry indexes), and turns
-// every subsequent densestCell call into an eligibility skip-scan:
-// walk the cached order and return the first entry that is neither
-// Used nor β-overlapping. Because the cached order IS the argmax
-// order, the first eligible entry is exactly the cell the naive scan
-// would pick, so the serial-equivalence guarantee survives unchanged
-// (pinned by internal/core/scan_equiv_test.go).
+// since the values do not depend on evaluation order — and turns every
+// densestCell call into an eligibility skip-scan: walk the level's
+// entries in the scan's total order (value descending, lexicographic
+// path ascending; the level index lists its entries in path order, so
+// the tie-break compares entry indexes) and return the first entry
+// that is neither Used nor β-overlapping. Because that order IS the
+// argmax order, the first eligible entry is exactly the cell the naive
+// scan would pick, so the serial-equivalence guarantee survives
+// unchanged (pinned by internal/core/scan_equiv_test.go).
 //
-// The values themselves come from one array pass over the level
-// index's upper-neighbor links (ctree.LevelIndex.Upper), so building
-// the cache costs O(cells · d) reads and no neighbor lookups, plus one
-// sort of the level's int32 entry order. Restart passes drop from
-// O(cells · d) re-convolution to O(skips) eligibility checks, and the
-// overlap check reads the level index's O(1) bounds instead of
-// re-deriving Path.Bounds (O(d·h)) per cell per pass.
+// The search reads only a short prefix of that order (about one entry
+// in twenty on the paper's 250k-point dataset), so the order is never
+// sorted in full: the entries go into a binary max-heap, heapified in
+// O(n), and each is popped only when the scan reaches the end of the
+// entries popped so far. The pop sequence is the sorted sequence.
+//
+// The face values come from the level index: 2d·N(i) minus the entry's
+// face sum (ctree.LevelIndex.FaceSum), which the index build adds up
+// while it links face neighbors. Building a level's cache therefore
+// costs O(n) reads plus the heapify, and restart passes drop from
+// O(cells · d) re-convolution to O(skips) eligibility checks. The
+// overlap check derives a scanned entry's bounds from its path, as the
+// naive scan does.
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"mrcc/internal/conv"
 	"mrcc/internal/ctree"
 	"mrcc/internal/fault"
 )
 
-// levelScan is one level's cached, ordered convolution snapshot.
+// levelScan is one level's cached convolution snapshot and its lazily
+// ordered entries.
 //
 // start is the incremental-repair cursor: order[:start] is the prefix
 // of entries already observed ineligible. Within one searcher lifetime
@@ -52,7 +55,8 @@ import (
 type levelScan struct {
 	ix    *ctree.LevelIndex
 	vals  []int64 // mask value per index entry
-	order []int32 // entry indices, (value desc, path asc) order
+	order []int32 // the first entries of the (value desc, path asc) order, popped from heap
+	heap  []int32 // the entries not yet in order: a binary heap, first in that order at the root
 	start int32   // repair cursor: order[:start] is permanently ineligible
 }
 
@@ -75,20 +79,18 @@ func (s *searcher) levelScan(h int) (*levelScan, error) {
 	return sc, nil
 }
 
-// buildLevelScan computes level h's mask values and the total-order
-// permutation over them. The face mask is one serial pass over the
-// level index's upper-neighbor links (conv.FaceValuesChunk): O(n·d)
-// array reads, too little work to pay for a fan-out. The full 3^d mask
-// keeps the per-entry walk, in parallel for Workers > 1; its values are
-// pure integer sums, so any chunking yields the same slab.
+// buildLevelScan computes level h's mask values and heapifies its
+// entries. The face mask is one serial pass over the level index's face
+// sums: O(n) array reads, too little work to pay for a fan-out. The
+// full 3^d mask keeps the per-entry walk, in parallel for Workers > 1;
+// its values are pure integer sums, so any chunking yields the same
+// slab.
 //
 // Both passes are segmented (scanCheckEvery entries per segment) and
 // poll the run's abort checkpoint a few thousand cells apart: a
 // cancelled context stops the one-shot cache build, the run's single
 // largest scan-side computation, within one segment. Segmenting changes
-// nothing about the values: each FaceValuesChunk call scatters a
-// disjoint entry range's contributions and integer addition commutes
-// exactly.
+// nothing about the values, each of which is computed on its own.
 func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 	ix := s.tree.LevelIndex(h)
 	n := ix.Len()
@@ -117,32 +119,77 @@ func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 			err = full(0, n)
 		}
 	} else {
-		err = segmented(0, n, func(lo, hi int) { conv.FaceValuesChunk(ix, lo, hi, vals) })
+		twoD := int64(2 * s.tree.D)
+		err = segmented(0, n, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				vals[i] = twoD*int64(ix.N(i)) - ix.FaceSum(i)
+			}
+		})
 	}
 	if err != nil {
 		return nil, err
 	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+	sc := &levelScan{ix: ix, vals: vals, heap: make([]int32, n)}
+	for i := range sc.heap {
+		sc.heap[i] = int32(i)
 	}
-	// Entries are in path order (ctree.LevelIndex), so the path
-	// tie-break is an entry-index compare.
-	slices.SortFunc(order, func(a, b int32) int {
-		if vals[a] != vals[b] {
-			return cmp.Compare(vals[b], vals[a])
-		}
-		return cmp.Compare(a, b)
-	})
+	for i := n/2 - 1; i >= 0; i-- {
+		sc.siftDown(i)
+	}
 	s.col.AddValueCacheBuild(int64(n))
 	s.col.AddMaskEvals(int64(n))
-	return &levelScan{ix: ix, vals: vals, order: order}, nil
+	return sc, nil
 }
 
-// densestCellCached returns the first eligible entry of level h's
-// cached order — by construction the same (cell, value) the naive
-// per-pass argmax scan selects — or (nil, NilRef, 0) when every entry
-// is Used or β-overlapping.
+// precedes reports whether entry a comes before entry b in the scan
+// order: higher value first, and on a tie the lower entry index, which
+// is the lexicographically smaller path.
+func (sc *levelScan) precedes(a, b int32) bool {
+	va, vb := sc.vals[a], sc.vals[b]
+	return va > vb || va == vb && a < b
+}
+
+// siftDown moves heap[i] down until neither child precedes it.
+func (sc *levelScan) siftDown(i int) {
+	heap := sc.heap
+	x := heap[i]
+	for {
+		c := 2*i + 1
+		if c >= len(heap) {
+			break
+		}
+		if c+1 < len(heap) && sc.precedes(heap[c+1], heap[c]) {
+			c++
+		}
+		if !sc.precedes(heap[c], x) {
+			break
+		}
+		heap[i] = heap[c]
+		i = c
+	}
+	heap[i] = x
+}
+
+// pop appends the heap's first entry in scan order to order, reporting
+// false when every entry is already there.
+func (sc *levelScan) pop() bool {
+	last := len(sc.heap) - 1
+	if last < 0 {
+		return false
+	}
+	sc.order = append(sc.order, sc.heap[0])
+	sc.heap[0] = sc.heap[last]
+	sc.heap = sc.heap[:last]
+	if last > 0 {
+		sc.siftDown(0)
+	}
+	return true
+}
+
+// densestCellCached returns the first eligible entry of level h's scan
+// order — by construction the same (cell, value) the naive per-pass
+// argmax scan selects — or (nil, NilRef, 0) when every entry is Used or
+// β-overlapping. Entries leave the heap only as the walk reaches them.
 //
 // The default path resumes at the level's repair cursor and retires
 // every ineligible entry it passes (see levelScan): entries whose Used
@@ -166,9 +213,10 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, ctree.Ref, int64) {
 		from = 0
 	}
 	var skips int64
-	for pos := from; pos < len(sc.order); pos++ {
-		idx := sc.order[pos]
-		if sc.ix.Used(int(idx)) || s.overlapsBetaIndexed(sc.ix, int(idx)) {
+	for pos := from; pos < len(sc.order) || sc.pop(); pos++ {
+		idx := int(sc.order[pos])
+		p := sc.ix.PathOf(idx)
+		if sc.ix.Used(idx) || s.sharesSpaceWithBeta(p) {
 			skips++
 			continue
 		}
@@ -177,7 +225,7 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, ctree.Ref, int64) {
 			sc.start = int32(pos)
 		}
 		s.col.AddScanProbe(skips, int64(pos-from+1))
-		return sc.ix.PathOf(int(idx)), sc.ix.Ref(int(idx)), sc.vals[idx]
+		return p, sc.ix.Ref(idx), sc.vals[idx]
 	}
 	if repair && len(sc.order) > from {
 		s.col.AddCacheRepair(int64(len(sc.order) - from))
@@ -185,29 +233,4 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, ctree.Ref, int64) {
 	}
 	s.col.AddScanProbe(skips, int64(len(sc.order)-from))
 	return nil, ctree.NilRef, 0
-}
-
-// overlapsBetaIndexed reports whether index entry i overlaps any found
-// β-cluster in every axis, reading the entry's bounds from the index's
-// coordinate slab (O(1) per axis) instead of re-deriving Path.Bounds
-// (O(h)). The float arithmetic is bit-identical to
-// BetaCluster.SharesSpace over Path.Bounds: LevelIndex.Bounds computes
-// the same float64(coord)·side and (float64(coord)+1)·side products.
-func (s *searcher) overlapsBetaIndexed(ix *ctree.LevelIndex, i int) bool {
-	d := s.tree.D
-	for bi := range s.betas {
-		b := &s.betas[bi]
-		overlap := true
-		for j := 0; j < d; j++ {
-			lo, hi := ix.Bounds(i, j)
-			if hi < b.L[j] || lo > b.U[j] {
-				overlap = false
-				break
-			}
-		}
-		if overlap {
-			return true
-		}
-	}
-	return false
 }

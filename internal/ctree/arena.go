@@ -204,8 +204,8 @@ func (t *Tree) pushCell(parent Ref, loc uint64, lvl uint8) Ref {
 // (treeio serializes cells, not tables), and open addressing returns
 // the unique matching Loc whatever the probe order. The child tables
 // are the tree's only hash; the level indexes need no child lookup, as
-// they link neighbors by merge walks over sibling runs sorted by loc
-// (LevelIndex.Upper, levelindex.go).
+// they find face neighbors by merge walks over sibling runs sorted by
+// loc (linkUpper, levelindex.go).
 func hashLoc(w uint64) uint64 {
 	w ^= w >> 33
 	w *= 0xff51afd7ed558ccd

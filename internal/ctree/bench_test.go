@@ -50,14 +50,15 @@ func BenchmarkInsert(b *testing.B) {
 }
 
 // BenchmarkEnsureLevelIndexes times the level-index build — the
-// level-by-level fill of the path, coordinate and ref slabs plus the
-// merge walks that link upper face neighbors — over the same 100k
-// points (d = 15, H = 4, the stream-grow shape) in both child orders
-// the pipeline indexes. "build" is the canonical Build tree of the
-// batch path, whose sibling chains already ascend by loc, so no child
-// run gets sorted; "window" is the streaming service's window tree, two
-// InsertBatch-grown halves merged by Clone + MergeFrom, whose
-// first-touch sibling chains get sorted run by run.
+// level-by-level fill of the path and ref slabs plus the merge walks
+// that find face neighbors and add up each entry's face sum — over the
+// same 100k points (d = 15, H = 4, the stream-grow shape) in both child
+// orders the pipeline indexes, and reports the finished indexes'
+// footprint (IndexMemoryBytes) as index-MB. "build" is the canonical
+// Build tree of the batch path, whose sibling chains already ascend by
+// loc, so no child run gets sorted; "window" is the streaming service's
+// window tree, two InsertBatch-grown halves merged by Clone +
+// MergeFrom, whose first-touch sibling chains get sorted run by run.
 //
 //	go test -run '^$' -bench BenchmarkEnsureLevelIndexes ./internal/ctree
 func BenchmarkEnsureLevelIndexes(b *testing.B) {
@@ -97,6 +98,7 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 				bc.tr.invalidateIndexes()
 				bc.tr.EnsureLevelIndexes()
 			}
+			b.ReportMetric(float64(bc.tr.IndexMemoryBytes())/(1<<20), "index-MB")
 		})
 	}
 }

@@ -1,16 +1,17 @@
 // Level indexes: flat, immutable snapshots of the Counting-tree's
-// levels for the β-search. Each entry carries its cell's root path,
-// per-axis grid coordinates and arena Ref, plus one link per axis to
-// the entry of its upper face neighbor, so the face-mask convolution
-// reads its O(d) neighbors from an array instead of resolving each one
-// by a root-to-leaf descent (Tree.CellAt, O(h) child lookups per probe).
+// levels for the β-search. Each entry carries its cell's root path and
+// arena Ref, plus its face sum: the total point count of the cell's
+// stored face neighbors, both sides of every axis. The face-mask
+// convolution of an entry is then 2d·N − FaceSum, one array read
+// instead of 2d root-to-leaf descents (Tree.CellAt, O(h) child lookups
+// per probe).
 //
 // Every level lists its cells in lexicographic path order, whatever
 // arena order the tree was built in: level h holds, for each level h-1
 // entry in turn, that cell's children ascending by loc. Each parent's
 // children therefore form one sorted, contiguous run, which makes the
 // entry index the path order (the β-search breaks value ties by index)
-// and lets the neighbor links come from merge walks over runs instead
+// and lets the face neighbors be found by merge walks over runs instead
 // of child lookups.
 //
 // Tree.EnsureLevelIndexes builds every stored level at once, top down;
@@ -30,32 +31,31 @@ import (
 
 // LevelIndex is the flat snapshot of one tree level: one slab of
 // entries in lexicographic path order (entry a precedes entry b exactly
-// when PathOf(a).Compare(PathOf(b)) < 0), with the full root path,
-// packed per-axis grid coordinates, the upper face neighbor links and
-// the arena Ref of every entry. Entries resolve counters (N, Used)
-// through the owning tree's arena columns, so an index adds no copy of
-// the counts.
+// when PathOf(a).Compare(PathOf(b)) < 0), with the full root path, the
+// face sum and the arena Ref of every entry. Entries resolve counters
+// (N, Used) through the owning tree's arena columns, so an index adds
+// no copy of the counts.
 type LevelIndex struct {
 	// Level is the tree level the index covers (1 <= Level <= H-1).
 	Level int
 
-	t    *Tree
-	d    int
-	n    int
-	side float64 // cell side length at the level (SideLen(Level))
+	t *Tree
+	d int
+	n int
 
 	// Slabs, entry i occupying [i*width, (i+1)*width):
-	paths  []uint64 // width Level: the cell's root path words
-	coords []uint64 // width d: grid coordinate per axis at this level
-	up     []int32  // width d: entry index of the upper face neighbor per axis, -1 when absent
-	refs   []Ref    // the stored cell's arena Ref
+	paths []uint64 // width Level: the cell's root path words
+	refs  []Ref    // the stored cell's arena Ref
+	face  []int64  // Σ N over the entry's stored face neighbors
+	// up (width d) is entry i's upper face neighbor per axis, -1 when
+	// absent. The level below reads it to find its own neighbors, so it
+	// lives only until that level is linked, and the last level never
+	// records it (see buildLevelIndexes).
+	up []int32
 }
 
 // Len returns the number of stored cells at the level.
 func (ix *LevelIndex) Len() int { return ix.n }
-
-// Dims returns the dataset dimensionality.
-func (ix *LevelIndex) Dims() int { return ix.d }
 
 // Ref returns entry i's arena Ref in the owning tree.
 func (ix *LevelIndex) Ref(i int) Ref { return ix.refs[i] }
@@ -68,6 +68,11 @@ func (ix *LevelIndex) N(i int) int32 { return ix.t.n[ix.refs[i]] }
 // arena (so SetUsed during the scan is visible without a rebuild).
 func (ix *LevelIndex) Used(i int) bool { return ix.t.used[ix.refs[i]] }
 
+// FaceSum returns the summed point counts of entry i's stored face
+// neighbors, lower and upper along every axis: the 2d face terms of the
+// Laplacian mask, so the entry's face value is 2d·N(i) − FaceSum(i).
+func (ix *LevelIndex) FaceSum(i int) int64 { return ix.face[i] }
+
 // PathOf returns entry i's root path as a view into the index's slab.
 // The view is immutable and stable for the lifetime of the index;
 // callers must not modify it.
@@ -76,28 +81,15 @@ func (ix *LevelIndex) PathOf(i int) Path {
 	return Path(ix.paths[i*h : (i+1)*h : (i+1)*h])
 }
 
-// Bounds returns entry i's bounds along axis j, identical to
-// PathOf(i).Bounds(j) bit for bit (the same float64(coord)·side
-// products) but O(1).
-func (ix *LevelIndex) Bounds(i, j int) (lo, hi float64) {
-	c := float64(ix.coords[i*ix.d+j])
-	return c * ix.side, (c + 1) * ix.side
-}
-
-// Upper returns the entry index of entry i's upper face neighbor along
-// axis j — the stored cell at PathOf(i).Neighbor(j, true) — or -1 when
-// that neighbor falls outside the unit cube or is not stored.
-func (ix *LevelIndex) Upper(i, j int) int { return int(ix.up[i*ix.d+j]) }
-
 // MemoryBytes is the exact footprint of the index: its slabs and ref
 // slice.
 func (ix *LevelIndex) MemoryBytes() uint64 {
 	var total uint64
 	total += uint64(unsafe.Sizeof(*ix))
 	total += uint64(cap(ix.paths)) * 8
-	total += uint64(cap(ix.coords)) * 8
-	total += uint64(cap(ix.up)) * 4
 	total += uint64(cap(ix.refs)) * uint64(unsafe.Sizeof(NilRef))
+	total += uint64(cap(ix.face)) * 8
+	total += uint64(cap(ix.up)) * 4
 	return total
 }
 
@@ -112,28 +104,24 @@ type levelRuns struct {
 
 // fillLevel lists level h's n cells in path order — for each entry of
 // above in turn (the root sentinel at level 1, where above is nil),
-// that cell's children ascending by loc — and fills each entry's path,
-// grid coordinates and Ref from its parent entry's. Build, a spilled
-// build and Canonicalize chain siblings ascending already, so only the
-// runs of a tree grown in first-touch order (InsertBatch, MergeFrom)
-// get sorted.
+// that cell's children ascending by loc — and fills each entry's path
+// and Ref from its parent entry's. Build, a spilled build and
+// Canonicalize chain siblings ascending already, so only the runs of a
+// tree grown in first-touch order (InsertBatch, MergeFrom) get sorted.
 func (t *Tree) fillLevel(h, n int, above *LevelIndex) (*LevelIndex, levelRuns) {
-	d := t.D
 	ix := &LevelIndex{
-		Level:  h,
-		t:      t,
-		d:      d,
-		n:      n,
-		side:   SideLen(h),
-		paths:  make([]uint64, n*h),
-		coords: make([]uint64, n*d),
-		refs:   make([]Ref, 0, n),
+		Level: h,
+		t:     t,
+		d:     t.D,
+		n:     n,
+		paths: make([]uint64, n*h),
+		refs:  make([]Ref, 0, n),
+		face:  make([]int64, n),
 	}
 	parRefs := []Ref{rootRef}
 	var parPaths []uint64
-	parCoords := make([]uint64, d)
 	if above != nil {
-		parRefs, parPaths, parCoords = above.refs, above.paths, above.coords
+		parRefs, parPaths = above.refs, above.paths
 	}
 	runs := levelRuns{kids: make([]int32, len(parRefs)+1), locs: make([]uint64, n)}
 	byLoc := func(a, b Ref) int { return cmp.Compare(t.loc[a], t.loc[b]) }
@@ -157,30 +145,30 @@ func (t *Tree) fillLevel(h, n int, above *LevelIndex) (*LevelIndex, levelRuns) {
 			}
 		}
 		parPath := parPaths[p*(h-1) : (p+1)*(h-1)]
-		parCoord := parCoords[p*d : (p+1)*d]
 		for i, loc := range runs.locs[lo:hi] {
 			i += lo
 			path := ix.paths[i*h : (i+1)*h]
 			copy(path, parPath)
 			path[h-1] = loc
-			coord := ix.coords[i*d : (i+1)*d]
-			for j, c := range parCoord {
-				coord[j] = c<<1 | loc>>uint(j)&1
-			}
 		}
 	}
 	runs.kids[len(parRefs)] = int32(len(ix.refs))
 	return ix, runs
 }
 
-// linkUpper fills the upper face neighbor links of every entry from
-// those of the level above (above is nil at level 1), by the
-// hierarchical neighbor rule of quadtrees: along axis j, a cell whose
-// loc bit j is clear sits in the lower half of its parent, so its upper
-// neighbor is the sibling at loc|1<<j; a cell whose bit j is set sits
-// in the upper half, so its upper neighbor is the child at loc&^1<<j of
-// the parent's upper neighbor — absent when that one is absent, and
-// always absent at level 1, where the parent is the whole cube.
+// linkUpper finds the upper face neighbor of every entry along every
+// axis from the link rows of the level above (above is nil at level 1),
+// by the hierarchical neighbor rule of quadtrees: along axis j, a cell
+// whose loc bit j is clear sits in the lower half of its parent, so its
+// upper neighbor is the sibling at loc|1<<j; a cell whose bit j is set
+// sits in the upper half, so its upper neighbor is the child at
+// loc&^1<<j of the parent's upper neighbor — absent when that one is
+// absent, and always absent at level 1, where the parent is the whole
+// cube. Each pair found adds each cell's count into the other's face
+// sum: a cell's lower neighbor along j is the cell whose upper neighbor
+// it is, so the upper links alone reach every face adjacency once.
+// With rows set, the links are also recorded in the level's link rows
+// for the level below.
 //
 // Each run is sorted by loc, and flipping bit j keeps the order of the
 // locs that share bit j, so one forward merge walk per run and axis
@@ -191,11 +179,13 @@ func (t *Tree) fillLevel(h, n int, above *LevelIndex) (*LevelIndex, levelRuns) {
 // differ is the top bit in which some two adjacent locs between them
 // differ, so siblings are walked only along the axes that top an
 // adjacent pair's difference: one axis for a two-cell run.
-func (ix *LevelIndex) linkUpper(above *LevelIndex, runs levelRuns) {
+func (ix *LevelIndex) linkUpper(above *LevelIndex, runs levelRuns, rows bool) {
 	d, kids, locs := ix.d, runs.kids, runs.locs
-	ix.up = make([]int32, ix.n*d)
-	for i := range ix.up {
-		ix.up[i] = -1
+	if rows {
+		ix.up = make([]int32, ix.n*d)
+		for i := range ix.up {
+			ix.up[i] = -1
+		}
 	}
 	for p := 0; p+1 < len(kids); p++ {
 		lo, hi := int(kids[p]), int(kids[p+1])
@@ -210,7 +200,7 @@ func (ix *LevelIndex) linkUpper(above *LevelIndex, runs levelRuns) {
 			}
 		}
 		for m := sib; m != 0; m &= m - 1 {
-			mergeLinks(ix.up, locs, lo, hi, lo, hi, d, bits.TrailingZeros64(m), false)
+			ix.mergeLinks(locs, lo, hi, lo, hi, bits.TrailingZeros64(m), false)
 		}
 		if above == nil {
 			continue
@@ -219,7 +209,7 @@ func (ix *LevelIndex) linkUpper(above *LevelIndex, runs levelRuns) {
 		for m := or; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
 			if q := parUp[j]; q >= 0 {
-				mergeLinks(ix.up, locs, lo, hi, int(kids[q]), int(kids[q+1]), d, j, true)
+				ix.mergeLinks(locs, lo, hi, int(kids[q]), int(kids[q+1]), j, true)
 			}
 		}
 	}
@@ -227,10 +217,12 @@ func (ix *LevelIndex) linkUpper(above *LevelIndex, runs levelRuns) {
 
 // mergeLinks links every entry of the sorted run [lo, hi) whose loc bit
 // j equals set to the entry of the sorted run [blo, bhi) at its loc
-// with bit j flipped, when that entry is stored, writing the links into
-// up (width d). The flipped locs ascend with the sources, so the target
-// cursor only moves forward.
-func mergeLinks(up []int32, locs []uint64, lo, hi, blo, bhi, d, j int, set bool) {
+// with bit j flipped, when that entry is stored: the two add each
+// other's count into their face sums, and the link goes into the link
+// rows when the level keeps them. The flipped locs ascend with the
+// sources, so the target cursor only moves forward.
+func (ix *LevelIndex) mergeLinks(locs []uint64, lo, hi, blo, bhi, j int, set bool) {
+	n, refs, face, up := ix.t.n, ix.refs, ix.face, ix.up
 	bit := uint64(1) << uint(j)
 	from := uint64(0)
 	if set {
@@ -250,33 +242,48 @@ func mergeLinks(up []int32, locs []uint64, lo, hi, blo, bhi, d, j int, set bool)
 			return
 		}
 		if locs[b] == want {
-			up[a*d+j] = int32(b)
+			face[a] += int64(n[refs[b]])
+			face[b] += int64(n[refs[a]])
+			if up != nil {
+				up[a*ix.d+j] = int32(b)
+			}
 		}
 	}
 }
 
 // EnsureLevelIndexes materializes the level indexes for every stored
-// level (1..H-1), top down, and returns them (indexes[h-1] is level
-// h): level h is filled from level h-1's entries and linked from
-// level h-1's links. The call is idempotent and cheap after the first
-// build; Insert and MergeFrom invalidate the cache. Concurrent calls
-// are safe; calling concurrently with tree mutation is not.
+// level (1..H-1) and returns them (indexes[h-1] is level h). The call
+// is idempotent and cheap after the first build; Insert and MergeFrom
+// invalidate the cache. Concurrent calls are safe; calling concurrently
+// with tree mutation is not.
 func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
-	if t.indexes != nil {
-		return t.indexes
+	if t.indexes == nil {
+		t.indexes = t.buildLevelIndexes(false)
 	}
+	return t.indexes
+}
+
+// buildLevelIndexes builds the index of every stored level, top down:
+// level h is filled from level h-1's entries and linked from level
+// h-1's link rows. Only the level below reads a level's link rows, so
+// unless keepLinks is set they are dropped as soon as that level is
+// linked, and the last level never records them: at most two levels'
+// rows are alive at once, and none outlive the build.
+func (t *Tree) buildLevelIndexes(keepLinks bool) []*LevelIndex {
 	counts := t.levelCellCountsWalk()
 	idxs := make([]*LevelIndex, t.H-1)
 	var above *LevelIndex
 	for h := 1; h <= t.H-1; h++ {
 		ix, runs := t.fillLevel(h, counts[h], above)
-		ix.linkUpper(above, runs)
+		ix.linkUpper(above, runs, keepLinks || h < t.H-1)
+		if above != nil && !keepLinks {
+			above.up = nil
+		}
 		idxs[h-1] = ix
 		above = ix
 	}
-	t.indexes = idxs
 	return idxs
 }
 

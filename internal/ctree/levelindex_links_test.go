@@ -11,16 +11,18 @@ import (
 	"mrcc/internal/treeio"
 )
 
-// checkUpperLinks pins LevelIndex.Upper against the reference neighbor
-// resolution — Path.NeighborInto + CellAt — for every entry and axis of
-// every stored level, and returns how many links resolved to a stored
-// cell on each level (links[h]) and how many were absent in total.
+// checkUpperLinks pins the upper face neighbor links — kept for the
+// check by ctree.LevelIndexesWithLinks, since the production build drops
+// them once read — against the reference neighbor resolution,
+// Path.NeighborInto + CellAt, for every entry and axis of every stored
+// level, and returns how many links resolved to a stored cell on each
+// level (links[h]) and how many were absent in total.
 func checkUpperLinks(t *testing.T, name string, tr *ctree.Tree) (links []int, absent int) {
 	t.Helper()
 	links = make([]int, tr.H)
 	var buf ctree.Path
-	for h := 1; h <= tr.H-1; h++ {
-		ix := tr.LevelIndex(h)
+	for _, ix := range ctree.LevelIndexesWithLinks(tr) {
+		h := ix.Level
 		for i := 0; i < ix.Len(); i++ {
 			p := ix.PathOf(i)
 			for j := 0; j < tr.D; j++ {
@@ -31,7 +33,7 @@ func checkUpperLinks(t *testing.T, name string, tr *ctree.Tree) (links []int, ab
 					buf = np
 				}
 				got := ctree.NilRef
-				if k := ix.Upper(i, j); k >= 0 {
+				if k := ctree.UpperLink(ix, i, j); k >= 0 {
 					got = ix.Ref(k)
 					links[h]++
 				} else {
@@ -180,9 +182,9 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string]*ctree.Tr
 // first-touch order), that window tree after a treeio round trip and
 // after Canonicalize. On each, every level's entries must ascend
 // strictly by Path.Compare, hold exactly the (path, ref) pairs
-// WalkLevel visits, read N and Used from the arena, and give Bounds
-// equal to Path.Bounds. The neighbor links are pinned by
-// TestLevelIndexNeighborLookup.
+// WalkLevel visits, and read N and Used from the arena. The neighbor
+// links are pinned by TestLevelIndexNeighborLookup, the face sums by
+// conv's TestFaceSumMatchesScratch.
 func TestLevelIndexMatchesWalk(t *testing.T) {
 	for _, c := range []struct{ d, H, n int }{{6, 5, 3000}, {15, 4, 2000}, {2, ctree.MaxLevels, 300}} {
 		pts := linkPoints(c.d, min(c.H-1, 50), c.n, true, int64(c.d*100+c.H))
@@ -224,13 +226,6 @@ func checkIndexMatchesWalk(t *testing.T, name string, tr *ctree.Tree) {
 			}
 			if ix.N(i) != tr.N(r) || ix.Used(i) != tr.Used(r) {
 				t.Fatalf("%s: level %d entry %d: N/Used differ from the arena", name, h, i)
-			}
-			for j := 0; j < tr.D; j++ {
-				lo, hi := ix.Bounds(i, j)
-				wl, wh := p.Bounds(j)
-				if lo != wl || hi != wh {
-					t.Fatalf("%s: level %d entry %d axis %d: bounds (%v,%v), want (%v,%v)", name, h, i, j, lo, hi, wl, wh)
-				}
 			}
 		}
 	}

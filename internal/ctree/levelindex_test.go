@@ -26,7 +26,8 @@ func indexTestTree(t *testing.T, d, n, H int, seed int64) (*Tree, *dataset.Datas
 	return tr, ds
 }
 
-// TestLevelIndexLookupAbsent pins the miss path of the upper links: a
+// TestLevelIndexLookupAbsent pins the miss path of the upper links (kept
+// by LevelIndexesWithLinks, which the production build drops): a
 // neighbor cell that is not stored must link to -1, not to a stored
 // cell nearby. The two points sit at x-coords 0 and 1 on level 1, 1
 // and 3 on level 2, 2 and 7 on level 3, all at y-coord 0, so the one
@@ -41,12 +42,12 @@ func TestLevelIndexLookupAbsent(t *testing.T) {
 		t.Fatal(err)
 	}
 	resolved := 0
-	for h := 1; h <= tr.H-1; h++ {
-		ix := tr.LevelIndex(h)
+	for _, ix := range LevelIndexesWithLinks(tr) {
+		h := ix.Level
 		for i := 0; i < ix.Len(); i++ {
 			p := ix.PathOf(i)
 			for j := 0; j < tr.D; j++ {
-				k := ix.Upper(i, j)
+				k := UpperLink(ix, i, j)
 				if k == -1 {
 					continue
 				}
@@ -103,6 +104,19 @@ func TestMemoryBytesExcludesLevelIndexes(t *testing.T) {
 	}
 	if after != before {
 		t.Errorf("index build changed the tree's own MemoryBytes: %d -> %d", before, after)
+	}
+}
+
+// TestLevelIndexDropsLinkRows pins the index's steady-state footprint:
+// once EnsureLevelIndexes returns, no level keeps its upper link rows
+// (the level below has read them, and the last level never records
+// them), so IndexMemoryBytes counts paths, refs and face sums only.
+func TestLevelIndexDropsLinkRows(t *testing.T) {
+	tr, _ := indexTestTree(t, 6, 2000, 5, 7)
+	for _, ix := range tr.EnsureLevelIndexes() {
+		if ix.up != nil {
+			t.Errorf("level %d kept %d link row words", ix.Level, len(ix.up))
+		}
 	}
 }
 
