@@ -249,23 +249,27 @@ func faceSumPoints(d, n, fine int, seed int64) *dataset.Dataset {
 }
 
 // faceSumProducers counts ds through the tree producers the β-search
-// reads: Build; the streaming service's window tree, two trees grown
-// batch by batch and merged by aging.Clone() + MergeFrom(active), whose
-// sibling chains are in first-touch order; and that window tree after a
-// treeio save/load round trip.
+// reads: Build; a tree grown by InsertBatch alone, whose sibling chains
+// are in first-touch order; the streaming service's window tree, two
+// trees grown batch by batch and merged by MergeFrom; and that window
+// tree after a treeio save/load round trip.
 func faceSumProducers(t *testing.T, ds *dataset.Dataset, H int) map[string]*ctree.Tree {
 	t.Helper()
 	built, err := ctree.Build(ds, H, ctree.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aging, active := ctree.New(ds.Dims, H), ctree.New(ds.Dims, H)
+	aging, active, firstTouch := ctree.New(ds.Dims, H), ctree.New(ds.Dims, H), ctree.New(ds.Dims, H)
 	for i := 0; i < ds.Len(); i += 17 {
 		dst := aging
 		if i >= ds.Len()/2 {
 			dst = active
 		}
-		if err := dst.InsertBatch(ds.Points[i:min(i+17, ds.Len())]); err != nil {
+		pts := ds.Points[i:min(i+17, ds.Len())]
+		if err := dst.InsertBatch(pts); err != nil {
+			t.Fatal(err)
+		}
+		if err := firstTouch.InsertBatch(pts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +285,7 @@ func faceSumProducers(t *testing.T, ds *dataset.Dataset, H int) map[string]*ctre
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*ctree.Tree{"build": built, "window": window, "window/treeio-roundtrip": loaded}
+	return map[string]*ctree.Tree{"build": built, "insertbatch": firstTouch, "window": window, "window/treeio-roundtrip": loaded}
 }
 
 // TestFaceSumMatchesScratch pins the level index's face sums, which the

@@ -28,26 +28,39 @@ func WithoutCacheRepair(cfg Config) Config {
 // WindowTree builds the streaming service's clustering input from a
 // stream of points the way the service does: the older half counted
 // into an aging tree and the newer half into the active one, each in
-// InsertBatch batches of batch points, then aging.Clone() +
-// MergeFrom(active). The result stores the same cells as a Build of
-// the points at H levels, in a different arena order: each cell's
-// children are chained in first-touch order, not ascending by loc.
-// Shared by the package's internal and external tests.
+// InsertBatch batches of batch points, then the aging tree canonicalized
+// (the service does it once per rotation) and merged into a clone of
+// the active tree. MergeFrom writes the canonical order, so the result
+// stores the same cells as a Build of the points at H levels, in the
+// same arena order. Shared by the package's internal and external
+// tests.
 func WindowTree(t testing.TB, pts [][]float64, d, H, batch int) *ctree.Tree {
 	t.Helper()
-	aging, active := ctree.New(d, H), ctree.New(d, H)
-	for i := 0; i < len(pts); i += batch {
-		dst := aging
-		if i >= len(pts)/2 {
-			dst = active
-		}
-		if err := dst.InsertBatch(pts[i:min(i+batch, len(pts))]); err != nil {
-			t.Fatal(err)
-		}
+	aging := FirstTouchTree(t, pts[:len(pts)/2], d, H, batch)
+	active := FirstTouchTree(t, pts[len(pts)/2:], d, H, batch)
+	aging, err := ctree.Canonicalize(aging)
+	if err != nil {
+		t.Fatal(err)
 	}
-	merged := aging.Clone()
-	if err := merged.MergeFrom(active); err != nil {
+	merged := active.Clone()
+	if err := merged.MergeFrom(aging); err != nil {
 		t.Fatal(err)
 	}
 	return merged
+}
+
+// FirstTouchTree counts pts into one tree by InsertBatch calls of batch
+// points each: the same cells as a Build, but each cell's children
+// chained in first-touch order rather than ascending by loc, so the
+// level index sorts every child run. Shared by the package's internal
+// and external tests.
+func FirstTouchTree(t testing.TB, pts [][]float64, d, H, batch int) *ctree.Tree {
+	t.Helper()
+	tr := ctree.New(d, H)
+	for i := 0; i < len(pts); i += batch {
+		if err := tr.InsertBatch(pts[i:min(i+batch, len(pts))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tr
 }

@@ -55,11 +55,12 @@ func betaFromCell(tr *ctree.Tree, p ctree.Path) BetaCluster {
 // the overlap set. This is the per-pass pin the end-to-end equivalence
 // suite cannot give (it only sees final results).
 //
-// The window cases run on the streaming service's window tree, whose
-// sibling chains are in first-touch order, over a duplicate-heavy
-// stream on which many cells tie on value: the cached scan breaks those
-// ties by level-index entry, the naive scan by Path.Compare, so the two
-// agree only while the index lists every level in path order.
+// The window and insertbatch cases run on the streaming service's
+// window tree (canonical) and on a tree grown by InsertBatch alone
+// (first-touch sibling chains), over a duplicate-heavy stream on which
+// many cells tie on value: the cached scan breaks those ties by
+// level-index entry, the naive scan by Path.Compare, so the two agree
+// only while the index lists every level in path order.
 func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 	for _, full := range []bool{false, true} {
 		name := "face"
@@ -77,17 +78,19 @@ func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 			}
 		})
 	}
-	tr := duplicateWindowTree(t)
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("window/workers=%d", workers), func(t *testing.T) {
-			tr.ResetUsed()
-			naive := &searcher{tree: tr, cfg: WithNaiveScan(Config{Workers: workers}), workers: workers}
-			cached := &searcher{tree: tr, cfg: Config{Workers: workers}, workers: workers}
-			hits, ties := stepScanPair(t, tr, naive, cached)
-			if hits < 5 || ties < 5 {
-				t.Fatalf("%d scan winners, %d of them tied with the previous winner of their level; the tie-break pin is too weak", hits, ties)
-			}
-		})
+	window, firstTouch := duplicateTrees(t)
+	for name, tr := range map[string]*ctree.Tree{"window": window, "insertbatch": firstTouch} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				tr.ResetUsed()
+				naive := &searcher{tree: tr, cfg: WithNaiveScan(Config{Workers: workers}), workers: workers}
+				cached := &searcher{tree: tr, cfg: Config{Workers: workers}, workers: workers}
+				hits, ties := stepScanPair(t, tr, naive, cached)
+				if hits < 5 || ties < 5 {
+					t.Fatalf("%d scan winners, %d of them tied with the previous winner of their level; the tie-break pin is too weak", hits, ties)
+				}
+			})
+		}
 	}
 }
 
@@ -141,12 +144,13 @@ func stepScanPair(t *testing.T, tr *ctree.Tree, naive, cached *searcher) (hits, 
 	return hits, ties
 }
 
-// duplicateWindowTree builds the streaming service's window tree
-// (WindowTree, H = 5, batches of 200) over a duplicate-heavy stream:
-// 600 distinct points, each sent six times, in shuffled order. Cells
-// holding one repeated point and no stored face neighbor all share one
-// mask value, so the scans meet long runs of ties.
-func duplicateWindowTree(t *testing.T) *ctree.Tree {
+// duplicateTrees builds a duplicate-heavy stream — 600 distinct points,
+// each sent six times, in shuffled order — into the streaming service's
+// window tree (WindowTree) and into a tree grown by InsertBatch alone
+// (FirstTouchTree, first-touch sibling chains), H = 5, batches of 200.
+// Cells holding one repeated point and no stored face neighbor all
+// share one mask value, so the scans meet long runs of ties.
+func duplicateTrees(t *testing.T) (window, firstTouch *ctree.Tree) {
 	t.Helper()
 	ds, _, err := synthetic.Generate(synthetic.Config{
 		Dims: 5, Points: 600, Clusters: 2, NoiseFrac: 0.3,
@@ -161,7 +165,7 @@ func duplicateWindowTree(t *testing.T) *ctree.Tree {
 	}
 	rng := rand.New(rand.NewSource(215))
 	rng.Shuffle(len(pts), func(a, b int) { pts[a], pts[b] = pts[b], pts[a] })
-	return WindowTree(t, pts, ds.Dims, 5, 200)
+	return WindowTree(t, pts, ds.Dims, 5, 200), FirstTouchTree(t, pts, ds.Dims, 5, 200)
 }
 
 // TestDensestCellAllBetaOverlapped is the every-cell-β-overlapped edge
@@ -320,9 +324,9 @@ func TestDensestCellSingleCellLevel(t *testing.T) {
 // full sort it replaced: popping a level's heap to the end must give
 // its entries sorted by (value desc, entry index asc), as
 // slices.SortFunc orders them. It runs on every level of a Build tree,
-// of the duplicate-heavy window tree (long runs of value ties), of a
-// tree whose levels hold one cell each, and of an empty tree, whose
-// heaps are empty.
+// of the duplicate-heavy window and InsertBatch trees (long runs of
+// value ties), of a tree whose levels hold one cell each, and of an
+// empty tree, whose heaps are empty.
 func TestLevelScanHeapPopsSortedOrder(t *testing.T) {
 	built, _ := scanPairTree(t, synthetic.Config{
 		Dims: 5, Points: 5000, Clusters: 3, NoiseFrac: 0.15,
@@ -336,13 +340,15 @@ func TestLevelScanHeapPopsSortedOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	window, firstTouch := duplicateTrees(t)
 	for _, c := range []struct {
 		name string
 		tr   *ctree.Tree
 		size func(n int) bool // the level size the case is about
 	}{
 		{"build", built, func(n int) bool { return n > 1 }},
-		{"window", duplicateWindowTree(t), func(n int) bool { return n > 1 }},
+		{"window", window, func(n int) bool { return n > 1 }},
+		{"insertbatch", firstTouch, func(n int) bool { return n > 1 }},
 		{"single-cell", singleTree, func(n int) bool { return n == 1 }},
 		{"empty", ctree.New(3, 4), func(n int) bool { return n == 0 }},
 	} {

@@ -50,13 +50,15 @@ func driftingStream(t *testing.T) *dataset.Dataset {
 }
 
 // TestWindowTreeMatchesBuild is the cross-path check for the served
-// β-search: clustering the service's window tree (core.WindowTree) with
+// β-search: clustering the service's window tree (core.WindowTree) and
+// a tree grown by InsertBatch alone (core.FirstTouchTree) with
 // core.RunTree must give the same β-clusters — bounds, relevances,
 // centers — and the same clusters as clustering ctree.Build of the
 // same points, at Workers 1, 2 and 8, on a drifting stream and on a
-// rotated dataset. The two trees store the same cells in different
-// arena orders, so their level indexes list the cells and resolve the
-// neighbor links in different orders; only the answers must agree.
+// rotated dataset. The window tree is merged into Build's arena order;
+// the InsertBatch tree chains each cell's children in first-touch
+// order, so its level index sorts every child run. Only the answers
+// must agree.
 func TestWindowTreeMatchesBuild(t *testing.T) {
 	rotated, _ := genSmall(t, synthetic.Config{
 		Dims: 12, Points: 12000, Clusters: 3, NoiseFrac: 0.15,
@@ -71,8 +73,9 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		window := core.WindowTree(t, ds.Points, ds.Dims, core.DefaultH, 1000)
-		if !ctree.Equal(built, window) {
-			t.Fatalf("%s: the window tree stores different cells than the build", name)
+		firstTouch := core.FirstTouchTree(t, ds.Points, ds.Dims, core.DefaultH, 1000)
+		if !ctree.Equal(built, window) || !ctree.Equal(built, firstTouch) {
+			t.Fatalf("%s: the window or InsertBatch tree stores different cells than the build", name)
 		}
 		for _, workers := range []int{1, 2, 8} {
 			cfg := core.Config{Workers: workers}
@@ -83,12 +86,14 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 			if len(want.Betas) == 0 {
 				t.Fatalf("%s: no β-clusters, the comparison is vacuous", name)
 			}
-			got, err := core.RunTree(window, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			t.Logf("%s workers=%d: %d β-clusters, %d clusters", name, workers, len(want.Betas), len(want.Clusters))
-			assertResultsIdentical(t, want, got)
+			for _, tr := range []*ctree.Tree{window, firstTouch} {
+				got, err := core.RunTree(tr, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertResultsIdentical(t, want, got)
+			}
 		}
 	}
 }

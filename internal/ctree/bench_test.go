@@ -55,10 +55,12 @@ func BenchmarkInsert(b *testing.B) {
 // same 100k points (d = 15, H = 4, the stream-grow shape) in both child
 // orders the pipeline indexes, and reports the finished indexes'
 // footprint (IndexMemoryBytes) as index-MB. "build" is the canonical
-// Build tree of the batch path, whose sibling chains already ascend by
-// loc, so no child run gets sorted; "window" is the streaming service's
-// window tree, two InsertBatch-grown halves merged by Clone +
-// MergeFrom, whose first-touch sibling chains get sorted run by run.
+// Build tree of the batch path; "window" is the streaming service's
+// window tree, two InsertBatch-grown halves merged by MergeFrom, which
+// writes the same canonical order; in both, sibling chains already
+// ascend by loc, so no child run gets sorted. "insertbatch" is the
+// points grown by InsertBatch alone, whose first-touch sibling chains
+// get sorted run by run.
 //
 //	go test -run '^$' -bench BenchmarkEnsureLevelIndexes ./internal/ctree
 func BenchmarkEnsureLevelIndexes(b *testing.B) {
@@ -74,13 +76,17 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	aging, active := New(d, H), New(d, H)
+	aging, active, firstTouch := New(d, H), New(d, H), New(d, H)
 	for i := 0; i < ds.Len(); i += 1000 {
 		dst := aging
 		if i >= ds.Len()/2 {
 			dst = active
 		}
-		if err := dst.InsertBatch(ds.Points[i:min(i+1000, ds.Len())]); err != nil {
+		pts := ds.Points[i:min(i+1000, ds.Len())]
+		if err := dst.InsertBatch(pts); err != nil {
+			b.Fatal(err)
+		}
+		if err := firstTouch.InsertBatch(pts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +97,7 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		tr   *Tree
-	}{{"build", built}, {"window", window}} {
+	}{{"build", built}, {"window", window}, {"insertbatch", firstTouch}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

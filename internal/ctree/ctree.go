@@ -160,9 +160,9 @@ func (t *Tree) ParentCell(p Path) Ref {
 	return t.CellAt(p[:len(p)-1])
 }
 
-// WalkLevel visits every stored cell at level h in deterministic
-// (first-touch) order. The path passed to fn is reused across calls;
-// clone it to retain it.
+// WalkLevel visits every stored cell at level h in deterministic (chain)
+// order. The path passed to fn is reused across calls; clone it to
+// retain it.
 func (t *Tree) WalkLevel(h int, fn func(p Path, r Ref)) {
 	if h < 1 || h > t.H-1 {
 		return

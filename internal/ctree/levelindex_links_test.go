@@ -89,10 +89,10 @@ func linkPoints(d, fine, n int, shifted bool, seed int64) [][]float64 {
 
 // TestLevelIndexNeighborLookup pins the upper face neighbor links against
 // the Path.NeighborInto + CellAt oracle on every tree producer the
-// β-search reads: Build at Workers 1 and 8, the streaming service's
-// window tree (InsertBatch-grown trees merged by aging.Clone() +
-// MergeFrom(active), whose arena order is not canonical), and a treeio
-// save/load round trip of that window tree — over d ∈ {1, 2, 15, 63}
+// β-search reads: Build at Workers 1 and 8, a tree grown by InsertBatch
+// alone (first-touch sibling chains), the streaming service's window
+// tree (InsertBatch-grown trees merged by MergeFrom, canonical) and a
+// treeio save/load round trip of that window tree — over d ∈ {1, 2, 15, 63}
 // and H ∈ {3, 4, MaxLevels}, with uniform and neighbor-rich layouts.
 // It also checks that the oracle saw both outcomes: absent links (the
 // upper grid edge always has them) and, on the neighbor-rich layout,
@@ -144,6 +144,15 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string]*ctree.Tr
 		}
 		out[fmt.Sprintf("build/workers=%d", w)] = tr
 	}
+	// The whole stream grown by InsertBatch alone: sibling chains in
+	// first-touch order, which the level index sorts run by run.
+	firstTouch := ctree.New(d, H)
+	for i := 0; i < len(pts); i += 17 {
+		if err := firstTouch.InsertBatch(pts[i:min(i+17, len(pts))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out["insertbatch"] = firstTouch
 	// The service's window: the older half of the stream in the aging
 	// tree, the newer half in the active one, each grown batch by batch.
 	aging, active := ctree.New(d, H), ctree.New(d, H)
@@ -176,11 +185,12 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string]*ctree.Tr
 }
 
 // TestLevelIndexMatchesWalk pins the level index's path-order contract
-// on every tree producer: Build at Workers 1 and 8, the streaming
-// service's window tree (InsertBatch-grown halves merged by
-// aging.Clone() + MergeFrom(active), whose sibling chains are in
-// first-touch order), that window tree after a treeio round trip and
-// after Canonicalize. On each, every level's entries must ascend
+// on every tree producer: Build at Workers 1 and 8, a tree grown by
+// InsertBatch alone (first-touch sibling chains, so the fill sorts
+// every child run) and that tree after Canonicalize, the streaming
+// service's window tree (InsertBatch-grown halves merged by MergeFrom,
+// which writes the canonical order) and that window tree after a treeio
+// round trip. On each, every level's entries must ascend
 // strictly by Path.Compare, hold exactly the (path, ref) pairs
 // WalkLevel visits, and read N and Used from the arena. The neighbor
 // links are pinned by TestLevelIndexNeighborLookup, the face sums by
@@ -189,15 +199,18 @@ func TestLevelIndexMatchesWalk(t *testing.T) {
 	for _, c := range []struct{ d, H, n int }{{6, 5, 3000}, {15, 4, 2000}, {2, ctree.MaxLevels, 300}} {
 		pts := linkPoints(c.d, min(c.H-1, 50), c.n, true, int64(c.d*100+c.H))
 		producers := linkProducers(t, c.d, c.H, pts)
-		window := producers["window/clone+merge"]
-		canon, err := ctree.Canonicalize(window)
+		if canon, err := ctree.Canonicalize(producers["window/clone+merge"]); err != nil || canon != producers["window/clone+merge"] {
+			t.Fatalf("d%d_H%d: the merged window tree is not canonical (err=%v)", c.d, c.H, err)
+		}
+		firstTouch := producers["insertbatch"]
+		canon, err := ctree.Canonicalize(firstTouch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if canon == window {
-			t.Fatalf("d%d_H%d: the window tree is already canonical, so it cannot test the child-run sort", c.d, c.H)
+		if canon == firstTouch {
+			t.Fatalf("d%d_H%d: the InsertBatch tree is already canonical, so it cannot test the child-run sort", c.d, c.H)
 		}
-		producers["window/canonicalized"] = canon
+		producers["insertbatch/canonicalized"] = canon
 		for name, tr := range producers {
 			checkIndexMatchesWalk(t, fmt.Sprintf("d%d_H%d/%s", c.d, c.H, name), tr)
 		}

@@ -254,17 +254,20 @@ func NewFromColumnsTrusted(d, h, eta int, c Columns) (*Tree, error) {
 		if t.n[r] < 1 {
 			return nil, fmt.Errorf("ctree: cell %d stores a non-positive count %d (empty cells are never stored)", r, t.n[r])
 		}
-		t.linkChild(par, Ref(r))
 	}
+	t.link()
 	return t, nil
 }
 
-// adoptColumns installs the state columns into the fresh tree, taking
-// the slices over when their capacities already match the canonical
-// arena sizing and copying into canonically sized slabs otherwise. The
-// linkage columns are allocated zeroed at the same capacity.
+// adoptColumns installs the state columns into the tree, replacing its
+// whole arena: the slices are taken over when their capacities already
+// match the canonical arena sizing and copied into canonically sized
+// slabs otherwise. The linkage columns are allocated unlinked at the
+// same capacity and the child tables dropped; link (or the validating
+// per-row linkChild) rebuilds them.
 func (t *Tree) adoptColumns(c Columns, rows int) {
 	capRows := ArenaCapFor(rows)
+	t.tabs, t.tabBytes = nil, 0
 	if cap(c.Loc) == capRows {
 		t.loc = c.Loc
 	} else {

@@ -261,9 +261,10 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 	}
 }
 
-// TestWindowRotation pins the two-tree window: once the active tree
-// reaches WindowPoints, the next re-cluster pass retires it to the
-// aging slot, and the published view still covers both windows.
+// TestWindowRotation pins the two-tree window: the first batch to
+// arrive once the active tree holds WindowPoints points retires it to
+// the aging slot and starts a fresh active tree, and the published view
+// covers both windows.
 func TestWindowRotation(t *testing.T) {
 	cfg := testConfig()
 	cfg.WindowPoints = 500
@@ -276,28 +277,30 @@ func TestWindowRotation(t *testing.T) {
 	if err := s.recluster(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	if s.aging != nil || s.active.Eta != len(rows) {
+		t.Fatalf("a pass rotated the window: rotation belongs to the next ingest")
+	}
+	if v := s.cur.Load(); v == nil || v.points != len(rows) {
+		t.Fatalf("view covers %v points, want %d", v, len(rows))
+	}
+
+	// The next batch rotates the full tree out before it is folded; the
+	// merged view covers aging + active.
+	more := streamRows(10, 100, 17)
+	if _, err := s.ingest(more); err != nil {
+		t.Fatal(err)
+	}
 	s.mu.Lock()
 	activeEta, agingEta := s.active.Eta, -1
 	if s.aging != nil {
 		agingEta = s.aging.Eta
 	}
 	s.mu.Unlock()
-	if agingEta != len(rows) || activeEta != 0 {
-		t.Fatalf("after rotation: active=%d aging=%d, want 0 / %d", activeEta, agingEta, len(rows))
+	if agingEta != len(rows) || activeEta != len(more) {
+		t.Fatalf("after rotation: active=%d aging=%d, want %d / %d", activeEta, agingEta, len(more), len(rows))
 	}
 	if got := s.Counters().Snapshot().Rotations; got != 1 {
 		t.Fatalf("rotations = %d, want 1", got)
-	}
-	v := s.cur.Load()
-	if v == nil || v.points != len(rows) {
-		t.Fatalf("view after rotation covers %v points, want %d", v, len(rows))
-	}
-
-	// New points land in the fresh active tree; the merged view covers
-	// aging + active.
-	more := streamRows(10, 100, 17)
-	if _, err := s.ingest(more); err != nil {
-		t.Fatal(err)
 	}
 	if err := s.recluster(context.Background()); err != nil {
 		t.Fatal(err)

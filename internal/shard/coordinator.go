@@ -33,11 +33,6 @@ type Options struct {
 	// per-column checksums. Workers we spawned (or operate) satisfy
 	// the trust contract, so the default is the fast path.
 	DistrustChecksums bool
-	// SkipCanonicalize returns the merged tree in merge-walk arena
-	// order instead of rewriting it into the canonical (serial-build)
-	// order. The cell set is identical either way; only snapshot
-	// byte-identity with the serial build needs the rewrite.
-	SkipCanonicalize bool
 	// Collector, when set, receives the ShardsBuilt /
 	// ShardBytesStreamed / MergeRounds observability counters.
 	Collector *obs.Collector
@@ -57,9 +52,10 @@ type Stats struct {
 
 // Run executes the sharded build: every job is dispatched to a worker,
 // the returned shard trees are reduced with the pairwise merge
-// tournament (lowest shard index wins ties), and the winner is
-// canonicalized so it re-saves byte-identically to a serial build of
-// the same rows. On any shard failure the remaining connections are
+// tournament (lowest shard index wins ties), and the winner re-saves
+// byte-identically to a serial build of the same rows: every merge
+// writes the canonical arena order, and Canonicalize covers a lone
+// input no merge touched. On any shard failure the remaining connections are
 // closed, the tournament is skipped, and the lowest-indexed failure
 // comes back as a *WorkerError.
 func Run(ctx context.Context, opt Options) (*ctree.Tree, Stats, error) {
@@ -156,10 +152,11 @@ func Run(ctx context.Context, opt Options) (*ctree.Tree, Stats, error) {
 	}
 	stats.MergeRounds = rounds
 	opt.Collector.SetMergeRounds(int64(rounds))
-	if !opt.SkipCanonicalize {
-		if merged, err = ctree.Canonicalize(merged); err != nil {
-			return nil, stats, fmt.Errorf("shard: canonicalize: %w", err)
-		}
+	// A merged winner is already canonical and comes back unchanged; a
+	// lone shard is whatever its worker sent, which for a -snapshots
+	// input may be a tree grown by InsertBatch.
+	if merged, err = ctree.Canonicalize(merged); err != nil {
+		return nil, stats, fmt.Errorf("shard: canonicalize: %w", err)
 	}
 	stats.Points = merged.Eta
 	return merged, stats, nil

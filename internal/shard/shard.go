@@ -13,10 +13,11 @@
 // snapshot format IS the wire format, so a captured stream can be
 // spooled to disk and inspected with the ordinary tooling. The
 // coordinator reduces the W shard trees pairwise in ceil(log2 W)
-// rounds (ctree.MergeTournament, lowest-shard-index tie-break) and
-// canonicalizes the winner (ctree.Canonicalize), which restores the
-// serial-equivalence guarantee in its strongest form: the result is
-// not merely ctree.Equal to the single-process build — it re-saves
+// rounds (ctree.MergeTournament, lowest-shard-index tie-break). Every
+// merge writes the canonical arena order Build creates, and
+// ctree.Canonicalize covers a lone unmerged shard, so the result holds
+// the serial-equivalence guarantee in its strongest form: it is not
+// merely ctree.Equal to the single-process build — it re-saves
 // byte-identically through treeio.
 //
 // Failure semantics: every worker-side failure (dial, a refused job, a

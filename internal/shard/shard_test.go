@@ -225,6 +225,51 @@ func TestRunSnapshotJobs(t *testing.T) {
 	}
 }
 
+// TestRunCanonicalizesLoneSnapshot pins why the coordinator still calls
+// Canonicalize after the tournament: a lone -snapshots input meets no
+// merge, so a snapshot of a tree grown by InsertBatch (first-touch
+// arena order) would come back as it is. The result must re-save
+// byte-identically to the single-process build of the same rows.
+func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
+	const d, n, h = 5, 3000, 4
+	_, ds := writeTestCSV(t, d, n, 57, false)
+	serial, err := ctree.Build(ds, h, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := ctree.New(d, h)
+	for i := 0; i < n; i += 100 {
+		if err := grown.InsertBatch(ds.Points[i : i+100]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c, err := ctree.Canonicalize(grown); err != nil || c == grown {
+		t.Fatalf("the InsertBatch tree is already canonical (err=%v); the test is vacuous", err)
+	}
+	path := filepath.Join(t.TempDir(), "grown.snap")
+	if _, err := treeio.SaveFile(path, grown); err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := JobsForPaths([]string{path}, KindSnapshot, false, Job{H: h, Dims: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, _, err := Run(context.Background(), Options{Addrs: startWorkers(t, 1), Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if _, err := treeio.Save(&want, serial); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := treeio.Save(&got, merged); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatal("a lone InsertBatch snapshot did not come back in the serial build's arena order")
+	}
+}
+
 func TestRunSurfacesWorkerRefusal(t *testing.T) {
 	addrs := startWorkers(t, 1)
 	jobs := []Job{{Kind: KindCSV, Path: filepath.Join(t.TempDir(), "absent.csv"), H: 4}}
