@@ -241,7 +241,7 @@ func runCoordinator(ctx context.Context, opt options, stdout, stderr io.Writer) 
 		fmt.Fprintf(stdout, "saved %d-byte snapshot to %s\n", n, opt.out)
 	}
 	if opt.cluster {
-		res, err := core.RunTreeContext(ctx, merged, core.Config{
+		res, err := core.RunTreeContext(ctx, []*ctree.Tree{merged}, core.Config{
 			Alpha: opt.alpha, H: opt.h, CollectStats: opt.stats,
 		})
 		if err != nil {

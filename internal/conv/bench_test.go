@@ -1,26 +1,17 @@
 package conv
 
-import (
-	"testing"
-
-	"mrcc/internal/ctree"
-)
+import "testing"
 
 // BenchmarkFaceValue measures the O(d) face-only mask application over
 // an entire tree level — the paper's key cost argument vs the full
 // O(3^d) mask.
 func BenchmarkFaceValue(b *testing.B) {
 	tr, _ := buildTree(b, 10, 20000, 1, 4)
-	var paths []ctree.Path
-	var cells []ctree.Ref
-	tr.WalkLevel(2, func(p ctree.Path, c ctree.Ref) {
-		paths = append(paths, p.Clone())
-		cells = append(cells, c)
-	})
+	ix := tr.LevelIndex(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx := i % len(paths)
-		FaceValue(tr, paths[idx], cells[idx])
+		e := i % ix.Len()
+		FaceValue(ix, ix.PathOf(e), e)
 	}
 }
 
@@ -28,15 +19,10 @@ func BenchmarkFaceValue(b *testing.B) {
 // it is still tractable, for the A-mask ablation comparison.
 func BenchmarkFullValue(b *testing.B) {
 	tr, _ := buildTree(b, 6, 5000, 1, 4)
-	var paths []ctree.Path
-	var cells []ctree.Ref
-	tr.WalkLevel(2, func(p ctree.Path, c ctree.Ref) {
-		paths = append(paths, p.Clone())
-		cells = append(cells, c)
-	})
+	ix := tr.LevelIndex(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx := i % len(paths)
-		FullValue(tr, paths[idx], cells[idx])
+		e := i % ix.Len()
+		FullValue(ix, ix.PathOf(e), e)
 	}
 }

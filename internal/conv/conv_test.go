@@ -64,13 +64,15 @@ func naiveFaceValue(t *ctree.Tree, ds *dataset.Dataset, p ctree.Path) int64 {
 func TestFaceValueMatchesBruteForce(t *testing.T) {
 	tr, ds := buildTree(t, 3, 300, 5, 4)
 	for h := 2; h <= 3; h++ {
-		tr.WalkLevel(h, func(p ctree.Path, c ctree.Ref) {
-			got := FaceValue(tr, p, c)
+		ix := tr.LevelIndex(h)
+		for i := 0; i < ix.Len(); i++ {
+			p := ix.PathOf(i)
+			got := FaceValue(ix, p, i)
 			want := naiveFaceValue(tr, ds, p)
 			if got != want {
 				t.Fatalf("level %d cell %v: FaceValue=%d brute=%d", h, p, got, want)
 			}
-		})
+		}
 	}
 }
 
@@ -89,14 +91,15 @@ func TestFaceValueIsolatedCellIsPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	tr.WalkLevel(2, func(p ctree.Path, c ctree.Ref) {
-		if int(tr.N(c)) == 50 {
+	ix := tr.LevelIndex(2)
+	for i := 0; i < ix.Len(); i++ {
+		if ix.N(i) == 50 {
 			found = true
-			if v := FaceValue(tr, p, c); v != int64(2*2*50) {
+			if v := FaceValue(ix, ix.PathOf(i), i); v != int64(2*2*50) {
 				t.Errorf("isolated cell value = %d, want %d", v, 2*2*50)
 			}
 		}
-	})
+	}
 	if !found {
 		t.Fatal("expected all 50 points in one level-2 cell")
 	}
@@ -119,18 +122,20 @@ func TestFullValueMatchesFaceOnSparseDiagonal(t *testing.T) {
 		t.Fatal(err)
 	}
 	diff := false
-	tr.WalkLevel(3, func(p ctree.Path, c ctree.Ref) {
-		fv := FaceValue(tr, p, c)
-		uv := FullValue(tr, p, c)
+	ix := tr.LevelIndex(3)
+	for i := 0; i < ix.Len(); i++ {
+		p := ix.PathOf(i)
+		fv := FaceValue(ix, p, i)
+		uv := FullValue(ix, p, i)
 		// FullValue subtracts corner neighbors too, so on the diagonal
 		// it must be strictly smaller than the face-only response minus
 		// the center-weight difference. Just check they are not equal
 		// after removing the center-weight gap.
-		centerGap := int64(9-1-2*2) * int64(tr.N(c)) // (3^2-1) - 2d
+		centerGap := int64(9-1-2*2) * int64(ix.N(i)) // (3^2-1) - 2d
 		if uv-centerGap != fv {
 			diff = true
 		}
-	})
+	}
 	if !diff {
 		t.Error("FullValue never saw a corner neighbor on a diagonal layout")
 	}
@@ -183,19 +188,21 @@ func TestFullValueBruteForce2D(t *testing.T) {
 		}
 		return v
 	}
-	tr.WalkLevel(2, func(p ctree.Path, c ctree.Ref) {
-		got := FullValue(tr, p, c)
+	ix := tr.LevelIndex(2)
+	for i := 0; i < ix.Len(); i++ {
+		p := ix.PathOf(i)
+		got := FullValue(ix, p, i)
 		want := naiveFull(p)
 		if got != want {
 			t.Fatalf("cell %v: FullValue=%d brute=%d", p, got, want)
 		}
-	})
+	}
 }
 
 func TestFaceNeighborCountsMatchLookups(t *testing.T) {
 	tr, _ := buildTree(t, 3, 400, 21, 4)
 	tr.WalkLevel(2, func(p ctree.Path, c ctree.Ref) {
-		lower, upper := FaceNeighborCounts(tr, p)
+		lower, upper := FaceNeighborCounts(tr.LevelIndex(2), p)
 		for j := 0; j < tr.D; j++ {
 			for _, up := range [2]bool{false, true} {
 				var want int32
@@ -248,12 +255,15 @@ func faceSumPoints(d, n, fine int, seed int64) *dataset.Dataset {
 	return ds
 }
 
-// faceSumProducers counts ds through the tree producers the β-search
-// reads: Build; a tree grown by InsertBatch alone, whose sibling chains
-// are in first-touch order; the streaming service's window tree, two
-// trees grown batch by batch and merged by MergeFrom; and that window
-// tree after a treeio save/load round trip.
-func faceSumProducers(t *testing.T, ds *dataset.Dataset, H int) map[string]*ctree.Tree {
+// faceSumProducers counts ds through the producers of the indexes the
+// β-search reads, each the list of trees one index covers: Build; a
+// tree grown by InsertBatch alone, whose sibling chains are in
+// first-touch order; the streaming service's window tree, two trees
+// grown batch by batch and merged by MergeFrom; that window tree after
+// a treeio save/load round trip; and the window's two trees themselves,
+// as a pass reads them (the canonicalized aging tree and the
+// first-touch active one).
+func faceSumProducers(t *testing.T, ds *dataset.Dataset, H int) map[string][]*ctree.Tree {
 	t.Helper()
 	built, err := ctree.Build(ds, H, ctree.BuildOptions{})
 	if err != nil {
@@ -285,16 +295,54 @@ func faceSumProducers(t *testing.T, ds *dataset.Dataset, H int) map[string]*ctre
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*ctree.Tree{"build": built, "insertbatch": firstTouch, "window": window, "window/treeio-roundtrip": loaded}
+	canonAging, err := ctree.Canonicalize(aging)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]*ctree.Tree{
+		"build":                   {built},
+		"insertbatch":             {firstTouch},
+		"window":                  {window},
+		"window/treeio-roundtrip": {loaded},
+		"window/two-tree":         {canonAging, active},
+	}
+}
+
+// indexesOver returns the level indexes over srcs: the tree's own for
+// one source, the union's otherwise.
+func indexesOver(t *testing.T, srcs []*ctree.Tree) []*ctree.LevelIndex {
+	t.Helper()
+	if len(srcs) == 1 {
+		return srcs[0].EnsureLevelIndexes()
+	}
+	idx, err := ctree.UnionLevelIndexes(srcs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// countAt returns the point count the sources store at path p, each
+// resolved by a CellAt descent.
+func countAt(srcs []*ctree.Tree, p ctree.Path) int64 {
+	var n int64
+	for _, tr := range srcs {
+		if r := tr.CellAt(p); r != ctree.NilRef {
+			n += int64(tr.N(r))
+		}
+	}
+	return n
 }
 
 // TestFaceSumMatchesScratch pins the level index's face sums, which the
 // index build accumulates as it links face neighbors, value for value
-// against the per-cell CellAt reference: 2d·N(i) − FaceSum(i) must equal
-// FaceValueScratch for every entry of every level, on every producer,
-// at d ∈ {1, 15, 63} and H ∈ {4, MaxLevels}. It also checks that some
-// face sum is non-zero at levels 1, 2 and the finest shifted one, so
-// the pin covers resolved neighbors, not only absent ones.
+// against the per-cell reference: 2d·N(i) − FaceSum(i) must equal the
+// face value summed from CellAt descents into every source, and so must
+// FaceValueScratch's path lookups in the index, for every entry of
+// every level, on every producer, at d ∈ {1, 15, 63} and
+// H ∈ {4, MaxLevels}. It also checks that some face sum is non-zero at
+// levels 1, 2 and the finest shifted one, so the pin covers resolved
+// neighbors, not only absent ones.
 func TestFaceSumMatchesScratch(t *testing.T) {
 	for _, d := range []int{1, 15, 63} {
 		for _, H := range []int{4, ctree.MaxLevels} {
@@ -306,18 +354,29 @@ func TestFaceSumMatchesScratch(t *testing.T) {
 			// float64 coordinate of a point near the middle of the cube.
 			fine := min(H-1, 50)
 			ds := faceSumPoints(d, n, fine, int64(d*100+H))
-			for name, tr := range faceSumProducers(t, ds, H) {
+			for name, srcs := range faceSumProducers(t, ds, H) {
 				name = fmt.Sprintf("d%d_H%d/%s", d, H, name)
 				twoD := int64(2 * d)
-				for h := 1; h <= tr.H-1; h++ {
-					ix := tr.LevelIndex(h)
+				for h, ix := range indexesOver(t, srcs) {
+					h++
 					scratch := make(ctree.Path, 0, h)
+					var nb ctree.Path
 					resolved := false
 					for i := 0; i < ix.Len(); i++ {
+						p := ix.PathOf(i)
+						want := twoD * countAt(srcs, p)
+						for j := 0; j < d; j++ {
+							for _, up := range [2]bool{false, true} {
+								var ok bool
+								if nb, ok = p.NeighborInto(nb, j, up); ok {
+									want -= countAt(srcs, nb)
+								}
+							}
+						}
 						got := twoD*int64(ix.N(i)) - ix.FaceSum(i)
-						if want := FaceValueScratch(tr, ix.PathOf(i), ix.Ref(i), scratch); got != want {
-							t.Fatalf("%s level %d entry %d: 2d·N − FaceSum = %d, FaceValueScratch %d",
-								name, h, i, got, want)
+						if scr := FaceValueScratch(ix, p, i, scratch); got != want || scr != want {
+							t.Fatalf("%s level %d entry %d: 2d·N − FaceSum = %d, FaceValueScratch %d, CellAt reference %d",
+								name, h, i, got, scr, want)
 						}
 						resolved = resolved || ix.FaceSum(i) != 0
 					}
@@ -412,17 +471,19 @@ func TestFullValueMatchesOffsetOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for h := 1; h <= H-1; h++ {
-				tr.WalkLevel(h, func(p ctree.Path, c ctree.Ref) {
-					if got, want := FullValue(tr, p, c), fullValueOffsets(tr, p, c); got != want {
+				ix := tr.LevelIndex(h)
+				for i := 0; i < ix.Len(); i++ {
+					p := ix.PathOf(i)
+					if got, want := FullValue(ix, p, i), fullValueOffsets(tr, p, ix.Ref(i, 0)); got != want {
 						t.Fatalf("d=%d H=%d level %d cell %v: FullValue %d, oracle %d", d, H, h, p, got, want)
 					}
-				})
+				}
 			}
 			if raceEnabled {
 				continue
 			}
 			ix := tr.LevelIndex(H - 1)
-			if allocs := testing.AllocsPerRun(5, func() { FullValue(tr, ix.PathOf(0), ix.Ref(0)) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(5, func() { FullValue(ix, ix.PathOf(0), 0) }); allocs != 0 {
 				t.Fatalf("d=%d H=%d: FullValue allocated %.1f times per call, want 0", d, H, allocs)
 			}
 		}

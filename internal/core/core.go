@@ -324,7 +324,7 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (res *Resu
 		col.SetDegradedH(cfgH)
 	}
 	buildTime := time.Since(start)
-	res, phase, err = runOnTreeAbortable(t, ds, cfg, col, ab)
+	res, phase, err = runOnTreeAbortable([]*ctree.Tree{t}, ds, cfg, col, ab)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +432,7 @@ func RunOnTreeContext(ctx context.Context, t *ctree.Tree, ds *dataset.Dataset, c
 			err = &PipelineError{Phase: phase.String(), Err: err, Stats: col.Finish()}
 		}
 	}()
-	res, phase, err = runOnTreeAbortable(t, ds, cfg, col, newAborter(ctx))
+	res, phase, err = runOnTreeAbortable([]*ctree.Tree{t}, ds, cfg, col, newAborter(ctx))
 	return res, err
 }
 
@@ -443,17 +443,25 @@ func RunOnTreeContext(ctx context.Context, t *ctree.Tree, ds *dataset.Dataset, c
 // results: a point is assigned to the correlation cluster owning the
 // first β-cluster box containing it, exactly the rule labeling
 // applies, so no stored dataset is needed to answer "which cluster is
-// this point in?". It is exactly RunTreeContext with a background
-// context.
+// this point in?". It is exactly RunTreeContext over t alone with a
+// background context.
 func RunTree(t *ctree.Tree, cfg Config) (*Result, error) {
-	return RunTreeContext(context.Background(), t, cfg)
+	return RunTreeContext(context.Background(), []*ctree.Tree{t}, cfg)
 }
 
-// RunTreeContext is RunTree under a context, with the same
-// cancellation, fault-injection and panic-containment contract as
-// RunOnTreeContext. Like RunOnTree, it clears the tree's Used flags at
-// entry, so reruns need no manual ResetUsed.
-func RunTreeContext(ctx context.Context, t *ctree.Tree, cfg Config) (res *Result, err error) {
+// RunTreeContext is RunTree under a context, over the union of one or
+// more trees of one geometry, with the same cancellation,
+// fault-injection and panic-containment contract as RunOnTreeContext.
+// The β-search reads the level indexes of the union
+// (ctree.UnionLevelIndexes), whose counts add up across the trees, so
+// the Result is the one RunTree gives over the trees' MergeFrom, and no
+// merged tree is written: the streaming service clusters its two-tree
+// window this way. Like RunOnTree, a run over one tree clears its Used
+// flags at entry and marks the cells it tests, so reruns need no manual
+// ResetUsed; a run over several trees leaves their flags alone, keeps
+// none in Result.Tree, and refuses trees whose points sum past
+// ctree.MaxPoints.
+func RunTreeContext(ctx context.Context, trees []*ctree.Tree, cfg Config) (res *Result, err error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -470,7 +478,7 @@ func RunTreeContext(ctx context.Context, t *ctree.Tree, cfg Config) (res *Result
 			err = &PipelineError{Phase: phase.String(), Err: err, Stats: col.Finish()}
 		}
 	}()
-	res, phase, err = runOnTreeAbortable(t, nil, cfg, col, newAborter(ctx))
+	res, phase, err = runOnTreeAbortable(trees, nil, cfg, col, newAborter(ctx))
 	return res, err
 }
 
@@ -484,36 +492,49 @@ func newCollector(cfg Config) *obs.Collector {
 }
 
 // runOnTreeAbortable is the clustering back half (phases two and
-// three) with the collector and abort machinery already decided, so
-// RunContext can share one collector and aborter between the tree
-// build and the clustering phases. cfg must already be defaulted and
+// three) over the union of trees, with the collector and abort
+// machinery already decided, so RunContext can share one collector and
+// aborter between the tree build and the clustering phases. A dataset
+// to label comes with one tree only. cfg must already be defaulted and
 // validated; ab may be nil (no cancellation, no fault points, zero
 // overhead — the RunOnTree-without-context path). The returned phase
 // names the stage an error interrupted.
-func runOnTreeAbortable(t *ctree.Tree, ds *dataset.Dataset, cfg Config, col *obs.Collector, ab *aborter) (*Result, obs.Phase, error) {
-	if ds != nil && (t.D != ds.Dims || t.Eta != ds.Len()) {
+func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, col *obs.Collector, ab *aborter) (*Result, obs.Phase, error) {
+	if len(trees) == 0 {
+		return nil, obs.PhaseBetaSearch, errors.New("core: no tree to cluster")
+	}
+	t, eta := trees[0], 0
+	for _, tr := range trees {
+		eta += tr.Eta
+	}
+	if ds != nil && (len(trees) != 1 || t.D != ds.Dims || t.Eta != ds.Len()) {
 		return nil, obs.PhaseBetaSearch, fmt.Errorf("core: tree (d=%d, η=%d) does not match dataset (d=%d, η=%d)",
-			t.D, t.Eta, ds.Dims, ds.Len())
+			t.D, eta, ds.Dims, ds.Len())
 	}
-	// The β-search consumes the Used flags; clearing them here (O(cells),
-	// a no-op on a freshly built tree) makes reruns on one tree
-	// self-contained instead of depending on the caller remembering
-	// ResetUsed.
-	t.ResetUsed()
+	var one *ctree.Tree
+	if len(trees) == 1 {
+		// The β-search consumes the Used flags; clearing them here
+		// (O(cells), a no-op on a freshly built tree) makes reruns on
+		// one tree self-contained instead of depending on the caller
+		// remembering ResetUsed.
+		one = t
+		t.ResetUsed()
+	}
 	workers := cfg.workerCount()
-	if col != nil {
-		col.SetShape(t.Eta, t.D, cfg.H, workers)
-		// One walk for every level count: LevelCellCount per level would
-		// re-walk the whole tree H-1 times (O(H · cells) before the run
-		// even starts).
-		counts := t.LevelCellCounts()
-		for h := 1; h <= t.H-1; h++ {
-			col.CountCells(h, int64(counts[h]))
-		}
-	}
-	s := &searcher{tree: t, cfg: cfg, workers: workers, col: col, abort: ab, critCache: make(map[int]int)}
 	start := time.Now()
 	spSearch := col.Start(obs.PhaseBetaSearch)
+	idx, err := levelIndexes(trees)
+	if err != nil {
+		spSearch.End()
+		return nil, obs.PhaseBetaSearch, err
+	}
+	if col != nil {
+		col.SetShape(eta, t.D, cfg.H, workers)
+		for _, ix := range idx {
+			col.CountCells(ix.Level, int64(ix.Len()))
+		}
+	}
+	s := &searcher{idx: idx, tree: one, d: t.D, cfg: cfg, workers: workers, col: col, abort: ab, critCache: make(map[int]int)}
 	betas, err := s.findBetaClusters()
 	spSearch.End()
 	if err != nil {
@@ -546,20 +567,30 @@ func runOnTreeAbortable(t *ctree.Tree, ds *dataset.Dataset, cfg Config, col *obs
 			}
 		}
 	}
-	// MemoryBytes is the arena's own exact footprint; the materialized
-	// level indexes are accounted separately (disjoint slabs), so the
-	// reported figure is their sum — same total the memory-limit check
-	// uses.
-	treeBytes := t.MemoryBytes() + t.IndexMemoryBytes()
+	// The trees' arenas and the level indexes are disjoint slabs, so the
+	// reported footprint is their sum: for one tree, the total the
+	// memory-limit check uses (MemoryBytes + IndexMemoryBytes).
+	var arena, indexBytes uint64
+	var grows, runs, runPoints, radix, spillRuns, spillBytes int64
+	for _, tr := range trees {
+		arena += tr.MemoryBytes()
+		r, rp := tr.BatchRuns()
+		sr, sb := tr.SpillStats()
+		grows, runs, runPoints, radix = grows+tr.ArenaGrows(), runs+r, runPoints+rp, radix+tr.RadixChunks()
+		spillRuns, spillBytes = spillRuns+sr, spillBytes+sb
+	}
+	for _, ix := range idx {
+		indexBytes += ix.MemoryBytes()
+	}
+	treeBytes := arena + indexBytes
 	col.SetTreeBytes(treeBytes)
-	runs, runPoints := t.BatchRuns()
-	col.SetArenaStats(t.MemoryBytes(), t.ArenaGrows(), runs, runPoints, t.RadixChunks())
-	if spillRuns, spillBytes := t.SpillStats(); spillRuns > 0 {
+	col.SetArenaStats(arena, grows, runs, runPoints, radix)
+	if spillRuns > 0 {
 		col.SetSpillStats(spillRuns, spillBytes)
 	}
 	var keep *ctree.Tree
 	if cfg.KeepTree {
-		keep = t
+		keep = one
 	}
 	return &Result{
 		Tree:            keep,
@@ -575,9 +606,22 @@ func runOnTreeAbortable(t *ctree.Tree, ds *dataset.Dataset, cfg Config, col *obs
 	}, obs.PhaseLabeling, nil
 }
 
+// levelIndexes returns the level indexes the β-search reads: a lone
+// tree's cached ones, or those of the union of several.
+func levelIndexes(trees []*ctree.Tree) ([]*ctree.LevelIndex, error) {
+	if len(trees) == 1 {
+		return trees[0].EnsureLevelIndexes(), nil
+	}
+	return ctree.UnionLevelIndexes(trees...)
+}
+
 // searcher carries the state of the β-cluster search (Algorithm 2).
+// It addresses a cell by level and entry index in the level indexes,
+// which hold every count the search reads.
 type searcher struct {
-	tree      *ctree.Tree
+	idx       []*ctree.LevelIndex // the run's level indexes: idx[h-1] is level h
+	tree      *ctree.Tree         // the run's tree when it has one, whose Used flags follow the index's; nil over several
+	d         int
 	cfg       Config
 	workers   int
 	col       *obs.Collector // nil when stats are off; all methods no-op
@@ -586,7 +630,6 @@ type searcher struct {
 	critCache map[int]int // nP -> θ (see criticalValue) at cfg.Alpha (p = 1/6)
 	lBuf      []float64   // scratch cell bounds for the overlap check
 	uBuf      []float64
-	pathBuf   ctree.Path // scratch neighbor path for the naive serial scan
 	// scans holds the per-level one-shot convolution caches
 	// (scancache.go): the cell set and mask values of a level are fixed
 	// for the searcher's lifetime — only the Used flags and the
@@ -610,25 +653,25 @@ func (s *searcher) findBetaClusters() ([]BetaCluster, error) {
 		}
 		s.col.AddScanPass()
 		found := false
-		for h := 2; h <= s.tree.H-1; h++ {
+		for h := 2; h <= len(s.idx); h++ {
 			if err := s.abort.check(fault.ScanLevel); err != nil {
 				return s.betas, err
 			}
 			spScan := s.col.Start(obs.PhaseConvScan)
-			path, cell, _ := s.densestCell(h)
+			_, cell, _ := s.densestCell(h)
 			spScan.EndAtLevel(h)
 			if err := s.abort.firstErr(); err != nil {
 				return s.betas, err
 			}
-			if cell == ctree.NilRef {
+			if cell < 0 {
 				continue
 			}
 			if err := s.abort.check(fault.BetaTest); err != nil {
 				return s.betas, err
 			}
-			s.tree.SetUsed(cell, true)
+			s.markUsed(h, cell)
 			spTest := s.col.Start(obs.PhaseBetaTest)
-			beta, ok := s.testCell(path, cell)
+			beta, ok := s.testCell(h, cell)
 			spTest.End()
 			s.col.AddBetaTest(ok)
 			if s.col.WantsProgress() {
@@ -649,79 +692,52 @@ func (s *searcher) findBetaClusters() ([]BetaCluster, error) {
 	}
 }
 
-// densestCell returns the eligible (not Used, not β-overlapping) cell
-// at level h with the largest convolution value, ties broken by the
-// lexicographically smallest path so the method stays deterministic.
-// The default path reads the first eligible entry of the level's
-// (value desc, path asc) order over its cached values, popped from a
-// heap as the scan reaches it (scancache.go); the naiveScan
-// oracle re-convolves every eligible cell per pass instead — serially via
-// WalkLevel or chunked across workers (parallel.go) — and is pinned
-// bit-identical to the cached path by the scan-equivalence suite.
-func (s *searcher) densestCell(h int) (ctree.Path, ctree.Ref, int64) {
+// markUsed sets the usedCell flag of level h's entry i and, in a run
+// over one tree, that tree's flag of the cell, as RunOnTree always has
+// (a snapshot saved after the run keeps them).
+func (s *searcher) markUsed(h, i int) {
+	ix := s.idx[h-1]
+	ix.SetUsed(i, true)
+	if s.tree != nil {
+		s.tree.SetUsed(ix.Ref(i, 0), true)
+	}
+}
+
+// densestCell returns the path, entry index and convolution value of
+// the eligible (not Used, not β-overlapping) cell at level h with the
+// largest convolution value, ties broken by the lexicographically
+// smallest path so the method stays deterministic, or (nil, -1, 0) when
+// no cell is eligible. The default path reads the first eligible entry
+// of the level's (value desc, path asc) order over its cached values,
+// popped from a heap as the scan reaches it (scancache.go); the
+// naiveScan oracle re-convolves every eligible cell per pass instead,
+// by neighbor lookups, chunked across workers (parallel.go), and is
+// pinned bit-identical to the cached path by the scan-equivalence
+// suite.
+func (s *searcher) densestCell(h int) (ctree.Path, int, int64) {
 	if !s.cfg.naiveScan {
 		return s.densestCellCached(h)
 	}
-	if s.workers > 1 {
-		return s.densestCellNaiveParallel(h)
-	}
-	var bestPath ctree.Path
-	bestCell := ctree.NilRef
-	bestVal := int64(math.MinInt64)
-	if s.pathBuf == nil {
-		s.pathBuf = make(ctree.Path, 0, s.tree.H)
-	}
-	var maskEvals int64 // merged once per level: hot loop stays counter-free
-	polled := 0
-	s.tree.WalkLevel(h, func(p ctree.Path, c ctree.Ref) {
-		// Drain quickly once a checkpoint failed: the walk cannot stop
-		// early, but skipping the convolution bounds abort latency to one
-		// cheap pass over the level. The periodic check keeps even a
-		// single huge level responsive to cancellation.
-		if s.abort.stoppedNow() {
-			return
-		}
-		if polled++; polled >= scanCheckEvery {
-			polled = 0
-			if s.abort.check(fault.ScanChunk) != nil {
-				return
-			}
-		}
-		if s.tree.Used(c) || s.sharesSpaceWithBeta(p) {
-			return
-		}
-		v := s.maskValue(p, c, s.pathBuf)
-		maskEvals++
-		if v > bestVal || (v == bestVal && bestCell != ctree.NilRef && p.Compare(bestPath) < 0) {
-			bestVal = v
-			bestPath = p.Clone()
-			bestCell = c
-		}
-	})
-	s.col.AddMaskEvals(maskEvals)
-	if bestCell == ctree.NilRef {
-		return nil, ctree.NilRef, 0
-	}
-	return bestPath, bestCell, bestVal
+	return s.densestCellNaive(h)
 }
 
-// maskValue applies the configured convolution mask to the cell c at
-// path p, using buf as neighbor-path scratch so the face mask allocates
-// nothing. It only reads the tree, so concurrent calls with distinct
-// scratch are safe.
-func (s *searcher) maskValue(p ctree.Path, c ctree.Ref, buf ctree.Path) int64 {
+// maskValue applies the configured convolution mask to entry i of ix,
+// whose path is p, using buf as neighbor-path scratch so the face mask
+// allocates nothing. It only reads the index, so concurrent calls with
+// distinct scratch are safe.
+func (s *searcher) maskValue(ix *ctree.LevelIndex, p ctree.Path, i int, buf ctree.Path) int64 {
 	if s.cfg.FullMask {
-		return conv.FullValue(s.tree, p, c)
+		return conv.FullValue(ix, p, i)
 	}
-	return conv.FaceValueScratch(s.tree, p, c, buf)
+	return conv.FaceValueScratch(ix, p, i, buf)
 }
 
 // sharesSpaceWithBeta reports whether the cell at path p overlaps any
 // previously found β-cluster in every axis.
 func (s *searcher) sharesSpaceWithBeta(p ctree.Path) bool {
 	if s.lBuf == nil {
-		s.lBuf = make([]float64, s.tree.D)
-		s.uBuf = make([]float64, s.tree.D)
+		s.lBuf = make([]float64, s.d)
+		s.uBuf = make([]float64, s.d)
 	}
 	return s.sharesSpaceWithBetaInto(p, s.lBuf, s.uBuf)
 }
@@ -733,7 +749,7 @@ func (s *searcher) sharesSpaceWithBetaInto(p ctree.Path, lBuf, uBuf []float64) b
 	if len(s.betas) == 0 {
 		return false
 	}
-	for j := 0; j < s.tree.D; j++ {
+	for j := 0; j < s.d; j++ {
 		lBuf[j], uBuf[j] = p.Bounds(j)
 	}
 	for i := range s.betas {
@@ -744,28 +760,32 @@ func (s *searcher) sharesSpaceWithBetaInto(p ctree.Path, lBuf, uBuf []float64) b
 	return false
 }
 
-// testCell applies the null-hypothesis test centered on the cell ah at
-// path p (Algorithm 2, lines 14-17) and, when at least one axis rejects
-// uniformity, describes the new β-cluster (lines 19-30).
-func (s *searcher) testCell(p ctree.Path, ah ctree.Ref) (BetaCluster, bool) {
-	d := s.tree.D
-	h := p.Level()
+// testCell applies the null-hypothesis test centered on level h's
+// entry i (Algorithm 2, lines 14-17) and, when at least one axis
+// rejects uniformity, describes the new β-cluster (lines 19-30). The
+// parent cell and the face neighbors of the parent and of the cell are
+// found by path lookups in the level indexes, so their counts are the
+// union's; the scan starts at level 2, so the parent level is indexed.
+func (s *searcher) testCell(h, i int) (BetaCluster, bool) {
+	d := s.d
+	ix, up := s.idx[h-1], s.idx[h-2]
+	p := ix.PathOf(i)
 	parentPath := p[:h-1]
-	parent := s.tree.ParentOf(ah)
-	if parent == ctree.NilRef {
+	parent := up.Find(parentPath)
+	if parent < 0 {
 		return BetaCluster{}, false
 	}
-	lowerN, upperN := conv.FaceNeighborCounts(s.tree, parentPath)
+	lowerN, upperN := conv.FaceNeighborCounts(up, parentPath)
 	cP := make([]int64, d)
 	nP := make([]int64, d)
 	significant := false
-	parentN := int64(s.tree.N(parent))
+	parentN := int64(up.N(parent))
 	for j := 0; j < d; j++ {
 		nP[j] = parentN + int64(lowerN[j]) + int64(upperN[j])
 		if p[h-1]&(1<<uint(j)) == 0 {
-			cP[j] = int64(s.tree.P(parent, j))
+			cP[j] = int64(up.P(parent, j))
 		} else {
-			cP[j] = parentN - int64(s.tree.P(parent, j))
+			cP[j] = parentN - int64(up.P(parent, j))
 		}
 		if s.isSignificant(cP[j], nP[j]) {
 			significant = true
@@ -797,7 +817,7 @@ func (s *searcher) testCell(p ctree.Path, ah ctree.Ref) (BetaCluster, bool) {
 		Level:      h,
 		Center:     p.Clone(),
 	}
-	cellLowerN, cellUpperN := conv.FaceNeighborCounts(s.tree, p)
+	cellLowerN, cellUpperN := conv.FaceNeighborCounts(ix, p)
 	step := ctree.SideLen(h)
 	// A neighbor only extends the bounds when it holds a noticeable
 	// share of the center cell's points. The paper says "at least one
@@ -806,7 +826,7 @@ func (s *searcher) testCell(p ctree.Path, ah ctree.Ref) (BetaCluster, bool) {
 	// unrelated clusters together through noise (see DESIGN.md §5);
 	// genuine cluster mass spilling over a cell border always clears
 	// this bar.
-	minSpill := s.tree.N(ah) / 20
+	minSpill := ix.N(i) / 20
 	if minSpill < 1 {
 		minSpill = 1
 	}

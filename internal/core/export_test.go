@@ -25,23 +25,32 @@ func WithoutCacheRepair(cfg Config) Config {
 	return cfg
 }
 
-// WindowTree builds the streaming service's clustering input from a
-// stream of points the way the service does: the older half counted
-// into an aging tree and the newer half into the active one, each in
-// InsertBatch batches of batch points, then the aging tree canonicalized
-// (the service does it once per rotation) and merged into a clone of
-// the active tree. MergeFrom writes the canonical order, so the result
-// stores the same cells as a Build of the points at H levels, in the
-// same arena order. Shared by the package's internal and external
-// tests.
-func WindowTree(t testing.TB, pts [][]float64, d, H, batch int) *ctree.Tree {
+// WindowTrees builds the streaming service's window from a stream of
+// points the way the service does: the older half counted into an aging
+// tree and the newer half into the active one, each in InsertBatch
+// batches of batch points, then the aging tree canonicalized (the
+// service does it once per rotation). A pass clusters the two as they
+// are (RunTreeContext over both); WindowTree merges them. Shared by the
+// package's internal and external tests.
+func WindowTrees(t testing.TB, pts [][]float64, d, H, batch int) (aging, active *ctree.Tree) {
 	t.Helper()
-	aging := FirstTouchTree(t, pts[:len(pts)/2], d, H, batch)
-	active := FirstTouchTree(t, pts[len(pts)/2:], d, H, batch)
+	aging = FirstTouchTree(t, pts[:len(pts)/2], d, H, batch)
+	active = FirstTouchTree(t, pts[len(pts)/2:], d, H, batch)
 	aging, err := ctree.Canonicalize(aging)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return aging, active
+}
+
+// WindowTree is the window of WindowTrees merged into one tree: the
+// aging tree merged into a clone of the active one. MergeFrom writes
+// the canonical order, so the result stores the same cells as a Build
+// of the points at H levels, in the same arena order, and is what
+// snapshots of the window save.
+func WindowTree(t testing.TB, pts [][]float64, d, H, batch int) *ctree.Tree {
+	t.Helper()
+	aging, active := WindowTrees(t, pts, d, H, batch)
 	merged := active.Clone()
 	if err := merged.MergeFrom(aging); err != nil {
 		t.Fatal(err)

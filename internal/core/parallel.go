@@ -1,6 +1,6 @@
 // Parallel execution of the pipeline's hot phases. The design goal is
 // determinism: every code path here must produce bit-identical results
-// to the serial one in core.go for any worker count.
+// to the serial one for any worker count.
 //
 // The convolution scan achieves that by reducing with a total order —
 // (value descending, lexicographic cell path ascending) — that does not
@@ -37,24 +37,23 @@ const scanCheckEvery = 4096
 
 // chunkBest is one worker's scan result: the maximal mask value in its
 // chunk and, among the maximal cells, the lexicographically smallest
-// path. ref == ctree.NilRef means the chunk had no eligible cell —
-// every construction site must set it explicitly, because the Ref
-// zero value (0) is the arena's root sentinel, not "absent".
+// path. entry < 0 means the chunk had no eligible cell — every
+// construction site must set it explicitly, because entry 0 is the
+// level's first cell, not "absent".
 type chunkBest struct {
-	val  int64
-	path ctree.Path
-	ref  ctree.Ref
+	val   int64
+	path  ctree.Path
+	entry int
 }
 
 // better reports whether b should replace cur in the reduction. The
 // order is total over eligible cells (paths are unique), so the global
-// winner is independent of chunking and reduction order — and equal to
-// what the serial scan in core.go picks.
+// winner is independent of chunking and reduction order.
 func (b *chunkBest) better(cur *chunkBest) bool {
-	if b.ref == ctree.NilRef {
+	if b.entry < 0 {
 		return false
 	}
-	if cur.ref == ctree.NilRef {
+	if cur.entry < 0 {
 		return true
 	}
 	if b.val != cur.val {
@@ -63,13 +62,14 @@ func (b *chunkBest) better(cur *chunkBest) bool {
 	return b.path.Compare(cur.path) < 0
 }
 
-// densestCellNaiveParallel is the naive (per-pass re-convolving)
-// densestCell fanned out over s.workers chunks of the level's flat
-// index. It survives only behind the naiveScan test hook (the cached
-// scan in scancache.go replaced it as the default); the equivalence
-// suite still exercises it at every worker count.
-func (s *searcher) densestCellNaiveParallel(h int) (ctree.Path, ctree.Ref, int64) {
-	ix := s.tree.LevelIndex(h)
+// densestCellNaive is the naive (per-pass re-convolving) densestCell:
+// each eligible entry of the level index is convolved afresh by 2d
+// neighbor lookups (the full mask's 3^d−1), serially or fanned out over
+// s.workers chunks of the level. It survives only behind the naiveScan
+// test hook (the cached scan in scancache.go replaced it as the
+// default); the equivalence suite exercises it at every worker count.
+func (s *searcher) densestCellNaive(h int) (ctree.Path, int, int64) {
+	ix := s.idx[h-1]
 	n := ix.Len()
 	workers := s.workers
 	if n < minParallelCells {
@@ -80,11 +80,11 @@ func (s *searcher) densestCellNaiveParallel(h int) (ctree.Path, ctree.Ref, int64
 	}
 	if workers <= 1 {
 		best := s.scanChunk(ix, 0, n)
-		return best.path, best.ref, best.val
+		return best.path, best.entry, best.val
 	}
 	bests := make([]chunkBest, workers)
 	for i := range bests {
-		bests[i].ref = ctree.NilRef
+		bests[i].entry = -1
 	}
 	err := parallelRangesIndexedErr(n, workers, func(w, lo, hi int) error {
 		bests[w] = s.scanChunk(ix, lo, hi)
@@ -94,39 +94,35 @@ func (s *searcher) densestCellNaiveParallel(h int) (ctree.Path, ctree.Ref, int64
 		// A contained worker panic; route it through the shared aborter
 		// so findBetaClusters reports it after the fan-out drained.
 		s.failWorker(err)
-		return nil, ctree.NilRef, 0
+		return nil, -1, 0
 	}
 	if s.abort.stoppedNow() {
 		// A checkpoint failed mid-scan; the partial argmax is
 		// meaningless, so report exhaustion and let the caller pick up
 		// the recorded error.
-		return nil, ctree.NilRef, 0
+		return nil, -1, 0
 	}
-	best := chunkBest{ref: ctree.NilRef}
+	best := chunkBest{entry: -1}
 	for i := range bests {
 		if bests[i].better(&best) {
 			best = bests[i]
 		}
 	}
-	if best.ref == ctree.NilRef {
-		return nil, ctree.NilRef, 0
-	}
-	return best.path, best.ref, best.val
+	return best.path, best.entry, best.val
 }
 
 // scanChunk computes the [lo, hi) chunk's argmax under the (value,
-// path) order. It only reads shared state — the tree, the level index,
-// the β-cluster list, and the Used flags (mutated strictly between
-// scans) — and owns its bounds and neighbor-path scratch, so
-// concurrent calls on disjoint chunks are race-free. Instrumentation
-// stays out of the loop: mask applications are counted in a local and
-// merged with one atomic add per chunk.
+// path) order. It only reads shared state — the level index, its Used
+// flags (set strictly between scans) and the β-cluster list — and owns
+// its bounds and neighbor-path scratch, so concurrent calls on disjoint
+// chunks are race-free. Instrumentation stays out of the loop: mask
+// applications are counted in a local and merged with one atomic add
+// per chunk.
 func (s *searcher) scanChunk(ix *ctree.LevelIndex, lo, hi int) chunkBest {
-	best := chunkBest{val: math.MinInt64, ref: ctree.NilRef}
-	d := s.tree.D
-	lBuf := make([]float64, d)
-	uBuf := make([]float64, d)
-	pathBuf := make(ctree.Path, 0, s.tree.H)
+	best := chunkBest{val: math.MinInt64, entry: -1}
+	lBuf := make([]float64, s.d)
+	uBuf := make([]float64, s.d)
+	pathBuf := make(ctree.Path, 0, ix.Level)
 	var maskEvals int64
 	polled := 0
 	for i := lo; i < hi; i++ {
@@ -148,9 +144,9 @@ func (s *searcher) scanChunk(ix *ctree.LevelIndex, lo, hi int) chunkBest {
 		if ix.Used(i) || s.sharesSpaceWithBetaInto(p, lBuf, uBuf) {
 			continue
 		}
-		v := s.maskValue(p, ix.Ref(i), pathBuf)
+		v := s.maskValue(ix, p, i, pathBuf)
 		maskEvals++
-		cand := chunkBest{val: v, path: p, ref: ix.Ref(i)}
+		cand := chunkBest{val: v, path: p, entry: i}
 		if cand.better(&best) {
 			best = cand
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"mrcc/internal/core"
@@ -18,7 +19,9 @@ import (
 // default, so the repair-cursor optimization is swept over the same
 // matrix. The matrix spans dims {5, 10, 18} × workers {1, 2, 8} ×
 // face/full mask; the full mask is O(3^d) per cell, so it runs at d=5
-// always and d=10 only without -short, never at d=18.
+// always and d=10 only without -short, never at d=18. Every entry but
+// the d=10 full mask also runs the three scans over the index of the
+// service's two window trees (core.WindowTrees) over the same points.
 func TestScanCacheEquivalence(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -133,6 +136,29 @@ func TestScanCacheEquivalence(t *testing.T) {
 			assertResultsIdentical(t, cached, noRepair)
 			if len(naive.Betas) == 0 {
 				t.Fatal("degenerate table entry: no β-clusters found, equivalence is vacuous")
+			}
+			// The same points as the service's two window trees: the three
+			// scans over the index of their union must agree with each
+			// other and with the one-tree run (labels and cluster sizes
+			// aside: a run over trees has no dataset to label).
+			if tc.cfg.FullMask && tc.longOnly {
+				return // 3^10 path lookups per cell and pass: the d5 entries cover it
+			}
+			aging, active := core.WindowTrees(t, ds.Points, ds.Dims, core.DefaultH, 500)
+			var pair []*core.Result
+			for _, cfg := range []core.Config{naiveCfg, cachedCfg, fullCfg} {
+				res, err := core.RunTreeContext(context.Background(), []*ctree.Tree{aging, active}, cfg)
+				if err != nil {
+					t.Fatalf("two-tree run: %v", err)
+				}
+				pair = append(pair, res)
+			}
+			cached.Labels = nil
+			for i := range cached.Clusters {
+				cached.Clusters[i].Size = 0
+			}
+			for _, res := range pair {
+				assertResultsIdentical(t, cached, res)
 			}
 		})
 	}

@@ -28,19 +28,25 @@ func scanPairTree(t *testing.T, gen synthetic.Config, h int) (*ctree.Tree, *data
 	return tr, ds
 }
 
-// newScanPair returns (naive, cached) searchers over the same tree.
-// Both run serial; parallel chunking is pinned elsewhere
+// searcherOver returns a searcher over the level indexes idx, as
+// runOnTreeAbortable sets one up; searchers over one idx share its Used
+// flags.
+func searcherOver(idx []*ctree.LevelIndex, cfg Config, workers int) *searcher {
+	return &searcher{idx: idx, d: idx[0].D, cfg: cfg, workers: workers}
+}
+
+// newScanPair returns (naive, cached) searchers over the same tree's
+// level indexes. Both run serial; parallel chunking is pinned elsewhere
 // (TestScanCacheEquivalence, TestParallelEquivalence).
 func newScanPair(tr *ctree.Tree, fullMask bool) (*searcher, *searcher) {
-	naive := &searcher{tree: tr, cfg: WithNaiveScan(Config{FullMask: fullMask}), workers: 1}
-	cached := &searcher{tree: tr, cfg: Config{FullMask: fullMask}, workers: 1}
+	naive := searcherOver(tr.EnsureLevelIndexes(), WithNaiveScan(Config{FullMask: fullMask}), 1)
+	cached := searcherOver(tr.EnsureLevelIndexes(), Config{FullMask: fullMask}, 1)
 	return naive, cached
 }
 
 // betaFromCell builds a β-cluster box covering exactly the cell at p,
 // mimicking what a successful testCell would add.
-func betaFromCell(tr *ctree.Tree, p ctree.Path) BetaCluster {
-	d := tr.D
+func betaFromCell(d int, p ctree.Path) BetaCluster {
 	b := BetaCluster{L: make([]float64, d), U: make([]float64, d), Level: p.Level(), Center: p.Clone()}
 	for j := 0; j < d; j++ {
 		b.L[j], b.U[j] = p.Bounds(j)
@@ -50,17 +56,19 @@ func betaFromCell(tr *ctree.Tree, p ctree.Path) BetaCluster {
 
 // TestDensestCellCachedMatchesNaivePerPass steps the restart loop by
 // hand: on every pass and every level, the cached skip-scan must return
-// the same cell (by arena Ref), path, and mask value as the naive
-// argmax re-scan — including after Used flags flip and β-clusters join
-// the overlap set. This is the per-pass pin the end-to-end equivalence
-// suite cannot give (it only sees final results).
+// the same cell (by level-index entry), path, and mask value as the
+// naive argmax re-scan — including after Used flags flip and
+// β-clusters join the overlap set. This is the per-pass pin the
+// end-to-end equivalence suite cannot give (it only sees final
+// results).
 //
-// The window and insertbatch cases run on the streaming service's
-// window tree (canonical) and on a tree grown by InsertBatch alone
-// (first-touch sibling chains), over a duplicate-heavy stream on which
-// many cells tie on value: the cached scan breaks those ties by
-// level-index entry, the naive scan by Path.Compare, so the two agree
-// only while the index lists every level in path order.
+// The window, insertbatch and two-tree cases run on the streaming
+// service's merged window tree (canonical), on a tree grown by
+// InsertBatch alone (first-touch sibling chains) and on the index over
+// the window's two trees, as a pass reads them, over a duplicate-heavy
+// stream on which many cells tie on value: the cached scan breaks those
+// ties by level-index entry, the naive scan by Path.Compare, so the two
+// agree only while the index lists every level in path order.
 func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 	for _, full := range []bool{false, true} {
 		name := "face"
@@ -73,19 +81,19 @@ func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 				MinClusterDim: 3, MaxClusterDim: 5, Seed: 210,
 			}, 5)
 			naive, cached := newScanPair(tr, full)
-			if hits, _ := stepScanPair(t, tr, naive, cached); hits < 5 {
+			if hits, _ := stepScanPair(t, naive, cached); hits < 5 {
 				t.Fatalf("only %d scan winners exercised; per-pass pin is too weak", hits)
 			}
 		})
 	}
-	window, firstTouch := duplicateTrees(t)
-	for name, tr := range map[string]*ctree.Tree{"window": window, "insertbatch": firstTouch} {
+	window, firstTouch, pair := duplicateTrees(t)
+	for name, srcs := range map[string][]*ctree.Tree{"window": {window}, "insertbatch": {firstTouch}, "two-tree": pair} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				tr.ResetUsed()
-				naive := &searcher{tree: tr, cfg: WithNaiveScan(Config{Workers: workers}), workers: workers}
-				cached := &searcher{tree: tr, cfg: Config{Workers: workers}, workers: workers}
-				hits, ties := stepScanPair(t, tr, naive, cached)
+				idx := unionIndexes(t, srcs)
+				naive := searcherOver(idx, WithNaiveScan(Config{Workers: workers}), workers)
+				cached := searcherOver(idx, Config{Workers: workers}, workers)
+				hits, ties := stepScanPair(t, naive, cached)
 				if hits < 5 || ties < 5 {
 					t.Fatalf("%d scan winners, %d of them tied with the previous winner of their level; the tie-break pin is too weak", hits, ties)
 				}
@@ -94,25 +102,41 @@ func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 	}
 }
 
-// stepScanPair runs up to 40 restart passes over levels 2..H-1 of tr
-// with both searchers, failing on the first pass whose winners differ.
-// Each winner is marked Used, and every third becomes a β-cluster in
-// both searchers, so the overlap-skip path diverges from the Used path
-// and gets pinned too. It returns the number of winners and how many of
-// them had the same value as the previous winner of their level.
-func stepScanPair(t *testing.T, tr *ctree.Tree, naive, cached *searcher) (hits, ties int) {
+// unionIndexes returns the level indexes over srcs: the tree's own,
+// with its Used flags cleared, for one source, the union's otherwise.
+func unionIndexes(t *testing.T, srcs []*ctree.Tree) []*ctree.LevelIndex {
+	t.Helper()
+	if len(srcs) == 1 {
+		srcs[0].ResetUsed()
+		return srcs[0].EnsureLevelIndexes()
+	}
+	idx, err := ctree.UnionLevelIndexes(srcs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// stepScanPair runs up to 40 restart passes over the indexed levels
+// 2..H-1 with both searchers, which share one index, failing on the
+// first pass whose winners differ. Each winner is marked Used in the
+// index, and every third becomes a β-cluster in both searchers, so the
+// overlap-skip path diverges from the Used path and gets pinned too. It
+// returns the number of winners and how many of them had the same value
+// as the previous winner of their level.
+func stepScanPair(t *testing.T, naive, cached *searcher) (hits, ties int) {
 	t.Helper()
 	last := make(map[int]int64)
 	for pass := 0; pass < 40; pass++ {
 		progressed := false
-		for h := 2; h <= tr.H-1; h++ {
+		for h := 2; h <= len(naive.idx); h++ {
 			np, nc, nv := naive.densestCell(h)
 			cp, cc, cv := cached.densestCell(h)
 			if nc != cc {
-				t.Fatalf("pass %d level %d: winners differ: naive %v (ref %d), cached %v (ref %d)",
+				t.Fatalf("pass %d level %d: winners differ: naive %v (entry %d), cached %v (entry %d)",
 					pass, h, np, nc, cp, cc)
 			}
-			if nc == ctree.NilRef {
+			if nc < 0 {
 				continue
 			}
 			if np.Compare(cp) != 0 {
@@ -128,11 +152,11 @@ func stepScanPair(t *testing.T, tr *ctree.Tree, naive, cached *searcher) (hits, 
 			last[h] = nv
 			// Mark the shared winner used, exactly as findBetaClusters
 			// does after a scan.
-			tr.SetUsed(nc, true)
+			naive.idx[h-1].SetUsed(nc, true)
 			progressed = true
 			hits++
 			if hits%3 == 0 {
-				b := betaFromCell(tr, np)
+				b := betaFromCell(naive.d, np)
 				naive.betas = append(naive.betas, b)
 				cached.betas = append(cached.betas, b)
 			}
@@ -146,11 +170,12 @@ func stepScanPair(t *testing.T, tr *ctree.Tree, naive, cached *searcher) (hits, 
 
 // duplicateTrees builds a duplicate-heavy stream — 600 distinct points,
 // each sent six times, in shuffled order — into the streaming service's
-// window tree (WindowTree) and into a tree grown by InsertBatch alone
-// (FirstTouchTree, first-touch sibling chains), H = 5, batches of 200.
-// Cells holding one repeated point and no stored face neighbor all
-// share one mask value, so the scans meet long runs of ties.
-func duplicateTrees(t *testing.T) (window, firstTouch *ctree.Tree) {
+// merged window tree (WindowTree), into a tree grown by InsertBatch
+// alone (FirstTouchTree, first-touch sibling chains) and into the
+// window's two trees (WindowTrees), H = 5, batches of 200. Cells
+// holding one repeated point and no stored face neighbor all share one
+// mask value, so the scans meet long runs of ties.
+func duplicateTrees(t *testing.T) (window, firstTouch *ctree.Tree, pair []*ctree.Tree) {
 	t.Helper()
 	ds, _, err := synthetic.Generate(synthetic.Config{
 		Dims: 5, Points: 600, Clusters: 2, NoiseFrac: 0.3,
@@ -165,7 +190,8 @@ func duplicateTrees(t *testing.T) (window, firstTouch *ctree.Tree) {
 	}
 	rng := rand.New(rand.NewSource(215))
 	rng.Shuffle(len(pts), func(a, b int) { pts[a], pts[b] = pts[b], pts[a] })
-	return WindowTree(t, pts, ds.Dims, 5, 200), FirstTouchTree(t, pts, ds.Dims, 5, 200)
+	aging, active := WindowTrees(t, pts, ds.Dims, 5, 200)
+	return WindowTree(t, pts, ds.Dims, 5, 200), FirstTouchTree(t, pts, ds.Dims, 5, 200), []*ctree.Tree{aging, active}
 }
 
 // TestDensestCellAllBetaOverlapped is the every-cell-β-overlapped edge
@@ -184,11 +210,11 @@ func TestDensestCellAllBetaOverlapped(t *testing.T) {
 	naive.betas = append(naive.betas, cube)
 	cached.betas = append(cached.betas, cube)
 	for h := 2; h <= tr.H-1; h++ {
-		if _, nc, _ := naive.densestCell(h); nc != ctree.NilRef {
-			t.Fatalf("level %d: naive scan found ref %d despite full-cube β-overlap", h, nc)
+		if _, nc, _ := naive.densestCell(h); nc >= 0 {
+			t.Fatalf("level %d: naive scan found entry %d despite full-cube β-overlap", h, nc)
 		}
-		if _, cc, _ := cached.densestCell(h); cc != ctree.NilRef {
-			t.Fatalf("level %d: cached scan found ref %d despite full-cube β-overlap", h, cc)
+		if _, cc, _ := cached.densestCell(h); cc >= 0 {
+			t.Fatalf("level %d: cached scan found entry %d despite full-cube β-overlap", h, cc)
 		}
 	}
 }
@@ -205,9 +231,10 @@ func TestCacheRepairMatchesFullRebuildPerPass(t *testing.T) {
 		Dims: 5, Points: 5000, Clusters: 3, NoiseFrac: 0.15,
 		MinClusterDim: 3, MaxClusterDim: 5, Seed: 212,
 	}, 5)
-	naive := &searcher{tree: tr, cfg: WithNaiveScan(Config{}), workers: 1}
-	repaired := &searcher{tree: tr, cfg: Config{}, workers: 1}
-	rebuilt := &searcher{tree: tr, cfg: WithoutCacheRepair(Config{}), workers: 1}
+	idx := tr.EnsureLevelIndexes()
+	naive := searcherOver(idx, WithNaiveScan(Config{}), 1)
+	repaired := searcherOver(idx, Config{}, 1)
+	rebuilt := searcherOver(idx, WithoutCacheRepair(Config{}), 1)
 	hits := 0
 	for pass := 0; pass < 40; pass++ {
 		progressed := false
@@ -216,21 +243,21 @@ func TestCacheRepairMatchesFullRebuildPerPass(t *testing.T) {
 			rp, rc, rv := repaired.densestCell(h)
 			fp, fc, fv := rebuilt.densestCell(h)
 			if nc != rc || nc != fc {
-				t.Fatalf("pass %d level %d: winners differ: naive ref %d, repaired ref %d, rebuilt ref %d",
+				t.Fatalf("pass %d level %d: winners differ: naive entry %d, repaired entry %d, rebuilt entry %d",
 					pass, h, nc, rc, fc)
 			}
-			if nc == ctree.NilRef {
+			if nc < 0 {
 				continue
 			}
 			if np.Compare(rp) != 0 || np.Compare(fp) != 0 || nv != rv || nv != fv {
 				t.Fatalf("pass %d level %d: path/value mismatch: naive (%v,%d), repaired (%v,%d), rebuilt (%v,%d)",
 					pass, h, np, nv, rp, rv, fp, fv)
 			}
-			tr.SetUsed(nc, true)
+			idx[h-1].SetUsed(nc, true)
 			progressed = true
 			hits++
 			if hits%3 == 0 {
-				b := betaFromCell(tr, np)
+				b := betaFromCell(tr.D, np)
 				naive.betas = append(naive.betas, b)
 				repaired.betas = append(repaired.betas, b)
 				rebuilt.betas = append(rebuilt.betas, b)
@@ -256,11 +283,11 @@ func TestCacheRepairAllCellsFlipInOnePass(t *testing.T) {
 		Dims: 4, Points: 2000, Clusters: 2, NoiseFrac: 0.1,
 		MinClusterDim: 2, MaxClusterDim: 4, Seed: 213,
 	}, 4)
-	s := &searcher{tree: tr, cfg: Config{}, workers: 1}
+	s := searcherOver(tr.EnsureLevelIndexes(), Config{}, 1)
 	const h = 2
 	// Pass 1: a fresh level must yield a winner and leave the cursor at
 	// its position (nothing before it was skipped on a fresh tree).
-	if _, c, _ := s.densestCellCached(h); c == ctree.NilRef {
+	if _, c, _ := s.densestCellCached(h); c < 0 {
 		t.Fatal("fresh level found no densest cell")
 	}
 	// The flip: every cell of every level becomes β-overlapping.
@@ -270,8 +297,8 @@ func TestCacheRepairAllCellsFlipInOnePass(t *testing.T) {
 	}
 	s.betas = append(s.betas, cube)
 	n := tr.LevelCellCount(h)
-	if _, c, _ := s.densestCellCached(h); c != ctree.NilRef {
-		t.Fatalf("level %d: found ref %d despite full-cube β-overlap", h, c)
+	if _, c, _ := s.densestCellCached(h); c >= 0 {
+		t.Fatalf("level %d: found entry %d despite full-cube β-overlap", h, c)
 	}
 	sc := s.scans[h]
 	if int(sc.start) != n {
@@ -282,8 +309,8 @@ func TestCacheRepairAllCellsFlipInOnePass(t *testing.T) {
 	// overlap re-check would now (wrongly) report eligibility; a correct
 	// cursor never consults it.
 	s.betas = s.betas[:0]
-	if _, c, _ := s.densestCellCached(h); c != ctree.NilRef {
-		t.Fatalf("level %d: retired entry resurfaced after the β list was cleared (ref %d): cursor not honored", h, c)
+	if _, c, _ := s.densestCellCached(h); c >= 0 {
+		t.Fatalf("level %d: retired entry resurfaced after the β list was cleared (entry %d): cursor not honored", h, c)
 	}
 }
 
@@ -306,15 +333,15 @@ func TestDensestCellSingleCellLevel(t *testing.T) {
 		}
 		np, nc, nv := naive.densestCell(h)
 		cp, cc, cv := cached.densestCell(h)
-		if nc == ctree.NilRef || nc != cc || np.Compare(cp) != 0 || nv != cv {
+		if nc < 0 || nc != cc || np.Compare(cp) != 0 || nv != cv {
 			t.Fatalf("level %d: single-cell winners differ: naive (%v,%d,%d), cached (%v,%d,%d)",
 				h, np, nc, nv, cp, cc, cv)
 		}
-		tr.SetUsed(nc, true)
-		if _, nc2, _ := naive.densestCell(h); nc2 != ctree.NilRef {
+		naive.idx[h-1].SetUsed(nc, true)
+		if _, nc2, _ := naive.densestCell(h); nc2 >= 0 {
 			t.Fatalf("level %d: naive scan re-found the used lone cell", h)
 		}
-		if _, cc2, _ := cached.densestCell(h); cc2 != ctree.NilRef {
+		if _, cc2, _ := cached.densestCell(h); cc2 >= 0 {
 			t.Fatalf("level %d: cached scan re-found the used lone cell", h)
 		}
 	}
@@ -324,9 +351,10 @@ func TestDensestCellSingleCellLevel(t *testing.T) {
 // full sort it replaced: popping a level's heap to the end must give
 // its entries sorted by (value desc, entry index asc), as
 // slices.SortFunc orders them. It runs on every level of a Build tree,
-// of the duplicate-heavy window and InsertBatch trees (long runs of
-// value ties), of a tree whose levels hold one cell each, and of an
-// empty tree, whose heaps are empty.
+// of the duplicate-heavy window and InsertBatch trees and of the index
+// over the window's two trees (long runs of value ties), of a tree
+// whose levels hold one cell each, and of an empty tree, whose heaps
+// are empty.
 func TestLevelScanHeapPopsSortedOrder(t *testing.T) {
 	built, _ := scanPairTree(t, synthetic.Config{
 		Dims: 5, Points: 5000, Clusters: 3, NoiseFrac: 0.15,
@@ -340,21 +368,22 @@ func TestLevelScanHeapPopsSortedOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window, firstTouch := duplicateTrees(t)
+	window, firstTouch, pair := duplicateTrees(t)
 	for _, c := range []struct {
 		name string
-		tr   *ctree.Tree
+		srcs []*ctree.Tree
 		size func(n int) bool // the level size the case is about
 	}{
-		{"build", built, func(n int) bool { return n > 1 }},
-		{"window", window, func(n int) bool { return n > 1 }},
-		{"insertbatch", firstTouch, func(n int) bool { return n > 1 }},
-		{"single-cell", singleTree, func(n int) bool { return n == 1 }},
-		{"empty", ctree.New(3, 4), func(n int) bool { return n == 0 }},
+		{"build", []*ctree.Tree{built}, func(n int) bool { return n > 1 }},
+		{"window", []*ctree.Tree{window}, func(n int) bool { return n > 1 }},
+		{"insertbatch", []*ctree.Tree{firstTouch}, func(n int) bool { return n > 1 }},
+		{"two-tree", pair, func(n int) bool { return n > 1 }},
+		{"single-cell", []*ctree.Tree{singleTree}, func(n int) bool { return n == 1 }},
+		{"empty", []*ctree.Tree{ctree.New(3, 4)}, func(n int) bool { return n == 0 }},
 	} {
-		s := &searcher{tree: c.tr, cfg: Config{}, workers: 1}
+		s := searcherOver(unionIndexes(t, c.srcs), Config{}, 1)
 		ties := 0
-		for h := 1; h <= c.tr.H-1; h++ {
+		for h := 1; h <= len(s.idx); h++ {
 			sc, err := s.levelScan(h)
 			if err != nil {
 				t.Fatal(err)
@@ -385,8 +414,8 @@ func TestLevelScanHeapPopsSortedOrder(t *testing.T) {
 				}
 			}
 		}
-		if c.name == "window" && ties < 100 {
-			t.Fatalf("window tree: only %d value ties; the tie-break pin is too weak", ties)
+		if (c.name == "window" || c.name == "two-tree") && ties < 100 {
+			t.Fatalf("%s: only %d value ties; the tie-break pin is too weak", c.name, ties)
 		}
 	}
 }

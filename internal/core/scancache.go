@@ -66,7 +66,7 @@ type levelScan struct {
 // does today) must get a fresh, complete build.
 func (s *searcher) levelScan(h int) (*levelScan, error) {
 	if s.scans == nil {
-		s.scans = make([]*levelScan, s.tree.H)
+		s.scans = make([]*levelScan, len(s.idx)+1)
 	}
 	if sc := s.scans[h]; sc != nil {
 		return sc, nil
@@ -92,7 +92,7 @@ func (s *searcher) levelScan(h int) (*levelScan, error) {
 // largest scan-side computation, within one segment. Segmenting changes
 // nothing about the values, each of which is computed on its own.
 func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
-	ix := s.tree.LevelIndex(h)
+	ix := s.idx[h-1]
 	n := ix.Len()
 	vals := make([]int64, n)
 	segmented := func(lo, hi int, fill func(lo, hi int)) error {
@@ -109,7 +109,7 @@ func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 		full := func(lo, hi int) error {
 			return segmented(lo, hi, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					vals[i] = conv.FullValue(s.tree, ix.PathOf(i), ix.Ref(i))
+					vals[i] = conv.FullValue(ix, ix.PathOf(i), i)
 				}
 			})
 		}
@@ -119,7 +119,7 @@ func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 			err = full(0, n)
 		}
 	} else {
-		twoD := int64(2 * s.tree.D)
+		twoD := int64(2 * s.d)
 		err = segmented(0, n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				vals[i] = twoD*int64(ix.N(i)) - ix.FaceSum(i)
@@ -188,7 +188,7 @@ func (sc *levelScan) pop() bool {
 
 // densestCellCached returns the first eligible entry of level h's scan
 // order — by construction the same (cell, value) the naive per-pass
-// argmax scan selects — or (nil, NilRef, 0) when every entry is Used or
+// argmax scan selects — or (nil, -1, 0) when every entry is Used or
 // β-overlapping. Entries leave the heap only as the walk reaches them.
 //
 // The default path resumes at the level's repair cursor and retires
@@ -198,14 +198,14 @@ func (sc *levelScan) pop() bool {
 // With the noCacheRepair test hook the scan re-walks the order from
 // the top — the full-rebuild baseline the equivalence sweep compares
 // against — and the cursor is neither read nor advanced.
-func (s *searcher) densestCellCached(h int) (ctree.Path, ctree.Ref, int64) {
+func (s *searcher) densestCellCached(h int) (ctree.Path, int, int64) {
 	sc, err := s.levelScan(h)
 	if err != nil {
 		// The abort is already recorded in the shared aborter (check
 		// failures) or must be routed there (contained panics);
 		// findBetaClusters picks it up right after this scan returns.
 		s.failWorker(err)
-		return nil, ctree.NilRef, 0
+		return nil, -1, 0
 	}
 	repair := !s.cfg.noCacheRepair
 	from := int(sc.start)
@@ -225,12 +225,12 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, ctree.Ref, int64) {
 			sc.start = int32(pos)
 		}
 		s.col.AddScanProbe(skips, int64(pos-from+1))
-		return p, sc.ix.Ref(idx), sc.vals[idx]
+		return p, idx, sc.vals[idx]
 	}
 	if repair && len(sc.order) > from {
 		s.col.AddCacheRepair(int64(len(sc.order) - from))
 		sc.start = int32(len(sc.order))
 	}
 	s.col.AddScanProbe(skips, int64(len(sc.order)-from))
-	return nil, ctree.NilRef, 0
+	return nil, -1, 0
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,15 +51,18 @@ func driftingStream(t *testing.T) *dataset.Dataset {
 }
 
 // TestWindowTreeMatchesBuild is the cross-path check for the served
-// β-search: clustering the service's window tree (core.WindowTree) and
-// a tree grown by InsertBatch alone (core.FirstTouchTree) with
-// core.RunTree must give the same β-clusters — bounds, relevances,
-// centers — and the same clusters as clustering ctree.Build of the
-// same points, at Workers 1, 2 and 8, on a drifting stream and on a
+// β-search: clustering the service's window tree (core.WindowTree), a
+// tree grown by InsertBatch alone (core.FirstTouchTree) and the
+// window's two trees themselves, as a pass does (core.RunTreeContext
+// over core.WindowTrees' canonical aging and first-touch active trees),
+// must give the same β-clusters — bounds, relevances, centers — and
+// the same clusters as clustering ctree.Build of the same points with
+// core.RunTree, at Workers 1, 2 and 8, on a drifting stream and on a
 // rotated dataset. The window tree is merged into Build's arena order;
 // the InsertBatch tree chains each cell's children in first-touch
-// order, so its level index sorts every child run. Only the answers
-// must agree.
+// order, so its level index sorts every child run; the two-tree run
+// reads the index of their union and writes no merged tree. Only the
+// answers must agree.
 func TestWindowTreeMatchesBuild(t *testing.T) {
 	rotated, _ := genSmall(t, synthetic.Config{
 		Dims: 12, Points: 12000, Clusters: 3, NoiseFrac: 0.15,
@@ -74,6 +78,7 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 		}
 		window := core.WindowTree(t, ds.Points, ds.Dims, core.DefaultH, 1000)
 		firstTouch := core.FirstTouchTree(t, ds.Points, ds.Dims, core.DefaultH, 1000)
+		aging, active := core.WindowTrees(t, ds.Points, ds.Dims, core.DefaultH, 1000)
 		if !ctree.Equal(built, window) || !ctree.Equal(built, firstTouch) {
 			t.Fatalf("%s: the window or InsertBatch tree stores different cells than the build", name)
 		}
@@ -87,8 +92,8 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 				t.Fatalf("%s: no β-clusters, the comparison is vacuous", name)
 			}
 			t.Logf("%s workers=%d: %d β-clusters, %d clusters", name, workers, len(want.Betas), len(want.Clusters))
-			for _, tr := range []*ctree.Tree{window, firstTouch} {
-				got, err := core.RunTree(tr, cfg)
+			for _, srcs := range [][]*ctree.Tree{{window}, {firstTouch}, {active, aging}} {
+				got, err := core.RunTreeContext(context.Background(), srcs, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

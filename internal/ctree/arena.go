@@ -430,12 +430,16 @@ func (t *Tree) ForEachChild(r Ref, fn func(child Ref)) {
 // root sentinel is not a cell).
 func (t *Tree) CellCount() int64 { return int64(len(t.loc)) - 1 }
 
-// ResetUsed clears every usedCell flag, allowing the clustering phase
-// to run again over the same tree.
+// ResetUsed clears every usedCell flag, the tree's and its cached
+// level indexes', allowing the clustering phase to run again over the
+// same tree.
 func (t *Tree) ResetUsed() {
-	for i := range t.used {
-		t.used[i] = false
+	clear(t.used)
+	t.idxMu.Lock()
+	for _, ix := range t.indexes {
+		clear(ix.used)
 	}
+	t.idxMu.Unlock()
 }
 
 // MemoryBytes returns the EXACT heap footprint of the tree's arena in

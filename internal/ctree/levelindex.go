@@ -1,49 +1,62 @@
-// Level indexes: flat, immutable snapshots of the Counting-tree's
-// levels for the β-search. Each entry carries its cell's root path and
-// arena Ref, plus its face sum: the total point count of the cell's
-// stored face neighbors, both sides of every axis. The face-mask
-// convolution of an entry is then 2d·N − FaceSum, one array read
-// instead of 2d root-to-leaf descents (Tree.CellAt, O(h) child lookups
-// per probe).
+// Level indexes: flat, immutable snapshots of the levels of one
+// Counting-tree, or of the union of several, for the β-search. Each
+// entry carries its cell's root path, its point count summed over the
+// source trees, one arena Ref per source (NilRef where that source
+// lacks the cell), the usedCell flag the search sets, and its face sum:
+// the total point count of the cell's stored face neighbors, both sides
+// of every axis. The face-mask convolution of an entry is then
+// 2d·N − FaceSum, one array read instead of 2d root-to-leaf descents.
 //
 // Every level lists its cells in lexicographic path order, whatever
-// arena order the tree was built in: level h holds, for each level h-1
-// entry in turn, that cell's children ascending by loc. Each parent's
-// children therefore form one sorted, contiguous run, which makes the
-// entry index the path order (the β-search breaks value ties by index)
-// and lets the face neighbors be found by merge walks over runs instead
-// of child lookups.
+// arena order the sources were built in: level h holds, for each level
+// h-1 entry in turn, that cell's children ascending by loc, the merge of
+// every source's child run. Each parent's children therefore form one
+// sorted, contiguous run, which makes the entry index the path order
+// (the β-search breaks value ties by index and finds a cell by path
+// with a binary search) and lets the face neighbors be found by merge
+// walks over runs instead of child lookups.
 //
-// Tree.EnsureLevelIndexes builds every stored level at once, top down;
-// the snapshots stay valid for as long as the tree's cell set does not
-// change — Insert and MergeFrom invalidate them. Mutating the tree
-// concurrently with index access is not supported (the pipeline never
-// does: indexes are built before the scan workers fan out, and scan
-// workers only read).
+// Point counts, half-space counts and face sums all add up across
+// trees, so the index over several trees (UnionLevelIndexes) answers
+// the β-search exactly as the index of their MergeFrom would, without
+// writing a merged arena: the trees are walked together, as in Gray and
+// Moore's multi-tree methods, rather than combined first.
+// Tree.EnsureLevelIndexes is the one-tree case, cached on the tree; it
+// stays valid for as long as the tree's cell set does not change
+// (Insert and MergeFrom invalidate it). An index reads its sources'
+// half-space counters, so mutating a source concurrently with index
+// access is not supported (the pipeline never does: indexes are built
+// before the scan workers fan out, and scan workers only read).
 package ctree
 
 import (
+	"errors"
+	"fmt"
 	"math/bits"
 	"unsafe"
 )
 
-// LevelIndex is the flat snapshot of one tree level: one slab of
-// entries in lexicographic path order (entry a precedes entry b exactly
-// when PathOf(a).Compare(PathOf(b)) < 0), with the full root path, the
-// face sum and the arena Ref of every entry. Entries resolve counters
-// (N, Used) through the owning tree's arena columns, so an index adds
-// no copy of the counts.
+// LevelIndex is the flat snapshot of one level of the union of its
+// source trees: one slab per column in lexicographic path order (entry
+// a precedes entry b exactly when PathOf(a).Compare(PathOf(b)) < 0).
+// It owns each entry's summed point count and usedCell flag; the
+// half-space counts are read through the per-source Refs.
 type LevelIndex struct {
 	// Level is the tree level the index covers (1 <= Level <= H-1).
 	Level int
+	// D is the sources' dimensionality.
+	D int
 
-	t *Tree
-	d int
-	n int
+	srcs []*Tree
+	n    int
+
+	// refs[s][i] is entry i's Ref in source s, NilRef where absent.
+	refs [][]Ref
 
 	// Slabs, entry i occupying [i*width, (i+1)*width):
 	paths []uint64 // width Level: the cell's root path words
-	refs  []Ref    // the stored cell's arena Ref
+	cnt   []int32  // the cell's point count, summed over the sources
+	used  []bool   // the usedCell flag the β-search sets
 	face  []int64  // Σ N over the entry's stored face neighbors
 	// up (width d) is entry i's upper face neighbor per axis, -1 when
 	// absent. The level below reads it to find its own neighbors, so it
@@ -55,16 +68,33 @@ type LevelIndex struct {
 // Len returns the number of stored cells at the level.
 func (ix *LevelIndex) Len() int { return ix.n }
 
-// Ref returns entry i's arena Ref in the owning tree.
-func (ix *LevelIndex) Ref(i int) Ref { return ix.refs[i] }
+// Ref returns entry i's arena Ref in source src (the index's src-th
+// tree), or NilRef when that source does not store the cell.
+func (ix *LevelIndex) Ref(i, src int) Ref { return ix.refs[src][i] }
 
-// N returns entry i's point count, read through the owning tree's
-// arena.
-func (ix *LevelIndex) N(i int) int32 { return ix.t.n[ix.refs[i]] }
+// N returns entry i's point count, summed over the sources.
+func (ix *LevelIndex) N(i int) int32 { return ix.cnt[i] }
 
-// Used reports entry i's usedCell flag, read through the owning tree's
-// arena (so SetUsed during the scan is visible without a rebuild).
-func (ix *LevelIndex) Used(i int) bool { return ix.t.used[ix.refs[i]] }
+// P returns entry i's half-space count along axis j (its points in the
+// lower half of axis j, at the next level's granularity), summed over
+// the sources that store the cell.
+func (ix *LevelIndex) P(i, j int) int32 {
+	var sum int32
+	for s, refs := range ix.refs {
+		if r := refs[i]; r >= 0 {
+			sum += ix.srcs[s].P(r, j)
+		}
+	}
+	return sum
+}
+
+// Used reports entry i's usedCell flag.
+func (ix *LevelIndex) Used(i int) bool { return ix.used[i] }
+
+// SetUsed sets entry i's usedCell flag. The β-search marks the winning
+// cell of each scan pass this way; the source trees' own flags are not
+// touched.
+func (ix *LevelIndex) SetUsed(i int, used bool) { ix.used[i] = used }
 
 // FaceSum returns the summed point counts of entry i's stored face
 // neighbors, lower and upper along every axis: the 2d face terms of the
@@ -79,13 +109,49 @@ func (ix *LevelIndex) PathOf(i int) Path {
 	return Path(ix.paths[i*h : (i+1)*h : (i+1)*h])
 }
 
-// MemoryBytes is the exact footprint of the index: its slabs and ref
-// slice.
+// Find returns the entry index of the cell at path p, or -1 when no
+// source stores it. The entries ascend in path order, so it is a binary
+// search; p must address the index's level.
+func (ix *LevelIndex) Find(p Path) int {
+	h := ix.Level
+	if len(p) != h {
+		return -1
+	}
+	paths, lo, hi := ix.paths, 0, ix.n
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if pathLess(paths[m*h:m*h+h], p) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < ix.n && !pathLess(p, paths[lo*h:lo*h+h]) {
+		return lo
+	}
+	return -1
+}
+
+// pathLess reports whether path a precedes path b of the same length.
+func pathLess(a, b []uint64) bool {
+	for i, w := range a {
+		if w != b[i] {
+			return w < b[i]
+		}
+	}
+	return false
+}
+
+// MemoryBytes is the exact footprint of the index's slabs.
 func (ix *LevelIndex) MemoryBytes() uint64 {
 	var total uint64
 	total += uint64(unsafe.Sizeof(*ix))
 	total += uint64(cap(ix.paths)) * 8
-	total += uint64(cap(ix.refs)) * uint64(unsafe.Sizeof(NilRef))
+	for _, refs := range ix.refs {
+		total += uint64(unsafe.Sizeof(refs)) + uint64(cap(refs))*uint64(unsafe.Sizeof(NilRef))
+	}
+	total += uint64(cap(ix.cnt)) * 4
+	total += uint64(cap(ix.used))
 	total += uint64(cap(ix.face)) * 8
 	total += uint64(cap(ix.up)) * 4
 	return total
@@ -100,43 +166,103 @@ type levelRuns struct {
 	locs []uint64
 }
 
-// fillLevel lists level h's n cells in path order — for each entry of
-// above in turn (the root sentinel at level 1, where above is nil),
-// that cell's children ascending by loc — and fills each entry's path
-// and Ref from its parent entry's. appendChildren reads a run that
-// Build, a spilled build or MergeFrom chained ascending as it stands,
-// and sorts only those of a tree grown in first-touch order
-// (InsertBatch).
-func (t *Tree) fillLevel(h, n int, above *LevelIndex) (*LevelIndex, levelRuns) {
+// fillLevel lists level h's cells of the union of srcs in path order —
+// for each entry of above in turn (at level 1, where above is nil, the
+// sources' root sentinels), the merge of every source's child run of
+// that cell, ascending by loc — and fills each entry's path from its
+// parent entry's, its per-source Refs and its summed count. n bounds
+// the level's entry count. appendChildren reads a run that Build, a
+// spilled build or MergeFrom chained ascending as it stands, and sorts
+// only those of a tree grown in first-touch order (InsertBatch). A
+// parent whose children all sit in one source (every parent of a lone
+// source's index) takes that source's run whole.
+func fillLevel(srcs []*Tree, h, n int, above *LevelIndex) (*LevelIndex, levelRuns) {
+	k := len(srcs)
 	ix := &LevelIndex{
 		Level: h,
-		t:     t,
-		d:     t.D,
-		n:     n,
-		paths: make([]uint64, n*h),
-		refs:  make([]Ref, 0, n),
-		face:  make([]int64, n),
+		srcs:  srcs,
+		D:     srcs[0].D,
+		paths: make([]uint64, 0, n*h),
+		refs:  make([][]Ref, k),
+		cnt:   make([]int32, 0, n),
 	}
-	parRefs := []Ref{rootRef}
+	parents, parRefs := 1, make([][]Ref, k)
+	for s := range srcs {
+		ix.refs[s] = make([]Ref, 0, n)
+		parRefs[s] = []Ref{rootRef}
+	}
 	var parPaths []uint64
 	if above != nil {
-		parRefs, parPaths = above.refs, above.paths
+		parents, parRefs, parPaths = above.n, above.refs, above.paths
 	}
-	runs := levelRuns{kids: make([]int32, len(parRefs)+1), locs: make([]uint64, n)}
-	for p, par := range parRefs {
-		lo := len(ix.refs)
-		runs.kids[p] = int32(lo)
-		ix.refs = t.appendChildren(ix.refs, par)
+	runs := levelRuns{kids: make([]int32, parents+1), locs: make([]uint64, 0, n)}
+	kids := make([][]Ref, k) // each source's child run of the current parent
+	pos := make([]int, k)
+	for p := 0; p < parents; p++ {
+		runs.kids[p] = int32(len(ix.cnt))
 		parPath := parPaths[p*(h-1) : (p+1)*(h-1)]
-		for i := lo; i < len(ix.refs); i++ {
-			loc := t.loc[ix.refs[i]]
-			runs.locs[i] = loc
-			path := ix.paths[i*h : (i+1)*h]
-			copy(path, parPath)
-			path[h-1] = loc
+		lone, sources := 0, 0
+		for s, t := range srcs {
+			kids[s], pos[s] = kids[s][:0], 0
+			if r := parRefs[s][p]; r >= 0 {
+				if kids[s] = t.appendChildren(kids[s], r); len(kids[s]) > 0 {
+					lone, sources = s, sources+1
+				}
+			}
+		}
+		if sources <= 1 {
+			t, run := srcs[lone], kids[lone]
+			for s := range srcs {
+				if s == lone {
+					ix.refs[s] = append(ix.refs[s], run...)
+					continue
+				}
+				for range run {
+					ix.refs[s] = append(ix.refs[s], NilRef)
+				}
+			}
+			for _, c := range run {
+				loc := t.loc[c]
+				ix.cnt = append(ix.cnt, t.n[c])
+				runs.locs = append(runs.locs, loc)
+				ix.paths = append(append(ix.paths, parPath...), loc)
+			}
+			continue
+		}
+		for {
+			// The union's next child is the smallest loc at the head of
+			// any source's run; every source whose head holds it stores
+			// the cell.
+			loc, found := uint64(0), false
+			for s, t := range srcs {
+				if pos[s] < len(kids[s]) {
+					if l := t.loc[kids[s][pos[s]]]; !found || l < loc {
+						loc, found = l, true
+					}
+				}
+			}
+			if !found {
+				break
+			}
+			var cnt int32
+			for s, t := range srcs {
+				r := NilRef
+				if pos[s] < len(kids[s]) && t.loc[kids[s][pos[s]]] == loc {
+					r = kids[s][pos[s]]
+					pos[s]++
+					cnt += t.n[r]
+				}
+				ix.refs[s] = append(ix.refs[s], r)
+			}
+			ix.cnt = append(ix.cnt, cnt)
+			runs.locs = append(runs.locs, loc)
+			ix.paths = append(append(ix.paths, parPath...), loc)
 		}
 	}
-	runs.kids[len(parRefs)] = int32(len(ix.refs))
+	ix.n = len(ix.cnt)
+	runs.kids[parents] = int32(ix.n)
+	ix.used = make([]bool, ix.n)
+	ix.face = make([]int64, ix.n)
 	return ix, runs
 }
 
@@ -164,7 +290,7 @@ func (t *Tree) fillLevel(h, n int, above *LevelIndex) (*LevelIndex, levelRuns) {
 // differ, so siblings are walked only along the axes that top an
 // adjacent pair's difference: one axis for a two-cell run.
 func (ix *LevelIndex) linkUpper(above *LevelIndex, runs levelRuns, rows bool) {
-	d, kids, locs := ix.d, runs.kids, runs.locs
+	d, kids, locs := ix.D, runs.kids, runs.locs
 	if rows {
 		ix.up = make([]int32, ix.n*d)
 		for i := range ix.up {
@@ -206,7 +332,7 @@ func (ix *LevelIndex) linkUpper(above *LevelIndex, runs levelRuns, rows bool) {
 // rows when the level keeps them. The flipped locs ascend with the
 // sources, so the target cursor only moves forward.
 func (ix *LevelIndex) mergeLinks(locs []uint64, lo, hi, blo, bhi, j int, set bool) {
-	n, refs, face, up := ix.t.n, ix.refs, ix.face, ix.up
+	cnt, face, up := ix.cnt, ix.face, ix.up
 	bit := uint64(1) << uint(j)
 	from := uint64(0)
 	if set {
@@ -226,42 +352,88 @@ func (ix *LevelIndex) mergeLinks(locs []uint64, lo, hi, blo, bhi, j int, set boo
 			return
 		}
 		if locs[b] == want {
-			face[a] += int64(n[refs[b]])
-			face[b] += int64(n[refs[a]])
+			face[a] += int64(cnt[b])
+			face[b] += int64(cnt[a])
 			if up != nil {
-				up[a*ix.d+j] = int32(b)
+				up[a*ix.D+j] = int32(b)
 			}
 		}
 	}
 }
 
-// EnsureLevelIndexes materializes the level indexes for every stored
-// level (1..H-1) and returns them (indexes[h-1] is level h). The call
-// is idempotent and cheap after the first build; Insert and MergeFrom
-// invalidate the cache. Concurrent calls are safe; calling concurrently
-// with tree mutation is not.
+// EnsureLevelIndexes materializes the level indexes of t alone for
+// every stored level (1..H-1) and returns them (indexes[h-1] is level
+// h). The call is idempotent and cheap after the first build; Insert
+// and MergeFrom invalidate the cache, and ResetUsed clears its usedCell
+// flags. Concurrent calls are safe; calling concurrently with tree
+// mutation is not.
 func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	if t.indexes == nil {
-		t.indexes = t.buildLevelIndexes(false)
+		t.indexes = buildLevelIndexes([]*Tree{t}, false)
 	}
 	return t.indexes
 }
 
-// buildLevelIndexes builds the index of every stored level, top down:
-// level h is filled from level h-1's entries and linked from level
-// h-1's link rows. Only the level below reads a level's link rows, so
-// unless keepLinks is set they are dropped as soon as that level is
-// linked, and the last level never records them: at most two levels'
-// rows are alive at once, and none outlive the build.
-func (t *Tree) buildLevelIndexes(keepLinks bool) []*LevelIndex {
-	counts := t.levelCellCountsWalk()
-	idxs := make([]*LevelIndex, t.H-1)
+// UnionLevelIndexes builds the level indexes of the union of srcs
+// (indexes[h-1] is level h): every cell any source stores, in path
+// order, with its counts summed over the sources. The result is not
+// cached on any source, and the sources must not change while it is in
+// use. Like MergeFrom, it refuses sources of different geometry or
+// whose points sum past MaxPoints.
+func UnionLevelIndexes(srcs ...*Tree) ([]*LevelIndex, error) {
+	if len(srcs) == 0 {
+		return nil, errors.New("ctree: no trees to index")
+	}
+	if err := checkUnion(srcs...); err != nil {
+		return nil, err
+	}
+	return buildLevelIndexes(srcs, false), nil
+}
+
+// checkUnion reports whether trees can be counted as one: the same
+// dimensionality and resolution count, and at most MaxPoints points in
+// total, since every cell counter is int32 and the union's level-1
+// cells count every point.
+func checkUnion(trees ...*Tree) error {
+	first, eta := trees[0], int64(0)
+	for _, t := range trees {
+		if t.D != first.D || t.H != first.H {
+			return fmt.Errorf("ctree: cannot combine (d=%d, H=%d) with (d=%d, H=%d)",
+				first.D, first.H, t.D, t.H)
+		}
+		eta += int64(t.Eta)
+	}
+	if eta > int64(MaxPoints) {
+		return fmt.Errorf("ctree: combining %d points exceeds the int32 cell-counter maximum %d (MaxPoints); shard into separate trees",
+			eta, int64(MaxPoints))
+	}
+	return nil
+}
+
+// buildLevelIndexes builds the index of every stored level of the union
+// of srcs, top down: level h is filled from level h-1's entries and
+// linked from level h-1's link rows. Only the level below reads a
+// level's link rows, so unless keepLinks is set they are dropped as
+// soon as that level is linked, and the last level never records them:
+// at most two levels' rows are alive at once, and none outlive the
+// build.
+func buildLevelIndexes(srcs []*Tree, keepLinks bool) []*LevelIndex {
+	H := srcs[0].H
+	// A level of the union holds at most the sources' cells together,
+	// and exactly those of a lone source.
+	bound := make([]int, H)
+	for _, t := range srcs {
+		for h, c := range t.levelCellCountsWalk() {
+			bound[h] += c
+		}
+	}
+	idxs := make([]*LevelIndex, H-1)
 	var above *LevelIndex
-	for h := 1; h <= t.H-1; h++ {
-		ix, runs := t.fillLevel(h, counts[h], above)
-		ix.linkUpper(above, runs, keepLinks || h < t.H-1)
+	for h := 1; h <= H-1; h++ {
+		ix, runs := fillLevel(srcs, h, bound[h], above)
+		ix.linkUpper(above, runs, keepLinks || h < H-1)
 		if above != nil && !keepLinks {
 			above.up = nil
 		}

@@ -11,37 +11,40 @@ import (
 	"mrcc/internal/treeio"
 )
 
-// checkUpperLinks pins the upper face neighbor links — kept for the
-// check by ctree.LevelIndexesWithLinks, since the production build drops
-// them once read — against the reference neighbor resolution,
-// Path.NeighborInto + CellAt, for every entry and axis of every stored
-// level, and returns how many links resolved to a stored cell on each
-// level (links[h]) and how many were absent in total.
-func checkUpperLinks(t *testing.T, name string, tr *ctree.Tree) (links []int, absent int) {
+// checkUpperLinks pins the upper face neighbor links of the index over
+// srcs — kept for the check by ctree.LevelIndexesWithLinks, since the
+// production build drops them once read — against the reference
+// neighbor resolution, Path.NeighborInto + CellAt on every source, for
+// every entry and axis of every stored level: a link must lead to the
+// entry at the neighbor's path, and exist exactly when some source
+// stores that cell. It returns how many links resolved to a stored cell
+// on each level (links[h]) and how many were absent in total.
+func checkUpperLinks(t *testing.T, name string, srcs []*ctree.Tree) (links []int, absent int) {
 	t.Helper()
-	links = make([]int, tr.H)
+	links = make([]int, srcs[0].H)
 	var buf ctree.Path
-	for _, ix := range ctree.LevelIndexesWithLinks(tr) {
+	for _, ix := range ctree.LevelIndexesWithLinks(srcs...) {
 		h := ix.Level
 		for i := 0; i < ix.Len(); i++ {
 			p := ix.PathOf(i)
-			for j := 0; j < tr.D; j++ {
-				want := ctree.NilRef
+			for j := 0; j < srcs[0].D; j++ {
+				stored := false
 				np, ok := p.NeighborInto(buf, j, true)
 				if ok {
-					want = tr.CellAt(np)
 					buf = np
+					for _, tr := range srcs {
+						stored = stored || tr.CellAt(np) != ctree.NilRef
+					}
 				}
-				got := ctree.NilRef
-				if k := ctree.UpperLink(ix, i, j); k >= 0 {
-					got = ix.Ref(k)
+				k := ctree.UpperLink(ix, i, j)
+				if k >= 0 {
 					links[h]++
 				} else {
 					absent++
 				}
-				if got != want {
-					t.Fatalf("%s: level %d entry %d axis %d: upper link %d, CellAt(neighbor) %d",
-						name, h, i, j, got, want)
+				if (k >= 0) != stored || k >= 0 && ix.PathOf(k).Compare(np) != 0 {
+					t.Fatalf("%s: level %d entry %d axis %d: upper link %d, neighbor stored=%v at %v",
+						name, h, i, j, k, stored, np)
 				}
 			}
 		}
@@ -88,15 +91,18 @@ func linkPoints(d, fine, n int, shifted bool, seed int64) [][]float64 {
 }
 
 // TestLevelIndexNeighborLookup pins the upper face neighbor links against
-// the Path.NeighborInto + CellAt oracle on every tree producer the
-// β-search reads: Build at Workers 1 and 8, a tree grown by InsertBatch
-// alone (first-touch sibling chains), the streaming service's window
-// tree (InsertBatch-grown trees merged by MergeFrom, canonical) and a
-// treeio save/load round trip of that window tree — over d ∈ {1, 2, 15, 63}
-// and H ∈ {3, 4, MaxLevels}, with uniform and neighbor-rich layouts.
-// It also checks that the oracle saw both outcomes: absent links (the
-// upper grid edge always has them) and, on the neighbor-rich layout,
-// resolved ones at levels 1, 2 and the finest shifted level.
+// the Path.NeighborInto + CellAt oracle on every producer of the
+// indexes the β-search reads: Build at Workers 1 and 8, a tree grown by
+// InsertBatch alone (first-touch sibling chains), the streaming
+// service's window tree (InsertBatch-grown trees merged by MergeFrom,
+// canonical), a treeio save/load round trip of that window tree, and
+// the index over the window's two trees themselves, as a pass reads
+// them (the canonicalized aging tree and the first-touch active one) —
+// over d ∈ {1, 2, 15, 63} and H ∈ {3, 4, MaxLevels}, with uniform and
+// neighbor-rich layouts. It also checks that the oracle saw both
+// outcomes: absent links (the upper grid edge always has them) and, on
+// the neighbor-rich layout, resolved ones at levels 1, 2 and the finest
+// shifted level.
 func TestLevelIndexNeighborLookup(t *testing.T) {
 	for _, d := range []int{1, 2, 15, 63} {
 		for _, H := range []int{3, 4, ctree.MaxLevels} {
@@ -111,8 +117,8 @@ func TestLevelIndexNeighborLookup(t *testing.T) {
 				name := fmt.Sprintf("d%d_H%d_shifted=%v", d, H, shifted)
 				t.Run(name, func(t *testing.T) {
 					pts := linkPoints(d, fine, n, shifted, int64(d*100+H))
-					for name, tr := range linkProducers(t, d, H, pts) {
-						links, absent := checkUpperLinks(t, name, tr)
+					for name, srcs := range linkProducers(t, d, H, pts) {
+						links, absent := checkUpperLinks(t, name, srcs)
 						if absent == 0 {
 							t.Errorf("%s: no absent link, the grid edge was never reached", name)
 						}
@@ -129,20 +135,21 @@ func TestLevelIndexNeighborLookup(t *testing.T) {
 }
 
 // linkProducers builds pts through every producer TestLevelIndexNeighborLookup
-// covers, keyed by a readable name.
-func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string]*ctree.Tree {
+// covers, keyed by a readable name: each producer is the list of trees
+// one index covers, a single tree except for the window's two.
+func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string][]*ctree.Tree {
 	t.Helper()
 	ds := dataset.New(d, len(pts))
 	for _, p := range pts {
 		ds.Append(p)
 	}
-	out := map[string]*ctree.Tree{}
+	out := map[string][]*ctree.Tree{}
 	for _, w := range []int{1, 8} {
 		tr, err := ctree.Build(ds, H, ctree.BuildOptions{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[fmt.Sprintf("build/workers=%d", w)] = tr
+		out[fmt.Sprintf("build/workers=%d", w)] = []*ctree.Tree{tr}
 	}
 	// The whole stream grown by InsertBatch alone: sibling chains in
 	// first-touch order, which the level index sorts run by run.
@@ -152,7 +159,7 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string]*ctree.Tr
 			t.Fatal(err)
 		}
 	}
-	out["insertbatch"] = firstTouch
+	out["insertbatch"] = []*ctree.Tree{firstTouch}
 	// The service's window: the older half of the stream in the aging
 	// tree, the newer half in the active one, each grown batch by batch.
 	aging, active := ctree.New(d, H), ctree.New(d, H)
@@ -171,7 +178,7 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string]*ctree.Tr
 	if err := merged.MergeFrom(active); err != nil {
 		t.Fatal(err)
 	}
-	out["window/clone+merge"] = merged
+	out["window/clone+merge"] = []*ctree.Tree{merged}
 	var buf bytes.Buffer
 	if _, err := treeio.Save(&buf, merged); err != nil {
 		t.Fatal(err)
@@ -180,29 +187,37 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string]*ctree.Tr
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["window/treeio-roundtrip"] = loaded
+	out["window/treeio-roundtrip"] = []*ctree.Tree{loaded}
+	canonAging, err := ctree.Canonicalize(aging)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["window/two-tree"] = []*ctree.Tree{active, canonAging}
 	return out
 }
 
 // TestLevelIndexMatchesWalk pins the level index's path-order contract
-// on every tree producer: Build at Workers 1 and 8, a tree grown by
+// on every producer: Build at Workers 1 and 8, a tree grown by
 // InsertBatch alone (first-touch sibling chains, so the fill sorts
 // every child run) and that tree after Canonicalize, the streaming
 // service's window tree (InsertBatch-grown halves merged by MergeFrom,
-// which writes the canonical order) and that window tree after a treeio
-// round trip. On each, every level's entries must ascend
-// strictly by Path.Compare, hold exactly the (path, ref) pairs
-// WalkLevel visits, and read N and Used from the arena. The neighbor
-// links are pinned by TestLevelIndexNeighborLookup, the face sums by
-// conv's TestFaceSumMatchesScratch.
+// which writes the canonical order), that window tree after a treeio
+// round trip, and the index over the window's two trees. On each, every
+// level's entries must ascend strictly by Path.Compare and hold exactly
+// the paths WalkLevel visits in any source, each with every source's
+// Ref at that path (NilRef where the source lacks it) and the sources'
+// summed N and P. The neighbor links are pinned by
+// TestLevelIndexNeighborLookup, the face sums by conv's
+// TestFaceSumMatchesScratch.
 func TestLevelIndexMatchesWalk(t *testing.T) {
 	for _, c := range []struct{ d, H, n int }{{6, 5, 3000}, {15, 4, 2000}, {2, ctree.MaxLevels, 300}} {
 		pts := linkPoints(c.d, min(c.H-1, 50), c.n, true, int64(c.d*100+c.H))
 		producers := linkProducers(t, c.d, c.H, pts)
-		if canon, err := ctree.Canonicalize(producers["window/clone+merge"]); err != nil || canon != producers["window/clone+merge"] {
+		window := producers["window/clone+merge"][0]
+		if canon, err := ctree.Canonicalize(window); err != nil || canon != window {
 			t.Fatalf("d%d_H%d: the merged window tree is not canonical (err=%v)", c.d, c.H, err)
 		}
-		firstTouch := producers["insertbatch"]
+		firstTouch := producers["insertbatch"][0]
 		canon, err := ctree.Canonicalize(firstTouch)
 		if err != nil {
 			t.Fatal(err)
@@ -210,35 +225,74 @@ func TestLevelIndexMatchesWalk(t *testing.T) {
 		if canon == firstTouch {
 			t.Fatalf("d%d_H%d: the InsertBatch tree is already canonical, so it cannot test the child-run sort", c.d, c.H)
 		}
-		producers["insertbatch/canonicalized"] = canon
-		for name, tr := range producers {
-			checkIndexMatchesWalk(t, fmt.Sprintf("d%d_H%d/%s", c.d, c.H, name), tr)
+		producers["insertbatch/canonicalized"] = []*ctree.Tree{canon}
+		for name, srcs := range producers {
+			checkIndexMatchesWalk(t, fmt.Sprintf("d%d_H%d/%s", c.d, c.H, name), srcs)
 		}
 	}
 }
 
-// checkIndexMatchesWalk is TestLevelIndexMatchesWalk's check of one
-// tree.
-func checkIndexMatchesWalk(t *testing.T, name string, tr *ctree.Tree) {
+// checkIndexMatchesWalk is TestLevelIndexMatchesWalk's check of the
+// index over srcs (the tree's cached one for a single source).
+func checkIndexMatchesWalk(t *testing.T, name string, srcs []*ctree.Tree) {
 	t.Helper()
-	for h := 1; h <= tr.H-1; h++ {
-		walk := map[ctree.Ref]ctree.Path{}
-		tr.WalkLevel(h, func(p ctree.Path, r ctree.Ref) { walk[r] = p.Clone() })
-		ix := tr.LevelIndex(h)
+	idxs := srcs[0].EnsureLevelIndexes()
+	if len(srcs) > 1 {
+		var err error
+		if idxs, err = ctree.UnionLevelIndexes(srcs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := srcs[0].D
+	for h := 1; h <= srcs[0].H-1; h++ {
+		// walk[path][s] is source s's Ref at path.
+		walk := map[string][]ctree.Ref{}
+		for s, tr := range srcs {
+			tr.WalkLevel(h, func(p ctree.Path, r ctree.Ref) {
+				key := fmt.Sprint(p)
+				if walk[key] == nil {
+					walk[key] = make([]ctree.Ref, len(srcs))
+					for i := range walk[key] {
+						walk[key][i] = ctree.NilRef
+					}
+				}
+				walk[key][s] = r
+			})
+		}
+		ix := idxs[h-1]
 		if ix.Len() != len(walk) {
-			t.Fatalf("%s: level %d index has %d entries, WalkLevel visits %d", name, h, ix.Len(), len(walk))
+			t.Fatalf("%s: level %d index has %d entries, WalkLevel visits %d paths", name, h, ix.Len(), len(walk))
 		}
 		for i := 0; i < ix.Len(); i++ {
 			p := ix.PathOf(i)
 			if i > 0 && ix.PathOf(i-1).Compare(p) >= 0 {
 				t.Fatalf("%s: level %d entries %d and %d are out of path order: %v, %v", name, h, i-1, i, ix.PathOf(i-1), p)
 			}
-			r := ix.Ref(i)
-			if wp, ok := walk[r]; !ok || wp.Compare(p) != 0 {
-				t.Fatalf("%s: level %d entry %d: (path %v, ref %d) is not a WalkLevel pair (walk path %v)", name, h, i, p, r, wp)
+			refs, ok := walk[fmt.Sprint(p)]
+			if !ok {
+				t.Fatalf("%s: level %d entry %d: path %v is not a WalkLevel path", name, h, i, p)
 			}
-			if ix.N(i) != tr.N(r) || ix.Used(i) != tr.Used(r) {
-				t.Fatalf("%s: level %d entry %d: N/Used differ from the arena", name, h, i)
+			var n int32
+			pc := make([]int32, d)
+			for s, tr := range srcs {
+				r := ix.Ref(i, s)
+				if r != refs[s] {
+					t.Fatalf("%s: level %d entry %d: source %d Ref %d, WalkLevel's %d", name, h, i, s, r, refs[s])
+				}
+				if r != ctree.NilRef {
+					n += tr.N(r)
+					for j := range pc {
+						pc[j] += tr.P(r, j)
+					}
+				}
+			}
+			if ix.N(i) != n {
+				t.Fatalf("%s: level %d entry %d: N %d, the sources' sum %d", name, h, i, ix.N(i), n)
+			}
+			for j, want := range pc {
+				if got := ix.P(i, j); got != want {
+					t.Fatalf("%s: level %d entry %d axis %d: P %d, the sources' sum %d", name, h, i, j, got, want)
+				}
 			}
 		}
 	}

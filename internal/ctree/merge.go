@@ -83,13 +83,8 @@ func (t *Tree) MergeFrom(other *Tree) error {
 	if other == nil {
 		return nil
 	}
-	if t.D != other.D || t.H != other.H {
-		return fmt.Errorf("ctree: cannot merge (d=%d, H=%d) with (d=%d, H=%d)",
-			t.D, t.H, other.D, other.H)
-	}
-	if int64(t.Eta)+int64(other.Eta) > int64(MaxPoints) {
-		return fmt.Errorf("ctree: merging %d + %d points exceeds the int32 cell-counter maximum %d (MaxPoints); shard into separate trees",
-			t.Eta, other.Eta, int64(MaxPoints))
+	if err := checkUnion(t, other); err != nil {
+		return err
 	}
 	t.invalidateIndexes()
 	w := newMergeWalk(t, other)

@@ -70,6 +70,37 @@ func TestMergeRefusesOverflow(t *testing.T) {
 	}
 }
 
+// TestUnionIndexRefusesOverflow pins UnionLevelIndexes to MergeFrom's
+// guards: sources whose points sum past MaxPoints (simulated through
+// Eta, as TestMergeRefusesOverflow does) or whose geometry differs are
+// refused, and sources summing to exactly MaxPoints are indexed.
+func TestUnionIndexRefusesOverflow(t *testing.T) {
+	build := func(v float64, h int) *Tree {
+		ds := dataset.New(2, 1)
+		ds.Append([]float64{v, v})
+		tree, err := Build(ds, h, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	a, b := build(0.25, 4), build(0.75, 4)
+	a.Eta, b.Eta = MaxPoints-1, 2
+	if _, err := UnionLevelIndexes(a, b); err == nil || !strings.Contains(err.Error(), "MaxPoints") {
+		t.Fatalf("sources summing past MaxPoints: err = %v, want a MaxPoints refusal", err)
+	}
+	b.Eta = 1
+	if idx, err := UnionLevelIndexes(a, b); err != nil || idx[0].Len() != 2 {
+		t.Fatalf("sources summing to exactly MaxPoints: err = %v", err)
+	}
+	if _, err := UnionLevelIndexes(a, build(0.5, 5)); err == nil {
+		t.Fatal("sources of different H indexed together")
+	}
+	if _, err := UnionLevelIndexes(); err == nil {
+		t.Fatal("an index over no trees was built")
+	}
+}
+
 // TestMaxPointsIsInt32Max documents why the limit exists at all.
 func TestMaxPointsIsInt32Max(t *testing.T) {
 	if MaxPoints != math.MaxInt32 {

@@ -1,0 +1,86 @@
+package ctree
+
+import (
+	"fmt"
+	"testing"
+)
+
+// checkUnionIndex requires the index over a and b (UnionLevelIndexes) to
+// match, level by level and entry for entry, the index of their union
+// written by MergeFrom: the same paths, counts, half-space counts and
+// face sums. Each entry's Ref in a source must be that source's cell at
+// the entry's path, or NilRef where the source lacks it.
+func checkUnionIndex(t *testing.T, name string, a, b *Tree) {
+	t.Helper()
+	merged := a.Clone()
+	if err := merged.MergeFrom(b); err != nil {
+		t.Fatal(err)
+	}
+	want := merged.EnsureLevelIndexes()
+	got, err := UnionLevelIndexes(a, b)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for h := 1; h <= a.H-1; h++ {
+		g, w := got[h-1], want[h-1]
+		if g.Level != h || g.Len() != w.Len() {
+			t.Fatalf("%s: level %d holds %d entries, the merged tree's %d", name, h, g.Len(), w.Len())
+		}
+		for i := 0; i < g.Len(); i++ {
+			p := g.PathOf(i)
+			if p.Compare(w.PathOf(i)) != 0 || g.N(i) != w.N(i) || g.FaceSum(i) != w.FaceSum(i) {
+				t.Fatalf("%s: level %d entry %d: (path %v, N %d, face sum %d), the merged tree's (%v, %d, %d)",
+					name, h, i, p, g.N(i), g.FaceSum(i), w.PathOf(i), w.N(i), w.FaceSum(i))
+			}
+			for j := 0; j < a.D; j++ {
+				if g.P(i, j) != w.P(i, j) {
+					t.Fatalf("%s: level %d entry %d axis %d: P %d, the merged tree's %d", name, h, i, j, g.P(i, j), w.P(i, j))
+				}
+			}
+			for s, src := range []*Tree{a, b} {
+				if r := g.Ref(i, s); r != src.CellAt(p) {
+					t.Fatalf("%s: level %d entry %d: source %d Ref %d, CellAt %d", name, h, i, s, r, src.CellAt(p))
+				}
+			}
+		}
+	}
+}
+
+// TestUnionIndexMatchesMerge is the differential suite of the index
+// over several trees: on the merge sweep's seeded rotated,
+// duplicate-heavy and flat-axis inputs at d ∈ {1, 15, 63} and
+// H ∈ {4, MaxLevels}, the index over two trees must match the index of
+// their MergeFrom entry for entry, for a first-touch tree with a
+// canonical one both ways, two first-touch trees, an empty side, a
+// tree with itself and two single-point trees.
+func TestUnionIndexMatchesMerge(t *testing.T) {
+	for _, d := range []int{1, 15, 63} {
+		for _, H := range []int{4, MaxLevels} {
+			n := 160
+			if H == MaxLevels || d == 63 {
+				n = 48
+			}
+			for shape, pts := range sweepShapes(d, n, int64(d*1000+H)) {
+				t.Run(fmt.Sprintf("d%d_H%d_%s", d, H, shape), func(t *testing.T) {
+					a, b := pts[:n/2], pts[n/2:]
+					ftA, ftB := firstTouch(t, d, H, a), firstTouch(t, d, H, b)
+					for _, c := range []struct {
+						name string
+						a, b *Tree
+					}{
+						{"first-touch+canonical", ftA, sweepBuild(t, d, H, b)},
+						{"canonical+first-touch", sweepBuild(t, d, H, a), ftB},
+						{"first-touch+first-touch", ftA, ftB},
+						{"empty+first-touch", New(d, H), ftB},
+						{"first-touch+empty", ftA, New(d, H)},
+						{"empty+empty", New(d, H), New(d, H)},
+						{"self", ftA, ftA},
+						{"single-points", sweepBuild(t, d, H, a[:1]), firstTouch(t, d, H, b[:1])},
+					} {
+						checkUnionIndex(t, c.name, c.a, c.b)
+					}
+				})
+			}
+		}
+	}
+}

@@ -52,8 +52,10 @@ type Config struct {
 	Dims int
 	// Min and Max declare the per-axis value domain: ingested values
 	// must lie in [Min[j], Max[j]]. Nil selects the unit interval for
-	// every axis (data already normalized). Length must equal Dims and
-	// Max[j] must exceed Min[j].
+	// every axis (data already normalized). Length must equal Dims,
+	// Max[j] must exceed Min[j], and both the width Max[j]−Min[j] and
+	// the scale 1/(Max[j]−Min[j]) must be finite, so every in-domain
+	// value normalizes into [0,1).
 	Min, Max []float64
 	// H, Alpha and Workers configure the clustering runs (zero values
 	// select the paper's defaults, as in core.Config).
@@ -73,9 +75,10 @@ type Config struct {
 	// WindowPoints bounds the active tree: the first batch to arrive
 	// once it holds this many points rotates it into the aging slot
 	// (whose previous tree is dropped) and starts a fresh active tree.
-	// Published views are built from aging+active merged, so the model
-	// always reflects the last one-to-two windows of the stream. Zero
-	// disables windowing (the tree accumulates the whole stream).
+	// Published views are built from the union of aging and active, so
+	// the model always reflects the last one-to-two windows of the
+	// stream. Zero disables windowing (the tree accumulates the whole
+	// stream).
 	WindowPoints int
 	// SnapshotPath, when non-empty, is the tree snapshot the service
 	// warm-starts from on boot (when the file exists), writes on POST
@@ -165,6 +168,12 @@ func (c Config) validate() error {
 			if c.Max[j] <= c.Min[j] {
 				return fmt.Errorf("serve: axis %d domain [%g, %g] is empty", j, c.Min[j], c.Max[j])
 			}
+			// A width that overflows, or one so small that its scale
+			// does, would normalize the domain's edges to NaN (0·Inf or
+			// Inf·0) — after the WAL append, poisoning every replay.
+			if w := c.Max[j] - c.Min[j]; math.IsInf(w, 0) || math.IsInf(domainScale(c.Min[j], c.Max[j]), 0) {
+				return fmt.Errorf("serve: axis %d domain [%g, %g] has a width or scale that is not finite", j, c.Min[j], c.Max[j])
+			}
 		}
 	}
 	if c.H < ctree.MinLevels || c.H > ctree.MaxLevels {
@@ -202,7 +211,7 @@ type view struct {
 	seq       uint64
 	builtAt   time.Time
 	points    int    // η the view was clustered from
-	treeBytes uint64 // footprint of the merged tree the view was built on
+	treeBytes uint64 // footprint of what the pass held: its active clone and the level index
 	res       *core.Result
 	betaOwner []int // β-cluster index -> correlation cluster ID
 }
@@ -305,7 +314,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Min != nil {
 		s.scale = make([]float64, cfg.Dims)
 		for j := range s.scale {
-			s.scale[j] = (1 - normEps) / (cfg.Max[j] - cfg.Min[j])
+			s.scale[j] = domainScale(cfg.Min[j], cfg.Max[j])
 		}
 	}
 	var ckptSeq uint64
@@ -341,6 +350,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
+
+// domainScale is the factor that maps a value's offset from lo into
+// [0, 1−normEps] on the declared domain [lo, hi].
+func domainScale(lo, hi float64) float64 { return (1 - normEps) / (hi - lo) }
 
 // Close releases the service's durable resources (the WAL handle).
 // Run calls it on the way out; embedders that drive Start/Wait
@@ -546,7 +559,8 @@ func (s *Server) rotate() bool {
 // aging tree is still in InsertBatch's first-touch order: it is
 // canonicalized here, once and outside the lock (later passes find it
 // canonical after a linear check), and swapped in under the lock, so
-// every later pass merges a canonical aging tree. rotated reports that
+// the level index of every later pass reads its child runs as they
+// stand and snapshots merge it in path order. rotated reports that
 // this call swapped one in.
 func (s *Server) snapshotTrees() (active, aging *ctree.Tree, rotated bool) {
 	s.mu.Lock()
@@ -556,8 +570,8 @@ func (s *Server) snapshotTrees() (active, aging *ctree.Tree, rotated bool) {
 	if raw != nil {
 		var err error
 		if canon, err = ctree.Canonicalize(raw); err != nil {
-			// Unreachable for a tree that counted its points; the merge
-			// takes the aging tree in first-touch order instead.
+			// Unreachable for a tree that counted its points; the pass
+			// reads the aging tree in first-touch order instead.
 			s.logf("canonicalizing the aging tree: %v", err)
 			canon = raw
 		}
@@ -571,51 +585,39 @@ func (s *Server) snapshotTrees() (active, aging *ctree.Tree, rotated bool) {
 	return s.active.Clone(), s.aging, rotated
 }
 
-// mergedTree builds the clustering input in the pass's private active
-// clone: the aging tree merged into it, so the published model covers
-// the last one-to-two windows, or before any rotation the clone as it
-// is. MergeFrom writes the union in canonical order, so once the window
-// has rotated the pass tree is canonical and its level index sorts no
-// child run.
-func mergedTree(active, aging *ctree.Tree) (*ctree.Tree, error) {
-	if aging == nil {
-		return active, nil
-	}
-	if err := active.MergeFrom(aging); err != nil {
-		return nil, err
-	}
-	return active, nil
-}
-
-// savedTree is the tree a snapshot or checkpoint persists: the merged
-// window in canonical order, so its bytes are treeio.Save's of Build
+// savedTree is the tree a snapshot or checkpoint persists: the window
+// as one tree, the aging tree merged into the caller's private active
+// clone, in canonical order, so its bytes are treeio.Save's of Build
 // over the same points. Only a window that never rotated still needs
 // the rewrite; a merged one passes Canonicalize's linear check.
 func savedTree(active, aging *ctree.Tree) (*ctree.Tree, error) {
-	merged, err := mergedTree(active, aging)
-	if err != nil {
-		return nil, err
+	if aging != nil {
+		if err := active.MergeFrom(aging); err != nil {
+			return nil, err
+		}
 	}
-	return ctree.Canonicalize(merged)
+	return ctree.Canonicalize(active)
 }
 
-// recluster runs one β-search pass over the merged window trees and
-// publishes the result as the new query view. The pass runs entirely
-// outside the ingest lock; the publish is one atomic pointer store.
+// recluster runs one β-search pass over the window's trees and
+// publishes the result as the new query view. The search reads the
+// level index of the union of the pass's active clone and the aging
+// tree (core.RunTreeContext over both), so no pass writes a merged
+// tree. The pass runs entirely outside the ingest lock; the publish is
+// one atomic pointer store.
 func (s *Server) recluster(ctx context.Context) error {
 	active, aging, rotated := s.snapshotTrees()
 	if rotated {
 		s.logf("window rotated: %d points retired to the aging slot", aging.Eta)
 	}
-	merged, err := mergedTree(active, aging)
-	if err != nil {
-		s.counters.AddRecluster(false)
-		return err
+	trees, points, agingBytes := []*ctree.Tree{active}, active.Eta, uint64(0)
+	if aging != nil {
+		trees, points, agingBytes = append(trees, aging), points+aging.Eta, aging.MemoryBytes()
 	}
-	if merged.Eta == 0 {
+	if points == 0 {
 		return nil // nothing ingested yet; keep whatever view exists
 	}
-	res, err := core.RunTreeContext(ctx, merged, core.Config{
+	res, err := core.RunTreeContext(ctx, trees, core.Config{
 		Alpha:           s.cfg.Alpha,
 		H:               s.cfg.H,
 		Workers:         s.cfg.Workers,
@@ -632,10 +634,12 @@ func (s *Server) recluster(ctx context.Context) error {
 		}
 	}
 	v := &view{
-		seq:       s.seq.Add(1),
-		builtAt:   time.Now(),
-		points:    merged.Eta,
-		treeBytes: merged.MemoryBytes() + merged.IndexMemoryBytes(),
+		seq:     s.seq.Add(1),
+		builtAt: time.Now(),
+		points:  points,
+		// The run's footprint counts every tree it read; the aging tree
+		// is the server's, held between passes, not the pass's.
+		treeBytes: res.TreeMemoryBytes - agingBytes,
 		res:       res,
 		betaOwner: owner,
 	}

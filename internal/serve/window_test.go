@@ -28,7 +28,7 @@ func windowOf(t *testing.T, s *Server) *ctree.Tree {
 	s.mu.Lock()
 	active, aging := s.active.Clone(), s.aging
 	s.mu.Unlock()
-	w, err := mergedTree(active, aging)
+	w, err := savedTree(active, aging)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,5 +128,36 @@ func TestSnapshotBytesMatchBuild(t *testing.T) {
 					tc.windowPoints, durable, len(got), want.Len())
 			}
 		}
+	}
+}
+
+// TestViewTreeBytesIsThePass pins what /stats view.treeBytes reports
+// after a pass over a rotated window: what the pass held, its private
+// active clone plus the level index over that clone and the aging tree,
+// and not the aging tree the server keeps between passes.
+func TestViewTreeBytesIsThePass(t *testing.T) {
+	cfg := testConfig()
+	cfg.WindowPoints = 150
+	s := newTestServer(t, cfg)
+	ingestBatches(t, s, windowBatches(streamRows(10, 200, 71), 55))
+	if err := s.recluster(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	active, aging := s.active.Clone(), s.aging
+	s.mu.Unlock()
+	if aging == nil {
+		t.Fatal("the window never rotated; the case is vacuous")
+	}
+	idx, err := ctree.UnionLevelIndexes(active, aging)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := active.MemoryBytes()
+	for _, ix := range idx {
+		want += ix.MemoryBytes()
+	}
+	if got := s.cur.Load().treeBytes; got != want {
+		t.Fatalf("view.treeBytes = %d, want the active clone plus the index: %d", got, want)
 	}
 }
