@@ -248,8 +248,9 @@ type Result struct {
 	// or Config.Progress enabled collection.
 	Stats *obs.Stats
 	// Tree is the Counting-tree the run clustered on; nil unless
-	// Config.KeepTree. It can be fed straight back into RunOnTree (or
-	// RunTree), which clears the consumed Used flags itself.
+	// Config.KeepTree, and for a run over several trees. It can be fed
+	// straight back into RunOnTree (or RunTree), which clears the
+	// consumed Used flags itself.
 	Tree *ctree.Tree
 }
 

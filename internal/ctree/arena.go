@@ -406,15 +406,6 @@ func (t *Tree) SetUsed(r Ref, used bool) { t.used[r] = used }
 // Level returns the tree level of the cell at r (1..H-1).
 func (t *Tree) Level(r Ref) int { return int(t.level[r]) }
 
-// ParentOf returns the cell's parent, or NilRef for level-1 cells.
-func (t *Tree) ParentOf(r Ref) Ref {
-	p := t.parent[r]
-	if p == rootRef {
-		return NilRef
-	}
-	return p
-}
-
 // ChildCount returns the number of children of the cell at r.
 func (t *Tree) ChildCount(r Ref) int { return int(t.childCount[r]) }
 

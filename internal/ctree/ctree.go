@@ -151,15 +151,6 @@ func (t *Tree) CellAt(p Path) Ref {
 	return r
 }
 
-// ParentCell returns the cell addressed by all but the last step of the
-// path, or NilRef for level-1 paths.
-func (t *Tree) ParentCell(p Path) Ref {
-	if len(p) < 2 {
-		return NilRef
-	}
-	return t.CellAt(p[:len(p)-1])
-}
-
 // WalkLevel visits every stored cell at level h in deterministic (chain)
 // order. The path passed to fn is reused across calls; clone it to
 // retain it.

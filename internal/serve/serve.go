@@ -170,8 +170,8 @@ func (c Config) validate() error {
 			}
 			// A width that overflows, or one so small that its scale
 			// does, would normalize the domain's edges to NaN (0·Inf or
-			// Inf·0) — after the WAL append, poisoning every replay.
-			if w := c.Max[j] - c.Min[j]; math.IsInf(w, 0) || math.IsInf(domainScale(c.Min[j], c.Max[j]), 0) {
+			// Inf·0) after the WAL append, and replay would fail on it.
+			if math.IsInf(c.Max[j]-c.Min[j], 0) || math.IsInf(domainScale(c.Min[j], c.Max[j]), 0) {
 				return fmt.Errorf("serve: axis %d domain [%g, %g] has a width or scale that is not finite", j, c.Min[j], c.Max[j])
 			}
 		}
