@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -86,6 +87,62 @@ func TestRunTreeMatchesRunOnTree(t *testing.T) {
 	for _, c := range bare.Clusters {
 		if c.Size != 0 {
 			t.Fatal("RunTree reported a cluster size without labeling")
+		}
+	}
+}
+
+// TestRunUsedFlagsStayOnOneTree pins where a run leaves its usedCell
+// flags. A run over one tree marks that tree's cells exactly where its
+// level index marks its entries, including every β-cluster's center, as
+// a run always has, so a snapshot saved after the run keeps them. A run
+// over several trees marks only its own index and leaves every source's
+// flags clear: the service's aging tree is shared with snapshot saves.
+func TestRunUsedFlagsStayOnOneTree(t *testing.T) {
+	ds, _ := genSmall(t, synthetic.Config{
+		Dims: 8, Points: 6000, Clusters: 3, NoiseFrac: 0.1,
+		MinClusterDim: 4, MaxClusterDim: 6, Seed: 12,
+	})
+	tree, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.RunTree(tree, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Betas) == 0 {
+		t.Fatal("no β-clusters; the check is vacuous")
+	}
+	marked := 0
+	for _, ix := range tree.EnsureLevelIndexes() {
+		for i := 0; i < ix.Len(); i++ {
+			if ix.Used(i) != tree.Used(ix.Ref(i, 0)) {
+				t.Fatalf("level %d entry %d: index flag %v, tree flag %v", ix.Level, i, ix.Used(i), tree.Used(ix.Ref(i, 0)))
+			}
+			if ix.Used(i) {
+				marked++
+			}
+		}
+	}
+	for _, b := range res.Betas {
+		if r := tree.CellAt(b.Center); r == ctree.NilRef || !tree.Used(r) {
+			t.Fatalf("β-cluster center %v is not marked used in the tree", b.Center)
+		}
+	}
+	if marked < len(res.Betas) {
+		t.Fatalf("%d cells marked for %d β-clusters", marked, len(res.Betas))
+	}
+	aging, active := core.WindowTrees(t, ds.Points, ds.Dims, core.DefaultH, 1000)
+	if _, err := core.RunTreeContext(context.Background(), []*ctree.Tree{active, aging}, core.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*ctree.Tree{active, aging} {
+		for h := 1; h <= tr.H-1; h++ {
+			tr.WalkLevel(h, func(p ctree.Path, r ctree.Ref) {
+				if tr.Used(r) {
+					t.Fatalf("a run over two trees marked source cell %v used", p)
+				}
+			})
 		}
 	}
 }
