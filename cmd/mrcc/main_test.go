@@ -106,6 +106,9 @@ func TestRunStatsJSON(t *testing.T) {
 	if st.TreeBuild.WallNS <= 0 {
 		t.Error("tree-build wall time missing")
 	}
+	if st.LevelIndex.WallNS <= 0 {
+		t.Error("level-index wall time missing")
+	}
 	if st.BetaSearch.WallNS <= 0 {
 		t.Error("β-search wall time missing")
 	}
@@ -135,8 +138,8 @@ func TestRunStatsText(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
-	if !strings.Contains(withStats, "phase") {
-		t.Errorf("-stats output has no phase table:\n%s", withStats)
+	if !strings.Contains(withStats, "phase") || !strings.Contains(withStats, "levelIndex") {
+		t.Errorf("-stats output has no phase table with a levelIndex row:\n%s", withStats)
 	}
 	// The cluster summary (first lines) must be unaffected by stats
 	// collection, modulo the elapsed-time figure.

@@ -523,12 +523,13 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 	}
 	workers := cfg.workerCount()
 	start := time.Now()
-	spSearch := col.Start(obs.PhaseBetaSearch)
+	spIndex := col.Start(obs.PhaseLevelIndex)
 	idx, err := levelIndexes(trees)
+	spIndex.End()
 	if err != nil {
-		spSearch.End()
-		return nil, obs.PhaseBetaSearch, err
+		return nil, obs.PhaseLevelIndex, err
 	}
+	spSearch := col.Start(obs.PhaseBetaSearch)
 	if col != nil {
 		col.SetShape(eta, t.D, cfg.H, workers)
 		for _, ix := range idx {

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"mrcc/internal/core"
 	"mrcc/internal/ctree"
+	"mrcc/internal/dataset"
 	"mrcc/internal/synthetic"
 )
 
@@ -97,4 +99,70 @@ func TestArenaStatsRecorded(t *testing.T) {
 				workers, res.Stats.ArenaBytes, res.Stats.TreeBytes)
 		}
 	}
+}
+
+// TestLevelIndexPhaseRecorded pins the levelIndex row of the stats
+// record: a run over a fresh tree times the index build there, a rerun
+// over the same tree reads the index cached on it and records much less
+// time than the build, and a run over several trees (whose union index
+// is built for each run) records the build and its allocation. The
+// β-search row no longer includes the index: the top-level rows,
+// levelIndex among them, add up to the total.
+func TestLevelIndexPhaseRecorded(t *testing.T) {
+	ds, _, err := synthetic.Generate(synthetic.Config{
+		Dims: 10, Points: 20000, Clusters: 3, NoiseFrac: 0.1,
+		MinClusterDim: 5, MaxClusterDim: 8, Seed: 79,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ctree.Build(ds, 4, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{H: tr.H, CollectStats: true}
+	first, err := core.RunOnTree(tr, ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerun, err := core.RunOnTree(tr, ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, cached := first.Stats.LevelIndex, rerun.Stats.LevelIndex
+	if built.Spans != 1 || built.WallNS <= 0 || built.AllocBytes == 0 {
+		t.Fatalf("the first run's levelIndex row is %+v, want one timed span that allocates", built)
+	}
+	if cached.Spans != 1 || cached.WallNS >= built.WallNS {
+		t.Fatalf("the rerun's cached index recorded %+v, want one span shorter than the build's %v", cached, built.Wall())
+	}
+	st := first.Stats
+	if sum := st.TreeBuild.Wall() + st.LevelIndex.Wall() + st.BetaSearch.Wall() + st.ClusterMerge.Wall() + st.Labeling.Wall(); st.TotalWall() != sum {
+		t.Fatalf("TotalWall %v, the top-level rows sum to %v", st.TotalWall(), sum)
+	}
+	half := ds.Len() / 2
+	a, err := ctree.Build(subset(ds, 0, half), 4, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ctree.Build(subset(ds, half, ds.Len()), 4, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	union, err := core.RunTreeContext(context.Background(), []*ctree.Tree{a, b}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := union.Stats.LevelIndex; row.Spans != 1 || row.WallNS <= 0 || row.AllocBytes == 0 {
+		t.Fatalf("the union run's levelIndex row is %+v, want one timed span that allocates", row)
+	}
+}
+
+// subset returns the points [lo, hi) of ds as a dataset of its own.
+func subset(ds *dataset.Dataset, lo, hi int) *dataset.Dataset {
+	out := dataset.New(ds.Dims, hi-lo)
+	for _, p := range ds.Points[lo:hi] {
+		out.Append(p)
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mrcc/internal/dataset"
 	"mrcc/internal/synthetic"
 )
 
@@ -51,45 +52,51 @@ func BenchmarkInsert(b *testing.B) {
 
 // BenchmarkEnsureLevelIndexes times the level-index build — the
 // level-by-level fill of the path and ref slabs plus the merge walks
-// that find face neighbors and add up each entry's face sum — over the
-// same 100k points (d = 15, H = 4, the stream-grow shape) in both child
-// orders the pipeline indexes, and reports the finished indexes'
-// footprint (IndexMemoryBytes) as index-MB. "build" is the canonical
-// Build tree of the batch path; "window" is the streaming service's
-// window tree, two InsertBatch-grown halves merged by MergeFrom, which
-// writes the same canonical order; in both, sibling chains already
-// ascend by loc, so no child run gets sorted. "insertbatch" is the
-// points grown by InsertBatch alone, whose first-touch sibling chains
-// get sorted run by run.
+// that find face neighbors and add up each entry's face sum — and
+// reports the finished indexes' footprint as index-MB. The first three
+// cases index the same 100k points (d = 15, H = 4, the stream-grow
+// shape) in both arena orders the pipeline sees. "build" is the
+// canonical Build tree of the batch path; "window" is two
+// InsertBatch-grown halves merged by MergeFrom, which writes the same
+// path order; both fill each level from their arena order as it
+// stands. "insertbatch" is the points grown by InsertBatch alone, whose
+// first-touch levels get ordered before the fill merges them.
+// "union" is the service's rotated pass: UnionLevelIndexes over a
+// canonical 100k-point aging tree and a first-touch 50k-point active
+// tree, BenchmarkWindowPass's window. It also reports the window's
+// points indexed per second as points/s, the metric of its
+// scripts/bench_floors.sh row.
 //
 //	go test -run '^$' -bench BenchmarkEnsureLevelIndexes ./internal/ctree
 func BenchmarkEnsureLevelIndexes(b *testing.B) {
 	const d, H = 15, 4
-	ds, _, err := synthetic.Generate(synthetic.Config{
-		Dims: d, Points: 100000, Clusters: 10, NoiseFrac: 0.15,
-		MinClusterDim: 8, MaxClusterDim: 13, Seed: 314,
-	})
-	if err != nil {
-		b.Fatal(err)
+	gen := func(points int) *dataset.Dataset {
+		ds, _, err := synthetic.Generate(synthetic.Config{
+			Dims: d, Points: points, Clusters: 10, NoiseFrac: 0.15,
+			MinClusterDim: 8, MaxClusterDim: 13, Seed: 314,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ds
 	}
+	grow := func(dst *Tree, pts [][]float64) {
+		for i := 0; i < len(pts); i += 1000 {
+			if err := dst.InsertBatch(pts[i:min(i+1000, len(pts))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	ds := gen(100000)
+	pts := ds.Points
 	built, err := Build(ds, H, BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	aging, active, firstTouch := New(d, H), New(d, H), New(d, H)
-	for i := 0; i < ds.Len(); i += 1000 {
-		dst := aging
-		if i >= ds.Len()/2 {
-			dst = active
-		}
-		pts := ds.Points[i:min(i+1000, ds.Len())]
-		if err := dst.InsertBatch(pts); err != nil {
-			b.Fatal(err)
-		}
-		if err := firstTouch.InsertBatch(pts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	grow(aging, pts[:len(pts)/2])
+	grow(active, pts[len(pts)/2:])
+	grow(firstTouch, pts)
 	window := aging.Clone()
 	if err := window.MergeFrom(active); err != nil {
 		b.Fatal(err)
@@ -107,6 +114,31 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 			b.ReportMetric(float64(bc.tr.IndexMemoryBytes())/(1<<20), "index-MB")
 		})
 	}
+	b.Run("union", func(b *testing.B) {
+		const window = 100000
+		pts := gen(window + window/2).Points
+		grown, active := New(d, H), New(d, H)
+		grow(grown, pts[:window])
+		grow(active, pts[window:])
+		aging, err := Canonicalize(grown)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var idxs []*LevelIndex
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if idxs, err = UnionLevelIndexes(aging, active); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+		var bytes uint64
+		for _, ix := range idxs {
+			bytes += ix.MemoryBytes()
+		}
+		b.ReportMetric(float64(bytes)/(1<<20), "index-MB")
+	})
 }
 
 func BenchmarkWalkLevel(b *testing.B) {

@@ -10,11 +10,18 @@
 // Every level lists its cells in lexicographic path order, whatever
 // arena order the sources were built in: level h holds, for each level
 // h-1 entry in turn, that cell's children ascending by loc, the merge of
-// every source's child run. Each parent's children therefore form one
+// every source's child run. The fill reads each source's level-h cells
+// in one pass over its arena, which lists them in path order already
+// when Build, MergeFrom or Canonicalize wrote the tree; those of a tree
+// InsertBatch grew in first-touch order are grouped by parent entry and
+// sorted by loc first. Each parent's children therefore form one
 // sorted, contiguous run, which makes the entry index the path order
 // (the β-search breaks value ties by index and finds a cell by path
-// with a binary search) and lets the face neighbors be found by merge
-// walks over runs instead of child lookups.
+// with a binary search) and lets the face neighbors be found without
+// child lookups: siblings by splitting each run at the top bit in which
+// its ends differ, cousins by one merge walk between the runs of two
+// neighboring parents, skipped when the runs' AND and OR loc masks show
+// that no cell can match.
 //
 // Point counts, half-space counts and face sums all add up across
 // trees, so the index over several trees (UnionLevelIndexes) answers
@@ -30,9 +37,11 @@
 package ctree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
@@ -58,11 +67,13 @@ type LevelIndex struct {
 	cnt   []int32  // the cell's point count, summed over the sources
 	used  []bool   // the usedCell flag the β-search sets
 	face  []int64  // Σ N over the entry's stored face neighbors
-	// up (width d) is entry i's upper face neighbor per axis, -1 when
-	// absent. The level below reads it to find its own neighbors, so it
-	// lives only until that level is linked, and the last level never
-	// records it (see buildLevelIndexes).
-	up []int32
+	// up lists the level's face-neighbor pairs, each cell with its
+	// upper neighbor along one axis, in blocks of Len() pairs, so that
+	// growing the list never copies it. The level below reads it to
+	// find its own neighbors, so it lives only until that level is
+	// linked, and the last level never records it (see
+	// buildLevelIndexes).
+	up [][]upLink
 }
 
 // Len returns the number of stored cells at the level.
@@ -153,17 +164,132 @@ func (ix *LevelIndex) MemoryBytes() uint64 {
 	total += uint64(cap(ix.cnt)) * 4
 	total += uint64(cap(ix.used))
 	total += uint64(cap(ix.face)) * 8
-	total += uint64(cap(ix.up)) * 4
+	for _, block := range ix.up {
+		total += uint64(unsafe.Sizeof(block)) + uint64(cap(block))*uint64(unsafe.Sizeof(upLink{}))
+	}
 	return total
 }
 
 // levelRuns is the transient by-product of one level's fill that its
 // links read: the children of the level above's entry p are entries
-// kids[p] to kids[p+1]-1, and locs[i] is entry i's loc (the last word
-// of its path), kept contiguous for the merge walks.
+// kids[p] to kids[p+1]-1, locs[i] is entry i's loc (the last word of
+// its path), kept contiguous for the link walks, and and[p] and or[p]
+// are the AND and the OR of the locs of p's children (all ones and zero
+// for a childless p), which let a cousin walk be skipped unread.
 type levelRuns struct {
-	kids []int32
-	locs []uint64
+	kids    []int32
+	locs    []uint64
+	and, or []uint64
+}
+
+// levelSource is one source tree's side of a level's fill: its cells at
+// the level, grouped by parent entry in path order.
+type levelSource struct {
+	t *Tree
+	// ordered reports that the arena lists every level in path order
+	// (Build, MergeFrom and Canonicalize write trees so), which makes a
+	// level's cells, read in arena order, already grouped and sorted.
+	ordered bool
+	// cells[start[p]:start[p+1]] holds the children of the level above's
+	// entry p in this source, ascending by loc.
+	cells []Ref
+	start []int32
+	// next, for a source not in path order, is indexed by arena Ref: the
+	// next free position of that parent cell's run in cells. words is
+	// sortRun's scratch.
+	next  []int32
+	words []uint64
+}
+
+// gather lists the source's cells at level h by parent entry in path
+// order, in one linear pass over its arena. parRefs[p] is the source's
+// Ref of the level above's entry p (NilRef where it lacks the cell; the
+// root sentinel alone at level 1), whose child count sizes p's run. A
+// source in path order lists its level as the arena does; any other
+// (InsertBatch grows children in first-touch order) places each cell in
+// its parent's run, then orders each run by loc.
+func (ls *levelSource) gather(h int, parRefs []Ref) {
+	t := ls.t
+	ls.start = ls.start[:len(parRefs)+1]
+	off := int32(0)
+	for p, r := range parRefs {
+		ls.start[p] = off
+		if r >= 0 {
+			off += t.childCount[r]
+		}
+	}
+	ls.start[len(parRefs)] = off
+	ls.cells = ls.cells[:off]
+	lvl, cells := uint8(h), ls.cells
+	if ls.ordered {
+		i := 0
+		for r, l := range t.level {
+			if l == lvl {
+				cells[i] = Ref(r)
+				i++
+			}
+		}
+		return
+	}
+	for p, r := range parRefs {
+		if r >= 0 {
+			ls.next[r] = ls.start[p]
+		}
+	}
+	for r, l := range t.level {
+		if l == lvl {
+			par := t.parent[r]
+			cells[ls.next[par]] = Ref(r)
+			ls.next[par]++
+		}
+	}
+	for p := range parRefs {
+		ls.sortRun(cells[ls.start[p]:ls.start[p+1]])
+	}
+}
+
+// sortRun orders one run of cells by loc: an insertion sort for the
+// short runs most parents have; past that, an LSD radix sort of each
+// cell's loc above its position in the run (radixSortCombo), when the
+// two fit one word, or a library sort.
+func (ls *levelSource) sortRun(run []Ref) {
+	loc, d := ls.t.loc, ls.t.D
+	n := len(run)
+	if n <= 16 {
+		for i := 1; i < n; i++ {
+			c, l := run[i], loc[run[i]]
+			j := i
+			for ; j > 0 && loc[run[j-1]] > l; j-- {
+				run[j] = run[j-1]
+			}
+			run[j] = c
+		}
+		return
+	}
+	idxBits := bits.Len(uint(n - 1))
+	if d+idxBits > 64 {
+		slices.SortFunc(run, func(a, b Ref) int { return cmp.Compare(loc[a], loc[b]) })
+		return
+	}
+	if len(ls.words) < 2*n {
+		ls.words = make([]uint64, 2*n)
+	}
+	keys, tmp := ls.words[:n], ls.words[n:2*n]
+	for i, c := range run {
+		keys[i] = loc[c]<<idxBits | uint64(i)
+	}
+	sorted := radixSortCombo(keys, tmp)
+	orig := tmp
+	if &sorted[0] == &tmp[0] {
+		orig = keys
+	}
+	for i, c := range run {
+		orig[i] = uint64(c)
+	}
+	mask := uint64(1)<<idxBits - 1
+	for i, k := range sorted {
+		run[i] = Ref(orig[k&mask])
+	}
 }
 
 // fillLevel lists level h's cells of the union of srcs in path order —
@@ -171,47 +297,53 @@ type levelRuns struct {
 // sources' root sentinels), the merge of every source's child run of
 // that cell, ascending by loc — and fills each entry's path from its
 // parent entry's, its per-source Refs and its summed count. n bounds
-// the level's entry count. appendChildren reads a run that Build, a
-// spilled build or MergeFrom chained ascending as it stands, and sorts
-// only those of a tree grown in first-touch order (InsertBatch). A
-// parent whose children all sit in one source (every parent of a lone
-// source's index) takes that source's run whole.
-func fillLevel(srcs []*Tree, h, n int, above *LevelIndex) (*LevelIndex, levelRuns) {
+// the level's entry count, and runs carries the reused kids, locs and
+// mask buffers. Each source first gathers its level-h cells into runs
+// (levelSource.gather); a parent whose children all sit in one source
+// (every parent of a lone source's index) takes that source's run
+// whole.
+func fillLevel(srcs []*levelSource, h, n int, above *LevelIndex, runs levelRuns) (*LevelIndex, levelRuns) {
 	k := len(srcs)
 	ix := &LevelIndex{
 		Level: h,
-		srcs:  srcs,
-		D:     srcs[0].D,
+		srcs:  make([]*Tree, k),
+		D:     srcs[0].t.D,
 		paths: make([]uint64, 0, n*h),
 		refs:  make([][]Ref, k),
 		cnt:   make([]int32, 0, n),
 	}
-	parents, parRefs := 1, make([][]Ref, k)
-	for s := range srcs {
-		ix.refs[s] = make([]Ref, 0, n)
-		parRefs[s] = []Ref{rootRef}
-	}
+	root := []Ref{rootRef}
+	parents := 1
 	var parPaths []uint64
 	if above != nil {
-		parents, parRefs, parPaths = above.n, above.refs, above.paths
+		parents, parPaths = above.n, above.paths
 	}
-	runs := levelRuns{kids: make([]int32, parents+1), locs: make([]uint64, 0, n)}
-	kids := make([][]Ref, k) // each source's child run of the current parent
-	pos := make([]int, k)
+	for s, ls := range srcs {
+		ix.srcs[s] = ls.t
+		ix.refs[s] = make([]Ref, 0, n)
+		if above != nil {
+			ls.gather(h, above.refs[s])
+		} else {
+			ls.gather(h, root)
+		}
+	}
+	runs.kids, runs.locs = runs.kids[:parents+1], runs.locs[:0]
+	runs.and, runs.or = runs.and[:parents], runs.or[:parents]
+	const done = ^uint64(0)
+	pos, head := make([]int32, k), make([]uint64, k)
 	for p := 0; p < parents; p++ {
 		runs.kids[p] = int32(len(ix.cnt))
 		parPath := parPaths[p*(h-1) : (p+1)*(h-1)]
+		and, or := ^uint64(0), uint64(0)
 		lone, sources := 0, 0
-		for s, t := range srcs {
-			kids[s], pos[s] = kids[s][:0], 0
-			if r := parRefs[s][p]; r >= 0 {
-				if kids[s] = t.appendChildren(kids[s], r); len(kids[s]) > 0 {
-					lone, sources = s, sources+1
-				}
+		for s, ls := range srcs {
+			if pos[s] = ls.start[p]; ls.start[p+1] > pos[s] {
+				lone, sources = s, sources+1
 			}
 		}
 		if sources <= 1 {
-			t, run := srcs[lone], kids[lone]
+			ls := srcs[lone]
+			t, run := ls.t, ls.cells[ls.start[p]:ls.start[p+1]]
 			for s := range srcs {
 				if s == lone {
 					ix.refs[s] = append(ix.refs[s], run...)
@@ -223,41 +355,52 @@ func fillLevel(srcs []*Tree, h, n int, above *LevelIndex) (*LevelIndex, levelRun
 			}
 			for _, c := range run {
 				loc := t.loc[c]
+				and, or = and&loc, or|loc
 				ix.cnt = append(ix.cnt, t.n[c])
 				runs.locs = append(runs.locs, loc)
 				ix.paths = append(append(ix.paths, parPath...), loc)
 			}
+			runs.and[p], runs.or[p] = and, or
 			continue
 		}
-		for {
-			// The union's next child is the smallest loc at the head of
-			// any source's run; every source whose head holds it stores
-			// the cell.
-			loc, found := uint64(0), false
-			for s, t := range srcs {
-				if pos[s] < len(kids[s]) {
-					if l := t.loc[kids[s][pos[s]]]; !found || l < loc {
-						loc, found = l, true
-					}
-				}
+		// The union's next child is the smallest loc at the head of any
+		// source's run; every source whose head holds it stores the cell.
+		// A loc has at most MaxDims < 64 bits, so all ones marks a run
+		// read to its end.
+		for s, ls := range srcs {
+			head[s] = done
+			if pos[s] < ls.start[p+1] {
+				head[s] = ls.t.loc[ls.cells[pos[s]]]
 			}
-			if !found {
+		}
+		for {
+			loc := done
+			for _, l := range head {
+				loc = min(loc, l)
+			}
+			if loc == done {
 				break
 			}
 			var cnt int32
-			for s, t := range srcs {
+			for s, ls := range srcs {
 				r := NilRef
-				if pos[s] < len(kids[s]) && t.loc[kids[s][pos[s]]] == loc {
-					r = kids[s][pos[s]]
-					pos[s]++
-					cnt += t.n[r]
+				if head[s] == loc {
+					r = ls.cells[pos[s]]
+					cnt += ls.t.n[r]
+					if pos[s]++; pos[s] < ls.start[p+1] {
+						head[s] = ls.t.loc[ls.cells[pos[s]]]
+					} else {
+						head[s] = done
+					}
 				}
 				ix.refs[s] = append(ix.refs[s], r)
 			}
+			and, or = and&loc, or|loc
 			ix.cnt = append(ix.cnt, cnt)
 			runs.locs = append(runs.locs, loc)
 			ix.paths = append(append(ix.paths, parPath...), loc)
 		}
+		runs.and[p], runs.or[p] = and, or
 	}
 	ix.n = len(ix.cnt)
 	runs.kids[parents] = int32(ix.n)
@@ -266,73 +409,125 @@ func fillLevel(srcs []*Tree, h, n int, above *LevelIndex) (*LevelIndex, levelRun
 	return ix, runs
 }
 
-// linkUpper finds the upper face neighbor of every entry along every
-// axis from the link rows of the level above (above is nil at level 1),
-// by the hierarchical neighbor rule of quadtrees: along axis j, a cell
-// whose loc bit j is clear sits in the lower half of its parent, so its
-// upper neighbor is the sibling at loc|1<<j; a cell whose bit j is set
-// sits in the upper half, so its upper neighbor is the child at
-// loc&^1<<j of the parent's upper neighbor — absent when that one is
-// absent, and always absent at level 1, where the parent is the whole
-// cube. Each pair found adds each cell's count into the other's face
-// sum: a cell's lower neighbor along j is the cell whose upper neighbor
-// it is, so the upper links alone reach every face adjacency once.
-// With rows set, the links are also recorded in the level's link rows
-// for the level below.
+// upLink records that entry b is entry a's upper face neighbor along
+// the one axis in which their locs differ.
+type upLink struct{ a, b int32 }
+
+// loc returns entry i's loc, the last word of its path.
+func (ix *LevelIndex) loc(i int) uint64 { return ix.paths[i*ix.Level+ix.Level-1] }
+
+// linkUpper finds every pair of face neighbors at the level, a cell and
+// its upper neighbor along one axis, by the hierarchical neighbor rule
+// of quadtrees: along axis j, a cell whose loc bit j is clear sits in
+// the lower half of its parent, so its upper neighbor is the sibling at
+// loc|1<<j; a cell whose bit j is set sits in the upper half, so its
+// upper neighbor is the child at loc&^1<<j of the parent's upper
+// neighbor — absent when that one is absent, and always absent at level
+// 1, where the parent is the whole cube. Each pair found adds each
+// cell's count into the other's face sum: a cell's lower neighbor along
+// j is the cell whose upper neighbor it is, so the upper links alone
+// reach every face adjacency once. With rows set, the pairs are also
+// recorded in the level's link list (up) for the level below.
 //
-// Each run is sorted by loc, and flipping bit j keeps the order of the
-// locs that share bit j, so one forward merge walk per run and axis
-// finds every link of a kind: cousins against the child run of the
-// parent's upper neighbor along each axis that neighbor resolves and
-// some child has set, and siblings within the run. Siblings along j
-// differ in bit j alone, and the top bit in which two sorted locs
-// differ is the top bit in which some two adjacent locs between them
-// differ, so siblings are walked only along the axes that top an
-// adjacent pair's difference: one axis for a two-cell run.
+// Siblings come from splitting each run (linkSiblings). Cousins come
+// from the level above's link list: a parent pair (p, q) along axis j
+// is walked as one merge of p's children with bit j set against q's
+// with bit j clear, unless the runs' masks show no pair can match: a
+// match agrees on every other bit, so a bit set in all of one run and
+// in none of the other, or bit j set in all of q's run, rules it out.
 func (ix *LevelIndex) linkUpper(above *LevelIndex, runs levelRuns, rows bool) {
-	d, kids, locs := ix.D, runs.kids, runs.locs
+	kids, locs := runs.kids, runs.locs
 	if rows {
-		ix.up = make([]int32, ix.n*d)
-		for i := range ix.up {
-			ix.up[i] = -1
-		}
+		ix.up = [][]upLink{}
 	}
 	for p := 0; p+1 < len(kids); p++ {
-		lo, hi := int(kids[p]), int(kids[p+1])
-		or, sib := uint64(0), uint64(0)
-		for a := lo; a < hi; a++ {
-			or |= locs[a]
-			if a > lo {
-				// The top bit in which adjacent locs differ (none for a
-				// duplicate loc, which a trusted snapshot load does not
-				// rule out).
-				sib |= uint64(1<<63) >> bits.LeadingZeros64(locs[a-1]^locs[a])
+		ix.linkSiblings(locs, int(kids[p]), int(kids[p+1]))
+	}
+	if above == nil {
+		return
+	}
+	for _, block := range above.up {
+		for _, l := range block {
+			p, q := l.a, l.b
+			j := bits.TrailingZeros64(above.loc(int(p)) ^ above.loc(int(q)))
+			bit := uint64(1) << uint(j)
+			andP, orP, andQ, orQ := runs.and[p], runs.or[p], runs.and[q], runs.or[q]
+			if orP&bit == 0 || andQ&bit != 0 || (andP&^orQ|andQ&^orP)&^bit != 0 {
+				continue
+			}
+			ix.mergeLinks(locs, int(kids[p]), int(kids[p+1]), int(kids[q]), int(kids[q+1]), j, true)
+		}
+	}
+}
+
+// addLink appends the pair (a, b) to the level's link list, opening a
+// block of Len() pairs when the last one is full.
+func (ix *LevelIndex) addLink(a, b int) {
+	last := len(ix.up) - 1
+	if last < 0 || len(ix.up[last]) == cap(ix.up[last]) {
+		ix.up = append(ix.up, make([]upLink, 0, ix.n))
+		last++
+	}
+	ix.up[last] = append(ix.up[last], upLink{int32(a), int32(b)})
+}
+
+// linkSiblings links every pair of face neighbors within the sorted run
+// [lo, hi), children of one parent. Every loc of the run shares the bits
+// above the top bit j in which its ends differ, so the run splits at
+// its first loc with bit j set: pairs along axis j cross the split, and
+// every other pair, agreeing in bit j, lies inside one half, which is
+// split the same way. A run of one repeated loc (which a trusted
+// snapshot load does not rule out) holds no pair; a run of at most
+// four cells is checked pair by pair instead.
+func (ix *LevelIndex) linkSiblings(locs []uint64, lo, hi int) {
+	for hi-lo > 4 {
+		diff := locs[lo] ^ locs[hi-1]
+		if diff == 0 {
+			return
+		}
+		j := 63 - bits.LeadingZeros64(diff)
+		bit := uint64(1) << uint(j)
+		m, top := lo+1, hi-1
+		for m < top {
+			if mid := int(uint(m+top) >> 1); locs[mid]&bit != 0 {
+				top = mid
+			} else {
+				m = mid + 1
 			}
 		}
-		for m := sib; m != 0; m &= m - 1 {
-			ix.mergeLinks(locs, lo, hi, lo, hi, bits.TrailingZeros64(m), false)
-		}
-		if above == nil {
-			continue
-		}
-		parUp := above.up[p*d : (p+1)*d]
-		for m := or; m != 0; m &= m - 1 {
-			j := bits.TrailingZeros64(m)
-			if q := parUp[j]; q >= 0 {
-				ix.mergeLinks(locs, lo, hi, int(kids[q]), int(kids[q+1]), j, true)
+		ix.mergeLinks(locs, lo, m, m, hi, j, false)
+		ix.linkSiblings(locs, lo, m)
+		lo = m
+	}
+	// Two sorted locs are neighbors when they differ in one bit, the
+	// larger one's; a cell links to the first of a repeated neighbor
+	// loc only, as the merge walk does.
+	for a := lo; a < hi; a++ {
+		la := locs[a]
+		for b := a + 1; b < hi; b++ {
+			if diff := la ^ locs[b]; diff != 0 && diff&(diff-1) == 0 && locs[b] != locs[b-1] {
+				ix.link(a, b)
 			}
 		}
 	}
 }
 
+// link adds the counts of entry a and its upper face neighbor b into
+// each other's face sums, and the pair into the link list when the
+// level keeps one.
+func (ix *LevelIndex) link(a, b int) {
+	ix.face[a] += int64(ix.cnt[b])
+	ix.face[b] += int64(ix.cnt[a])
+	if ix.up != nil {
+		ix.addLink(a, b)
+	}
+}
+
 // mergeLinks links every entry of the sorted run [lo, hi) whose loc bit
 // j equals set to the entry of the sorted run [blo, bhi) at its loc
-// with bit j flipped, when that entry is stored: the two add each
-// other's count into their face sums, and the link goes into the link
-// rows when the level keeps them. The flipped locs ascend with the
-// sources, so the target cursor only moves forward.
+// with bit j flipped, when that entry is stored. The flipped locs ascend
+// with the sources, so the target cursor only moves forward.
 func (ix *LevelIndex) mergeLinks(locs []uint64, lo, hi, blo, bhi, j int, set bool) {
-	cnt, face, up := ix.cnt, ix.face, ix.up
 	bit := uint64(1) << uint(j)
 	from := uint64(0)
 	if set {
@@ -352,11 +547,7 @@ func (ix *LevelIndex) mergeLinks(locs []uint64, lo, hi, blo, bhi, j int, set boo
 			return
 		}
 		if locs[b] == want {
-			face[a] += int64(cnt[b])
-			face[b] += int64(cnt[a])
-			if up != nil {
-				up[a*ix.D+j] = int32(b)
-			}
+			ix.link(a, b)
 		}
 	}
 }
@@ -414,25 +605,53 @@ func checkUnion(trees ...*Tree) error {
 
 // buildLevelIndexes builds the index of every stored level of the union
 // of srcs, top down: level h is filled from level h-1's entries and
-// linked from level h-1's link rows. Only the level below reads a
-// level's link rows, so unless keepLinks is set they are dropped as
-// soon as that level is linked, and the last level never records them:
-// at most two levels' rows are alive at once, and none outlive the
-// build.
+// linked from level h-1's link list. Only the level below reads a
+// level's link list, so unless keepLinks is set it is dropped as soon
+// as that level is linked, and the last level never records one: at
+// most two levels' lists are alive at once, and none outlive the build.
+// The fill's per-source buffers and the runs are sized once, for the
+// largest level, and reused level to level.
 func buildLevelIndexes(srcs []*Tree, keepLinks bool) []*LevelIndex {
 	H := srcs[0].H
 	// A level of the union holds at most the sources' cells together,
 	// and exactly those of a lone source.
 	bound := make([]int, H)
-	for _, t := range srcs {
+	ls := make([]*levelSource, len(srcs))
+	for s, t := range srcs {
+		ls[s] = &levelSource{t: t, ordered: t.canonical()}
+		most := 0
 		for h, c := range t.levelCellCountsWalk() {
 			bound[h] += c
+			most = max(most, c)
 		}
+		ls[s].cells = make([]Ref, most)
+		if !ls[s].ordered {
+			ls[s].next = make([]int32, len(t.loc))
+		}
+	}
+	// Level h has at most bound[h-1] parents (one, the root, at level 1).
+	parents, entries := 1, 0
+	for h := 1; h <= H-1; h++ {
+		entries = max(entries, bound[h])
+		if h < H-1 {
+			parents = max(parents, bound[h])
+		}
+	}
+	for _, l := range ls {
+		l.start = make([]int32, parents+1)
+	}
+	masks := make([]uint64, 2*parents)
+	runs := levelRuns{
+		kids: make([]int32, parents+1),
+		locs: make([]uint64, 0, entries),
+		and:  masks[:parents],
+		or:   masks[parents:],
 	}
 	idxs := make([]*LevelIndex, H-1)
 	var above *LevelIndex
 	for h := 1; h <= H-1; h++ {
-		ix, runs := fillLevel(srcs, h, bound[h], above)
+		var ix *LevelIndex
+		ix, runs = fillLevel(ls, h, bound[h], above, runs)
 		ix.linkUpper(above, runs, keepLinks || h < H-1)
 		if above != nil && !keepLinks {
 			above.up = nil

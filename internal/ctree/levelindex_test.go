@@ -147,3 +147,52 @@ func TestLevelIndexInvalidation(t *testing.T) {
 		t.Errorf("post-merge index has %d entries, walk counts %d", got, tr.LevelCellCount(3))
 	}
 }
+
+// TestLevelIndexRepeatedLoc pins the face sums of a run that repeats a
+// loc, which a trusted snapshot load does not rule out: each cell links
+// to the first cell stored at its upper neighbor's loc, as one merge
+// walk over the run finds it, and cells at one loc never link to each
+// other. A four-cell run takes the pair-by-pair check, a six-cell run
+// the split first.
+func TestLevelIndexRepeatedLoc(t *testing.T) {
+	for _, locs := range [][]uint64{{0, 1, 1, 3}, {0, 1, 1, 1, 3, 3}} {
+		const d = 2
+		c := Columns{Loc: []uint64{0}, N: []int32{0}, Used: []bool{false}, Level: []uint8{0}, Parent: []Ref{NilRef}, P: make([]int32, d)}
+		eta := 0
+		for i, loc := range locs {
+			c.Loc = append(c.Loc, loc)
+			c.N = append(c.N, int32(1)<<i)
+			c.Used = append(c.Used, false)
+			c.Level = append(c.Level, 1)
+			c.Parent = append(c.Parent, rootRef)
+			c.P = append(c.P, make([]int32, d)...)
+			eta += 1 << i
+		}
+		tr, err := NewFromColumnsTrusted(d, 3, eta, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int64, len(locs))
+		for a, la := range locs {
+			for j := 0; j < d; j++ {
+				if la>>j&1 == 1 {
+					continue
+				}
+				for b, lb := range locs {
+					if lb == la|1<<j {
+						want[a] += 1 << b
+						want[b] += 1 << a
+						break
+					}
+				}
+			}
+		}
+		ix := tr.LevelIndex(1)
+		for i := range locs {
+			if ix.PathOf(i)[0] != locs[i] || ix.FaceSum(i) != want[i] {
+				t.Fatalf("locs %v: entry %d at loc %d has face sum %d, want loc %d and %d",
+					locs, i, ix.PathOf(i)[0], ix.FaceSum(i), locs[i], want[i])
+			}
+		}
+	}
+}

@@ -2,26 +2,30 @@ package ctree
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
-// checkUnionIndex requires the index over a and b (UnionLevelIndexes) to
+// checkUnionIndex requires the index over srcs (UnionLevelIndexes) to
 // match, level by level and entry for entry, the index of their union
 // written by MergeFrom: the same paths, counts, half-space counts and
 // face sums. Each entry's Ref in a source must be that source's cell at
 // the entry's path, or NilRef where the source lacks it.
-func checkUnionIndex(t *testing.T, name string, a, b *Tree) {
+func checkUnionIndex(t *testing.T, name string, srcs ...*Tree) {
 	t.Helper()
-	merged := a.Clone()
-	if err := merged.MergeFrom(b); err != nil {
-		t.Fatal(err)
+	merged := srcs[0].Clone()
+	for _, src := range srcs[1:] {
+		if err := merged.MergeFrom(src); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := merged.EnsureLevelIndexes()
-	got, err := UnionLevelIndexes(a, b)
+	got, err := UnionLevelIndexes(srcs...)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	for h := 1; h <= a.H-1; h++ {
+	d, H := srcs[0].D, srcs[0].H
+	for h := 1; h <= H-1; h++ {
 		g, w := got[h-1], want[h-1]
 		if g.Level != h || g.Len() != w.Len() {
 			t.Fatalf("%s: level %d holds %d entries, the merged tree's %d", name, h, g.Len(), w.Len())
@@ -32,12 +36,12 @@ func checkUnionIndex(t *testing.T, name string, a, b *Tree) {
 				t.Fatalf("%s: level %d entry %d: (path %v, N %d, face sum %d), the merged tree's (%v, %d, %d)",
 					name, h, i, p, g.N(i), g.FaceSum(i), w.PathOf(i), w.N(i), w.FaceSum(i))
 			}
-			for j := 0; j < a.D; j++ {
+			for j := 0; j < d; j++ {
 				if g.P(i, j) != w.P(i, j) {
 					t.Fatalf("%s: level %d entry %d axis %d: P %d, the merged tree's %d", name, h, i, j, g.P(i, j), w.P(i, j))
 				}
 			}
-			for s, src := range []*Tree{a, b} {
+			for s, src := range srcs {
 				if r := g.Ref(i, s); r != src.CellAt(p) {
 					t.Fatalf("%s: level %d entry %d: source %d Ref %d, CellAt %d", name, h, i, s, r, src.CellAt(p))
 				}
@@ -80,6 +84,45 @@ func TestUnionIndexMatchesMerge(t *testing.T) {
 						checkUnionIndex(t, c.name, c.a, c.b)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestUnionIndexKWayMatchesMerge runs the same differential check over
+// k = 3 and k = 8 sources, the k-way case of the fill's merge: each
+// sweep input is dealt at random to k-1 sources, built alternately by
+// Build (path order) and by InsertBatch (first-touch order), and an
+// empty source joins them at a random position.
+func TestUnionIndexKWayMatchesMerge(t *testing.T) {
+	for _, d := range []int{1, 15, 63} {
+		for _, H := range []int{4, MaxLevels} {
+			n := 160
+			if H == MaxLevels || d == 63 {
+				n = 48
+			}
+			for shape, pts := range sweepShapes(d, n, int64(d*1000+H)) {
+				for _, k := range []int{3, 8} {
+					t.Run(fmt.Sprintf("d%d_H%d_%s_k%d", d, H, shape, k), func(t *testing.T) {
+						rng := rand.New(rand.NewSource(int64(d*100 + H*10 + k)))
+						parts := make([][][]float64, k-1)
+						for _, p := range pts {
+							s := rng.Intn(k - 1)
+							parts[s] = append(parts[s], p)
+						}
+						var srcs []*Tree
+						for s, part := range parts {
+							if s%2 == 0 {
+								srcs = append(srcs, sweepBuild(t, d, H, part))
+							} else {
+								srcs = append(srcs, firstTouch(t, d, H, part))
+							}
+						}
+						at := rng.Intn(k)
+						srcs = append(srcs[:at], append([]*Tree{New(d, H)}, srcs[at:]...)...)
+						checkUnionIndex(t, fmt.Sprintf("k=%d, empty source %d", k, at), srcs...)
+					})
+				}
 			}
 		}
 	}

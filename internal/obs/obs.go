@@ -1,11 +1,12 @@
 // Package obs is the observability layer of the MrCC pipeline. It
 // collects, per run, the quantities the paper's complexity claims are
 // stated in — per-phase wall times (the single-scan O(η·H·d) tree
-// build, the O(d)-per-cell convolution scan, the β-tests, the cluster
-// merge and the point labeling), pipeline counters (cells per level,
-// mask evaluations, β-tests attempted/accepted/rejected, critical-value
-// cache hits/misses, merged β-clusters, noise points) and
-// runtime.MemStats deltas per contiguous phase.
+// build, the level-index build, the O(d)-per-cell convolution scan,
+// the β-tests, the cluster merge and the point labeling), pipeline
+// counters (cells per level, mask evaluations, β-tests
+// attempted/accepted/rejected, critical-value cache hits/misses, merged
+// β-clusters, noise points) and runtime.MemStats deltas per contiguous
+// phase.
 //
 // The layer is built so it can stay on in production:
 //
@@ -40,6 +41,10 @@ const (
 	// PhaseTreeBuild is the Counting-tree construction (Algorithm 1),
 	// the paper's single scan over the data.
 	PhaseTreeBuild
+	// PhaseLevelIndex is the build of the flat level indexes the
+	// β-search reads (ctree.EnsureLevelIndexes for one tree, cached on
+	// it, so a rerun records ~0; ctree.UnionLevelIndexes for several).
+	PhaseLevelIndex
 	// PhaseBetaSearch is the whole β-cluster search (Algorithm 2): the
 	// outer restart loop around the convolution scans and β-tests. Its
 	// memory delta covers the two interleaved sub-phases below.
@@ -62,8 +67,8 @@ const (
 )
 
 var phaseNames = [NumPhases]string{
-	"normalize", "treeBuild", "betaSearch", "convScan", "betaTest",
-	"clusterMerge", "labeling",
+	"normalize", "treeBuild", "levelIndex", "betaSearch", "convScan",
+	"betaTest", "clusterMerge", "labeling",
 }
 
 // String returns the phase's stable, JSON-friendly name.
@@ -229,6 +234,7 @@ type Stats struct {
 
 	Normalize    PhaseStat `json:"normalize"`
 	TreeBuild    PhaseStat `json:"treeBuild"`
+	LevelIndex   PhaseStat `json:"levelIndex"`
 	BetaSearch   PhaseStat `json:"betaSearch"`
 	ConvScan     PhaseStat `json:"convScan"`
 	BetaTest     PhaseStat `json:"betaTest"`
@@ -249,6 +255,8 @@ func (s *Stats) phase(p Phase) *PhaseStat {
 		return &s.Normalize
 	case PhaseTreeBuild:
 		return &s.TreeBuild
+	case PhaseLevelIndex:
+		return &s.LevelIndex
 	case PhaseBetaSearch:
 		return &s.BetaSearch
 	case PhaseConvScan:
@@ -269,8 +277,8 @@ func (s *Stats) Phase(p Phase) PhaseStat { return *s.phase(p) }
 // TotalWall sums the wall times of the top-level phases (the scan and
 // β-test sub-phases are already inside PhaseBetaSearch).
 func (s *Stats) TotalWall() time.Duration {
-	return s.Normalize.Wall() + s.TreeBuild.Wall() + s.BetaSearch.Wall() +
-		s.ClusterMerge.Wall() + s.Labeling.Wall()
+	return s.Normalize.Wall() + s.TreeBuild.Wall() + s.LevelIndex.Wall() +
+		s.BetaSearch.Wall() + s.ClusterMerge.Wall() + s.Labeling.Wall()
 }
 
 // Format renders the stats as the human-readable table `mrcc -stats`
@@ -301,6 +309,7 @@ func (s *Stats) Format() string {
 	}
 	row(PhaseNormalize.String(), s.Normalize, false)
 	row(PhaseTreeBuild.String(), s.TreeBuild, false)
+	row(PhaseLevelIndex.String(), s.LevelIndex, false)
 	row(PhaseBetaSearch.String(), s.BetaSearch, false)
 	row(PhaseConvScan.String(), s.ConvScan, true)
 	row(PhaseBetaTest.String(), s.BetaTest, true)

@@ -153,6 +153,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	c := New(nil)
 	c.SetShape(1000, 8, 4, 1)
 	c.Start(PhaseTreeBuild).End()
+	c.Start(PhaseLevelIndex).End()
 	c.AddMaskEvals(123)
 	s := c.Finish()
 	data, err := json.Marshal(s)
@@ -166,7 +167,10 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	if back.Points != 1000 || back.Counters.MaskEvals != 123 {
 		t.Errorf("round trip lost data: %+v", back)
 	}
-	for _, key := range []string{"treeBuild", "maskEvals", "counters"} {
+	if back.LevelIndex.Spans != 1 {
+		t.Errorf("round trip lost the levelIndex row: %+v", back.LevelIndex)
+	}
+	for _, key := range []string{"treeBuild", "levelIndex", "maskEvals", "counters"} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("JSON missing key %q: %s", key, data)
 		}
@@ -179,14 +183,23 @@ func TestFormat(t *testing.T) {
 	c.CountCells(1, 5)
 	c.CountCells(2, 9)
 	c.Start(PhaseTreeBuild).End()
+	c.Start(PhaseLevelIndex).End()
 	c.Start(PhaseConvScan).EndAtLevel(2)
 	c.AddMaskEvals(42)
 	s := c.Finish()
 	out := s.Format()
-	for _, want := range []string{"treeBuild", "convScan", "mask evals: 42", "1000 points", "total"} {
+	for _, want := range []string{"treeBuild", "levelIndex", "convScan", "mask evals: 42", "1000 points", "total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format() missing %q:\n%s", want, out)
 		}
+	}
+	// The level-index row sits between the tree build and the β-search,
+	// the order the pipeline runs them in, and counts in the total.
+	if strings.Index(out, "treeBuild") > strings.Index(out, "levelIndex") {
+		t.Errorf("Format() prints levelIndex before treeBuild:\n%s", out)
+	}
+	if s.TotalWall() != s.TreeBuild.Wall()+s.LevelIndex.Wall() {
+		t.Errorf("TotalWall %v, want treeBuild %v + levelIndex %v", s.TotalWall(), s.TreeBuild.Wall(), s.LevelIndex.Wall())
 	}
 }
 

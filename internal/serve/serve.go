@@ -78,7 +78,9 @@ type Config struct {
 	// Published views are built from the union of aging and active, so
 	// the model always reflects the last one-to-two windows of the
 	// stream. Zero disables windowing (the tree accumulates the whole
-	// stream).
+	// stream). The two trees together can hold
+	// 2·(WindowPoints + MaxBatchPoints − 1) points, which must not
+	// exceed ctree.MaxPoints.
 	WindowPoints int
 	// SnapshotPath, when non-empty, is the tree snapshot the service
 	// warm-starts from on boot (when the file exists), writes on POST
@@ -187,6 +189,14 @@ func (c Config) validate() error {
 	}
 	if c.ReclusterEvery == 0 && c.ReclusterPoints == 0 {
 		return errors.New("serve: at least one of ReclusterEvery and ReclusterPoints must be set")
+	}
+	// Rotation fires on the first batch after the active tree fills, so
+	// either tree of the window can hold WindowPoints + MaxBatchPoints - 1
+	// points. A window whose two trees can outgrow ctree.MaxPoints
+	// together could not be clustered or checkpointed as one.
+	if most := 2 * (int64(c.WindowPoints) + int64(c.MaxBatchPoints) - 1); c.WindowPoints > 0 && most > int64(ctree.MaxPoints) {
+		return fmt.Errorf("serve: WindowPoints %d with MaxBatchPoints %d lets the window hold %d points, past ctree.MaxPoints (%d)",
+			c.WindowPoints, c.MaxBatchPoints, most, ctree.MaxPoints)
 	}
 	if c.WALDir != "" {
 		if _, err := wal.ParseSyncPolicy(c.WALSync); err != nil {

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mrcc/internal/ctree"
 )
 
 // streamRows generates the facade tests' two-cluster shape in domain
@@ -116,6 +118,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Dims: 2, ReclusterEvery: time.Second}); err != nil {
 		t.Errorf("minimal valid config rejected: %v", err)
+	}
+}
+
+// TestConfigWindowBound pins the window's size check: rotation fires
+// on the first batch after the active tree fills, so each of the two
+// trees can reach WindowPoints + MaxBatchPoints - 1 points, and a
+// window whose two trees together can pass ctree.MaxPoints is refused
+// at New, the largest one that cannot is accepted.
+func TestConfigWindowBound(t *testing.T) {
+	for _, batch := range []int{0, 1, 1000} {
+		b := batch
+		if b == 0 {
+			b = 100000 // the MaxBatchPoints default
+		}
+		largest := int(ctree.MaxPoints)/2 - b + 1
+		cfg := Config{Dims: 2, ReclusterEvery: time.Second, MaxBatchPoints: batch, WindowPoints: largest}
+		if _, err := New(cfg); err != nil {
+			t.Errorf("MaxBatchPoints %d: the largest window %d was refused: %v", batch, largest, err)
+		}
+		cfg.WindowPoints++
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "MaxPoints") {
+			t.Errorf("MaxBatchPoints %d: window %d, one past the largest, gave %v, want a MaxPoints error", batch, cfg.WindowPoints, err)
+		}
 	}
 }
 
