@@ -1,12 +1,14 @@
-// Command mrcc-shard builds one Counting-tree from a large dataset by
+// Command mrcc-shard builds the Counting-tree of a large dataset by
 // splitting the work across worker processes: the coordinator cuts the
-// input into record-aligned shards, each worker builds its shard's
+// input into record-aligned shards, and each worker builds its shard's
 // tree with the usual radix/arena build and streams it back as a
-// treeio snapshot, and a pairwise merge tournament reduces the W shard
-// trees in ceil(log2 W) rounds. The merged tree is canonicalized, so
-// it is cell-for-cell AND byte-for-byte identical to the tree a
-// single-process build over the same rows would snapshot — sharding is
-// a throughput lever, never a semantics change.
+// treeio snapshot. The coordinator keeps the W shard trees apart:
+// -cluster runs the clustering over them as they are, through the
+// level index of their union, and only -out and -check-serial write
+// them as one tree (ctree.Union). That tree is cell-for-cell AND
+// byte-for-byte identical to the tree a single-process build over the
+// same rows would snapshot — sharding is a throughput lever, never a
+// semantics change.
 //
 // Coordinator usage (pick ONE input style):
 //
@@ -17,10 +19,10 @@
 // With -worker-addrs host:port,... the jobs go to those (already
 // running) workers round-robin; without it the coordinator spawns
 // -local-workers worker processes of itself on loopback and tears
-// them down afterwards. The merged tree can be snapshotted with -out
-// (mrcc-serve warm-starts from it, see -snapshot/-trust-snapshot
-// there), clustered in-process with -cluster, and byte-compared
-// against a fresh single-process build with -check-serial.
+// them down afterwards. The shard trees' union can be snapshotted with
+// -out (mrcc-serve warm-starts from it, see -snapshot/-trust-snapshot
+// there) and byte-compared against a fresh single-process build with
+// -check-serial; -cluster clusters the shard trees in-process.
 //
 // Worker usage:
 //
@@ -59,7 +61,6 @@ import (
 	"mrcc/internal/core"
 	"mrcc/internal/ctree"
 	"mrcc/internal/dataset"
-	"mrcc/internal/obs"
 	"mrcc/internal/shard"
 	"mrcc/internal/treeio"
 )
@@ -105,7 +106,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	fs.StringVar(&opt.listen, "listen", "127.0.0.1:0", "worker listen address (worker mode only)")
 	fs.StringVar(&opt.input, "input", "", "one CSV to partition into -shards byte ranges")
 	fs.StringVar(&opt.inputs, "inputs", "", "comma-separated per-shard CSV files (alternative to -input)")
-	fs.StringVar(&opt.snapshots, "snapshots", "", "comma-separated per-shard tree snapshots to merge (no building)")
+	fs.StringVar(&opt.snapshots, "snapshots", "", "comma-separated per-shard tree snapshots to combine (no building)")
 	fs.BoolVar(&opt.header, "header", false, "input CSVs start with a header record")
 	fs.IntVar(&opt.shards, "shards", 0, "shard count for -input (0 = worker count)")
 	fs.StringVar(&opt.workerAddrs, "worker-addrs", "", "comma-separated addresses of running workers (empty = spawn local workers)")
@@ -114,9 +115,9 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	fs.IntVar(&opt.dims, "dims", 0, "point dimensionality (0 = take it from the data; required with -domain)")
 	fs.StringVar(&opt.domain, "domain", "", `per-axis value bounds "min:max[,min:max...]"; one pair applies to all axes; empty = data already in [0,1)`)
 	fs.IntVar(&opt.buildWorkers, "build-workers", 1, "build goroutines per worker process (0 = all CPUs)")
-	fs.IntVar(&opt.parallel, "parallel", 0, "in-flight jobs and merge parallelism at the coordinator (0 = worker count)")
-	fs.StringVar(&opt.out, "out", "", "write the merged Counting-tree snapshot to this file")
-	fs.BoolVar(&opt.cluster, "cluster", false, "run the subspace clustering on the merged tree and report the clusters")
+	fs.IntVar(&opt.parallel, "parallel", 0, "in-flight jobs at the coordinator (0 = worker count)")
+	fs.StringVar(&opt.out, "out", "", "write the shard trees' union as one Counting-tree snapshot to this file")
+	fs.BoolVar(&opt.cluster, "cluster", false, "run the subspace clustering over the shard trees and report the clusters")
 	fs.Float64Var(&opt.alpha, "alpha", core.DefaultAlpha, "significance level for -cluster, in (0, 1)")
 	fs.BoolVar(&opt.stats, "stats", false, "with -cluster, print the per-phase clustering table and pipeline counters")
 	fs.BoolVar(&opt.checkSerial, "check-serial", false, "also build the tree single-process and fail unless the snapshots are byte-identical")
@@ -181,7 +182,7 @@ func (o *options) validate() error {
 		return fmt.Errorf("-alpha must be in (0, 1), got %g", o.alpha)
 	}
 	if o.snapshots != "" && (o.checkSerial || o.domain != "") {
-		return fmt.Errorf("-snapshots merges prebuilt trees; -check-serial and -domain need the raw rows")
+		return fmt.Errorf("-snapshots combines prebuilt trees; -check-serial and -domain need the raw rows")
 	}
 	return nil
 }
@@ -201,7 +202,8 @@ func runWorker(ctx context.Context, opt options, stdout io.Writer) error {
 	return shard.Serve(ctx, l)
 }
 
-// runCoordinator partitions, dispatches, merges and post-processes.
+// runCoordinator partitions, dispatches and post-processes: it writes
+// the shard trees' union only for -check-serial and -out.
 func runCoordinator(ctx context.Context, opt options, stdout, stderr io.Writer) error {
 	jobs, err := buildJobs(opt)
 	if err != nil {
@@ -213,35 +215,40 @@ func runCoordinator(ctx context.Context, opt options, stdout, stderr io.Writer) 
 	}
 	defer cleanup()
 
-	col := obs.New(nil)
 	start := time.Now()
-	merged, stats, err := shard.Run(ctx, shard.Options{
-		Addrs:     addrs,
-		Jobs:      jobs,
-		Parallel:  opt.parallel,
-		Collector: col,
+	trees, stats, err := shard.Run(ctx, shard.Options{
+		Addrs:    addrs,
+		Jobs:     jobs,
+		Parallel: opt.parallel,
 	})
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
-	fmt.Fprintf(stdout, "sharded build: %d points, %d cells across %d shards (%d KB streamed, %d merge rounds) in %v\n",
-		merged.Eta, merged.CellCount(), stats.ShardsBuilt, stats.BytesStreamed/1024, stats.MergeRounds, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "sharded build: %d points across %d shards (%d KB streamed) in %v\n",
+		stats.Points, stats.ShardsBuilt, stats.BytesStreamed/1024, time.Since(start).Round(time.Millisecond))
 
-	if opt.checkSerial {
-		if err := checkSerial(ctx, opt, merged, stdout); err != nil {
-			return err
-		}
-	}
-	if opt.out != "" {
-		n, err := treeio.SaveFile(opt.out, merged)
+	if opt.checkSerial || opt.out != "" {
+		start := time.Now()
+		merged, err := ctree.Union(trees...)
 		if err != nil {
-			return fmt.Errorf("out: %w", err)
+			return fmt.Errorf("union: %w", err)
 		}
-		fmt.Fprintf(stdout, "saved %d-byte snapshot to %s\n", n, opt.out)
+		fmt.Fprintf(stdout, "union: %d cells in %v\n", merged.CellCount(), time.Since(start).Round(time.Millisecond))
+		if opt.checkSerial {
+			if err := checkSerial(ctx, opt, merged, stdout); err != nil {
+				return err
+			}
+		}
+		if opt.out != "" {
+			n, err := treeio.SaveFile(opt.out, merged)
+			if err != nil {
+				return fmt.Errorf("out: %w", err)
+			}
+			fmt.Fprintf(stdout, "saved %d-byte snapshot to %s\n", n, opt.out)
+		}
 	}
 	if opt.cluster {
-		res, err := core.RunTreeContext(ctx, []*ctree.Tree{merged}, core.Config{
+		res, err := core.RunTreeContext(ctx, trees, core.Config{
 			Alpha: opt.alpha, H: opt.h, CollectStats: opt.stats,
 		})
 		if err != nil {
@@ -377,7 +384,7 @@ func checkSerial(ctx context.Context, opt options, merged *ctree.Tree, stdout io
 		return fmt.Errorf("check-serial: %w", err)
 	}
 	if !ctree.Equal(serial, merged) {
-		return fmt.Errorf("check-serial: merged tree differs from the single-process build")
+		return fmt.Errorf("check-serial: the shard trees' union differs from the single-process build")
 	}
 	var want, got bytes.Buffer
 	if _, err := treeio.Save(&want, serial); err != nil {

@@ -11,8 +11,11 @@ import (
 	"strings"
 	"testing"
 
+	"mrcc/internal/core"
+	"mrcc/internal/ctree"
 	"mrcc/internal/dataset"
 	"mrcc/internal/shard"
+	"mrcc/internal/synthetic"
 	"mrcc/internal/treeio"
 )
 
@@ -158,6 +161,67 @@ func TestCoordinatorPerShardInputs(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "900 points") || !strings.Contains(stdout.String(), "check-serial: ok") {
 		t.Fatalf("unexpected output:\n%s", stdout.String())
+	}
+}
+
+// TestClusterOverShardTreesMatchesBuild is the cross-path pin of the
+// unmerged -cluster: with neither -out nor -check-serial no union is
+// written, and the clustering runs over the shard trees as they are.
+// At 1 and 4 shards it must print the cluster lines core.RunTree gives
+// over ctree.Build of the same rows.
+func TestClusterOverShardTreesMatchesBuild(t *testing.T) {
+	ds, _, err := synthetic.Generate(synthetic.Config{
+		Dims: 6, Points: 4000, Clusters: 3, NoiseFrac: 0.1,
+		MinClusterDim: 3, MaxClusterDim: 5, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv := filepath.Join(t.TempDir(), "clusters.csv")
+	if err := ds.SaveCSVFile(csv); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := dataset.LoadCSVFile(csv, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := ctree.Build(rows, core.DefaultH, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.RunTree(tree, core.Config{Alpha: core.DefaultAlpha, H: core.DefaultH})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumClusters() == 0 {
+		t.Fatal("the reference run finds no cluster; the comparison is vacuous")
+	}
+	want := []string{fmt.Sprintf("found %d correlation clusters (%d beta-clusters)", res.NumClusters(), len(res.Betas))}
+	for _, c := range res.Clusters {
+		want = append(want, fmt.Sprintf("  cluster %d: relevant axes %v", c.ID, c.RelevantAxes()))
+	}
+	for _, shards := range []string{"1", "4"} {
+		var stdout, stderr bytes.Buffer
+		code := realMain(context.Background(), []string{
+			"-input", csv, "-shards", shards,
+			"-worker-addrs", startWorkers(t, 2), "-cluster",
+		}, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("shards=%s: exit %d, stderr: %s", shards, code, stderr.String())
+		}
+		var got []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if strings.HasPrefix(line, "union:") {
+				t.Errorf("shards=%s: -cluster alone wrote a union: %q", shards, line)
+			}
+			if strings.HasPrefix(line, "found ") || strings.HasPrefix(line, "  cluster ") {
+				got = append(got, line)
+			}
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("shards=%s: cluster lines\n%s\nwant (core.RunTree over ctree.Build)\n%s",
+				shards, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
 

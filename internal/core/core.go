@@ -455,8 +455,8 @@ func RunTree(t *ctree.Tree, cfg Config) (*Result, error) {
 // fault-injection and panic-containment contract as RunOnTreeContext.
 // The β-search reads the level indexes of the union
 // (ctree.UnionLevelIndexes), whose counts add up across the trees, so
-// the Result is the one RunTree gives over the trees' MergeFrom, and no
-// merged tree is written: the streaming service clusters its two-tree
+// the Result is the one RunTree gives over the trees' ctree.Union, and
+// no merged tree is written: the streaming service clusters its two-tree
 // window this way. Like RunOnTree, a run over one tree clears its Used
 // flags at entry and marks the cells it tests, so reruns need no manual
 // ResetUsed; a run over several trees leaves their flags alone, keeps

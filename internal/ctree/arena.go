@@ -14,7 +14,7 @@
 //
 // Children of one parent form a singly linked list in ascending Ref
 // order (firstChild/lastChild/nextSib columns): ascending by Loc in a
-// tree Build or MergeFrom wrote, in first-touch order in one grown by
+// tree Build or Union wrote, in first-touch order in one grown by
 // InsertBatch. Small nodes (≤ inlineChildren children) are resolved by
 // scanning that list; a node that grows past the threshold gets an
 // open-addressing table keyed by the child's Loc (hashLoc). Table sizes
@@ -28,9 +28,7 @@
 package ctree
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
 	"sync"
 	"unsafe"
 )
@@ -98,9 +96,9 @@ type Tree struct {
 	dmask uint64
 
 	// grows counts arena growth events (column reallocation), runs and
-	// runPoints the sorted-batch insertion runs (see batch.go); merged
-	// shards fold their counters into the destination, so the root tree
-	// reports build-wide totals for the observability layer.
+	// runPoints the sorted-batch insertion runs (see batch.go); a Union
+	// sums its trees' counters, so a merged tree reports build-wide
+	// totals for the observability layer.
 	grows       int64
 	runs        int64
 	runPoints   int64
@@ -114,7 +112,8 @@ type Tree struct {
 
 	// idxMu guards the lazily built level indexes (levelindex.go);
 	// indexes[h-1] is the flat snapshot of level h, nil until
-	// EnsureLevelIndexes runs, invalidated by Insert and MergeFrom.
+	// EnsureLevelIndexes runs, invalidated by Insert, InsertBatch and
+	// MergeFrom.
 	idxMu   sync.Mutex
 	indexes []*LevelIndex
 }
@@ -294,27 +293,6 @@ func (t *Tree) link() {
 			t.buildTab(Ref(r))
 		}
 	}
-}
-
-// appendChildren appends the children of cell r to s ascending by Loc
-// and returns s: the chain as it stands when it already ascends (every
-// tree Build or MergeFrom wrote), sorted when it is in the first-touch
-// order InsertBatch grows.
-func (t *Tree) appendChildren(s []Ref, r Ref) []Ref {
-	lo := len(s)
-	ascending, prev := true, uint64(0)
-	for c := t.firstChild[r]; c >= 0; c = t.nextSib[c] {
-		l := t.loc[c]
-		if l < prev {
-			ascending = false
-		}
-		prev = l
-		s = append(s, c)
-	}
-	if !ascending {
-		slices.SortFunc(s[lo:], func(a, b Ref) int { return cmp.Compare(t.loc[a], t.loc[b]) })
-	}
-	return s
 }
 
 // tableSize returns the power-of-two open-addressing table size for n

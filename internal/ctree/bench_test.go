@@ -70,33 +70,16 @@ func BenchmarkInsert(b *testing.B) {
 //	go test -run '^$' -bench BenchmarkEnsureLevelIndexes ./internal/ctree
 func BenchmarkEnsureLevelIndexes(b *testing.B) {
 	const d, H = 15, 4
-	gen := func(points int) *dataset.Dataset {
-		ds, _, err := synthetic.Generate(synthetic.Config{
-			Dims: d, Points: points, Clusters: 10, NoiseFrac: 0.15,
-			MinClusterDim: 8, MaxClusterDim: 13, Seed: 314,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return ds
-	}
-	grow := func(dst *Tree, pts [][]float64) {
-		for i := 0; i < len(pts); i += 1000 {
-			if err := dst.InsertBatch(pts[i:min(i+1000, len(pts))]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	ds := gen(100000)
+	ds := benchDataset(b, 100000)
 	pts := ds.Points
 	built, err := Build(ds, H, BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	aging, active, firstTouch := New(d, H), New(d, H), New(d, H)
-	grow(aging, pts[:len(pts)/2])
-	grow(active, pts[len(pts)/2:])
-	grow(firstTouch, pts)
+	growBatches(b, aging, pts[:len(pts)/2])
+	growBatches(b, active, pts[len(pts)/2:])
+	growBatches(b, firstTouch, pts)
 	window := aging.Clone()
 	if err := window.MergeFrom(active); err != nil {
 		b.Fatal(err)
@@ -116,10 +99,10 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 	}
 	b.Run("union", func(b *testing.B) {
 		const window = 100000
-		pts := gen(window + window/2).Points
+		pts := benchDataset(b, window+window/2).Points
 		grown, active := New(d, H), New(d, H)
-		grow(grown, pts[:window])
-		grow(active, pts[window:])
+		growBatches(b, grown, pts[:window])
+		growBatches(b, active, pts[window:])
 		aging, err := Canonicalize(grown)
 		if err != nil {
 			b.Fatal(err)
@@ -139,6 +122,73 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 		}
 		b.ReportMetric(float64(bytes)/(1<<20), "index-MB")
 	})
+}
+
+// benchDataset generates the benchmarks' points: the stream-grow shape
+// (d = 15, 10 subspace clusters, 15% noise, seed 314).
+func benchDataset(b *testing.B, points int) *dataset.Dataset {
+	ds, _, err := synthetic.Generate(synthetic.Config{
+		Dims: 15, Points: points, Clusters: 10, NoiseFrac: 0.15,
+		MinClusterDim: 8, MaxClusterDim: 13, Seed: 314,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds
+}
+
+// growBatches grows dst by InsertBatch calls of 1000 points, the
+// service's ingest batches, which leave it in first-touch order.
+func growBatches(b *testing.B, dst *Tree, pts [][]float64) {
+	for i := 0; i < len(pts); i += 1000 {
+		if err := dst.InsertBatch(pts[i:min(i+1000, len(pts))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkUnion times the Union writes the program runs, on the
+// stream-grow shape (d = 15, H = 4). "canonicalize" rewrites a
+// 100k-point first-touch tree, as the service does to its aging tree
+// once per rotation. "window" unites a first-touch 50k-point active
+// tree with a canonical 100k-point aging tree, the tree a service
+// snapshot or checkpoint saves. "shards=4" and "shards=8" unite the
+// Build trees of 4 and 8 contiguous shards of 100k points, what
+// mrcc-shard -out and -check-serial write.
+//
+//	go test -run '^$' -bench BenchmarkUnion -cpu 1 ./internal/ctree
+func BenchmarkUnion(b *testing.B) {
+	const d, H = 15, 4
+	pts := benchDataset(b, 150000).Points
+	grown, active := New(d, H), New(d, H)
+	growBatches(b, grown, pts[:100000])
+	growBatches(b, active, pts[100000:])
+	aging, err := Canonicalize(grown)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(name string, trees ...*Tree) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Union(trees...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("canonicalize", grown)
+	run("window", active, aging)
+	for _, w := range []int{4, 8} {
+		shards := make([]*Tree, w)
+		for i := range shards {
+			part := &dataset.Dataset{Dims: d, Points: pts[i*100000/w : (i+1)*100000/w]}
+			if shards[i], err = Build(part, H, BuildOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		run(fmt.Sprintf("shards=%d", w), shards...)
+	}
 }
 
 func BenchmarkWalkLevel(b *testing.B) {

@@ -10,36 +10,35 @@
 // Every level lists its cells in lexicographic path order, whatever
 // arena order the sources were built in: level h holds, for each level
 // h-1 entry in turn, that cell's children ascending by loc, the merge of
-// every source's child run. The fill reads each source's level-h cells
-// in one pass over its arena, which lists them in path order already
-// when Build, MergeFrom or Canonicalize wrote the tree; those of a tree
-// InsertBatch grew in first-touch order are grouped by parent entry and
-// sorted by loc first. Each parent's children therefore form one
-// sorted, contiguous run, which makes the entry index the path order
-// (the β-search breaks value ties by index and finds a cell by path
-// with a binary search) and lets the face neighbors be found without
-// child lookups: siblings by splitting each run at the top bit in which
-// its ends differ, cousins by one merge walk between the runs of two
-// neighboring parents, skipped when the runs' AND and OR loc masks show
-// that no cell can match.
+// every source's child run. That merge (levelMerger) is the package's
+// one union kernel: Union runs it too, and writes the merged levels out
+// as a tree. It reads each source's level-h cells in one pass over its
+// arena, which lists them in path order already when Build or Union
+// wrote the tree; those of a tree InsertBatch grew in first-touch order
+// are grouped by parent entry and sorted by loc first. Each parent's
+// children therefore form one sorted, contiguous run, which makes the
+// entry index the path order (the β-search breaks value ties by index
+// and finds a cell by path with a binary search) and lets the face
+// neighbors be found without child lookups: siblings by splitting each
+// run at the top bit in which its ends differ, cousins by one merge walk
+// between the runs of two neighboring parents, skipped when the runs'
+// AND and OR loc masks show that no cell can match.
 //
 // Point counts, half-space counts and face sums all add up across
 // trees, so the index over several trees (UnionLevelIndexes) answers
-// the β-search exactly as the index of their MergeFrom would, without
+// the β-search exactly as the index of their Union would, without
 // writing a merged arena: the trees are walked together, as in Gray and
 // Moore's multi-tree methods, rather than combined first.
 // Tree.EnsureLevelIndexes is the one-tree case, cached on the tree; it
 // stays valid for as long as the tree's cell set does not change
-// (Insert and MergeFrom invalidate it). An index reads its sources'
-// half-space counters, so mutating a source concurrently with index
-// access is not supported (the pipeline never does: indexes are built
-// before the scan workers fan out, and scan workers only read).
+// (Insert, InsertBatch and MergeFrom invalidate it). An index reads its
+// sources' half-space counters, so mutating a source concurrently with
+// index access is not supported (the pipeline never does: indexes are
+// built before the scan workers fan out, and scan workers only read).
 package ctree
 
 import (
 	"cmp"
-	"errors"
-	"fmt"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -170,24 +169,25 @@ func (ix *LevelIndex) MemoryBytes() uint64 {
 	return total
 }
 
-// levelRuns is the transient by-product of one level's fill that its
-// links read: the children of the level above's entry p are entries
-// kids[p] to kids[p+1]-1, locs[i] is entry i's loc (the last word of
-// its path), kept contiguous for the link walks, and and[p] and or[p]
-// are the AND and the OR of the locs of p's children (all ones and zero
-// for a childless p), which let a cousin walk be skipped unread.
+// levelRuns is the by-product of one level's merge that the index's
+// paths and links and Union's writer read: the children of the level
+// above's entry p are entries kids[p] to kids[p+1]-1, locs[i] is entry
+// i's loc (the last word of its path), kept contiguous for the link
+// walks, and and[p] and or[p] are the AND and the OR of the locs of p's
+// children (all ones and zero for a childless p), which let a cousin
+// walk be skipped unread.
 type levelRuns struct {
 	kids    []int32
 	locs    []uint64
 	and, or []uint64
 }
 
-// levelSource is one source tree's side of a level's fill: its cells at
-// the level, grouped by parent entry in path order.
+// levelSource is one source tree's side of a level's merge: its cells
+// at the level, grouped by parent entry in path order.
 type levelSource struct {
 	t *Tree
 	// ordered reports that the arena lists every level in path order
-	// (Build, MergeFrom and Canonicalize write trees so), which makes a
+	// (Build and Union write trees so), which makes a
 	// level's cells, read in arena order, already grouped and sorted.
 	ordered bool
 	// cells[start[p]:start[p+1]] holds the children of the level above's
@@ -292,48 +292,86 @@ func (ls *levelSource) sortRun(run []Ref) {
 	}
 }
 
-// fillLevel lists level h's cells of the union of srcs in path order —
-// for each entry of above in turn (at level 1, where above is nil, the
-// sources' root sentinels), the merge of every source's child run of
-// that cell, ascending by loc — and fills each entry's path from its
-// parent entry's, its per-source Refs and its summed count. n bounds
-// the level's entry count, and runs carries the reused kids, locs and
-// mask buffers. Each source first gathers its level-h cells into runs
-// (levelSource.gather); a parent whose children all sit in one source
-// (every parent of a lone source's index) takes that source's run
-// whole.
-func fillLevel(srcs []*levelSource, h, n int, above *LevelIndex, runs levelRuns) (*LevelIndex, levelRuns) {
-	k := len(srcs)
-	ix := &LevelIndex{
-		Level: h,
-		srcs:  make([]*Tree, k),
-		D:     srcs[0].t.D,
-		paths: make([]uint64, 0, n*h),
-		refs:  make([][]Ref, k),
-		cnt:   make([]int32, 0, n),
+// levelMerger is the union kernel that the level-index build and Union
+// share: the k-way merge of the sources' levels, top down, one level at
+// a time. Level h of the union lists, for each entry of level h-1 in
+// turn, the merge of every source's child run of that cell, ascending by
+// loc. The sources' buffers are sized once, for the largest level, and
+// reused level to level.
+type levelMerger struct {
+	srcs []*levelSource
+	// bound[h] bounds level h's entries: the sources' cells at the level
+	// together, exactly those of a lone source.
+	bound []int
+	// parents and entries bound any level's parents (the root alone at
+	// level 1) and entries.
+	parents, entries int
+	// roots holds each source's root sentinel, the parents of level 1.
+	roots [][]Ref
+	// pos and head are the merge's cursor and head loc in each source.
+	pos  []int32
+	head []uint64
+}
+
+// newLevelMerger sets up the merge of the levels of srcs.
+func newLevelMerger(srcs []*Tree) *levelMerger {
+	k, H := len(srcs), srcs[0].H
+	m := &levelMerger{
+		srcs:    make([]*levelSource, k),
+		bound:   make([]int, H),
+		parents: 1,
+		roots:   make([][]Ref, k),
+		pos:     make([]int32, k),
+		head:    make([]uint64, k),
 	}
-	root := []Ref{rootRef}
-	parents := 1
-	var parPaths []uint64
-	if above != nil {
-		parents, parPaths = above.n, above.paths
+	for s, t := range srcs {
+		ls := &levelSource{t: t, ordered: t.canonical()}
+		most := 0
+		for h, c := range t.levelCellCountsWalk() {
+			m.bound[h] += c
+			most = max(most, c)
+		}
+		ls.cells = make([]Ref, most)
+		if !ls.ordered {
+			ls.next = make([]int32, len(t.loc))
+		}
+		m.srcs[s], m.roots[s] = ls, []Ref{rootRef}
 	}
-	for s, ls := range srcs {
-		ix.srcs[s] = ls.t
-		ix.refs[s] = make([]Ref, 0, n)
-		if above != nil {
-			ls.gather(h, above.refs[s])
-		} else {
-			ls.gather(h, root)
+	for h := 1; h <= H-1; h++ {
+		m.entries = max(m.entries, m.bound[h])
+		if h < H-1 {
+			m.parents = max(m.parents, m.bound[h])
 		}
 	}
+	for _, ls := range m.srcs {
+		ls.start = make([]int32, m.parents+1)
+	}
+	return m
+}
+
+// merge lists level h of the union in path order. above[s] holds
+// source s's Refs of the level above's entries (NilRef where it lacks
+// the cell; m.roots at level 1). It returns each entry's Ref in every
+// source (refs[s][i], NilRef where absent) and its point count summed
+// over the sources, and runs, whose buffers must fit the level, filled
+// with the entries' locs, run offsets and masks. Each source first
+// gathers its level-h cells (levelSource.gather); a parent whose
+// children all sit in one source (every parent of a lone source's
+// level) takes that source's run whole.
+func (m *levelMerger) merge(h int, above [][]Ref, runs levelRuns) (refs [][]Ref, cnt []int32, _ levelRuns) {
+	srcs, n, parents := m.srcs, m.bound[h], len(above[0])
+	refs = make([][]Ref, len(srcs))
+	for s, ls := range srcs {
+		ls.gather(h, above[s])
+		refs[s] = make([]Ref, 0, n)
+	}
+	cnt = make([]int32, 0, n)
 	runs.kids, runs.locs = runs.kids[:parents+1], runs.locs[:0]
 	runs.and, runs.or = runs.and[:parents], runs.or[:parents]
 	const done = ^uint64(0)
-	pos, head := make([]int32, k), make([]uint64, k)
+	pos, head := m.pos, m.head
 	for p := 0; p < parents; p++ {
-		runs.kids[p] = int32(len(ix.cnt))
-		parPath := parPaths[p*(h-1) : (p+1)*(h-1)]
+		runs.kids[p] = int32(len(cnt))
 		and, or := ^uint64(0), uint64(0)
 		lone, sources := 0, 0
 		for s, ls := range srcs {
@@ -344,21 +382,20 @@ func fillLevel(srcs []*levelSource, h, n int, above *LevelIndex, runs levelRuns)
 		if sources <= 1 {
 			ls := srcs[lone]
 			t, run := ls.t, ls.cells[ls.start[p]:ls.start[p+1]]
-			for s := range srcs {
+			for s := range refs {
 				if s == lone {
-					ix.refs[s] = append(ix.refs[s], run...)
+					refs[s] = append(refs[s], run...)
 					continue
 				}
 				for range run {
-					ix.refs[s] = append(ix.refs[s], NilRef)
+					refs[s] = append(refs[s], NilRef)
 				}
 			}
 			for _, c := range run {
 				loc := t.loc[c]
 				and, or = and&loc, or|loc
-				ix.cnt = append(ix.cnt, t.n[c])
+				cnt = append(cnt, t.n[c])
 				runs.locs = append(runs.locs, loc)
-				ix.paths = append(append(ix.paths, parPath...), loc)
 			}
 			runs.and[p], runs.or[p] = and, or
 			continue
@@ -381,32 +418,50 @@ func fillLevel(srcs []*levelSource, h, n int, above *LevelIndex, runs levelRuns)
 			if loc == done {
 				break
 			}
-			var cnt int32
+			var sum int32
 			for s, ls := range srcs {
 				r := NilRef
 				if head[s] == loc {
 					r = ls.cells[pos[s]]
-					cnt += ls.t.n[r]
+					sum += ls.t.n[r]
 					if pos[s]++; pos[s] < ls.start[p+1] {
 						head[s] = ls.t.loc[ls.cells[pos[s]]]
 					} else {
 						head[s] = done
 					}
 				}
-				ix.refs[s] = append(ix.refs[s], r)
+				refs[s] = append(refs[s], r)
 			}
 			and, or = and&loc, or|loc
-			ix.cnt = append(ix.cnt, cnt)
+			cnt = append(cnt, sum)
 			runs.locs = append(runs.locs, loc)
-			ix.paths = append(append(ix.paths, parPath...), loc)
 		}
 		runs.and[p], runs.or[p] = and, or
 	}
-	ix.n = len(ix.cnt)
-	runs.kids[parents] = int32(ix.n)
-	ix.used = make([]bool, ix.n)
-	ix.face = make([]int64, ix.n)
-	return ix, runs
+	runs.kids[parents] = int32(len(cnt))
+	return refs, cnt, runs
+}
+
+// fillPaths writes each entry's root path: its parent entry's path
+// (none at level 1) followed by its own loc.
+func (ix *LevelIndex) fillPaths(above *LevelIndex, runs levelRuns) {
+	h := ix.Level
+	if above == nil {
+		ix.paths = append(make([]uint64, 0, ix.n), runs.locs...)
+		return
+	}
+	paths := make([]uint64, ix.n*h)
+	for p := 0; p < above.n; p++ {
+		parPath := above.paths[p*(h-1) : (p+1)*(h-1)]
+		for i := int(runs.kids[p]); i < int(runs.kids[p+1]); i++ {
+			path := paths[i*h : i*h+h]
+			for j, w := range parPath {
+				path[j] = w
+			}
+			path[h-1] = runs.locs[i]
+		}
+	}
+	ix.paths = paths
 }
 
 // upLink records that entry b is entry a's upper face neighbor along
@@ -554,10 +609,10 @@ func (ix *LevelIndex) mergeLinks(locs []uint64, lo, hi, blo, bhi, j int, set boo
 
 // EnsureLevelIndexes materializes the level indexes of t alone for
 // every stored level (1..H-1) and returns them (indexes[h-1] is level
-// h). The call is idempotent and cheap after the first build; Insert
-// and MergeFrom invalidate the cache, and ResetUsed clears its usedCell
-// flags. Concurrent calls are safe; calling concurrently with tree
-// mutation is not.
+// h). The call is idempotent and cheap after the first build; Insert,
+// InsertBatch and MergeFrom invalidate the cache, and ResetUsed clears
+// its usedCell flags. Concurrent calls are safe; calling concurrently
+// with tree mutation is not.
 func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
@@ -571,93 +626,50 @@ func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 // (indexes[h-1] is level h): every cell any source stores, in path
 // order, with its counts summed over the sources. The result is not
 // cached on any source, and the sources must not change while it is in
-// use. Like MergeFrom, it refuses sources of different geometry or
-// whose points sum past MaxPoints.
+// use. Like Union, it refuses sources of different geometry or whose
+// points sum past MaxPoints.
 func UnionLevelIndexes(srcs ...*Tree) ([]*LevelIndex, error) {
-	if len(srcs) == 0 {
-		return nil, errors.New("ctree: no trees to index")
-	}
 	if err := checkUnion(srcs...); err != nil {
 		return nil, err
 	}
 	return buildLevelIndexes(srcs, false), nil
 }
 
-// checkUnion reports whether trees can be counted as one: the same
-// dimensionality and resolution count, and at most MaxPoints points in
-// total, since every cell counter is int32 and the union's level-1
-// cells count every point.
-func checkUnion(trees ...*Tree) error {
-	first, eta := trees[0], int64(0)
-	for _, t := range trees {
-		if t.D != first.D || t.H != first.H {
-			return fmt.Errorf("ctree: cannot combine (d=%d, H=%d) with (d=%d, H=%d)",
-				first.D, first.H, t.D, t.H)
-		}
-		eta += int64(t.Eta)
-	}
-	if eta > int64(MaxPoints) {
-		return fmt.Errorf("ctree: combining %d points exceeds the int32 cell-counter maximum %d (MaxPoints); shard into separate trees",
-			eta, int64(MaxPoints))
-	}
-	return nil
-}
-
 // buildLevelIndexes builds the index of every stored level of the union
-// of srcs, top down: level h is filled from level h-1's entries and
-// linked from level h-1's link list. Only the level below reads a
-// level's link list, so unless keepLinks is set it is dropped as soon
-// as that level is linked, and the last level never records one: at
-// most two levels' lists are alive at once, and none outlive the build.
-// The fill's per-source buffers and the runs are sized once, for the
-// largest level, and reused level to level.
+// of srcs, top down: level h is merged from level h-1's entries, its
+// paths extend theirs, and it is linked from level h-1's link list.
+// Only the level below reads a level's link list, so unless keepLinks
+// is set it is dropped as soon as that level is linked, and the last
+// level never records one: at most two levels' lists are alive at once,
+// and none outlive the build. One set of run buffers, sized for the
+// largest level, serves every level.
 func buildLevelIndexes(srcs []*Tree, keepLinks bool) []*LevelIndex {
 	H := srcs[0].H
-	// A level of the union holds at most the sources' cells together,
-	// and exactly those of a lone source.
-	bound := make([]int, H)
-	ls := make([]*levelSource, len(srcs))
-	for s, t := range srcs {
-		ls[s] = &levelSource{t: t, ordered: t.canonical()}
-		most := 0
-		for h, c := range t.levelCellCountsWalk() {
-			bound[h] += c
-			most = max(most, c)
-		}
-		ls[s].cells = make([]Ref, most)
-		if !ls[s].ordered {
-			ls[s].next = make([]int32, len(t.loc))
-		}
-	}
-	// Level h has at most bound[h-1] parents (one, the root, at level 1).
-	parents, entries := 1, 0
-	for h := 1; h <= H-1; h++ {
-		entries = max(entries, bound[h])
-		if h < H-1 {
-			parents = max(parents, bound[h])
-		}
-	}
-	for _, l := range ls {
-		l.start = make([]int32, parents+1)
-	}
-	masks := make([]uint64, 2*parents)
+	srcs = slices.Clone(srcs)
+	m := newLevelMerger(srcs)
+	masks := make([]uint64, 2*m.parents)
 	runs := levelRuns{
-		kids: make([]int32, parents+1),
-		locs: make([]uint64, 0, entries),
-		and:  masks[:parents],
-		or:   masks[parents:],
+		kids: make([]int32, m.parents+1),
+		locs: make([]uint64, 0, m.entries),
+		and:  masks[:m.parents],
+		or:   masks[m.parents:],
 	}
 	idxs := make([]*LevelIndex, H-1)
-	var above *LevelIndex
+	above, parRefs := (*LevelIndex)(nil), m.roots
 	for h := 1; h <= H-1; h++ {
-		var ix *LevelIndex
-		ix, runs = fillLevel(ls, h, bound[h], above, runs)
+		var refs [][]Ref
+		var cnt []int32
+		refs, cnt, runs = m.merge(h, parRefs, runs)
+		ix := &LevelIndex{
+			Level: h, D: srcs[0].D, srcs: srcs, n: len(cnt), refs: refs, cnt: cnt,
+			used: make([]bool, len(cnt)), face: make([]int64, len(cnt)),
+		}
+		ix.fillPaths(above, runs)
 		ix.linkUpper(above, runs, keepLinks || h < H-1)
 		if above != nil && !keepLinks {
 			above.up = nil
 		}
-		idxs[h-1] = ix
-		above = ix
+		idxs[h-1], above, parRefs = ix, ix, refs
 	}
 	return idxs
 }

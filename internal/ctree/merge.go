@@ -1,6 +1,7 @@
 package ctree
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -56,29 +57,10 @@ func (t *Tree) Insert(p []float64) error {
 	return nil
 }
 
-// MergeFrom adds every count of other into t: t becomes the union of
-// the two cell sets, each cell's N and half-space counters the sum of
-// both sides' and its usedCell flag set when either side's is. Both
-// trees must have the same dimensionality and resolution count. other
-// is left untouched; use it to combine trees built over shards of one
-// dataset, or a tree with itself.
-//
-// The merge is one depth-first walk over both trees at once (the
-// dual-tree traversal of Gray and Moore): at every union cell it merges
-// the two sides' child runs in loc order — an ascending run is read as
-// it is chained, a first-touch run (grown by InsertBatch) is sorted
-// first — so the union's cells come out in the canonical DFS preorder
-// Build creates them in. The walk records where each union cell comes
-// from; the union is then written into a fresh arena sized at exactly
-// ArenaCapFor(rows), with each wide node's child table built once at
-// its final size. t ends up canonical, with Build's columns and
-// MemoryBytes for the same cells, whatever order either input was in,
-// and every Ref into t from before the merge is void.
-//
-// MergeFrom refuses a merge whose combined point count would exceed
-// MaxPoints: every cell counter is int32 and the root cells (which
-// count all η points of their subtree) would wrap first. t is left
-// unmodified when an error is returned.
+// MergeFrom adds every count of other into t: t becomes Union(t,
+// other), every Ref into t from before the merge is void, and other is
+// left untouched. It refuses what Union refuses (a different geometry,
+// or points summing past MaxPoints), leaving t unmodified.
 func (t *Tree) MergeFrom(other *Tree) error {
 	if other == nil {
 		return nil
@@ -86,91 +68,93 @@ func (t *Tree) MergeFrom(other *Tree) error {
 	if err := checkUnion(t, other); err != nil {
 		return err
 	}
-	t.invalidateIndexes()
-	w := newMergeWalk(t, other)
-	w.walk(rootRef, rootRef, rootRef, 0)
-	t.adoptColumns(w.union(), len(w.steps))
-	t.link()
-	t.Eta += other.Eta
-	// Fold the shard's build statistics so the merged root reports
-	// build-wide totals to the observability layer.
-	t.grows += other.grows
-	t.runs += other.runs
-	t.runPoints += other.runPoints
-	t.radixChunks += other.radixChunks
+	t.writeUnion([]*Tree{t, other})
 	return nil
 }
 
-// mergeWalk is one MergeFrom's plan: one step per union row, in
-// canonical preorder, the root sentinel first. runA and runB hold, per
-// level, the child run the walk is merging at that level.
-type mergeWalk struct {
-	a, b       *Tree
-	steps      []mergeStep
-	runA, runB [][]Ref
+// Union returns the union of trees as a new tree: every cell any of
+// them stores, its N and half-space counters the sums of theirs and its
+// usedCell flag set when any of theirs is. Counts add up across trees
+// (a tree is the sum of its points' increments), so the union of trees
+// built over the parts of a dataset is the tree Build gives the whole.
+// The union is canonical, in Build's arena order, columns and
+// MemoryBytes for the same cells, whatever order its inputs are in, and
+// its build statistics (ArenaGrows, BatchRuns, RadixChunks) are the
+// inputs' sums. The inputs are left untouched; a tree may appear more
+// than once.
+//
+// Union refuses an empty or nil input, trees of different
+// dimensionality or resolution count, and trees whose points sum past
+// MaxPoints: every cell counter is int32, and the level-1 cells, which
+// count every point, would wrap first.
+func Union(trees ...*Tree) (*Tree, error) {
+	if err := checkUnion(trees...); err != nil {
+		return nil, err
+	}
+	u := &Tree{D: trees[0].D, H: trees[0].H, dmask: trees[0].dmask}
+	u.writeUnion(trees)
+	return u, nil
 }
 
-// mergeStep plans one union row, a child of union row parent: the sum
-// of cell a of tree a and cell b of tree b, or a copy of the one of the
-// two that is set when only one side stores the cell.
-type mergeStep struct {
-	a, b, parent Ref
-}
-
-// newMergeWalk returns the plan of merging b into a, holding the root
-// sentinel's step.
-func newMergeWalk(a, b *Tree) *mergeWalk {
-	w := &mergeWalk{
-		a: a, b: b,
-		steps: make([]mergeStep, 1, max(len(a.loc), len(b.loc))),
-		runA:  make([][]Ref, a.H),
-		runB:  make([][]Ref, a.H),
+// checkUnion reports whether trees can be counted as one: at least one
+// tree, none nil, all of the same dimensionality and resolution count,
+// and at most MaxPoints points in total.
+func checkUnion(trees ...*Tree) error {
+	if len(trees) == 0 {
+		return errors.New("ctree: no trees to combine")
 	}
-	w.steps[0] = mergeStep{rootRef, rootRef, NilRef}
-	return w
-}
-
-// walk merges the child runs of cell ra of a and cell rb of b, which
-// are union row row at level lvl, planning each union child and then
-// its subtree: DFS preorder, siblings ascending by loc.
-func (w *mergeWalk) walk(ra, rb, row Ref, lvl int) {
-	ka, kb := w.runA[lvl][:0], w.runB[lvl][:0]
-	if ra >= 0 {
-		ka = w.a.appendChildren(ka, ra)
-	}
-	if rb >= 0 {
-		kb = w.b.appendChildren(kb, rb)
-	}
-	w.runA[lvl], w.runB[lvl] = ka, kb
-	la, lb := w.a.loc, w.b.loc
-	deeper := lvl+1 < w.a.H-1
-	for i, j := 0, 0; i < len(ka) || j < len(kb); {
-		st := mergeStep{NilRef, NilRef, row}
-		switch {
-		case j == len(kb) || (i < len(ka) && la[ka[i]] < lb[kb[j]]):
-			st.a = ka[i]
-			i++
-		case i == len(ka) || lb[kb[j]] < la[ka[i]]:
-			st.b = kb[j]
-			j++
-		default:
-			st.a, st.b = ka[i], kb[j]
-			i++
-			j++
+	eta := int64(0)
+	for i, t := range trees {
+		if t == nil {
+			return fmt.Errorf("ctree: tree %d to combine is nil", i)
 		}
-		child := Ref(len(w.steps))
-		w.steps = append(w.steps, st)
-		if deeper {
-			w.walk(st.a, st.b, child, lvl+1)
+		if t.D != trees[0].D || t.H != trees[0].H {
+			return fmt.Errorf("ctree: cannot combine (d=%d, H=%d) with (d=%d, H=%d)",
+				trees[0].D, trees[0].H, t.D, t.H)
 		}
+		eta += int64(t.Eta)
 	}
+	if eta > int64(MaxPoints) {
+		return fmt.Errorf("ctree: combining %d points exceeds the int32 cell-counter maximum %d (MaxPoints); shard into separate trees",
+			eta, int64(MaxPoints))
+	}
+	return nil
 }
 
-// union writes the planned rows into fresh state columns at the
-// canonical arena capacity: each row takes its position and level from
-// whichever side stores the cell and sums both sides' counts.
-func (w *mergeWalk) union() Columns {
-	d, rows := w.a.D, len(w.steps)
+// unionLevel is one merged level that writeUnion keeps until it writes
+// the rows: the entries' per-source Refs and summed counts, and their
+// locs and run offsets.
+type unionLevel struct {
+	refs [][]Ref
+	cnt  []int32
+	levelRuns
+}
+
+// writeUnion replaces t's arena with the union of trees, which checkUnion
+// accepted and t may be one of. The level merge lists every level of the
+// union in path order; the rows are then written in Build's DFS
+// preorder, a walk down the run offsets (kids) in which a cell goes one
+// row past its parent, or past its previous sibling's subtree. Each row
+// sums its sources' N and P and ORs their usedCell flags, in fresh
+// columns of ArenaCapFor(rows) that t adopts and links, so each wide
+// node's child table is built once, at its final size.
+func (t *Tree) writeUnion(trees []*Tree) {
+	d, H := t.D, t.H
+	m := newLevelMerger(trees)
+	masks := make([]uint64, 2*m.parents)
+	levels := make([]unionLevel, H)
+	rows, above := 1, m.roots
+	for h := 1; h <= H-1; h++ {
+		refs, cnt, runs := m.merge(h, above, levelRuns{
+			kids: make([]int32, len(above[0])+1),
+			locs: make([]uint64, 0, m.bound[h]),
+			and:  masks[:m.parents],
+			or:   masks[m.parents:],
+		})
+		levels[h] = unionLevel{refs, cnt, runs}
+		rows += len(cnt)
+		above = refs
+	}
 	capRows := ArenaCapFor(rows)
 	c := Columns{
 		Loc:    make([]uint64, rows, capRows),
@@ -180,27 +164,86 @@ func (w *mergeWalk) union() Columns {
 		Parent: make([]Ref, rows, capRows),
 		P:      make([]int32, rows*d, capRows*d),
 	}
-	a, b := w.a, w.b
 	c.Parent[0] = NilRef
-	for i := 1; i < rows; i++ {
-		st := w.steps[i]
-		src, r := a, int(st.a)
-		if r < 0 {
-			src, r = b, int(st.b)
+	// next[h] and end[h] bound the run of level-h entries being written,
+	// the children of row par[h] (the root sentinel at level 1).
+	var next, end [MaxLevels]int32
+	var par [MaxLevels]Ref
+	end[1] = int32(len(levels[1].cnt))
+	row := 1
+	for h := 1; h > 0; {
+		if next[h] == end[h] {
+			h--
+			continue
 		}
-		c.Parent[i] = st.parent
-		c.Loc[i], c.Level[i] = src.loc[r], src.level[r]
-		c.N[i], c.Used[i] = src.n[r], src.used[r]
-		row := c.P[i*d : i*d+d]
-		copy(row, src.p[r*d:r*d+d])
-		if st.a >= 0 && st.b >= 0 {
-			rb := int(st.b)
-			c.N[i] += b.n[rb]
-			c.Used[i] = c.Used[i] || b.used[rb]
-			for j, v := range b.p[rb*d : rb*d+d] {
-				row[j] += v
+		l, i := &levels[h], next[h]
+		next[h]++
+		c.Loc[row], c.N[row], c.Level[row], c.Parent[row] = l.locs[i], l.cnt[i], uint8(h), par[h]
+		prow := c.P[row*d : row*d+d]
+		for s, src := range trees {
+			if r := int(l.refs[s][i]); r >= 0 {
+				c.Used[row] = c.Used[row] || src.used[r]
+				for j, v := range src.p[r*d : r*d+d] {
+					prow[j] += v
+				}
 			}
 		}
+		if h+1 < H {
+			below := &levels[h+1]
+			next[h+1], end[h+1], par[h+1] = below.kids[i], below.kids[i+1], Ref(row)
+			h++
+		}
+		row++
 	}
-	return c
+	var eta int
+	var grows, batchRuns, runPoints, radixChunks int64
+	for _, src := range trees {
+		eta += src.Eta
+		grows += src.grows
+		batchRuns += src.runs
+		runPoints += src.runPoints
+		radixChunks += src.radixChunks
+	}
+	t.invalidateIndexes()
+	t.adoptColumns(c, rows)
+	t.link()
+	t.Eta, t.grows, t.runs, t.runPoints, t.radixChunks = eta, grows, batchRuns, runPoints, radixChunks
+}
+
+// Canonicalize returns a tree storing exactly t's cells in the
+// canonical arena order, the DFS preorder with every parent's children
+// ascending by Loc that Build and Union write: t itself when it is in
+// that order already (a build, a union, a snapshot of either), Union(t)
+// otherwise (a tree grown by InsertBatch or Insert), which leaves t
+// untouched and keeps its build statistics and MemoryBytes.
+func Canonicalize(t *Tree) (*Tree, error) {
+	if t.canonical() {
+		return t, nil
+	}
+	return Union(t)
+}
+
+// canonical reports whether the arena lists the cells in the canonical
+// order. Child chains always run in ascending Ref order (cells are
+// appended at the chain tail, and link rebuilds chains that way), so
+// the arena is in DFS preorder exactly when each cell's parent is the
+// latest cell of the level above, and siblings ascend by Loc exactly
+// when each cell's loc is at least next[l]: one past the loc of the
+// latest cell of its level, or 0 once a later cell of the level above
+// has started a new child run. Both arrays are indexed by the uint8
+// level, so the loop needs no bounds checks on them and branches only
+// on a failure.
+func (t *Tree) canonical() bool {
+	var last [256]Ref    // last[l]: the latest cell at level l; the root sentinel at 0
+	var next [256]uint64 // next[l]: the least loc the next cell at level l may have
+	loc := t.loc
+	level, parent := t.level[:len(loc)], t.parent[:len(loc)]
+	for r := 1; r < len(loc); r++ {
+		l, c := level[r], loc[r]
+		if parent[r] != last[l-1] || c < next[l] {
+			return false
+		}
+		last[l], next[l], next[l+1] = Ref(r), c+1, 0
+	}
+	return true
 }

@@ -94,6 +94,16 @@ func checkMerged(t *testing.T, name string, got, want *Tree) {
 	}
 }
 
+// unionOf returns Union(trees...).
+func unionOf(t *testing.T, trees ...*Tree) *Tree {
+	t.Helper()
+	u, err := Union(trees...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
 // mergeInto merges src into dst and returns dst.
 func mergeInto(t *testing.T, dst, src *Tree) *Tree {
 	t.Helper()
@@ -107,9 +117,12 @@ func mergeInto(t *testing.T, dst, src *Tree) *Tree {
 // rotated, duplicate-heavy and flat-axis inputs at d ∈ {1, 15, 63} and
 // H ∈ {4, MaxLevels}, every MergeFrom case (first-touch ∪ first-touch,
 // canonical ∪ first-touch both ways, empty sides, self-merge, folding
-// single-point shards) and every MergeTournament over W ∈ {1, 3, 8}
-// shards must be Equal to Build of the union, hold Build's columns row
-// for row and report Build's MemoryBytes.
+// single-point shards) and every Union of W ∈ {1, 3, 8} shards, built
+// alternately by Build and by InsertBatch, must be Equal to Build of
+// the union, hold Build's columns row for row and report Build's
+// MemoryBytes. The W = 3 shards with an empty source joined are also
+// united in every rotation of their list, so the union is pinned to be
+// independent of its inputs' order.
 func TestMergeSweepMatchesBuild(t *testing.T) {
 	for _, d := range []int{1, 15, 63} {
 		for _, H := range []int{4, MaxLevels} {
@@ -150,11 +163,15 @@ func TestMergeSweepMatchesBuild(t *testing.T) {
 								shards[i] = firstTouch(t, d, H, part)
 							}
 						}
-						got, _, err := MergeTournament(shards, 2, nil)
-						if err != nil {
-							t.Fatal(err)
+						checkMerged(t, fmt.Sprintf("union/W=%d", w), unionOf(t, shards...), whole)
+						if w != 3 {
+							continue
 						}
-						checkMerged(t, fmt.Sprintf("tournament/W=%d", w), got, whole)
+						shards = append(shards, New(d, H))
+						for r := range shards {
+							rotated := append(append([]*Tree{}, shards[r:]...), shards[:r]...)
+							checkMerged(t, fmt.Sprintf("union/W=3+empty/rotation %d", r), unionOf(t, rotated...), whole)
+						}
 					}
 				})
 			}

@@ -214,3 +214,42 @@ func TestBuildParallelEmpty(t *testing.T) {
 		t.Error("empty dataset accepted")
 	}
 }
+
+// TestUnionOrsUsedFlags pins Union's usedCell rule: a cell of the union
+// is used when any source's copy of it is, whichever source that is and
+// whatever its arena order.
+func TestUnionOrsUsedFlags(t *testing.T) {
+	a, err := Build(uniformDataset(t, 3, 400, 61), 4, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New(3, 4)
+	if err := b.InsertBatch(uniformDataset(t, 3, 400, 62).Points); err != nil {
+		t.Fatal(err)
+	}
+	for h := 1; h <= 3; h++ {
+		i := 0
+		a.WalkLevel(h, func(_ Path, r Ref) { a.SetUsed(r, i%2 == 0); i++ })
+		b.WalkLevel(h, func(_ Path, r Ref) { b.SetUsed(r, i%3 == 0); i++ })
+	}
+	u, err := Union(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := 0
+	for h := 1; h <= 3; h++ {
+		u.WalkLevel(h, func(p Path, r Ref) {
+			ra, rb := a.CellAt(p), b.CellAt(p)
+			want := (ra >= 0 && a.Used(ra)) || (rb >= 0 && b.Used(rb))
+			if u.Used(r) != want {
+				t.Fatalf("level %d cell %v: used %v, its sources' OR %v", h, p, u.Used(r), want)
+			}
+			if want {
+				used++
+			}
+		})
+	}
+	if used == 0 || int64(used) == u.CellCount() {
+		t.Fatalf("%d of %d union cells used; the test is vacuous", used, u.CellCount())
+	}
+}

@@ -70,7 +70,7 @@ func TestMergeRefusesOverflow(t *testing.T) {
 	}
 }
 
-// TestUnionIndexRefusesOverflow pins UnionLevelIndexes to MergeFrom's
+// TestUnionIndexRefusesOverflow pins UnionLevelIndexes to Union's
 // guards: sources whose points sum past MaxPoints (simulated through
 // Eta, as TestMergeRefusesOverflow does) or whose geometry differs are
 // refused, and sources summing to exactly MaxPoints are indexed.
@@ -98,6 +98,48 @@ func TestUnionIndexRefusesOverflow(t *testing.T) {
 	}
 	if _, err := UnionLevelIndexes(); err == nil {
 		t.Fatal("an index over no trees was built")
+	}
+}
+
+// TestUnionRefusesBadInput pins Union's refusals: no trees, a nil
+// tree, trees of different dimensionality or resolution count, and
+// trees whose points sum past MaxPoints (simulated through Eta, as
+// TestMergeRefusesOverflow does). Trees summing to exactly MaxPoints
+// unite.
+func TestUnionRefusesBadInput(t *testing.T) {
+	build := func(v float64, d, h int) *Tree {
+		ds := dataset.New(d, 1)
+		p := make([]float64, d)
+		for j := range p {
+			p[j] = v
+		}
+		ds.Append(p)
+		tree, err := Build(ds, h, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	if _, err := Union(); err == nil {
+		t.Error("a union of no trees was written")
+	}
+	if _, err := Union(build(0.25, 2, 4), nil); err == nil {
+		t.Error("a nil tree was united")
+	}
+	if _, err := Union(build(0.25, 2, 4), build(0.5, 3, 4)); err == nil {
+		t.Error("trees of different d were united")
+	}
+	if _, err := Union(build(0.25, 2, 4), build(0.5, 2, 5)); err == nil {
+		t.Error("trees of different H were united")
+	}
+	a, b := build(0.25, 2, 4), build(0.75, 2, 4)
+	a.Eta, b.Eta = MaxPoints-1, 2
+	if _, err := Union(a, b); err == nil || !strings.Contains(err.Error(), "MaxPoints") {
+		t.Fatalf("trees summing past MaxPoints: err = %v, want a MaxPoints refusal", err)
+	}
+	b.Eta = 1
+	if u, err := Union(a, b); err != nil || u.Eta != MaxPoints {
+		t.Fatalf("trees summing to exactly MaxPoints: err = %v", err)
 	}
 }
 

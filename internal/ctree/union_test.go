@@ -7,38 +7,33 @@ import (
 )
 
 // checkUnionIndex requires the index over srcs (UnionLevelIndexes) to
-// match, level by level and entry for entry, the index of their union
-// written by MergeFrom: the same paths, counts, half-space counts and
-// face sums. Each entry's Ref in a source must be that source's cell at
-// the entry's path, or NilRef where the source lacks it.
-func checkUnionIndex(t *testing.T, name string, srcs ...*Tree) {
+// match, level by level and entry for entry, the index of Build over
+// the sources' points (want, an empty tree when they hold none): the
+// same paths, counts, half-space counts and face sums. Each entry's Ref
+// in a source must be that source's cell at the entry's path, or NilRef
+// where the source lacks it.
+func checkUnionIndex(t *testing.T, name string, want *Tree, srcs ...*Tree) {
 	t.Helper()
-	merged := srcs[0].Clone()
-	for _, src := range srcs[1:] {
-		if err := merged.MergeFrom(src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := merged.EnsureLevelIndexes()
+	wantIdx := want.EnsureLevelIndexes()
 	got, err := UnionLevelIndexes(srcs...)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	d, H := srcs[0].D, srcs[0].H
 	for h := 1; h <= H-1; h++ {
-		g, w := got[h-1], want[h-1]
+		g, w := got[h-1], wantIdx[h-1]
 		if g.Level != h || g.Len() != w.Len() {
-			t.Fatalf("%s: level %d holds %d entries, the merged tree's %d", name, h, g.Len(), w.Len())
+			t.Fatalf("%s: level %d holds %d entries, Build's %d", name, h, g.Len(), w.Len())
 		}
 		for i := 0; i < g.Len(); i++ {
 			p := g.PathOf(i)
 			if p.Compare(w.PathOf(i)) != 0 || g.N(i) != w.N(i) || g.FaceSum(i) != w.FaceSum(i) {
-				t.Fatalf("%s: level %d entry %d: (path %v, N %d, face sum %d), the merged tree's (%v, %d, %d)",
+				t.Fatalf("%s: level %d entry %d: (path %v, N %d, face sum %d), Build's (%v, %d, %d)",
 					name, h, i, p, g.N(i), g.FaceSum(i), w.PathOf(i), w.N(i), w.FaceSum(i))
 			}
 			for j := 0; j < d; j++ {
 				if g.P(i, j) != w.P(i, j) {
-					t.Fatalf("%s: level %d entry %d axis %d: P %d, the merged tree's %d", name, h, i, j, g.P(i, j), w.P(i, j))
+					t.Fatalf("%s: level %d entry %d axis %d: P %d, Build's %d", name, h, i, j, g.P(i, j), w.P(i, j))
 				}
 			}
 			for s, src := range srcs {
@@ -50,12 +45,24 @@ func checkUnionIndex(t *testing.T, name string, srcs ...*Tree) {
 	}
 }
 
+// buildOf is Build over the given points, or an empty tree when they
+// hold none.
+func buildOf(t *testing.T, d, H int, parts ...[][]float64) *Tree {
+	t.Helper()
+	for _, pts := range parts {
+		if len(pts) > 0 {
+			return sweepBuild(t, d, H, parts...)
+		}
+	}
+	return New(d, H)
+}
+
 // TestUnionIndexMatchesMerge is the differential suite of the index
 // over several trees: on the merge sweep's seeded rotated,
 // duplicate-heavy and flat-axis inputs at d ∈ {1, 15, 63} and
 // H ∈ {4, MaxLevels}, the index over two trees must match the index of
-// their MergeFrom entry for entry, for a first-touch tree with a
-// canonical one both ways, two first-touch trees, an empty side, a
+// Build over their points entry for entry, for a first-touch tree with
+// a canonical one both ways, two first-touch trees, an empty side, a
 // tree with itself and two single-point trees.
 func TestUnionIndexMatchesMerge(t *testing.T) {
 	for _, d := range []int{1, 15, 63} {
@@ -69,19 +76,20 @@ func TestUnionIndexMatchesMerge(t *testing.T) {
 					a, b := pts[:n/2], pts[n/2:]
 					ftA, ftB := firstTouch(t, d, H, a), firstTouch(t, d, H, b)
 					for _, c := range []struct {
-						name string
-						a, b *Tree
+						name   string
+						a, b   *Tree
+						pa, pb [][]float64
 					}{
-						{"first-touch+canonical", ftA, sweepBuild(t, d, H, b)},
-						{"canonical+first-touch", sweepBuild(t, d, H, a), ftB},
-						{"first-touch+first-touch", ftA, ftB},
-						{"empty+first-touch", New(d, H), ftB},
-						{"first-touch+empty", ftA, New(d, H)},
-						{"empty+empty", New(d, H), New(d, H)},
-						{"self", ftA, ftA},
-						{"single-points", sweepBuild(t, d, H, a[:1]), firstTouch(t, d, H, b[:1])},
+						{"first-touch+canonical", ftA, sweepBuild(t, d, H, b), a, b},
+						{"canonical+first-touch", sweepBuild(t, d, H, a), ftB, a, b},
+						{"first-touch+first-touch", ftA, ftB, a, b},
+						{"empty+first-touch", New(d, H), ftB, nil, b},
+						{"first-touch+empty", ftA, New(d, H), a, nil},
+						{"empty+empty", New(d, H), New(d, H), nil, nil},
+						{"self", ftA, ftA, a, a},
+						{"single-points", sweepBuild(t, d, H, a[:1]), firstTouch(t, d, H, b[:1]), a[:1], b[:1]},
 					} {
-						checkUnionIndex(t, c.name, c.a, c.b)
+						checkUnionIndex(t, c.name, buildOf(t, d, H, c.pa, c.pb), c.a, c.b)
 					}
 				})
 			}
@@ -120,7 +128,7 @@ func TestUnionIndexKWayMatchesMerge(t *testing.T) {
 						}
 						at := rng.Intn(k)
 						srcs = append(srcs[:at], append([]*Tree{New(d, H)}, srcs[at:]...)...)
-						checkUnionIndex(t, fmt.Sprintf("k=%d, empty source %d", k, at), srcs...)
+						checkUnionIndex(t, fmt.Sprintf("k=%d, empty source %d", k, at), buildOf(t, d, H, parts...), srcs...)
 					})
 				}
 			}

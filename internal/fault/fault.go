@@ -58,9 +58,6 @@ const (
 	// snapshot back to the coordinator, after the size prefix went out —
 	// firing it models a worker dying with a half-sent tree on the wire.
 	ShardStream = "shard.stream"
-	// ShardMerge fires in the coordinator before each pairwise merge of
-	// the shard-tree tournament.
-	ShardMerge = "shard.merge"
 )
 
 // Error wraps an injected fault so the pipeline (and tests) can

@@ -194,28 +194,6 @@ func (c *Collector) SetArenaStats(arenaBytes uint64, grows, runs, runPoints, rad
 	c.mu.Unlock()
 }
 
-// AddShardBuilt counts one worker-built shard tree and the snapshot
-// bytes it streamed back to the coordinator.
-func (c *Collector) AddShardBuilt(bytes int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.stats.Counters.ShardsBuilt++
-	c.stats.Counters.ShardBytesStreamed += bytes
-	c.mu.Unlock()
-}
-
-// SetMergeRounds records the depth of the shard-tree merge tournament.
-func (c *Collector) SetMergeRounds(n int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.stats.Counters.MergeRounds = n
-	c.mu.Unlock()
-}
-
 // SetSpillStats records an out-of-core build's disk traffic: the
 // number of sorted runs spilled and the bytes written to the spill
 // files (zero for in-memory builds, which never call this).

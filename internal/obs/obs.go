@@ -174,14 +174,6 @@ type Counters struct {
 	// -load-tree modes.
 	SnapshotSaveBytes int64 `json:"snapshotSaveBytes,omitempty"`
 	SnapshotLoadBytes int64 `json:"snapshotLoadBytes,omitempty"`
-	// ShardsBuilt / ShardBytesStreamed / MergeRounds describe a
-	// sharded multi-process build (internal/shard): shard trees built
-	// by workers, snapshot bytes streamed back to the coordinator, and
-	// the depth of the pairwise merge tournament (ceil(log2 W)). Zero
-	// for single-process builds.
-	ShardsBuilt        int64 `json:"shardsBuilt,omitempty"`
-	ShardBytesStreamed int64 `json:"shardBytesStreamed,omitempty"`
-	MergeRounds        int64 `json:"mergeRounds,omitempty"`
 	// BetaTests / BetaAccepted / BetaRejected count the statistical
 	// tests attempted and their outcomes.
 	BetaTests    int64 `json:"betaTests"`
@@ -343,10 +335,6 @@ func (s *Stats) Format() string {
 	if c.SnapshotSaveBytes > 0 || c.SnapshotLoadBytes > 0 {
 		fmt.Fprintf(&b, "snapshot IO: %d KB saved, %d KB loaded\n",
 			c.SnapshotSaveBytes/1024, c.SnapshotLoadBytes/1024)
-	}
-	if c.ShardsBuilt > 0 {
-		fmt.Fprintf(&b, "sharded build: %d shard trees, %d KB streamed, %d merge rounds\n",
-			c.ShardsBuilt, c.ShardBytesStreamed/1024, c.MergeRounds)
 	}
 	fmt.Fprintf(&b, "mask evals: %d in %d passes; β-tests: %d (%d accepted, %d rejected)\n",
 		c.MaskEvals, c.ScanPasses, c.BetaTests, c.BetaAccepted, c.BetaRejected)

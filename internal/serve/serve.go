@@ -596,17 +596,14 @@ func (s *Server) snapshotTrees() (active, aging *ctree.Tree, rotated bool) {
 }
 
 // savedTree is the tree a snapshot or checkpoint persists: the window
-// as one tree, the aging tree merged into the caller's private active
-// clone, in canonical order, so its bytes are treeio.Save's of Build
-// over the same points. Only a window that never rotated still needs
-// the rewrite; a merged one passes Canonicalize's linear check.
+// as one tree, the Union of the caller's private active clone and the
+// aging tree, in canonical order, so its bytes are treeio.Save's of
+// Build over the same points.
 func savedTree(active, aging *ctree.Tree) (*ctree.Tree, error) {
-	if aging != nil {
-		if err := active.MergeFrom(aging); err != nil {
-			return nil, err
-		}
+	if aging == nil {
+		return ctree.Canonicalize(active)
 	}
-	return ctree.Canonicalize(active)
+	return ctree.Union(active, aging)
 }
 
 // recluster runs one β-search pass over the window's trees and

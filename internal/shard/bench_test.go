@@ -17,11 +17,12 @@ import (
 // single-process baseline: dataset.LoadCSVFile plus a serial
 // ctree.Build, the exact work the sharded rows spread out. The shards=2
 // and shards=4 rows time Run over that many in-process loopback
-// workers (partition, per-shard parse and build, snapshot streaming,
-// merge tournament, canonicalize) and report their speedup over
-// shards=1; the first sharded iteration must give a tree ctree.Equal to
-// the serial one. Speedups are capped by the CPU count, so the
-// scripts/bench_floors.sh speedup floor belongs on multi-core runners:
+// workers (partition, per-shard parse and build, snapshot streaming)
+// plus the ctree.Union of its shard trees, and report their speedup
+// over shards=1; the first sharded iteration must give a tree
+// ctree.Equal to the serial one. Speedups are capped by the CPU count,
+// so the scripts/bench_floors.sh speedup floor belongs on multi-core
+// runners:
 //
 //	go test -run '^$' -bench BenchmarkShardBuild ./internal/shard
 func BenchmarkShardBuild(b *testing.B) {
@@ -79,7 +80,11 @@ func BenchmarkShardBuild(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				merged, _, err := Run(context.Background(), Options{Addrs: addrs, Jobs: jobs})
+				trees, _, err := Run(context.Background(), Options{Addrs: addrs, Jobs: jobs})
+				if err != nil {
+					b.Fatal(err)
+				}
+				merged, err := ctree.Union(trees...)
 				if err != nil {
 					b.Fatal(err)
 				}

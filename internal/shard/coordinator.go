@@ -1,6 +1,5 @@
 // Coordinator side: dispatch jobs round-robin over the worker
-// addresses, collect the shard trees, reduce with the merge
-// tournament, canonicalize.
+// addresses and collect the shard trees.
 package shard
 
 import (
@@ -11,8 +10,6 @@ import (
 	"time"
 
 	"mrcc/internal/ctree"
-	"mrcc/internal/fault"
-	"mrcc/internal/obs"
 )
 
 // Options configures a coordinated sharded build.
@@ -23,8 +20,7 @@ type Options struct {
 	// Jobs are the shard work orders, one per shard. Shard indexes
 	// are (re)assigned from slice order. Required.
 	Jobs []Job
-	// Parallel bounds the in-flight jobs and the per-round merge
-	// parallelism; <= 0 selects len(Addrs).
+	// Parallel bounds the in-flight jobs; <= 0 selects len(Addrs).
 	Parallel int
 	// DialTimeout bounds each worker dial; 0 means 10 seconds.
 	DialTimeout time.Duration
@@ -33,9 +29,6 @@ type Options struct {
 	// per-column checksums. Workers we spawned (or operate) satisfy
 	// the trust contract, so the default is the fast path.
 	DistrustChecksums bool
-	// Collector, when set, receives the ShardsBuilt /
-	// ShardBytesStreamed / MergeRounds observability counters.
-	Collector *obs.Collector
 }
 
 // Stats reports what a coordinated build did.
@@ -44,21 +37,17 @@ type Stats struct {
 	ShardsBuilt int
 	// BytesStreamed is the total snapshot bytes received from workers.
 	BytesStreamed int64
-	// MergeRounds is the tournament depth (ceil(log2 W)).
-	MergeRounds int
-	// Points is the merged tree's total point count.
+	// Points is the shard trees' total point count.
 	Points int
 }
 
 // Run executes the sharded build: every job is dispatched to a worker,
-// the returned shard trees are reduced with the pairwise merge
-// tournament (lowest shard index wins ties), and the winner re-saves
-// byte-identically to a serial build of the same rows: every merge
-// writes the canonical arena order, and Canonicalize covers a lone
-// input no merge touched. On any shard failure the remaining connections are
-// closed, the tournament is skipped, and the lowest-indexed failure
-// comes back as a *WorkerError.
-func Run(ctx context.Context, opt Options) (*ctree.Tree, Stats, error) {
+// and the shard trees come back in shard order, unmerged. Their
+// ctree.Union re-saves byte-identically to a serial build of the same
+// rows, and core.RunTreeContext clusters them as they are. On any shard
+// failure the remaining connections are closed and the lowest-indexed
+// failure comes back as a *WorkerError.
+func Run(ctx context.Context, opt Options) ([]*ctree.Tree, Stats, error) {
 	var stats Stats
 	if len(opt.Jobs) == 0 {
 		return nil, stats, fmt.Errorf("shard: no jobs")
@@ -130,36 +119,12 @@ func Run(ctx context.Context, opt Options) (*ctree.Tree, Stats, error) {
 	if firstErr != nil {
 		return nil, stats, firstErr
 	}
-	for i := range trees {
+	for i, t := range trees {
 		stats.ShardsBuilt++
 		stats.BytesStreamed += bytesIn[i]
-		opt.Collector.AddShardBuilt(bytesIn[i])
+		stats.Points += t.Eta
 	}
-
-	// Reduce. The check hook runs before every pairwise merge: it
-	// observes cancellation and hosts the shard.merge fault point, and
-	// the tournament drains the in-flight round before propagating, so
-	// an injected fault can never deadlock it.
-	check := func() error {
-		if err := gctx.Err(); err != nil {
-			return err
-		}
-		return fault.Inject(fault.ShardMerge)
-	}
-	merged, rounds, err := ctree.MergeTournament(trees, parallel, check)
-	if err != nil {
-		return nil, stats, fmt.Errorf("shard: merge tournament: %w", err)
-	}
-	stats.MergeRounds = rounds
-	opt.Collector.SetMergeRounds(int64(rounds))
-	// A merged winner is already canonical and comes back unchanged; a
-	// lone shard is whatever its worker sent, which for a -snapshots
-	// input may be a tree grown by InsertBatch.
-	if merged, err = ctree.Canonicalize(merged); err != nil {
-		return nil, stats, fmt.Errorf("shard: canonicalize: %w", err)
-	}
-	stats.Points = merged.Eta
-	return merged, stats, nil
+	return trees, stats, nil
 }
 
 // runShard performs one job exchange with one worker.

@@ -1,32 +1,30 @@
 // Package shard is the multi-process Counting-tree build pipeline: a
 // coordinator partitions the input dataset, hands each partition to a
-// worker process over TCP, and reduces the returned shard trees with a
-// hierarchical MergeFrom tournament.
+// worker process over TCP, and collects the returned shard trees.
 //
 // The paper's tree build is a sum of per-point count increments, so it
-// is associative and order-independent — the property PR 1/5/8 pinned
-// bit-identically inside one process and this package exploits across
-// processes and machines (the multi-tree statistics program of Gray &
-// Moore is the template). Each worker runs the ordinary radix/arena
-// build (ctree.Build) over its shard and streams the
-// finished tree back as a size-prefixed treeio snapshot — the PR 6
-// snapshot format IS the wire format, so a captured stream can be
-// spooled to disk and inspected with the ordinary tooling. The
-// coordinator reduces the W shard trees pairwise in ceil(log2 W)
-// rounds (ctree.MergeTournament, lowest-shard-index tie-break). Every
-// merge writes the canonical arena order Build creates, and
-// ctree.Canonicalize covers a lone unmerged shard, so the result holds
-// the serial-equivalence guarantee in its strongest form: it is not
-// merely ctree.Equal to the single-process build — it re-saves
+// is associative and order-independent — the property the in-process
+// equivalence suites pin bit-identically and this package exploits
+// across processes and machines (the multi-tree statistics program of
+// Gray & Moore is the template). Each worker runs the ordinary
+// radix/arena build (ctree.Build) over its shard and streams the
+// finished tree back as a size-prefixed treeio snapshot — the snapshot
+// format IS the wire format, so a captured stream can be spooled to
+// disk and inspected with the ordinary tooling. Run returns the W shard
+// trees in shard order and merges nothing: core.RunTreeContext clusters
+// them as they are, through the level index over their union, and
+// ctree.Union writes them as one tree where one is needed. The union is
+// written in the canonical arena order Build creates, so it holds the
+// serial-equivalence guarantee in its strongest form: it is not merely
+// ctree.Equal to the single-process build — it re-saves
 // byte-identically through treeio.
 //
 // Failure semantics: every worker-side failure (dial, a refused job, a
 // died-mid-stream connection, a corrupt snapshot) surfaces at the
 // coordinator as a typed *WorkerError naming the shard and address;
-// the first failing shard (by index) wins, in-flight peers are
-// abandoned by closing their connections, and the tournament never
-// deadlocks — rounds drain fully before an error propagates. Nothing
-// is spooled through temporary files, so there is nothing to orphan.
+// the first failing shard (by index) wins, and in-flight peers are
+// abandoned by closing their connections. Nothing is spooled through
+// temporary files, so there is nothing to orphan.
 package shard
 
 import (
@@ -52,8 +50,8 @@ const (
 // WORKER's host: local spawn mode shares the filesystem, remote
 // deployments pre-place per-worker inputs.
 type Job struct {
-	// Shard is the shard index; it decides merge tie-breaks and names
-	// the shard in errors.
+	// Shard is the shard index; it places the shard's tree in Run's
+	// result and names the shard in errors.
 	Shard int `json:"shard"`
 	// Kind selects the input form (KindCSV or KindSnapshot).
 	Kind JobKind `json:"kind"`
@@ -73,7 +71,7 @@ type Job struct {
 	Dims int `json:"dims,omitempty"`
 	// H is the resolution count of the shard tree, in
 	// [ctree.MinLevels, ctree.MaxLevels]. Every job of one build must
-	// agree (MergeFrom refuses mixed geometry).
+	// agree (ctree.Union refuses mixed geometry).
 	H int `json:"h"`
 	// Min/Max declare the per-axis value domain. When set, the worker
 	// maps values into [0,1)^d exactly like the streaming service

@@ -15,7 +15,6 @@ import (
 
 	"mrcc/internal/ctree"
 	"mrcc/internal/dataset"
-	"mrcc/internal/obs"
 	"mrcc/internal/treeio"
 )
 
@@ -46,6 +45,16 @@ func startWorkers(t testing.TB, n int) []string {
 	return addrs
 }
 
+// union returns ctree.Union of the shard trees.
+func union(t *testing.T, trees []*ctree.Tree) *ctree.Tree {
+	t.Helper()
+	u, err := ctree.Union(trees...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
 // writeTestCSV writes an n-point, d-axis dataset in [0,1) to a temp
 // CSV and returns its path and the parsed dataset.
 func writeTestCSV(t *testing.T, d, n int, seed int64, header bool) (string, *dataset.Dataset) {
@@ -74,10 +83,9 @@ func writeTestCSV(t *testing.T, d, n int, seed int64, header bool) (string, *dat
 }
 
 // TestRunMatchesSerialByteIdentical is the acceptance pin: for W in
-// {1, 2, 4, 8} local workers the merged tree is ctree.Equal to the
-// single-process build AND re-saves byte-identically through treeio
-// (the tournament's canonicalized winner against the single-process
-// build, which is canonical as built).
+// {1, 2, 4, 8} shards the Union of Run's shard trees is ctree.Equal to
+// the single-process build AND re-saves byte-identically through treeio
+// (Union writes Build's canonical arena order).
 func TestRunMatchesSerialByteIdentical(t *testing.T) {
 	const d, n, h = 6, 9000, 4 // > one build chunk
 	path, ds := writeTestCSV(t, d, n, 314, false)
@@ -95,15 +103,11 @@ func TestRunMatchesSerialByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
-		col := obs.New(nil)
-		merged, stats, err := Run(context.Background(), Options{
-			Addrs:     addrs,
-			Jobs:      jobs,
-			Collector: col,
-		})
+		trees, stats, err := Run(context.Background(), Options{Addrs: addrs, Jobs: jobs})
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
+		merged := union(t, trees)
 		if !ctree.Equal(serial, merged) {
 			t.Fatalf("w=%d: merged tree differs from serial build", w)
 		}
@@ -122,11 +126,6 @@ func TestRunMatchesSerialByteIdentical(t *testing.T) {
 		}
 		if stats.BytesStreamed <= 0 {
 			t.Fatalf("w=%d: no bytes accounted", w)
-		}
-		st := col.Finish()
-		if st.Counters.ShardsBuilt != int64(len(jobs)) || st.Counters.ShardBytesStreamed != stats.BytesStreamed ||
-			st.Counters.MergeRounds != int64(stats.MergeRounds) {
-			t.Fatalf("w=%d: collector counters %+v disagree with stats %+v", w, st.Counters, stats)
 		}
 	}
 }
@@ -173,11 +172,11 @@ func TestRunWithHeaderAndDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, _, err := Run(context.Background(), Options{Addrs: addrs, Jobs: jobs})
+	trees, _, err := Run(context.Background(), Options{Addrs: addrs, Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ctree.Equal(serial, merged) {
+	if !ctree.Equal(serial, union(t, trees)) {
 		t.Fatal("domain-mapped sharded build differs from the serial reference")
 	}
 }
@@ -213,23 +212,20 @@ func TestRunSnapshotJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, stats, err := Run(context.Background(), Options{Addrs: addrs, Jobs: jobs})
+	trees, _, err := Run(context.Background(), Options{Addrs: addrs, Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ctree.Equal(serial, merged) {
+	if !ctree.Equal(serial, union(t, trees)) {
 		t.Fatal("snapshot fan-in differs from the serial build")
-	}
-	if stats.MergeRounds != 2 {
-		t.Fatalf("4 shards merged in %d rounds, want 2", stats.MergeRounds)
 	}
 }
 
-// TestRunCanonicalizesLoneSnapshot pins why the coordinator still calls
-// Canonicalize after the tournament: a lone -snapshots input meets no
-// merge, so a snapshot of a tree grown by InsertBatch (first-touch
-// arena order) would come back as it is. The result must re-save
-// byte-identically to the single-process build of the same rows.
+// TestRunCanonicalizesLoneSnapshot pins that a lone -snapshots input
+// of a tree grown by InsertBatch (first-touch arena order) comes back
+// as its worker sent it, and that its Union, a union of one tree,
+// rewrites it: the result must re-save byte-identically to the
+// single-process build of the same rows.
 func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
 	const d, n, h = 5, 3000, 4
 	_, ds := writeTestCSV(t, d, n, 57, false)
@@ -254,10 +250,11 @@ func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, _, err := Run(context.Background(), Options{Addrs: startWorkers(t, 1), Jobs: jobs})
+	trees, _, err := Run(context.Background(), Options{Addrs: startWorkers(t, 1), Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	merged := union(t, trees)
 	var want, got bytes.Buffer
 	if _, err := treeio.Save(&want, serial); err != nil {
 		t.Fatal(err)
