@@ -1,21 +1,23 @@
 // Streaming: MrCC over a growing dataset using the Counting-tree's
-// incremental insertion, with a snapshot hand-off at the end.
+// incremental insertion, with a snapshot hand-off at the end — all
+// through the public mrcc API.
 //
-// The tree is the only state the method keeps between batches, and
-// since PR 5 it is a handful of flat arena columns (cell counts,
-// half-space counters, linkage) rather than a pointer structure — new
-// points are absorbed by bumping int32 counters along one root-to-leaf
-// descent, no re-scan of old data and no per-cell allocation. After
-// each batch the clustering phases re-run over the refreshed tree; the
-// paper's conclusion notes that MrCC's statistical test gets
+// The tree is the only state the method keeps between batches, and it
+// is a handful of flat arena columns (cell counts, half-space counters,
+// linkage) rather than a pointer structure. InsertBatch counts a new
+// batch the way a build counts a dataset: the points are sorted by
+// their cell path, and every run of points sharing a cell is counted in
+// one descent — no re-scan of old data and no per-cell allocation.
+// After each batch the clustering phases re-run over the refreshed
+// tree; the paper's conclusion notes that MrCC's statistical test gets
 // *stronger* as data accumulates, and this example shows exactly that:
 // early batches are too sparse to confirm clusters, later ones lock
 // onto all of them.
 //
 // Because the arena is plain columns, the final tree ships as a
 // versioned snapshot (DESIGN.md §10): the example ends by saving it
-// with treeio.SaveFile, reloading, and reclustering on the loaded copy
-// — the same warm-start the mrcc CLI exposes as
+// with mrcc.SaveTree, reloading it with mrcc.LoadTree, and reclustering
+// on the loaded copy — the same warm-start the mrcc CLI exposes as
 //
 //	mrcc -in data.csv -save-tree tree.snap        # build once
 //	mrcc -in data.csv -load-tree tree.snap ...    # recluster, no build
@@ -32,11 +34,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"mrcc/internal/core"
-	"mrcc/internal/ctree"
-	"mrcc/internal/dataset"
+	"mrcc"
 	"mrcc/internal/synthetic"
-	"mrcc/internal/treeio"
 )
 
 func main() {
@@ -52,30 +51,34 @@ func main() {
 		full.Points[i], full.Points[j] = full.Points[j], full.Points[i]
 	})
 
-	tree := ctree.New(full.Dims, core.DefaultH)
-	seen := dataset.New(full.Dims, full.Len())
+	tree, err := mrcc.NewTree(full.Dims, mrcc.DefaultH)
+	if err != nil {
+		log.Fatal(err)
+	}
+	seen := mrcc.NewDataset(full.Dims, full.Len())
 	const batch = 5000
 	for start := 0; start < full.Len(); start += batch {
 		end := start + batch
 		if end > full.Len() {
 			end = full.Len()
 		}
-		// One call absorbs the whole batch (validated up front, inserted
-		// in sorted order); RunOnTree clears the Used flags the previous
-		// pass consumed, so the loop is just insert-then-run.
+		// One call absorbs the whole batch (validated before the tree is
+		// touched, counted in sorted order); RunDatasetOnTree clears the
+		// Used flags the previous pass consumed, so the loop is just
+		// insert-then-run.
 		if err := tree.InsertBatch(full.Points[start:end]); err != nil {
 			log.Fatal(err)
 		}
 		for _, p := range full.Points[start:end] {
 			seen.Append(p)
 		}
-		res, err := core.RunOnTree(tree, seen, core.Config{})
+		res, err := mrcc.RunDatasetOnTree(tree, seen, mrcc.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		noise := 0
 		for _, l := range res.Labels {
-			if l == core.Noise {
+			if l == mrcc.Noise {
 				noise++
 			}
 		}
@@ -94,15 +97,15 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	snap := filepath.Join(dir, "tree.snap")
-	wrote, err := treeio.SaveFile(snap, tree)
+	wrote, err := mrcc.SaveTree(snap, tree)
 	if err != nil {
 		log.Fatal(err)
 	}
-	loaded, err := treeio.LoadFile(snap)
+	loaded, err := mrcc.LoadTree(snap)
 	if err != nil {
 		log.Fatal(err)
 	}
-	warm, err := core.RunOnTree(loaded, seen, core.Config{})
+	warm, err := mrcc.RunDatasetOnTree(loaded, seen, mrcc.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -102,7 +102,7 @@ type Tree struct {
 	grows       int64
 	runs        int64
 	runPoints   int64
-	radixChunks int64 // chunks sorted by the LSD radix kernels (radix.go)
+	radixChunks int64 // record streams sorted by the LSD radix kernels (radix.go)
 
 	// spillRuns/spillBytes record a spilled build's disk traffic
 	// (spill.go): sorted runs spilled and bytes written. Zero for
@@ -444,19 +444,21 @@ func (t *Tree) ArenaGrows() int64 { return t.grows }
 // a snapshot.
 func (t *Tree) SpillStats() (runs, bytes int64) { return t.spillRuns, t.spillBytes }
 
-// BatchRuns returns the sorted-batch insertion statistics: runs is the
-// number of maximal groups of consecutive (path-sorted) points sharing
-// one stored leaf path, and points the points covered by those runs,
-// so points/runs is the mean run length the batch inserter amortizes
-// over. Both accumulate across merged shards.
+// BatchRuns returns the count loop's statistics (batch.go): runs is
+// the number of carry-over descents, one per group of consecutive
+// path-sorted points sharing one stored leaf path, and points the
+// points those descents covered, so points/runs is the mean run length
+// one descent amortizes over. A group is split only where one Build or
+// InsertBatch call ends and after every buildReportEvery points of one
+// path. Both accumulate across calls and across a Union's trees.
 func (t *Tree) BatchRuns() (runs, points int64) { return t.runs, t.runPoints }
 
-// RadixChunks returns how many point batches were ordered by the LSD
+// RadixChunks returns how many record streams were ordered by the LSD
 // radix kernels (radix.go) during this tree's build — one per Build
-// sort worker or spilled run, one per InsertBatch chunk; zero when
-// every batch took the multi-word comparison-sort fallback or the
-// tree was built per-point. Merged shards fold their counts into the
-// destination, like the other build counters.
+// sort worker or spilled run, one per InsertBatch call; zero when
+// every stream took the multi-word comparison-sort fallback or the
+// tree was built per-point. A Union sums its trees' counts, like the
+// other build counters.
 func (t *Tree) RadixChunks() int64 { return t.radixChunks }
 
 // popcountLower increments row[j] for every axis j whose bit is CLEAR

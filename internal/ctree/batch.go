@@ -1,5 +1,5 @@
-// Sorted batch counting: the quantize kernels, the carry-over descent
-// every build path counts through, and InsertBatch's chunk loop.
+// Sorted batch counting: the quantize kernels and the carry-over
+// descent that every tree producer counts through.
 //
 // Instead of one root-to-leaf descent per point (H-1 child lookups,
 // each a hash probe or chain scan), points are quantized to the full
@@ -10,29 +10,28 @@
 // run's descent stack at the first diverging level, N and the
 // level-1..H-2 half-space counters are bumped by the run length at
 // once, and only the deepest level's half-space update (which depends
-// on each point's level-H parity) stays per point. Build (build.go)
-// sorts whole shards or spilled runs and feeds the merged runs to
-// countRunPacked/countRunAt; InsertBatch sorts and counts chunks of
-// buildReportEvery points into a live tree through batchInserter.insert.
+// on each point's level-H parity) stays per point. Build's sort phase
+// (sortShard, build.go) quantizes and sorts whole shards, spilled runs
+// or one InsertBatch batch into record streams, and its count phase
+// (countMerged) feeds the merged runs to countRunPacked/countRunAt.
 //
 // The quantize pass is branch-reduced (DESIGN.md §12): one float
 // multiply + floor per coordinate gives the level-H grid value, the
 // parity word accumulates in the same loop, and validation is a single
 // unsigned comparison on the float's bit pattern (valid exactly when
 // bits < bits(1.0) or the value is -0.0, which quantizes to cell 0
-// like +0.0) instead of the three-way range-and-NaN test. A chunk that
-// does contain an invalid point re-runs the slow validator to
-// reproduce the exact historical error text.
+// like +0.0) instead of the three-way range-and-NaN test. A point the
+// fast pass rejects re-runs the slow validator to reproduce the exact
+// historical error text.
 //
 // Determinism: the sort key is the path itself with the point's
 // arrival index as the tie-break, so the permutation — and with it the
 // first-touch cell order — is a pure function of the points.
 //
 // When d·(H-1) <= 64 bits the whole path packs into one uint64 and a
-// chunk sorts with the LSD radix kernels of radix.go — usually as one
-// combo word per point, (key << idxBits | index), whose plain integer
-// order IS the (path, index) order. Multi-word keys (d·(H-1) > 64)
-// fall back to a comparison sort over the permutation (sortKeyOrder).
+// stream sorts with the stable LSD pair-radix kernel of radix.go.
+// Multi-word keys (d·(H-1) > 64) fall back to a comparison sort over
+// the permutation (sortKeyOrder).
 // Quantization at level H is bit-exact with the per-level locAtLevel
 // arithmetic (the oracle of TestQuantizeLevelHMatchesLocAtLevel): v·2^H
 // is an exact float64 product (power-of-two scale), so
@@ -57,30 +56,11 @@ const f64OneBits = 0x3FF0000000000000
 // must too).
 const f64NegZeroBits = uint64(1) << 63
 
-// batchInserter holds the descent stack resumed across runs and, for
-// InsertBatch's chunk loop, the reusable scratch: parity words, sort
-// keys and the permutation. One inserter serves one tree.
+// batchInserter is the count loop's carry-over descent: the stack of
+// the current run's path, which the next run resumes at the first
+// level where the two paths diverge. One inserter serves one tree.
 type batchInserter struct {
-	t      *Tree
-	packed bool // whole path fits one uint64 (d·(H-1) <= 64)
-	words  int  // key words per point (1 when packed)
-
-	leaf []uint64 // level-H parity word, indexed by original chunk index
-	qi   []uint64 // d-word quantize scratch, reused across points
-
-	// Combo layout (packed key, key+index bits fit one word): the only
-	// sorted state is one word per point.
-	combo    []uint64
-	comboTmp []uint64
-
-	// Pair layout (packed key, combo word would overflow): the key
-	// column with the original index as payload.
-	key    []uint64 // also the multi-word key slab, point i at key[i*words:(i+1)*words]
-	keyTmp []uint64
-	pay    []uint64
-	payTmp []uint64
-
-	ord []int32 // sort permutation (multi-word layout only)
+	t *Tree
 
 	// Descent stack: refs[h]/locs[h] address the level-h cell of the
 	// current run's path (refs[0] is the root sentinel); the first
@@ -92,23 +72,9 @@ type batchInserter struct {
 
 // newBatchInserter returns a fresh inserter for t.
 func newBatchInserter(t *Tree) *batchInserter {
-	b := &batchInserter{t: t, words: keyWords(t.D, t.H)}
-	b.packed = b.words == 1
-	b.qi = make([]uint64, t.D)
-	b.refs = make([]Ref, t.H)
+	b := &batchInserter{t: t, refs: make([]Ref, t.H), locs: make([]uint64, t.H)}
 	b.refs[0] = rootRef
-	b.locs = make([]uint64, t.H)
 	return b
-}
-
-// growU64 resizes *s to n elements, reallocating only when the
-// capacity is short, and returns the sized slice.
-func growU64(s *[]uint64, n int) []uint64 {
-	if cap(*s) < n {
-		*s = make([]uint64, n)
-	}
-	*s = (*s)[:n]
-	return *s
 }
 
 // quantizeLevelH validates one point and writes its level-H grid
@@ -216,9 +182,9 @@ func pathKeyWords(qi []uint64, d, H int, kw []uint64) {
 // descent stack at the first diverging level, bumps N at every level
 // and the level-1..H-2 half-space counters by cnt, and returns the
 // deepest cell's P row so the caller can apply the per-point
-// leaf-parity updates. Build's merge and InsertBatch's multi-word
-// chunks share it; callers must present paths in sorted order for the
-// carry-over to be correct.
+// leaf-parity updates. The count loop uses it for multi-word keys;
+// callers must present paths in sorted order for the carry-over to be
+// correct.
 func (b *batchInserter) countRunAt(kw []uint64, cnt int32) []int32 {
 	t := b.t
 	H := t.H
@@ -250,7 +216,7 @@ func (b *batchInserter) countRunAt(kw []uint64, cnt int32) []int32 {
 }
 
 // countRunPacked is countRunAt specialized for the single-word key
-// layouts: the divergence level comes straight from the XOR of the
+// layout: the divergence level comes straight from the XOR of the
 // run's key with the previous run's (the highest differing bit lives
 // in the highest diverging level's d-bit lane), and per-level locs are
 // shifted out of the key on demand — no locs array maintenance, no
@@ -296,164 +262,4 @@ func quantizeErr(p []float64, d, H, index int) error {
 	}
 	// Unreachable: the fast and slow validators accept the same set.
 	return fmt.Errorf("ctree: point %d: invalid point", index)
-}
-
-// insert counts one chunk of InsertBatch's points into the tree. base
-// is the chunk's offset inside the batch, used only for error messages.
-// The chunk is non-empty, and the tree is only mutated once all of it
-// has been validated and quantized; the caller has already ruled out
-// counter overflow.
-func (b *batchInserter) insert(points [][]float64, base int) error {
-	m := len(points)
-	d, H := b.t.D, b.t.H
-	b.leaf = growU64(&b.leaf, m)
-	idxBits := uint(bits.Len(uint(m - 1)))
-	switch {
-	case b.packed && d*(H-1)+int(idxBits) <= 64:
-		return b.insertCombo(points, base, idxBits)
-	case b.packed:
-		return b.insertPairs(points, base)
-	default:
-		return b.insertMultiWord(points, base)
-	}
-}
-
-// insertCombo is the default chunk layout: key and original index
-// share one word, so the radix sort delivers the (path, index) total
-// order as a plain integer order. Covers every chunk of the standard
-// geometry (45-bit key + 13-bit index at d=15, H=4, chunks of 8192).
-func (b *batchInserter) insertCombo(points [][]float64, base int, idxBits uint) error {
-	t := b.t
-	d, H := t.D, t.H
-	m := len(points)
-	combo := growU64(&b.combo, m)
-	tmp := growU64(&b.comboTmp, m)
-
-	// Pass 1: validate + quantize + key, fused per point.
-	for i, p := range points {
-		if len(p) != d {
-			return fmt.Errorf("ctree: point %d: ctree: point has %d values, want %d", base+i, len(p), d)
-		}
-		k, lf, ok := quantizePackedKey(p, d, H, b.qi)
-		if !ok {
-			return quantizeErr(p, d, H, base+i)
-		}
-		combo[i] = k<<idxBits | uint64(i)
-		b.leaf[i] = lf
-	}
-
-	// Pass 2: LSD radix sort of the combo words.
-	sorted := radixSortCombo(combo, tmp)
-	t.radixChunks++
-
-	// Pass 3: count runs. The descent stack carries over between runs:
-	// only levels at or below the divergence level (read off the XOR of
-	// consecutive keys) walk the tree.
-	t.invalidateIndexes()
-	idxMask := uint64(1)<<idxBits - 1
-	var prevK uint64
-	for i := 0; i < m; {
-		k0 := sorted[i] >> idxBits
-		j := i + 1
-		for j < m && sorted[j]>>idxBits == k0 {
-			j++
-		}
-		// The deepest stored level's half-space counters depend on each
-		// point's level-H parity: per point, but no tree traversal.
-		deep := b.countRunPacked(k0, prevK, i == 0, int32(j-i))
-		for q := i; q < j; q++ {
-			popcountLower(deep, b.leaf[sorted[q]&idxMask], t.dmask)
-		}
-		prevK = k0
-		i = j
-	}
-	t.Eta += m
-	return nil
-}
-
-// insertPairs handles packed keys whose combo word would overflow
-// (d·(H-1) + index bits > 64): the key column radix-sorts with the
-// original index as its payload; LSD stability keeps equal keys in
-// arrival order, preserving the index tie-break.
-func (b *batchInserter) insertPairs(points [][]float64, base int) error {
-	t := b.t
-	d, H := t.D, t.H
-	m := len(points)
-	key := growU64(&b.key, m)
-	keyTmp := growU64(&b.keyTmp, m)
-	pay := growU64(&b.pay, m)
-	payTmp := growU64(&b.payTmp, m)
-	for i, p := range points {
-		if len(p) != d {
-			return fmt.Errorf("ctree: point %d: ctree: point has %d values, want %d", base+i, len(p), d)
-		}
-		k, lf, ok := quantizePackedKey(p, d, H, b.qi)
-		if !ok {
-			return quantizeErr(p, d, H, base+i)
-		}
-		key[i] = k
-		pay[i] = uint64(i)
-		b.leaf[i] = lf
-	}
-	sk, sp := radixSortPairs(key, pay, keyTmp, payTmp)
-	t.radixChunks++
-	t.invalidateIndexes()
-	var prevK uint64
-	for i := 0; i < m; {
-		k0 := sk[i]
-		j := i + 1
-		for j < m && sk[j] == k0 {
-			j++
-		}
-		deep := b.countRunPacked(k0, prevK, i == 0, int32(j-i))
-		for q := i; q < j; q++ {
-			popcountLower(deep, b.leaf[sp[q]], t.dmask)
-		}
-		prevK = k0
-		i = j
-	}
-	t.Eta += m
-	return nil
-}
-
-// insertMultiWord is the d·(H-1) > 64 fallback: per-level loc words
-// sorted by sortKeyOrder, with the original index as the explicit
-// tie-break.
-func (b *batchInserter) insertMultiWord(points [][]float64, base int) error {
-	t := b.t
-	d, H, w := t.D, t.H, b.words
-	m := len(points)
-	key := growU64(&b.key, m*w)
-	if cap(b.ord) < m {
-		b.ord = make([]int32, m)
-	}
-	b.ord = b.ord[:m]
-	for i, p := range points {
-		if len(p) != d {
-			return fmt.Errorf("ctree: point %d: ctree: point has %d values, want %d", base+i, len(p), d)
-		}
-		lf, ok := quantizeKeyWords(p, d, H, key[i*w:(i+1)*w], b.qi)
-		if !ok {
-			return quantizeErr(p, d, H, base+i)
-		}
-		b.leaf[i] = lf
-		b.ord[i] = int32(i)
-	}
-	sortKeyOrder(key, w, b.ord)
-	t.invalidateIndexes()
-	b.have = 0
-	for i := 0; i < m; {
-		lk := key[int(b.ord[i])*w : int(b.ord[i])*w+w]
-		j := i + 1
-		for j < m && compareKeys(key[int(b.ord[j])*w:int(b.ord[j])*w+w], lk) == 0 {
-			j++
-		}
-		deep := b.countRunAt(lk, int32(j-i))
-		for q := i; q < j; q++ {
-			popcountLower(deep, b.leaf[b.ord[q]], t.dmask)
-		}
-		i = j
-	}
-	t.Eta += m
-	return nil
 }

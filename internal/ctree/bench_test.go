@@ -147,6 +147,39 @@ func growBatches(b *testing.B, dst *Tree, pts [][]float64) {
 	}
 }
 
+// BenchmarkInsertBatch times the ingest path on its own, on the
+// stream-grow shape (benchDataset, d = 15), and reports points/s.
+// "service" grows an empty H = 4 tree to 50k points in 1000-point
+// calls, the service's ingest batches; "onecall" counts 100k points in
+// one call; "multiword" is "service" at H = 6, where d·(H-1) = 75 > 64
+// puts each path key in H-1 words.
+//
+//	go test -run '^$' -bench BenchmarkInsertBatch -cpu 1 ./internal/ctree
+func BenchmarkInsertBatch(b *testing.B) {
+	pts := benchDataset(b, 100000).Points
+	for _, bc := range []struct {
+		name        string
+		H, n, batch int
+	}{
+		{"service", 4, 50000, 1000},
+		{"onecall", 4, 100000, 100000},
+		{"multiword", 6, 50000, 1000},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr := New(15, bc.H)
+				for lo := 0; lo < bc.n; lo += bc.batch {
+					if err := tr.InsertBatch(pts[lo:min(lo+bc.batch, bc.n)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(bc.n)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+		})
+	}
+}
+
 // BenchmarkUnion times the Union writes the program runs, on the
 // stream-grow shape (d = 15, H = 4). "canonicalize" rewrites a
 // 100k-point first-touch tree, as the service does to its aging tree

@@ -10,7 +10,8 @@
 // (key, stream index) order and counts each run of equal paths into
 // ONE tree through the carry-over descent of batch.go. Whether a
 // stream lives in a worker's memory or in a disk run is a property of
-// the stream, not a second counting loop.
+// the stream, not a second counting loop, and InsertBatch (stream.go)
+// runs the same two phases over one batch into a live tree.
 //
 // Streams cover contiguous slices of the dataset and sort stably, so
 // the merged order is (key, dataset index) — a pure function of the
@@ -47,7 +48,7 @@ import (
 // buildReportEvery is the build's checkpoint interval: sort workers
 // poll the build control once per buildReportEvery points, and the
 // merge once per buildReportEvery records, buffering at most that
-// many leaf words of one path. InsertBatch sorts chunks of this size.
+// many leaf words of one path.
 const buildReportEvery = 8192
 
 // LimitError reports that a build (or the index construction that
@@ -142,9 +143,6 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if keyWords(ds.Dims, H) == 1 {
-		t.radixChunks = int64(len(streams)) // sortShard radix-sorts packed keys
-	}
 	if err := countMerged(t, streams, bc, opt.Progress, ds.Len()); err != nil {
 		return nil, err
 	}
@@ -207,8 +205,12 @@ func (bc *buildControl) firstErr() error {
 // check is the build's one checkpoint. It observes, in order: a
 // failure a peer already recorded, the armed fault-injection point,
 // context cancellation and — when t is the tree being counted — the
-// memory cap against its MemoryBytes.
+// memory cap against its MemoryBytes. A nil control (InsertBatch's)
+// observes nothing.
 func (bc *buildControl) check(point string, t *Tree) error {
+	if bc == nil {
+		return nil
+	}
 	if bc.stopped.Load() {
 		return bc.firstErr()
 	}
@@ -294,10 +296,12 @@ func sortShards(ds *dataset.Dataset, H, workers int, bc *buildControl) ([]*recor
 }
 
 // sortShard quantizes and sorts the dataset slice [lo, hi) into a
-// recordStream. Packed keys sort with the stable pair-radix kernel
-// (radix.go), so equal keys keep dataset order — the tie-break the
-// deterministic merge relies on; multi-word keys fall back to a
-// comparison sort over the permutation.
+// recordStream: a Build worker's shard, a spilled run or one
+// InsertBatch batch. It validates every point and touches no tree.
+// Packed keys sort with the stable pair-radix kernel (radix.go), so
+// equal keys keep dataset order — the tie-break the deterministic
+// merge relies on; multi-word keys fall back to a comparison sort over
+// the permutation.
 func sortShard(ds *dataset.Dataset, lo, hi, H int, bc *buildControl) (*recordStream, error) {
 	d := ds.Dims
 	s := hi - lo
@@ -362,7 +366,7 @@ func compareKeys(a, b []uint64) int {
 
 // sortKeyOrder sorts ord, a permutation of records whose w-word keys
 // are laid out back to back in keys, by (key, record index) — the one
-// multi-word (key, arrival) order, shared by sortShard and InsertBatch.
+// multi-word (key, arrival) order.
 func sortKeyOrder(keys []uint64, w int, ord []int32) {
 	slices.SortFunc(ord, func(a, c int32) int {
 		if r := compareKeys(keys[int(a)*w:int(a)*w+w], keys[int(c)*w:int(c)*w+w]); r != 0 {
@@ -427,16 +431,21 @@ func (h *streamHeap) down(i int) {
 // head returns the key words of the stream's current record.
 func (rs *recordStream) head(w int) []uint64 { return rs.keys[rs.pos*w : rs.pos*w+w] }
 
-// countMerged counts the sorted streams into the empty tree t in
-// (key, stream index) order — the build's one counting loop. Records
-// sharing a path are buffered, at most buildReportEvery leaf words at
-// a time, and counted in one carry-over descent (batch.go), so shared
-// prefixes are bumped once per run of equal paths rather than once
-// per point. The build control is polled every buildReportEvery
-// records and once at the end; progress reports done of total records.
+// countMerged counts the sorted streams, total records in all, into t
+// in (key, stream index) order — the one counting loop of Build and
+// InsertBatch. Records sharing a path are buffered, at most
+// buildReportEvery leaf words at a time, and counted in one carry-over
+// descent (batch.go), so shared prefixes are bumped once per run of
+// equal paths rather than once per point. The build control is polled
+// every buildReportEvery records and once at the end; progress reports
+// done of total records.
 func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress ProgressFunc, total int) error {
 	ins := newBatchInserter(t)
-	w := ins.words
+	w := keyWords(t.D, t.H)
+	if w == 1 {
+		t.radixChunks += int64(len(streams)) // each stream is one sortShard's radix sort
+	}
+	t.invalidateIndexes()
 	h := &streamHeap{streams: streams, w: w}
 	for i, rs := range streams { // every stream holds at least one record
 		h.heads = append(h.heads, streamHead{rs.keys[0], i})
@@ -445,7 +454,7 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress Pr
 		h.down(i)
 	}
 	key := make([]uint64, w) // path of the buffered records
-	leafs := make([]uint64, 0, buildReportEvery)
+	leafs := make([]uint64, 0, min(buildReportEvery, total))
 	var prev uint64
 	counted := false
 	flush := func() {
@@ -453,7 +462,7 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress Pr
 			return
 		}
 		var deep []int32
-		if ins.packed {
+		if w == 1 {
 			deep = ins.countRunPacked(key[0], prev, !counted, int32(len(leafs)))
 			prev = key[0]
 		} else {
@@ -501,7 +510,7 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress Pr
 		}
 	}
 	flush()
-	t.Eta = done
+	t.Eta += done
 	if err := bc.check(fault.BuildMerge, t); err != nil {
 		return err
 	}

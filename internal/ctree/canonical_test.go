@@ -37,10 +37,10 @@ func buildShardTrees(t *testing.T, shards []*dataset.Dataset, h int) []*Tree {
 }
 
 // TestCanonicalizeMatchesSingleChunkBuild pins the canonical-order
-// claim on a dataset that fits one InsertBatch chunk: Build creates
-// cells in exactly the canonical DFS preorder, so Canonicalize leaves
-// it untouched, and the Union of its shards writes the identical arena
-// layout, row for row.
+// claim on a dataset smaller than one build checkpoint interval: Build
+// creates cells in exactly the canonical DFS preorder, so Canonicalize
+// leaves it untouched, and the Union of its shards writes the identical
+// arena layout, row for row.
 func TestCanonicalizeMatchesSingleChunkBuild(t *testing.T) {
 	ds := uniformDataset(t, 6, 5000, 42)
 	if len(ds.Points) > buildReportEvery {
@@ -78,14 +78,20 @@ func TestCanonicalizeMatchesSingleChunkBuild(t *testing.T) {
 }
 
 // TestCanonicalizeMultiChunk checks that canonicalizing a tree grown
-// by multi-chunk InsertBatch calls and the Union of shard trees of the
+// by 1000-point InsertBatch calls (the service's ingest batches, which
+// leave it in first-touch order) and the Union of shard trees of the
 // same dataset land on the same arena layout — the layout Build
 // produces directly.
 func TestCanonicalizeMultiChunk(t *testing.T) {
 	ds := uniformDataset(t, 4, 3*buildReportEvery+100, 7)
 	serial := New(4, 4)
-	if err := serial.InsertBatch(ds.Points); err != nil {
-		t.Fatal(err)
+	for lo := 0; lo < ds.Len(); lo += 1000 {
+		if err := serial.InsertBatch(ds.Points[lo:min(lo+1000, ds.Len())]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if serial.canonical() {
+		t.Fatal("a tree grown in 1000-point batches is already canonical: nothing left to rewrite")
 	}
 	built, err := Build(ds, 4, BuildOptions{})
 	if err != nil {

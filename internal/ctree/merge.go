@@ -10,7 +10,8 @@ import (
 // the same counts Build gives it. The clustering phase can then
 // be re-run over the updated tree, which is how a downstream system
 // keeps clusters fresh while data streams in (InsertBatch amortizes
-// the descent over sorted chunks when points arrive in batches).
+// the descent over runs of path-sorted points when points arrive in
+// batches).
 //
 // Insert refuses to count past MaxPoints: the N and P counters are
 // int32 and the counts would otherwise silently wrap.

@@ -1,33 +1,32 @@
-// LSD radix sorting of packed path keys — the build's Morton sort
+// LSD radix sorting of packed keys — the build's Morton sort
 // (DESIGN.md §12).
 //
-// InsertBatch's chunk loop (batch.go) and Build's sort phase
-// (build.go) both order points by their packed root-to-leaf path key
-// before counting. The keys are dense unsigned integers (d·(H-1)
-// bits for the single-word layout), which makes an LSD counting sort
-// strictly cheaper than comparison sorting: one histogram pass over all
-// eight byte lanes, then one scatter pass per byte lane that actually
-// varies. Constant lanes — the top bytes of a 45-bit key, or any lane
-// the chunk's keys happen to agree on — are skipped outright, so a
-// 15-dim H=4 chunk pays ~6 scatter passes instead of an O(m·log m)
+// Build's sort phase (sortShard in build.go), which InsertBatch runs
+// too, orders points by their packed root-to-leaf path key before
+// counting, and the level index (levelindex.go) orders a first-touch
+// tree's child runs by loc. The keys are dense unsigned integers
+// (d·(H-1) bits for the single-word path layout), which makes an LSD
+// counting sort strictly cheaper than comparison sorting: one histogram
+// pass over all eight byte lanes, then one scatter pass per byte lane
+// that actually varies. Constant lanes — the top bytes of a 45-bit key,
+// or any lane the keys happen to agree on — are skipped outright, so a
+// 15-dim H=4 stream pays ~6 scatter passes instead of an O(m·log m)
 // comparison sort with an interface or closure call per comparison.
 //
-// Two layouts cover every key shape:
+// Two layouts:
 //
-//   - radixSortCombo sorts one word per point that packs (key << idxBits
-//     | original index). Sorting the combined word yields exactly the
-//     (key asc, index asc) total order InsertBatch's chunks need, with
-//     the tie-break for free. It applies whenever keyBits + idxBits
-//     <= 64 — every chunk of the default geometry (45-bit key, 13-bit
-//     chunk index).
 //   - radixSortPairs sorts a key column with one uint64 payload column
-//     riding along (the level-H parity word of Build's record streams,
-//     or an index column when the combo word would overflow). LSD
+//     riding along: the level-H parity word of a record stream. LSD
 //     counting passes are stable, so equal keys keep their arrival
-//     order — the same tie-break, encoded positionally.
+//     order — the (key, arrival) tie-break, encoded positionally.
+//   - radixSortCombo sorts one word per item that packs (key << idxBits
+//     | index), so the plain integer order is the (key, index) total
+//     order with the tie-break for free. The level index sorts a long
+//     child run this way, with the cell's loc as the key and its
+//     position in the run as the index, whenever the two fit one word.
 //
-// Multi-word keys (d·(H-1) > 64) fall back to a comparison sort over
-// the permutation (sortKeyOrder in build.go); the radix kernels are
+// Multi-word path keys (d·(H-1) > 64) fall back to a comparison sort
+// over the permutation (sortKeyOrder in build.go); the radix kernels are
 // deliberately single-word.
 package ctree
 

@@ -237,27 +237,27 @@ func TestQuantizeKeyWordsMatchesSlow(t *testing.T) {
 	}
 }
 
-// TestBatchLayoutsMatchPerPointInsert forces each of InsertBatch's
-// three chunk sort layouts — combo (key+index in one word), pair radix
-// (packed key whose combo word would overflow), multi-word comparison
-// fallback — and pins the resulting tree cell-identical to per-point
-// insertion.
+// TestBatchLayoutsMatchPerPointInsert forces each of Build's two sort
+// layouts through InsertBatch — the pair radix sort of packed keys
+// (d·(H-1) <= 64, a short and a long key) and the multi-word
+// comparison fallback — and pins the resulting tree cell-identical to
+// per-point insertion.
 func TestBatchLayoutsMatchPerPointInsert(t *testing.T) {
 	cases := []struct {
 		name   string
 		d, H   int
 		layout string
 	}{
-		// 5·3 = 15 key bits + 13 index bits: combo.
-		{"combo_d5_H4", 5, 4, "combo"},
-		// 19·3 = 57 key bits + 13 index bits = 70 > 64: pair radix.
+		// 5·3 = 15 key bits: pair radix.
+		{"pairs_d5_H4", 5, 4, "pairs"},
+		// 19·3 = 57 key bits: pair radix.
 		{"pairs_d19_H4", 19, 4, "pairs"},
 		// 15·5 = 75 key bits > 64: multi-word fallback.
 		{"multiword_d15_H6", 15, 6, "multiword"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			n := 9000 // > buildReportEvery so at least one full chunk sorts
+			n := 9000 // > buildReportEvery: the count loop passes a checkpoint interval
 			ds := uniformDataset(t, tc.d, n, 42)
 			// Duplicate a block of points so equal keys actually occur
 			// and the tie-break/stability paths are exercised.
@@ -380,8 +380,8 @@ func BenchmarkQuantize(b *testing.B) {
 }
 
 // BenchmarkMortonSort measures the LSD radix combo sort against the
-// generic comparison sort it replaced, on one build-sized chunk of
-// 58-bit combo words (45-bit key + 13-bit index, the d=15 H=4 shape).
+// generic comparison sort, on 8192 random 58-bit combo words (a 45-bit
+// key above a 13-bit index).
 func BenchmarkMortonSort(b *testing.B) {
 	const m = 8192
 	rng := rand.New(rand.NewSource(2))

@@ -34,9 +34,9 @@ const spillBlock = 1024
 // key and leaf-parity columns sortShard holds per point plus their
 // sort scratch (the radix ping-pong columns for packed keys; the
 // permutation and the sorted copies for multi-word keys). An in-memory
-// build holds η·ExternalRecordBytes(d, H) bytes next to the tree; a
-// spilled build holds one run's worth, which is how it sizes runs
-// from MemoryLimitBytes.
+// build holds η·ExternalRecordBytes(d, H) bytes next to the tree and
+// InsertBatch one batch's worth; a spilled build holds one run's
+// worth, which is how it sizes runs from MemoryLimitBytes.
 func ExternalRecordBytes(d, H int) int {
 	w := keyWords(d, H)
 	if w == 1 {
@@ -134,6 +134,16 @@ func (sr *spillReader) fill(rs *recordStream, w int) error {
 	rs.pos = 0
 	sr.remaining -= m
 	return nil
+}
+
+// growU64 resizes *s to n elements, reallocating only when the
+// capacity is short, and returns the sized slice.
+func growU64(s *[]uint64, n int) []uint64 {
+	if cap(*s) < n {
+		*s = make([]uint64, n)
+	}
+	*s = (*s)[:n]
+	return *s
 }
 
 // closeRuns closes the spilled runs' files.

@@ -1,28 +1,34 @@
 // Streaming support: public batch insertion and deep cloning — the two
 // tree operations the long-running service (internal/serve) layers its
 // two-tree window rotation and RCU view publication on. InsertBatch
-// folds a whole point batch into a live tree through sorted chunks
-// counted by the same descent Build uses (batch.go); Clone produces an
-// independent tree the re-cluster loop can merge and scan while
-// ingestion keeps mutating the original.
+// folds a whole point batch into a live tree through Build's own sort
+// and count phases (build.go); Clone produces an independent tree the
+// re-cluster loop can index and scan while ingestion keeps mutating
+// the original.
 package ctree
 
 import (
 	"fmt"
-	"math"
+
+	"mrcc/internal/dataset"
 )
 
 // InsertBatch counts a batch of points (each in [0,1)^d) into the
-// tree with the same counts Build gives them: the batch is processed
-// in sorted chunks, so runs of points sharing a cell path are counted
-// in one descent instead of len(points) separate root-to-leaf walks.
+// tree with the same counts Build gives them, through Build's sort and
+// count phases: the batch is sorted by cell path into one record
+// stream, and runs of points sharing a path are counted in one descent
+// instead of len(points) separate root-to-leaf walks. One call into an
+// empty tree writes Build's canonical tree; later calls append the
+// cells they create in first-touch order. While it sorts, InsertBatch
+// holds ExternalRecordBytes(d, H) bytes per batch point next to the
+// tree (32 B for packed keys), as an in-memory Build does.
 //
-// Every point is validated before the tree is touched, so an error —
-// wrong dimensionality, a value outside [0,1), or a batch that would
-// push the point count past MaxPoints — leaves the tree exactly as it
-// was. That atomicity is what lets a streaming ingest path reject a
-// bad batch with a client error and keep serving from an unpolluted
-// tree.
+// The sort validates every point before the tree is touched, so an
+// error — wrong dimensionality, a value outside [0,1), or a batch that
+// would push the point count past MaxPoints — leaves the tree exactly
+// as it was. That atomicity is what lets a streaming ingest path
+// reject a bad batch with a client error and keep serving from an
+// unpolluted tree. No fault point, context or memory limit is polled.
 func (t *Tree) InsertBatch(points [][]float64) error {
 	m := len(points)
 	if m == 0 {
@@ -32,30 +38,11 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 		return fmt.Errorf("ctree: inserting %d points into a tree counting %d exceeds the int32 cell-counter maximum %d (MaxPoints); shard into separate trees",
 			m, t.Eta, int64(MaxPoints))
 	}
-	for i, p := range points {
-		if len(p) != t.D {
-			return fmt.Errorf("ctree: point %d has %d values, want %d", i, len(p), t.D)
-		}
-		for j, v := range p {
-			if v < 0 || v >= 1 || math.IsNaN(v) {
-				return fmt.Errorf("ctree: point %d: axis %d value %g outside [0,1): dataset must be normalized", i, j, v)
-			}
-		}
+	rs, err := sortShard(&dataset.Dataset{Dims: t.D, Points: points}, 0, m, t.H, nil)
+	if err != nil {
+		return err
 	}
-	// Everything is validated and the count fits, so the chunked insert
-	// below cannot fail (its only error sources are the validation and
-	// overflow conditions excluded above).
-	ins := newBatchInserter(t)
-	for lo := 0; lo < m; lo += buildReportEvery {
-		hi := lo + buildReportEvery
-		if hi > m {
-			hi = m
-		}
-		if err := ins.insert(points[lo:hi], lo); err != nil {
-			return err
-		}
-	}
-	return nil
+	return countMerged(t, []*recordStream{rs}, nil, nil, m)
 }
 
 // Clone returns a deep, independent copy of the tree: all arena

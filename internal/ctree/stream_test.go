@@ -10,7 +10,8 @@ import (
 // TestInsertBatchEqualsBuild pins that folding batches into a live
 // tree through InsertBatch produces exactly the tree Build constructs
 // from the whole dataset — the property the streaming ingest path
-// relies on.
+// relies on — and that one call of the whole dataset into an empty
+// tree writes Build's canonical tree itself, row for row.
 func TestInsertBatchEqualsBuild(t *testing.T) {
 	for _, d := range []int{3, 9} {
 		ds := uniformDataset(t, d, 7001, 61)
@@ -19,8 +20,7 @@ func TestInsertBatchEqualsBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		live := New(d, 4)
-		// Deliberately odd batch sizes, including one crossing the
-		// internal chunk boundary.
+		// Deliberately odd batch sizes.
 		for lo := 0; lo < ds.Len(); {
 			hi := lo + 1713
 			if hi > ds.Len() {
@@ -37,6 +37,50 @@ func TestInsertBatchEqualsBuild(t *testing.T) {
 		if live.MemoryBytes() != whole.MemoryBytes() {
 			t.Fatalf("d=%d: batched tree reports %d bytes, Build %d", d, live.MemoryBytes(), whole.MemoryBytes())
 		}
+	}
+	// One call runs Build's sort and count phases over one stream, so
+	// the cells are created in Build's DFS preorder: both key layouts,
+	// a duplicate-heavy input whose longest run outgrows the count
+	// loop's leaf buffer, all past buildReportEvery points.
+	for _, tc := range []struct {
+		name    string
+		d, H, n int
+		dups    bool
+	}{
+		{"packed_d5_H4", 5, 4, 3*buildReportEvery + 17, false},
+		{"packed_d19_H4", 19, 4, buildReportEvery + 1000, false},
+		{"multiword_d15_H6", 15, 6, buildReportEvery + 1000, false},
+		{"duplicates_d5_H4", 5, 4, 2*buildReportEvery + 5, true},
+		{"duplicates_d15_H6", 15, 6, 2*buildReportEvery + 5, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := uniformDataset(t, tc.d, tc.n, 67)
+			if tc.dups {
+				// Every other point repeats one of 50 points, and one of
+				// them repeats buildReportEvery+100 times in a row
+				// mid-stream.
+				for i := 0; i < tc.n; i += 2 {
+					ds.Points[i] = ds.Points[1+2*(i%50)]
+				}
+				for i := tc.n / 4; i < tc.n/4+buildReportEvery+100; i++ {
+					ds.Points[i] = ds.Points[1]
+				}
+			}
+			whole, err := Build(ds, tc.H, BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			one := New(tc.d, tc.H)
+			if err := one.InsertBatch(ds.Points); err != nil {
+				t.Fatal(err)
+			}
+			if !sameColumns(one.Columns(), whole.Columns()) || one.Eta != whole.Eta {
+				t.Fatal("one InsertBatch call wrote other columns than Build")
+			}
+			if one.MemoryBytes() != whole.MemoryBytes() {
+				t.Fatalf("one-call tree reports %d bytes, Build %d", one.MemoryBytes(), whole.MemoryBytes())
+			}
+		})
 	}
 }
 

@@ -179,8 +179,8 @@ func (c *Collector) SetTreeBytes(b uint64) {
 // insertion shape of the finished tree build: arenaBytes is the exact
 // slab/table footprint, grows the number of slab reallocations,
 // runs/runPoints the sorted-batch run count and the points those runs
-// carried (see Counters.BatchRuns), and radixChunks the chunks ordered
-// by the LSD radix kernel.
+// carried (see Counters.BatchRuns), and radixChunks the record streams
+// ordered by the LSD radix kernel.
 func (c *Collector) SetArenaStats(arenaBytes uint64, grows, runs, runPoints, radixChunks int64) {
 	if c == nil {
 		return

@@ -152,8 +152,8 @@ type Counters struct {
 	// shows up here.
 	ArenaGrows int64 `json:"arenaGrows,omitempty"`
 	// BatchRuns / BatchRunPoints describe the sorted batch insertion:
-	// BatchRuns is how many distinct leaf-path runs the Morton-sorted
-	// chunks collapsed to, BatchRunPoints how many points those runs
+	// BatchRuns is how many leaf-path runs the Morton-sorted record
+	// streams collapsed to, BatchRunPoints how many points those runs
 	// carried (points inserted through the per-point fallback are not
 	// counted). BatchRunPoints/BatchRuns is the mean run length — the
 	// batching win over per-point descents.
