@@ -8,6 +8,7 @@
 package mrcc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -67,7 +68,7 @@ func BenchmarkFig4Alpha(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tree.ResetUsed()
 				var err error
-				res, err = core.RunOnTree(tree, ds, core.Config{Alpha: alpha})
+				res, err = core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tree}}, core.Config{Alpha: alpha})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -86,7 +87,7 @@ func BenchmarkFig4H(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = core.Run(ds, core.Config{H: h})
+				res, err = core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{H: h})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -157,7 +158,7 @@ func BenchmarkFig5Rotated(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = core.Run(ds, core.Config{})
+				res, err = core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -171,7 +172,7 @@ func BenchmarkFig5Rotated(b *testing.B) {
 // itself (axis-set precision/recall over a full MrCC result).
 func BenchmarkFig5Subspaces(b *testing.B) {
 	ds, gt := benchDataset(b, "14d")
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func BenchmarkFig5Real(b *testing.B) {
 	}
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
-		res, err = core.Run(ds, core.Config{})
+		res, err = core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,7 +229,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				res, err = core.Run(ds, core.Config{Workers: workers})
+				res, err = core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -249,7 +250,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 	b.Run("workers=1/stats", func(b *testing.B) {
 		var res *core.Result
 		for i := 0; i < b.N; i++ {
-			res, err = core.Run(ds, core.Config{Workers: 1, CollectStats: true})
+			res, err = core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Workers: 1, CollectStats: true})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -279,7 +280,7 @@ func BenchmarkScalingEta(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("eta=%d", eta), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(ds, core.Config{}); err != nil {
+				if _, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -300,7 +301,7 @@ func BenchmarkScalingD(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Run(ds, core.Config{}); err != nil {
+				if _, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -337,15 +338,15 @@ func BenchmarkScalingH(b *testing.B) {
 func BenchmarkAblationMask(b *testing.B) {
 	ds, gt := benchDataset(b, "6d")
 	for _, full := range []bool{false, true} {
-		name := "face-only"
+		name, cfg := "face-only", core.Config{}
 		if full {
-			name = "full-mask"
+			name, cfg = "full-mask", core.WithFullMask(cfg)
 		}
 		b.Run(name, func(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = core.Run(ds, core.Config{FullMask: full})
+				res, err = core.Run(context.Background(), core.Input{Dataset: ds}, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -368,7 +369,7 @@ func BenchmarkAblationMDL(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = core.Run(ds, core.Config{FixedRelevanceThreshold: thr})
+				res, err = core.Run(context.Background(), core.Input{Dataset: ds}, core.WithRelevanceThreshold(core.Config{}, thr))
 				if err != nil {
 					b.Fatal(err)
 				}

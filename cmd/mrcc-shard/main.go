@@ -240,7 +240,7 @@ func runCoordinator(ctx context.Context, opt options, stdout, stderr io.Writer) 
 			}
 		}
 		if opt.out != "" {
-			n, err := treeio.SaveFile(opt.out, merged)
+			n, err := treeio.SaveFile(opt.out, merged, treeio.Meta{})
 			if err != nil {
 				return fmt.Errorf("out: %w", err)
 			}
@@ -248,7 +248,7 @@ func runCoordinator(ctx context.Context, opt options, stdout, stderr io.Writer) 
 		}
 	}
 	if opt.cluster {
-		res, err := core.RunTreeContext(ctx, trees, core.Config{
+		res, err := core.Run(ctx, core.Input{Trees: trees}, core.Config{
 			Alpha: opt.alpha, H: opt.h, CollectStats: opt.stats,
 		})
 		if err != nil {
@@ -387,10 +387,10 @@ func checkSerial(ctx context.Context, opt options, merged *ctree.Tree, stdout io
 		return fmt.Errorf("check-serial: the shard trees' union differs from the single-process build")
 	}
 	var want, got bytes.Buffer
-	if _, err := treeio.Save(&want, serial); err != nil {
+	if _, err := treeio.Save(&want, serial, treeio.Meta{}); err != nil {
 		return fmt.Errorf("check-serial: %w", err)
 	}
-	if _, err := treeio.Save(&got, merged); err != nil {
+	if _, err := treeio.Save(&got, merged, treeio.Meta{}); err != nil {
 		return fmt.Errorf("check-serial: %w", err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {

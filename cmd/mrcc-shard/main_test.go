@@ -88,7 +88,7 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 		}
 	}
 	// The -out snapshot is a valid warm-start source.
-	tr, err := treeio.LoadFileOptions(out, treeio.LoadOptions{TrustChecksums: true})
+	tr, _, err := treeio.LoadFile(out, treeio.LoadOptions{TrustChecksums: true})
 	if err != nil {
 		t.Fatalf("reloading -out snapshot: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestCoordinatorPerShardInputs(t *testing.T) {
 // TestClusterOverShardTreesMatchesBuild is the cross-path pin of the
 // unmerged -cluster: with neither -out nor -check-serial no union is
 // written, and the clustering runs over the shard trees as they are.
-// At 1 and 4 shards it must print the cluster lines core.RunTree gives
+// At 1 and 4 shards it must print the cluster lines core.Run gives
 // over ctree.Build of the same rows.
 func TestClusterOverShardTreesMatchesBuild(t *testing.T) {
 	ds, _, err := synthetic.Generate(synthetic.Config{
@@ -189,7 +189,7 @@ func TestClusterOverShardTreesMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunTree(tree, core.Config{Alpha: core.DefaultAlpha, H: core.DefaultH})
+	res, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{tree}}, core.Config{Alpha: core.DefaultAlpha, H: core.DefaultH})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestClusterOverShardTreesMatchesBuild(t *testing.T) {
 			}
 		}
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Errorf("shards=%s: cluster lines\n%s\nwant (core.RunTree over ctree.Build)\n%s",
+			t.Errorf("shards=%s: cluster lines\n%s\nwant (core.Run over ctree.Build)\n%s",
 				shards, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 	}

@@ -219,13 +219,14 @@ func run(ctx context.Context, opt options, stdout io.Writer) error {
 		KeepTree:             opt.saveTree != "",
 	}
 	start := time.Now()
-	var res *mrcc.Result
+	in := mrcc.Input{Dataset: ds}
 	var snapshotLoaded int64
 	if opt.loadTree != "" {
-		res, snapshotLoaded, err = runOnSnapshot(ctx, opt, ds, cfg)
-	} else {
-		res, err = mrcc.RunDatasetContext(ctx, ds, cfg)
+		if in.Tree, snapshotLoaded, err = loadTree(opt.loadTree); err != nil {
+			return fmt.Errorf("load-tree: %w", err)
+		}
 	}
+	res, err := mrcc.Run(ctx, in, cfg)
 	if err != nil {
 		return err
 	}
@@ -265,32 +266,20 @@ func run(ctx context.Context, opt options, stdout io.Writer) error {
 	return nil
 }
 
-// runOnSnapshot is the -load-tree path: restore the Counting-tree from
-// its snapshot, normalize the dataset the same way the full pipeline
-// would (the tree was built over the normalized embedding), and run
-// phases two and three only. It returns the snapshot's on-disk size
-// for the -stats IO line.
-func runOnSnapshot(ctx context.Context, opt options, ds *mrcc.Dataset, cfg mrcc.Config) (*mrcc.Result, int64, error) {
-	t, err := mrcc.LoadTree(opt.loadTree)
-	if err != nil {
-		return nil, 0, fmt.Errorf("load-tree: %w", err)
-	}
-	fi, err := os.Stat(opt.loadTree)
-	if err != nil {
-		return nil, 0, fmt.Errorf("load-tree: %w", err)
-	}
-	work := ds
-	if !ds.IsNormalized() {
-		work = ds.Clone()
-		if _, _, err := work.Normalize(); err != nil {
-			return nil, 0, err
-		}
-	}
-	res, err := mrcc.RunDatasetOnTreeContext(ctx, t, work, cfg)
+// loadTree is the -load-tree path's restore: the Counting-tree from its
+// snapshot, which Run then reclusters (normalizing the dataset the way
+// the build did), and the snapshot's on-disk size for the -stats IO
+// line.
+func loadTree(path string) (*mrcc.Tree, int64, error) {
+	t, err := mrcc.LoadTree(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	return res, fi.Size(), nil
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, fi.Size(), nil
 }
 
 type jsonCluster struct {

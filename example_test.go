@@ -1,6 +1,7 @@
 package mrcc_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -36,7 +37,11 @@ func ExampleRun() {
 		})
 	}
 
-	res, err := mrcc.Run(rows, mrcc.Config{})
+	ds, err := mrcc.DatasetFromRows(rows)
+	if err != nil {
+		panic(err)
+	}
+	res, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: ds}, mrcc.Config{})
 	if err != nil {
 		panic(err)
 	}

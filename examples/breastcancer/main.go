@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := mrcc.RunNormalized(ds, mrcc.Config{})
+		res, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: ds}, mrcc.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}

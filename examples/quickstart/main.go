@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -54,7 +55,12 @@ func main() {
 		})
 	}
 
-	res, err := mrcc.Run(rows, mrcc.Config{}) // paper defaults: α=1e-10, H=4
+	ds, err := mrcc.DatasetFromRows(rows)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Paper defaults: α=1e-10, H=4.
+	res, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: ds}, mrcc.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

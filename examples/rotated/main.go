@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := mrcc.RunNormalized(ds, mrcc.Config{})
+		res, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: ds}, mrcc.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -63,7 +64,7 @@ func main() {
 			end = full.Len()
 		}
 		// One call absorbs the whole batch (validated before the tree is
-		// touched, counted in sorted order); RunDatasetOnTree clears the
+		// touched, counted in sorted order); Run over the tree clears the
 		// Used flags the previous pass consumed, so the loop is just
 		// insert-then-run.
 		if err := tree.InsertBatch(full.Points[start:end]); err != nil {
@@ -72,7 +73,7 @@ func main() {
 		for _, p := range full.Points[start:end] {
 			seen.Append(p)
 		}
-		res, err := mrcc.RunDatasetOnTree(tree, seen, mrcc.Config{})
+		res, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: seen, Tree: tree}, mrcc.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	warm, err := mrcc.RunDatasetOnTree(loaded, seen, mrcc.Config{})
+	warm, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: seen, Tree: loaded}, mrcc.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

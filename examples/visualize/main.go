@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,7 +42,11 @@ func main() {
 		rows = append(rows, []float64{rng.Float64(), rng.Float64(), rng.Float64()})
 	}
 
-	res, err := mrcc.Run(rows, mrcc.Config{})
+	ds, err := mrcc.DatasetFromRows(rows)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: ds}, mrcc.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

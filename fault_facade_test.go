@@ -29,7 +29,7 @@ func TestFacadeNormalizeFaultPoint(t *testing.T) {
 	snapshot := ds.Clone()
 	boom := errors.New("injected before normalize")
 	fault.Set(fault.Normalize, func() error { return boom })
-	res, err := mrcc.RunDatasetContext(context.Background(), ds, mrcc.Config{})
+	res, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: ds}, mrcc.Config{})
 	if res != nil {
 		t.Fatal("faulted run returned a result")
 	}
@@ -44,7 +44,7 @@ func TestFacadeNormalizeFaultPoint(t *testing.T) {
 		t.Fatal("aborted run mutated the caller's dataset")
 	}
 	// Disarmed (one-shot) points must not leak into the next run.
-	if _, err := mrcc.RunDatasetContext(context.Background(), ds, mrcc.Config{}); err != nil {
+	if _, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: ds}, mrcc.Config{}); err != nil {
 		t.Fatalf("run after one-shot fault failed: %v", err)
 	}
 }

@@ -288,10 +288,10 @@ func faceSumProducers(t *testing.T, ds *dataset.Dataset, H int) map[string][]*ct
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := treeio.Save(&buf, window); err != nil {
+	if _, err := treeio.Save(&buf, window, treeio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := treeio.LoadBytes(buf.Bytes())
+	loaded, _, err := treeio.Load(bytes.NewReader(buf.Bytes()), int64(len(buf.Bytes())), treeio.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

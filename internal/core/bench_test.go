@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func BenchmarkRun(b *testing.B) {
 	ds := benchWorkload(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(ds, core.Config{}); err != nil {
+		if _, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,7 +44,7 @@ func BenchmarkFindBetas(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree.ResetUsed()
-		if _, err := core.RunOnTree(tree, ds, core.Config{}); err != nil {
+		if _, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tree}}, core.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +56,7 @@ func BenchmarkFindBetas(b *testing.B) {
 // per-pass re-convolving scan (the WithNaiveScan oracle); the cached
 // sub-benchmarks are the default one-shot convolution cache at 1, 4 and
 // 8 workers. Each sub-benchmark reports the phase-two wall time
-// (betaSearch-ms) next to the full RunOnTree timing; the cached runs
+// (betaSearch-ms) next to the full run-on-tree timing; the cached runs
 // add their phase-two speedup over the naive baseline and their
 // phase-two throughput (points/s = η ÷ phase-two seconds), the metric
 // scripts/bench_floors.sh floors. The scan-equivalence suite
@@ -94,7 +95,7 @@ func BenchmarkBetaSearch(b *testing.B) {
 			var phase2 time.Duration
 			for i := 0; i < b.N; i++ {
 				tree.ResetUsed()
-				res, err = core.RunOnTree(tree, ds, cfg)
+				res, err = core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tree}}, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -120,7 +121,7 @@ func BenchmarkBetaSearch(b *testing.B) {
 // BenchmarkSoftMemberships measures the soft-clustering extension.
 func BenchmarkSoftMemberships(b *testing.B) {
 	ds := benchWorkload(b)
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package core_test
 // without the observability layer collecting stats.
 
 import (
+	"context"
 	"testing"
 
 	"mrcc/internal/core"
@@ -47,7 +48,7 @@ func boundaryDataset(t *testing.T) (ds interface {
 		extra += 2
 	}
 	run = func(cfg core.Config) *core.Result {
-		res, err := core.Run(base, cfg)
+		res, err := core.Run(context.Background(), core.Input{Dataset: base}, cfg)
 		if err != nil {
 			t.Fatalf("run (workers=%d, stats=%v): %v", cfg.Workers, cfg.CollectStats, err)
 		}

@@ -1,7 +1,9 @@
 // Package core implements the MrCC clustering method itself: the
 // β-cluster search over the Counting-tree (Algorithm 2 of the paper) and
 // the assembly of correlation clusters from β-clusters (Algorithm 3),
-// followed by point labeling.
+// followed by point labeling. Run is the one entry point: its Input
+// either holds a normalized dataset to build the Counting-tree from, or
+// pre-built trees to cluster (and optionally a dataset to label).
 package core
 
 import (
@@ -52,19 +54,10 @@ type Config struct {
 	// H is the number of resolutions of the Counting-tree (>= 3).
 	// Defaults to DefaultH when zero.
 	H int
-	// FullMask switches the convolution to the full 3^d Laplacian mask.
-	// It exists only for the mask ablation; the paper's method uses the
-	// face-only mask (FullMask == false).
-	FullMask bool
 	// MaxBetaClusters optionally caps the number of β-clusters; zero
 	// means unlimited. The paper needs no cap (it observed at most 33);
 	// the cap is a safety valve for adversarial inputs.
 	MaxBetaClusters int
-	// FixedRelevanceThreshold, when non-zero, replaces the MDL-tuned
-	// relevance cut with a fixed threshold in (0, 100). It exists only
-	// for the A-mdl ablation that quantifies what the paper's MDL step
-	// buys; the method proper always uses MDL.
-	FixedRelevanceThreshold float64
 	// Workers sets the parallelism of the pipeline: the Counting-tree
 	// build's sort phase, the convolution scan, and point labeling all
 	// fan out over this many goroutines. 0 selects GOMAXPROCS; 1 runs
@@ -117,10 +110,9 @@ type Config struct {
 	ExternalSpillDir string
 	// KeepTree returns the built Counting-tree in Result.Tree so the
 	// caller can snapshot it (treeio.SaveFile) or rerun clustering on it
-	// (RunOnTree — Used flags are cleared at entry, so no manual
-	// ResetUsed is needed). Off by default: the tree is the pipeline's
-	// dominant allocation and holding it in the Result keeps it
-	// reachable.
+	// (Run with Input.Trees, which clears the Used flags at entry).
+	// Off by default: the tree is the pipeline's dominant allocation and
+	// holding it in the Result keeps it reachable.
 	KeepTree bool
 
 	// naiveScan and noCacheRepair select the scan oracles the
@@ -134,10 +126,28 @@ type Config struct {
 	// (scan_equiv_test.go).
 	naiveScan     bool
 	noCacheRepair bool
+	// fullMask and relevanceThreshold serve the ablations only (see
+	// WithFullMask and WithRelevanceThreshold); the paper's method runs
+	// with both zero.
+	fullMask           bool
+	relevanceThreshold float64
 }
 
-// wantsStats reports whether the run needs a collector at all.
-func (c Config) wantsStats() bool { return c.CollectStats || c.Progress != nil }
+// WithFullMask returns cfg with the convolution switched to the full
+// 3^d Laplacian mask, for the mask ablation; the paper's method uses
+// the face-only mask.
+func WithFullMask(cfg Config) Config {
+	cfg.fullMask = true
+	return cfg
+}
+
+// WithRelevanceThreshold returns cfg with the MDL-tuned relevance cut
+// replaced by the fixed threshold t in (0, 100), for the A-mdl ablation
+// that quantifies what the paper's MDL step buys; zero restores MDL.
+func WithRelevanceThreshold(cfg Config, t float64) Config {
+	cfg.relevanceThreshold = t
+	return cfg
+}
 
 // workerCount resolves Workers to a concrete goroutine count.
 func (c Config) workerCount() int {
@@ -167,8 +177,8 @@ func (c Config) validate() error {
 	if c.MaxBetaClusters < 0 {
 		return fmt.Errorf("core: MaxBetaClusters must be >= 0, got %d", c.MaxBetaClusters)
 	}
-	if c.FixedRelevanceThreshold < 0 || c.FixedRelevanceThreshold > 100 {
-		return fmt.Errorf("core: FixedRelevanceThreshold must be in [0,100], got %g", c.FixedRelevanceThreshold)
+	if c.relevanceThreshold < 0 || c.relevanceThreshold > 100 {
+		return fmt.Errorf("core: relevance threshold must be in [0,100], got %g", c.relevanceThreshold)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: Workers must be >= 0, got %d", c.Workers)
@@ -249,15 +259,15 @@ type Result struct {
 	Stats *obs.Stats
 	// Tree is the Counting-tree the run clustered on; nil unless
 	// Config.KeepTree, and for a run over several trees. It can be fed
-	// straight back into RunOnTree (or RunTree), which clears the
-	// consumed Used flags itself.
+	// straight back into Run as Input.Trees, which clears the consumed
+	// Used flags itself.
 	Tree *ctree.Tree
 }
 
 // Timings breaks a run into the paper's three phases.
 type Timings struct {
 	// BuildTree covers phase one (Counting-tree construction); zero
-	// when RunOnTree was given a pre-built tree.
+	// when Run was given pre-built trees.
 	BuildTree time.Duration
 	// FindBetas covers phase two (convolution + statistical test).
 	FindBetas time.Duration
@@ -268,34 +278,64 @@ type Timings struct {
 // NumClusters returns γk, the number of correlation clusters.
 func (r *Result) NumClusters() int { return len(r.Clusters) }
 
-// Run executes the full MrCC pipeline over a dataset normalized to
-// [0,1)^d. Use dataset.Normalize first for raw data. It is exactly
-// RunContext with a background context.
+// Input says what a run clusters. Without Trees the run builds the
+// Counting-tree from Dataset (phase one), then clusters and labels it.
+// With Trees phase one is skipped: the run clusters the union of the
+// trees, which share one geometry, and labels Dataset when one is
+// given. Labeling needs exactly one tree, whose dimensionality and
+// point count match Dataset's: the data must be the normalized data the
+// tree counted. Without a Dataset, Result.Labels is nil and
+// Cluster.Size stays zero; the streaming service publishes query views
+// from such runs, assigning a point to the cluster owning the first
+// β-cluster box containing it, exactly the rule labeling applies.
+type Input struct {
+	// Dataset holds points normalized to [0,1)^d.
+	Dataset *dataset.Dataset
+	// Trees are pre-built Counting-trees of one geometry.
+	Trees []*ctree.Tree
+}
+
+// Run executes the MrCC pipeline over in under a context. Every phase —
+// the chunked tree build, each β-search scan pass, the cluster merge,
+// and range-parallel labeling — polls ctx at chunk boundaries, so
+// cancellation or deadline expiry aborts the run within one chunk of
+// work. An aborted run returns a *PipelineError naming the interrupted
+// phase and carrying the partial Stats; context.Background() adds no
+// observable overhead. A panic inside any worker goroutine or pipeline
+// phase is recovered and surfaces the same way (a *PipelineError
+// wrapping a *panics.Error) instead of crashing the host. The memory
+// limit and its degradation policy bound the tree build only.
 //
 // With Config.Workers != 1 the Counting-tree build sorts per-goroutine
 // shards before merging them (ctree.Build), and the convolution scan
 // and point labeling fan out too; the result is bit-identical to the
 // serial run for every worker count.
-func Run(ds *dataset.Dataset, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), ds, cfg)
-}
-
-// RunContext is Run under a context: every phase — the chunked tree
-// build, each β-search scan pass, the cluster merge, and range-parallel
-// labeling — polls ctx at chunk boundaries, so cancellation or deadline
-// expiry aborts the run within one chunk of work. An aborted run
-// returns a *PipelineError naming the interrupted phase and carrying
-// the partial Stats; ctx == context.Background() adds no observable
-// overhead. A panic inside any worker goroutine or pipeline phase is
-// recovered and surfaces the same way (a *PipelineError wrapping a
-// *panics.Error) instead of crashing the host.
-func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (res *Result, err error) {
+//
+// A run over one given tree clears its Used flags at entry, so
+// rerunning on the same tree — the CLI's -load-tree path, or an α sweep
+// over one build — starts from a clean slate and yields the same Result
+// (TestRunOnTreeTwiceIdentical pins it). Over several trees the
+// β-search reads the level indexes of their union
+// (ctree.UnionLevelIndexes), whose counts add up across the trees, so
+// the Result is the one a run over their ctree.Union gives and no
+// merged tree is written: the streaming service clusters its two-tree
+// window this way. Such a run leaves the trees' flags alone, keeps none
+// in Result.Tree, and refuses trees whose points sum past
+// ctree.MaxPoints.
+func Run(ctx context.Context, in Input, cfg Config) (res *Result, err error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	col := newCollector(cfg)
-	phase := obs.PhaseTreeBuild
+	var col *obs.Collector
+	if cfg.CollectStats || cfg.Progress != nil {
+		col = obs.New(cfg.Progress)
+	}
+	ab := newAborter(ctx)
+	trees, phase := in.Trees, obs.PhaseBetaSearch
+	if len(trees) == 0 {
+		phase = obs.PhaseTreeBuild
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = panics.New(r)
@@ -306,31 +346,42 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (res *Resu
 			err = &PipelineError{Phase: phase.String(), Err: err, Stats: col.Finish()}
 		}
 	}()
-	ab := newAborter(ctx)
-	var buildProgress ctree.ProgressFunc
-	if col.WantsProgress() {
-		buildProgress = func(done, total int) {
-			col.Progress(obs.PhaseTreeBuild, int64(done), int64(total))
+	var buildTime time.Duration
+	if len(trees) == 0 {
+		if in.Dataset == nil {
+			return nil, errors.New("core: no dataset or tree to cluster")
 		}
+		start := time.Now()
+		t, h, err := buildTreeBounded(ctx, in.Dataset, cfg, col)
+		if err != nil {
+			return nil, ab.fail(err)
+		}
+		if h != cfg.H {
+			cfg.H = h
+			col.SetDegradedH(h)
+		}
+		trees, buildTime = []*ctree.Tree{t}, time.Since(start)
 	}
-	start := time.Now()
-	sp := col.Start(obs.PhaseTreeBuild)
-	t, cfgH, err := buildTreeBounded(ctx, ds, cfg, buildProgress)
-	sp.End()
-	if err != nil {
-		return nil, ab.fail(err)
-	}
-	if cfgH != cfg.H {
-		cfg.H = cfgH
-		col.SetDegradedH(cfgH)
-	}
-	buildTime := time.Since(start)
-	res, phase, err = runOnTreeAbortable([]*ctree.Tree{t}, ds, cfg, col, ab)
+	res, phase, err = runOnTreeAbortable(trees, in.Dataset, cfg, col, ab)
 	if err != nil {
 		return nil, err
 	}
 	res.Timings.BuildTree = buildTime
 	return res, nil
+}
+
+// RunOnTree is Run over one tree, labeling ds, under a background
+// context. perfbench is its only caller; a benchmark change moves
+// perfbench to Run and removes it.
+func RunOnTree(t *ctree.Tree, ds *dataset.Dataset, cfg Config) (*Result, error) {
+	return Run(context.Background(), Input{Dataset: ds, Trees: []*ctree.Tree{t}}, cfg)
+}
+
+// RunTree is Run over one tree with no dataset, under a background
+// context. perfbench is its only caller; a benchmark change moves
+// perfbench to Run and removes it.
+func RunTree(t *ctree.Tree, cfg Config) (*Result, error) {
+	return Run(context.Background(), Input{Trees: []*ctree.Tree{t}}, cfg)
 }
 
 // buildTreeBounded builds the Counting-tree under cfg's context,
@@ -350,7 +401,14 @@ func RunContext(ctx context.Context, ds *dataset.Dataset, cfg Config) (res *Resu
 // and otherwise becomes a *ResourceError. With ExternalSpillDir the
 // one Build call spills instead, and MemoryLimitBytes bounds its sort
 // buffer rather than the tree.
-func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, progress ctree.ProgressFunc) (*ctree.Tree, int, error) {
+func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, col *obs.Collector) (*ctree.Tree, int, error) {
+	var progress ctree.ProgressFunc
+	if col.WantsProgress() {
+		progress = func(done, total int) {
+			col.Progress(obs.PhaseTreeBuild, int64(done), int64(total))
+		}
+	}
+	defer col.Start(obs.PhaseTreeBuild).End()
 	h := cfg.H
 	for {
 		t, err := ctree.Build(ds, h, ctree.BuildOptions{
@@ -401,109 +459,12 @@ func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, prog
 	}
 }
 
-// RunOnTree executes phases two and three over a pre-built Counting-tree
-// (the sensitivity experiments rebuild clusters under several α values
-// without re-scanning the data). The tree's usedCell flags are cleared
-// at entry, so rerunning on the same tree — the warm-start loop of the
-// streaming service and the CLI's -load-tree path — always starts from
-// a clean slate and yields the same Result (TestRunOnTreeTwiceIdentical
-// pins it).
-func RunOnTree(t *ctree.Tree, ds *dataset.Dataset, cfg Config) (*Result, error) {
-	return RunOnTreeContext(context.Background(), t, ds, cfg)
-}
-
-// RunOnTreeContext is RunOnTree under a context, with the same
-// cancellation, fault-injection and panic-containment behavior as
-// RunContext (the tree build and memory limit do not apply here — the
-// caller already owns the tree).
-func RunOnTreeContext(ctx context.Context, t *ctree.Tree, ds *dataset.Dataset, cfg Config) (res *Result, err error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	col := newCollector(cfg)
-	phase := obs.PhaseBetaSearch
-	defer func() {
-		if r := recover(); r != nil {
-			err = panics.New(r)
-		}
-		if err != nil && isAbort(err) {
-			col.SetAborted(phase)
-			res = nil
-			err = &PipelineError{Phase: phase.String(), Err: err, Stats: col.Finish()}
-		}
-	}()
-	res, phase, err = runOnTreeAbortable([]*ctree.Tree{t}, ds, cfg, col, newAborter(ctx))
-	return res, err
-}
-
-// RunTree clusters directly on a Counting-tree with no dataset at
-// hand: phases two and three run (β-search, cluster merge), point
-// labeling is skipped — Result.Labels is nil and Cluster.Size stays
-// zero. The streaming service publishes query views from these
-// results: a point is assigned to the correlation cluster owning the
-// first β-cluster box containing it, exactly the rule labeling
-// applies, so no stored dataset is needed to answer "which cluster is
-// this point in?". It is exactly RunTreeContext over t alone with a
-// background context.
-func RunTree(t *ctree.Tree, cfg Config) (*Result, error) {
-	return RunTreeContext(context.Background(), []*ctree.Tree{t}, cfg)
-}
-
-// RunTreeContext is RunTree under a context, over the union of one or
-// more trees of one geometry, with the same cancellation,
-// fault-injection and panic-containment contract as RunOnTreeContext.
-// The β-search reads the level indexes of the union
-// (ctree.UnionLevelIndexes), whose counts add up across the trees, so
-// the Result is the one RunTree gives over the trees' ctree.Union, and
-// no merged tree is written: the streaming service clusters its two-tree
-// window this way. Like RunOnTree, a run over one tree clears its Used
-// flags at entry and marks the cells it tests, so reruns need no manual
-// ResetUsed; a run over several trees leaves their flags alone, keeps
-// none in Result.Tree, and refuses trees whose points sum past
-// ctree.MaxPoints.
-func RunTreeContext(ctx context.Context, trees []*ctree.Tree, cfg Config) (res *Result, err error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	col := newCollector(cfg)
-	phase := obs.PhaseBetaSearch
-	defer func() {
-		if r := recover(); r != nil {
-			err = panics.New(r)
-		}
-		if err != nil && isAbort(err) {
-			col.SetAborted(phase)
-			res = nil
-			err = &PipelineError{Phase: phase.String(), Err: err, Stats: col.Finish()}
-		}
-	}()
-	res, phase, err = runOnTreeAbortable(trees, nil, cfg, col, newAborter(ctx))
-	return res, err
-}
-
-// newCollector returns the run's stats collector, or nil (the no-op
-// collector) when the config asks for no observability.
-func newCollector(cfg Config) *obs.Collector {
-	if !cfg.wantsStats() {
-		return nil
-	}
-	return obs.New(cfg.Progress)
-}
-
 // runOnTreeAbortable is the clustering back half (phases two and
-// three) over the union of trees, with the collector and abort
-// machinery already decided, so RunContext can share one collector and
-// aborter between the tree build and the clustering phases. A dataset
-// to label comes with one tree only. cfg must already be defaulted and
-// validated; ab may be nil (no cancellation, no fault points, zero
-// overhead — the RunOnTree-without-context path). The returned phase
-// names the stage an error interrupted.
+// three) over the union of one or more trees, with the collector and
+// abort machinery Run shares with the tree build. A dataset to label
+// comes with one tree only. cfg must already be defaulted and
+// validated. The returned phase names the stage an error interrupted.
 func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, col *obs.Collector, ab *aborter) (*Result, obs.Phase, error) {
-	if len(trees) == 0 {
-		return nil, obs.PhaseBetaSearch, errors.New("core: no tree to cluster")
-	}
 	t, eta := trees[0], 0
 	for _, tr := range trees {
 		eta += tr.Eta
@@ -695,8 +656,8 @@ func (s *searcher) findBetaClusters() ([]BetaCluster, error) {
 }
 
 // markUsed sets the usedCell flag of level h's entry i and, in a run
-// over one tree, that tree's flag of the cell, as RunOnTree always has
-// (a snapshot saved after the run keeps them).
+// over one tree, that tree's flag of the cell (a snapshot saved after
+// the run keeps them).
 func (s *searcher) markUsed(h, i int) {
 	ix := s.idx[h-1]
 	ix.SetUsed(i, true)
@@ -728,7 +689,7 @@ func (s *searcher) densestCell(h int) (ctree.Path, int, int64) {
 // allocates nothing. It only reads the index, so concurrent calls with
 // distinct scratch are safe.
 func (s *searcher) maskValue(ix *ctree.LevelIndex, p ctree.Path, i int, buf ctree.Path) int64 {
-	if s.cfg.FullMask {
+	if s.cfg.fullMask {
 		return conv.FullValue(ix, p, i)
 	}
 	return conv.FaceValueScratch(ix, p, i, buf)
@@ -804,8 +765,8 @@ func (s *searcher) testCell(h, i int) (BetaCluster, bool) {
 		}
 	}
 	var cThreshold float64
-	if s.cfg.FixedRelevanceThreshold > 0 {
-		cThreshold = s.cfg.FixedRelevanceThreshold
+	if s.cfg.relevanceThreshold > 0 {
+		cThreshold = s.cfg.relevanceThreshold
 	} else {
 		o := append([]float64(nil), r...)
 		sort.Float64s(o)
@@ -999,8 +960,8 @@ func labelPoints(ds *dataset.Dataset, betas []BetaCluster, clusters []Cluster, w
 //
 // Every axis is checked, not just the relevant ones: irrelevant axes
 // span [0,1], which points of a VALIDATED dataset always satisfy — but
-// RunOnTree accepts datasets the tree build never saw, and an
-// out-of-range coordinate must fail the box test exactly as
+// a run over a given tree labels datasets the tree build never saw, and
+// an out-of-range coordinate must fail the box test exactly as
 // BetaCluster.SharesSpace-style interval logic always has.
 func labelChunk(pts [][]float64, labels []int, betaL, betaU []float64, betaOwner []int, d int) (noise int64) {
 	for i, pt := range pts {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"mrcc/internal/core"
@@ -37,7 +38,7 @@ func TestRunRecoversSubspaceClusters(t *testing.T) {
 		Dims: 8, Points: 8000, Clusters: 3, NoiseFrac: 0.15,
 		MinClusterDim: 4, MaxClusterDim: 6, Seed: 42,
 	})
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -60,11 +61,11 @@ func TestRunIsDeterministic(t *testing.T) {
 		Dims: 6, Points: 3000, Clusters: 2, NoiseFrac: 0.1,
 		MinClusterDim: 3, MaxClusterDim: 5, Seed: 7,
 	})
-	r1, err := core.Run(ds, core.Config{})
+	r1, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatalf("run 1: %v", err)
 	}
-	r2, err := core.Run(ds, core.Config{})
+	r2, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatalf("run 2: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestRunLabelsPartitionPoints(t *testing.T) {
 		Dims: 6, Points: 4000, Clusters: 3, NoiseFrac: 0.2,
 		MinClusterDim: 3, MaxClusterDim: 5, Seed: 11,
 	})
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -117,7 +118,7 @@ func TestRunRobustToNoiseLevels(t *testing.T) {
 			Dims: 8, Points: 8000, Clusters: 3, NoiseFrac: noise,
 			MinClusterDim: 4, MaxClusterDim: 6, Seed: 99,
 		})
-		res, err := core.Run(ds, core.Config{})
+		res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 		if err != nil {
 			t.Fatalf("run (noise %.2f): %v", noise, err)
 		}
@@ -137,7 +138,7 @@ func TestRunRobustToRotation(t *testing.T) {
 		Dims: 12, Points: 12000, Clusters: 3, NoiseFrac: 0.15,
 		MinClusterDim: 7, MaxClusterDim: 10, Seed: 42, Rotations: 4,
 	})
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -159,7 +160,7 @@ func TestConfigValidation(t *testing.T) {
 		{MaxBetaClusters: -1},
 	}
 	for _, cfg := range cases {
-		if _, err := core.Run(ds, cfg); err == nil {
+		if _, err := core.Run(context.Background(), core.Input{Dataset: ds}, cfg); err == nil {
 			t.Errorf("config %+v: expected error, got none", cfg)
 		}
 	}
@@ -176,7 +177,7 @@ func TestRunOnTreeMismatchRejected(t *testing.T) {
 	other, _ := genSmall(t, synthetic.Config{
 		Dims: 6, Points: 400, Clusters: 1, MinClusterDim: 3, MaxClusterDim: 4, Seed: 2,
 	})
-	if _, err := core.RunOnTree(tree, other, core.Config{}); err == nil {
+	if _, err := core.Run(context.Background(), core.Input{Dataset: other, Trees: []*ctree.Tree{tree}}, core.Config{}); err == nil {
 		t.Fatal("expected mismatch error, got none")
 	}
 }
@@ -186,7 +187,7 @@ func TestMaxBetaClustersCap(t *testing.T) {
 		Dims: 8, Points: 8000, Clusters: 5, NoiseFrac: 0.1,
 		MinClusterDim: 4, MaxClusterDim: 6, Seed: 5,
 	})
-	res, err := core.Run(ds, core.Config{MaxBetaClusters: 2})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{MaxBetaClusters: 2})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ func TestRunSinglePoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestRunAllPointsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestRunPureUniformNoiseFindsNothingStrong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestRunTwoDimensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestBetaClusterInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := core.Run(ds, core.Config{})
+		res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 		if err != nil {
 			return false
 		}
@@ -182,7 +183,7 @@ func TestClustersNeverShareBetas(t *testing.T) {
 		Dims: 10, Points: 10000, Clusters: 4, NoiseFrac: 0.15,
 		MinClusterDim: 6, MaxClusterDim: 9, Seed: 21,
 	})
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestRunRespectsHigherH(t *testing.T) {
 		MinClusterDim: 4, MaxClusterDim: 5, Seed: 31,
 	})
 	for _, h := range []int{4, 6, 8} {
-		res, err := core.Run(ds, core.Config{H: h})
+		res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{H: h})
 		if err != nil {
 			t.Fatalf("H=%d: %v", h, err)
 		}

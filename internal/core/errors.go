@@ -94,8 +94,8 @@ func isAbort(err error) bool {
 }
 
 // aborter is one run's shared abort state. A nil aborter is valid and
-// every method is a no-op on it — that is how RunOnTree and direct
-// searcher construction (the internal tests) run with zero overhead.
+// every method is a no-op on it — that is how direct searcher
+// construction (the internal tests) runs with zero overhead.
 type aborter struct {
 	ctx     context.Context
 	stopped atomic.Bool
@@ -146,8 +146,7 @@ func (a *aborter) stoppedNow() bool {
 
 // failWorker routes a contained worker failure into the run's abort
 // machinery. Without one (direct searcher construction in the internal
-// tests, or RunOnTree without a context) the error re-panics instead,
-// so it reaches the run-level recover — or fails the test loudly —
+// tests) the error re-panics instead, so it fails the test loudly
 // rather than being silently dropped.
 func (s *searcher) failWorker(err error) {
 	if s.abort != nil {

@@ -30,7 +30,7 @@ func WithoutCacheRepair(cfg Config) Config {
 // tree and the newer half into the active one, each in InsertBatch
 // batches of batch points, then the aging tree canonicalized (the
 // service does it once per rotation). A pass clusters the two as they
-// are (RunTreeContext over both); WindowTree merges them. Shared by the
+// are (Run over both); WindowTree merges them. Shared by the
 // package's internal and external tests.
 func WindowTrees(t testing.TB, pts [][]float64, d, H, batch int) (aging, active *ctree.Tree) {
 	t.Helper()

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
 
 	"mrcc/internal/core"
+	"mrcc/internal/ctree"
 	"mrcc/internal/synthetic"
 )
 
@@ -19,12 +21,12 @@ func TestExternalBuildSameClustering(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{Dims: 6, Points: 9000, Clusters: 3,
 		NoiseFrac: 0.15, MinClusterDim: 3, MaxClusterDim: 5, Seed: 29})
 
-	inMem, err := core.Run(ds, core.Config{CollectStats: true})
+	inMem, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{CollectStats: true})
 	if err != nil {
 		t.Fatalf("in-memory run: %v", err)
 	}
 	// ~56 bytes/record at d=6, H=4: a 50 KB budget forces several runs.
-	ext, err := core.Run(ds, core.Config{
+	ext, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{
 		CollectStats:     true,
 		ExternalSpillDir: t.TempDir(),
 		MemoryLimitBytes: 50 << 10,
@@ -61,7 +63,7 @@ func TestExternalBuildCleansSpillDir(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{Dims: 4, Points: 4000, Clusters: 2,
 		NoiseFrac: 0.1, MinClusterDim: 2, MaxClusterDim: 3, Seed: 31})
 	dir := t.TempDir()
-	if _, err := core.Run(ds, core.Config{ExternalSpillDir: dir}); err != nil {
+	if _, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{ExternalSpillDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -74,19 +76,19 @@ func TestExternalBuildCleansSpillDir(t *testing.T) {
 }
 
 // TestKeepTree pins Config.KeepTree: the run hands back the tree it
-// clustered on, and after ResetUsed a RunOnTree over it reproduces the
+// clustered on, and after ResetUsed a run over it reproduces the
 // clustering.
 func TestKeepTree(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{Dims: 5, Points: 5000, Clusters: 2,
 		NoiseFrac: 0.1, MinClusterDim: 3, MaxClusterDim: 4, Seed: 37})
-	first, err := core.Run(ds, core.Config{KeepTree: true})
+	first, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{KeepTree: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Tree == nil {
 		t.Fatal("KeepTree run returned a nil Tree")
 	}
-	without, err := core.Run(ds, core.Config{})
+	without, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestKeepTree(t *testing.T) {
 		t.Fatal("default run returned a non-nil Tree")
 	}
 	first.Tree.ResetUsed()
-	rerun, err := core.RunOnTree(first.Tree, ds, core.Config{})
+	rerun, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{first.Tree}}, core.Config{})
 	if err != nil {
 		t.Fatalf("rerun on kept tree: %v", err)
 	}
@@ -107,7 +109,7 @@ func TestKeepTree(t *testing.T) {
 func TestExternalSpillDirValidation(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{Dims: 3, Points: 500, Clusters: 1,
 		NoiseFrac: 0.1, MinClusterDim: 2, MaxClusterDim: 2, Seed: 41})
-	_, err := core.Run(ds, core.Config{
+	_, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{
 		ExternalSpillDir:     t.TempDir(),
 		DegradeOnMemoryLimit: true,
 		MemoryLimitBytes:     1 << 20,
@@ -115,7 +117,7 @@ func TestExternalSpillDirValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("DegradeOnMemoryLimit+ExternalSpillDir: got %v, want the conflict error", err)
 	}
-	if _, err := core.Run(ds, core.Config{ExternalSpillDir: "/nonexistent/mrcc/spill"}); err == nil {
+	if _, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{ExternalSpillDir: "/nonexistent/mrcc/spill"}); err == nil {
 		t.Fatal("unwritable spill parent accepted")
 	}
 }

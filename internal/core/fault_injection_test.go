@@ -75,7 +75,7 @@ func TestInjectedFaultAbortsCleanly(t *testing.T) {
 					cfg.ExternalSpillDir = t.TempDir()
 				}
 				fault.Set(tc.point, func() error { return boom })
-				res, err := core.RunContext(context.Background(), ds, cfg)
+				res, err := core.Run(context.Background(), core.Input{Dataset: ds}, cfg)
 				if res != nil {
 					t.Fatal("faulted run returned a result")
 				}
@@ -122,7 +122,7 @@ func TestInjectedPanicIsContained(t *testing.T) {
 				t.Cleanup(fault.Reset)
 				baseline := runtime.NumGoroutine()
 				fault.Set(point, func() error { panic("poisoned chunk") })
-				_, err := core.RunContext(context.Background(), ds, core.Config{Workers: workers})
+				_, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Workers: workers})
 				var pe *core.PipelineError
 				if !errors.As(err, &pe) {
 					t.Fatalf("want *PipelineError, got %T: %v", err, err)
@@ -149,14 +149,14 @@ func TestInjectedPanicIsContained(t *testing.T) {
 func TestArmedButUnfiredFaultChangesNothing(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	ds := robustDS(t)
-	want, err := core.Run(ds, core.Config{Workers: 4})
+	want, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range faultPoints {
 		fault.SetAfter(tc.point, 1<<30, func() error { return errors.New("never") })
 	}
-	got, err := core.RunContext(context.Background(), ds, core.Config{Workers: 4})
+	got, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Workers: 4})
 	if err != nil {
 		t.Fatalf("armed-but-unfired run failed: %v", err)
 	}
@@ -172,7 +172,7 @@ func TestEveryPointIsWired(t *testing.T) {
 	t.Cleanup(fault.Reset)
 	fault.Reset()
 	ds := robustDS(t)
-	if _, err := core.RunContext(context.Background(), ds, core.Config{Workers: 8}); err != nil {
+	if _, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range faultPoints {

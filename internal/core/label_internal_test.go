@@ -62,7 +62,7 @@ func TestLabelChunkZeroAlloc(t *testing.T) {
 // TestLabelChunkMatchesContainsPoint cross-checks the flat-slab kernel
 // against the original per-β containsPoint logic on the same workload,
 // including points nudged exactly onto box edges (both bounds are
-// inclusive) and out of [0,1) on an irrelevant axis — the RunOnTree
+// inclusive) and out of [0,1) on an irrelevant axis — the run-on-tree
 // case the kernel must keep rejecting even though validated datasets
 // never produce it.
 func TestLabelChunkMatchesContainsPoint(t *testing.T) {

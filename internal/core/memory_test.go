@@ -43,7 +43,7 @@ func TestTreeMemoryAccountingSingleSource(t *testing.T) {
 		t.Fatal("IndexMemoryBytes == 0 after EnsureLevelIndexes")
 	}
 
-	res, err := core.RunOnTree(tr, ds, core.Config{H: tr.H, CollectStats: true})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tr}}, core.Config{H: tr.H, CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestArenaStatsRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		res, err := core.Run(ds, core.Config{Workers: workers, CollectStats: true})
+		res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Workers: workers, CollectStats: true})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -121,11 +121,11 @@ func TestLevelIndexPhaseRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{H: tr.H, CollectStats: true}
-	first, err := core.RunOnTree(tr, ds, cfg)
+	first, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tr}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rerun, err := core.RunOnTree(tr, ds, cfg)
+	rerun, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tr}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestLevelIndexPhaseRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	union, err := core.RunTreeContext(context.Background(), []*ctree.Tree{a, b}, cfg)
+	union, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{a, b}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -75,14 +76,14 @@ func TestParallelEquivalence(t *testing.T) {
 			name: "d5_full_w4",
 			gen: synthetic.Config{Dims: 5, Points: 4000, Clusters: 2, NoiseFrac: 0.1,
 				MinClusterDim: 3, MaxClusterDim: 5, Seed: 22},
-			cfg:     core.Config{FullMask: true},
+			cfg:     core.WithFullMask(core.Config{}),
 			workers: 4,
 		},
 		{
 			name: "d6_full_w2",
 			gen: synthetic.Config{Dims: 6, Points: 5000, Clusters: 3, NoiseFrac: 0.15,
 				MinClusterDim: 3, MaxClusterDim: 5, Seed: 23},
-			cfg:     core.Config{FullMask: true},
+			cfg:     core.WithFullMask(core.Config{}),
 			workers: 2,
 		},
 		{
@@ -122,11 +123,11 @@ func TestParallelEquivalence(t *testing.T) {
 			serialCfg.Workers = 1
 			parallelCfg := tc.cfg
 			parallelCfg.Workers = tc.workers
-			serial, err := core.Run(ds, serialCfg)
+			serial, err := core.Run(context.Background(), core.Input{Dataset: ds}, serialCfg)
 			if err != nil {
 				t.Fatalf("serial run: %v", err)
 			}
-			parallel, err := core.Run(ds, parallelCfg)
+			parallel, err := core.Run(context.Background(), core.Input{Dataset: ds}, parallelCfg)
 			if err != nil {
 				t.Fatalf("parallel run (workers=%d): %v", tc.workers, err)
 			}
@@ -140,8 +141,8 @@ func TestParallelEquivalence(t *testing.T) {
 
 // TestParallelEquivalenceOnSharedTree pins the scan-level parallelism in
 // isolation: the same pre-built tree, searched with 1 and 4 workers,
-// must yield identical results (RunOnTree is the path the sensitivity
-// experiments rely on).
+// must yield identical results (a run over a given tree is the path
+// the sensitivity experiments rely on).
 func TestParallelEquivalenceOnSharedTree(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{
 		Dims: 10, Points: 8000, Clusters: 3, NoiseFrac: 0.15,
@@ -149,7 +150,7 @@ func TestParallelEquivalenceOnSharedTree(t *testing.T) {
 	})
 	run := func(workers int) *core.Result {
 		t.Helper()
-		res, err := core.Run(ds, core.Config{Workers: workers})
+		res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

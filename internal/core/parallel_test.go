@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"mrcc/internal/core"
@@ -25,11 +26,11 @@ func TestParallelTreeSameClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSeq, err := core.RunOnTree(seq, ds, core.Config{})
+	resSeq, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{seq}}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resPar, err := core.RunOnTree(par, ds, core.Config{})
+	resPar, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{par}}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 	"mrcc/internal/synthetic"
 )
 
-// TestRunOnTreeTwiceIdentical pins the warm-start bugfix: RunOnTree
-// clears the tree's Used flags itself, so a second run on the same
+// TestRunOnTreeTwiceIdentical pins the warm-start bugfix: a run over a
+// given tree clears the tree's Used flags itself, so a second run on the same
 // tree — with no manual ResetUsed in between — returns exactly the
 // clusters the first run did. This is the loop a long-running service
 // (and the CLI's -load-tree path) executes continuously; before the
@@ -26,14 +26,14 @@ func TestRunOnTreeTwiceIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	first, err := core.RunOnTree(tree, ds, core.Config{})
+	first, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tree}}, core.Config{})
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
 	if len(first.Betas) == 0 {
 		t.Fatal("degenerate dataset: no β-clusters, the rerun equivalence is vacuous")
 	}
-	second, err := core.RunOnTree(tree, ds, core.Config{})
+	second, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tree}}, core.Config{})
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
@@ -49,9 +49,10 @@ func TestRunOnTreeTwiceIdentical(t *testing.T) {
 }
 
 // TestRunTreeMatchesRunOnTree pins the dataset-free clustering path
-// the streaming service publishes views from: RunTree must find the
-// same β-clusters and correlation clusters as RunOnTree over the same
-// tree, with labeling skipped (Labels nil, sizes zero).
+// the streaming service publishes views from: a run over a tree alone
+// must find the same β-clusters and correlation clusters as a run over
+// the same tree that labels its dataset, with labeling skipped (Labels
+// nil, sizes zero).
 func TestRunTreeMatchesRunOnTree(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{
 		Dims: 7, Points: 5000, Clusters: 2, NoiseFrac: 0.1,
@@ -61,32 +62,32 @@ func TestRunTreeMatchesRunOnTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	full, err := core.RunOnTree(tree, ds, core.Config{})
+	full, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tree}}, core.Config{})
 	if err != nil {
-		t.Fatalf("RunOnTree: %v", err)
+		t.Fatalf("labeled run: %v", err)
 	}
-	bare, err := core.RunTree(tree, core.Config{})
+	bare, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{tree}}, core.Config{})
 	if err != nil {
-		t.Fatalf("RunTree: %v", err)
+		t.Fatalf("tree-only run: %v", err)
 	}
 	if !reflect.DeepEqual(full.Betas, bare.Betas) {
-		t.Fatal("RunTree found different β-clusters than RunOnTree")
+		t.Fatal("tree-only run found different β-clusters than the labeled run")
 	}
 	if len(full.Clusters) != len(bare.Clusters) {
-		t.Fatalf("RunTree found %d clusters, RunOnTree %d", len(bare.Clusters), len(full.Clusters))
+		t.Fatalf("tree-only run found %d clusters, labeled run %d", len(bare.Clusters), len(full.Clusters))
 	}
 	for i := range full.Clusters {
 		if !reflect.DeepEqual(full.Clusters[i].Relevant, bare.Clusters[i].Relevant) ||
 			!reflect.DeepEqual(full.Clusters[i].Betas, bare.Clusters[i].Betas) {
-			t.Fatalf("cluster %d differs between RunTree and RunOnTree", i)
+			t.Fatalf("cluster %d differs between the tree-only and the labeled run", i)
 		}
 	}
 	if bare.Labels != nil {
-		t.Fatal("RunTree returned labels without a dataset")
+		t.Fatal("tree-only run returned labels without a dataset")
 	}
 	for _, c := range bare.Clusters {
 		if c.Size != 0 {
-			t.Fatal("RunTree reported a cluster size without labeling")
+			t.Fatal("tree-only run reported a cluster size without labeling")
 		}
 	}
 }
@@ -106,7 +107,7 @@ func TestRunUsedFlagsStayOnOneTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RunTree(tree, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{tree}}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestRunUsedFlagsStayOnOneTree(t *testing.T) {
 		t.Fatalf("%d cells marked for %d β-clusters", marked, len(res.Betas))
 	}
 	aging, active := core.WindowTrees(t, ds.Points, ds.Dims, core.DefaultH, 1000)
-	if _, err := core.RunTreeContext(context.Background(), []*ctree.Tree{active, aging}, core.Config{}); err != nil {
+	if _, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{active, aging}}, core.Config{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tr := range []*ctree.Tree{active, aging} {

@@ -47,30 +47,6 @@ func checkGoroutinesDrained(t *testing.T, baseline int) {
 	}
 }
 
-// TestRunContextBackgroundEquivalence proves RunContext with a
-// background context is bit-identical to Run for every worker count —
-// the robustness layer must not perturb the serial-equivalence
-// guarantee.
-func TestRunContextBackgroundEquivalence(t *testing.T) {
-	ds := robustDS(t)
-	want, err := core.Run(ds, core.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got, err := core.RunContext(context.Background(), ds, core.Config{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got.Labels, want.Labels) {
-			t.Fatalf("workers=%d: labels differ from serial Run", workers)
-		}
-		if !reflect.DeepEqual(got.Betas, want.Betas) {
-			t.Fatalf("workers=%d: β-clusters differ from serial Run", workers)
-		}
-	}
-}
-
 // TestRunContextPreCancelled proves an already-cancelled context is
 // observed at the very first checkpoint, for every worker count, and
 // surfaces as a typed *PipelineError carrying the phase and partial
@@ -81,7 +57,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 2, 8} {
 		baseline := runtime.NumGoroutine()
-		res, err := core.RunContext(ctx, ds, core.Config{Workers: workers, CollectStats: true})
+		res, err := core.Run(ctx, core.Input{Dataset: ds}, core.Config{Workers: workers, CollectStats: true})
 		if res != nil {
 			t.Fatalf("workers=%d: aborted run returned a result", workers)
 		}
@@ -119,7 +95,7 @@ func TestRunContextCancelMidScan(t *testing.T) {
 				}
 			},
 		}
-		res, err := core.RunContext(ctx, ds, cfg)
+		res, err := core.Run(ctx, core.Input{Dataset: ds}, cfg)
 		cancel()
 		if res != nil {
 			t.Fatalf("workers=%d: cancelled run returned a result", workers)
@@ -142,7 +118,7 @@ func TestRunContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	_, err := core.RunContext(ctx, ds, core.Config{Workers: 4})
+	_, err := core.Run(ctx, core.Input{Dataset: ds}, core.Config{Workers: 4})
 	var pe *core.PipelineError
 	if !errors.As(err, &pe) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want *PipelineError(context.DeadlineExceeded), got %v", err)
@@ -154,7 +130,7 @@ func TestRunContextDeadline(t *testing.T) {
 func TestMemoryLimitResourceError(t *testing.T) {
 	ds := robustDS(t)
 	for _, workers := range []int{1, 2, 8} {
-		_, err := core.RunContext(context.Background(), ds, core.Config{
+		_, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{
 			Workers: workers, MemoryLimitBytes: 4096,
 		})
 		var re *core.ResourceError
@@ -196,12 +172,12 @@ func TestDegradeOnMemoryLimit(t *testing.T) {
 		t.Fatalf("footprints not ordered: H=3 needs %d, H=4 needs %d", f3, f4)
 	}
 	limit := f3 // admits H=3 (est > limit trips), refuses H=4
-	want, err := core.Run(ds, core.Config{H: 3, Workers: 1})
+	want, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{H: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
-		got, err := core.RunContext(context.Background(), ds, core.Config{
+		got, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{
 			H: 4, Workers: workers,
 			MemoryLimitBytes:     limit,
 			DegradeOnMemoryLimit: true,
@@ -222,7 +198,7 @@ func TestDegradeOnMemoryLimit(t *testing.T) {
 	}
 	// Degradation has a floor: a limit under even the smallest H fails
 	// with a ResourceError reporting the floor resolution.
-	_, err = core.RunContext(context.Background(), ds, core.Config{
+	_, err = core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{
 		H: 4, MemoryLimitBytes: 4096, DegradeOnMemoryLimit: true,
 	})
 	var re *core.ResourceError
@@ -241,7 +217,7 @@ func TestWorkersErrorPathNoLeak(t *testing.T) {
 	ds := robustDS(t).Clone()
 	ds.Points[len(ds.Points)/2][0] = 1.5 // outside [0,1): the build must refuse it
 	baseline := runtime.NumGoroutine()
-	_, err := core.RunContext(context.Background(), ds, core.Config{Workers: 8})
+	_, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Workers: 8})
 	if err == nil {
 		t.Fatal("unnormalized dataset accepted")
 	}
@@ -260,7 +236,7 @@ func TestAbortDoesNotMutateDataset(t *testing.T) {
 	snapshot := ds.Clone()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := core.RunContext(ctx, ds, core.Config{Workers: 8}); err == nil {
+	if _, err := core.Run(ctx, core.Input{Dataset: ds}, core.Config{Workers: 8}); err == nil {
 		t.Fatal("cancelled run succeeded")
 	}
 	if !reflect.DeepEqual(ds.Points, snapshot.Points) {

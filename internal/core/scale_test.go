@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -55,7 +56,7 @@ func TestQualityFloors(t *testing.T) {
 				t.Fatal(err)
 			}
 			start := time.Now()
-			res, err := core.Run(ds, core.Config{})
+			res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

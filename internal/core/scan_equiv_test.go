@@ -26,7 +26,7 @@ func TestScanCacheEquivalence(t *testing.T) {
 	cases := []struct {
 		name     string
 		gen      synthetic.Config
-		cfg      core.Config
+		fullMask bool
 		workers  int
 		longOnly bool
 	}{
@@ -52,15 +52,15 @@ func TestScanCacheEquivalence(t *testing.T) {
 			name: "d5_full_w1",
 			gen: synthetic.Config{Dims: 5, Points: 4000, Clusters: 2, NoiseFrac: 0.1,
 				MinClusterDim: 3, MaxClusterDim: 5, Seed: 102},
-			cfg:     core.Config{FullMask: true},
-			workers: 1,
+			fullMask: true,
+			workers:  1,
 		},
 		{
 			name: "d5_full_w8",
 			gen: synthetic.Config{Dims: 5, Points: 4000, Clusters: 2, NoiseFrac: 0.1,
 				MinClusterDim: 3, MaxClusterDim: 5, Seed: 102},
-			cfg:     core.Config{FullMask: true},
-			workers: 8,
+			fullMask: true,
+			workers:  8,
 		},
 		{
 			name: "d10_face_w1",
@@ -84,7 +84,7 @@ func TestScanCacheEquivalence(t *testing.T) {
 			name: "d10_full_w1",
 			gen: synthetic.Config{Dims: 10, Points: 6000, Clusters: 2, NoiseFrac: 0.1,
 				MinClusterDim: 5, MaxClusterDim: 8, Seed: 104},
-			cfg:      core.Config{FullMask: true},
+			fullMask: true,
 			workers:  1,
 			longOnly: true,
 		},
@@ -116,19 +116,21 @@ func TestScanCacheEquivalence(t *testing.T) {
 				t.Skip("skipping large equivalence entry in -short mode")
 			}
 			ds, _ := genSmall(t, tc.gen)
-			cachedCfg := tc.cfg
-			cachedCfg.Workers = tc.workers
+			cachedCfg := core.Config{Workers: tc.workers}
+			if tc.fullMask {
+				cachedCfg = core.WithFullMask(cachedCfg)
+			}
 			naiveCfg := core.WithNaiveScan(cachedCfg)
 			fullCfg := core.WithoutCacheRepair(cachedCfg)
-			naive, err := core.Run(ds, naiveCfg)
+			naive, err := core.Run(context.Background(), core.Input{Dataset: ds}, naiveCfg)
 			if err != nil {
 				t.Fatalf("naive run: %v", err)
 			}
-			cached, err := core.Run(ds, cachedCfg)
+			cached, err := core.Run(context.Background(), core.Input{Dataset: ds}, cachedCfg)
 			if err != nil {
 				t.Fatalf("cached run: %v", err)
 			}
-			noRepair, err := core.Run(ds, fullCfg)
+			noRepair, err := core.Run(context.Background(), core.Input{Dataset: ds}, fullCfg)
 			if err != nil {
 				t.Fatalf("no-repair run: %v", err)
 			}
@@ -141,13 +143,13 @@ func TestScanCacheEquivalence(t *testing.T) {
 			// scans over the index of their union must agree with each
 			// other and with the one-tree run (labels and cluster sizes
 			// aside: a run over trees has no dataset to label).
-			if tc.cfg.FullMask && tc.longOnly {
+			if tc.fullMask && tc.longOnly {
 				return // 3^10 path lookups per cell and pass: the d5 entries cover it
 			}
 			aging, active := core.WindowTrees(t, ds.Points, ds.Dims, core.DefaultH, 500)
 			var pair []*core.Result
 			for _, cfg := range []core.Config{naiveCfg, cachedCfg, fullCfg} {
-				res, err := core.RunTreeContext(context.Background(), []*ctree.Tree{aging, active}, cfg)
+				res, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{aging, active}}, cfg)
 				if err != nil {
 					t.Fatalf("two-tree run: %v", err)
 				}
@@ -167,8 +169,9 @@ func TestScanCacheEquivalence(t *testing.T) {
 // TestScanCacheEquivalenceAllUsed is the exhausted-tree edge case: a
 // tree arriving with every stored cell already marked Used (a snapshot
 // saved after a completed search, say) is indistinguishable from a
-// fresh one, because RunOnTree clears the flags at entry. Both scans
-// must agree with each other and with a run on an untouched tree.
+// fresh one, because a run over a given tree clears the flags at
+// entry. Both scans must agree with each other and with a run on an
+// untouched tree.
 func TestScanCacheEquivalenceAllUsed(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{
 		Dims: 6, Points: 3000, Clusters: 2, NoiseFrac: 0.1,
@@ -189,7 +192,7 @@ func TestScanCacheEquivalenceAllUsed(t *testing.T) {
 		if naive {
 			cfg = core.WithNaiveScan(cfg)
 		}
-		res, err := core.RunOnTree(tr, ds, cfg)
+		res, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tr}}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,11 +220,11 @@ func TestScanCacheEquivalenceSingleCellLevel(t *testing.T) {
 		}
 		ds.Points = append(ds.Points, p)
 	}
-	naive, err := core.Run(ds, core.WithNaiveScan(core.Config{}))
+	naive, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.WithNaiveScan(core.Config{}))
 	if err != nil {
 		t.Fatalf("naive run: %v", err)
 	}
-	cached, err := core.Run(ds, core.Config{})
+	cached, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatalf("cached run: %v", err)
 	}
@@ -257,11 +260,11 @@ func TestScanCacheEquivalenceAtLimits(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ds, _ := genSmall(t, c.gen)
 			cfg := core.Config{H: c.H}
-			naive, err := core.Run(ds, core.WithNaiveScan(cfg))
+			naive, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.WithNaiveScan(cfg))
 			if err != nil {
 				t.Fatalf("naive run: %v", err)
 			}
-			cached, err := core.Run(ds, cfg)
+			cached, err := core.Run(context.Background(), core.Input{Dataset: ds}, cfg)
 			if err != nil {
 				t.Fatalf("cached run: %v", err)
 			}

@@ -39,8 +39,8 @@ func searcherOver(idx []*ctree.LevelIndex, cfg Config, workers int) *searcher {
 // level indexes. Both run serial; parallel chunking is pinned elsewhere
 // (TestScanCacheEquivalence, TestParallelEquivalence).
 func newScanPair(tr *ctree.Tree, fullMask bool) (*searcher, *searcher) {
-	naive := searcherOver(tr.EnsureLevelIndexes(), WithNaiveScan(Config{FullMask: fullMask}), 1)
-	cached := searcherOver(tr.EnsureLevelIndexes(), Config{FullMask: fullMask}, 1)
+	naive := searcherOver(tr.EnsureLevelIndexes(), WithNaiveScan(Config{fullMask: fullMask}), 1)
+	cached := searcherOver(tr.EnsureLevelIndexes(), Config{fullMask: fullMask}, 1)
 	return naive, cached
 }
 

@@ -105,7 +105,7 @@ func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 		return nil
 	}
 	var err error
-	if s.cfg.FullMask {
+	if s.cfg.fullMask {
 		full := func(lo, hi int) error {
 			return segmented(lo, hi, func(lo, hi int) {
 				for i := lo; i < hi; i++ {

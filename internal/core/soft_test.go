@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestSoftMembershipsRowsSumToOne(t *testing.T) {
 		Dims: 8, Points: 6000, Clusters: 3, NoiseFrac: 0.15,
 		MinClusterDim: 4, MaxClusterDim: 6, Seed: 42,
 	})
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestSoftMembershipsAgreeWithHardLabels(t *testing.T) {
 		Dims: 8, Points: 6000, Clusters: 3, NoiseFrac: 0.15,
 		MinClusterDim: 4, MaxClusterDim: 6, Seed: 42,
 	})
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestSoftMembershipsValidation(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{
 		Dims: 5, Points: 500, Clusters: 1, MinClusterDim: 3, MaxClusterDim: 4, Seed: 1,
 	})
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestClusterBounds(t *testing.T) {
 		Dims: 6, Points: 3000, Clusters: 2, NoiseFrac: 0.1,
 		MinClusterDim: 4, MaxClusterDim: 5, Seed: 7,
 	})
-	res, err := core.Run(ds, core.Config{})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,11 +53,11 @@ func driftingStream(t *testing.T) *dataset.Dataset {
 // TestWindowTreeMatchesBuild is the cross-path check for the served
 // β-search: clustering the service's window tree (core.WindowTree), a
 // tree grown by InsertBatch alone (core.FirstTouchTree) and the
-// window's two trees themselves, as a pass does (core.RunTreeContext
-// over core.WindowTrees' canonical aging and first-touch active trees),
+// window's two trees themselves, as a pass does (core.Run over
+// core.WindowTrees' canonical aging and first-touch active trees),
 // must give the same β-clusters — bounds, relevances, centers — and
 // the same clusters as clustering ctree.Build of the same points with
-// core.RunTree, at Workers 1, 2 and 8, on a drifting stream and on a
+// core.Run, at Workers 1, 2 and 8, on a drifting stream and on a
 // rotated dataset. The window tree is merged into Build's arena order;
 // the InsertBatch tree chains each cell's children in first-touch
 // order, so its level index sorts every child run; the two-tree run
@@ -84,7 +84,7 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 8} {
 			cfg := core.Config{Workers: workers}
-			want, err := core.RunTree(built, cfg)
+			want, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{built}}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,7 +93,7 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 			}
 			t.Logf("%s workers=%d: %d β-clusters, %d clusters", name, workers, len(want.Betas), len(want.Clusters))
 			for _, srcs := range [][]*ctree.Tree{{window}, {firstTouch}, {active, aging}} {
-				got, err := core.RunTreeContext(context.Background(), srcs, cfg)
+				got, err := core.Run(context.Background(), core.Input{Trees: srcs}, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

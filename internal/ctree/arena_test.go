@@ -70,11 +70,12 @@ func TestMergeSingleCellShard(t *testing.T) {
 	}
 }
 
-// TestBatchBuildEqualsPerPointInsert pins InsertBatch's sorted chunk
-// loop against the per-point descent on layouts chosen to stress its
-// run detection: heavy duplicates, dense single-cell clumps, and a
-// random mix — including a duplicate run that straddles a sort-chunk
-// boundary.
+// TestBatchBuildEqualsPerPointInsert pins InsertBatch's count loop
+// (countMerged) against the per-point descent on layouts chosen to
+// stress its run detection: heavy duplicates, dense single-cell
+// clumps, and a random mix — including a duplicate run longer than the
+// loop's buildReportEvery-record (8192) leaf buffer, which the loop
+// counts in more than one descent.
 func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	d := 5
@@ -87,8 +88,8 @@ func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 		}
 		pts = append(pts, p)
 	}
-	// A duplicate block sized to straddle the buildReportEvery chunk
-	// boundary: identical points land in one run per chunk.
+	// A duplicate block longer than the buildReportEvery leaf buffer:
+	// identical points land in one run per full buffer.
 	dup := []float64{0.31, 0.62, 0.93, 0.12, 0.44}
 	for len(pts) < buildReportEvery+2000 {
 		pts = append(pts, dup)

@@ -180,10 +180,10 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string][]*ctree.
 	}
 	out["window/clone+merge"] = []*ctree.Tree{merged}
 	var buf bytes.Buffer
-	if _, err := treeio.Save(&buf, merged); err != nil {
+	if _, err := treeio.Save(&buf, merged, treeio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := treeio.LoadBytes(buf.Bytes())
+	loaded, _, err := treeio.Load(bytes.NewReader(buf.Bytes()), int64(len(buf.Bytes())), treeio.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,70 +82,32 @@ func ArenaCapFor(rows int) int {
 // its counts, footprint and clustering behavior are exactly those of
 // the tree the columns came from.
 func NewFromColumns(d, h, eta int, c Columns) (*Tree, error) {
-	if d < 1 || d > MaxDims {
-		return nil, fmt.Errorf("ctree: dimensionality %d outside [1, %d]", d, MaxDims)
+	t, err := adoptCheckedColumns(d, h, eta, c)
+	if err != nil {
+		return nil, err
 	}
-	if h < MinLevels || h > MaxLevels {
-		return nil, fmt.Errorf("ctree: H %d outside [%d, %d]", h, MinLevels, MaxLevels)
-	}
-	rows := len(c.Loc)
-	if rows < 1 {
-		return nil, fmt.Errorf("ctree: no column rows (the root sentinel is required)")
-	}
-	if rows-1 > math.MaxInt32 {
-		return nil, fmt.Errorf("ctree: %d cells exceed the int32 Ref range", rows-1)
-	}
-	if len(c.N) != rows || len(c.Used) != rows || len(c.Level) != rows || len(c.Parent) != rows {
-		return nil, fmt.Errorf("ctree: column lengths disagree: loc=%d n=%d used=%d level=%d parent=%d",
-			rows, len(c.N), len(c.Used), len(c.Level), len(c.Parent))
-	}
-	if len(c.P) != rows*d {
-		return nil, fmt.Errorf("ctree: half-space slab holds %d values, want rows*d = %d", len(c.P), rows*d)
-	}
-	if eta < 1 || eta > MaxPoints {
-		return nil, fmt.Errorf("ctree: point count %d outside [1, %d]", eta, MaxPoints)
-	}
-	// Root sentinel row: fixed values, never counted.
-	if c.Loc[0] != 0 || c.N[0] != 0 || c.Used[0] || c.Level[0] != 0 || c.Parent[0] != NilRef {
-		return nil, fmt.Errorf("ctree: row 0 is not the root sentinel")
-	}
-	dmask := (uint64(1) << uint(d)) - 1
 	for j := 0; j < d; j++ {
-		if c.P[j] != 0 {
+		if t.p[j] != 0 {
 			return nil, fmt.Errorf("ctree: root sentinel has a nonzero half-space counter on axis %d", j)
 		}
 	}
-	t := &Tree{D: d, H: h, Eta: eta, dmask: dmask}
-	t.adoptColumns(c, rows)
 	// Per-row invariants + linkage rebuild. Parents precede children in
 	// Ref order and children chain in creation (= ascending Ref) order,
 	// so one forward pass re-links every cell; findChild before linking
 	// rejects duplicate (parent, loc) rows, which a blind relink would
 	// silently merge.
+	rows := len(t.loc)
 	for r := 1; r < rows; r++ {
-		par := t.parent[r]
-		if par < 0 || int(par) >= r {
-			return nil, fmt.Errorf("ctree: cell %d has parent ref %d outside [0, %d)", r, par, r)
+		if err := t.checkRow(r); err != nil {
+			return nil, err
 		}
-		if int(t.level[r]) != int(t.level[par])+1 {
-			return nil, fmt.Errorf("ctree: cell %d at level %d under a level-%d parent", r, t.level[r], t.level[par])
-		}
-		if int(t.level[r]) > h-1 {
-			return nil, fmt.Errorf("ctree: cell %d at level %d, deeper than the stored maximum %d", r, t.level[r], h-1)
-		}
-		if t.loc[r]&^dmask != 0 {
-			return nil, fmt.Errorf("ctree: cell %d has position bits beyond axis %d", r, d-1)
-		}
-		n := t.n[r]
-		if n < 1 {
-			return nil, fmt.Errorf("ctree: cell %d stores a non-positive count %d (empty cells are never stored)", r, n)
-		}
-		row := t.p[r*d : (r+1)*d]
+		n, row := t.n[r], t.p[r*d:(r+1)*d]
 		for j := 0; j < d; j++ {
 			if row[j] < 0 || row[j] > n {
 				return nil, fmt.Errorf("ctree: cell %d half-space counter %d on axis %d outside [0, %d]", r, row[j], j, n)
 			}
 		}
+		par := t.parent[r]
 		if t.findChild(par, t.loc[r]) >= 0 {
 			return nil, fmt.Errorf("ctree: cells %d and %d duplicate position %#x under parent %d", t.findChild(par, t.loc[r]), r, t.loc[r], par)
 		}
@@ -171,7 +133,7 @@ func NewFromColumns(d, h, eta int, c Columns) (*Tree, error) {
 		}
 		for ch := t.firstChild[par]; ch >= 0; ch = t.nextSib[ch] {
 			sum += int64(t.n[ch])
-			for m := ^t.loc[ch] & dmask; m != 0; m &= m - 1 {
+			for m := ^t.loc[ch] & t.dmask; m != 0; m &= m - 1 {
 				low[bits.TrailingZeros64(m)] += int64(t.n[ch])
 			}
 		}
@@ -208,6 +170,23 @@ func NewFromColumns(d, h, eta int, c Columns) (*Tree, error) {
 // whose counts are wrong in exactly the way the columns are — never
 // into out-of-bounds access. Use NewFromColumns for untrusted input.
 func NewFromColumnsTrusted(d, h, eta int, c Columns) (*Tree, error) {
+	t, err := adoptCheckedColumns(d, h, eta, c)
+	if err != nil {
+		return nil, err
+	}
+	for r := 1; r < len(t.loc); r++ {
+		if err := t.checkRow(r); err != nil {
+			return nil, err
+		}
+	}
+	t.link()
+	return t, nil
+}
+
+// adoptCheckedColumns runs the checks both column loaders share — the
+// geometry, the column lengths, η and the root sentinel row — and
+// returns an unlinked tree holding the columns (adoptColumns).
+func adoptCheckedColumns(d, h, eta int, c Columns) (*Tree, error) {
 	if d < 1 || d > MaxDims {
 		return nil, fmt.Errorf("ctree: dimensionality %d outside [1, %d]", d, MaxDims)
 	}
@@ -231,32 +210,37 @@ func NewFromColumnsTrusted(d, h, eta int, c Columns) (*Tree, error) {
 	if eta < 1 || eta > MaxPoints {
 		return nil, fmt.Errorf("ctree: point count %d outside [1, %d]", eta, MaxPoints)
 	}
+	// Root sentinel row: fixed values, never counted.
 	if c.Loc[0] != 0 || c.N[0] != 0 || c.Used[0] || c.Level[0] != 0 || c.Parent[0] != NilRef {
 		return nil, fmt.Errorf("ctree: row 0 is not the root sentinel")
 	}
-	dmask := (uint64(1) << uint(d)) - 1
-	t := &Tree{D: d, H: h, Eta: eta, dmask: dmask}
+	t := &Tree{D: d, H: h, Eta: eta, dmask: (uint64(1) << uint(d)) - 1}
 	t.adoptColumns(c, rows)
-	for r := 1; r < rows; r++ {
-		par := t.parent[r]
-		if par < 0 || int(par) >= r {
-			return nil, fmt.Errorf("ctree: cell %d has parent ref %d outside [0, %d)", r, par, r)
-		}
-		if int(t.level[r]) != int(t.level[par])+1 {
-			return nil, fmt.Errorf("ctree: cell %d at level %d under a level-%d parent", r, t.level[r], t.level[par])
-		}
-		if int(t.level[r]) > h-1 {
-			return nil, fmt.Errorf("ctree: cell %d at level %d, deeper than the stored maximum %d", r, t.level[r], h-1)
-		}
-		if t.loc[r]&^dmask != 0 {
-			return nil, fmt.Errorf("ctree: cell %d has position bits beyond axis %d", r, d-1)
-		}
-		if t.n[r] < 1 {
-			return nil, fmt.Errorf("ctree: cell %d stores a non-positive count %d (empty cells are never stored)", r, t.n[r])
-		}
-	}
-	t.link()
 	return t, nil
+}
+
+// checkRow runs the per-row checks that keep the linkage rebuild
+// memory-safe: row r's parent precedes it, its level chains from the
+// parent's and stays above H, its position fits the dimension mask,
+// and it counts at least one point.
+func (t *Tree) checkRow(r int) error {
+	par := t.parent[r]
+	if par < 0 || int(par) >= r {
+		return fmt.Errorf("ctree: cell %d has parent ref %d outside [0, %d)", r, par, r)
+	}
+	if int(t.level[r]) != int(t.level[par])+1 {
+		return fmt.Errorf("ctree: cell %d at level %d under a level-%d parent", r, t.level[r], t.level[par])
+	}
+	if int(t.level[r]) > t.H-1 {
+		return fmt.Errorf("ctree: cell %d at level %d, deeper than the stored maximum %d", r, t.level[r], t.H-1)
+	}
+	if t.loc[r]&^t.dmask != 0 {
+		return fmt.Errorf("ctree: cell %d has position bits beyond axis %d", r, t.D-1)
+	}
+	if t.n[r] < 1 {
+		return fmt.Errorf("ctree: cell %d stores a non-positive count %d (empty cells are never stored)", r, t.n[r])
+	}
+	return nil
 }
 
 // adoptColumns installs the state columns into the tree, replacing its

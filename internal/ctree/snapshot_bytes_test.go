@@ -52,7 +52,7 @@ func TestBuildSnapshotBytesAgree(t *testing.T) {
 			t.Fatalf("%s: Canonicalize rewrote the built tree (err=%v)", c.name, err)
 		}
 		var buf bytes.Buffer
-		if _, err := treeio.Save(&buf, tr); err != nil {
+		if _, err := treeio.Save(&buf, tr, treeio.Meta{}); err != nil {
 			t.Fatal(err)
 		}
 		if want == nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -154,7 +155,7 @@ func figSensitivityAlpha(w io.Writer, opt Options) error {
 			var res *core.Result
 			seconds, peakKB, err := measureRun(func() error {
 				var err error
-				res, err = core.RunOnTree(tree, ds, core.Config{Alpha: a, H: core.DefaultH, Workers: opt.Workers})
+				res, err = core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tree}}, core.Config{Alpha: a, H: core.DefaultH, Workers: opt.Workers})
 				return err
 			})
 			row := Measurement{Dataset: name, Method: "MrCC",
@@ -193,7 +194,7 @@ func figSensitivityH(w io.Writer, opt Options) error {
 			var res *core.Result
 			seconds, peakKB, err := measureRun(func() error {
 				var err error
-				res, err = core.Run(ds, core.Config{Alpha: core.DefaultAlpha, H: hh, Workers: opt.Workers})
+				res, err = core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Alpha: core.DefaultAlpha, H: hh, Workers: opt.Workers})
 				return err
 			})
 			row := Measurement{Dataset: name, Method: "MrCC",
@@ -251,7 +252,7 @@ func figScaling(w io.Writer, opt Options) error {
 		var res *core.Result
 		seconds, peakKB, err := measureRun(func() error {
 			var err error
-			res, err = core.Run(ds, mrccCfg)
+			res, err = core.Run(context.Background(), core.Input{Dataset: ds}, mrccCfg)
 			return err
 		})
 		if err != nil {
@@ -309,11 +310,14 @@ func figAblationMask(w io.Writer, opt Options) error {
 			if full {
 				mode = "full-3^d"
 			}
-			ff := full
+			cfg := core.Config{Workers: opt.Workers}
+			if full {
+				cfg = core.WithFullMask(cfg)
+			}
 			var res *core.Result
 			seconds, peakKB, err := measureRun(func() error {
 				var err error
-				res, err = core.Run(ds, core.Config{FullMask: ff, Workers: opt.Workers})
+				res, err = core.Run(context.Background(), core.Input{Dataset: ds}, cfg)
 				return err
 			})
 			if err != nil {
@@ -348,11 +352,11 @@ func figAblationMDL(w io.Writer, opt Options) error {
 			if thr > 0 {
 				mode = fmt.Sprintf("fixed=%.0f", thr)
 			}
-			tt := thr
+			cfg := core.WithRelevanceThreshold(core.Config{Workers: opt.Workers}, thr)
 			var res *core.Result
 			seconds, peakKB, err := measureRun(func() error {
 				var err error
-				res, err = core.Run(ds, core.Config{FixedRelevanceThreshold: tt, Workers: opt.Workers})
+				res, err = core.Run(context.Background(), core.Input{Dataset: ds}, cfg)
 				return err
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mrcc/internal/baselines"
@@ -99,7 +100,7 @@ func fromBaseline(r *baselines.Result) *eval.Clustering {
 }
 
 func runMrCC(ds *dataset.Dataset, _ *synthetic.GroundTruth, opt Options) (*eval.Clustering, error) {
-	res, err := core.Run(ds, core.Config{Alpha: core.DefaultAlpha, H: core.DefaultH, Workers: opt.Workers})
+	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Alpha: core.DefaultAlpha, H: core.DefaultH, Workers: opt.Workers})
 	if err != nil {
 		return nil, err
 	}

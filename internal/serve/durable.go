@@ -30,7 +30,6 @@ import (
 
 	"mrcc/internal/ctree"
 	"mrcc/internal/fault"
-	"mrcc/internal/treeio"
 	"mrcc/internal/wal"
 )
 
@@ -172,7 +171,7 @@ func (s *Server) openWAL(ckptSeq uint64) error {
 // wrote but failed to fsync may survive a crash: recovery then holds a
 // batch the client saw a 500 for — the documented at-least-once edge.
 // Acknowledged batches are exactly-once.
-func (s *Server) ingestDurable(norm [][]float64) (total int64, err error) {
+func (s *Server) ingestDurable(norm [][]float64) (int64, error) {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 
@@ -195,24 +194,12 @@ func (s *Server) ingestDurable(norm [][]float64) (total int64, err error) {
 	}
 	s.counters.AddWALAppend(int64(len(payload)))
 
-	s.mu.Lock()
-	s.rotate()
-	if err := s.active.InsertBatch(norm); err != nil {
+	total, err := s.fold(norm, seq)
+	if err != nil {
 		// Unreachable by construction (capacity pre-checked, points
 		// normalized); if it ever fires the WAL is ahead of the tree and
 		// only a restart replay reconciles them.
-		s.mu.Unlock()
 		return 0, fmt.Errorf("%w: fold after wal append: %v", errDurability, err)
-	}
-	s.appliedSeq = seq
-	s.sinceRecl += len(norm)
-	s.totalPoints += int64(len(norm))
-	total = s.totalPoints
-	fire := s.cfg.ReclusterPoints > 0 && s.sinceRecl >= s.cfg.ReclusterPoints
-	s.mu.Unlock()
-	s.counters.AddIngest(len(norm))
-	if fire {
-		s.Kick()
 	}
 	return total, nil
 }
@@ -235,23 +222,10 @@ func (s *Server) ingestDurable(norm [][]float64) (total int64, err error) {
 func (s *Server) checkpoint() (int64, error) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	s.mu.Lock()
-	active := s.active.Clone()
-	aging := s.aging
-	seq := s.appliedSeq
-	s.mu.Unlock()
-	merged, err := savedTree(active, aging)
+	n, seq, err := s.saveWindow()
 	if err != nil {
 		return 0, err
 	}
-	if merged.Eta == 0 {
-		return 0, errNothingIngested
-	}
-	n, err := treeio.SaveFileCheckpoint(s.cfg.SnapshotPath, merged, seq)
-	if err != nil {
-		return 0, err
-	}
-	s.counters.AddSnapshotSave(n)
 	if err := fault.Inject(fault.Checkpoint); err != nil {
 		return n, err
 	}

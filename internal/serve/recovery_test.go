@@ -78,10 +78,10 @@ func requireTreeEqual(t *testing.T, s *Server, want *ctree.Tree) {
 			merged.Eta, merged.CellCount(), want.Eta, want.CellCount())
 	}
 	var a, b bytes.Buffer
-	if _, err := treeio.Save(&a, want); err != nil {
+	if _, err := treeio.Save(&a, want, treeio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := treeio.Save(&b, merged); err != nil {
+	if _, err := treeio.Save(&b, merged, treeio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

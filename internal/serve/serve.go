@@ -228,8 +228,8 @@ type view struct {
 
 // classify returns the cluster ID owning the first β-cluster box that
 // contains the normalized point, or core.Noise — exactly the rule the
-// pipeline's labeling phase applies, so a query answers what a full
-// RunOnTree would have labeled the point.
+// pipeline's labeling phase applies, so a query answers what a run
+// labeling the window's points would have labeled the point.
 func (v *view) classify(p []float64) int {
 	for bi := range v.res.Betas {
 		b := &v.res.Betas[bi]
@@ -330,7 +330,7 @@ func New(cfg Config) (*Server, error) {
 	var ckptSeq uint64
 	if cfg.SnapshotPath != "" {
 		if _, err := os.Stat(cfg.SnapshotPath); err == nil {
-			t, seq, hasSeq, err := treeio.LoadFileCheckpointOptions(cfg.SnapshotPath,
+			t, meta, err := treeio.LoadFile(cfg.SnapshotPath,
 				treeio.LoadOptions{TrustChecksums: cfg.TrustSnapshotChecksums})
 			if err != nil {
 				return nil, fmt.Errorf("serve: warm-start snapshot: %w", err)
@@ -341,9 +341,9 @@ func New(cfg Config) (*Server, error) {
 			}
 			s.active = t
 			s.totalPoints = int64(t.Eta)
-			if hasSeq {
-				ckptSeq = seq
-				s.ckptSeq.Store(seq)
+			if meta.HasSeq {
+				ckptSeq = meta.Seq
+				s.ckptSeq.Store(ckptSeq)
 			}
 			s.logf("warm-start: loaded %d points (%d cells) from %s (checkpoint seq %d)", t.Eta, t.CellCount(), cfg.SnapshotPath, ckptSeq)
 		} else if !os.IsNotExist(err) {
@@ -416,7 +416,7 @@ func (s *Server) normalizePoint(p []float64) ([]float64, error) {
 // trigger fires. It returns the lifetime accepted total. With a WAL
 // configured the fold goes through the durable path (append first,
 // fold second — see durable.go).
-func (s *Server) ingest(points [][]float64) (total int64, err error) {
+func (s *Server) ingest(points [][]float64) (int64, error) {
 	if len(points) == 0 {
 		return 0, errors.New("empty batch")
 	}
@@ -434,15 +434,25 @@ func (s *Server) ingest(points [][]float64) (total int64, err error) {
 	if s.wal != nil {
 		return s.ingestDurable(norm)
 	}
+	return s.fold(norm, 0)
+}
+
+// fold counts a normalized batch into the window under mu: it rotates
+// a full active tree, inserts the batch, records seq as the applied WAL
+// sequence (0 without a log, where appliedSeq stays 0) and advances the
+// point counts. It then counts the ingest and fires the new-points
+// trigger, and returns the lifetime accepted total.
+func (s *Server) fold(norm [][]float64, seq uint64) (int64, error) {
 	s.mu.Lock()
 	s.rotate()
 	if err := s.active.InsertBatch(norm); err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
+	s.appliedSeq = seq
 	s.sinceRecl += len(norm)
 	s.totalPoints += int64(len(norm))
-	total = s.totalPoints
+	total := s.totalPoints
 	fire := s.cfg.ReclusterPoints > 0 && s.sinceRecl >= s.cfg.ReclusterPoints
 	s.mu.Unlock()
 	s.counters.AddIngest(len(norm))
@@ -609,9 +619,9 @@ func savedTree(active, aging *ctree.Tree) (*ctree.Tree, error) {
 // recluster runs one β-search pass over the window's trees and
 // publishes the result as the new query view. The search reads the
 // level index of the union of the pass's active clone and the aging
-// tree (core.RunTreeContext over both), so no pass writes a merged
-// tree. The pass runs entirely outside the ingest lock; the publish is
-// one atomic pointer store.
+// tree (core.Run over both), so no pass writes a merged tree. The pass
+// runs entirely outside the ingest lock; the publish is one atomic
+// pointer store.
 func (s *Server) recluster(ctx context.Context) error {
 	active, aging, rotated := s.snapshotTrees()
 	if rotated {
@@ -624,7 +634,7 @@ func (s *Server) recluster(ctx context.Context) error {
 	if points == 0 {
 		return nil // nothing ingested yet; keep whatever view exists
 	}
-	res, err := core.RunTreeContext(ctx, trees, core.Config{
+	res, err := core.Run(ctx, core.Input{Trees: trees}, core.Config{
 		Alpha:           s.cfg.Alpha,
 		H:               s.cfg.H,
 		Workers:         s.cfg.Workers,
@@ -672,23 +682,34 @@ func (s *Server) saveSnapshot() (int64, error) {
 	if s.wal != nil {
 		return s.checkpoint()
 	}
+	n, _, err := s.saveWindow()
+	return n, err
+}
+
+// saveWindow captures the window — a clone of the active tree, the
+// aging tree and, with a WAL, the applied sequence, all under one mu
+// hold, so the snapshot declares exactly the batches it contains —
+// and saves it as one tree to the snapshot path, with the sequence in
+// a checkpoint trailer when a WAL is configured. An empty window is
+// refused. It returns the bytes written and the covered sequence.
+func (s *Server) saveWindow() (int64, uint64, error) {
 	s.mu.Lock()
-	active := s.active.Clone()
-	aging := s.aging
+	active, aging, seq := s.active.Clone(), s.aging, s.appliedSeq
 	s.mu.Unlock()
 	merged, err := savedTree(active, aging)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if merged.Eta == 0 {
-		return 0, errNothingIngested
+		return 0, 0, errNothingIngested
 	}
-	n, err := treeio.SaveFile(s.cfg.SnapshotPath, merged)
+	meta := treeio.Meta{Seq: seq, HasSeq: s.wal != nil}
+	n, err := treeio.SaveFile(s.cfg.SnapshotPath, merged, meta)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	s.counters.AddSnapshotSave(n)
-	return n, nil
+	return n, seq, nil
 }
 
 // Run serves the service on l until ctx is cancelled, then shuts down

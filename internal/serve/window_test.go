@@ -109,9 +109,9 @@ func TestSnapshotBytesMatchBuild(t *testing.T) {
 			if durable {
 				// Kill: abandon the server; the next boot replays the WAL.
 				s = newTestServer(t, cfg)
-				_, err = treeio.SaveCheckpoint(&want, built, uint64(len(batches)))
+				_, err = treeio.Save(&want, built, treeio.Meta{Seq: uint64(len(batches)), HasSeq: true})
 			} else {
-				_, err = treeio.Save(&want, built)
+				_, err = treeio.Save(&want, built, treeio.Meta{})
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -44,7 +44,7 @@ type Stats struct {
 // Run executes the sharded build: every job is dispatched to a worker,
 // and the shard trees come back in shard order, unmerged. Their
 // ctree.Union re-saves byte-identically to a serial build of the same
-// rows, and core.RunTreeContext clusters them as they are. On any shard
+// rows, and core.Run clusters them as they are. On any shard
 // failure the remaining connections are closed and the lowest-indexed
 // failure comes back as a *WorkerError.
 func Run(ctx context.Context, opt Options) ([]*ctree.Tree, Stats, error) {

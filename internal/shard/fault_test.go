@@ -95,7 +95,7 @@ func TestCorruptSnapshotRefused(t *testing.T) {
 	}
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "shard0.snap")
-	if _, err := treeio.SaveFile(snap, tr); err != nil {
+	if _, err := treeio.SaveFile(snap, tr, treeio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte inside the first column.

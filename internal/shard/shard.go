@@ -11,7 +11,7 @@
 // finished tree back as a size-prefixed treeio snapshot — the snapshot
 // format IS the wire format, so a captured stream can be spooled to
 // disk and inspected with the ordinary tooling. Run returns the W shard
-// trees in shard order and merges nothing: core.RunTreeContext clusters
+// trees in shard order and merges nothing: core.Run clusters
 // them as they are, through the level index over their union, and
 // ctree.Union writes them as one tree where one is needed. The union is
 // written in the canonical arena order Build creates, so it holds the

@@ -94,7 +94,7 @@ func TestRunMatchesSerialByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if _, err := treeio.Save(&want, serial); err != nil {
+	if _, err := treeio.Save(&want, serial, treeio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{1, 2, 4, 8} {
@@ -115,7 +115,7 @@ func TestRunMatchesSerialByteIdentical(t *testing.T) {
 			t.Fatalf("w=%d: MemoryBytes %d != serial %d", w, merged.MemoryBytes(), serial.MemoryBytes())
 		}
 		var got bytes.Buffer
-		if _, err := treeio.Save(&got, merged); err != nil {
+		if _, err := treeio.Save(&got, merged, treeio.Meta{}); err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
 		if !bytes.Equal(want.Bytes(), got.Bytes()) {
@@ -203,7 +203,7 @@ func TestRunSnapshotJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 		paths[i] = filepath.Join(dir, "shard"+strconv.Itoa(i)+".snap")
-		if _, err := treeio.SaveFile(paths[i], tr); err != nil {
+		if _, err := treeio.SaveFile(paths[i], tr, treeio.Meta{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
 		t.Fatalf("the InsertBatch tree is already canonical (err=%v); the test is vacuous", err)
 	}
 	path := filepath.Join(t.TempDir(), "grown.snap")
-	if _, err := treeio.SaveFile(path, grown); err != nil {
+	if _, err := treeio.SaveFile(path, grown, treeio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	jobs, err := JobsForPaths([]string{path}, KindSnapshot, false, Job{H: h, Dims: d})
@@ -256,10 +256,10 @@ func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
 	}
 	merged := union(t, trees)
 	var want, got bytes.Buffer
-	if _, err := treeio.Save(&want, serial); err != nil {
+	if _, err := treeio.Save(&want, serial, treeio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := treeio.Save(&got, merged); err != nil {
+	if _, err := treeio.Save(&got, merged, treeio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {

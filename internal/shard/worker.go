@@ -85,7 +85,7 @@ func runJob(ctx context.Context, job Job) (*ctree.Tree, error) {
 	}
 	switch job.Kind {
 	case KindSnapshot:
-		t, err := treeio.LoadFileOptions(job.Path, treeio.LoadOptions{TrustChecksums: true})
+		t, _, err := treeio.LoadFile(job.Path, treeio.LoadOptions{TrustChecksums: true})
 		if err != nil {
 			return nil, err
 		}

@@ -27,7 +27,7 @@ func benchTree(b *testing.B) *ctree.Tree {
 func BenchmarkSnapshotSave(b *testing.B) {
 	tr := benchTree(b)
 	var buf bytes.Buffer
-	if _, err := Save(&buf, tr); err != nil {
+	if _, err := Save(&buf, tr, Meta{}); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
@@ -35,7 +35,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if _, err := Save(&buf, tr); err != nil {
+		if _, err := Save(&buf, tr, Meta{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -48,7 +48,7 @@ func BenchmarkSnapshotSave(b *testing.B) {
 func BenchmarkSnapshotLoad(b *testing.B) {
 	tr := benchTree(b)
 	var buf bytes.Buffer
-	if _, err := Save(&buf, tr); err != nil {
+	if _, err := Save(&buf, tr, Meta{}); err != nil {
 		b.Fatal(err)
 	}
 	snap := buf.Bytes()
@@ -56,7 +56,7 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LoadBytes(snap); err != nil {
+		if _, _, err := Load(bytes.NewReader(snap), int64(len(snap)), LoadOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ func fuzzSeedSnapshot() []byte {
 		panic(err)
 	}
 	var buf bytes.Buffer
-	if _, err := Save(&buf, tr); err != nil {
+	if _, err := Save(&buf, tr, Meta{}); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -35,7 +35,7 @@ func fuzzSeedCheckpoint(seq uint64) []byte {
 		panic(err)
 	}
 	var buf bytes.Buffer
-	if _, err := SaveCheckpoint(&buf, tr, seq); err != nil {
+	if _, err := Save(&buf, tr, Meta{Seq: seq, HasSeq: true}); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -60,7 +60,7 @@ func fixChecksums(snap []byte) []byte {
 }
 
 // FuzzLoadTree throws arbitrary bytes at the snapshot loader. The
-// contract under fuzzing: LoadBytes either returns a tree — in which
+// contract under fuzzing: Load either returns a tree — in which
 // case the input was a canonical snapshot and re-saving the tree
 // reproduces it byte for byte — or a typed *FormatError. Never a
 // panic, never an untyped error, never a tree from corrupt bytes.
@@ -126,24 +126,19 @@ func FuzzLoadTree(f *testing.F) {
 	f.Add([]byte(Magic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, seq, hasSeq, err := LoadBytesCheckpoint(data)
+		tr, m, err := Load(bytes.NewReader(data), int64(len(data)), LoadOptions{})
 		if err != nil {
 			var fe *FormatError
 			if !errors.As(err, &fe) {
-				t.Fatalf("LoadBytesCheckpoint returned an untyped error %T: %v", err, err)
+				t.Fatalf("Load returned an untyped error %T: %v", err, err)
 			}
 			return
 		}
 		// Accepted: the input must be a canonical snapshot of the tree it
-		// produced — re-save through the same save path (checkpoint'd or
+		// produced — re-save with the trailer it carried (checkpoint'd or
 		// plain) and demand byte identity.
 		var buf bytes.Buffer
-		if hasSeq {
-			_, err = SaveCheckpoint(&buf, tr, seq)
-		} else {
-			_, err = Save(&buf, tr)
-		}
-		if err != nil {
+		if _, err = Save(&buf, tr, m); err != nil {
 			t.Fatalf("re-saving an accepted tree: %v", err)
 		}
 		if !bytes.Equal(buf.Bytes(), data) {
@@ -152,18 +147,18 @@ func FuzzLoadTree(f *testing.F) {
 	})
 }
 
-// TestFuzzSeedsRejectTyped runs the corpus mutations through LoadBytes
+// TestFuzzSeedsRejectTyped runs the corpus mutations through Load
 // directly (the fuzz engine only executes seeds under -fuzz), pinning
 // that each one is refused with a *FormatError and that the pristine
 // seed still loads.
 func TestFuzzSeedsRejectTyped(t *testing.T) {
 	valid := fuzzSeedSnapshot()
-	if _, err := LoadBytes(valid); err != nil {
+	if _, _, err := Load(bytes.NewReader(valid), int64(len(valid)), LoadOptions{}); err != nil {
 		t.Fatalf("pristine seed refused: %v", err)
 	}
 	mutate := func(name string, fn func(b []byte) []byte) {
 		b := fn(append([]byte(nil), valid...))
-		_, err := LoadBytes(b)
+		_, _, err := Load(bytes.NewReader(b), int64(len(b)), LoadOptions{})
 		if err == nil {
 			t.Errorf("%s: corrupt snapshot accepted", name)
 			return
@@ -202,12 +197,12 @@ func TestFuzzSeedsRejectTyped(t *testing.T) {
 	})
 
 	ckpt := fuzzSeedCheckpoint(42)
-	if _, seq, hasSeq, err := LoadBytesCheckpoint(ckpt); err != nil || seq != 42 || !hasSeq {
-		t.Fatalf("pristine checkpoint seed: seq=%d hasSeq=%v err=%v, want 42/true/nil", seq, hasSeq, err)
+	if _, m, err := Load(bytes.NewReader(ckpt), int64(len(ckpt)), LoadOptions{}); err != nil || m.Seq != 42 || !m.HasSeq {
+		t.Fatalf("pristine checkpoint seed: seq=%d hasSeq=%v err=%v, want 42/true/nil", m.Seq, m.HasSeq, err)
 	}
 	mutateCkpt := func(name string, fn func(b []byte) []byte) {
 		b := fn(append([]byte(nil), ckpt...))
-		_, _, _, err := LoadBytesCheckpoint(b)
+		_, _, err := Load(bytes.NewReader(b), int64(len(b)), LoadOptions{})
 		if err == nil {
 			t.Errorf("%s: corrupt checkpoint snapshot accepted", name)
 			return

@@ -104,7 +104,7 @@ func TestGoldenWrite(t *testing.T) {
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	written, err := SaveFile(goldenPath, goldenTree(t))
+	written, err := SaveFile(goldenPath, goldenTree(t), Meta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestGoldenWrite(t *testing.T) {
 // layout change cannot land without consciously bumping the format
 // version.
 func TestGoldenCompat(t *testing.T) {
-	tr, err := LoadFile(goldenPath)
+	tr, _, err := LoadFile(goldenPath, LoadOptions{})
 	if err != nil {
 		t.Fatalf("loading the committed golden snapshot: %v", err)
 	}

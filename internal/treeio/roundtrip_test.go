@@ -111,7 +111,7 @@ func TestRoundTrip(t *testing.T) {
 				orig := buildTree(t, name, s.d, s.n, s.H, int64(s.d*100+s.H))
 
 				var buf bytes.Buffer
-				written, err := Save(&buf, orig)
+				written, err := Save(&buf, orig, Meta{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +120,7 @@ func TestRoundTrip(t *testing.T) {
 				}
 				snap := append([]byte(nil), buf.Bytes()...)
 
-				loaded, err := LoadBytes(snap)
+				loaded, _, err := Load(bytes.NewReader(snap), int64(len(snap)), LoadOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,7 +135,7 @@ func TestRoundTrip(t *testing.T) {
 				// the snapshot exactly (cell order is preserved, not just the
 				// cell set).
 				var again bytes.Buffer
-				if _, err := Save(&again, loaded); err != nil {
+				if _, err := Save(&again, loaded, Meta{}); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(snap, again.Bytes()) {
@@ -162,48 +162,48 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip pins the trailer'd variant: SaveFileCheckpoint
-// records the covered WAL sequence, LoadFileCheckpoint returns the same
-// tree plus that exact sequence, and a plain snapshot of the same tree
-// reports hasSeq=false with seq 0 while staying byte-identical to the
+// TestCheckpointRoundTrip pins the trailer'd variant: SaveFile with a
+// checkpoint Meta records the covered WAL sequence, LoadFile returns
+// the same tree plus that exact Meta, and a plain snapshot of the same
+// tree loads with the zero Meta while staying byte-identical to the
 // pre-trailer format (the trailer'd image is exactly the plain image
 // plus 16 bytes, with only the header's flags word and CRC differing).
 func TestCheckpointRoundTrip(t *testing.T) {
 	orig := buildTree(t, "clumped", 4, 300, 4, 99)
 	for _, seq := range []uint64{0, 1, 42, 1 << 40} {
 		path := filepath.Join(t.TempDir(), "ckpt.snap")
-		written, err := SaveFileCheckpoint(path, orig, seq)
+		written, err := SaveFile(path, orig, Meta{Seq: seq, HasSeq: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, gotSeq, hasSeq, err := LoadFileCheckpoint(path)
+		loaded, m, err := LoadFile(path, LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hasSeq || gotSeq != seq {
-			t.Fatalf("LoadFileCheckpoint: seq=%d hasSeq=%v, want %d/true", gotSeq, hasSeq, seq)
+		if !m.HasSeq || m.Seq != seq {
+			t.Fatalf("LoadFile: seq=%d hasSeq=%v, want %d/true", m.Seq, m.HasSeq, seq)
 		}
 		if !ctree.Equal(orig, loaded) {
 			t.Fatal("checkpoint-loaded tree differs from the saved one")
 		}
 
 		var plain bytes.Buffer
-		if _, err := Save(&plain, orig); err != nil {
+		if _, err := Save(&plain, orig, Meta{}); err != nil {
 			t.Fatal(err)
 		}
 		if want := int64(plain.Len()) + TrailerSize; written != want {
 			t.Fatalf("checkpoint snapshot is %d bytes, want plain size + trailer = %d", written, want)
 		}
 		// The plain format is untouched by the trailer feature.
-		pt, pseq, phas, err := LoadBytesCheckpoint(plain.Bytes())
+		pt, pm, err := Load(bytes.NewReader(plain.Bytes()), int64(plain.Len()), LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if phas || pseq != 0 {
-			t.Fatalf("plain snapshot decoded as checkpoint: seq=%d hasSeq=%v", pseq, phas)
+		if pm != (Meta{}) {
+			t.Fatalf("plain snapshot decoded as checkpoint: seq=%d hasSeq=%v", pm.Seq, pm.HasSeq)
 		}
 		if !ctree.Equal(orig, pt) {
-			t.Fatal("plain snapshot via LoadBytesCheckpoint differs")
+			t.Fatal("plain snapshot via Load differs")
 		}
 	}
 }
@@ -226,7 +226,7 @@ func TestSaveFileAtomic(t *testing.T) {
 	orig := buildTree(t, "uniform", 5, 600, 4, 9)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tree.snap")
-	written, err := SaveFile(path, orig)
+	written, err := SaveFile(path, orig, Meta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSaveFileAtomic(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("SaveFile left %d directory entries, want just the snapshot", len(entries))
 	}
-	loaded, err := LoadFile(path)
+	loaded, _, err := LoadFile(path, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,10 +252,10 @@ func TestSaveFileAtomic(t *testing.T) {
 		t.Fatal("LoadFile round trip diverged")
 	}
 	// Overwriting an existing snapshot is atomic too.
-	if _, err := SaveFile(path, loaded); err != nil {
+	if _, err := SaveFile(path, loaded, Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); err != nil {
+	if _, _, err := LoadFile(path, LoadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -265,11 +265,11 @@ func TestSaveFileAtomic(t *testing.T) {
 func TestLoadedTreeIsIndependent(t *testing.T) {
 	orig := buildTree(t, "duplicates", 3, 200, 4, 21)
 	var buf bytes.Buffer
-	if _, err := Save(&buf, orig); err != nil {
+	if _, err := Save(&buf, orig, Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	before := orig.MemoryBytes()
-	loaded, err := LoadBytes(buf.Bytes())
+	loaded, _, err := Load(bytes.NewReader(buf.Bytes()), int64(len(buf.Bytes())), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

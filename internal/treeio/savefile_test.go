@@ -49,7 +49,7 @@ func TestSaveFileSyncFailureLeavesNoTemp(t *testing.T) {
 	defer func() { syncFile = orig }()
 
 	path := filepath.Join(dir, "tree.snap")
-	written, err := SaveFile(path, tree)
+	written, err := SaveFile(path, tree, Meta{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("SaveFile = %v, want the injected failure", err)
 	}
@@ -75,7 +75,7 @@ func TestSaveFileRenameFailureLeavesNoTemp(t *testing.T) {
 	defer func() { renameFile = orig }()
 
 	path := filepath.Join(dir, "tree.snap")
-	if _, err := SaveFile(path, tree); !errors.Is(err, boom) {
+	if _, err := SaveFile(path, tree, Meta{}); !errors.Is(err, boom) {
 		t.Fatalf("SaveFile = %v, want the injected failure", err)
 	}
 	if left := tmpLeftovers(t, dir); len(left) != 0 {
@@ -109,13 +109,13 @@ func TestSaveFileDirSyncFailureKeepsSnapshot(t *testing.T) {
 	defer func() { syncFile = orig }()
 
 	path := filepath.Join(dir, "tree.snap")
-	if _, err := SaveFile(path, tree); !errors.Is(err, boom) {
+	if _, err := SaveFile(path, tree, Meta{}); !errors.Is(err, boom) {
 		t.Fatalf("SaveFile = %v, want the injected dir-sync failure", err)
 	}
 	if left := tmpLeftovers(t, dir); len(left) != 0 {
 		t.Fatalf("stranded temp files after dir-sync failure: %v", left)
 	}
-	loaded, err := LoadFile(path)
+	loaded, _, err := LoadFile(path, LoadOptions{})
 	if err != nil {
 		t.Fatalf("snapshot unloadable after dir-sync failure: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestSaveFileSyncsBeforeRename(t *testing.T) {
 	}
 	defer func() { syncFile, renameFile = origSync, origRename }()
 
-	if _, err := SaveFile(filepath.Join(dir, "tree.snap"), tree); err != nil {
+	if _, err := SaveFile(filepath.Join(dir, "tree.snap"), tree, Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	got := strings.Join(order, ",")

@@ -44,7 +44,7 @@ func SaveStream(w io.Writer, t *ctree.Tree) (int64, error) {
 	if err != nil {
 		return written, err
 	}
-	wrote, err := Save(w, t)
+	wrote, err := Save(w, t, Meta{})
 	return written + wrote, err
 }
 
@@ -64,6 +64,6 @@ func LoadStream(r io.Reader, opt LoadOptions) (*ctree.Tree, error) {
 	if size < HeaderSize || size > uint64(1)<<62 {
 		return nil, &FormatError{Section: "stream size prefix", Msg: fmt.Sprintf("declared size %d outside the valid snapshot range", size)}
 	}
-	t, _, _, err := LoadCheckpointOptions(io.LimitReader(r, int64(size)), int64(size), opt)
+	t, _, err := Load(io.LimitReader(r, int64(size)), int64(size), opt)
 	return t, err
 }

@@ -11,7 +11,7 @@ import (
 func TestSnapshotSizeMatchesSave(t *testing.T) {
 	tr := buildTree(t, "uniform", 5, 900, 4, 11)
 	var buf bytes.Buffer
-	written, err := Save(&buf, tr)
+	written, err := Save(&buf, tr, Meta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +106,14 @@ func TestStreamTruncationAndBadPrefix(t *testing.T) {
 func TestTrustedLoadStillRejectsCorruptColumns(t *testing.T) {
 	tr := buildTree(t, "uniform", 5, 600, 4, 9)
 	var buf bytes.Buffer
-	if _, err := Save(&buf, tr); err != nil {
+	if _, err := Save(&buf, tr, Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
 	corrupt := append([]byte(nil), snap...)
 	corrupt[HeaderSize+17] ^= 0x40
 	var fe *FormatError
-	if _, err := LoadBytesOptions(corrupt, LoadOptions{TrustChecksums: true}); !errors.As(err, &fe) {
+	if _, _, err := Load(bytes.NewReader(corrupt), int64(len(corrupt)), LoadOptions{TrustChecksums: true}); !errors.As(err, &fe) {
 		t.Fatalf("corrupt column under TrustChecksums: got %v, want *FormatError", err)
 	}
 }
@@ -123,14 +123,14 @@ func TestTrustedLoadStillRejectsCorruptColumns(t *testing.T) {
 func TestTrustedLoadMatchesValidated(t *testing.T) {
 	tr := buildTree(t, "clumped", 15, 2000, 4, 13)
 	var buf bytes.Buffer
-	if _, err := Save(&buf, tr); err != nil {
+	if _, err := Save(&buf, tr, Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	validated, err := LoadBytes(buf.Bytes())
+	validated, _, err := Load(bytes.NewReader(buf.Bytes()), int64(len(buf.Bytes())), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trusted, err := LoadBytesOptions(buf.Bytes(), LoadOptions{TrustChecksums: true})
+	trusted, _, err := Load(bytes.NewReader(buf.Bytes()), int64(len(buf.Bytes())), LoadOptions{TrustChecksums: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestTrustedLoadMatchesValidated(t *testing.T) {
 	}
 	// Re-save byte-identity holds through the trusted path too.
 	var resaved bytes.Buffer
-	if _, err := Save(&resaved, trusted); err != nil {
+	if _, err := Save(&resaved, trusted, Meta{}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), resaved.Bytes()) {

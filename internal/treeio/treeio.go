@@ -1,6 +1,9 @@
 // Package treeio defines the versioned binary snapshot format for
 // arena-backed Counting-trees and implements atomic save and strictly
-// validated load.
+// validated load: Save and Load over a writer or reader, SaveFile and
+// LoadFile over a path, with a Meta value carrying the optional
+// checkpoint trailer both ways. SaveStream and LoadStream frame the
+// same bytes for a stream that carries no length.
 //
 // A snapshot is a fixed 192-byte little-endian header followed by the
 // six raw arena state columns, in this order and with no padding
@@ -41,7 +44,6 @@
 package treeio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -145,28 +147,26 @@ func (l *layout) totalSize() uint64 {
 	return total
 }
 
-// Save writes the tree's snapshot to w and returns the number of bytes
-// written: one buffered header write, then one Write per arena column.
-// The tree must not be mutated concurrently.
-func Save(w io.Writer, t *ctree.Tree) (int64, error) {
-	return save(w, t, 0, false)
+// Meta is a snapshot's checkpoint trailer (FlagCheckpointSeq): HasSeq
+// declares that every write-ahead-log record with sequence <= Seq is
+// already folded into the tree, so recovery replays only the records
+// past Seq. The zero value is a plain snapshot, with no trailer.
+type Meta struct {
+	Seq    uint64
+	HasSeq bool
 }
 
-// SaveCheckpoint writes the tree's snapshot with a checkpoint trailer
-// declaring that every write-ahead-log record with sequence <= seq is
-// already folded into the tree (FlagCheckpointSeq). Recovery loads the
-// snapshot and replays only the records past seq.
-func SaveCheckpoint(w io.Writer, t *ctree.Tree, seq uint64) (int64, error) {
-	return save(w, t, seq, true)
-}
-
-func save(w io.Writer, t *ctree.Tree, seq uint64, hasSeq bool) (int64, error) {
+// Save writes the tree's snapshot to w, with the checkpoint trailer m
+// declares, and returns the number of bytes written: one buffered
+// header write, one Write per arena column, then the trailer. The tree
+// must not be mutated concurrently.
+func Save(w io.Writer, t *ctree.Tree, m Meta) (int64, error) {
 	if t == nil {
 		return 0, fmt.Errorf("treeio: nil tree")
 	}
 	c := t.Columns()
 	rows := c.Rows()
-	l := layout{d: t.D, h: t.H, rows: rows, eta: t.Eta, hasSeq: hasSeq}
+	l := layout{d: t.D, h: t.H, rows: rows, eta: t.Eta, hasSeq: m.HasSeq}
 	l.columnSizes()
 
 	cols := [numColumns][]byte{
@@ -174,7 +174,7 @@ func save(w io.Writer, t *ctree.Tree, seq uint64, hasSeq bool) (int64, error) {
 		c.Level, refBytes(c.Parent), i32Bytes(c.P),
 	}
 	flags := uint32(0)
-	if hasSeq {
+	if m.HasSeq {
 		flags = FlagCheckpointSeq
 	}
 	var hdr [HeaderSize]byte
@@ -209,8 +209,8 @@ func save(w io.Writer, t *ctree.Tree, seq uint64, hasSeq bool) (int64, error) {
 			return written, err
 		}
 	}
-	if hasSeq {
-		n, err := w.Write(encodeTrailer(seq))
+	if m.HasSeq {
+		n, err := w.Write(encodeTrailer(m.Seq))
 		written += int64(n)
 		if err != nil {
 			return written, err
@@ -244,18 +244,7 @@ var (
 // path removes the temporary file, so a snapshot directory rotated
 // continuously (the streaming service saves on a cadence) never
 // accumulates stranded *.tmp files.
-func SaveFile(path string, t *ctree.Tree) (written int64, err error) {
-	return saveFile(path, t, 0, false)
-}
-
-// SaveFileCheckpoint is SaveFile with a checkpoint trailer declaring
-// WAL coverage up to seq (see SaveCheckpoint), with the same atomicity
-// and durability contract.
-func SaveFileCheckpoint(path string, t *ctree.Tree, seq uint64) (written int64, err error) {
-	return saveFile(path, t, seq, true)
-}
-
-func saveFile(path string, t *ctree.Tree, seq uint64, hasSeq bool) (written int64, err error) {
+func SaveFile(path string, t *ctree.Tree, m Meta) (written int64, err error) {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -274,7 +263,7 @@ func saveFile(path string, t *ctree.Tree, seq uint64, hasSeq bool) (written int6
 			written = 0
 		}
 	}()
-	written, err = save(f, t, seq, hasSeq)
+	written, err = Save(f, t, m)
 	if err == nil {
 		err = syncFile(f)
 	}
@@ -288,6 +277,13 @@ func saveFile(path string, t *ctree.Tree, seq uint64, hasSeq bool) (written int6
 		return 0, err
 	}
 	return written, syncDir(dir)
+}
+
+// SaveFileCheckpoint is SaveFile with a trailer covering seq.
+// perfbench is its only caller; a benchmark change moves perfbench to
+// SaveFile and removes it.
+func SaveFileCheckpoint(path string, t *ctree.Tree, seq uint64) (int64, error) {
+	return SaveFile(path, t, Meta{Seq: seq, HasSeq: true})
 }
 
 // syncDir fsyncs a directory, making a just-performed rename in it
@@ -325,91 +321,50 @@ type LoadOptions struct {
 
 // LoadFile loads a snapshot from path (see Load for the validation
 // contract).
-func LoadFile(path string) (*ctree.Tree, error) {
-	t, _, _, err := LoadFileCheckpoint(path)
-	return t, err
-}
-
-// LoadFileOptions is LoadFile with decode options.
-func LoadFileOptions(path string, opt LoadOptions) (*ctree.Tree, error) {
-	t, _, _, err := LoadFileCheckpointOptions(path, opt)
-	return t, err
-}
-
-// LoadFileCheckpoint loads a snapshot from path and additionally
-// returns its checkpoint sequence: hasSeq reports whether the snapshot
-// carries a checkpoint trailer (FlagCheckpointSeq), and seq is the
-// write-ahead-log sequence it declares covered (0 when absent).
-func LoadFileCheckpoint(path string) (t *ctree.Tree, seq uint64, hasSeq bool, err error) {
-	return LoadFileCheckpointOptions(path, LoadOptions{})
-}
-
-// LoadFileCheckpointOptions is LoadFileCheckpoint with decode options.
-func LoadFileCheckpointOptions(path string, opt LoadOptions) (t *ctree.Tree, seq uint64, hasSeq bool, err error) {
+func LoadFile(path string, opt LoadOptions) (*ctree.Tree, Meta, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, Meta{}, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, 0, false, err
+		return nil, Meta{}, err
 	}
-	return LoadCheckpointOptions(f, fi.Size(), opt)
+	return Load(f, fi.Size(), opt)
 }
 
-// LoadBytes loads a snapshot from an in-memory byte slice (see Load
-// for the validation contract).
-func LoadBytes(b []byte) (*ctree.Tree, error) {
-	return Load(bytes.NewReader(b), int64(len(b)))
-}
-
-// LoadBytesOptions is LoadBytes with decode options.
-func LoadBytesOptions(b []byte, opt LoadOptions) (*ctree.Tree, error) {
-	t, _, _, err := LoadCheckpointOptions(bytes.NewReader(b), int64(len(b)), opt)
-	return t, err
-}
-
-// LoadBytesCheckpoint is LoadCheckpoint over an in-memory byte slice.
-func LoadBytesCheckpoint(b []byte) (*ctree.Tree, uint64, bool, error) {
-	return LoadCheckpoint(bytes.NewReader(b), int64(len(b)))
+// LoadFileCheckpointOptions is LoadFile with the trailer split into
+// its sequence and flag. perfbench is its only caller; a benchmark
+// change moves perfbench to LoadFile and removes it.
+func LoadFileCheckpointOptions(path string, opt LoadOptions) (*ctree.Tree, uint64, bool, error) {
+	t, m, err := LoadFile(path, opt)
+	return t, m.Seq, m.HasSeq, err
 }
 
 // Load reads one snapshot of exactly size bytes from r and assembles
-// the tree. The header's declared geometry must reproduce size exactly
-// before any column memory is allocated, every column checksum must
-// match, and the columns must pass the Counting-tree's structural
-// revalidation; any violation returns a *FormatError. The loaded
-// tree's arena columns are allocated at the same canonical capacities
-// a live build of the same cell set ends with, so its MemoryBytes
-// equals the saved tree's.
-func Load(r io.Reader, size int64) (*ctree.Tree, error) {
-	t, _, _, err := LoadCheckpoint(r, size)
-	return t, err
-}
-
-// LoadCheckpoint is Load plus the checkpoint trailer: hasSeq reports
-// whether the snapshot declares WAL coverage (FlagCheckpointSeq) and
-// seq is the covered sequence (0 when absent). The trailer is
-// checksummed like everything else; a damaged one is a *FormatError,
-// never a silently wrong recovery point.
-func LoadCheckpoint(r io.Reader, size int64) (*ctree.Tree, uint64, bool, error) {
-	return LoadCheckpointOptions(r, size, LoadOptions{})
-}
-
-// LoadCheckpointOptions is LoadCheckpoint with decode options (see
-// LoadOptions for the TrustChecksums contract).
-func LoadCheckpointOptions(r io.Reader, size int64, opt LoadOptions) (*ctree.Tree, uint64, bool, error) {
+// the tree, returning the checkpoint trailer the snapshot carries (the
+// zero Meta when it has none; callers holding bytes pass a
+// bytes.Reader). The header's declared geometry must reproduce size
+// exactly before any column memory is allocated, every column checksum
+// must match, the trailer's too, and the columns must pass the
+// Counting-tree's structural revalidation (or, with
+// LoadOptions.TrustChecksums, its memory-safety checks); any violation
+// returns a *FormatError, never a silently wrong tree or recovery
+// point. The loaded tree's arena columns are allocated at the same
+// canonical capacities a live build of the same cell set ends with, so
+// its MemoryBytes equals the saved tree's.
+func Load(r io.Reader, size int64, opt LoadOptions) (*ctree.Tree, Meta, error) {
 	if size < HeaderSize {
-		return nil, 0, false, headerErr("%d bytes is shorter than the %d-byte header", size, HeaderSize)
+		return nil, Meta{}, headerErr("%d bytes is shorter than the %d-byte header", size, HeaderSize)
 	}
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, false, readErr("header", err)
+		return nil, Meta{}, readErr("header", err)
 	}
 	l, err := parseHeader(hdr, uint64(size))
 	if err != nil {
-		return nil, 0, false, err
+		return nil, Meta{}, err
 	}
 
 	// Geometry is proven consistent with the byte count: allocate the
@@ -430,10 +385,10 @@ func LoadCheckpointOptions(r io.Reader, size int64, opt LoadOptions) (*ctree.Tre
 	}
 	for i, view := range views {
 		if _, err := io.ReadFull(r, view); err != nil {
-			return nil, 0, false, readErr("column "+columnNames[i], err)
+			return nil, Meta{}, readErr("column "+columnNames[i], err)
 		}
 		if sum := crc32.Checksum(view, castagnoli); sum != l.colCRC[i] {
-			return nil, 0, false, &FormatError{
+			return nil, Meta{}, &FormatError{
 				Section: "column " + columnNames[i],
 				Msg:     fmt.Sprintf("checksum %#08x does not match the header's %#08x", sum, l.colCRC[i]),
 			}
@@ -444,28 +399,28 @@ func LoadCheckpointOptions(r io.Reader, size int64, opt LoadOptions) (*ctree.Tre
 	// touched the bytes, so this scan is cache-warm).
 	for i, b := range views[2] {
 		if b > 1 {
-			return nil, 0, false, &FormatError{Section: "column used", Msg: fmt.Sprintf("row %d holds byte %#02x, want 0 or 1", i, b)}
+			return nil, Meta{}, &FormatError{Section: "column used", Msg: fmt.Sprintf("row %d holds byte %#02x, want 0 or 1", i, b)}
 		}
 	}
 	decodeInPlace(c, views)
 
-	var seq uint64
+	var m Meta
 	if l.hasSeq {
 		var tr [TrailerSize]byte
 		if _, err := io.ReadFull(r, tr[:]); err != nil {
-			return nil, 0, false, readErr("trailer", err)
+			return nil, Meta{}, readErr("trailer", err)
 		}
 		declared := binary.LittleEndian.Uint32(tr[8:12])
 		if sum := crc32.Checksum(tr[0:8], castagnoli); sum != declared {
-			return nil, 0, false, &FormatError{
+			return nil, Meta{}, &FormatError{
 				Section: "trailer",
 				Msg:     fmt.Sprintf("checksum %#08x does not match the declared %#08x", sum, declared),
 			}
 		}
 		if p := binary.LittleEndian.Uint32(tr[12:16]); p != 0 {
-			return nil, 0, false, &FormatError{Section: "trailer", Msg: fmt.Sprintf("padding %#x, want 0", p)}
+			return nil, Meta{}, &FormatError{Section: "trailer", Msg: fmt.Sprintf("padding %#x, want 0", p)}
 		}
-		seq = binary.LittleEndian.Uint64(tr[0:8])
+		m = Meta{Seq: binary.LittleEndian.Uint64(tr[0:8]), HasSeq: true}
 	}
 
 	assemble := ctree.NewFromColumns
@@ -474,9 +429,9 @@ func LoadCheckpointOptions(r io.Reader, size int64, opt LoadOptions) (*ctree.Tre
 	}
 	t, err := assemble(l.d, l.h, l.eta, c)
 	if err != nil {
-		return nil, 0, false, &FormatError{Section: "tree", Msg: err.Error(), Err: err}
+		return nil, Meta{}, &FormatError{Section: "tree", Msg: err.Error(), Err: err}
 	}
-	return t, seq, l.hasSeq, nil
+	return t, m, nil
 }
 
 // parseHeader validates the fixed header against the actual snapshot

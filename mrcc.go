@@ -10,15 +10,19 @@
 //
 // Basic use:
 //
-//	res, err := mrcc.Run(rows, mrcc.Config{})       // raw data, any scale
-//	res, err = mrcc.RunNormalized(ds, mrcc.Config{}) // data already in [0,1)^d
+//	ds, err := mrcc.DatasetFromRows(rows) // raw data, any scale
+//	res, err := mrcc.Run(ctx, mrcc.Input{Dataset: ds}, mrcc.Config{})
 //
 // res.Labels assigns every input point a cluster ID or mrcc.Noise;
-// res.Clusters carries each cluster's relevant axes.
+// res.Clusters carries each cluster's relevant axes. Run is the one
+// entry point: setting Input.Tree reclusters a Counting-tree kept from
+// an earlier run (Config.KeepTree) or loaded from a snapshot (LoadTree)
+// instead of building one.
 package mrcc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"mrcc/internal/core"
@@ -99,7 +103,7 @@ type Dataset = dataset.Dataset
 // Tree is the Counting-tree MrCC clusters on: the multi-resolution
 // count structure built in phase one. Obtain one with Config.KeepTree
 // (Result.Tree), persist it with SaveTree, restore it with LoadTree,
-// and recluster on it with RunDatasetOnTree — e.g. to sweep α values
+// and recluster on it with Run (Input.Tree) — e.g. to sweep α values
 // without re-counting the data, or to warm-start a run from a snapshot
 // built by an earlier process.
 type Tree = ctree.Tree
@@ -107,7 +111,7 @@ type Tree = ctree.Tree
 // NewTree returns an empty Counting-tree of dimensionality d with h
 // resolutions, ready for incremental growth: feed it normalized
 // batches with InsertBatch (or points with Insert) and recluster at
-// any time with RunDatasetOnTree — the streaming loop the
+// any time with Run (Input.Tree) — the streaming loop the
 // examples/streaming program and the mrcc-serve service run. Pass
 // DefaultH for the paper's resolution count.
 func NewTree(d, h int) (*Tree, error) {
@@ -131,31 +135,15 @@ type TreeFormatError = treeio.FormatError
 // snapshot format (DESIGN.md §10): the file appears complete or not at
 // all. It returns the number of bytes written.
 func SaveTree(path string, t *Tree) (int64, error) {
-	return treeio.SaveFile(path, t)
+	return treeio.SaveFile(path, t, treeio.Meta{})
 }
 
 // LoadTree reads a snapshot written by SaveTree, fully validating it —
 // header geometry, per-column checksums, and tree invariants — before
 // returning. Failures carry a *TreeFormatError.
 func LoadTree(path string) (*Tree, error) {
-	return treeio.LoadFile(path)
-}
-
-// RunDatasetOnTree clusters the dataset over a pre-built Counting-tree
-// (from Result.Tree or LoadTree), skipping phase one. The dataset must
-// be the normalized one the tree was built from — dimensionality and
-// point count are checked. Rerunning on the same tree is safe and
-// yields the same Result: the run clears the tree's Used flags itself
-// at entry. It is exactly RunDatasetOnTreeContext with a background
-// context.
-func RunDatasetOnTree(t *Tree, ds *Dataset, cfg Config) (*Result, error) {
-	return core.RunOnTree(t, ds, cfg)
-}
-
-// RunDatasetOnTreeContext is RunDatasetOnTree under a context (see
-// RunContext for the cancellation and panic-containment contract).
-func RunDatasetOnTreeContext(ctx context.Context, t *Tree, ds *Dataset, cfg Config) (*Result, error) {
-	return core.RunOnTreeContext(ctx, t, ds, cfg)
+	t, _, err := treeio.LoadFile(path, treeio.LoadOptions{})
+	return t, err
 }
 
 // NewDataset returns an empty dataset of dimensionality d with capacity
@@ -172,43 +160,34 @@ func LoadCSV(path string, header bool) (*Dataset, error) {
 	return dataset.LoadCSVFile(path, header)
 }
 
-// Run clusters raw data rows at any scale: it validates the data,
-// min–max normalizes a copy into [0,1)^d and runs MrCC over it. It is
-// exactly RunContext with a background context.
-func Run(rows [][]float64, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), rows, cfg)
+// Input says what Run clusters. Dataset, at any scale, is required.
+// With Tree set, Run skips the tree build and clusters Tree, labeling
+// Dataset against it: Tree must have been built from the same points
+// (by a run with Config.KeepTree, say, or restored with LoadTree), and
+// its dimensionality and point count are checked. Rerunning on the
+// same tree is safe and yields the same Result: the run clears the
+// tree's Used flags itself at entry.
+type Input struct {
+	Dataset *Dataset
+	Tree    *Tree
 }
 
-// RunContext is Run under a context: cancellation or deadline expiry
-// aborts the pipeline cooperatively — every phase polls ctx at chunk
-// boundaries, so the abort lands within one chunk of work — and the
-// run returns a *PipelineError naming the interrupted phase and
-// carrying the partial Stats. A background context adds no observable
-// overhead. Panics inside the pipeline (including worker goroutines)
-// are contained and surface as a *PipelineError wrapping a
-// *PanicError instead of crashing the host.
-func RunContext(ctx context.Context, rows [][]float64, cfg Config) (*Result, error) {
-	ds, err := dataset.FromRows(rows)
-	if err != nil {
-		return nil, err
-	}
-	return RunDatasetContext(ctx, ds, cfg)
-}
-
-// RunDataset clusters the dataset, normalizing a copy first so the
-// caller's data is left untouched. When Config.CollectStats or
-// Config.Progress is set, the normalization pass is measured and
-// reported as the Normalize phase of Result.Stats. It is exactly
-// RunDatasetContext with a background context.
-func RunDataset(ds *Dataset, cfg Config) (*Result, error) {
-	return RunDatasetContext(context.Background(), ds, cfg)
-}
-
-// RunDatasetContext is RunDataset under a context (see RunContext for
-// the cancellation and panic-containment contract). The caller's
-// dataset is never mutated, aborted run or not: normalization always
-// works on a private clone.
-func RunDatasetContext(ctx context.Context, ds *Dataset, cfg Config) (res *Result, err error) {
+// Run validates in.Dataset, min–max normalizes a copy into [0,1)^d
+// when the data is not already there (the caller's dataset is never
+// mutated, aborted run or not), and runs MrCC over it, with or without
+// in.Tree. Build the dataset from raw rows with DatasetFromRows. When
+// Config.CollectStats or Config.Progress is set, the normalization
+// pass is reported as the Normalize phase of Result.Stats.
+//
+// Cancellation or deadline expiry of ctx aborts the pipeline
+// cooperatively — every phase polls ctx at chunk boundaries, so the
+// abort lands within one chunk of work — and the run returns a
+// *PipelineError naming the interrupted phase and carrying the partial
+// Stats. A background context adds no observable overhead. Panics
+// inside the pipeline (including worker goroutines) are contained and
+// surface as a *PipelineError wrapping a *PanicError instead of
+// crashing the host.
+func Run(ctx context.Context, in Input, cfg Config) (res *Result, err error) {
 	// Contain panics escaping the facade's own work (validation and
 	// normalization); the core pipeline has its own recover and returns
 	// already-wrapped errors.
@@ -218,6 +197,10 @@ func RunDatasetContext(ctx context.Context, ds *Dataset, cfg Config) (res *Resul
 			err = &PipelineError{Phase: obs.PhaseNormalize.String(), Err: panics.New(r)}
 		}
 	}()
+	ds := in.Dataset
+	if ds == nil {
+		return nil, errors.New("mrcc: Input.Dataset is required")
+	}
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
@@ -225,8 +208,15 @@ func RunDatasetContext(ctx context.Context, ds *Dataset, cfg Config) (res *Resul
 	work := ds
 	var norm obs.PhaseStat
 	if !ds.IsNormalized() {
-		if err := abortBeforeNormalize(ctx); err != nil {
-			return nil, err
+		// The pre-normalization checkpoint: an already-cancelled context
+		// (or an armed fault point, test builds only) aborts before the
+		// clone+rescale pass touches any memory.
+		cause := fault.Inject(fault.Normalize)
+		if cause == nil && ctx != nil {
+			cause = ctx.Err()
+		}
+		if cause != nil {
+			return nil, &PipelineError{Phase: obs.PhaseNormalize.String(), Err: cause}
 		}
 		var normErr error
 		normalize := func() {
@@ -246,7 +236,11 @@ func RunDatasetContext(ctx context.Context, ds *Dataset, cfg Config) (res *Resul
 			cfg.Progress(obs.PhaseNormalize, n, n)
 		}
 	}
-	res, err = core.RunContext(ctx, work, cfg)
+	cin := core.Input{Dataset: work}
+	if in.Tree != nil {
+		cin.Trees = []*ctree.Tree{in.Tree}
+	}
+	res, err = core.Run(ctx, cin, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -256,31 +250,11 @@ func RunDatasetContext(ctx context.Context, ds *Dataset, cfg Config) (res *Resul
 	return res, nil
 }
 
-// abortBeforeNormalize is the facade's pre-normalization checkpoint:
-// an already-cancelled context (or an armed fault point, test builds
-// only) aborts before the clone+rescale pass touches any memory.
-func abortBeforeNormalize(ctx context.Context) error {
-	cause := fault.Inject(fault.Normalize)
-	if cause == nil && ctx != nil {
-		cause = ctx.Err()
-	}
-	if cause == nil {
-		return nil
-	}
-	return &PipelineError{Phase: obs.PhaseNormalize.String(), Err: cause}
-}
-
-// RunNormalized clusters a dataset that is already embedded in [0,1)^d,
-// without copying it. It fails if any value falls outside the unit
-// cube. It is exactly RunNormalizedContext with a background context.
-func RunNormalized(ds *Dataset, cfg Config) (*Result, error) {
-	return core.Run(ds, cfg)
-}
-
-// RunNormalizedContext is RunNormalized under a context (see
-// RunContext for the cancellation and panic-containment contract).
-func RunNormalizedContext(ctx context.Context, ds *Dataset, cfg Config) (*Result, error) {
-	return core.RunContext(ctx, ds, cfg)
+// RunDataset is Run over ds under a background context. perfbench is
+// its only caller; a benchmark change moves perfbench to Run and
+// removes it.
+func RunDataset(ds *Dataset, cfg Config) (*Result, error) {
+	return Run(context.Background(), Input{Dataset: ds}, cfg)
 }
 
 // SoftMemberships turns a hard clustering result into posterior

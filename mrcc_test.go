@@ -1,6 +1,7 @@
 package mrcc_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -45,9 +46,19 @@ func twoClusterRows(scale float64, n int) [][]float64 {
 	return rows
 }
 
+// runRows clusters raw rows the way a facade caller holding rows does:
+// DatasetFromRows, then Run under a background context.
+func runRows(rows [][]float64, cfg mrcc.Config) (*mrcc.Result, error) {
+	ds, err := mrcc.DatasetFromRows(rows)
+	if err != nil {
+		return nil, err
+	}
+	return mrcc.Run(context.Background(), mrcc.Input{Dataset: ds}, cfg)
+}
+
 func TestRunNormalizesArbitraryScales(t *testing.T) {
 	rows := twoClusterRows(500, 1200)
-	res, err := mrcc.Run(rows, mrcc.Config{})
+	res, err := runRows(rows, mrcc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,24 +72,14 @@ func TestRunNormalizesArbitraryScales(t *testing.T) {
 }
 
 func TestRunRejectsBadData(t *testing.T) {
-	if _, err := mrcc.Run(nil, mrcc.Config{}); err == nil {
+	if _, err := runRows(nil, mrcc.Config{}); err == nil {
 		t.Error("nil rows accepted")
 	}
-	if _, err := mrcc.Run([][]float64{{1, math.NaN()}}, mrcc.Config{}); err == nil {
+	if _, err := runRows([][]float64{{1, math.NaN()}}, mrcc.Config{}); err == nil {
 		t.Error("NaN accepted")
 	}
-	if _, err := mrcc.Run([][]float64{{1, 2}, {3}}, mrcc.Config{}); err == nil {
+	if _, err := runRows([][]float64{{1, 2}, {3}}, mrcc.Config{}); err == nil {
 		t.Error("ragged rows accepted")
-	}
-}
-
-func TestRunNormalizedRejectsOutOfCube(t *testing.T) {
-	ds, err := mrcc.DatasetFromRows([][]float64{{0.5, 1.5}, {0.1, 0.2}, {0.3, 0.4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mrcc.RunNormalized(ds, mrcc.Config{}); err == nil {
-		t.Error("out-of-cube data accepted by RunNormalized")
 	}
 }
 
@@ -88,7 +89,7 @@ func TestRunDatasetSkipsCopyWhenNormalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mrcc.RunDataset(ds, mrcc.Config{})
+	res, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: ds}, mrcc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestRunDatasetSkipsCopyWhenNormalized(t *testing.T) {
 // relevant axes, and every point label.
 func TestRunHonorsWorkers(t *testing.T) {
 	rows := twoClusterRows(500, 1500)
-	serial, err := mrcc.Run(rows, mrcc.Config{Workers: 1})
+	serial, err := runRows(rows, mrcc.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestRunHonorsWorkers(t *testing.T) {
 		t.Fatalf("serial run found %d clusters, want 2", serial.NumClusters())
 	}
 	for _, w := range []int{0, 2, 4, 8} {
-		par, err := mrcc.Run(rows, mrcc.Config{Workers: w})
+		par, err := runRows(rows, mrcc.Config{Workers: w})
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", w, err)
 		}
@@ -135,7 +136,7 @@ func TestRunHonorsWorkers(t *testing.T) {
 			}
 		}
 	}
-	if _, err := mrcc.Run(rows, mrcc.Config{Workers: -1}); err == nil {
+	if _, err := runRows(rows, mrcc.Config{Workers: -1}); err == nil {
 		t.Error("negative Workers accepted")
 	}
 }
@@ -154,7 +155,7 @@ func TestLoadCSVAndCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mrcc.RunDataset(back, mrcc.Config{})
+	res, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: back}, mrcc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +179,13 @@ func TestNewDatasetAppend(t *testing.T) {
 // normalize and labeling phases.
 func TestRunStatsAndProgress(t *testing.T) {
 	rows := twoClusterRows(500, 1200)
-	plain, err := mrcc.Run(rows, mrcc.Config{})
+	plain, err := runRows(rows, mrcc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[mrcc.Phase]bool)
 	var mu sync.Mutex
-	res, err := mrcc.Run(rows, mrcc.Config{
+	res, err := runRows(rows, mrcc.Config{
 		CollectStats: true,
 		Progress: func(p mrcc.Phase, done, total int64) {
 			mu.Lock()

@@ -19,24 +19,6 @@ func unnormalizedRows() [][]float64 {
 	return rows
 }
 
-// TestRunContextEqualsRun proves the context-aware facade entry points
-// are bit-identical to their plain counterparts under a background
-// context.
-func TestRunContextEqualsRun(t *testing.T) {
-	rows := unnormalizedRows()
-	want, err := mrcc.Run(rows, mrcc.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := mrcc.RunContext(context.Background(), rows, mrcc.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Labels, want.Labels) {
-		t.Fatal("RunContext(Background) labels differ from Run")
-	}
-}
-
 // TestRunDatasetContextPreCancelled proves a cancelled context aborts
 // before normalization touches any memory: the error is a typed
 // *PipelineError naming the normalize phase, and the caller's dataset
@@ -49,7 +31,7 @@ func TestRunDatasetContextPreCancelled(t *testing.T) {
 	snapshot := ds.Clone()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := mrcc.RunDatasetContext(ctx, ds, mrcc.Config{})
+	res, err := mrcc.Run(ctx, mrcc.Input{Dataset: ds}, mrcc.Config{})
 	if res != nil {
 		t.Fatal("cancelled run returned a result")
 	}
@@ -73,7 +55,7 @@ func TestRunDatasetContextPreCancelled(t *testing.T) {
 // boundary: a memory-limited run yields a *mrcc.ResourceError.
 func TestFacadeErrorTypesSurvive(t *testing.T) {
 	rows := unnormalizedRows()
-	_, err := mrcc.RunContext(context.Background(), rows, mrcc.Config{MemoryLimitBytes: 1024})
+	_, err := runRows(rows, mrcc.Config{MemoryLimitBytes: 1024})
 	var re *mrcc.ResourceError
 	if !errors.As(err, &re) {
 		t.Fatalf("want *mrcc.ResourceError, got %T: %v", err, err)

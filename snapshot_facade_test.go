@@ -1,6 +1,7 @@
 package mrcc_test
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -13,7 +14,7 @@ import (
 // TestSaveLoadTreeWarmStart pins the facade's snapshot workflow: keep
 // the tree from one run, persist it with SaveTree, restore it with
 // LoadTree in (what would be) another process, and recluster on it
-// with RunDatasetOnTree — same β-clusters, clusters and labels as the
+// with Run (Input.Tree) — same β-clusters, clusters and labels as the
 // original run, with no tree build.
 func TestSaveLoadTreeWarmStart(t *testing.T) {
 	rows := twoClusterRows(1, 400)
@@ -25,7 +26,7 @@ func TestSaveLoadTreeWarmStart(t *testing.T) {
 	if _, _, err := norm.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	first, err := mrcc.RunNormalized(norm, mrcc.Config{KeepTree: true})
+	first, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: norm}, mrcc.Config{KeepTree: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +52,8 @@ func TestSaveLoadTreeWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The snapshot preserves the Used flags the first run consumed;
-	// RunDatasetOnTree clears them itself, so no manual ResetUsed.
-	warm, err := mrcc.RunDatasetOnTree(loaded, norm, mrcc.Config{})
+	// Run clears them itself, so no manual ResetUsed.
+	warm, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: norm, Tree: loaded}, mrcc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +69,35 @@ func TestSaveLoadTreeWarmStart(t *testing.T) {
 	}
 	if len(first.Betas) == 0 {
 		t.Fatal("degenerate dataset: no β-clusters, warm-start equivalence is vacuous")
+	}
+}
+
+// TestRunOnTreeNormalizesLikeBuild pins that Run normalizes with a
+// tree as it does without one: a raw-scale dataset reclustered on the
+// tree a raw-scale run kept is labeled exactly as that run labeled it,
+// because both runs embed the same points the same way. A run over a
+// tree still needs its dataset.
+func TestRunOnTreeNormalizesLikeBuild(t *testing.T) {
+	ds, err := mrcc.DatasetFromRows(twoClusterRows(500, 600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: ds}, mrcc.Config{KeepTree: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.NumClusters() == 0 {
+		t.Fatal("degenerate dataset: no clusters, the relabeling check is vacuous")
+	}
+	again, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: ds, Tree: first.Tree}, mrcc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Labels, again.Labels) {
+		t.Fatal("a raw-scale dataset on its own tree labeled differently from the build run")
+	}
+	if _, err := mrcc.Run(context.Background(), mrcc.Input{Tree: first.Tree}, mrcc.Config{}); err == nil {
+		t.Fatal("a run over a tree with no dataset was accepted")
 	}
 }
 
@@ -97,7 +127,7 @@ func TestStreamingLoopShape(t *testing.T) {
 		}
 		// No ResetUsed between iterations: the run clears the flags the
 		// previous pass consumed.
-		last, err = mrcc.RunDatasetOnTree(tree, seen, mrcc.Config{})
+		last, err = mrcc.Run(context.Background(), mrcc.Input{Dataset: seen, Tree: tree}, mrcc.Config{})
 		if err != nil {
 			t.Fatalf("batch ending at %d: %v", end, err)
 		}
@@ -115,7 +145,7 @@ func TestStreamingLoopShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := mrcc.RunDatasetOnTree(loaded, seen, mrcc.Config{})
+	warm, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: seen, Tree: loaded}, mrcc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

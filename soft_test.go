@@ -9,7 +9,7 @@ import (
 
 func TestSoftMembershipsFacade(t *testing.T) {
 	rows := twoClusterRows(100, 900) // arbitrary scale: facade renormalizes
-	res, err := mrcc.Run(rows, mrcc.Config{})
+	res, err := runRows(rows, mrcc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
