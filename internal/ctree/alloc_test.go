@@ -1,25 +1,31 @@
 package ctree
 
 import (
+	"runtime"
 	"testing"
 
 	"mrcc/internal/synthetic"
 )
 
-// TestBuildAllocationBudget pins the arena layout's allocation shape
-// with an explicit budget: one Build over 10k points × 15 dims must
-// stay within a fixed allocation count, so a regression back toward
-// per-cell allocation (the pre-arena layout paid ~45 allocations per
-// 1000 points at this shape — node structs, per-node maps, per-cell P
-// slices) fails loudly rather than showing up as a quiet benchmark
-// drift.
+// buildScratchBytes is what one Build may allocate beyond its tree and
+// its sort columns: the count loop's 64 KiB leaf buffer plus the
+// merge heap, the descent stacks and the child-table list's append
+// growth. The 10k×15d build below measures 87.5 KiB of it.
+const buildScratchBytes = 128 << 10
+
+// TestBuildAllocationBudget pins the build's allocation shape with
+// explicit budgets on one Workers-1 Build over 10k points × 15 dims:
 //
-// The budget is ~2× the measured figure (about 650 allocations: arena
-// column doublings, child-table builds, and the batch inserter's
-// scratch — unchanged by the radix-sort rewrite, which reuses the
-// inserter's ping-pong buffers) — loose enough to survive Go runtime
-// changes, tight enough that any per-point or per-cell allocation
-// pattern (>=10k extra allocations here) blows through it immediately.
+//   - the arena is allocated once, at its final size (ArenaGrows 0);
+//   - the build allocates at most its tree's final MemoryBytes, plus
+//     η·ExternalRecordBytes(d, H) for the sorted record columns, plus
+//     buildScratchBytes — an arena that doubled its way up (about 3 MB
+//     more here) or a per-point allocation fails it;
+//   - it allocates at most 425 times, the measured 388 (one child table
+//     per wide node, 346 of them, and a few dozen slabs) plus 10%, so a
+//     regression toward per-cell allocation (the pre-arena layout paid
+//     ~45 allocations per 1000 points at this shape) fails loudly
+//     rather than showing up as a quiet benchmark drift.
 func TestBuildAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is slow under -short")
@@ -34,17 +40,33 @@ func TestBuildAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = 1300
-	allocs := testing.AllocsPerRun(3, func() {
-		tr, err := Build(ds, 4, BuildOptions{Workers: 1})
+	const H = 4
+	build := func() *Tree {
+		tr, err := Build(ds, H, BuildOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tr.Eta != ds.Len() {
 			t.Fatalf("Eta = %d, want %d", tr.Eta, ds.Len())
 		}
-	})
-	if allocs > budget {
+		return tr
+	}
+	const budget = 425
+	if allocs := testing.AllocsPerRun(3, func() { build() }); allocs > budget {
 		t.Fatalf("Build(10000x15d) allocated %.0f times, budget %d — the arena layout regressed toward per-cell allocation", allocs, budget)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tr := build()
+	runtime.ReadMemStats(&after)
+	if g := tr.ArenaGrows(); g != 0 {
+		t.Fatalf("Build grew its arena %d times, want 0 (allocated once at its final size)", g)
+	}
+	bytesBudget := tr.MemoryBytes() + uint64(ds.Len()*ExternalRecordBytes(ds.Dims, H)) + buildScratchBytes
+	if got := after.TotalAlloc - before.TotalAlloc; got > bytesBudget {
+		t.Fatalf("Build(10000x15d) allocated %d bytes, budget %d (MemoryBytes %d + sort columns %d + scratch %d)",
+			got, bytesBudget, tr.MemoryBytes(), ds.Len()*ExternalRecordBytes(ds.Dims, H), buildScratchBytes)
 	}
 }

@@ -4,9 +4,12 @@
 // a *Node and a map[uint64]int32 per refined cell — the pre-arena
 // layout), every tree owns a handful of structure-of-arrays slabs:
 // per-cell columns (Loc, N, Used, level, parent/child/sibling links,
-// child-table slot) that grow together in power-of-two steps, and ONE
-// contiguous half-space slab holding every cell's d int32 counters at
-// stride d. Cells are addressed by int32 arena offsets (Ref), so
+// child-table slot) that share one capacity, and ONE contiguous
+// half-space slab holding every cell's d int32 counters at stride d.
+// The capacity is ArenaCapFor(rows), the smallest power-of-two multiple
+// of 64 rows that holds the cells: Build and Union count their cells
+// first and allocate it once, while Insert and InsertBatch double it as
+// they go. Cells are addressed by int32 arena offsets (Ref), so
 // insert, merge and the level-index build walk flat arrays instead of
 // chasing pointers across the heap, the GC sees a constant number of
 // objects regardless of η, and the memory accounting is an exact O(1)
@@ -53,9 +56,9 @@ const rootRef Ref = 0
 // large level-1 fan-outs probe in O(1).
 const inlineChildren = 8
 
-// arenaInitialCap is the starting cell capacity of a fresh arena.
-// Growth doubles, so the final capacity — and with it the exact
-// memory accounting — depends only on the final cell count.
+// arenaInitialCap is the smallest arena capacity, that of an empty
+// tree from New. Growth doubles, so the final capacity — and with it
+// the exact memory accounting — depends only on the final cell count.
 const arenaInitialCap = 64
 
 // Tree is the Counting-tree over a normalized dataset, stored as an
@@ -121,9 +124,14 @@ type Tree struct {
 // New returns an empty Counting-tree for d-dimensional data with H
 // resolutions. It does not validate its arguments — Build does, and
 // tests construct degenerate trees deliberately.
-func New(d, h int) *Tree {
+func New(d, h int) *Tree { return newTree(d, h, 1) }
+
+// newTree returns an empty tree whose arena holds rows rows, the root
+// sentinel's included, without growing: its columns are allocated once
+// at ArenaCapFor(rows), which counts as no growth.
+func newTree(d, h, rows int) *Tree {
 	t := &Tree{D: d, H: h, dmask: (uint64(1) << uint(d)) - 1}
-	t.growTo(arenaInitialCap)
+	t.growTo(rows)
 	// Root sentinel at Ref 0.
 	t.pushCell(NilRef, 0, 0)
 	return t
@@ -179,7 +187,7 @@ func (t *Tree) growTo(need int) {
 
 // pushCell appends one cell to the arena columns and returns its Ref.
 // It does not link the cell into its parent's child chain (ensureChild
-// does).
+// does, or link for a whole arena).
 func (t *Tree) pushCell(parent Ref, loc uint64, lvl uint8) Ref {
 	if len(t.loc) == cap(t.loc) {
 		t.growTo(len(t.loc) + 1)
@@ -420,22 +428,28 @@ func (t *Tree) ResetUsed() {
 // set, two trees storing the same cells report identical footprints
 // regardless of how they were built.
 func (t *Tree) MemoryBytes() uint64 {
-	var total uint64
-	total += uint64(unsafe.Sizeof(*t))
-	total += uint64(cap(t.loc)) * 8
-	total += uint64(cap(t.n)) * 4
-	total += uint64(cap(t.used)) * 1
-	total += uint64(cap(t.level)) * 1
-	total += uint64(cap(t.parent)+cap(t.firstChild)+cap(t.lastChild)+cap(t.nextSib)) * uint64(unsafe.Sizeof(NilRef))
-	total += uint64(cap(t.childCount)+cap(t.childTab)) * 4
-	total += uint64(cap(t.p)) * 4
-	total += uint64(cap(t.tabs)) * uint64(unsafe.Sizeof([]Ref(nil)))
-	total += t.tabBytes
-	return total
+	return arenaBytes(t.D, cap(t.loc)) + uint64(cap(t.tabs))*uint64(unsafe.Sizeof([]Ref(nil))) + t.tabBytes
+}
+
+// arenaBytes is the footprint of a tree's header, its per-cell columns
+// and its half-space slab at a capacity of capRows rows, which every
+// column shares: what MemoryBytes counts for a tree without child
+// tables.
+func arenaBytes(d, capRows int) uint64 {
+	row := unsafe.Sizeof(uint64(0)) + // loc
+		unsafe.Sizeof(int32(0)) + // n
+		unsafe.Sizeof(false) + // used
+		unsafe.Sizeof(uint8(0)) + // level
+		4*unsafe.Sizeof(NilRef) + // parent, firstChild, lastChild, nextSib
+		2*unsafe.Sizeof(int32(0)) + // childCount, childTab
+		uintptr(d)*unsafe.Sizeof(int32(0)) // p
+	return uint64(unsafe.Sizeof(Tree{})) + uint64(capRows)*uint64(row)
 }
 
 // ArenaGrows returns the number of arena growth events (column
-// reallocation), accumulated across merged shards.
+// reallocation), accumulated across merged shards. An in-memory Build
+// and a Union allocate their arena once, at its final size, and grow
+// it zero times.
 func (t *Tree) ArenaGrows() int64 { return t.grows }
 
 // SpillStats returns a spilled build's disk-traffic statistics:

@@ -15,6 +15,14 @@
 // or one InsertBatch batch into record streams, and its count phase
 // (countMerged) feeds the merged runs to countRunPacked/countRunAt.
 //
+// In a tree that was empty when the count began, every cell at or
+// below a run's divergence level is new: the sorted order visits each
+// path prefix in one stretch, so a prefix that differs from the
+// previous run's has never been seen. The descent then appends those
+// cells without a child lookup, leaving the chains and child tables to
+// one link pass at the end of the count; into a populated tree it
+// finds or creates each one (ensureChild).
+//
 // The quantize pass is branch-reduced (DESIGN.md §12): one float
 // multiply + floor per coordinate gives the level-H grid value, the
 // parity word accumulates in the same loop, and validation is a single
@@ -61,6 +69,9 @@ const f64NegZeroBits = uint64(1) << 63
 // level where the two paths diverge. One inserter serves one tree.
 type batchInserter struct {
 	t *Tree
+	// fresh is set when t stored no cell as the count began: new cells
+	// are appended unlinked (see the file comment).
+	fresh bool
 
 	// Descent stack: refs[h]/locs[h] address the level-h cell of the
 	// current run's path (refs[0] is the root sentinel); the first
@@ -72,9 +83,39 @@ type batchInserter struct {
 
 // newBatchInserter returns a fresh inserter for t.
 func newBatchInserter(t *Tree) *batchInserter {
-	b := &batchInserter{t: t, refs: make([]Ref, t.H), locs: make([]uint64, t.H)}
+	b := &batchInserter{t: t, fresh: t.CellCount() == 0, refs: make([]Ref, t.H), locs: make([]uint64, t.H)}
 	b.refs[0] = rootRef
 	return b
+}
+
+// child returns the level-h cell at loc below the stack's level h-1
+// cell, which lies at or below the run's divergence level: a new cell
+// appended unlinked in a fresh count, found or created otherwise.
+func (b *batchInserter) child(h int, loc uint64) Ref {
+	if b.fresh {
+		return b.t.pushCell(b.refs[h-1], loc, uint8(h))
+	}
+	r, _ := b.t.ensureChild(b.refs[h-1], loc)
+	return r
+}
+
+// packedDivergence returns the shallowest level at which the packed
+// path keys k and prev differ, or H when they are equal. Level h
+// occupies key bits [(H-1-h)·d, (H-h)·d), so the highest set bit of the
+// XOR lies in the diverging level's lane, and the levels from there
+// down number ⌈bits.Len64(k^prev) / d⌉.
+func packedDivergence(k, prev uint64, d, H int) int {
+	return H - (bits.Len64(k^prev)+d-1)/d
+}
+
+// wordsDivergence is packedDivergence for multi-word keys (kw[h-1] is
+// the level-h loc).
+func wordsDivergence(kw, prev []uint64) int {
+	div := 1
+	for div <= len(kw) && kw[div-1] == prev[div-1] {
+		div++
+	}
+	return div
 }
 
 // quantizeLevelH validates one point and writes its level-H grid
@@ -189,12 +230,11 @@ func (b *batchInserter) countRunAt(kw []uint64, cnt int32) []int32 {
 	t := b.t
 	H := t.H
 	div := 1
-	for div <= b.have && kw[div-1] == b.locs[div] {
-		div++
+	if b.have > 0 {
+		div = wordsDivergence(kw, b.locs[1:H])
 	}
 	for h := div; h <= H-1; h++ {
-		r, _ := t.ensureChild(b.refs[h-1], kw[h-1])
-		b.refs[h] = r
+		b.refs[h] = b.child(h, kw[h-1])
 		b.locs[h] = kw[h-1]
 	}
 	b.have = H - 1
@@ -217,26 +257,22 @@ func (b *batchInserter) countRunAt(kw []uint64, cnt int32) []int32 {
 
 // countRunPacked is countRunAt specialized for the single-word key
 // layout: the divergence level comes straight from the XOR of the
-// run's key with the previous run's (the highest differing bit lives
-// in the highest diverging level's d-bit lane), and per-level locs are
-// shifted out of the key on demand — no locs array maintenance, no
-// per-level compare loop. prev is ignored when first is true.
-// Sorted key order makes the carry-over exact, as in countRunAt.
+// run's key with the previous run's (packedDivergence), and per-level
+// locs are shifted out of the key on demand — no locs array
+// maintenance, no per-level compare loop. prev is ignored when first is
+// true. A run that repeats the previous run's key (one path longer than
+// the count loop's leaf buffer) descends nowhere new. Sorted key order
+// makes the carry-over exact, as in countRunAt.
 func (b *batchInserter) countRunPacked(k, prev uint64, first bool, cnt int32) []int32 {
 	t := b.t
 	H := t.H
 	d := uint(t.D)
 	div := 1
 	if !first {
-		// Level h occupies key bits [(H-1-h)·d, (H-h)·d); the top set
-		// bit of the XOR picks the shallowest level that changed.
-		top := 63 - bits.LeadingZeros64(k^prev)
-		div = H - 1 - top/int(d)
+		div = packedDivergence(k, prev, t.D, H)
 	}
 	for h := div; h <= H-1; h++ {
-		loc := (k >> (uint(H-1-h) * d)) & t.dmask
-		r, _ := t.ensureChild(b.refs[h-1], loc)
-		b.refs[h] = r
+		b.refs[h] = b.child(h, (k>>(uint(H-1-h)*d))&t.dmask)
 	}
 	for h := 1; h <= H-1; h++ {
 		t.n[b.refs[h]] += cnt

@@ -13,6 +13,15 @@
 // the stream, not a second counting loop, and InsertBatch (stream.go)
 // runs the same two phases over one batch into a live tree.
 //
+// Between the phases an in-memory build walks the merged key order
+// once more, keys only, to count the cells the tree will store
+// (cellCount): each record adds the cells below the level where its
+// path leaves the previous record's. The tree's arena is allocated
+// once at that size, so it never grows, and the count phase appends
+// every cell without a child lookup and links the child chains and
+// tables once at the end (batch.go). A spilled build's streams are on
+// disk, so it skips the walk and its arena doubles as the cells come.
+//
 // Streams cover contiguous slices of the dataset and sort stably, so
 // the merged order is (key, dataset index) — a pure function of the
 // dataset. Every configuration therefore builds the same tree in the
@@ -22,12 +31,14 @@
 //
 // Robustness: sort workers and the merge poll one checkpoint (an armed
 // fault point, the context and, in the merge, the memory cap against
-// the tree's MemoryBytes) every buildReportEvery points. A panic
-// inside a sort worker is recovered in the goroutine itself, so its
-// peers always drain and Build returns the panic as an error instead
-// of crashing the host. The memory-cap decision is deterministic for
-// a fixed (dataset, H, limit) because the merged record sequence — and
-// with it the tree's growth — is.
+// the tree's MemoryBytes) every buildReportEvery points. An arena
+// that alone exceeds the memory cap is refused before it is
+// allocated. A panic inside a sort worker is recovered in the
+// goroutine itself, so its peers always drain and Build returns the
+// panic as an error instead of crashing the host. The memory-cap
+// decision is deterministic for a fixed (dataset, H, limit) because
+// the merged record sequence — and with it the cell count and the
+// tree's growth — is.
 package ctree
 
 import (
@@ -89,8 +100,10 @@ type BuildOptions struct {
 	// chunk and every merged chunk. nil means no cancellation.
 	Ctx context.Context
 	// MemoryLimitBytes is the build's memory budget; 0 means
-	// unlimited. In memory it caps the tree's MemoryBytes, polled every
-	// merged chunk (a refused build returns a *LimitError); the
+	// unlimited. In memory it caps the tree's MemoryBytes: an arena
+	// over it is refused before it is allocated, and the merge polls
+	// the footprint every merged chunk and once the child tables are
+	// built (a refused build returns a *LimitError); the
 	// authoritative check that includes the level indexes is the
 	// caller's job. With SpillDir it bounds the sort buffer instead:
 	// each run holds at most MemoryLimitBytes/ExternalRecordBytes(d, H)
@@ -123,12 +136,19 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 		return nil, err
 	}
 	bc := &buildControl{ctx: opt.Ctx}
-	t := New(ds.Dims, H)
+	var t *Tree
 	var streams []*recordStream
 	var err error
 	if opt.SpillDir == "" {
 		bc.limit = opt.MemoryLimitBytes
-		streams, err = sortShards(ds, H, opt.Workers, bc)
+		if streams, err = sortShards(ds, H, opt.Workers, bc); err != nil {
+			return nil, err
+		}
+		rows := 1 + cellCount(streams, ds.Dims, H)
+		if est := arenaBytes(ds.Dims, ArenaCapFor(rows)); bc.limit > 0 && est > bc.limit {
+			return nil, &LimitError{LimitBytes: bc.limit, EstimateBytes: est, H: H}
+		}
+		t = newTree(ds.Dims, H, rows)
 	} else {
 		dir, derr := os.MkdirTemp(opt.SpillDir, "mrcc-spill-*")
 		if derr != nil {
@@ -137,11 +157,12 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 		// Run files only matter until the merge ends: every exit path,
 		// success included, closes and removes them.
 		defer os.RemoveAll(dir)
+		t = New(ds.Dims, H)
 		streams, err = spillRuns(t, ds, dir, opt, bc)
 		defer closeRuns(streams)
-	}
-	if err != nil {
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
 	}
 	if err := countMerged(t, streams, bc, opt.Progress, ds.Len()); err != nil {
 		return nil, err
@@ -387,6 +408,46 @@ type streamHeap struct {
 	heads   []streamHead
 }
 
+// newStreamHeap returns the merge front over streams of w-word keys,
+// each holding at least one record. It returns the heap by value, so a
+// caller's heap lives on its stack.
+func newStreamHeap(streams []*recordStream, w int) streamHeap {
+	h := streamHeap{streams: streams, w: w, heads: make([]streamHead, len(streams))}
+	for i, rs := range streams {
+		h.heads[i] = streamHead{rs.keys[rs.pos*w], i}
+	}
+	for i := len(h.heads)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
+// top returns the stream whose head is the next record in the merged
+// order.
+func (h *streamHeap) top() *recordStream { return h.streams[h.heads[0].s] }
+
+// pop moves the top stream past its head record, reading a spilled
+// run's next block when the buffered one is drained, and restores the
+// heap order.
+func (h *streamHeap) pop() error {
+	top := &h.heads[0]
+	rs := h.streams[top.s]
+	if rs.pos++; rs.pos == len(rs.leaf) && rs.src != nil && rs.src.remaining > 0 {
+		if err := rs.src.fill(rs, h.w); err != nil {
+			return err
+		}
+	}
+	if rs.pos < len(rs.leaf) {
+		top.key = rs.keys[rs.pos*h.w]
+	} else {
+		last := len(h.heads) - 1
+		h.heads[0] = h.heads[last]
+		h.heads = h.heads[:last]
+	}
+	h.down(0)
+	return nil
+}
+
 // streamHead is one heap entry: a stream and its head's first key word.
 type streamHead struct {
 	key uint64
@@ -431,12 +492,45 @@ func (h *streamHeap) down(i int) {
 // head returns the key words of the stream's current record.
 func (rs *recordStream) head(w int) []uint64 { return rs.keys[rs.pos*w : rs.pos*w+w] }
 
+// cellCount returns how many cells counting the in-memory streams
+// into an empty tree stores, in one walk over their merged key order:
+// the first record adds H-1 cells, and every later one the cells from
+// the level where its path leaves the previous record's down to level
+// H-1 — none when it repeats that path. It leaves the streams rewound
+// for the count.
+func cellCount(streams []*recordStream, d, H int) int {
+	w := keyWords(d, H)
+	h := newStreamHeap(streams, w)
+	prev := make([]uint64, w)
+	cells := 0
+	for first := true; len(h.heads) > 0; first = false {
+		k := h.top().head(w)
+		switch {
+		case first:
+			cells += H - 1
+		case w == 1:
+			cells += H - packedDivergence(k[0], prev[0], d, H)
+		default:
+			cells += H - wordsDivergence(k, prev)
+		}
+		copy(prev, k)
+		_ = h.pop() // in-memory streams read no spill block, so pop cannot fail
+	}
+	for _, rs := range streams {
+		rs.pos = 0
+	}
+	return cells
+}
+
 // countMerged counts the sorted streams, total records in all, into t
 // in (key, stream index) order — the one counting loop of Build and
 // InsertBatch. Records sharing a path are buffered, at most
 // buildReportEvery leaf words at a time, and counted in one carry-over
 // descent (batch.go), so shared prefixes are bumped once per run of
-// equal paths rather than once per point. The build control is polled
+// equal paths rather than once per point. When t starts empty the new
+// cells go in unlinked, and one link after the last run chains them
+// and builds the child tables before the final checkpoint, so the
+// tables count toward the memory cap. The build control is polled
 // every buildReportEvery records and once at the end; progress reports
 // done of total records.
 func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress ProgressFunc, total int) error {
@@ -446,13 +540,7 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress Pr
 		t.radixChunks += int64(len(streams)) // each stream is one sortShard's radix sort
 	}
 	t.invalidateIndexes()
-	h := &streamHeap{streams: streams, w: w}
-	for i, rs := range streams { // every stream holds at least one record
-		h.heads = append(h.heads, streamHead{rs.keys[0], i})
-	}
-	for i := len(h.heads)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
+	h := newStreamHeap(streams, w)
 	key := make([]uint64, w) // path of the buffered records
 	leafs := make([]uint64, 0, min(buildReportEvery, total))
 	var prev uint64
@@ -476,9 +564,8 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress Pr
 	}
 	done := 0
 	for len(h.heads) > 0 {
-		top := &h.heads[0]
-		rs := streams[top.s]
-		if len(leafs) == 0 || top.key != key[0] || (w > 1 && compareKeys(rs.head(w), key) != 0) {
+		rs := h.top()
+		if len(leafs) == 0 || h.heads[0].key != key[0] || (w > 1 && compareKeys(rs.head(w), key) != 0) {
 			flush()
 			copy(key, rs.head(w))
 		}
@@ -486,19 +573,9 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress Pr
 		if len(leafs) == cap(leafs) {
 			flush()
 		}
-		if rs.pos++; rs.pos == len(rs.leaf) && rs.src != nil && rs.src.remaining > 0 {
-			if err := rs.src.fill(rs, w); err != nil {
-				return err
-			}
+		if err := h.pop(); err != nil {
+			return err
 		}
-		if rs.pos < len(rs.leaf) {
-			top.key = rs.keys[rs.pos*w]
-		} else {
-			last := len(h.heads) - 1
-			h.heads[0] = h.heads[last]
-			h.heads = h.heads[:last]
-		}
-		h.down(0)
 		done++
 		if done%buildReportEvery == 0 {
 			if err := bc.check(fault.BuildMerge, t); err != nil {
@@ -510,6 +587,9 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress Pr
 		}
 	}
 	flush()
+	if ins.fresh {
+		t.link()
+	}
 	t.Eta += done
 	if err := bc.check(fault.BuildMerge, t); err != nil {
 		return err

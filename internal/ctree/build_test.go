@@ -2,7 +2,10 @@ package ctree
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"mrcc/internal/dataset"
 )
 
 // buildConfig is one row of the Build configuration table: its options
@@ -150,6 +153,84 @@ func TestBuildShardSplitEdges(t *testing.T) {
 			}
 			if !sameColumns(want.Columns(), got.Columns()) || got.Eta != n {
 				t.Fatalf("n=%d workers=%d: tree differs from the one-worker build", n, workers)
+			}
+		}
+	}
+}
+
+// TestBuildRepeatedPathPastLeafBuffer counts one stored path repeated
+// far past the count loop's buildReportEvery-record leaf buffer, so the
+// loop flushes the same key more than once: into a tree that started
+// empty, where new cells are appended without a lookup, a repeat must
+// append none. Both key layouts, in memory at Workers 1 and 2, spilled
+// in one run and in runs that split the repeated path, and one
+// InsertBatch call into an empty tree must equal per-point insertion;
+// the in-memory builds must also size their arena once.
+func TestBuildRepeatedPathPastLeafBuffer(t *testing.T) {
+	for _, s := range []struct {
+		name string
+		d, H int
+	}{
+		{"packed", 4, 4},
+		{"multiword", 15, 6}, // 15·5 = 75 > 64
+	} {
+		rng := rand.New(rand.NewSource(int64(s.d)))
+		spread := uniformDataset(t, s.d, 3000, 71).Points
+		// 2·buildReportEvery+100 points inside one level-(H-1) cell: one
+		// stored path, with both level-H halves on every axis.
+		side := SideLen(s.H - 1)
+		corner := make([]float64, s.d)
+		for j := range corner {
+			corner[j] = float64(rng.Intn(1<<(s.H-1))) * side
+		}
+		pts := append([][]float64(nil), spread[:1500]...)
+		for i := 0; i < 2*buildReportEvery+100; i++ {
+			p := make([]float64, s.d)
+			for j := range p {
+				p[j] = corner[j] + rng.Float64()*side
+			}
+			pts = append(pts, p)
+		}
+		pts = append(pts, spread[1500:]...)
+		ds := &dataset.Dataset{Dims: s.d, Points: pts}
+
+		oracle := New(s.d, s.H)
+		for _, p := range pts {
+			if err := oracle.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			name     string
+			opt      BuildOptions
+			inMemory bool
+		}{
+			{"workers=1", BuildOptions{Workers: 1}, true},
+			{"workers=2", BuildOptions{Workers: 2}, true},
+			{"spilled/one-run", BuildOptions{SpillDir: t.TempDir()}, false},
+			{"spilled/split-runs", BuildOptions{SpillDir: t.TempDir(), runPoints: buildReportEvery}, false},
+			{"insertbatch", BuildOptions{}, false},
+		} {
+			name := s.name + "/" + c.name
+			var got *Tree
+			var err error
+			if c.name == "insertbatch" {
+				got = New(s.d, s.H)
+				err = got.InsertBatch(pts)
+			} else {
+				got, err = Build(ds, s.H, c.opt)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !treesEqual(t, oracle, got) || got.CellCount() != oracle.CellCount() {
+				t.Fatalf("%s: %d cells, per-point insertion %d; trees differ", name, got.CellCount(), oracle.CellCount())
+			}
+			if got.MemoryBytes() != oracle.MemoryBytes() {
+				t.Fatalf("%s: MemoryBytes %d, per-point insertion %d", name, got.MemoryBytes(), oracle.MemoryBytes())
+			}
+			if g := got.ArenaGrows(); c.inMemory && g != 0 {
+				t.Fatalf("%s: arena grew %d times, want 0", name, g)
 			}
 		}
 	}

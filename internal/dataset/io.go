@@ -20,6 +20,19 @@ const readBufferSize = 64 << 10
 // rowBlockFloats is the size of the shared blocks ReadCSV cuts rows from.
 const rowBlockFloats = 1 << 16
 
+// firstRows is the row capacity ReadCSV starts a dataset at. Reading a
+// file of known size, the reader estimates the file's row count when
+// these first rows are in and reserves it in place of their first
+// growth step.
+const firstRows = 1024
+
+// reserveLineBytes bounds that estimate: it reserves at most one row
+// per reserveLineBytes bytes of file. However short the first lines
+// are, the reserved row slices (24 bytes each) then take at most 3/4
+// of the file's size; rows that really are shorter grow past the
+// reserve as they would without one.
+const reserveLineBytes = 32
+
 // ReadCSV parses a dataset from CSV. When header is true the first record
 // is taken as axis names. Every record must have the same number of
 // fields, all parseable as finite floats: NaN and ±Inf literals are
@@ -37,10 +50,19 @@ const rowBlockFloats = 1 << 16
 // encoding/csv loop (readRecords), which accepts, rejects and words its
 // errors exactly as it would have from the start of the input.
 func ReadCSV(r io.Reader, header bool) (*Dataset, error) {
+	return readCSV(r, header, 0)
+}
+
+// readCSV is ReadCSV over an input of size bytes, 0 when unknown. With
+// a size, the rows grow once from firstRows to the row count the first
+// firstRows rows predict (reserveRows) instead of in append's steps.
+func readCSV(r io.Reader, header bool, size int64) (*Dataset, error) {
 	br := bufio.NewReaderSize(r, readBufferSize)
 	var ds *Dataset
 	var block []float64
-	lines := 0 // lines consumed, blank ones included
+	lines := 0      // lines consumed, blank ones included
+	var read int64  // bytes consumed
+	var start int64 // bytes consumed before the first data row
 	for {
 		raw, err := br.ReadSlice('\n')
 		if err != nil && err != io.EOF {
@@ -57,7 +79,7 @@ func ReadCSV(r io.Reader, header bool) (*Dataset, error) {
 			if bytes.IndexByte(s, '"') >= 0 || bytes.IndexByte(s, '\r') >= 0 {
 				return handOff(raw, br, ds, header, lines)
 			}
-			ds = New(bytes.Count(s, []byte{','})+1, 1024)
+			ds = New(bytes.Count(s, []byte{','})+1, firstRows)
 			if header {
 				ds.Names = strings.Split(string(s), ",")
 				break
@@ -73,14 +95,37 @@ func ReadCSV(r io.Reader, header bool) (*Dataset, error) {
 				return handOff(raw, br, ds, header, lines)
 			}
 			block = block[d:]
+			if len(ds.Points) == 0 {
+				start = read
+			} else if len(ds.Points) == firstRows && size > 0 {
+				ds.Points = reserveRows(ds.Points, size-start, read-start)
+			}
 			ds.Points = append(ds.Points, row)
 		}
+		read += int64(len(raw))
 		lines++
 		if err == io.EOF {
 			break
 		}
 	}
 	return withRows(ds, nil)
+}
+
+// reserveRows returns rows, the first rows of a file whose data rows
+// span rest bytes from the first one, in a slice with room for the
+// file's estimated row count: rest over the mean length of the first
+// rows, which spanned seen bytes, plus 1/16 for lines longer than
+// them, and at most one row per reserveLineBytes bytes of rest. It
+// returns rows as they are when the estimate is no larger.
+func reserveRows(rows [][]float64, rest, seen int64) [][]float64 {
+	est := rest / reserveLineBytes
+	if seen > 0 {
+		est = min(est, rest*int64(len(rows))/seen*17/16)
+	}
+	if est <= int64(cap(rows)) {
+		return rows
+	}
+	return append(make([][]float64, 0, est), rows...)
 }
 
 // trimLineEnd strips one "\n" or "\r\n" line ending.
@@ -219,14 +264,20 @@ func (ds *Dataset) WriteCSV(w io.Writer) error {
 
 // LoadCSVFile reads a dataset from the named CSV file. Parse errors
 // are wrapped with the file path, so a batch loader's failure names
-// both the file and the offending line/column.
+// both the file and the offending line/column. The file's size lets
+// the reader reserve its rows once, from the length of the first
+// firstRows rows, rather than grow them step by step.
 func LoadCSVFile(path string, header bool) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	defer f.Close()
-	ds, err := ReadCSV(bufio.NewReader(f), header)
+	var size int64
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = fi.Size()
+	}
+	ds, err := readCSV(f, header, size)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

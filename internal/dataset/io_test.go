@@ -3,8 +3,11 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -144,5 +147,105 @@ func TestCSVFileRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadCSVFile(filepath.Join(dir, "absent.csv"), false); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestLoadCSVFileReservesRows pins the file loader's row reserve: on
+// each input LoadCSVFile returns the dataset ReadCSV returns from the
+// same bytes, and its row capacity stays within the reserve's bound —
+// firstRows, one row per reserveLineBytes bytes of file, or the
+// doubling of rows that outgrew the reserve, whichever is largest.
+func TestLoadCSVFileReservesRows(t *testing.T) {
+	const n = 3 * firstRows
+	rows := func(b *strings.Builder, from, to int, row func(i int) string) {
+		for i := from; i < to; i++ {
+			b.WriteString(row(i))
+		}
+	}
+	short := func(i int) string { return fmt.Sprintf("%d,%d,%d\n", i%10, i%7, i%3) }
+	long := func(i int) string {
+		return fmt.Sprintf("%.17f,%.17f,%.17f\n", float64(i)/n, float64(i%97)/97, float64(i%13)/13)
+	}
+	build := func(parts ...func(b *strings.Builder)) string {
+		var b strings.Builder
+		for _, p := range parts {
+			p(&b)
+		}
+		return b.String()
+	}
+	cases := []struct {
+		name   string
+		in     string
+		header bool
+	}{
+		{"header", build(func(b *strings.Builder) {
+			b.WriteString("x,y,z\n")
+			rows(b, 0, n, long)
+		}), true},
+		{"short first rows, then long", build(func(b *strings.Builder) {
+			rows(b, 0, firstRows, short)
+			rows(b, firstRows, 8*n, long)
+		}), false},
+		{"long first rows, then short", build(func(b *strings.Builder) {
+			rows(b, 0, firstRows, long)
+			rows(b, firstRows, 8*n, short)
+		}), false},
+		{"CRLF", strings.ReplaceAll(build(func(b *strings.Builder) { rows(b, 0, n, long) }), "\n", "\r\n"), false},
+		{"blank lines", strings.ReplaceAll(build(func(b *strings.Builder) { rows(b, 0, n, long) }), "\n", "\n\n"), false},
+		{"one row", "0.25,0.5,0.75\n", false},
+		{"irregular line at the start", build(func(b *strings.Builder) {
+			b.WriteString("\"0.5\",1,2\n")
+			rows(b, 1, n, long)
+		}), false},
+		{"irregular line after the reserve", build(func(b *strings.Builder) {
+			rows(b, 0, 2*firstRows, long)
+			b.WriteString("\"0.5\",1,2\n")
+			rows(b, 2*firstRows+1, n, long)
+		}), false},
+	}
+	dir := t.TempDir()
+	for k, c := range cases {
+		path := filepath.Join(dir, fmt.Sprintf("%d.csv", k))
+		if err := os.WriteFile(path, []byte(c.in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ReadCSV(strings.NewReader(c.in), c.header)
+		if err != nil {
+			t.Fatalf("%s: ReadCSV: %v", c.name, err)
+		}
+		got, err := LoadCSVFile(path, c.header)
+		if err != nil {
+			t.Fatalf("%s: LoadCSVFile: %v", c.name, err)
+		}
+		if got.Dims != want.Dims || !reflect.DeepEqual(got.Names, want.Names) || !reflect.DeepEqual(got.Points, want.Points) {
+			t.Fatalf("%s: LoadCSVFile read another dataset than ReadCSV (%d×%d against %d×%d)",
+				c.name, got.Len(), got.Dims, want.Len(), want.Dims)
+		}
+		bound := max(firstRows, len(c.in)/reserveLineBytes, 2*got.Len())
+		if cap(got.Points) > bound {
+			t.Fatalf("%s: %d rows in a capacity of %d, over the bound %d", c.name, got.Len(), cap(got.Points), bound)
+		}
+	}
+}
+
+// TestReserveRows pins the reserve's estimate: the first rows' mean
+// length predicts the rest plus 1/16, one row per reserveLineBytes
+// bytes caps it, and an estimate within the current capacity reserves
+// nothing.
+func TestReserveRows(t *testing.T) {
+	first := make([][]float64, firstRows)
+	for _, c := range []struct {
+		name       string
+		rest, seen int64
+		want       int
+	}{
+		{"mean length", 100 * firstRows * 40, firstRows * 40, 100 * firstRows * 17 / 16},
+		{"short first rows", 100 * firstRows * 40, firstRows * 4, 100 * firstRows * 40 / reserveLineBytes},
+		{"estimate within the capacity", firstRows * 16, firstRows * 17, firstRows},
+	} {
+		got := reserveRows(first, c.rest, c.seen)
+		if len(got) != firstRows || cap(got) != c.want {
+			t.Errorf("%s: reserved %d rows holding %d, want %d holding %d", c.name, cap(got), len(got), c.want, firstRows)
+		}
 	}
 }

@@ -147,9 +147,9 @@ type Counters struct {
 	// scancache.go); each retired cell is re-examined on no later pass.
 	CacheRepairCells int64 `json:"cacheRepairCells,omitempty"`
 	// ArenaGrows counts arena slab reallocations (capacity doublings)
-	// across the tree build, including every parallel shard. A build
-	// that pre-sizes well grows a handful of times; a pathological one
-	// shows up here.
+	// across the tree build. An in-memory build counts its cells first
+	// and allocates its arena once, so it reports 0; a spilled build
+	// doubles from 64 rows, about log2(cells/64) times.
 	ArenaGrows int64 `json:"arenaGrows,omitempty"`
 	// BatchRuns / BatchRunPoints describe the sorted batch insertion:
 	// BatchRuns is how many leaf-path runs the Morton-sorted record

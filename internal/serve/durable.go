@@ -128,18 +128,19 @@ func (s *Server) openWAL(ckptSeq uint64) error {
 		if err != nil {
 			return fmt.Errorf("wal record %d: %w", seq, err)
 		}
-		// Replay rotates by the live rule (before the batch that finds
-		// the active tree full), so it rebuilds the live window; a tail
-		// spanning many windows never piles into one tree either, which
-		// could overrun ctree.MaxPoints on a log the live service
-		// acknowledged in full.
-		if s.rotate() {
-			rotations++
-		}
-		if err := s.active.InsertBatch(pts); err != nil {
+		// Replay folds through the live step (apply), so it rotates by
+		// the live rule and rebuilds the live window; a tail spanning
+		// many windows never piles into one tree either, which could
+		// overrun ctree.MaxPoints on a log the live service acknowledged
+		// in full. It counts no ingest and kicks no pass: Start runs
+		// the first pass over the recovered window.
+		rotated, err := s.apply(pts, seq)
+		if err != nil {
 			return fmt.Errorf("wal record %d: %w", seq, err)
 		}
-		s.appliedSeq = seq
+		if rotated {
+			rotations++
+		}
 		replayed++
 		points += len(pts)
 		return nil
@@ -149,7 +150,6 @@ func (s *Server) openWAL(ckptSeq uint64) error {
 		return err
 	}
 	s.wal = l
-	s.totalPoints += int64(points)
 	s.counters.AddWALReplayed(replayed)
 	if replayed > 0 {
 		s.logf("warm-start: replayed %d batches (%d points, %d window rotations) from the WAL tail past sequence %d", replayed, points, rotations, ckptSeq)

@@ -437,21 +437,16 @@ func (s *Server) ingest(points [][]float64) (int64, error) {
 	return s.fold(norm, 0)
 }
 
-// fold counts a normalized batch into the window under mu: it rotates
-// a full active tree, inserts the batch, records seq as the applied WAL
-// sequence (0 without a log, where appliedSeq stays 0) and advances the
-// point counts. It then counts the ingest and fires the new-points
-// trigger, and returns the lifetime accepted total.
+// fold counts a normalized batch into the window under mu (apply) and
+// advances the new-points count. It then counts the ingest and fires
+// the new-points trigger, and returns the lifetime accepted total.
 func (s *Server) fold(norm [][]float64, seq uint64) (int64, error) {
 	s.mu.Lock()
-	s.rotate()
-	if err := s.active.InsertBatch(norm); err != nil {
+	if _, err := s.apply(norm, seq); err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
-	s.appliedSeq = seq
 	s.sinceRecl += len(norm)
-	s.totalPoints += int64(len(norm))
 	total := s.totalPoints
 	fire := s.cfg.ReclusterPoints > 0 && s.sinceRecl >= s.cfg.ReclusterPoints
 	s.mu.Unlock()
@@ -552,16 +547,33 @@ func (s *Server) windowFull() bool {
 	return s.cfg.WindowPoints > 0 && s.active.Eta >= s.cfg.WindowPoints
 }
 
+// apply is the window's one fold step, which ingest and WAL replay
+// share: it rotates a full active tree, inserts the batch, records seq
+// as the applied WAL sequence (0 without a log, where appliedSeq stays
+// 0) and adds the batch to the lifetime point total. It reports whether
+// it rotated. The caller holds mu (replay runs before the service
+// takes traffic). InsertBatch refuses a bad batch before it touches
+// the tree, so a refused batch counts nothing; a rotation it set off
+// stands.
+func (s *Server) apply(norm [][]float64, seq uint64) (rotated bool, err error) {
+	rotated = s.rotate()
+	if err := s.active.InsertBatch(norm); err != nil {
+		return rotated, err
+	}
+	s.appliedSeq = seq
+	s.totalPoints += int64(len(norm))
+	return rotated, nil
+}
+
 // rotate retires a full active tree into the aging slot (dropping the
 // previous aging tree) and starts a fresh active tree: a pointer swap.
-// Ingest calls it right before folding a batch and WAL replay right
-// before replaying one, so a service recovered by replay alone holds
-// exactly the window the live one did. A checkpoint does not keep that
-// split: it saves the merged window, which warm-starts as one active
-// tree, so the first replayed batch retires the whole merged window
-// and later windows differ from the live ones. It reports whether it
-// rotated. The caller holds mu (replay runs before the service takes
-// traffic).
+// The fold step (apply) calls it right before each batch, ingested or
+// replayed, so a service recovered by replay alone holds exactly the
+// window the live one did. A checkpoint does not keep that split: it
+// saves the merged window, which warm-starts as one active tree, so
+// the first replayed batch retires the whole merged window and later
+// windows differ from the live ones. It reports whether it rotated.
+// The caller holds mu (replay runs before the service takes traffic).
 func (s *Server) rotate() bool {
 	if !s.windowFull() {
 		return false

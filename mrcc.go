@@ -187,67 +187,76 @@ type Input struct {
 // inside the pipeline (including worker goroutines) are contained and
 // surface as a *PipelineError wrapping a *PanicError instead of
 // crashing the host.
-func Run(ctx context.Context, in Input, cfg Config) (res *Result, err error) {
-	// Contain panics escaping the facade's own work (validation and
-	// normalization); the core pipeline has its own recover and returns
-	// already-wrapped errors.
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = &PipelineError{Phase: obs.PhaseNormalize.String(), Err: panics.New(r)}
-		}
-	}()
+func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 	ds := in.Dataset
 	if ds == nil {
 		return nil, errors.New("mrcc: Input.Dataset is required")
 	}
-	if err := ds.Validate(); err != nil {
+	work, norm, err := normalized(ctx, ds, cfg)
+	if err != nil {
 		return nil, err
-	}
-	wantStats := cfg.CollectStats || cfg.Progress != nil
-	work := ds
-	var norm obs.PhaseStat
-	if !ds.IsNormalized() {
-		// The pre-normalization checkpoint: an already-cancelled context
-		// (or an armed fault point, test builds only) aborts before the
-		// clone+rescale pass touches any memory.
-		cause := fault.Inject(fault.Normalize)
-		if cause == nil && ctx != nil {
-			cause = ctx.Err()
-		}
-		if cause != nil {
-			return nil, &PipelineError{Phase: obs.PhaseNormalize.String(), Err: cause}
-		}
-		var normErr error
-		normalize := func() {
-			work = ds.Clone()
-			_, _, normErr = work.Normalize()
-		}
-		if wantStats {
-			norm = obs.Measure(normalize)
-		} else {
-			normalize()
-		}
-		if normErr != nil {
-			return nil, normErr
-		}
-		if cfg.Progress != nil {
-			n := int64(ds.Len())
-			cfg.Progress(obs.PhaseNormalize, n, n)
-		}
 	}
 	cin := core.Input{Dataset: work}
 	if in.Tree != nil {
 		cin.Trees = []*ctree.Tree{in.Tree}
 	}
-	res, err = core.Run(ctx, cin, cfg)
+	res, err := core.Run(ctx, cin, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if wantStats && res.Stats != nil {
+	if (cfg.CollectStats || cfg.Progress != nil) && res.Stats != nil {
 		res.Stats.Normalize = norm
 	}
 	return res, nil
+}
+
+// normalized is the facade's one normalization, which Run and
+// SoftMemberships share: it validates ds and returns it as it is when
+// it already lies in [0,1)^d, or else a min–max normalized clone (the
+// caller's dataset is never mutated). Before the clone it polls the
+// pre-normalization checkpoint: an armed fault point (test builds
+// only) or a cancelled ctx aborts with a *PipelineError naming the
+// normalize phase. The pass is measured into norm when cfg collects
+// stats and reported to cfg.Progress. A panic in this work is contained
+// and returned as a *PipelineError wrapping a *PanicError; the core
+// pipeline has its own recover.
+func normalized(ctx context.Context, ds *Dataset, cfg Config) (work *Dataset, norm obs.PhaseStat, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			work = nil
+			err = &PipelineError{Phase: obs.PhaseNormalize.String(), Err: panics.New(r)}
+		}
+	}()
+	if err := ds.Validate(); err != nil {
+		return nil, norm, err
+	}
+	if ds.IsNormalized() {
+		return ds, norm, nil
+	}
+	cause := fault.Inject(fault.Normalize)
+	if cause == nil && ctx != nil {
+		cause = ctx.Err()
+	}
+	if cause != nil {
+		return nil, norm, &PipelineError{Phase: obs.PhaseNormalize.String(), Err: cause}
+	}
+	normalize := func() {
+		work = ds.Clone()
+		_, _, err = work.Normalize()
+	}
+	if cfg.CollectStats || cfg.Progress != nil {
+		norm = obs.Measure(normalize)
+	} else {
+		normalize()
+	}
+	if err != nil {
+		return nil, norm, err
+	}
+	if cfg.Progress != nil {
+		n := int64(ds.Len())
+		cfg.Progress(obs.PhaseNormalize, n, n)
+	}
+	return work, norm, nil
 }
 
 // RunDataset is Run over ds under a background context. perfbench is
@@ -264,15 +273,9 @@ func RunDataset(ds *Dataset, cfg Config) (*Result, error) {
 // the ones the result was computed from (at any scale — the same
 // normalization Run applies is repeated here).
 func SoftMemberships(ds *Dataset, res *Result) ([][]float64, error) {
-	if err := ds.Validate(); err != nil {
+	work, _, err := normalized(context.TODO(), ds, Config{})
+	if err != nil {
 		return nil, err
-	}
-	work := ds
-	if !ds.IsNormalized() {
-		work = ds.Clone()
-		if _, _, err := work.Normalize(); err != nil {
-			return nil, err
-		}
 	}
 	return core.SoftMemberships(work, res)
 }

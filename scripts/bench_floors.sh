@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 
 # package          benchmark                          metric    floor
 floors='
-./internal/ctree   BenchmarkTreeBuild                 points/s  1160000
+./internal/ctree   BenchmarkTreeBuild                 points/s  1840000
 ./internal/core    BenchmarkBetaSearch                points/s  380000
 ./internal/wal     BenchmarkWALAppend                 points/s  580000
 ./internal/ctree   BenchmarkEnsureLevelIndexes/union  points/s  3600000

@@ -1,7 +1,9 @@
 package mrcc_test
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"mrcc"
@@ -60,5 +62,49 @@ func TestSoftMembershipsFacade(t *testing.T) {
 	bad, _ := mrcc.DatasetFromRows(rows[:10])
 	if _, err := mrcc.SoftMemberships(bad, res); err == nil {
 		t.Error("mismatched dataset accepted")
+	}
+}
+
+// TestSoftMembershipsNormalizesLikeRun pins SoftMemberships on the
+// facade's one normalization: on raw-scale rows it returns, bit for
+// bit, the memberships it returns on a copy normalized beforehand, and
+// it leaves the caller's rows as they were.
+func TestSoftMembershipsNormalizesLikeRun(t *testing.T) {
+	raw, err := mrcc.DatasetFromRows(twoClusterRows(100, 900))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: raw}, mrcc.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre := raw.Clone()
+	if _, _, err := pre.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if !pre.IsNormalized() || raw.IsNormalized() {
+		t.Fatal("the two inputs must differ in scale")
+	}
+	before := raw.Clone()
+	fromRaw, err := mrcc.SoftMemberships(raw, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromPre, err := mrcc.SoftMemberships(pre, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fromRaw) != len(fromPre) {
+		t.Fatalf("%d rows from raw data, %d from the normalized copy", len(fromRaw), len(fromPre))
+	}
+	for i := range fromRaw {
+		for c := range fromRaw[i] {
+			if math.Float64bits(fromRaw[i][c]) != math.Float64bits(fromPre[i][c]) {
+				t.Fatalf("point %d cluster %d: %v from raw data, %v from the normalized copy", i, c, fromRaw[i][c], fromPre[i][c])
+			}
+		}
+	}
+	if !reflect.DeepEqual(raw.Points, before.Points) {
+		t.Fatal("SoftMemberships mutated the caller's dataset")
 	}
 }
