@@ -901,26 +901,12 @@ func buildClusters(betas []BetaCluster, d int) (clusters []Cluster, merges int) 
 // few thousand points; a worker panic is contained by the fan-out and
 // surfaces as the returned error.
 //
-// The per-point box tests run through labelChunk over β bounds
-// flattened into two stride-d slabs: the setup here allocates once per
-// labeling call, the kernel itself allocates nothing (pinned by
-// TestLabelChunkZeroAlloc), and workers share the read-only slabs with
-// no per-worker state at all.
+// The points are looked up in one Labeler (label.go), built once per
+// call and shared read-only by the workers; the kernel allocates
+// nothing (pinned by TestLabelChunkZeroAlloc).
 func labelPoints(ds *dataset.Dataset, betas []BetaCluster, clusters []Cluster, workers int, col *obs.Collector, ab *aborter) ([]int, error) {
-	d := ds.Dims
 	labels := make([]int, ds.Len())
-	betaOwner := make([]int, len(betas))
-	for _, c := range clusters {
-		for _, b := range c.Betas {
-			betaOwner[b] = c.ID
-		}
-	}
-	betaL := make([]float64, len(betas)*d)
-	betaU := make([]float64, len(betas)*d)
-	for bi := range betas {
-		copy(betaL[bi*d:(bi+1)*d], betas[bi].L)
-		copy(betaU[bi*d:(bi+1)*d], betas[bi].U)
-	}
+	lb := NewLabeler(betas, clusters, ds.Dims)
 	total := int64(ds.Len())
 	labelRange := func(lo, hi int) error {
 		for seg := lo; seg < hi; seg += scanCheckEvery {
@@ -931,7 +917,7 @@ func labelPoints(ds *dataset.Dataset, betas []BetaCluster, clusters []Cluster, w
 			if err := ab.check(fault.LabelChunk); err != nil {
 				return err
 			}
-			noise := labelChunk(ds.Points[seg:end], labels[seg:end], betaL, betaU, betaOwner, d)
+			noise := lb.labelChunk(ds.Points[seg:end], labels[seg:end])
 			n := int64(end - seg)
 			done := col.AddLabeled(n-noise, noise)
 			if col.WantsProgress() {
@@ -950,52 +936,4 @@ func labelPoints(ds *dataset.Dataset, betas []BetaCluster, clusters []Cluster, w
 		return nil, err
 	}
 	return labels, nil
-}
-
-// labelChunk is the labeling hot kernel: it labels pts[i] into
-// labels[i] by the first β-cluster box (flattened into the stride-d
-// betaL/betaU slabs) containing the point, or Noise, and returns the
-// noise count. It allocates nothing and touches no shared mutable
-// state, so disjoint chunks run concurrently with no synchronization.
-//
-// Every axis is checked, not just the relevant ones: irrelevant axes
-// span [0,1], which points of a VALIDATED dataset always satisfy — but
-// a run over a given tree labels datasets the tree build never saw, and
-// an out-of-range coordinate must fail the box test exactly as
-// BetaCluster.SharesSpace-style interval logic always has.
-func labelChunk(pts [][]float64, labels []int, betaL, betaU []float64, betaOwner []int, d int) (noise int64) {
-	for i, pt := range pts {
-		lb := Noise
-		for bi := range betaOwner {
-			l := betaL[bi*d : bi*d+d : bi*d+d]
-			u := betaU[bi*d : bi*d+d : bi*d+d]
-			inside := true
-			for j, v := range pt {
-				if v < l[j] || v > u[j] {
-					inside = false
-					break
-				}
-			}
-			if inside {
-				lb = betaOwner[bi]
-				break
-			}
-		}
-		labels[i] = lb
-		if lb == Noise {
-			noise++
-		}
-	}
-	return noise
-}
-
-// containsPoint reports whether the β-cluster box contains the point
-// (inclusive bounds; irrelevant axes span the whole cube).
-func containsPoint(b *BetaCluster, pt []float64) bool {
-	for j, v := range pt {
-		if v < b.L[j] || v > b.U[j] {
-			return false
-		}
-	}
-	return true
 }

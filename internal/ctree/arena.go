@@ -33,6 +33,7 @@ package ctree
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -112,6 +113,19 @@ type Tree struct {
 	// in-memory builds and loaded snapshots.
 	spillRuns  int64
 	spillBytes int64
+
+	// canon caches canonical()'s verdict (canonUnknown, canonYes or
+	// canonNo): set by the first scan, reset by invalidateIndexes with
+	// the level indexes, which every change to the cell set drops. It
+	// is atomic because concurrent readers of an unchanging tree (a
+	// pass's index build and a snapshot's Union over one aging tree)
+	// may both record it.
+	canon atomic.Int32
+
+	// spread is the packed-key spread table of the tree's (d, H)
+	// (batch.go): the one its Build sorted with, or made by its first
+	// InsertBatch; nil before that and for multi-word keys.
+	spread keySpread
 
 	// idxMu guards the lazily built level indexes (levelindex.go);
 	// indexes[h-1] is the flat snapshot of level h, nil until

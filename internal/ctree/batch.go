@@ -36,8 +36,9 @@
 // arrival index as the tie-break, so the permutation — and with it the
 // first-touch cell order — is a pure function of the points.
 //
-// When d·(H-1) <= 64 bits the whole path packs into one uint64 and a
-// stream sorts with the stable LSD pair-radix kernel of radix.go.
+// When d·(H-1) <= 64 bits the whole path packs into one uint64, by
+// table lookup (keySpread), and a stream sorts with the stable LSD
+// pair-radix kernel of radix.go.
 // Multi-word keys (d·(H-1) > 64) fall back to a comparison sort over
 // the permutation (sortKeyOrder).
 // Quantization at level H is bit-exact with the per-level locAtLevel
@@ -143,15 +144,11 @@ func quantizeLevelH(p []float64, d, H int, qi []uint64, index int) error {
 // covering [+0, 1) — NaNs, infinities, negatives and values >= 1 all
 // compare higher — plus the lone -0.0 pattern, which quantizes to cell
 // 0 like +0.0). Returns false on the first invalid coordinate; the
-// caller re-validates with quantizeLevelH for the exact error.
-//
-// Deliberately a tiny single-purpose loop: fusing it with the key pack
-// into one function measured ~40% slower than this composition
-// (BenchmarkQuantize) — the monolith's register pressure and variable
-// shifts cost more than the extra pass over the d-word qi scratch.
-// It also accumulates the level-H parity word (bit j = low bit of the
-// axis-j grid value) while the coordinate is already in a register —
-// one fewer pass than a separate parity loop, measurably cheaper.
+// caller re-validates with quantizeLevelH for the exact error. It
+// also accumulates the level-H parity word (bit j = low bit of the
+// axis-j grid value) while the coordinate is already in a register.
+// Multi-word keys and packed keys deeper than one spread row pack from
+// the qi it fills.
 //
 //go:noinline
 func quantizeFast(p []float64, scale float64, qi []uint64) (leaf uint64, ok bool) {
@@ -166,17 +163,92 @@ func quantizeFast(p []float64, scale float64, qi []uint64) (leaf uint64, ok bool
 	return leaf, true
 }
 
+// keySpread packs path keys by table lookup. An axis's H-1 path bits
+// are its level-H grid coordinate without the leaf bit, level 1 the
+// most significant; in the packed key, path bit i of axis j sits at
+// bit i·d + j (level h's lane is bits [(H-1-h)·d, (H-h)·d)). Row c
+// spreads path bits 8c..8c+7 to stride d: entry x holds bit b of x at
+// bit (8c+b)·d. An axis's spread word is the OR of its rows' entries,
+// and the key the OR of every axis's word shifted left by its axis
+// number. One table serves every point of one (d, H) with
+// d·(H-1) <= 64: ⌈(H-1)/8⌉ rows, at most 8 (d = 1, H = 60). Build
+// makes one per build and hands it to the tree, which keeps it for
+// its InsertBatch calls.
+type keySpread [][256]uint64
+
+// newKeySpread returns the spread table of the packed layout of a
+// d-dimensional tree at H resolutions, or nil for the multi-word
+// layout (d·(H-1) > 64).
+func newKeySpread(d, H int) keySpread {
+	if keyWords(d, H) != 1 {
+		return nil
+	}
+	ks := make(keySpread, (H-1+7)/8)
+	for c := range ks {
+		for x := range ks[c] {
+			var w uint64
+			for b := 0; b < 8; b++ {
+				// Bits past path bit H-2 never occur; a shift past the
+				// word yields 0.
+				w |= uint64(x>>b&1) << uint((8*c+b)*d)
+			}
+			ks[c][x] = w
+		}
+	}
+	return ks
+}
+
 // quantizePackedKey validates and quantizes one point and returns its
 // packed path key and level-H parity word. ok is false when some
 // coordinate is invalid. qi is caller-owned scratch of at least d
 // words (reused across points); the caller guarantees len(p) == d and
-// d·(H-1) <= 64.
-func quantizePackedKey(p []float64, d, H int, qi []uint64) (key, leaf uint64, ok bool) {
-	leaf, ok = quantizeFast(p, float64(uint64(1)<<uint(H)), qi)
+// that ks is the table of the tree's (d, H). With one spread row
+// (H <= 9) one fused loop validates, quantizes and packs; deeper keys
+// quantize into qi first and pack from there.
+func (ks keySpread) quantizePackedKey(p []float64, H int, qi []uint64) (key, leaf uint64, ok bool) {
+	scale := float64(uint64(1) << uint(H))
+	if len(ks) == 1 {
+		return quantizeSpread(&ks[0], p, scale)
+	}
+	leaf, ok = quantizeFast(p, scale, qi)
 	if !ok {
 		return 0, 0, false
 	}
-	return packedPathKey(qi, d, H), leaf, true
+	return ks.key(qi[:len(p)]), leaf, true
+}
+
+// quantizeSpread is quantizeFast fused with the key pack of a
+// one-row spread table: the coordinate's path bits index the row while
+// the grid value is still in a register. Against quantizeFast followed
+// by the lookup pass it measured about 25% faster (BenchmarkQuantize's
+// shape, d = 15, H = 4); fusing with the per-level shift loop the
+// table replaced had measured about 40% slower.
+//
+//go:noinline
+func quantizeSpread(row *[256]uint64, p []float64, scale float64) (key, leaf uint64, ok bool) {
+	for j, v := range p {
+		if b := math.Float64bits(v); b >= f64OneBits && b != f64NegZeroBits {
+			return 0, 0, false
+		}
+		g := uint64(v * scale)
+		leaf |= (g & 1) << uint(j)
+		key |= row[g>>1&0xff] << uint(j)
+	}
+	return key, leaf, true
+}
+
+// key packs the quantized point qi's path through a table of two or
+// more rows (see keySpread).
+func (ks keySpread) key(qi []uint64) uint64 {
+	var k uint64
+	for j, g := range qi {
+		var w uint64
+		for c := range ks {
+			w |= ks[c][g>>uint(8*c+1)&0xff]
+		}
+		k |= w << uint(j)
+	}
+	return k
 }
 
 // quantizeKeyWords is quantizePackedKey for the multi-word key layout:
@@ -188,22 +260,6 @@ func quantizeKeyWords(p []float64, d, H int, kw []uint64, qi []uint64) (leaf uin
 	}
 	pathKeyWords(qi, d, H, kw)
 	return leaf, true
-}
-
-// packedPathKey packs a quantized point's level-1..H-1 path into one
-// uint64, level-major; the caller guarantees d·(H-1) <= 64.
-//
-//go:noinline
-func packedPathKey(qi []uint64, d, H int) uint64 {
-	var k uint64
-	for h := 1; h <= H-1; h++ {
-		var loc uint64
-		for j := 0; j < d; j++ {
-			loc |= ((qi[j] >> uint(H-h)) & 1) << uint(j)
-		}
-		k = k<<uint(d) | loc
-	}
-	return k
 }
 
 // pathKeyWords writes a quantized point's per-level locs into

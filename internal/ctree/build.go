@@ -136,12 +136,13 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 		return nil, err
 	}
 	bc := &buildControl{ctx: opt.Ctx}
+	ks := newKeySpread(ds.Dims, H)
 	var t *Tree
 	var streams []*recordStream
 	var err error
 	if opt.SpillDir == "" {
 		bc.limit = opt.MemoryLimitBytes
-		if streams, err = sortShards(ds, H, opt.Workers, bc); err != nil {
+		if streams, err = sortShards(ds, H, ks, opt.Workers, bc); err != nil {
 			return nil, err
 		}
 		rows := 1 + cellCount(streams, ds.Dims, H)
@@ -149,6 +150,7 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 			return nil, &LimitError{LimitBytes: bc.limit, EstimateBytes: est, H: H}
 		}
 		t = newTree(ds.Dims, H, rows)
+		t.spread = ks
 	} else {
 		dir, derr := os.MkdirTemp(opt.SpillDir, "mrcc-spill-*")
 		if derr != nil {
@@ -158,6 +160,7 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 		// success included, closes and removes them.
 		defer os.RemoveAll(dir)
 		t = New(ds.Dims, H)
+		t.spread = ks
 		streams, err = spillRuns(t, ds, dir, opt, bc)
 		defer closeRuns(streams)
 		if err != nil {
@@ -274,8 +277,9 @@ func keyWords(d, H int) int {
 }
 
 // sortShards sorts the dataset into one record stream per worker, each
-// over a contiguous shard, in parallel.
-func sortShards(ds *dataset.Dataset, H, workers int, bc *buildControl) ([]*recordStream, error) {
+// over a contiguous shard, in parallel; the workers share the spread
+// table ks.
+func sortShards(ds *dataset.Dataset, H int, ks keySpread, workers int, bc *buildControl) ([]*recordStream, error) {
 	n := ds.Len()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -297,7 +301,7 @@ func sortShards(ds *dataset.Dataset, H, workers int, bc *buildControl) ([]*recor
 					errs[s] = bc.fail(panics.New(r))
 				}
 			}()
-			streams[s], errs[s] = sortShard(ds, s*size, min((s+1)*size, n), H, bc)
+			streams[s], errs[s] = sortShard(ds, s*size, min((s+1)*size, n), H, ks, bc)
 		}()
 	}
 	wg.Wait()
@@ -319,11 +323,12 @@ func sortShards(ds *dataset.Dataset, H, workers int, bc *buildControl) ([]*recor
 // sortShard quantizes and sorts the dataset slice [lo, hi) into a
 // recordStream: a Build worker's shard, a spilled run or one
 // InsertBatch batch. It validates every point and touches no tree.
-// Packed keys sort with the stable pair-radix kernel (radix.go), so
+// Packed keys are packed through the spread table ks of the tree's
+// (d, H) and sort with the stable pair-radix kernel (radix.go), so
 // equal keys keep dataset order — the tie-break the deterministic
-// merge relies on; multi-word keys fall back to a comparison sort over
-// the permutation.
-func sortShard(ds *dataset.Dataset, lo, hi, H int, bc *buildControl) (*recordStream, error) {
+// merge relies on; multi-word keys (ks nil) fall back to a comparison
+// sort over the permutation.
+func sortShard(ds *dataset.Dataset, lo, hi, H int, ks keySpread, bc *buildControl) (*recordStream, error) {
 	d := ds.Dims
 	s := hi - lo
 	w := keyWords(d, H)
@@ -342,7 +347,7 @@ func sortShard(ds *dataset.Dataset, lo, hi, H int, bc *buildControl) (*recordStr
 		}
 		var ok bool
 		if w == 1 {
-			keys[i], leaf[i], ok = quantizePackedKey(p, d, H, qi)
+			keys[i], leaf[i], ok = ks.quantizePackedKey(p, H, qi)
 		} else {
 			leaf[i], ok = quantizeKeyWords(p, d, H, keys[i*w:(i+1)*w], qi)
 		}

@@ -36,3 +36,10 @@ func UpperLink(ix *LevelIndex, i, j int) int {
 	}
 	return -1
 }
+
+// CanonicalVerdicts returns t's canonical-order verdict as the level
+// merge reads it (cached after the first call) and as a fresh scan of
+// the arena finds it.
+func CanonicalVerdicts(t *Tree) (cached, scanned bool) {
+	return t.canonical(), t.scanCanonical()
+}

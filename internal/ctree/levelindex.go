@@ -683,13 +683,17 @@ func (t *Tree) LevelIndex(h int) *LevelIndex {
 	return t.EnsureLevelIndexes()[h-1]
 }
 
-// invalidateIndexes drops the materialized level indexes after a
-// mutation of the tree's cell set. Mutation never races index access
-// (see the package comment above), so a plain check suffices and the
-// per-insert cost is one nil comparison.
+// invalidateIndexes drops the materialized level indexes and the
+// cached canonical verdict after a mutation of the tree's cell set.
+// Mutation never races index access (see the package comment above),
+// so plain checks suffice and the per-insert cost is a nil comparison
+// and an atomic load.
 func (t *Tree) invalidateIndexes() {
 	if t.indexes != nil {
 		t.indexes = nil
+	}
+	if t.canon.Load() != canonUnknown {
+		t.canon.Store(canonUnknown)
 	}
 }
 

@@ -224,17 +224,44 @@ func Canonicalize(t *Tree) (*Tree, error) {
 	return Union(t)
 }
 
+// The values of Tree.canon.
+const (
+	canonUnknown = iota
+	canonYes
+	canonNo
+)
+
 // canonical reports whether the arena lists the cells in the canonical
-// order. Child chains always run in ascending Ref order (cells are
-// appended at the chain tail, and link rebuilds chains that way), so
-// the arena is in DFS preorder exactly when each cell's parent is the
-// latest cell of the level above, and siblings ascend by Loc exactly
-// when each cell's loc is at least next[l]: one past the loc of the
-// latest cell of its level, or 0 once a later cell of the level above
-// has started a new child run. Both arrays are indexed by the uint8
-// level, so the loop needs no bounds checks on them and branches only
-// on a failure.
+// order. The verdict of one scan (scanCanonical) is kept on the tree
+// until the next change to its cells, so a tree that stays put, such
+// as the service's aging tree, is scanned once.
 func (t *Tree) canonical() bool {
+	switch t.canon.Load() {
+	case canonYes:
+		return true
+	case canonNo:
+		return false
+	}
+	ok := t.scanCanonical()
+	if ok {
+		t.canon.Store(canonYes)
+	} else {
+		t.canon.Store(canonNo)
+	}
+	return ok
+}
+
+// scanCanonical reports whether the arena lists the cells in the
+// canonical order, in one pass over it. Child chains always run in
+// ascending Ref order (cells are appended at the chain tail, and link
+// rebuilds chains that way), so the arena is in DFS preorder exactly
+// when each cell's parent is the latest cell of the level above, and
+// siblings ascend by Loc exactly when each cell's loc is at least
+// next[l]: one past the loc of the latest cell of its level, or 0 once
+// a later cell of the level above has started a new child run. Both
+// arrays are indexed by the uint8 level, so the loop needs no bounds
+// checks on them and branches only on a failure.
+func (t *Tree) scanCanonical() bool {
 	var last [256]Ref    // last[l]: the latest cell at level l; the root sentinel at 0
 	var next [256]uint64 // next[l]: the least loc the next cell at level l may have
 	loc := t.loc

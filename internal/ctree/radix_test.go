@@ -67,40 +67,16 @@ func TestRadixSortPairsStable(t *testing.T) {
 	}
 }
 
-// TestQuantizePackedKeyMatchesSlow pins the fused branch-reduced
-// quantizer bit-identical to the slow per-level kernel (quantizeLevelH
-// + packedPathKey + leafParity) over random points and the boundary
-// bit patterns the single-comparison validation must classify exactly:
-// ±0.0, the largest float below 1.0, denormals, and every invalid
-// shape (1.0, >1, negative, ±Inf, NaN).
+// TestQuantizePackedKeyMatchesSlow pins the table-driven quantizer
+// (quantizeFast + keySpread) bit-identical to the slow per-level
+// kernel (quantizeLevelH + packedPathKey + leafParity) at every (d, H)
+// with a packed key (d·(H-1) <= 64, one to eight spread rows), over
+// random points, the point whose every path bit is set, and the
+// boundary bit patterns the single-comparison validation must classify
+// exactly: ±0.0, the largest float below 1.0, denormals, and every
+// invalid shape (1.0, >1, negative, ±Inf, NaN).
 func TestQuantizePackedKeyMatchesSlow(t *testing.T) {
-	const d, H = 15, 4
 	rng := rand.New(rand.NewSource(3))
-	check := func(p []float64) {
-		t.Helper()
-		qi := make([]uint64, d)
-		err := quantizeLevelH(p, d, H, qi, 0)
-		k, lf, ok := quantizePackedKey(p, d, H, make([]uint64, d))
-		if ok != (err == nil) {
-			t.Fatalf("point %v: fast ok=%v, slow err=%v — validators disagree", p, ok, err)
-		}
-		if !ok {
-			return
-		}
-		if wantK := packedPathKey(qi, d, H); k != wantK {
-			t.Fatalf("point %v: fast key %#x, slow key %#x", p, k, wantK)
-		}
-		if wantL := leafParity(qi, d); lf != wantL {
-			t.Fatalf("point %v: fast leaf %#x, slow leaf %#x", p, lf, wantL)
-		}
-	}
-	for trial := 0; trial < 2000; trial++ {
-		p := make([]float64, d)
-		for j := range p {
-			p[j] = rng.Float64()
-		}
-		check(p)
-	}
 	edges := []float64{
 		0, math.Copysign(0, -1), 0.5, 0.25, 0.75, 0.9999999999999999,
 		math.Nextafter(1, 0), math.SmallestNonzeroFloat64, 1e-300,
@@ -110,23 +86,61 @@ func TestQuantizePackedKeyMatchesSlow(t *testing.T) {
 		1, 1.0000000000000002, 2, -0.5, math.Nextafter(0, -1),
 		math.Inf(1), math.Inf(-1), math.NaN(), -1e-300, 1e300,
 	}
-	base := make([]float64, d)
-	for j := range base {
-		base[j] = 0.3
-	}
-	for _, v := range edges {
-		for pos := 0; pos < d; pos += 7 {
-			p := slices.Clone(base)
-			p[pos] = v
-			check(p)
+	layouts := 0
+	for d := 1; d <= MaxDims; d++ {
+		for H := MinLevels; H <= MaxLevels && d*(H-1) <= 64; H++ {
+			layouts++
+			ks := newKeySpread(d, H)
+			if want := (H - 1 + 7) / 8; len(ks) != want {
+				t.Fatalf("d=%d H=%d: %d spread rows, want %d", d, H, len(ks), want)
+			}
+			check := func(p []float64) {
+				t.Helper()
+				qi := make([]uint64, d)
+				err := quantizeLevelH(p, d, H, qi, 0)
+				k, lf, ok := ks.quantizePackedKey(p, H, make([]uint64, d))
+				if ok != (err == nil) {
+					t.Fatalf("d=%d H=%d point %v: fast ok=%v, slow err=%v — validators disagree", d, H, p, ok, err)
+				}
+				if !ok {
+					return
+				}
+				if wantK := packedPathKey(qi, d, H); k != wantK {
+					t.Fatalf("d=%d H=%d point %v: fast key %#x, slow key %#x", d, H, p, k, wantK)
+				}
+				if wantL := leafParity(qi, d); lf != wantL {
+					t.Fatalf("d=%d H=%d point %v: fast leaf %#x, slow leaf %#x", d, H, p, lf, wantL)
+				}
+			}
+			for trial := 0; trial < 200; trial++ {
+				p := make([]float64, d)
+				for j := range p {
+					p[j] = rng.Float64()
+				}
+				check(p)
+			}
+			top := make([]float64, d)
+			for j := range top {
+				top[j] = math.Nextafter(1, 0)
+			}
+			check(top)
+			base := make([]float64, d)
+			for j := range base {
+				base[j] = 0.3
+			}
+			for _, vs := range [][]float64{edges, bads} {
+				for _, v := range vs {
+					for pos := 0; pos < d; pos += 7 {
+						p := slices.Clone(base)
+						p[pos] = v
+						check(p)
+					}
+				}
+			}
 		}
 	}
-	for _, v := range bads {
-		for pos := 0; pos < d; pos += 7 {
-			p := slices.Clone(base)
-			p[pos] = v
-			check(p)
-		}
+	if layouts != 211 {
+		t.Fatalf("swept %d packed (d, H) layouts, want 211", layouts)
 	}
 }
 
@@ -340,9 +354,10 @@ func TestHashLocDistributes(t *testing.T) {
 	}
 }
 
-// BenchmarkQuantize measures the fused branch-reduced quantize+pack
-// kernel against the slow per-level kernel it bypasses, over one
-// build-sized chunk (points/s is the chunk's points per wall second).
+// BenchmarkQuantize measures the branch-reduced quantizer with the
+// table-driven key pack against the slow per-level kernel it
+// bypasses, over one build-sized chunk (points/s is the chunk's points
+// per wall second).
 func BenchmarkQuantize(b *testing.B) {
 	const d, H, m = 15, 4, 8192
 	pts := uniformDataset(b, d, m, 1).Points
@@ -350,9 +365,10 @@ func BenchmarkQuantize(b *testing.B) {
 		b.ReportAllocs()
 		qi := make([]uint64, d)
 		var sink uint64
+		ks := newKeySpread(d, H)
 		for i := 0; i < b.N; i++ {
 			for _, p := range pts {
-				k, lf, ok := quantizePackedKey(p, d, H, qi)
+				k, lf, ok := ks.quantizePackedKey(p, H, qi)
 				if !ok {
 					b.Fatal("rejected valid point")
 				}
@@ -421,4 +437,19 @@ func leafParity(qi []uint64, d int) uint64 {
 		leaf |= (qi[j] & 1) << uint(j)
 	}
 	return leaf
+}
+
+// packedPathKey is the per-level oracle of keySpread: it packs a
+// quantized point's level-1..H-1 path into one uint64, level-major;
+// the caller guarantees d·(H-1) <= 64.
+func packedPathKey(qi []uint64, d, H int) uint64 {
+	var k uint64
+	for h := 1; h <= H-1; h++ {
+		var loc uint64
+		for j := 0; j < d; j++ {
+			loc |= ((qi[j] >> uint(H-h)) & 1) << uint(j)
+		}
+		k = k<<uint(d) | loc
+	}
+	return k
 }

@@ -72,7 +72,7 @@ func spillRuns(t *Tree, ds *dataset.Dataset, dir string, opt BuildOptions, bc *b
 	buf := make([]byte, spillBlock*(w+1)*8)
 	var runs []*recordStream
 	for lo := 0; lo < n; lo += runPoints {
-		sorted, err := sortShard(ds, lo, min(lo+runPoints, n), t.H, bc)
+		sorted, err := sortShard(ds, lo, min(lo+runPoints, n), t.H, t.spread, bc)
 		if err != nil {
 			return runs, err
 		}

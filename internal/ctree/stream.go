@@ -38,7 +38,10 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 		return fmt.Errorf("ctree: inserting %d points into a tree counting %d exceeds the int32 cell-counter maximum %d (MaxPoints); shard into separate trees",
 			m, t.Eta, int64(MaxPoints))
 	}
-	rs, err := sortShard(&dataset.Dataset{Dims: t.D, Points: points}, 0, m, t.H, nil)
+	if t.spread == nil {
+		t.spread = newKeySpread(t.D, t.H)
+	}
+	rs, err := sortShard(&dataset.Dataset{Dims: t.D, Points: points}, 0, m, t.H, t.spread, nil)
 	if err != nil {
 		return err
 	}
@@ -49,15 +52,16 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 // columns, the half-space slab and the child tables are copied at
 // their current capacities, so the clone's MemoryBytes equals the
 // original's and later mutation of either tree never touches the
-// other. The lazily built level indexes are not copied — the clone
-// rebuilds them on first use.
+// other (the read-only key spread table is shared). The lazily built
+// level indexes are not copied — the clone rebuilds them on first use
+// — but the cached canonical-order verdict is.
 func (t *Tree) Clone() *Tree {
 	c := &Tree{
 		D: t.D, H: t.H, Eta: t.Eta, dmask: t.dmask,
 		grows: t.grows, runs: t.runs, runPoints: t.runPoints,
 		radixChunks: t.radixChunks,
 		spillRuns:   t.spillRuns, spillBytes: t.spillBytes,
-		tabBytes: t.tabBytes,
+		tabBytes: t.tabBytes, spread: t.spread,
 	}
 	c.loc = make([]uint64, len(t.loc), cap(t.loc))
 	copy(c.loc, t.loc)
@@ -82,6 +86,7 @@ func (t *Tree) Clone() *Tree {
 	copy(c.childTab, t.childTab)
 	c.p = make([]int32, len(t.p), cap(t.p))
 	copy(c.p, t.p)
+	c.canon.Store(t.canon.Load())
 	c.tabs = make([][]Ref, len(t.tabs), cap(t.tabs))
 	for i, tab := range t.tabs {
 		c.tabs[i] = cloneRefs(tab)

@@ -83,23 +83,44 @@ func (ds *Dataset) Clone() *Dataset {
 // Validate checks that every value is a finite number and that every row
 // has dimensionality Dims. It returns the first problem found.
 func (ds *Dataset) Validate() error {
+	_, err := ds.Check()
+	return err
+}
+
+// f64OneBits is the bit pattern of 1.0: a float lies in [+0, 1)
+// exactly when its bits are below this (NaNs, infinities, negatives
+// and values >= 1 all compare higher); f64NegZeroBits is -0.0's.
+const (
+	f64OneBits     = 0x3FF0000000000000
+	f64NegZeroBits = 1 << 63
+)
+
+// Check is Validate and IsNormalized in one read of the points: it
+// returns Validate's first problem, and otherwise whether every value
+// lies in [0, 1). A value in [0, 1) costs one comparison of its bits.
+func (ds *Dataset) Check() (normalized bool, err error) {
 	if ds.Dims < 1 {
-		return errors.New("dataset: dimensionality must be >= 1")
+		return false, errors.New("dataset: dimensionality must be >= 1")
 	}
+	normalized = true
 	for i, p := range ds.Points {
 		if len(p) != ds.Dims {
-			return fmt.Errorf("dataset: point %d has %d values, want %d", i, len(p), ds.Dims)
+			return false, fmt.Errorf("dataset: point %d has %d values, want %d", i, len(p), ds.Dims)
 		}
 		for j, v := range p {
+			if b := math.Float64bits(v); b < f64OneBits || b == f64NegZeroBits {
+				continue
+			}
 			if math.IsNaN(v) {
-				return fmt.Errorf("dataset: point %d axis %d is NaN", i, j)
+				return false, fmt.Errorf("dataset: point %d axis %d is NaN", i, j)
 			}
 			if math.IsInf(v, 0) {
-				return fmt.Errorf("dataset: point %d axis %d is infinite", i, j)
+				return false, fmt.Errorf("dataset: point %d axis %d is infinite", i, j)
 			}
+			normalized = false
 		}
 	}
-	return nil
+	return normalized, nil
 }
 
 // Bounds returns per-axis minima and maxima. It returns an error when the

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,5 +173,60 @@ func TestIsNormalizedEdges(t *testing.T) {
 	bad2, _ := FromRows([][]float64{{-0.001, 0.5}})
 	if bad2.IsNormalized() {
 		t.Error("negative value accepted")
+	}
+}
+
+// validateRef is the two-read check Check replaced: the row length,
+// then NaN, then ±Inf, point by point and axis by axis.
+func validateRef(ds *Dataset) error {
+	if ds.Dims < 1 {
+		return errors.New("dataset: dimensionality must be >= 1")
+	}
+	for i, p := range ds.Points {
+		if len(p) != ds.Dims {
+			return fmt.Errorf("dataset: point %d has %d values, want %d", i, len(p), ds.Dims)
+		}
+		for j, v := range p {
+			if math.IsNaN(v) {
+				return fmt.Errorf("dataset: point %d axis %d is NaN", i, j)
+			}
+			if math.IsInf(v, 0) {
+				return fmt.Errorf("dataset: point %d axis %d is infinite", i, j)
+			}
+		}
+	}
+	return nil
+}
+
+// TestCheckIsValidateAndIsNormalized pins Check to the two reads it
+// replaces (validateRef, then IsNormalized): the same first problem,
+// word for word, and otherwise the same normalized verdict, over every value class the bit comparison
+// must sort (±0, the largest float below 1, 1, negatives, values past
+// 1, NaN, ±Inf) and problems in every order.
+func TestCheckIsValidateAndIsNormalized(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []*Dataset{
+		{Dims: 0},
+		{Dims: 2},
+		{Dims: 2, Points: [][]float64{{0, math.Copysign(0, -1)}, {math.Nextafter(1, 0), 0.5}}},
+		{Dims: 2, Points: [][]float64{{0.5, 1}}},
+		{Dims: 2, Points: [][]float64{{-1e-300, 0.5}}},
+		{Dims: 2, Points: [][]float64{{0.5, 7}, {3, -2}}},
+		{Dims: 2, Points: [][]float64{{0.5, 7}, {nan, 0.1}}},
+		{Dims: 2, Points: [][]float64{{2, inf}, {nan, 0.1}}},
+		{Dims: 2, Points: [][]float64{{0.1, math.Inf(-1)}}},
+		{Dims: 2, Points: [][]float64{{0.1, 0.2}, {0.3}, {nan, nan}}},
+		{Dims: 2, Points: [][]float64{{nan, 0.2}, {0.3}}},
+		{Dims: 3, Points: [][]float64{{0.1, 0.2, 5}, {0.3, 0.4, 0.5, 0.6}}},
+	}
+	for i, ds := range cases {
+		unit, err := ds.Check()
+		verr := validateRef(ds)
+		if (err == nil) != (verr == nil) || (err != nil && err.Error() != verr.Error()) {
+			t.Fatalf("case %d: Check error %v, Validate error %v", i, err, verr)
+		}
+		if err == nil && unit != ds.IsNormalized() {
+			t.Fatalf("case %d: Check says normalized=%v, IsNormalized %v", i, unit, ds.IsNormalized())
+		}
 	}
 }

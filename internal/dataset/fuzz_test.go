@@ -41,6 +41,12 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("1, 2\n")
 	f.Add("4.9e-324,.5\n5.,-0\n")
 	f.Add("0.12345678901234567,1.2345678901234567e-05\n")
+	f.Add("\"a0\",\"a1\",\"a 2\"\n0.5,1,2\n3,4,5\n")
+	f.Add("\"a,b\",c\n1,2\n")
+	f.Add("\"a\nb\",c\n1,2\n")
+	f.Add("a\"b,c\n1,2\n")
+	f.Add("\"a\"\"b\",c\n1,2,3\n")
+	f.Add("\"a\" ,c\n1,2\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		for _, header := range []bool{false, true} {
 			got, err := ReadCSV(strings.NewReader(input), header)

@@ -45,7 +45,10 @@ const reserveLineBytes = 32
 // Lines are read one at a time. A regular line — no quote, no '\r'
 // before its "\r\n" or "\n" ending, the first record's width, and
 // finite numbers the float routine or strconv.ParseFloat reads — is
-// split on commas and parsed into a view of a shared block of rows.
+// split on commas and parsed into a view of a shared block of rows. A
+// header line with quotes that encoding/csv reads as one complete
+// record on its own is taken as the names, and the lines after it
+// stay on this path.
 // The first irregular line and everything after it go to the
 // encoding/csv loop (readRecords), which accepts, rejects and words its
 // errors exactly as it would have from the start of the input.
@@ -76,8 +79,17 @@ func readCSV(r io.Reader, header bool, size int64) (*Dataset, error) {
 		switch {
 		case len(s) == 0: // a blank line, skipped as encoding/csv skips it
 		case ds == nil:
-			if bytes.IndexByte(s, '"') >= 0 || bytes.IndexByte(s, '\r') >= 0 {
+			if bytes.IndexByte(s, '\r') >= 0 {
 				return handOff(raw, br, ds, header, lines)
+			}
+			if bytes.IndexByte(s, '"') >= 0 {
+				names, ok := quotedRecord(s)
+				if !header || !ok {
+					return handOff(raw, br, ds, header, lines)
+				}
+				ds = New(len(names), firstRows)
+				ds.Names = names
+				break
 			}
 			ds = New(bytes.Count(s, []byte{','})+1, firstRows)
 			if header {
@@ -165,6 +177,22 @@ func parseRow(s []byte, row []float64) bool {
 		row[j] = v
 	}
 	return true
+}
+
+// quotedRecord parses the line s, which holds a quote, with
+// encoding/csv on its own. ok is false unless s is exactly one complete
+// record: a quoted field that runs past the line, a stray quote or any
+// other error leaves the line to the encoding/csv loop.
+func quotedRecord(s []byte) (rec []string, ok bool) {
+	cr := csv.NewReader(bytes.NewReader(s))
+	rec, err := cr.Read()
+	if err != nil {
+		return nil, false
+	}
+	if _, err := cr.Read(); err != io.EOF {
+		return nil, false
+	}
+	return rec, true
 }
 
 // handOff parses the irregular line raw and the rest of br with the

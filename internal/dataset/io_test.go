@@ -249,3 +249,57 @@ func TestReserveRows(t *testing.T) {
 		}
 	}
 }
+
+// TestReadCSVQuotedHeaderFastPath pins that a quoted header keeps the
+// data rows on the line-at-a-time path: a 100k × 14 file whose header
+// is quoted reads into the same Dataset as with the plain header, with
+// at most 32 allocations more: the one-line encoding/csv read of the
+// header (its reader, buffers and record) takes 16 here, whatever the
+// row count. Handed to the encoding/csv loop, the quoted file allocated
+// once per row (about 200,000 times against 46).
+func TestReadCSVQuotedHeaderFastPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads a 100k-row file four times")
+	}
+	const n, d = 100000, 14
+	var body bytes.Buffer
+	for i := 0; i < n; i++ {
+		for j := 0; j < d; j++ {
+			if j > 0 {
+				body.WriteByte(',')
+			}
+			fmt.Fprintf(&body, "%.6f", float64((i*31+j*17)%1000)/1000)
+		}
+		body.WriteByte('\n')
+	}
+	var plain, quoted bytes.Buffer
+	for j := 0; j < d; j++ {
+		if j > 0 {
+			plain.WriteByte(',')
+			quoted.WriteByte(',')
+		}
+		fmt.Fprintf(&plain, "a%d", j)
+		fmt.Fprintf(&quoted, "%q", fmt.Sprintf("a%d", j))
+	}
+	plain.WriteString("\n" + body.String())
+	quoted.WriteString("\n" + body.String())
+	read := func(b []byte) (*Dataset, float64) {
+		var ds *Dataset
+		allocs := testing.AllocsPerRun(1, func() {
+			var err error
+			if ds, err = ReadCSV(bytes.NewReader(b), true); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return ds, allocs
+	}
+	want, plainAllocs := read(plain.Bytes())
+	got, quotedAllocs := read(quoted.Bytes())
+	if !reflect.DeepEqual(got.Names, want.Names) || got.Dims != want.Dims || !reflect.DeepEqual(got.Points, want.Points) {
+		t.Fatalf("quoted header read (%d rows, names %q), plain header (%d rows, names %q)", got.Len(), got.Names, want.Len(), want.Names)
+	}
+	if quotedAllocs > plainAllocs+32 {
+		t.Fatalf("quoted header: %.0f allocations, plain header %.0f: the data rows left the fast path", quotedAllocs, plainAllocs)
+	}
+	t.Logf("allocations: plain header %.0f, quoted header %.0f", plainAllocs, quotedAllocs)
+}

@@ -181,7 +181,7 @@ func (s *Server) answerQuery(w http.ResponseWriter, p []float64) {
 		writeError(w, http.StatusServiceUnavailable, "query: no published clustering view yet (ingest data and wait one re-cluster pass)")
 		return
 	}
-	id := v.classify(np)
+	id := v.labeler.Label(np)
 	s.counters.AddQuery(id != core.Noise)
 	resp := queryResponse{
 		Cluster:    id,

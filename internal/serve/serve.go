@@ -223,28 +223,11 @@ type view struct {
 	points    int    // η the view was clustered from
 	treeBytes uint64 // footprint of what the pass held: its active clone and the level index
 	res       *core.Result
-	betaOwner []int // β-cluster index -> correlation cluster ID
-}
-
-// classify returns the cluster ID owning the first β-cluster box that
-// contains the normalized point, or core.Noise — exactly the rule the
-// pipeline's labeling phase applies, so a query answers what a run
-// labeling the window's points would have labeled the point.
-func (v *view) classify(p []float64) int {
-	for bi := range v.res.Betas {
-		b := &v.res.Betas[bi]
-		inside := true
-		for j, x := range p {
-			if x < b.L[j] || x > b.U[j] {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			return v.betaOwner[bi]
-		}
-	}
-	return core.Noise
+	// labeler classifies queries by res's β-clusters: it is the
+	// pipeline's own labeler (core.Labeler), built once at publish, so
+	// a query answers what a run labeling the window's points would
+	// have labeled the point.
+	labeler *core.Labeler
 }
 
 // Server is the streaming clustering service. Create one with New,
@@ -656,12 +639,6 @@ func (s *Server) recluster(ctx context.Context) error {
 		s.counters.AddRecluster(false)
 		return err
 	}
-	owner := make([]int, len(res.Betas))
-	for _, c := range res.Clusters {
-		for _, b := range c.Betas {
-			owner[b] = c.ID
-		}
-	}
 	v := &view{
 		seq:     s.seq.Add(1),
 		builtAt: time.Now(),
@@ -670,7 +647,7 @@ func (s *Server) recluster(ctx context.Context) error {
 		// is the server's, held between passes, not the pass's.
 		treeBytes: res.TreeMemoryBytes - agingBytes,
 		res:       res,
-		betaOwner: owner,
+		labeler:   core.NewLabeler(res.Betas, res.Clusters, s.cfg.Dims),
 	}
 	s.cur.Store(v)
 	s.counters.AddRecluster(true)

@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"mrcc/internal/core"
 	"mrcc/internal/ctree"
 	"mrcc/internal/dataset"
 	"mrcc/internal/treeio"
@@ -159,5 +162,95 @@ func TestViewTreeBytesIsThePass(t *testing.T) {
 	}
 	if got := s.cur.Load().treeBytes; got != want {
 		t.Fatalf("view.treeBytes = %d, want the active clone plus the index: %d", got, want)
+	}
+}
+
+// TestQueryLabelMatchesFloatTest pins that /query answers by the batch
+// labeling rule: on a settled rotated window, the published view's
+// labeler returns the owner of the first β-cluster box containing the
+// point, by the float test, for random points, for points on multiples
+// of 2^-h at every stored level h, and for coordinates at 1 − 1e−9.
+func TestQueryLabelMatchesFloatTest(t *testing.T) {
+	cfg := testConfig()
+	cfg.Min, cfg.Max = nil, nil
+	cfg.WindowPoints = 150
+	s := newTestServer(t, cfg)
+	for i, b := range windowBatches(streamRows(1, 400, 79), 55) {
+		ingestBatches(t, s, [][][]float64{b})
+		if i%3 == 2 {
+			if err := s.recluster(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.recluster(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s.aging == nil {
+		t.Fatal("the window never rotated")
+	}
+	v := s.cur.Load()
+	if v == nil || len(v.res.Betas) == 0 {
+		t.Fatal("no view with β-clusters was published")
+	}
+	owner := make([]int, len(v.res.Betas))
+	for _, c := range v.res.Clusters {
+		for _, b := range c.Betas {
+			owner[b] = c.ID
+		}
+	}
+	want := func(p []float64) int {
+		for b, bt := range v.res.Betas {
+			inside := true
+			for j, x := range p {
+				if x < bt.L[j] || x > bt.U[j] {
+					inside = false
+					break
+				}
+			}
+			if inside {
+				return owner[b]
+			}
+		}
+		return core.Noise
+	}
+	rng := rand.New(rand.NewSource(83))
+	var pts [][]float64
+	for i := 0; i < 2000; i++ {
+		p := make([]float64, cfg.Dims)
+		for j := range p {
+			p[j] = rng.Float64()
+		}
+		pts = append(pts, p)
+	}
+	for h := 1; h <= s.cfg.H-1; h++ {
+		cells := 1 << h
+		for i := 0; i < 500; i++ {
+			p := make([]float64, cfg.Dims)
+			for j := range p {
+				p[j] = float64(rng.Intn(cells+1)) / float64(cells)
+			}
+			pts = append(pts, p)
+		}
+	}
+	for j := 0; j < cfg.Dims; j++ {
+		for _, p := range pts[:50] {
+			q := slices.Clone(p)
+			q[j] = 1 - 1e-9
+			pts = append(pts, q)
+		}
+	}
+	hits := 0
+	for i, p := range pts {
+		got, exp := v.labeler.Label(p), want(p)
+		if got != exp {
+			t.Fatalf("point %d %v: label %d, float test %d", i, p, got, exp)
+		}
+		if got != core.Noise {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no probe landed in a cluster: the check compared Noise with Noise")
 	}
 }

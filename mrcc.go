@@ -227,10 +227,11 @@ func normalized(ctx context.Context, ds *Dataset, cfg Config) (work *Dataset, no
 			err = &PipelineError{Phase: obs.PhaseNormalize.String(), Err: panics.New(r)}
 		}
 	}()
-	if err := ds.Validate(); err != nil {
+	unit, err := ds.Check()
+	if err != nil {
 		return nil, norm, err
 	}
-	if ds.IsNormalized() {
+	if unit {
 		return ds, norm, nil
 	}
 	cause := fault.Inject(fault.Normalize)

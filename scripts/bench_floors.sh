@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Throughput floors for the layers behind the paper's linear-in-η
-# claim: tree build, β-search, WAL append, the service window's union
-# level index and sharded build. Each row
+# claim: tree build, β-search, labeling, WAL append, the service
+# window's union level index and sharded build. Each row
 # of the table below names a package, a go test benchmark, one metric
 # that benchmark reports, and the floor that metric must reach. Every
 # benchmark runs once with -count 3; a floor holds when the best
@@ -22,8 +22,9 @@ cd "$(dirname "$0")/.."
 
 # package          benchmark                          metric    floor
 floors='
-./internal/ctree   BenchmarkTreeBuild                 points/s  1840000
+./internal/ctree   BenchmarkTreeBuild                 points/s  1960000
 ./internal/core    BenchmarkBetaSearch                points/s  380000
+./internal/core    BenchmarkLabelPoints               points/s  14500000
 ./internal/wal     BenchmarkWALAppend                 points/s  580000
 ./internal/ctree   BenchmarkEnsureLevelIndexes/union  points/s  3600000
 ./internal/shard   BenchmarkShardBuild                speedup   1.3
