@@ -97,6 +97,23 @@ func BenchmarkFig4H(b *testing.B) {
 	}
 }
 
+// strideSample caps ds and gt at n points by deterministic stride
+// sampling, the cap the experiments harness puts on HARP.
+func strideSample(ds *dataset.Dataset, gt *synthetic.GroundTruth, n int) (*dataset.Dataset, *synthetic.GroundTruth) {
+	if ds.Len() <= n {
+		return ds, gt
+	}
+	out := dataset.New(ds.Dims, n)
+	labels := make([]int, 0, n)
+	stride := float64(ds.Len()) / float64(n)
+	for i := 0; i < n; i++ {
+		idx := int(float64(i) * stride)
+		out.Append(ds.Points[idx])
+		labels = append(labels, gt.Labels[idx])
+	}
+	return out, &synthetic.GroundTruth{Labels: labels, Relevant: gt.Relevant}
+}
+
 // benchCompareGroup runs every method once per iteration on the named
 // (scaled) dataset — the engine behind the Figure 5 comparisons. HARP
 // runs on a subsample, exactly as in the harness, or its quadratic cost
@@ -110,7 +127,7 @@ func benchCompareGroup(b *testing.B, names []string) {
 			method := m
 			runDS, runGT := ds, gt
 			if m.Name == "HARP" {
-				runDS, runGT, _ = experiments.Subsample(ds, gt, opt.HarpCap)
+				runDS, runGT = strideSample(ds, gt, opt.HarpCap)
 			}
 			b.Run(name+"/"+m.Name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

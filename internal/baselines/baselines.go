@@ -23,14 +23,3 @@ type Result struct {
 	// like LAC, that soft-weight axes instead of selecting them.
 	Weights [][]float64
 }
-
-// NumClusters returns the number of clusters in the result.
-func (r *Result) NumClusters() int {
-	n := 0
-	for _, l := range r.Labels {
-		if l != Noise && l+1 > n {
-			n = l + 1
-		}
-	}
-	return n
-}

@@ -1,14 +1,21 @@
-package baselines
+package baselines_test
 
-import "testing"
+import (
+	"testing"
 
+	"mrcc/internal/baselines"
+	"mrcc/internal/baselines/testutil"
+)
+
+// TestResultNumClusters pins the cluster count the baselines' suites
+// read from a result's labels (testutil.NumClusters).
 func TestResultNumClusters(t *testing.T) {
-	r := &Result{Labels: []int{Noise, 0, 3, 1}}
-	if got := r.NumClusters(); got != 4 {
+	r := &baselines.Result{Labels: []int{baselines.Noise, 0, 3, 1}}
+	if got := testutil.NumClusters(r); got != 4 {
 		t.Errorf("NumClusters = %d, want 4", got)
 	}
-	empty := &Result{Labels: []int{Noise, Noise}}
-	if got := empty.NumClusters(); got != 0 {
+	empty := &baselines.Result{Labels: []int{baselines.Noise, baselines.Noise}}
+	if got := testutil.NumClusters(empty); got != 0 {
 		t.Errorf("NumClusters = %d, want 0", got)
 	}
 }

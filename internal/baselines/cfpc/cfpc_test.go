@@ -16,8 +16,8 @@ func TestRunRecoversClusters(t *testing.T) {
 	}
 	rep := testutil.Score(t, res, gt)
 	t.Logf("CFPC quality=%.3f subspaces=%.3f clusters=%d",
-		rep.Quality, rep.SubspacesQuality, res.NumClusters())
-	if res.NumClusters() == 0 {
+		rep.Quality, rep.SubspacesQuality, testutil.NumClusters(res))
+	if testutil.NumClusters(res) == 0 {
 		t.Fatal("CFPC found no clusters")
 	}
 	if rep.Quality < 0.5 {
@@ -31,8 +31,8 @@ func TestRunRespectsMaxClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumClusters() > 2 {
-		t.Errorf("found %d clusters, allowed 2", res.NumClusters())
+	if testutil.NumClusters(res) > 2 {
+		t.Errorf("found %d clusters, allowed 2", testutil.NumClusters(res))
 	}
 }
 

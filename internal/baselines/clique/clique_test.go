@@ -16,8 +16,8 @@ func TestRunRecoversClusters(t *testing.T) {
 	}
 	rep := testutil.Score(t, res, gt)
 	t.Logf("CLIQUE quality=%.3f subspaces=%.3f clusters=%d",
-		rep.Quality, rep.SubspacesQuality, res.NumClusters())
-	if res.NumClusters() == 0 {
+		rep.Quality, rep.SubspacesQuality, testutil.NumClusters(res))
+	if testutil.NumClusters(res) == 0 {
 		t.Fatal("CLIQUE found no clusters")
 	}
 	if rep.Quality < 0.6 {
@@ -56,8 +56,8 @@ func TestRunHighThresholdFindsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumClusters() != 0 {
-		t.Errorf("Tau=0.99 still found %d clusters", res.NumClusters())
+	if testutil.NumClusters(res) != 0 {
+		t.Errorf("Tau=0.99 still found %d clusters", testutil.NumClusters(res))
 	}
 }
 
@@ -67,7 +67,7 @@ func TestRunReportsSubspaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Relevant) != res.NumClusters() {
-		t.Fatalf("relevance rows %d != clusters %d", len(res.Relevant), res.NumClusters())
+	if len(res.Relevant) != testutil.NumClusters(res) {
+		t.Fatalf("relevance rows %d != clusters %d", len(res.Relevant), testutil.NumClusters(res))
 	}
 }

@@ -16,12 +16,12 @@ func TestRunRecoversClusters(t *testing.T) {
 	}
 	rep := testutil.Score(t, res, gt)
 	t.Logf("EPCH quality=%.3f subspaces=%.3f clusters=%d",
-		rep.Quality, rep.SubspacesQuality, res.NumClusters())
+		rep.Quality, rep.SubspacesQuality, testutil.NumClusters(res))
 	if rep.Quality < 0.5 {
 		t.Errorf("Quality = %.3f, want >= 0.5", rep.Quality)
 	}
-	if res.NumClusters() > 3 {
-		t.Errorf("found %d clusters, allowed at most 3", res.NumClusters())
+	if testutil.NumClusters(res) > 3 {
+		t.Errorf("found %d clusters, allowed at most 3", testutil.NumClusters(res))
 	}
 }
 
@@ -32,8 +32,8 @@ func TestRun2DHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := testutil.Score(t, res, gt)
-	t.Logf("EPCH-2d quality=%.3f clusters=%d", rep.Quality, res.NumClusters())
-	if res.NumClusters() == 0 {
+	t.Logf("EPCH-2d quality=%.3f clusters=%d", rep.Quality, testutil.NumClusters(res))
+	if testutil.NumClusters(res) == 0 {
 		t.Error("2-d histograms found nothing")
 	}
 }
@@ -44,8 +44,8 @@ func TestRunReportsSubspaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Relevant) != res.NumClusters() {
-		t.Fatalf("relevance rows %d != clusters %d", len(res.Relevant), res.NumClusters())
+	if len(res.Relevant) != testutil.NumClusters(res) {
+		t.Fatalf("relevance rows %d != clusters %d", len(res.Relevant), testutil.NumClusters(res))
 	}
 	for k, rel := range res.Relevant {
 		any := false

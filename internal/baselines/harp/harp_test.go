@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mrcc/internal/baselines/harp"
+	"mrcc/internal/baselines/testutil"
 	"mrcc/internal/dataset"
 	"mrcc/internal/eval"
 	"mrcc/internal/synthetic"
@@ -36,8 +37,8 @@ func TestRunRecoversClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("HARP quality=%.3f subspaces=%.3f clusters=%d",
-		rep.Quality, rep.SubspacesQuality, res.NumClusters())
-	if res.NumClusters() == 0 {
+		rep.Quality, rep.SubspacesQuality, testutil.NumClusters(res))
+	if testutil.NumClusters(res) == 0 {
 		t.Fatal("HARP found no clusters")
 	}
 	if rep.Quality < 0.4 {
@@ -94,7 +95,7 @@ func TestRunReachesTargetK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.NumClusters(); got != 3 {
+	if got := testutil.NumClusters(res); got != 3 {
 		t.Errorf("final clusters = %d, want 3", got)
 	}
 }

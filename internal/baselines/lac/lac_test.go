@@ -15,12 +15,12 @@ func TestRunRecoversClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := testutil.Score(t, res, gt)
-	t.Logf("LAC quality=%.3f clusters=%d", rep.Quality, res.NumClusters())
+	t.Logf("LAC quality=%.3f clusters=%d", rep.Quality, testutil.NumClusters(res))
 	if rep.Quality < 0.6 {
 		t.Errorf("Quality = %.3f, want >= 0.6", rep.Quality)
 	}
-	if res.NumClusters() != 3 {
-		t.Errorf("found %d clusters, want 3", res.NumClusters())
+	if testutil.NumClusters(res) != 3 {
+		t.Errorf("found %d clusters, want 3", testutil.NumClusters(res))
 	}
 }
 

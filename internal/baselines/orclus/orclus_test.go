@@ -17,9 +17,9 @@ func TestRunRecoversClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := testutil.Score(t, res, gt)
-	t.Logf("ORCLUS quality=%.3f clusters=%d", rep.Quality, res.NumClusters())
-	if res.NumClusters() != 3 {
-		t.Errorf("found %d clusters, want 3", res.NumClusters())
+	t.Logf("ORCLUS quality=%.3f clusters=%d", rep.Quality, testutil.NumClusters(res))
+	if testutil.NumClusters(res) != 3 {
+		t.Errorf("found %d clusters, want 3", testutil.NumClusters(res))
 	}
 	if rep.Quality < 0.5 {
 		t.Errorf("Quality = %.3f, want >= 0.5", rep.Quality)

@@ -16,8 +16,8 @@ func TestRunRecoversClusters(t *testing.T) {
 	}
 	rep := testutil.Score(t, res, gt)
 	t.Logf("P3C quality=%.3f subspaces=%.3f clusters=%d",
-		rep.Quality, rep.SubspacesQuality, res.NumClusters())
-	if res.NumClusters() == 0 {
+		rep.Quality, rep.SubspacesQuality, testutil.NumClusters(res))
+	if testutil.NumClusters(res) == 0 {
 		t.Fatal("P3C found no clusters")
 	}
 	if rep.Quality < 0.4 {
@@ -31,8 +31,8 @@ func TestRunReportsSubspaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Relevant) != res.NumClusters() {
-		t.Fatalf("relevance rows %d != clusters %d", len(res.Relevant), res.NumClusters())
+	if len(res.Relevant) != testutil.NumClusters(res) {
+		t.Fatalf("relevance rows %d != clusters %d", len(res.Relevant), testutil.NumClusters(res))
 	}
 	for k, rel := range res.Relevant {
 		n := 0

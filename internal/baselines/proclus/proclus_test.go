@@ -16,7 +16,7 @@ func TestRunRecoversClusters(t *testing.T) {
 	}
 	rep := testutil.Score(t, res, gt)
 	t.Logf("PROCLUS quality=%.3f subspaces=%.3f clusters=%d",
-		rep.Quality, rep.SubspacesQuality, res.NumClusters())
+		rep.Quality, rep.SubspacesQuality, testutil.NumClusters(res))
 	if rep.Quality < 0.5 {
 		t.Errorf("Quality = %.3f, want >= 0.5", rep.Quality)
 	}

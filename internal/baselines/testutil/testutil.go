@@ -39,3 +39,15 @@ func Score(t testing.TB, res *baselines.Result, gt *synthetic.GroundTruth) eval.
 	}
 	return rep
 }
+
+// NumClusters returns the number of clusters a baseline result labels
+// points into: one more than its largest cluster label.
+func NumClusters(res *baselines.Result) int {
+	n := 0
+	for _, l := range res.Labels {
+		if l != baselines.Noise && l+1 > n {
+			n = l + 1
+		}
+	}
+	return n
+}

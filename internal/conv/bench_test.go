@@ -1,17 +1,22 @@
 package conv
 
-import "testing"
+import (
+	"testing"
+
+	"mrcc/internal/ctree"
+)
 
 // BenchmarkFaceValue measures the O(d) face-only mask application over
 // an entire tree level — the paper's key cost argument vs the full
 // O(3^d) mask.
 func BenchmarkFaceValue(b *testing.B) {
 	tr, _ := buildTree(b, 10, 20000, 1, 4)
-	ix := tr.LevelIndex(2)
+	ix := tr.EnsureLevelIndexes()[1]
+	buf := make(ctree.Path, 0, ix.Level)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := i % ix.Len()
-		FaceValue(ix, ix.PathOf(e), e)
+		FaceValueScratch(ix, ix.PathOf(e), e, buf)
 	}
 }
 
@@ -19,7 +24,7 @@ func BenchmarkFaceValue(b *testing.B) {
 // it is still tractable, for the A-mask ablation comparison.
 func BenchmarkFullValue(b *testing.B) {
 	tr, _ := buildTree(b, 6, 5000, 1, 4)
-	ix := tr.LevelIndex(2)
+	ix := tr.EnsureLevelIndexes()[1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := i % ix.Len()

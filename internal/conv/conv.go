@@ -12,18 +12,16 @@ package conv
 
 import "mrcc/internal/ctree"
 
-// FaceValue returns the face-only Laplacian convolution value for entry
-// i of the level index ix, whose path is p:
+// FaceValueScratch returns the face-only Laplacian convolution value
+// for entry i of the level index ix, whose path is p:
 // 2d·n(c) − Σ_j [n(lower_j) + n(upper_j)], where absent neighbors
-// contribute zero.
-func FaceValue(ix *ctree.LevelIndex, p ctree.Path, i int) int64 {
-	return FaceValueScratch(ix, p, i, make(ctree.Path, 0, p.Level()))
-}
-
-// FaceValueScratch is FaceValue with caller-owned path scratch (grown
-// as needed), so the naive convolution scan — which applies the mask
-// once per eligible cell per pass — allocates nothing per evaluation.
-// buf must not alias p; each scan worker owns its own scratch.
+// contribute zero. It finds each neighbor by a path lookup, writing the
+// neighbor paths into buf (grown as needed; nil is fine), so the naive
+// convolution scan — which applies the mask once per eligible cell per
+// pass — allocates nothing per evaluation. buf must not alias p; each
+// scan worker owns its own scratch. The β-search reads the same values
+// from the level index's face sums (ctree.LevelIndex.FaceSum); this
+// lookup form is the oracle conv's and core's suites pin them against.
 func FaceValueScratch(ix *ctree.LevelIndex, p ctree.Path, i int, buf ctree.Path) int64 {
 	d := ix.D
 	v := int64(2*d) * int64(ix.N(i))

@@ -53,7 +53,7 @@ func naiveFaceValue(t *ctree.Tree, ds *dataset.Dataset, p ctree.Path) int64 {
 	v := int64(2*d) * countIn(p)
 	for j := 0; j < d; j++ {
 		for _, upper := range [2]bool{false, true} {
-			if np, ok := p.Neighbor(j, upper); ok {
+			if np, ok := p.NeighborInto(nil, j, upper); ok {
 				v -= countIn(np)
 			}
 		}
@@ -64,10 +64,10 @@ func naiveFaceValue(t *ctree.Tree, ds *dataset.Dataset, p ctree.Path) int64 {
 func TestFaceValueMatchesBruteForce(t *testing.T) {
 	tr, ds := buildTree(t, 3, 300, 5, 4)
 	for h := 2; h <= 3; h++ {
-		ix := tr.LevelIndex(h)
+		ix := tr.EnsureLevelIndexes()[h-1]
 		for i := 0; i < ix.Len(); i++ {
 			p := ix.PathOf(i)
-			got := FaceValue(ix, p, i)
+			got := FaceValueScratch(ix, p, i, nil)
 			want := naiveFaceValue(tr, ds, p)
 			if got != want {
 				t.Fatalf("level %d cell %v: FaceValue=%d brute=%d", h, p, got, want)
@@ -91,11 +91,11 @@ func TestFaceValueIsolatedCellIsPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	ix := tr.LevelIndex(2)
+	ix := tr.EnsureLevelIndexes()[1]
 	for i := 0; i < ix.Len(); i++ {
 		if ix.N(i) == 50 {
 			found = true
-			if v := FaceValue(ix, ix.PathOf(i), i); v != int64(2*2*50) {
+			if v := FaceValueScratch(ix, ix.PathOf(i), i, nil); v != int64(2*2*50) {
 				t.Errorf("isolated cell value = %d, want %d", v, 2*2*50)
 			}
 		}
@@ -122,10 +122,10 @@ func TestFullValueMatchesFaceOnSparseDiagonal(t *testing.T) {
 		t.Fatal(err)
 	}
 	diff := false
-	ix := tr.LevelIndex(3)
+	ix := tr.EnsureLevelIndexes()[2]
 	for i := 0; i < ix.Len(); i++ {
 		p := ix.PathOf(i)
-		fv := FaceValue(ix, p, i)
+		fv := FaceValueScratch(ix, p, i, nil)
 		uv := FullValue(ix, p, i)
 		// FullValue subtracts corner neighbors too, so on the diagonal
 		// it must be strictly smaller than the face-only response minus
@@ -188,7 +188,7 @@ func TestFullValueBruteForce2D(t *testing.T) {
 		}
 		return v
 	}
-	ix := tr.LevelIndex(2)
+	ix := tr.EnsureLevelIndexes()[1]
 	for i := 0; i < ix.Len(); i++ {
 		p := ix.PathOf(i)
 		got := FullValue(ix, p, i)
@@ -202,11 +202,11 @@ func TestFullValueBruteForce2D(t *testing.T) {
 func TestFaceNeighborCountsMatchLookups(t *testing.T) {
 	tr, _ := buildTree(t, 3, 400, 21, 4)
 	tr.WalkLevel(2, func(p ctree.Path, c ctree.Ref) {
-		lower, upper := FaceNeighborCounts(tr.LevelIndex(2), p)
+		lower, upper := FaceNeighborCounts(tr.EnsureLevelIndexes()[1], p)
 		for j := 0; j < tr.D; j++ {
 			for _, up := range [2]bool{false, true} {
 				var want int32
-				if np, ok := p.Neighbor(j, up); ok {
+				if np, ok := p.NeighborInto(nil, j, up); ok {
 					if nc := tr.CellAt(np); nc != ctree.NilRef {
 						want = tr.N(nc)
 					}
@@ -471,7 +471,7 @@ func TestFullValueMatchesOffsetOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for h := 1; h <= H-1; h++ {
-				ix := tr.LevelIndex(h)
+				ix := tr.EnsureLevelIndexes()[h-1]
 				for i := 0; i < ix.Len(); i++ {
 					p := ix.PathOf(i)
 					if got, want := FullValue(ix, p, i), fullValueOffsets(tr, p, ix.Ref(i, 0)); got != want {
@@ -482,7 +482,7 @@ func TestFullValueMatchesOffsetOracle(t *testing.T) {
 			if raceEnabled {
 				continue
 			}
-			ix := tr.LevelIndex(H - 1)
+			ix := tr.EnsureLevelIndexes()[H-2]
 			if allocs := testing.AllocsPerRun(5, func() { FullValue(ix, ix.PathOf(0), 0) }); allocs != 0 {
 				t.Fatalf("d=%d H=%d: FullValue allocated %.1f times per call, want 0", d, H, allocs)
 			}

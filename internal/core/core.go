@@ -115,17 +115,11 @@ type Config struct {
 	// holding it in the Result keeps it reachable.
 	KeepTree bool
 
-	// naiveScan and noCacheRepair select the scan oracles the
-	// equivalence suites compare the default β-search against; only
-	// tests set them (export_test.go). naiveScan re-convolves every
-	// eligible cell per pass instead of reading the one-shot
-	// convolution cache; noCacheRepair makes the cached scan re-walk
-	// each level's order from the top on every restart pass instead of
-	// resuming past the permanently ineligible prefix (scancache.go).
-	// Both are pinned bit-identical to the default scan
-	// (scan_equiv_test.go).
-	naiveScan     bool
-	noCacheRepair bool
+	// scan, when set, replaces the β-search's level scan
+	// (densestCellCached) with one of the oracles the equivalence
+	// suites pin it against (scan_equiv_test.go); only tests set it
+	// (export_test.go).
+	scan func(s *searcher, h int) (ctree.Path, int, int64)
 	// fullMask and relevanceThreshold serve the ablations only (see
 	// WithFullMask and WithRelevanceThreshold); the paper's method runs
 	// with both zero.
@@ -670,29 +664,15 @@ func (s *searcher) markUsed(h, i int) {
 // the eligible (not Used, not β-overlapping) cell at level h with the
 // largest convolution value, ties broken by the lexicographically
 // smallest path so the method stays deterministic, or (nil, -1, 0) when
-// no cell is eligible. The default path reads the first eligible entry
-// of the level's (value desc, path asc) order over its cached values,
-// popped from a heap as the scan reaches it (scancache.go); the
-// naiveScan oracle re-convolves every eligible cell per pass instead,
-// by neighbor lookups, chunked across workers (parallel.go), and is
-// pinned bit-identical to the cached path by the scan-equivalence
-// suite.
+// no cell is eligible. It reads the first eligible entry of the level's
+// (value desc, path asc) order over its cached values, popped from a
+// heap as the scan reaches it (scancache.go), unless a test installed
+// an oracle scan (Config.scan).
 func (s *searcher) densestCell(h int) (ctree.Path, int, int64) {
-	if !s.cfg.naiveScan {
-		return s.densestCellCached(h)
+	if s.cfg.scan != nil {
+		return s.cfg.scan(s, h)
 	}
-	return s.densestCellNaive(h)
-}
-
-// maskValue applies the configured convolution mask to entry i of ix,
-// whose path is p, using buf as neighbor-path scratch so the face mask
-// allocates nothing. It only reads the index, so concurrent calls with
-// distinct scratch are safe.
-func (s *searcher) maskValue(ix *ctree.LevelIndex, p ctree.Path, i int, buf ctree.Path) int64 {
-	if s.cfg.fullMask {
-		return conv.FullValue(ix, p, i)
-	}
-	return conv.FaceValueScratch(ix, p, i, buf)
+	return s.densestCellCached(h)
 }
 
 // sharesSpaceWithBeta reports whether the cell at path p overlaps any
@@ -706,8 +686,8 @@ func (s *searcher) sharesSpaceWithBeta(p ctree.Path) bool {
 }
 
 // sharesSpaceWithBetaInto is sharesSpaceWithBeta writing the cell
-// bounds into caller-owned scratch, so concurrent scan workers need no
-// shared state.
+// bounds into caller-owned scratch, so the concurrent workers of the
+// naive scan oracle need no shared state.
 func (s *searcher) sharesSpaceWithBetaInto(p ctree.Path, lBuf, uBuf []float64) bool {
 	if len(s.betas) == 0 {
 		return false

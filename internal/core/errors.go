@@ -138,12 +138,6 @@ func (a *aborter) firstErr() error {
 	return a.err
 }
 
-// stoppedNow reports (with one atomic load) whether some checkpoint
-// already failed; hot loops use it to drain quickly.
-func (a *aborter) stoppedNow() bool {
-	return a != nil && a.stopped.Load()
-}
-
 // failWorker routes a contained worker failure into the run's abort
 // machinery. Without one (direct searcher construction in the internal
 // tests) the error re-panics instead, so it fails the test loudly

@@ -12,7 +12,7 @@ import (
 // cache. The scan-equivalence suites and BenchmarkBetaSearch's
 // baseline row reach it through here.
 func WithNaiveScan(cfg Config) Config {
-	cfg.naiveScan = true
+	cfg.scan = (*searcher).densestCellNaive
 	return cfg
 }
 
@@ -21,7 +21,7 @@ func WithNaiveScan(cfg Config) Config {
 // scan order from the top, the full-rebuild oracle the repair cursor
 // is pinned against.
 func WithoutCacheRepair(cfg Config) Config {
-	cfg.noCacheRepair = true
+	cfg.scan = (*searcher).densestCellRewalk
 	return cfg
 }
 

@@ -26,8 +26,9 @@ func BenchmarkLabelPoints(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One backing array in row order, as the CSV reader lays rows out:
-	// the generator's shuffled rows would time cache misses instead.
+	// One backing array in row order, as the CSV reader lays rows out.
+	// The generator returns one too; the clone keeps A/B runs on older
+	// trees, whose generator scattered its rows, timing the same layout.
 	ds = ds.Clone()
 	res, err := Run(context.Background(), Input{Dataset: ds}, Config{})
 	if err != nil {

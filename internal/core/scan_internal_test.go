@@ -296,7 +296,7 @@ func TestCacheRepairAllCellsFlipInOnePass(t *testing.T) {
 		cube.U[j] = 1
 	}
 	s.betas = append(s.betas, cube)
-	n := tr.LevelCellCount(h)
+	n := tr.EnsureLevelIndexes()[h-1].Len()
 	if _, c, _ := s.densestCellCached(h); c >= 0 {
 		t.Fatalf("level %d: found entry %d despite full-cube β-overlap", h, c)
 	}
@@ -328,7 +328,7 @@ func TestDensestCellSingleCellLevel(t *testing.T) {
 	}
 	naive, cached := newScanPair(tr, false)
 	for h := 2; h <= tr.H-1; h++ {
-		if n := tr.LevelCellCount(h); n != 1 {
+		if n := tr.EnsureLevelIndexes()[h-1].Len(); n != 1 {
 			t.Fatalf("level %d stores %d cells, want 1", h, n)
 		}
 		np, nc, nv := naive.densestCell(h)

@@ -4,8 +4,8 @@
 // restart loop of Algorithm 2 mutates only the Used flags and the
 // β-cluster overlap set, never a cell count. So instead of
 // re-convolving every cell of every level on every restart pass (the
-// naive scan, kept behind the naiveScan test hook for the equivalence
-// suite and the phase-two benchmark), the searcher computes each
+// naive scan, a test oracle kept for the equivalence suite and the
+// phase-two benchmark), the searcher computes each
 // level's values ONCE into a flat slab — trivially deterministic,
 // since the values do not depend on evaluation order — and turns every
 // densestCell call into an eligibility skip-scan: walk the level's
@@ -50,8 +50,8 @@ import (
 // again, and each restart pass resumes the skip-scan at start instead
 // of re-deriving the whole prefix's eligibility: the per-pass cost is
 // O(newly flipped cells), not O(all previously skipped cells).
-// The noCacheRepair test hook restores the full re-walk for the
-// equivalence sweep.
+// The equivalence sweep pins it against a test oracle that re-walks
+// the whole order.
 type levelScan struct {
 	ix    *ctree.LevelIndex
 	vals  []int64 // mask value per index entry
@@ -191,13 +191,10 @@ func (sc *levelScan) pop() bool {
 // argmax scan selects — or (nil, -1, 0) when every entry is Used or
 // β-overlapping. Entries leave the heap only as the walk reaches them.
 //
-// The default path resumes at the level's repair cursor and retires
-// every ineligible entry it passes (see levelScan): entries whose Used
-// flag or β-overlap status did not change since the previous pass are
-// never re-examined, so the pass costs O(changed) eligibility checks.
-// With the noCacheRepair test hook the scan re-walks the order from
-// the top — the full-rebuild baseline the equivalence sweep compares
-// against — and the cursor is neither read nor advanced.
+// The scan resumes at the level's repair cursor and retires every
+// ineligible entry it passes (see levelScan): entries whose Used flag
+// or β-overlap status did not change since the previous pass are never
+// re-examined, so the pass costs O(changed) eligibility checks.
 func (s *searcher) densestCellCached(h int) (ctree.Path, int, int64) {
 	sc, err := s.levelScan(h)
 	if err != nil {
@@ -207,11 +204,7 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, int, int64) {
 		s.failWorker(err)
 		return nil, -1, 0
 	}
-	repair := !s.cfg.noCacheRepair
 	from := int(sc.start)
-	if !repair {
-		from = 0
-	}
 	var skips int64
 	for pos := from; pos < len(sc.order) || sc.pop(); pos++ {
 		idx := int(sc.order[pos])
@@ -220,14 +213,14 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, int, int64) {
 			skips++
 			continue
 		}
-		if repair && pos > from {
+		if pos > from {
 			s.col.AddCacheRepair(int64(pos - from))
 			sc.start = int32(pos)
 		}
 		s.col.AddScanProbe(skips, int64(pos-from+1))
 		return p, idx, sc.vals[idx]
 	}
-	if repair && len(sc.order) > from {
+	if len(sc.order) > from {
 		s.col.AddCacheRepair(int64(len(sc.order) - from))
 		sc.start = int32(len(sc.order))
 	}

@@ -10,6 +10,7 @@ package core
 // off-by-one cannot regress in either direction.
 
 import (
+	"math"
 	"testing"
 
 	"mrcc/internal/stats"
@@ -65,11 +66,11 @@ func TestSignificanceTailSemantics(t *testing.T) {
 		if theta < 0 || theta > n {
 			t.Fatalf("n=%d: θ = %d out of range [0, %d]", n, theta, n)
 		}
-		if sf := stats.BinomSF(n, theta+1, 1.0/6.0); sf > alpha {
+		if sf := math.Exp(stats.LogBinomSF(n, theta+1, 1.0/6.0)); sf > alpha {
 			t.Errorf("n=%d: P(X ≥ θ+1) = %g > α = %g — rejection region too liberal", n, sf, alpha)
 		}
 		if theta > 0 {
-			if sf := stats.BinomSF(n, theta, 1.0/6.0); sf <= alpha {
+			if sf := math.Exp(stats.LogBinomSF(n, theta, 1.0/6.0)); sf <= alpha {
 				t.Errorf("n=%d: P(X ≥ θ) = %g ≤ α = %g — θ not the largest uniform-consistent count",
 					n, sf, alpha)
 			}

@@ -140,27 +140,3 @@ func softmax(logs []float64) []float64 {
 	}
 	return out
 }
-
-// ClusterBounds returns the per-axis bounding box of cluster k: the
-// union of its β-cluster boxes (normalized units; irrelevant axes span
-// [0,1]).
-func (r *Result) ClusterBounds(k int) (lo, hi []float64, err error) {
-	if k < 0 || k >= len(r.Clusters) {
-		return nil, nil, fmt.Errorf("core: no cluster %d (have %d)", k, len(r.Clusters))
-	}
-	c := &r.Clusters[k]
-	if len(c.Betas) == 0 {
-		return nil, nil, fmt.Errorf("core: cluster %d has no β-clusters", k)
-	}
-	first := &r.Betas[c.Betas[0]]
-	lo = append([]float64(nil), first.L...)
-	hi = append([]float64(nil), first.U...)
-	for _, bi := range c.Betas[1:] {
-		b := &r.Betas[bi]
-		for j := range lo {
-			lo[j] = math.Min(lo[j], b.L[j])
-			hi[j] = math.Max(hi[j], b.U[j])
-		}
-	}
-	return lo, hi, nil
-}

@@ -96,42 +96,3 @@ func TestSoftMembershipsValidation(t *testing.T) {
 		t.Error("mismatched dataset accepted")
 	}
 }
-
-func TestClusterBounds(t *testing.T) {
-	ds, _ := genSmall(t, synthetic.Config{
-		Dims: 6, Points: 3000, Clusters: 2, NoiseFrac: 0.1,
-		MinClusterDim: 4, MaxClusterDim: 5, Seed: 7,
-	})
-	res, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumClusters() == 0 {
-		t.Fatal("no clusters")
-	}
-	for k := range res.Clusters {
-		lo, hi, err := res.ClusterBounds(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range lo {
-			if lo[j] < 0 || hi[j] > 1 || lo[j] > hi[j] {
-				t.Fatalf("cluster %d axis %d: bad bounds [%g, %g]", k, j, lo[j], hi[j])
-			}
-		}
-		// Every member point must fall inside the box.
-		for i, lb := range res.Labels {
-			if lb != k {
-				continue
-			}
-			for j, v := range ds.Points[i] {
-				if v < lo[j] || v > hi[j] {
-					t.Fatalf("cluster %d member %d outside bounds on axis %d", k, i, j)
-				}
-			}
-		}
-	}
-	if _, _, err := res.ClusterBounds(99); err == nil {
-		t.Error("out-of-range cluster accepted")
-	}
-}

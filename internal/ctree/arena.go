@@ -8,8 +8,8 @@
 // half-space slab holding every cell's d int32 counters at stride d.
 // The capacity is ArenaCapFor(rows), the smallest power-of-two multiple
 // of 64 rows that holds the cells: Build and Union count their cells
-// first and allocate it once, while Insert and InsertBatch double it as
-// they go. Cells are addressed by int32 arena offsets (Ref), so
+// first and allocate it once, while InsertBatch doubles it as it
+// goes. Cells are addressed by int32 arena offsets (Ref), so
 // insert, merge and the level-index build walk flat arrays instead of
 // chasing pointers across the heap, the GC sees a constant number of
 // objects regardless of η, and the memory accounting is an exact O(1)
@@ -129,8 +129,7 @@ type Tree struct {
 
 	// idxMu guards the lazily built level indexes (levelindex.go);
 	// indexes[h-1] is the flat snapshot of level h, nil until
-	// EnsureLevelIndexes runs, invalidated by Insert, InsertBatch and
-	// MergeFrom.
+	// EnsureLevelIndexes runs, invalidated by InsertBatch and MergeFrom.
 	idxMu   sync.Mutex
 	indexes []*LevelIndex
 }
@@ -380,10 +379,6 @@ func (t *Tree) tabPut(tab []Ref, r Ref) {
 // N returns the point count of the cell at r.
 func (t *Tree) N(r Ref) int32 { return t.n[r] }
 
-// Loc returns the cell's position relative to its parent: bit j set
-// means the cell sits in the upper half of axis j.
-func (t *Tree) Loc(r Ref) uint64 { return t.loc[r] }
-
 // P returns the cell's half-space count along axis j: the number of
 // its points in the lower half of axis j (at the next level's
 // granularity).
@@ -402,20 +397,6 @@ func (t *Tree) Used(r Ref) bool { return t.used[r] }
 // SetUsed sets the cell's usedCell flag. The clustering phase marks
 // the winning cell of each scan pass this way.
 func (t *Tree) SetUsed(r Ref, used bool) { t.used[r] = used }
-
-// Level returns the tree level of the cell at r (1..H-1).
-func (t *Tree) Level(r Ref) int { return int(t.level[r]) }
-
-// ChildCount returns the number of children of the cell at r.
-func (t *Tree) ChildCount(r Ref) int { return int(t.childCount[r]) }
-
-// ForEachChild visits the cell's children in chain order: ascending by
-// Loc in a canonical tree, first-touch order in one grown by InsertBatch.
-func (t *Tree) ForEachChild(r Ref, fn func(child Ref)) {
-	for c := t.firstChild[r]; c >= 0; c = t.nextSib[c] {
-		fn(c)
-	}
-}
 
 // CellCount returns the number of stored cells across all levels (the
 // root sentinel is not a cell).

@@ -184,12 +184,12 @@ func TestWideFanOutUsesChildTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.LevelCellCount(1); got != 1<<d {
+	if got := tr.levelCellCountsWalk()[1]; got != 1<<d {
 		t.Fatalf("level 1 stores %d cells, want the full fan-out %d", got, 1<<d)
 	}
 	wide := false
 	tr.WalkLevel(1, func(p Path, c Ref) {
-		if tr.ChildCount(c) > inlineChildren {
+		if tr.childCount[c] > inlineChildren {
 			wide = true
 		}
 	})

@@ -35,7 +35,7 @@ const MaxLevels = 60
 // memory trade-off: the tree stores d+1 counters per non-empty cell
 // across H-1 levels), so counting more than 2^31-1 points — by
 // inserting or by merging shards whose totals sum past it — would
-// silently wrap the counts. Insert and Union refuse instead;
+// silently wrap the counts. InsertBatch and Union refuse instead;
 // datasets beyond this size must be sharded into separate trees.
 const MaxPoints = math.MaxInt32
 
@@ -71,16 +71,12 @@ func (p Path) Bounds(j int) (lo, hi float64) {
 	return c * side, (c + 1) * side
 }
 
-// Neighbor returns the path of the face neighbor along axis j (upper
-// side when upper is true). ok is false when the neighbor would fall
-// outside the unit cube. The receiver is not modified.
-func (p Path) Neighbor(j int, upper bool) (Path, bool) {
-	return p.NeighborInto(nil, j, upper)
-}
-
-// NeighborInto is Neighbor writing into dst (grown as needed), letting
-// hot loops — the convolution visits 2d neighbors per cell — avoid an
-// allocation per lookup. dst must not alias p.
+// NeighborInto returns the path of the face neighbor along axis j
+// (upper side when upper is true), written into dst (grown as needed)
+// so that hot loops — the convolution visits 2d neighbors per cell —
+// avoid an allocation per lookup. ok is false when the neighbor would
+// fall outside the unit cube. The receiver is not modified, and dst
+// must not alias it.
 func (p Path) NeighborInto(dst Path, j int, upper bool) (Path, bool) {
 	h := p.Level()
 	c := p.Coord(j)
@@ -183,19 +179,4 @@ func (t *Tree) WalkLevel(h int, fn func(p Path, r Ref)) {
 		depth++
 		stack[depth] = t.firstChild[r]
 	}
-}
-
-// LevelCellCount returns the number of stored cells at level h, in one
-// O(cells) pass over the arena's level column.
-func (t *Tree) LevelCellCount(h int) int {
-	if h < 1 || h > t.H-1 {
-		return 0
-	}
-	n := 0
-	for i := 1; i < len(t.level); i++ {
-		if int(t.level[i]) == h {
-			n++
-		}
-	}
-	return n
 }

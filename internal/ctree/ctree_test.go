@@ -90,11 +90,13 @@ func TestChildCountsSumToParent(t *testing.T) {
 	}
 	for h := 1; h <= tr.H-2; h++ {
 		tr.WalkLevel(h, func(p Path, r Ref) {
-			if tr.ChildCount(r) == 0 {
+			if tr.childCount[r] == 0 {
 				t.Fatalf("level %d cell has no children despite not being the deepest level", h)
 			}
 			sum := 0
-			tr.ForEachChild(r, func(ch Ref) { sum += int(tr.N(ch)) })
+			for ch := tr.firstChild[r]; ch >= 0; ch = tr.nextSib[ch] {
+				sum += int(tr.N(ch))
+			}
 			if sum != int(tr.N(r)) {
 				t.Errorf("level %d cell: children sum %d != parent %d", h, sum, tr.N(r))
 			}
@@ -191,7 +193,7 @@ func TestPathNeighborGeometry(t *testing.T) {
 			p[i] = uint64(l) & ((1 << uint(d)) - 1)
 		}
 		for _, upper := range []bool{false, true} {
-			np, ok := p.Neighbor(j, upper)
+			np, ok := p.NeighborInto(nil, j, upper)
 			if !ok {
 				continue
 			}
@@ -217,14 +219,14 @@ func TestPathNeighborGeometry(t *testing.T) {
 
 func TestPathNeighborAtBorders(t *testing.T) {
 	p := Path{0, 0} // coordinate 0 on every axis at level 2
-	if _, ok := p.Neighbor(0, false); ok {
+	if _, ok := p.NeighborInto(nil, 0, false); ok {
 		t.Error("lower neighbor at coordinate 0 should not exist")
 	}
 	top := Path{1, 1} // coordinate 3 (max at level 2) on axis 0
-	if _, ok := top.Neighbor(0, true); ok {
+	if _, ok := top.NeighborInto(nil, 0, true); ok {
 		t.Error("upper neighbor at the space border should not exist")
 	}
-	if np, ok := top.Neighbor(0, false); !ok || np.Coord(0) != 2 {
+	if np, ok := top.NeighborInto(nil, 0, false); !ok || np.Coord(0) != 2 {
 		t.Error("lower neighbor of coordinate 3 should be 2")
 	}
 }
@@ -298,7 +300,7 @@ func TestLevelCellCountBounds(t *testing.T) {
 	ds := uniformDataset(t, 5, 1000, 37)
 	tr, _ := Build(ds, 4, BuildOptions{})
 	for h := 1; h <= 3; h++ {
-		n := tr.LevelCellCount(h)
+		n := tr.levelCellCountsWalk()[h]
 		if n < 1 || n > ds.Len() {
 			t.Errorf("level %d has %d cells, want within [1, %d]", h, n, ds.Len())
 		}

@@ -23,7 +23,7 @@ func LevelIndexesWithLinks(srcs ...*Tree) []*LevelIndex {
 }
 
 // UpperLink returns the entry index of entry i's upper face neighbor
-// along axis j — the stored cell at ix.PathOf(i).Neighbor(j, true) — or
+// along axis j — the stored cell at ix.PathOf(i).NeighborInto(nil, j, true) — or
 // -1 when that neighbor falls outside the unit cube or is not stored.
 // ix must come from LevelIndexesWithLinks.
 func UpperLink(ix *LevelIndex, i, j int) int {

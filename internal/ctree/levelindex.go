@@ -31,7 +31,7 @@
 // Moore's multi-tree methods, rather than combined first.
 // Tree.EnsureLevelIndexes is the one-tree case, cached on the tree; it
 // stays valid for as long as the tree's cell set does not change
-// (Insert, InsertBatch and MergeFrom invalidate it). An index reads its
+// (InsertBatch and MergeFrom invalidate it). An index reads its
 // sources' half-space counters, so mutating a source concurrently with
 // index access is not supported (the pipeline never does: indexes are
 // built before the scan workers fan out, and scan workers only read).
@@ -609,7 +609,7 @@ func (ix *LevelIndex) mergeLinks(locs []uint64, lo, hi, blo, bhi, j int, set boo
 
 // EnsureLevelIndexes materializes the level indexes of t alone for
 // every stored level (1..H-1) and returns them (indexes[h-1] is level
-// h). The call is idempotent and cheap after the first build; Insert,
+// h). The call is idempotent and cheap after the first build;
 // InsertBatch and MergeFrom invalidate the cache, and ResetUsed clears
 // its usedCell flags. Concurrent calls are safe; calling concurrently
 // with tree mutation is not.
@@ -674,15 +674,6 @@ func buildLevelIndexes(srcs []*Tree, keepLinks bool) []*LevelIndex {
 	return idxs
 }
 
-// LevelIndex returns the flat index of level h (building all level
-// indexes on first use), or nil when h is outside the stored levels.
-func (t *Tree) LevelIndex(h int) *LevelIndex {
-	if h < 1 || h > t.H-1 {
-		return nil
-	}
-	return t.EnsureLevelIndexes()[h-1]
-}
-
 // invalidateIndexes drops the materialized level indexes and the
 // cached canonical verdict after a mutation of the tree's cell set.
 // Mutation never races index access (see the package comment above),
@@ -697,26 +688,9 @@ func (t *Tree) invalidateIndexes() {
 	}
 }
 
-// LevelCellCounts returns the number of stored cells per level:
-// counts[h] is level h's cell count (index 0 unused, length H). With
-// the arena layout this is one O(cells) pass over the level column —
-// no tree walk at all.
-func (t *Tree) LevelCellCounts() []int {
-	t.idxMu.Lock()
-	if t.indexes != nil {
-		counts := make([]int, t.H)
-		for _, ix := range t.indexes {
-			counts[ix.Level] = ix.n
-		}
-		t.idxMu.Unlock()
-		return counts
-	}
-	t.idxMu.Unlock()
-	return t.levelCellCountsWalk()
-}
-
 // levelCellCountsWalk counts every level's stored cells in one linear
-// pass over the arena's level column.
+// pass over the arena's level column: counts[h] is level h's cell count
+// (index 0 unused, length H).
 func (t *Tree) levelCellCountsWalk() []int {
 	counts := make([]int, t.H)
 	for i := 1; i < len(t.level); i++ {

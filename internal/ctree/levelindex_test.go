@@ -68,22 +68,18 @@ func TestLevelIndexLookupAbsent(t *testing.T) {
 	}
 }
 
-// TestLevelCellCountsOneWalk pins the single-walk level counting
-// against the per-level walks it replaces, both before and after the
-// indexes exist.
+// TestLevelCellCountsOneWalk pins the single-walk level counting, which
+// sizes the level merge, against the level indexes' entry counts.
 func TestLevelCellCountsOneWalk(t *testing.T) {
 	tr, _ := indexTestTree(t, 4, 1500, 5, 3)
-	for _, phase := range []string{"pre-index", "post-index"} {
-		counts := tr.LevelCellCounts()
-		if len(counts) != tr.H {
-			t.Fatalf("%s: LevelCellCounts length %d, want %d", phase, len(counts), tr.H)
+	counts := tr.levelCellCountsWalk()
+	if len(counts) != tr.H {
+		t.Fatalf("levelCellCountsWalk length %d, want %d", len(counts), tr.H)
+	}
+	for h, ix := range tr.EnsureLevelIndexes() {
+		if counts[h+1] != ix.Len() {
+			t.Errorf("level %d count %d, want %d", h+1, counts[h+1], ix.Len())
 		}
-		for h := 1; h <= tr.H-1; h++ {
-			if counts[h] != tr.LevelCellCount(h) {
-				t.Errorf("%s: level %d count %d, want %d", phase, h, counts[h], tr.LevelCellCount(h))
-			}
-		}
-		tr.EnsureLevelIndexes()
 	}
 }
 
@@ -125,14 +121,14 @@ func TestLevelIndexDropsLinkRows(t *testing.T) {
 // new cells.
 func TestLevelIndexInvalidation(t *testing.T) {
 	tr, _ := indexTestTree(t, 3, 500, 4, 5)
-	n := tr.LevelIndex(3).Len()
+	n := tr.EnsureLevelIndexes()[2].Len()
 	if err := tr.Insert([]float64{0.9999, 0.0001, 0.5001}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.IndexMemoryBytes() != 0 {
 		t.Fatal("Insert did not invalidate the level indexes")
 	}
-	rebuilt := tr.LevelIndex(3).Len()
+	rebuilt := tr.EnsureLevelIndexes()[2].Len()
 	if rebuilt < n {
 		t.Errorf("rebuilt index has %d entries, want >= %d", rebuilt, n)
 	}
@@ -143,8 +139,8 @@ func TestLevelIndexInvalidation(t *testing.T) {
 	if tr.IndexMemoryBytes() != 0 {
 		t.Fatal("MergeFrom did not invalidate the level indexes")
 	}
-	if got := tr.LevelIndex(3).Len(); got != tr.LevelCellCount(3) {
-		t.Errorf("post-merge index has %d entries, walk counts %d", got, tr.LevelCellCount(3))
+	if got, want := tr.EnsureLevelIndexes()[2].Len(), tr.levelCellCountsWalk()[3]; got != want {
+		t.Errorf("post-merge index has %d entries, walk counts %d", got, want)
 	}
 }
 
@@ -187,7 +183,7 @@ func TestLevelIndexRepeatedLoc(t *testing.T) {
 				}
 			}
 		}
-		ix := tr.LevelIndex(1)
+		ix := tr.EnsureLevelIndexes()[0]
 		for i := range locs {
 			if ix.PathOf(i)[0] != locs[i] || ix.FaceSum(i) != want[i] {
 				t.Fatalf("locs %v: entry %d at loc %d has face sum %d, want loc %d and %d",

@@ -3,60 +3,7 @@ package ctree
 import (
 	"errors"
 	"fmt"
-	"math"
 )
-
-// Insert counts one additional point (in [0,1)^d) into the tree with
-// the same counts Build gives it. The clustering phase can then
-// be re-run over the updated tree, which is how a downstream system
-// keeps clusters fresh while data streams in (InsertBatch amortizes
-// the descent over runs of path-sorted points when points arrive in
-// batches).
-//
-// Insert refuses to count past MaxPoints: the N and P counters are
-// int32 and the counts would otherwise silently wrap.
-func (t *Tree) Insert(p []float64) error {
-	if len(p) != t.D {
-		return fmt.Errorf("ctree: point has %d values, want %d", len(p), t.D)
-	}
-	if t.Eta >= MaxPoints {
-		return fmt.Errorf("ctree: tree already counts %d points, the int32 cell-counter maximum (MaxPoints); shard larger datasets into separate trees", t.Eta)
-	}
-	// Validate and quantize every axis once at level H before touching
-	// the tree; per-level locs are bit slices of the level-H coordinate
-	// (bit-exact with locAtLevel, the oracle of
-	// TestQuantizeLevelHMatchesLocAtLevel; see batch.go).
-	var qs [MaxDims]uint64
-	scale := float64(uint64(1) << uint(t.H))
-	for j, v := range p {
-		if v < 0 || v >= 1 || math.IsNaN(v) {
-			return fmt.Errorf("ctree: axis %d value %g outside [0,1): dataset must be normalized", j, v)
-		}
-		qs[j] = uint64(v * scale)
-	}
-	t.invalidateIndexes()
-	cur := rootRef
-	prev := NilRef
-	for h := 1; h <= t.H-1; h++ {
-		var loc uint64
-		for j := 0; j < t.D; j++ {
-			loc |= ((qs[j] >> uint(t.H-h)) & 1) << uint(j)
-		}
-		c, _ := t.ensureChild(cur, loc)
-		t.n[c]++
-		if prev >= 0 {
-			popcountLower(t.PRow(prev), loc, t.dmask)
-		}
-		cur, prev = c, c
-	}
-	var leaf uint64
-	for j := 0; j < t.D; j++ {
-		leaf |= (qs[j] & 1) << uint(j)
-	}
-	popcountLower(t.PRow(prev), leaf, t.dmask)
-	t.Eta++
-	return nil
-}
 
 // MergeFrom adds every count of other into t: t becomes Union(t,
 // other), every Ref into t from before the merge is void, and other is
@@ -215,7 +162,7 @@ func (t *Tree) writeUnion(trees []*Tree) {
 // canonical arena order, the DFS preorder with every parent's children
 // ascending by Loc that Build and Union write: t itself when it is in
 // that order already (a build, a union, a snapshot of either), Union(t)
-// otherwise (a tree grown by InsertBatch or Insert), which leaves t
+// otherwise (a tree grown by InsertBatch), which leaves t
 // untouched and keeps its build statistics and MemoryBytes.
 func Canonicalize(t *Tree) (*Tree, error) {
 	if t.canonical() {

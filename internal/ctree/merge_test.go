@@ -28,7 +28,7 @@ func treesEqual(t *testing.T, a, b *Tree) bool {
 				}
 			}
 		})
-		if a.LevelCellCount(h) != b.LevelCellCount(h) {
+		if a.levelCellCountsWalk()[h] != b.levelCellCountsWalk()[h] {
 			equal = false
 		}
 	}

@@ -86,7 +86,7 @@ func TestCellCountMatchesLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := tr.LevelCellCounts()
+	counts := tr.levelCellCountsWalk()
 	var total int64
 	for _, n := range counts {
 		total += int64(n)
@@ -97,7 +97,7 @@ func TestCellCountMatchesLevels(t *testing.T) {
 	if err := tr.Insert([]float64{0.123, 0.456, 0.789, 0.321, 0.654}); err != nil {
 		t.Fatal(err)
 	}
-	counts = tr.LevelCellCounts()
+	counts = tr.levelCellCountsWalk()
 	total = 0
 	for _, n := range counts {
 		total += int64(n)

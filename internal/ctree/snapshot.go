@@ -47,7 +47,7 @@ type Columns struct {
 func (c Columns) Rows() int { return len(c.Loc) }
 
 // Columns returns the tree's state columns as views into the arena.
-// The views stay valid until the next Insert/MergeFrom; callers must
+// The views stay valid until the next InsertBatch/MergeFrom; callers must
 // not modify them.
 func (t *Tree) Columns() Columns {
 	return Columns{Loc: t.loc, N: t.n, Used: t.used, Level: t.level, Parent: t.parent, P: t.p}

@@ -186,12 +186,3 @@ func (ds *Dataset) IsNormalized() bool {
 	}
 	return true
 }
-
-// Denormalize maps a normalized coordinate on axis j back to original
-// units using the transform returned by Normalize.
-func Denormalize(v float64, offset, scale []float64, j int) float64 {
-	if scale[j] == 0 {
-		return offset[j]
-	}
-	return v/scale[j] + offset[j]
-}

@@ -75,11 +75,11 @@ func TestNormalizeMapsIntoUnitCube(t *testing.T) {
 	if !ds.IsNormalized() {
 		t.Fatal("not normalized")
 	}
-	// Round-trip through Denormalize.
-	if got := Denormalize(ds.Points[0][0], offset, scale, 0); math.Abs(got-(-5)) > 1e-9 {
+	// Round-trip through the returned transform, v/scale + offset.
+	if got := ds.Points[0][0]/scale[0] + offset[0]; math.Abs(got-(-5)) > 1e-9 {
 		t.Errorf("round trip = %g, want -5", got)
 	}
-	if got := Denormalize(ds.Points[1][1], offset, scale, 1); math.Abs(got-200) > 1e-9 {
+	if got := ds.Points[1][1]/scale[1] + offset[1]; math.Abs(got-200) > 1e-9 {
 		t.Errorf("round trip = %g, want 200", got)
 	}
 }

@@ -52,13 +52,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions mirror a laptop-friendly full run. The HARP cap of
-// 1000 points keeps its quadratic cost near a minute per dataset while
-// still letting the comparison show its cost profile.
-func DefaultOptions() Options {
-	return Options{Scale: 1.0, HarpCap: 1000}
-}
-
 func (o Options) withDefaults() Options {
 	if o.Scale == 0 {
 		o.Scale = 1.0
@@ -139,15 +132,10 @@ func loadCatalogue(name string, scale float64) (*dataset.Dataset, *synthetic.Gro
 	return ds, gt, cfg, err
 }
 
-// Subsample returns a dataset/ground-truth pair capped at n points
-// (deterministic stride sampling). The harness applies it to HARP, whose
-// quadratic cost would otherwise dominate every run; the benches reuse
-// it for the same reason.
-func Subsample(ds *dataset.Dataset, gt *synthetic.GroundTruth, n int) (*dataset.Dataset, *synthetic.GroundTruth, bool) {
-	return subsample(ds, gt, n)
-}
-
-// subsample implements Subsample.
+// subsample returns a dataset/ground-truth pair capped at n points
+// (deterministic stride sampling) and whether it capped them. The
+// harness applies it to HARP, whose quadratic cost would otherwise
+// dominate every run.
 func subsample(ds *dataset.Dataset, gt *synthetic.GroundTruth, n int) (*dataset.Dataset, *synthetic.GroundTruth, bool) {
 	if n <= 0 || ds.Len() <= n {
 		return ds, gt, false

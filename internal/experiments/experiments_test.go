@@ -74,13 +74,6 @@ func TestMethodsRegistryAndFilter(t *testing.T) {
 	if want := len(MethodNames()) + len(BonusMethodNames()); len(withBonus) != want {
 		t.Fatalf("explicit list kept %d methods, want %d (incl. bonus baselines)", len(withBonus), want)
 	}
-	if _, err := MethodByName("nope", Options{}); err == nil {
-		t.Error("unknown method accepted")
-	}
-	m, err := MethodByName("PROCLUS", Options{})
-	if err != nil || m.Name != "PROCLUS" {
-		t.Errorf("MethodByName(PROCLUS) = %v, %v", m.Name, err)
-	}
 }
 
 func TestRunFigureUnknownID(t *testing.T) {

@@ -36,20 +36,6 @@ func WriteCSV(w io.Writer, ms []Measurement) error {
 	return cw.Error()
 }
 
-// MarkdownTable renders measurements as a GitHub-flavored markdown
-// table, the format EXPERIMENTS.md embeds.
-func MarkdownTable(ms []Measurement) string {
-	var sb strings.Builder
-	sb.WriteString("| dataset | method | Quality | Subspaces Q | clusters | memory (KB) | time (s) | note |\n")
-	sb.WriteString("|---|---|---|---|---|---|---|---|\n")
-	for _, m := range ms {
-		sb.WriteString(fmt.Sprintf("| %s | %s | %.3f | %.3f | %d | %d | %.3f | %s |\n",
-			m.Dataset, m.Method, m.Quality, m.SubspacesQuality,
-			m.Clusters, m.MemoryKB, m.Seconds, m.Note))
-	}
-	return sb.String()
-}
-
 // ParseTable parses rows previously produced by FormatTable — the
 // harness writes plain-text tables to result files, and this reads them
 // back for post-processing (summary statistics, EXPERIMENTS.md).

@@ -34,16 +34,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestMarkdownTable(t *testing.T) {
-	out := MarkdownTable(sampleMeasurements())
-	if !strings.Contains(out, "| 6d | MrCC | 0.999 |") {
-		t.Errorf("markdown row missing:\n%s", out)
-	}
-	if !strings.HasPrefix(out, "| dataset |") {
-		t.Error("markdown header missing")
-	}
-}
-
 func TestParseTableRoundTrip(t *testing.T) {
 	ms := sampleMeasurements()
 	parsed := ParseTable(FormatTable(ms))
@@ -64,17 +54,5 @@ func TestParseTableRoundTrip(t *testing.T) {
 	// Garbage and separator lines are skipped.
 	if got := ParseTable("== summary ==\n(fig in 3s)\nnot a row\n"); len(got) != 0 {
 		t.Errorf("parsed %d rows from garbage", len(got))
-	}
-}
-
-func TestSortMeasurements(t *testing.T) {
-	ms := []Measurement{
-		{Dataset: "8d", Method: "MrCC"},
-		{Dataset: "6d", Method: "P3C"},
-		{Dataset: "6d", Method: "LAC"},
-	}
-	SortMeasurements(ms)
-	if ms[0].Dataset != "6d" || ms[0].Method != "LAC" || ms[2].Dataset != "8d" {
-		t.Errorf("sort order wrong: %+v", ms)
 	}
 }

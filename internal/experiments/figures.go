@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"mrcc/internal/core"
 	"mrcc/internal/ctree"
@@ -384,15 +383,4 @@ func clusteringOf(res *core.Result) *eval.Clustering {
 		rel[i] = c.Relevant
 	}
 	return &eval.Clustering{Labels: res.Labels, Relevant: rel}
-}
-
-// SortMeasurements orders rows by dataset then method, for stable
-// summaries.
-func SortMeasurements(rows []Measurement) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		if rows[a].Dataset != rows[b].Dataset {
-			return rows[a].Dataset < rows[b].Dataset
-		}
-		return rows[a].Method < rows[b].Method
-	})
 }

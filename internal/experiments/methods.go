@@ -67,16 +67,6 @@ func Methods(opt Options) []Method {
 	return out
 }
 
-// MethodByName returns the named method.
-func MethodByName(name string, opt Options) (Method, error) {
-	for _, m := range Methods(Options{Methods: []string{name}}) {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Method{}, fmt.Errorf("experiments: unknown method %q", name)
-}
-
 func trueK(gt *synthetic.GroundTruth) int {
 	k := gt.NumClusters()
 	if k < 1 {

@@ -70,23 +70,6 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns m · v for a vector of length m.Cols.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("linalg: cannot multiply %dx%d by vector of length %d", m.Rows, m.Cols, len(v)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, rv := range row {
-			s += rv * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // MulVecInto computes m · v into dst (length m.Rows), avoiding allocation.
 func (m *Matrix) MulVecInto(dst, v []float64) {
 	for i := 0; i < m.Rows; i++ {
@@ -97,17 +80,6 @@ func (m *Matrix) MulVecInto(dst, v []float64) {
 		}
 		dst[i] = s
 	}
-}
-
-// Transpose returns the transposed matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
 }
 
 // GivensRotation returns the d×d rotation matrix rotating the (p, q)
@@ -123,27 +95,6 @@ func GivensRotation(d, p, q int, theta float64) *Matrix {
 	m.Set(p, q, -s)
 	m.Set(q, p, s)
 	return m
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: dot of unequal-length vectors")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // Jacobi computes the eigen-decomposition of a symmetric n×n matrix using

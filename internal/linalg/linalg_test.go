@@ -9,6 +9,36 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// mulVec returns m · v.
+func mulVec(m *Matrix, v []float64) []float64 {
+	out := make([]float64, m.Rows)
+	m.MulVecInto(out, v)
+	return out
+}
+
+// transpose returns the transposed matrix.
+func transpose(m *Matrix) *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
+// dot returns the inner product of two equal-length vectors.
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}
+
+// norm2 returns the Euclidean norm of v.
+func norm2(v []float64) float64 { return math.Sqrt(dot(v, v)) }
+
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 1, 5)
@@ -61,26 +91,16 @@ func TestMulVecMatchesMul(t *testing.T) {
 		m.Data[i] = rng.NormFloat64()
 	}
 	v := []float64{1, -2, 0.5, 3}
-	got := m.MulVec(v)
 	dst := make([]float64, 4)
 	m.MulVecInto(dst, v)
-	for i := range got {
+	for i := range dst {
 		want := 0.0
 		for j := range v {
 			want += m.At(i, j) * v[j]
 		}
-		if !almostEq(got[i], want, 1e-12) || !almostEq(dst[i], want, 1e-12) {
-			t.Fatalf("row %d: MulVec=%g MulVecInto=%g want %g", i, got[i], dst[i], want)
+		if !almostEq(dst[i], want, 1e-12) {
+			t.Fatalf("row %d: MulVecInto=%g want %g", i, dst[i], want)
 		}
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	m := NewMatrix(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	tr := m.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Errorf("transpose wrong: %+v", tr)
 	}
 }
 
@@ -92,7 +112,7 @@ func TestGivensRotationIsOrthonormal(t *testing.T) {
 		q := p + 1 + rng.Intn(d-p-1)
 		theta := rng.Float64() * 2 * math.Pi
 		g := GivensRotation(d, p, q, theta)
-		gt := g.Transpose()
+		gt := transpose(g)
 		prod := g.Mul(gt)
 		for i := 0; i < d; i++ {
 			for j := 0; j < d; j++ {
@@ -121,7 +141,7 @@ func TestGivensRotationPreservesNorm(t *testing.T) {
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		return almostEq(Norm2(g.MulVec(v)), Norm2(v), 1e-9)
+		return almostEq(norm2(mulVec(g, v)), norm2(v), 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -141,21 +161,6 @@ func TestGivensRotationPanicsOnBadPlane(t *testing.T) {
 	}
 }
 
-func TestDotAndNorm(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
-		t.Error("dot wrong")
-	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-15) {
-		t.Error("norm wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected length-mismatch panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
 func TestJacobiDiagonalizesKnownMatrix(t *testing.T) {
 	// Symmetric matrix with known eigenvalues 3 and 1:
 	// [2 1; 1 2] -> eigvals {3, 1}.
@@ -172,7 +177,7 @@ func TestJacobiDiagonalizesKnownMatrix(t *testing.T) {
 	// Check A·v = λ·v column by column.
 	for c := 0; c < 2; c++ {
 		v := []float64{vecs.At(0, c), vecs.At(1, c)}
-		av := a.MulVec(v)
+		av := mulVec(a, v)
 		for i := range v {
 			if !almostEq(av[i], vals[c]*v[i], 1e-9) {
 				t.Fatalf("column %d is not an eigenvector", c)
@@ -199,7 +204,7 @@ func TestJacobiRandomSymmetric(t *testing.T) {
 		for i := 0; i < d; i++ {
 			diag.Set(i, i, vals[i])
 		}
-		recon := vecs.Mul(diag).Mul(vecs.Transpose())
+		recon := vecs.Mul(diag).Mul(transpose(vecs))
 		for i := 0; i < d; i++ {
 			for j := 0; j < d; j++ {
 				if !almostEq(recon.At(i, j), a.At(i, j), 1e-8) {
@@ -225,7 +230,7 @@ func TestCovarianceAndPCA(t *testing.T) {
 		t.Fatal("PCA eigenvalues not sorted descending")
 	}
 	dir := []float64{comps.At(0, 0), comps.At(1, 0)}
-	cosine := math.Abs(Dot(dir, []float64{1, 1}) / (Norm2(dir) * math.Sqrt2))
+	cosine := math.Abs(dot(dir, []float64{1, 1}) / (norm2(dir) * math.Sqrt2))
 	if cosine < 0.999 {
 		t.Errorf("first PC misaligned: |cos| = %g", cosine)
 	}

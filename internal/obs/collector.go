@@ -21,7 +21,6 @@ type Collector struct {
 	maskEvals   atomic.Int64
 	labeled     atomic.Int64
 	noise       atomic.Int64
-	buildDone   atomic.Int64
 	skips       atomic.Int64
 	scanDepth   atomic.Int64
 	cacheRepair atomic.Int64
@@ -94,22 +93,6 @@ func (sp Span) end(level int) {
 		}
 		c.stats.ScanWallNSPerLevel[level] += wallNS
 	}
-	c.mu.Unlock()
-}
-
-// AddPhase folds an externally measured PhaseStat into phase p (the
-// facade's normalization measurement arrives this way).
-func (c *Collector) AddPhase(p Phase, st PhaseStat) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	dst := c.stats.phase(p)
-	dst.WallNS += st.WallNS
-	dst.Spans += st.Spans
-	dst.HeapDeltaBytes += st.HeapDeltaBytes
-	dst.AllocBytes += st.AllocBytes
-	dst.GCCycles += st.GCCycles
 	c.mu.Unlock()
 }
 
@@ -333,15 +316,6 @@ func (c *Collector) AddLabeled(labeled, noise int64) int64 {
 	}
 	c.noise.Add(noise)
 	return c.labeled.Add(labeled + noise)
-}
-
-// AddBuildPoints merges one build shard's progress delta and returns
-// the cumulative number of points counted into the tree.
-func (c *Collector) AddBuildPoints(n int64) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.buildDone.Add(n)
 }
 
 // Finish folds the atomic hot counters into the stats and returns a

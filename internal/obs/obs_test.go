@@ -16,7 +16,6 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	sp := c.Start(PhaseTreeBuild)
 	sp.End()
 	c.Start(PhaseConvScan).EndAtLevel(2)
-	c.AddPhase(PhaseNormalize, PhaseStat{WallNS: 1})
 	c.Progress(PhaseLabeling, 1, 2)
 	c.SetShape(1, 2, 3, 4)
 	c.SetTreeBytes(9)
@@ -31,9 +30,6 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	}
 	if got := c.AddLabeled(3, 1); got != 0 {
 		t.Errorf("nil AddLabeled = %d, want 0", got)
-	}
-	if got := c.AddBuildPoints(3); got != 0 {
-		t.Errorf("nil AddBuildPoints = %d, want 0", got)
 	}
 	if c.WantsProgress() {
 		t.Error("nil collector wants progress")
@@ -131,7 +127,6 @@ func TestConcurrentWorkers(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				c.AddMaskEvals(3)
 				c.AddLabeled(10, 2)
-				c.AddBuildPoints(5)
 				c.Progress(PhaseLabeling, int64(i), 100)
 			}
 		}()

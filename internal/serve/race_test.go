@@ -189,7 +189,7 @@ func TestIngestSheddingUnderSaturation(t *testing.T) {
 	if shed.Load() != burst {
 		t.Fatalf("%d/%d burst requests shed", shed.Load(), burst)
 	}
-	if got := s.Counters().Snapshot().SheddedRequests; got != burst {
+	if got := s.counters.Snapshot().SheddedRequests; got != burst {
 		t.Fatalf("shed counter = %d, want %d", got, burst)
 	}
 
@@ -215,7 +215,7 @@ func TestIngestSheddingUnderSaturation(t *testing.T) {
 	if eta != wantPts {
 		t.Fatalf("tree holds %d points after the storm, want %d (shed requests must not fold)", eta, wantPts)
 	}
-	if got := s.Counters().Snapshot().BatchesIngested; got != int64(blockers) {
+	if got := s.counters.Snapshot().BatchesIngested; got != int64(blockers) {
 		t.Fatalf("ingested counter = %d, want %d", got, blockers)
 	}
 }
@@ -316,7 +316,7 @@ func TestShutdownWhileCheckpointing(t *testing.T) {
 	// Let at least one background checkpoint land, then pull the plug
 	// mid-cadence.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Counters().Snapshot().Checkpoints == 0 {
+	for s.counters.Snapshot().Checkpoints == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no background checkpoint within 10s")
 		}

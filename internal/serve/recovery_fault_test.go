@@ -118,7 +118,7 @@ func TestIngestAfterTornAppendFailsUntilRestart(t *testing.T) {
 	if w := do(t, s.Handler(), "POST", "/ingest", "application/json", mustJSON(t, rows[320:340])); w.Code != http.StatusInternalServerError {
 		t.Fatalf("ingest after torn append = %d, want 500 until restart", w.Code)
 	}
-	if got := s.Counters().Snapshot().BatchesRejected; got != 2 {
+	if got := s.counters.Snapshot().BatchesRejected; got != 2 {
 		t.Fatalf("rejected counter = %d, want 2", got)
 	}
 	// Restart clears it.
@@ -153,7 +153,7 @@ func TestCheckpointCrashKeepsLoadableSnapshot(t *testing.T) {
 	}
 	// ...and recovery applies it exactly once.
 	recovered := newTestServer(t, cfg)
-	if got := recovered.Counters().Snapshot().WALReplayed; got != 0 {
+	if got := recovered.counters.Snapshot().WALReplayed; got != 0 {
 		t.Fatalf("replayed %d covered batches, want 0 (sequence filter)", got)
 	}
 	recovered.mu.Lock()

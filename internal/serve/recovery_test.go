@@ -104,7 +104,7 @@ func TestWALColdRecovery(t *testing.T) {
 
 	recovered := newTestServer(t, cfg)
 	requireTreeEqual(t, recovered, referenceTree(t, batches))
-	if got := recovered.Counters().Snapshot().WALReplayed; got != int64(len(batches)) {
+	if got := recovered.counters.Snapshot().WALReplayed; got != int64(len(batches)) {
 		t.Fatalf("replayed %d batches, want %d", got, len(batches))
 	}
 	// Sequences continue where the dead process stopped: the next
@@ -138,7 +138,7 @@ func TestCheckpointThenCrashRecovery(t *testing.T) {
 
 	recovered := newTestServer(t, cfg)
 	requireTreeEqual(t, recovered, referenceTree(t, batches))
-	if got := recovered.Counters().Snapshot().WALReplayed; got != 2 {
+	if got := recovered.counters.Snapshot().WALReplayed; got != 2 {
 		t.Fatalf("replayed %d batches past the checkpoint, want 2", got)
 	}
 }
@@ -188,7 +188,7 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	if after != 1 {
 		t.Fatalf("%d segments survive the checkpoint, want only the active tail", after)
 	}
-	if got := s.Counters().Snapshot().Checkpoints; got != 1 {
+	if got := s.counters.Snapshot().Checkpoints; got != 1 {
 		t.Fatalf("checkpoint counter = %d, want 1", got)
 	}
 	// And the truncated log still recovers the full state.
@@ -206,7 +206,7 @@ func TestCheckpointLoopRuns(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.Start(ctx)
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Counters().Snapshot().Checkpoints == 0 {
+	for s.counters.Snapshot().Checkpoints == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no checkpoint within 10s")
 		}
@@ -373,7 +373,7 @@ func TestReplayAppliesWindowRotation(t *testing.T) {
 	if aging.Eta != 165 || active.Eta != 55 {
 		t.Fatalf("recovered windows hold %d aging / %d active points, want 165/55", aging.Eta, active.Eta)
 	}
-	if got := recovered.Counters().Snapshot().Rotations; got != 1 {
+	if got := recovered.counters.Snapshot().Rotations; got != 1 {
 		t.Fatalf("rotation counter = %d, want 1", got)
 	}
 }

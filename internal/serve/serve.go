@@ -364,10 +364,6 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Counters exposes the service's lifetime counters (for tests and
-// embedding processes; HTTP clients read them via GET /stats).
-func (s *Server) Counters() *obs.ServiceCounters { return &s.counters }
-
 // normalizePoint validates one point in domain units and returns its
 // [0,1)^d embedding. The input slice is not retained.
 func (s *Server) normalizePoint(p []float64) ([]float64, error) {

@@ -281,7 +281,7 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 	if eta != 0 {
 		t.Fatalf("tree absorbed %d points from rejected batches", eta)
 	}
-	if got := s.Counters().Snapshot().BatchesRejected; got != int64(len(cases)) {
+	if got := s.counters.Snapshot().BatchesRejected; got != int64(len(cases)) {
 		t.Fatalf("rejected counter = %d, want %d", got, len(cases))
 	}
 }
@@ -324,7 +324,7 @@ func TestWindowRotation(t *testing.T) {
 	if agingEta != len(rows) || activeEta != len(more) {
 		t.Fatalf("after rotation: active=%d aging=%d, want %d / %d", activeEta, agingEta, len(more), len(rows))
 	}
-	if got := s.Counters().Snapshot().Rotations; got != 1 {
+	if got := s.counters.Snapshot().Rotations; got != 1 {
 		t.Fatalf("rotations = %d, want 1", got)
 	}
 	if err := s.recluster(context.Background()); err != nil {

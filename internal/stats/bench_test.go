@@ -21,12 +21,6 @@ func BenchmarkLogBinomSF(b *testing.B) {
 	}
 }
 
-func BenchmarkChiSquareCritical(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ChiSquareCritical(12, 0.001)
-	}
-}
-
 func BenchmarkPoissonSF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		PoissonSF(120, 40.0)

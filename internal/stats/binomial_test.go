@@ -6,6 +6,31 @@ import (
 	"testing/quick"
 )
 
+// LogBinomPMF returns ln P(X = k) for X ~ Binomial(n, p), the term
+// bruteLogSF sums. It returns -Inf for impossible outcomes and panics
+// on invalid inputs.
+func LogBinomPMF(n, k int, p float64) float64 {
+	checkBinomArgs(n, p)
+	if k < 0 || k > n {
+		return math.Inf(-1)
+	}
+	if p == 0 {
+		if k == 0 {
+			return 0
+		}
+		return math.Inf(-1)
+	}
+	if p == 1 {
+		if k == n {
+			return 0
+		}
+		return math.Inf(-1)
+	}
+	lg := func(x float64) float64 { v, _ := math.Lgamma(x); return v }
+	return lg(float64(n)+1) - lg(float64(k)+1) - lg(float64(n-k)+1) +
+		float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p)
+}
+
 // bruteLogSF computes ln P(X >= k) by direct log-sum-exp over the PMF,
 // the reference the continued-fraction implementation must match.
 func bruteLogSF(n, k int, p float64) float64 {

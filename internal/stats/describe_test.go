@@ -6,40 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestMeanVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); math.Abs(m-5) > 1e-12 {
-		t.Errorf("Mean = %g, want 5", m)
-	}
-	if v := Variance(xs); math.Abs(v-32.0/7.0) > 1e-12 {
-		t.Errorf("Variance = %g, want %g", v, 32.0/7.0)
-	}
-	if s := StdDev(xs); math.Abs(s-math.Sqrt(32.0/7.0)) > 1e-12 {
-		t.Errorf("StdDev = %g", s)
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("empty/singleton edge cases wrong")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if m := Median([]float64{3, 1, 2}); m != 2 {
-		t.Errorf("odd median = %g, want 2", m)
-	}
-	if m := Median([]float64{4, 1, 3, 2}); m != 2.5 {
-		t.Errorf("even median = %g, want 2.5", m)
-	}
-	if m := Median(nil); m != 0 {
-		t.Errorf("empty median = %g, want 0", m)
-	}
-	// Median must not reorder the input.
-	xs := []float64{9, 1, 5}
-	Median(xs)
-	if xs[0] != 9 || xs[1] != 1 || xs[2] != 5 {
-		t.Error("Median mutated its input")
-	}
-}
-
 func TestHarmonicMean(t *testing.T) {
 	if h := HarmonicMean(1, 1); h != 1 {
 		t.Errorf("H(1,1) = %g", h)

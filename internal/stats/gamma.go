@@ -94,31 +94,6 @@ func ChiSquareSF(x float64, df int) float64 {
 	return RegIncGammaUpper(float64(df)/2, x/2)
 }
 
-// ChiSquareCritical returns the critical value x such that
-// P(X >= x) = alpha for a chi-square distribution with df degrees of
-// freedom, found by bisection on the survival function.
-func ChiSquareCritical(df int, alpha float64) float64 {
-	if alpha <= 0 || alpha >= 1 {
-		panic(fmt.Sprintf("stats: alpha must be in (0,1), got %g", alpha))
-	}
-	lo, hi := 0.0, float64(df)
-	for ChiSquareSF(hi, df) > alpha {
-		hi *= 2
-		if hi > 1e9 {
-			break
-		}
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if ChiSquareSF(mid, df) > alpha {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // PoissonSF returns P(X >= k) for X ~ Poisson(lambda), via the identity
 // P(X >= k) = P(k, lambda) with the regularized lower incomplete gamma.
 func PoissonSF(k int, lambda float64) float64 {

@@ -75,17 +75,6 @@ func TestChiSquareSFKnownValues(t *testing.T) {
 	}
 }
 
-func TestChiSquareCriticalRoundTrip(t *testing.T) {
-	for _, df := range []int{1, 3, 10, 40} {
-		for _, alpha := range []float64{0.1, 0.01, 0.001} {
-			crit := ChiSquareCritical(df, alpha)
-			if got := ChiSquareSF(crit, df); math.Abs(got-alpha) > 1e-6 {
-				t.Errorf("df=%d alpha=%g: SF(crit)=%g", df, alpha, got)
-			}
-		}
-	}
-}
-
 func TestPoissonSFBasics(t *testing.T) {
 	// P(X >= 1) = 1 - e^-lambda.
 	for _, lambda := range []float64{0.5, 2, 7} {

@@ -183,5 +183,6 @@ func KDDCup2008Surrogate(view KDDView, cfg KDDConfig) (*dataset.Dataset, *Ground
 	if _, _, err := ds.Normalize(); err != nil {
 		return nil, nil, err
 	}
+	contiguous(ds)
 	return ds, gt, nil
 }

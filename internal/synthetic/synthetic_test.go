@@ -1,10 +1,15 @@
 package synthetic
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"mrcc/internal/dataset"
 )
 
 func TestGenerateShapeAndLabels(t *testing.T) {
@@ -316,5 +321,65 @@ func TestRandomSizesSumAndPositivity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGeneratedRowsContiguous pins two fixed-seed sets — one rotated
+// Generate set and one KDD surrogate view — by a hash of their values,
+// labels and relevant axes, and checks that their rows sit next to each
+// other in one backing array, each with capacity d, in the order the
+// generator returns them.
+func TestGeneratedRowsContiguous(t *testing.T) {
+	rotated, rgt, err := Generate(Config{Dims: 6, Points: 3000, Clusters: 3, NoiseFrac: 0.15,
+		MinClusterDim: 3, MaxClusterDim: 5, Rotations: 4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kdd, kgt, err := KDDCup2008Surrogate(LeftMLO, KDDConfig{ROIs: 2000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		ds   *dataset.Dataset
+		gt   *GroundTruth
+		want uint64
+	}{
+		{"rotated", rotated, rgt, 0x18fae62711559dd4},
+		{"kdd", kdd, kgt, 0x27192b94480aab58},
+	} {
+		h := fnv.New64a()
+		var buf [8]byte
+		word := func(v uint64) {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+		for i, p := range c.ds.Points {
+			for _, v := range p {
+				word(math.Float64bits(v))
+			}
+			word(uint64(c.gt.Labels[i]))
+		}
+		for _, rel := range c.gt.Relevant {
+			for _, r := range rel {
+				if r {
+					word(1)
+				} else {
+					word(0)
+				}
+			}
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: hash %#x, want %#x", c.name, got, c.want)
+		}
+		d := c.ds.Dims
+		for i, p := range c.ds.Points {
+			if cap(p) != d {
+				t.Fatalf("%s: row %d has capacity %d, want %d", c.name, i, cap(p), d)
+			}
+			if i > 0 && unsafe.Pointer(&p[0]) != unsafe.Add(unsafe.Pointer(&c.ds.Points[i-1][0]), d*8) {
+				t.Fatalf("%s: row %d does not follow row %d in memory", c.name, i, i-1)
+			}
+		}
 	}
 }

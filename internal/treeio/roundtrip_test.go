@@ -273,7 +273,7 @@ func TestLoadedTreeIsIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Insert(make([]float64, 3)); err != nil {
+	if err := loaded.InsertBatch([][]float64{make([]float64, 3)}); err != nil {
 		t.Fatal(err)
 	}
 	if orig.MemoryBytes() != before || orig.Eta != 200 {

@@ -544,21 +544,6 @@ func (l *Log) syncPolicyLocked() error {
 	return nil
 }
 
-// Sync forces an fsync of the active segment regardless of policy.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.broken != nil {
-		return l.broken
-	}
-	if err := l.f.Sync(); err != nil {
-		l.broken = err
-		return err
-	}
-	l.lastSync = time.Now()
-	return nil
-}
-
 // LastSeq returns the sequence of the most recently appended record (0
 // for an empty log).
 func (l *Log) LastSeq() uint64 {

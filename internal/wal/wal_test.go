@@ -426,9 +426,6 @@ func TestSyncPolicies(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := l.Sync(); err != nil {
-				t.Fatal(err)
-			}
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}

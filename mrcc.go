@@ -51,7 +51,29 @@ type Config = core.Config
 
 // Result is the outcome of a MrCC run: β-clusters, correlation clusters
 // and per-point labels.
-type Result = core.Result
+type Result struct {
+	// Betas are the β-clusters in discovery order.
+	Betas []BetaCluster
+	// Clusters are the correlation clusters.
+	Clusters []Cluster
+	// Labels assigns each input point its cluster ID, or Noise.
+	Labels []int
+	// TreeMemoryBytes estimates the Counting-tree footprint, its level
+	// indexes included.
+	TreeMemoryBytes uint64
+	// Timings records how long each of the paper's three phases took.
+	Timings core.Timings
+	// Stats is the run's observability record; nil unless
+	// Config.CollectStats or Config.Progress enabled collection.
+	Stats *Stats
+	// Tree is the Counting-tree the run clustered on; nil unless
+	// Config.KeepTree. Pass it to SaveTree, or back to Run as
+	// Input.Tree.
+	Tree *Tree
+}
+
+// NumClusters returns γk, the number of correlation clusters.
+func (r *Result) NumClusters() int { return len(r.Clusters) }
 
 // Cluster is one correlation cluster.
 type Cluster = core.Cluster
@@ -101,19 +123,23 @@ type PanicError = panics.Error
 type Dataset = dataset.Dataset
 
 // Tree is the Counting-tree MrCC clusters on: the multi-resolution
-// count structure built in phase one. Obtain one with Config.KeepTree
-// (Result.Tree), persist it with SaveTree, restore it with LoadTree,
-// and recluster on it with Run (Input.Tree) — e.g. to sweep α values
-// without re-counting the data, or to warm-start a run from a snapshot
-// built by an earlier process.
-type Tree = ctree.Tree
+// count structure built in phase one. Obtain one with NewTree or
+// Config.KeepTree (Result.Tree), persist it with SaveTree, restore it
+// with LoadTree, and recluster on it with Run (Input.Tree) — e.g. to
+// sweep α values without re-counting the data, or to warm-start a run
+// from a snapshot built by an earlier process. Its layout is private;
+// a zero Tree holds no Counting-tree, and the calls that need one
+// refuse it with an error.
+type Tree struct {
+	t *ctree.Tree
+}
 
 // NewTree returns an empty Counting-tree of dimensionality d with h
 // resolutions, ready for incremental growth: feed it normalized
-// batches with InsertBatch (or points with Insert) and recluster at
-// any time with Run (Input.Tree) — the streaming loop the
-// examples/streaming program and the mrcc-serve service run. Pass
-// DefaultH for the paper's resolution count.
+// batches with InsertBatch and recluster at any time with Run
+// (Input.Tree) — the streaming loop the examples/streaming program and
+// the mrcc-serve service run. Pass DefaultH for the paper's resolution
+// count.
 func NewTree(d, h int) (*Tree, error) {
 	if d < 1 || d > ctree.MaxDims {
 		return nil, fmt.Errorf("mrcc: dimensionality %d outside [1, %d]", d, ctree.MaxDims)
@@ -121,7 +147,43 @@ func NewTree(d, h int) (*Tree, error) {
 	if h < ctree.MinLevels || h > ctree.MaxLevels {
 		return nil, fmt.Errorf("mrcc: H %d outside [%d, %d]", h, ctree.MinLevels, ctree.MaxLevels)
 	}
-	return ctree.New(d, h), nil
+	return &Tree{t: ctree.New(d, h)}, nil
+}
+
+// tree returns the Counting-tree t holds, or an error for a nil or zero
+// Tree.
+func (t *Tree) tree() (*ctree.Tree, error) {
+	if t == nil || t.t == nil {
+		return nil, errors.New("mrcc: nil or zero Tree; make one with NewTree or LoadTree")
+	}
+	return t.t, nil
+}
+
+// InsertBatch counts a batch of points, each with the tree's
+// dimensionality and normalized into [0,1)^d, into the tree. A batch
+// with an invalid point is refused whole and leaves the tree as it was.
+func (t *Tree) InsertBatch(points [][]float64) error {
+	ct, err := t.tree()
+	if err != nil {
+		return err
+	}
+	return ct.InsertBatch(points)
+}
+
+// Points returns the number of points counted into the tree.
+func (t *Tree) Points() int {
+	if ct, err := t.tree(); err == nil {
+		return ct.Eta
+	}
+	return 0
+}
+
+// MemoryBytes returns the tree's footprint in bytes.
+func (t *Tree) MemoryBytes() uint64 {
+	if ct, err := t.tree(); err == nil {
+		return ct.MemoryBytes()
+	}
+	return 0
 }
 
 // TreeFormatError reports a snapshot file LoadTree refused: wrong
@@ -135,7 +197,11 @@ type TreeFormatError = treeio.FormatError
 // snapshot format (DESIGN.md §10): the file appears complete or not at
 // all. It returns the number of bytes written.
 func SaveTree(path string, t *Tree) (int64, error) {
-	return treeio.SaveFile(path, t, treeio.Meta{})
+	ct, err := t.tree()
+	if err != nil {
+		return 0, err
+	}
+	return treeio.SaveFile(path, ct, treeio.Meta{})
 }
 
 // LoadTree reads a snapshot written by SaveTree, fully validating it —
@@ -143,7 +209,10 @@ func SaveTree(path string, t *Tree) (int64, error) {
 // returning. Failures carry a *TreeFormatError.
 func LoadTree(path string) (*Tree, error) {
 	t, _, err := treeio.LoadFile(path, treeio.LoadOptions{})
-	return t, err
+	if err != nil {
+		return nil, err
+	}
+	return &Tree{t: t}, nil
 }
 
 // NewDataset returns an empty dataset of dimensionality d with capacity
@@ -166,7 +235,8 @@ func LoadCSV(path string, header bool) (*Dataset, error) {
 // (by a run with Config.KeepTree, say, or restored with LoadTree), and
 // its dimensionality and point count are checked. Rerunning on the
 // same tree is safe and yields the same Result: the run clears the
-// tree's Used flags itself at entry.
+// tree's Used flags itself at entry. A nil Tree asks Run to build one;
+// a zero Tree is refused with an error.
 type Input struct {
 	Dataset *Dataset
 	Tree    *Tree
@@ -188,18 +258,43 @@ type Input struct {
 // surface as a *PipelineError wrapping a *PanicError instead of
 // crashing the host.
 func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
+	res, err := run(ctx, in, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out := &Result{
+		Betas:           res.Betas,
+		Clusters:        res.Clusters,
+		Labels:          res.Labels,
+		TreeMemoryBytes: res.TreeMemoryBytes,
+		Timings:         res.Timings,
+		Stats:           res.Stats,
+	}
+	if res.Tree != nil {
+		out.Tree = &Tree{t: res.Tree}
+	}
+	return out, nil
+}
+
+// run is Run returning core's Result, which RunDataset hands on.
+func run(ctx context.Context, in Input, cfg Config) (*core.Result, error) {
 	ds := in.Dataset
 	if ds == nil {
 		return nil, errors.New("mrcc: Input.Dataset is required")
+	}
+	var cin core.Input
+	if in.Tree != nil {
+		t, err := in.Tree.tree()
+		if err != nil {
+			return nil, err
+		}
+		cin.Trees = []*ctree.Tree{t}
 	}
 	work, norm, err := normalized(ctx, ds, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cin := core.Input{Dataset: work}
-	if in.Tree != nil {
-		cin.Trees = []*ctree.Tree{in.Tree}
-	}
+	cin.Dataset = work
 	res, err := core.Run(ctx, cin, cfg)
 	if err != nil {
 		return nil, err
@@ -260,11 +355,11 @@ func normalized(ctx context.Context, ds *Dataset, cfg Config) (work *Dataset, no
 	return work, norm, nil
 }
 
-// RunDataset is Run over ds under a background context. perfbench is
-// its only caller; a benchmark change moves perfbench to Run and
-// removes it.
-func RunDataset(ds *Dataset, cfg Config) (*Result, error) {
-	return Run(context.Background(), Input{Dataset: ds}, cfg)
+// RunDataset is Run over ds under a background context, returning
+// core's Result. perfbench is its only caller; a benchmark change moves
+// perfbench to Run and removes it.
+func RunDataset(ds *Dataset, cfg Config) (*core.Result, error) {
+	return run(context.Background(), Input{Dataset: ds}, cfg)
 }
 
 // SoftMemberships turns a hard clustering result into posterior
@@ -278,5 +373,5 @@ func SoftMemberships(ds *Dataset, res *Result) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.SoftMemberships(work, res)
+	return core.SoftMemberships(work, &core.Result{Clusters: res.Clusters, Labels: res.Labels})
 }

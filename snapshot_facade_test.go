@@ -158,6 +158,39 @@ func TestStreamingLoopShape(t *testing.T) {
 	}
 }
 
+// TestNilOrZeroTreeRefused pins that the calls that need a
+// Counting-tree refuse a nil or zero Tree with an error, never a panic.
+// A nil Input.Tree asks Run to build the tree, so Run refuses it only
+// for want of a dataset.
+func TestNilOrZeroTreeRefused(t *testing.T) {
+	ds, err := mrcc.DatasetFromRows(twoClusterRows(1, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tree.snap")
+	for _, tree := range []*mrcc.Tree{nil, {}} {
+		if _, err := mrcc.SaveTree(path, tree); err == nil {
+			t.Errorf("SaveTree(%#v) returned no error", tree)
+		}
+		if err := tree.InsertBatch([][]float64{{0.5, 0.5}}); err == nil {
+			t.Errorf("(%#v).InsertBatch returned no error", tree)
+		}
+		if tree.Points() != 0 || tree.MemoryBytes() != 0 {
+			t.Errorf("%#v reports %d points in %d bytes", tree, tree.Points(), tree.MemoryBytes())
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("a refused SaveTree left %s behind: %v", path, err)
+	}
+	ctx := context.Background()
+	if _, err := mrcc.Run(ctx, mrcc.Input{Dataset: ds, Tree: &mrcc.Tree{}}, mrcc.Config{}); err == nil {
+		t.Error("Run over a zero Tree returned no error")
+	}
+	if _, err := mrcc.Run(ctx, mrcc.Input{Tree: nil}, mrcc.Config{}); err == nil {
+		t.Error("Run with a nil Tree and no dataset returned no error")
+	}
+}
+
 // TestLoadTreeTypedError pins that a corrupt snapshot surfaces as a
 // *TreeFormatError through the facade.
 func TestLoadTreeTypedError(t *testing.T) {

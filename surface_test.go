@@ -9,11 +9,15 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"mrcc"
 )
 
 // TestFacadeSurface pins the facade's exported top-level names, read
-// from its non-test source files: a change that grows or shrinks the
-// public API has to edit this list.
+// from its non-test source files, and the exported methods of the two
+// types it owns, Tree and Result: a change that grows or shrinks the
+// public API has to edit these lists. Tree's layout stays private, so
+// it exports no field.
 func TestFacadeSurface(t *testing.T) {
 	want := []string{
 		"BetaCluster", "Cluster", "Config", "Dataset", "DatasetFromRows",
@@ -64,5 +68,23 @@ func TestFacadeSurface(t *testing.T) {
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("facade exports\n  %v\nwant\n  %v", got, want)
+	}
+	for typ, want := range map[reflect.Type][]string{
+		reflect.TypeOf(&mrcc.Tree{}):   {"InsertBatch", "MemoryBytes", "Points"},
+		reflect.TypeOf(&mrcc.Result{}): {"NumClusters"},
+	} {
+		var got []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			got = append(got, typ.Method(i).Name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v methods %v, want %v", typ, got, want)
+		}
+	}
+	tree := reflect.TypeOf(mrcc.Tree{})
+	for i := 0; i < tree.NumField(); i++ {
+		if tree.Field(i).IsExported() {
+			t.Errorf("mrcc.Tree exports field %s", tree.Field(i).Name)
+		}
 	}
 }
