@@ -166,3 +166,44 @@ func subset(ds *dataset.Dataset, lo, hi int) *dataset.Dataset {
 	}
 	return out
 }
+
+// TestRunOverSeveralTreesKeepsNoTree pins that a run over several trees
+// hands back no tree, with or without KeepTree: the union index it
+// clustered is not a tree, so Result.Tree stays nil and a caller that
+// holds the Result (the streaming service publishes it in its view)
+// keeps none of the trees reachable. A one-tree run with KeepTree
+// returns its tree.
+func TestRunOverSeveralTreesKeepsNoTree(t *testing.T) {
+	ds, _, err := synthetic.Generate(synthetic.Config{
+		Dims: 6, Points: 4000, Clusters: 2, NoiseFrac: 0.1,
+		MinClusterDim: 3, MaxClusterDim: 5, Seed: 83,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := ds.Len() / 2
+	a, err := ctree.Build(subset(ds, 0, half), 4, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ctree.Build(subset(ds, half, ds.Len()), 4, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keep := range []bool{false, true} {
+		res, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{a, b}}, core.Config{H: 4, KeepTree: keep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tree != nil {
+			t.Fatalf("KeepTree=%v: a run over two trees returned Result.Tree", keep)
+		}
+	}
+	res, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{a}}, core.Config{H: 4, KeepTree: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tree != a {
+		t.Fatal("a one-tree run with KeepTree did not return its tree")
+	}
+}

@@ -2,29 +2,32 @@
 //
 // Instead of one heap object per cell (*Cell with its own P slab, plus
 // a *Node and a map[uint64]int32 per refined cell — the pre-arena
-// layout), every tree owns a handful of structure-of-arrays slabs:
-// per-cell columns (Loc, N, Used, level, parent/child/sibling links,
-// child-table slot) that share one capacity, and ONE contiguous
-// half-space slab holding every cell's d int32 counters at stride d.
-// The capacity is ArenaCapFor(rows), the smallest power-of-two multiple
-// of 64 rows that holds the cells: Build and Union count their cells
-// first and allocate it once, while InsertBatch doubles it as it
-// goes. Cells are addressed by int32 arena offsets (Ref), so
-// insert, merge and the level-index build walk flat arrays instead of
-// chasing pointers across the heap, the GC sees a constant number of
-// objects regardless of η, and the memory accounting is an exact O(1)
-// sum of slab capacities.
+// layout), every tree owns a handful of structure-of-arrays slabs: the
+// state columns (Loc, N, Used, level, parent, child count), which
+// share one capacity, and ONE contiguous half-space slab holding every
+// cell's d int32 counters at stride d. Cells are addressed by int32
+// arena offsets (Ref), so insert, merge and the level-index build walk
+// flat arrays instead of chasing pointers across the heap, the GC sees
+// a constant number of objects regardless of η, and the memory
+// accounting is an exact O(1) sum of slab capacities.
 //
-// Children of one parent form a singly linked list in ascending Ref
-// order (firstChild/lastChild/nextSib columns): ascending by Loc in a
-// tree Build or Union wrote, in first-touch order in one grown by
-// InsertBatch. Small nodes (≤ inlineChildren children) are resolved by
-// scanning that list; a node that grows past the threshold gets an
-// open-addressing table keyed by the child's Loc (hashLoc). Table sizes
-// are a pure function of the child count (power of two, load ≤ ½), so
-// two trees storing the same cells have byte-identical accounting no
-// matter how they were built — the property the serial/parallel
-// MemoryBytes equality tests pin.
+// Two kinds of tree share the layout. A written-once tree — what
+// Build, Union, MergeFrom, the column loaders and Clone produce — holds
+// exactly its cells plus the root sentinel and nothing else: the paper's
+// Counting-tree keeps n, P and usedCell per cell, and the child counts
+// are all the level indexes need to group a level by parent. A grown
+// tree — one InsertBatch counted into — doubles its capacity from
+// arenaInitialCap rows as cells arrive and carries child links, which
+// its descent needs to find the cells it counts into: the children of
+// one parent form a singly linked list in ascending Ref order
+// (firstChild/lastChild/nextSib columns, at the shared capacity), and a
+// node past inlineChildren children gets an open-addressing table keyed
+// by the child's Loc (hashLoc). The first InsertBatch into a
+// written-once tree builds the links in one pass (link), as the level
+// indexes are built on first use; no reader needs them, so Equal,
+// CellAt, WalkLevel, the level indexes and a snapshot save leave a
+// written-once tree as it is. Table sizes are a pure function of the
+// child count (power of two, load ≤ ½).
 //
 // Ref 0 is the root sentinel: a pseudo-cell whose children are the
 // level-1 cells. It is never counted, walked or returned by lookups.
@@ -57,9 +60,9 @@ const rootRef Ref = 0
 // large level-1 fan-outs probe in O(1).
 const inlineChildren = 8
 
-// arenaInitialCap is the smallest arena capacity, that of an empty
-// tree from New. Growth doubles, so the final capacity — and with it
-// the exact memory accounting — depends only on the final cell count.
+// arenaInitialCap is the smallest capacity a growing arena takes: the
+// first cell counted into an empty tree from New allocates it, and
+// growth doubles from there.
 const arenaInitialCap = 64
 
 // Tree is the Counting-tree over a normalized dataset, stored as an
@@ -73,22 +76,24 @@ type Tree struct {
 	// Eta is the number of points counted into the tree.
 	Eta int
 
-	// Per-cell columns, indexed by Ref. Index 0 is the root sentinel.
+	// State columns, indexed by Ref. Index 0 is the root sentinel.
 	loc        []uint64 // position relative to the parent (bit j = upper half of axis j)
 	n          []int32  // point count
 	used       []bool   // usedCell flag consumed by the clustering phase
 	level      []uint8  // tree level (0 for the root sentinel)
 	parent     []Ref    // parent cell (rootRef for level-1 cells)
-	firstChild []Ref    // head of the child chain, NilRef when none
-	lastChild  []Ref    // tail of the child chain (O(1) first-touch append)
-	nextSib    []Ref    // next cell in the parent's child chain
 	childCount []int32  // number of children
-	childTab   []int32  // index into tabs, or -1 while the node is inline
 
 	// p is the contiguous half-space slab: cell r's counters live at
 	// p[r*D : (r+1)*D]. P[j] counts the cell's points in the lower half
 	// along axis j (at the next level's granularity).
 	p []int32
+
+	// Child links, nil in a written-once tree (see the file comment).
+	firstChild []Ref   // head of the child chain, NilRef when none
+	lastChild  []Ref   // tail of the child chain (O(1) first-touch append)
+	nextSib    []Ref   // next cell in the parent's child chain
+	childTab   []int32 // index into tabs, or -1 while the node is inline
 
 	// tabs holds the open-addressing child tables of large nodes:
 	// tabs[childTab[r]][slot] is a child Ref or NilRef. tabBytes tracks
@@ -135,72 +140,78 @@ type Tree struct {
 }
 
 // New returns an empty Counting-tree for d-dimensional data with H
-// resolutions. It does not validate its arguments — Build does, and
-// tests construct degenerate trees deliberately.
+// resolutions, holding the root sentinel alone. It does not validate
+// its arguments — Build does, and tests construct degenerate trees
+// deliberately.
 func New(d, h int) *Tree { return newTree(d, h, 1) }
 
-// newTree returns an empty tree whose arena holds rows rows, the root
-// sentinel's included, without growing: its columns are allocated once
-// at ArenaCapFor(rows), which counts as no growth.
+// newTree returns an empty written-once tree whose columns hold
+// exactly rows rows, the root sentinel's included: counting cells into
+// it until it holds rows rows never grows the arena.
 func newTree(d, h, rows int) *Tree {
-	t := &Tree{D: d, H: h, dmask: (uint64(1) << uint(d)) - 1}
-	t.growTo(rows)
+	t := &Tree{
+		D: d, H: h, dmask: (uint64(1) << uint(d)) - 1,
+		loc:        make([]uint64, 0, rows),
+		n:          make([]int32, 0, rows),
+		used:       make([]bool, 0, rows),
+		level:      make([]uint8, 0, rows),
+		parent:     make([]Ref, 0, rows),
+		childCount: make([]int32, 0, rows),
+		p:          make([]int32, 0, rows*d),
+	}
 	// Root sentinel at Ref 0.
 	t.pushCell(NilRef, 0, 0)
 	return t
 }
 
-// growTo reallocates every column to at least need cells (doubling, so
-// the final capacity is a pure function of the final cell count).
+// linked reports whether the tree carries child links: it does from
+// the first InsertBatch into it until a MergeFrom rewrites it (see the
+// file comment).
+func (t *Tree) linked() bool { return t.firstChild != nil }
+
+// growTo reallocates every column to at least need rows, doubling from
+// the current capacity (arenaInitialCap at least). Reallocating a tree
+// that stores no cell yet is its first allocation, not a growth.
 func (t *Tree) growTo(need int) {
-	newCap := cap(t.loc)
-	if newCap == 0 {
-		newCap = arenaInitialCap
-	}
+	newCap := max(cap(t.loc), arenaInitialCap)
 	for newCap < need {
 		newCap *= 2
 	}
-	if newCap == cap(t.loc) && t.loc != nil {
+	if newCap == cap(t.loc) {
 		return
 	}
-	if t.loc != nil {
+	if t.CellCount() > 0 {
 		t.grows++
 	}
-	grow := func(dst *[]Ref) {
-		s := make([]Ref, len(*dst), newCap)
-		copy(s, *dst)
-		*dst = s
+	t.loc = regrow(t.loc, newCap)
+	t.n = regrow(t.n, newCap)
+	t.used = regrow(t.used, newCap)
+	t.level = regrow(t.level, newCap)
+	t.parent = regrow(t.parent, newCap)
+	t.childCount = regrow(t.childCount, newCap)
+	t.p = regrow(t.p, newCap*t.D)
+	if t.linked() {
+		t.firstChild = regrow(t.firstChild, newCap)
+		t.lastChild = regrow(t.lastChild, newCap)
+		t.nextSib = regrow(t.nextSib, newCap)
+		t.childTab = regrow(t.childTab, newCap)
 	}
-	loc := make([]uint64, len(t.loc), newCap)
-	copy(loc, t.loc)
-	t.loc = loc
-	n := make([]int32, len(t.n), newCap)
-	copy(n, t.n)
-	t.n = n
-	used := make([]bool, len(t.used), newCap)
-	copy(used, t.used)
-	t.used = used
-	level := make([]uint8, len(t.level), newCap)
-	copy(level, t.level)
-	t.level = level
-	grow(&t.parent)
-	grow(&t.firstChild)
-	grow(&t.lastChild)
-	grow(&t.nextSib)
-	cc := make([]int32, len(t.childCount), newCap)
-	copy(cc, t.childCount)
-	t.childCount = cc
-	ct := make([]int32, len(t.childTab), newCap)
-	copy(ct, t.childTab)
-	t.childTab = ct
-	p := make([]int32, len(t.p), newCap*t.D)
-	copy(p, t.p)
-	t.p = p
 }
 
-// pushCell appends one cell to the arena columns and returns its Ref.
-// It does not link the cell into its parent's child chain (ensureChild
-// does, or link for a whole arena).
+// regrow returns a copy of s with capacity c.
+func regrow[T any](s []T, c int) []T {
+	g := make([]T, len(s), c)
+	copy(g, s)
+	return g
+}
+
+// exact returns a copy of s whose capacity is its length.
+func exact[T any](s []T) []T { return regrow(s, len(s)) }
+
+// pushCell appends one cell to the arena columns, counts it as a child
+// of parent and returns its Ref. In a linked tree it does not chain the
+// cell into its parent's child list (ensureChild does, or link for a
+// whole arena).
 func (t *Tree) pushCell(parent Ref, loc uint64, lvl uint8) Ref {
 	if len(t.loc) == cap(t.loc) {
 		t.growTo(len(t.loc) + 1)
@@ -211,12 +222,17 @@ func (t *Tree) pushCell(parent Ref, loc uint64, lvl uint8) Ref {
 	t.used = append(t.used, false)
 	t.level = append(t.level, lvl)
 	t.parent = append(t.parent, parent)
-	t.firstChild = append(t.firstChild, NilRef)
-	t.lastChild = append(t.lastChild, NilRef)
-	t.nextSib = append(t.nextSib, NilRef)
 	t.childCount = append(t.childCount, 0)
-	t.childTab = append(t.childTab, -1)
+	if parent >= 0 {
+		t.childCount[parent]++
+	}
 	t.p = append(t.p, make([]int32, t.D)...)
+	if t.linked() {
+		t.firstChild = append(t.firstChild, NilRef)
+		t.lastChild = append(t.lastChild, NilRef)
+		t.nextSib = append(t.nextSib, NilRef)
+		t.childTab = append(t.childTab, -1)
+	}
 	return r
 }
 
@@ -224,7 +240,7 @@ func (t *Tree) pushCell(parent Ref, loc uint64, lvl uint8) Ref {
 // murmur3 finalizer (fmix64): two multiplies and three xor-shifts
 // instead of the byte-at-a-time FNV-1a loop it replaces — ~8× fewer
 // multiplies on the child-table probe that sits inside every tree
-// descent (insertion, CellAt). Safe to change at will:
+// descent of a linked tree (insertion, CellAt). Safe to change at will:
 // child tables are rebuilt from the sibling chains, never persisted
 // (treeio serializes cells, not tables), and open addressing returns
 // the unique matching Loc whatever the probe order. The child tables
@@ -241,8 +257,8 @@ func hashLoc(w uint64) uint64 {
 }
 
 // findChild returns the child of par with the given relative position,
-// or NilRef. Large nodes probe their open-addressing table; small ones
-// scan the sibling chain.
+// or NilRef, in a linked tree. Large nodes probe their open-addressing
+// table; small ones scan the sibling chain.
 func (t *Tree) findChild(par Ref, loc uint64) Ref {
 	if tb := t.childTab[par]; tb >= 0 {
 		tab := t.tabs[tb]
@@ -280,7 +296,8 @@ func (t *Tree) ensureChild(par Ref, loc uint64) (Ref, bool) {
 
 // linkChild appends the freshly stored cell r to par's child chain and
 // keeps the child-resolution structures (inline chain or table) in
-// step. The caller guarantees par has no child with r's Loc yet.
+// step. The caller guarantees par has no child with r's Loc yet, and
+// pushCell has counted r.
 func (t *Tree) linkChild(par, r Ref) {
 	t.chainChild(par, r)
 	if tb := t.childTab[par]; tb >= 0 {
@@ -290,7 +307,7 @@ func (t *Tree) linkChild(par, r Ref) {
 	}
 }
 
-// chainChild appends r to the tail of par's child chain and counts it.
+// chainChild appends r to the tail of par's child chain.
 func (t *Tree) chainChild(par, r Ref) {
 	if t.lastChild[par] < 0 {
 		t.firstChild[par] = r
@@ -298,21 +315,63 @@ func (t *Tree) chainChild(par, r Ref) {
 		t.nextSib[t.lastChild[par]] = r
 	}
 	t.lastChild[par] = r
-	t.childCount[par]++
 }
 
-// link rebuilds every child chain from the parent column (parents
-// precede their children), in ascending Ref order, then gives each node
-// with more than inlineChildren children its child table once, at its
-// final size.
+// link gives a tree without child links its links: it allocates the
+// link columns at the arena's capacity and chains every cell from the
+// parent column (parents precede their children), in ascending Ref
+// order, then gives each node with more than inlineChildren children
+// its child table once, at its final size. A linked tree is left as it
+// is.
 func (t *Tree) link() {
-	for r := 1; r < len(t.loc); r++ {
+	if t.linked() {
+		return
+	}
+	rows, c := len(t.loc), cap(t.loc)
+	t.firstChild = nilRefs(rows, c)
+	t.lastChild = nilRefs(rows, c)
+	t.nextSib = nilRefs(rows, c)
+	t.childTab = make([]int32, rows, c)
+	for i := range t.childTab {
+		t.childTab[i] = -1
+	}
+	for r := 1; r < rows; r++ {
 		t.chainChild(t.parent[r], Ref(r))
 	}
 	for r, n := range t.childCount {
 		if n > inlineChildren {
 			t.buildTab(Ref(r))
 		}
+	}
+}
+
+// trim reallocates the state columns of an unlinked tree that has
+// stopped growing to exactly its rows: a spilled build, which cannot
+// count its cells ahead, ends written-once this way.
+func (t *Tree) trim() {
+	if cap(t.loc) == len(t.loc) {
+		return
+	}
+	t.loc, t.n, t.used, t.level = exact(t.loc), exact(t.n), exact(t.used), exact(t.level)
+	t.parent, t.childCount, t.p = exact(t.parent), exact(t.childCount), exact(t.p)
+}
+
+// nilRefs returns rows NilRefs in a slice of capacity c.
+func nilRefs(rows, c int) []Ref {
+	s := make([]Ref, rows, c)
+	for i := range s {
+		s[i] = NilRef
+	}
+	return s
+}
+
+// countChildren recomputes every cell's child count from the parent
+// column, whose refs the caller has checked, into a column of the
+// arena's capacity.
+func (t *Tree) countChildren() {
+	t.childCount = make([]int32, len(t.loc), cap(t.loc))
+	for _, par := range t.parent[1:] {
+		t.childCount[par]++
 	}
 }
 
@@ -415,30 +474,37 @@ func (t *Tree) ResetUsed() {
 }
 
 // MemoryBytes returns the EXACT heap footprint of the tree's arena in
-// O(1): the sum of every column's capacity, the half-space slab, and
-// the child tables. It does NOT include the flat level indexes —
+// O(1): the state columns and the half-space slab at their shared
+// capacity and, in a tree InsertBatch has counted into, the child-link
+// columns and tables. It does NOT include the flat level indexes —
 // IndexMemoryBytes accounts for those separately, so the two can be
-// summed without double counting (the memory-limit check does).
-// Because capacities and table sizes are pure functions of the cell
-// set, two trees storing the same cells report identical footprints
-// regardless of how they were built.
+// summed without double counting (the memory-limit check does). A
+// written-once tree reports stateBytes(D, cells+1): two such trees
+// storing the same cells report identical footprints however they were
+// built, and a grown tree reports its doubling capacity, links and
+// tables on top.
 func (t *Tree) MemoryBytes() uint64 {
-	return arenaBytes(t.D, cap(t.loc)) + uint64(cap(t.tabs))*uint64(unsafe.Sizeof([]Ref(nil))) + t.tabBytes
+	rows := uint64(cap(t.loc))
+	b := stateBytes(t.D, cap(t.loc))
+	if t.linked() {
+		b += rows*uint64(3*unsafe.Sizeof(NilRef)+unsafe.Sizeof(int32(0))) + // firstChild, lastChild, nextSib, childTab
+			uint64(cap(t.tabs))*uint64(unsafe.Sizeof([]Ref(nil))) + t.tabBytes
+	}
+	return b
 }
 
-// arenaBytes is the footprint of a tree's header, its per-cell columns
-// and its half-space slab at a capacity of capRows rows, which every
-// column shares: what MemoryBytes counts for a tree without child
-// tables.
-func arenaBytes(d, capRows int) uint64 {
+// stateBytes is the footprint of a tree's header, its state columns and
+// its half-space slab at a capacity of rows rows: what MemoryBytes
+// counts for a tree without child links.
+func stateBytes(d, rows int) uint64 {
 	row := unsafe.Sizeof(uint64(0)) + // loc
 		unsafe.Sizeof(int32(0)) + // n
 		unsafe.Sizeof(false) + // used
 		unsafe.Sizeof(uint8(0)) + // level
-		4*unsafe.Sizeof(NilRef) + // parent, firstChild, lastChild, nextSib
-		2*unsafe.Sizeof(int32(0)) + // childCount, childTab
+		unsafe.Sizeof(NilRef) + // parent
+		unsafe.Sizeof(int32(0)) + // childCount
 		uintptr(d)*unsafe.Sizeof(int32(0)) // p
-	return uint64(unsafe.Sizeof(Tree{})) + uint64(capRows)*uint64(row)
+	return uint64(unsafe.Sizeof(Tree{})) + uint64(rows)*uint64(row)
 }
 
 // ArenaGrows returns the number of arena growth events (column

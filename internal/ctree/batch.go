@@ -19,9 +19,10 @@
 // below a run's divergence level is new: the sorted order visits each
 // path prefix in one stretch, so a prefix that differs from the
 // previous run's has never been seen. The descent then appends those
-// cells without a child lookup, leaving the chains and child tables to
-// one link pass at the end of the count; into a populated tree it
-// finds or creates each one (ensureChild).
+// cells without a child lookup or link (Build's trees keep none;
+// InsertBatch links the tree after the count); into a populated tree,
+// which InsertBatch has linked, it finds or creates each one
+// (ensureChild).
 //
 // The quantize pass is branch-reduced (DESIGN.md §12): one float
 // multiply + floor per coordinate gives the level-H grid value, the
@@ -70,8 +71,9 @@ const f64NegZeroBits = uint64(1) << 63
 // level where the two paths diverge. One inserter serves one tree.
 type batchInserter struct {
 	t *Tree
-	// fresh is set when t stored no cell as the count began: new cells
-	// are appended unlinked (see the file comment).
+	// fresh is set when t stored no cell and no child links as the
+	// count began: new cells are appended unlinked (see the file
+	// comment).
 	fresh bool
 
 	// Descent stack: refs[h]/locs[h] address the level-h cell of the
@@ -84,7 +86,7 @@ type batchInserter struct {
 
 // newBatchInserter returns a fresh inserter for t.
 func newBatchInserter(t *Tree) *batchInserter {
-	b := &batchInserter{t: t, fresh: t.CellCount() == 0, refs: make([]Ref, t.H), locs: make([]uint64, t.H)}
+	b := &batchInserter{t: t, fresh: t.CellCount() == 0 && !t.linked(), refs: make([]Ref, t.H), locs: make([]uint64, t.H)}
 	b.refs[0] = rootRef
 	return b
 }

@@ -17,10 +17,12 @@
 // once more, keys only, to count the cells the tree will store
 // (cellCount): each record adds the cells below the level where its
 // path leaves the previous record's. The tree's arena is allocated
-// once at that size, so it never grows, and the count phase appends
-// every cell without a child lookup and links the child chains and
-// tables once at the end (batch.go). A spilled build's streams are on
-// disk, so it skips the walk and its arena doubles as the cells come.
+// once at exactly that size, so it never grows, and the count phase
+// appends every cell without a child lookup (batch.go). A spilled
+// build's streams are on disk, so it skips the walk: its arena doubles
+// as the cells come and is trimmed to them once the merge ends. Either
+// way Build returns a written-once tree, exactly its cells with no
+// child links (arena.go).
 //
 // Streams cover contiguous slices of the dataset and sort stably, so
 // the merged order is (key, dataset index) — a pure function of the
@@ -102,8 +104,8 @@ type BuildOptions struct {
 	// MemoryLimitBytes is the build's memory budget; 0 means
 	// unlimited. In memory it caps the tree's MemoryBytes: an arena
 	// over it is refused before it is allocated, and the merge polls
-	// the footprint every merged chunk and once the child tables are
-	// built (a refused build returns a *LimitError); the
+	// the footprint every merged chunk and once at the end (a refused
+	// build returns a *LimitError); the
 	// authoritative check that includes the level indexes is the
 	// caller's job. With SpillDir it bounds the sort buffer instead:
 	// each run holds at most MemoryLimitBytes/ExternalRecordBytes(d, H)
@@ -146,7 +148,7 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 			return nil, err
 		}
 		rows := 1 + cellCount(streams, ds.Dims, H)
-		if est := arenaBytes(ds.Dims, ArenaCapFor(rows)); bc.limit > 0 && est > bc.limit {
+		if est := stateBytes(ds.Dims, rows); bc.limit > 0 && est > bc.limit {
 			return nil, &LimitError{LimitBytes: bc.limit, EstimateBytes: est, H: H}
 		}
 		t = newTree(ds.Dims, H, rows)
@@ -170,6 +172,7 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 	if err := countMerged(t, streams, bc, opt.Progress, ds.Len()); err != nil {
 		return nil, err
 	}
+	t.trim()
 	return t, nil
 }
 
@@ -532,12 +535,10 @@ func cellCount(streams []*recordStream, d, H int) int {
 // InsertBatch. Records sharing a path are buffered, at most
 // buildReportEvery leaf words at a time, and counted in one carry-over
 // descent (batch.go), so shared prefixes are bumped once per run of
-// equal paths rather than once per point. When t starts empty the new
-// cells go in unlinked, and one link after the last run chains them
-// and builds the child tables before the final checkpoint, so the
-// tables count toward the memory cap. The build control is polled
-// every buildReportEvery records and once at the end; progress reports
-// done of total records.
+// equal paths rather than once per point. When t starts empty and
+// unlinked the new cells go in without a child lookup or link. The
+// build control is polled every buildReportEvery records and once at
+// the end; progress reports done of total records.
 func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress ProgressFunc, total int) error {
 	ins := newBatchInserter(t)
 	w := keyWords(t.D, t.H)
@@ -592,9 +593,6 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress Pr
 		}
 	}
 	flush()
-	if ins.fresh {
-		t.link()
-	}
 	t.Eta += done
 	if err := bc.check(fault.BuildMerge, t); err != nil {
 		return err

@@ -18,11 +18,11 @@ type buildConfig struct {
 
 // checkBuildsAgree pins the one-build contract for the configurations
 // that configs returns for an n-point dataset: each builds the same
-// tree as per-point insertion, cell for cell, with the same MemoryBytes,
-// in canonical arena order and with arena columns identical to the
-// in-memory build at the default worker count. It runs on both the
-// packed single-word key layout and the multi-word layout
-// (d·(H-1) > 64).
+// tree as per-point insertion, cell for cell, with the written-once
+// footprint of its cells (MemoryBytes), in canonical arena order and
+// with arena columns identical to the in-memory build at the default
+// worker count. It runs on both the packed single-word key layout and
+// the multi-word layout (d·(H-1) > 64).
 func checkBuildsAgree(t *testing.T, configs func(n int) []buildConfig) {
 	t.Helper()
 	for _, s := range []struct{ d, H, n int }{
@@ -49,8 +49,8 @@ func checkBuildsAgree(t *testing.T, configs func(n int) []buildConfig) {
 			if !treesEqual(t, oracle, got) {
 				t.Fatalf("%s: tree diverged from per-point insertion", name)
 			}
-			if got.MemoryBytes() != oracle.MemoryBytes() {
-				t.Fatalf("%s: MemoryBytes %d, per-point insertion %d", name, got.MemoryBytes(), oracle.MemoryBytes())
+			if want := stateBytes(s.d, int(got.CellCount())+1); got.MemoryBytes() != want {
+				t.Fatalf("%s: MemoryBytes %d, want the written-once footprint %d", name, got.MemoryBytes(), want)
 			}
 			if canon, err := Canonicalize(got); err != nil || canon != got {
 				t.Fatalf("%s: build is not in canonical arena order (err=%v)", name, err)
@@ -164,8 +164,10 @@ func TestBuildShardSplitEdges(t *testing.T) {
 // empty, where new cells are appended without a lookup, a repeat must
 // append none. Both key layouts, in memory at Workers 1 and 2, spilled
 // in one run and in runs that split the repeated path, and one
-// InsertBatch call into an empty tree must equal per-point insertion;
-// the in-memory builds must also size their arena once.
+// InsertBatch call into an empty tree must equal per-point insertion,
+// each with the footprint of its path (a build's written-once arena,
+// the grown arena of InsertBatch); the in-memory builds must also size
+// their arena once.
 func TestBuildRepeatedPathPastLeafBuffer(t *testing.T) {
 	for _, s := range []struct {
 		name string
@@ -226,12 +228,43 @@ func TestBuildRepeatedPathPastLeafBuffer(t *testing.T) {
 			if !treesEqual(t, oracle, got) || got.CellCount() != oracle.CellCount() {
 				t.Fatalf("%s: %d cells, per-point insertion %d; trees differ", name, got.CellCount(), oracle.CellCount())
 			}
-			if got.MemoryBytes() != oracle.MemoryBytes() {
-				t.Fatalf("%s: MemoryBytes %d, per-point insertion %d", name, got.MemoryBytes(), oracle.MemoryBytes())
+			want := stateBytes(s.d, int(got.CellCount())+1)
+			if c.name == "insertbatch" {
+				want = grownBytes(oracle)
+			}
+			if got.MemoryBytes() != want {
+				t.Fatalf("%s: MemoryBytes %d, want the footprint of its path %d", name, got.MemoryBytes(), want)
 			}
 			if g := got.ArenaGrows(); c.inMemory && g != 0 {
 				t.Fatalf("%s: arena grew %d times, want 0", name, g)
 			}
 		}
 	}
+}
+
+// grownBytes is the footprint of a tree that InsertBatch grew from an
+// empty tree to t's cells, from first principles: the state columns
+// and 16 B of child links a row (three Refs and a table index) at the
+// doubling capacity from arenaInitialCap rows, plus one child table of
+// tableSize 4-byte slots per node with more than inlineChildren
+// children, listed in a slice of 24-byte headers grown by append.
+func grownBytes(t *Tree) uint64 {
+	rows := len(t.loc)
+	capRows := arenaInitialCap
+	for capRows < rows {
+		capRows *= 2
+	}
+	children := make([]int, rows)
+	for _, par := range t.parent[1:] {
+		children[par]++
+	}
+	var tabs [][]Ref
+	var slots uint64
+	for _, c := range children {
+		if c > inlineChildren {
+			tabs = append(tabs, nil)
+			slots += tableSize(c)
+		}
+	}
+	return stateBytes(t.D, capRows) + uint64(capRows)*16 + uint64(cap(tabs))*24 + slots*4
 }

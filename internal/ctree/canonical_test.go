@@ -114,8 +114,8 @@ func TestCanonicalizeMultiChunk(t *testing.T) {
 	if !Equal(ca, serial) {
 		t.Fatal("canonicalization changed the cell set")
 	}
-	if ca.MemoryBytes() != serial.MemoryBytes() {
-		t.Fatal("canonicalization changed MemoryBytes")
+	if ca.MemoryBytes() != stateBytes(ca.D, int(ca.CellCount())+1) || ca.MemoryBytes() != built.MemoryBytes() {
+		t.Fatalf("canonicalized tree reports %d bytes, want the written-once footprint %d", ca.MemoryBytes(), built.MemoryBytes())
 	}
 }
 

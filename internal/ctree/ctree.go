@@ -13,6 +13,7 @@
 package ctree
 
 import (
+	"bytes"
 	"math"
 )
 
@@ -131,52 +132,117 @@ func (p Path) Compare(q Path) int {
 	return 0
 }
 
-// CellAt walks the tree along the path and returns the addressed cell,
-// or NilRef when any step is absent.
+// CellAt returns the cell at the given path, or NilRef when the tree
+// stores none. A linked tree descends through its child links and a
+// written-once tree in canonical order descends through its rows
+// (cellAtCanonical); any other tree is scanned. None of them changes
+// the tree.
 func (t *Tree) CellAt(p Path) Ref {
-	r := rootRef
-	for _, loc := range p {
-		r = t.findChild(r, loc)
-		if r < 0 {
-			return NilRef
+	h := len(p)
+	switch {
+	case h == 0 || h > t.H-1:
+		return NilRef
+	case t.linked():
+		r := rootRef
+		for _, loc := range p {
+			if r = t.findChild(r, loc); r < 0 {
+				return NilRef
+			}
+		}
+		return r
+	case t.canonical():
+		return t.cellAtCanonical(p)
+	}
+	for r, l := range t.level {
+		if int(l) == h && t.pathIs(Ref(r), p) {
+			return Ref(r)
 		}
 	}
-	if r == rootRef {
-		return NilRef
+	return NilRef
+}
+
+// cellAtCanonical is CellAt in a canonical arena (DFS preorder, siblings
+// ascending by loc). There a cell r's subtree is the run of rows from r
+// to its end, its children are that run's rows one level down, in
+// ascending loc, the first of them right after r, and every later row
+// of that level belongs to a later parent. So each step checks r's
+// first child and, when r has more, binary-searches the level's rows
+// up to the end of r's subtree for the first that is not a child of r
+// below the wanted loc.
+func (t *Tree) cellAtCanonical(p Path) Ref {
+	r, end := rootRef, len(t.level)
+	for l, want := range p {
+		lvl := uint8(l + 1)
+		c := int(r) + 1
+		if c == end || t.parent[c] != r || t.loc[c] > want {
+			return NilRef
+		}
+		if t.loc[c] == want {
+			// end bounds c's subtree too: r's other children follow it.
+			r = Ref(c)
+			continue
+		}
+		lo, hi, c := c+1, end, end
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			i := bytes.IndexByte(t.level[m:hi], lvl)
+			if i < 0 {
+				hi = m
+				continue
+			}
+			if s := m + i; t.parent[s] == r && t.loc[s] < want {
+				lo = s + 1
+			} else {
+				c, hi = s, m
+			}
+		}
+		if c == end || t.parent[c] != r || t.loc[c] != want {
+			return NilRef
+		}
+		if i := bytes.IndexByte(t.level[c+1:end], lvl); i >= 0 {
+			end = c + 1 + i
+		}
+		r = Ref(c)
 	}
 	return r
 }
 
-// WalkLevel visits every stored cell at level h in deterministic (chain)
-// order. The path passed to fn is reused across calls; clone it to
-// retain it.
+// pathIs reports whether cell r's root path is p.
+func (t *Tree) pathIs(r Ref, p Path) bool {
+	if int(t.level[r]) != len(p) {
+		return false
+	}
+	for l := len(p); l > 0; l, r = l-1, t.parent[r] {
+		if t.loc[r] != p[l-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// WalkLevel visits every stored cell at level h in arena order, which
+// is path order in a canonical tree (Build, Union and a load of
+// either), in one pass over the arena that keeps the path of the
+// latest cell's ancestors. The path passed to fn is reused across
+// calls; clone it to retain it.
 func (t *Tree) WalkLevel(h int, fn func(p Path, r Ref)) {
 	if h < 1 || h > t.H-1 {
 		return
 	}
-	// Iterative DFS over the arena linkage: stack[l] is the cell
-	// currently visited at depth l (level l+1); NilRef means the child
-	// chain at that depth is exhausted.
+	// anc[l] is the level-(l+1) cell whose loc path[l] holds: a cell's
+	// path is refreshed only up to the first ancestor already in place.
 	path := make(Path, h)
-	stack := make([]Ref, h)
-	stack[0] = t.firstChild[rootRef]
-	depth := 0
-	for depth >= 0 {
-		r := stack[depth]
-		if r < 0 {
-			depth--
-			if depth >= 0 {
-				stack[depth] = t.nextSib[stack[depth]]
-			}
+	anc := make([]Ref, h)
+	for l := range anc {
+		anc[l] = NilRef
+	}
+	for r, lvl := range t.level {
+		if int(lvl) != h {
 			continue
 		}
-		path[depth] = t.loc[r]
-		if depth+1 == h {
-			fn(path, r)
-			stack[depth] = t.nextSib[r]
-			continue
+		for l, c := h-1, Ref(r); l >= 0 && anc[l] != c; l, c = l-1, t.parent[c] {
+			anc[l], path[l] = c, t.loc[c]
 		}
-		depth++
-		stack[depth] = t.firstChild[r]
+		fn(path, Ref(r))
 	}
 }

@@ -94,8 +94,10 @@ func TestChildCountsSumToParent(t *testing.T) {
 				t.Fatalf("level %d cell has no children despite not being the deepest level", h)
 			}
 			sum := 0
-			for ch := tr.firstChild[r]; ch >= 0; ch = tr.nextSib[ch] {
-				sum += int(tr.N(ch))
+			for ch, par := range tr.parent {
+				if par == r {
+					sum += int(tr.N(Ref(ch)))
+				}
 			}
 			if sum != int(tr.N(r)) {
 				t.Errorf("level %d cell: children sum %d != parent %d", h, sum, tr.N(r))

@@ -43,3 +43,16 @@ func UpperLink(ix *LevelIndex, i, j int) int {
 func CanonicalVerdicts(t *Tree) (cached, scanned bool) {
 	return t.canonical(), t.scanCanonical()
 }
+
+// WrittenOnceBytes is the footprint of a written-once tree of rows rows
+// (cells + the root sentinel): its state columns and half-space slab,
+// exactly sized, with no child links.
+func WrittenOnceBytes(d, rows int) uint64 { return stateBytes(d, rows) }
+
+// Linked reports whether t carries child links, as a tree InsertBatch
+// has counted into does.
+func Linked(t *Tree) bool { return t.linked() }
+
+// ChildCountExact reports whether t's child-count column holds exactly
+// its rows.
+func ChildCountExact(t *Tree) bool { return cap(t.childCount) == len(t.loc) }

@@ -79,11 +79,15 @@ func decodeFuzzBatches(data []byte) fuzzBatches {
 
 // FuzzInsertBatch is the tree layer's property check of the ingest
 // path. For every decoded input, the tree grown batch by batch through
-// InsertBatch must be Equal to Build's tree of all the points with the
-// same MemoryBytes; one InsertBatch call of all of them into an empty
-// tree must write Build's columns row for row; and a batch holding one
-// invalid value (NaN, 1, a negative value or a short row) must be
-// refused and leave the tree Equal to before, with the same Eta.
+// InsertBatch must be Equal to Build's tree of all the points, with the
+// grown footprint of those cells (grownBytes); one InsertBatch call of
+// all of them into an empty tree must write Build's columns row for
+// row; Build of the first batch (one point at least) followed by
+// InsertBatch of the rest, batch by batch, which links the written-once
+// tree on its first count, must be Equal to Build's tree and hold its
+// columns once canonicalized; and a batch holding one invalid value
+// (NaN, 1, a negative value or a short row) must be refused and leave
+// the tree Equal to before, with the same Eta.
 //
 //	go test -run '^$' -fuzz FuzzInsertBatch -fuzztime 30s ./internal/ctree
 func FuzzInsertBatch(f *testing.F) {
@@ -107,15 +111,37 @@ func FuzzInsertBatch(f *testing.F) {
 		if !Equal(batched, whole) || batched.Eta != whole.Eta {
 			t.Fatalf("d=%d H=%d: %d batches diverged from Build", in.d, in.H, len(in.batches))
 		}
-		if batched.MemoryBytes() != whole.MemoryBytes() {
-			t.Fatalf("batched tree reports %d bytes, Build %d", batched.MemoryBytes(), whole.MemoryBytes())
+		if want := grownBytes(whole); batched.MemoryBytes() != want {
+			t.Fatalf("batched tree reports %d bytes, want the grown footprint %d", batched.MemoryBytes(), want)
 		}
 		one := New(in.d, in.H)
 		if err := one.InsertBatch(in.points); err != nil {
 			t.Fatalf("InsertBatch: %v", err)
 		}
-		if !sameColumns(one.Columns(), whole.Columns()) || one.MemoryBytes() != whole.MemoryBytes() {
+		if !sameColumns(one.Columns(), whole.Columns()) || one.MemoryBytes() != grownBytes(whole) {
 			t.Fatalf("d=%d H=%d: one call wrote other columns than Build", in.d, in.H)
+		}
+
+		// Build a prefix, InsertBatch the rest at the decoded cuts.
+		k := max(1, len(in.batches[0]))
+		prefixed, err := Build(&dataset.Dataset{Dims: in.d, Points: in.points[:k]}, in.H, BuildOptions{})
+		if err != nil {
+			t.Fatalf("Build: %v", err)
+		}
+		pos := 0
+		for _, b := range in.batches {
+			if lo, hi := max(pos, k), pos+len(b); lo < hi {
+				if err := prefixed.InsertBatch(in.points[lo:hi]); err != nil {
+					t.Fatalf("InsertBatch: %v", err)
+				}
+			}
+			pos += len(b)
+		}
+		if !Equal(prefixed, whole) || prefixed.Eta != whole.Eta {
+			t.Fatalf("d=%d H=%d: Build of %d points and InsertBatch of the rest diverged from Build", in.d, in.H, k)
+		}
+		if canon, err := Canonicalize(prefixed); err != nil || !sameColumns(canon.Columns(), whole.Columns()) {
+			t.Fatalf("d=%d H=%d: the prefixed tree canonicalizes to other columns than Build's (err=%v)", in.d, in.H, err)
 		}
 
 		// The points again, one of them spoiled: the batch is refused

@@ -7,8 +7,9 @@ import (
 
 // Insert is the per-point oracle of the batch and build paths: it
 // counts one point (in [0,1)^d) into the tree by one descent, finding
-// or creating each cell with ensureChild, with the same counts Build
-// and InsertBatch give it. Like them it refuses to count past
+// or creating each cell with ensureChild (linking the tree first, as
+// InsertBatch does), with the same counts Build and InsertBatch give
+// it. Like them it refuses to count past
 // MaxPoints, where the int32 counters would wrap.
 func (t *Tree) Insert(p []float64) error {
 	if len(p) != t.D {
@@ -30,6 +31,7 @@ func (t *Tree) Insert(p []float64) error {
 		qs[j] = uint64(v * scale)
 	}
 	t.invalidateIndexes()
+	t.link()
 	cur := rootRef
 	prev := NilRef
 	for h := 1; h <= t.H-1; h++ {

@@ -6,9 +6,10 @@ import (
 )
 
 // MergeFrom adds every count of other into t: t becomes Union(t,
-// other), every Ref into t from before the merge is void, and other is
-// left untouched. It refuses what Union refuses (a different geometry,
-// or points summing past MaxPoints), leaving t unmodified.
+// other), a written-once tree, every Ref into t from before the merge
+// is void, and other is left untouched. It refuses what Union refuses
+// (a different geometry, or points summing past MaxPoints), leaving t
+// unmodified.
 func (t *Tree) MergeFrom(other *Tree) error {
 	if other == nil {
 		return nil
@@ -25,11 +26,11 @@ func (t *Tree) MergeFrom(other *Tree) error {
 // usedCell flag set when any of theirs is. Counts add up across trees
 // (a tree is the sum of its points' increments), so the union of trees
 // built over the parts of a dataset is the tree Build gives the whole.
-// The union is canonical, in Build's arena order, columns and
-// MemoryBytes for the same cells, whatever order its inputs are in, and
-// its build statistics (ArenaGrows, BatchRuns, RadixChunks) are the
-// inputs' sums. The inputs are left untouched; a tree may appear more
-// than once.
+// The union is canonical and written-once, with Build's arena order,
+// columns and MemoryBytes for the same cells, whatever order or kind
+// its inputs are, and its build statistics (ArenaGrows, BatchRuns,
+// RadixChunks) are the inputs' sums. The inputs are left untouched; a
+// tree may appear more than once.
 //
 // Union refuses an empty or nil input, trees of different
 // dimensionality or resolution count, and trees whose points sum past
@@ -84,8 +85,8 @@ type unionLevel struct {
 // preorder, a walk down the run offsets (kids) in which a cell goes one
 // row past its parent, or past its previous sibling's subtree. Each row
 // sums its sources' N and P and ORs their usedCell flags, in fresh
-// columns of ArenaCapFor(rows) that t adopts and links, so each wide
-// node's child table is built once, at its final size.
+// columns of exactly rows rows that t adopts: t ends written-once,
+// without child links (arena.go).
 func (t *Tree) writeUnion(trees []*Tree) {
 	d, H := t.D, t.H
 	m := newLevelMerger(trees)
@@ -103,14 +104,13 @@ func (t *Tree) writeUnion(trees []*Tree) {
 		rows += len(cnt)
 		above = refs
 	}
-	capRows := ArenaCapFor(rows)
 	c := Columns{
-		Loc:    make([]uint64, rows, capRows),
-		N:      make([]int32, rows, capRows),
-		Used:   make([]bool, rows, capRows),
-		Level:  make([]uint8, rows, capRows),
-		Parent: make([]Ref, rows, capRows),
-		P:      make([]int32, rows*d, capRows*d),
+		Loc:    make([]uint64, rows),
+		N:      make([]int32, rows),
+		Used:   make([]bool, rows),
+		Level:  make([]uint8, rows),
+		Parent: make([]Ref, rows),
+		P:      make([]int32, rows*d),
 	}
 	c.Parent[0] = NilRef
 	// next[h] and end[h] bound the run of level-h entries being written,
@@ -153,8 +153,8 @@ func (t *Tree) writeUnion(trees []*Tree) {
 		radixChunks += src.radixChunks
 	}
 	t.invalidateIndexes()
-	t.adoptColumns(c, rows)
-	t.link()
+	t.adoptColumns(c)
+	t.countChildren()
 	t.Eta, t.grows, t.runs, t.runPoints, t.radixChunks = eta, grows, batchRuns, runPoints, radixChunks
 }
 
@@ -162,8 +162,8 @@ func (t *Tree) writeUnion(trees []*Tree) {
 // canonical arena order, the DFS preorder with every parent's children
 // ascending by Loc that Build and Union write: t itself when it is in
 // that order already (a build, a union, a snapshot of either), Union(t)
-// otherwise (a tree grown by InsertBatch), which leaves t
-// untouched and keeps its build statistics and MemoryBytes.
+// otherwise (a tree grown by InsertBatch), a written-once tree that
+// keeps t's build statistics and leaves t untouched.
 func Canonicalize(t *Tree) (*Tree, error) {
 	if t.canonical() {
 		return t, nil

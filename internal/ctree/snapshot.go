@@ -2,24 +2,25 @@
 // on-disk snapshot format (internal/treeio).
 //
 // A Counting-tree's whole state is six structure-of-arrays columns
-// (Loc, N, Used, Level, Parent and the half-space slab P) — the
-// linkage columns (child chains, child tables) are derivable, because
-// ensureChild appends children at the chain tail and cells are stored
-// in creation order, so every parent's child chain is exactly its
-// children in ascending Ref order. NewFromColumns rebuilds them in one
-// linear pass and, crucially, REVALIDATES every structural invariant
-// (parents precede children, level chains, per-axis positions inside
-// the dimension mask, child counts summing to the parent's count, the
-// half-space counters matching the children's positions), so columns
-// read from an untrusted file can never assemble into a silently wrong
-// tree: they either reproduce a tree some sequence of inserts could
-// have built, or they are rejected.
+// (Loc, N, Used, Level, Parent and the half-space slab P): the child
+// counts are derivable from Parent, and so are the child links a grown
+// tree carries. NewFromColumns assembles a written-once tree — exactly
+// the rows it is given, no child links (arena.go) — and, crucially,
+// REVALIDATES every structural invariant (parents precede children,
+// level chains, per-axis positions inside the dimension mask, no two
+// children of one parent at one position, child counts summing to the
+// parent's count, the half-space counters matching the children's
+// positions), so columns read from an untrusted file can never assemble
+// into a silently wrong tree: they either reproduce a tree some
+// sequence of inserts could have built, or they are rejected.
 package ctree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Columns is the complete per-cell state of a Counting-tree as views
@@ -53,34 +54,18 @@ func (t *Tree) Columns() Columns {
 	return Columns{Loc: t.loc, N: t.n, Used: t.used, Level: t.level, Parent: t.parent, P: t.p}
 }
 
-// ArenaCapFor returns the arena column capacity a tree with the given
-// number of rows (cells + root sentinel) has: the doubling growth
-// policy makes it a pure function of the row count, which is what
-// keeps MemoryBytes identical across build orders — and across a
-// save/load round trip, when the loader allocates columns at exactly
-// this capacity (treeio does).
-func ArenaCapFor(rows int) int {
-	c := arenaInitialCap
-	for c < rows {
-		c *= 2
-	}
-	return c
-}
-
-// NewFromColumns assembles a Counting-tree from its state columns,
-// rebuilding the derived linkage (child chains and child tables) in
-// one linear pass. The slices are taken over by the tree when their
-// capacities match the canonical arena sizing (ArenaCapFor for the
-// per-cell columns, ArenaCapFor·d for P); otherwise they are copied
-// into canonically sized slabs so MemoryBytes stays a pure function of
-// the cell set.
+// NewFromColumns assembles a written-once Counting-tree from its state
+// columns and derives the child counts in one linear pass. The slices
+// are taken over by the tree when their capacities equal their lengths;
+// otherwise they are copied into exactly sized slabs, so MemoryBytes is
+// that of the cells alone, whatever tree the columns came from.
 //
 // Every structural invariant is checked and any violation returns an
 // error naming it: untrusted columns either reproduce a tree that a
 // sequence of inserts could have built, or they are refused. The
 // returned tree reports zero build statistics (ArenaGrows, BatchRuns);
-// its counts, footprint and clustering behavior are exactly those of
-// the tree the columns came from.
+// its counts and clustering behavior are exactly those of the tree the
+// columns came from.
 func NewFromColumns(d, h, eta int, c Columns) (*Tree, error) {
 	t, err := adoptCheckedColumns(d, h, eta, c)
 	if err != nil {
@@ -91,47 +76,52 @@ func NewFromColumns(d, h, eta int, c Columns) (*Tree, error) {
 			return nil, fmt.Errorf("ctree: root sentinel has a nonzero half-space counter on axis %d", j)
 		}
 	}
-	// Per-row invariants + linkage rebuild. Parents precede children in
-	// Ref order and children chain in creation (= ascending Ref) order,
-	// so one forward pass re-links every cell; findChild before linking
-	// rejects duplicate (parent, loc) rows, which a blind relink would
-	// silently merge.
 	rows := len(t.loc)
 	for r := 1; r < rows; r++ {
-		if err := t.checkRow(r); err != nil {
-			return nil, err
-		}
 		n, row := t.n[r], t.p[r*d:(r+1)*d]
 		for j := 0; j < d; j++ {
 			if row[j] < 0 || row[j] > n {
 				return nil, fmt.Errorf("ctree: cell %d half-space counter %d on axis %d outside [0, %d]", r, row[j], j, n)
 			}
 		}
-		par := t.parent[r]
-		if t.findChild(par, t.loc[r]) >= 0 {
-			return nil, fmt.Errorf("ctree: cells %d and %d duplicate position %#x under parent %d", t.findChild(par, t.loc[r]), r, t.loc[r], par)
-		}
-		t.linkChild(par, Ref(r))
 	}
-	// Cross-row consistency: every internal cell's children must account
-	// for exactly its points, and its half-space counters must equal the
-	// children's mass on the lower side of each axis (the root sentinel's
-	// "count" is η). Level-(H-1) cells have no stored children — their
-	// half-space counters come from level-H parities the tree does not
-	// keep — so the bounds check above is all that can be asserted there.
+	// Cross-row consistency, one parent at a time over its children,
+	// grouped by parent in kids (ascending Ref within a parent; end[p]
+	// ends p's run): no two share a position, every internal cell's
+	// children account for exactly its points, and its half-space
+	// counters equal the children's mass on the lower side of each axis
+	// (the root sentinel's "count" is η). Level-(H-1) cells have no
+	// stored children — their half-space counters come from level-H
+	// parities the tree does not keep — so the bounds check above is all
+	// that can be asserted there.
+	end := make([]int32, rows)
+	for par, off := 0, int32(0); par < rows; par++ {
+		end[par] = off
+		off += t.childCount[par]
+	}
+	kids := make([]Ref, rows-1)
+	for r := 1; r < rows; r++ {
+		par := t.parent[r]
+		kids[end[par]] = Ref(r)
+		end[par]++
+	}
 	var low [MaxDims]int64
+	lo := int32(0)
 	for par := 0; par < rows; par++ {
-		if int(t.level[par]) >= h-1 || (par > 0 && t.firstChild[par] < 0) {
-			if par > 0 && int(t.level[par]) < h-1 {
-				return nil, fmt.Errorf("ctree: internal cell %d at level %d has no children", par, t.level[par])
-			}
+		run := kids[lo:end[par]]
+		lo = end[par]
+		if par > 0 && int(t.level[par]) >= h-1 {
 			continue
 		}
-		var sum int64
-		for j := 0; j < d; j++ {
-			low[j] = 0
+		if par > 0 && len(run) == 0 {
+			return nil, fmt.Errorf("ctree: internal cell %d at level %d has no children", par, t.level[par])
 		}
-		for ch := t.firstChild[par]; ch >= 0; ch = t.nextSib[ch] {
+		if a, b := t.duplicateChild(run); a >= 0 {
+			return nil, fmt.Errorf("ctree: cells %d and %d duplicate position %#x under parent %d", a, b, t.loc[a], par)
+		}
+		var sum int64
+		clear(low[:d])
+		for _, ch := range run {
 			sum += int64(t.n[ch])
 			for m := ^t.loc[ch] & t.dmask; m != 0; m &= m - 1 {
 				low[bits.TrailingZeros64(m)] += int64(t.n[ch])
@@ -157,35 +147,55 @@ func NewFromColumns(d, h, eta int, c Columns) (*Tree, error) {
 	return t, nil
 }
 
-// NewFromColumnsTrusted assembles a Counting-tree from state columns
-// that are already known to be structurally sound — typically columns
-// whose per-column checksums just verified against a snapshot this
-// process (or a trusted peer) wrote. It performs only the checks that
-// keep the linkage rebuild memory-safe (column lengths agree, parents
-// precede children, levels chain, positions fit the dimension mask,
-// counts are positive) and skips what dominates NewFromColumns: the
-// per-row duplicate-child probe and the O(cells·d) cross-row pass that
-// re-derives every count and half-space counter from the children.
-// Columns that violate the skipped invariants assemble into a tree
-// whose counts are wrong in exactly the way the columns are — never
-// into out-of-bounds access. Use NewFromColumns for untrusted input.
-func NewFromColumnsTrusted(d, h, eta int, c Columns) (*Tree, error) {
-	t, err := adoptCheckedColumns(d, h, eta, c)
-	if err != nil {
-		return nil, err
+// duplicateChild returns two cells of run, the children of one parent
+// in ascending Ref order, that share a position (the lower Ref first),
+// or two NilRefs. Children ascending by Loc, as a canonical tree stores
+// them, settle it in one pass; any other run is sorted by (Loc, Ref) in
+// place.
+func (t *Tree) duplicateChild(run []Ref) (Ref, Ref) {
+	loc := t.loc
+	ascending := true
+	for i := 1; i < len(run) && ascending; i++ {
+		ascending = loc[run[i-1]] < loc[run[i]]
 	}
-	for r := 1; r < len(t.loc); r++ {
-		if err := t.checkRow(r); err != nil {
-			return nil, err
+	if ascending {
+		return NilRef, NilRef
+	}
+	slices.SortFunc(run, func(a, b Ref) int {
+		if c := cmp.Compare(loc[a], loc[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	for i := 1; i < len(run); i++ {
+		if loc[run[i-1]] == loc[run[i]] {
+			return run[i-1], run[i]
 		}
 	}
-	t.link()
-	return t, nil
+	return NilRef, NilRef
+}
+
+// NewFromColumnsTrusted assembles a written-once Counting-tree from
+// state columns that are already known to be structurally sound —
+// typically columns whose per-column checksums just verified against a
+// snapshot this process (or a trusted peer) wrote. It performs only the
+// checks that keep every later use of the tree memory-safe (column
+// lengths agree, parents precede children, levels chain, positions fit
+// the dimension mask, counts are positive) and skips what dominates
+// NewFromColumns: the duplicate-position check and the O(cells·d)
+// cross-row pass that re-derives every count and half-space counter
+// from the children. Columns that violate the skipped invariants
+// assemble into a tree whose counts are wrong in exactly the way the
+// columns are — never into out-of-bounds access. Use NewFromColumns
+// for untrusted input.
+func NewFromColumnsTrusted(d, h, eta int, c Columns) (*Tree, error) {
+	return adoptCheckedColumns(d, h, eta, c)
 }
 
 // adoptCheckedColumns runs the checks both column loaders share — the
-// geometry, the column lengths, η and the root sentinel row — and
-// returns an unlinked tree holding the columns (adoptColumns).
+// geometry, the column lengths, η, the root sentinel row and every
+// row's memory-safety checks (checkRow) — and returns a written-once
+// tree holding the columns (adoptColumns) and their child counts.
 func adoptCheckedColumns(d, h, eta int, c Columns) (*Tree, error) {
 	if d < 1 || d > MaxDims {
 		return nil, fmt.Errorf("ctree: dimensionality %d outside [1, %d]", d, MaxDims)
@@ -215,11 +225,17 @@ func adoptCheckedColumns(d, h, eta int, c Columns) (*Tree, error) {
 		return nil, fmt.Errorf("ctree: row 0 is not the root sentinel")
 	}
 	t := &Tree{D: d, H: h, Eta: eta, dmask: (uint64(1) << uint(d)) - 1}
-	t.adoptColumns(c, rows)
+	t.adoptColumns(c)
+	for r := 1; r < rows; r++ {
+		if err := t.checkRow(r); err != nil {
+			return nil, err
+		}
+	}
+	t.countChildren()
 	return t, nil
 }
 
-// checkRow runs the per-row checks that keep the linkage rebuild
+// checkRow runs the per-row checks that keep every use of the tree
 // memory-safe: row r's parent precedes it, its level chains from the
 // parent's and stays above H, its position fits the dimension mask,
 // and it counts at least one point.
@@ -244,66 +260,35 @@ func (t *Tree) checkRow(r int) error {
 }
 
 // adoptColumns installs the state columns into the tree, replacing its
-// whole arena: the slices are taken over when their capacities already
-// match the canonical arena sizing and copied into canonically sized
-// slabs otherwise. The linkage columns are allocated unlinked at the
-// same capacity and the child tables dropped; link (or the validating
-// per-row linkChild) rebuilds them.
-func (t *Tree) adoptColumns(c Columns, rows int) {
-	capRows := ArenaCapFor(rows)
+// whole arena: each slice is taken over when its capacity equals its
+// length and copied into an exactly sized slab otherwise. The child
+// links and tables are dropped and the child counts left to the caller
+// (countChildren), so the tree ends written-once.
+func (t *Tree) adoptColumns(c Columns) {
+	t.loc, t.n, t.used, t.level = fit(c.Loc), fit(c.N), fit(c.Used), fit(c.Level)
+	t.parent, t.p = fit(c.Parent), fit(c.P)
+	t.childCount = nil
+	t.firstChild, t.lastChild, t.nextSib, t.childTab = nil, nil, nil, nil
 	t.tabs, t.tabBytes = nil, 0
-	if cap(c.Loc) == capRows {
-		t.loc = c.Loc
-	} else {
-		t.loc = append(make([]uint64, 0, capRows), c.Loc...)
-	}
-	if cap(c.N) == capRows {
-		t.n = c.N
-	} else {
-		t.n = append(make([]int32, 0, capRows), c.N...)
-	}
-	if cap(c.Used) == capRows {
-		t.used = c.Used
-	} else {
-		t.used = append(make([]bool, 0, capRows), c.Used...)
-	}
-	if cap(c.Level) == capRows {
-		t.level = c.Level
-	} else {
-		t.level = append(make([]uint8, 0, capRows), c.Level...)
-	}
-	if cap(c.Parent) == capRows {
-		t.parent = c.Parent
-	} else {
-		t.parent = append(make([]Ref, 0, capRows), c.Parent...)
-	}
-	if cap(c.P) == capRows*t.D {
-		t.p = c.P
-	} else {
-		t.p = append(make([]int32, 0, capRows*t.D), c.P...)
-	}
-	nilRefs := func() []Ref {
-		s := make([]Ref, rows, capRows)
-		for i := range s {
-			s[i] = NilRef
-		}
+}
+
+// fit returns s when its capacity is its length, and an exact copy
+// otherwise.
+func fit[T any](s []T) []T {
+	if cap(s) == len(s) {
 		return s
 	}
-	t.firstChild = nilRefs()
-	t.lastChild = nilRefs()
-	t.nextSib = nilRefs()
-	t.childCount = make([]int32, rows, capRows)
-	t.childTab = make([]int32, rows, capRows)
-	for i := range t.childTab {
-		t.childTab[i] = -1
-	}
+	return exact(s)
 }
 
 // Equal reports whether two trees store exactly the same cells with
-// the same counts, half-space counters and usedCell flags (iteration
-// order and build statistics are ignored — a serial build, a sharded
-// merge, an external spill-and-merge build and a snapshot load of the
-// same dataset are all Equal).
+// the same counts, half-space counters and usedCell flags (arena order,
+// child links and build statistics are ignored — a serial build, a
+// sharded merge, an external spill-and-merge build, a tree grown by
+// InsertBatch and a snapshot load of the same dataset are all Equal).
+// Two trees in canonical order are compared column by column; a tree in
+// any other order is compared through Canonicalize's copy. Neither tree
+// is changed.
 func Equal(a, b *Tree) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -311,24 +296,14 @@ func Equal(a, b *Tree) bool {
 	if a.D != b.D || a.H != b.H || a.Eta != b.Eta || a.CellCount() != b.CellCount() {
 		return false
 	}
-	equal := true
-	for h := 1; h <= a.H-1 && equal; h++ {
-		a.WalkLevel(h, func(p Path, ra Ref) {
-			if !equal {
-				return
-			}
-			rb := b.CellAt(p)
-			if rb == NilRef || a.N(ra) != b.N(rb) || a.Used(ra) != b.Used(rb) {
-				equal = false
-				return
-			}
-			for j := 0; j < a.D; j++ {
-				if a.P(ra, j) != b.P(rb, j) {
-					equal = false
-					return
-				}
-			}
-		})
+	ca, err := Canonicalize(a)
+	if err != nil {
+		return false
 	}
-	return equal
+	cb, err := Canonicalize(b)
+	if err != nil {
+		return false
+	}
+	return slices.Equal(ca.loc, cb.loc) && slices.Equal(ca.n, cb.n) && slices.Equal(ca.used, cb.used) &&
+		slices.Equal(ca.level, cb.level) && slices.Equal(ca.parent, cb.parent) && slices.Equal(ca.p, cb.p)
 }

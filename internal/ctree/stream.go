@@ -23,6 +23,12 @@ import (
 // holds ExternalRecordBytes(d, H) bytes per batch point next to the
 // tree (32 B for packed keys), as an in-memory Build does.
 //
+// The tree it leaves is a grown one (arena.go): its arena doubles as
+// cells arrive and it keeps child links, which the descent into a
+// populated tree needs. The first call into a written-once tree (a
+// build, a union, a load or a clone) links it in one pass before the
+// count; a call into an empty tree links it after.
+//
 // The sort validates every point before the tree is touched, so an
 // error — wrong dimensionality, a value outside [0,1), or a batch that
 // would push the point count past MaxPoints — leaves the tree exactly
@@ -45,51 +51,35 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 	if err != nil {
 		return err
 	}
-	return countMerged(t, []*recordStream{rs}, nil, nil, m)
+	if t.CellCount() > 0 {
+		t.link()
+	}
+	if err := countMerged(t, []*recordStream{rs}, nil, nil, m); err != nil {
+		return err
+	}
+	t.link()
+	return nil
 }
 
-// Clone returns a deep, independent copy of the tree: all arena
-// columns, the half-space slab and the child tables are copied at
-// their current capacities, so the clone's MemoryBytes equals the
-// original's and later mutation of either tree never touches the
-// other (the read-only key spread table is shared). The lazily built
-// level indexes are not copied — the clone rebuilds them on first use
-// — but the cached canonical-order verdict is.
+// Clone returns a deep, independent copy of the tree as a written-once
+// tree: its state columns and half-space slab copied at their lengths,
+// with no spare capacity and no child links, so the clone's
+// MemoryBytes is that of its cells alone (a clone of a written-once
+// tree reports the original's). Later mutation of either tree never
+// touches the other (the read-only key spread table is shared). The
+// lazily built level indexes are not copied — the clone rebuilds them
+// on first use — but the cached canonical-order verdict and the build
+// statistics are.
 func (t *Tree) Clone() *Tree {
 	c := &Tree{
 		D: t.D, H: t.H, Eta: t.Eta, dmask: t.dmask,
 		grows: t.grows, runs: t.runs, runPoints: t.runPoints,
 		radixChunks: t.radixChunks,
 		spillRuns:   t.spillRuns, spillBytes: t.spillBytes,
-		tabBytes: t.tabBytes, spread: t.spread,
+		spread: t.spread,
+		loc:    exact(t.loc), n: exact(t.n), used: exact(t.used), level: exact(t.level),
+		parent: exact(t.parent), childCount: exact(t.childCount), p: exact(t.p),
 	}
-	c.loc = make([]uint64, len(t.loc), cap(t.loc))
-	copy(c.loc, t.loc)
-	c.n = make([]int32, len(t.n), cap(t.n))
-	copy(c.n, t.n)
-	c.used = make([]bool, len(t.used), cap(t.used))
-	copy(c.used, t.used)
-	c.level = make([]uint8, len(t.level), cap(t.level))
-	copy(c.level, t.level)
-	cloneRefs := func(src []Ref) []Ref {
-		dst := make([]Ref, len(src), cap(src))
-		copy(dst, src)
-		return dst
-	}
-	c.parent = cloneRefs(t.parent)
-	c.firstChild = cloneRefs(t.firstChild)
-	c.lastChild = cloneRefs(t.lastChild)
-	c.nextSib = cloneRefs(t.nextSib)
-	c.childCount = make([]int32, len(t.childCount), cap(t.childCount))
-	copy(c.childCount, t.childCount)
-	c.childTab = make([]int32, len(t.childTab), cap(t.childTab))
-	copy(c.childTab, t.childTab)
-	c.p = make([]int32, len(t.p), cap(t.p))
-	copy(c.p, t.p)
 	c.canon.Store(t.canon.Load())
-	c.tabs = make([][]Ref, len(t.tabs), cap(t.tabs))
-	for i, tab := range t.tabs {
-		c.tabs[i] = cloneRefs(tab)
-	}
 	return c
 }

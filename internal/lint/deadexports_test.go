@@ -33,6 +33,11 @@ var allowed = map[string]string{
 		"compare the level index's FaceSum against",
 	"(mrcc/internal/ctree.Path).Compare": "the order of BetaCluster.Center, which the facade " +
 		"re-exports; its callers and the equivalence suites compare β-cluster centers with it",
+	"(*mrcc/internal/ctree.Tree).CellAt": "the by-path cell lookup through which the conv, core, " +
+		"treeio and ctree suites' neighbor, golden and equality oracles read a tree",
+	"(*mrcc/internal/ctree.Tree).WalkLevel": "the level walk with which those oracles enumerate a tree's cells",
+	"(*mrcc/internal/ctree.Tree).N":         "the per-cell count those oracles read",
+	"(*mrcc/internal/ctree.Tree).Used":      "the per-cell usedCell flag those oracles read",
 }
 
 // allowedPackages are packages whose exports only tests use, by design.

@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"maps"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -163,6 +165,121 @@ func TestViewTreeBytesIsThePass(t *testing.T) {
 	if got := s.cur.Load().treeBytes; got != want {
 		t.Fatalf("view.treeBytes = %d, want the active clone plus the index: %d", got, want)
 	}
+}
+
+// TestViewHoldsNoTree pins that a pass leaves nothing behind but its
+// published view, and that the view reaches no Counting-tree: after a
+// pass over a window that has not rotated and over one that has, the
+// view's result carries no tree (core.Run over several trees returns
+// none) and the trees reachable from the view and the server are the
+// server's own active and aging trees, so the pass's private active
+// clone is garbage once the pass returns.
+func TestViewHoldsNoTree(t *testing.T) {
+	cfg := testConfig()
+	cfg.WindowPoints = 150
+	s := newTestServer(t, cfg)
+	for _, batches := range [][][][]float64{
+		windowBatches(streamRows(10, 110, 73), 55), // 110 points: no rotation yet
+		windowBatches(streamRows(10, 220, 74), 55), // rotates the window
+	} {
+		ingestBatches(t, s, batches)
+		if err := s.recluster(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		v := s.cur.Load()
+		if v == nil || v.res.Tree != nil {
+			t.Fatalf("the published view is %v with a result tree; want a view without one", v)
+		}
+		s.mu.Lock()
+		own := map[*ctree.Tree]bool{s.active: true}
+		if s.aging != nil {
+			own[s.aging] = true
+		}
+		s.mu.Unlock()
+		if found := reachableTrees(v); len(found) != 0 {
+			t.Fatalf("the published view reaches %d Counting-trees", len(found))
+		}
+		if found := reachableTrees(s); !maps.Equal(found, own) {
+			t.Fatalf("the server reaches %d Counting-trees, want its %d own: the active and aging trees", len(found), len(own))
+		}
+	}
+	if s.aging == nil {
+		t.Fatal("the window never rotated; the rotated case is vacuous")
+	}
+}
+
+// reachableTrees returns every *ctree.Tree reachable from root through
+// pointers, interfaces, structs, slices, arrays and maps, exported
+// fields or not. It does not follow unsafe pointers (an
+// atomic.Pointer's value), channels or functions.
+func reachableTrees(root any) map[*ctree.Tree]bool {
+	treeType := reflect.TypeOf((*ctree.Tree)(nil))
+	found := map[*ctree.Tree]bool{}
+	type visit struct {
+		p uintptr
+		t reflect.Type
+	}
+	seen := map[visit]bool{}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || seen[visit{v.Pointer(), v.Type()}] {
+				return
+			}
+			seen[visit{v.Pointer(), v.Type()}] = true
+			if v.Type() == treeType {
+				found[(*ctree.Tree)(v.UnsafePointer())] = true
+			}
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			if v.Kind() == reflect.Slice && (v.IsNil() || seen[visit{v.Pointer(), v.Type()}]) {
+				return
+			}
+			if v.Kind() == reflect.Slice {
+				seen[visit{v.Pointer(), v.Type()}] = true
+			}
+			if !holdsPointers(v.Type().Elem()) {
+				return
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
+			}
+		}
+	}
+	walk(reflect.ValueOf(root))
+	return found
+}
+
+// holdsPointers reports whether a value of type t can lead to another
+// value: scalars, strings and arrays of them cannot.
+func holdsPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Slice, reflect.Map:
+		return true
+	case reflect.Array:
+		return holdsPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestQueryLabelMatchesFloatTest pins that /query answers by the batch

@@ -62,8 +62,10 @@ func fixChecksums(snap []byte) []byte {
 // FuzzLoadTree throws arbitrary bytes at the snapshot loader. The
 // contract under fuzzing: Load either returns a tree — in which
 // case the input was a canonical snapshot and re-saving the tree
-// reproduces it byte for byte — or a typed *FormatError. Never a
-// panic, never an untyped error, never a tree from corrupt bytes.
+// reproduces it byte for byte, and the tree takes one valid
+// InsertBatch and still passes ctree.NewFromColumns — or a typed
+// *FormatError. Never a panic, never an untyped error, never a tree
+// from corrupt bytes.
 func FuzzLoadTree(f *testing.F) {
 	valid := fuzzSeedSnapshot()
 	f.Add(append([]byte(nil), valid...))
@@ -143,6 +145,22 @@ func FuzzLoadTree(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatal("accepted snapshot is not canonical: re-save produced different bytes")
+		}
+		// The accepted tree takes one valid batch, a point drawn from the
+		// input's bytes, which links it on its first count; its columns
+		// must still pass the full revalidation.
+		if tr.Eta == ctree.MaxPoints {
+			return
+		}
+		p := make([]float64, tr.D)
+		for j := range p {
+			p[j] = float64(data[j%len(data)]) / 256
+		}
+		if err := tr.InsertBatch([][]float64{p}); err != nil {
+			t.Fatalf("InsertBatch of a valid point into an accepted tree: %v", err)
+		}
+		if _, err := ctree.NewFromColumns(tr.D, tr.H, tr.Eta, tr.Columns()); err != nil {
+			t.Fatalf("after one InsertBatch the accepted tree fails revalidation: %v", err)
 		}
 	})
 }

@@ -351,9 +351,9 @@ func LoadFileCheckpointOptions(path string, opt LoadOptions) (*ctree.Tree, uint6
 // Counting-tree's structural revalidation (or, with
 // LoadOptions.TrustChecksums, its memory-safety checks); any violation
 // returns a *FormatError, never a silently wrong tree or recovery
-// point. The loaded tree's arena columns are allocated at the same
-// canonical capacities a live build of the same cell set ends with, so
-// its MemoryBytes equals the saved tree's.
+// point. The loaded tree is written-once (ctree's arena.go): its
+// columns hold exactly the snapshot's rows, so its MemoryBytes equals
+// that of a build of the same cells.
 func Load(r io.Reader, size int64, opt LoadOptions) (*ctree.Tree, Meta, error) {
 	if size < HeaderSize {
 		return nil, Meta{}, headerErr("%d bytes is shorter than the %d-byte header", size, HeaderSize)
@@ -368,16 +368,15 @@ func Load(r io.Reader, size int64, opt LoadOptions) (*ctree.Tree, Meta, error) {
 	}
 
 	// Geometry is proven consistent with the byte count: allocate the
-	// arena columns at their canonical capacities and read each column
-	// straight into its slab.
-	capRows := ctree.ArenaCapFor(l.rows)
+	// arena columns at exactly the snapshot's rows and read each column
+	// straight into its slab, which the tree then takes over.
 	c := ctree.Columns{
-		Loc:    make([]uint64, l.rows, capRows),
-		N:      make([]int32, l.rows, capRows),
-		Used:   make([]bool, l.rows, capRows),
-		Level:  make([]uint8, l.rows, capRows),
-		Parent: make([]ctree.Ref, l.rows, capRows),
-		P:      make([]int32, l.rows*l.d, capRows*l.d),
+		Loc:    make([]uint64, l.rows),
+		N:      make([]int32, l.rows),
+		Used:   make([]bool, l.rows),
+		Level:  make([]uint8, l.rows),
+		Parent: make([]ctree.Ref, l.rows),
+		P:      make([]int32, l.rows*l.d),
 	}
 	views := [numColumns][]byte{
 		u64Bytes(c.Loc), i32Bytes(c.N), boolBytes(c.Used),
