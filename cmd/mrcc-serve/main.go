@@ -54,7 +54,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "clustering worker goroutines (0 = GOMAXPROCS)")
 		every    = flag.Duration("recluster-every", 15*time.Second, "re-cluster cadence (0 disables the timer)")
 		everyPts = flag.Int("recluster-points", 0, "re-cluster after this many new points (0 disables)")
-		window   = flag.Int("window-points", 0, "rotate the active tree after this many points; published models cover the last 1-2 windows (0 = keep everything)")
+		window   = flag.Int("window-points", 0, "rotate the active runs after this many points; published models cover the last 1-2 windows (0 = keep everything)")
 		snapshot = flag.String("snapshot", "", "tree snapshot path: warm-start source on boot, target for POST /snapshot/save and shutdown")
 		trust    = flag.Bool("trust-snapshot", false, "fast warm-start: trust the snapshot's column checksums and skip structural revalidation (safe for snapshots this service or mrcc-shard wrote)")
 		walDir   = flag.String("wal-dir", "", "write-ahead log directory: batches are logged before folding and replayed on boot (empty = no WAL)")

@@ -4,10 +4,11 @@
 //
 // The tree is the only state the method keeps between batches, and it
 // is a handful of flat arena columns (cell counts, half-space counters,
-// linkage) rather than a pointer structure. InsertBatch counts a new
-// batch the way a build counts a dataset: the points are sorted by
+// parent links) rather than a pointer structure. InsertBatch counts a
+// new batch the way a build counts a dataset: the points are sorted by
 // their cell path, and every run of points sharing a cell is counted in
-// one descent — no re-scan of old data and no per-cell allocation.
+// one descent — no re-scan of old data and no per-cell allocation —
+// then unites the batch's cells with the tree's in one pass over both.
 // After each batch the clustering phases re-run over the refreshed
 // tree; the paper's conclusion notes that MrCC's statistical test gets
 // *stronger* as data accumulates, and this example shows exactly that:

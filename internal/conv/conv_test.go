@@ -257,12 +257,10 @@ func faceSumPoints(d, n, fine int, seed int64) *dataset.Dataset {
 
 // faceSumProducers counts ds through the producers of the indexes the
 // β-search reads, each the list of trees one index covers: Build; a
-// tree grown by InsertBatch alone, whose sibling chains are in
-// first-touch order; the streaming service's window tree, two trees
-// grown batch by batch and merged by MergeFrom; that window tree after
-// a treeio save/load round trip; and the window's two trees themselves,
-// as a pass reads them (the canonicalized aging tree and the
-// first-touch active one).
+// tree fed by InsertBatch alone; a window tree, two trees fed batch by
+// batch and merged by MergeFrom; that window tree after a treeio
+// save/load round trip; and the window's two trees themselves, as a
+// pass over several trees reads them.
 func faceSumProducers(t *testing.T, ds *dataset.Dataset, H int) map[string][]*ctree.Tree {
 	t.Helper()
 	built, err := ctree.Build(ds, H, ctree.BuildOptions{})
@@ -295,16 +293,12 @@ func faceSumProducers(t *testing.T, ds *dataset.Dataset, H int) map[string][]*ct
 	if err != nil {
 		t.Fatal(err)
 	}
-	canonAging, err := ctree.Canonicalize(aging)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string][]*ctree.Tree{
 		"build":                   {built},
 		"insertbatch":             {firstTouch},
 		"window":                  {window},
 		"window/treeio-roundtrip": {loaded},
-		"window/two-tree":         {canonAging, active},
+		"window/two-tree":         {aging, active},
 	}
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"mrcc/internal/ctree"
+	"mrcc/internal/dataset"
 )
 
 // WithNaiveScan returns cfg with the naive scan oracle on: every
@@ -25,18 +27,19 @@ func WithoutCacheRepair(cfg Config) Config {
 	return cfg
 }
 
-// WindowTrees builds the streaming service's window from a stream of
-// points the way the service does: the older half counted into an aging
-// tree and the newer half into the active one, each in InsertBatch
-// batches of batch points, then the aging tree canonicalized (the
-// service does it once per rotation). A pass clusters the two as they
-// are (Run over both); WindowTree merges them. Shared by the
-// package's internal and external tests.
+// WindowTrees builds a window of two trees from a stream of points: the
+// older half in a canonical aging tree, the Union of its first-touch
+// arena (the tree a pass unites from retired runs is canonical too), and
+// the newer half in a first-touch active tree (FirstTouchTree), the
+// shape of a service warm-started from a snapshot an older release
+// saved. A pass clusters the two as they are (Run over both);
+// WindowTree merges them. Shared by the package's internal and
+// external tests.
 func WindowTrees(t testing.TB, pts [][]float64, d, H, batch int) (aging, active *ctree.Tree) {
 	t.Helper()
 	aging = FirstTouchTree(t, pts[:len(pts)/2], d, H, batch)
 	active = FirstTouchTree(t, pts[len(pts)/2:], d, H, batch)
-	aging, err := ctree.Canonicalize(aging)
+	aging, err := ctree.Union(aging)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,18 +61,89 @@ func WindowTree(t testing.TB, pts [][]float64, d, H, batch int) *ctree.Tree {
 	return merged
 }
 
-// FirstTouchTree counts pts into one tree by InsertBatch calls of batch
-// points each: the same cells as a Build, but each cell's children
-// chained in first-touch order rather than ascending by loc, so the
-// level index sorts every child run. Shared by the package's internal
-// and external tests.
-func FirstTouchTree(t testing.TB, pts [][]float64, d, H, batch int) *ctree.Tree {
+// ServiceRuns builds the streaming service's window from a stream of
+// points the way its ingest does: the newer half in active runs, each
+// batch of batch points built into a tree of its own and the two newest
+// runs united for as long as the newer holds at least half the older's
+// points, followed by the aging tree of WindowTrees over the older
+// half. A pass clusters them side by side (Run over all of them).
+func ServiceRuns(t testing.TB, pts [][]float64, d, H, batch int) []*ctree.Tree {
 	t.Helper()
-	tr := ctree.New(d, H)
-	for i := 0; i < len(pts); i += batch {
-		if err := tr.InsertBatch(pts[i:min(i+batch, len(pts))]); err != nil {
+	var runs []*ctree.Tree
+	newer := pts[len(pts)/2:]
+	for lo := 0; lo < len(newer); lo += batch {
+		run, err := ctree.Build(&dataset.Dataset{Dims: d, Points: newer[lo:min(lo+batch, len(newer))]}, H, ctree.BuildOptions{Workers: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
+		runs = append(runs, run)
+		for n := len(runs); n >= 2 && 2*runs[n-1].Eta >= runs[n-2].Eta; n-- {
+			u, err := ctree.Union(runs[n-2], runs[n-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs[:n-2], u)
+		}
+	}
+	aging, _ := WindowTrees(t, pts, d, H, batch)
+	return append(runs, aging)
+}
+
+// FirstTouchTree counts pts into one tree in the arena order that an
+// older release's InsertBatch calls of batch points wrote, and its
+// snapshots still carry: Build's cells, each batch's new cells appended
+// in the batch's path order after those of earlier batches, so a cell's
+// children are in first-touch order rather than ascending by loc and
+// the level index sorts every child run. The tree is loaded from those
+// columns (ctree.NewFromColumns), as such a snapshot is. Shared by the
+// package's internal and external tests.
+func FirstTouchTree(t testing.TB, pts [][]float64, d, H, batch int) *ctree.Tree {
+	t.Helper()
+	built, err := ctree.Build(&dataset.Dataset{Dims: d, Points: pts}, H, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := built.Columns()
+	order := []ctree.Ref{0}            // built rows in first-touch order
+	row := make([]ctree.Ref, c.Rows()) // each built row's first-touch row
+	scale := float64(uint64(1) << uint(H))
+	for lo := 0; lo < len(pts); lo += batch {
+		var paths []ctree.Path
+		for _, p := range pts[lo:min(lo+batch, len(pts))] {
+			path := make(ctree.Path, H-1)
+			for h := 1; h < H; h++ {
+				for j, v := range p {
+					path[h-1] |= (uint64(v*scale) >> uint(H-h) & 1) << uint(j)
+				}
+			}
+			paths = append(paths, path)
+		}
+		slices.SortFunc(paths, ctree.Path.Compare)
+		for _, path := range paths {
+			for h := 1; h < H; h++ {
+				if r := built.CellAt(path[:h]); row[r] == 0 {
+					row[r] = ctree.Ref(len(order))
+					order = append(order, r)
+				}
+			}
+		}
+	}
+	n := len(order)
+	ft := ctree.Columns{
+		Loc: make([]uint64, n), N: make([]int32, n), Used: make([]bool, n),
+		Level: make([]uint8, n), Parent: make([]ctree.Ref, n), P: make([]int32, n*d),
+	}
+	for i, r := range order {
+		ft.Loc[i], ft.N[i], ft.Used[i], ft.Level[i] = c.Loc[r], c.N[r], c.Used[r], c.Level[r]
+		ft.Parent[i] = ctree.NilRef
+		if i > 0 {
+			ft.Parent[i] = row[c.Parent[r]]
+		}
+		copy(ft.P[i*d:(i+1)*d], c.P[int(r)*d:(int(r)+1)*d])
+	}
+	tr, err := ctree.NewFromColumns(d, H, built.Eta, ft)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return tr
 }

@@ -51,18 +51,19 @@ func driftingStream(t *testing.T) *dataset.Dataset {
 }
 
 // TestWindowTreeMatchesBuild is the cross-path check for the served
-// β-search: clustering the service's window tree (core.WindowTree), a
-// tree grown by InsertBatch alone (core.FirstTouchTree) and the
-// window's two trees themselves, as a pass does (core.Run over
-// core.WindowTrees' canonical aging and first-touch active trees),
-// must give the same β-clusters — bounds, relevances, centers — and
-// the same clusters as clustering ctree.Build of the same points with
-// core.Run, at Workers 1, 2 and 8, on a drifting stream and on a
-// rotated dataset. The window tree is merged into Build's arena order;
-// the InsertBatch tree chains each cell's children in first-touch
-// order, so its level index sorts every child run; the two-tree run
-// reads the index of their union and writes no merged tree. Only the
-// answers must agree.
+// β-search: clustering a window tree (core.WindowTree), a first-touch
+// arena (core.FirstTouchTree), a window's two trees themselves
+// (core.Run over core.WindowTrees' canonical aging and first-touch
+// active trees) and the service's own window as a pass reads it (its
+// active runs of 1000-point batches and its aging tree,
+// core.ServiceRuns) must give the same β-clusters — bounds, relevances,
+// centers — and the same clusters as clustering ctree.Build of the same
+// points with core.Run, at Workers 1, 2 and 8, on a drifting stream and
+// on a rotated dataset. The window tree is merged into Build's arena
+// order; the first-touch arena lists each cell's children in
+// first-touch order, so its level index sorts every child run; the runs
+// over several trees read the index of their union and write no merged
+// tree. Only the answers must agree.
 func TestWindowTreeMatchesBuild(t *testing.T) {
 	rotated, _ := genSmall(t, synthetic.Config{
 		Dims: 12, Points: 12000, Clusters: 3, NoiseFrac: 0.15,
@@ -79,6 +80,10 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 		window := core.WindowTree(t, ds.Points, ds.Dims, core.DefaultH, 1000)
 		firstTouch := core.FirstTouchTree(t, ds.Points, ds.Dims, core.DefaultH, 1000)
 		aging, active := core.WindowTrees(t, ds.Points, ds.Dims, core.DefaultH, 1000)
+		runs := core.ServiceRuns(t, ds.Points, ds.Dims, core.DefaultH, 1000)
+		if len(runs) < 3 {
+			t.Fatalf("%s: the service's window is %d trees; the runs case is no wider than the two-tree one", name, len(runs))
+		}
 		if !ctree.Equal(built, window) || !ctree.Equal(built, firstTouch) {
 			t.Fatalf("%s: the window or InsertBatch tree stores different cells than the build", name)
 		}
@@ -92,7 +97,7 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 				t.Fatalf("%s: no β-clusters, the comparison is vacuous", name)
 			}
 			t.Logf("%s workers=%d: %d β-clusters, %d clusters", name, workers, len(want.Betas), len(want.Clusters))
-			for _, srcs := range [][]*ctree.Tree{{window}, {firstTouch}, {active, aging}} {
+			for _, srcs := range [][]*ctree.Tree{{window}, {firstTouch}, {active, aging}, runs} {
 				got, err := core.Run(context.Background(), core.Input{Trees: srcs}, cfg)
 				if err != nil {
 					t.Fatal(err)

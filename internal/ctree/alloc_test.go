@@ -9,8 +9,8 @@ import (
 
 // buildScratchBytes is what one Build may allocate beyond its tree and
 // its sort columns: the count loop's 64 KiB leaf buffer plus the
-// merge heap, the descent stacks and the child-table list's append
-// growth. The 10k×15d build below measures 87.5 KiB of it.
+// merge heap, the descent stacks and the goroutine of its one sort
+// worker.
 const buildScratchBytes = 128 << 10
 
 // TestBuildAllocationBudget pins the build's allocation shape with
@@ -21,11 +21,13 @@ const buildScratchBytes = 128 << 10
 //     η·ExternalRecordBytes(d, H) for the sorted record columns, plus
 //     buildScratchBytes — an arena that doubled its way up (about 3 MB
 //     more here) or a per-point allocation fails it;
-//   - it allocates at most 425 times, the measured 388 (one child table
-//     per wide node, 346 of them, and a few dozen slabs) plus 10%, so a
-//     regression toward per-cell allocation (the pre-arena layout paid
-//     ~45 allocations per 1000 points at this shape) fails loudly
-//     rather than showing up as a quiet benchmark drift.
+//   - it allocates at most 30 times, the measured 27 (the tree and its
+//     seven columns, the sort columns and their radix scratch, and the
+//     merge's and the sort worker's small buffers) plus 10%, so a regression
+//     that allocates per wide node (one child table each would add about
+//     350 here) or per cell (the pre-arena layout paid ~45 allocations
+//     per 1000 points at this shape) fails loudly rather than showing up
+//     as a quiet benchmark drift.
 func TestBuildAllocationBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is slow under -short")
@@ -51,7 +53,7 @@ func TestBuildAllocationBudget(t *testing.T) {
 		}
 		return tr
 	}
-	const budget = 425
+	const budget = 30
 	if allocs := testing.AllocsPerRun(3, func() { build() }); allocs > budget {
 		t.Fatalf("Build(10000x15d) allocated %.0f times, budget %d — the arena layout regressed toward per-cell allocation", allocs, budget)
 	}

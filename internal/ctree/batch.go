@@ -15,14 +15,11 @@
 // or one InsertBatch batch into record streams, and its count phase
 // (countMerged) feeds the merged runs to countRunPacked/countRunAt.
 //
-// In a tree that was empty when the count began, every cell at or
-// below a run's divergence level is new: the sorted order visits each
-// path prefix in one stretch, so a prefix that differs from the
-// previous run's has never been seen. The descent then appends those
-// cells without a child lookup or link (Build's trees keep none;
-// InsertBatch links the tree after the count); into a populated tree,
-// which InsertBatch has linked, it finds or creates each one
-// (ensureChild).
+// Every count starts on an empty tree, so every cell at or below a
+// run's divergence level is new: the sorted order visits each path
+// prefix in one stretch, so a prefix that differs from the previous
+// run's has never been seen. The descent appends those cells without a
+// child lookup, in path order.
 //
 // The quantize pass is branch-reduced (DESIGN.md §12): one float
 // multiply + floor per coordinate gives the level-H grid value, the
@@ -34,8 +31,8 @@
 // historical error text.
 //
 // Determinism: the sort key is the path itself with the point's
-// arrival index as the tie-break, so the permutation — and with it the
-// first-touch cell order — is a pure function of the points.
+// arrival index as the tie-break, so the permutation is a pure function
+// of the points.
 //
 // When d·(H-1) <= 64 bits the whole path packs into one uint64, by
 // table lookup (keySpread), and a stream sorts with the stable LSD
@@ -68,13 +65,10 @@ const f64NegZeroBits = uint64(1) << 63
 
 // batchInserter is the count loop's carry-over descent: the stack of
 // the current run's path, which the next run resumes at the first
-// level where the two paths diverge. One inserter serves one tree.
+// level where the two paths diverge. One inserter serves one tree,
+// empty when the count begins.
 type batchInserter struct {
 	t *Tree
-	// fresh is set when t stored no cell and no child links as the
-	// count began: new cells are appended unlinked (see the file
-	// comment).
-	fresh bool
 
 	// Descent stack: refs[h]/locs[h] address the level-h cell of the
 	// current run's path (refs[0] is the root sentinel); the first
@@ -86,20 +80,9 @@ type batchInserter struct {
 
 // newBatchInserter returns a fresh inserter for t.
 func newBatchInserter(t *Tree) *batchInserter {
-	b := &batchInserter{t: t, fresh: t.CellCount() == 0 && !t.linked(), refs: make([]Ref, t.H), locs: make([]uint64, t.H)}
+	b := &batchInserter{t: t, refs: make([]Ref, t.H), locs: make([]uint64, t.H)}
 	b.refs[0] = rootRef
 	return b
-}
-
-// child returns the level-h cell at loc below the stack's level h-1
-// cell, which lies at or below the run's divergence level: a new cell
-// appended unlinked in a fresh count, found or created otherwise.
-func (b *batchInserter) child(h int, loc uint64) Ref {
-	if b.fresh {
-		return b.t.pushCell(b.refs[h-1], loc, uint8(h))
-	}
-	r, _ := b.t.ensureChild(b.refs[h-1], loc)
-	return r
 }
 
 // packedDivergence returns the shallowest level at which the packed
@@ -292,7 +275,7 @@ func (b *batchInserter) countRunAt(kw []uint64, cnt int32) []int32 {
 		div = wordsDivergence(kw, b.locs[1:H])
 	}
 	for h := div; h <= H-1; h++ {
-		b.refs[h] = b.child(h, kw[h-1])
+		b.refs[h] = t.pushCell(b.refs[h-1], kw[h-1], uint8(h))
 		b.locs[h] = kw[h-1]
 	}
 	b.have = H - 1
@@ -330,7 +313,7 @@ func (b *batchInserter) countRunPacked(k, prev uint64, first bool, cnt int32) []
 		div = packedDivergence(k, prev, t.D, H)
 	}
 	for h := div; h <= H-1; h++ {
-		b.refs[h] = b.child(h, (k>>(uint(H-1-h)*d))&t.dmask)
+		b.refs[h] = t.pushCell(b.refs[h-1], (k>>(uint(H-1-h)*d))&t.dmask, uint8(h))
 	}
 	for h := 1; h <= H-1; h++ {
 		t.n[b.refs[h]] += cnt

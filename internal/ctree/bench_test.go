@@ -56,16 +56,17 @@ func BenchmarkInsert(b *testing.B) {
 // reports the finished indexes' footprint as index-MB. The first three
 // cases index the same 100k points (d = 15, H = 4, the stream-grow
 // shape) in both arena orders the pipeline sees. "build" is the
-// canonical Build tree of the batch path; "window" is two
-// InsertBatch-grown halves merged by MergeFrom, which writes the same
-// path order; both fill each level from their arena order as it
-// stands. "insertbatch" is the points grown by InsertBatch alone, whose
-// first-touch levels get ordered before the fill merges them.
-// "union" is the service's rotated pass: UnionLevelIndexes over a
-// canonical 100k-point aging tree and a first-touch 50k-point active
-// tree, BenchmarkWindowPass's window. It also reports the window's
-// points indexed per second as points/s, the metric of its
-// scripts/bench_floors.sh row.
+// canonical Build tree of the batch path; "window" is two halves fed
+// by InsertBatch and merged by MergeFrom, which writes the same path
+// order; both fill each level from their arena order as it stands.
+// "firsttouch" is the points counted by the per-point Insert oracle,
+// the first-touch arena of a snapshot an older release saved from a
+// tree it grew batch by batch, whose levels get ordered before the
+// fill merges them. "union" is the service's rotated pass:
+// UnionLevelIndexes over a 100k-point aging tree and the runs of 50k
+// more points (ServiceRuns), BenchmarkWindowPass's window. It also
+// reports the window's points indexed per second as points/s, the
+// metric of its scripts/bench_floors.sh row.
 //
 //	go test -run '^$' -bench BenchmarkEnsureLevelIndexes ./internal/ctree
 func BenchmarkEnsureLevelIndexes(b *testing.B) {
@@ -79,7 +80,11 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 	aging, active, firstTouch := New(d, H), New(d, H), New(d, H)
 	growBatches(b, aging, pts[:len(pts)/2])
 	growBatches(b, active, pts[len(pts)/2:])
-	growBatches(b, firstTouch, pts)
+	for _, p := range pts {
+		if err := firstTouch.Insert(p); err != nil {
+			b.Fatal(err)
+		}
+	}
 	window := aging.Clone()
 	if err := window.MergeFrom(active); err != nil {
 		b.Fatal(err)
@@ -87,7 +92,7 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		tr   *Tree
-	}{{"build", built}, {"window", window}, {"insertbatch", firstTouch}} {
+	}{{"build", built}, {"window", window}, {"firsttouch", firstTouch}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -100,18 +105,13 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 	b.Run("union", func(b *testing.B) {
 		const window = 100000
 		pts := benchDataset(b, window+window/2).Points
-		grown, active := New(d, H), New(d, H)
-		growBatches(b, grown, pts[:window])
-		growBatches(b, active, pts[window:])
-		aging, err := Canonicalize(grown)
-		if err != nil {
-			b.Fatal(err)
-		}
+		srcs := append(benchRuns(b, pts[window:]), benchAging(b, pts[:window]))
 		var idxs []*LevelIndex
+		var err error
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if idxs, err = UnionLevelIndexes(aging, active); err != nil {
+			if idxs, err = UnionLevelIndexes(srcs...); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -137,8 +137,7 @@ func benchDataset(b *testing.B, points int) *dataset.Dataset {
 	return ds
 }
 
-// growBatches grows dst by InsertBatch calls of 1000 points, the
-// service's ingest batches, which leave it in first-touch order.
+// growBatches feeds dst by InsertBatch calls of 1000 points.
 func growBatches(b *testing.B, dst *Tree, pts [][]float64) {
 	for i := 0; i < len(pts); i += 1000 {
 		if err := dst.InsertBatch(pts[i:min(i+1000, len(pts))]); err != nil {
@@ -147,12 +146,33 @@ func growBatches(b *testing.B, dst *Tree, pts [][]float64) {
 	}
 }
 
-// BenchmarkInsertBatch times the ingest path on its own, on the
+// benchRuns is ServiceRuns over pts at d = 15, H = 4 in 1000-point
+// batches: the active runs of a service fed the stream-grow shape.
+func benchRuns(b *testing.B, pts [][]float64) []*Tree {
+	runs, err := ServiceRuns(pts, 15, 4, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return runs
+}
+
+// benchAging is the aging tree a service holds once a pass united the
+// retired runs of pts.
+func benchAging(b *testing.B, pts [][]float64) *Tree {
+	aging, err := Union(benchRuns(b, pts)...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return aging
+}
+
+// BenchmarkInsertBatch times Tree.InsertBatch on its own, on the
 // stream-grow shape (benchDataset, d = 15), and reports points/s.
-// "service" grows an empty H = 4 tree to 50k points in 1000-point
-// calls, the service's ingest batches; "onecall" counts 100k points in
-// one call; "multiword" is "service" at H = 6, where d·(H-1) = 75 > 64
-// puts each path key in H-1 words.
+// "service" feeds an empty H = 4 tree to 50k points in 1000-point
+// calls, each of which unites the whole tree with the batch's (the
+// service itself keeps runs instead, ServiceRuns); "onecall" counts
+// 100k points in one call; "multiword" is "service" at H = 6, where
+// d·(H-1) = 75 > 64 puts each path key in H-1 words.
 //
 //	go test -run '^$' -bench BenchmarkInsertBatch -cpu 1 ./internal/ctree
 func BenchmarkInsertBatch(b *testing.B) {
@@ -181,22 +201,20 @@ func BenchmarkInsertBatch(b *testing.B) {
 }
 
 // BenchmarkUnion times the Union writes the program runs, on the
-// stream-grow shape (d = 15, H = 4). "canonicalize" rewrites a
-// 100k-point first-touch tree, as the service does to its aging tree
-// once per rotation. "window" unites a first-touch 50k-point active
-// tree with a canonical 100k-point aging tree, the tree a service
-// snapshot or checkpoint saves. "shards=4" and "shards=8" unite the
-// Build trees of 4 and 8 contiguous shards of 100k points, what
-// mrcc-shard -out and -check-serial write.
+// stream-grow shape (d = 15, H = 4). "retire" unites the runs of 100k
+// points (ServiceRuns), as the service's first pass after a rotation
+// does. "window" unites the runs of 50k more points with the 100k-point
+// aging tree, the tree a service snapshot or checkpoint saves.
+// "shards=4" and "shards=8" unite the Build trees of 4 and 8
+// contiguous shards of 100k points, what mrcc-shard -out and
+// -check-serial write.
 //
 //	go test -run '^$' -bench BenchmarkUnion -cpu 1 ./internal/ctree
 func BenchmarkUnion(b *testing.B) {
 	const d, H = 15, 4
 	pts := benchDataset(b, 150000).Points
-	grown, active := New(d, H), New(d, H)
-	growBatches(b, grown, pts[:100000])
-	growBatches(b, active, pts[100000:])
-	aging, err := Canonicalize(grown)
+	retired := benchRuns(b, pts[:100000])
+	aging, err := Union(retired...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,8 +228,8 @@ func BenchmarkUnion(b *testing.B) {
 			}
 		})
 	}
-	run("canonicalize", grown)
-	run("window", active, aging)
+	run("retire", retired...)
+	run("window", append(benchRuns(b, pts[100000:]), aging)...)
 	for _, w := range []int{4, 8} {
 		shards := make([]*Tree, w)
 		for i := range shards {

@@ -11,7 +11,7 @@
 // ONE tree through the carry-over descent of batch.go. Whether a
 // stream lives in a worker's memory or in a disk run is a property of
 // the stream, not a second counting loop, and InsertBatch (stream.go)
-// runs the same two phases over one batch into a live tree.
+// runs the same two phases over one batch into a fresh tree.
 //
 // Between the phases an in-memory build walks the merged key order
 // once more, keys only, to count the cells the tree will store
@@ -21,15 +21,14 @@
 // appends every cell without a child lookup (batch.go). A spilled
 // build's streams are on disk, so it skips the walk: its arena doubles
 // as the cells come and is trimmed to them once the merge ends. Either
-// way Build returns a written-once tree, exactly its cells with no
-// child links (arena.go).
+// way Build returns a written-once tree, exactly its cells (arena.go).
 //
 // Streams cover contiguous slices of the dataset and sort stably, so
 // the merged order is (key, dataset index) — a pure function of the
 // dataset. Every configuration therefore builds the same tree in the
 // same canonical arena order (DFS preorder, siblings ascending by Loc;
-// see Canonicalize), with the same MemoryBytes and byte-identical
-// treeio snapshots, whatever Workers or the run size.
+// see arena.go), with the same MemoryBytes and byte-identical treeio
+// snapshots, whatever Workers or the run size.
 //
 // Robustness: sort workers and the merge poll one checkpoint (an armed
 // fault point, the context and, in the merge, the memory cap against
@@ -139,40 +138,50 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 	}
 	bc := &buildControl{ctx: opt.Ctx}
 	ks := newKeySpread(ds.Dims, H)
-	var t *Tree
-	var streams []*recordStream
-	var err error
 	if opt.SpillDir == "" {
 		bc.limit = opt.MemoryLimitBytes
-		if streams, err = sortShards(ds, H, ks, opt.Workers, bc); err != nil {
-			return nil, err
-		}
-		rows := 1 + cellCount(streams, ds.Dims, H)
-		if est := stateBytes(ds.Dims, rows); bc.limit > 0 && est > bc.limit {
-			return nil, &LimitError{LimitBytes: bc.limit, EstimateBytes: est, H: H}
-		}
-		t = newTree(ds.Dims, H, rows)
-		t.spread = ks
-	} else {
-		dir, derr := os.MkdirTemp(opt.SpillDir, "mrcc-spill-*")
-		if derr != nil {
-			return nil, fmt.Errorf("ctree: creating spill directory: %w", derr)
-		}
-		// Run files only matter until the merge ends: every exit path,
-		// success included, closes and removes them.
-		defer os.RemoveAll(dir)
-		t = New(ds.Dims, H)
-		t.spread = ks
-		streams, err = spillRuns(t, ds, dir, opt, bc)
-		defer closeRuns(streams)
+		streams, err := sortShards(ds, H, ks, opt.Workers, bc)
 		if err != nil {
 			return nil, err
 		}
+		return countStreams(ds.Dims, H, ks, streams, bc, opt.Progress, ds.Len())
+	}
+	dir, err := os.MkdirTemp(opt.SpillDir, "mrcc-spill-*")
+	if err != nil {
+		return nil, fmt.Errorf("ctree: creating spill directory: %w", err)
+	}
+	// Run files only matter until the merge ends: every exit path,
+	// success included, closes and removes them.
+	defer os.RemoveAll(dir)
+	t := New(ds.Dims, H)
+	t.spread = ks
+	streams, err := spillRuns(t, ds, dir, opt, bc)
+	defer closeRuns(streams)
+	if err != nil {
+		return nil, err
 	}
 	if err := countMerged(t, streams, bc, opt.Progress, ds.Len()); err != nil {
 		return nil, err
 	}
 	t.trim()
+	return t, nil
+}
+
+// countStreams counts in-memory record streams, total records in all,
+// into a new tree whose arena is allocated once at exactly the cells
+// they store (cellCount): Build's in-memory count, and InsertBatch's,
+// whose nil control polls nothing. An arena that alone exceeds the
+// control's memory cap is refused before it is allocated.
+func countStreams(d, H int, ks keySpread, streams []*recordStream, bc *buildControl, progress ProgressFunc, total int) (*Tree, error) {
+	rows := 1 + cellCount(streams, d, H)
+	if est := stateBytes(d, rows); bc != nil && bc.limit > 0 && est > bc.limit {
+		return nil, &LimitError{LimitBytes: bc.limit, EstimateBytes: est, H: H}
+	}
+	t := newTree(d, H, rows)
+	t.spread = ks
+	if err := countMerged(t, streams, bc, progress, total); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -530,22 +539,21 @@ func cellCount(streams []*recordStream, d, H int) int {
 	return cells
 }
 
-// countMerged counts the sorted streams, total records in all, into t
-// in (key, stream index) order — the one counting loop of Build and
-// InsertBatch. Records sharing a path are buffered, at most
-// buildReportEvery leaf words at a time, and counted in one carry-over
-// descent (batch.go), so shared prefixes are bumped once per run of
-// equal paths rather than once per point. When t starts empty and
-// unlinked the new cells go in without a child lookup or link. The
-// build control is polled every buildReportEvery records and once at
-// the end; progress reports done of total records.
+// countMerged counts the sorted streams, total records in all, into
+// the empty tree t in (key, stream index) order — the one counting loop
+// of Build and InsertBatch. Records sharing a path are buffered, at
+// most buildReportEvery leaf words at a time, and counted in one
+// carry-over descent (batch.go), so shared prefixes are bumped once per
+// run of equal paths rather than once per point, and new cells go in
+// without a child lookup. The build control is polled every
+// buildReportEvery records and once at the end; progress reports done
+// of total records.
 func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress ProgressFunc, total int) error {
 	ins := newBatchInserter(t)
 	w := keyWords(t.D, t.H)
 	if w == 1 {
 		t.radixChunks += int64(len(streams)) // each stream is one sortShard's radix sort
 	}
-	t.invalidateIndexes()
 	h := newStreamHeap(streams, w)
 	key := make([]uint64, w) // path of the buffered records
 	leafs := make([]uint64, 0, min(buildReportEvery, total))

@@ -52,8 +52,8 @@ func checkBuildsAgree(t *testing.T, configs func(n int) []buildConfig) {
 			if want := stateBytes(s.d, int(got.CellCount())+1); got.MemoryBytes() != want {
 				t.Fatalf("%s: MemoryBytes %d, want the written-once footprint %d", name, got.MemoryBytes(), want)
 			}
-			if canon, err := Canonicalize(got); err != nil || canon != got {
-				t.Fatalf("%s: build is not in canonical arena order (err=%v)", name, err)
+			if !got.canonical || !got.scanCanonical() {
+				t.Fatalf("%s: build is not in canonical arena order", name)
 			}
 			if !sameColumns(ref.Columns(), got.Columns()) {
 				t.Fatalf("%s: arena columns differ from the in-memory build", name)
@@ -165,9 +165,8 @@ func TestBuildShardSplitEdges(t *testing.T) {
 // append none. Both key layouts, in memory at Workers 1 and 2, spilled
 // in one run and in runs that split the repeated path, and one
 // InsertBatch call into an empty tree must equal per-point insertion,
-// each with the footprint of its path (a build's written-once arena,
-// the grown arena of InsertBatch); the in-memory builds must also size
-// their arena once.
+// each with the written-once footprint of its cells; the in-memory
+// builds must also size their arena once.
 func TestBuildRepeatedPathPastLeafBuffer(t *testing.T) {
 	for _, s := range []struct {
 		name string
@@ -228,11 +227,7 @@ func TestBuildRepeatedPathPastLeafBuffer(t *testing.T) {
 			if !treesEqual(t, oracle, got) || got.CellCount() != oracle.CellCount() {
 				t.Fatalf("%s: %d cells, per-point insertion %d; trees differ", name, got.CellCount(), oracle.CellCount())
 			}
-			want := stateBytes(s.d, int(got.CellCount())+1)
-			if c.name == "insertbatch" {
-				want = grownBytes(oracle)
-			}
-			if got.MemoryBytes() != want {
+			if want := stateBytes(s.d, int(got.CellCount())+1); got.MemoryBytes() != want {
 				t.Fatalf("%s: MemoryBytes %d, want the footprint of its path %d", name, got.MemoryBytes(), want)
 			}
 			if g := got.ArenaGrows(); c.inMemory && g != 0 {
@@ -240,31 +235,4 @@ func TestBuildRepeatedPathPastLeafBuffer(t *testing.T) {
 			}
 		}
 	}
-}
-
-// grownBytes is the footprint of a tree that InsertBatch grew from an
-// empty tree to t's cells, from first principles: the state columns
-// and 16 B of child links a row (three Refs and a table index) at the
-// doubling capacity from arenaInitialCap rows, plus one child table of
-// tableSize 4-byte slots per node with more than inlineChildren
-// children, listed in a slice of 24-byte headers grown by append.
-func grownBytes(t *Tree) uint64 {
-	rows := len(t.loc)
-	capRows := arenaInitialCap
-	for capRows < rows {
-		capRows *= 2
-	}
-	children := make([]int, rows)
-	for _, par := range t.parent[1:] {
-		children[par]++
-	}
-	var tabs [][]Ref
-	var slots uint64
-	for _, c := range children {
-		if c > inlineChildren {
-			tabs = append(tabs, nil)
-			slots += tableSize(c)
-		}
-	}
-	return stateBytes(t.D, capRows) + uint64(capRows)*16 + uint64(cap(tabs))*24 + slots*4
 }

@@ -38,9 +38,9 @@ func buildShardTrees(t *testing.T, shards []*dataset.Dataset, h int) []*Tree {
 
 // TestCanonicalizeMatchesSingleChunkBuild pins the canonical-order
 // claim on a dataset smaller than one build checkpoint interval: Build
-// creates cells in exactly the canonical DFS preorder, so Canonicalize
-// leaves it untouched, and the Union of its shards writes the identical
-// arena layout, row for row.
+// creates cells in exactly the canonical DFS preorder, so its canon
+// flag is set and a scan of its arena agrees, and the Union of its
+// shards writes the identical arena layout, row for row.
 func TestCanonicalizeMatchesSingleChunkBuild(t *testing.T) {
 	ds := uniformDataset(t, 6, 5000, 42)
 	if len(ds.Points) > buildReportEvery {
@@ -50,8 +50,8 @@ func TestCanonicalizeMatchesSingleChunkBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := Canonicalize(serial); err != nil || got != serial {
-		t.Fatalf("single-chunk build not recognized as canonical (err=%v)", err)
+	if !serial.canonical || !serial.scanCanonical() {
+		t.Fatal("single-chunk build not recognized as canonical")
 	}
 	canon, err := Union(buildShardTrees(t, shardDatasets(t, ds, 4), 4)...)
 	if err != nil {
@@ -77,11 +77,10 @@ func TestCanonicalizeMatchesSingleChunkBuild(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeMultiChunk checks that canonicalizing a tree grown
-// by 1000-point InsertBatch calls (the service's ingest batches, which
-// leave it in first-touch order) and the Union of shard trees of the
-// same dataset land on the same arena layout — the layout Build
-// produces directly.
+// TestCanonicalizeMultiChunk checks that a tree fed by 1000-point
+// InsertBatch calls, each of which unites the tree with the batch's
+// own tree, and the Union of shard trees of the same dataset land on
+// the same arena layout — the layout Build produces directly.
 func TestCanonicalizeMultiChunk(t *testing.T) {
 	ds := uniformDataset(t, 4, 3*buildReportEvery+100, 7)
 	serial := New(4, 4)
@@ -90,8 +89,8 @@ func TestCanonicalizeMultiChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if serial.canonical() {
-		t.Fatal("a tree grown in 1000-point batches is already canonical: nothing left to rewrite")
+	if !serial.canonical || !serial.scanCanonical() {
+		t.Fatal("a tree fed in 1000-point batches is not in canonical order")
 	}
 	built, err := Build(ds, 4, BuildOptions{})
 	if err != nil {
@@ -101,33 +100,26 @@ func TestCanonicalizeMultiChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := Canonicalize(serial)
-	if err != nil {
-		t.Fatal(err)
+	if !sameColumns(serial.Columns(), cb.Columns()) {
+		t.Fatal("InsertBatch tree and union differ")
 	}
-	if !sameColumns(ca.Columns(), cb.Columns()) {
-		t.Fatal("canonicalized InsertBatch tree and union differ")
-	}
-	if !sameColumns(ca.Columns(), built.Columns()) {
+	if !sameColumns(serial.Columns(), built.Columns()) {
 		t.Fatal("canonical layout differs from Build's")
 	}
-	if !Equal(ca, serial) {
-		t.Fatal("canonicalization changed the cell set")
-	}
-	if ca.MemoryBytes() != stateBytes(ca.D, int(ca.CellCount())+1) || ca.MemoryBytes() != built.MemoryBytes() {
-		t.Fatalf("canonicalized tree reports %d bytes, want the written-once footprint %d", ca.MemoryBytes(), built.MemoryBytes())
+	if serial.MemoryBytes() != stateBytes(serial.D, int(serial.CellCount())+1) || serial.MemoryBytes() != built.MemoryBytes() {
+		t.Fatalf("InsertBatch tree reports %d bytes, want the written-once footprint %d", serial.MemoryBytes(), built.MemoryBytes())
 	}
 }
 
-// TestCanonicalChecksBothRules pins the two rules of canonical on
-// one-dimensional trees grown a point at a time. Inserting 0.3 then
-// 0.1 keeps the cells in DFS preorder but chains the second level's
-// siblings in descending loc order, so only the sibling rule rejects
-// the tree; inserting 0.1, 0.6 and then 0.3 creates a second-level
-// cell under a first-level cell that is no longer the latest, at a loc
-// above its level's latest, so only the preorder rule rejects it.
-// Canonicalize must rewrite both into Build's columns, and Build's own
-// tree must pass.
+// TestCanonicalChecksBothRules pins the two rules of scanCanonical on
+// one-dimensional first-touch trees counted a point at a time by the
+// Insert oracle. Inserting 0.3 then 0.1 keeps the cells in DFS preorder
+// but lists the second level's siblings in descending loc order, so
+// only the sibling rule rejects the tree; inserting 0.1, 0.6 and then
+// 0.3 creates a second-level cell under a first-level cell that is no
+// longer the latest, at a loc above its level's latest, so only the
+// preorder rule rejects it. Union must rewrite both into Build's
+// columns, and Build's own tree must pass.
 func TestCanonicalChecksBothRules(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -144,19 +136,19 @@ func TestCanonicalChecksBothRules(t *testing.T) {
 			}
 			pts = append(pts, []float64{v})
 		}
-		if grown.canonical() {
-			t.Errorf("%s: canonical accepts a tree out of canonical order", tc.name)
+		if grown.scanCanonical() {
+			t.Errorf("%s: scanCanonical accepts a tree out of canonical order", tc.name)
 		}
 		built := sweepBuild(t, 1, 4, pts)
-		if !built.canonical() {
-			t.Errorf("%s: canonical rejects Build's tree", tc.name)
+		if !built.scanCanonical() {
+			t.Errorf("%s: scanCanonical rejects Build's tree", tc.name)
 		}
-		c, err := Canonicalize(grown)
+		c, err := Union(grown)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c == grown || !sameColumns(c.Columns(), built.Columns()) {
-			t.Errorf("%s: Canonicalize did not rewrite the tree into Build's columns", tc.name)
+		if !c.canonical || !sameColumns(c.Columns(), built.Columns()) {
+			t.Errorf("%s: Union did not rewrite the tree into Build's columns", tc.name)
 		}
 	}
 }

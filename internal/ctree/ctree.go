@@ -133,24 +133,15 @@ func (p Path) Compare(q Path) int {
 }
 
 // CellAt returns the cell at the given path, or NilRef when the tree
-// stores none. A linked tree descends through its child links and a
-// written-once tree in canonical order descends through its rows
-// (cellAtCanonical); any other tree is scanned. None of them changes
-// the tree.
+// stores none. A tree in canonical order descends through its rows
+// (cellAtCanonical); a first-touch arena, which a snapshot saved by an
+// older release may hold, is scanned. Neither changes the tree.
 func (t *Tree) CellAt(p Path) Ref {
 	h := len(p)
 	switch {
 	case h == 0 || h > t.H-1:
 		return NilRef
-	case t.linked():
-		r := rootRef
-		for _, loc := range p {
-			if r = t.findChild(r, loc); r < 0 {
-				return NilRef
-			}
-		}
-		return r
-	case t.canonical():
+	case t.canonical:
 		return t.cellAtCanonical(p)
 	}
 	for r, l := range t.level {
@@ -221,8 +212,8 @@ func (t *Tree) pathIs(r Ref, p Path) bool {
 }
 
 // WalkLevel visits every stored cell at level h in arena order, which
-// is path order in a canonical tree (Build, Union and a load of
-// either), in one pass over the arena that keeps the path of the
+// is path order in a canonical tree (every writer's, and a load of
+// one), in one pass over the arena that keeps the path of the
 // latest cell's ancestors. The path passed to fn is reused across
 // calls; clone it to retain it.
 func (t *Tree) WalkLevel(h int, fn func(p Path, r Ref)) {

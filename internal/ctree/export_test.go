@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
+
+	"mrcc/internal/dataset"
 )
 
 // LevelIndexesWithLinks builds the level indexes of the union of srcs
@@ -37,22 +39,38 @@ func UpperLink(ix *LevelIndex, i, j int) int {
 	return -1
 }
 
-// CanonicalVerdicts returns t's canonical-order verdict as the level
-// merge reads it (cached after the first call) and as a fresh scan of
-// the arena finds it.
-func CanonicalVerdicts(t *Tree) (cached, scanned bool) {
-	return t.canonical(), t.scanCanonical()
-}
+// Canonical reports t's canonical flag: whether its arena lists the cells
+// in the canonical order.
+func Canonical(t *Tree) bool { return t.canonical }
 
 // WrittenOnceBytes is the footprint of a written-once tree of rows rows
 // (cells + the root sentinel): its state columns and half-space slab,
-// exactly sized, with no child links.
+// exactly sized.
 func WrittenOnceBytes(d, rows int) uint64 { return stateBytes(d, rows) }
-
-// Linked reports whether t carries child links, as a tree InsertBatch
-// has counted into does.
-func Linked(t *Tree) bool { return t.linked() }
 
 // ChildCountExact reports whether t's child-count column holds exactly
 // its rows.
 func ChildCountExact(t *Tree) bool { return cap(t.childCount) == len(t.loc) }
+
+// ServiceRuns builds pts into the streaming service's active runs: each
+// batch of batch points into a tree of its own (Build on one worker),
+// then the two newest trees united for as long as the newer holds at
+// least half the older's points — the ingest rule of internal/serve.
+func ServiceRuns(pts [][]float64, d, H, batch int) ([]*Tree, error) {
+	var runs []*Tree
+	for lo := 0; lo < len(pts); lo += batch {
+		run, err := Build(&dataset.Dataset{Dims: d, Points: pts[lo:min(lo+batch, len(pts))]}, H, BuildOptions{Workers: 1})
+		if err != nil {
+			return nil, err
+		}
+		runs = append(runs, run)
+		for n := len(runs); n >= 2 && 2*runs[n-1].Eta >= runs[n-2].Eta; n-- {
+			u, err := Union(runs[n-2], runs[n-1])
+			if err != nil {
+				return nil, err
+			}
+			runs = append(runs[:n-2], u)
+		}
+	}
+	return runs, nil
+}

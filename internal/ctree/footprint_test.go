@@ -12,16 +12,18 @@ import (
 )
 
 // TestWrittenOnceFootprint pins the sizing rule across every producer
-// of a written-once tree: Build at Workers 1, 2 and 8 and spilled,
-// Union, Canonicalize of a tree grown by InsertBatch, MergeFrom into a
-// built and into a grown tree, treeio's validated and trusted loads of
-// a built and of a grown tree's snapshot, and Clone of a built and of a
-// grown tree. Each returns a tree holding exactly its cells plus the
-// root sentinel — every state column exactly sized, no child links or
-// tables — whose MemoryBytes is that footprint, for both key layouts.
-// One InsertBatch of the remaining points into each, which links the
-// tree on the ingest path, must then give Build's tree of all the
-// points: Equal, and the same columns row for row once canonicalized.
+// of a tree: Build at Workers 1, 2 and 8 and spilled, Union, InsertBatch
+// into an empty and into a populated tree, the streaming service's runs
+// and the Union of them, MergeFrom into a built tree and into one fed
+// by InsertBatch, treeio's validated and trusted loads of a built tree,
+// of a tree fed by InsertBatch and of a first-touch arena (the per-point
+// Insert oracle's, the order of a snapshot an older release saved), and
+// Clone of a built tree and of one fed by InsertBatch. Each returns a
+// tree holding exactly its cells plus the root sentinel — every state
+// column exactly sized — whose MemoryBytes is that footprint, for both
+// key layouts. One InsertBatch of the remaining points into each must
+// then leave a tree of the same footprint that is Build's tree of all
+// the points, column for column.
 func TestWrittenOnceFootprint(t *testing.T) {
 	for _, s := range []struct{ d, H int }{
 		{5, 4},  // packed keys
@@ -32,15 +34,24 @@ func TestWrittenOnceFootprint(t *testing.T) {
 			a, b, c := all[:1500], all[1500:2200], all[2200:]
 			whole := buildPoints(t, all, s.H, ctree.BuildOptions{})
 			built := func() *ctree.Tree { return buildPoints(t, a, s.H, ctree.BuildOptions{}) }
-			grown := func() *ctree.Tree {
+			fed := func() *ctree.Tree {
 				g := ctree.New(s.d, s.H)
 				for lo := 0; lo < len(a); lo += 400 {
 					if err := g.InsertBatch(a[lo:min(lo+400, len(a))]); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if !ctree.Linked(g) {
-					t.Fatal("InsertBatch left the tree without child links")
+				return g
+			}
+			firstTouch := func() *ctree.Tree {
+				g := ctree.New(s.d, s.H)
+				for _, p := range a {
+					if err := g.Insert(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if ctree.Canonical(g) {
+					t.Fatal("the per-point oracle wrote a canonical arena; the first-touch load is vacuous")
 				}
 				return g
 			}
@@ -66,16 +77,23 @@ func TestWrittenOnceFootprint(t *testing.T) {
 					}
 					return u
 				}, c},
-				producer{"canonicalize/grown", func() *ctree.Tree {
-					g := grown()
-					canon, err := ctree.Canonicalize(g)
+				producer{"insertbatch", fed, all[1500:]},
+				producer{"runs", func() *ctree.Tree {
+					runs, err := ctree.ServiceRuns(a, s.d, s.H, 100)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if canon == g {
-						t.Fatal("the grown tree is canonical already: Canonicalize wrote nothing")
+					if len(runs) < 2 {
+						t.Fatalf("%d service runs; the union of runs is vacuous", len(runs))
 					}
-					return canon
+					for i, r := range runs {
+						checkWrittenOnce(t, fmt.Sprintf("runs/%d", i), r)
+					}
+					u, err := ctree.Union(runs...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return u
 				}, all[1500:]},
 				producer{"mergefrom/built", func() *ctree.Tree {
 					m := built()
@@ -84,20 +102,20 @@ func TestWrittenOnceFootprint(t *testing.T) {
 					}
 					return m
 				}, c},
-				producer{"mergefrom/grown", func() *ctree.Tree {
-					m := grown()
+				producer{"mergefrom/insertbatch", func() *ctree.Tree {
+					m := fed()
 					if err := m.MergeFrom(buildPoints(t, b, s.H, ctree.BuildOptions{})); err != nil {
 						t.Fatal(err)
 					}
 					return m
 				}, c},
 				producer{"clone/built", func() *ctree.Tree { return built().Clone() }, all[1500:]},
-				producer{"clone/grown", func() *ctree.Tree { return grown().Clone() }, all[1500:]},
+				producer{"clone/insertbatch", func() *ctree.Tree { return fed().Clone() }, all[1500:]},
 			)
 			for _, src := range []struct {
 				name string
 				make func() *ctree.Tree
-			}{{"built", built}, {"grown", grown}} {
+			}{{"built", built}, {"insertbatch", fed}, {"firsttouch", firstTouch}} {
 				for _, trusted := range []bool{false, true} {
 					producers = append(producers, producer{fmt.Sprintf("load/%s/trusted=%v", src.name, trusted), func() *ctree.Tree {
 						var buf bytes.Buffer
@@ -114,31 +132,32 @@ func TestWrittenOnceFootprint(t *testing.T) {
 			}
 			for _, p := range producers {
 				tr := p.make()
-				rows := int(tr.CellCount()) + 1
-				cols := tr.Columns()
-				exact := cap(cols.Loc) == rows && cap(cols.N) == rows && cap(cols.Used) == rows &&
-					cap(cols.Level) == rows && cap(cols.Parent) == rows && cap(cols.P) == rows*s.d && ctree.ChildCountExact(tr)
-				if !exact || ctree.Linked(tr) {
-					t.Fatalf("%s: columns exactly sized=%v, child links=%v; want a written-once tree", p.name, exact, ctree.Linked(tr))
-				}
-				if got, want := tr.MemoryBytes(), ctree.WrittenOnceBytes(s.d, rows); got != want {
-					t.Fatalf("%s: MemoryBytes %d, want the written-once footprint of %d rows, %d", p.name, got, rows, want)
-				}
+				checkWrittenOnce(t, p.name, tr)
 				if err := tr.InsertBatch(p.rest); err != nil {
 					t.Fatalf("%s: InsertBatch: %v", p.name, err)
 				}
-				if !ctree.Linked(tr) || !ctree.Equal(tr, whole) || tr.Eta != whole.Eta {
+				checkWrittenOnce(t, p.name+" + InsertBatch", tr)
+				if !ctree.Equal(tr, whole) || tr.Eta != whole.Eta || !sameColumnsRows(tr.Columns(), whole.Columns()) {
 					t.Fatalf("%s: one InsertBatch of the rest diverged from Build of all the points", p.name)
-				}
-				canon, err := ctree.Canonicalize(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameColumnsRows(canon.Columns(), whole.Columns()) {
-					t.Fatalf("%s: canonicalized after InsertBatch, the columns differ from Build's", p.name)
 				}
 			}
 		})
+	}
+}
+
+// checkWrittenOnce fails the test unless tr holds exactly its cells
+// plus the root sentinel in every state column and reports that
+// footprint as its MemoryBytes.
+func checkWrittenOnce(t *testing.T, name string, tr *ctree.Tree) {
+	t.Helper()
+	rows, d := int(tr.CellCount())+1, tr.D
+	cols := tr.Columns()
+	if cap(cols.Loc) != rows || cap(cols.N) != rows || cap(cols.Used) != rows || cap(cols.Level) != rows ||
+		cap(cols.Parent) != rows || cap(cols.P) != rows*d || !ctree.ChildCountExact(tr) {
+		t.Fatalf("%s: the state columns are not exactly sized to %d rows", name, rows)
+	}
+	if got, want := tr.MemoryBytes(), ctree.WrittenOnceBytes(d, rows); got != want {
+		t.Fatalf("%s: MemoryBytes %d, want the written-once footprint of %d rows, %d", name, got, rows, want)
 	}
 }
 

@@ -78,16 +78,15 @@ func decodeFuzzBatches(data []byte) fuzzBatches {
 }
 
 // FuzzInsertBatch is the tree layer's property check of the ingest
-// path. For every decoded input, the tree grown batch by batch through
+// path. For every decoded input, the tree fed batch by batch through
 // InsertBatch must be Equal to Build's tree of all the points, with the
-// grown footprint of those cells (grownBytes); one InsertBatch call of
-// all of them into an empty tree must write Build's columns row for
-// row; Build of the first batch (one point at least) followed by
-// InsertBatch of the rest, batch by batch, which links the written-once
-// tree on its first count, must be Equal to Build's tree and hold its
-// columns once canonicalized; and a batch holding one invalid value
-// (NaN, 1, a negative value or a short row) must be refused and leave
-// the tree Equal to before, with the same Eta.
+// written-once footprint of those cells (Build's MemoryBytes); one
+// InsertBatch call of all of them into an empty tree must write Build's
+// columns row for row; Build of the first batch (one point at least)
+// followed by InsertBatch of the rest, batch by batch, must be Equal to
+// Build's tree and hold its columns; and a batch holding one invalid
+// value (NaN, 1, a negative value or a short row) must be refused and
+// leave the tree Equal to before, with the same Eta.
 //
 //	go test -run '^$' -fuzz FuzzInsertBatch -fuzztime 30s ./internal/ctree
 func FuzzInsertBatch(f *testing.F) {
@@ -111,14 +110,14 @@ func FuzzInsertBatch(f *testing.F) {
 		if !Equal(batched, whole) || batched.Eta != whole.Eta {
 			t.Fatalf("d=%d H=%d: %d batches diverged from Build", in.d, in.H, len(in.batches))
 		}
-		if want := grownBytes(whole); batched.MemoryBytes() != want {
-			t.Fatalf("batched tree reports %d bytes, want the grown footprint %d", batched.MemoryBytes(), want)
+		if want := whole.MemoryBytes(); batched.MemoryBytes() != want {
+			t.Fatalf("batched tree reports %d bytes, want Build's footprint %d", batched.MemoryBytes(), want)
 		}
 		one := New(in.d, in.H)
 		if err := one.InsertBatch(in.points); err != nil {
 			t.Fatalf("InsertBatch: %v", err)
 		}
-		if !sameColumns(one.Columns(), whole.Columns()) || one.MemoryBytes() != grownBytes(whole) {
+		if !sameColumns(one.Columns(), whole.Columns()) || one.MemoryBytes() != whole.MemoryBytes() {
 			t.Fatalf("d=%d H=%d: one call wrote other columns than Build", in.d, in.H)
 		}
 
@@ -140,8 +139,8 @@ func FuzzInsertBatch(f *testing.F) {
 		if !Equal(prefixed, whole) || prefixed.Eta != whole.Eta {
 			t.Fatalf("d=%d H=%d: Build of %d points and InsertBatch of the rest diverged from Build", in.d, in.H, k)
 		}
-		if canon, err := Canonicalize(prefixed); err != nil || !sameColumns(canon.Columns(), whole.Columns()) {
-			t.Fatalf("d=%d H=%d: the prefixed tree canonicalizes to other columns than Build's (err=%v)", in.d, in.H, err)
+		if !sameColumns(prefixed.Columns(), whole.Columns()) {
+			t.Fatalf("d=%d H=%d: the prefixed tree holds other columns than Build's", in.d, in.H)
 		}
 
 		// The points again, one of them spoiled: the batch is refused

@@ -13,9 +13,10 @@
 // every source's child run. That merge (levelMerger) is the package's
 // one union kernel: Union runs it too, and writes the merged levels out
 // as a tree. It reads each source's level-h cells in one pass over its
-// arena, which lists them in path order already when Build or Union
-// wrote the tree; those of a tree InsertBatch grew in first-touch order
-// are grouped by parent entry and sorted by loc first. Each parent's
+// arena, which lists them in path order already in a canonical tree;
+// those of a first-touch arena (a snapshot an older release saved from
+// a tree it grew batch by batch) are grouped by parent entry and sorted
+// by loc first. Each parent's
 // children therefore form one sorted, contiguous run, which makes the
 // entry index the path order (the β-search breaks value ties by index
 // and finds a cell by path with a binary search) and lets the face
@@ -30,7 +31,7 @@
 // writing a merged arena: the trees are walked together, as in Gray and
 // Moore's multi-tree methods, rather than combined first.
 // Tree.EnsureLevelIndexes is the one-tree case, cached on the tree; it
-// stays valid for as long as the tree's cell set does not change
+// stays valid for as long as the tree's arena does not change
 // (InsertBatch and MergeFrom invalidate it). An index reads its
 // sources' half-space counters, so mutating a source concurrently with
 // index access is not supported (the pipeline never does: indexes are
@@ -187,8 +188,8 @@ type levelRuns struct {
 type levelSource struct {
 	t *Tree
 	// ordered reports that the arena lists every level in path order
-	// (Build and Union write trees so), which makes a
-	// level's cells, read in arena order, already grouped and sorted.
+	// (the tree's canonical flag), which makes a level's cells, read in
+	// arena order, already grouped and sorted.
 	ordered bool
 	// cells[start[p]:start[p+1]] holds the children of the level above's
 	// entry p in this source, ascending by loc.
@@ -205,9 +206,9 @@ type levelSource struct {
 // order, in one linear pass over its arena. parRefs[p] is the source's
 // Ref of the level above's entry p (NilRef where it lacks the cell; the
 // root sentinel alone at level 1), whose child count sizes p's run. A
-// source in path order lists its level as the arena does; any other
-// (InsertBatch grows children in first-touch order) places each cell in
-// its parent's run, then orders each run by loc.
+// source in path order lists its level as the arena does; a first-touch
+// arena places each cell in its parent's run, then orders each run by
+// loc.
 func (ls *levelSource) gather(h int, parRefs []Ref) {
 	t := ls.t
 	ls.start = ls.start[:len(parRefs)+1]
@@ -325,7 +326,7 @@ func newLevelMerger(srcs []*Tree) *levelMerger {
 		head:    make([]uint64, k),
 	}
 	for s, t := range srcs {
-		ls := &levelSource{t: t, ordered: t.canonical()}
+		ls := &levelSource{t: t, ordered: t.canonical}
 		most := 0
 		for h, c := range t.levelCellCountsWalk() {
 			m.bound[h] += c
@@ -561,16 +562,16 @@ func (ix *LevelIndex) linkSiblings(locs []uint64, lo, hi int) {
 		la := locs[a]
 		for b := a + 1; b < hi; b++ {
 			if diff := la ^ locs[b]; diff != 0 && diff&(diff-1) == 0 && locs[b] != locs[b-1] {
-				ix.link(a, b)
+				ix.linkPair(a, b)
 			}
 		}
 	}
 }
 
-// link adds the counts of entry a and its upper face neighbor b into
+// linkPair adds the counts of entry a and its upper face neighbor b into
 // each other's face sums, and the pair into the link list when the
 // level keeps one.
-func (ix *LevelIndex) link(a, b int) {
+func (ix *LevelIndex) linkPair(a, b int) {
 	ix.face[a] += int64(ix.cnt[b])
 	ix.face[b] += int64(ix.cnt[a])
 	if ix.up != nil {
@@ -602,7 +603,7 @@ func (ix *LevelIndex) mergeLinks(locs []uint64, lo, hi, blo, bhi, j int, set boo
 			return
 		}
 		if locs[b] == want {
-			ix.link(a, b)
+			ix.linkPair(a, b)
 		}
 	}
 }
@@ -674,19 +675,10 @@ func buildLevelIndexes(srcs []*Tree, keepLinks bool) []*LevelIndex {
 	return idxs
 }
 
-// invalidateIndexes drops the materialized level indexes and the
-// cached canonical verdict after a mutation of the tree's cell set.
-// Mutation never races index access (see the package comment above),
-// so plain checks suffice and the per-insert cost is a nil comparison
-// and an atomic load.
-func (t *Tree) invalidateIndexes() {
-	if t.indexes != nil {
-		t.indexes = nil
-	}
-	if t.canon.Load() != canonUnknown {
-		t.canon.Store(canonUnknown)
-	}
-}
+// invalidateIndexes drops the materialized level indexes when the
+// tree's arena is rewritten. Mutation never races index access (see the
+// package comment above), so it takes no lock.
+func (t *Tree) invalidateIndexes() { t.indexes = nil }
 
 // levelCellCountsWalk counts every level's stored cells in one linear
 // pass over the arena's level column: counts[h] is level h's cell count

@@ -92,12 +92,11 @@ func linkPoints(d, fine, n int, shifted bool, seed int64) [][]float64 {
 
 // TestLevelIndexNeighborLookup pins the upper face neighbor links against
 // the Path.NeighborInto + CellAt oracle on every producer of the
-// indexes the β-search reads: Build at Workers 1 and 8, a tree grown by
-// InsertBatch alone (first-touch sibling chains), the streaming
-// service's window tree (InsertBatch-grown trees merged by MergeFrom,
-// canonical), a treeio save/load round trip of that window tree, and
-// the index over the window's two trees themselves, as a pass reads
-// them (the canonicalized aging tree and the first-touch active one) —
+// indexes the β-search reads: Build at Workers 1 and 8, a tree fed by
+// InsertBatch alone, a window tree (two such trees merged by MergeFrom),
+// a treeio save/load round trip of that window tree, the index over the
+// two trees themselves, and the index over the streaming service's
+// window as a pass reads it (its active runs and its aging tree) —
 // over d ∈ {1, 2, 15, 63} and H ∈ {3, 4, MaxLevels}, with uniform and
 // neighbor-rich layouts. It also checks that the oracle saw both
 // outcomes: absent links (the upper grid edge always has them) and, on
@@ -136,7 +135,7 @@ func TestLevelIndexNeighborLookup(t *testing.T) {
 
 // linkProducers builds pts through every producer TestLevelIndexNeighborLookup
 // covers, keyed by a readable name: each producer is the list of trees
-// one index covers, a single tree except for the window's two.
+// one index covers, a single tree except for the windows'.
 func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string][]*ctree.Tree {
 	t.Helper()
 	ds := dataset.New(d, len(pts))
@@ -151,17 +150,16 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string][]*ctree.
 		}
 		out[fmt.Sprintf("build/workers=%d", w)] = []*ctree.Tree{tr}
 	}
-	// The whole stream grown by InsertBatch alone: sibling chains in
-	// first-touch order, which the level index sorts run by run.
-	firstTouch := ctree.New(d, H)
+	// The whole stream fed by InsertBatch alone.
+	fed := ctree.New(d, H)
 	for i := 0; i < len(pts); i += 17 {
-		if err := firstTouch.InsertBatch(pts[i:min(i+17, len(pts))]); err != nil {
+		if err := fed.InsertBatch(pts[i:min(i+17, len(pts))]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out["insertbatch"] = []*ctree.Tree{firstTouch}
-	// The service's window: the older half of the stream in the aging
-	// tree, the newer half in the active one, each grown batch by batch.
+	out["insertbatch"] = []*ctree.Tree{fed}
+	// A window: the older half of the stream in one tree, the newer half
+	// in another, each fed batch by batch.
 	aging, active := ctree.New(d, H), ctree.New(d, H)
 	half := len(pts) / 2
 	for i := 0; i < len(pts); i += 17 {
@@ -188,21 +186,31 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string][]*ctree.
 		t.Fatal(err)
 	}
 	out["window/treeio-roundtrip"] = []*ctree.Tree{loaded}
-	canonAging, err := ctree.Canonicalize(aging)
+	out["window/two-tree"] = []*ctree.Tree{active, aging}
+	// The service's window: the newer half in its active runs, the older
+	// half in the aging tree a pass unites from its retired runs.
+	runs, err := ctree.ServiceRuns(pts[half:], d, H, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["window/two-tree"] = []*ctree.Tree{active, canonAging}
+	retired, err := ctree.ServiceRuns(pts[:half], d, H, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	united, err := ctree.Union(retired...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["window/runs"] = append(runs, united)
 	return out
 }
 
 // TestLevelIndexMatchesWalk pins the level index's path-order contract
-// on every producer: Build at Workers 1 and 8, a tree grown by
-// InsertBatch alone (first-touch sibling chains, so the fill sorts
-// every child run) and that tree after Canonicalize, the streaming
-// service's window tree (InsertBatch-grown halves merged by MergeFrom,
-// which writes the canonical order), that window tree after a treeio
-// round trip, and the index over the window's two trees. On each, every
+// on every producer of TestLevelIndexNeighborLookup, plus a first-touch
+// arena (the per-point Insert oracle's, the order of a snapshot an
+// older release saved from a tree it grew batch by batch, so the fill
+// sorts every child run) and the index over a first-touch active tree
+// and a canonical aging tree. On each, every
 // level's entries must ascend strictly by Path.Compare and hold exactly
 // the paths WalkLevel visits in any source, each with every source's
 // Ref at that path (NilRef where the source lacks it) and the sources'
@@ -213,19 +221,25 @@ func TestLevelIndexMatchesWalk(t *testing.T) {
 	for _, c := range []struct{ d, H, n int }{{6, 5, 3000}, {15, 4, 2000}, {2, ctree.MaxLevels, 300}} {
 		pts := linkPoints(c.d, min(c.H-1, 50), c.n, true, int64(c.d*100+c.H))
 		producers := linkProducers(t, c.d, c.H, pts)
-		window := producers["window/clone+merge"][0]
-		if canon, err := ctree.Canonicalize(window); err != nil || canon != window {
-			t.Fatalf("d%d_H%d: the merged window tree is not canonical (err=%v)", c.d, c.H, err)
+		if window := producers["window/clone+merge"][0]; !ctree.Canonical(window) {
+			t.Fatalf("d%d_H%d: the merged window tree is not canonical", c.d, c.H)
 		}
-		firstTouch := producers["insertbatch"][0]
-		canon, err := ctree.Canonicalize(firstTouch)
-		if err != nil {
-			t.Fatal(err)
+		firstTouch, active := ctree.New(c.d, c.H), ctree.New(c.d, c.H)
+		for _, p := range pts {
+			if err := firstTouch.Insert(p); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if canon == firstTouch {
-			t.Fatalf("d%d_H%d: the InsertBatch tree is already canonical, so it cannot test the child-run sort", c.d, c.H)
+		for _, p := range pts[len(pts)/2:] {
+			if err := active.Insert(p); err != nil {
+				t.Fatal(err)
+			}
 		}
-		producers["insertbatch/canonicalized"] = []*ctree.Tree{canon}
+		if ctree.Canonical(firstTouch) {
+			t.Fatalf("d%d_H%d: the first-touch arena is canonical, so it cannot test the child-run sort", c.d, c.H)
+		}
+		producers["firsttouch"] = []*ctree.Tree{firstTouch}
+		producers["window/firsttouch-active"] = []*ctree.Tree{active, producers["window/two-tree"][1]}
 		for name, srcs := range producers {
 			checkIndexMatchesWalk(t, fmt.Sprintf("d%d_H%d/%s", c.d, c.H, name), srcs)
 		}

@@ -27,8 +27,8 @@ func (t *Tree) MergeFrom(other *Tree) error {
 // (a tree is the sum of its points' increments), so the union of trees
 // built over the parts of a dataset is the tree Build gives the whole.
 // The union is canonical and written-once, with Build's arena order,
-// columns and MemoryBytes for the same cells, whatever order or kind
-// its inputs are, and its build statistics (ArenaGrows, BatchRuns,
+// columns and MemoryBytes for the same cells, whatever order its inputs
+// are in, and its build statistics (ArenaGrows, BatchRuns,
 // RadixChunks) are the inputs' sums. The inputs are left untouched; a
 // tree may appear more than once.
 //
@@ -85,8 +85,8 @@ type unionLevel struct {
 // preorder, a walk down the run offsets (kids) in which a cell goes one
 // row past its parent, or past its previous sibling's subtree. Each row
 // sums its sources' N and P and ORs their usedCell flags, in fresh
-// columns of exactly rows rows that t adopts: t ends written-once,
-// without child links (arena.go).
+// columns of exactly rows rows that t adopts: t ends written-once, in
+// canonical order (arena.go).
 func (t *Tree) writeUnion(trees []*Tree) {
 	d, H := t.D, t.H
 	m := newLevelMerger(trees)
@@ -155,59 +155,19 @@ func (t *Tree) writeUnion(trees []*Tree) {
 	t.invalidateIndexes()
 	t.adoptColumns(c)
 	t.countChildren()
+	t.canonical = true
 	t.Eta, t.grows, t.runs, t.runPoints, t.radixChunks = eta, grows, batchRuns, runPoints, radixChunks
 }
 
-// Canonicalize returns a tree storing exactly t's cells in the
-// canonical arena order, the DFS preorder with every parent's children
-// ascending by Loc that Build and Union write: t itself when it is in
-// that order already (a build, a union, a snapshot of either), Union(t)
-// otherwise (a tree grown by InsertBatch), a written-once tree that
-// keeps t's build statistics and leaves t untouched.
-func Canonicalize(t *Tree) (*Tree, error) {
-	if t.canonical() {
-		return t, nil
-	}
-	return Union(t)
-}
-
-// The values of Tree.canon.
-const (
-	canonUnknown = iota
-	canonYes
-	canonNo
-)
-
-// canonical reports whether the arena lists the cells in the canonical
-// order. The verdict of one scan (scanCanonical) is kept on the tree
-// until the next change to its cells, so a tree that stays put, such
-// as the service's aging tree, is scanned once.
-func (t *Tree) canonical() bool {
-	switch t.canon.Load() {
-	case canonYes:
-		return true
-	case canonNo:
-		return false
-	}
-	ok := t.scanCanonical()
-	if ok {
-		t.canon.Store(canonYes)
-	} else {
-		t.canon.Store(canonNo)
-	}
-	return ok
-}
-
 // scanCanonical reports whether the arena lists the cells in the
-// canonical order, in one pass over it. Child chains always run in
-// ascending Ref order (cells are appended at the chain tail, and link
-// rebuilds chains that way), so the arena is in DFS preorder exactly
-// when each cell's parent is the latest cell of the level above, and
-// siblings ascend by Loc exactly when each cell's loc is at least
-// next[l]: one past the loc of the latest cell of its level, or 0 once
-// a later cell of the level above has started a new child run. Both
-// arrays are indexed by the uint8 level, so the loop needs no bounds
-// checks on them and branches only on a failure.
+// canonical order, in one pass over it: the loaders run it once on the
+// rows they adopt. The arena is in DFS preorder exactly when each
+// cell's parent is the latest cell of the level above, and siblings
+// ascend by Loc exactly when each cell's loc is at least next[l]: one
+// past the loc of the latest cell of its level, or 0 once a later cell
+// of the level above has started a new child run. Both arrays are
+// indexed by the uint8 level, so the loop needs no bounds checks on
+// them and branches only on a failure.
 func (t *Tree) scanCanonical() bool {
 	var last [256]Ref    // last[l]: the latest cell at level l; the root sentinel at 0
 	var next [256]uint64 // next[l]: the least loc the next cell at level l may have

@@ -65,13 +65,15 @@ func sweepBuild(t *testing.T, d, H int, parts ...[][]float64) *Tree {
 	return tr
 }
 
-// firstTouch grows a tree by InsertBatch calls of 7 points each, so its
-// sibling chains are in first-touch order rather than ascending by loc.
+// firstTouch counts pts into a tree one point at a time with the
+// Insert oracle, so its arena lists the cells in first-touch order
+// rather than path order: the order of a snapshot that an older release
+// saved from a tree it grew batch by batch.
 func firstTouch(t *testing.T, d, H int, pts [][]float64) *Tree {
 	t.Helper()
 	tr := New(d, H)
-	for i := 0; i < len(pts); i += 7 {
-		if err := tr.InsertBatch(pts[i:min(i+7, len(pts))]); err != nil {
+	for _, p := range pts {
+		if err := tr.Insert(p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,22 +1,38 @@
 package ctree
 
 import (
+	"fmt"
 	"testing"
 
 	"mrcc/internal/dataset"
 )
 
 // treesEqual compares two trees cell by cell (counts, half-space
-// counts, and usedCell flags), ignoring iteration order.
+// counts, and usedCell flags), ignoring iteration order. It finds a's
+// cells in b with b.CellAt, or, when b is a first-touch arena, whose
+// CellAt scans the arena, through a map of b's paths.
 func treesEqual(t *testing.T, a, b *Tree) bool {
 	t.Helper()
 	if a.D != b.D || a.H != b.H || a.Eta != b.Eta {
 		return false
 	}
+	find := b.CellAt
+	if !b.canonical {
+		refs := map[string]Ref{}
+		for h := 1; h <= b.H-1; h++ {
+			b.WalkLevel(h, func(p Path, r Ref) { refs[fmt.Sprint(p)] = r })
+		}
+		find = func(p Path) Ref {
+			if r, ok := refs[fmt.Sprint(p)]; ok {
+				return r
+			}
+			return NilRef
+		}
+	}
 	equal := true
 	for h := 1; h <= a.H-1; h++ {
 		a.WalkLevel(h, func(p Path, ra Ref) {
-			rb := b.CellAt(p)
+			rb := find(p)
 			if rb == NilRef || a.N(ra) != b.N(rb) || a.Used(ra) != b.Used(rb) {
 				equal = false
 				return

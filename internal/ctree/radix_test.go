@@ -330,30 +330,6 @@ func TestBatchInsertErrorMessagesUnchanged(t *testing.T) {
 	}
 }
 
-// TestHashLocDistributes sanity-checks the fmix64 probe hash: distinct
-// small Loc words (the common case — d <= 20 means loc < 2^20) must not
-// collapse onto few slots of a power-of-two table.
-func TestHashLocDistributes(t *testing.T) {
-	const tableBits = 10
-	mask := uint64(1<<tableBits - 1)
-	seen := make(map[uint64]int)
-	for loc := uint64(0); loc < 1<<tableBits; loc++ {
-		seen[hashLoc(loc)&mask]++
-	}
-	maxLoad := 0
-	for _, c := range seen {
-		if c > maxLoad {
-			maxLoad = c
-		}
-	}
-	if len(seen) < (1<<tableBits)/2 {
-		t.Fatalf("hashLoc maps 2^%d consecutive locs onto only %d of %d slots", tableBits, len(seen), 1<<tableBits)
-	}
-	if maxLoad > 8 {
-		t.Fatalf("hashLoc piles %d consecutive locs onto one slot", maxLoad)
-	}
-}
-
 // BenchmarkQuantize measures the branch-reduced quantizer with the
 // table-driven key pack against the slow per-level kernel it
 // bypasses, over one build-sized chunk (points/s is the chunk's points

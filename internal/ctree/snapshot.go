@@ -3,9 +3,9 @@
 //
 // A Counting-tree's whole state is six structure-of-arrays columns
 // (Loc, N, Used, Level, Parent and the half-space slab P): the child
-// counts are derivable from Parent, and so are the child links a grown
-// tree carries. NewFromColumns assembles a written-once tree — exactly
-// the rows it is given, no child links (arena.go) — and, crucially,
+// counts are derivable from Parent. NewFromColumns assembles a
+// written-once tree — exactly the rows it is given (arena.go), in the
+// order it is given them — and, crucially,
 // REVALIDATES every structural invariant (parents precede children,
 // level chains, per-axis positions inside the dimension mask, no two
 // children of one parent at one position, child counts summing to the
@@ -48,8 +48,8 @@ type Columns struct {
 func (c Columns) Rows() int { return len(c.Loc) }
 
 // Columns returns the tree's state columns as views into the arena.
-// The views stay valid until the next InsertBatch/MergeFrom; callers must
-// not modify them.
+// InsertBatch and MergeFrom give the tree a new arena and leave the
+// views as they were; callers must not modify them.
 func (t *Tree) Columns() Columns {
 	return Columns{Loc: t.loc, N: t.n, Used: t.used, Level: t.level, Parent: t.parent, P: t.p}
 }
@@ -195,7 +195,8 @@ func NewFromColumnsTrusted(d, h, eta int, c Columns) (*Tree, error) {
 // adoptCheckedColumns runs the checks both column loaders share — the
 // geometry, the column lengths, η, the root sentinel row and every
 // row's memory-safety checks (checkRow) — and returns a written-once
-// tree holding the columns (adoptColumns) and their child counts.
+// tree holding the columns (adoptColumns), their child counts and one
+// scan's verdict on their order (scanCanonical).
 func adoptCheckedColumns(d, h, eta int, c Columns) (*Tree, error) {
 	if d < 1 || d > MaxDims {
 		return nil, fmt.Errorf("ctree: dimensionality %d outside [1, %d]", d, MaxDims)
@@ -232,6 +233,7 @@ func adoptCheckedColumns(d, h, eta int, c Columns) (*Tree, error) {
 		}
 	}
 	t.countChildren()
+	t.canonical = t.scanCanonical()
 	return t, nil
 }
 
@@ -262,14 +264,12 @@ func (t *Tree) checkRow(r int) error {
 // adoptColumns installs the state columns into the tree, replacing its
 // whole arena: each slice is taken over when its capacity equals its
 // length and copied into an exactly sized slab otherwise. The child
-// links and tables are dropped and the child counts left to the caller
-// (countChildren), so the tree ends written-once.
+// counts (countChildren) and the canonical flag are left to the
+// caller, so the tree ends written-once.
 func (t *Tree) adoptColumns(c Columns) {
 	t.loc, t.n, t.used, t.level = fit(c.Loc), fit(c.N), fit(c.Used), fit(c.Level)
 	t.parent, t.p = fit(c.Parent), fit(c.P)
 	t.childCount = nil
-	t.firstChild, t.lastChild, t.nextSib, t.childTab = nil, nil, nil, nil
-	t.tabs, t.tabBytes = nil, 0
 }
 
 // fit returns s when its capacity is its length, and an exact copy
@@ -282,13 +282,13 @@ func fit[T any](s []T) []T {
 }
 
 // Equal reports whether two trees store exactly the same cells with
-// the same counts, half-space counters and usedCell flags (arena order,
-// child links and build statistics are ignored — a serial build, a
-// sharded merge, an external spill-and-merge build, a tree grown by
-// InsertBatch and a snapshot load of the same dataset are all Equal).
-// Two trees in canonical order are compared column by column; a tree in
-// any other order is compared through Canonicalize's copy. Neither tree
-// is changed.
+// the same counts, half-space counters and usedCell flags (arena order
+// and build statistics are ignored — a serial build, a sharded merge,
+// an external spill-and-merge build, a tree fed by InsertBatch and a
+// snapshot load of the same dataset are all Equal). Two trees in
+// canonical order are compared column by column; a first-touch arena is
+// compared through the copy Union(t) writes in canonical order. Neither
+// tree is changed.
 func Equal(a, b *Tree) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -296,14 +296,23 @@ func Equal(a, b *Tree) bool {
 	if a.D != b.D || a.H != b.H || a.Eta != b.Eta || a.CellCount() != b.CellCount() {
 		return false
 	}
-	ca, err := Canonicalize(a)
-	if err != nil {
-		return false
-	}
-	cb, err := Canonicalize(b)
-	if err != nil {
+	ca, cb := canonicalForm(a), canonicalForm(b)
+	if ca == nil || cb == nil {
 		return false
 	}
 	return slices.Equal(ca.loc, cb.loc) && slices.Equal(ca.n, cb.n) && slices.Equal(ca.used, cb.used) &&
 		slices.Equal(ca.level, cb.level) && slices.Equal(ca.parent, cb.parent) && slices.Equal(ca.p, cb.p)
+}
+
+// canonicalForm returns t when it is in canonical order and Union(t)
+// otherwise, or nil when Union refuses t.
+func canonicalForm(t *Tree) *Tree {
+	if t.canonical {
+		return t
+	}
+	u, err := Union(t)
+	if err != nil {
+		return nil
+	}
+	return u
 }

@@ -1,10 +1,8 @@
-// Streaming support: public batch insertion and deep cloning — the two
-// tree operations the long-running service (internal/serve) layers its
-// two-tree window rotation and RCU view publication on. InsertBatch
-// folds a whole point batch into a live tree through Build's own sort
-// and count phases (build.go); Clone produces an independent tree the
-// re-cluster loop can index and scan while ingestion keeps mutating
-// the original.
+// Streaming support: batch insertion and deep cloning. InsertBatch
+// folds a point batch into a tree through Build's own sort and count
+// phases (build.go) and one Union; Clone produces an independent tree
+// a caller can cluster, whose Used flags and cached level indexes
+// leave the original alone.
 package ctree
 
 import (
@@ -14,20 +12,18 @@ import (
 )
 
 // InsertBatch counts a batch of points (each in [0,1)^d) into the
-// tree with the same counts Build gives them, through Build's sort and
-// count phases: the batch is sorted by cell path into one record
-// stream, and runs of points sharing a path are counted in one descent
-// instead of len(points) separate root-to-leaf walks. One call into an
-// empty tree writes Build's canonical tree; later calls append the
-// cells they create in first-touch order. While it sorts, InsertBatch
-// holds ExternalRecordBytes(d, H) bytes per batch point next to the
-// tree (32 B for packed keys), as an in-memory Build does.
-//
-// The tree it leaves is a grown one (arena.go): its arena doubles as
-// cells arrive and it keeps child links, which the descent into a
-// populated tree needs. The first call into a written-once tree (a
-// build, a union, a load or a clone) links it in one pass before the
-// count; a call into an empty tree links it after.
+// tree with the same counts Build gives them. The batch goes through
+// Build's sort and count phases into a fresh tree of exactly its cells;
+// a tree that held no cell adopts that one, and any other is rewritten
+// as the union of the two (writeUnion). Either way the tree ends
+// written-once and in canonical order, with Build's columns for all
+// the points it counted. The call costs O(batch) for the count plus,
+// into a populated tree, O(cells) for the union: a caller that keeps
+// feeding one tree pays for its whole arena on every call (the
+// streaming service keeps immutable runs instead, internal/serve).
+// While it sorts, InsertBatch holds ExternalRecordBytes(d, H) bytes
+// per batch point next to the tree (32 B for packed keys), as an
+// in-memory Build does.
 //
 // The sort validates every point before the tree is touched, so an
 // error — wrong dimensionality, a value outside [0,1), or a batch that
@@ -51,28 +47,32 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 	if err != nil {
 		return err
 	}
-	if t.CellCount() > 0 {
-		t.link()
-	}
-	if err := countMerged(t, []*recordStream{rs}, nil, nil, m); err != nil {
+	b, err := countStreams(t.D, t.H, t.spread, []*recordStream{rs}, nil, nil, m)
+	if err != nil {
 		return err
 	}
-	t.link()
+	if t.CellCount() > 0 {
+		t.writeUnion([]*Tree{t, b})
+		return nil
+	}
+	t.invalidateIndexes()
+	t.adoptColumns(b.Columns())
+	t.childCount, t.canonical = b.childCount, true
+	t.Eta, t.runs, t.runPoints, t.radixChunks = b.Eta, t.runs+b.runs, t.runPoints+b.runPoints, t.radixChunks+b.radixChunks
 	return nil
 }
 
 // Clone returns a deep, independent copy of the tree as a written-once
 // tree: its state columns and half-space slab copied at their lengths,
-// with no spare capacity and no child links, so the clone's
-// MemoryBytes is that of its cells alone (a clone of a written-once
-// tree reports the original's). Later mutation of either tree never
-// touches the other (the read-only key spread table is shared). The
-// lazily built level indexes are not copied — the clone rebuilds them
-// on first use — but the cached canonical-order verdict and the build
-// statistics are.
+// with no spare capacity, so the clone's MemoryBytes is that of its
+// cells alone (a clone of a written-once tree reports the original's).
+// Later mutation of either tree never touches the other (the read-only
+// key spread table is shared). The lazily built level indexes are not
+// copied — the clone rebuilds them on first use — but the canonical
+// flag and the build statistics are.
 func (t *Tree) Clone() *Tree {
-	c := &Tree{
-		D: t.D, H: t.H, Eta: t.Eta, dmask: t.dmask,
+	return &Tree{
+		D: t.D, H: t.H, Eta: t.Eta, dmask: t.dmask, canonical: t.canonical,
 		grows: t.grows, runs: t.runs, runPoints: t.runPoints,
 		radixChunks: t.radixChunks,
 		spillRuns:   t.spillRuns, spillBytes: t.spillBytes,
@@ -80,6 +80,4 @@ func (t *Tree) Clone() *Tree {
 		loc:    exact(t.loc), n: exact(t.n), used: exact(t.used), level: exact(t.level),
 		parent: exact(t.parent), childCount: exact(t.childCount), p: exact(t.p),
 	}
-	c.canon.Store(t.canon.Load())
-	return c
 }

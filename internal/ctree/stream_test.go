@@ -9,9 +9,10 @@ import (
 
 // TestInsertBatchEqualsBuild pins that folding batches into a live
 // tree through InsertBatch produces exactly the tree Build constructs
-// from the whole dataset — the property the streaming ingest path
-// relies on — and that one call of the whole dataset into an empty
-// tree writes Build's canonical tree itself, row for row.
+// from the whole dataset, row for row and with its footprint — the
+// property the facade's streaming loop relies on — and that one call
+// of the whole dataset into an empty tree writes Build's canonical tree
+// itself.
 func TestInsertBatchEqualsBuild(t *testing.T) {
 	for _, d := range []int{3, 9} {
 		ds := uniformDataset(t, d, 7001, 61)
@@ -34,8 +35,8 @@ func TestInsertBatchEqualsBuild(t *testing.T) {
 		if !treesEqual(t, whole, live) {
 			t.Fatalf("d=%d: batched incremental insertion diverged from Build", d)
 		}
-		if want := grownBytes(whole); live.MemoryBytes() != want {
-			t.Fatalf("d=%d: batched tree reports %d bytes, want the grown footprint %d", d, live.MemoryBytes(), want)
+		if want := whole.MemoryBytes(); live.MemoryBytes() != want || !sameColumns(live.Columns(), whole.Columns()) {
+			t.Fatalf("d=%d: batched tree reports %d bytes, want Build's columns and footprint %d", d, live.MemoryBytes(), want)
 		}
 	}
 	// One call runs Build's sort and count phases over one stream, so
@@ -77,8 +78,8 @@ func TestInsertBatchEqualsBuild(t *testing.T) {
 			if !sameColumns(one.Columns(), whole.Columns()) || one.Eta != whole.Eta {
 				t.Fatal("one InsertBatch call wrote other columns than Build")
 			}
-			if want := grownBytes(whole); one.MemoryBytes() != want {
-				t.Fatalf("one-call tree reports %d bytes, want the grown footprint %d", one.MemoryBytes(), want)
+			if want := whole.MemoryBytes(); one.MemoryBytes() != want {
+				t.Fatalf("one-call tree reports %d bytes, want Build's footprint %d", one.MemoryBytes(), want)
 			}
 		})
 	}
@@ -152,10 +153,9 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestCloneThenMergeMatchesCombinedBuild pins the merged-view recipe
-// the service's re-cluster loop uses: clone the aging tree, MergeFrom
-// the active tree, and the result equals one build over both windows'
-// points.
+// TestCloneThenMergeMatchesCombinedBuild pins the merged-view recipe:
+// clone one tree, MergeFrom another, and the result equals one build
+// over both trees' points.
 func TestCloneThenMergeMatchesCombinedBuild(t *testing.T) {
 	d := 6
 	agingPts := uniformDataset(t, d, 1500, 65)

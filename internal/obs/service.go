@@ -65,7 +65,7 @@ func (c *ServiceCounters) AddRecluster(ok bool) {
 	}
 }
 
-// AddRotation records one window rotation (active tree retired to the
+// AddRotation records one window rotation (active runs retired to the
 // aging slot).
 func (c *ServiceCounters) AddRotation() { c.rotations.Add(1) }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,12 +13,10 @@ import (
 // s.recluster — snapshot, β-search over the window, publish — on a
 // settled 150k-point stream at d = 15, H = 4, grown from 1000-point
 // ingests, after one untimed pass, and reports its mean as pass-ms.
-// Each iteration also times one snapshotTrees call (the active clone)
-// on its own, outside pass-ms, as snapshot-ms. "rotated" is a
-// 100k-point aging tree and a 50k-point active tree (WindowPoints
-// 100000); "unwindowed" is one 150k-point first-touch active tree
-// (WindowPoints 0). The file uses only what the service has had since
-// its window merge rewrite, so it also runs on older trees for an A/B.
+// Each iteration also times one snapshotTrees call (the copy of the
+// run list) on its own, outside pass-ms, as snapshot-ms. "rotated" is a
+// 100k-point aging tree and 50k points of active runs (WindowPoints
+// 100000); "unwindowed" is 150k points of active runs (WindowPoints 0).
 //
 //	go test -run '^$' -bench BenchmarkWindowPass ./internal/serve
 func BenchmarkWindowPass(b *testing.B) {
@@ -57,11 +56,11 @@ func BenchmarkWindowPass(b *testing.B) {
 			if err := s.recluster(ctx); err != nil {
 				b.Fatal(err)
 			}
-			if bc.windowPoints > 0 && (s.aging == nil || s.aging.Eta != window || s.active.Eta != window/2) {
-				b.Fatal("the window did not settle into a 100k aging and a 50k active tree")
+			if bc.windowPoints > 0 && (len(s.aging) != 1 || pointsOf(s.aging) != window || pointsOf(s.active) != window/2) {
+				b.Fatal("the window did not settle into a 100k aging tree and 50k points of active runs")
 			}
-			if bc.windowPoints == 0 && (s.aging != nil || s.active.Eta != ds.Len()) {
-				b.Fatal("the unwindowed service does not hold every point in its active tree")
+			if bc.windowPoints == 0 && (s.aging != nil || pointsOf(s.active) != ds.Len()) {
+				b.Fatal("the unwindowed service does not hold every point in its active runs")
 			}
 			var snapshot, pass time.Duration
 			b.ResetTimer()
@@ -78,4 +77,47 @@ func BenchmarkWindowPass(b *testing.B) {
 			b.ReportMetric(float64(pass.Microseconds())/1e3/float64(b.N), "pass-ms")
 		})
 	}
+}
+
+// BenchmarkIngest times the service's fold step, s.apply — build the
+// batch into a run, rotate a full window, merge the newest runs — on
+// the stream-grow shape: 150 batches of 1000 points at d = 15, H = 4,
+// with WindowPoints 100000, so the window rotates once. It reports the
+// points folded per second as points/s and the median and 99th
+// percentile of the per-batch times as p50-ms and p99-ms.
+//
+//	go test -run '^$' -bench BenchmarkIngest -cpu 1 ./internal/serve
+func BenchmarkIngest(b *testing.B) {
+	const d, window, batch, batches = 15, 100000, 1000, 150
+	ds, _, err := synthetic.Generate(synthetic.Config{
+		Dims: d, Points: batch * batches, Clusters: 10, NoiseFrac: 0.15,
+		MinClusterDim: 8, MaxClusterDim: 13, Seed: 314,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var times []time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := New(Config{Dims: d, ReclusterEvery: time.Hour, WindowPoints: window})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for lo := 0; lo < ds.Len(); lo += batch {
+			t0 := time.Now()
+			s.mu.Lock()
+			_, err := s.apply(ds.Points[lo:lo+batch], 0)
+			s.mu.Unlock()
+			times = append(times, time.Since(t0))
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	slices.Sort(times)
+	ms := func(q float64) float64 { return float64(times[int(q*float64(len(times)-1))].Microseconds()) / 1e3 }
+	b.ReportMetric(float64(ds.Len())*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+	b.ReportMetric(ms(0.5), "p50-ms")
+	b.ReportMetric(ms(0.99), "p99-ms")
 }

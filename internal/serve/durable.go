@@ -3,16 +3,16 @@
 // batch survive a crash.
 //
 // The contract (DESIGN.md §13): handleIngest appends the normalized
-// batch to the WAL *before* folding it into the tree, and only
+// batch to the WAL *before* folding it into the window, and only
 // acknowledges after both. Warm-start loads the newest checkpoint
 // snapshot — whose trailer records the last WAL sequence it covers —
 // and replays only the records past that sequence, so recovery applies
 // every acknowledged batch exactly once. Because tree composition is
 // order-independent and bit-identical (pinned by the ctree suite), the
-// recovered tree equals the tree a no-crash run would hold.
+// recovered window equals the window a no-crash run would hold.
 //
-// A checkpoint is: clone the window trees and capture the applied
-// sequence under one lock hold, save the snapshot with that sequence
+// A checkpoint is: capture the window's runs and the applied sequence
+// under one lock hold, save the snapshot with that sequence
 // in its trailer, then truncate the WAL segments the snapshot covers.
 // A crash between the save and the truncate leaves extra WAL records
 // behind, but replay filters them by sequence — the window is
@@ -28,7 +28,6 @@ import (
 	"math"
 	"time"
 
-	"mrcc/internal/ctree"
 	"mrcc/internal/fault"
 	"mrcc/internal/wal"
 )
@@ -44,8 +43,8 @@ const batchHeaderSize = 8
 // encodeBatch renders a normalized batch as a WAL record payload:
 // u32 dims, u32 count, then count×dims little-endian float64 values.
 // The payload holds *normalized* coordinates — replay feeds them back
-// into InsertBatch without re-running domain validation, so a replayed
-// batch is bit-identical to the original fold.
+// into the fold (apply) without re-running domain validation, so a
+// replayed batch is bit-identical to the original fold.
 func encodeBatch(pts [][]float64) []byte {
 	d := len(pts[0])
 	buf := make([]byte, batchHeaderSize+len(pts)*d*8)
@@ -96,10 +95,10 @@ func decodeBatch(b []byte, wantDims int) ([][]float64, error) {
 }
 
 // openWAL opens the configured write-ahead log and replays its tail
-// into the freshly warm-started active tree. ckptSeq is the sequence
-// the loaded snapshot declares covered (0 for a cold start or a plain
+// into the freshly warm-started window. ckptSeq is the sequence the
+// loaded snapshot declares covered (0 for a cold start or a plain
 // snapshot); only records past it are applied. Runs during New, before
-// any HTTP traffic, so it mutates the tree without locks.
+// any HTTP traffic, so it changes the window without locks.
 func (s *Server) openWAL(ckptSeq uint64) error {
 	policy, err := wal.ParseSyncPolicy(s.cfg.WALSync)
 	if err != nil {
@@ -129,10 +128,10 @@ func (s *Server) openWAL(ckptSeq uint64) error {
 			return fmt.Errorf("wal record %d: %w", seq, err)
 		}
 		// Replay folds through the live step (apply), so it rotates by
-		// the live rule and rebuilds the live window; a tail spanning
-		// many windows never piles into one tree either, which could
-		// overrun ctree.MaxPoints on a log the live service acknowledged
-		// in full. It counts no ingest and kicks no pass: Start runs
+		// the live rule and rebuilds the live window's runs; a tail
+		// spanning many windows never piles into one window either,
+		// which could overrun ctree.MaxPoints on a log the live service
+		// acknowledged in full. It counts no ingest and kicks no pass: Start runs
 		// the first pass over the recovered window.
 		rotated, err := s.apply(pts, seq)
 		if err != nil {
@@ -158,14 +157,14 @@ func (s *Server) openWAL(ckptSeq uint64) error {
 }
 
 // ingestDurable is the WAL-backed fold: append the batch to the log,
-// then fold it into the active tree. ingestMu serializes the pairs so
-// WAL order is exactly apply order; s.mu is still what guards the
-// trees (queries and stats never touch ingestMu).
+// then fold it into the window. ingestMu serializes the pairs so WAL
+// order is exactly apply order; s.mu is still what guards the runs
+// (queries and stats never touch ingestMu).
 //
 // The fold after a successful append must not fail — the batch is
 // already promised to recovery — so capacity is checked before the
-// append. Points are normalized, so InsertBatch's own validation
-// cannot trip either. An append failure leaves the log sticky-broken
+// append. Points are normalized, so the build's own validation cannot
+// trip either. An append failure leaves the log sticky-broken
 // (torn bytes may be on disk); every later ingest fails with the same
 // 500 until a restart reopens and truncates the tear. An append that
 // wrote but failed to fsync may survive a crash: recovery then holds a
@@ -176,15 +175,12 @@ func (s *Server) ingestDurable(norm [][]float64) (int64, error) {
 	defer s.ingestMu.Unlock()
 
 	s.mu.Lock()
-	room := ctree.MaxPoints - s.active.Eta
-	if s.windowFull() {
-		room = ctree.MaxPoints // the batch starts a fresh window
-	}
+	err := s.checkRoom(len(norm))
 	s.mu.Unlock()
-	if len(norm) > room {
-		// Only ingests grow the active tree and they all hold ingestMu,
+	if err != nil {
+		// Only ingests grow the active runs and they all hold ingestMu,
 		// so the room can only have grown by the time we fold below.
-		return 0, fmt.Errorf("batch of %d points exceeds the active tree's remaining capacity %d", len(norm), room)
+		return 0, err
 	}
 
 	payload := encodeBatch(norm)
@@ -197,20 +193,20 @@ func (s *Server) ingestDurable(norm [][]float64) (int64, error) {
 	total, err := s.fold(norm, seq)
 	if err != nil {
 		// Unreachable by construction (capacity pre-checked, points
-		// normalized); if it ever fires the WAL is ahead of the tree and
-		// only a restart replay reconciles them.
+		// normalized); if it ever fires the WAL is ahead of the window
+		// and only a restart replay reconciles them.
 		return 0, fmt.Errorf("%w: fold after wal append: %v", errDurability, err)
 	}
 	return total, nil
 }
 
-// checkpoint persists the merged window trees with the applied WAL
-// sequence in the snapshot trailer, then truncates the WAL segments
-// the snapshot covers. The clone and the sequence are captured under
-// one lock hold, so the snapshot declares exactly the batches it
-// contains. The fault.Checkpoint injection point sits between the two
-// steps: a crash there leaves covered records in the log, and replay's
-// sequence filter makes that harmless.
+// checkpoint persists the merged window with the applied WAL sequence
+// in the snapshot trailer, then truncates the WAL segments the snapshot
+// covers. The runs and the sequence are captured under one lock hold,
+// so the snapshot declares exactly the batches it contains. The
+// fault.Checkpoint injection point sits between the two steps: a crash
+// there leaves covered records in the log, and replay's sequence
+// filter makes that harmless.
 //
 // ckptMu makes the whole save-then-truncate protocol single-flight.
 // The timer loop, POST /snapshot/save and the shutdown epilogue can

@@ -335,11 +335,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Dims = s.cfg.Dims
 	resp.H = s.cfg.H
 	s.mu.Lock()
-	resp.Window.ActivePoints = s.active.Eta
-	resp.TreeBytes = s.active.MemoryBytes()
-	if s.aging != nil {
-		resp.Window.AgingPoints = s.aging.Eta
-		resp.TreeBytes += s.aging.MemoryBytes()
+	resp.Window.ActivePoints = pointsOf(s.active)
+	resp.Window.AgingPoints = pointsOf(s.aging)
+	for _, t := range s.window() {
+		resp.TreeBytes += t.MemoryBytes()
 	}
 	appliedSeq := s.appliedSeq
 	s.mu.Unlock()

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mrcc/internal/core"
+	"mrcc/internal/ctree"
 )
 
 // TestConcurrentQueriesDuringIngest hammers the published view from 8
@@ -210,7 +211,7 @@ func TestIngestSheddingUnderSaturation(t *testing.T) {
 	}
 	wantPts := blockers * (2*20 + 4) // streamRows(…, 20, …) emits 2n+n/5 rows
 	s.mu.Lock()
-	eta := s.active.Eta
+	eta := pointsOf(s.active)
 	s.mu.Unlock()
 	if eta != wantPts {
 		t.Fatalf("tree holds %d points after the storm, want %d (shed requests must not fold)", eta, wantPts)
@@ -397,9 +398,120 @@ func TestRunGracefulShutdown(t *testing.T) {
 	// The shutdown epilogue persisted the tree for the next boot.
 	warm := newTestServer(t, cfg)
 	warm.mu.Lock()
-	eta := warm.active.Eta
+	eta := pointsOf(warm.active)
 	warm.mu.Unlock()
 	if eta == 0 {
 		t.Fatal("shutdown left no warm-start snapshot")
+	}
+}
+
+// TestPassSharesRunsDuringIngest runs the re-cluster loop (Start)
+// against a stream of small batches that cascade run merges and rotate
+// the window, while another goroutine saves snapshots; the stream
+// waits for one more pass within every ten batches, so passes keep
+// running while batches arrive. Passes share the
+// window's runs with ingest, so under -race this pins that nothing
+// writes a shared run: not a pass (its Used flags and cached indexes go
+// to its own index, or to the clone of a one-tree window, which the
+// window passes through first), not a merge (it writes a new run), not
+// the first pass after a rotation (it unites the retired runs into a
+// new tree). Every pass must succeed, and the window must then unite
+// to the tree a service fed the same batches with no pass holds, Used
+// flags included.
+func TestPassSharesRunsDuringIngest(t *testing.T) {
+	cfg := testConfig()
+	cfg.WindowPoints = 300
+	cfg.ReclusterPoints = 40
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "runs.snap")
+	s := newTestServer(t, cfg)
+	rows := streamRows(10, 1000, 97) // 2200 rows
+	var batches [][][]float64
+	for i := 0; i < len(rows); i += 25 {
+		batches = append(batches, rows[i:min(i+25, len(rows))])
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+
+	// The clone case: a pass over a window of one run and no aging tree.
+	ingestBatches(t, s, batches[:1])
+	s.Kick()
+	for deadline := time.Now().Add(10 * time.Second); s.cur.Load() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no view was published over the one-run window")
+		}
+	}
+	s.mu.Lock()
+	window := s.window()
+	s.mu.Unlock()
+	if len(window) != 1 || s.cur.Load().points != len(batches[0]) {
+		t.Fatal("the first pass did not cluster a window of one run and no aging tree")
+	}
+	first := newTestServer(t, Config{Dims: cfg.Dims, Min: cfg.Min, Max: cfg.Max, ReclusterPoints: cfg.ReclusterPoints})
+	ingestBatches(t, first, batches[:1])
+	if !ctree.Equal(window[0], first.active[0]) {
+		t.Fatal("the pass over a one-run window changed the run (its Used flags) instead of a clone")
+	}
+
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if _, err := s.saveSnapshot(); err != nil {
+				t.Errorf("snapshot during ingest: %v", err)
+				return
+			}
+		}
+	}()
+	halt := func() {
+		stop.Store(true)
+		wg.Wait()
+	}
+	defer halt()
+	passes := 1
+	for i, b := range batches[1:] {
+		ingestBatches(t, s, [][][]float64{b})
+		if i%10 == 9 {
+			// Let the loop catch up, so passes keep running while later
+			// batches arrive: one more completes within every ten batches.
+			seq := s.seq.Load()
+			s.Kick()
+			for deadline := time.Now().Add(10 * time.Second); s.seq.Load() == seq; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("no pass completed while batches arrived")
+				}
+			}
+			passes++
+		}
+	}
+	halt()
+	cancel()
+	s.Wait()
+	if got := s.counters.Snapshot().Rotations; got < 5 {
+		t.Fatalf("%d rotations; the storm was meant to rotate the window repeatedly", got)
+	}
+	if n := s.reclusterFails.Load(); n != 0 {
+		t.Fatalf("%d passes failed: %s", n, *s.lastReclusterErr.Load())
+	}
+	if got := s.counters.Snapshot().Reclusters; got < int64(passes) {
+		t.Fatalf("%d passes succeeded, want at least the %d waited for", got, passes)
+	}
+
+	ref := newTestServer(t, Config{Dims: cfg.Dims, Min: cfg.Min, Max: cfg.Max, ReclusterPoints: cfg.ReclusterPoints, WindowPoints: cfg.WindowPoints})
+	ingestBatches(t, ref, batches)
+	want, err := ctree.Union(ref.window()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ctree.Union(s.window()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ctree.Equal(got, want) {
+		t.Fatal("the window after the storm differs from the window of the same batches with no pass")
 	}
 }

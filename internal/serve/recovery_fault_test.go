@@ -157,7 +157,7 @@ func TestCheckpointCrashKeepsLoadableSnapshot(t *testing.T) {
 		t.Fatalf("replayed %d covered batches, want 0 (sequence filter)", got)
 	}
 	recovered.mu.Lock()
-	eta := recovered.active.Eta
+	eta := pointsOf(recovered.active)
 	recovered.mu.Unlock()
 	if want := 220; eta != want { // streamRows(10, 100, …) = 2*100+20 rows
 		t.Fatalf("recovered tree holds %d points, want %d", eta, want)

@@ -41,8 +41,8 @@ func ingestBatches(t *testing.T, s *Server, batches [][][]float64) {
 }
 
 // referenceTree folds the same batches into a WAL-less server and
-// returns the window tree it would save (savedTree) — the state a run
-// that never crashed holds.
+// returns the window tree it would save (the Union of its runs) — the
+// state a run that never crashed holds.
 func referenceTree(t *testing.T, batches [][][]float64) *ctree.Tree {
 	t.Helper()
 	ref := newTestServer(t, testConfig())
@@ -51,7 +51,7 @@ func referenceTree(t *testing.T, batches [][][]float64) *ctree.Tree {
 			t.Fatal(err)
 		}
 	}
-	want, err := savedTree(ref.active, ref.aging)
+	want, err := ctree.Union(ref.window()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,16 +60,15 @@ func referenceTree(t *testing.T, batches [][][]float64) *ctree.Tree {
 
 // requireTreeEqual compares a recovered server's merged state against
 // the reference, both structurally (ctree.Equal) and bit-identically
-// (the snapshots the two would save match byte for byte — savedTree
-// writes the canonical arena order, whatever order a warm start and
-// its replayed tail left the active tree in).
+// (the snapshots the two would save match byte for byte — the Union
+// of the runs writes the canonical arena order, whatever order a warm
+// start and its replayed tail left the runs in).
 func requireTreeEqual(t *testing.T, s *Server, want *ctree.Tree) {
 	t.Helper()
 	s.mu.Lock()
-	got := s.active.Clone()
-	aging := s.aging
+	trees := s.window()
 	s.mu.Unlock()
-	merged, err := savedTree(got, aging)
+	merged, err := ctree.Union(trees...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,8 +369,8 @@ func TestReplayAppliesWindowRotation(t *testing.T) {
 	if aging == nil {
 		t.Fatal("replay of a multi-window tail performed no rotation")
 	}
-	if aging.Eta != 165 || active.Eta != 55 {
-		t.Fatalf("recovered windows hold %d aging / %d active points, want 165/55", aging.Eta, active.Eta)
+	if pointsOf(aging) != 165 || pointsOf(active) != 55 {
+		t.Fatalf("recovered windows hold %d aging / %d active points, want 165/55", pointsOf(aging), pointsOf(active))
 	}
 	if got := recovered.counters.Snapshot().Rotations; got != 1 {
 		t.Fatalf("rotation counter = %d, want 1", got)
@@ -411,7 +410,7 @@ func TestDurableWindowRotation(t *testing.T) {
 	if err := s.recluster(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if s.aging == nil || s.aging.Eta != 220 {
+	if s.aging == nil || pointsOf(s.aging) != 220 {
 		t.Fatal("the second batch did not rotate the full active tree into the aging slot")
 	}
 	if _, err := s.saveSnapshot(); err != nil {
@@ -421,7 +420,7 @@ func TestDurableWindowRotation(t *testing.T) {
 	// acknowledged point even though the window structure collapsed.
 	recovered := newTestServer(t, cfg)
 	recovered.mu.Lock()
-	eta := recovered.active.Eta
+	eta := pointsOf(recovered.active)
 	recovered.mu.Unlock()
 	if eta != len(rows) {
 		t.Fatalf("recovered tree holds %d points, want %d", eta, len(rows))

@@ -1,8 +1,9 @@
 // Package serve turns the MrCC library into a long-running streaming
-// clustering service: point batches are ingested over HTTP and folded
-// into a live Counting-tree through the arena's batch insertion, a
-// background loop re-runs the β-search on a cadence (or after enough
-// new points), and every completed pass publishes an immutable view —
+// clustering service: point batches are ingested over HTTP, each built
+// into a small immutable Counting-tree (a run) and merged with its
+// neighbors as runs pile up, a background loop re-runs the β-search on
+// a cadence (or after enough new points) over the runs side by side,
+// and every completed pass publishes an immutable view —
 // the clustering Result plus query metadata — behind an
 // atomic.Pointer. Queries classify points against the current view
 // RCU-style: they never take the ingest lock, never observe a
@@ -10,8 +11,8 @@
 //
 // The paper's conclusion observes that MrCC's statistical test gets
 // stronger as data accumulates; the service adds the complementary
-// mechanism for data that *drifts*: a two-tree window (active + aging)
-// rotated when the active tree reaches a configured point count, so
+// mechanism for data that *drifts*: a two-part window (active + aging)
+// rotated when the active runs reach a configured point count, so
 // published models track the most recent 1–2 windows of the stream
 // instead of its whole history. See DESIGN.md §11.
 package serve
@@ -24,12 +25,14 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mrcc/internal/core"
 	"mrcc/internal/ctree"
+	"mrcc/internal/dataset"
 	"mrcc/internal/obs"
 	"mrcc/internal/treeio"
 	"mrcc/internal/wal"
@@ -72,13 +75,13 @@ type Config struct {
 	// ReclusterPoints re-runs the β-search once this many new points
 	// arrived since the last pass. Zero disables the trigger.
 	ReclusterPoints int
-	// WindowPoints bounds the active tree: the first batch to arrive
-	// once it holds this many points rotates it into the aging slot
-	// (whose previous tree is dropped) and starts a fresh active tree.
+	// WindowPoints bounds the active runs: the first batch to arrive
+	// once they hold this many points rotates them into the aging slot
+	// (whose previous runs are dropped) and starts fresh active runs.
 	// Published views are built from the union of aging and active, so
 	// the model always reflects the last one-to-two windows of the
-	// stream. Zero disables windowing (the tree accumulates the whole
-	// stream). The two trees together can hold
+	// stream. Zero disables windowing (the runs accumulate the whole
+	// stream). The two sides together can hold
 	// 2·(WindowPoints + MaxBatchPoints − 1) points, which must not
 	// exceed ctree.MaxPoints.
 	WindowPoints int
@@ -190,9 +193,9 @@ func (c Config) validate() error {
 	if c.ReclusterEvery == 0 && c.ReclusterPoints == 0 {
 		return errors.New("serve: at least one of ReclusterEvery and ReclusterPoints must be set")
 	}
-	// Rotation fires on the first batch after the active tree fills, so
-	// either tree of the window can hold WindowPoints + MaxBatchPoints - 1
-	// points. A window whose two trees can outgrow ctree.MaxPoints
+	// Rotation fires on the first batch after the active runs fill, so
+	// either side of the window can hold WindowPoints + MaxBatchPoints - 1
+	// points. A window whose two sides can outgrow ctree.MaxPoints
 	// together could not be clustered or checkpointed as one.
 	if most := 2 * (int64(c.WindowPoints) + int64(c.MaxBatchPoints) - 1); c.WindowPoints > 0 && most > int64(ctree.MaxPoints) {
 		return fmt.Errorf("serve: WindowPoints %d with MaxBatchPoints %d lets the window hold %d points, past ctree.MaxPoints (%d)",
@@ -221,7 +224,7 @@ type view struct {
 	seq       uint64
 	builtAt   time.Time
 	points    int    // η the view was clustered from
-	treeBytes uint64 // footprint of what the pass held: its active clone and the level index
+	treeBytes uint64 // footprint of what the pass held: the level index, and the clone of a one-tree window
 	res       *core.Result
 	// labeler classifies queries by res's β-clusters: it is the
 	// pipeline's own labeler (core.Labeler), built once at publish, so
@@ -239,14 +242,16 @@ type Server struct {
 	counters obs.ServiceCounters
 	started  time.Time
 
-	// mu guards the two window trees and the re-cluster bookkeeping.
-	// Queries never take it — they read the published view only.
+	// mu guards the window's runs and the re-cluster bookkeeping.
+	// Queries never take it — they read the published view only. Every
+	// run is immutable once stored, so a pass or a snapshot copies the
+	// two slices under mu and reads the runs without it.
 	mu          sync.Mutex
-	active      *ctree.Tree // receives all ingestion
-	aging       *ctree.Tree // previous window, immutable; nil until first rotation (see rotate)
-	sinceRecl   int         // points ingested since the last re-cluster snapshot
-	totalPoints int64       // lifetime accepted points (survives rotation drops)
-	appliedSeq  uint64      // last WAL sequence folded into the window trees
+	active      []*ctree.Tree // the current window's runs, oldest first; receive all ingestion (see apply)
+	aging       []*ctree.Tree // the previous window's runs, one once a pass united them; nil until first rotation (see rotate)
+	sinceRecl   int           // points ingested since the last re-cluster snapshot
+	totalPoints int64         // lifetime accepted points (survives rotation drops)
+	appliedSeq  uint64        // last WAL sequence folded into the window
 
 	// ingestMu serializes WAL-append + tree-fold pairs in the durable
 	// path, so log order is exactly apply order. It is always taken
@@ -282,12 +287,12 @@ type Server struct {
 }
 
 // New validates the config and assembles the service. When
-// Config.SnapshotPath names an existing snapshot, the active tree
-// warm-starts from it (geometry checked) and the first re-cluster pass
+// Config.SnapshotPath names an existing snapshot, it warm-starts as the
+// first active run (geometry checked) and the first re-cluster pass
 // publishes a view for it right after Start — a restarted service
 // answers queries without re-ingesting its history. With a WALDir
 // configured, the log tail past the snapshot's checkpoint sequence is
-// replayed on top before New returns, so the recovered tree holds
+// replayed on top before New returns, so the recovered window holds
 // every acknowledged batch; a plain (trailer-less) snapshot replays
 // the whole log.
 func New(cfg Config) (*Server, error) {
@@ -297,7 +302,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         cfg,
-		active:      ctree.New(cfg.Dims, cfg.H),
 		kick:        make(chan struct{}, 1),
 		loopDone:    make(chan struct{}),
 		ckptDone:    make(chan struct{}),
@@ -322,7 +326,7 @@ func New(cfg Config) (*Server, error) {
 				return nil, fmt.Errorf("serve: warm-start snapshot geometry (d=%d, H=%d) does not match the declared service (d=%d, H=%d)",
 					t.D, t.H, cfg.Dims, cfg.H)
 			}
-			s.active = t
+			s.active = []*ctree.Tree{t}
 			s.totalPoints = int64(t.Eta)
 			if meta.HasSeq {
 				ckptSeq = meta.Seq
@@ -391,7 +395,7 @@ func (s *Server) normalizePoint(p []float64) ([]float64, error) {
 }
 
 // ingest validates and normalizes a batch and folds it into the active
-// tree under the ingest lock, then decides whether the new-points
+// runs under the ingest lock, then decides whether the new-points
 // trigger fires. It returns the lifetime accepted total. With a WAL
 // configured the fold goes through the durable path (append first,
 // fold second — see durable.go).
@@ -447,11 +451,11 @@ func (s *Server) Kick() {
 
 // Start launches the re-cluster loop (and, when configured, the
 // checkpoint loop); both stop when ctx is cancelled (Wait blocks until
-// then). A warm-started tree gets an immediate first pass so the
+// then). A warm-started window gets an immediate first pass so the
 // service answers queries right after boot.
 func (s *Server) Start(ctx context.Context) {
 	s.mu.Lock()
-	warm := s.active.Eta > 0
+	warm := pointsOf(s.active) > 0
 	s.mu.Unlock()
 	if warm {
 		s.Kick()
@@ -520,107 +524,154 @@ func (s *Server) loop(ctx context.Context) {
 	}
 }
 
-// windowFull reports whether the active tree holds WindowPoints
-// points, so the next batch starts a fresh window. The caller holds mu.
+// windowFull reports whether the active runs hold WindowPoints points,
+// so the next batch starts a fresh window. The caller holds mu.
 func (s *Server) windowFull() bool {
-	return s.cfg.WindowPoints > 0 && s.active.Eta >= s.cfg.WindowPoints
+	return s.cfg.WindowPoints > 0 && pointsOf(s.active) >= s.cfg.WindowPoints
+}
+
+// checkRoom refuses a batch of n points that would push the active
+// runs past ctree.MaxPoints; a batch that starts a fresh window has
+// all of it. The caller holds mu.
+func (s *Server) checkRoom(n int) error {
+	room := ctree.MaxPoints
+	if !s.windowFull() {
+		room -= pointsOf(s.active)
+	}
+	if n > room {
+		return fmt.Errorf("batch of %d points exceeds the active runs' remaining capacity %d", n, room)
+	}
+	return nil
+}
+
+// pointsOf returns the points the trees count together.
+func pointsOf(trees []*ctree.Tree) int {
+	n := 0
+	for _, t := range trees {
+		n += t.Eta
+	}
+	return n
+}
+
+// window returns the window's trees, the active runs and then the aging
+// ones, in a slice of the caller's own. The caller holds mu.
+func (s *Server) window() []*ctree.Tree {
+	return append(slices.Clone(s.active), s.aging...)
 }
 
 // apply is the window's one fold step, which ingest and WAL replay
-// share: it rotates a full active tree, inserts the batch, records seq
-// as the applied WAL sequence (0 without a log, where appliedSeq stays
-// 0) and adds the batch to the lifetime point total. It reports whether
-// it rotated. The caller holds mu (replay runs before the service
-// takes traffic). InsertBatch refuses a bad batch before it touches
-// the tree, so a refused batch counts nothing; a rotation it set off
-// stands.
+// share. It builds the batch into a run of its own (ctree.Build on one
+// worker, which validates every point first), rotates a full window,
+// appends the run and merges the newest runs, then records seq as the
+// applied WAL sequence (0 without a log, where appliedSeq stays 0) and
+// adds the batch to the lifetime point total. It reports whether it
+// rotated. A refused batch — an invalid point, or one that would push
+// the active runs past ctree.MaxPoints — leaves the window untouched.
+// The caller holds mu (replay runs before the service takes traffic).
+//
+// The two newest runs are merged with ctree.Union for as long as the
+// newer holds at least half the older's points, so each run holds more
+// than twice the points of the next: a window fed in batches of b
+// points holds at most ⌈log2(WindowPoints/b)⌉ + 1 runs, and a point is
+// rewritten about log2(WindowPoints/b) times while it stays. The shape
+// depends only on the batch sizes, so replay rebuilds the live runs.
 func (s *Server) apply(norm [][]float64, seq uint64) (rotated bool, err error) {
+	if err := s.checkRoom(len(norm)); err != nil {
+		return false, err
+	}
+	run, err := ctree.Build(&dataset.Dataset{Dims: s.cfg.Dims, Points: norm}, s.cfg.H, ctree.BuildOptions{Workers: 1})
+	if err != nil {
+		return false, err
+	}
 	rotated = s.rotate()
-	if err := s.active.InsertBatch(norm); err != nil {
-		return rotated, err
+	s.active = append(s.active, run)
+	for n := len(s.active); n >= 2 && 2*s.active[n-1].Eta >= s.active[n-2].Eta; n-- {
+		u, err := ctree.Union(s.active[n-2], s.active[n-1])
+		if err != nil {
+			// Unreachable: checkRoom keeps the runs within ctree.MaxPoints.
+			s.logf("merging the active runs: %v", err)
+			break
+		}
+		// Clear the vacated slot, so the array keeps no merged run alive.
+		s.active[n-2], s.active[n-1] = u, nil
+		s.active = s.active[:n-1]
 	}
 	s.appliedSeq = seq
 	s.totalPoints += int64(len(norm))
 	return rotated, nil
 }
 
-// rotate retires a full active tree into the aging slot (dropping the
-// previous aging tree) and starts a fresh active tree: a pointer swap.
-// The fold step (apply) calls it right before each batch, ingested or
-// replayed, so a service recovered by replay alone holds exactly the
-// window the live one did. A checkpoint does not keep that split: it
-// saves the merged window, which warm-starts as one active tree, so
-// the first replayed batch retires the whole merged window and later
-// windows differ from the live ones. It reports whether it rotated.
-// The caller holds mu (replay runs before the service takes traffic).
+// rotate retires full active runs into the aging slot (dropping the
+// previous aging runs) and starts the window afresh: a slice swap. The
+// fold step (apply) calls it right before it stores each batch,
+// ingested or replayed, so a service recovered by replay alone holds
+// exactly the window the live one did. A checkpoint does not keep that
+// split: it saves the merged window, which warm-starts as one active
+// run, so the first replayed batch retires the whole merged window and
+// later windows differ from the live ones. It reports whether it
+// rotated. The caller holds mu (replay runs before the service takes
+// traffic).
 func (s *Server) rotate() bool {
 	if !s.windowFull() {
 		return false
 	}
-	s.aging = s.active
-	s.active = ctree.New(s.cfg.Dims, s.cfg.H)
+	s.aging, s.active = s.active, nil
 	s.counters.AddRotation()
 	return true
 }
 
-// snapshotTrees captures the clustering input: a clone of the active
-// tree, taken under the ingest lock (a flat memcpy of the arena slabs —
-// the lock is held for microseconds, not for the clustering run), and
-// the aging tree, which is immutable once rotated. A newly retired
-// aging tree is still in InsertBatch's first-touch order: it is
-// canonicalized here, once and outside the lock (later passes find it
-// canonical after a linear check), and swapped in under the lock, so
-// the level index of every later pass reads its child runs as they
-// stand and snapshots merge it in path order. rotated reports that
-// this call swapped one in.
-func (s *Server) snapshotTrees() (active, aging *ctree.Tree, rotated bool) {
+// snapshotTrees captures the clustering input: the window's runs, taken
+// under mu and shared with the pass, not copied, since no run changes
+// once stored. A window that is one tree is cloned instead, because a
+// run over one tree marks its Used flags and caches its level index on
+// it. The first pass after a rotation unites the retired runs into one
+// aging tree, outside the lock, and swaps it in under the lock unless a
+// later rotation dropped them meanwhile, so later passes and snapshots
+// read one aging tree; retired is the points of the aging tree this
+// call swapped in, 0 when it swapped none.
+func (s *Server) snapshotTrees() (trees []*ctree.Tree, retired int) {
 	s.mu.Lock()
-	raw := s.aging
+	runs := s.aging
 	s.mu.Unlock()
-	canon := raw
-	if raw != nil {
-		var err error
-		if canon, err = ctree.Canonicalize(raw); err != nil {
-			// Unreachable for a tree that counted its points; the pass
-			// reads the aging tree in first-touch order instead.
-			s.logf("canonicalizing the aging tree: %v", err)
-			canon = raw
+	if len(runs) > 1 {
+		if aging, err := ctree.Union(runs...); err != nil {
+			// Unreachable for runs that counted their points; the pass
+			// reads the retired runs side by side instead.
+			s.logf("uniting the retired runs: %v", err)
+		} else {
+			s.mu.Lock()
+			if slices.Equal(s.aging, runs) {
+				s.aging, retired = []*ctree.Tree{aging}, aging.Eta
+			}
+			s.mu.Unlock()
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if canon != raw && s.aging == raw {
-		s.aging, rotated = canon, true
-	}
 	s.sinceRecl = 0
-	return s.active.Clone(), s.aging, rotated
-}
-
-// savedTree is the tree a snapshot or checkpoint persists: the window
-// as one tree, the Union of the caller's private active clone and the
-// aging tree, in canonical order, so its bytes are treeio.Save's of
-// Build over the same points.
-func savedTree(active, aging *ctree.Tree) (*ctree.Tree, error) {
-	if aging == nil {
-		return ctree.Canonicalize(active)
+	trees = s.window()
+	if len(trees) == 1 {
+		trees[0] = trees[0].Clone()
 	}
-	return ctree.Union(active, aging)
+	return trees, retired
 }
 
 // recluster runs one β-search pass over the window's trees and
 // publishes the result as the new query view. The search reads the
-// level index of the union of the pass's active clone and the aging
-// tree (core.Run over both), so no pass writes a merged tree. The pass
-// runs entirely outside the ingest lock; the publish is one atomic
+// level index of the union of the active runs and the aging tree
+// (core.Run over all of them), so no pass writes a merged tree. The
+// pass runs entirely outside the ingest lock; the publish is one atomic
 // pointer store.
 func (s *Server) recluster(ctx context.Context) error {
-	active, aging, rotated := s.snapshotTrees()
-	if rotated {
-		s.logf("window rotated: %d points retired to the aging slot", aging.Eta)
+	trees, retired := s.snapshotTrees()
+	if retired > 0 {
+		s.logf("window rotated: %d points retired to the aging slot", retired)
 	}
-	trees, points, agingBytes := []*ctree.Tree{active}, active.Eta, uint64(0)
-	if aging != nil {
-		trees, points, agingBytes = append(trees, aging), points+aging.Eta, aging.MemoryBytes()
+	points, shared := pointsOf(trees), uint64(0)
+	if len(trees) > 1 {
+		for _, t := range trees {
+			shared += t.MemoryBytes()
+		}
 	}
 	if points == 0 {
 		return nil // nothing ingested yet; keep whatever view exists
@@ -639,9 +690,9 @@ func (s *Server) recluster(ctx context.Context) error {
 		seq:     s.seq.Add(1),
 		builtAt: time.Now(),
 		points:  points,
-		// The run's footprint counts every tree it read; the aging tree
-		// is the server's, held between passes, not the pass's.
-		treeBytes: res.TreeMemoryBytes - agingBytes,
+		// The run's footprint counts every tree it read; shared runs are
+		// the server's, held between passes, not the pass's.
+		treeBytes: res.TreeMemoryBytes - shared,
 		res:       res,
 		labeler:   core.NewLabeler(res.Betas, res.Clusters, s.cfg.Dims),
 	}
@@ -655,7 +706,7 @@ var (
 	errNothingIngested = errors.New("nothing ingested yet")
 )
 
-// saveSnapshot persists the merged window trees to the configured
+// saveSnapshot persists the merged window to the configured
 // snapshot path (treeio's atomic, durable SaveFile). It is what POST
 // /snapshot/save and the shutdown epilogue run. With a WAL configured
 // it is a full checkpoint: the snapshot carries the applied sequence
@@ -671,22 +722,23 @@ func (s *Server) saveSnapshot() (int64, error) {
 	return n, err
 }
 
-// saveWindow captures the window — a clone of the active tree, the
-// aging tree and, with a WAL, the applied sequence, all under one mu
-// hold, so the snapshot declares exactly the batches it contains —
-// and saves it as one tree to the snapshot path, with the sequence in
-// a checkpoint trailer when a WAL is configured. An empty window is
-// refused. It returns the bytes written and the covered sequence.
+// saveWindow captures the window — its runs and, with a WAL, the
+// applied sequence, both under one mu hold, so the snapshot declares
+// exactly the batches it contains — and saves it as one tree, the
+// Union of the runs, which is Build's tree of the same points byte for
+// byte, to the snapshot path, with the sequence in a checkpoint trailer
+// when a WAL is configured. An empty window is refused. It returns the
+// bytes written and the covered sequence.
 func (s *Server) saveWindow() (int64, uint64, error) {
 	s.mu.Lock()
-	active, aging, seq := s.active.Clone(), s.aging, s.appliedSeq
+	trees, seq := s.window(), s.appliedSeq
 	s.mu.Unlock()
-	merged, err := savedTree(active, aging)
+	if pointsOf(trees) == 0 {
+		return 0, 0, errNothingIngested
+	}
+	merged, err := ctree.Union(trees...)
 	if err != nil {
 		return 0, 0, err
-	}
-	if merged.Eta == 0 {
-		return 0, 0, errNothingIngested
 	}
 	meta := treeio.Meta{Seq: seq, HasSeq: s.wal != nil}
 	n, err := treeio.SaveFile(s.cfg.SnapshotPath, merged, meta)

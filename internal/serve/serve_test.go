@@ -243,7 +243,7 @@ func TestIngestCSV(t *testing.T) {
 		t.Fatalf("csv ingest = %d: %s", w.Code, w.Body)
 	}
 	s.mu.Lock()
-	eta := s.active.Eta
+	eta := pointsOf(s.active)
 	s.mu.Unlock()
 	if eta != len(rows) {
 		t.Fatalf("tree holds %d points after csv ingest, want %d", eta, len(rows))
@@ -276,7 +276,7 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	eta := s.active.Eta
+	eta := pointsOf(s.active)
 	s.mu.Unlock()
 	if eta != 0 {
 		t.Fatalf("tree absorbed %d points from rejected batches", eta)
@@ -302,7 +302,7 @@ func TestWindowRotation(t *testing.T) {
 	if err := s.recluster(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if s.aging != nil || s.active.Eta != len(rows) {
+	if s.aging != nil || pointsOf(s.active) != len(rows) {
 		t.Fatalf("a pass rotated the window: rotation belongs to the next ingest")
 	}
 	if v := s.cur.Load(); v == nil || v.points != len(rows) {
@@ -316,9 +316,9 @@ func TestWindowRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	activeEta, agingEta := s.active.Eta, -1
+	activeEta, agingEta := pointsOf(s.active), -1
 	if s.aging != nil {
-		agingEta = s.aging.Eta
+		agingEta = pointsOf(s.aging)
 	}
 	s.mu.Unlock()
 	if agingEta != len(rows) || activeEta != len(more) {
@@ -356,7 +356,7 @@ func TestSnapshotSaveAndWarmStart(t *testing.T) {
 
 	warm := newTestServer(t, cfg)
 	warm.mu.Lock()
-	eta := warm.active.Eta
+	eta := pointsOf(warm.active)
 	warm.mu.Unlock()
 	if eta != len(rows) {
 		t.Fatalf("warm-started tree holds %d points, want %d", eta, len(rows))

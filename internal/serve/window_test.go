@@ -31,9 +31,9 @@ func windowBatches(rows [][]float64, size int) [][][]float64 {
 func windowOf(t *testing.T, s *Server) *ctree.Tree {
 	t.Helper()
 	s.mu.Lock()
-	active, aging := s.active.Clone(), s.aging
+	trees := s.window()
 	s.mu.Unlock()
-	w, err := savedTree(active, aging)
+	w, err := ctree.Union(trees...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,33 +137,51 @@ func TestSnapshotBytesMatchBuild(t *testing.T) {
 }
 
 // TestViewTreeBytesIsThePass pins what /stats view.treeBytes reports
-// after a pass over a rotated window: what the pass held, its private
-// active clone plus the level index over that clone and the aging tree,
-// and not the aging tree the server keeps between passes.
+// after a pass: what the pass held and the server does not keep
+// between passes. Over a window of one run that is the run's clone
+// plus its level index; over a rotated window of several runs, which
+// the pass shares with the server, it is the level index over them
+// alone.
 func TestViewTreeBytesIsThePass(t *testing.T) {
 	cfg := testConfig()
 	cfg.WindowPoints = 150
 	s := newTestServer(t, cfg)
-	ingestBatches(t, s, windowBatches(streamRows(10, 200, 71), 55))
-	if err := s.recluster(context.Background()); err != nil {
-		t.Fatal(err)
+	batches := windowBatches(streamRows(10, 200, 71), 55)
+	for _, tc := range []struct {
+		name    string
+		batches [][][]float64
+		oneTree bool // whether the window is one tree after the batches
+	}{
+		{"one run", batches[:1], true},
+		{"rotated", batches[1:], false},
+	} {
+		ingestBatches(t, s, tc.batches)
+		if err := s.recluster(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		trees := s.window()
+		s.mu.Unlock()
+		if (len(trees) == 1) != tc.oneTree {
+			t.Fatalf("%s: the window holds %d trees", tc.name, len(trees))
+		}
+		idx, err := ctree.UnionLevelIndexes(trees...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want uint64
+		for _, ix := range idx {
+			want += ix.MemoryBytes()
+		}
+		if len(trees) == 1 {
+			want += trees[0].MemoryBytes() // the pass's clone
+		}
+		if got := s.cur.Load().treeBytes; got != want {
+			t.Fatalf("%s: view.treeBytes = %d, want what the pass held: %d", tc.name, got, want)
+		}
 	}
-	s.mu.Lock()
-	active, aging := s.active.Clone(), s.aging
-	s.mu.Unlock()
-	if aging == nil {
-		t.Fatal("the window never rotated; the case is vacuous")
-	}
-	idx, err := ctree.UnionLevelIndexes(active, aging)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := active.MemoryBytes()
-	for _, ix := range idx {
-		want += ix.MemoryBytes()
-	}
-	if got := s.cur.Load().treeBytes; got != want {
-		t.Fatalf("view.treeBytes = %d, want the active clone plus the index: %d", got, want)
+	if s.aging == nil {
+		t.Fatal("the window never rotated; the rotated case is vacuous")
 	}
 }
 
@@ -172,8 +190,8 @@ func TestViewTreeBytesIsThePass(t *testing.T) {
 // pass over a window that has not rotated and over one that has, the
 // view's result carries no tree (core.Run over several trees returns
 // none) and the trees reachable from the view and the server are the
-// server's own active and aging trees, so the pass's private active
-// clone is garbage once the pass returns.
+// server's own active runs and aging tree, so nothing the pass made
+// outlives it.
 func TestViewHoldsNoTree(t *testing.T) {
 	cfg := testConfig()
 	cfg.WindowPoints = 150
@@ -191,16 +209,16 @@ func TestViewHoldsNoTree(t *testing.T) {
 			t.Fatalf("the published view is %v with a result tree; want a view without one", v)
 		}
 		s.mu.Lock()
-		own := map[*ctree.Tree]bool{s.active: true}
-		if s.aging != nil {
-			own[s.aging] = true
+		own := map[*ctree.Tree]bool{}
+		for _, tr := range s.window() {
+			own[tr] = true
 		}
 		s.mu.Unlock()
 		if found := reachableTrees(v); len(found) != 0 {
 			t.Fatalf("the published view reaches %d Counting-trees", len(found))
 		}
 		if found := reachableTrees(s); !maps.Equal(found, own) {
-			t.Fatalf("the server reaches %d Counting-trees, want its %d own: the active and aging trees", len(found), len(own))
+			t.Fatalf("the server reaches %d Counting-trees, want its %d own: the active runs and the aging tree", len(found), len(own))
 		}
 	}
 	if s.aging == nil {

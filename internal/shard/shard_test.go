@@ -2,12 +2,14 @@ package shard
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -222,8 +224,9 @@ func TestRunSnapshotJobs(t *testing.T) {
 }
 
 // TestRunCanonicalizesLoneSnapshot pins that a lone -snapshots input
-// of a tree grown by InsertBatch (first-touch arena order) comes back
-// as its worker sent it, and that its Union, a union of one tree,
+// of a tree whose arena is not in canonical order (levelMajor, the
+// kind of row order a snapshot an older release saved may hold) comes
+// back as its worker sent it, and that its Union, a union of one tree,
 // rewrites it: the result must re-save byte-identically to the
 // single-process build of the same rows.
 func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
@@ -233,14 +236,9 @@ func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown := ctree.New(d, h)
-	for i := 0; i < n; i += 100 {
-		if err := grown.InsertBatch(ds.Points[i : i+100]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c, err := ctree.Canonicalize(grown); err != nil || c == grown {
-		t.Fatalf("the InsertBatch tree is already canonical (err=%v); the test is vacuous", err)
+	grown := levelMajor(t, serial)
+	if slices.Equal(grown.Columns().Loc, serial.Columns().Loc) {
+		t.Fatal("the level-major tree is in canonical order; the test is vacuous")
 	}
 	path := filepath.Join(t.TempDir(), "grown.snap")
 	if _, err := treeio.SaveFile(path, grown, treeio.Meta{}); err != nil {
@@ -263,8 +261,43 @@ func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
-		t.Fatal("a lone InsertBatch snapshot did not come back in the serial build's arena order")
+		t.Fatal("a lone level-major snapshot did not come back in the serial build's arena order")
 	}
+}
+
+// levelMajor returns tr's cells reloaded in level-major arena order,
+// level 1 first and each level in tr's order: a valid row order (every
+// parent precedes its children) that is not the canonical one.
+func levelMajor(t *testing.T, tr *ctree.Tree) *ctree.Tree {
+	t.Helper()
+	c, d := tr.Columns(), tr.D
+	order := make([]int, c.Rows())
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(c.Level[a], c.Level[b]) })
+	row := make([]ctree.Ref, c.Rows())
+	for i, r := range order {
+		row[r] = ctree.Ref(i)
+	}
+	n := len(order)
+	lm := ctree.Columns{
+		Loc: make([]uint64, n), N: make([]int32, n), Used: make([]bool, n),
+		Level: make([]uint8, n), Parent: make([]ctree.Ref, n), P: make([]int32, n*d),
+	}
+	for i, r := range order {
+		lm.Loc[i], lm.N[i], lm.Used[i], lm.Level[i] = c.Loc[r], c.N[r], c.Used[r], c.Level[r]
+		lm.Parent[i] = ctree.NilRef
+		if i > 0 {
+			lm.Parent[i] = row[c.Parent[r]]
+		}
+		copy(lm.P[i*d:(i+1)*d], c.P[r*d:(r+1)*d])
+	}
+	out, err := ctree.NewFromColumns(d, tr.H, tr.Eta, lm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestRunSurfacesWorkerRefusal(t *testing.T) {

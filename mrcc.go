@@ -162,6 +162,9 @@ func (t *Tree) tree() (*ctree.Tree, error) {
 // InsertBatch counts a batch of points, each with the tree's
 // dimensionality and normalized into [0,1)^d, into the tree. A batch
 // with an invalid point is refused whole and leaves the tree as it was.
+// The batch is counted into a tree of its own and the tree is rewritten
+// as the union of the two, so a call costs O(cells + batch): the order
+// of the Run that follows it in a streaming loop.
 func (t *Tree) InsertBatch(points [][]float64) error {
 	ct, err := t.tree()
 	if err != nil {
