@@ -28,9 +28,9 @@ func WithoutCacheRepair(cfg Config) Config {
 }
 
 // WindowTrees builds a window of two trees from a stream of points: the
-// older half in a canonical aging tree, the Union of its first-touch
-// arena (the tree a pass unites from retired runs is canonical too), and
-// the newer half in a first-touch active tree (FirstTouchTree), the
+// older half in an aging tree, the Union of a loaded first-touch arena
+// (the tree a pass unites from retired runs), and the newer half in an
+// active tree loaded from a first-touch arena (FirstTouchTree), the
 // shape of a service warm-started from a snapshot an older release
 // saved. A pass clusters the two as they are (Run over both);
 // WindowTree merges them. Shared by the package's internal and
@@ -89,14 +89,14 @@ func ServiceRuns(t testing.TB, pts [][]float64, d, H, batch int) []*ctree.Tree {
 	return append(runs, aging)
 }
 
-// FirstTouchTree counts pts into one tree in the arena order that an
-// older release's InsertBatch calls of batch points wrote, and its
-// snapshots still carry: Build's cells, each batch's new cells appended
-// in the batch's path order after those of earlier batches, so a cell's
-// children are in first-touch order rather than ascending by loc and
-// the level index sorts every child run. The tree is loaded from those
-// columns (ctree.NewFromColumns), as such a snapshot is. Shared by the
-// package's internal and external tests.
+// FirstTouchTree lists pts' cells in the arena order that an older
+// release's InsertBatch calls of batch points wrote, and its snapshots
+// still carry: Build's cells, each batch's new cells appended in the
+// batch's path order after those of earlier batches, so a cell's
+// children are in first-touch order rather than ascending by loc. It
+// returns the tree loaded from those columns (ctree.NewFromColumns), as
+// such a snapshot is, which the loader rewrites in canonical order.
+// Shared by the package's internal and external tests.
 func FirstTouchTree(t testing.TB, pts [][]float64, d, H, batch int) *ctree.Tree {
 	t.Helper()
 	built, err := ctree.Build(&dataset.Dataset{Dims: d, Points: pts}, H, ctree.BuildOptions{})

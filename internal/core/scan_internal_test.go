@@ -63,8 +63,8 @@ func betaFromCell(d int, p ctree.Path) BetaCluster {
 // results).
 //
 // The window, insertbatch and two-tree cases run on the streaming
-// service's merged window tree (canonical), on a tree grown by
-// InsertBatch alone (first-touch sibling chains) and on the index over
+// service's merged window tree, on a tree loaded from the first-touch
+// arena of InsertBatch calls (FirstTouchTree) and on the index over
 // the window's two trees, as a pass reads them, over a duplicate-heavy
 // stream on which many cells tie on value: the cached scan breaks those
 // ties by level-index entry, the naive scan by Path.Compare, so the two
@@ -170,8 +170,8 @@ func stepScanPair(t *testing.T, naive, cached *searcher) (hits, ties int) {
 
 // duplicateTrees builds a duplicate-heavy stream — 600 distinct points,
 // each sent six times, in shuffled order — into the streaming service's
-// merged window tree (WindowTree), into a tree grown by InsertBatch
-// alone (FirstTouchTree, first-touch sibling chains) and into the
+// merged window tree (WindowTree), into a tree loaded from the
+// first-touch arena of InsertBatch calls (FirstTouchTree) and into the
 // window's two trees (WindowTrees), H = 5, batches of 200. Cells
 // holding one repeated point and no stored face neighbor all share one
 // mask value, so the scans meet long runs of ties.

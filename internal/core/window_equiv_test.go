@@ -51,19 +51,19 @@ func driftingStream(t *testing.T) *dataset.Dataset {
 }
 
 // TestWindowTreeMatchesBuild is the cross-path check for the served
-// β-search: clustering a window tree (core.WindowTree), a first-touch
-// arena (core.FirstTouchTree), a window's two trees themselves
-// (core.Run over core.WindowTrees' canonical aging and first-touch
-// active trees) and the service's own window as a pass reads it (its
+// β-search: clustering a window tree (core.WindowTree), a tree loaded
+// from a first-touch arena (core.FirstTouchTree), a window's two trees
+// themselves (core.Run over core.WindowTrees' aging and active trees)
+// and the service's own window as a pass reads it (its
 // active runs of 1000-point batches and its aging tree,
 // core.ServiceRuns) must give the same β-clusters — bounds, relevances,
 // centers — and the same clusters as clustering ctree.Build of the same
 // points with core.Run, at Workers 1, 2 and 8, on a drifting stream and
 // on a rotated dataset. The window tree is merged into Build's arena
 // order; the first-touch arena lists each cell's children in
-// first-touch order, so its level index sorts every child run; the runs
-// over several trees read the index of their union and write no merged
-// tree. Only the answers must agree.
+// first-touch order, which the loader rewrites in Build's order once;
+// the runs over several trees read the index of their union and write
+// no merged tree. Only the answers must agree.
 func TestWindowTreeMatchesBuild(t *testing.T) {
 	rotated, _ := genSmall(t, synthetic.Config{
 		Dims: 12, Points: 12000, Clusters: 3, NoiseFrac: 0.15,

@@ -22,12 +22,13 @@
 // arena, doubling from arenaInitialCap rows, and trims it once its
 // merge ends.
 //
-// Every writer lists the cells in the canonical order, the DFS preorder
-// with each parent's children ascending by loc. A snapshot that an
-// older release saved from a tree it grew batch by batch may list them
-// in first-touch order instead; it loads as it is, and the readers that
-// depend on the order (CellAt, the level-index fill, Equal) check the
-// tree's canonical flag.
+// Every tree lists its cells in the canonical order, the DFS preorder
+// with each parent's children ascending by loc: every writer emits it,
+// and the column loaders rewrite rows given in any other order into it
+// once (snapshot.go), as a snapshot that an older release saved from a
+// tree it grew batch by batch lists them in first-touch order. The
+// readers that depend on the order (CellAt, the level-index fill,
+// Equal) therefore have one path.
 //
 // Ref 0 is the root sentinel: a pseudo-cell whose children are the
 // level-1 cells. It is never counted, walked or returned by lookups.
@@ -90,20 +91,13 @@ type Tree struct {
 	grows       int64
 	runs        int64
 	runPoints   int64
-	radixChunks int64 // record streams sorted by the LSD radix kernels (radix.go)
+	radixChunks int64 // record streams sorted by the LSD radix kernel (radix.go)
 
 	// spillRuns/spillBytes record a spilled build's disk traffic
 	// (spill.go): sorted runs spilled and bytes written. Zero for
 	// in-memory builds and loaded snapshots.
 	spillRuns  int64
 	spillBytes int64
-
-	// canonical reports that the arena lists the cells in the canonical
-	// order (see the file comment): set by every writer, by a loader
-	// after one scan of the rows it adopted (scanCanonical), and copied
-	// by Clone. A tree is never reordered in place, so readers need no
-	// synchronization to read it.
-	canonical bool
 
 	// spread is the packed-key spread table of the tree's (d, H)
 	// (batch.go): the one its Build sorted with, or made by its first
@@ -130,7 +124,7 @@ func New(d, h int) *Tree { return newTree(d, h, 1) }
 // order, and a count appends cells in path order (countMerged).
 func newTree(d, h, rows int) *Tree {
 	t := &Tree{
-		D: d, H: h, dmask: (uint64(1) << uint(d)) - 1, canonical: true,
+		D: d, H: h, dmask: (uint64(1) << uint(d)) - 1,
 		loc:        make([]uint64, 0, rows),
 		n:          make([]int32, 0, rows),
 		used:       make([]bool, 0, rows),
@@ -300,7 +294,7 @@ func (t *Tree) SpillStats() (runs, bytes int64) { return t.spillRuns, t.spillByt
 func (t *Tree) BatchRuns() (runs, points int64) { return t.runs, t.runPoints }
 
 // RadixChunks returns how many record streams were ordered by the LSD
-// radix kernels (radix.go) during this tree's build — one per Build
+// radix kernel (radix.go) during this tree's build — one per Build
 // sort worker or spilled run, one per InsertBatch call; zero when
 // every stream took the multi-word comparison-sort fallback or the
 // tree was built per-point. A Union sums its trees' counts, like the

@@ -53,16 +53,13 @@ func BenchmarkInsert(b *testing.B) {
 // BenchmarkEnsureLevelIndexes times the level-index build — the
 // level-by-level fill of the path and ref slabs plus the merge walks
 // that find face neighbors and add up each entry's face sum — and
-// reports the finished indexes' footprint as index-MB. The first three
+// reports the finished indexes' footprint as index-MB. The first two
 // cases index the same 100k points (d = 15, H = 4, the stream-grow
-// shape) in both arena orders the pipeline sees. "build" is the
-// canonical Build tree of the batch path; "window" is two halves fed
-// by InsertBatch and merged by MergeFrom, which writes the same path
-// order; both fill each level from their arena order as it stands.
-// "firsttouch" is the points counted by the per-point Insert oracle,
-// the first-touch arena of a snapshot an older release saved from a
-// tree it grew batch by batch, whose levels get ordered before the
-// fill merges them. "union" is the service's rotated pass:
+// shape): "build" is the Build tree of the batch path; "window" is two
+// halves fed by InsertBatch and merged by MergeFrom, which writes the
+// same arena. (A snapshot that an older release saved in first-touch
+// order is rewritten once at load; treeio's BenchmarkSnapshotLoad
+// times that.) "union" is the service's rotated pass:
 // UnionLevelIndexes over a 100k-point aging tree and the runs of 50k
 // more points (ServiceRuns), BenchmarkWindowPass's window. It also
 // reports the window's points indexed per second as points/s, the
@@ -77,14 +74,9 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	aging, active, firstTouch := New(d, H), New(d, H), New(d, H)
+	aging, active := New(d, H), New(d, H)
 	growBatches(b, aging, pts[:len(pts)/2])
 	growBatches(b, active, pts[len(pts)/2:])
-	for _, p := range pts {
-		if err := firstTouch.Insert(p); err != nil {
-			b.Fatal(err)
-		}
-	}
 	window := aging.Clone()
 	if err := window.MergeFrom(active); err != nil {
 		b.Fatal(err)
@@ -92,7 +84,7 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		tr   *Tree
-	}{{"build", built}, {"window", window}, {"firsttouch", firstTouch}} {
+	}{{"build", built}, {"window", window}} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -38,9 +38,9 @@ func buildShardTrees(t *testing.T, shards []*dataset.Dataset, h int) []*Tree {
 
 // TestCanonicalizeMatchesSingleChunkBuild pins the canonical-order
 // claim on a dataset smaller than one build checkpoint interval: Build
-// creates cells in exactly the canonical DFS preorder, so its canon
-// flag is set and a scan of its arena agrees, and the Union of its
-// shards writes the identical arena layout, row for row.
+// creates cells in exactly the canonical DFS preorder, so a scan of its
+// arena agrees, and the Union of its shards writes the identical arena
+// layout, row for row.
 func TestCanonicalizeMatchesSingleChunkBuild(t *testing.T) {
 	ds := uniformDataset(t, 6, 5000, 42)
 	if len(ds.Points) > buildReportEvery {
@@ -50,7 +50,7 @@ func TestCanonicalizeMatchesSingleChunkBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !serial.canonical || !serial.scanCanonical() {
+	if !serial.scanCanonical() {
 		t.Fatal("single-chunk build not recognized as canonical")
 	}
 	canon, err := Union(buildShardTrees(t, shardDatasets(t, ds, 4), 4)...)
@@ -89,7 +89,7 @@ func TestCanonicalizeMultiChunk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !serial.canonical || !serial.scanCanonical() {
+	if !serial.scanCanonical() {
 		t.Fatal("a tree fed in 1000-point batches is not in canonical order")
 	}
 	built, err := Build(ds, 4, BuildOptions{})
@@ -118,8 +118,8 @@ func TestCanonicalizeMultiChunk(t *testing.T) {
 // only the sibling rule rejects the tree; inserting 0.1, 0.6 and then
 // 0.3 creates a second-level cell under a first-level cell that is no
 // longer the latest, at a loc above its level's latest, so only the
-// preorder rule rejects it. Union must rewrite both into Build's
-// columns, and Build's own tree must pass.
+// preorder rule rejects it. Both column loaders must rewrite both into
+// Build's columns, and Build's own tree must pass.
 func TestCanonicalChecksBothRules(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -143,12 +143,14 @@ func TestCanonicalChecksBothRules(t *testing.T) {
 		if !built.scanCanonical() {
 			t.Errorf("%s: scanCanonical rejects Build's tree", tc.name)
 		}
-		c, err := Union(grown)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !c.canonical || !sameColumns(c.Columns(), built.Columns()) {
-			t.Errorf("%s: Union did not rewrite the tree into Build's columns", tc.name)
+		for _, load := range []func(d, h, eta int, c Columns) (*Tree, error){NewFromColumns, NewFromColumnsTrusted} {
+			c, err := load(grown.D, grown.H, grown.Eta, grown.Columns())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameColumns(c.Columns(), built.Columns()) {
+				t.Errorf("%s: the loader did not rewrite the tree into Build's columns", tc.name)
+			}
 		}
 	}
 }

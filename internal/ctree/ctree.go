@@ -133,34 +133,18 @@ func (p Path) Compare(q Path) int {
 }
 
 // CellAt returns the cell at the given path, or NilRef when the tree
-// stores none. A tree in canonical order descends through its rows
-// (cellAtCanonical); a first-touch arena, which a snapshot saved by an
-// older release may hold, is scanned. Neither changes the tree.
+// stores none, without changing the tree. It descends through the
+// canonical arena (DFS preorder, siblings ascending by loc), where a
+// cell r's subtree is the run of rows from r to its end, its children
+// are that run's rows one level down, in ascending loc, the first of
+// them right after r, and every later row of that level belongs to a
+// later parent. So each step checks r's first child and, when r has
+// more, binary-searches the level's rows up to the end of r's subtree
+// for the first that is not a child of r below the wanted loc.
 func (t *Tree) CellAt(p Path) Ref {
-	h := len(p)
-	switch {
-	case h == 0 || h > t.H-1:
+	if len(p) == 0 || len(p) > t.H-1 {
 		return NilRef
-	case t.canonical:
-		return t.cellAtCanonical(p)
 	}
-	for r, l := range t.level {
-		if int(l) == h && t.pathIs(Ref(r), p) {
-			return Ref(r)
-		}
-	}
-	return NilRef
-}
-
-// cellAtCanonical is CellAt in a canonical arena (DFS preorder, siblings
-// ascending by loc). There a cell r's subtree is the run of rows from r
-// to its end, its children are that run's rows one level down, in
-// ascending loc, the first of them right after r, and every later row
-// of that level belongs to a later parent. So each step checks r's
-// first child and, when r has more, binary-searches the level's rows
-// up to the end of r's subtree for the first that is not a child of r
-// below the wanted loc.
-func (t *Tree) cellAtCanonical(p Path) Ref {
 	r, end := rootRef, len(t.level)
 	for l, want := range p {
 		lvl := uint8(l + 1)
@@ -198,22 +182,8 @@ func (t *Tree) cellAtCanonical(p Path) Ref {
 	return r
 }
 
-// pathIs reports whether cell r's root path is p.
-func (t *Tree) pathIs(r Ref, p Path) bool {
-	if int(t.level[r]) != len(p) {
-		return false
-	}
-	for l := len(p); l > 0; l, r = l-1, t.parent[r] {
-		if t.loc[r] != p[l-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // WalkLevel visits every stored cell at level h in arena order, which
-// is path order in a canonical tree (every writer's, and a load of
-// one), in one pass over the arena that keeps the path of the
+// is path order, in one pass over the arena that keeps the path of the
 // latest cell's ancestors. The path passed to fn is reused across
 // calls; clone it to retain it.
 func (t *Tree) WalkLevel(h int, fn func(p Path, r Ref)) {

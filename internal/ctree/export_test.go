@@ -39,9 +39,9 @@ func UpperLink(ix *LevelIndex, i, j int) int {
 	return -1
 }
 
-// Canonical reports t's canonical flag: whether its arena lists the cells
-// in the canonical order.
-func Canonical(t *Tree) bool { return t.canonical }
+// Canonical reports whether t's arena lists the cells in the canonical
+// order: every tree's does, and the per-point Insert oracle's does not.
+func Canonical(t *Tree) bool { return t.scanCanonical() }
 
 // WrittenOnceBytes is the footprint of a written-once tree of rows rows
 // (cells + the root sentinel): its state columns and half-space slab,

@@ -13,9 +13,11 @@ import (
 // with the same counts Build and InsertBatch give it. New cells go at
 // the end of the arena in first-touch order, the arena order of a
 // snapshot that an older release saved from a tree it grew batch by
-// batch, so the tree's canonical flag is cleared. Like Build and
-// InsertBatch it refuses to count past MaxPoints, where the int32
-// counters would wrap.
+// batch. No reader takes that order: a test hands the oracle's cells
+// to one through NewFromColumns (or a snapshot of them through
+// treeio), which rewrites them in canonical order, as it does such a
+// snapshot. Like Build and InsertBatch it refuses to count past
+// MaxPoints, where the int32 counters would wrap.
 func (t *Tree) Insert(p []float64) error {
 	if len(p) != t.D {
 		return fmt.Errorf("ctree: point has %d values, want %d", len(p), t.D)
@@ -36,7 +38,6 @@ func (t *Tree) Insert(p []float64) error {
 		qs[j] = uint64(v * scale)
 	}
 	t.invalidateIndexes()
-	t.canonical = false
 	cur := rootRef
 	prev := NilRef
 	for h := 1; h <= t.H-1; h++ {

@@ -7,16 +7,13 @@
 // of every axis. The face-mask convolution of an entry is then
 // 2d·N − FaceSum, one array read instead of 2d root-to-leaf descents.
 //
-// Every level lists its cells in lexicographic path order, whatever
-// arena order the sources were built in: level h holds, for each level
-// h-1 entry in turn, that cell's children ascending by loc, the merge of
-// every source's child run. That merge (levelMerger) is the package's
-// one union kernel: Union runs it too, and writes the merged levels out
-// as a tree. It reads each source's level-h cells in one pass over its
-// arena, which lists them in path order already in a canonical tree;
-// those of a first-touch arena (a snapshot an older release saved from
-// a tree it grew batch by batch) are grouped by parent entry and sorted
-// by loc first. Each parent's
+// Every level lists its cells in lexicographic path order: level h
+// holds, for each level h-1 entry in turn, that cell's children
+// ascending by loc, the merge of every source's child run. That merge
+// (levelMerger) is the package's one union kernel: Union runs it too,
+// and writes the merged levels out as a tree. It reads each source's
+// level-h cells in one pass over its arena, which lists them in path
+// order already, as every tree's arena does (arena.go). Each parent's
 // children therefore form one sorted, contiguous run, which makes the
 // entry index the path order (the β-search breaks value ties by index
 // and finds a cell by path with a binary search) and lets the face
@@ -39,7 +36,6 @@
 package ctree
 
 import (
-	"cmp"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -187,28 +183,17 @@ type levelRuns struct {
 // at the level, grouped by parent entry in path order.
 type levelSource struct {
 	t *Tree
-	// ordered reports that the arena lists every level in path order
-	// (the tree's canonical flag), which makes a level's cells, read in
-	// arena order, already grouped and sorted.
-	ordered bool
 	// cells[start[p]:start[p+1]] holds the children of the level above's
 	// entry p in this source, ascending by loc.
 	cells []Ref
 	start []int32
-	// next, for a source not in path order, is indexed by arena Ref: the
-	// next free position of that parent cell's run in cells. words is
-	// sortRun's scratch.
-	next  []int32
-	words []uint64
 }
 
 // gather lists the source's cells at level h by parent entry in path
-// order, in one linear pass over its arena. parRefs[p] is the source's
-// Ref of the level above's entry p (NilRef where it lacks the cell; the
-// root sentinel alone at level 1), whose child count sizes p's run. A
-// source in path order lists its level as the arena does; a first-touch
-// arena places each cell in its parent's run, then orders each run by
-// loc.
+// order, in one linear pass over its arena, which lists the level in
+// that order. parRefs[p] is the source's Ref of the level above's entry
+// p (NilRef where it lacks the cell; the root sentinel alone at level
+// 1), whose child count sizes p's run.
 func (ls *levelSource) gather(h int, parRefs []Ref) {
 	t := ls.t
 	ls.start = ls.start[:len(parRefs)+1]
@@ -221,75 +206,12 @@ func (ls *levelSource) gather(h int, parRefs []Ref) {
 	}
 	ls.start[len(parRefs)] = off
 	ls.cells = ls.cells[:off]
-	lvl, cells := uint8(h), ls.cells
-	if ls.ordered {
-		i := 0
-		for r, l := range t.level {
-			if l == lvl {
-				cells[i] = Ref(r)
-				i++
-			}
-		}
-		return
-	}
-	for p, r := range parRefs {
-		if r >= 0 {
-			ls.next[r] = ls.start[p]
-		}
-	}
+	lvl, cells, i := uint8(h), ls.cells, 0
 	for r, l := range t.level {
 		if l == lvl {
-			par := t.parent[r]
-			cells[ls.next[par]] = Ref(r)
-			ls.next[par]++
+			cells[i] = Ref(r)
+			i++
 		}
-	}
-	for p := range parRefs {
-		ls.sortRun(cells[ls.start[p]:ls.start[p+1]])
-	}
-}
-
-// sortRun orders one run of cells by loc: an insertion sort for the
-// short runs most parents have; past that, an LSD radix sort of each
-// cell's loc above its position in the run (radixSortCombo), when the
-// two fit one word, or a library sort.
-func (ls *levelSource) sortRun(run []Ref) {
-	loc, d := ls.t.loc, ls.t.D
-	n := len(run)
-	if n <= 16 {
-		for i := 1; i < n; i++ {
-			c, l := run[i], loc[run[i]]
-			j := i
-			for ; j > 0 && loc[run[j-1]] > l; j-- {
-				run[j] = run[j-1]
-			}
-			run[j] = c
-		}
-		return
-	}
-	idxBits := bits.Len(uint(n - 1))
-	if d+idxBits > 64 {
-		slices.SortFunc(run, func(a, b Ref) int { return cmp.Compare(loc[a], loc[b]) })
-		return
-	}
-	if len(ls.words) < 2*n {
-		ls.words = make([]uint64, 2*n)
-	}
-	keys, tmp := ls.words[:n], ls.words[n:2*n]
-	for i, c := range run {
-		keys[i] = loc[c]<<idxBits | uint64(i)
-	}
-	sorted := radixSortCombo(keys, tmp)
-	orig := tmp
-	if &sorted[0] == &tmp[0] {
-		orig = keys
-	}
-	for i, c := range run {
-		orig[i] = uint64(c)
-	}
-	mask := uint64(1)<<idxBits - 1
-	for i, k := range sorted {
-		run[i] = Ref(orig[k&mask])
 	}
 }
 
@@ -326,17 +248,12 @@ func newLevelMerger(srcs []*Tree) *levelMerger {
 		head:    make([]uint64, k),
 	}
 	for s, t := range srcs {
-		ls := &levelSource{t: t, ordered: t.canonical}
 		most := 0
 		for h, c := range t.levelCellCountsWalk() {
 			m.bound[h] += c
 			most = max(most, c)
 		}
-		ls.cells = make([]Ref, most)
-		if !ls.ordered {
-			ls.next = make([]int32, len(t.loc))
-		}
-		m.srcs[s], m.roots[s] = ls, []Ref{rootRef}
+		m.srcs[s], m.roots[s] = &levelSource{t: t, cells: make([]Ref, most)}, []Ref{rootRef}
 	}
 	for h := 1; h <= H-1; h++ {
 		m.entries = max(m.entries, m.bound[h])

@@ -206,11 +206,12 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string][]*ctree.
 }
 
 // TestLevelIndexMatchesWalk pins the level index's path-order contract
-// on every producer of TestLevelIndexNeighborLookup, plus a first-touch
-// arena (the per-point Insert oracle's, the order of a snapshot an
-// older release saved from a tree it grew batch by batch, so the fill
-// sorts every child run) and the index over a first-touch active tree
-// and a canonical aging tree. On each, every
+// on every producer of TestLevelIndexNeighborLookup, plus the tree
+// NewFromColumns loads from a first-touch arena (the per-point Insert
+// oracle's, the order of a snapshot an older release saved from a tree
+// it grew batch by batch, which the loader rewrites in canonical order)
+// and the index over such a loaded active tree and a canonical aging
+// tree. On each, every
 // level's entries must ascend strictly by Path.Compare and hold exactly
 // the paths WalkLevel visits in any source, each with every source's
 // Ref at that path (NilRef where the source lacks it) and the sources'
@@ -236,10 +237,17 @@ func TestLevelIndexMatchesWalk(t *testing.T) {
 			}
 		}
 		if ctree.Canonical(firstTouch) {
-			t.Fatalf("d%d_H%d: the first-touch arena is canonical, so it cannot test the child-run sort", c.d, c.H)
+			t.Fatalf("d%d_H%d: the first-touch arena is canonical, so it cannot test the loader's rewrite", c.d, c.H)
 		}
-		producers["firsttouch"] = []*ctree.Tree{firstTouch}
-		producers["window/firsttouch-active"] = []*ctree.Tree{active, producers["window/two-tree"][1]}
+		load := func(tr *ctree.Tree) *ctree.Tree {
+			l, err := ctree.NewFromColumns(tr.D, tr.H, tr.Eta, tr.Columns())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		}
+		producers["firsttouch"] = []*ctree.Tree{load(firstTouch)}
+		producers["window/firsttouch-active"] = []*ctree.Tree{load(active), producers["window/two-tree"][1]}
 		for name, srcs := range producers {
 			checkIndexMatchesWalk(t, fmt.Sprintf("d%d_H%d/%s", c.d, c.H, name), srcs)
 		}

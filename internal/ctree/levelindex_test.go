@@ -117,16 +117,16 @@ func TestLevelIndexDropsLinkRows(t *testing.T) {
 }
 
 // TestLevelIndexInvalidation pins that mutating the tree's cell set
-// (Insert, MergeFrom) drops the snapshots, so a rebuilt index sees the
-// new cells.
+// (InsertBatch, MergeFrom) drops the snapshots, so a rebuilt index sees
+// the new cells.
 func TestLevelIndexInvalidation(t *testing.T) {
 	tr, _ := indexTestTree(t, 3, 500, 4, 5)
 	n := tr.EnsureLevelIndexes()[2].Len()
-	if err := tr.Insert([]float64{0.9999, 0.0001, 0.5001}); err != nil {
+	if err := tr.InsertBatch([][]float64{{0.9999, 0.0001, 0.5001}}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.IndexMemoryBytes() != 0 {
-		t.Fatal("Insert did not invalidate the level indexes")
+		t.Fatal("InsertBatch did not invalidate the level indexes")
 	}
 	rebuilt := tr.EnsureLevelIndexes()[2].Len()
 	if rebuilt < n {

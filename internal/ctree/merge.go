@@ -27,8 +27,7 @@ func (t *Tree) MergeFrom(other *Tree) error {
 // (a tree is the sum of its points' increments), so the union of trees
 // built over the parts of a dataset is the tree Build gives the whole.
 // The union is canonical and written-once, with Build's arena order,
-// columns and MemoryBytes for the same cells, whatever order its inputs
-// are in, and its build statistics (ArenaGrows, BatchRuns,
+// columns and MemoryBytes for the same cells, and its build statistics (ArenaGrows, BatchRuns,
 // RadixChunks) are the inputs' sums. The inputs are left untouched; a
 // tree may appear more than once.
 //
@@ -155,30 +154,5 @@ func (t *Tree) writeUnion(trees []*Tree) {
 	t.invalidateIndexes()
 	t.adoptColumns(c)
 	t.countChildren()
-	t.canonical = true
 	t.Eta, t.grows, t.runs, t.runPoints, t.radixChunks = eta, grows, batchRuns, runPoints, radixChunks
-}
-
-// scanCanonical reports whether the arena lists the cells in the
-// canonical order, in one pass over it: the loaders run it once on the
-// rows they adopt. The arena is in DFS preorder exactly when each
-// cell's parent is the latest cell of the level above, and siblings
-// ascend by Loc exactly when each cell's loc is at least next[l]: one
-// past the loc of the latest cell of its level, or 0 once a later cell
-// of the level above has started a new child run. Both arrays are
-// indexed by the uint8 level, so the loop needs no bounds checks on
-// them and branches only on a failure.
-func (t *Tree) scanCanonical() bool {
-	var last [256]Ref    // last[l]: the latest cell at level l; the root sentinel at 0
-	var next [256]uint64 // next[l]: the least loc the next cell at level l may have
-	loc := t.loc
-	level, parent := t.level[:len(loc)], t.parent[:len(loc)]
-	for r := 1; r < len(loc); r++ {
-		l, c := level[r], loc[r]
-		if parent[r] != last[l-1] || c < next[l] {
-			return false
-		}
-		last[l], next[l], next[l+1] = Ref(r), c+1, 0
-	}
-	return true
 }

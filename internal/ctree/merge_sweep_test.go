@@ -66,9 +66,10 @@ func sweepBuild(t *testing.T, d, H int, parts ...[][]float64) *Tree {
 }
 
 // firstTouch counts pts into a tree one point at a time with the
-// Insert oracle, so its arena lists the cells in first-touch order
+// Insert oracle, whose arena lists the cells in first-touch order
 // rather than path order: the order of a snapshot that an older release
-// saved from a tree it grew batch by batch.
+// saved from a tree it grew batch by batch. It returns the tree
+// NewFromColumns loads from those columns, as from such a snapshot.
 func firstTouch(t *testing.T, d, H int, pts [][]float64) *Tree {
 	t.Helper()
 	tr := New(d, H)
@@ -77,7 +78,11 @@ func firstTouch(t *testing.T, d, H int, pts [][]float64) *Tree {
 			t.Fatal(err)
 		}
 	}
-	return tr
+	loaded, err := NewFromColumns(d, H, tr.Eta, tr.Columns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
 }
 
 // checkMerged requires got to be Equal to want (Build of the union), then

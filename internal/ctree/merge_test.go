@@ -9,15 +9,16 @@ import (
 
 // treesEqual compares two trees cell by cell (counts, half-space
 // counts, and usedCell flags), ignoring iteration order. It finds a's
-// cells in b with b.CellAt, or, when b is a first-touch arena, whose
-// CellAt scans the arena, through a map of b's paths.
+// cells in b with b.CellAt, or, when b is a first-touch arena (the
+// Insert oracle's), which CellAt cannot descend, through a map of b's
+// paths.
 func treesEqual(t *testing.T, a, b *Tree) bool {
 	t.Helper()
 	if a.D != b.D || a.H != b.H || a.Eta != b.Eta {
 		return false
 	}
 	find := b.CellAt
-	if !b.canonical {
+	if !b.scanCanonical() {
 		refs := map[string]Ref{}
 		for h := 1; h <= b.H-1; h++ {
 			b.WalkLevel(h, func(p Path, r Ref) { refs[fmt.Sprint(p)] = r })

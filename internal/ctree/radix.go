@@ -3,8 +3,7 @@
 //
 // Build's sort phase (sortShard in build.go), which InsertBatch runs
 // too, orders points by their packed root-to-leaf path key before
-// counting, and the level index (levelindex.go) orders a first-touch
-// tree's child runs by loc. The keys are dense unsigned integers
+// counting. The keys are dense unsigned integers
 // (d·(H-1) bits for the single-word path layout), which makes an LSD
 // counting sort strictly cheaper than comparison sorting: one histogram
 // pass over all eight byte lanes, then one scatter pass per byte lane
@@ -13,71 +12,15 @@
 // 15-dim H=4 stream pays ~6 scatter passes instead of an O(m·log m)
 // comparison sort with an interface or closure call per comparison.
 //
-// Two layouts:
-//
-//   - radixSortPairs sorts a key column with one uint64 payload column
-//     riding along: the level-H parity word of a record stream. LSD
-//     counting passes are stable, so equal keys keep their arrival
-//     order — the (key, arrival) tie-break, encoded positionally.
-//   - radixSortCombo sorts one word per item that packs (key << idxBits
-//     | index), so the plain integer order is the (key, index) total
-//     order with the tie-break for free. The level index sorts a long
-//     child run this way, with the cell's loc as the key and its
-//     position in the run as the index, whenever the two fit one word.
+// radixSortPairs sorts a key column with one uint64 payload column
+// riding along: the level-H parity word of a record stream. LSD
+// counting passes are stable, so equal keys keep their arrival order —
+// the (key, arrival) tie-break, encoded positionally.
 //
 // Multi-word path keys (d·(H-1) > 64) fall back to a comparison sort
-// over the permutation (sortKeyOrder in build.go); the radix kernels are
+// over the permutation (sortKeyOrder in build.go); the radix kernel is
 // deliberately single-word.
 package ctree
-
-// radixSortCombo sorts a ascending in place (ping-ponging with tmp,
-// which must have the same length) and returns the slice that holds
-// the sorted data — a or tmp, depending on how many byte lanes varied.
-// The caller keeps both slices alive and reads the returned one.
-func radixSortCombo(a, tmp []uint64) []uint64 {
-	n := len(a)
-	if n < 2 {
-		return a
-	}
-	// One pass over the data builds all eight byte-lane histograms;
-	// lane counts are permutation-invariant, so the histograms stay
-	// valid across scatter passes.
-	var hist [8][256]int32
-	for _, v := range a {
-		hist[0][v&0xff]++
-		hist[1][(v>>8)&0xff]++
-		hist[2][(v>>16)&0xff]++
-		hist[3][(v>>24)&0xff]++
-		hist[4][(v>>32)&0xff]++
-		hist[5][(v>>40)&0xff]++
-		hist[6][(v>>48)&0xff]++
-		hist[7][v>>56]++
-	}
-	src, dst := a, tmp
-	for lane := 0; lane < 8; lane++ {
-		h := &hist[lane]
-		shift := uint(8 * lane)
-		// A lane where every key agrees (all counts in one bucket)
-		// permutes nothing; skip the scatter pass. Probing the bucket of
-		// any element works because lane counts ignore order.
-		if int(h[(src[0]>>shift)&0xff]) == n {
-			continue
-		}
-		var pos [256]int32
-		var sum int32
-		for b := 0; b < 256; b++ {
-			pos[b] = sum
-			sum += h[b]
-		}
-		for _, v := range src {
-			b := (v >> shift) & 0xff
-			dst[pos[b]] = v
-			pos[b]++
-		}
-		src, dst = dst, src
-	}
-	return src
-}
 
 // radixSortPairs stable-sorts the key column ascending, carrying the
 // payload column along (payload[i] stays attached to key[i]). keyTmp

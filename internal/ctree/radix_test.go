@@ -9,40 +9,6 @@ import (
 	"testing"
 )
 
-func TestRadixSortCombo(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	cases := map[string][]uint64{
-		"empty":  {},
-		"single": {42},
-		"equal":  {9, 9, 9, 9, 9},
-		"sorted": {1, 2, 3, 4, 5, 6},
-		"rev":    {6, 5, 4, 3, 2, 1},
-	}
-	random := make([]uint64, 5000)
-	for i := range random {
-		// Mix of full-range and low-bit-only words so some byte lanes
-		// are constant (exercising the lane-skip) and some are not.
-		if i%3 == 0 {
-			random[i] = rng.Uint64()
-		} else {
-			random[i] = rng.Uint64() & 0x3ffffffffffff
-		}
-	}
-	cases["random"] = random
-	for name, in := range cases {
-		t.Run(name, func(t *testing.T) {
-			want := slices.Clone(in)
-			slices.Sort(want)
-			a := slices.Clone(in)
-			tmp := make([]uint64, len(a))
-			got := radixSortCombo(a, tmp)
-			if !slices.Equal(got, want) {
-				t.Fatalf("radixSortCombo diverged from slices.Sort\n got %v\nwant %v", got, want)
-			}
-		})
-	}
-}
-
 func TestRadixSortPairsStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 5000
@@ -371,26 +337,23 @@ func BenchmarkQuantize(b *testing.B) {
 	})
 }
 
-// BenchmarkMortonSort measures the LSD radix combo sort against the
-// generic comparison sort, on 8192 random 58-bit combo words (a 45-bit
-// key above a 13-bit index).
+// BenchmarkMortonSort measures the build's LSD radix sort
+// (radixSortPairs, a payload word riding along) against the generic
+// comparison sort, on 8192 random 45-bit path keys.
 func BenchmarkMortonSort(b *testing.B) {
 	const m = 8192
 	rng := rand.New(rand.NewSource(2))
 	orig := make([]uint64, m)
 	for i := range orig {
-		orig[i] = (rng.Uint64() & (1<<45 - 1)) << 13
-	}
-	for i := range orig {
-		orig[i] |= uint64(i)
+		orig[i] = rng.Uint64() & (1<<45 - 1)
 	}
 	b.Run("radix", func(b *testing.B) {
 		b.ReportAllocs()
-		a := make([]uint64, m)
-		tmp := make([]uint64, m)
+		a, pay := make([]uint64, m), make([]uint64, m)
+		tmp, payTmp := make([]uint64, m), make([]uint64, m)
 		for i := 0; i < b.N; i++ {
 			copy(a, orig)
-			radixSortCombo(a, tmp)
+			radixSortPairs(a, pay, tmp, payTmp)
 		}
 		b.ReportMetric(float64(m)*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	})

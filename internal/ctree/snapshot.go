@@ -4,15 +4,16 @@
 // A Counting-tree's whole state is six structure-of-arrays columns
 // (Loc, N, Used, Level, Parent and the half-space slab P): the child
 // counts are derivable from Parent. NewFromColumns assembles a
-// written-once tree — exactly the rows it is given (arena.go), in the
-// order it is given them — and, crucially,
-// REVALIDATES every structural invariant (parents precede children,
-// level chains, per-axis positions inside the dimension mask, no two
-// children of one parent at one position, child counts summing to the
-// parent's count, the half-space counters matching the children's
-// positions), so columns read from an untrusted file can never assemble
-// into a silently wrong tree: they either reproduce a tree some
-// sequence of inserts could have built, or they are rejected.
+// written-once tree — exactly the rows it is given (arena.go), in
+// canonical order, into which it rewrites rows given in any other
+// order once — and, crucially, REVALIDATES every structural invariant
+// (parents precede children, level chains, per-axis positions inside
+// the dimension mask, no two children of one parent at one position,
+// child counts summing to the parent's count, the half-space counters
+// matching the children's positions), so columns read from an
+// untrusted file can never assemble into a silently wrong tree: they
+// either reproduce a tree some sequence of inserts could have built,
+// or they are rejected.
 package ctree
 
 import (
@@ -56,123 +57,20 @@ func (t *Tree) Columns() Columns {
 
 // NewFromColumns assembles a written-once Counting-tree from its state
 // columns and derives the child counts in one linear pass. The slices
-// are taken over by the tree when their capacities equal their lengths;
-// otherwise they are copied into exactly sized slabs, so MemoryBytes is
-// that of the cells alone, whatever tree the columns came from.
+// are taken over by the tree when their capacities equal their lengths
+// and the rows are in canonical order; otherwise they are copied into
+// exactly sized slabs, so MemoryBytes is that of the cells alone,
+// whatever tree the columns came from.
 //
 // Every structural invariant is checked and any violation returns an
-// error naming it: untrusted columns either reproduce a tree that a
-// sequence of inserts could have built, or they are refused. The
-// returned tree reports zero build statistics (ArenaGrows, BatchRuns);
-// its counts and clustering behavior are exactly those of the tree the
-// columns came from.
+// error naming it and the rows as given: untrusted columns either
+// reproduce a tree that a sequence of inserts could have built, or they
+// are refused. The returned tree is in canonical order (arena.go) and
+// reports zero build statistics (ArenaGrows, BatchRuns); its counts and
+// clustering behavior are exactly those of the tree the columns came
+// from.
 func NewFromColumns(d, h, eta int, c Columns) (*Tree, error) {
-	t, err := adoptCheckedColumns(d, h, eta, c)
-	if err != nil {
-		return nil, err
-	}
-	for j := 0; j < d; j++ {
-		if t.p[j] != 0 {
-			return nil, fmt.Errorf("ctree: root sentinel has a nonzero half-space counter on axis %d", j)
-		}
-	}
-	rows := len(t.loc)
-	for r := 1; r < rows; r++ {
-		n, row := t.n[r], t.p[r*d:(r+1)*d]
-		for j := 0; j < d; j++ {
-			if row[j] < 0 || row[j] > n {
-				return nil, fmt.Errorf("ctree: cell %d half-space counter %d on axis %d outside [0, %d]", r, row[j], j, n)
-			}
-		}
-	}
-	// Cross-row consistency, one parent at a time over its children,
-	// grouped by parent in kids (ascending Ref within a parent; end[p]
-	// ends p's run): no two share a position, every internal cell's
-	// children account for exactly its points, and its half-space
-	// counters equal the children's mass on the lower side of each axis
-	// (the root sentinel's "count" is η). Level-(H-1) cells have no
-	// stored children — their half-space counters come from level-H
-	// parities the tree does not keep — so the bounds check above is all
-	// that can be asserted there.
-	end := make([]int32, rows)
-	for par, off := 0, int32(0); par < rows; par++ {
-		end[par] = off
-		off += t.childCount[par]
-	}
-	kids := make([]Ref, rows-1)
-	for r := 1; r < rows; r++ {
-		par := t.parent[r]
-		kids[end[par]] = Ref(r)
-		end[par]++
-	}
-	var low [MaxDims]int64
-	lo := int32(0)
-	for par := 0; par < rows; par++ {
-		run := kids[lo:end[par]]
-		lo = end[par]
-		if par > 0 && int(t.level[par]) >= h-1 {
-			continue
-		}
-		if par > 0 && len(run) == 0 {
-			return nil, fmt.Errorf("ctree: internal cell %d at level %d has no children", par, t.level[par])
-		}
-		if a, b := t.duplicateChild(run); a >= 0 {
-			return nil, fmt.Errorf("ctree: cells %d and %d duplicate position %#x under parent %d", a, b, t.loc[a], par)
-		}
-		var sum int64
-		clear(low[:d])
-		for _, ch := range run {
-			sum += int64(t.n[ch])
-			for m := ^t.loc[ch] & t.dmask; m != 0; m &= m - 1 {
-				low[bits.TrailingZeros64(m)] += int64(t.n[ch])
-			}
-		}
-		want := int64(t.n[par])
-		if par == 0 {
-			want = int64(eta)
-		}
-		if sum != want {
-			return nil, fmt.Errorf("ctree: children of cell %d count %d points, want %d", par, sum, want)
-		}
-		if par > 0 {
-			row := t.p[par*d : (par+1)*d]
-			for j := 0; j < d; j++ {
-				if low[j] != int64(row[j]) {
-					return nil, fmt.Errorf("ctree: cell %d half-space counter on axis %d is %d, children place %d points in the lower half",
-						par, j, row[j], low[j])
-				}
-			}
-		}
-	}
-	return t, nil
-}
-
-// duplicateChild returns two cells of run, the children of one parent
-// in ascending Ref order, that share a position (the lower Ref first),
-// or two NilRefs. Children ascending by Loc, as a canonical tree stores
-// them, settle it in one pass; any other run is sorted by (Loc, Ref) in
-// place.
-func (t *Tree) duplicateChild(run []Ref) (Ref, Ref) {
-	loc := t.loc
-	ascending := true
-	for i := 1; i < len(run) && ascending; i++ {
-		ascending = loc[run[i-1]] < loc[run[i]]
-	}
-	if ascending {
-		return NilRef, NilRef
-	}
-	slices.SortFunc(run, func(a, b Ref) int {
-		if c := cmp.Compare(loc[a], loc[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for i := 1; i < len(run); i++ {
-		if loc[run[i-1]] == loc[run[i]] {
-			return run[i-1], run[i]
-		}
-	}
-	return NilRef, NilRef
+	return adoptCheckedColumns(d, h, eta, c, true)
 }
 
 // NewFromColumnsTrusted assembles a written-once Counting-tree from
@@ -189,15 +87,20 @@ func (t *Tree) duplicateChild(run []Ref) (Ref, Ref) {
 // columns are — never into out-of-bounds access. Use NewFromColumns
 // for untrusted input.
 func NewFromColumnsTrusted(d, h, eta int, c Columns) (*Tree, error) {
-	return adoptCheckedColumns(d, h, eta, c)
+	return adoptCheckedColumns(d, h, eta, c, false)
 }
 
 // adoptCheckedColumns runs the checks both column loaders share — the
 // geometry, the column lengths, η, the root sentinel row and every
-// row's memory-safety checks (checkRow) — and returns a written-once
-// tree holding the columns (adoptColumns), their child counts and one
-// scan's verdict on their order (scanCanonical).
-func adoptCheckedColumns(d, h, eta int, c Columns) (*Tree, error) {
+// row's memory-safety checks (checkRow) — and, with validate, the
+// count checks of NewFromColumns (checkCounts). It returns a
+// written-once tree holding the columns in canonical order: one scan
+// (scanCanonical) tells whether the rows are in it already, and rows
+// that are not, such as a snapshot an older release saved from a tree
+// it grew batch by batch, are grouped by parent and rewritten once
+// (writePreorder). The count checks read that same grouping, before
+// the rewrite, so their errors name the rows as given.
+func adoptCheckedColumns(d, h, eta int, c Columns, validate bool) (*Tree, error) {
 	if d < 1 || d > MaxDims {
 		return nil, fmt.Errorf("ctree: dimensionality %d outside [1, %d]", d, MaxDims)
 	}
@@ -233,8 +136,199 @@ func adoptCheckedColumns(d, h, eta int, c Columns) (*Tree, error) {
 		}
 	}
 	t.countChildren()
-	t.canonical = t.scanCanonical()
+	ordered := t.scanCanonical()
+	if ordered && !validate {
+		return t, nil
+	}
+	kids := t.groupChildren(ordered)
+	if validate {
+		if err := t.checkCounts(kids); err != nil {
+			return nil, err
+		}
+	}
+	if !ordered {
+		t.writePreorder(kids)
+	}
 	return t, nil
+}
+
+// scanCanonical reports whether the arena lists the cells in the
+// canonical order, in one pass over it. The arena is in DFS preorder
+// exactly when each cell's parent is the latest cell of the level
+// above, and siblings strictly ascend by Loc exactly when each cell's
+// loc is at least next[l]: one past the loc of the latest cell of its
+// level, or 0 once a later cell of the level above has started a new
+// child run. Both arrays are indexed by the uint8 level, so the loop
+// needs no bounds checks on them and branches only on a failure.
+func (t *Tree) scanCanonical() bool {
+	var last [256]Ref    // last[l]: the latest cell at level l; the root sentinel at 0
+	var next [256]uint64 // next[l]: the least loc the next cell at level l may have
+	loc := t.loc
+	level, parent := t.level[:len(loc)], t.parent[:len(loc)]
+	for r := 1; r < len(loc); r++ {
+		l, c := level[r], loc[r]
+		if parent[r] != last[l-1] || c < next[l] {
+			return false
+		}
+		last[l], next[l], next[l+1] = Ref(r), c+1, 0
+	}
+	return true
+}
+
+// childRuns lists a tree's cells by parent: the children of row p are
+// list[end[p-1]:end[p]] (from 0 for the root sentinel), ascending by
+// (loc, row).
+type childRuns struct {
+	list []Ref
+	end  []int32
+}
+
+// of returns the children of row p.
+func (k childRuns) of(p int) []Ref {
+	lo := int32(0)
+	if p > 0 {
+		lo = k.end[p-1]
+	}
+	return k.list[lo:k.end[p]]
+}
+
+// groupChildren lists the cells by parent in one pass over the parent
+// column, each parent's children ascending by row. Rows in canonical
+// order (ordered) ascend by loc within each run already; any other
+// rows have each run sorted by (loc, row).
+func (t *Tree) groupChildren(ordered bool) childRuns {
+	rows := len(t.loc)
+	k := childRuns{list: make([]Ref, rows-1), end: make([]int32, rows)}
+	for par, off := 0, int32(0); par < rows; par++ {
+		k.end[par] = off
+		off += t.childCount[par]
+	}
+	for r := 1; r < rows; r++ {
+		par := t.parent[r]
+		k.list[k.end[par]] = Ref(r)
+		k.end[par]++
+	}
+	if ordered {
+		return k
+	}
+	loc := t.loc
+	for p := 0; p < rows; p++ {
+		if run := k.of(p); len(run) > 1 {
+			slices.SortFunc(run, func(a, b Ref) int {
+				if c := cmp.Compare(loc[a], loc[b]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+		}
+	}
+	return k
+}
+
+// checkCounts runs NewFromColumns' count checks on the rows as given:
+// every half-space counter within its cell's count, and, one parent at
+// a time over its children (kids): no two share a position, every
+// internal cell's children account for exactly its points, and its
+// half-space counters equal the children's mass on the lower side of
+// each axis (the root sentinel's "count" is η). Level-(H-1) cells have
+// no stored children — their half-space counters come from level-H
+// parities the tree does not keep — so the bounds check is all that
+// can be asserted there.
+func (t *Tree) checkCounts(kids childRuns) error {
+	d := t.D
+	for j := 0; j < d; j++ {
+		if t.p[j] != 0 {
+			return fmt.Errorf("ctree: root sentinel has a nonzero half-space counter on axis %d", j)
+		}
+	}
+	rows := len(t.loc)
+	for r := 1; r < rows; r++ {
+		n, row := t.n[r], t.p[r*d:(r+1)*d]
+		for j := 0; j < d; j++ {
+			if row[j] < 0 || row[j] > n {
+				return fmt.Errorf("ctree: cell %d half-space counter %d on axis %d outside [0, %d]", r, row[j], j, n)
+			}
+		}
+	}
+	var low [MaxDims]int64
+	for par := 0; par < rows; par++ {
+		run := kids.of(par)
+		if par > 0 && int(t.level[par]) >= t.H-1 {
+			continue
+		}
+		if par > 0 && len(run) == 0 {
+			return fmt.Errorf("ctree: internal cell %d at level %d has no children", par, t.level[par])
+		}
+		var sum int64
+		clear(low[:d])
+		for i, ch := range run {
+			if i > 0 && t.loc[run[i-1]] == t.loc[ch] {
+				return fmt.Errorf("ctree: cells %d and %d duplicate position %#x under parent %d", run[i-1], ch, t.loc[ch], par)
+			}
+			sum += int64(t.n[ch])
+			for m := ^t.loc[ch] & t.dmask; m != 0; m &= m - 1 {
+				low[bits.TrailingZeros64(m)] += int64(t.n[ch])
+			}
+		}
+		want := int64(t.n[par])
+		if par == 0 {
+			want = int64(t.Eta)
+		}
+		if sum != want {
+			return fmt.Errorf("ctree: children of cell %d count %d points, want %d", par, sum, want)
+		}
+		if par > 0 {
+			row := t.p[par*d : (par+1)*d]
+			for j := 0; j < d; j++ {
+				if low[j] != int64(row[j]) {
+					return fmt.Errorf("ctree: cell %d half-space counter on axis %d is %d, children place %d points in the lower half",
+						par, j, row[j], low[j])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// writePreorder rewrites the arena in canonical order from its cells
+// grouped by parent (kids): the rows in DFS preorder, each parent's
+// children in kids' order, a walk down the runs in which a cell goes one
+// row past its parent, or past its previous sibling's subtree. The
+// fresh columns hold exactly the rows, so the tree stays written-once.
+func (t *Tree) writePreorder(kids childRuns) {
+	d, rows := t.D, len(t.loc)
+	c := Columns{
+		Loc:    make([]uint64, rows),
+		N:      make([]int32, rows),
+		Used:   make([]bool, rows),
+		Level:  make([]uint8, rows),
+		Parent: make([]Ref, rows),
+		P:      make([]int32, rows*d),
+	}
+	c.Parent[0] = NilRef
+	// next[h] and end[h] bound the level-h cells of kids.list being
+	// written, the children of row par[h] (the root sentinel at level 1).
+	var next, end [MaxLevels]int32
+	var par [MaxLevels]Ref
+	end[1] = kids.end[0]
+	row := 1
+	for h := 1; h > 0; {
+		if next[h] == end[h] {
+			h--
+			continue
+		}
+		r := int(kids.list[next[h]])
+		next[h]++
+		c.Loc[row], c.N[row], c.Used[row], c.Level[row], c.Parent[row] = t.loc[r], t.n[r], t.used[r], uint8(h), par[h]
+		copy(c.P[row*d:row*d+d], t.p[r*d:r*d+d])
+		if h+1 < t.H {
+			next[h+1], end[h+1], par[h+1] = kids.end[r-1], kids.end[r], Ref(row)
+			h++
+		}
+		row++
+	}
+	t.adoptColumns(c)
+	t.countChildren()
 }
 
 // checkRow runs the per-row checks that keep every use of the tree
@@ -264,8 +358,8 @@ func (t *Tree) checkRow(r int) error {
 // adoptColumns installs the state columns into the tree, replacing its
 // whole arena: each slice is taken over when its capacity equals its
 // length and copied into an exactly sized slab otherwise. The child
-// counts (countChildren) and the canonical flag are left to the
-// caller, so the tree ends written-once.
+// counts (countChildren) are left to the caller, so the tree ends
+// written-once.
 func (t *Tree) adoptColumns(c Columns) {
 	t.loc, t.n, t.used, t.level = fit(c.Loc), fit(c.N), fit(c.Used), fit(c.Level)
 	t.parent, t.p = fit(c.Parent), fit(c.P)
@@ -282,37 +376,19 @@ func fit[T any](s []T) []T {
 }
 
 // Equal reports whether two trees store exactly the same cells with
-// the same counts, half-space counters and usedCell flags (arena order
-// and build statistics are ignored — a serial build, a sharded merge,
-// an external spill-and-merge build, a tree fed by InsertBatch and a
-// snapshot load of the same dataset are all Equal). Two trees in
-// canonical order are compared column by column; a first-touch arena is
-// compared through the copy Union(t) writes in canonical order. Neither
-// tree is changed.
+// the same counts, half-space counters and usedCell flags (build
+// statistics are ignored — a serial build, a sharded merge, an
+// external spill-and-merge build, a tree fed by InsertBatch and a
+// snapshot load of the same dataset are all Equal). Every tree lists
+// its cells in canonical order, so two trees store the same cells
+// exactly when their columns are equal.
 func Equal(a, b *Tree) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.D != b.D || a.H != b.H || a.Eta != b.Eta || a.CellCount() != b.CellCount() {
+	if a.D != b.D || a.H != b.H || a.Eta != b.Eta {
 		return false
 	}
-	ca, cb := canonicalForm(a), canonicalForm(b)
-	if ca == nil || cb == nil {
-		return false
-	}
-	return slices.Equal(ca.loc, cb.loc) && slices.Equal(ca.n, cb.n) && slices.Equal(ca.used, cb.used) &&
-		slices.Equal(ca.level, cb.level) && slices.Equal(ca.parent, cb.parent) && slices.Equal(ca.p, cb.p)
-}
-
-// canonicalForm returns t when it is in canonical order and Union(t)
-// otherwise, or nil when Union refuses t.
-func canonicalForm(t *Tree) *Tree {
-	if t.canonical {
-		return t
-	}
-	u, err := Union(t)
-	if err != nil {
-		return nil
-	}
-	return u
+	return slices.Equal(a.loc, b.loc) && slices.Equal(a.n, b.n) && slices.Equal(a.used, b.used) &&
+		slices.Equal(a.level, b.level) && slices.Equal(a.parent, b.parent) && slices.Equal(a.p, b.p)
 }

@@ -13,8 +13,8 @@ import (
 // TestBuildSnapshotBytesAgree pins that a built tree's snapshot does
 // not depend on how it was built: Workers {1, 2, 3, 8} and spilled
 // builds of 1, 2 and 7 runs all save byte-identical treeio snapshots,
-// and every one of them is in canonical order (its canonical flag is set),
-// so `mrcc -save-tree` writes the same bytes on every host.
+// and every one of them is in canonical order (a scan of its arena
+// agrees), so `mrcc -save-tree` writes the same bytes on every host.
 func TestBuildSnapshotBytesAgree(t *testing.T) {
 	const n, d, H = 50_000, 6, 4
 	rng := rand.New(rand.NewSource(6))

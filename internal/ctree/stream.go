@@ -57,7 +57,7 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 	}
 	t.invalidateIndexes()
 	t.adoptColumns(b.Columns())
-	t.childCount, t.canonical = b.childCount, true
+	t.childCount = b.childCount
 	t.Eta, t.runs, t.runPoints, t.radixChunks = b.Eta, t.runs+b.runs, t.runPoints+b.runPoints, t.radixChunks+b.radixChunks
 	return nil
 }
@@ -68,11 +68,11 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 // cells alone (a clone of a written-once tree reports the original's).
 // Later mutation of either tree never touches the other (the read-only
 // key spread table is shared). The lazily built level indexes are not
-// copied — the clone rebuilds them on first use — but the canonical
-// flag and the build statistics are.
+// copied — the clone rebuilds them on first use — but the build
+// statistics are.
 func (t *Tree) Clone() *Tree {
 	return &Tree{
-		D: t.D, H: t.H, Eta: t.Eta, dmask: t.dmask, canonical: t.canonical,
+		D: t.D, H: t.H, Eta: t.Eta, dmask: t.dmask,
 		grows: t.grows, runs: t.runs, runPoints: t.runPoints,
 		radixChunks: t.radixChunks,
 		spillRuns:   t.spillRuns, spillBytes: t.spillBytes,

@@ -98,7 +98,7 @@ func decodeBatch(b []byte, wantDims int) ([][]float64, error) {
 // into the freshly warm-started window. ckptSeq is the sequence the
 // loaded snapshot declares covered (0 for a cold start or a plain
 // snapshot); only records past it are applied. Runs during New, before
-// any HTTP traffic, so it changes the window without locks.
+// any HTTP traffic, so its folds need no ingestMu.
 func (s *Server) openWAL(ckptSeq uint64) error {
 	policy, err := wal.ParseSyncPolicy(s.cfg.WALSync)
 	if err != nil {
@@ -158,8 +158,9 @@ func (s *Server) openWAL(ckptSeq uint64) error {
 
 // ingestDurable is the WAL-backed fold: append the batch to the log,
 // then fold it into the window. ingestMu serializes the pairs so WAL
-// order is exactly apply order; s.mu is still what guards the runs
-// (queries and stats never touch ingestMu).
+// order is exactly apply order; s.mu is still what guards the runs, and
+// apply holds it only around its reads and its swap (queries and stats
+// never touch ingestMu).
 //
 // The fold after a successful append must not fail — the batch is
 // already promised to recovery — so capacity is checked before the

@@ -245,18 +245,21 @@ type Server struct {
 	// mu guards the window's runs and the re-cluster bookkeeping.
 	// Queries never take it — they read the published view only. Every
 	// run is immutable once stored, so a pass or a snapshot copies the
-	// two slices under mu and reads the runs without it.
+	// two slices under mu and reads the runs without it, and an ingest
+	// holds it only to read the active runs and to swap in the new list
+	// (see apply): it builds and merges runs without it.
 	mu          sync.Mutex
 	active      []*ctree.Tree // the current window's runs, oldest first; receive all ingestion (see apply)
-	aging       []*ctree.Tree // the previous window's runs, one once a pass united them; nil until first rotation (see rotate)
-	sinceRecl   int           // points ingested since the last re-cluster snapshot
+	aging       []*ctree.Tree // the previous window's runs, one once a pass united them; nil until first rotation (see apply)
+	sinceRecl   int           // points folded since the last re-cluster snapshot (replayed ones too, until the first pass)
 	totalPoints int64         // lifetime accepted points (survives rotation drops)
 	appliedSeq  uint64        // last WAL sequence folded into the window
 
-	// ingestMu serializes WAL-append + tree-fold pairs in the durable
-	// path, so log order is exactly apply order. It is always taken
-	// before mu and never held across clustering or I/O besides the
-	// append itself.
+	// ingestMu serializes the fold steps (apply), and in the durable
+	// path each WAL append with its fold, so log order is exactly apply
+	// order and the active runs change only under it. Every ingest takes
+	// it, always before mu; it is held across the batch's build, the run
+	// merges and the append, never across clustering.
 	ingestMu sync.Mutex
 	wal      *wal.Log      // nil unless Config.WALDir is set
 	inflight chan struct{} // ingest admission semaphore; nil = unbounded
@@ -395,10 +398,10 @@ func (s *Server) normalizePoint(p []float64) ([]float64, error) {
 }
 
 // ingest validates and normalizes a batch and folds it into the active
-// runs under the ingest lock, then decides whether the new-points
-// trigger fires. It returns the lifetime accepted total. With a WAL
-// configured the fold goes through the durable path (append first,
-// fold second — see durable.go).
+// runs under ingestMu, then decides whether the new-points trigger
+// fires. It returns the lifetime accepted total. With a WAL configured
+// the fold goes through the durable path (append first, fold second —
+// see durable.go).
 func (s *Server) ingest(points [][]float64) (int64, error) {
 	if len(points) == 0 {
 		return 0, errors.New("empty batch")
@@ -417,24 +420,24 @@ func (s *Server) ingest(points [][]float64) (int64, error) {
 	if s.wal != nil {
 		return s.ingestDurable(norm)
 	}
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
 	return s.fold(norm, 0)
 }
 
-// fold counts a normalized batch into the window under mu (apply) and
-// advances the new-points count. It then counts the ingest and fires
-// the new-points trigger, and returns the lifetime accepted total.
+// fold counts a normalized batch into the window (apply), then counts
+// the ingest, fires the new-points trigger when the points folded since
+// the last pass reach it, and returns the lifetime accepted total. The
+// caller holds ingestMu.
 func (s *Server) fold(norm [][]float64, seq uint64) (int64, error) {
-	s.mu.Lock()
 	if _, err := s.apply(norm, seq); err != nil {
-		s.mu.Unlock()
 		return 0, err
 	}
-	s.sinceRecl += len(norm)
-	total := s.totalPoints
-	fire := s.cfg.ReclusterPoints > 0 && s.sinceRecl >= s.cfg.ReclusterPoints
+	s.mu.Lock()
+	total, pending := s.totalPoints, s.sinceRecl
 	s.mu.Unlock()
 	s.counters.AddIngest(len(norm))
-	if fire {
+	if s.cfg.ReclusterPoints > 0 && pending >= s.cfg.ReclusterPoints {
 		s.Kick()
 	}
 	return total, nil
@@ -560,14 +563,27 @@ func (s *Server) window() []*ctree.Tree {
 }
 
 // apply is the window's one fold step, which ingest and WAL replay
-// share. It builds the batch into a run of its own (ctree.Build on one
-// worker, which validates every point first), rotates a full window,
-// appends the run and merges the newest runs, then records seq as the
-// applied WAL sequence (0 without a log, where appliedSeq stays 0) and
-// adds the batch to the lifetime point total. It reports whether it
-// rotated. A refused batch — an invalid point, or one that would push
-// the active runs past ctree.MaxPoints — leaves the window untouched.
-// The caller holds mu (replay runs before the service takes traffic).
+// share. Under mu it checks the batch's room and reads the active runs.
+// Without mu it builds the batch into a run of its own (ctree.Build on
+// one worker, which validates every point first) and merges the newest
+// runs into a fresh list: after the active runs, or alone when they
+// fill the window, which then rotates. Under mu again it swaps that
+// list in, retiring a full window's runs into the aging slot (dropping
+// the previous aging runs), records seq as the applied WAL sequence (0
+// without a log, where appliedSeq stays 0) and adds the batch to the
+// point totals. So a pass, /stats or a snapshot never waits behind a
+// build or a merge. It reports whether it rotated. A refused batch —
+// an invalid point, or one that would push the active runs past
+// ctree.MaxPoints — leaves the window untouched. The caller holds
+// ingestMu, so no other fold changes the active runs between the two
+// holds of mu; replay runs before the service takes traffic.
+//
+// Every batch, ingested or replayed, rotates by this rule, so a service
+// recovered by replay alone holds exactly the window the live one did.
+// A checkpoint does not keep that split: it saves the merged window,
+// which warm-starts as one active run, so the first replayed batch
+// retires the whole merged window and later windows differ from the
+// live ones.
 //
 // The two newest runs are merged with ctree.Union for as long as the
 // newer holds at least half the older's points, so each run holds more
@@ -576,48 +592,44 @@ func (s *Server) window() []*ctree.Tree {
 // rewritten about log2(WindowPoints/b) times while it stays. The shape
 // depends only on the batch sizes, so replay rebuilds the live runs.
 func (s *Server) apply(norm [][]float64, seq uint64) (rotated bool, err error) {
-	if err := s.checkRoom(len(norm)); err != nil {
+	s.mu.Lock()
+	err = s.checkRoom(len(norm))
+	runs, rotated := s.active, s.windowFull()
+	s.mu.Unlock()
+	if err != nil {
 		return false, err
 	}
 	run, err := ctree.Build(&dataset.Dataset{Dims: s.cfg.Dims, Points: norm}, s.cfg.H, ctree.BuildOptions{Workers: 1})
 	if err != nil {
 		return false, err
 	}
-	rotated = s.rotate()
-	s.active = append(s.active, run)
-	for n := len(s.active); n >= 2 && 2*s.active[n-1].Eta >= s.active[n-2].Eta; n-- {
-		u, err := ctree.Union(s.active[n-2], s.active[n-1])
+	if rotated {
+		runs = nil
+	}
+	// A fresh array: the stored list stays as it is until the swap.
+	runs = append(slices.Clip(runs), run)
+	for n := len(runs); n >= 2 && 2*runs[n-1].Eta >= runs[n-2].Eta; n-- {
+		u, err := ctree.Union(runs[n-2], runs[n-1])
 		if err != nil {
 			// Unreachable: checkRoom keeps the runs within ctree.MaxPoints.
 			s.logf("merging the active runs: %v", err)
 			break
 		}
 		// Clear the vacated slot, so the array keeps no merged run alive.
-		s.active[n-2], s.active[n-1] = u, nil
-		s.active = s.active[:n-1]
+		runs[n-2], runs[n-1] = u, nil
+		runs = runs[:n-1]
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rotated {
+		s.aging = s.active
+		s.counters.AddRotation()
+	}
+	s.active = runs
 	s.appliedSeq = seq
 	s.totalPoints += int64(len(norm))
+	s.sinceRecl += len(norm)
 	return rotated, nil
-}
-
-// rotate retires full active runs into the aging slot (dropping the
-// previous aging runs) and starts the window afresh: a slice swap. The
-// fold step (apply) calls it right before it stores each batch,
-// ingested or replayed, so a service recovered by replay alone holds
-// exactly the window the live one did. A checkpoint does not keep that
-// split: it saves the merged window, which warm-starts as one active
-// run, so the first replayed batch retires the whole merged window and
-// later windows differ from the live ones. It reports whether it
-// rotated. The caller holds mu (replay runs before the service takes
-// traffic).
-func (s *Server) rotate() bool {
-	if !s.windowFull() {
-		return false
-	}
-	s.aging, s.active = s.active, nil
-	s.counters.AddRotation()
-	return true
 }
 
 // snapshotTrees captures the clustering input: the window's runs, taken

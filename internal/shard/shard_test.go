@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"net"
 	"os"
@@ -224,10 +226,10 @@ func TestRunSnapshotJobs(t *testing.T) {
 }
 
 // TestRunCanonicalizesLoneSnapshot pins that a lone -snapshots input
-// of a tree whose arena is not in canonical order (levelMajor, the
-// kind of row order a snapshot an older release saved may hold) comes
-// back as its worker sent it, and that its Union, a union of one tree,
-// rewrites it: the result must re-save byte-identically to the
+// whose rows are not in canonical order (levelMajor, the kind of row
+// order a snapshot an older release saved may hold) comes back from its
+// worker, which loads it, and through its Union, a union of one tree, in
+// canonical order: the result must re-save byte-identically to the
 // single-process build of the same rows.
 func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
 	const d, n, h = 5, 3000, 4
@@ -236,14 +238,12 @@ func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown := levelMajor(t, serial)
-	if slices.Equal(grown.Columns().Loc, serial.Columns().Loc) {
-		t.Fatal("the level-major tree is in canonical order; the test is vacuous")
+	grown := levelMajor(serial)
+	if slices.Equal(grown.Loc, serial.Columns().Loc) {
+		t.Fatal("the level-major rows are in canonical order; the test is vacuous")
 	}
 	path := filepath.Join(t.TempDir(), "grown.snap")
-	if _, err := treeio.SaveFile(path, grown, treeio.Meta{}); err != nil {
-		t.Fatal(err)
-	}
+	saveRows(t, path, serial, grown)
 	jobs, err := JobsForPaths([]string{path}, KindSnapshot, false, Job{H: h, Dims: d})
 	if err != nil {
 		t.Fatal(err)
@@ -265,11 +265,10 @@ func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
 	}
 }
 
-// levelMajor returns tr's cells reloaded in level-major arena order,
-// level 1 first and each level in tr's order: a valid row order (every
-// parent precedes its children) that is not the canonical one.
-func levelMajor(t *testing.T, tr *ctree.Tree) *ctree.Tree {
-	t.Helper()
+// levelMajor returns tr's cells in level-major row order, level 1
+// first and each level in tr's order: a valid row order (every parent
+// precedes its children) that is not the canonical one.
+func levelMajor(tr *ctree.Tree) ctree.Columns {
 	c, d := tr.Columns(), tr.D
 	order := make([]int, c.Rows())
 	for i := range order {
@@ -293,11 +292,33 @@ func levelMajor(t *testing.T, tr *ctree.Tree) *ctree.Tree {
 		}
 		copy(lm.P[i*d:(i+1)*d], c.P[r*d:(r+1)*d])
 	}
-	out, err := ctree.NewFromColumns(d, tr.H, tr.Eta, lm)
-	if err != nil {
+	return lm
+}
+
+// saveRows writes a snapshot of tr's cells to path with its rows as c
+// lists them: Save's header, whose geometry c shares, with each column
+// replaced by c's and every checksum recomputed.
+func saveRows(t *testing.T, path string, tr *ctree.Tree, c ctree.Columns) {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := treeio.Save(&buf, tr, treeio.Meta{}); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	hdr := buf.Bytes()[:treeio.HeaderSize]
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	var cols bytes.Buffer
+	for i, col := range []any{c.Loc, c.N, c.Used, c.Level, c.Parent, c.P} {
+		start := cols.Len()
+		if err := binary.Write(&cols, binary.LittleEndian, col); err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(hdr[48+i*24+16:], crc32.Checksum(cols.Bytes()[start:], castagnoli))
+	}
+	binary.LittleEndian.PutUint32(hdr[44:48], 0)
+	binary.LittleEndian.PutUint32(hdr[44:48], crc32.Checksum(hdr, castagnoli))
+	if err := os.WriteFile(path, append(hdr, cols.Bytes()...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRunSurfacesWorkerRefusal(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mrcc/internal/ctree"
+	"mrcc/internal/synthetic"
 )
 
 // benchTree builds a mid-sized tree for the IO benchmarks (d=10,
@@ -41,23 +42,52 @@ func BenchmarkSnapshotSave(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotLoad measures the full load path — header parse,
-// column reads, checksums, structural revalidation, linkage rebuild —
-// from an in-memory snapshot. The EXPERIMENTS.md GB/s row comes from
-// here.
+// BenchmarkSnapshotLoad measures the full validated load path —
+// header parse, column reads, checksums, the structural revalidation
+// and the child counts — from an in-memory snapshot. "uniform" is
+// benchTree's snapshot, the EXPERIMENTS.md GB/s row. "canonical" and
+// "firsttouch" hold the same cells, 100k points of the stream-grow
+// shape (d = 15, H = 4): Build's snapshot, and the same rows in
+// first-touch order (firstTouchSnapshot), a snapshot an older release
+// saved from a tree it grew batch by batch, which the loader rewrites
+// in canonical order once.
+//
+//	go test -run '^$' -bench BenchmarkSnapshotLoad ./internal/treeio
 func BenchmarkSnapshotLoad(b *testing.B) {
-	tr := benchTree(b)
-	var buf bytes.Buffer
-	if _, err := Save(&buf, tr, Meta{}); err != nil {
-		b.Fatal(err)
-	}
-	snap := buf.Bytes()
-	b.SetBytes(int64(len(snap)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Load(bytes.NewReader(snap), int64(len(snap)), LoadOptions{}); err != nil {
+	save := func(tr *ctree.Tree) []byte {
+		var buf bytes.Buffer
+		if _, err := Save(&buf, tr, Meta{}); err != nil {
 			b.Fatal(err)
 		}
+		return buf.Bytes()
+	}
+	ds, _, err := synthetic.Generate(synthetic.Config{
+		Dims: 15, Points: 100_000, Clusters: 10, NoiseFrac: 0.15,
+		MinClusterDim: 8, MaxClusterDim: 13, Seed: 314,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream, err := ctree.Build(ds, 4, ctree.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		snap []byte
+	}{
+		{"uniform", save(benchTree(b))},
+		{"canonical", save(stream)},
+		{"firsttouch", firstTouchSnapshot(stream, ds.Points)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.snap)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := Load(bytes.NewReader(bc.snap), int64(len(bc.snap)), LoadOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mrcc/internal/ctree"
@@ -24,6 +25,19 @@ func fuzzSeedSnapshot() []byte {
 		panic(err)
 	}
 	return buf.Bytes()
+}
+
+// fuzzSeedFirstTouch is fuzzSeedSnapshot's tree saved with its rows in
+// first-touch order (firstTouchSnapshot), a valid snapshot that a
+// release before the canonical order could have written.
+func fuzzSeedFirstTouch() []byte {
+	rng := rand.New(rand.NewSource(77))
+	ds := layouts["clumped"](rng, 3, 120)
+	tr, err := ctree.Build(ds, 4, ctree.BuildOptions{})
+	if err != nil {
+		panic(err)
+	}
+	return firstTouchSnapshot(tr, ds.Points)
 }
 
 // fuzzSeedCheckpoint is fuzzSeedSnapshot with a checkpoint trailer.
@@ -60,12 +74,14 @@ func fixChecksums(snap []byte) []byte {
 }
 
 // FuzzLoadTree throws arbitrary bytes at the snapshot loader. The
-// contract under fuzzing: Load either returns a tree — in which
-// case the input was a canonical snapshot and re-saving the tree
-// reproduces it byte for byte, and the tree takes one valid
-// InsertBatch and still passes ctree.NewFromColumns — or a typed
-// *FormatError. Never a panic, never an untyped error, never a tree
-// from corrupt bytes.
+// contract under fuzzing: Load either returns a tree or a typed
+// *FormatError — never a panic, never an untyped error, never a tree
+// from corrupt bytes. An accepted file whose rows are in canonical
+// order (their paths ascend) re-saves byte for byte; any other
+// accepted file, such as a first-touch snapshot an older release
+// saved, re-saves as the canonical snapshot of the same cells, which
+// loads Equal and re-saves byte for byte. Either way the tree takes
+// one valid InsertBatch and still passes ctree.NewFromColumns.
 func FuzzLoadTree(f *testing.F) {
 	valid := fuzzSeedSnapshot()
 	f.Add(append([]byte(nil), valid...))
@@ -126,6 +142,12 @@ func FuzzLoadTree(f *testing.F) {
 	// Empty and tiny inputs.
 	f.Add([]byte{})
 	f.Add([]byte(Magic))
+	// A valid snapshot whose rows are in first-touch order.
+	firstTouch := fuzzSeedFirstTouch()
+	if bytes.Equal(firstTouch, valid) {
+		f.Fatal("the first-touch seed is in canonical order")
+	}
+	f.Add(firstTouch)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, m, err := Load(bytes.NewReader(data), int64(len(data)), LoadOptions{})
@@ -136,15 +158,45 @@ func FuzzLoadTree(f *testing.F) {
 			}
 			return
 		}
-		// Accepted: the input must be a canonical snapshot of the tree it
-		// produced — re-save with the trailer it carried (checkpoint'd or
-		// plain) and demand byte identity.
+		// Accepted: re-save with the trailer it carried (checkpoint'd or
+		// plain). A file in canonical order must come back byte for byte.
 		var buf bytes.Buffer
 		if _, err = Save(&buf, tr, m); err != nil {
 			t.Fatalf("re-saving an accepted tree: %v", err)
 		}
-		if !bytes.Equal(buf.Bytes(), data) {
-			t.Fatal("accepted snapshot is not canonical: re-save produced different bytes")
+		_, rows, _, err := readColumns(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			t.Fatalf("the columns of an accepted snapshot: %v", err)
+		}
+		paths := rowPaths(rows)
+		inOrder := true
+		for r := 2; r < len(paths) && inOrder; r++ {
+			inOrder = paths[r-1].Compare(paths[r]) < 0
+		}
+		if inOrder && !bytes.Equal(buf.Bytes(), data) {
+			t.Fatal("accepted snapshot in canonical order: re-save produced different bytes")
+		}
+		if !inOrder {
+			// Any other order: the re-save holds every row of the file at its
+			// path, and nothing else, and is itself a canonical snapshot.
+			if int(tr.CellCount())+1 != rows.Rows() {
+				t.Fatalf("the re-save holds %d cells, the file %d", tr.CellCount(), rows.Rows()-1)
+			}
+			for r := 1; r < rows.Rows(); r++ {
+				c := tr.CellAt(paths[r])
+				if c == ctree.NilRef || tr.N(c) != rows.N[r] || tr.Used(c) != rows.Used[r] ||
+					!slices.Equal(tr.PRow(c), rows.P[r*tr.D:(r+1)*tr.D]) {
+					t.Fatalf("the re-save does not hold the file's row %d at its path %v", r, paths[r])
+				}
+			}
+			again, m2, err := Load(bytes.NewReader(buf.Bytes()), int64(buf.Len()), LoadOptions{})
+			if err != nil || m2 != m || !ctree.Equal(again, tr) {
+				t.Fatalf("the re-save of an accepted snapshot does not load Equal (%v)", err)
+			}
+			var buf2 bytes.Buffer
+			if _, err := Save(&buf2, again, m2); err != nil || !bytes.Equal(buf2.Bytes(), buf.Bytes()) {
+				t.Fatalf("the re-save of an accepted snapshot does not re-save byte for byte (%v)", err)
+			}
 		}
 		// The accepted tree takes one valid batch, a point drawn from the
 		// input's bytes, which links it on its first count; its columns
@@ -163,6 +215,16 @@ func FuzzLoadTree(f *testing.F) {
 			t.Fatalf("after one InsertBatch the accepted tree fails revalidation: %v", err)
 		}
 	})
+}
+
+// rowPaths returns each row's root path (none for the root sentinel),
+// from columns whose parents precede their children.
+func rowPaths(c ctree.Columns) []ctree.Path {
+	paths := make([]ctree.Path, c.Rows())
+	for r := 1; r < c.Rows(); r++ {
+		paths[r] = append(paths[c.Parent[r]].Clone(), c.Loc[r])
+	}
+	return paths
 }
 
 // TestFuzzSeedsRejectTyped runs the corpus mutations through Load

@@ -351,20 +351,41 @@ func LoadFileCheckpointOptions(path string, opt LoadOptions) (*ctree.Tree, uint6
 // Counting-tree's structural revalidation (or, with
 // LoadOptions.TrustChecksums, its memory-safety checks); any violation
 // returns a *FormatError, never a silently wrong tree or recovery
-// point. The loaded tree is written-once (ctree's arena.go): its
-// columns hold exactly the snapshot's rows, so its MemoryBytes equals
-// that of a build of the same cells.
+// point. The loaded tree is written-once and in canonical order
+// (ctree's arena.go): its columns hold exactly the snapshot's rows, so
+// its MemoryBytes equals that of a build of the same cells, and rows
+// that a release before the canonical order saved in another order are
+// rewritten in it once, so such a snapshot re-saves as a build's.
 func Load(r io.Reader, size int64, opt LoadOptions) (*ctree.Tree, Meta, error) {
+	l, c, m, err := readColumns(r, size)
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	assemble := ctree.NewFromColumns
+	if opt.TrustChecksums {
+		assemble = ctree.NewFromColumnsTrusted
+	}
+	t, err := assemble(l.d, l.h, l.eta, c)
+	if err != nil {
+		return nil, Meta{}, &FormatError{Section: "tree", Msg: err.Error(), Err: err}
+	}
+	return t, m, nil
+}
+
+// readColumns reads one snapshot of exactly size bytes from r and
+// returns its layout, its columns in the file's row order and its
+// trailer, after every check of Load's but the tree's own.
+func readColumns(r io.Reader, size int64) (*layout, ctree.Columns, Meta, error) {
 	if size < HeaderSize {
-		return nil, Meta{}, headerErr("%d bytes is shorter than the %d-byte header", size, HeaderSize)
+		return nil, ctree.Columns{}, Meta{}, headerErr("%d bytes is shorter than the %d-byte header", size, HeaderSize)
 	}
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, Meta{}, readErr("header", err)
+		return nil, ctree.Columns{}, Meta{}, readErr("header", err)
 	}
 	l, err := parseHeader(hdr, uint64(size))
 	if err != nil {
-		return nil, Meta{}, err
+		return nil, ctree.Columns{}, Meta{}, err
 	}
 
 	// Geometry is proven consistent with the byte count: allocate the
@@ -384,10 +405,10 @@ func Load(r io.Reader, size int64, opt LoadOptions) (*ctree.Tree, Meta, error) {
 	}
 	for i, view := range views {
 		if _, err := io.ReadFull(r, view); err != nil {
-			return nil, Meta{}, readErr("column "+columnNames[i], err)
+			return nil, ctree.Columns{}, Meta{}, readErr("column "+columnNames[i], err)
 		}
 		if sum := crc32.Checksum(view, castagnoli); sum != l.colCRC[i] {
-			return nil, Meta{}, &FormatError{
+			return nil, ctree.Columns{}, Meta{}, &FormatError{
 				Section: "column " + columnNames[i],
 				Msg:     fmt.Sprintf("checksum %#08x does not match the header's %#08x", sum, l.colCRC[i]),
 			}
@@ -398,7 +419,7 @@ func Load(r io.Reader, size int64, opt LoadOptions) (*ctree.Tree, Meta, error) {
 	// touched the bytes, so this scan is cache-warm).
 	for i, b := range views[2] {
 		if b > 1 {
-			return nil, Meta{}, &FormatError{Section: "column used", Msg: fmt.Sprintf("row %d holds byte %#02x, want 0 or 1", i, b)}
+			return nil, ctree.Columns{}, Meta{}, &FormatError{Section: "column used", Msg: fmt.Sprintf("row %d holds byte %#02x, want 0 or 1", i, b)}
 		}
 	}
 	decodeInPlace(c, views)
@@ -407,30 +428,21 @@ func Load(r io.Reader, size int64, opt LoadOptions) (*ctree.Tree, Meta, error) {
 	if l.hasSeq {
 		var tr [TrailerSize]byte
 		if _, err := io.ReadFull(r, tr[:]); err != nil {
-			return nil, Meta{}, readErr("trailer", err)
+			return nil, ctree.Columns{}, Meta{}, readErr("trailer", err)
 		}
 		declared := binary.LittleEndian.Uint32(tr[8:12])
 		if sum := crc32.Checksum(tr[0:8], castagnoli); sum != declared {
-			return nil, Meta{}, &FormatError{
+			return nil, ctree.Columns{}, Meta{}, &FormatError{
 				Section: "trailer",
 				Msg:     fmt.Sprintf("checksum %#08x does not match the declared %#08x", sum, declared),
 			}
 		}
 		if p := binary.LittleEndian.Uint32(tr[12:16]); p != 0 {
-			return nil, Meta{}, &FormatError{Section: "trailer", Msg: fmt.Sprintf("padding %#x, want 0", p)}
+			return nil, ctree.Columns{}, Meta{}, &FormatError{Section: "trailer", Msg: fmt.Sprintf("padding %#x, want 0", p)}
 		}
 		m = Meta{Seq: binary.LittleEndian.Uint64(tr[0:8]), HasSeq: true}
 	}
-
-	assemble := ctree.NewFromColumns
-	if opt.TrustChecksums {
-		assemble = ctree.NewFromColumnsTrusted
-	}
-	t, err := assemble(l.d, l.h, l.eta, c)
-	if err != nil {
-		return nil, Meta{}, &FormatError{Section: "tree", Msg: err.Error(), Err: err}
-	}
-	return t, m, nil
+	return l, c, m, nil
 }
 
 // parseHeader validates the fixed header against the actual snapshot
