@@ -8,12 +8,15 @@
 // new batch the way a build counts a dataset: the points are sorted by
 // their cell path, and every run of points sharing a cell is counted in
 // one descent — no re-scan of old data and no per-cell allocation —
-// then unites the batch's cells with the tree's in one pass over both.
-// After each batch the clustering phases re-run over the refreshed
-// tree; the paper's conclusion notes that MrCC's statistical test gets
-// *stronger* as data accumulates, and this example shows exactly that:
-// early batches are too sparse to confirm clusters, later ones lock
-// onto all of them.
+// into a run of its own. The newest runs are united in one pass while
+// the newest holds at least half the points of the one before it, so
+// the tree is one run after 5k, 10k, 15k, 25k and 40k points and two
+// after 20k, 30k and 35k, where the "tree" column sums the runs. After
+// each batch the clustering phases re-run over the refreshed tree,
+// reading its runs side by side; the paper's conclusion notes that
+// MrCC's statistical test gets *stronger* as data accumulates, and this
+// example shows exactly that: early batches are too sparse to confirm
+// clusters, later ones lock onto all of them.
 //
 // Because the arena is plain columns, the final tree ships as a
 // versioned snapshot (DESIGN.md §10): the example ends by saving it

@@ -276,12 +276,13 @@ func (r *Result) NumClusters() int { return len(r.Clusters) }
 // Counting-tree from Dataset (phase one), then clusters and labels it.
 // With Trees phase one is skipped: the run clusters the union of the
 // trees, which share one geometry, and labels Dataset when one is
-// given. Labeling needs exactly one tree, whose dimensionality and
-// point count match Dataset's: the data must be the normalized data the
-// tree counted. Without a Dataset, Result.Labels is nil and
-// Cluster.Size stays zero; the streaming service publishes query views
-// from such runs, assigning a point to the cluster owning the first
-// β-cluster box containing it, exactly the rule labeling applies.
+// given. Labeling needs trees whose dimensionality matches Dataset's
+// and whose points sum to its length: the data must be the normalized
+// data the trees counted, as the runs of a facade Tree grown batch by
+// batch (ctree.Runs) count it. Without a Dataset, Result.Labels is nil
+// and Cluster.Size stays zero; the streaming service publishes query
+// views from such runs, assigning a point to the cluster owning the
+// first β-cluster box containing it, exactly the rule labeling applies.
 type Input struct {
 	// Dataset holds points normalized to [0,1)^d.
 	Dataset *dataset.Dataset
@@ -456,14 +457,11 @@ func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, col 
 // runOnTreeAbortable is the clustering back half (phases two and
 // three) over the union of one or more trees, with the collector and
 // abort machinery Run shares with the tree build. A dataset to label
-// comes with one tree only. cfg must already be defaulted and
+// holds the points the trees count. cfg must already be defaulted and
 // validated. The returned phase names the stage an error interrupted.
 func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, col *obs.Collector, ab *aborter) (*Result, obs.Phase, error) {
-	t, eta := trees[0], 0
-	for _, tr := range trees {
-		eta += tr.Eta
-	}
-	if ds != nil && (len(trees) != 1 || t.D != ds.Dims || t.Eta != ds.Len()) {
+	t, eta := trees[0], ctree.Runs(trees).Points()
+	if ds != nil && (t.D != ds.Dims || eta != ds.Len()) {
 		return nil, obs.PhaseBetaSearch, fmt.Errorf("core: tree (d=%d, η=%d) does not match dataset (d=%d, η=%d)",
 			t.D, eta, ds.Dims, ds.Len())
 	}

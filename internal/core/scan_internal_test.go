@@ -62,10 +62,9 @@ func betaFromCell(d int, p ctree.Path) BetaCluster {
 // end-to-end equivalence suite cannot give (it only sees final
 // results).
 //
-// The window, insertbatch and two-tree cases run on the streaming
-// service's merged window tree, on a tree loaded from the first-touch
-// arena of InsertBatch calls (FirstTouchTree) and on the index over
-// the window's two trees, as a pass reads them, over a duplicate-heavy
+// The window and two-tree cases run on the streaming service's merged
+// window tree and on the index over the window's two trees, as a pass
+// reads them, over a duplicate-heavy
 // stream on which many cells tie on value: the cached scan breaks those
 // ties by level-index entry, the naive scan by Path.Compare, so the two
 // agree only while the index lists every level in path order.
@@ -86,8 +85,8 @@ func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 			}
 		})
 	}
-	window, firstTouch, pair := duplicateTrees(t)
-	for name, srcs := range map[string][]*ctree.Tree{"window": {window}, "insertbatch": {firstTouch}, "two-tree": pair} {
+	window, pair := duplicateTrees(t)
+	for name, srcs := range map[string][]*ctree.Tree{"window": {window}, "two-tree": pair} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				idx := unionIndexes(t, srcs)
@@ -170,12 +169,11 @@ func stepScanPair(t *testing.T, naive, cached *searcher) (hits, ties int) {
 
 // duplicateTrees builds a duplicate-heavy stream — 600 distinct points,
 // each sent six times, in shuffled order — into the streaming service's
-// merged window tree (WindowTree), into a tree loaded from the
-// first-touch arena of InsertBatch calls (FirstTouchTree) and into the
-// window's two trees (WindowTrees), H = 5, batches of 200. Cells
+// merged window tree (WindowTree) and into the window's two trees
+// (WindowTrees), H = 5, batches of 200. Cells
 // holding one repeated point and no stored face neighbor all share one
 // mask value, so the scans meet long runs of ties.
-func duplicateTrees(t *testing.T) (window, firstTouch *ctree.Tree, pair []*ctree.Tree) {
+func duplicateTrees(t *testing.T) (window *ctree.Tree, pair []*ctree.Tree) {
 	t.Helper()
 	ds, _, err := synthetic.Generate(synthetic.Config{
 		Dims: 5, Points: 600, Clusters: 2, NoiseFrac: 0.3,
@@ -191,7 +189,7 @@ func duplicateTrees(t *testing.T) (window, firstTouch *ctree.Tree, pair []*ctree
 	rng := rand.New(rand.NewSource(215))
 	rng.Shuffle(len(pts), func(a, b int) { pts[a], pts[b] = pts[b], pts[a] })
 	aging, active := WindowTrees(t, pts, ds.Dims, 5, 200)
-	return WindowTree(t, pts, ds.Dims, 5, 200), FirstTouchTree(t, pts, ds.Dims, 5, 200), []*ctree.Tree{aging, active}
+	return WindowTree(t, pts, ds.Dims, 5, 200), []*ctree.Tree{aging, active}
 }
 
 // TestDensestCellAllBetaOverlapped is the every-cell-β-overlapped edge
@@ -351,8 +349,8 @@ func TestDensestCellSingleCellLevel(t *testing.T) {
 // full sort it replaced: popping a level's heap to the end must give
 // its entries sorted by (value desc, entry index asc), as
 // slices.SortFunc orders them. It runs on every level of a Build tree,
-// of the duplicate-heavy window and InsertBatch trees and of the index
-// over the window's two trees (long runs of value ties), of a tree
+// of the duplicate-heavy window tree and of the index over the
+// window's two trees (long runs of value ties), of a tree
 // whose levels hold one cell each, and of an empty tree, whose heaps
 // are empty.
 func TestLevelScanHeapPopsSortedOrder(t *testing.T) {
@@ -368,7 +366,7 @@ func TestLevelScanHeapPopsSortedOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window, firstTouch, pair := duplicateTrees(t)
+	window, pair := duplicateTrees(t)
 	for _, c := range []struct {
 		name string
 		srcs []*ctree.Tree
@@ -376,7 +374,6 @@ func TestLevelScanHeapPopsSortedOrder(t *testing.T) {
 	}{
 		{"build", []*ctree.Tree{built}, func(n int) bool { return n > 1 }},
 		{"window", []*ctree.Tree{window}, func(n int) bool { return n > 1 }},
-		{"insertbatch", []*ctree.Tree{firstTouch}, func(n int) bool { return n > 1 }},
 		{"two-tree", pair, func(n int) bool { return n > 1 }},
 		{"single-cell", []*ctree.Tree{singleTree}, func(n int) bool { return n == 1 }},
 		{"empty", []*ctree.Tree{ctree.New(3, 4)}, func(n int) bool { return n == 0 }},

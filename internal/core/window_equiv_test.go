@@ -51,19 +51,16 @@ func driftingStream(t *testing.T) *dataset.Dataset {
 }
 
 // TestWindowTreeMatchesBuild is the cross-path check for the served
-// β-search: clustering a window tree (core.WindowTree), a tree loaded
-// from a first-touch arena (core.FirstTouchTree), a window's two trees
-// themselves (core.Run over core.WindowTrees' aging and active trees)
-// and the service's own window as a pass reads it (its
-// active runs of 1000-point batches and its aging tree,
-// core.ServiceRuns) must give the same β-clusters — bounds, relevances,
-// centers — and the same clusters as clustering ctree.Build of the same
-// points with core.Run, at Workers 1, 2 and 8, on a drifting stream and
-// on a rotated dataset. The window tree is merged into Build's arena
-// order; the first-touch arena lists each cell's children in
-// first-touch order, which the loader rewrites in Build's order once;
-// the runs over several trees read the index of their union and write
-// no merged tree. Only the answers must agree.
+// β-search: clustering a window tree (core.WindowTree), a window's two
+// trees themselves (core.Run over core.WindowTrees' aging and active
+// trees) and the service's own window as a pass reads it (its active
+// runs of 1000-point batches, core.AddBatches, and its aging tree) must
+// give the same β-clusters — bounds, relevances, centers — and the same
+// clusters as clustering ctree.Build of the same points with core.Run,
+// at Workers 1, 2 and 8, on a drifting stream and on a rotated dataset.
+// The window tree is united into Build's arena order; the runs over
+// several trees read the index of their union and write no merged tree.
+// Only the answers must agree.
 func TestWindowTreeMatchesBuild(t *testing.T) {
 	rotated, _ := genSmall(t, synthetic.Config{
 		Dims: 12, Points: 12000, Clusters: 3, NoiseFrac: 0.15,
@@ -78,14 +75,13 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		window := core.WindowTree(t, ds.Points, ds.Dims, core.DefaultH, 1000)
-		firstTouch := core.FirstTouchTree(t, ds.Points, ds.Dims, core.DefaultH, 1000)
 		aging, active := core.WindowTrees(t, ds.Points, ds.Dims, core.DefaultH, 1000)
-		runs := core.ServiceRuns(t, ds.Points, ds.Dims, core.DefaultH, 1000)
+		runs := append(core.AddBatches(t, ds.Points[len(ds.Points)/2:], ds.Dims, core.DefaultH, 1000), aging)
 		if len(runs) < 3 {
 			t.Fatalf("%s: the service's window is %d trees; the runs case is no wider than the two-tree one", name, len(runs))
 		}
-		if !ctree.Equal(built, window) || !ctree.Equal(built, firstTouch) {
-			t.Fatalf("%s: the window or InsertBatch tree stores different cells than the build", name)
+		if !ctree.Equal(built, window) {
+			t.Fatalf("%s: the window tree stores different cells than the build", name)
 		}
 		for _, workers := range []int{1, 2, 8} {
 			cfg := core.Config{Workers: workers}
@@ -97,7 +93,7 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 				t.Fatalf("%s: no β-clusters, the comparison is vacuous", name)
 			}
 			t.Logf("%s workers=%d: %d β-clusters, %d clusters", name, workers, len(want.Betas), len(want.Clusters))
-			for _, srcs := range [][]*ctree.Tree{{window}, {firstTouch}, {active, aging}, runs} {
+			for _, srcs := range [][]*ctree.Tree{{window}, {active, aging}, runs} {
 				got, err := core.Run(context.Background(), core.Input{Trees: srcs}, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -105,5 +101,35 @@ func TestWindowTreeMatchesBuild(t *testing.T) {
 				assertResultsIdentical(t, want, got)
 			}
 		}
+	}
+}
+
+// TestRunLabelsOverSeveralTrees pins that a run over several trees
+// labels a dataset exactly as a run over their Build tree does, given
+// the points the trees counted together — the facade's Run over a Tree
+// grown batch by batch — and refuses a dataset of another length.
+func TestRunLabelsOverSeveralTrees(t *testing.T) {
+	ds := driftingStream(t)
+	built, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, err := core.Run(ctx, core.Input{Dataset: ds, Trees: []*ctree.Tree{built}}, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := core.AddBatches(t, ds.Points, ds.Dims, core.DefaultH, 1000)
+	if len(runs) < 2 || len(want.Clusters) == 0 {
+		t.Fatalf("%d runs, %d clusters; the comparison is vacuous", len(runs), len(want.Clusters))
+	}
+	got, err := core.Run(ctx, core.Input{Dataset: ds, Trees: runs}, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsIdentical(t, want, got)
+	short := &dataset.Dataset{Dims: ds.Dims, Points: ds.Points[1:]}
+	if _, err := core.Run(ctx, core.Input{Dataset: short, Trees: runs}, core.Config{}); err == nil {
+		t.Fatal("a dataset one point short of the trees' points was labeled")
 	}
 }

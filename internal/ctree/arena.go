@@ -17,7 +17,8 @@
 // Counting-tree keeps n, P and usedCell per cell, and the child counts
 // are all the level indexes need to group a level by parent. No tree
 // carries child links, and none is counted into once it holds cells:
-// InsertBatch counts its batch into a fresh tree and unites the two.
+// Runs.Add and InsertBatch Build their batch into a fresh tree and
+// unite it with the older ones.
 // Only a spilled build, which cannot count its cells ahead, grows its
 // arena, doubling from arenaInitialCap rows, and trims it once its
 // merge ends.
@@ -99,11 +100,6 @@ type Tree struct {
 	spillRuns  int64
 	spillBytes int64
 
-	// spread is the packed-key spread table of the tree's (d, H)
-	// (batch.go): the one its Build sorted with, or made by its first
-	// InsertBatch; nil before that and for multi-word keys.
-	spread keySpread
-
 	// idxMu guards the lazily built level indexes (levelindex.go);
 	// indexes[h-1] is the flat snapshot of level h, nil until
 	// EnsureLevelIndexes runs, dropped when InsertBatch or MergeFrom
@@ -115,7 +111,9 @@ type Tree struct {
 // New returns an empty Counting-tree for d-dimensional data with H
 // resolutions, holding the root sentinel alone. It does not validate
 // its arguments — Build does, and tests construct degenerate trees
-// deliberately.
+// deliberately. The facade's NewTree starts its run list from one;
+// perfbench's stream replay, its only other caller, grows one by
+// Tree.InsertBatch, and a benchmark change moves the replay to Runs.
 func New(d, h int) *Tree { return newTree(d, h, 1) }
 
 // newTree returns an empty tree whose columns hold exactly rows rows,
@@ -288,17 +286,16 @@ func (t *Tree) SpillStats() (runs, bytes int64) { return t.spillRuns, t.spillByt
 // the number of carry-over descents, one per group of consecutive
 // path-sorted points sharing one stored leaf path, and points the
 // points those descents covered, so points/runs is the mean run length
-// one descent amortizes over. A group is split only where one Build or
-// InsertBatch call ends and after every buildReportEvery points of one
-// path. Both accumulate across calls and across a Union's trees.
+// one descent amortizes over. A group is split only where one Build
+// ends and after every buildReportEvery points of one path. Both
+// accumulate across a Union's trees, and so across InsertBatch calls.
 func (t *Tree) BatchRuns() (runs, points int64) { return t.runs, t.runPoints }
 
 // RadixChunks returns how many record streams were ordered by the LSD
 // radix kernel (radix.go) during this tree's build — one per Build
-// sort worker or spilled run, one per InsertBatch call; zero when
-// every stream took the multi-word comparison-sort fallback or the
-// tree was built per-point. A Union sums its trees' counts, like the
-// other build counters.
+// sort worker or spilled run; zero when every stream took the
+// multi-word comparison-sort fallback or the tree was built per-point.
+// A Union sums its trees' counts, like the other build counters.
 func (t *Tree) RadixChunks() int64 { return t.radixChunks }
 
 // popcountLower increments row[j] for every axis j whose bit is CLEAR

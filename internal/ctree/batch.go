@@ -11,9 +11,9 @@
 // level-1..H-2 half-space counters are bumped by the run length at
 // once, and only the deepest level's half-space update (which depends
 // on each point's level-H parity) stays per point. Build's sort phase
-// (sortShard, build.go) quantizes and sorts whole shards, spilled runs
-// or one InsertBatch batch into record streams, and its count phase
-// (countMerged) feeds the merged runs to countRunPacked/countRunAt.
+// (sortShard, build.go) quantizes and sorts whole shards or spilled
+// runs into record streams, and its count phase (countMerged) feeds
+// the merged runs to countRunPacked/countRunAt.
 //
 // Every count starts on an empty tree, so every cell at or below a
 // run's divergence level is new: the sorted order visits each path
@@ -157,8 +157,8 @@ func quantizeFast(p []float64, scale float64, qi []uint64) (leaf uint64, ok bool
 // and the key the OR of every axis's word shifted left by its axis
 // number. One table serves every point of one (d, H) with
 // d·(H-1) <= 64: ⌈(H-1)/8⌉ rows, at most 8 (d = 1, H = 60). Build
-// makes one per build and hands it to the tree, which keeps it for
-// its InsertBatch calls.
+// makes one per build and shares it with its sort workers or spilled
+// runs.
 type keySpread [][256]uint64
 
 // newKeySpread returns the spread table of the packed layout of a

@@ -61,7 +61,7 @@ func BenchmarkInsert(b *testing.B) {
 // order is rewritten once at load; treeio's BenchmarkSnapshotLoad
 // times that.) "union" is the service's rotated pass:
 // UnionLevelIndexes over a 100k-point aging tree and the runs of 50k
-// more points (ServiceRuns), BenchmarkWindowPass's window. It also
+// more points (benchRuns), BenchmarkWindowPass's window. It also
 // reports the window's points indexed per second as points/s, the
 // metric of its scripts/bench_floors.sh row.
 //
@@ -138,15 +138,9 @@ func growBatches(b *testing.B, dst *Tree, pts [][]float64) {
 	}
 }
 
-// benchRuns is ServiceRuns over pts at d = 15, H = 4 in 1000-point
+// benchRuns is pts at d = 15, H = 4 in a run list of 1000-point
 // batches: the active runs of a service fed the stream-grow shape.
-func benchRuns(b *testing.B, pts [][]float64) []*Tree {
-	runs, err := ServiceRuns(pts, 15, 4, 1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return runs
-}
+func benchRuns(b *testing.B, pts [][]float64) Runs { return AddBatches(b, pts, 15, 4, 1000) }
 
 // benchAging is the aging tree a service holds once a pass united the
 // retired runs of pts.
@@ -158,13 +152,13 @@ func benchAging(b *testing.B, pts [][]float64) *Tree {
 	return aging
 }
 
-// BenchmarkInsertBatch times Tree.InsertBatch on its own, on the
-// stream-grow shape (benchDataset, d = 15), and reports points/s.
-// "service" feeds an empty H = 4 tree to 50k points in 1000-point
-// calls, each of which unites the whole tree with the batch's (the
-// service itself keeps runs instead, ServiceRuns); "onecall" counts
-// 100k points in one call; "multiword" is "service" at H = 6, where
-// d·(H-1) = 75 > 64 puts each path key in H-1 words.
+// BenchmarkInsertBatch times batch ingest on the stream-grow shape
+// (benchDataset, d = 15) and reports points/s. "service" feeds an empty
+// H = 4 run list to 50k points in 1000-point Runs.Add calls, the
+// ingest of the streaming service and of the facade's Tree; "onecall"
+// counts 100k points in one Tree.InsertBatch call into an empty tree,
+// which adopts the batch's tree; "multiword" is "service" at H = 6,
+// where d·(H-1) = 75 > 64 puts each path key in H-1 words.
 //
 //	go test -run '^$' -bench BenchmarkInsertBatch -cpu 1 ./internal/ctree
 func BenchmarkInsertBatch(b *testing.B) {
@@ -180,9 +174,16 @@ func BenchmarkInsertBatch(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tr := New(15, bc.H)
+				if bc.batch == bc.n {
+					if err := New(15, bc.H).InsertBatch(pts[:bc.n]); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				var runs Runs
 				for lo := 0; lo < bc.n; lo += bc.batch {
-					if err := tr.InsertBatch(pts[lo:min(lo+bc.batch, bc.n)]); err != nil {
+					var err error
+					if runs, err = runs.Add(pts[lo:min(lo+bc.batch, bc.n)], 15, bc.H); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -194,7 +195,7 @@ func BenchmarkInsertBatch(b *testing.B) {
 
 // BenchmarkUnion times the Union writes the program runs, on the
 // stream-grow shape (d = 15, H = 4). "retire" unites the runs of 100k
-// points (ServiceRuns), as the service's first pass after a rotation
+// points (benchRuns), as the service's first pass after a rotation
 // does. "window" unites the runs of 50k more points with the 100k-point
 // aging tree, the tree a service snapshot or checkpoint saves.
 // "shards=4" and "shards=8" unite the Build trees of 4 and 8

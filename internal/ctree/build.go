@@ -10,8 +10,9 @@
 // (key, stream index) order and counts each run of equal paths into
 // ONE tree through the carry-over descent of batch.go. Whether a
 // stream lives in a worker's memory or in a disk run is a property of
-// the stream, not a second counting loop, and InsertBatch (stream.go)
-// runs the same two phases over one batch into a fresh tree.
+// the stream, not a second counting loop. Every other writer that
+// counts points (Runs.Add and InsertBatch, stream.go) counts its batch
+// with Build on one worker.
 //
 // Between the phases an in-memory build walks the merged key order
 // once more, keys only, to count the cells the tree will store
@@ -138,50 +139,41 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 	}
 	bc := &buildControl{ctx: opt.Ctx}
 	ks := newKeySpread(ds.Dims, H)
+	var t *Tree
+	var streams []*recordStream
 	if opt.SpillDir == "" {
 		bc.limit = opt.MemoryLimitBytes
-		streams, err := sortShards(ds, H, ks, opt.Workers, bc)
+		var err error
+		if streams, err = sortShards(ds, H, ks, opt.Workers, bc); err != nil {
+			return nil, err
+		}
+		// The arena is allocated once, at exactly the cells the streams
+		// store, and refused before it is allocated when it alone exceeds
+		// the memory cap.
+		rows := 1 + cellCount(streams, ds.Dims, H)
+		if est := stateBytes(ds.Dims, rows); bc.limit > 0 && est > bc.limit {
+			return nil, &LimitError{LimitBytes: bc.limit, EstimateBytes: est, H: H}
+		}
+		t = newTree(ds.Dims, H, rows)
+	} else {
+		dir, err := os.MkdirTemp(opt.SpillDir, "mrcc-spill-*")
+		if err != nil {
+			return nil, fmt.Errorf("ctree: creating spill directory: %w", err)
+		}
+		// Run files only matter until the merge ends: every exit path,
+		// success included, closes and removes them.
+		defer os.RemoveAll(dir)
+		t = New(ds.Dims, H)
+		streams, err = spillRuns(t, ds, dir, ks, opt, bc)
+		defer closeRuns(streams)
 		if err != nil {
 			return nil, err
 		}
-		return countStreams(ds.Dims, H, ks, streams, bc, opt.Progress, ds.Len())
-	}
-	dir, err := os.MkdirTemp(opt.SpillDir, "mrcc-spill-*")
-	if err != nil {
-		return nil, fmt.Errorf("ctree: creating spill directory: %w", err)
-	}
-	// Run files only matter until the merge ends: every exit path,
-	// success included, closes and removes them.
-	defer os.RemoveAll(dir)
-	t := New(ds.Dims, H)
-	t.spread = ks
-	streams, err := spillRuns(t, ds, dir, opt, bc)
-	defer closeRuns(streams)
-	if err != nil {
-		return nil, err
 	}
 	if err := countMerged(t, streams, bc, opt.Progress, ds.Len()); err != nil {
 		return nil, err
 	}
 	t.trim()
-	return t, nil
-}
-
-// countStreams counts in-memory record streams, total records in all,
-// into a new tree whose arena is allocated once at exactly the cells
-// they store (cellCount): Build's in-memory count, and InsertBatch's,
-// whose nil control polls nothing. An arena that alone exceeds the
-// control's memory cap is refused before it is allocated.
-func countStreams(d, H int, ks keySpread, streams []*recordStream, bc *buildControl, progress ProgressFunc, total int) (*Tree, error) {
-	rows := 1 + cellCount(streams, d, H)
-	if est := stateBytes(d, rows); bc != nil && bc.limit > 0 && est > bc.limit {
-		return nil, &LimitError{LimitBytes: bc.limit, EstimateBytes: est, H: H}
-	}
-	t := newTree(d, H, rows)
-	t.spread = ks
-	if err := countMerged(t, streams, bc, progress, total); err != nil {
-		return nil, err
-	}
 	return t, nil
 }
 
@@ -241,12 +233,8 @@ func (bc *buildControl) firstErr() error {
 // check is the build's one checkpoint. It observes, in order: a
 // failure a peer already recorded, the armed fault-injection point,
 // context cancellation and — when t is the tree being counted — the
-// memory cap against its MemoryBytes. A nil control (InsertBatch's)
-// observes nothing.
+// memory cap against its MemoryBytes.
 func (bc *buildControl) check(point string, t *Tree) error {
-	if bc == nil {
-		return nil
-	}
 	if bc.stopped.Load() {
 		return bc.firstErr()
 	}
@@ -333,8 +321,8 @@ func sortShards(ds *dataset.Dataset, H int, ks keySpread, workers int, bc *build
 }
 
 // sortShard quantizes and sorts the dataset slice [lo, hi) into a
-// recordStream: a Build worker's shard, a spilled run or one
-// InsertBatch batch. It validates every point and touches no tree.
+// recordStream: a Build worker's shard or a spilled run. It validates
+// every point and touches no tree.
 // Packed keys are packed through the spread table ks of the tree's
 // (d, H) and sort with the stable pair-radix kernel (radix.go), so
 // equal keys keep dataset order — the tie-break the deterministic
@@ -541,8 +529,8 @@ func cellCount(streams []*recordStream, d, H int) int {
 
 // countMerged counts the sorted streams, total records in all, into
 // the empty tree t in (key, stream index) order — the one counting loop
-// of Build and InsertBatch. Records sharing a path are buffered, at
-// most buildReportEvery leaf words at a time, and counted in one
+// of Build. Records sharing a path are buffered, at most
+// buildReportEvery leaf words at a time, and counted in one
 // carry-over descent (batch.go), so shared prefixes are bumped once per
 // run of equal paths rather than once per point, and new cells go in
 // without a child lookup. The build control is polled every

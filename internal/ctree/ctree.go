@@ -36,8 +36,9 @@ const MaxLevels = 60
 // memory trade-off: the tree stores d+1 counters per non-empty cell
 // across H-1 levels), so counting more than 2^31-1 points — by
 // inserting or by merging shards whose totals sum past it — would
-// silently wrap the counts. InsertBatch and Union refuse instead;
-// datasets beyond this size must be sharded into separate trees.
+// silently wrap the counts. Runs.Add, InsertBatch and Union refuse
+// instead; datasets beyond this size must be sharded into separate
+// trees.
 const MaxPoints = math.MaxInt32
 
 // SideLen returns ξh = 1/2^h, the cell side length at level h.

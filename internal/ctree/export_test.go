@@ -4,8 +4,7 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-
-	"mrcc/internal/dataset"
+	"testing"
 )
 
 // LevelIndexesWithLinks builds the level indexes of the union of srcs
@@ -52,25 +51,16 @@ func WrittenOnceBytes(d, rows int) uint64 { return stateBytes(d, rows) }
 // its rows.
 func ChildCountExact(t *Tree) bool { return cap(t.childCount) == len(t.loc) }
 
-// ServiceRuns builds pts into the streaming service's active runs: each
-// batch of batch points into a tree of its own (Build on one worker),
-// then the two newest trees united for as long as the newer holds at
-// least half the older's points — the ingest rule of internal/serve.
-func ServiceRuns(pts [][]float64, d, H, batch int) ([]*Tree, error) {
-	var runs []*Tree
+// AddBatches counts pts into a run list by Runs.Add calls of batch
+// points each, the way the streaming service ingests a stream.
+func AddBatches(tb testing.TB, pts [][]float64, d, H, batch int) Runs {
+	tb.Helper()
+	var runs Runs
 	for lo := 0; lo < len(pts); lo += batch {
-		run, err := Build(&dataset.Dataset{Dims: d, Points: pts[lo:min(lo+batch, len(pts))]}, H, BuildOptions{Workers: 1})
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, run)
-		for n := len(runs); n >= 2 && 2*runs[n-1].Eta >= runs[n-2].Eta; n-- {
-			u, err := Union(runs[n-2], runs[n-1])
-			if err != nil {
-				return nil, err
-			}
-			runs = append(runs[:n-2], u)
+		var err error
+		if runs, err = runs.Add(pts[lo:min(lo+batch, len(pts))], d, H); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	return runs, nil
+	return runs
 }

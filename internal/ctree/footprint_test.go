@@ -79,10 +79,7 @@ func TestWrittenOnceFootprint(t *testing.T) {
 				}, c},
 				producer{"insertbatch", fed, all[1500:]},
 				producer{"runs", func() *ctree.Tree {
-					runs, err := ctree.ServiceRuns(a, s.d, s.H, 100)
-					if err != nil {
-						t.Fatal(err)
-					}
+					runs := ctree.AddBatches(t, a, s.d, s.H, 100)
 					if len(runs) < 2 {
 						t.Fatalf("%d service runs; the union of runs is vacuous", len(runs))
 					}

@@ -86,7 +86,10 @@ func decodeFuzzBatches(data []byte) fuzzBatches {
 // followed by InsertBatch of the rest, batch by batch, must be Equal to
 // Build's tree and hold its columns; and a batch holding one invalid
 // value (NaN, 1, a negative value or a short row) must be refused and
-// leave the tree Equal to before, with the same Eta.
+// leave the tree Equal to before, with the same Eta. The run list
+// (Runs.Add) takes the same batches: the Union of its runs must be
+// Equal to Build's tree and hold its columns and MemoryBytes, and the
+// spoiled batch must be refused with the list returned unchanged.
 //
 //	go test -run '^$' -fuzz FuzzInsertBatch -fuzztime 30s ./internal/ctree
 func FuzzInsertBatch(f *testing.F) {
@@ -164,6 +167,23 @@ func FuzzInsertBatch(f *testing.F) {
 		}
 		if !Equal(batched, before) || batched.Eta != before.Eta {
 			t.Fatal("a refused batch changed the tree")
+		}
+
+		var runs Runs
+		for _, b := range in.batches {
+			if runs, err = runs.Add(b, in.d, in.H); err != nil {
+				t.Fatalf("Runs.Add: %v", err)
+			}
+		}
+		united, err := Union(runs...)
+		if err != nil {
+			t.Fatalf("Union of the runs: %v", err)
+		}
+		if !Equal(united, whole) || united.Eta != whole.Eta || !sameColumns(united.Columns(), whole.Columns()) || united.MemoryBytes() != whole.MemoryBytes() {
+			t.Fatalf("d=%d H=%d: the union of %d runs diverged from Build", in.d, in.H, len(runs))
+		}
+		if kept, err := runs.Add(bad, in.d, in.H); err == nil || !slices.Equal(kept, runs) {
+			t.Fatalf("Runs.Add of a batch with point %d spoiled (kind %d): err %v, the list changed: %v", in.spoilAt, in.spoil, err, !slices.Equal(kept, runs))
 		}
 	})
 }

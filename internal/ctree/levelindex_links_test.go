@@ -189,15 +189,8 @@ func linkProducers(t *testing.T, d, H int, pts [][]float64) map[string][]*ctree.
 	out["window/two-tree"] = []*ctree.Tree{active, aging}
 	// The service's window: the newer half in its active runs, the older
 	// half in the aging tree a pass unites from its retired runs.
-	runs, err := ctree.ServiceRuns(pts[half:], d, H, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	retired, err := ctree.ServiceRuns(pts[:half], d, H, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	united, err := ctree.Union(retired...)
+	runs := ctree.AddBatches(t, pts[half:], d, H, 17)
+	united, err := ctree.Union(ctree.AddBatches(t, pts[:half], d, H, 17)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ const spillBlock = 1024
 // sort scratch (the radix ping-pong columns for packed keys; the
 // permutation and the sorted copies for multi-word keys). An in-memory
 // build holds η·ExternalRecordBytes(d, H) bytes next to the tree and
-// InsertBatch one batch's worth; a spilled build holds one run's
+// Runs.Add one batch's worth; a spilled build holds one run's
 // worth, which is how it sizes runs from MemoryLimitBytes.
 func ExternalRecordBytes(d, H int) int {
 	w := keyWords(d, H)
@@ -56,9 +56,10 @@ type spillReader struct {
 // spillRuns sorts the dataset in runs of at most runPoints points (see
 // BuildOptions.MemoryLimitBytes), writes each run to its own file under
 // dir and returns the runs as record streams holding their first
-// block. It records the spill traffic on t. On error it also returns
+// block. Packed keys pack through ks, the spread table of t's (d, H).
+// It records the spill traffic on t. On error it also returns
 // the runs opened so far, so the caller can close them.
-func spillRuns(t *Tree, ds *dataset.Dataset, dir string, opt BuildOptions, bc *buildControl) ([]*recordStream, error) {
+func spillRuns(t *Tree, ds *dataset.Dataset, dir string, ks keySpread, opt BuildOptions, bc *buildControl) ([]*recordStream, error) {
 	n := ds.Len()
 	w := keyWords(t.D, t.H)
 	runPoints := opt.runPoints
@@ -72,7 +73,7 @@ func spillRuns(t *Tree, ds *dataset.Dataset, dir string, opt BuildOptions, bc *b
 	buf := make([]byte, spillBlock*(w+1)*8)
 	var runs []*recordStream
 	for lo := 0; lo < n; lo += runPoints {
-		sorted, err := sortShard(ds, lo, min(lo+runPoints, n), t.H, t.spread, bc)
+		sorted, err := sortShard(ds, lo, min(lo+runPoints, n), t.H, ks, bc)
 		if err != nil {
 			return runs, err
 		}

@@ -1,6 +1,8 @@
 package ctree
 
 import (
+	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
@@ -182,5 +184,54 @@ func TestCloneThenMergeMatchesCombinedBuild(t *testing.T) {
 	}
 	if Equal(aging, merged) {
 		t.Fatal("merge mutated nothing? merged view equals the aging tree")
+	}
+}
+
+// TestRunsShape pins the run list's shape and its immutability. Fed
+// equal batches of b points, each run holds more than twice the points
+// of the next, and n points make at most ⌈log2(n/b)⌉ + 1 runs. Add
+// leaves the receiver's runs and backing array as they were, so a list
+// a reader holds reads the same. A batch that would push the list past
+// MaxPoints (simulated Eta) is refused before it is built, with the
+// list returned unchanged, and one that reaches MaxPoints is accepted.
+func TestRunsShape(t *testing.T) {
+	const d, H, b = 5, 4, 10
+	pts := uniformDataset(t, d, 2000, 72).Points
+	var runs Runs
+	for n := b; n <= len(pts); n += b {
+		held := runs[:cap(runs)]
+		before := slices.Clone(held)
+		next, err := runs.Add(pts[n-b:n], d, H)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(held, before) || runs.Points() != n-b {
+			t.Fatalf("%d points: Add wrote the receiver's list", n)
+		}
+		if next.Points() != n || len(next) > bits.Len(uint(n/b-1))+1 {
+			t.Fatalf("%d points in %d runs, want %d points in at most %d runs", next.Points(), len(next), n, bits.Len(uint(n/b-1))+1)
+		}
+		for i := 1; i < len(next); i++ {
+			if next[i-1].Eta <= 2*next[i].Eta {
+				t.Fatalf("%d points: run %d holds %d points, run %d %d", n, i-1, next[i-1].Eta, i, next[i].Eta)
+			}
+		}
+		runs = next
+	}
+
+	full, err := Build(&dataset.Dataset{Dims: d, Points: pts[:1]}, H, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full.Eta = MaxPoints - b
+	list := Runs{full}
+	// The batch's first point is invalid, so only a check made before
+	// the build can report MaxPoints.
+	bad := append([][]float64{{2, 0, 0, 0, 0}}, pts[:b]...)
+	if got, err := list.Add(bad, d, H); err == nil || !strings.Contains(err.Error(), "MaxPoints") || !slices.Equal(got, list) {
+		t.Fatalf("a batch past MaxPoints gave %v, want a MaxPoints error before the build and the list unchanged", err)
+	}
+	if got, err := list.Add(pts[:b], d, H); err != nil || got.Points() != MaxPoints {
+		t.Fatalf("a batch reaching MaxPoints gave %v", err)
 	}
 }

@@ -56,10 +56,10 @@ func BenchmarkWindowPass(b *testing.B) {
 			if err := s.recluster(ctx); err != nil {
 				b.Fatal(err)
 			}
-			if bc.windowPoints > 0 && (len(s.aging) != 1 || pointsOf(s.aging) != window || pointsOf(s.active) != window/2) {
+			if bc.windowPoints > 0 && (len(s.aging) != 1 || s.aging.Points() != window || s.active.Points() != window/2) {
 				b.Fatal("the window did not settle into a 100k aging tree and 50k points of active runs")
 			}
-			if bc.windowPoints == 0 && (s.aging != nil || pointsOf(s.active) != ds.Len()) {
+			if bc.windowPoints == 0 && (s.aging != nil || s.active.Points() != ds.Len()) {
 				b.Fatal("the unwindowed service does not hold every point in its active runs")
 			}
 			var snapshot, pass time.Duration
@@ -79,13 +79,13 @@ func BenchmarkWindowPass(b *testing.B) {
 	}
 }
 
-// BenchmarkIngest times the service's fold step, s.apply — build the
-// batch into a run, merge the newest runs, rotate a full window — on
+// BenchmarkIngest times the service's fold step, s.apply — add the
+// batch to the active runs (ctree.Runs.Add), rotate a full window — on
 // the stream-grow shape: 150 batches of 1000 points at d = 15, H = 4,
 // with WindowPoints 100000, so the window rotates once. Each call holds
 // ingestMu, as an ingest does. It reports the points folded per second
-// as points/s and the median and 99th percentile of the per-batch times
-// as p50-ms and p99-ms.
+// as points/s, the median and 99th percentile of the per-batch times
+// as p50-ms and p99-ms, and what the folds allocate as B/op.
 //
 //	go test -run '^$' -bench BenchmarkIngest -cpu 1 ./internal/serve
 func BenchmarkIngest(b *testing.B) {
@@ -98,6 +98,7 @@ func BenchmarkIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	var times []time.Duration
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s, err := New(Config{Dims: d, ReclusterEvery: time.Hour, WindowPoints: window})

@@ -335,11 +335,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Dims = s.cfg.Dims
 	resp.H = s.cfg.H
 	s.mu.Lock()
-	resp.Window.ActivePoints = pointsOf(s.active)
-	resp.Window.AgingPoints = pointsOf(s.aging)
-	for _, t := range s.window() {
-		resp.TreeBytes += t.MemoryBytes()
-	}
+	resp.Window.ActivePoints = s.active.Points()
+	resp.Window.AgingPoints = s.aging.Points()
+	resp.TreeBytes = s.active.MemoryBytes() + s.aging.MemoryBytes()
 	appliedSeq := s.appliedSeq
 	s.mu.Unlock()
 	resp.Window.WindowPoints = s.cfg.WindowPoints

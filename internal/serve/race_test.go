@@ -211,7 +211,7 @@ func TestIngestSheddingUnderSaturation(t *testing.T) {
 	}
 	wantPts := blockers * (2*20 + 4) // streamRows(…, 20, …) emits 2n+n/5 rows
 	s.mu.Lock()
-	eta := pointsOf(s.active)
+	eta := s.active.Points()
 	s.mu.Unlock()
 	if eta != wantPts {
 		t.Fatalf("tree holds %d points after the storm, want %d (shed requests must not fold)", eta, wantPts)
@@ -398,7 +398,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 	// The shutdown epilogue persisted the tree for the next boot.
 	warm := newTestServer(t, cfg)
 	warm.mu.Lock()
-	eta := pointsOf(warm.active)
+	eta := warm.active.Points()
 	warm.mu.Unlock()
 	if eta == 0 {
 		t.Fatal("shutdown left no warm-start snapshot")

@@ -369,8 +369,8 @@ func TestReplayAppliesWindowRotation(t *testing.T) {
 	if aging == nil {
 		t.Fatal("replay of a multi-window tail performed no rotation")
 	}
-	if pointsOf(aging) != 165 || pointsOf(active) != 55 {
-		t.Fatalf("recovered windows hold %d aging / %d active points, want 165/55", pointsOf(aging), pointsOf(active))
+	if aging.Points() != 165 || active.Points() != 55 {
+		t.Fatalf("recovered windows hold %d aging / %d active points, want 165/55", aging.Points(), active.Points())
 	}
 	if got := recovered.counters.Snapshot().Rotations; got != 1 {
 		t.Fatalf("rotation counter = %d, want 1", got)
@@ -410,7 +410,7 @@ func TestDurableWindowRotation(t *testing.T) {
 	if err := s.recluster(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if s.aging == nil || pointsOf(s.aging) != 220 {
+	if s.aging == nil || s.aging.Points() != 220 {
 		t.Fatal("the second batch did not rotate the full active tree into the aging slot")
 	}
 	if _, err := s.saveSnapshot(); err != nil {
@@ -420,7 +420,7 @@ func TestDurableWindowRotation(t *testing.T) {
 	// acknowledged point even though the window structure collapsed.
 	recovered := newTestServer(t, cfg)
 	recovered.mu.Lock()
-	eta := pointsOf(recovered.active)
+	eta := recovered.active.Points()
 	recovered.mu.Unlock()
 	if eta != len(rows) {
 		t.Fatalf("recovered tree holds %d points, want %d", eta, len(rows))

@@ -32,7 +32,6 @@ import (
 
 	"mrcc/internal/core"
 	"mrcc/internal/ctree"
-	"mrcc/internal/dataset"
 	"mrcc/internal/obs"
 	"mrcc/internal/treeio"
 	"mrcc/internal/wal"
@@ -249,11 +248,11 @@ type Server struct {
 	// holds it only to read the active runs and to swap in the new list
 	// (see apply): it builds and merges runs without it.
 	mu          sync.Mutex
-	active      []*ctree.Tree // the current window's runs, oldest first; receive all ingestion (see apply)
-	aging       []*ctree.Tree // the previous window's runs, one once a pass united them; nil until first rotation (see apply)
-	sinceRecl   int           // points folded since the last re-cluster snapshot (replayed ones too, until the first pass)
-	totalPoints int64         // lifetime accepted points (survives rotation drops)
-	appliedSeq  uint64        // last WAL sequence folded into the window
+	active      ctree.Runs // the current window's runs, oldest first; receive all ingestion (see apply)
+	aging       ctree.Runs // the previous window's runs, one once a pass united them; nil until first rotation (see apply)
+	sinceRecl   int        // points folded since the last re-cluster snapshot (replayed ones too, until the first pass)
+	totalPoints int64      // lifetime accepted points (survives rotation drops)
+	appliedSeq  uint64     // last WAL sequence folded into the window
 
 	// ingestMu serializes the fold steps (apply), and in the durable
 	// path each WAL append with its fold, so log order is exactly apply
@@ -329,7 +328,7 @@ func New(cfg Config) (*Server, error) {
 				return nil, fmt.Errorf("serve: warm-start snapshot geometry (d=%d, H=%d) does not match the declared service (d=%d, H=%d)",
 					t.D, t.H, cfg.Dims, cfg.H)
 			}
-			s.active = []*ctree.Tree{t}
+			s.active = ctree.Runs{t}
 			s.totalPoints = int64(t.Eta)
 			if meta.HasSeq {
 				ckptSeq = meta.Seq
@@ -458,7 +457,7 @@ func (s *Server) Kick() {
 // service answers queries right after boot.
 func (s *Server) Start(ctx context.Context) {
 	s.mu.Lock()
-	warm := pointsOf(s.active) > 0
+	warm := s.active.Points() > 0
 	s.mu.Unlock()
 	if warm {
 		s.Kick()
@@ -530,7 +529,7 @@ func (s *Server) loop(ctx context.Context) {
 // windowFull reports whether the active runs hold WindowPoints points,
 // so the next batch starts a fresh window. The caller holds mu.
 func (s *Server) windowFull() bool {
-	return s.cfg.WindowPoints > 0 && pointsOf(s.active) >= s.cfg.WindowPoints
+	return s.cfg.WindowPoints > 0 && s.active.Points() >= s.cfg.WindowPoints
 }
 
 // checkRoom refuses a batch of n points that would push the active
@@ -539,7 +538,7 @@ func (s *Server) windowFull() bool {
 func (s *Server) checkRoom(n int) error {
 	room := ctree.MaxPoints
 	if !s.windowFull() {
-		room -= pointsOf(s.active)
+		room -= s.active.Points()
 	}
 	if n > room {
 		return fmt.Errorf("batch of %d points exceeds the active runs' remaining capacity %d", n, room)
@@ -547,77 +546,45 @@ func (s *Server) checkRoom(n int) error {
 	return nil
 }
 
-// pointsOf returns the points the trees count together.
-func pointsOf(trees []*ctree.Tree) int {
-	n := 0
-	for _, t := range trees {
-		n += t.Eta
-	}
-	return n
-}
-
 // window returns the window's trees, the active runs and then the aging
 // ones, in a slice of the caller's own. The caller holds mu.
-func (s *Server) window() []*ctree.Tree {
+func (s *Server) window() ctree.Runs {
 	return append(slices.Clone(s.active), s.aging...)
 }
 
 // apply is the window's one fold step, which ingest and WAL replay
-// share. Under mu it checks the batch's room and reads the active runs.
-// Without mu it builds the batch into a run of its own (ctree.Build on
-// one worker, which validates every point first) and merges the newest
-// runs into a fresh list: after the active runs, or alone when they
-// fill the window, which then rotates. Under mu again it swaps that
-// list in, retiring a full window's runs into the aging slot (dropping
-// the previous aging runs), records seq as the applied WAL sequence (0
-// without a log, where appliedSeq stays 0) and adds the batch to the
-// point totals. So a pass, /stats or a snapshot never waits behind a
-// build or a merge. It reports whether it rotated. A refused batch —
-// an invalid point, or one that would push the active runs past
-// ctree.MaxPoints — leaves the window untouched. The caller holds
-// ingestMu, so no other fold changes the active runs between the two
-// holds of mu; replay runs before the service takes traffic.
+// share. Under mu it reads the active runs and whether they fill the
+// window, which then rotates. Without mu it adds the batch to them
+// (ctree.Runs.Add, which validates every point and checks the room
+// under ctree.MaxPoints first, then builds the batch into a run and
+// unites the newest runs by size), or to an empty list when the window
+// rotates. Under mu again it swaps the new list in, retiring a full
+// window's runs into the aging slot (dropping the previous aging runs),
+// records seq as the applied WAL sequence (0 without a log, where
+// appliedSeq stays 0) and adds the batch to the point totals. So a
+// pass, /stats or a snapshot never waits behind a build or a merge. It
+// reports whether it rotated. A refused batch — an invalid point, or
+// one that would push the active runs past ctree.MaxPoints — leaves the
+// window untouched. The caller holds ingestMu, so no other fold changes
+// the active runs between the two holds of mu; replay runs before the
+// service takes traffic.
 //
-// Every batch, ingested or replayed, rotates by this rule, so a service
-// recovered by replay alone holds exactly the window the live one did.
-// A checkpoint does not keep that split: it saves the merged window,
+// Every batch, ingested or replayed, rotates by this rule, and the
+// runs' shape depends only on the batch sizes, so a service recovered
+// by replay alone holds exactly the window the live one did. A
+// checkpoint does not keep that split: it saves the merged window,
 // which warm-starts as one active run, so the first replayed batch
 // retires the whole merged window and later windows differ from the
 // live ones.
-//
-// The two newest runs are merged with ctree.Union for as long as the
-// newer holds at least half the older's points, so each run holds more
-// than twice the points of the next: a window fed in batches of b
-// points holds at most ⌈log2(WindowPoints/b)⌉ + 1 runs, and a point is
-// rewritten about log2(WindowPoints/b) times while it stays. The shape
-// depends only on the batch sizes, so replay rebuilds the live runs.
 func (s *Server) apply(norm [][]float64, seq uint64) (rotated bool, err error) {
 	s.mu.Lock()
-	err = s.checkRoom(len(norm))
 	runs, rotated := s.active, s.windowFull()
 	s.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	run, err := ctree.Build(&dataset.Dataset{Dims: s.cfg.Dims, Points: norm}, s.cfg.H, ctree.BuildOptions{Workers: 1})
-	if err != nil {
-		return false, err
-	}
 	if rotated {
 		runs = nil
 	}
-	// A fresh array: the stored list stays as it is until the swap.
-	runs = append(slices.Clip(runs), run)
-	for n := len(runs); n >= 2 && 2*runs[n-1].Eta >= runs[n-2].Eta; n-- {
-		u, err := ctree.Union(runs[n-2], runs[n-1])
-		if err != nil {
-			// Unreachable: checkRoom keeps the runs within ctree.MaxPoints.
-			s.logf("merging the active runs: %v", err)
-			break
-		}
-		// Clear the vacated slot, so the array keeps no merged run alive.
-		runs[n-2], runs[n-1] = u, nil
-		runs = runs[:n-1]
+	if runs, err = runs.Add(norm, s.cfg.Dims, s.cfg.H); err != nil {
+		return false, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -641,7 +608,7 @@ func (s *Server) apply(norm [][]float64, seq uint64) (rotated bool, err error) {
 // later rotation dropped them meanwhile, so later passes and snapshots
 // read one aging tree; retired is the points of the aging tree this
 // call swapped in, 0 when it swapped none.
-func (s *Server) snapshotTrees() (trees []*ctree.Tree, retired int) {
+func (s *Server) snapshotTrees() (trees ctree.Runs, retired int) {
 	s.mu.Lock()
 	runs := s.aging
 	s.mu.Unlock()
@@ -653,7 +620,7 @@ func (s *Server) snapshotTrees() (trees []*ctree.Tree, retired int) {
 		} else {
 			s.mu.Lock()
 			if slices.Equal(s.aging, runs) {
-				s.aging, retired = []*ctree.Tree{aging}, aging.Eta
+				s.aging, retired = ctree.Runs{aging}, aging.Eta
 			}
 			s.mu.Unlock()
 		}
@@ -679,11 +646,9 @@ func (s *Server) recluster(ctx context.Context) error {
 	if retired > 0 {
 		s.logf("window rotated: %d points retired to the aging slot", retired)
 	}
-	points, shared := pointsOf(trees), uint64(0)
+	points, shared := trees.Points(), uint64(0)
 	if len(trees) > 1 {
-		for _, t := range trees {
-			shared += t.MemoryBytes()
-		}
+		shared = trees.MemoryBytes()
 	}
 	if points == 0 {
 		return nil // nothing ingested yet; keep whatever view exists
@@ -745,7 +710,7 @@ func (s *Server) saveWindow() (int64, uint64, error) {
 	s.mu.Lock()
 	trees, seq := s.window(), s.appliedSeq
 	s.mu.Unlock()
-	if pointsOf(trees) == 0 {
+	if trees.Points() == 0 {
 		return 0, 0, errNothingIngested
 	}
 	merged, err := ctree.Union(trees...)

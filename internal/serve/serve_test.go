@@ -243,7 +243,7 @@ func TestIngestCSV(t *testing.T) {
 		t.Fatalf("csv ingest = %d: %s", w.Code, w.Body)
 	}
 	s.mu.Lock()
-	eta := pointsOf(s.active)
+	eta := s.active.Points()
 	s.mu.Unlock()
 	if eta != len(rows) {
 		t.Fatalf("tree holds %d points after csv ingest, want %d", eta, len(rows))
@@ -276,7 +276,7 @@ func TestIngestRejectsBadBatches(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	eta := pointsOf(s.active)
+	eta := s.active.Points()
 	s.mu.Unlock()
 	if eta != 0 {
 		t.Fatalf("tree absorbed %d points from rejected batches", eta)
@@ -302,7 +302,7 @@ func TestWindowRotation(t *testing.T) {
 	if err := s.recluster(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if s.aging != nil || pointsOf(s.active) != len(rows) {
+	if s.aging != nil || s.active.Points() != len(rows) {
 		t.Fatalf("a pass rotated the window: rotation belongs to the next ingest")
 	}
 	if v := s.cur.Load(); v == nil || v.points != len(rows) {
@@ -316,9 +316,9 @@ func TestWindowRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	activeEta, agingEta := pointsOf(s.active), -1
+	activeEta, agingEta := s.active.Points(), -1
 	if s.aging != nil {
-		agingEta = pointsOf(s.aging)
+		agingEta = s.aging.Points()
 	}
 	s.mu.Unlock()
 	if agingEta != len(rows) || activeEta != len(more) {
@@ -356,7 +356,7 @@ func TestSnapshotSaveAndWarmStart(t *testing.T) {
 
 	warm := newTestServer(t, cfg)
 	warm.mu.Lock()
-	eta := pointsOf(warm.active)
+	eta := warm.active.Points()
 	warm.mu.Unlock()
 	if eta != len(rows) {
 		t.Fatalf("warm-started tree holds %d points, want %d", eta, len(rows))

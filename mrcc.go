@@ -127,11 +127,12 @@ type Dataset = dataset.Dataset
 // Config.KeepTree (Result.Tree), persist it with SaveTree, restore it
 // with LoadTree, and recluster on it with Run (Input.Tree) — e.g. to
 // sweep α values without re-counting the data, or to warm-start a run
-// from a snapshot built by an earlier process. Its layout is private;
-// a zero Tree holds no Counting-tree, and the calls that need one
-// refuse it with an error.
+// from a snapshot built by an earlier process. It holds the tree as
+// immutable runs whose counts add up (one run once built or loaded);
+// its layout is private. A zero Tree holds no Counting-tree, and the
+// calls that need one refuse it with an error.
 type Tree struct {
-	t *ctree.Tree
+	runs ctree.Runs
 }
 
 // NewTree returns an empty Counting-tree of dimensionality d with h
@@ -147,46 +148,45 @@ func NewTree(d, h int) (*Tree, error) {
 	if h < ctree.MinLevels || h > ctree.MaxLevels {
 		return nil, fmt.Errorf("mrcc: H %d outside [%d, %d]", h, ctree.MinLevels, ctree.MaxLevels)
 	}
-	return &Tree{t: ctree.New(d, h)}, nil
+	return &Tree{runs: ctree.Runs{ctree.New(d, h)}}, nil
 }
 
-// tree returns the Counting-tree t holds, or an error for a nil or zero
-// Tree.
-func (t *Tree) tree() (*ctree.Tree, error) {
-	if t == nil || t.t == nil {
+// list returns the runs t holds, or an error for a nil or zero Tree.
+func (t *Tree) list() (ctree.Runs, error) {
+	if t == nil || len(t.runs) == 0 {
 		return nil, errors.New("mrcc: nil or zero Tree; make one with NewTree or LoadTree")
 	}
-	return t.t, nil
+	return t.runs, nil
 }
 
 // InsertBatch counts a batch of points, each with the tree's
 // dimensionality and normalized into [0,1)^d, into the tree. A batch
 // with an invalid point is refused whole and leaves the tree as it was.
-// The batch is counted into a tree of its own and the tree is rewritten
-// as the union of the two, so a call costs O(cells + batch): the order
-// of the Run that follows it in a streaming loop.
+// The batch is counted into a run of its own, and the newest runs are
+// united while the newest holds at least half the points of the one
+// before it, so a point is rewritten about log2(n/b) times over n
+// points fed in batches of b: feeding a tree costs O(n·log(n/b)),
+// linear in its calls, and a Run over the tree reads its runs side by
+// side.
 func (t *Tree) InsertBatch(points [][]float64) error {
-	ct, err := t.tree()
+	runs, err := t.list()
 	if err != nil {
 		return err
 	}
-	return ct.InsertBatch(points)
+	t.runs, err = runs.Add(points, runs[0].D, runs[0].H)
+	return err
 }
 
 // Points returns the number of points counted into the tree.
 func (t *Tree) Points() int {
-	if ct, err := t.tree(); err == nil {
-		return ct.Eta
-	}
-	return 0
+	runs, _ := t.list()
+	return runs.Points()
 }
 
-// MemoryBytes returns the tree's footprint in bytes.
+// MemoryBytes returns the tree's footprint in bytes, its runs' sum.
 func (t *Tree) MemoryBytes() uint64 {
-	if ct, err := t.tree(); err == nil {
-		return ct.MemoryBytes()
-	}
-	return 0
+	runs, _ := t.list()
+	return runs.MemoryBytes()
 }
 
 // TreeFormatError reports a snapshot file LoadTree refused: wrong
@@ -198,11 +198,19 @@ type TreeFormatError = treeio.FormatError
 
 // SaveTree atomically writes the tree to path in the versioned binary
 // snapshot format (DESIGN.md §10): the file appears complete or not at
-// all. It returns the number of bytes written.
+// all. A tree grown in several runs is saved as their union, which is
+// Build's tree of the same points byte for byte. It returns the number
+// of bytes written.
 func SaveTree(path string, t *Tree) (int64, error) {
-	ct, err := t.tree()
+	runs, err := t.list()
 	if err != nil {
 		return 0, err
+	}
+	ct := runs[0]
+	if len(runs) > 1 {
+		if ct, err = ctree.Union(runs...); err != nil {
+			return 0, err
+		}
 	}
 	return treeio.SaveFile(path, ct, treeio.Meta{})
 }
@@ -215,7 +223,7 @@ func LoadTree(path string) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{t: t}, nil
+	return &Tree{runs: ctree.Runs{t}}, nil
 }
 
 // NewDataset returns an empty dataset of dimensionality d with capacity
@@ -234,12 +242,14 @@ func LoadCSV(path string, header bool) (*Dataset, error) {
 
 // Input says what Run clusters. Dataset, at any scale, is required.
 // With Tree set, Run skips the tree build and clusters Tree, labeling
-// Dataset against it: Tree must have been built from the same points
-// (by a run with Config.KeepTree, say, or restored with LoadTree), and
-// its dimensionality and point count are checked. Rerunning on the
-// same tree is safe and yields the same Result: the run clears the
-// tree's Used flags itself at entry. A nil Tree asks Run to build one;
-// a zero Tree is refused with an error.
+// Dataset against it: Tree must have counted the same points (by a run
+// with Config.KeepTree, say, restored with LoadTree or fed with
+// InsertBatch), and its dimensionality and point count are checked.
+// Rerunning on the same tree is safe and yields the same Result: a run
+// over one run clears its Used flags itself at entry, and a run over
+// several reads the index of their union and writes none of them. With
+// Config.KeepTree the Result hands Tree back. A nil Tree asks Run to
+// build one; a zero Tree is refused with an error.
 type Input struct {
 	Dataset *Dataset
 	Tree    *Tree
@@ -273,8 +283,11 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 		Timings:         res.Timings,
 		Stats:           res.Stats,
 	}
-	if res.Tree != nil {
-		out.Tree = &Tree{t: res.Tree}
+	if cfg.KeepTree {
+		out.Tree = in.Tree
+		if out.Tree == nil {
+			out.Tree = &Tree{runs: ctree.Runs{res.Tree}}
+		}
 	}
 	return out, nil
 }
@@ -287,11 +300,11 @@ func run(ctx context.Context, in Input, cfg Config) (*core.Result, error) {
 	}
 	var cin core.Input
 	if in.Tree != nil {
-		t, err := in.Tree.tree()
+		runs, err := in.Tree.list()
 		if err != nil {
 			return nil, err
 		}
-		cin.Trees = []*ctree.Tree{t}
+		cin.Trees = runs
 	}
 	work, norm, err := normalized(ctx, ds, cfg)
 	if err != nil {
