@@ -66,7 +66,6 @@ func BenchmarkFig4Alpha(b *testing.B) {
 		b.Run(fmt.Sprintf("alpha=%.0e", alpha), func(b *testing.B) {
 			var res *core.Result
 			for i := 0; i < b.N; i++ {
-				tree.ResetUsed()
 				var err error
 				res, err = core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tree}}, core.Config{Alpha: alpha})
 				if err != nil {

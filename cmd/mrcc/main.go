@@ -16,7 +16,9 @@
 // -json emits the same record machine-readably.
 //
 // -save-tree snapshots the run's Counting-tree to a versioned binary
-// file after clustering; -load-tree skips phase one entirely by
+// file after clustering. The run writes nothing into the tree, so the
+// file's usedCell column (format v1 stores one) is clear, as in a tree
+// saved before any run. -load-tree skips phase one entirely by
 // restoring such a snapshot (the dataset must be the one the tree was
 // built from — geometry is checked). -external builds the tree
 // out-of-core: quantized points are sorted in bounded-memory chunks

@@ -68,9 +68,8 @@ func main() {
 			end = full.Len()
 		}
 		// One call absorbs the whole batch (validated before the tree is
-		// touched, counted in sorted order); Run over the tree clears the
-		// Used flags the previous pass consumed, so the loop is just
-		// insert-then-run.
+		// touched, counted in sorted order); Run over the tree writes
+		// nothing, so the loop is just insert-then-run.
 		if err := tree.InsertBatch(full.Points[start:end]); err != nil {
 			log.Fatal(err)
 		}

@@ -468,7 +468,7 @@ func TestFullValueMatchesOffsetOracle(t *testing.T) {
 				ix := tr.EnsureLevelIndexes()[h-1]
 				for i := 0; i < ix.Len(); i++ {
 					p := ix.PathOf(i)
-					if got, want := FullValue(ix, p, i), fullValueOffsets(tr, p, ix.Ref(i, 0)); got != want {
+					if got, want := FullValue(ix, p, i), fullValueOffsets(tr, p, tr.CellAt(p)); got != want {
 						t.Fatalf("d=%d H=%d level %d cell %v: FullValue %d, oracle %d", d, H, h, p, got, want)
 					}
 				}

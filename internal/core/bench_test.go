@@ -43,7 +43,6 @@ func BenchmarkFindBetas(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.ResetUsed()
 		if _, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tree}}, core.Config{}); err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +93,6 @@ func BenchmarkBetaSearch(b *testing.B) {
 			var res *core.Result
 			var phase2 time.Duration
 			for i := 0; i < b.N; i++ {
-				tree.ResetUsed()
 				res, err = core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tree}}, cfg)
 				if err != nil {
 					b.Fatal(err)

@@ -108,11 +108,12 @@ type Config struct {
 	// and be writable; all spill state lives in a per-run temp
 	// subdirectory that is removed on every exit path (DESIGN.md §10).
 	ExternalSpillDir string
-	// KeepTree returns the built Counting-tree in Result.Tree so the
-	// caller can snapshot it (treeio.SaveFile) or rerun clustering on it
-	// (Run with Input.Trees, which clears the Used flags at entry).
-	// Off by default: the tree is the pipeline's dominant allocation and
-	// holding it in the Result keeps it reachable.
+	// KeepTree returns the run's Counting-tree in Result.Tree — the one
+	// it built, or its lone Input tree — so the caller can snapshot it
+	// (treeio.SaveFile) or rerun clustering on it (Run with
+	// Input.Trees). No run writes the tree, so reruns over it may run at
+	// the same time. Off by default: the tree is the pipeline's dominant
+	// allocation and holding it in the Result keeps it reachable.
 	KeepTree bool
 
 	// scan, when set, replaces the β-search's level scan
@@ -253,8 +254,8 @@ type Result struct {
 	Stats *obs.Stats
 	// Tree is the Counting-tree the run clustered on; nil unless
 	// Config.KeepTree, and for a run over several trees. It can be fed
-	// straight back into Run as Input.Trees, which clears the consumed
-	// Used flags itself.
+	// straight back into Run as Input.Trees, by any number of runs at
+	// once: a run writes nothing it reads.
 	Tree *ctree.Tree
 }
 
@@ -283,6 +284,12 @@ func (r *Result) NumClusters() int { return len(r.Clusters) }
 // and Cluster.Size stays zero; the streaming service publishes query
 // views from such runs, assigning a point to the cluster owning the
 // first β-cluster box containing it, exactly the rule labeling applies.
+//
+// A run writes nothing it reads: not the trees, not their level
+// indexes and not Dataset. So runs over one tree, or one set of trees,
+// may run at the same time, and each gives the Result it gives alone.
+// Only a call that changes a tree (ctree's InsertBatch or MergeFrom)
+// must not overlap a run over it.
 type Input struct {
 	// Dataset holds points normalized to [0,1)^d.
 	Dataset *dataset.Dataset
@@ -306,17 +313,20 @@ type Input struct {
 // and point labeling fan out too; the result is bit-identical to the
 // serial run for every worker count.
 //
-// A run over one given tree clears its Used flags at entry, so
+// The β-search keeps Algorithm 2's usedCell flags itself, one per level
+// index entry, so a run only reads its trees and their level indexes:
 // rerunning on the same tree — the CLI's -load-tree path, or an α sweep
-// over one build — starts from a clean slate and yields the same Result
-// (TestRunOnTreeTwiceIdentical pins it). Over several trees the
-// β-search reads the level indexes of their union
-// (ctree.UnionLevelIndexes), whose counts add up across the trees, so
-// the Result is the one a run over their ctree.Union gives and no
-// merged tree is written: the streaming service clusters its two-tree
-// window this way. Such a run leaves the trees' flags alone, keeps none
-// in Result.Tree, and refuses trees whose points sum past
-// ctree.MaxPoints.
+// over one build — yields the same Result (TestRunOnTreeTwiceIdentical
+// pins it), and so do reruns side by side
+// (TestConcurrentRunsWriteNothing). A run over one tree reads the level
+// indexes cached on it, which the first run builds under the tree's
+// lock (ctree.Tree.EnsureLevelIndexes). Over several trees the β-search
+// reads the level indexes of their union (ctree.UnionLevelIndexes),
+// whose counts add up across the trees, so the Result is the one a run
+// over their ctree.Union gives and no merged tree is written: the
+// streaming service clusters its two-tree window this way. Such a run
+// caches nothing on the trees, keeps none in Result.Tree, and refuses
+// trees whose points sum past ctree.MaxPoints.
 func Run(ctx context.Context, in Input, cfg Config) (res *Result, err error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -465,15 +475,6 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 		return nil, obs.PhaseBetaSearch, fmt.Errorf("core: tree (d=%d, η=%d) does not match dataset (d=%d, η=%d)",
 			t.D, eta, ds.Dims, ds.Len())
 	}
-	var one *ctree.Tree
-	if len(trees) == 1 {
-		// The β-search consumes the Used flags; clearing them here
-		// (O(cells), a no-op on a freshly built tree) makes reruns on
-		// one tree self-contained instead of depending on the caller
-		// remembering ResetUsed.
-		one = t
-		t.ResetUsed()
-	}
 	workers := cfg.workerCount()
 	start := time.Now()
 	spIndex := col.Start(obs.PhaseLevelIndex)
@@ -489,7 +490,7 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 			col.CountCells(ix.Level, int64(ix.Len()))
 		}
 	}
-	s := &searcher{idx: idx, tree: one, d: t.D, cfg: cfg, workers: workers, col: col, abort: ab, critCache: make(map[int]int)}
+	s := &searcher{idx: idx, d: t.D, cfg: cfg, workers: workers, col: col, abort: ab, critCache: make(map[int]int)}
 	betas, err := s.findBetaClusters()
 	spSearch.End()
 	if err != nil {
@@ -544,8 +545,8 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 		col.SetSpillStats(spillRuns, spillBytes)
 	}
 	var keep *ctree.Tree
-	if cfg.KeepTree {
-		keep = one
+	if cfg.KeepTree && len(trees) == 1 {
+		keep = t
 	}
 	return &Result{
 		Tree:            keep,
@@ -572,10 +573,10 @@ func levelIndexes(trees []*ctree.Tree) ([]*ctree.LevelIndex, error) {
 
 // searcher carries the state of the β-cluster search (Algorithm 2).
 // It addresses a cell by level and entry index in the level indexes,
-// which hold every count the search reads.
+// which hold every count the search reads, and owns the one state the
+// search writes besides its β-clusters: the usedCell flags.
 type searcher struct {
-	idx       []*ctree.LevelIndex // the run's level indexes: idx[h-1] is level h
-	tree      *ctree.Tree         // the run's tree when it has one, whose Used flags follow the index's; nil over several
+	idx       []*ctree.LevelIndex // the run's level indexes: idx[h-1] is level h; read only
 	d         int
 	cfg       Config
 	workers   int
@@ -585,9 +586,13 @@ type searcher struct {
 	critCache map[int]int // nP -> θ (see criticalValue) at cfg.Alpha (p = 1/6)
 	lBuf      []float64   // scratch cell bounds for the overlap check
 	uBuf      []float64
+	// used[h][i] is the usedCell flag of level h's entry i, allocated
+	// when a pass first reaches level h (usedAt): set on every cell a
+	// β-test took, so no pass picks it again.
+	used [][]bool
 	// scans holds the per-level one-shot convolution caches
 	// (scancache.go): the cell set and mask values of a level are fixed
-	// for the searcher's lifetime — only the Used flags and the
+	// for the searcher's lifetime — only the used flags and the
 	// β-cluster list change between restart passes, and the cached scan
 	// re-checks both per entry.
 	scans []*levelScan
@@ -647,19 +652,23 @@ func (s *searcher) findBetaClusters() ([]BetaCluster, error) {
 	}
 }
 
-// markUsed sets the usedCell flag of level h's entry i and, in a run
-// over one tree, that tree's flag of the cell (a snapshot saved after
-// the run keeps them).
-func (s *searcher) markUsed(h, i int) {
-	ix := s.idx[h-1]
-	ix.SetUsed(i, true)
-	if s.tree != nil {
-		s.tree.SetUsed(ix.Ref(i, 0), true)
+// usedAt returns level h's usedCell flags, one per index entry,
+// allocating them clear when a pass first reaches the level.
+func (s *searcher) usedAt(h int) []bool {
+	if s.used == nil {
+		s.used = make([][]bool, len(s.idx)+1)
 	}
+	if s.used[h] == nil {
+		s.used[h] = make([]bool, s.idx[h-1].Len())
+	}
+	return s.used[h]
 }
 
+// markUsed sets the usedCell flag of level h's entry i.
+func (s *searcher) markUsed(h, i int) { s.usedAt(h)[i] = true }
+
 // densestCell returns the path, entry index and convolution value of
-// the eligible (not Used, not β-overlapping) cell at level h with the
+// the eligible (not used, not β-overlapping) cell at level h with the
 // largest convolution value, ties broken by the lexicographically
 // smallest path so the method stays deterministic, or (nil, -1, 0) when
 // no cell is eligible. It reads the first eligible entry of the level's

@@ -76,8 +76,7 @@ func TestExternalBuildCleansSpillDir(t *testing.T) {
 }
 
 // TestKeepTree pins Config.KeepTree: the run hands back the tree it
-// clustered on, and after ResetUsed a run over it reproduces the
-// clustering.
+// clustered on, and a run over it reproduces the clustering.
 func TestKeepTree(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{Dims: 5, Points: 5000, Clusters: 2,
 		NoiseFrac: 0.1, MinClusterDim: 3, MaxClusterDim: 4, Seed: 37})
@@ -95,7 +94,6 @@ func TestKeepTree(t *testing.T) {
 	if without.Tree != nil {
 		t.Fatal("default run returned a non-nil Tree")
 	}
-	first.Tree.ResetUsed()
 	rerun, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{first.Tree}}, core.Config{})
 	if err != nil {
 		t.Fatalf("rerun on kept tree: %v", err)

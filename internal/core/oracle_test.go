@@ -60,8 +60,9 @@ func (s *searcher) densestCellNaive(h int) (ctree.Path, int, int64) {
 	if workers > n {
 		workers = n
 	}
+	used := s.usedAt(h)
 	if workers <= 1 {
-		best := s.scanChunk(ix, 0, n)
+		best := s.scanChunk(ix, used, 0, n)
 		return best.path, best.entry, best.val
 	}
 	bests := make([]chunkBest, workers)
@@ -69,7 +70,7 @@ func (s *searcher) densestCellNaive(h int) (ctree.Path, int, int64) {
 		bests[i].entry = -1
 	}
 	err := parallelRangesIndexedErr(n, workers, func(w, lo, hi int) error {
-		bests[w] = s.scanChunk(ix, lo, hi)
+		bests[w] = s.scanChunk(ix, used, lo, hi)
 		return nil
 	})
 	if err != nil {
@@ -94,13 +95,14 @@ func (s *searcher) densestCellNaive(h int) (ctree.Path, int, int64) {
 }
 
 // scanChunk computes the [lo, hi) chunk's argmax under the (value,
-// path) order. It only reads shared state — the level index, its Used
-// flags (set strictly between scans) and the β-cluster list — and owns
+// path) order. It only reads shared state — the level index, the
+// level's used flags (set strictly between scans) and the β-cluster
+// list — and owns
 // its bounds and neighbor-path scratch, so concurrent calls on disjoint
 // chunks are race-free. Instrumentation stays out of the loop: mask
 // applications are counted in a local and merged with one atomic add
 // per chunk.
-func (s *searcher) scanChunk(ix *ctree.LevelIndex, lo, hi int) chunkBest {
+func (s *searcher) scanChunk(ix *ctree.LevelIndex, used []bool, lo, hi int) chunkBest {
 	best := chunkBest{val: math.MinInt64, entry: -1}
 	lBuf := make([]float64, s.d)
 	uBuf := make([]float64, s.d)
@@ -123,7 +125,7 @@ func (s *searcher) scanChunk(ix *ctree.LevelIndex, lo, hi int) chunkBest {
 			}
 		}
 		p := ix.PathOf(i)
-		if ix.Used(i) || s.sharesSpaceWithBetaInto(p, lBuf, uBuf) {
+		if used[i] || s.sharesSpaceWithBetaInto(p, lBuf, uBuf) {
 			continue
 		}
 		v := s.maskValue(ix, p, i, pathBuf)
@@ -157,11 +159,12 @@ func (s *searcher) densestCellRewalk(h int) (ctree.Path, int, int64) {
 		s.failWorker(err)
 		return nil, -1, 0
 	}
+	used := s.usedAt(h)
 	var skips int64
 	for pos := 0; pos < len(sc.order) || sc.pop(); pos++ {
 		idx := int(sc.order[pos])
 		p := sc.ix.PathOf(idx)
-		if sc.ix.Used(idx) || s.sharesSpaceWithBeta(p) {
+		if used[idx] || s.sharesSpaceWithBeta(p) {
 			skips++
 			continue
 		}

@@ -10,13 +10,12 @@ import (
 	"mrcc/internal/synthetic"
 )
 
-// TestRunOnTreeTwiceIdentical pins the warm-start bugfix: a run over a
-// given tree clears the tree's Used flags itself, so a second run on the same
-// tree — with no manual ResetUsed in between — returns exactly the
-// clusters the first run did. This is the loop a long-running service
-// (and the CLI's -load-tree path) executes continuously; before the
-// fix, the second run saw every first-run winner cell still marked
-// Used and silently clustered on the leftovers.
+// TestRunOnTreeTwiceIdentical pins the warm-start bugfix: a second run
+// on the same tree returns exactly the clusters the first run did. This
+// is the loop a long-running service (and the CLI's -load-tree path)
+// executes continuously; a run that left its usedCell flags on the
+// tree would make the next one skip every earlier winner cell and
+// silently cluster on the leftovers.
 func TestRunOnTreeTwiceIdentical(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{
 		Dims: 8, Points: 6000, Clusters: 3, NoiseFrac: 0.1,
@@ -92,13 +91,11 @@ func TestRunTreeMatchesRunOnTree(t *testing.T) {
 	}
 }
 
-// TestRunUsedFlagsStayOnOneTree pins where a run leaves its usedCell
-// flags. A run over one tree marks that tree's cells exactly where its
-// level index marks its entries, including every β-cluster's center, as
-// a run always has, so a snapshot saved after the run keeps them. A run
-// over several trees marks only its own index and leaves every source's
-// flags clear: the service's aging tree is shared with snapshot saves.
-func TestRunUsedFlagsStayOnOneTree(t *testing.T) {
+// TestRunMarksNoTree pins where a run keeps its usedCell flags: in its
+// own searcher. No run marks a cell of a tree it clusters, whether it
+// clusters one tree or several, so a snapshot saved after a run saves
+// the Used column clear.
+func TestRunMarksNoTree(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{
 		Dims: 8, Points: 6000, Clusters: 3, NoiseFrac: 0.1,
 		MinClusterDim: 4, MaxClusterDim: 6, Seed: 12,
@@ -107,43 +104,23 @@ func TestRunUsedFlagsStayOnOneTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{tree}}, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Betas) == 0 {
-		t.Fatal("no β-clusters; the check is vacuous")
-	}
-	marked := 0
-	for _, ix := range tree.EnsureLevelIndexes() {
-		for i := 0; i < ix.Len(); i++ {
-			if ix.Used(i) != tree.Used(ix.Ref(i, 0)) {
-				t.Fatalf("level %d entry %d: index flag %v, tree flag %v", ix.Level, i, ix.Used(i), tree.Used(ix.Ref(i, 0)))
-			}
-			if ix.Used(i) {
-				marked++
-			}
-		}
-	}
-	for _, b := range res.Betas {
-		if r := tree.CellAt(b.Center); r == ctree.NilRef || !tree.Used(r) {
-			t.Fatalf("β-cluster center %v is not marked used in the tree", b.Center)
-		}
-	}
-	if marked < len(res.Betas) {
-		t.Fatalf("%d cells marked for %d β-clusters", marked, len(res.Betas))
-	}
 	aging, active := core.WindowTrees(t, ds.Points, ds.Dims, core.DefaultH, 1000)
-	if _, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{active, aging}}, core.Config{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range []*ctree.Tree{active, aging} {
-		for h := 1; h <= tr.H-1; h++ {
-			tr.WalkLevel(h, func(p ctree.Path, r ctree.Ref) {
-				if tr.Used(r) {
-					t.Fatalf("a run over two trees marked source cell %v used", p)
-				}
-			})
+	for _, trees := range [][]*ctree.Tree{{tree}, {active, aging}} {
+		res, err := core.Run(context.Background(), core.Input{Trees: trees}, core.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Betas) == 0 {
+			t.Fatal("no β-clusters; the check is vacuous")
+		}
+		for _, tr := range trees {
+			for h := 1; h <= tr.H-1; h++ {
+				tr.WalkLevel(h, func(p ctree.Path, r ctree.Ref) {
+					if tr.Used(r) {
+						t.Fatalf("a run over %d trees marked source cell %v used", len(trees), p)
+					}
+				})
+			}
 		}
 	}
 }

@@ -167,11 +167,11 @@ func TestScanCacheEquivalence(t *testing.T) {
 }
 
 // TestScanCacheEquivalenceAllUsed is the exhausted-tree edge case: a
-// tree arriving with every stored cell already marked Used (a snapshot
-// saved after a completed search, say) is indistinguishable from a
-// fresh one, because a run over a given tree clears the flags at
-// entry. Both scans must agree with each other and with a run on an
-// untouched tree.
+// tree arriving with every stored cell set in its Used column (a
+// snapshot an older release saved after a completed search, say) is
+// indistinguishable from a fresh one, because the β-search keeps its
+// own flags and never reads the column. Both scans must agree with
+// each other and with a run on an untouched tree.
 func TestScanCacheEquivalenceAllUsed(t *testing.T) {
 	ds, _ := genSmall(t, synthetic.Config{
 		Dims: 6, Points: 3000, Clusters: 2, NoiseFrac: 0.1,
@@ -184,8 +184,13 @@ func TestScanCacheEquivalenceAllUsed(t *testing.T) {
 			t.Fatal(err)
 		}
 		if exhaust {
-			for h := 1; h <= tr.H-1; h++ {
-				tr.WalkLevel(h, func(p ctree.Path, c ctree.Ref) { tr.SetUsed(c, true) })
+			c := tr.Columns()
+			c.Used = make([]bool, c.Rows())
+			for r := 1; r < len(c.Used); r++ {
+				c.Used[r] = true
+			}
+			if tr, err = ctree.NewFromColumns(tr.D, tr.H, tr.Eta, c); err != nil {
+				t.Fatal(err)
 			}
 		}
 		cfg := core.Config{H: tr.H}

@@ -29,8 +29,8 @@ func scanPairTree(t *testing.T, gen synthetic.Config, h int) (*ctree.Tree, *data
 }
 
 // searcherOver returns a searcher over the level indexes idx, as
-// runOnTreeAbortable sets one up; searchers over one idx share its Used
-// flags.
+// runOnTreeAbortable sets one up; searchers over one idx share no flag,
+// each keeping its own used flags, as each run does.
 func searcherOver(idx []*ctree.LevelIndex, cfg Config, workers int) *searcher {
 	return &searcher{idx: idx, d: idx[0].D, cfg: cfg, workers: workers}
 }
@@ -101,12 +101,11 @@ func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 	}
 }
 
-// unionIndexes returns the level indexes over srcs: the tree's own,
-// with its Used flags cleared, for one source, the union's otherwise.
+// unionIndexes returns the level indexes over srcs: the tree's own for
+// one source, the union's otherwise.
 func unionIndexes(t *testing.T, srcs []*ctree.Tree) []*ctree.LevelIndex {
 	t.Helper()
 	if len(srcs) == 1 {
-		srcs[0].ResetUsed()
 		return srcs[0].EnsureLevelIndexes()
 	}
 	idx, err := ctree.UnionLevelIndexes(srcs...)
@@ -118,9 +117,9 @@ func unionIndexes(t *testing.T, srcs []*ctree.Tree) []*ctree.LevelIndex {
 
 // stepScanPair runs up to 40 restart passes over the indexed levels
 // 2..H-1 with both searchers, which share one index, failing on the
-// first pass whose winners differ. Each winner is marked Used in the
-// index, and every third becomes a β-cluster in both searchers, so the
-// overlap-skip path diverges from the Used path and gets pinned too. It
+// first pass whose winners differ. Each winner is marked used in both
+// searchers, and every third becomes a β-cluster in both, so the
+// overlap-skip path diverges from the used path and gets pinned too. It
 // returns the number of winners and how many of them had the same value
 // as the previous winner of their level.
 func stepScanPair(t *testing.T, naive, cached *searcher) (hits, ties int) {
@@ -149,9 +148,10 @@ func stepScanPair(t *testing.T, naive, cached *searcher) (hits, ties int) {
 				ties++
 			}
 			last[h] = nv
-			// Mark the shared winner used, exactly as findBetaClusters
-			// does after a scan.
-			naive.idx[h-1].SetUsed(nc, true)
+			// Mark the common winner used in both searchers, exactly as
+			// findBetaClusters does after a scan.
+			naive.markUsed(h, nc)
+			cached.markUsed(h, nc)
 			progressed = true
 			hits++
 			if hits%3 == 0 {
@@ -251,7 +251,9 @@ func TestCacheRepairMatchesFullRebuildPerPass(t *testing.T) {
 				t.Fatalf("pass %d level %d: path/value mismatch: naive (%v,%d), repaired (%v,%d), rebuilt (%v,%d)",
 					pass, h, np, nv, rp, rv, fp, fv)
 			}
-			idx[h-1].SetUsed(nc, true)
+			naive.markUsed(h, nc)
+			repaired.markUsed(h, nc)
+			rebuilt.markUsed(h, nc)
 			progressed = true
 			hits++
 			if hits%3 == 0 {
@@ -313,7 +315,7 @@ func TestCacheRepairAllCellsFlipInOnePass(t *testing.T) {
 }
 
 // TestDensestCellSingleCellLevel pins both scans on a level of exactly
-// one cell: the lone cell must win, then — once Used — the level must
+// one cell: the lone cell must win, then — once used — the level must
 // come back empty from both.
 func TestDensestCellSingleCellLevel(t *testing.T) {
 	ds := &dataset.Dataset{Dims: 3}
@@ -335,7 +337,8 @@ func TestDensestCellSingleCellLevel(t *testing.T) {
 			t.Fatalf("level %d: single-cell winners differ: naive (%v,%d,%d), cached (%v,%d,%d)",
 				h, np, nc, nv, cp, cc, cv)
 		}
-		naive.idx[h-1].SetUsed(nc, true)
+		naive.markUsed(h, nc)
+		cached.markUsed(h, nc)
 		if _, nc2, _ := naive.densestCell(h); nc2 >= 0 {
 			t.Fatalf("level %d: naive scan re-found the used lone cell", h)
 		}

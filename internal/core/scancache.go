@@ -1,8 +1,8 @@
 // One-shot convolution cache for the β-search (phase two).
 //
 // Mask values are pure functions of the immutable Counting-tree: the
-// restart loop of Algorithm 2 mutates only the Used flags and the
-// β-cluster overlap set, never a cell count. So instead of
+// restart loop of Algorithm 2 mutates only the searcher's used flags
+// and its β-cluster overlap set, never a cell count. So instead of
 // re-convolving every cell of every level on every restart pass (the
 // naive scan, a test oracle kept for the equivalence suite and the
 // phase-two benchmark), the searcher computes each
@@ -12,7 +12,7 @@
 // entries in the scan's total order (value descending, lexicographic
 // path ascending; the level index lists its entries in path order, so
 // the tie-break compares entry indexes) and return the first entry
-// that is neither Used nor β-overlapping. Because that order IS the
+// that is neither used nor β-overlapping. Because that order IS the
 // argmax order, the first eligible entry is exactly the cell the naive
 // scan would pick, so the serial-equivalence guarantee survives
 // unchanged (pinned by internal/core/scan_equiv_test.go).
@@ -43,9 +43,9 @@ import (
 //
 // start is the incremental-repair cursor: order[:start] is the prefix
 // of entries already observed ineligible. Within one searcher lifetime
-// ineligibility is monotone — the restart loop only ever SETS Used
-// flags (ResetUsed runs before the searcher exists) and the β-cluster
-// list is append-only, so a cell that overlaps any β-cluster overlaps
+// ineligibility is monotone — the restart loop only ever SETS used
+// flags (a searcher's start clear) and the β-cluster list is
+// append-only, so a cell that overlaps any β-cluster overlaps
 // it forever. A retired entry can therefore never become eligible
 // again, and each restart pass resumes the skip-scan at start instead
 // of re-deriving the whole prefix's eligibility: the per-pass cost is
@@ -188,11 +188,11 @@ func (sc *levelScan) pop() bool {
 
 // densestCellCached returns the first eligible entry of level h's scan
 // order — by construction the same (cell, value) the naive per-pass
-// argmax scan selects — or (nil, -1, 0) when every entry is Used or
+// argmax scan selects — or (nil, -1, 0) when every entry is used or
 // β-overlapping. Entries leave the heap only as the walk reaches them.
 //
 // The scan resumes at the level's repair cursor and retires every
-// ineligible entry it passes (see levelScan): entries whose Used flag
+// ineligible entry it passes (see levelScan): entries whose used flag
 // or β-overlap status did not change since the previous pass are never
 // re-examined, so the pass costs O(changed) eligibility checks.
 func (s *searcher) densestCellCached(h int) (ctree.Path, int, int64) {
@@ -204,12 +204,12 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, int, int64) {
 		s.failWorker(err)
 		return nil, -1, 0
 	}
-	from := int(sc.start)
+	used, from := s.usedAt(h), int(sc.start)
 	var skips int64
 	for pos := from; pos < len(sc.order) || sc.pop(); pos++ {
 		idx := int(sc.order[pos])
 		p := sc.ix.PathOf(idx)
-		if sc.ix.Used(idx) || s.sharesSpaceWithBeta(p) {
+		if used[idx] || s.sharesSpaceWithBeta(p) {
 			skips++
 			continue
 		}

@@ -18,7 +18,11 @@
 // are all the level indexes need to group a level by parent. No tree
 // carries child links, and none is counted into once it holds cells:
 // Runs.Add and InsertBatch Build their batch into a fresh tree and
-// unite it with the older ones.
+// unite it with the older ones. Nor does a run write a tree: the
+// β-search keeps its usedCell flags itself (internal/core), and the
+// Used column stays only because snapshot format v1 stores it, so it
+// holds what a loaded snapshot held (the union of its sources' flags
+// after a Union) and is clear in every tree counted from points.
 // Only a spilled build, which cannot count its cells ahead, grows its
 // arena, doubling from arenaInitialCap rows, and trims it once its
 // merge ends.
@@ -72,7 +76,7 @@ type Tree struct {
 	// State columns, indexed by Ref. Index 0 is the root sentinel.
 	loc        []uint64 // position relative to the parent (bit j = upper half of axis j)
 	n          []int32  // point count
-	used       []bool   // usedCell flag consumed by the clustering phase
+	used       []bool   // the usedCell column snapshot format v1 stores; no run reads or writes it
 	level      []uint8  // tree level (0 for the root sentinel)
 	parent     []Ref    // parent cell (rootRef for level-1 cells)
 	childCount []int32  // number of children
@@ -225,28 +229,14 @@ func (t *Tree) PRow(r Ref) []int32 {
 	return t.p[int(r)*d : int(r)*d+d : int(r)*d+d]
 }
 
-// Used reports the cell's usedCell flag.
+// Used reports the cell's flag in the usedCell column snapshot format
+// v1 stores. No run reads or writes it: the β-search keeps its own
+// flags.
 func (t *Tree) Used(r Ref) bool { return t.used[r] }
-
-// SetUsed sets the cell's usedCell flag. The clustering phase marks
-// the winning cell of each scan pass this way.
-func (t *Tree) SetUsed(r Ref, used bool) { t.used[r] = used }
 
 // CellCount returns the number of stored cells across all levels (the
 // root sentinel is not a cell).
 func (t *Tree) CellCount() int64 { return int64(len(t.loc)) - 1 }
-
-// ResetUsed clears every usedCell flag, the tree's and its cached
-// level indexes', allowing the clustering phase to run again over the
-// same tree.
-func (t *Tree) ResetUsed() {
-	clear(t.used)
-	t.idxMu.Lock()
-	for _, ix := range t.indexes {
-		clear(ix.used)
-	}
-	t.idxMu.Unlock()
-}
 
 // MemoryBytes returns the EXACT heap footprint of the tree's arena in
 // O(1): the state columns and the half-space slab at their shared

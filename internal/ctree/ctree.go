@@ -2,10 +2,15 @@
 // paper): a quadtree-like structure that represents a normalized dataset
 // as a stack of d-dimensional hyper-grids at H resolutions. Level h
 // (1 <= h <= H-1) partitions the unit hyper-cube into cells of side
-// 1/2^h; each cell stores its point count, per-axis half-space counts,
-// the usedCell flag consumed by the clustering phase, and a link to
-// its refinement at the next level. Only non-empty cells are stored, so
-// a level holds at most η cells even though the full grid has 2^(dh).
+// 1/2^h; each cell stores its point count and per-axis half-space
+// counts, and the cells of level h+1 refine those of level h under
+// their parents. Only non-empty cells are stored, so a level holds at
+// most η cells even though the full grid has 2^(dh). The paper's
+// usedCell flag is search state: the β-search keeps it per run
+// (internal/core), so a run only reads a tree and its level indexes,
+// and any number of runs may read one tree at once. A tree still
+// carries a Used column because snapshot format v1 stores one
+// (arena.go).
 //
 // Cells live in an arena of structure-of-arrays slabs and are addressed
 // by int32 Refs — see arena.go for the layout and build.go for the

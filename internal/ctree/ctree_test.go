@@ -270,18 +270,6 @@ func TestDeterministicWalkOrder(t *testing.T) {
 	}
 }
 
-func TestResetUsed(t *testing.T) {
-	ds := uniformDataset(t, 3, 100, 29)
-	tr, _ := Build(ds, 4, BuildOptions{})
-	tr.WalkLevel(2, func(_ Path, r Ref) { tr.SetUsed(r, true) })
-	tr.ResetUsed()
-	tr.WalkLevel(2, func(_ Path, r Ref) {
-		if tr.Used(r) {
-			t.Fatal("ResetUsed left a flag set")
-		}
-	})
-}
-
 func TestMemoryBytesGrowsWithData(t *testing.T) {
 	small, _ := Build(uniformDataset(t, 4, 100, 31), 4, BuildOptions{})
 	large, _ := Build(uniformDataset(t, 4, 10000, 31), 4, BuildOptions{})

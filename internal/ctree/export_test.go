@@ -38,6 +38,11 @@ func UpperLink(ix *LevelIndex, i, j int) int {
 	return -1
 }
 
+// SourceRef returns entry i's arena Ref in ix's src-th source tree, or
+// NilRef when that source does not store the cell, for the oracle that
+// checks an index's refs against WalkLevel.
+func SourceRef(ix *LevelIndex, i, src int) Ref { return ix.refs[src][i] }
+
 // Canonical reports whether t's arena lists the cells in the canonical
 // order: every tree's does, and the per-point Insert oracle's does not.
 func Canonical(t *Tree) bool { return t.scanCanonical() }

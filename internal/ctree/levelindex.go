@@ -2,10 +2,12 @@
 // Counting-tree, or of the union of several, for the β-search. Each
 // entry carries its cell's root path, its point count summed over the
 // source trees, one arena Ref per source (NilRef where that source
-// lacks the cell), the usedCell flag the search sets, and its face sum:
-// the total point count of the cell's stored face neighbors, both sides
-// of every axis. The face-mask convolution of an entry is then
-// 2d·N − FaceSum, one array read instead of 2d root-to-leaf descents.
+// lacks the cell) and its face sum: the total point count of the cell's
+// stored face neighbors, both sides of every axis. The face-mask
+// convolution of an entry is then 2d·N − FaceSum, one array read
+// instead of 2d root-to-leaf descents. The search's usedCell flags are
+// not here: each run keeps its own (internal/core), so nothing writes
+// an index once it is built.
 //
 // Every level lists its cells in lexicographic path order: level h
 // holds, for each level h-1 entry in turn, that cell's children
@@ -29,10 +31,10 @@
 // Moore's multi-tree methods, rather than combined first.
 // Tree.EnsureLevelIndexes is the one-tree case, cached on the tree; it
 // stays valid for as long as the tree's arena does not change
-// (InsertBatch and MergeFrom invalidate it). An index reads its
-// sources' half-space counters, so mutating a source concurrently with
-// index access is not supported (the pipeline never does: indexes are
-// built before the scan workers fan out, and scan workers only read).
+// (InsertBatch and MergeFrom invalidate it). Any number of runs may
+// read one index at once. An index reads its sources' half-space
+// counters, so mutating a source concurrently with index access is not
+// supported.
 package ctree
 
 import (
@@ -44,8 +46,8 @@ import (
 // LevelIndex is the flat snapshot of one level of the union of its
 // source trees: one slab per column in lexicographic path order (entry
 // a precedes entry b exactly when PathOf(a).Compare(PathOf(b)) < 0).
-// It owns each entry's summed point count and usedCell flag; the
-// half-space counts are read through the per-source Refs.
+// It owns each entry's summed point count; the half-space counts are
+// read through the per-source Refs.
 type LevelIndex struct {
 	// Level is the tree level the index covers (1 <= Level <= H-1).
 	Level int
@@ -61,7 +63,6 @@ type LevelIndex struct {
 	// Slabs, entry i occupying [i*width, (i+1)*width):
 	paths []uint64 // width Level: the cell's root path words
 	cnt   []int32  // the cell's point count, summed over the sources
-	used  []bool   // the usedCell flag the β-search sets
 	face  []int64  // Σ N over the entry's stored face neighbors
 	// up lists the level's face-neighbor pairs, each cell with its
 	// upper neighbor along one axis, in blocks of Len() pairs, so that
@@ -74,10 +75,6 @@ type LevelIndex struct {
 
 // Len returns the number of stored cells at the level.
 func (ix *LevelIndex) Len() int { return ix.n }
-
-// Ref returns entry i's arena Ref in source src (the index's src-th
-// tree), or NilRef when that source does not store the cell.
-func (ix *LevelIndex) Ref(i, src int) Ref { return ix.refs[src][i] }
 
 // N returns entry i's point count, summed over the sources.
 func (ix *LevelIndex) N(i int) int32 { return ix.cnt[i] }
@@ -94,14 +91,6 @@ func (ix *LevelIndex) P(i, j int) int32 {
 	}
 	return sum
 }
-
-// Used reports entry i's usedCell flag.
-func (ix *LevelIndex) Used(i int) bool { return ix.used[i] }
-
-// SetUsed sets entry i's usedCell flag. The β-search marks the winning
-// cell of each scan pass this way; the source trees' own flags are not
-// touched.
-func (ix *LevelIndex) SetUsed(i int, used bool) { ix.used[i] = used }
 
 // FaceSum returns the summed point counts of entry i's stored face
 // neighbors, lower and upper along every axis: the 2d face terms of the
@@ -158,7 +147,6 @@ func (ix *LevelIndex) MemoryBytes() uint64 {
 		total += uint64(unsafe.Sizeof(refs)) + uint64(cap(refs))*uint64(unsafe.Sizeof(NilRef))
 	}
 	total += uint64(cap(ix.cnt)) * 4
-	total += uint64(cap(ix.used))
 	total += uint64(cap(ix.face)) * 8
 	for _, block := range ix.up {
 		total += uint64(unsafe.Sizeof(block)) + uint64(cap(block))*uint64(unsafe.Sizeof(upLink{}))
@@ -528,9 +516,9 @@ func (ix *LevelIndex) mergeLinks(locs []uint64, lo, hi, blo, bhi, j int, set boo
 // EnsureLevelIndexes materializes the level indexes of t alone for
 // every stored level (1..H-1) and returns them (indexes[h-1] is level
 // h). The call is idempotent and cheap after the first build;
-// InsertBatch and MergeFrom invalidate the cache, and ResetUsed clears
-// its usedCell flags. Concurrent calls are safe; calling concurrently
-// with tree mutation is not.
+// InsertBatch and MergeFrom invalidate the cache. Concurrent calls are
+// safe, and so is reading the indexes from many runs at once; calling
+// concurrently with tree mutation is not.
 func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
@@ -580,7 +568,7 @@ func buildLevelIndexes(srcs []*Tree, keepLinks bool) []*LevelIndex {
 		refs, cnt, runs = m.merge(h, parRefs, runs)
 		ix := &LevelIndex{
 			Level: h, D: srcs[0].D, srcs: srcs, n: len(cnt), refs: refs, cnt: cnt,
-			used: make([]bool, len(cnt)), face: make([]int64, len(cnt)),
+			face: make([]int64, len(cnt)),
 		}
 		ix.fillPaths(above, runs)
 		ix.linkUpper(above, runs, keepLinks || h < H-1)

@@ -290,7 +290,7 @@ func checkIndexMatchesWalk(t *testing.T, name string, srcs []*ctree.Tree) {
 			var n int32
 			pc := make([]int32, d)
 			for s, tr := range srcs {
-				r := ix.Ref(i, s)
+				r := ctree.SourceRef(ix, i, s)
 				if r != refs[s] {
 					t.Fatalf("%s: level %d entry %d: source %d Ref %d, WalkLevel's %d", name, h, i, s, r, refs[s])
 				}

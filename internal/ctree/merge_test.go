@@ -246,8 +246,8 @@ func TestUnionOrsUsedFlags(t *testing.T) {
 	}
 	for h := 1; h <= 3; h++ {
 		i := 0
-		a.WalkLevel(h, func(_ Path, r Ref) { a.SetUsed(r, i%2 == 0); i++ })
-		b.WalkLevel(h, func(_ Path, r Ref) { b.SetUsed(r, i%3 == 0); i++ })
+		a.WalkLevel(h, func(_ Path, r Ref) { a.used[r] = i%2 == 0; i++ })
+		b.WalkLevel(h, func(_ Path, r Ref) { b.used[r] = i%3 == 0; i++ })
 	}
 	u, err := Union(a, b)
 	if err != nil {

@@ -33,7 +33,9 @@ type Columns struct {
 	Loc []uint64
 	// N is the cell's point count.
 	N []int32
-	// Used is the usedCell flag consumed by the clustering phase.
+	// Used is the usedCell column format v1 stores. No run reads or
+	// writes it (the β-search keeps its own flags), so it is clear in
+	// every tree counted from points.
 	Used []bool
 	// Level is the cell's tree level (0 for the root sentinel).
 	Level []uint8

@@ -3,8 +3,9 @@
 // builds each batch into a run of its own and unites the newest runs by
 // size, the one ingest rule of the streaming service and the facade;
 // InsertBatch folds a batch into one tree through Build and one Union;
-// Clone produces an independent tree a caller can cluster, whose Used
-// flags and cached level indexes leave the original alone.
+// Clone produces an independent tree, so that a one-tree run can cache
+// its level indexes on a copy that is dropped with them instead of on
+// the original.
 package ctree
 
 import (

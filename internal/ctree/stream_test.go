@@ -126,8 +126,8 @@ func TestCloneIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dirty some state a β-search would leave behind.
-	orig.WalkLevel(2, func(p Path, r Ref) { orig.SetUsed(r, true) })
+	// Set some flags of the Used column, which the clone must copy.
+	orig.WalkLevel(2, func(p Path, r Ref) { orig.used[r] = true })
 	clone := orig.Clone()
 	if !treesEqual(t, orig, clone) {
 		t.Fatal("clone differs from the original")
@@ -142,14 +142,14 @@ func TestCloneIndependence(t *testing.T) {
 	if err := orig.InsertBatch(extra.Points); err != nil {
 		t.Fatal(err)
 	}
-	orig.ResetUsed()
+	clear(orig.used)
 	if !treesEqual(t, snapshot, clone) {
 		t.Fatal("mutating the original changed the clone")
 	}
 	if err := clone.InsertBatch(extra.Points); err != nil {
 		t.Fatal(err)
 	}
-	clone.ResetUsed()
+	clear(clone.used)
 	if !treesEqual(t, orig, clone) {
 		t.Fatal("identical mutations of original and clone diverged")
 	}

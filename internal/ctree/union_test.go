@@ -37,7 +37,7 @@ func checkUnionIndex(t *testing.T, name string, want *Tree, srcs ...*Tree) {
 				}
 			}
 			for s, src := range srcs {
-				if r := g.Ref(i, s); r != src.CellAt(p) {
+				if r := g.refs[s][i]; r != src.CellAt(p) {
 					t.Fatalf("%s: level %d entry %d: source %d Ref %d, CellAt %d", name, h, i, s, r, src.CellAt(p))
 				}
 			}

@@ -149,7 +149,6 @@ func figSensitivityAlpha(w io.Writer, opt Options) error {
 			return err
 		}
 		for _, alpha := range alphas {
-			tree.ResetUsed()
 			a := alpha
 			var res *core.Result
 			seconds, peakKB, err := measureRun(func() error {

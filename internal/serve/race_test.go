@@ -411,13 +411,13 @@ func TestRunGracefulShutdown(t *testing.T) {
 // waits for one more pass within every ten batches, so passes keep
 // running while batches arrive. Passes share the
 // window's runs with ingest, so under -race this pins that nothing
-// writes a shared run: not a pass (its Used flags and cached indexes go
-// to its own index, or to the clone of a one-tree window, which the
-// window passes through first), not a merge (it writes a new run), not
-// the first pass after a rotation (it unites the retired runs into a
-// new tree). Every pass must succeed, and the window must then unite
-// to the tree a service fed the same batches with no pass holds, Used
-// flags included.
+// writes a shared run: not a pass (it writes nothing it reads, and
+// caches a one-tree window's level index on the clone the window passes
+// through first), not a merge (it writes a new run), not the first pass
+// after a rotation (it unites the retired runs into a new tree). Every
+// pass must succeed, and the window must then unite to the tree a
+// service fed the same batches with no pass holds, Used column
+// included.
 func TestPassSharesRunsDuringIngest(t *testing.T) {
 	cfg := testConfig()
 	cfg.WindowPoints = 300
@@ -450,7 +450,7 @@ func TestPassSharesRunsDuringIngest(t *testing.T) {
 	first := newTestServer(t, Config{Dims: cfg.Dims, Min: cfg.Min, Max: cfg.Max, ReclusterPoints: cfg.ReclusterPoints})
 	ingestBatches(t, first, batches[:1])
 	if !ctree.Equal(window[0], first.active[0]) {
-		t.Fatal("the pass over a one-run window changed the run (its Used flags) instead of a clone")
+		t.Fatal("the pass over a one-run window changed the run")
 	}
 
 	var (

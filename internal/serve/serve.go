@@ -601,13 +601,15 @@ func (s *Server) apply(norm [][]float64, seq uint64) (rotated bool, err error) {
 
 // snapshotTrees captures the clustering input: the window's runs, taken
 // under mu and shared with the pass, not copied, since no run changes
-// once stored. A window that is one tree is cloned instead, because a
-// run over one tree marks its Used flags and caches its level index on
-// it. The first pass after a rotation unites the retired runs into one
-// aging tree, outside the lock, and swaps it in under the lock unless a
-// later rotation dropped them meanwhile, so later passes and snapshots
-// read one aging tree; retired is the points of the aging tree this
-// call swapped in, 0 when it swapped none.
+// once stored and a pass writes nothing it reads. A window that is one
+// tree is cloned instead, for one reason: a run over one tree caches
+// its level index on it, and on the clone the index goes when the pass
+// ends rather than living on with the window's tree. The first pass
+// after a rotation unites the retired runs into one aging tree, outside
+// the lock, and swaps it in under the lock unless a later rotation
+// dropped them meanwhile, so later passes and snapshots read one aging
+// tree; retired is the points of the aging tree this call swapped in, 0
+// when it swapped none.
 func (s *Server) snapshotTrees() (trees ctree.Runs, retired int) {
 	s.mu.Lock()
 	runs := s.aging

@@ -27,7 +27,9 @@ type Options struct {
 	// DistrustChecksums re-runs the full structural snapshot
 	// validation on every received shard tree instead of trusting the
 	// per-column checksums. Workers we spawned (or operate) satisfy
-	// the trust contract, so the default is the fast path.
+	// the trust contract — a worker sends only a tree it built, or a
+	// snapshot file it validated in full — so the default is the fast
+	// path.
 	DistrustChecksums bool
 }
 

@@ -6,6 +6,9 @@
 //	response: "MRSHTRE1" | u8 status
 //	  status 0 (ok):    size-prefixed treeio snapshot (treeio.SaveStream)
 //	  status 1 (error): u32 LE length | UTF-8 error message
+//	  status 2 (format error): as status 1, the message being the
+//	    section and the text of the *treeio.FormatError the worker's
+//	    load returned, split by a NUL byte
 //
 // The snapshot bytes after the status byte are exactly the PR 6 file
 // format; every checksum and structural guarantee of treeio applies to
@@ -15,8 +18,10 @@ package shard
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"mrcc/internal/ctree"
 	"mrcc/internal/fault"
@@ -27,8 +32,9 @@ const (
 	jobMagic  = "MRSHJOB1"
 	treeMagic = "MRSHTRE1"
 
-	statusOK  = 0
-	statusErr = 1
+	statusOK        = 0
+	statusErr       = 1
+	statusFormatErr = 2
 
 	// maxJobBytes bounds the JSON job payload a worker will read: a
 	// job is a path plus two float arrays, never megabytes. A hostile
@@ -105,15 +111,25 @@ func writeTree(w io.Writer, t *ctree.Tree) (int64, error) {
 	return treeio.SaveStream(w, t)
 }
 
-// writeError reports a failed job back to the coordinator.
+// writeError reports a failed job back to the coordinator. A snapshot
+// the worker's load refused goes out as a format error, so that the
+// coordinator returns a *treeio.FormatError too.
 func writeError(w io.Writer, jobErr error) error {
-	msg := []byte(jobErr.Error())
+	status, msg := byte(statusErr), []byte(jobErr.Error())
+	var fe *treeio.FormatError
+	if errors.As(jobErr, &fe) {
+		text := fe.Msg
+		if text == "" && fe.Err != nil {
+			text = fe.Err.Error()
+		}
+		status, msg = statusFormatErr, []byte(fe.Section+"\x00"+text)
+	}
 	if len(msg) > maxErrBytes {
 		msg = msg[:maxErrBytes]
 	}
 	buf := make([]byte, len(treeMagic)+1+4, len(treeMagic)+1+4+len(msg))
 	copy(buf, treeMagic)
-	buf[len(treeMagic)] = statusErr
+	buf[len(treeMagic)] = status
 	binary.LittleEndian.PutUint32(buf[len(treeMagic)+1:], uint32(len(msg)))
 	buf = append(buf, msg...)
 	_, err := w.Write(buf)
@@ -122,7 +138,8 @@ func writeError(w io.Writer, jobErr error) error {
 
 // readTree receives a worker's response: the shard tree on success, or
 // the worker's reported failure. trust selects the fast checksum-
-// trusting snapshot decode (the default between our own processes).
+// trusting snapshot decode, the default between our own processes:
+// every tree a worker sends is one it built or validated in full.
 // bytesIn reports the snapshot bytes consumed on success.
 func readTree(r io.Reader, trust bool) (t *ctree.Tree, bytesIn int64, err error) {
 	hdr := make([]byte, len(treeMagic)+1)
@@ -140,7 +157,7 @@ func readTree(r io.Reader, trust bool) (t *ctree.Tree, bytesIn int64, err error)
 			return nil, cr.n, fmt.Errorf("decoding shard tree: %w", err)
 		}
 		return t, cr.n, nil
-	case statusErr:
+	case statusErr, statusFormatErr:
 		var lenBuf [4]byte
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 			return nil, 0, fmt.Errorf("reading error frame: %w", err)
@@ -152,6 +169,10 @@ func readTree(r io.Reader, trust bool) (t *ctree.Tree, bytesIn int64, err error)
 		msg := make([]byte, n)
 		if _, err := io.ReadFull(r, msg); err != nil {
 			return nil, 0, fmt.Errorf("reading error frame: %w", err)
+		}
+		if hdr[len(treeMagic)] == statusFormatErr {
+			section, text, _ := strings.Cut(string(msg), "\x00")
+			return nil, 0, fmt.Errorf("worker refused the snapshot: %w", &treeio.FormatError{Section: section, Msg: text})
 		}
 		return nil, 0, fmt.Errorf("worker refused the job: %s", msg)
 	default:

@@ -265,6 +265,39 @@ func TestRunCanonicalizesLoneSnapshot(t *testing.T) {
 	}
 }
 
+// TestRunRefusesMiscountedSnapshot pins that a worker validates the
+// snapshot files it is given: a file whose last leaf claims 1000 more
+// points than its parent places there, every checksum recomputed,
+// passes a checksum-trusting load, so the worker must load it in full,
+// and the coordinator must return a *WorkerError wrapping the
+// *treeio.FormatError of that load.
+func TestRunRefusesMiscountedSnapshot(t *testing.T) {
+	const d, n, h = 5, 3000, 4
+	_, ds := writeTestCSV(t, d, n, 58, false)
+	serial, err := ctree.Build(ds, h, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := serial.Columns()
+	c.N = slices.Clone(c.N)
+	c.N[len(c.N)-1] += 1000
+	path := filepath.Join(t.TempDir(), "miscounted.snap")
+	saveRows(t, path, serial, c)
+	if _, _, err := treeio.LoadFile(path, treeio.LoadOptions{TrustChecksums: true}); err != nil {
+		t.Fatalf("a checksum-trusting load refused the file (%v); the test is vacuous", err)
+	}
+	jobs, err := JobsForPaths([]string{path}, KindSnapshot, false, Job{H: h, Dims: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = Run(context.Background(), Options{Addrs: startWorkers(t, 1), Jobs: jobs})
+	var we *WorkerError
+	var fe *treeio.FormatError
+	if !errors.As(err, &we) || !errors.As(we.Err, &fe) || fe.Section != "tree" {
+		t.Fatalf("got %v, want a *WorkerError wrapping a *treeio.FormatError of the tree section", err)
+	}
+}
+
 // levelMajor returns tr's cells in level-major row order, level 1
 // first and each level in tr's order: a valid row order (every parent
 // precedes its children) that is not the canonical one.

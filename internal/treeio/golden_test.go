@@ -64,14 +64,15 @@ func goldenTree(t *testing.T) *ctree.Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var probes []ctree.Ref
 	for _, pr := range goldenProbes {
 		r := tr.CellAt(pr.path)
 		if r == ctree.NilRef {
 			t.Fatalf("golden probe cell %v is not stored", pr.path)
 		}
-		tr.SetUsed(r, true)
+		probes = append(probes, r)
 	}
-	return tr
+	return withUsed(t, tr, probes)
 }
 
 // Pinned facts about the golden tree. These are properties of the

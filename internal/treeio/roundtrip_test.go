@@ -82,16 +82,34 @@ func buildTree(t *testing.T, layout string, d, n, H int, seed int64) *ctree.Tree
 	if err != nil {
 		t.Fatal(err)
 	}
+	var marked []ctree.Ref
 	i := 0
 	for h := 1; h <= H-1; h++ {
 		tr.WalkLevel(h, func(p ctree.Path, r ctree.Ref) {
 			if i%3 == 0 {
-				tr.SetUsed(r, true)
+				marked = append(marked, r)
 			}
 			i++
 		})
 	}
-	return tr
+	return withUsed(t, tr, marked)
+}
+
+// withUsed returns tr assembled again by ctree.NewFromColumns with its
+// Used column set at the given cells, so that a snapshot suite saves a
+// column that is not all clear; no run sets one.
+func withUsed(t *testing.T, tr *ctree.Tree, cells []ctree.Ref) *ctree.Tree {
+	t.Helper()
+	c := tr.Columns()
+	c.Used = make([]bool, c.Rows())
+	for _, r := range cells {
+		c.Used[r] = true
+	}
+	out, err := ctree.NewFromColumns(tr.D, tr.H, tr.Eta, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestRoundTrip pins the snapshot contract over dims × levels ×

@@ -131,6 +131,11 @@ type Dataset = dataset.Dataset
 // immutable runs whose counts add up (one run once built or loaded);
 // its layout is private. A zero Tree holds no Counting-tree, and the
 // calls that need one refuse it with an error.
+//
+// No call but InsertBatch writes a Tree: Run, SaveTree, Points and
+// MemoryBytes only read it, so any number of them may run at the same
+// time over one Tree. InsertBatch replaces the Tree's run list, so it
+// must not overlap any other call on the same Tree.
 type Tree struct {
 	runs ctree.Runs
 }
@@ -245,9 +250,10 @@ func LoadCSV(path string, header bool) (*Dataset, error) {
 // Dataset against it: Tree must have counted the same points (by a run
 // with Config.KeepTree, say, restored with LoadTree or fed with
 // InsertBatch), and its dimensionality and point count are checked.
-// Rerunning on the same tree is safe and yields the same Result: a run
-// over one run clears its Used flags itself at entry, and a run over
-// several reads the index of their union and writes none of them. With
+// A run writes nothing it reads: not Tree and not Dataset. So rerunning
+// on the same tree yields the same Result, and runs over one Tree may
+// run at the same time, from any number of goroutines. Only
+// Tree.InsertBatch must not overlap another call on that Tree. With
 // Config.KeepTree the Result hands Tree back. A nil Tree asks Run to
 // build one; a zero Tree is refused with an error.
 type Input struct {

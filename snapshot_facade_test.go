@@ -51,8 +51,8 @@ func TestSaveLoadTreeWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The snapshot preserves the Used flags the first run consumed;
-	// Run clears them itself, so no manual ResetUsed.
+	// No run writes a tree, so the loaded tree is the one the first run
+	// built.
 	warm, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: norm, Tree: loaded}, mrcc.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +125,8 @@ func TestStreamingLoopShape(t *testing.T) {
 		for _, p := range rows[start:end] {
 			seen.Append(p)
 		}
-		// No ResetUsed between iterations: the run clears the flags the
-		// previous pass consumed.
+		// Nothing to reset between iterations: a run writes nothing it
+		// reads.
 		last, err = mrcc.Run(context.Background(), mrcc.Input{Dataset: seen, Tree: tree}, mrcc.Config{})
 		if err != nil {
 			t.Fatalf("batch ending at %d: %v", end, err)
