@@ -56,7 +56,6 @@ func main() {
 		everyPts = flag.Int("recluster-points", 0, "re-cluster after this many new points (0 disables)")
 		window   = flag.Int("window-points", 0, "rotate the active runs after this many points; published models cover the last 1-2 windows (0 = keep everything)")
 		snapshot = flag.String("snapshot", "", "tree snapshot path: warm-start source on boot, target for POST /snapshot/save and shutdown")
-		trust    = flag.Bool("trust-snapshot", false, "fast warm-start: trust the snapshot's column checksums and skip structural revalidation (safe for snapshots this service or mrcc-shard wrote)")
 		walDir   = flag.String("wal-dir", "", "write-ahead log directory: batches are logged before folding and replayed on boot (empty = no WAL)")
 		fsync    = flag.String("fsync", "interval", `WAL fsync policy: "always", "interval", or "none"`)
 		fsyncInt = flag.Duration("fsync-interval", 100*time.Millisecond, `data-loss bound under -fsync interval`)
@@ -77,24 +76,23 @@ func main() {
 		logf = func(string, ...any) {}
 	}
 	srv, err := serve.New(serve.Config{
-		Dims:                   *dims,
-		Min:                    min,
-		Max:                    max,
-		H:                      *h,
-		Alpha:                  *alpha,
-		Workers:                *workers,
-		MaxBetaClusters:        *maxBetas,
-		ReclusterEvery:         *every,
-		ReclusterPoints:        *everyPts,
-		WindowPoints:           *window,
-		SnapshotPath:           *snapshot,
-		TrustSnapshotChecksums: *trust,
-		WALDir:                 *walDir,
-		WALSync:                *fsync,
-		WALSyncEvery:           *fsyncInt,
-		CheckpointEvery:        *ckptEv,
-		MaxInFlight:            *inflight,
-		Logf:                   logf,
+		Dims:            *dims,
+		Min:             min,
+		Max:             max,
+		H:               *h,
+		Alpha:           *alpha,
+		Workers:         *workers,
+		MaxBetaClusters: *maxBetas,
+		ReclusterEvery:  *every,
+		ReclusterPoints: *everyPts,
+		WindowPoints:    *window,
+		SnapshotPath:    *snapshot,
+		WALDir:          *walDir,
+		WALSync:         *fsync,
+		WALSyncEvery:    *fsyncInt,
+		CheckpointEvery: *ckptEv,
+		MaxInFlight:     *inflight,
+		Logf:            logf,
 	})
 	if err != nil {
 		log.Fatalf("mrcc-serve: %v", err)

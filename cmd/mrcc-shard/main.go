@@ -17,12 +17,15 @@
 //	mrcc-shard -snapshots s0.snap,s1.snap [flags]
 //
 // With -worker-addrs host:port,... the jobs go to those (already
-// running) workers round-robin; without it the coordinator spawns
-// -local-workers worker processes of itself on loopback and tears
-// them down afterwards. The shard trees' union can be snapshotted with
-// -out (mrcc-serve warm-starts from it, see -snapshot/-trust-snapshot
-// there) and byte-compared against a fresh single-process build with
-// -check-serial; -cluster clusters the shard trees in-process.
+// running) workers round-robin, and every shard tree they stream back
+// is validated in full on receipt, since the coordinator did not start
+// them; without it the coordinator spawns -local-workers worker
+// processes of itself on loopback, trusts the checksummed streams of
+// the workers it started, and tears them down afterwards. The shard
+// trees' union can be snapshotted with -out (mrcc-serve warm-starts
+// from it, see -snapshot there) and byte-compared against a fresh
+// single-process build with -check-serial; -cluster clusters the
+// shard trees in-process.
 //
 // Worker usage:
 //
@@ -220,6 +223,10 @@ func runCoordinator(ctx context.Context, opt options, stdout, stderr io.Writer) 
 		Addrs:    addrs,
 		Jobs:     jobs,
 		Parallel: opt.parallel,
+		// Workers this process did not spawn may send anything; only
+		// a full validation keeps their streams from assembling a
+		// wrong tree.
+		DistrustChecksums: opt.workerAddrs != "",
 	})
 	if err != nil {
 		return err

@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -223,6 +227,91 @@ func TestClusterOverShardTreesMatchesBuild(t *testing.T) {
 				shards, strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 	}
+}
+
+// TestWorkerAddrsValidateStreams pins that a coordinator validates in
+// full the shard trees of workers it did not start: a fake worker
+// behind -worker-addrs answers its job with a snapshot whose last leaf
+// claims 1000 more points than its parent places there, every CRC
+// recomputed, which a checksum-trusting decode accepts. The command
+// must exit 1 and name the snapshot's format error.
+func TestWorkerAddrsValidateStreams(t *testing.T) {
+	const d, n = 5, 2000
+	csv := writeCSV(t, d, n, false)
+	ds, err := dataset.LoadCSVFile(csv, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ctree.Build(ds, core.DefaultH, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tr.Columns()
+	c.N = slices.Clone(c.N)
+	c.N[len(c.N)-1] += 1000
+	forged := forgeSnapshot(t, tr, c)
+	if _, _, err := treeio.Load(bytes.NewReader(forged), int64(len(forged)), treeio.LoadOptions{TrustChecksums: true}); err != nil {
+		t.Fatalf("a checksum-trusting load refused the forgery (%v); the test is vacuous", err)
+	}
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// The job: an 8-byte magic, a u32 payload length, the payload.
+		hdr := make([]byte, 12)
+		if _, err := io.ReadFull(conn, hdr); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := io.CopyN(io.Discard, conn, int64(binary.LittleEndian.Uint32(hdr[8:]))); err != nil {
+			t.Error(err)
+			return
+		}
+		resp := append([]byte("MRSHTRE1"), 0)
+		resp = binary.LittleEndian.AppendUint64(resp, uint64(len(forged)))
+		if _, err := conn.Write(append(resp, forged...)); err != nil {
+			t.Error(err)
+		}
+	}()
+
+	var stdout, stderr bytes.Buffer
+	code := realMain(context.Background(), []string{
+		"-input", csv, "-shards", "1", "-worker-addrs", l.Addr().String(),
+	}, &stdout, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "treeio: tree:") {
+		t.Fatalf("exit %d, stderr %q: want exit 1 naming the snapshot's format error (stdout %q)", code, stderr.String(), stdout.String())
+	}
+}
+
+// forgeSnapshot returns tr's snapshot with its columns replaced by c and
+// every checksum recomputed, so only a structural validation can tell.
+func forgeSnapshot(t *testing.T, tr *ctree.Tree, c ctree.Columns) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := treeio.Save(&buf, tr, treeio.Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	hdr := buf.Bytes()[:treeio.HeaderSize]
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	var cols bytes.Buffer
+	for i, col := range []any{c.Loc, c.N, c.Used, c.Level, c.Parent, c.P} {
+		start := cols.Len()
+		if err := binary.Write(&cols, binary.LittleEndian, col); err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(hdr[48+i*24+16:], crc32.Checksum(cols.Bytes()[start:], castagnoli))
+	}
+	binary.LittleEndian.PutUint32(hdr[44:48], 0)
+	binary.LittleEndian.PutUint32(hdr[44:48], crc32.Checksum(hdr, castagnoli))
+	return append(hdr, cols.Bytes()...)
 }
 
 // TestValidation pins exit code 2 for impossible flag combinations and

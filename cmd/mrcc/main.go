@@ -87,12 +87,6 @@ func main() {
 	os.Exit(realMainCtx(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// realMain is realMainCtx without cancellation, kept for tests that
-// drive the flag-parsing and validation path.
-func realMain(args []string, stdout, stderr io.Writer) int {
-	return realMainCtx(context.Background(), args, stdout, stderr)
-}
-
 // realMainCtx is main with its dependencies injected so tests can
 // drive the full flag-parsing, validation and cancellation paths and
 // observe the exit code.

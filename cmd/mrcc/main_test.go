@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -36,12 +37,12 @@ func writeTestCSV(t *testing.T) string {
 	return path
 }
 
-// cli runs realMain with the given arguments and returns (exit code,
-// stdout, stderr).
+// cli runs realMainCtx with the given arguments under a background
+// context and returns (exit code, stdout, stderr).
 func cli(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := realMain(args, &stdout, &stderr)
+	code := realMainCtx(context.Background(), args, &stdout, &stderr)
 	return code, stdout.String(), stderr.String()
 }
 

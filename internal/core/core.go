@@ -407,18 +407,12 @@ func RunTree(t *ctree.Tree, cfg Config) (*Result, error) {
 // one Build call spills instead, and MemoryLimitBytes bounds its sort
 // buffer rather than the tree.
 func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, col *obs.Collector) (*ctree.Tree, int, error) {
-	var progress ctree.ProgressFunc
-	if col.WantsProgress() {
-		progress = func(done, total int) {
-			col.Progress(obs.PhaseTreeBuild, int64(done), int64(total))
-		}
-	}
 	defer col.Start(obs.PhaseTreeBuild).End()
 	h := cfg.H
 	for {
 		t, err := ctree.Build(ds, h, ctree.BuildOptions{
 			Workers:          cfg.workerCount(),
-			Progress:         progress,
+			Collector:        col,
 			Ctx:              ctx,
 			MemoryLimitBytes: cfg.MemoryLimitBytes,
 			SpillDir:         cfg.ExternalSpillDir,
@@ -526,24 +520,13 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 	// The trees' arenas and the level indexes are disjoint slabs, so the
 	// reported footprint is their sum: for one tree, the total the
 	// memory-limit check uses (MemoryBytes + IndexMemoryBytes).
-	var arena, indexBytes uint64
-	var grows, runs, runPoints, radix, spillRuns, spillBytes int64
-	for _, tr := range trees {
-		arena += tr.MemoryBytes()
-		r, rp := tr.BatchRuns()
-		sr, sb := tr.SpillStats()
-		grows, runs, runPoints, radix = grows+tr.ArenaGrows(), runs+r, runPoints+rp, radix+tr.RadixChunks()
-		spillRuns, spillBytes = spillRuns+sr, spillBytes+sb
-	}
+	arena := ctree.Runs(trees).MemoryBytes()
+	var indexBytes uint64
 	for _, ix := range idx {
 		indexBytes += ix.MemoryBytes()
 	}
 	treeBytes := arena + indexBytes
-	col.SetTreeBytes(treeBytes)
-	col.SetArenaStats(arena, grows, runs, runPoints, radix)
-	if spillRuns > 0 {
-		col.SetSpillStats(spillRuns, spillBytes)
-	}
+	col.SetTreeBytes(treeBytes, arena)
 	var keep *ctree.Tree
 	if cfg.KeepTree && len(trees) == 1 {
 		keep = t

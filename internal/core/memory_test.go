@@ -7,6 +7,7 @@ import (
 	"mrcc/internal/core"
 	"mrcc/internal/ctree"
 	"mrcc/internal/dataset"
+	"mrcc/internal/obs"
 	"mrcc/internal/synthetic"
 )
 
@@ -97,6 +98,47 @@ func TestArenaStatsRecorded(t *testing.T) {
 		if res.Stats.ArenaBytes == 0 || res.Stats.ArenaBytes >= res.Stats.TreeBytes {
 			t.Fatalf("workers=%d: ArenaBytes=%d vs TreeBytes=%d: want 0 < arena < tree",
 				workers, res.Stats.ArenaBytes, res.Stats.TreeBytes)
+		}
+	}
+}
+
+// TestGivenTreesReportNoBuildCounters pins that the build counters
+// describe the run's own build: a run over trees it was given — a built
+// tree, a union, or a run list grown batch by batch, as the streaming
+// service and the facade's Tree pass — builds nothing and reports them
+// all zero, whatever builds and unions made the trees.
+func TestGivenTreesReportNoBuildCounters(t *testing.T) {
+	ds, _, err := synthetic.Generate(synthetic.Config{
+		Dims: 6, Points: 6000, Clusters: 3, NoiseFrac: 0.1,
+		MinClusterDim: 3, MaxClusterDim: 5, Seed: 84,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := ctree.Build(ds, 4, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs ctree.Runs
+	for lo := 0; lo < ds.Len(); lo += 500 {
+		if runs, err = runs.Add(ds.Points[lo:min(lo+500, ds.Len())], ds.Dims, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	union, err := ctree.Union(runs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		trees []*ctree.Tree
+	}{{"built", []*ctree.Tree{built}}, {"union", []*ctree.Tree{union}}, {"runs", runs}} {
+		res, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: c.trees}, core.Config{H: 4, CollectStats: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := res.Stats.Counters.BuildCounters; got != (obs.BuildCounters{}) {
+			t.Errorf("%s: a run that built no tree reports build counters %+v", c.name, got)
 		}
 	}
 }

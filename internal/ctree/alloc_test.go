@@ -16,13 +16,14 @@ const buildScratchBytes = 128 << 10
 // TestBuildAllocationBudget pins the build's allocation shape with
 // explicit budgets on one Workers-1 Build over 10k points × 15 dims:
 //
-//   - the arena is allocated once, at its final size (ArenaGrows 0);
+//   - the arena is allocated once, at its final size (the build
+//     reports no arena growth);
 //   - the build allocates at most its tree's final MemoryBytes, plus
 //     η·ExternalRecordBytes(d, H) for the sorted record columns, plus
 //     buildScratchBytes — an arena that doubled its way up (about 3 MB
 //     more here) or a per-point allocation fails it;
-//   - it allocates at most 30 times, the measured 27 (the tree and its
-//     seven columns, the sort columns and their radix scratch, and the
+//   - it allocates at most 30 times, the measured 26 (the tree and its
+//     six columns, the sort columns and their radix scratch, and the
 //     merge's and the sort worker's small buffers) plus 10%, so a regression
 //     that allocates per wide node (one child table each would add about
 //     350 here) or per cell (the pre-arena layout paid ~45 allocations
@@ -63,8 +64,8 @@ func TestBuildAllocationBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	tr := build()
 	runtime.ReadMemStats(&after)
-	if g := tr.ArenaGrows(); g != 0 {
-		t.Fatalf("Build grew its arena %d times, want 0 (allocated once at its final size)", g)
+	if _, st, err := buildCounted(ds, H, BuildOptions{Workers: 1}); err != nil || st.ArenaGrows != 0 {
+		t.Fatalf("Build grew its arena %d times (err %v), want 0 (allocated once at its final size)", st.ArenaGrows, err)
 	}
 	bytesBudget := tr.MemoryBytes() + uint64(ds.Len()*ExternalRecordBytes(ds.Dims, H)) + buildScratchBytes
 	if got := after.TotalAlloc - before.TotalAlloc; got > bytesBudget {

@@ -2,10 +2,10 @@
 //
 // Instead of one heap object per cell (*Cell with its own P slab, plus
 // a *Node and a map[uint64]int32 per refined cell — the pre-arena
-// layout), every tree owns a handful of structure-of-arrays slabs: the
-// state columns (Loc, N, Used, level, parent, child count), which
-// share one capacity, and ONE contiguous half-space slab holding every
-// cell's d int32 counters at stride d. Cells are addressed by int32
+// layout), every tree owns the six columns snapshot format v1 saves:
+// the state columns (Loc, N, Used, level, parent), which share one
+// capacity, and ONE contiguous half-space slab holding every cell's d
+// int32 counters at stride d. Cells are addressed by int32
 // arena offsets (Ref), so builds, unions and the level-index build walk
 // flat arrays instead of chasing pointers across the heap, the GC sees
 // a constant number of objects regardless of η, and the memory
@@ -14,9 +14,14 @@
 // Every tree is written once. Build, InsertBatch, Union, MergeFrom, the
 // column loaders and Clone each produce a tree that holds exactly its
 // cells plus the root sentinel and nothing else: the paper's
-// Counting-tree keeps n, P and usedCell per cell, and the child counts
-// are all the level indexes need to group a level by parent. No tree
-// carries child links, and none is counted into once it holds cells:
+// Counting-tree keeps n, P and usedCell per cell, and a tree is the
+// columns it saves. No tree carries child links or child counts: the
+// canonical order groups each parent's children in one run, which the
+// readers that need it derive where they read it (the level merge's
+// gather from the level column, the loader's groupChildren from the
+// parent column). Nor does a tree carry build
+// counters: Build reports them to its caller's collector. No tree is
+// counted into once it holds cells:
 // Runs.Add and InsertBatch Build their batch into a fresh tree and
 // unite it with the older ones. Nor does a run write a tree: the
 // β-search keeps its usedCell flags itself (internal/core), and the
@@ -74,12 +79,11 @@ type Tree struct {
 	Eta int
 
 	// State columns, indexed by Ref. Index 0 is the root sentinel.
-	loc        []uint64 // position relative to the parent (bit j = upper half of axis j)
-	n          []int32  // point count
-	used       []bool   // the usedCell column snapshot format v1 stores; no run reads or writes it
-	level      []uint8  // tree level (0 for the root sentinel)
-	parent     []Ref    // parent cell (rootRef for level-1 cells)
-	childCount []int32  // number of children
+	loc    []uint64 // position relative to the parent (bit j = upper half of axis j)
+	n      []int32  // point count
+	used   []bool   // the usedCell column snapshot format v1 stores; no run reads or writes it
+	level  []uint8  // tree level (0 for the root sentinel)
+	parent []Ref    // parent cell (rootRef for level-1 cells)
 
 	// p is the contiguous half-space slab: cell r's counters live at
 	// p[r*D : (r+1)*D]. P[j] counts the cell's points in the lower half
@@ -88,21 +92,6 @@ type Tree struct {
 
 	// dmask has bit j set for every axis 0 <= j < D.
 	dmask uint64
-
-	// grows counts arena growth events (column reallocation), runs and
-	// runPoints the sorted-batch insertion runs (see batch.go); a Union
-	// sums its trees' counters, so a merged tree reports build-wide
-	// totals for the observability layer.
-	grows       int64
-	runs        int64
-	runPoints   int64
-	radixChunks int64 // record streams sorted by the LSD radix kernel (radix.go)
-
-	// spillRuns/spillBytes record a spilled build's disk traffic
-	// (spill.go): sorted runs spilled and bytes written. Zero for
-	// in-memory builds and loaded snapshots.
-	spillRuns  int64
-	spillBytes int64
 
 	// idxMu guards the lazily built level indexes (levelindex.go);
 	// indexes[h-1] is the flat snapshot of level h, nil until
@@ -127,13 +116,12 @@ func New(d, h int) *Tree { return newTree(d, h, 1) }
 func newTree(d, h, rows int) *Tree {
 	t := &Tree{
 		D: d, H: h, dmask: (uint64(1) << uint(d)) - 1,
-		loc:        make([]uint64, 0, rows),
-		n:          make([]int32, 0, rows),
-		used:       make([]bool, 0, rows),
-		level:      make([]uint8, 0, rows),
-		parent:     make([]Ref, 0, rows),
-		childCount: make([]int32, 0, rows),
-		p:          make([]int32, 0, rows*d),
+		loc:    make([]uint64, 0, rows),
+		n:      make([]int32, 0, rows),
+		used:   make([]bool, 0, rows),
+		level:  make([]uint8, 0, rows),
+		parent: make([]Ref, 0, rows),
+		p:      make([]int32, 0, rows*d),
 	}
 	// Root sentinel at Ref 0.
 	t.pushCell(NilRef, 0, 0)
@@ -141,8 +129,7 @@ func newTree(d, h, rows int) *Tree {
 }
 
 // growTo reallocates every column to at least need rows, doubling from
-// the current capacity (arenaInitialCap at least). Reallocating a tree
-// that stores no cell yet is its first allocation, not a growth.
+// the current capacity (arenaInitialCap at least).
 func (t *Tree) growTo(need int) {
 	newCap := max(cap(t.loc), arenaInitialCap)
 	for newCap < need {
@@ -151,15 +138,11 @@ func (t *Tree) growTo(need int) {
 	if newCap == cap(t.loc) {
 		return
 	}
-	if t.CellCount() > 0 {
-		t.grows++
-	}
 	t.loc = regrow(t.loc, newCap)
 	t.n = regrow(t.n, newCap)
 	t.used = regrow(t.used, newCap)
 	t.level = regrow(t.level, newCap)
 	t.parent = regrow(t.parent, newCap)
-	t.childCount = regrow(t.childCount, newCap)
 	t.p = regrow(t.p, newCap*t.D)
 }
 
@@ -173,8 +156,8 @@ func regrow[T any](s []T, c int) []T {
 // exact returns a copy of s whose capacity is its length.
 func exact[T any](s []T) []T { return regrow(s, len(s)) }
 
-// pushCell appends one cell to the arena columns, growing them when
-// they are full, counts it as a child of parent and returns its Ref.
+// pushCell appends one cell under parent to the arena columns, growing
+// them when they are full, and returns its Ref.
 func (t *Tree) pushCell(parent Ref, loc uint64, lvl uint8) Ref {
 	if len(t.loc) == cap(t.loc) {
 		t.growTo(len(t.loc) + 1)
@@ -185,10 +168,6 @@ func (t *Tree) pushCell(parent Ref, loc uint64, lvl uint8) Ref {
 	t.used = append(t.used, false)
 	t.level = append(t.level, lvl)
 	t.parent = append(t.parent, parent)
-	t.childCount = append(t.childCount, 0)
-	if parent >= 0 {
-		t.childCount[parent]++
-	}
 	t.p = append(t.p, make([]int32, t.D)...)
 	return r
 }
@@ -201,17 +180,7 @@ func (t *Tree) trim() {
 		return
 	}
 	t.loc, t.n, t.used, t.level = exact(t.loc), exact(t.n), exact(t.used), exact(t.level)
-	t.parent, t.childCount, t.p = exact(t.parent), exact(t.childCount), exact(t.p)
-}
-
-// countChildren recomputes every cell's child count from the parent
-// column, whose refs the caller has checked, into a column of the
-// arena's capacity.
-func (t *Tree) countChildren() {
-	t.childCount = make([]int32, len(t.loc), cap(t.loc))
-	for _, par := range t.parent[1:] {
-		t.childCount[par]++
-	}
+	t.parent, t.p = exact(t.parent), exact(t.p)
 }
 
 // N returns the point count of the cell at r.
@@ -240,7 +209,8 @@ func (t *Tree) CellCount() int64 { return int64(len(t.loc)) - 1 }
 
 // MemoryBytes returns the EXACT heap footprint of the tree's arena in
 // O(1): the state columns and the half-space slab at their shared
-// capacity, stateBytes(D, cells+1) once a tree is written. It does NOT
+// capacity, stateBytes(D, cells+1) once a tree is written — its header
+// plus exactly the column bytes a snapshot of it holds. It does NOT
 // include the flat level indexes — IndexMemoryBytes accounts for those
 // separately, so the two can be summed without double counting (the
 // memory-limit check does). Two trees storing the same cells report
@@ -255,38 +225,9 @@ func stateBytes(d, rows int) uint64 {
 		unsafe.Sizeof(false) + // used
 		unsafe.Sizeof(uint8(0)) + // level
 		unsafe.Sizeof(NilRef) + // parent
-		unsafe.Sizeof(int32(0)) + // childCount
 		uintptr(d)*unsafe.Sizeof(int32(0)) // p
 	return uint64(unsafe.Sizeof(Tree{})) + uint64(rows)*uint64(row)
 }
-
-// ArenaGrows returns the number of arena growth events (column
-// reallocation), accumulated across merged shards. Only a spilled
-// build grows its arena; every other writer allocates it once, at its
-// final size.
-func (t *Tree) ArenaGrows() int64 { return t.grows }
-
-// SpillStats returns a spilled build's disk-traffic statistics:
-// the number of sorted runs spilled and the bytes written to the
-// spill files. Both are zero for trees built in memory or loaded from
-// a snapshot.
-func (t *Tree) SpillStats() (runs, bytes int64) { return t.spillRuns, t.spillBytes }
-
-// BatchRuns returns the count loop's statistics (batch.go): runs is
-// the number of carry-over descents, one per group of consecutive
-// path-sorted points sharing one stored leaf path, and points the
-// points those descents covered, so points/runs is the mean run length
-// one descent amortizes over. A group is split only where one Build
-// ends and after every buildReportEvery points of one path. Both
-// accumulate across a Union's trees, and so across InsertBatch calls.
-func (t *Tree) BatchRuns() (runs, points int64) { return t.runs, t.runPoints }
-
-// RadixChunks returns how many record streams were ordered by the LSD
-// radix kernel (radix.go) during this tree's build — one per Build
-// sort worker or spilled run; zero when every stream took the
-// multi-word comparison-sort fallback or the tree was built per-point.
-// A Union sums its trees' counts, like the other build counters.
-func (t *Tree) RadixChunks() int64 { return t.radixChunks }
 
 // popcountLower increments row[j] for every axis j whose bit is CLEAR
 // in loc (masked to d axes): the half-space update of one point whose

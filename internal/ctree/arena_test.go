@@ -70,9 +70,9 @@ func TestMergeSingleCellShard(t *testing.T) {
 	}
 }
 
-// TestBatchBuildEqualsPerPointInsert pins InsertBatch's count loop
-// (countMerged) against the per-point descent on layouts chosen to
-// stress its run detection: heavy duplicates, dense single-cell
+// TestBatchBuildEqualsPerPointInsert pins Build's count loop
+// (countMerged) on one worker against the per-point descent on layouts
+// chosen to stress its run detection: heavy duplicates, dense single-cell
 // clumps, and a random mix — including a duplicate run longer than the
 // loop's buildReportEvery-record (8192) leaf buffer, which the loop
 // counts in more than one descent.
@@ -103,8 +103,8 @@ func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 		pts = append(pts, p)
 	}
 	ds := &dataset.Dataset{Dims: d, Points: pts}
-	batch := New(d, 5)
-	if err := batch.InsertBatch(ds.Points); err != nil {
+	batch, st, err := buildCounted(ds, 5, BuildOptions{Workers: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	perPoint := New(d, 5)
@@ -116,9 +116,9 @@ func TestBatchBuildEqualsPerPointInsert(t *testing.T) {
 	if !treesEqual(t, batch, perPoint) {
 		t.Fatal("sorted batch insertion diverged from per-point insertion")
 	}
-	runs, runPoints := batch.BatchRuns()
+	runs, runPoints := st.BatchRuns, st.BatchRunPoints
 	if runPoints != int64(len(pts)) {
-		t.Fatalf("BatchRuns covered %d points, want %d (no point may bypass the batch path)", runPoints, len(pts))
+		t.Fatalf("batch runs covered %d points, want %d (no point may bypass the batch path)", runPoints, len(pts))
 	}
 	if runs >= runPoints {
 		t.Fatalf("runs=%d points=%d: duplicate-heavy layout produced no batching at all", runs, runPoints)
@@ -134,14 +134,13 @@ func TestBatchRunsOnIdenticalPoints(t *testing.T) {
 	for i := range pts {
 		pts[i] = []float64{0.25, 0.75, 0.5}
 	}
-	tr, err := Build(&dataset.Dataset{Dims: 3, Points: pts}, 4, BuildOptions{})
+	tr, st, err := buildCounted(&dataset.Dataset{Dims: 3, Points: pts}, 4, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantRuns := int64((n + buildReportEvery - 1) / buildReportEvery)
-	runs, runPoints := tr.BatchRuns()
-	if runs != wantRuns || runPoints != int64(n) {
-		t.Fatalf("BatchRuns = (%d, %d), want (%d, %d)", runs, runPoints, wantRuns, n)
+	if st.BatchRuns != wantRuns || st.BatchRunPoints != int64(n) {
+		t.Fatalf("batch counters (%d, %d), want (%d, %d)", st.BatchRuns, st.BatchRunPoints, wantRuns, n)
 	}
 	if tr.Eta != n {
 		t.Fatalf("Eta = %d, want %d", tr.Eta, n)

@@ -76,6 +76,10 @@ type batchInserter struct {
 	refs []Ref
 	locs []uint64
 	have int
+
+	// grows counts the reallocations of a populated arena (push): only a
+	// spilled build, which cannot size its arena ahead, makes any.
+	grows int64
 }
 
 // newBatchInserter returns a fresh inserter for t.
@@ -83,6 +87,15 @@ func newBatchInserter(t *Tree) *batchInserter {
 	b := &batchInserter{t: t, refs: make([]Ref, t.H), locs: make([]uint64, t.H)}
 	b.refs[0] = rootRef
 	return b
+}
+
+// push appends one cell to the tree (pushCell), counting a growth when
+// the arena is full and holds cells already.
+func (b *batchInserter) push(parent Ref, loc uint64, lvl uint8) Ref {
+	if t := b.t; len(t.loc) == cap(t.loc) && t.CellCount() > 0 {
+		b.grows++
+	}
+	return b.t.pushCell(parent, loc, lvl)
 }
 
 // packedDivergence returns the shallowest level at which the packed
@@ -275,7 +288,7 @@ func (b *batchInserter) countRunAt(kw []uint64, cnt int32) []int32 {
 		div = wordsDivergence(kw, b.locs[1:H])
 	}
 	for h := div; h <= H-1; h++ {
-		b.refs[h] = t.pushCell(b.refs[h-1], kw[h-1], uint8(h))
+		b.refs[h] = b.push(b.refs[h-1], kw[h-1], uint8(h))
 		b.locs[h] = kw[h-1]
 	}
 	b.have = H - 1
@@ -291,8 +304,6 @@ func (b *batchInserter) countRunAt(kw []uint64, cnt int32) []int32 {
 			row[bits.TrailingZeros64(ms)] += cnt
 		}
 	}
-	t.runs++
-	t.runPoints += int64(cnt)
 	return t.PRow(b.refs[H-1])
 }
 
@@ -313,7 +324,7 @@ func (b *batchInserter) countRunPacked(k, prev uint64, first bool, cnt int32) []
 		div = packedDivergence(k, prev, t.D, H)
 	}
 	for h := div; h <= H-1; h++ {
-		b.refs[h] = t.pushCell(b.refs[h-1], (k>>(uint(H-1-h)*d))&t.dmask, uint8(h))
+		b.refs[h] = b.push(b.refs[h-1], (k>>(uint(H-1-h)*d))&t.dmask, uint8(h))
 	}
 	for h := 1; h <= H-1; h++ {
 		t.n[b.refs[h]] += cnt
@@ -325,8 +336,6 @@ func (b *batchInserter) countRunPacked(k, prev uint64, first bool, cnt int32) []
 			row[bits.TrailingZeros64(ms)] += cnt
 		}
 	}
-	t.runs++
-	t.runPoints += int64(cnt)
 	return t.PRow(b.refs[H-1])
 }
 

@@ -55,6 +55,7 @@ import (
 
 	"mrcc/internal/dataset"
 	"mrcc/internal/fault"
+	"mrcc/internal/obs"
 	"mrcc/internal/panics"
 )
 
@@ -84,10 +85,6 @@ func (e *LimitError) Error() string {
 		e.H, e.EstimateBytes, e.LimitBytes)
 }
 
-// ProgressFunc reports build progress: done of total points have been
-// counted into the tree. Build calls it from a single goroutine.
-type ProgressFunc func(done, total int)
-
 // BuildOptions configures Build. The zero value builds in memory on
 // GOMAXPROCS workers, with no cancellation, progress or memory cap.
 type BuildOptions struct {
@@ -95,9 +92,11 @@ type BuildOptions struct {
 	// in-memory build's shards; <= 0 selects GOMAXPROCS. It never
 	// changes the tree. A spilled build sorts its runs one at a time.
 	Workers int
-	// Progress receives cumulative counted-point totals from the merge
-	// every 8192 records and once at the end; nil adds no overhead.
-	Progress ProgressFunc
+	// Collector receives the build's progress, cumulative counted-point
+	// totals from the merge every 8192 records and once at the end (as
+	// obs.PhaseTreeBuild), and, when the build succeeds, its counters
+	// (obs.BuildCounters). nil reports nothing.
+	Collector *obs.Collector
 	// Ctx cancels the build cooperatively: it is polled at every sort
 	// chunk and every merged chunk. nil means no cancellation.
 	Ctx context.Context
@@ -141,6 +140,7 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 	ks := newKeySpread(ds.Dims, H)
 	var t *Tree
 	var streams []*recordStream
+	var st obs.BuildCounters
 	if opt.SpillDir == "" {
 		bc.limit = opt.MemoryLimitBytes
 		var err error
@@ -164,16 +164,17 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 		// success included, closes and removes them.
 		defer os.RemoveAll(dir)
 		t = New(ds.Dims, H)
-		streams, err = spillRuns(t, ds, dir, ks, opt, bc)
+		streams, err = spillRuns(t, ds, dir, ks, opt, bc, &st)
 		defer closeRuns(streams)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if err := countMerged(t, streams, bc, opt.Progress, ds.Len()); err != nil {
+	if err := countMerged(t, streams, bc, opt.Collector, ds.Len(), &st); err != nil {
 		return nil, err
 	}
 	t.trim()
+	opt.Collector.SetBuildCounters(st)
 	return t, nil
 }
 
@@ -534,13 +535,15 @@ func cellCount(streams []*recordStream, d, H int) int {
 // carry-over descent (batch.go), so shared prefixes are bumped once per
 // run of equal paths rather than once per point, and new cells go in
 // without a child lookup. The build control is polled every
-// buildReportEvery records and once at the end; progress reports done
-// of total records.
-func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress ProgressFunc, total int) error {
+// buildReportEvery records and once at the end, when col also receives
+// the progress, done of total records. The descents, the points they
+// counted, the radix-sorted streams and the arena's growths are
+// recorded on st.
+func countMerged(t *Tree, streams []*recordStream, bc *buildControl, col *obs.Collector, total int, st *obs.BuildCounters) error {
 	ins := newBatchInserter(t)
 	w := keyWords(t.D, t.H)
 	if w == 1 {
-		t.radixChunks += int64(len(streams)) // each stream is one sortShard's radix sort
+		st.RadixSortChunks += int64(len(streams)) // each stream is one sortShard's radix sort
 	}
 	h := newStreamHeap(streams, w)
 	key := make([]uint64, w) // path of the buffered records
@@ -559,6 +562,7 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress Pr
 			deep = ins.countRunAt(key, int32(len(leafs)))
 		}
 		counted = true
+		st.BatchRuns++
 		for _, lf := range leafs {
 			popcountLower(deep, lf, t.dmask)
 		}
@@ -583,18 +587,16 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, progress Pr
 			if err := bc.check(fault.BuildMerge, t); err != nil {
 				return err
 			}
-			if progress != nil {
-				progress(done, total)
-			}
+			col.Progress(obs.PhaseTreeBuild, int64(done), int64(total))
 		}
 	}
 	flush()
 	t.Eta += done
+	st.BatchRunPoints += int64(done)
+	st.ArenaGrows += ins.grows
 	if err := bc.check(fault.BuildMerge, t); err != nil {
 		return err
 	}
-	if progress != nil {
-		progress(done, total)
-	}
+	col.Progress(obs.PhaseTreeBuild, int64(done), int64(total))
 	return nil
 }

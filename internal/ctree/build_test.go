@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mrcc/internal/dataset"
+	"mrcc/internal/obs"
 )
 
 // buildConfig is one row of the Build configuration table: its options
@@ -42,7 +43,7 @@ func checkBuildsAgree(t *testing.T, configs func(n int) []buildConfig) {
 		}
 		for _, c := range configs(s.n) {
 			name := fmt.Sprintf("d=%d/%s", s.d, c.name)
-			got, err := Build(ds, s.H, c.opt)
+			got, st, err := buildCounted(ds, s.H, c.opt)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -58,14 +59,23 @@ func checkBuildsAgree(t *testing.T, configs func(n int) []buildConfig) {
 			if !sameColumns(ref.Columns(), got.Columns()) {
 				t.Fatalf("%s: arena columns differ from the in-memory build", name)
 			}
-			if sr, sb := got.SpillStats(); sr != c.runs || (sb > 0) != (c.runs > 0) {
-				t.Fatalf("%s: SpillStats = (%d, %d), want (%d, >0 iff spilled)", name, sr, sb, c.runs)
+			if st.SpillRuns != c.runs || (st.SpillBytes > 0) != (c.runs > 0) {
+				t.Fatalf("%s: spill counters (%d, %d), want (%d, >0 iff spilled)", name, st.SpillRuns, st.SpillBytes, c.runs)
 			}
-			if runs, points := got.BatchRuns(); points != int64(s.n) || runs == 0 {
-				t.Fatalf("%s: BatchRuns = (%d, %d), want every point in a run", name, runs, points)
+			if st.BatchRunPoints != int64(s.n) || st.BatchRuns == 0 {
+				t.Fatalf("%s: batch counters (%d, %d), want every point in a run", name, st.BatchRuns, st.BatchRunPoints)
 			}
 		}
 	}
+}
+
+// buildCounted is Build with a collector: it returns the tree and the
+// counters the build reported.
+func buildCounted(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, obs.BuildCounters, error) {
+	col := obs.New(nil)
+	opt.Collector = col
+	t, err := Build(ds, H, opt)
+	return t, col.Finish().Counters.BuildCounters, err
 }
 
 // TestBuildParallelEqualsBuild checks the in-memory build at several
@@ -214,12 +224,13 @@ func TestBuildRepeatedPathPastLeafBuffer(t *testing.T) {
 		} {
 			name := s.name + "/" + c.name
 			var got *Tree
+			var st obs.BuildCounters
 			var err error
 			if c.name == "insertbatch" {
 				got = New(s.d, s.H)
 				err = got.InsertBatch(pts)
 			} else {
-				got, err = Build(ds, s.H, c.opt)
+				got, st, err = buildCounted(ds, s.H, c.opt)
 			}
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -230,7 +241,7 @@ func TestBuildRepeatedPathPastLeafBuffer(t *testing.T) {
 			if want := stateBytes(s.d, int(got.CellCount())+1); got.MemoryBytes() != want {
 				t.Fatalf("%s: MemoryBytes %d, want the footprint of its path %d", name, got.MemoryBytes(), want)
 			}
-			if g := got.ArenaGrows(); c.inMemory && g != 0 {
+			if g := st.ArenaGrows; c.inMemory && g != 0 {
 				t.Fatalf("%s: arena grew %d times, want 0", name, g)
 			}
 		}

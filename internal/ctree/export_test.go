@@ -52,10 +52,6 @@ func Canonical(t *Tree) bool { return t.scanCanonical() }
 // exactly sized.
 func WrittenOnceBytes(d, rows int) uint64 { return stateBytes(d, rows) }
 
-// ChildCountExact reports whether t's child-count column holds exactly
-// its rows.
-func ChildCountExact(t *Tree) bool { return cap(t.childCount) == len(t.loc) }
-
 // AddBatches counts pts into a run list by Runs.Add calls of batch
 // points each, the way the streaming service ingests a stream.
 func AddBatches(tb testing.TB, pts [][]float64, d, H, batch int) Runs {

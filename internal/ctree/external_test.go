@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mrcc/internal/dataset"
+	"mrcc/internal/obs"
 )
 
 // TestBuildExternalDuplicateHeavy forces long equal-path groups that
@@ -45,12 +46,12 @@ func TestBuildExternalMemoryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamBytes := uint64(n * ExternalRecordBytes(5, 4))
-	got, err := Build(ds, 4, BuildOptions{MemoryLimitBytes: streamBytes / 10, SpillDir: t.TempDir()})
+	got, st, err := buildCounted(ds, 4, BuildOptions{MemoryLimitBytes: streamBytes / 10, SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sr, _ := got.SpillStats(); sr < 2 {
-		t.Fatalf("budget of 1/10 the stream produced %d runs, want several", sr)
+	if st.SpillRuns < 2 {
+		t.Fatalf("budget of 1/10 the stream produced %d runs, want several", st.SpillRuns)
 	}
 	if !treesEqual(t, want, got) {
 		t.Fatal("budgeted external build diverged from the in-memory build")
@@ -98,8 +99,8 @@ func TestBuildExternalCancel(t *testing.T) {
 		Ctx: ctx,
 		// Progress only fires from the merge loop: cancelling here
 		// aborts mid-merge.
-		Progress: func(done, total int) { cancelMid() },
-		SpillDir: dir,
+		Collector: obs.New(func(obs.Phase, int64, int64) { cancelMid() }),
+		SpillDir:  dir,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-merge cancel: got %v, want context.Canceled", err)
@@ -132,23 +133,24 @@ func TestBuildExternalValidation(t *testing.T) {
 	}
 }
 
-// TestBuildExternalProgress pins that Progress reaches (n, n) exactly
-// once the merge completes.
+// TestBuildExternalProgress pins that the collector's progress reaches
+// (n, n) exactly once the merge completes.
 func TestBuildExternalProgress(t *testing.T) {
 	const n = 20_000
 	ds := uniformDataset(t, 3, n, 41)
-	last, calls := 0, 0
+	var last int64
+	calls := 0
 	_, err := Build(ds, 4, BuildOptions{
-		Progress: func(done, total int) {
-			if total != n {
-				t.Fatalf("progress total %d, want %d", total, n)
+		Collector: obs.New(func(p obs.Phase, done, total int64) {
+			if p != obs.PhaseTreeBuild || total != n {
+				t.Fatalf("progress %s of total %d, want treeBuild of %d", p, total, n)
 			}
 			if done < last {
 				t.Fatalf("progress went backwards: %d after %d", done, last)
 			}
 			last = done
 			calls++
-		},
+		}),
 		SpillDir:  t.TempDir(),
 		runPoints: 6000,
 	})

@@ -144,17 +144,21 @@ func TestWrittenOnceFootprint(t *testing.T) {
 
 // checkWrittenOnce fails the test unless tr holds exactly its cells
 // plus the root sentinel in every state column and reports that
-// footprint as its MemoryBytes.
+// footprint as its MemoryBytes, and unless that footprint is the tree's
+// header plus exactly the column bytes its snapshot holds.
 func checkWrittenOnce(t *testing.T, name string, tr *ctree.Tree) {
 	t.Helper()
 	rows, d := int(tr.CellCount())+1, tr.D
 	cols := tr.Columns()
 	if cap(cols.Loc) != rows || cap(cols.N) != rows || cap(cols.Used) != rows || cap(cols.Level) != rows ||
-		cap(cols.Parent) != rows || cap(cols.P) != rows*d || !ctree.ChildCountExact(tr) {
+		cap(cols.Parent) != rows || cap(cols.P) != rows*d {
 		t.Fatalf("%s: the state columns are not exactly sized to %d rows", name, rows)
 	}
 	if got, want := tr.MemoryBytes(), ctree.WrittenOnceBytes(d, rows); got != want {
 		t.Fatalf("%s: MemoryBytes %d, want the written-once footprint of %d rows, %d", name, got, rows, want)
+	}
+	if inMem, saved := tr.MemoryBytes()-ctree.WrittenOnceBytes(d, 0), treeio.SnapshotSize(tr)-treeio.HeaderSize; inMem != uint64(saved) {
+		t.Fatalf("%s: the columns take %d bytes in memory and %d in a snapshot", name, inMem, saved)
 	}
 }
 

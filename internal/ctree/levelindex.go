@@ -178,29 +178,35 @@ type levelSource struct {
 }
 
 // gather lists the source's cells at level h by parent entry in path
-// order, in one linear pass over its arena, which lists the level in
-// that order. parRefs[p] is the source's Ref of the level above's entry
-// p (NilRef where it lacks the cell; the root sentinel alone at level
-// 1), whose child count sizes p's run.
+// order, in one linear pass over its arena. parRefs[p] is the source's
+// Ref of the level above's entry p (NilRef where it lacks the cell; the
+// root sentinel alone at level 1). The arena is in DFS preorder, so
+// each level-h cell's parent is the latest level-(h-1) row before it,
+// and the level-(h-1) rows come in the order parRefs lists them: each
+// one starts its entry's run.
 func (ls *levelSource) gather(h int, parRefs []Ref) {
-	t := ls.t
-	ls.start = ls.start[:len(parRefs)+1]
-	off := int32(0)
-	for p, r := range parRefs {
-		ls.start[p] = off
-		if r >= 0 {
-			off += t.childCount[r]
+	lvl, up := uint8(h), uint8(h-1)
+	cells, start, next := ls.cells[:0], ls.start[:len(parRefs)+1], 0
+	for r, l := range ls.t.level {
+		switch l {
+		case lvl:
+			cells = append(cells, Ref(r))
+		case up:
+			// Row r is the next entry this source stores: its run starts
+			// here, and so do the empty runs of the entries before it,
+			// which the source lacks.
+			for parRefs[next] != Ref(r) {
+				start[next] = int32(len(cells))
+				next++
+			}
+			start[next] = int32(len(cells))
+			next++
 		}
 	}
-	ls.start[len(parRefs)] = off
-	ls.cells = ls.cells[:off]
-	lvl, cells, i := uint8(h), ls.cells, 0
-	for r, l := range t.level {
-		if l == lvl {
-			cells[i] = Ref(r)
-			i++
-		}
+	for ; next < len(start); next++ {
+		start[next] = int32(len(cells))
 	}
+	ls.cells, ls.start = cells, start
 }
 
 // levelMerger is the union kernel that the level-index build and Union

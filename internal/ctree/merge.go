@@ -27,9 +27,8 @@ func (t *Tree) MergeFrom(other *Tree) error {
 // (a tree is the sum of its points' increments), so the union of trees
 // built over the parts of a dataset is the tree Build gives the whole.
 // The union is canonical and written-once, with Build's arena order,
-// columns and MemoryBytes for the same cells, and its build statistics (ArenaGrows, BatchRuns,
-// RadixChunks) are the inputs' sums. The inputs are left untouched; a
-// tree may appear more than once.
+// columns and MemoryBytes for the same cells. The inputs are left
+// untouched; a tree may appear more than once.
 //
 // Union refuses an empty or nil input, trees of different
 // dimensionality or resolution count, and trees whose points sum past
@@ -142,17 +141,11 @@ func (t *Tree) writeUnion(trees []*Tree) {
 		}
 		row++
 	}
-	var eta int
-	var grows, batchRuns, runPoints, radixChunks int64
+	eta := 0
 	for _, src := range trees {
 		eta += src.Eta
-		grows += src.grows
-		batchRuns += src.runs
-		runPoints += src.runPoints
-		radixChunks += src.radixChunks
 	}
 	t.invalidateIndexes()
 	t.adoptColumns(c)
-	t.countChildren()
-	t.Eta, t.grows, t.runs, t.runPoints, t.radixChunks = eta, grows, batchRuns, runPoints, radixChunks
+	t.Eta = eta
 }

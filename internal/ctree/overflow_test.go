@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mrcc/internal/dataset"
+	"mrcc/internal/obs"
 )
 
 // TestInsertRefusesPastMaxPoints pins the int32 overflow guard: a tree
@@ -151,22 +152,23 @@ func TestMaxPointsIsInt32Max(t *testing.T) {
 }
 
 // TestBuildParallelProgress checks the cumulative progress stream of
-// a multi-worker build: the merge reports it from one goroutine, so it
-// must be non-decreasing, end at the dataset size, and the built tree
-// must match the single-worker build.
+// a multi-worker build, reported through its collector: the merge
+// reports it from one goroutine, so it must be non-decreasing, end at
+// the dataset size, and the built tree must match the single-worker
+// build.
 func TestBuildParallelProgress(t *testing.T) {
 	ds := uniformDataset(t, 4, 20000, 7)
 	var maxDone, calls int
-	tree, err := Build(ds, 4, BuildOptions{Workers: 4, Progress: func(done, total int) {
+	tree, err := Build(ds, 4, BuildOptions{Workers: 4, Collector: obs.New(func(p obs.Phase, done, total int64) {
 		calls++
-		if total != ds.Len() {
-			t.Errorf("total = %d, want %d", total, ds.Len())
+		if p != obs.PhaseTreeBuild || total != int64(ds.Len()) {
+			t.Errorf("progress %s of total %d, want treeBuild of %d", p, total, ds.Len())
 		}
-		if done < maxDone {
+		if int(done) < maxDone {
 			t.Errorf("progress went backwards: %d after %d", done, maxDone)
 		}
-		maxDone = done
-	}})
+		maxDone = int(done)
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,10 +218,10 @@ func TestQuantizeKeyWordsMatchesSlow(t *testing.T) {
 }
 
 // TestBatchLayoutsMatchPerPointInsert forces each of Build's two sort
-// layouts through InsertBatch — the pair radix sort of packed keys
-// (d·(H-1) <= 64, a short and a long key) and the multi-word
-// comparison fallback — and pins the resulting tree cell-identical to
-// per-point insertion.
+// layouts — the pair radix sort of packed keys (d·(H-1) <= 64, a short
+// and a long key) and the multi-word comparison fallback — and pins the
+// resulting tree cell-identical to per-point insertion, and the radix
+// chunks the build reports to the layout.
 func TestBatchLayoutsMatchPerPointInsert(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -244,8 +244,8 @@ func TestBatchLayoutsMatchPerPointInsert(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				ds.Points[n-1-i] = ds.Points[i]
 			}
-			batched := New(tc.d, tc.H)
-			if err := batched.InsertBatch(ds.Points); err != nil {
+			batched, st, err := buildCounted(ds, tc.H, BuildOptions{Workers: 1})
+			if err != nil {
 				t.Fatal(err)
 			}
 			perPoint := New(tc.d, tc.H)
@@ -258,12 +258,9 @@ func TestBatchLayoutsMatchPerPointInsert(t *testing.T) {
 				t.Fatal("batched build diverged from per-point insertion")
 			}
 			wantRadix := tc.layout != "multiword"
-			if got := batched.RadixChunks() > 0; got != wantRadix {
-				t.Fatalf("RadixChunks = %d, want >0 == %v for layout %s",
-					batched.RadixChunks(), wantRadix, tc.layout)
-			}
-			if perPoint.RadixChunks() != 0 {
-				t.Fatalf("per-point build counted %d radix chunks, want 0", perPoint.RadixChunks())
+			if got := st.RadixSortChunks > 0; got != wantRadix {
+				t.Fatalf("radix chunks = %d, want >0 == %v for layout %s",
+					st.RadixSortChunks, wantRadix, tc.layout)
 			}
 		})
 	}

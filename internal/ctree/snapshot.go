@@ -2,14 +2,14 @@
 // on-disk snapshot format (internal/treeio).
 //
 // A Counting-tree's whole state is six structure-of-arrays columns
-// (Loc, N, Used, Level, Parent and the half-space slab P): the child
-// counts are derivable from Parent. NewFromColumns assembles a
+// (Loc, N, Used, Level, Parent and the half-space slab P), and a tree
+// holds nothing else (arena.go). NewFromColumns assembles a
 // written-once tree — exactly the rows it is given (arena.go), in
 // canonical order, into which it rewrites rows given in any other
 // order once — and, crucially, REVALIDATES every structural invariant
 // (parents precede children, level chains, per-axis positions inside
 // the dimension mask, no two children of one parent at one position,
-// child counts summing to the parent's count, the half-space counters
+// children's counts summing to the parent's count, the half-space counters
 // matching the children's positions), so columns read from an
 // untrusted file can never assemble into a silently wrong tree: they
 // either reproduce a tree some sequence of inserts could have built,
@@ -58,19 +58,17 @@ func (t *Tree) Columns() Columns {
 }
 
 // NewFromColumns assembles a written-once Counting-tree from its state
-// columns and derives the child counts in one linear pass. The slices
-// are taken over by the tree when their capacities equal their lengths
-// and the rows are in canonical order; otherwise they are copied into
-// exactly sized slabs, so MemoryBytes is that of the cells alone,
-// whatever tree the columns came from.
+// columns. The slices are taken over by the tree when their capacities
+// equal their lengths and the rows are in canonical order; otherwise
+// they are copied into exactly sized slabs, so MemoryBytes is that of
+// the cells alone, whatever tree the columns came from.
 //
 // Every structural invariant is checked and any violation returns an
 // error naming it and the rows as given: untrusted columns either
 // reproduce a tree that a sequence of inserts could have built, or they
-// are refused. The returned tree is in canonical order (arena.go) and
-// reports zero build statistics (ArenaGrows, BatchRuns); its counts and
-// clustering behavior are exactly those of the tree the columns came
-// from.
+// are refused. The returned tree is in canonical order (arena.go); its
+// counts and clustering behavior are exactly those of the tree the
+// columns came from.
 func NewFromColumns(d, h, eta int, c Columns) (*Tree, error) {
 	return adoptCheckedColumns(d, h, eta, c, true)
 }
@@ -137,7 +135,6 @@ func adoptCheckedColumns(d, h, eta int, c Columns, validate bool) (*Tree, error)
 			return nil, err
 		}
 	}
-	t.countChildren()
 	ordered := t.scanCanonical()
 	if ordered && !validate {
 		return t, nil
@@ -194,16 +191,20 @@ func (k childRuns) of(p int) []Ref {
 	return k.list[lo:k.end[p]]
 }
 
-// groupChildren lists the cells by parent in one pass over the parent
-// column, each parent's children ascending by row. Rows in canonical
-// order (ordered) ascend by loc within each run already; any other
-// rows have each run sorted by (loc, row).
+// groupChildren lists the cells by parent, each parent's children
+// ascending by row: one pass over the parent column counts every
+// parent's children, their prefix sums place each run, and a second
+// pass fills the runs. Rows in canonical order (ordered) ascend by loc
+// within each run already; any other rows have each run sorted by
+// (loc, row).
 func (t *Tree) groupChildren(ordered bool) childRuns {
 	rows := len(t.loc)
 	k := childRuns{list: make([]Ref, rows-1), end: make([]int32, rows)}
+	for _, par := range t.parent[1:] {
+		k.end[par]++
+	}
 	for par, off := 0, int32(0); par < rows; par++ {
-		k.end[par] = off
-		off += t.childCount[par]
+		k.end[par], off = off, off+k.end[par]
 	}
 	for r := 1; r < rows; r++ {
 		par := t.parent[r]
@@ -330,7 +331,6 @@ func (t *Tree) writePreorder(kids childRuns) {
 		row++
 	}
 	t.adoptColumns(c)
-	t.countChildren()
 }
 
 // checkRow runs the per-row checks that keep every use of the tree
@@ -359,13 +359,11 @@ func (t *Tree) checkRow(r int) error {
 
 // adoptColumns installs the state columns into the tree, replacing its
 // whole arena: each slice is taken over when its capacity equals its
-// length and copied into an exactly sized slab otherwise. The child
-// counts (countChildren) are left to the caller, so the tree ends
-// written-once.
+// length and copied into an exactly sized slab otherwise, so the tree
+// ends written-once.
 func (t *Tree) adoptColumns(c Columns) {
 	t.loc, t.n, t.used, t.level = fit(c.Loc), fit(c.N), fit(c.Used), fit(c.Level)
 	t.parent, t.p = fit(c.Parent), fit(c.P)
-	t.childCount = nil
 }
 
 // fit returns s when its capacity is its length, and an exact copy
@@ -378,10 +376,10 @@ func fit[T any](s []T) []T {
 }
 
 // Equal reports whether two trees store exactly the same cells with
-// the same counts, half-space counters and usedCell flags (build
-// statistics are ignored — a serial build, a sharded merge, an
-// external spill-and-merge build, a tree fed by InsertBatch and a
-// snapshot load of the same dataset are all Equal). Every tree lists
+// the same counts, half-space counters and usedCell flags (a serial
+// build, a sharded merge, an external spill-and-merge build, a tree fed
+// by InsertBatch and a snapshot load of the same dataset are all
+// Equal). Every tree lists
 // its cells in canonical order, so two trees store the same cells
 // exactly when their columns are equal.
 func Equal(a, b *Tree) bool {

@@ -7,6 +7,7 @@ import (
 
 	"mrcc/internal/ctree"
 	"mrcc/internal/dataset"
+	"mrcc/internal/obs"
 	"mrcc/internal/treeio"
 )
 
@@ -41,11 +42,13 @@ func TestBuildSnapshotBytesAgree(t *testing.T) {
 		{"spill/2runs", ctree.BuildOptions{SpillDir: t.TempDir(), MemoryLimitBytes: 25_000 * rec}, 2},
 		{"spill/7runs", ctree.BuildOptions{SpillDir: t.TempDir(), MemoryLimitBytes: 8192 * rec}, 7},
 	} {
+		col := obs.New(nil)
+		c.opt.Collector = col
 		tr, err := ctree.Build(ds, H, c.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if runs, _ := tr.SpillStats(); runs != c.runs {
+		if runs := col.Finish().Counters.SpillRuns; runs != c.runs {
 			t.Fatalf("%s: %d spill runs, want %d", c.name, runs, c.runs)
 		}
 		if !ctree.Canonical(tr) {

@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 
 	"mrcc/internal/dataset"
+	"mrcc/internal/obs"
 )
 
 // spillBlock is how many records a spilled run reads back at a time.
@@ -57,9 +58,9 @@ type spillReader struct {
 // BuildOptions.MemoryLimitBytes), writes each run to its own file under
 // dir and returns the runs as record streams holding their first
 // block. Packed keys pack through ks, the spread table of t's (d, H).
-// It records the spill traffic on t. On error it also returns
+// It records the spill traffic on st. On error it also returns
 // the runs opened so far, so the caller can close them.
-func spillRuns(t *Tree, ds *dataset.Dataset, dir string, ks keySpread, opt BuildOptions, bc *buildControl) ([]*recordStream, error) {
+func spillRuns(t *Tree, ds *dataset.Dataset, dir string, ks keySpread, opt BuildOptions, bc *buildControl, st *obs.BuildCounters) ([]*recordStream, error) {
 	n := ds.Len()
 	w := keyWords(t.D, t.H)
 	runPoints := opt.runPoints
@@ -86,8 +87,8 @@ func spillRuns(t *Tree, ds *dataset.Dataset, dir string, ks keySpread, opt Build
 		if err := writeRun(f, sorted, w, buf); err != nil {
 			return runs, fmt.Errorf("ctree: spilling run %d: %w", len(runs)-1, err)
 		}
-		t.spillRuns++
-		t.spillBytes += int64(len(sorted.leaf) * (w + 1) * 8)
+		st.SpillRuns++
+		st.SpillBytes += int64(len(sorted.leaf) * (w + 1) * 8)
 		if err := rs.src.fill(rs, w); err != nil {
 			return runs, err
 		}

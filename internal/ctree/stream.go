@@ -103,8 +103,7 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 	}
 	t.invalidateIndexes()
 	t.adoptColumns(b.Columns())
-	t.childCount = b.childCount
-	t.Eta, t.runs, t.runPoints, t.radixChunks = b.Eta, t.runs+b.runs, t.runPoints+b.runPoints, t.radixChunks+b.radixChunks
+	t.Eta = b.Eta
 	return nil
 }
 
@@ -114,14 +113,11 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 // cells alone (a clone of a written-once tree reports the original's).
 // Later mutation of either tree never touches the other. The lazily
 // built level indexes are not copied — the clone rebuilds them on first
-// use — but the build statistics are.
+// use.
 func (t *Tree) Clone() *Tree {
 	return &Tree{
 		D: t.D, H: t.H, Eta: t.Eta, dmask: t.dmask,
-		grows: t.grows, runs: t.runs, runPoints: t.runPoints,
-		radixChunks: t.radixChunks,
-		spillRuns:   t.spillRuns, spillBytes: t.spillBytes,
 		loc: exact(t.loc), n: exact(t.n), used: exact(t.used), level: exact(t.level),
-		parent: exact(t.parent), childCount: exact(t.childCount), p: exact(t.p),
+		parent: exact(t.parent), p: exact(t.p),
 	}
 }

@@ -148,45 +148,27 @@ func (c *Collector) SetDegradedH(h int) {
 	c.mu.Unlock()
 }
 
-// SetTreeBytes records the Counting-tree footprint estimate.
-func (c *Collector) SetTreeBytes(b uint64) {
+// SetTreeBytes records the Counting-tree footprint: tree is the arenas
+// and the level indexes together (Stats.TreeBytes), arena the arenas
+// alone (Stats.ArenaBytes).
+func (c *Collector) SetTreeBytes(tree, arena uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.stats.TreeBytes = b
+	c.stats.TreeBytes, c.stats.ArenaBytes = tree, arena
 	c.mu.Unlock()
 }
 
-// SetArenaStats records the arena storage footprint and the batch-
-// insertion shape of the finished tree build: arenaBytes is the exact
-// slab/table footprint, grows the number of slab reallocations,
-// runs/runPoints the sorted-batch run count and the points those runs
-// carried (see Counters.BatchRuns), and radixChunks the record streams
-// ordered by the LSD radix kernel.
-func (c *Collector) SetArenaStats(arenaBytes uint64, grows, runs, runPoints, radixChunks int64) {
+// SetBuildCounters records the counters of the run's tree build. A run
+// that degrades to a smaller H builds again, and the last build, whose
+// tree the run clusters, is the one recorded.
+func (c *Collector) SetBuildCounters(b BuildCounters) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.stats.ArenaBytes = arenaBytes
-	c.stats.Counters.ArenaGrows = grows
-	c.stats.Counters.BatchRuns = runs
-	c.stats.Counters.BatchRunPoints = runPoints
-	c.stats.Counters.RadixSortChunks = radixChunks
-	c.mu.Unlock()
-}
-
-// SetSpillStats records an out-of-core build's disk traffic: the
-// number of sorted runs spilled and the bytes written to the spill
-// files (zero for in-memory builds, which never call this).
-func (c *Collector) SetSpillStats(runs, bytes int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.stats.Counters.SpillRuns = runs
-	c.stats.Counters.SpillBytes = bytes
+	c.stats.Counters.BuildCounters = b
 	c.mu.Unlock()
 }
 

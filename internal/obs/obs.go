@@ -118,7 +118,8 @@ type PhaseStat struct {
 func (p PhaseStat) Wall() time.Duration { return time.Duration(p.WallNS) }
 
 // Counters are the pipeline's event counts. All counts are exact, not
-// sampled, and identical for every worker count.
+// sampled, and identical for every worker count but RadixSortChunks,
+// which counts one record stream per sort worker.
 type Counters struct {
 	// CellsPerLevel[h] is the number of stored Counting-tree cells at
 	// level h (index 0 is unused; levels run 1..H-1).
@@ -146,29 +147,9 @@ type Counters struct {
 	// the incremental eligibility repair (the cursor advances of
 	// scancache.go); each retired cell is re-examined on no later pass.
 	CacheRepairCells int64 `json:"cacheRepairCells,omitempty"`
-	// ArenaGrows counts arena slab reallocations (capacity doublings)
-	// across the tree build. An in-memory build counts its cells first
-	// and allocates its arena once, so it reports 0; a spilled build
-	// doubles from 64 rows, about log2(cells/64) times.
-	ArenaGrows int64 `json:"arenaGrows,omitempty"`
-	// BatchRuns / BatchRunPoints describe the sorted batch insertion:
-	// BatchRuns is how many leaf-path runs the Morton-sorted record
-	// streams collapsed to, BatchRunPoints how many points those runs
-	// carried (points inserted through the per-point fallback are not
-	// counted). BatchRunPoints/BatchRuns is the mean run length — the
-	// batching win over per-point descents.
-	BatchRuns      int64 `json:"batchRuns,omitempty"`
-	BatchRunPoints int64 `json:"batchRunPoints,omitempty"`
-	// RadixSortChunks counts the record streams the build ordered with
-	// the LSD radix kernel (ctree/radix.go) — one per sort worker or
-	// spilled run. Zero when every stream took the multi-word
-	// comparison-sort fallback (d·(H-1) > 64).
-	RadixSortChunks int64 `json:"radixSortChunks,omitempty"`
-	// SpillRuns / SpillBytes describe an out-of-core tree build
-	// (ctree.BuildOptions.SpillDir): sorted runs spilled to disk and
-	// the bytes they carried. Zero for in-memory builds.
-	SpillRuns  int64 `json:"spillRuns,omitempty"`
-	SpillBytes int64 `json:"spillBytes,omitempty"`
+	// BuildCounters describe the run's own tree build; a run over trees
+	// it was given built none and reports them all zero.
+	BuildCounters
 	// SnapshotSaveBytes / SnapshotLoadBytes count tree snapshot IO
 	// (treeio) performed around the run by the CLI's -save-tree and
 	// -load-tree modes.
@@ -195,6 +176,36 @@ type Counters struct {
 	NoisePoints   int64 `json:"noisePoints"`
 }
 
+// BuildCounters are the counters one tree build (ctree.Build) reports
+// to its collector when it succeeds. They describe that build alone: a
+// tree a run was given (a snapshot load, a union, a streamed run list)
+// carries none, whatever builds made it.
+type BuildCounters struct {
+	// ArenaGrows counts arena slab reallocations (capacity doublings)
+	// across the tree build. An in-memory build counts its cells first
+	// and allocates its arena once, so it reports 0; a spilled build
+	// doubles from 64 rows, about log2(cells/64) times.
+	ArenaGrows int64 `json:"arenaGrows,omitempty"`
+	// BatchRuns / BatchRunPoints describe the sorted batch insertion:
+	// BatchRuns is how many leaf-path runs the Morton-sorted record
+	// streams collapsed to, BatchRunPoints how many points those runs
+	// carried, which is every point of the build.
+	// BatchRunPoints/BatchRuns is the mean run length — the batching
+	// win over per-point descents.
+	BatchRuns      int64 `json:"batchRuns,omitempty"`
+	BatchRunPoints int64 `json:"batchRunPoints,omitempty"`
+	// RadixSortChunks counts the record streams the build ordered with
+	// the LSD radix kernel (ctree/radix.go) — one per sort worker or
+	// spilled run. Zero when every stream took the multi-word
+	// comparison-sort fallback (d·(H-1) > 64).
+	RadixSortChunks int64 `json:"radixSortChunks,omitempty"`
+	// SpillRuns / SpillBytes describe an out-of-core tree build
+	// (ctree.BuildOptions.SpillDir): sorted runs spilled to disk and
+	// the bytes they carried. Zero for in-memory builds.
+	SpillRuns  int64 `json:"spillRuns,omitempty"`
+	SpillBytes int64 `json:"spillBytes,omitempty"`
+}
+
 // Stats is one run's complete observability record. It is plain data:
 // marshal it with encoding/json for the BENCH trajectory or render the
 // human table with Format.
@@ -208,9 +219,9 @@ type Stats struct {
 	// slab/table accounting (ctree.MemoryBytes) plus the flat level
 	// indexes (ctree.IndexMemoryBytes) — the two are disjoint.
 	TreeBytes uint64 `json:"treeBytes"`
-	// ArenaBytes is the arena slab footprint alone (cell columns, the
-	// contiguous P slab and the open-addressing child tables), i.e.
-	// TreeBytes minus the level indexes.
+	// ArenaBytes is the arena slab footprint alone (the cell columns
+	// and the contiguous P slab), i.e. TreeBytes minus the level
+	// indexes.
 	ArenaBytes uint64 `json:"arenaBytes,omitempty"`
 
 	// Aborted names the phase an interrupted run failed in (cancellation,

@@ -18,7 +18,8 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.Start(PhaseConvScan).EndAtLevel(2)
 	c.Progress(PhaseLabeling, 1, 2)
 	c.SetShape(1, 2, 3, 4)
-	c.SetTreeBytes(9)
+	c.SetTreeBytes(9, 8)
+	c.SetBuildCounters(BuildCounters{BatchRuns: 1})
 	c.CountCells(2, 7)
 	c.AddScanPass()
 	c.AddBetaTest(true)
@@ -77,7 +78,7 @@ func TestScanLevelAttribution(t *testing.T) {
 func TestCountersAndFinishCopy(t *testing.T) {
 	c := New(nil)
 	c.SetShape(100, 5, 4, 2)
-	c.SetTreeBytes(2048)
+	c.SetTreeBytes(2048, 1024)
 	c.CountCells(1, 10)
 	c.CountCells(3, 40)
 	c.AddScanPass()

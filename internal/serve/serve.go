@@ -88,12 +88,6 @@ type Config struct {
 	// warm-starts from on boot (when the file exists), writes on POST
 	// /snapshot/save, and saves a final time on graceful shutdown.
 	SnapshotPath string
-	// TrustSnapshotChecksums warm-starts with the fast snapshot load:
-	// the per-column CRCs are still verified, but the structural
-	// revalidation of every cell is skipped. Safe for snapshots this
-	// service (or a sharded build) wrote itself; leave false for
-	// snapshots of unknown provenance.
-	TrustSnapshotChecksums bool
 	// WALDir, when non-empty, enables the write-ahead ingest log:
 	// every accepted batch is appended (and, per WALSync, fsynced)
 	// before it is folded into the tree, and warm-start replays the
@@ -319,8 +313,7 @@ func New(cfg Config) (*Server, error) {
 	var ckptSeq uint64
 	if cfg.SnapshotPath != "" {
 		if _, err := os.Stat(cfg.SnapshotPath); err == nil {
-			t, meta, err := treeio.LoadFile(cfg.SnapshotPath,
-				treeio.LoadOptions{TrustChecksums: cfg.TrustSnapshotChecksums})
+			t, meta, err := treeio.LoadFile(cfg.SnapshotPath, treeio.LoadOptions{})
 			if err != nil {
 				return nil, fmt.Errorf("serve: warm-start snapshot: %w", err)
 			}

@@ -26,10 +26,11 @@ type Options struct {
 	DialTimeout time.Duration
 	// DistrustChecksums re-runs the full structural snapshot
 	// validation on every received shard tree instead of trusting the
-	// per-column checksums. Workers we spawned (or operate) satisfy
-	// the trust contract — a worker sends only a tree it built, or a
+	// per-column checksums. Workers the caller spawned satisfy the
+	// trust contract — a worker sends only a tree it built, or a
 	// snapshot file it validated in full — so the default is the fast
-	// path.
+	// path; workers at addresses the caller was handed may not, and
+	// mrcc-shard -worker-addrs sets it for them.
 	DistrustChecksums bool
 }
 

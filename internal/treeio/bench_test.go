@@ -43,8 +43,9 @@ func BenchmarkSnapshotSave(b *testing.B) {
 }
 
 // BenchmarkSnapshotLoad measures the full validated load path —
-// header parse, column reads, checksums, the structural revalidation
-// and the child counts — from an in-memory snapshot. "uniform" is
+// header parse, column reads, checksums and the structural
+// revalidation, which groups the cells by parent — from an in-memory
+// snapshot. "uniform" is
 // benchTree's snapshot, the EXPERIMENTS.md GB/s row. "canonical" and
 // "firsttouch" hold the same cells, 100k points of the stream-grow
 // shape (d = 15, H = 4): Build's snapshot, and the same rows in

@@ -54,11 +54,11 @@ grep -q 'check-serial: ok' "$coord_out" \
 grep -q '6000 points' "$coord_out" \
   || { echo "coordinator did not fold all 6000 points"; exit 1; }
 
-# The emitted snapshot must warm-start mrcc-serve (trusted fast load).
+# The emitted snapshot must warm-start mrcc-serve (a fully validated load).
 serve="$dir/mrcc-serve"
 go build -o "$serve" ./cmd/mrcc-serve
 serve_out="$dir/serve.out"
-"$serve" -addr 127.0.0.1:0 -dims 5 -snapshot "$dir/tree.snap" -trust-snapshot >"$serve_out" 2>&1 &
+"$serve" -addr 127.0.0.1:0 -dims 5 -snapshot "$dir/tree.snap" >"$serve_out" 2>&1 &
 spid=$!
 for _ in $(seq 50); do
   saddr="$(sed -n 's/^mrcc-serve listening on //p' "$serve_out")"
