@@ -36,11 +36,10 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
+	"mrcc/internal/dataset"
 	"mrcc/internal/serve"
 )
 
@@ -67,9 +66,12 @@ func main() {
 	)
 	flag.Parse()
 
-	min, max, err := parseDomain(*domain, *dims)
+	if *dims < 1 {
+		log.Fatalf("mrcc-serve: -dims is required (got %d)", *dims)
+	}
+	min, max, err := dataset.ParseDomain(*domain, *dims)
 	if err != nil {
-		log.Fatalf("mrcc-serve: %v", err)
+		log.Fatalf("mrcc-serve: -domain: %v", err)
 	}
 	logf := log.Printf
 	if *quiet {
@@ -112,40 +114,4 @@ func main() {
 		log.Fatalf("mrcc-serve: %v", err)
 	}
 	logf("mrcc-serve: shut down cleanly")
-}
-
-// parseDomain turns "min:max[,min:max...]" into per-axis bounds. A
-// single pair is broadcast to every axis.
-func parseDomain(spec string, dims int) (min, max []float64, err error) {
-	if dims < 1 {
-		return nil, nil, fmt.Errorf("-dims is required (got %d)", dims)
-	}
-	if spec == "" {
-		return nil, nil, nil
-	}
-	pairs := strings.Split(spec, ",")
-	if len(pairs) == 1 {
-		pairs = make([]string, dims)
-		for j := range pairs {
-			pairs[j] = strings.Split(spec, ",")[0]
-		}
-	}
-	if len(pairs) != dims {
-		return nil, nil, fmt.Errorf("-domain has %d axis bounds, want 1 or %d", len(pairs), dims)
-	}
-	min = make([]float64, dims)
-	max = make([]float64, dims)
-	for j, pair := range pairs {
-		lo, hi, ok := strings.Cut(strings.TrimSpace(pair), ":")
-		if !ok {
-			return nil, nil, fmt.Errorf("-domain axis %d: %q is not min:max", j, pair)
-		}
-		if min[j], err = strconv.ParseFloat(lo, 64); err != nil {
-			return nil, nil, fmt.Errorf("-domain axis %d min: %v", j, err)
-		}
-		if max[j], err = strconv.ParseFloat(hi, 64); err != nil {
-			return nil, nil, fmt.Errorf("-domain axis %d max: %v", j, err)
-		}
-	}
-	return min, max, nil
 }

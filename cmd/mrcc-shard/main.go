@@ -56,7 +56,6 @@ import (
 	"os/exec"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -275,9 +274,9 @@ func runCoordinator(ctx context.Context, opt options, stdout, stderr io.Writer) 
 
 // buildJobs turns the input flags into the shard job list.
 func buildJobs(opt options) ([]shard.Job, error) {
-	min, max, err := parseDomain(opt.domain, opt.dims)
+	min, max, err := dataset.ParseDomain(opt.domain, opt.dims)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-domain: %w", err)
 	}
 	tpl := shard.Job{
 		Dims: opt.dims, H: opt.h,
@@ -379,9 +378,9 @@ func checkSerial(ctx context.Context, opt options, merged *ctree.Tree, stdout io
 	if err != nil {
 		return fmt.Errorf("check-serial: %w", err)
 	}
-	min, max, err := parseDomain(opt.domain, opt.dims)
+	min, max, err := dataset.ParseDomain(opt.domain, opt.dims)
 	if err != nil {
-		return err
+		return fmt.Errorf("-domain: %w", err)
 	}
 	if err := shard.NormalizeDomain(ds, min, max); err != nil {
 		return fmt.Errorf("check-serial: %w", err)
@@ -437,41 +436,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// parseDomain turns "min:max[,min:max...]" into per-axis bounds; a
-// single pair is broadcast to every axis. Same syntax as mrcc-serve.
-func parseDomain(spec string, dims int) (min, max []float64, err error) {
-	if spec == "" {
-		return nil, nil, nil
-	}
-	pairs := strings.Split(spec, ",")
-	if len(pairs) == 1 && dims > 1 {
-		one := pairs[0]
-		pairs = make([]string, dims)
-		for j := range pairs {
-			pairs[j] = one
-		}
-	}
-	if len(pairs) != dims {
-		return nil, nil, fmt.Errorf("-domain has %d axis bounds, want 1 or %d", len(pairs), dims)
-	}
-	min = make([]float64, dims)
-	max = make([]float64, dims)
-	for j, pair := range pairs {
-		lo, hi, ok := strings.Cut(strings.TrimSpace(pair), ":")
-		if !ok {
-			return nil, nil, fmt.Errorf("-domain axis %d: %q is not min:max", j, pair)
-		}
-		if min[j], err = strconv.ParseFloat(lo, 64); err != nil {
-			return nil, nil, fmt.Errorf("-domain axis %d min: %v", j, err)
-		}
-		if max[j], err = strconv.ParseFloat(hi, 64); err != nil {
-			return nil, nil, fmt.Errorf("-domain axis %d max: %v", j, err)
-		}
-		if !(max[j] > min[j]) {
-			return nil, nil, fmt.Errorf("-domain axis %d: max %g must exceed min %g", j, max[j], min[j])
-		}
-	}
-	return min, max, nil
 }

@@ -13,10 +13,12 @@ func BenchmarkFaceValue(b *testing.B) {
 	tr, _ := buildTree(b, 10, 20000, 1, 4)
 	ix := tr.EnsureLevelIndexes()[1]
 	buf := make(ctree.Path, 0, ix.Level)
+	var path ctree.Path
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := i % ix.Len()
-		FaceValueScratch(ix, ix.PathOf(e), e, buf)
+		path = ix.PathInto(path, e)
+		FaceValueScratch(ix, path, e, buf)
 	}
 }
 
@@ -25,9 +27,11 @@ func BenchmarkFaceValue(b *testing.B) {
 func BenchmarkFullValue(b *testing.B) {
 	tr, _ := buildTree(b, 6, 5000, 1, 4)
 	ix := tr.EnsureLevelIndexes()[1]
+	var path ctree.Path
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := i % ix.Len()
-		FullValue(ix, ix.PathOf(e), e)
+		path = ix.PathInto(path, e)
+		FullValue(ix, path, e)
 	}
 }

@@ -66,7 +66,7 @@ func TestFaceValueMatchesBruteForce(t *testing.T) {
 	for h := 2; h <= 3; h++ {
 		ix := tr.EnsureLevelIndexes()[h-1]
 		for i := 0; i < ix.Len(); i++ {
-			p := ix.PathOf(i)
+			p := ix.PathInto(nil, i)
 			got := FaceValueScratch(ix, p, i, nil)
 			want := naiveFaceValue(tr, ds, p)
 			if got != want {
@@ -95,7 +95,7 @@ func TestFaceValueIsolatedCellIsPositive(t *testing.T) {
 	for i := 0; i < ix.Len(); i++ {
 		if ix.N(i) == 50 {
 			found = true
-			if v := FaceValueScratch(ix, ix.PathOf(i), i, nil); v != int64(2*2*50) {
+			if v := FaceValueScratch(ix, ix.PathInto(nil, i), i, nil); v != int64(2*2*50) {
 				t.Errorf("isolated cell value = %d, want %d", v, 2*2*50)
 			}
 		}
@@ -124,7 +124,7 @@ func TestFullValueMatchesFaceOnSparseDiagonal(t *testing.T) {
 	diff := false
 	ix := tr.EnsureLevelIndexes()[2]
 	for i := 0; i < ix.Len(); i++ {
-		p := ix.PathOf(i)
+		p := ix.PathInto(nil, i)
 		fv := FaceValueScratch(ix, p, i, nil)
 		uv := FullValue(ix, p, i)
 		// FullValue subtracts corner neighbors too, so on the diagonal
@@ -190,7 +190,7 @@ func TestFullValueBruteForce2D(t *testing.T) {
 	}
 	ix := tr.EnsureLevelIndexes()[1]
 	for i := 0; i < ix.Len(); i++ {
-		p := ix.PathOf(i)
+		p := ix.PathInto(nil, i)
 		got := FullValue(ix, p, i)
 		want := naiveFull(p)
 		if got != want {
@@ -357,7 +357,7 @@ func TestFaceSumMatchesScratch(t *testing.T) {
 					var nb ctree.Path
 					resolved := false
 					for i := 0; i < ix.Len(); i++ {
-						p := ix.PathOf(i)
+						p := ix.PathInto(nil, i)
 						want := twoD * countAt(srcs, p)
 						for j := 0; j < d; j++ {
 							for _, up := range [2]bool{false, true} {
@@ -467,7 +467,7 @@ func TestFullValueMatchesOffsetOracle(t *testing.T) {
 			for h := 1; h <= H-1; h++ {
 				ix := tr.EnsureLevelIndexes()[h-1]
 				for i := 0; i < ix.Len(); i++ {
-					p := ix.PathOf(i)
+					p := ix.PathInto(nil, i)
 					if got, want := FullValue(ix, p, i), fullValueOffsets(tr, p, tr.CellAt(p)); got != want {
 						t.Fatalf("d=%d H=%d level %d cell %v: FullValue %d, oracle %d", d, H, h, p, got, want)
 					}
@@ -477,7 +477,8 @@ func TestFullValueMatchesOffsetOracle(t *testing.T) {
 				continue
 			}
 			ix := tr.EnsureLevelIndexes()[H-2]
-			if allocs := testing.AllocsPerRun(5, func() { FullValue(ix, ix.PathOf(0), 0) }); allocs != 0 {
+			p := ix.PathInto(nil, 0)
+			if allocs := testing.AllocsPerRun(5, func() { FullValue(ix, p, 0) }); allocs != 0 {
 				t.Fatalf("d=%d H=%d: FullValue allocated %.1f times per call, want 0", d, H, allocs)
 			}
 		}

@@ -484,7 +484,8 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 			col.CountCells(ix.Level, int64(ix.Len()))
 		}
 	}
-	s := &searcher{idx: idx, d: t.D, cfg: cfg, workers: workers, col: col, abort: ab, critCache: make(map[int]int)}
+	s := &searcher{idx: idx, d: t.D, cfg: cfg, workers: workers, col: col, abort: ab, critCache: make(map[int]int),
+		path: make(ctree.Path, 0, len(idx))}
 	betas, err := s.findBetaClusters()
 	spSearch.End()
 	if err != nil {
@@ -569,6 +570,7 @@ type searcher struct {
 	critCache map[int]int // nP -> θ (see criticalValue) at cfg.Alpha (p = 1/6)
 	lBuf      []float64   // scratch cell bounds for the overlap check
 	uBuf      []float64
+	path      ctree.Path // scratch root path of the entry a probe or a β-test reads
 	// used[h][i] is the usedCell flag of level h's entry i, allocated
 	// when a pass first reaches level h (usedAt): set on every cell a
 	// β-test took, so no pass picks it again.
@@ -696,19 +698,17 @@ func (s *searcher) sharesSpaceWithBetaInto(p ctree.Path, lBuf, uBuf []float64) b
 // testCell applies the null-hypothesis test centered on level h's
 // entry i (Algorithm 2, lines 14-17) and, when at least one axis
 // rejects uniformity, describes the new β-cluster (lines 19-30). The
-// parent cell and the face neighbors of the parent and of the cell are
-// found by path lookups in the level indexes, so their counts are the
-// union's; the scan starts at level 2, so the parent level is indexed.
+// parent cell is the entry's parent in the level above, and the face
+// neighbors of the parent and of the cell are found by path lookups in
+// the level indexes, so their counts are the union's; the scan starts
+// at level 2, so the parent level is indexed.
 func (s *searcher) testCell(h, i int) (BetaCluster, bool) {
 	d := s.d
 	ix, up := s.idx[h-1], s.idx[h-2]
-	p := ix.PathOf(i)
-	parentPath := p[:h-1]
-	parent := up.Find(parentPath)
-	if parent < 0 {
-		return BetaCluster{}, false
-	}
-	lowerN, upperN := conv.FaceNeighborCounts(up, parentPath)
+	p := ix.PathInto(s.path, i)
+	s.path = p
+	parent := ix.Parent(i)
+	lowerN, upperN := conv.FaceNeighborCounts(up, p[:h-1])
 	cP := make([]int64, d)
 	nP := make([]int64, d)
 	significant := false

@@ -124,7 +124,7 @@ func (s *searcher) scanChunk(ix *ctree.LevelIndex, used []bool, lo, hi int) chun
 				break
 			}
 		}
-		p := ix.PathOf(i)
+		p := ix.PathInto(nil, i)
 		if used[i] || s.sharesSpaceWithBetaInto(p, lBuf, uBuf) {
 			continue
 		}
@@ -163,7 +163,7 @@ func (s *searcher) densestCellRewalk(h int) (ctree.Path, int, int64) {
 	var skips int64
 	for pos := 0; pos < len(sc.order) || sc.pop(); pos++ {
 		idx := int(sc.order[pos])
-		p := sc.ix.PathOf(idx)
+		p := sc.ix.PathInto(nil, idx)
 		if used[idx] || s.sharesSpaceWithBeta(p) {
 			skips++
 			continue

@@ -29,7 +29,8 @@
 // costs O(n) reads plus the heapify, and restart passes drop from
 // O(cells · d) re-convolution to O(skips) eligibility checks. The
 // overlap check derives a scanned entry's bounds from its path, as the
-// naive scan does.
+// naive scan does, rebuilt into the searcher's one scratch path
+// (ctree.LevelIndex.PathInto), so a probe allocates nothing.
 package core
 
 import (
@@ -82,9 +83,9 @@ func (s *searcher) levelScan(h int) (*levelScan, error) {
 // buildLevelScan computes level h's mask values and heapifies its
 // entries. The face mask is one serial pass over the level index's face
 // sums: O(n) array reads, too little work to pay for a fan-out. The
-// full 3^d mask keeps the per-entry walk, in parallel for Workers > 1;
-// its values are pure integer sums, so any chunking yields the same
-// slab.
+// full 3^d mask keeps the per-entry walk, in parallel for Workers > 1,
+// each worker rebuilding the entries' paths into one scratch path; its
+// values are pure integer sums, so any chunking yields the same slab.
 //
 // Both passes are segmented (scanCheckEvery entries per segment) and
 // poll the run's abort checkpoint a few thousand cells apart: a
@@ -107,9 +108,11 @@ func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 	var err error
 	if s.cfg.fullMask {
 		full := func(lo, hi int) error {
+			path := make(ctree.Path, 0, h)
 			return segmented(lo, hi, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					vals[i] = conv.FullValue(ix, ix.PathOf(i), i)
+					path = ix.PathInto(path, i)
+					vals[i] = conv.FullValue(ix, path, i)
 				}
 			})
 		}
@@ -190,6 +193,8 @@ func (sc *levelScan) pop() bool {
 // order — by construction the same (cell, value) the naive per-pass
 // argmax scan selects — or (nil, -1, 0) when every entry is used or
 // β-overlapping. Entries leave the heap only as the walk reaches them.
+// The path it returns is the searcher's scratch path, which its next
+// probe or β-test overwrites.
 //
 // The scan resumes at the level's repair cursor and retires every
 // ineligible entry it passes (see levelScan): entries whose used flag
@@ -208,7 +213,8 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, int, int64) {
 	var skips int64
 	for pos := from; pos < len(sc.order) || sc.pop(); pos++ {
 		idx := int(sc.order[pos])
-		p := sc.ix.PathOf(idx)
+		p := sc.ix.PathInto(s.path, idx)
+		s.path = p
 		if used[idx] || s.sharesSpaceWithBeta(p) {
 			skips++
 			continue

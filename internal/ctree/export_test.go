@@ -24,14 +24,14 @@ func LevelIndexesWithLinks(srcs ...*Tree) []*LevelIndex {
 }
 
 // UpperLink returns the entry index of entry i's upper face neighbor
-// along axis j — the stored cell at ix.PathOf(i).NeighborInto(nil, j, true) — or
+// along axis j — the stored cell at ix.PathInto(nil, i).NeighborInto(nil, j, true) — or
 // -1 when that neighbor falls outside the unit cube or is not stored.
 // ix must come from LevelIndexesWithLinks.
 func UpperLink(ix *LevelIndex, i, j int) int {
 	links := ix.up[0]
 	k, _ := slices.BinarySearchFunc(links, int32(i), func(l upLink, a int32) int { return cmp.Compare(l.a, a) })
 	for ; k < len(links) && int(links[k].a) == i; k++ {
-		if b := int(links[k].b); bits.TrailingZeros64(ix.loc(i)^ix.loc(b)) == j {
+		if b := int(links[k].b); bits.TrailingZeros64(ix.locs[i]^ix.locs[b]) == j {
 			return b
 		}
 	}

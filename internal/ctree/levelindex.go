@@ -1,13 +1,17 @@
 // Level indexes: flat, immutable snapshots of the levels of one
 // Counting-tree, or of the union of several, for the β-search. Each
-// entry carries its cell's root path, its point count summed over the
-// source trees, one arena Ref per source (NilRef where that source
-// lacks the cell) and its face sum: the total point count of the cell's
-// stored face neighbors, both sides of every axis. The face-mask
-// convolution of an entry is then 2d·N − FaceSum, one array read
-// instead of 2d root-to-leaf descents. The search's usedCell flags are
-// not here: each run keeps its own (internal/core), so nothing writes
-// an index once it is built.
+// entry keeps what its cell keeps in a tree: its loc and its parent,
+// here the entry index of its parent cell at the level above. Beside
+// those it holds its point count summed over the source trees, one
+// arena Ref per source (NilRef where that source lacks the cell) and
+// its face sum: the total point count of the cell's stored face
+// neighbors, both sides of every axis. The face-mask convolution of an
+// entry is then 2d·N − FaceSum, one array read instead of 2d
+// root-to-leaf descents. A root path is rebuilt on demand, by walking
+// the parents up into a buffer the caller owns, so an entry costs the
+// same at every level. The search's usedCell flags are not here: each
+// run keeps its own (internal/core), so nothing writes an index once it
+// is built.
 //
 // Every level lists its cells in lexicographic path order: level h
 // holds, for each level h-1 entry in turn, that cell's children
@@ -16,9 +20,10 @@
 // and writes the merged levels out as a tree. It reads each source's
 // level-h cells in one pass over its arena, which lists them in path
 // order already, as every tree's arena does (arena.go). Each parent's
-// children therefore form one sorted, contiguous run, which makes the
-// entry index the path order (the β-search breaks value ties by index
-// and finds a cell by path with a binary search) and lets the face
+// children therefore form one sorted, contiguous run, whose offsets the
+// level keeps (kids). That makes the entry index the path order (the
+// β-search breaks value ties by index), lets a path be found by one
+// binary search per level over a parent's run, and lets the face
 // neighbors be found without child lookups: siblings by splitting each
 // run at the top bit in which its ends differ, cousins by one merge walk
 // between the runs of two neighboring parents, skipped when the runs'
@@ -45,9 +50,9 @@ import (
 
 // LevelIndex is the flat snapshot of one level of the union of its
 // source trees: one slab per column in lexicographic path order (entry
-// a precedes entry b exactly when PathOf(a).Compare(PathOf(b)) < 0).
-// It owns each entry's summed point count; the half-space counts are
-// read through the per-source Refs.
+// a precedes entry b exactly when PathInto(nil, a) precedes
+// PathInto(nil, b)). It owns each entry's summed point count; the
+// half-space counts are read through the per-source Refs.
 type LevelIndex struct {
 	// Level is the tree level the index covers (1 <= Level <= H-1).
 	Level int
@@ -56,14 +61,21 @@ type LevelIndex struct {
 
 	srcs []*Tree
 	n    int
+	// above is the index of level Level-1, nil at level 1, whose
+	// parent is the root.
+	above *LevelIndex
 
 	// refs[s][i] is entry i's Ref in source s, NilRef where absent.
 	refs [][]Ref
 
-	// Slabs, entry i occupying [i*width, (i+1)*width):
-	paths []uint64 // width Level: the cell's root path words
-	cnt   []int32  // the cell's point count, summed over the sources
-	face  []int64  // Σ N over the entry's stored face neighbors
+	// Columns, one value per entry:
+	locs   []uint64 // the cell's loc, the last word of its root path
+	parent []int32  // the parent cell's entry in above (nil at level 1)
+	cnt    []int32  // the cell's point count, summed over the sources
+	face   []int64  // Σ N over the entry's stored face neighbors
+	// kids[p] to kids[p+1]-1 are the children of above's entry p (nil
+	// at level 1, which is the root's one run).
+	kids []int32
 	// up lists the level's face-neighbor pairs, each cell with its
 	// upper neighbor along one axis, in blocks of Len() pairs, so that
 	// growing the list never copies it. The level below reads it to
@@ -97,52 +109,61 @@ func (ix *LevelIndex) P(i, j int) int32 {
 // Laplacian mask, so the entry's face value is 2d·N(i) − FaceSum(i).
 func (ix *LevelIndex) FaceSum(i int) int64 { return ix.face[i] }
 
-// PathOf returns entry i's root path as a view into the index's slab.
-// The view is immutable and stable for the lifetime of the index;
-// callers must not modify it.
-func (ix *LevelIndex) PathOf(i int) Path {
-	h := ix.Level
-	return Path(ix.paths[i*h : (i+1)*h : (i+1)*h])
+// Parent returns the entry index of entry i's parent cell in the index
+// of the level above. Level 1 has none: its cells' parent is the root.
+func (ix *LevelIndex) Parent(i int) int { return int(ix.parent[i]) }
+
+// PathInto writes entry i's root path into buf, grown as needed (nil
+// is fine), and returns it: the entry's loc preceded by its parent's
+// path, read up the parent entries. Callers that visit many entries
+// pass the previous result back in, so a visit allocates nothing.
+func (ix *LevelIndex) PathInto(buf Path, i int) Path {
+	if cap(buf) < ix.Level {
+		buf = make(Path, ix.Level)
+	}
+	buf = buf[:ix.Level]
+	for l := ix; l != nil; l = l.above {
+		buf[l.Level-1] = l.locs[i]
+		if l.parent != nil {
+			i = int(l.parent[i])
+		}
+	}
+	return buf
 }
 
 // Find returns the entry index of the cell at path p, or -1 when no
-// source stores it. The entries ascend in path order, so it is a binary
-// search; p must address the index's level.
+// source stores it; p must address the index's level. It walks down
+// from level 1, with one binary search per level over the run of
+// children of the entry found at the level above.
 func (ix *LevelIndex) Find(p Path) int {
-	h := ix.Level
-	if len(p) != h {
+	if len(p) != ix.Level {
 		return -1
 	}
-	paths, lo, hi := ix.paths, 0, ix.n
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if pathLess(paths[m*h:m*h+h], p) {
-			lo = m + 1
-		} else {
-			hi = m
+	var levels [MaxLevels]*LevelIndex
+	for l := ix; l != nil; l = l.above {
+		levels[l.Level-1] = l
+	}
+	i := -1
+	for h, l := range levels[:len(p)] {
+		lo, hi := 0, l.n
+		if h > 0 {
+			lo, hi = int(l.kids[i]), int(l.kids[i+1])
 		}
-	}
-	if lo < ix.n && !pathLess(p, paths[lo*h:lo*h+h]) {
-		return lo
-	}
-	return -1
-}
-
-// pathLess reports whether path a precedes path b of the same length.
-func pathLess(a, b []uint64) bool {
-	for i, w := range a {
-		if w != b[i] {
-			return w < b[i]
+		k, ok := slices.BinarySearch(l.locs[lo:hi], p[h])
+		if !ok {
+			return -1
 		}
+		i = lo + k
 	}
-	return false
+	return i
 }
 
 // MemoryBytes is the exact footprint of the index's slabs.
 func (ix *LevelIndex) MemoryBytes() uint64 {
 	var total uint64
 	total += uint64(unsafe.Sizeof(*ix))
-	total += uint64(cap(ix.paths)) * 8
+	total += uint64(cap(ix.locs)) * 8
+	total += uint64(cap(ix.parent)+cap(ix.kids)) * 4
 	for _, refs := range ix.refs {
 		total += uint64(unsafe.Sizeof(refs)) + uint64(cap(refs))*uint64(unsafe.Sizeof(NilRef))
 	}
@@ -155,7 +176,7 @@ func (ix *LevelIndex) MemoryBytes() uint64 {
 }
 
 // levelRuns is the by-product of one level's merge that the index's
-// paths and links and Union's writer read: the children of the level
+// columns and links and Union's writer read: the children of the level
 // above's entry p are entries kids[p] to kids[p+1]-1, locs[i] is entry
 // i's loc (the last word of its path), kept contiguous for the link
 // walks, and and[p] and or[p] are the AND and the OR of the locs of p's
@@ -354,34 +375,9 @@ func (m *levelMerger) merge(h int, above [][]Ref, runs levelRuns) (refs [][]Ref,
 	return refs, cnt, runs
 }
 
-// fillPaths writes each entry's root path: its parent entry's path
-// (none at level 1) followed by its own loc.
-func (ix *LevelIndex) fillPaths(above *LevelIndex, runs levelRuns) {
-	h := ix.Level
-	if above == nil {
-		ix.paths = append(make([]uint64, 0, ix.n), runs.locs...)
-		return
-	}
-	paths := make([]uint64, ix.n*h)
-	for p := 0; p < above.n; p++ {
-		parPath := above.paths[p*(h-1) : (p+1)*(h-1)]
-		for i := int(runs.kids[p]); i < int(runs.kids[p+1]); i++ {
-			path := paths[i*h : i*h+h]
-			for j, w := range parPath {
-				path[j] = w
-			}
-			path[h-1] = runs.locs[i]
-		}
-	}
-	ix.paths = paths
-}
-
 // upLink records that entry b is entry a's upper face neighbor along
 // the one axis in which their locs differ.
 type upLink struct{ a, b int32 }
-
-// loc returns entry i's loc, the last word of its path.
-func (ix *LevelIndex) loc(i int) uint64 { return ix.paths[i*ix.Level+ix.Level-1] }
 
 // linkUpper finds every pair of face neighbors at the level, a cell and
 // its upper neighbor along one axis, by the hierarchical neighbor rule
@@ -416,7 +412,7 @@ func (ix *LevelIndex) linkUpper(above *LevelIndex, runs levelRuns, rows bool) {
 	for _, block := range above.up {
 		for _, l := range block {
 			p, q := l.a, l.b
-			j := bits.TrailingZeros64(above.loc(int(p)) ^ above.loc(int(q)))
+			j := bits.TrailingZeros64(above.locs[p] ^ above.locs[q])
 			bit := uint64(1) << uint(j)
 			andP, orP, andQ, orQ := runs.and[p], runs.or[p], runs.and[q], runs.or[q]
 			if orP&bit == 0 || andQ&bit != 0 || (andP&^orQ|andQ&^orP)&^bit != 0 {
@@ -548,13 +544,14 @@ func UnionLevelIndexes(srcs ...*Tree) ([]*LevelIndex, error) {
 }
 
 // buildLevelIndexes builds the index of every stored level of the union
-// of srcs, top down: level h is merged from level h-1's entries, its
-// paths extend theirs, and it is linked from level h-1's link list.
-// Only the level below reads a level's link list, so unless keepLinks
-// is set it is dropped as soon as that level is linked, and the last
-// level never records one: at most two levels' lists are alive at once,
-// and none outlive the build. One set of run buffers, sized for the
-// largest level, serves every level.
+// of srcs, top down: level h is merged from level h-1's entries, keeps
+// a copy of the merge's locs and run offsets, from which it derives
+// each entry's parent, and is linked from level h-1's link list. Only
+// the level below reads a level's link list, so unless keepLinks is
+// set it is dropped as soon as that level is linked, and the last level
+// never records one: at most two levels' lists are alive at once, and
+// none outlive the build. One set of run buffers, sized for the largest
+// level, serves every level.
 func buildLevelIndexes(srcs []*Tree, keepLinks bool) []*LevelIndex {
 	H := srcs[0].H
 	srcs = slices.Clone(srcs)
@@ -573,10 +570,18 @@ func buildLevelIndexes(srcs []*Tree, keepLinks bool) []*LevelIndex {
 		var cnt []int32
 		refs, cnt, runs = m.merge(h, parRefs, runs)
 		ix := &LevelIndex{
-			Level: h, D: srcs[0].D, srcs: srcs, n: len(cnt), refs: refs, cnt: cnt,
-			face: make([]int64, len(cnt)),
+			Level: h, D: srcs[0].D, srcs: srcs, n: len(cnt), above: above, refs: refs,
+			locs: append(make([]uint64, 0, len(cnt)), runs.locs...), cnt: cnt, face: make([]int64, len(cnt)),
 		}
-		ix.fillPaths(above, runs)
+		if above != nil {
+			ix.kids = append(make([]int32, 0, len(runs.kids)), runs.kids...)
+			ix.parent = make([]int32, ix.n)
+			for p := 0; p+1 < len(ix.kids); p++ {
+				for i := ix.kids[p]; i < ix.kids[p+1]; i++ {
+					ix.parent[i] = int32(p)
+				}
+			}
+		}
 		ix.linkUpper(above, runs, keepLinks || h < H-1)
 		if above != nil && !keepLinks {
 			above.up = nil

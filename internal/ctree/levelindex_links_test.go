@@ -26,7 +26,7 @@ func checkUpperLinks(t *testing.T, name string, srcs []*ctree.Tree) (links []int
 	for _, ix := range ctree.LevelIndexesWithLinks(srcs...) {
 		h := ix.Level
 		for i := 0; i < ix.Len(); i++ {
-			p := ix.PathOf(i)
+			p := ix.PathInto(nil, i)
 			for j := 0; j < srcs[0].D; j++ {
 				stored := false
 				np, ok := p.NeighborInto(buf, j, true)
@@ -42,7 +42,7 @@ func checkUpperLinks(t *testing.T, name string, srcs []*ctree.Tree) (links []int
 				} else {
 					absent++
 				}
-				if (k >= 0) != stored || k >= 0 && ix.PathOf(k).Compare(np) != 0 {
+				if (k >= 0) != stored || k >= 0 && ix.PathInto(nil, k).Compare(np) != 0 {
 					t.Fatalf("%s: level %d entry %d axis %d: upper link %d, neighbor stored=%v at %v",
 						name, h, i, j, k, stored, np)
 				}
@@ -279,9 +279,9 @@ func checkIndexMatchesWalk(t *testing.T, name string, srcs []*ctree.Tree) {
 			t.Fatalf("%s: level %d index has %d entries, WalkLevel visits %d paths", name, h, ix.Len(), len(walk))
 		}
 		for i := 0; i < ix.Len(); i++ {
-			p := ix.PathOf(i)
-			if i > 0 && ix.PathOf(i-1).Compare(p) >= 0 {
-				t.Fatalf("%s: level %d entries %d and %d are out of path order: %v, %v", name, h, i-1, i, ix.PathOf(i-1), p)
+			p := ix.PathInto(nil, i)
+			if i > 0 && ix.PathInto(nil, i-1).Compare(p) >= 0 {
+				t.Fatalf("%s: level %d entries %d and %d are out of path order: %v, %v", name, h, i-1, i, ix.PathInto(nil, i-1), p)
 			}
 			refs, ok := walk[fmt.Sprint(p)]
 			if !ok {

@@ -45,7 +45,7 @@ func TestLevelIndexLookupAbsent(t *testing.T) {
 	for _, ix := range LevelIndexesWithLinks(tr) {
 		h := ix.Level
 		for i := 0; i < ix.Len(); i++ {
-			p := ix.PathOf(i)
+			p := ix.PathInto(nil, i)
 			for j := 0; j < tr.D; j++ {
 				k := UpperLink(ix, i, j)
 				if k == -1 {
@@ -55,7 +55,7 @@ func TestLevelIndexLookupAbsent(t *testing.T) {
 					t.Fatalf("level %d cell (%d,%d) axis %d: link %d out of range", h, p.Coord(0), p.Coord(1), j, k)
 				}
 				resolved++
-				q := ix.PathOf(k)
+				q := ix.PathInto(nil, k)
 				if h != 1 || j != 0 || p.Coord(0) != 0 || q.Coord(0) != 1 || q.Coord(1) != 0 {
 					t.Errorf("level %d cell (%d,%d) axis %d: linked to (%d,%d), want absent (-1)",
 						h, p.Coord(0), p.Coord(1), j, q.Coord(0), q.Coord(1))
@@ -106,7 +106,8 @@ func TestMemoryBytesExcludesLevelIndexes(t *testing.T) {
 // TestLevelIndexDropsLinkRows pins the index's steady-state footprint:
 // once EnsureLevelIndexes returns, no level keeps its upper link rows
 // (the level below has read them, and the last level never records
-// them), so IndexMemoryBytes counts paths, refs and face sums only.
+// them), so IndexMemoryBytes counts the entries' columns (locs,
+// parents, counts, refs and face sums) and the run offsets only.
 func TestLevelIndexDropsLinkRows(t *testing.T) {
 	tr, _ := indexTestTree(t, 6, 2000, 5, 7)
 	for _, ix := range tr.EnsureLevelIndexes() {
@@ -185,9 +186,9 @@ func TestLevelIndexRepeatedLoc(t *testing.T) {
 		}
 		ix := tr.EnsureLevelIndexes()[0]
 		for i := range locs {
-			if ix.PathOf(i)[0] != locs[i] || ix.FaceSum(i) != want[i] {
+			if ix.PathInto(nil, i)[0] != locs[i] || ix.FaceSum(i) != want[i] {
 				t.Fatalf("locs %v: entry %d at loc %d has face sum %d, want loc %d and %d",
-					locs, i, ix.PathOf(i)[0], ix.FaceSum(i), locs[i], want[i])
+					locs, i, ix.PathInto(nil, i)[0], ix.FaceSum(i), locs[i], want[i])
 			}
 		}
 	}

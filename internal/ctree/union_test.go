@@ -26,10 +26,10 @@ func checkUnionIndex(t *testing.T, name string, want *Tree, srcs ...*Tree) {
 			t.Fatalf("%s: level %d holds %d entries, Build's %d", name, h, g.Len(), w.Len())
 		}
 		for i := 0; i < g.Len(); i++ {
-			p := g.PathOf(i)
-			if p.Compare(w.PathOf(i)) != 0 || g.N(i) != w.N(i) || g.FaceSum(i) != w.FaceSum(i) {
+			p := g.PathInto(nil, i)
+			if p.Compare(w.PathInto(nil, i)) != 0 || g.N(i) != w.N(i) || g.FaceSum(i) != w.FaceSum(i) {
 				t.Fatalf("%s: level %d entry %d: (path %v, N %d, face sum %d), Build's (%v, %d, %d)",
-					name, h, i, p, g.N(i), g.FaceSum(i), w.PathOf(i), w.N(i), w.FaceSum(i))
+					name, h, i, p, g.N(i), g.FaceSum(i), w.PathInto(nil, i), w.N(i), w.FaceSum(i))
 			}
 			for j := 0; j < d; j++ {
 				if g.P(i, j) != w.P(i, j) {

@@ -144,10 +144,6 @@ func (ds *Dataset) Bounds() (min, max []float64, err error) {
 	return min, max, nil
 }
 
-// normEps keeps normalized values strictly below 1 so they land in [0,1)
-// as Definition 1 requires: the maximum of an axis maps to 1-normEps.
-const normEps = 1e-9
-
 // Normalize rescales the dataset in place so every value lies in [0, 1).
 // Constant axes map to 0. It returns the affine transform used
 // (scaled = (v - offset[j]) * scale[j]) so callers can map cluster bounds
@@ -160,12 +156,11 @@ func (ds *Dataset) Normalize() (offset, scale []float64, err error) {
 	offset = min
 	scale = make([]float64, ds.Dims)
 	for j := range scale {
-		span := max[j] - min[j]
-		if span <= 0 {
+		if max[j] <= min[j] {
 			scale[j] = 0 // constant axis: everything maps to 0
 			continue
 		}
-		scale[j] = (1 - normEps) / span
+		scale[j] = unitScale(min[j], max[j])
 	}
 	for _, p := range ds.Points {
 		for j := range p {

@@ -32,14 +32,11 @@ import (
 
 	"mrcc/internal/core"
 	"mrcc/internal/ctree"
+	"mrcc/internal/dataset"
 	"mrcc/internal/obs"
 	"mrcc/internal/treeio"
 	"mrcc/internal/wal"
 )
-
-// normEps keeps domain maxima strictly below 1 after normalization,
-// matching dataset.Normalize's embedding of data into [0,1).
-const normEps = 1e-9
 
 // Config declares the service's fixed contract: the dimensionality and
 // value domain every ingested point is validated against, the
@@ -147,65 +144,60 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) validate() error {
+// validate checks the config and returns its declared domain's
+// embedding, nil for the unit domain.
+func (c Config) validate() (*dataset.Domain, error) {
 	if c.Dims < 1 || c.Dims > ctree.MaxDims {
-		return fmt.Errorf("serve: Dims must be in [1, %d], got %d", ctree.MaxDims, c.Dims)
+		return nil, fmt.Errorf("serve: Dims must be in [1, %d], got %d", ctree.MaxDims, c.Dims)
 	}
 	if (c.Min == nil) != (c.Max == nil) {
-		return errors.New("serve: Min and Max must be declared together")
+		return nil, errors.New("serve: Min and Max must be declared together")
 	}
+	var dom *dataset.Domain
 	if c.Min != nil {
 		if len(c.Min) != c.Dims || len(c.Max) != c.Dims {
-			return fmt.Errorf("serve: domain has %d/%d bounds, want %d", len(c.Min), len(c.Max), c.Dims)
+			return nil, fmt.Errorf("serve: domain has %d/%d bounds, want %d", len(c.Min), len(c.Max), c.Dims)
 		}
-		for j := range c.Min {
-			if math.IsNaN(c.Min[j]) || math.IsNaN(c.Max[j]) ||
-				math.IsInf(c.Min[j], 0) || math.IsInf(c.Max[j], 0) {
-				return fmt.Errorf("serve: axis %d domain [%g, %g] is not finite", j, c.Min[j], c.Max[j])
-			}
-			if c.Max[j] <= c.Min[j] {
-				return fmt.Errorf("serve: axis %d domain [%g, %g] is empty", j, c.Min[j], c.Max[j])
-			}
-			// A width that overflows, or one so small that its scale
-			// does, would normalize the domain's edges to NaN (0·Inf or
-			// Inf·0) after the WAL append, and replay would fail on it.
-			if math.IsInf(c.Max[j]-c.Min[j], 0) || math.IsInf(domainScale(c.Min[j], c.Max[j]), 0) {
-				return fmt.Errorf("serve: axis %d domain [%g, %g] has a width or scale that is not finite", j, c.Min[j], c.Max[j])
-			}
+		// A width that overflows, or one so small that its scale does,
+		// would normalize the domain's edges to NaN (0·Inf or Inf·0)
+		// after the WAL append, and replay would fail on it.
+		var err error
+		if dom, err = dataset.NewDomain(c.Min, c.Max); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
 	if c.H < ctree.MinLevels || c.H > ctree.MaxLevels {
-		return fmt.Errorf("serve: H must be in [%d, %d], got %d", ctree.MinLevels, ctree.MaxLevels, c.H)
+		return nil, fmt.Errorf("serve: H must be in [%d, %d], got %d", ctree.MinLevels, ctree.MaxLevels, c.H)
 	}
 	if c.Alpha <= 0 || c.Alpha >= 1 {
-		return fmt.Errorf("serve: Alpha must be in (0,1), got %g", c.Alpha)
+		return nil, fmt.Errorf("serve: Alpha must be in (0,1), got %g", c.Alpha)
 	}
 	if c.ReclusterEvery < 0 || c.ReclusterPoints < 0 || c.WindowPoints < 0 {
-		return errors.New("serve: re-cluster and window thresholds must be >= 0")
+		return nil, errors.New("serve: re-cluster and window thresholds must be >= 0")
 	}
 	if c.ReclusterEvery == 0 && c.ReclusterPoints == 0 {
-		return errors.New("serve: at least one of ReclusterEvery and ReclusterPoints must be set")
+		return nil, errors.New("serve: at least one of ReclusterEvery and ReclusterPoints must be set")
 	}
 	// Rotation fires on the first batch after the active runs fill, so
 	// either side of the window can hold WindowPoints + MaxBatchPoints - 1
 	// points. A window whose two sides can outgrow ctree.MaxPoints
 	// together could not be clustered or checkpointed as one.
 	if most := 2 * (int64(c.WindowPoints) + int64(c.MaxBatchPoints) - 1); c.WindowPoints > 0 && most > int64(ctree.MaxPoints) {
-		return fmt.Errorf("serve: WindowPoints %d with MaxBatchPoints %d lets the window hold %d points, past ctree.MaxPoints (%d)",
+		return nil, fmt.Errorf("serve: WindowPoints %d with MaxBatchPoints %d lets the window hold %d points, past ctree.MaxPoints (%d)",
 			c.WindowPoints, c.MaxBatchPoints, most, ctree.MaxPoints)
 	}
 	if c.WALDir != "" {
 		if _, err := wal.ParseSyncPolicy(c.WALSync); err != nil {
-			return fmt.Errorf("serve: %w", err)
+			return nil, fmt.Errorf("serve: %w", err)
 		}
 	}
 	if c.CheckpointEvery < 0 {
-		return errors.New("serve: CheckpointEvery must be >= 0")
+		return nil, errors.New("serve: CheckpointEvery must be >= 0")
 	}
 	if c.CheckpointEvery > 0 && (c.WALDir == "" || c.SnapshotPath == "") {
-		return errors.New("serve: CheckpointEvery requires both WALDir and SnapshotPath")
+		return nil, errors.New("serve: CheckpointEvery requires both WALDir and SnapshotPath")
 	}
-	return nil
+	return dom, nil
 }
 
 // view is one published clustering snapshot: everything a query needs,
@@ -231,7 +223,7 @@ type view struct {
 // HTTP), and mount Handler on any mux.
 type Server struct {
 	cfg      Config
-	scale    []float64 // per-axis (1-normEps)/(Max-Min); nil for the unit domain
+	dom      *dataset.Domain // the declared domain's embedding; nil for the unit domain
 	counters obs.ServiceCounters
 	started  time.Time
 
@@ -293,7 +285,8 @@ type Server struct {
 // the whole log.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	dom, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	s := &Server{
@@ -303,12 +296,7 @@ func New(cfg Config) (*Server, error) {
 		ckptDone:    make(chan struct{}),
 		backoffBase: 250 * time.Millisecond,
 		started:     time.Now(),
-	}
-	if cfg.Min != nil {
-		s.scale = make([]float64, cfg.Dims)
-		for j := range s.scale {
-			s.scale[j] = domainScale(cfg.Min[j], cfg.Max[j])
-		}
+		dom:         dom,
 	}
 	var ckptSeq uint64
 	if cfg.SnapshotPath != "" {
@@ -343,10 +331,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// domainScale is the factor that maps a value's offset from lo into
-// [0, 1−normEps] on the declared domain [lo, hi].
-func domainScale(lo, hi float64) float64 { return (1 - normEps) / (hi - lo) }
-
 // Close releases the service's durable resources (the WAL handle).
 // Run calls it on the way out; embedders that drive Start/Wait
 // directly should call it once the loops exited.
@@ -370,21 +354,20 @@ func (s *Server) normalizePoint(p []float64) ([]float64, error) {
 		return nil, fmt.Errorf("point has %d values, want %d", len(p), s.cfg.Dims)
 	}
 	out := make([]float64, len(p))
+	if s.dom != nil {
+		if err := s.dom.Embed(out, p); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
 	for j, v := range p {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("axis %d value is not finite", j)
 		}
-		if s.scale == nil {
-			if v < 0 || v >= 1 {
-				return nil, fmt.Errorf("axis %d value %g outside the declared domain [0, 1)", j, v)
-			}
-			out[j] = v
-			continue
+		if v < 0 || v >= 1 {
+			return nil, fmt.Errorf("axis %d value %g outside the declared domain [0, 1)", j, v)
 		}
-		if v < s.cfg.Min[j] || v > s.cfg.Max[j] {
-			return nil, fmt.Errorf("axis %d value %g outside the declared domain [%g, %g]", j, v, s.cfg.Min[j], s.cfg.Max[j])
-		}
-		out[j] = (v - s.cfg.Min[j]) * s.scale[j]
+		out[j] = v
 	}
 	return out, nil
 }

@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"mrcc/internal/ctree"
+	"mrcc/internal/dataset"
 )
 
 // JobKind selects what a worker reads to build its shard tree.
@@ -100,15 +101,11 @@ func (j *Job) validate() error {
 	if j.Start < 0 || j.End < j.Start {
 		return fmt.Errorf("byte range [%d, %d) is invalid", j.Start, j.End)
 	}
-	if (j.Min == nil) != (j.Max == nil) || len(j.Min) != len(j.Max) {
+	if (j.Min == nil) != (j.Max == nil) {
 		return fmt.Errorf("domain bounds disagree: %d mins, %d maxs", len(j.Min), len(j.Max))
 	}
-	for k := range j.Min {
-		if !(j.Max[k] > j.Min[k]) {
-			return fmt.Errorf("domain axis %d is empty or inverted [%g, %g]", k, j.Min[k], j.Max[k])
-		}
-	}
-	return nil
+	_, err := dataset.NewDomain(j.Min, j.Max)
+	return err
 }
 
 // WorkerError reports a shard whose work order failed — a dial error,

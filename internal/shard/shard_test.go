@@ -163,7 +163,7 @@ func TestRunWithHeaderAndDomain(t *testing.T) {
 	for _, p := range scaled.Points {
 		q := make([]float64, d)
 		for j, v := range p {
-			q[j] = (v - min[j]) * (1 - normEps) / (max[j] - min[j])
+			q[j] = (v - min[j]) * (1 - 1e-9) / (max[j] - min[j])
 		}
 		ref.Append(q)
 	}
@@ -464,6 +464,23 @@ func TestJobValidate(t *testing.T) {
 		if err := job.validate(); err == nil {
 			t.Errorf("case %d accepted: %+v", i, job)
 		}
+	}
+}
+
+// TestRefusesNonFiniteDomainWidth pins the shard's side of the one
+// domain rule (dataset.NewDomain): the width of -1e308:1e308 overflows,
+// so its scale would be 0 and every point would map to 0. The worker's
+// job check and the serial reference's NormalizeDomain both refuse it,
+// naming the axis.
+func TestRefusesNonFiniteDomainWidth(t *testing.T) {
+	path, ds := writeTestCSV(t, 2, 50, 3, false)
+	min, max := []float64{0, -1e308}, []float64{1, 1e308}
+	_, err := runJob(context.Background(), Job{Kind: KindCSV, Path: path, H: 4, Min: min, Max: max, Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "axis 1") {
+		t.Errorf("worker job over domain %v:%v: error %v, want one naming axis 1", min, max, err)
+	}
+	if err := NormalizeDomain(ds, min, max); err == nil || !strings.Contains(err.Error(), "axis 1") {
+		t.Errorf("NormalizeDomain over domain %v:%v: error %v, want one naming axis 1", min, max, err)
 	}
 }
 

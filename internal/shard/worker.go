@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"os"
 	"sync"
@@ -18,11 +17,6 @@ import (
 	"mrcc/internal/dataset"
 	"mrcc/internal/treeio"
 )
-
-// normEps keeps domain maxima strictly below 1 after normalization,
-// matching the streaming service's embedding exactly (serve.normEps):
-// a point at Max maps to 1-ε, never to the refused 1.0.
-const normEps = 1e-9
 
 // Serve runs the worker accept loop on l until ctx is canceled (or the
 // listener fails). Each connection carries one job; job failures are
@@ -136,10 +130,11 @@ func readCSVShard(job Job) (*dataset.Dataset, error) {
 }
 
 // NormalizeDomain maps domain-unit values into [0,1)^d with the
-// streaming service's exact formula, refusing out-of-domain points.
-// With no declared domain (nil min) it leaves the data untouched (the
-// build validates [0,1) itself). Exported so a serial reference build
-// over the same raw CSV embeds identically to the sharded workers.
+// streaming service's exact embedding (dataset.Domain), refusing a
+// domain that embedding cannot take and out-of-domain points. With no
+// declared domain (nil min) it leaves the data untouched (the build
+// validates [0,1) itself). Exported so a serial reference build over
+// the same raw CSV embeds identically to the sharded workers.
 func NormalizeDomain(ds *dataset.Dataset, min, max []float64) error {
 	if min == nil {
 		return nil
@@ -147,19 +142,13 @@ func NormalizeDomain(ds *dataset.Dataset, min, max []float64) error {
 	if len(min) != ds.Dims {
 		return fmt.Errorf("domain declares %d axes, data holds %d", len(min), ds.Dims)
 	}
-	scale := make([]float64, ds.Dims)
-	for j := range scale {
-		scale[j] = (1 - normEps) / (max[j] - min[j])
+	dom, err := dataset.NewDomain(min, max)
+	if err != nil {
+		return err
 	}
 	for i, p := range ds.Points {
-		for j, v := range p {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("row %d axis %d value is not finite", i, j)
-			}
-			if v < min[j] || v > max[j] {
-				return fmt.Errorf("row %d axis %d value %g outside the declared domain [%g, %g]", i, j, v, min[j], max[j])
-			}
-			p[j] = (v - min[j]) * scale[j]
+		if err := dom.Embed(p, p); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
 		}
 	}
 	return nil
