@@ -83,7 +83,6 @@ type options struct {
 	dims         int
 	domain       string
 	buildWorkers int
-	parallel     int
 	out          string
 	cluster      bool
 	alpha        float64
@@ -117,7 +116,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	fs.IntVar(&opt.dims, "dims", 0, "point dimensionality (0 = take it from the data; required with -domain)")
 	fs.StringVar(&opt.domain, "domain", "", `per-axis value bounds "min:max[,min:max...]"; one pair applies to all axes; empty = data already in [0,1)`)
 	fs.IntVar(&opt.buildWorkers, "build-workers", 1, "build goroutines per worker process (0 = all CPUs)")
-	fs.IntVar(&opt.parallel, "parallel", 0, "in-flight jobs at the coordinator (0 = worker count)")
 	fs.StringVar(&opt.out, "out", "", "write the shard trees' union as one Counting-tree snapshot to this file")
 	fs.BoolVar(&opt.cluster, "cluster", false, "run the subspace clustering over the shard trees and report the clusters")
 	fs.Float64Var(&opt.alpha, "alpha", core.DefaultAlpha, "significance level for -cluster, in (0, 1)")
@@ -177,8 +175,8 @@ func (o *options) validate() error {
 	if o.domain != "" && o.dims == 0 {
 		return fmt.Errorf("-domain requires -dims")
 	}
-	if o.localWorkers < 0 || o.buildWorkers < 0 || o.parallel < 0 {
-		return fmt.Errorf("-local-workers, -build-workers and -parallel must be >= 0")
+	if o.localWorkers < 0 || o.buildWorkers < 0 {
+		return fmt.Errorf("-local-workers and -build-workers must be >= 0")
 	}
 	if o.alpha <= 0 || o.alpha >= 1 {
 		return fmt.Errorf("-alpha must be in (0, 1), got %g", o.alpha)
@@ -219,9 +217,8 @@ func runCoordinator(ctx context.Context, opt options, stdout, stderr io.Writer) 
 
 	start := time.Now()
 	trees, stats, err := shard.Run(ctx, shard.Options{
-		Addrs:    addrs,
-		Jobs:     jobs,
-		Parallel: opt.parallel,
+		Addrs: addrs,
+		Jobs:  jobs,
 		// Workers this process did not spawn may send anything; only
 		// a full validation keeps their streams from assembling a
 		// wrong tree.

@@ -55,7 +55,8 @@ func BenchmarkFindBetas(b *testing.B) {
 // per-pass re-convolving scan (the WithNaiveScan oracle); the cached
 // sub-benchmarks are the default one-shot convolution cache at 1, 4 and
 // 8 workers. Each sub-benchmark reports the phase-two wall time
-// (betaSearch-ms) next to the full run-on-tree timing; the cached runs
+// (betaSearch-ms: the run's LevelIndex plus BetaSearch stats rows)
+// next to the full run-on-tree timing; the cached runs
 // add their phase-two speedup over the naive baseline and their
 // phase-two throughput (points/s = η ÷ phase-two seconds), the metric
 // scripts/bench_floors.sh floors. The scan-equivalence suite
@@ -86,7 +87,7 @@ func BenchmarkBetaSearch(b *testing.B) {
 	var naivePhase2 float64 // ns per op of the naive workers=1 baseline
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := core.Config{Workers: tc.workers}
+			cfg := core.Config{Workers: tc.workers, CollectStats: true}
 			if tc.naive {
 				cfg = core.WithNaiveScan(cfg)
 			}
@@ -97,7 +98,7 @@ func BenchmarkBetaSearch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				phase2 += res.Timings.FindBetas
+				phase2 += res.Stats.LevelIndex.Wall() + res.Stats.BetaSearch.Wall()
 			}
 			if len(res.Betas) < 8 {
 				b.Fatalf("only %d β-clusters found, want >= 8 (phase two underloaded)", len(res.Betas))

@@ -13,7 +13,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"time"
 
 	"mrcc/internal/conv"
 	"mrcc/internal/ctree"
@@ -67,26 +66,21 @@ type Config struct {
 	// reduces per-chunk argmaxes with the same lexicographic-path
 	// tie-break the serial scan uses (DESIGN.md §5).
 	Workers int
-	// CollectStats enables the observability layer: per-phase wall
-	// times, runtime.MemStats deltas and pipeline counters land in
-	// Result.Stats (DESIGN.md §6). Collection never changes the
-	// clustering output — the serial-equivalence guarantee holds with
-	// stats on — and costs well under 2% of a run's wall time.
+	// CollectStats enables the observability layer, and is its one
+	// switch: per-phase wall times, runtime.MemStats deltas and pipeline
+	// counters land in Result.Stats, the one record a run writes
+	// (DESIGN.md §6). Collection never changes the clustering output —
+	// the serial-equivalence guarantee holds with stats on — and costs
+	// well under 2% of a run's wall time.
 	CollectStats bool
-	// Progress, when non-nil, receives coarse progress callbacks (tree
-	// build, scan passes, β-tests, labeling). Installing it implies
-	// stats collection. The callback is serialized by the collector, so
-	// it is safe with Workers > 1; it must return quickly and must not
-	// call back into the running pipeline.
-	Progress obs.ProgressFunc
 	// MemoryLimitBytes caps the estimated footprint of the Counting-tree
 	// plus its flat level indexes — the pipeline's dominant memory
-	// consumer. 0 means unlimited. The limit is enforced both during the
-	// build (cheap monotone estimate, polled at chunk boundaries) and
-	// after index construction (exact accounting); a refused run returns
-	// a *ResourceError. The decision is deterministic for a fixed
-	// (dataset, Config): shards abort only on their own monotone
-	// estimates, never on a peer's timing (DESIGN.md §8).
+	// consumer. 0 means unlimited. The limit is enforced twice: on the
+	// build's arena, sized exactly before it is allocated and never grown
+	// by the count, and after index construction (exact accounting); a
+	// refused run returns a *ResourceError. The decision is deterministic
+	// for a fixed (dataset, Config): both figures follow from the data
+	// alone, never from a worker's timing (DESIGN.md §8).
 	MemoryLimitBytes uint64
 	// DegradeOnMemoryLimit, with MemoryLimitBytes set, retries a refused
 	// build at H-1, H-2, … down to ctree.MinLevels instead of failing.
@@ -246,11 +240,10 @@ type Result struct {
 	Labels []int
 	// TreeMemoryBytes estimates the Counting-tree footprint.
 	TreeMemoryBytes uint64
-	// Timings records how long each phase of the method took.
-	Timings Timings
-	// Stats is the run's observability record (per-phase wall times and
-	// memory deltas, pipeline counters); nil unless Config.CollectStats
-	// or Config.Progress enabled collection.
+	// Stats is the run's one observability record: per-phase wall times
+	// (the paper's three phases are TreeBuild; LevelIndex plus
+	// BetaSearch; ClusterMerge plus Labeling), memory deltas and
+	// pipeline counters. nil unless Config.CollectStats.
 	Stats *obs.Stats
 	// Tree is the Counting-tree the run clustered on; nil unless
 	// Config.KeepTree, and for a run over several trees. It can be fed
@@ -259,28 +252,18 @@ type Result struct {
 	Tree *ctree.Tree
 }
 
-// Timings breaks a run into the paper's three phases.
-type Timings struct {
-	// BuildTree covers phase one (Counting-tree construction); zero
-	// when Run was given pre-built trees.
-	BuildTree time.Duration
-	// FindBetas covers phase two (convolution + statistical test).
-	FindBetas time.Duration
-	// BuildClusters covers phase three (merge + labeling).
-	BuildClusters time.Duration
-}
-
 // NumClusters returns γk, the number of correlation clusters.
 func (r *Result) NumClusters() int { return len(r.Clusters) }
 
 // Input says what a run clusters. Without Trees the run builds the
 // Counting-tree from Dataset (phase one), then clusters and labels it.
 // With Trees phase one is skipped: the run clusters the union of the
-// trees, which share one geometry, and labels Dataset when one is
-// given. Labeling needs trees whose dimensionality matches Dataset's
-// and whose points sum to its length: the data must be the normalized
-// data the trees counted, as the runs of a facade Tree grown batch by
-// batch (ctree.Runs) count it. Without a Dataset, Result.Labels is nil
+// trees, which share one geometry, none nil, and labels Dataset when
+// one is given. The trees' resolution count is then the run's, whatever
+// Config.H says, and Stats.H records it. Labeling needs trees whose
+// dimensionality matches Dataset's and whose points sum to its length:
+// the data must be the normalized data the trees counted, as the runs
+// of a facade Tree grown batch by batch (ctree.Runs) count it. Without a Dataset, Result.Labels is nil
 // and Cluster.Size stays zero; the streaming service publishes query
 // views from such runs, assigning a point to the cluster owning the
 // first β-cluster box containing it, exactly the rule labeling applies.
@@ -301,11 +284,13 @@ type Input struct {
 // the chunked tree build, each β-search scan pass, the cluster merge,
 // and range-parallel labeling — polls ctx at chunk boundaries, so
 // cancellation or deadline expiry aborts the run within one chunk of
-// work. An aborted run returns a *PipelineError naming the interrupted
-// phase and carrying the partial Stats; context.Background() adds no
-// observable overhead. A panic inside any worker goroutine or pipeline
-// phase is recovered and surfaces the same way (a *PipelineError
-// wrapping a *panics.Error) instead of crashing the host. The memory
+// work. With Config.CollectStats the Result carries the run's one
+// record, Stats, when the run ends; nothing reports while it runs. An
+// aborted run returns a *PipelineError naming the interrupted phase and
+// carrying the partial Stats; context.Background() adds no observable
+// overhead. A panic inside any worker goroutine or pipeline phase is
+// recovered and surfaces the same way (a *PipelineError wrapping a
+// *panics.Error) instead of crashing the host. The memory
 // limit and its degradation policy bound the tree build only.
 //
 // With Config.Workers != 1 the Counting-tree build sorts per-goroutine
@@ -332,9 +317,14 @@ func Run(ctx context.Context, in Input, cfg Config) (res *Result, err error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	for i, t := range in.Trees {
+		if t == nil {
+			return nil, fmt.Errorf("core: tree %d to cluster is nil", i)
+		}
+	}
 	var col *obs.Collector
-	if cfg.CollectStats || cfg.Progress != nil {
-		col = obs.New(cfg.Progress)
+	if cfg.CollectStats {
+		col = obs.New()
 	}
 	ab := newAborter(ctx)
 	trees, phase := in.Trees, obs.PhaseBetaSearch
@@ -351,28 +341,21 @@ func Run(ctx context.Context, in Input, cfg Config) (res *Result, err error) {
 			err = &PipelineError{Phase: phase.String(), Err: err, Stats: col.Finish()}
 		}
 	}()
-	var buildTime time.Duration
 	if len(trees) == 0 {
 		if in.Dataset == nil {
 			return nil, errors.New("core: no dataset or tree to cluster")
 		}
-		start := time.Now()
 		t, h, err := buildTreeBounded(ctx, in.Dataset, cfg, col)
 		if err != nil {
 			return nil, ab.fail(err)
 		}
 		if h != cfg.H {
-			cfg.H = h
 			col.SetDegradedH(h)
 		}
-		trees, buildTime = []*ctree.Tree{t}, time.Since(start)
+		trees = []*ctree.Tree{t}
 	}
 	res, phase, err = runOnTreeAbortable(trees, in.Dataset, cfg, col, ab)
-	if err != nil {
-		return nil, err
-	}
-	res.Timings.BuildTree = buildTime
-	return res, nil
+	return res, err
 }
 
 // RunOnTree is Run over one tree, labeling ds, under a background
@@ -396,14 +379,13 @@ func RunTree(t *ctree.Tree, cfg Config) (*Result, error) {
 //
 // The authoritative limit check happens here, after the flat level
 // indexes are materialized, against the exact slab accounting:
-// Tree.MemoryBytes is an O(1) sum of arena capacities (the same
-// monotone figure the build itself polls), and IndexMemoryBytes covers
-// the disjoint index slabs, so the sum is the run's true steady-state
-// footprint with no double counting and no divergence between the
-// load-shedding decision and this check. A refused footprint degrades
-// to H-1 when allowed — the retry builds a fresh tree, so the result
-// is identical to a run configured with the smaller H from the start —
-// and otherwise becomes a *ResourceError. With ExternalSpillDir the
+// Tree.MemoryBytes is an O(1) sum of arena capacities (the arena the
+// build refused or accepted up front, unchanged since), and
+// IndexMemoryBytes covers the disjoint index slabs, so the sum is the
+// run's true steady-state footprint with no double counting. A refused
+// footprint degrades to H-1 when allowed — the retry builds a fresh
+// tree, so the result is identical to a run configured with the
+// smaller H from the start — and otherwise becomes a *ResourceError. With ExternalSpillDir the
 // one Build call spills instead, and MemoryLimitBytes bounds its sort
 // buffer rather than the tree.
 func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, col *obs.Collector) (*ctree.Tree, int, error) {
@@ -470,7 +452,6 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 			t.D, eta, ds.Dims, ds.Len())
 	}
 	workers := cfg.workerCount()
-	start := time.Now()
 	spIndex := col.Start(obs.PhaseLevelIndex)
 	idx, err := levelIndexes(trees)
 	spIndex.End()
@@ -479,7 +460,7 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 	}
 	spSearch := col.Start(obs.PhaseBetaSearch)
 	if col != nil {
-		col.SetShape(eta, t.D, cfg.H, workers)
+		col.SetShape(eta, t.D, t.H, workers)
 		for _, ix := range idx {
 			col.CountCells(ix.Level, int64(ix.Len()))
 		}
@@ -491,8 +472,6 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 	if err != nil {
 		return nil, obs.PhaseBetaSearch, err
 	}
-	findTime := time.Since(start)
-	start = time.Now()
 	if err := ab.check(fault.Merge); err != nil {
 		return nil, obs.PhaseClusterMerge, err
 	}
@@ -500,7 +479,6 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 	clusters, merges := buildClusters(betas, t.D)
 	spMerge.End()
 	col.SetClusterCounts(int64(len(betas)), int64(len(clusters)), int64(merges))
-	col.Progress(obs.PhaseClusterMerge, int64(len(clusters)), int64(len(clusters)))
 	var labels []int
 	if ds != nil {
 		spLabel := col.Start(obs.PhaseLabeling)
@@ -538,11 +516,7 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 		Clusters:        clusters,
 		Labels:          labels,
 		TreeMemoryBytes: treeBytes,
-		Timings: Timings{
-			FindBetas:     findTime,
-			BuildClusters: time.Since(start),
-		},
-		Stats: col.Finish(),
+		Stats:           col.Finish(),
 	}, obs.PhaseLabeling, nil
 }
 
@@ -619,14 +593,8 @@ func (s *searcher) findBetaClusters() ([]BetaCluster, error) {
 			beta, ok := s.testCell(h, cell)
 			spTest.End()
 			s.col.AddBetaTest(ok)
-			if s.col.WantsProgress() {
-				s.col.Progress(obs.PhaseConvScan, s.col.MaskEvals(), 0)
-			}
 			if ok {
 				s.betas = append(s.betas, beta)
-				if s.col.WantsProgress() {
-					s.col.Progress(obs.PhaseBetaTest, int64(len(s.betas)), 0)
-				}
 				found = true
 				break // restart from level 2
 			}
@@ -877,7 +845,6 @@ func buildClusters(betas []BetaCluster, d int) (clusters []Cluster, merges int) 
 func labelPoints(ds *dataset.Dataset, betas []BetaCluster, clusters []Cluster, workers int, col *obs.Collector, ab *aborter) ([]int, error) {
 	labels := make([]int, ds.Len())
 	lb := NewLabeler(betas, clusters, ds.Dims)
-	total := int64(ds.Len())
 	labelRange := func(lo, hi int) error {
 		for seg := lo; seg < hi; seg += scanCheckEvery {
 			end := seg + scanCheckEvery
@@ -888,11 +855,7 @@ func labelPoints(ds *dataset.Dataset, betas []BetaCluster, clusters []Cluster, w
 				return err
 			}
 			noise := lb.labelChunk(ds.Points[seg:end], labels[seg:end])
-			n := int64(end - seg)
-			done := col.AddLabeled(n-noise, noise)
-			if col.WantsProgress() {
-				col.Progress(obs.PhaseLabeling, done, total)
-			}
+			col.AddLabeled(int64(end-seg)-noise, noise)
 		}
 		return nil
 	}

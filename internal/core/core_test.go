@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"mrcc/internal/core"
@@ -179,6 +181,52 @@ func TestRunOnTreeMismatchRejected(t *testing.T) {
 	})
 	if _, err := core.Run(context.Background(), core.Input{Dataset: other, Trees: []*ctree.Tree{tree}}, core.Config{}); err == nil {
 		t.Fatal("expected mismatch error, got none")
+	}
+}
+
+// TestRunRefusesNilTree pins that a nil input tree is bad input, not
+// an aborted run: Run refuses it before reading any tree, with an
+// error that names its index.
+func TestRunRefusesNilTree(t *testing.T) {
+	ds, _ := genSmall(t, synthetic.Config{
+		Dims: 5, Points: 500, Clusters: 1, MinClusterDim: 3, MaxClusterDim: 4, Seed: 1,
+	})
+	tree, err := ctree.Build(ds, 4, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	for _, c := range []struct {
+		trees []*ctree.Tree
+		want  string
+	}{
+		{[]*ctree.Tree{nil}, "tree 0 to cluster is nil"},
+		{[]*ctree.Tree{tree, nil}, "tree 1 to cluster is nil"},
+	} {
+		res, err := core.Run(context.Background(), core.Input{Trees: c.trees}, core.Config{})
+		var pe *core.PipelineError
+		if res != nil || err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%d trees: got (%v, %v), want an error naming %q", len(c.trees), res, err, c.want)
+		}
+	}
+}
+
+// TestRunStatsRecordsTreesH pins that Stats.H is the resolution count
+// of the trees the run searched, not Config.H, which a run over given
+// trees does not use.
+func TestRunStatsRecordsTreesH(t *testing.T) {
+	ds, _ := genSmall(t, synthetic.Config{
+		Dims: 5, Points: 500, Clusters: 1, MinClusterDim: 3, MaxClusterDim: 4, Seed: 1,
+	})
+	tree, err := ctree.Build(ds, 4, ctree.BuildOptions{})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	res, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{tree}}, core.Config{H: 6, CollectStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.H != 4 || len(st.Counters.CellsPerLevel) != 4 {
+		t.Errorf("Stats.H = %d with cells on levels %v, want H = 4 and levels 1–3", st.H, st.Counters.CellsPerLevel)
 	}
 }
 

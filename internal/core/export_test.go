@@ -17,6 +17,17 @@ func WithNaiveScan(cfg Config) Config {
 	return cfg
 }
 
+// WithScanHook returns cfg with hook called before each level scan of
+// the β-search, which then scans as the method does; the cancellation
+// tests cancel from it mid-search.
+func WithScanHook(cfg Config, hook func()) Config {
+	cfg.scan = func(s *searcher, h int) (ctree.Path, int, int64) {
+		hook()
+		return s.densestCellCached(h)
+	}
+	return cfg
+}
+
 // WithoutCacheRepair returns cfg with the scan cache's incremental
 // eligibility repair off: every restart pass re-walks each level's
 // scan order from the top, the full-rebuild oracle the repair cursor

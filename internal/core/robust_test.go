@@ -78,23 +78,15 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelMidScan cancels from inside the progress
-// callback once the β-search starts, proving mid-pipeline cancellation
-// aborts within bounded work, names the right phase, and leaks no
-// goroutines.
+// TestRunContextCancelMidScan cancels from a scan hook once the
+// β-search starts, proving mid-pipeline cancellation aborts within
+// bounded work, names the right phase, and leaks no goroutines.
 func TestRunContextCancelMidScan(t *testing.T) {
 	ds := robustDS(t)
 	for _, workers := range []int{1, 8} {
 		baseline := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
-		cfg := core.Config{
-			Workers: workers,
-			Progress: func(p obs.Phase, done, total int64) {
-				if p == obs.PhaseConvScan || p == obs.PhaseBetaTest {
-					cancel()
-				}
-			},
-		}
+		cfg := core.WithScanHook(core.Config{Workers: workers}, cancel)
 		res, err := core.Run(ctx, core.Input{Dataset: ds}, cfg)
 		cancel()
 		if res != nil {

@@ -32,15 +32,15 @@
 // snapshots, whatever Workers or the run size.
 //
 // Robustness: sort workers and the merge poll one checkpoint (an armed
-// fault point, the context and, in the merge, the memory cap against
-// the tree's MemoryBytes) every buildReportEvery points. An arena
-// that alone exceeds the memory cap is refused before it is
-// allocated. A panic inside a sort worker is recovered in the
-// goroutine itself, so its peers always drain and Build returns the
-// panic as an error instead of crashing the host. The memory-cap
-// decision is deterministic for a fixed (dataset, H, limit) because
-// the merged record sequence — and with it the cell count and the
-// tree's growth — is.
+// fault point and the context) every buildReportEvery points. An
+// in-memory build's arena over the memory cap is refused before it is
+// allocated, and since the count never grows the arena, that one
+// up-front check is the build's whole memory cap. A panic inside a sort
+// worker is recovered in the goroutine itself, so its peers always
+// drain and Build returns the panic as an error instead of crashing the
+// host. The memory-cap decision is deterministic for a fixed (dataset,
+// H, limit) because the merged record sequence — and with it the cell
+// count — is.
 package ctree
 
 import (
@@ -65,16 +65,15 @@ import (
 // many leaf words of one path.
 const buildReportEvery = 8192
 
-// LimitError reports that a build (or the index construction that
-// follows it) exceeded the caller's memory budget. The core layer
-// converts it into the facade's *ResourceError, after optionally
-// degrading to a smaller H.
+// LimitError reports that an in-memory build's arena would exceed the
+// caller's memory budget; Build refuses it before allocating it. The
+// core layer converts it into the facade's *ResourceError, after
+// optionally degrading to a smaller H.
 type LimitError struct {
 	// LimitBytes is the configured budget.
 	LimitBytes uint64
-	// EstimateBytes is the footprint that tripped the limit (the
-	// tree's MemoryBytes during the build, plus IndexMemoryBytes
-	// afterwards).
+	// EstimateBytes is the footprint that tripped the limit: the
+	// in-memory build's arena, refused before it is allocated.
 	EstimateBytes uint64
 	// H is the resolution count of the refused build.
 	H int
@@ -86,29 +85,27 @@ func (e *LimitError) Error() string {
 }
 
 // BuildOptions configures Build. The zero value builds in memory on
-// GOMAXPROCS workers, with no cancellation, progress or memory cap.
+// GOMAXPROCS workers, with no cancellation, stats or memory cap.
 type BuildOptions struct {
 	// Workers is the number of goroutines that quantize and sort the
 	// in-memory build's shards; <= 0 selects GOMAXPROCS. It never
 	// changes the tree. A spilled build sorts its runs one at a time.
 	Workers int
-	// Collector receives the build's progress, cumulative counted-point
-	// totals from the merge every 8192 records and once at the end (as
-	// obs.PhaseTreeBuild), and, when the build succeeds, its counters
-	// (obs.BuildCounters). nil reports nothing.
+	// Collector receives the build's counters (obs.BuildCounters) when
+	// the build succeeds. nil records nothing.
 	Collector *obs.Collector
 	// Ctx cancels the build cooperatively: it is polled at every sort
 	// chunk and every merged chunk. nil means no cancellation.
 	Ctx context.Context
 	// MemoryLimitBytes is the build's memory budget; 0 means
-	// unlimited. In memory it caps the tree's MemoryBytes: an arena
-	// over it is refused before it is allocated, and the merge polls
-	// the footprint every merged chunk and once at the end (a refused
-	// build returns a *LimitError); the
-	// authoritative check that includes the level indexes is the
-	// caller's job. With SpillDir it bounds the sort buffer instead:
-	// each run holds at most MemoryLimitBytes/ExternalRecordBytes(d, H)
-	// points (at least 8192), and the tree is not capped.
+	// unlimited. In memory it caps the tree's MemoryBytes: the arena is
+	// sized exactly once the streams are sorted, and one over the cap is
+	// refused before it is allocated (a *LimitError); the count never
+	// grows it. The authoritative check that includes the level indexes
+	// is the caller's job. With SpillDir it bounds the sort buffer
+	// instead: each run holds at most
+	// MemoryLimitBytes/ExternalRecordBytes(d, H) points (at least 8192),
+	// and the tree is not capped.
 	MemoryLimitBytes uint64
 	// SpillDir, when non-empty, selects the out-of-core build: sorted
 	// runs are spilled to a private directory created under SpillDir
@@ -142,7 +139,6 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 	var streams []*recordStream
 	var st obs.BuildCounters
 	if opt.SpillDir == "" {
-		bc.limit = opt.MemoryLimitBytes
 		var err error
 		if streams, err = sortShards(ds, H, ks, opt.Workers, bc); err != nil {
 			return nil, err
@@ -151,8 +147,8 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 		// store, and refused before it is allocated when it alone exceeds
 		// the memory cap.
 		rows := 1 + cellCount(streams, ds.Dims, H)
-		if est := stateBytes(ds.Dims, rows); bc.limit > 0 && est > bc.limit {
-			return nil, &LimitError{LimitBytes: bc.limit, EstimateBytes: est, H: H}
+		if est, limit := stateBytes(ds.Dims, rows), opt.MemoryLimitBytes; limit > 0 && est > limit {
+			return nil, &LimitError{LimitBytes: limit, EstimateBytes: est, H: H}
 		}
 		t = newTree(ds.Dims, H, rows)
 	} else {
@@ -170,7 +166,7 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 			return nil, err
 		}
 	}
-	if err := countMerged(t, streams, bc, opt.Collector, ds.Len(), &st); err != nil {
+	if err := countMerged(t, streams, bc, ds.Len(), &st); err != nil {
 		return nil, err
 	}
 	t.trim()
@@ -206,7 +202,6 @@ func validateBuild(ds *dataset.Dataset, H int) error {
 // atomic load.
 type buildControl struct {
 	ctx     context.Context
-	limit   uint64
 	stopped atomic.Bool
 	mu      sync.Mutex
 	err     error
@@ -232,10 +227,9 @@ func (bc *buildControl) firstErr() error {
 }
 
 // check is the build's one checkpoint. It observes, in order: a
-// failure a peer already recorded, the armed fault-injection point,
-// context cancellation and — when t is the tree being counted — the
-// memory cap against its MemoryBytes.
-func (bc *buildControl) check(point string, t *Tree) error {
+// failure a peer already recorded, the armed fault-injection point and
+// context cancellation.
+func (bc *buildControl) check(point string) error {
 	if bc.stopped.Load() {
 		return bc.firstErr()
 	}
@@ -245,11 +239,6 @@ func (bc *buildControl) check(point string, t *Tree) error {
 	if bc.ctx != nil {
 		if err := bc.ctx.Err(); err != nil {
 			return bc.fail(err)
-		}
-	}
-	if t != nil && bc.limit > 0 {
-		if est := t.MemoryBytes(); est > bc.limit {
-			return bc.fail(&LimitError{LimitBytes: bc.limit, EstimateBytes: est, H: t.H})
 		}
 	}
 	return nil
@@ -338,7 +327,7 @@ func sortShard(ds *dataset.Dataset, lo, hi, H int, ks keySpread, bc *buildContro
 	qi := make([]uint64, d)
 	for i := 0; i < s; i++ {
 		if i%buildReportEvery == 0 {
-			if err := bc.check(fault.BuildChunk, nil); err != nil {
+			if err := bc.check(fault.BuildChunk); err != nil {
 				return nil, err
 			}
 		}
@@ -535,11 +524,10 @@ func cellCount(streams []*recordStream, d, H int) int {
 // carry-over descent (batch.go), so shared prefixes are bumped once per
 // run of equal paths rather than once per point, and new cells go in
 // without a child lookup. The build control is polled every
-// buildReportEvery records and once at the end, when col also receives
-// the progress, done of total records. The descents, the points they
-// counted, the radix-sorted streams and the arena's growths are
-// recorded on st.
-func countMerged(t *Tree, streams []*recordStream, bc *buildControl, col *obs.Collector, total int, st *obs.BuildCounters) error {
+// buildReportEvery records and once at the end. The descents, the
+// points they counted, the radix-sorted streams and the arena's growths
+// are recorded on st.
+func countMerged(t *Tree, streams []*recordStream, bc *buildControl, total int, st *obs.BuildCounters) error {
 	ins := newBatchInserter(t)
 	w := keyWords(t.D, t.H)
 	if w == 1 {
@@ -584,19 +572,14 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, col *obs.Co
 		}
 		done++
 		if done%buildReportEvery == 0 {
-			if err := bc.check(fault.BuildMerge, t); err != nil {
+			if err := bc.check(fault.BuildMerge); err != nil {
 				return err
 			}
-			col.Progress(obs.PhaseTreeBuild, int64(done), int64(total))
 		}
 	}
 	flush()
 	t.Eta += done
 	st.BatchRunPoints += int64(done)
 	st.ArenaGrows += ins.grows
-	if err := bc.check(fault.BuildMerge, t); err != nil {
-		return err
-	}
-	col.Progress(obs.PhaseTreeBuild, int64(done), int64(total))
-	return nil
+	return bc.check(fault.BuildMerge)
 }

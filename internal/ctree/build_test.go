@@ -72,7 +72,7 @@ func checkBuildsAgree(t *testing.T, configs func(n int) []buildConfig) {
 // buildCounted is Build with a collector: it returns the tree and the
 // counters the build reported.
 func buildCounted(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, obs.BuildCounters, error) {
-	col := obs.New(nil)
+	col := obs.New()
 	opt.Collector = col
 	t, err := Build(ds, H, opt)
 	return t, col.Finish().Counters.BuildCounters, err

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"mrcc/internal/dataset"
-	"mrcc/internal/obs"
 )
 
 // TestBuildExternalDuplicateHeavy forces long equal-path groups that
@@ -79,10 +79,24 @@ func TestBuildExternalCleansSpillDir(t *testing.T) {
 	}
 }
 
+// spilledCtx reports cancellation once a spill run is on disk under
+// dir, so the first build checkpoint that sees it is the merge's.
+type spilledCtx struct {
+	context.Context
+	dir string
+}
+
+func (c spilledCtx) Err() error {
+	if runs, _ := filepath.Glob(filepath.Join(c.dir, "*", "run-*.spill")); len(runs) > 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestBuildExternalCancel pins cooperative cancellation in both
 // phases: a pre-cancelled context aborts during the spill, a context
-// cancelled from the progress callback aborts mid-merge; both leave
-// the spill directory empty.
+// cancelled once the run is on disk aborts mid-merge; both leave the
+// spill directory empty.
 func TestBuildExternalCancel(t *testing.T) {
 	dir := t.TempDir()
 	ds := uniformDataset(t, 4, 30_000, 23)
@@ -94,13 +108,11 @@ func TestBuildExternalCancel(t *testing.T) {
 		t.Fatalf("pre-cancelled context: got %v, want context.Canceled", err)
 	}
 
-	ctx, cancelMid := context.WithCancel(context.Background())
+	// The one run is written after its sort's last checkpoint, so this
+	// context first reads cancelled in the merge.
 	_, err = Build(ds, 4, BuildOptions{
-		Ctx: ctx,
-		// Progress only fires from the merge loop: cancelling here
-		// aborts mid-merge.
-		Collector: obs.New(func(obs.Phase, int64, int64) { cancelMid() }),
-		SpillDir:  dir,
+		Ctx:      spilledCtx{Context: context.Background(), dir: dir},
+		SpillDir: dir,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-merge cancel: got %v, want context.Canceled", err)
@@ -130,34 +142,5 @@ func TestBuildExternalValidation(t *testing.T) {
 	ds := uniformDataset(t, 3, 10, 1)
 	if _, err := Build(ds, 4, BuildOptions{SpillDir: "/nonexistent/dir/for/mrcc"}); err == nil {
 		t.Error("unwritable spill parent accepted")
-	}
-}
-
-// TestBuildExternalProgress pins that the collector's progress reaches
-// (n, n) exactly once the merge completes.
-func TestBuildExternalProgress(t *testing.T) {
-	const n = 20_000
-	ds := uniformDataset(t, 3, n, 41)
-	var last int64
-	calls := 0
-	_, err := Build(ds, 4, BuildOptions{
-		Collector: obs.New(func(p obs.Phase, done, total int64) {
-			if p != obs.PhaseTreeBuild || total != n {
-				t.Fatalf("progress %s of total %d, want treeBuild of %d", p, total, n)
-			}
-			if done < last {
-				t.Fatalf("progress went backwards: %d after %d", done, last)
-			}
-			last = done
-			calls++
-		}),
-		SpillDir:  t.TempDir(),
-		runPoints: 6000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != n || calls == 0 {
-		t.Fatalf("progress ended at %d/%d after %d calls, want %d", last, n, calls, n)
 	}
 }

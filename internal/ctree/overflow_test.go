@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mrcc/internal/dataset"
-	"mrcc/internal/obs"
 )
 
 // TestInsertRefusesPastMaxPoints pins the int32 overflow guard: a tree
@@ -148,44 +147,5 @@ func TestUnionRefusesBadInput(t *testing.T) {
 func TestMaxPointsIsInt32Max(t *testing.T) {
 	if MaxPoints != math.MaxInt32 {
 		t.Errorf("MaxPoints = %d, want math.MaxInt32 (Cell.N/Cell.P are int32)", MaxPoints)
-	}
-}
-
-// TestBuildParallelProgress checks the cumulative progress stream of
-// a multi-worker build, reported through its collector: the merge
-// reports it from one goroutine, so it must be non-decreasing, end at
-// the dataset size, and the built tree must match the single-worker
-// build.
-func TestBuildParallelProgress(t *testing.T) {
-	ds := uniformDataset(t, 4, 20000, 7)
-	var maxDone, calls int
-	tree, err := Build(ds, 4, BuildOptions{Workers: 4, Collector: obs.New(func(p obs.Phase, done, total int64) {
-		calls++
-		if p != obs.PhaseTreeBuild || total != int64(ds.Len()) {
-			t.Errorf("progress %s of total %d, want treeBuild of %d", p, total, ds.Len())
-		}
-		if int(done) < maxDone {
-			t.Errorf("progress went backwards: %d after %d", done, maxDone)
-		}
-		maxDone = int(done)
-	})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxDone != ds.Len() {
-		t.Errorf("max done = %d, want %d", maxDone, ds.Len())
-	}
-	if calls == 0 {
-		t.Error("progress never invoked")
-	}
-	if tree.Eta != ds.Len() {
-		t.Errorf("Eta = %d, want %d", tree.Eta, ds.Len())
-	}
-	serial, err := Build(ds, 4, BuildOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(tree, serial) {
-		t.Error("progress-built tree differs from serial build")
 	}
 }

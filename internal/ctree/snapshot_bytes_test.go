@@ -42,7 +42,7 @@ func TestBuildSnapshotBytesAgree(t *testing.T) {
 		{"spill/2runs", ctree.BuildOptions{SpillDir: t.TempDir(), MemoryLimitBytes: 25_000 * rec}, 2},
 		{"spill/7runs", ctree.BuildOptions{SpillDir: t.TempDir(), MemoryLimitBytes: 8192 * rec}, 7},
 	} {
-		col := obs.New(nil)
+		col := obs.New()
 		c.opt.Collector = col
 		tr, err := ctree.Build(ds, H, c.opt)
 		if err != nil {

@@ -13,9 +13,8 @@ import (
 // by a mutex; the hot counters workers merge into are atomics, added
 // once per chunk, never per cell or per point.
 type Collector struct {
-	mu       sync.Mutex
-	progress ProgressFunc
-	stats    Stats
+	mu    sync.Mutex
+	stats Stats
 
 	// Hot counters: merged per worker chunk with one atomic add each.
 	maskEvals   atomic.Int64
@@ -26,10 +25,9 @@ type Collector struct {
 	cacheRepair atomic.Int64
 }
 
-// New returns a collector with an optional progress callback (nil for
-// none).
-func New(progress ProgressFunc) *Collector {
-	return &Collector{progress: progress}
+// New returns an empty collector.
+func New() *Collector {
+	return &Collector{}
 }
 
 // Span is one timed interval of a phase. The zero Span (from a nil
@@ -94,24 +92,6 @@ func (sp Span) end(level int) {
 		c.stats.ScanWallNSPerLevel[level] += wallNS
 	}
 	c.mu.Unlock()
-}
-
-// Progress forwards a progress event to the callback, serialized so the
-// callback never observes concurrent calls even when chunk workers
-// report. It is a no-op without a callback.
-func (c *Collector) Progress(p Phase, done, total int64) {
-	if c == nil || c.progress == nil {
-		return
-	}
-	c.mu.Lock()
-	c.progress(p, done, total)
-	c.mu.Unlock()
-}
-
-// WantsProgress reports whether a callback is installed, so callers can
-// skip assembling progress arguments entirely.
-func (c *Collector) WantsProgress() bool {
-	return c != nil && c.progress != nil
 }
 
 // SetShape records the run's dimensions.
@@ -246,15 +226,6 @@ func (c *Collector) AddMaskEvals(n int64) {
 	c.maskEvals.Add(n)
 }
 
-// MaskEvals returns the mask applications recorded so far (used for
-// scan progress events, whose total is unknown up front).
-func (c *Collector) MaskEvals() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.maskEvals.Load()
-}
-
 // AddValueCacheBuild counts one per-level one-shot convolution-value
 // cache build of n entries (cold path: once per level per run).
 func (c *Collector) AddValueCacheBuild(entries int64) {
@@ -289,15 +260,13 @@ func (c *Collector) AddCacheRepair(n int64) {
 	c.cacheRepair.Add(n)
 }
 
-// AddLabeled merges one labeling chunk's (labeled, noise) counts and
-// returns the cumulative number of points processed, which doubles as
-// the labeling progress numerator.
-func (c *Collector) AddLabeled(labeled, noise int64) int64 {
+// AddLabeled merges one labeling chunk's (labeled, noise) counts.
+func (c *Collector) AddLabeled(labeled, noise int64) {
 	if c == nil {
-		return 0
+		return
 	}
 	c.noise.Add(noise)
-	return c.labeled.Add(labeled + noise)
+	c.labeled.Add(labeled + noise)
 }
 
 // Finish folds the atomic hot counters into the stats and returns a

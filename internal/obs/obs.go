@@ -6,7 +6,9 @@
 // counters (cells per level, mask evaluations, β-tests
 // attempted/accepted/rejected, critical-value cache hits/misses, merged
 // β-clusters, noise points) and runtime.MemStats deltas per contiguous
-// phase.
+// phase. Stats is the one record a run writes and core's
+// Config.CollectStats its one switch: a run hands the record back in
+// its Result when it ends, and nothing reports while it runs.
 //
 // The layer is built so it can stay on in production:
 //
@@ -17,8 +19,6 @@
 //     collector per element: workers accumulate plain integers locally
 //     and merge them once per chunk via atomic adds, so instrumentation
 //     allocates nothing and adds no per-cell synchronization.
-//   - The optional progress callback is serialized by the collector's
-//     mutex, so it is safe to install under Config.Workers > 1.
 //
 // Nothing here influences the clustering itself: the deterministic
 // serial-equivalence guarantee of DESIGN.md §5 holds with stats on.
@@ -87,14 +87,6 @@ func (p Phase) String() string {
 func phaseTracksMem(p Phase) bool {
 	return p != PhaseConvScan && p != PhaseBetaTest
 }
-
-// ProgressFunc receives coarse progress callbacks: `done` out of
-// `total` units of the given phase are complete. total == 0 means the
-// total is unknown (the β-search cannot know its pass count up front).
-// The collector serializes invocations, so one callback works for any
-// worker count; it must return quickly and must not call back into the
-// running pipeline.
-type ProgressFunc func(p Phase, done, total int64)
 
 // PhaseStat aggregates the wall time and memory movement of one phase.
 type PhaseStat struct {

@@ -16,7 +16,6 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	sp := c.Start(PhaseTreeBuild)
 	sp.End()
 	c.Start(PhaseConvScan).EndAtLevel(2)
-	c.Progress(PhaseLabeling, 1, 2)
 	c.SetShape(1, 2, 3, 4)
 	c.SetTreeBytes(9, 8)
 	c.SetBuildCounters(BuildCounters{BatchRuns: 1})
@@ -26,22 +25,14 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.AddCritCache(false)
 	c.SetClusterCounts(1, 1, 0)
 	c.AddMaskEvals(5)
-	if got := c.MaskEvals(); got != 0 {
-		t.Errorf("nil MaskEvals = %d, want 0", got)
-	}
-	if got := c.AddLabeled(3, 1); got != 0 {
-		t.Errorf("nil AddLabeled = %d, want 0", got)
-	}
-	if c.WantsProgress() {
-		t.Error("nil collector wants progress")
-	}
+	c.AddLabeled(3, 1)
 	if s := c.Finish(); s != nil {
 		t.Errorf("nil Finish = %+v, want nil", s)
 	}
 }
 
 func TestSpanAccumulates(t *testing.T) {
-	c := New(nil)
+	c := New()
 	sp := c.Start(PhaseTreeBuild)
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
@@ -57,7 +48,7 @@ func TestSpanAccumulates(t *testing.T) {
 }
 
 func TestScanLevelAttribution(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.Start(PhaseConvScan).EndAtLevel(2)
 	c.Start(PhaseConvScan).EndAtLevel(3)
 	c.Start(PhaseConvScan).EndAtLevel(3)
@@ -76,7 +67,7 @@ func TestScanLevelAttribution(t *testing.T) {
 }
 
 func TestCountersAndFinishCopy(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.SetShape(100, 5, 4, 2)
 	c.SetTreeBytes(2048, 1024)
 	c.CountCells(1, 10)
@@ -115,11 +106,10 @@ func TestCountersAndFinishCopy(t *testing.T) {
 }
 
 // TestConcurrentWorkers exercises the worker-facing surface (chunk
-// merges + progress) from many goroutines; run under -race this is the
-// safety proof for Config.Workers > 1 with a Progress callback.
+// merges) from many goroutines; run under -race this is the safety
+// proof for Config.Workers > 1 with stats on.
 func TestConcurrentWorkers(t *testing.T) {
-	var events int
-	c := New(func(p Phase, done, total int64) { events++ })
+	c := New()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -128,7 +118,6 @@ func TestConcurrentWorkers(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				c.AddMaskEvals(3)
 				c.AddLabeled(10, 2)
-				c.Progress(PhaseLabeling, int64(i), 100)
 			}
 		}()
 	}
@@ -140,13 +129,10 @@ func TestConcurrentWorkers(t *testing.T) {
 	if s.Counters.LabeledPoints != 8*100*10 || s.Counters.NoisePoints != 8*100*2 {
 		t.Errorf("labeled/noise = %d/%d", s.Counters.LabeledPoints, s.Counters.NoisePoints)
 	}
-	if events != 8*100 {
-		t.Errorf("progress events = %d, want %d (must be serialized, none lost)", events, 8*100)
-	}
 }
 
 func TestStatsJSONRoundTrip(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.SetShape(1000, 8, 4, 1)
 	c.Start(PhaseTreeBuild).End()
 	c.Start(PhaseLevelIndex).End()
@@ -174,7 +160,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 }
 
 func TestFormat(t *testing.T) {
-	c := New(nil)
+	c := New()
 	c.SetShape(1000, 8, 4, 2)
 	c.CountCells(1, 5)
 	c.CountCells(2, 9)

@@ -20,10 +20,6 @@ type Options struct {
 	// Jobs are the shard work orders, one per shard. Shard indexes
 	// are (re)assigned from slice order. Required.
 	Jobs []Job
-	// Parallel bounds the in-flight jobs; <= 0 selects len(Addrs).
-	Parallel int
-	// DialTimeout bounds each worker dial; 0 means 10 seconds.
-	DialTimeout time.Duration
 	// DistrustChecksums re-runs the full structural snapshot
 	// validation on every received shard tree instead of trusting the
 	// per-column checksums. Workers the caller spawned satisfy the
@@ -44,8 +40,12 @@ type Stats struct {
 	Points int
 }
 
+// dialTimeout bounds each worker dial.
+const dialTimeout = 10 * time.Second
+
 // Run executes the sharded build: every job is dispatched to a worker,
-// and the shard trees come back in shard order, unmerged. Their
+// at most len(opt.Addrs) jobs in flight, and the shard trees come back
+// in shard order, unmerged. Their
 // ctree.Union re-saves byte-identically to a serial build of the same
 // rows, and core.Run clusters them as they are. On any shard
 // failure the remaining connections are closed and the lowest-indexed
@@ -58,14 +58,6 @@ func Run(ctx context.Context, opt Options) ([]*ctree.Tree, Stats, error) {
 	if len(opt.Addrs) == 0 {
 		return nil, stats, fmt.Errorf("shard: no worker addresses")
 	}
-	parallel := opt.Parallel
-	if parallel <= 0 {
-		parallel = len(opt.Addrs)
-	}
-	dialTimeout := opt.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = 10 * time.Second
-	}
 
 	// Dispatch. Every job gets its own connection; a failure cancels
 	// the group context, which closes in-flight connections via the
@@ -75,7 +67,7 @@ func Run(ctx context.Context, opt Options) ([]*ctree.Tree, Stats, error) {
 	trees := make([]*ctree.Tree, len(opt.Jobs))
 	bytesIn := make([]int64, len(opt.Jobs))
 	errs := make([]error, len(opt.Jobs))
-	sem := make(chan struct{}, parallel)
+	sem := make(chan struct{}, len(opt.Addrs))
 	done := make(chan int)
 	for i := range opt.Jobs {
 		go func(i int) {
@@ -90,7 +82,7 @@ func Run(ctx context.Context, opt Options) ([]*ctree.Tree, Stats, error) {
 			job := opt.Jobs[i]
 			job.Shard = i
 			addr := opt.Addrs[i%len(opt.Addrs)]
-			tree, n, err := runShard(gctx, addr, job, dialTimeout, !opt.DistrustChecksums)
+			tree, n, err := runShard(gctx, addr, job, !opt.DistrustChecksums)
 			bytesIn[i] = n
 			if err != nil {
 				errs[i] = &WorkerError{Shard: i, Addr: addr, Err: err}
@@ -131,7 +123,7 @@ func Run(ctx context.Context, opt Options) ([]*ctree.Tree, Stats, error) {
 }
 
 // runShard performs one job exchange with one worker.
-func runShard(ctx context.Context, addr string, job Job, dialTimeout time.Duration, trust bool) (*ctree.Tree, int64, error) {
+func runShard(ctx context.Context, addr string, job Job, trust bool) (*ctree.Tree, int64, error) {
 	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {

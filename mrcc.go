@@ -61,10 +61,8 @@ type Result struct {
 	// TreeMemoryBytes estimates the Counting-tree footprint, its level
 	// indexes included.
 	TreeMemoryBytes uint64
-	// Timings records how long each of the paper's three phases took.
-	Timings core.Timings
-	// Stats is the run's observability record; nil unless
-	// Config.CollectStats or Config.Progress enabled collection.
+	// Stats is the run's one observability record, the paper's three
+	// phases among its phase rows; nil unless Config.CollectStats.
 	Stats *Stats
 	// Tree is the Counting-tree the run clustered on; nil unless
 	// Config.KeepTree. Pass it to SaveTree, or back to Run as
@@ -82,23 +80,20 @@ type Cluster = core.Cluster
 // subspace, the building block of correlation clusters).
 type BetaCluster = core.BetaCluster
 
-// Stats is a run's observability record: per-phase wall times,
+// Stats is a run's one observability record: per-phase wall times,
 // runtime.MemStats deltas and pipeline counters. Result.Stats carries
-// one when Config.CollectStats (or Config.Progress) is set; it
+// it when Config.CollectStats, the record's one switch, is set; the
+// paper's three phases are its TreeBuild row, its LevelIndex plus
+// BetaSearch rows, and its ClusterMerge plus Labeling rows. It
 // marshals to JSON and renders a human table via Stats.Format.
 type Stats = obs.Stats
 
 // PhaseStat aggregates one phase's wall time and memory movement.
 type PhaseStat = obs.PhaseStat
 
-// Phase identifies one stage of the pipeline in Stats and progress
-// callbacks (obs.PhaseNormalize .. obs.PhaseLabeling).
+// Phase identifies one stage of the pipeline in Stats
+// (obs.PhaseNormalize .. obs.PhaseLabeling).
 type Phase = obs.Phase
-
-// ProgressFunc receives coarse progress callbacks when installed as
-// Config.Progress; it is serialized, so it is safe for any worker
-// count.
-type ProgressFunc = obs.ProgressFunc
 
 // PipelineError reports a run that was aborted mid-flight: context
 // cancellation or deadline expiry, an injected fault (test builds
@@ -265,8 +260,9 @@ type Input struct {
 // when the data is not already there (the caller's dataset is never
 // mutated, aborted run or not), and runs MrCC over it, with or without
 // in.Tree. Build the dataset from raw rows with DatasetFromRows. When
-// Config.CollectStats or Config.Progress is set, the normalization
-// pass is reported as the Normalize phase of Result.Stats.
+// Config.CollectStats is set, Result.Stats records the run, its
+// normalization pass as the Normalize phase; nothing reports while the
+// run runs.
 //
 // Cancellation or deadline expiry of ctx aborts the pipeline
 // cooperatively — every phase polls ctx at chunk boundaries, so the
@@ -286,7 +282,6 @@ func Run(ctx context.Context, in Input, cfg Config) (*Result, error) {
 		Clusters:        res.Clusters,
 		Labels:          res.Labels,
 		TreeMemoryBytes: res.TreeMemoryBytes,
-		Timings:         res.Timings,
 		Stats:           res.Stats,
 	}
 	if cfg.KeepTree {
@@ -321,7 +316,7 @@ func run(ctx context.Context, in Input, cfg Config) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if (cfg.CollectStats || cfg.Progress != nil) && res.Stats != nil {
+	if cfg.CollectStats {
 		res.Stats.Normalize = norm
 	}
 	return res, nil
@@ -334,9 +329,9 @@ func run(ctx context.Context, in Input, cfg Config) (*core.Result, error) {
 // pre-normalization checkpoint: an armed fault point (test builds
 // only) or a cancelled ctx aborts with a *PipelineError naming the
 // normalize phase. The pass is measured into norm when cfg collects
-// stats and reported to cfg.Progress. A panic in this work is contained
-// and returned as a *PipelineError wrapping a *PanicError; the core
-// pipeline has its own recover.
+// stats. A panic in this work is contained and returned as a
+// *PipelineError wrapping a *PanicError; the core pipeline has its own
+// recover.
 func normalized(ctx context.Context, ds *Dataset, cfg Config) (work *Dataset, norm obs.PhaseStat, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -362,17 +357,13 @@ func normalized(ctx context.Context, ds *Dataset, cfg Config) (work *Dataset, no
 		work = ds.Clone()
 		_, _, err = work.Normalize()
 	}
-	if cfg.CollectStats || cfg.Progress != nil {
+	if cfg.CollectStats {
 		norm = obs.Measure(normalize)
 	} else {
 		normalize()
 	}
 	if err != nil {
 		return nil, norm, err
-	}
-	if cfg.Progress != nil {
-		n := int64(ds.Len())
-		cfg.Progress(obs.PhaseNormalize, n, n)
 	}
 	return work, norm, nil
 }

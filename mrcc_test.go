@@ -6,11 +6,9 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"mrcc"
-	"mrcc/internal/obs"
 )
 
 // twoClusterRows builds two tight Gaussian clusters in overlapping
@@ -172,27 +170,17 @@ func TestNewDatasetAppend(t *testing.T) {
 	}
 }
 
-// TestRunStatsAndProgress pins the facade side of the observability
-// layer: a raw-scale run with CollectStats must report a measured
-// normalization phase plus the pipeline phases, stats must not change
-// the clustering, and an installed Progress callback must see the
-// normalize and labeling phases.
-func TestRunStatsAndProgress(t *testing.T) {
+// TestRunStats pins the facade side of the observability layer: a
+// raw-scale run with CollectStats must report a measured normalization
+// phase plus the pipeline phases, and stats must not change the
+// clustering.
+func TestRunStats(t *testing.T) {
 	rows := twoClusterRows(500, 1200)
 	plain, err := runRows(rows, mrcc.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[mrcc.Phase]bool)
-	var mu sync.Mutex
-	res, err := runRows(rows, mrcc.Config{
-		CollectStats: true,
-		Progress: func(p mrcc.Phase, done, total int64) {
-			mu.Lock()
-			seen[p] = true
-			mu.Unlock()
-		},
-	})
+	res, err := runRows(rows, mrcc.Config{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +200,5 @@ func TestRunStatsAndProgress(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain.Labels, res.Labels) {
 		t.Error("stats collection changed the labels")
-	}
-	for _, p := range []mrcc.Phase{obs.PhaseNormalize, obs.PhaseLabeling} {
-		if !seen[p] {
-			t.Errorf("progress never reported phase %v", p)
-		}
 	}
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs one package's Go micro-benchmarks in alternating rounds on a
 # parent revision and on this checkout's working tree, then prints, for
-# every benchmark row and metric, each side's median and quartiles and
-# the number of rounds in which the change read better. Run from
-# anywhere inside the repository:
+# every benchmark row and metric, each side's median and quartiles, the
+# number of rounds in which the change read better, and a verdict. Run
+# from anywhere inside the repository:
 #
 #   scripts/bench_pairs.sh <parent-rev> <pkg> <bench-regexp> <rounds> <iterations>
 #
@@ -16,7 +16,11 @@
 # -test.benchtime <iterations>x -test.benchmem (and a 30 minute
 # timeout), so every round times the same number of iterations on both
 # sides. A metric whose unit ends
-# in /s reads better higher, every other one lower. The script writes
+# in /s reads better higher, every other one lower. The verdict is
+# "better" when the change read better in at least nine tenths of the
+# rounds (a tie counts for neither side) and the two medians differ, in
+# the change's favour, by more than the parent's interquartile range;
+# "worse" under the mirror rule; and "unresolved" otherwise. The script writes
 # nothing outside .bench_build/: the binaries and each run's raw output
 # are kept in .bench_build/benchpairs/<pkg>/. Nothing else should run on
 # the machine while it does.
@@ -70,8 +74,9 @@ for ((round = 1; round <= rounds; round++)); do
 done
 
 # One line per benchmark row and metric: each side's quartiles (linear
-# interpolation between the sorted rounds) and the rounds in which the
-# change read better than the parent did in the same round.
+# interpolation between the sorted rounds), the rounds in which the
+# change read better than the parent did in the same round, and the
+# verdict (see the top of this file).
 awk '
 function quartiles(side, key,    n, i, j, v, x, q, pos, lo, s) {
   n = 0
@@ -90,7 +95,7 @@ function quartiles(side, key,    n, i, j, v, x, q, pos, lo, s) {
     x = v[lo]
     if (lo < n) x += (pos - lo) * (v[lo + 1] - v[lo])
     s = s sprintf(" %12.6g", x)
-    if (q == 2) med[side] = x
+    qs[side, q] = x
   }
   return s
 }
@@ -104,13 +109,14 @@ function quartiles(side, key,    n, i, j, v, x, q, pos, lo, s) {
   if ($2 > rounds) rounds = $2
 }
 END {
-  printf "%-58s %39s %39s %8s %7s\n", "benchmark metric", "parent q1 / median / q3", "change q1 / median / q3", "Δmedian", "better"
+  printf "%-58s %39s %39s %8s %7s %10s\n", "benchmark metric", "parent q1 / median / q3", "change q1 / median / q3", "Δmedian", "better", "verdict"
   for (k = 1; k <= keys; k++) {
     key = order[k]
     higher = key ~ /\/s$/
     p = quartiles("parent", key)
     c = quartiles("change", key)
     better = 0
+    worse = 0
     both = 0
     for (i = 1; i <= rounds; i++) {
       if (!((key, "parent", i) in val) || !((key, "change", i) in val)) continue
@@ -118,9 +124,18 @@ END {
       pv = val[key, "parent", i]
       cv = val[key, "change", i]
       if ((higher && cv > pv) || (!higher && cv < pv)) better++
+      if ((higher && cv < pv) || (!higher && cv > pv)) worse++
     }
+    pmed = qs["parent", 2]
+    cmed = qs["change", 2]
+    # gain: how far the median of the change reads better than the parent median.
+    gain = higher ? cmed - pmed : pmed - cmed
+    iqr = qs["parent", 3] - qs["parent", 1]
+    verdict = "unresolved"
+    if (both > 0 && 10 * better >= 9 * both && gain > iqr) verdict = "better"
+    if (both > 0 && 10 * worse >= 9 * both && -gain > iqr) verdict = "worse"
     delta = "n/a"
-    if (med["parent"] != 0) delta = sprintf("%+.1f%%", 100 * (med["change"] - med["parent"]) / med["parent"])
-    printf "%-58s %39s %39s %8s %7s\n", key, p, c, delta, better "/" both
+    if (pmed != 0) delta = sprintf("%+.1f%%", 100 * (cmed - pmed) / pmed)
+    printf "%-58s %39s %39s %8s %7s %10s\n", key, p, c, delta, better "/" both, verdict
   }
 }' "$out/rows.txt"

@@ -53,12 +53,12 @@ func TestSaveLoadTreeWarmStart(t *testing.T) {
 	}
 	// No run writes a tree, so the loaded tree is the one the first run
 	// built.
-	warm, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: norm, Tree: loaded}, mrcc.Config{})
+	warm, err := mrcc.Run(context.Background(), mrcc.Input{Dataset: norm, Tree: loaded}, mrcc.Config{CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Timings.BuildTree != 0 {
-		t.Fatal("warm-started run reports tree-build time")
+	if warm.Stats.TreeBuild.Spans != 0 {
+		t.Fatal("warm-started run reports a tree build")
 	}
 	if !reflect.DeepEqual(first.Labels, warm.Labels) {
 		t.Fatal("warm-started run labeled points differently")

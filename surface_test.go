@@ -23,7 +23,7 @@ func TestFacadeSurface(t *testing.T) {
 		"BetaCluster", "Cluster", "Config", "Dataset", "DatasetFromRows",
 		"DefaultAlpha", "DefaultH", "Input", "LoadCSV", "LoadTree",
 		"NewDataset", "NewTree", "Noise", "PanicError", "Phase",
-		"PhaseStat", "PipelineError", "ProgressFunc", "ResourceError",
+		"PhaseStat", "PipelineError", "ResourceError",
 		"Result", "Run", "RunDataset", "SaveTree", "SoftMemberships",
 		"Stats", "Tree", "TreeFormatError",
 	}
