@@ -20,7 +20,6 @@ import (
 	"mrcc/internal/fault"
 	"mrcc/internal/mdl"
 	"mrcc/internal/obs"
-	"mrcc/internal/panics"
 	"mrcc/internal/stats"
 )
 
@@ -290,7 +289,7 @@ type Input struct {
 // carrying the partial Stats; context.Background() adds no observable
 // overhead. A panic inside any worker goroutine or pipeline phase is
 // recovered and surfaces the same way (a *PipelineError wrapping a
-// *panics.Error) instead of crashing the host. The memory
+// *fault.PanicError) instead of crashing the host. The memory
 // limit and its degradation policy bound the tree build only.
 //
 // With Config.Workers != 1 the Counting-tree build sorts per-goroutine
@@ -326,14 +325,14 @@ func Run(ctx context.Context, in Input, cfg Config) (res *Result, err error) {
 	if cfg.CollectStats {
 		col = obs.New()
 	}
-	ab := newAborter(ctx)
+	ab := fault.NewControl(ctx)
 	trees, phase := in.Trees, obs.PhaseBetaSearch
 	if len(trees) == 0 {
 		phase = obs.PhaseTreeBuild
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = panics.New(r)
+			err = fault.NewPanicError(r)
 		}
 		if err != nil && isAbort(err) {
 			col.SetAborted(phase)
@@ -347,7 +346,7 @@ func Run(ctx context.Context, in Input, cfg Config) (res *Result, err error) {
 		}
 		t, h, err := buildTreeBounded(ctx, in.Dataset, cfg, col)
 		if err != nil {
-			return nil, ab.fail(err)
+			return nil, ab.Fail(err)
 		}
 		if h != cfg.H {
 			col.SetDegradedH(h)
@@ -445,7 +444,7 @@ func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, col 
 // abort machinery Run shares with the tree build. A dataset to label
 // holds the points the trees count. cfg must already be defaulted and
 // validated. The returned phase names the stage an error interrupted.
-func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, col *obs.Collector, ab *aborter) (*Result, obs.Phase, error) {
+func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, col *obs.Collector, ab *fault.Control) (*Result, obs.Phase, error) {
 	t, eta := trees[0], ctree.Runs(trees).Points()
 	if ds != nil && (t.D != ds.Dims || eta != ds.Len()) {
 		return nil, obs.PhaseBetaSearch, fmt.Errorf("core: tree (d=%d, η=%d) does not match dataset (d=%d, η=%d)",
@@ -472,7 +471,7 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 	if err != nil {
 		return nil, obs.PhaseBetaSearch, err
 	}
-	if err := ab.check(fault.Merge); err != nil {
+	if err := ab.Check(fault.Merge); err != nil {
 		return nil, obs.PhaseClusterMerge, err
 	}
 	spMerge := col.Start(obs.PhaseClusterMerge)
@@ -539,7 +538,7 @@ type searcher struct {
 	cfg       Config
 	workers   int
 	col       *obs.Collector // nil when stats are off; all methods no-op
-	abort     *aborter       // nil when the run has no abort machinery; all methods no-op
+	abort     *fault.Control // nil when the run has no abort machinery; all methods no-op
 	betas     []BetaCluster
 	critCache map[int]int // nP -> θ (see criticalValue) at cfg.Alpha (p = 1/6)
 	lBuf      []float64   // scratch cell bounds for the overlap check
@@ -560,32 +559,32 @@ type searcher struct {
 // findBetaClusters runs the outer repeat loop of Algorithm 2: search
 // levels 2..H-1 for the next β-cluster, restart after each hit, stop
 // when a full pass finds none. Every restart pass and every per-level
-// scan is an abort checkpoint; errors recorded mid-scan by worker
-// chunks (parallel.go) surface here after the fan-out drained.
+// scan is an abort checkpoint; failures the scan's segments record in
+// the run's control surface here after the fan-out drained.
 func (s *searcher) findBetaClusters() ([]BetaCluster, error) {
 	for {
 		if s.cfg.MaxBetaClusters > 0 && len(s.betas) >= s.cfg.MaxBetaClusters {
 			return s.betas, nil
 		}
-		if err := s.abort.check(fault.ScanPass); err != nil {
+		if err := s.abort.Check(fault.ScanPass); err != nil {
 			return s.betas, err
 		}
 		s.col.AddScanPass()
 		found := false
 		for h := 2; h <= len(s.idx); h++ {
-			if err := s.abort.check(fault.ScanLevel); err != nil {
+			if err := s.abort.Check(fault.ScanLevel); err != nil {
 				return s.betas, err
 			}
 			spScan := s.col.Start(obs.PhaseConvScan)
 			_, cell, _ := s.densestCell(h)
 			spScan.EndAtLevel(h)
-			if err := s.abort.firstErr(); err != nil {
+			if err := s.abort.FirstErr(); err != nil {
 				return s.betas, err
 			}
 			if cell < 0 {
 				continue
 			}
-			if err := s.abort.check(fault.BetaTest); err != nil {
+			if err := s.abort.Check(fault.BetaTest); err != nil {
 				return s.betas, err
 			}
 			s.markUsed(h, cell)
@@ -834,24 +833,25 @@ func buildClusters(betas []BetaCluster, d int) (clusters []Cluster, merges int) 
 // first β-cluster box containing it, or Noise. Correlation clusters do
 // not share space, so the assignment is unambiguous. Each point's label
 // depends only on that point, so the range is split across workers
-// (parallel.go) with no effect on the output. Every worker polls the
-// aborter at segment boundaries, so cancellation is observed within a
-// few thousand points; a worker panic is contained by the fan-out and
-// surfaces as the returned error.
+// (fault.Ranges) with no effect on the output. Every worker polls the
+// run's control at segment boundaries, so cancellation is observed
+// within a few thousand points; a worker panic is contained by the
+// fan-out and recorded in the control, so its peers stop at their next
+// segment, and it surfaces as the returned error.
 //
 // The points are looked up in one Labeler (label.go), built once per
 // call and shared read-only by the workers; the kernel allocates
 // nothing (pinned by TestLabelChunkZeroAlloc).
-func labelPoints(ds *dataset.Dataset, betas []BetaCluster, clusters []Cluster, workers int, col *obs.Collector, ab *aborter) ([]int, error) {
+func labelPoints(ds *dataset.Dataset, betas []BetaCluster, clusters []Cluster, workers int, col *obs.Collector, ab *fault.Control) ([]int, error) {
 	labels := make([]int, ds.Len())
 	lb := NewLabeler(betas, clusters, ds.Dims)
-	labelRange := func(lo, hi int) error {
+	labelRange := func(_, lo, hi int) error {
 		for seg := lo; seg < hi; seg += scanCheckEvery {
 			end := seg + scanCheckEvery
 			if end > hi {
 				end = hi
 			}
-			if err := ab.check(fault.LabelChunk); err != nil {
+			if err := ab.Check(fault.LabelChunk); err != nil {
 				return err
 			}
 			noise := lb.labelChunk(ds.Points[seg:end], labels[seg:end])
@@ -861,9 +861,9 @@ func labelPoints(ds *dataset.Dataset, betas []BetaCluster, clusters []Cluster, w
 	}
 	var err error
 	if workers > 1 && ds.Len() >= minParallelPoints {
-		err = parallelRangesErr(ds.Len(), workers, labelRange)
+		err = fault.Ranges(ab, ds.Len(), workers, labelRange)
 	} else {
-		err = labelRange(0, ds.Len())
+		err = labelRange(0, 0, ds.Len())
 	}
 	if err != nil {
 		return nil, err

@@ -1,5 +1,4 @@
-// Error taxonomy and the cooperative-abort helper of the robust
-// pipeline (DESIGN.md §8).
+// Error taxonomy of the robust pipeline (DESIGN.md §8).
 //
 // Three kinds of failure leave a run:
 //
@@ -13,22 +12,19 @@
 //     tree/dataset mismatch — pass through unwrapped, exactly as before
 //     the robustness layer existed.
 //
-// The aborter is the per-run abort channel shared by every phase and
-// every worker goroutine: the first failure wins, later checkpoints
-// observe it through a single atomic load, and the coordinator converts
-// it into the typed error after all goroutines drained.
+// A run shares one fault.Control among every phase and every worker
+// goroutine: the first failure wins, later checkpoints observe it
+// through a single atomic load, and Run converts it into the typed
+// error after all goroutines drained.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"mrcc/internal/fault"
 	"mrcc/internal/obs"
-	"mrcc/internal/panics"
 )
 
 // PipelineError reports a run aborted mid-flight — by context
@@ -85,57 +81,12 @@ func isAbort(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return true
 	}
-	var pe *panics.Error
+	var pe *fault.PanicError
 	if errors.As(err, &pe) {
 		return true
 	}
 	var fe *fault.Error
 	return errors.As(err, &fe)
-}
-
-// aborter is one run's shared abort state. A nil aborter is valid and
-// every method is a no-op on it — that is how direct searcher
-// construction (the internal tests) runs with zero overhead.
-type aborter struct {
-	ctx     context.Context
-	stopped atomic.Bool
-	mu      sync.Mutex
-	err     error
-}
-
-// newAborter returns an aborter polling ctx; a nil or Background
-// context still supports fault injection and panic routing.
-func newAborter(ctx context.Context) *aborter {
-	return &aborter{ctx: ctx}
-}
-
-// fail records the first error, raises the stop flag, and returns the
-// recorded (winning) error.
-func (a *aborter) fail(err error) error {
-	if a == nil {
-		return err
-	}
-	a.mu.Lock()
-	if a.err == nil {
-		a.err = err
-	}
-	err = a.err
-	a.mu.Unlock()
-	a.stopped.Store(true)
-	return err
-}
-
-// firstErr returns the recorded failure, or nil.
-func (a *aborter) firstErr() error {
-	if a == nil {
-		return nil
-	}
-	if !a.stopped.Load() {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.err
 }
 
 // failWorker routes a contained worker failure into the run's abort
@@ -144,31 +95,8 @@ func (a *aborter) firstErr() error {
 // rather than being silently dropped.
 func (s *searcher) failWorker(err error) {
 	if s.abort != nil {
-		s.abort.fail(err)
+		s.abort.Fail(err)
 		return
 	}
-	panic(panics.New(err))
-}
-
-// check is the cooperative checkpoint: it observes, in order, a failure
-// already recorded by a peer, the named fault-injection point (a no-op
-// unless the binary is built with -tags=fault and the point is armed),
-// and context cancellation. Any failure is recorded so every other
-// worker drains at its next checkpoint.
-func (a *aborter) check(point string) error {
-	if a == nil {
-		return nil
-	}
-	if a.stopped.Load() {
-		return a.firstErr()
-	}
-	if err := fault.Inject(point); err != nil {
-		return a.fail(err)
-	}
-	if a.ctx != nil {
-		if err := a.ctx.Err(); err != nil {
-			return a.fail(err)
-		}
-	}
-	return nil
+	panic(fault.NewPanicError(err))
 }

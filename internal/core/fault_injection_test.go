@@ -19,7 +19,7 @@ import (
 	"mrcc/internal/core"
 	"mrcc/internal/fault"
 	"mrcc/internal/obs"
-	"mrcc/internal/panics"
+	"mrcc/internal/synthetic"
 )
 
 // faultPoints maps every core-pipeline injection point to the phase a
@@ -113,7 +113,7 @@ func TestInjectedFaultAbortsCleanly(t *testing.T) {
 // TestInjectedPanicIsContained arms points with panics instead of
 // errors: worker goroutines must recover them (no WaitGroup deadlock,
 // no process crash) and the run must fail with a *PipelineError
-// wrapping a *panics.Error that carries the stack.
+// wrapping a *fault.PanicError that carries the stack.
 func TestInjectedPanicIsContained(t *testing.T) {
 	ds := robustDS(t)
 	for _, point := range []string{fault.BuildChunk, fault.ScanChunk, fault.LabelChunk} {
@@ -127,9 +127,9 @@ func TestInjectedPanicIsContained(t *testing.T) {
 				if !errors.As(err, &pe) {
 					t.Fatalf("want *PipelineError, got %T: %v", err, err)
 				}
-				var pa *panics.Error
+				var pa *fault.PanicError
 				if !errors.As(err, &pa) {
-					t.Fatalf("panic not surfaced as *panics.Error: %v", err)
+					t.Fatalf("panic not surfaced as *fault.PanicError: %v", err)
 				}
 				if pa.Value != "poisoned chunk" {
 					t.Fatalf("panic value = %v", pa.Value)
@@ -140,6 +140,32 @@ func TestInjectedPanicIsContained(t *testing.T) {
 				checkGoroutinesDrained(t, baseline)
 			})
 		}
+	}
+}
+
+// TestPanicStopsPeers proves a worker panic stops the other workers of
+// its fan-out: the labeling workers poll fault.LabelChunk once per
+// 4096-point segment, and after one of them panics on the first
+// segment of the run, the others label at most a few segments more
+// rather than their whole ranges.
+func TestPanicStopsPeers(t *testing.T) {
+	t.Cleanup(fault.Reset)
+	const workers, segment, segmentsPerWorker = 4, 4096, 8
+	ds, _ := genSmall(t, synthetic.Config{
+		Dims: 5, Points: workers * segmentsPerWorker * segment, Clusters: 2, NoiseFrac: 0.1,
+		MinClusterDim: 3, MaxClusterDim: 4, Seed: 7,
+	})
+	fault.Reset()
+	fault.Set(fault.LabelChunk, func() error { panic("poisoned segment") })
+	_, err := core.Run(context.Background(), core.Input{Dataset: ds}, core.Config{Workers: workers})
+	var pe *core.PipelineError
+	var pa *fault.PanicError
+	if !errors.As(err, &pe) || !errors.As(err, &pa) || pa.Value != "poisoned segment" {
+		t.Fatalf("want a *PipelineError wrapping the labeling panic, got %T: %v", err, err)
+	}
+	segments := ds.Len() / segment
+	if hits := fault.Hits(fault.LabelChunk); hits >= segments/2 {
+		t.Fatalf("workers polled %d of the run's %d labeling segments after the panic; peers did not stop", hits, segments)
 	}
 }
 

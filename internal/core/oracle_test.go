@@ -69,17 +69,17 @@ func (s *searcher) densestCellNaive(h int) (ctree.Path, int, int64) {
 	for i := range bests {
 		bests[i].entry = -1
 	}
-	err := parallelRangesIndexedErr(n, workers, func(w, lo, hi int) error {
+	err := fault.Ranges(s.abort, n, workers, func(w, lo, hi int) error {
 		bests[w] = s.scanChunk(ix, used, lo, hi)
 		return nil
 	})
 	if err != nil {
-		// A contained worker panic; route it through the shared aborter
-		// so findBetaClusters reports it after the fan-out drained.
+		// A contained worker panic, already in the run's control;
+		// findBetaClusters reports it after the fan-out drained.
 		s.failWorker(err)
 		return nil, -1, 0
 	}
-	if s.abort.stoppedNow() {
+	if s.abort.FirstErr() != nil {
 		// A checkpoint failed mid-scan; the partial argmax is
 		// meaningless, so report exhaustion and let the caller pick up
 		// the recorded error.
@@ -112,15 +112,15 @@ func (s *searcher) scanChunk(ix *ctree.LevelIndex, used []bool, lo, hi int) chun
 	for i := lo; i < hi; i++ {
 		// Cooperative abort: drain the chunk as soon as any checkpoint
 		// failed (one atomic load), and poll ctx/fault points every few
-		// thousand cells. Errors are recorded in the shared aborter and
+		// thousand cells. Errors are recorded in the run's control and
 		// reported by findBetaClusters after the fan-out drains, so the
 		// chunkBest signature stays untouched.
-		if s.abort.stoppedNow() {
+		if s.abort.FirstErr() != nil {
 			break
 		}
 		if polled++; polled >= scanCheckEvery {
 			polled = 0
-			if s.abort.check(fault.ScanChunk) != nil {
+			if s.abort.Check(fault.ScanChunk) != nil {
 				break
 			}
 		}
@@ -173,18 +173,4 @@ func (s *searcher) densestCellRewalk(h int) (ctree.Path, int, int64) {
 	}
 	s.col.AddScanProbe(skips, int64(len(sc.order)))
 	return nil, -1, 0
-}
-
-// parallelRangesIndexedErr is parallelRangesErr additionally passing
-// each worker's ordinal, for the naive scan's per-chunk winners: every
-// range but the last holds chunk entries, so lo/chunk is the ordinal.
-func parallelRangesIndexedErr(n, workers int, fn func(w, lo, hi int) error) error {
-	chunk := (n + min(workers, n) - 1) / min(workers, n)
-	return parallelRangesErr(n, workers, func(lo, hi int) error { return fn(lo/chunk, lo, hi) })
-}
-
-// stoppedNow reports (with one atomic load) whether some checkpoint
-// already failed; the naive scan's chunks use it to drain quickly.
-func (a *aborter) stoppedNow() bool {
-	return a != nil && a.stopped.Load()
 }

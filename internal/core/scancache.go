@@ -30,7 +30,8 @@
 // O(cells · d) re-convolution to O(skips) eligibility checks. The
 // overlap check derives a scanned entry's bounds from its path, as the
 // naive scan does, rebuilt into the searcher's one scratch path
-// (ctree.LevelIndex.PathInto), so a probe allocates nothing.
+// (ctree.LevelIndex.PathInto), so a probe allocates nothing; a used
+// entry is skipped before its path is rebuilt.
 package core
 
 import (
@@ -98,7 +99,7 @@ func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 	vals := make([]int64, n)
 	segmented := func(lo, hi int, fill func(lo, hi int)) error {
 		for seg := lo; seg < hi; seg += scanCheckEvery {
-			if err := s.abort.check(fault.ScanChunk); err != nil {
+			if err := s.abort.Check(fault.ScanChunk); err != nil {
 				return err
 			}
 			fill(seg, min(seg+scanCheckEvery, hi))
@@ -107,7 +108,7 @@ func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 	}
 	var err error
 	if s.cfg.fullMask {
-		full := func(lo, hi int) error {
+		full := func(_, lo, hi int) error {
 			path := make(ctree.Path, 0, h)
 			return segmented(lo, hi, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
@@ -117,9 +118,9 @@ func (s *searcher) buildLevelScan(h int) (*levelScan, error) {
 			})
 		}
 		if s.workers > 1 && n >= minParallelCells {
-			err = parallelRangesErr(n, s.workers, full)
+			err = fault.Ranges(s.abort, n, s.workers, full)
 		} else {
-			err = full(0, n)
+			err = full(0, 0, n)
 		}
 	} else {
 		twoD := int64(2 * s.d)
@@ -203,9 +204,9 @@ func (sc *levelScan) pop() bool {
 func (s *searcher) densestCellCached(h int) (ctree.Path, int, int64) {
 	sc, err := s.levelScan(h)
 	if err != nil {
-		// The abort is already recorded in the shared aborter (check
-		// failures) or must be routed there (contained panics);
-		// findBetaClusters picks it up right after this scan returns.
+		// The run's control already holds the failure (a failed check,
+		// or a worker panic the fan-out contained); findBetaClusters
+		// picks it up right after this scan returns.
 		s.failWorker(err)
 		return nil, -1, 0
 	}
@@ -213,9 +214,13 @@ func (s *searcher) densestCellCached(h int) (ctree.Path, int, int64) {
 	var skips int64
 	for pos := from; pos < len(sc.order) || sc.pop(); pos++ {
 		idx := int(sc.order[pos])
+		if used[idx] {
+			skips++
+			continue
+		}
 		p := sc.ix.PathInto(s.path, idx)
 		s.path = p
-		if used[idx] || s.sharesSpaceWithBeta(p) {
+		if s.sharesSpaceWithBeta(p) {
 			skips++
 			continue
 		}

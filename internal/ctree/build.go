@@ -31,16 +31,17 @@
 // see arena.go), with the same MemoryBytes and byte-identical treeio
 // snapshots, whatever Workers or the run size.
 //
-// Robustness: sort workers and the merge poll one checkpoint (an armed
-// fault point and the context) every buildReportEvery points. An
-// in-memory build's arena over the memory cap is refused before it is
-// allocated, and since the count never grows the arena, that one
-// up-front check is the build's whole memory cap. A panic inside a sort
-// worker is recovered in the goroutine itself, so its peers always
-// drain and Build returns the panic as an error instead of crashing the
-// host. The memory-cap decision is deterministic for a fixed (dataset,
-// H, limit) because the merged record sequence — and with it the cell
-// count — is.
+// Robustness: sort workers and the merge poll the build's one
+// fault.Control (a peer's failure, an armed fault point and the
+// context) every buildReportEvery points. An in-memory build's arena
+// over the memory cap is refused before it is allocated, and since the
+// count never grows the arena, that one up-front check is the build's
+// whole memory cap. The sort workers run through fault.Ranges, which
+// recovers a worker's panic in the goroutine itself and records it in
+// the control: its peers stop at their next checkpoint, and Build
+// returns the panic as an error instead of crashing the host. The
+// memory-cap decision is deterministic for a fixed (dataset, H, limit)
+// because the merged record sequence — and with it the cell count — is.
 package ctree
 
 import (
@@ -50,17 +51,14 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"mrcc/internal/dataset"
 	"mrcc/internal/fault"
 	"mrcc/internal/obs"
-	"mrcc/internal/panics"
 )
 
 // buildReportEvery is the build's checkpoint interval: sort workers
-// poll the build control once per buildReportEvery points, and the
+// poll the build's control once per buildReportEvery points, and the
 // merge once per buildReportEvery records, buffering at most that
 // many leaf words of one path.
 const buildReportEvery = 8192
@@ -133,7 +131,7 @@ func Build(ds *dataset.Dataset, H int, opt BuildOptions) (*Tree, error) {
 	if err := validateBuild(ds, H); err != nil {
 		return nil, err
 	}
-	bc := &buildControl{ctx: opt.Ctx}
+	bc := fault.NewControl(opt.Ctx)
 	ks := newKeySpread(ds.Dims, H)
 	var t *Tree
 	var streams []*recordStream
@@ -197,53 +195,6 @@ func validateBuild(ds *dataset.Dataset, H int) error {
 	return nil
 }
 
-// buildControl is the shared abort channel of one build: the first
-// failure wins, and every later checkpoint observes it through one
-// atomic load.
-type buildControl struct {
-	ctx     context.Context
-	stopped atomic.Bool
-	mu      sync.Mutex
-	err     error
-}
-
-// fail records the first error, raises the stop flag and returns the
-// recorded (winning) error.
-func (bc *buildControl) fail(err error) error {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if bc.err == nil {
-		bc.err = err
-	}
-	bc.stopped.Store(true)
-	return bc.err
-}
-
-// firstErr returns the recorded failure, or nil.
-func (bc *buildControl) firstErr() error {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	return bc.err
-}
-
-// check is the build's one checkpoint. It observes, in order: a
-// failure a peer already recorded, the armed fault-injection point and
-// context cancellation.
-func (bc *buildControl) check(point string) error {
-	if bc.stopped.Load() {
-		return bc.firstErr()
-	}
-	if err := fault.Inject(point); err != nil {
-		return bc.fail(err)
-	}
-	if bc.ctx != nil {
-		if err := bc.ctx.Err(); err != nil {
-			return bc.fail(err)
-		}
-	}
-	return nil
-}
-
 // recordStream is one sorted run of (path key, leaf parity) records in
 // (key, arrival) order: keys holds the key words of each record (one
 // packed word when d·(H-1) <= 64, else the H-1 per-level loc words),
@@ -267,47 +218,28 @@ func keyWords(d, H int) int {
 }
 
 // sortShards sorts the dataset into one record stream per worker, each
-// over a contiguous shard, in parallel; the workers share the spread
-// table ks.
-func sortShards(ds *dataset.Dataset, H int, ks keySpread, workers int, bc *buildControl) ([]*recordStream, error) {
+// over a contiguous shard, in parallel (fault.Ranges); the workers
+// share the spread table ks. The fan-out reports the first checkpoint
+// failure over the follow-on errors of peers that observed it;
+// validation errors are not recorded in bc, so the lowest shard's (the
+// dataset's first invalid point) is reported, exactly as a one-stream
+// build would.
+func sortShards(ds *dataset.Dataset, H int, ks keySpread, workers int, bc *fault.Control) ([]*recordStream, error) {
 	n := ds.Len()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, n)
-	size := (n + workers - 1) / workers
-	shards := (n + size - 1) / size
-	streams := make([]*recordStream, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for s := range streams {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Contain worker panics inside the goroutine: the WaitGroup
-			// always drains and Build reports the panic as an error.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[s] = bc.fail(panics.New(r))
-				}
-			}()
-			streams[s], errs[s] = sortShard(ds, s*size, min((s+1)*size, n), H, ks, bc)
-		}()
-	}
-	wg.Wait()
-	// The first checkpoint failure wins over the follow-on errors of
-	// peers that observed the stop flag; validation errors are not
-	// recorded there, so the lowest shard's (the dataset's first
-	// invalid point) is reported, exactly as a one-stream build would.
-	if err := bc.firstErr(); err != nil {
+	streams := make([]*recordStream, min(workers, n))
+	err := fault.Ranges(bc, n, workers, func(s, lo, hi int) (err error) {
+		streams[s], err = sortShard(ds, lo, hi, H, ks, bc)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return streams, nil
+	// Shards of ⌈n/workers⌉ points can leave the last workers none: 9
+	// points on 4 workers sort as 3 shards.
+	return slices.DeleteFunc(streams, func(rs *recordStream) bool { return rs == nil }), nil
 }
 
 // sortShard quantizes and sorts the dataset slice [lo, hi) into a
@@ -318,7 +250,7 @@ func sortShards(ds *dataset.Dataset, H int, ks keySpread, workers int, bc *build
 // equal keys keep dataset order — the tie-break the deterministic
 // merge relies on; multi-word keys (ks nil) fall back to a comparison
 // sort over the permutation.
-func sortShard(ds *dataset.Dataset, lo, hi, H int, ks keySpread, bc *buildControl) (*recordStream, error) {
+func sortShard(ds *dataset.Dataset, lo, hi, H int, ks keySpread, bc *fault.Control) (*recordStream, error) {
 	d := ds.Dims
 	s := hi - lo
 	w := keyWords(d, H)
@@ -327,7 +259,7 @@ func sortShard(ds *dataset.Dataset, lo, hi, H int, ks keySpread, bc *buildContro
 	qi := make([]uint64, d)
 	for i := 0; i < s; i++ {
 		if i%buildReportEvery == 0 {
-			if err := bc.check(fault.BuildChunk); err != nil {
+			if err := bc.Check(fault.BuildChunk); err != nil {
 				return nil, err
 			}
 		}
@@ -523,11 +455,11 @@ func cellCount(streams []*recordStream, d, H int) int {
 // buildReportEvery leaf words at a time, and counted in one
 // carry-over descent (batch.go), so shared prefixes are bumped once per
 // run of equal paths rather than once per point, and new cells go in
-// without a child lookup. The build control is polled every
+// without a child lookup. The build's control is polled every
 // buildReportEvery records and once at the end. The descents, the
 // points they counted, the radix-sorted streams and the arena's growths
 // are recorded on st.
-func countMerged(t *Tree, streams []*recordStream, bc *buildControl, total int, st *obs.BuildCounters) error {
+func countMerged(t *Tree, streams []*recordStream, bc *fault.Control, total int, st *obs.BuildCounters) error {
 	ins := newBatchInserter(t)
 	w := keyWords(t.D, t.H)
 	if w == 1 {
@@ -572,7 +504,7 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, total int, 
 		}
 		done++
 		if done%buildReportEvery == 0 {
-			if err := bc.check(fault.BuildMerge); err != nil {
+			if err := bc.Check(fault.BuildMerge); err != nil {
 				return err
 			}
 		}
@@ -581,5 +513,5 @@ func countMerged(t *Tree, streams []*recordStream, bc *buildControl, total int, 
 	t.Eta += done
 	st.BatchRunPoints += int64(done)
 	st.ArenaGrows += ins.grows
-	return bc.check(fault.BuildMerge)
+	return bc.Check(fault.BuildMerge)
 }

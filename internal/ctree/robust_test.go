@@ -44,8 +44,9 @@ func TestBuildCancelled(t *testing.T) {
 
 // TestBuildMemoryLimit proves a tiny budget is refused with the same
 // *LimitError on every worker count (the merged record sequence, and
-// with it the tree's growth, does not depend on it), and that a
-// generous budget builds the identical tree.
+// with it the cell count that sizes the arena before it is allocated,
+// does not depend on it), and that a generous budget builds the
+// identical tree.
 func TestBuildMemoryLimit(t *testing.T) {
 	ds := randDataset(t, 20000, 8, 3)
 	var first *LimitError
@@ -77,9 +78,9 @@ func TestBuildMemoryLimit(t *testing.T) {
 	}
 }
 
-// TestCellCountMatchesLevels proves the incrementally maintained cell
-// counter agrees with a full level walk, including after merges and
-// inserts.
+// TestCellCountMatchesLevels proves CellCount, the arena's rows less
+// the root, agrees with a full level walk, on a built tree and after an
+// insert.
 func TestCellCountMatchesLevels(t *testing.T) {
 	ds := randDataset(t, 3000, 5, 4)
 	tr, err := Build(ds, 4, BuildOptions{Workers: 4})

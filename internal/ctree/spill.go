@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 
 	"mrcc/internal/dataset"
+	"mrcc/internal/fault"
 	"mrcc/internal/obs"
 )
 
@@ -60,7 +61,7 @@ type spillReader struct {
 // block. Packed keys pack through ks, the spread table of t's (d, H).
 // It records the spill traffic on st. On error it also returns
 // the runs opened so far, so the caller can close them.
-func spillRuns(t *Tree, ds *dataset.Dataset, dir string, ks keySpread, opt BuildOptions, bc *buildControl, st *obs.BuildCounters) ([]*recordStream, error) {
+func spillRuns(t *Tree, ds *dataset.Dataset, dir string, ks keySpread, opt BuildOptions, bc *fault.Control, st *obs.BuildCounters) ([]*recordStream, error) {
 	n := ds.Len()
 	w := keyWords(t.D, t.H)
 	runPoints := opt.runPoints

@@ -1,14 +1,24 @@
-// Package fault is the pipeline's deterministic fault-injection
-// harness. Named injection points sit at every phase boundary and
-// inside every worker chunk loop of the MrCC pipeline; a test built
-// with the `fault` tag arms a point with an error (or a panic) and the
-// pipeline trips it exactly once, at a deterministic call count.
+// Package fault is how a run of the MrCC pipeline stops (DESIGN.md
+// §8): its one abort control, its one panic-safe fan-out and its
+// deterministic fault-injection harness.
 //
-// Production builds pay zero cost: without the tag, Inject is an
-// inlined `return nil` and the registry does not exist. The injected
-// error is wrapped in *Error so the pipeline can tell a deliberate
-// fault from an organic failure (core treats it like a cancellation
-// and aborts cleanly with a *PipelineError).
+// A tree build and a clustering run each share one Control among their
+// phases and worker goroutines. Every checkpoint polls it through
+// Check, which observes a failure a peer recorded, the named injection
+// point and the run's context; the first failure wins. Ranges is the
+// one fan-out over [0, n): it contains a worker's panic as a
+// *PanicError and records it in the control, so the peers stop at
+// their next checkpoint instead of working to the end of their parts.
+//
+// Named injection points sit at every phase boundary and inside every
+// worker chunk loop of the pipeline; a test built with the `fault` tag
+// arms a point with an error (or a panic) and the pipeline trips it
+// exactly once, at a deterministic call count. Production builds pay
+// zero cost: without the tag, Inject is an inlined `return nil` and
+// the registry does not exist. The injected error is wrapped in *Error
+// so the pipeline can tell a deliberate fault from an organic failure
+// (core treats it like a cancellation and aborts cleanly with a
+// *PipelineError).
 package fault
 
 import "fmt"

@@ -72,15 +72,3 @@ func encodeCost(part []float64) float64 {
 	}
 	return bits
 }
-
-// logStar is Rissanen's universal code length for positive reals,
-// log*(x) = log2(x) + log2 log2(x) + ... over the positive terms, plus a
-// normalization constant.
-func logStar(x float64) float64 {
-	const c = 2.865064 // normalizer of the universal prior
-	bits := math.Log2(c)
-	for v := math.Log2(x); v > 0; v = math.Log2(v) {
-		bits += v
-	}
-	return bits
-}

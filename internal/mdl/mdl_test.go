@@ -107,17 +107,3 @@ func TestCutRecoversPlantedGap(t *testing.T) {
 		}
 	}
 }
-
-func TestLogStarPositiveAndIncreasing(t *testing.T) {
-	prev := 0.0
-	for _, x := range []float64{1, 2, 4, 16, 1024, 1 << 20} {
-		v := logStar(x)
-		if v < 0 {
-			t.Fatalf("logStar(%g) = %g < 0", x, v)
-		}
-		if v < prev {
-			t.Fatalf("logStar not monotone at %g", x)
-		}
-		prev = v
-	}
-}

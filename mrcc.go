@@ -30,7 +30,6 @@ import (
 	"mrcc/internal/dataset"
 	"mrcc/internal/fault"
 	"mrcc/internal/obs"
-	"mrcc/internal/panics"
 	"mrcc/internal/treeio"
 )
 
@@ -111,7 +110,7 @@ type ResourceError = core.ResourceError
 // PanicError carries a panic recovered from inside the pipeline — the
 // value and the stack of the panicking goroutine. It always arrives
 // wrapped in a *PipelineError; use errors.As to extract it.
-type PanicError = panics.Error
+type PanicError = fault.PanicError
 
 // Dataset is the in-memory dataset container. See the dataset helpers
 // re-exported below for construction and I/O.
@@ -326,17 +325,17 @@ func run(ctx context.Context, in Input, cfg Config) (*core.Result, error) {
 // SoftMemberships share: it validates ds and returns it as it is when
 // it already lies in [0,1)^d, or else a min–max normalized clone (the
 // caller's dataset is never mutated). Before the clone it polls the
-// pre-normalization checkpoint: an armed fault point (test builds
-// only) or a cancelled ctx aborts with a *PipelineError naming the
-// normalize phase. The pass is measured into norm when cfg collects
-// stats. A panic in this work is contained and returned as a
-// *PipelineError wrapping a *PanicError; the core pipeline has its own
-// recover.
+// pre-normalization checkpoint, one fault.Control check: an armed
+// fault point (test builds only) or a cancelled ctx aborts with a
+// *PipelineError naming the normalize phase. The pass is measured into
+// norm when cfg collects stats. A panic in this work is contained and
+// returned as a *PipelineError wrapping a *PanicError; the core
+// pipeline has its own recover.
 func normalized(ctx context.Context, ds *Dataset, cfg Config) (work *Dataset, norm obs.PhaseStat, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			work = nil
-			err = &PipelineError{Phase: obs.PhaseNormalize.String(), Err: panics.New(r)}
+			err = &PipelineError{Phase: obs.PhaseNormalize.String(), Err: fault.NewPanicError(r)}
 		}
 	}()
 	unit, err := ds.Check()
@@ -346,12 +345,8 @@ func normalized(ctx context.Context, ds *Dataset, cfg Config) (work *Dataset, no
 	if unit {
 		return ds, norm, nil
 	}
-	cause := fault.Inject(fault.Normalize)
-	if cause == nil && ctx != nil {
-		cause = ctx.Err()
-	}
-	if cause != nil {
-		return nil, norm, &PipelineError{Phase: obs.PhaseNormalize.String(), Err: cause}
+	if err := fault.NewControl(ctx).Check(fault.Normalize); err != nil {
+		return nil, norm, &PipelineError{Phase: obs.PhaseNormalize.String(), Err: err}
 	}
 	normalize := func() {
 		work = ds.Clone()
