@@ -11,7 +11,7 @@ import (
 // O(3^d) mask.
 func BenchmarkFaceValue(b *testing.B) {
 	tr, _ := buildTree(b, 10, 20000, 1, 4)
-	ix := tr.EnsureLevelIndexes()[1]
+	ix := indexesOver(b, tr)[1]
 	buf := make(ctree.Path, 0, ix.Level)
 	var path ctree.Path
 	b.ResetTimer()
@@ -26,7 +26,7 @@ func BenchmarkFaceValue(b *testing.B) {
 // it is still tractable, for the A-mask ablation comparison.
 func BenchmarkFullValue(b *testing.B) {
 	tr, _ := buildTree(b, 6, 5000, 1, 4)
-	ix := tr.EnsureLevelIndexes()[1]
+	ix := indexesOver(b, tr)[1]
 	var path ctree.Path
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -63,8 +63,9 @@ func naiveFaceValue(t *ctree.Tree, ds *dataset.Dataset, p ctree.Path) int64 {
 
 func TestFaceValueMatchesBruteForce(t *testing.T) {
 	tr, ds := buildTree(t, 3, 300, 5, 4)
+	idx := indexesOver(t, tr)
 	for h := 2; h <= 3; h++ {
-		ix := tr.EnsureLevelIndexes()[h-1]
+		ix := idx[h-1]
 		for i := 0; i < ix.Len(); i++ {
 			p := ix.PathInto(nil, i)
 			got := FaceValueScratch(ix, p, i, nil)
@@ -91,7 +92,7 @@ func TestFaceValueIsolatedCellIsPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	ix := tr.EnsureLevelIndexes()[1]
+	ix := indexesOver(t, tr)[1]
 	for i := 0; i < ix.Len(); i++ {
 		if ix.N(i) == 50 {
 			found = true
@@ -122,7 +123,7 @@ func TestFullValueMatchesFaceOnSparseDiagonal(t *testing.T) {
 		t.Fatal(err)
 	}
 	diff := false
-	ix := tr.EnsureLevelIndexes()[2]
+	ix := indexesOver(t, tr)[2]
 	for i := 0; i < ix.Len(); i++ {
 		p := ix.PathInto(nil, i)
 		fv := FaceValueScratch(ix, p, i, nil)
@@ -188,7 +189,7 @@ func TestFullValueBruteForce2D(t *testing.T) {
 		}
 		return v
 	}
-	ix := tr.EnsureLevelIndexes()[1]
+	ix := indexesOver(t, tr)[1]
 	for i := 0; i < ix.Len(); i++ {
 		p := ix.PathInto(nil, i)
 		got := FullValue(ix, p, i)
@@ -201,8 +202,9 @@ func TestFullValueBruteForce2D(t *testing.T) {
 
 func TestFaceNeighborCountsMatchLookups(t *testing.T) {
 	tr, _ := buildTree(t, 3, 400, 21, 4)
+	ix := indexesOver(t, tr)[1]
 	tr.WalkLevel(2, func(p ctree.Path, c ctree.Ref) {
-		lower, upper := FaceNeighborCounts(tr.EnsureLevelIndexes()[1], p)
+		lower, upper := FaceNeighborCounts(ix, p)
 		for j := 0; j < tr.D; j++ {
 			for _, up := range [2]bool{false, true} {
 				var want int32
@@ -302,13 +304,10 @@ func faceSumProducers(t *testing.T, ds *dataset.Dataset, H int) map[string][]*ct
 	}
 }
 
-// indexesOver returns the level indexes over srcs: the tree's own for
-// one source, the union's otherwise.
-func indexesOver(t *testing.T, srcs []*ctree.Tree) []*ctree.LevelIndex {
+// indexesOver returns the level indexes over srcs, one tree or
+// several (ctree.UnionLevelIndexes).
+func indexesOver(t testing.TB, srcs ...*ctree.Tree) []*ctree.LevelIndex {
 	t.Helper()
-	if len(srcs) == 1 {
-		return srcs[0].EnsureLevelIndexes()
-	}
 	idx, err := ctree.UnionLevelIndexes(srcs...)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +350,7 @@ func TestFaceSumMatchesScratch(t *testing.T) {
 			for name, srcs := range faceSumProducers(t, ds, H) {
 				name = fmt.Sprintf("d%d_H%d/%s", d, H, name)
 				twoD := int64(2 * d)
-				for h, ix := range indexesOver(t, srcs) {
+				for h, ix := range indexesOver(t, srcs...) {
 					h++
 					scratch := make(ctree.Path, 0, h)
 					var nb ctree.Path
@@ -464,8 +463,9 @@ func TestFullValueMatchesOffsetOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			idx := indexesOver(t, tr)
 			for h := 1; h <= H-1; h++ {
-				ix := tr.EnsureLevelIndexes()[h-1]
+				ix := idx[h-1]
 				for i := 0; i < ix.Len(); i++ {
 					p := ix.PathInto(nil, i)
 					if got, want := FullValue(ix, p, i), fullValueOffsets(tr, p, tr.CellAt(p)); got != want {
@@ -476,7 +476,7 @@ func TestFullValueMatchesOffsetOracle(t *testing.T) {
 			if raceEnabled {
 				continue
 			}
-			ix := tr.EnsureLevelIndexes()[H-2]
+			ix := idx[H-2]
 			p := ix.PathInto(nil, 0)
 			if allocs := testing.AllocsPerRun(5, func() { FullValue(ix, p, 0) }); allocs != 0 {
 				t.Fatalf("d=%d H=%d: FullValue allocated %.1f times per call, want 0", d, H, allocs)

@@ -76,8 +76,9 @@ type Config struct {
 	// plus its flat level indexes — the pipeline's dominant memory
 	// consumer. 0 means unlimited. The limit is enforced twice: on the
 	// build's arena, sized exactly before it is allocated and never grown
-	// by the count, and after index construction (exact accounting); a
-	// refused run returns a *ResourceError. The decision is deterministic
+	// by the count, and on the arena plus the run's level index once that
+	// is built (exact accounting); a refused run returns a
+	// *ResourceError. The decision is deterministic
 	// for a fixed (dataset, Config): both figures follow from the data
 	// alone, never from a worker's timing (DESIGN.md §8).
 	MemoryLimitBytes uint64
@@ -267,11 +268,12 @@ func (r *Result) NumClusters() int { return len(r.Clusters) }
 // views from such runs, assigning a point to the cluster owning the
 // first β-cluster box containing it, exactly the rule labeling applies.
 //
-// A run writes nothing it reads: not the trees, not their level
-// indexes and not Dataset. So runs over one tree, or one set of trees,
-// may run at the same time, and each gives the Result it gives alone.
-// Only a call that changes a tree (ctree's InsertBatch or MergeFrom)
-// must not overlap a run over it.
+// A run writes nothing it reads: not the trees and not Dataset. It
+// builds the level index it searches for itself and stores it nowhere.
+// So runs over one tree, or one set of trees, may run at the same time,
+// and each gives the Result it gives alone. Only a call that changes a
+// tree (ctree's InsertBatch or MergeFrom) must not overlap a run over
+// it.
 type Input struct {
 	// Dataset holds points normalized to [0,1)^d.
 	Dataset *dataset.Dataset
@@ -290,7 +292,8 @@ type Input struct {
 // overhead. A panic inside any worker goroutine or pipeline phase is
 // recovered and surfaces the same way (a *PipelineError wrapping a
 // *fault.PanicError) instead of crashing the host. The memory
-// limit and its degradation policy bound the tree build only.
+// limit and its degradation policy bound only a run that builds its
+// tree: the tree's arena and the level index over it.
 //
 // With Config.Workers != 1 the Counting-tree build sorts per-goroutine
 // shards before merging them (ctree.Build), and the convolution scan
@@ -298,19 +301,19 @@ type Input struct {
 // serial run for every worker count.
 //
 // The β-search keeps Algorithm 2's usedCell flags itself, one per level
-// index entry, so a run only reads its trees and their level indexes:
-// rerunning on the same tree — the CLI's -load-tree path, or an α sweep
-// over one build — yields the same Result (TestRunOnTreeTwiceIdentical
-// pins it), and so do reruns side by side
-// (TestConcurrentRunsWriteNothing). A run over one tree reads the level
-// indexes cached on it, which the first run builds under the tree's
-// lock (ctree.Tree.EnsureLevelIndexes). Over several trees the β-search
-// reads the level indexes of their union (ctree.UnionLevelIndexes),
-// whose counts add up across the trees, so the Result is the one a run
-// over their ctree.Union gives and no merged tree is written: the
-// streaming service clusters its two-tree window this way. Such a run
-// caches nothing on the trees, keeps none in Result.Tree, and refuses
-// trees whose points sum past ctree.MaxPoints.
+// index entry, so a run only reads its trees: rerunning on the same
+// tree — the CLI's -load-tree path, or an α sweep over one build —
+// yields the same Result (TestRunOnTreeTwiceIdentical pins it), and so
+// do reruns side by side (TestConcurrentRunsWriteNothing). Every run
+// builds the level index it searches once, in its levelIndex phase:
+// the index of the union of its trees (ctree.UnionLevelIndexes), one
+// tree or several, whose counts add up across the trees. So a run over
+// several trees gives the Result a run over their ctree.Union gives and
+// no merged tree is written: the streaming service clusters its window
+// this way. The index goes when the run ends, so a rerun over a kept
+// tree builds it again. A run over several trees keeps none in
+// Result.Tree, and refuses trees whose points sum past
+// ctree.MaxPoints.
 func Run(ctx context.Context, in Input, cfg Config) (res *Result, err error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -340,20 +343,29 @@ func Run(ctx context.Context, in Input, cfg Config) (res *Result, err error) {
 			err = &PipelineError{Phase: phase.String(), Err: err, Stats: col.Finish()}
 		}
 	}()
+	var idx []*ctree.LevelIndex
 	if len(trees) == 0 {
 		if in.Dataset == nil {
 			return nil, errors.New("core: no dataset or tree to cluster")
 		}
-		t, h, err := buildTreeBounded(ctx, in.Dataset, cfg, col)
+		t, ix, h, err := buildTreeBounded(ctx, in.Dataset, cfg, col)
 		if err != nil {
 			return nil, ab.Fail(err)
 		}
 		if h != cfg.H {
 			col.SetDegradedH(h)
 		}
-		trees = []*ctree.Tree{t}
+		trees, idx = []*ctree.Tree{t}, ix
+	} else {
+		if ds, eta := in.Dataset, ctree.Runs(trees).Points(); ds != nil && (trees[0].D != ds.Dims || eta != ds.Len()) {
+			return nil, fmt.Errorf("core: tree (d=%d, η=%d) does not match dataset (d=%d, η=%d)",
+				trees[0].D, eta, ds.Dims, ds.Len())
+		}
+		if idx, err = levelIndex(trees, col); err != nil {
+			return nil, err
+		}
 	}
-	res, phase, err = runOnTreeAbortable(trees, in.Dataset, cfg, col, ab)
+	res, phase, err = runOnTreeAbortable(trees, idx, in.Dataset, cfg, col, ab)
 	return res, err
 }
 
@@ -371,26 +383,25 @@ func RunTree(t *ctree.Tree, cfg Config) (*Result, error) {
 	return Run(context.Background(), Input{Trees: []*ctree.Tree{t}}, cfg)
 }
 
-// buildTreeBounded builds the Counting-tree under cfg's context,
-// memory limit, and degradation policy. It returns the tree and the
-// resolution count actually used (smaller than cfg.H only under
-// DegradeOnMemoryLimit).
+// buildTreeBounded builds the Counting-tree and its level index under
+// cfg's context, memory limit, and degradation policy. It returns the
+// tree, its index and the resolution count actually used (smaller than
+// cfg.H only under DegradeOnMemoryLimit).
 //
-// The authoritative limit check happens here, after the flat level
-// indexes are materialized, against the exact slab accounting:
-// Tree.MemoryBytes is an O(1) sum of arena capacities (the arena the
-// build refused or accepted up front, unchanged since), and
-// IndexMemoryBytes covers the disjoint index slabs, so the sum is the
-// run's true steady-state footprint with no double counting. A refused
-// footprint degrades to H-1 when allowed — the retry builds a fresh
-// tree, so the result is identical to a run configured with the
-// smaller H from the start — and otherwise becomes a *ResourceError. With ExternalSpillDir the
-// one Build call spills instead, and MemoryLimitBytes bounds its sort
-// buffer rather than the tree.
-func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, col *obs.Collector) (*ctree.Tree, int, error) {
-	defer col.Start(obs.PhaseTreeBuild).End()
-	h := cfg.H
-	for {
+// The authoritative limit check happens here, on the index the run
+// then searches, against the exact slab accounting: Tree.MemoryBytes is
+// an O(1) sum of arena capacities (the arena the build refused or
+// accepted up front, unchanged since), and the index's slabs are
+// disjoint from it, so the sum is the run's true steady-state footprint
+// with no double counting. A refused footprint, the build's or this
+// one, degrades to H-1 when allowed — the retry builds a fresh tree, so
+// the result is identical to a run configured with the smaller H from
+// the start — and otherwise becomes a *ResourceError. With
+// ExternalSpillDir the one Build call spills instead, and
+// MemoryLimitBytes bounds its sort buffer rather than the tree.
+func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, col *obs.Collector) (*ctree.Tree, []*ctree.LevelIndex, int, error) {
+	for h := cfg.H; ; h-- {
+		sp := col.Start(obs.PhaseTreeBuild)
 		t, err := ctree.Build(ds, h, ctree.BuildOptions{
 			Workers:          cfg.workerCount(),
 			Collector:        col,
@@ -398,65 +409,63 @@ func buildTreeBounded(ctx context.Context, ds *dataset.Dataset, cfg Config, col 
 			MemoryLimitBytes: cfg.MemoryLimitBytes,
 			SpillDir:         cfg.ExternalSpillDir,
 		})
+		sp.End()
+		var idx []*ctree.LevelIndex
+		var refused *ResourceError
 		var le *ctree.LimitError
-		if errors.As(err, &le) {
-			if cfg.DegradeOnMemoryLimit && h > ctree.MinLevels {
-				h--
-				continue
+		switch {
+		case errors.As(err, &le):
+			refused = &ResourceError{LimitBytes: le.LimitBytes, EstimateBytes: le.EstimateBytes, H: le.H}
+		case err != nil:
+			return nil, nil, 0, err
+		default:
+			if idx, err = levelIndex([]*ctree.Tree{t}, col); err != nil {
+				return nil, nil, 0, err
 			}
-			return nil, 0, &ResourceError{
-				LimitBytes:    le.LimitBytes,
-				EstimateBytes: le.EstimateBytes,
-				H:             le.H,
-				Degraded:      cfg.DegradeOnMemoryLimit,
-			}
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		// Out of core, MemoryLimitBytes bounds the spill sort buffer, not
-		// the tree (validate rejects DegradeOnMemoryLimit there).
-		if cfg.MemoryLimitBytes > 0 && cfg.ExternalSpillDir == "" {
-			// Materialize the level indexes now (the β-search would build
-			// them lazily anyway) so the authoritative check covers the
-			// run's true steady-state footprint.
-			t.EnsureLevelIndexes()
-			est := t.MemoryBytes() + t.IndexMemoryBytes()
-			if est > cfg.MemoryLimitBytes {
-				if cfg.DegradeOnMemoryLimit && h > ctree.MinLevels {
-					h--
-					continue
-				}
-				return nil, 0, &ResourceError{
-					LimitBytes:    cfg.MemoryLimitBytes,
-					EstimateBytes: est,
-					H:             h,
-					Degraded:      cfg.DegradeOnMemoryLimit,
+			// Out of core, MemoryLimitBytes bounds the spill sort buffer,
+			// not the tree (validate rejects DegradeOnMemoryLimit there).
+			if limit := cfg.MemoryLimitBytes; limit > 0 && cfg.ExternalSpillDir == "" {
+				if est := t.MemoryBytes() + indexBytes(idx); est > limit {
+					refused = &ResourceError{LimitBytes: limit, EstimateBytes: est, H: h}
 				}
 			}
 		}
-		return t, h, nil
+		if refused == nil {
+			return t, idx, h, nil
+		}
+		if !cfg.DegradeOnMemoryLimit || h <= ctree.MinLevels {
+			refused.Degraded = cfg.DegradeOnMemoryLimit
+			return nil, nil, 0, refused
+		}
 	}
 }
 
+// levelIndex builds the level index the run's β-search reads, that of
+// the union of trees, in the run's levelIndex phase.
+func levelIndex(trees []*ctree.Tree, col *obs.Collector) ([]*ctree.LevelIndex, error) {
+	defer col.Start(obs.PhaseLevelIndex).End()
+	return ctree.UnionLevelIndexes(trees...)
+}
+
+// indexBytes is the footprint of a level index, the sum of its levels'
+// slabs.
+func indexBytes(idx []*ctree.LevelIndex) uint64 {
+	var n uint64
+	for _, ix := range idx {
+		n += ix.MemoryBytes()
+	}
+	return n
+}
+
 // runOnTreeAbortable is the clustering back half (phases two and
-// three) over the union of one or more trees, with the collector and
-// abort machinery Run shares with the tree build. A dataset to label
-// holds the points the trees count. cfg must already be defaulted and
-// validated. The returned phase names the stage an error interrupted.
-func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, col *obs.Collector, ab *fault.Control) (*Result, obs.Phase, error) {
+// three) over the union of one or more trees, reading their level index
+// idx, with the collector and abort machinery Run shares with the tree
+// build. A dataset to label holds the points the trees count. cfg must
+// already be defaulted and validated. The returned phase names the
+// stage an error interrupted.
+func runOnTreeAbortable(trees []*ctree.Tree, idx []*ctree.LevelIndex, ds *dataset.Dataset, cfg Config, col *obs.Collector, ab *fault.Control) (*Result, obs.Phase, error) {
 	t, eta := trees[0], ctree.Runs(trees).Points()
-	if ds != nil && (t.D != ds.Dims || eta != ds.Len()) {
-		return nil, obs.PhaseBetaSearch, fmt.Errorf("core: tree (d=%d, η=%d) does not match dataset (d=%d, η=%d)",
-			t.D, eta, ds.Dims, ds.Len())
-	}
 	workers := cfg.workerCount()
-	spIndex := col.Start(obs.PhaseLevelIndex)
-	idx, err := levelIndexes(trees)
-	spIndex.End()
-	if err != nil {
-		return nil, obs.PhaseLevelIndex, err
-	}
 	spSearch := col.Start(obs.PhaseBetaSearch)
 	if col != nil {
 		col.SetShape(eta, t.D, t.H, workers)
@@ -495,15 +504,11 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 			}
 		}
 	}
-	// The trees' arenas and the level indexes are disjoint slabs, so the
-	// reported footprint is their sum: for one tree, the total the
-	// memory-limit check uses (MemoryBytes + IndexMemoryBytes).
+	// The trees' arenas and the level index are disjoint slabs, so the
+	// reported footprint is their sum: for a built tree, the total the
+	// memory-limit check uses.
 	arena := ctree.Runs(trees).MemoryBytes()
-	var indexBytes uint64
-	for _, ix := range idx {
-		indexBytes += ix.MemoryBytes()
-	}
-	treeBytes := arena + indexBytes
+	treeBytes := arena + indexBytes(idx)
 	col.SetTreeBytes(treeBytes, arena)
 	var keep *ctree.Tree
 	if cfg.KeepTree && len(trees) == 1 {
@@ -517,15 +522,6 @@ func runOnTreeAbortable(trees []*ctree.Tree, ds *dataset.Dataset, cfg Config, co
 		TreeMemoryBytes: treeBytes,
 		Stats:           col.Finish(),
 	}, obs.PhaseLabeling, nil
-}
-
-// levelIndexes returns the level indexes the β-search reads: a lone
-// tree's cached ones, or those of the union of several.
-func levelIndexes(trees []*ctree.Tree) ([]*ctree.LevelIndex, error) {
-	if len(trees) == 1 {
-		return trees[0].EnsureLevelIndexes(), nil
-	}
-	return ctree.UnionLevelIndexes(trees...)
 }
 
 // searcher carries the state of the β-cluster search (Algorithm 2).

@@ -37,6 +37,21 @@ func WithoutCacheRepair(cfg Config) Config {
 	return cfg
 }
 
+// LevelIndexes returns the level index a run over trees builds
+// (ctree.UnionLevelIndexes), failing t on an error.
+func LevelIndexes(t testing.TB, trees ...*ctree.Tree) []*ctree.LevelIndex {
+	t.Helper()
+	idx, err := ctree.UnionLevelIndexes(trees...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// IndexBytes is the footprint of a level index, as a run adds it to
+// its trees' arenas in Result.TreeMemoryBytes.
+func IndexBytes(idx []*ctree.LevelIndex) uint64 { return indexBytes(idx) }
+
 // WindowTrees builds a window of two trees from a stream of points: the
 // older half in an aging tree, the Union a pass writes of the runs the
 // service's ingest built from it in batches of batch points

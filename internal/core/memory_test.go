@@ -14,13 +14,14 @@ import (
 // TestTreeMemoryAccountingSingleSource pins the arena-era memory
 // accounting contract end to end:
 //
-//  1. MemoryBytes and IndexMemoryBytes are disjoint: materializing the
-//     level indexes leaves the arena's own footprint unchanged, and the
-//     pipeline's reported TreeMemoryBytes is exactly their sum — the
-//     pre-arena double count (MemoryBytes already folding the indexes
-//     in, then core adding IndexMemoryBytes on top) stays dead.
+//  1. The arena's MemoryBytes and the level index's footprint are
+//     disjoint: building an index over the tree leaves the arena's own
+//     footprint unchanged, and the pipeline's reported
+//     TreeMemoryBytes is exactly their sum — the pre-arena double count
+//     (MemoryBytes already folding the indexes in, then core adding
+//     them on top) stays dead.
 //  2. Stats.ArenaBytes is the arena slab figure alone, so
-//     TreeBytes - ArenaBytes == IndexMemoryBytes holds in the
+//     TreeBytes - ArenaBytes is the index's footprint in the
 //     observability record too.
 func TestTreeMemoryAccountingSingleSource(t *testing.T) {
 	ds, _, err := synthetic.Generate(synthetic.Config{
@@ -36,21 +37,21 @@ func TestTreeMemoryAccountingSingleSource(t *testing.T) {
 	}
 
 	arenaBefore := tr.MemoryBytes()
-	tr.EnsureLevelIndexes()
+	index := core.IndexBytes(core.LevelIndexes(t, tr))
 	if got := tr.MemoryBytes(); got != arenaBefore {
 		t.Fatalf("building level indexes changed MemoryBytes: %d -> %d (indexes must be accounted separately)", arenaBefore, got)
 	}
-	if tr.IndexMemoryBytes() == 0 {
-		t.Fatal("IndexMemoryBytes == 0 after EnsureLevelIndexes")
+	if index == 0 {
+		t.Fatal("the level index over the tree reports 0 bytes")
 	}
 
 	res, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tr}}, core.Config{H: tr.H, CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTree := tr.MemoryBytes() + tr.IndexMemoryBytes()
+	wantTree := tr.MemoryBytes() + index
 	if res.TreeMemoryBytes != wantTree {
-		t.Fatalf("TreeMemoryBytes=%d, want MemoryBytes+IndexMemoryBytes=%d", res.TreeMemoryBytes, wantTree)
+		t.Fatalf("TreeMemoryBytes=%d, want the arena plus the index=%d", res.TreeMemoryBytes, wantTree)
 	}
 	if res.Stats == nil {
 		t.Fatal("CollectStats run returned nil Stats")
@@ -61,9 +62,9 @@ func TestTreeMemoryAccountingSingleSource(t *testing.T) {
 	if res.Stats.ArenaBytes != tr.MemoryBytes() {
 		t.Fatalf("Stats.ArenaBytes=%d, want arena MemoryBytes=%d", res.Stats.ArenaBytes, tr.MemoryBytes())
 	}
-	if res.Stats.TreeBytes-res.Stats.ArenaBytes != tr.IndexMemoryBytes() {
-		t.Fatalf("TreeBytes-ArenaBytes=%d, want IndexMemoryBytes=%d",
-			res.Stats.TreeBytes-res.Stats.ArenaBytes, tr.IndexMemoryBytes())
+	if res.Stats.TreeBytes-res.Stats.ArenaBytes != index {
+		t.Fatalf("TreeBytes-ArenaBytes=%d, want the index's %d",
+			res.Stats.TreeBytes-res.Stats.ArenaBytes, index)
 	}
 }
 
@@ -144,12 +145,14 @@ func TestGivenTreesReportNoBuildCounters(t *testing.T) {
 }
 
 // TestLevelIndexPhaseRecorded pins the levelIndex row of the stats
-// record: a run over a fresh tree times the index build there, a rerun
-// over the same tree reads the index cached on it and records much less
-// time than the build, and a run over several trees (whose union index
-// is built for each run) records the build and its allocation. The
-// β-search row no longer includes the index: the top-level rows,
-// levelIndex among them, add up to the total.
+// record: every run builds the index it searches once, in that phase —
+// a run over a given tree, a rerun over the same tree (nothing caches
+// the first run's index), a run that builds its tree, one that builds
+// it under a memory limit (which checks the arena plus that same index)
+// and a run over several trees. Each records one levelIndex span that
+// allocates at least the index it reports (TreeBytes − ArenaBytes).
+// The β-search and tree-build rows leave the index out: the top-level
+// rows, levelIndex among them, add up to the total.
 func TestLevelIndexPhaseRecorded(t *testing.T) {
 	ds, _, err := synthetic.Generate(synthetic.Config{
 		Dims: 10, Points: 20000, Clusters: 3, NoiseFrac: 0.1,
@@ -162,26 +165,6 @@ func TestLevelIndexPhaseRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{H: tr.H, CollectStats: true}
-	first, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tr}}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rerun, err := core.Run(context.Background(), core.Input{Dataset: ds, Trees: []*ctree.Tree{tr}}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built, cached := first.Stats.LevelIndex, rerun.Stats.LevelIndex
-	if built.Spans != 1 || built.WallNS <= 0 || built.AllocBytes == 0 {
-		t.Fatalf("the first run's levelIndex row is %+v, want one timed span that allocates", built)
-	}
-	if cached.Spans != 1 || cached.WallNS >= built.WallNS {
-		t.Fatalf("the rerun's cached index recorded %+v, want one span shorter than the build's %v", cached, built.Wall())
-	}
-	st := first.Stats
-	if sum := st.TreeBuild.Wall() + st.LevelIndex.Wall() + st.BetaSearch.Wall() + st.ClusterMerge.Wall() + st.Labeling.Wall(); st.TotalWall() != sum {
-		t.Fatalf("TotalWall %v, the top-level rows sum to %v", st.TotalWall(), sum)
-	}
 	half := ds.Len() / 2
 	a, err := ctree.Build(subset(ds, 0, half), 4, ctree.BuildOptions{})
 	if err != nil {
@@ -191,12 +174,32 @@ func TestLevelIndexPhaseRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	union, err := core.Run(context.Background(), core.Input{Trees: []*ctree.Tree{a, b}}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row := union.Stats.LevelIndex; row.Spans != 1 || row.WallNS <= 0 || row.AllocBytes == 0 {
-		t.Fatalf("the union run's levelIndex row is %+v, want one timed span that allocates", row)
+	cfg := core.Config{H: tr.H, CollectStats: true}
+	limited := cfg
+	limited.MemoryLimitBytes = 1 << 30
+	for _, c := range []struct {
+		name string
+		in   core.Input
+		cfg  core.Config
+	}{
+		{"given tree", core.Input{Dataset: ds, Trees: []*ctree.Tree{tr}}, cfg},
+		{"rerun", core.Input{Dataset: ds, Trees: []*ctree.Tree{tr}}, cfg},
+		{"built", core.Input{Dataset: ds}, cfg},
+		{"built under a memory limit", core.Input{Dataset: ds}, limited},
+		{"union", core.Input{Trees: []*ctree.Tree{a, b}}, cfg},
+	} {
+		res, err := core.Run(context.Background(), c.in, c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		st := res.Stats
+		index := st.TreeBytes - st.ArenaBytes
+		if row := st.LevelIndex; row.Spans != 1 || row.WallNS <= 0 || index == 0 || row.AllocBytes < index {
+			t.Fatalf("%s: the levelIndex row is %+v, want one timed span that allocates at least the %d-byte index", c.name, row, index)
+		}
+		if sum := st.TreeBuild.Wall() + st.LevelIndex.Wall() + st.BetaSearch.Wall() + st.ClusterMerge.Wall() + st.Labeling.Wall(); st.TotalWall() != sum {
+			t.Fatalf("%s: TotalWall %v, the top-level rows sum to %v", c.name, st.TotalWall(), sum)
+		}
 	}
 }
 

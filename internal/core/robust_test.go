@@ -148,8 +148,7 @@ func treeFootprint(t *testing.T, ds *dataset.Dataset, h int) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.EnsureLevelIndexes()
-	return tr.MemoryBytes() + tr.IndexMemoryBytes()
+	return tr.MemoryBytes() + core.IndexBytes(core.LevelIndexes(t, tr))
 }
 
 // TestDegradeOnMemoryLimit pins the deterministic degradation

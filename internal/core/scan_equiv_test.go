@@ -239,7 +239,7 @@ func TestScanCacheEquivalenceSingleCellLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for h := 1; h <= tr.H-1; h++ {
-		if n := tr.EnsureLevelIndexes()[h-1].Len(); n != 1 {
+		if n := core.LevelIndexes(t, tr)[h-1].Len(); n != 1 {
 			t.Fatalf("level %d stores %d cells, want 1 (edge case is vacuous)", h, n)
 		}
 	}

@@ -38,9 +38,10 @@ func searcherOver(idx []*ctree.LevelIndex, cfg Config, workers int) *searcher {
 // newScanPair returns (naive, cached) searchers over the same tree's
 // level indexes. Both run serial; parallel chunking is pinned elsewhere
 // (TestScanCacheEquivalence, TestParallelEquivalence).
-func newScanPair(tr *ctree.Tree, fullMask bool) (*searcher, *searcher) {
-	naive := searcherOver(tr.EnsureLevelIndexes(), WithNaiveScan(Config{fullMask: fullMask}), 1)
-	cached := searcherOver(tr.EnsureLevelIndexes(), Config{fullMask: fullMask}, 1)
+func newScanPair(t testing.TB, tr *ctree.Tree, fullMask bool) (*searcher, *searcher) {
+	idx := LevelIndexes(t, tr)
+	naive := searcherOver(idx, WithNaiveScan(Config{fullMask: fullMask}), 1)
+	cached := searcherOver(idx, Config{fullMask: fullMask}, 1)
 	return naive, cached
 }
 
@@ -79,7 +80,7 @@ func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 				Dims: 5, Points: 5000, Clusters: 3, NoiseFrac: 0.15,
 				MinClusterDim: 3, MaxClusterDim: 5, Seed: 210,
 			}, 5)
-			naive, cached := newScanPair(tr, full)
+			naive, cached := newScanPair(t, tr, full)
 			if hits, _ := stepScanPair(t, naive, cached); hits < 5 {
 				t.Fatalf("only %d scan winners exercised; per-pass pin is too weak", hits)
 			}
@@ -89,7 +90,7 @@ func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 	for name, srcs := range map[string][]*ctree.Tree{"window": {window}, "two-tree": pair} {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				idx := unionIndexes(t, srcs)
+				idx := LevelIndexes(t, srcs...)
 				naive := searcherOver(idx, WithNaiveScan(Config{Workers: workers}), workers)
 				cached := searcherOver(idx, Config{Workers: workers}, workers)
 				hits, ties := stepScanPair(t, naive, cached)
@@ -99,20 +100,6 @@ func TestDensestCellCachedMatchesNaivePerPass(t *testing.T) {
 			})
 		}
 	}
-}
-
-// unionIndexes returns the level indexes over srcs: the tree's own for
-// one source, the union's otherwise.
-func unionIndexes(t *testing.T, srcs []*ctree.Tree) []*ctree.LevelIndex {
-	t.Helper()
-	if len(srcs) == 1 {
-		return srcs[0].EnsureLevelIndexes()
-	}
-	idx, err := ctree.UnionLevelIndexes(srcs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return idx
 }
 
 // stepScanPair runs up to 40 restart passes over the indexed levels
@@ -200,7 +187,7 @@ func TestDensestCellAllBetaOverlapped(t *testing.T) {
 		Dims: 4, Points: 2000, Clusters: 2, NoiseFrac: 0.1,
 		MinClusterDim: 2, MaxClusterDim: 4, Seed: 211,
 	}, 4)
-	naive, cached := newScanPair(tr, false)
+	naive, cached := newScanPair(t, tr, false)
 	cube := BetaCluster{L: make([]float64, tr.D), U: make([]float64, tr.D)}
 	for j := range cube.U {
 		cube.U[j] = 1
@@ -229,7 +216,7 @@ func TestCacheRepairMatchesFullRebuildPerPass(t *testing.T) {
 		Dims: 5, Points: 5000, Clusters: 3, NoiseFrac: 0.15,
 		MinClusterDim: 3, MaxClusterDim: 5, Seed: 212,
 	}, 5)
-	idx := tr.EnsureLevelIndexes()
+	idx := LevelIndexes(t, tr)
 	naive := searcherOver(idx, WithNaiveScan(Config{}), 1)
 	repaired := searcherOver(idx, Config{}, 1)
 	rebuilt := searcherOver(idx, WithoutCacheRepair(Config{}), 1)
@@ -283,7 +270,8 @@ func TestCacheRepairAllCellsFlipInOnePass(t *testing.T) {
 		Dims: 4, Points: 2000, Clusters: 2, NoiseFrac: 0.1,
 		MinClusterDim: 2, MaxClusterDim: 4, Seed: 213,
 	}, 4)
-	s := searcherOver(tr.EnsureLevelIndexes(), Config{}, 1)
+	idx := LevelIndexes(t, tr)
+	s := searcherOver(idx, Config{}, 1)
 	const h = 2
 	// Pass 1: a fresh level must yield a winner and leave the cursor at
 	// its position (nothing before it was skipped on a fresh tree).
@@ -296,7 +284,7 @@ func TestCacheRepairAllCellsFlipInOnePass(t *testing.T) {
 		cube.U[j] = 1
 	}
 	s.betas = append(s.betas, cube)
-	n := tr.EnsureLevelIndexes()[h-1].Len()
+	n := idx[h-1].Len()
 	if _, c, _ := s.densestCellCached(h); c >= 0 {
 		t.Fatalf("level %d: found entry %d despite full-cube β-overlap", h, c)
 	}
@@ -326,9 +314,9 @@ func TestDensestCellSingleCellLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, cached := newScanPair(tr, false)
+	naive, cached := newScanPair(t, tr, false)
 	for h := 2; h <= tr.H-1; h++ {
-		if n := tr.EnsureLevelIndexes()[h-1].Len(); n != 1 {
+		if n := naive.idx[h-1].Len(); n != 1 {
 			t.Fatalf("level %d stores %d cells, want 1", h, n)
 		}
 		np, nc, nv := naive.densestCell(h)
@@ -381,7 +369,7 @@ func TestLevelScanHeapPopsSortedOrder(t *testing.T) {
 		{"single-cell", []*ctree.Tree{singleTree}, func(n int) bool { return n == 1 }},
 		{"empty", []*ctree.Tree{ctree.New(3, 4)}, func(n int) bool { return n == 0 }},
 	} {
-		s := searcherOver(unionIndexes(t, c.srcs), Config{}, 1)
+		s := searcherOver(LevelIndexes(t, c.srcs...), Config{}, 1)
 		ties := 0
 		for h := 1; h <= len(s.idx); h++ {
 			sc, err := s.levelScan(h)

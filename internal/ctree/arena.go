@@ -46,7 +46,6 @@ package ctree
 
 import (
 	"math/bits"
-	"sync"
 	"unsafe"
 )
 
@@ -92,13 +91,6 @@ type Tree struct {
 
 	// dmask has bit j set for every axis 0 <= j < D.
 	dmask uint64
-
-	// idxMu guards the lazily built level indexes (levelindex.go);
-	// indexes[h-1] is the flat snapshot of level h, nil until
-	// EnsureLevelIndexes runs, dropped when InsertBatch or MergeFrom
-	// rewrites the arena.
-	idxMu   sync.Mutex
-	indexes []*LevelIndex
 }
 
 // New returns an empty Counting-tree for d-dimensional data with H
@@ -211,10 +203,11 @@ func (t *Tree) CellCount() int64 { return int64(len(t.loc)) - 1 }
 // O(1): the state columns and the half-space slab at their shared
 // capacity, stateBytes(D, cells+1) once a tree is written — its header
 // plus exactly the column bytes a snapshot of it holds. It does NOT
-// include the flat level indexes — IndexMemoryBytes accounts for those
-// separately, so the two can be summed without double counting (the
-// memory-limit check does). Two trees storing the same cells report
-// identical footprints however they were built.
+// include a level index over the tree, which a run builds for itself
+// and LevelIndex.MemoryBytes accounts for, so the two can be summed
+// without double counting (the memory-limit check does). Two trees
+// storing the same cells report identical footprints however they were
+// built.
 func (t *Tree) MemoryBytes() uint64 { return stateBytes(t.D, cap(t.loc)) }
 
 // stateBytes is the footprint of a tree's header, its state columns and

@@ -81,38 +81,30 @@ func BenchmarkEnsureLevelIndexes(b *testing.B) {
 	if err := window.MergeFrom(active); err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name string
-		tr   *Tree
-	}{{"build", built}, {"window", window}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bc.tr.invalidateIndexes()
-				bc.tr.EnsureLevelIndexes()
-			}
-			b.ReportMetric(float64(bc.tr.IndexMemoryBytes())/(1<<20), "index-MB")
-		})
-	}
-	b.Run("union", func(b *testing.B) {
-		const window = 100000
-		pts := benchDataset(b, window+window/2).Points
-		srcs := append(benchRuns(b, pts[window:]), benchAging(b, pts[:window]))
+	// index times UnionLevelIndexes over srcs and reports the index's
+	// footprint.
+	index := func(b *testing.B, srcs ...*Tree) {
 		var idxs []*LevelIndex
-		var err error
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if idxs, err = UnionLevelIndexes(srcs...); err != nil {
-				b.Fatal(err)
-			}
+			idxs = Indexes(b, srcs...)
 		}
-		b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+		b.StopTimer()
 		var bytes uint64
 		for _, ix := range idxs {
 			bytes += ix.MemoryBytes()
 		}
 		b.ReportMetric(float64(bytes)/(1<<20), "index-MB")
+	}
+	b.Run("build", func(b *testing.B) { index(b, built) })
+	b.Run("window", func(b *testing.B) { index(b, window) })
+	b.Run("union", func(b *testing.B) {
+		const window = 100000
+		pts := benchDataset(b, window+window/2).Points
+		srcs := append(benchRuns(b, pts[window:]), benchAging(b, pts[:window]))
+		index(b, srcs...)
+		b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	})
 }
 

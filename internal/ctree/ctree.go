@@ -7,8 +7,9 @@
 // their parents. Only non-empty cells are stored, so a level holds at
 // most η cells even though the full grid has 2^(dh). The paper's
 // usedCell flag is search state: the β-search keeps it per run
-// (internal/core), so a run only reads a tree and its level indexes,
-// and any number of runs may read one tree at once. A tree still
+// (internal/core), so a run only reads a tree, and builds the level
+// index it searches for itself (levelindex.go); a tree holds no index
+// and no lock, and any number of runs may read one tree at once. A tree still
 // carries a Used column because snapshot format v1 stores one
 // (arena.go).
 //

@@ -8,11 +8,10 @@ import (
 )
 
 // LevelIndexesWithLinks builds the level indexes of the union of srcs
-// as UnionLevelIndexes does (EnsureLevelIndexes for one tree), without
-// caching them, but keeps every level's link list, which the production
-// build drops, so the link oracles can check each link. Each list is
-// joined into one block sorted by its lower entry, for UpperLink's
-// binary search.
+// as UnionLevelIndexes does, but keeps every level's link list, which
+// the production build drops, so the link oracles can check each link.
+// Each list is joined into one block sorted by its lower entry, for
+// UpperLink's binary search.
 func LevelIndexesWithLinks(srcs ...*Tree) []*LevelIndex {
 	idxs := buildLevelIndexes(srcs, true)
 	for _, ix := range idxs {
@@ -36,6 +35,17 @@ func UpperLink(ix *LevelIndex, i, j int) int {
 		}
 	}
 	return -1
+}
+
+// Indexes returns UnionLevelIndexes(srcs...), failing tb on an error:
+// the index a run over srcs reads, one source or several.
+func Indexes(tb testing.TB, srcs ...*Tree) []*LevelIndex {
+	tb.Helper()
+	idx, err := UnionLevelIndexes(srcs...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return idx
 }
 
 // SourceRef returns entry i's arena Ref in ix's src-th source tree, or

@@ -37,7 +37,6 @@ func (t *Tree) Insert(p []float64) error {
 		}
 		qs[j] = uint64(v * scale)
 	}
-	t.invalidateIndexes()
 	cur := rootRef
 	prev := NilRef
 	for h := 1; h <= t.H-1; h++ {

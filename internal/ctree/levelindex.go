@@ -33,13 +33,12 @@
 // trees, so the index over several trees (UnionLevelIndexes) answers
 // the β-search exactly as the index of their Union would, without
 // writing a merged arena: the trees are walked together, as in Gray and
-// Moore's multi-tree methods, rather than combined first.
-// Tree.EnsureLevelIndexes is the one-tree case, cached on the tree; it
-// stays valid for as long as the tree's arena does not change
-// (InsertBatch and MergeFrom invalidate it). Any number of runs may
-// read one index at once. An index reads its sources' half-space
-// counters, so mutating a source concurrently with index access is not
-// supported.
+// Moore's multi-tree methods, rather than combined first. One tree is
+// the case k = 1. Nothing caches an index: each run builds the one it
+// reads, and it goes when the run ends. Any number of runs may read
+// one index at once. An index reads its sources' half-space counters,
+// so mutating a source (InsertBatch, MergeFrom) while an index over it
+// is in use is not supported.
 package ctree
 
 import (
@@ -515,27 +514,20 @@ func (ix *LevelIndex) mergeLinks(locs []uint64, lo, hi, blo, bhi, j int, set boo
 	}
 }
 
-// EnsureLevelIndexes materializes the level indexes of t alone for
-// every stored level (1..H-1) and returns them (indexes[h-1] is level
-// h). The call is idempotent and cheap after the first build;
-// InsertBatch and MergeFrom invalidate the cache. Concurrent calls are
-// safe, and so is reading the indexes from many runs at once; calling
-// concurrently with tree mutation is not.
+// EnsureLevelIndexes returns a fresh index of t alone, the one
+// UnionLevelIndexes(t) builds (indexes[h-1] is level h); nothing
+// caches it. perfbench is its only caller; a benchmark change moves
+// perfbench to UnionLevelIndexes and removes it.
 func (t *Tree) EnsureLevelIndexes() []*LevelIndex {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
-	if t.indexes == nil {
-		t.indexes = buildLevelIndexes([]*Tree{t}, false)
-	}
-	return t.indexes
+	return buildLevelIndexes([]*Tree{t}, false)
 }
 
 // UnionLevelIndexes builds the level indexes of the union of srcs
 // (indexes[h-1] is level h): every cell any source stores, in path
-// order, with its counts summed over the sources. The result is not
-// cached on any source, and the sources must not change while it is in
-// use. Like Union, it refuses sources of different geometry or whose
-// points sum past MaxPoints.
+// order, with its counts summed over the sources. It is the one index
+// build, for one source as for several. The sources must not change
+// while the result is in use. Like Union, it refuses sources of
+// different geometry or whose points sum past MaxPoints.
 func UnionLevelIndexes(srcs ...*Tree) ([]*LevelIndex, error) {
 	if err := checkUnion(srcs...); err != nil {
 		return nil, err
@@ -591,11 +583,6 @@ func buildLevelIndexes(srcs []*Tree, keepLinks bool) []*LevelIndex {
 	return idxs
 }
 
-// invalidateIndexes drops the materialized level indexes when the
-// tree's arena is rewritten. Mutation never races index access (see the
-// package comment above), so it takes no lock.
-func (t *Tree) invalidateIndexes() { t.indexes = nil }
-
 // levelCellCountsWalk counts every level's stored cells in one linear
 // pass over the arena's level column: counts[h] is level h's cell count
 // (index 0 unused, length H).
@@ -607,15 +594,13 @@ func (t *Tree) levelCellCountsWalk() []int {
 	return counts
 }
 
-// IndexMemoryBytes returns the footprint of the materialized level
-// indexes, or 0 when none are built. It is disjoint from the tree's
-// own MemoryBytes, so the pipeline's authoritative memory check sums
-// the two without double counting.
+// IndexMemoryBytes returns the footprint of a fresh index of t alone,
+// which it builds to measure; it is disjoint from the tree's own
+// MemoryBytes. perfbench is its only caller; a benchmark change moves
+// perfbench to LevelIndex.MemoryBytes and removes it.
 func (t *Tree) IndexMemoryBytes() uint64 {
-	t.idxMu.Lock()
-	defer t.idxMu.Unlock()
 	var total uint64
-	for _, ix := range t.indexes {
+	for _, ix := range buildLevelIndexes([]*Tree{t}, false) {
 		total += ix.MemoryBytes()
 	}
 	return total

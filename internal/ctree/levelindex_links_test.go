@@ -248,16 +248,10 @@ func TestLevelIndexMatchesWalk(t *testing.T) {
 }
 
 // checkIndexMatchesWalk is TestLevelIndexMatchesWalk's check of the
-// index over srcs (the tree's cached one for a single source).
+// index over srcs.
 func checkIndexMatchesWalk(t *testing.T, name string, srcs []*ctree.Tree) {
 	t.Helper()
-	idxs := srcs[0].EnsureLevelIndexes()
-	if len(srcs) > 1 {
-		var err error
-		if idxs, err = ctree.UnionLevelIndexes(srcs...); err != nil {
-			t.Fatal(err)
-		}
-	}
+	idxs := ctree.Indexes(t, srcs...)
 	d := srcs[0].D
 	for h := 1; h <= srcs[0].H-1; h++ {
 		// walk[path][s] is source s's Ref at path.

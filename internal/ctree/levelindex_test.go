@@ -76,7 +76,7 @@ func TestLevelCellCountsOneWalk(t *testing.T) {
 	if len(counts) != tr.H {
 		t.Fatalf("levelCellCountsWalk length %d, want %d", len(counts), tr.H)
 	}
-	for h, ix := range tr.EnsureLevelIndexes() {
+	for h, ix := range Indexes(t, tr) {
 		if counts[h+1] != ix.Len() {
 			t.Errorf("level %d count %d, want %d", h+1, counts[h+1], ix.Len())
 		}
@@ -85,18 +85,20 @@ func TestLevelCellCountsOneWalk(t *testing.T) {
 
 // TestMemoryBytesExcludesLevelIndexes is the footprint accounting
 // test: with the arena layout, MemoryBytes is the tree's EXACT slab
-// footprint and is disjoint from IndexMemoryBytes, so the pipeline's
-// authoritative check (MemoryBytes + IndexMemoryBytes) never double
-// counts. Materializing the indexes must not change the tree's own
-// figure.
+// footprint and is disjoint from the footprint of an index over the
+// tree (LevelIndex.MemoryBytes), so the pipeline's authoritative check
+// (arena plus index) never double counts. Building an index must not
+// change the tree's own figure.
 func TestMemoryBytesExcludesLevelIndexes(t *testing.T) {
 	tr, _ := indexTestTree(t, 6, 2000, 4, 4)
 	before := tr.MemoryBytes()
-	tr.EnsureLevelIndexes()
+	var idx uint64
+	for _, ix := range Indexes(t, tr) {
+		idx += ix.MemoryBytes()
+	}
 	after := tr.MemoryBytes()
-	idx := tr.IndexMemoryBytes()
 	if idx == 0 {
-		t.Fatal("IndexMemoryBytes() == 0 after EnsureLevelIndexes")
+		t.Fatal("the index over the tree reports 0 bytes")
 	}
 	if after != before {
 		t.Errorf("index build changed the tree's own MemoryBytes: %d -> %d", before, after)
@@ -104,44 +106,16 @@ func TestMemoryBytesExcludesLevelIndexes(t *testing.T) {
 }
 
 // TestLevelIndexDropsLinkRows pins the index's steady-state footprint:
-// once EnsureLevelIndexes returns, no level keeps its upper link rows
+// once UnionLevelIndexes returns, no level keeps its upper link rows
 // (the level below has read them, and the last level never records
-// them), so IndexMemoryBytes counts the entries' columns (locs,
+// them), so LevelIndex.MemoryBytes counts the entries' columns (locs,
 // parents, counts, refs and face sums) and the run offsets only.
 func TestLevelIndexDropsLinkRows(t *testing.T) {
 	tr, _ := indexTestTree(t, 6, 2000, 5, 7)
-	for _, ix := range tr.EnsureLevelIndexes() {
+	for _, ix := range Indexes(t, tr) {
 		if ix.up != nil {
 			t.Errorf("level %d kept %d link row words", ix.Level, len(ix.up))
 		}
-	}
-}
-
-// TestLevelIndexInvalidation pins that mutating the tree's cell set
-// (InsertBatch, MergeFrom) drops the snapshots, so a rebuilt index sees
-// the new cells.
-func TestLevelIndexInvalidation(t *testing.T) {
-	tr, _ := indexTestTree(t, 3, 500, 4, 5)
-	n := tr.EnsureLevelIndexes()[2].Len()
-	if err := tr.InsertBatch([][]float64{{0.9999, 0.0001, 0.5001}}); err != nil {
-		t.Fatal(err)
-	}
-	if tr.IndexMemoryBytes() != 0 {
-		t.Fatal("InsertBatch did not invalidate the level indexes")
-	}
-	rebuilt := tr.EnsureLevelIndexes()[2].Len()
-	if rebuilt < n {
-		t.Errorf("rebuilt index has %d entries, want >= %d", rebuilt, n)
-	}
-	other, _ := indexTestTree(t, 3, 500, 4, 6)
-	if err := tr.MergeFrom(other); err != nil {
-		t.Fatal(err)
-	}
-	if tr.IndexMemoryBytes() != 0 {
-		t.Fatal("MergeFrom did not invalidate the level indexes")
-	}
-	if got, want := tr.EnsureLevelIndexes()[2].Len(), tr.levelCellCountsWalk()[3]; got != want {
-		t.Errorf("post-merge index has %d entries, walk counts %d", got, want)
 	}
 }
 
@@ -184,7 +158,7 @@ func TestLevelIndexRepeatedLoc(t *testing.T) {
 				}
 			}
 		}
-		ix := tr.EnsureLevelIndexes()[0]
+		ix := Indexes(t, tr)[0]
 		for i := range locs {
 			if ix.PathInto(nil, i)[0] != locs[i] || ix.FaceSum(i) != want[i] {
 				t.Fatalf("locs %v: entry %d at loc %d has face sum %d, want loc %d and %d",

@@ -145,7 +145,6 @@ func (t *Tree) writeUnion(trees []*Tree) {
 	for _, src := range trees {
 		eta += src.Eta
 	}
-	t.invalidateIndexes()
 	t.adoptColumns(c)
 	t.Eta = eta
 }

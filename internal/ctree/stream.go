@@ -3,9 +3,7 @@
 // builds each batch into a run of its own and unites the newest runs by
 // size, the one ingest rule of the streaming service and the facade;
 // InsertBatch folds a batch into one tree through Build and one Union;
-// Clone produces an independent tree, so that a one-tree run can cache
-// its level indexes on a copy that is dropped with them instead of on
-// the original.
+// Clone produces an independent tree.
 package ctree
 
 import (
@@ -101,7 +99,6 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 	if t.CellCount() > 0 {
 		return t.MergeFrom(b)
 	}
-	t.invalidateIndexes()
 	t.adoptColumns(b.Columns())
 	t.Eta = b.Eta
 	return nil
@@ -111,9 +108,9 @@ func (t *Tree) InsertBatch(points [][]float64) error {
 // tree: its state columns and half-space slab copied at their lengths,
 // with no spare capacity, so the clone's MemoryBytes is that of its
 // cells alone (a clone of a written-once tree reports the original's).
-// Later mutation of either tree never touches the other. The lazily
-// built level indexes are not copied — the clone rebuilds them on first
-// use.
+// Later mutation of either tree never touches the other. perfbench is
+// its only caller; a benchmark change moves perfbench to Union, which
+// writes a new tree too, and removes it.
 func (t *Tree) Clone() *Tree {
 	return &Tree{
 		D: t.D, H: t.H, Eta: t.Eta, dmask: t.dmask,

@@ -14,7 +14,7 @@ import (
 // where the source lacks it.
 func checkUnionIndex(t *testing.T, name string, want *Tree, srcs ...*Tree) {
 	t.Helper()
-	wantIdx := want.EnsureLevelIndexes()
+	wantIdx := Indexes(t, want)
 	got, err := UnionLevelIndexes(srcs...)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)

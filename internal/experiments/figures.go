@@ -135,7 +135,8 @@ func runOne(name string, m Method, ds *dataset.Dataset, gt *synthetic.GroundTrut
 // figSensitivityAlpha reproduces Figure 4a-c: MrCC's Quality, memory and
 // time across significance levels, H fixed at 4. The Counting-tree is
 // built once per dataset and reused, mirroring that only phase two
-// depends on α.
+// depends on α; every α's run builds its own level index, so each row
+// times the same work.
 func figSensitivityAlpha(w io.Writer, opt Options) error {
 	alphas := []float64{1e-3, 1e-5, 1e-10, 1e-20, 1e-40, 1e-80, 1e-160}
 	var rows []Measurement

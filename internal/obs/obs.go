@@ -42,8 +42,9 @@ const (
 	// the paper's single scan over the data.
 	PhaseTreeBuild
 	// PhaseLevelIndex is the build of the flat level indexes the
-	// β-search reads (ctree.EnsureLevelIndexes for one tree, cached on
-	// it, so a rerun records ~0; ctree.UnionLevelIndexes for several).
+	// β-search reads: the run's one ctree.UnionLevelIndexes call over
+	// its trees, one or several, which every run makes (nothing caches
+	// an index), a run under a memory limit included.
 	PhaseLevelIndex
 	// PhaseBetaSearch is the whole β-cluster search (Algorithm 2): the
 	// outer restart loop around the convolution scans and β-tests. Its
@@ -93,7 +94,9 @@ type PhaseStat struct {
 	// WallNS is the accumulated wall time in nanoseconds.
 	WallNS int64 `json:"wallNs"`
 	// Spans is how many intervals were accumulated (1 for contiguous
-	// phases; one per level pass for the scan; one per tested cell for
+	// phases, but a run that degrades under a memory limit records a
+	// tree build for each H it tries and a level index for each tree it
+	// indexes; one per level pass for the scan; one per tested cell for
 	// the β-tests).
 	Spans int64 `json:"spans,omitempty"`
 	// HeapDeltaBytes is the change of runtime.MemStats.HeapAlloc across
@@ -208,8 +211,9 @@ type Stats struct {
 	H       int `json:"h"`
 	Workers int `json:"workers"`
 	// TreeBytes is the Counting-tree footprint: the arena's exact
-	// slab/table accounting (ctree.MemoryBytes) plus the flat level
-	// indexes (ctree.IndexMemoryBytes) — the two are disjoint.
+	// slab/table accounting (ctree.MemoryBytes) plus the run's flat
+	// level index (ctree.LevelIndex.MemoryBytes) — the two are
+	// disjoint.
 	TreeBytes uint64 `json:"treeBytes"`
 	// ArenaBytes is the arena slab footprint alone (the cell columns
 	// and the contiguous P slab), i.e. TreeBytes minus the level

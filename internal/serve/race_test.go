@@ -409,15 +409,14 @@ func TestRunGracefulShutdown(t *testing.T) {
 // against a stream of small batches that cascade run merges and rotate
 // the window, while another goroutine saves snapshots; the stream
 // waits for one more pass within every ten batches, so passes keep
-// running while batches arrive. Passes share the
-// window's runs with ingest, so under -race this pins that nothing
-// writes a shared run: not a pass (it writes nothing it reads, and
-// caches a one-tree window's level index on the clone the window passes
-// through first), not a merge (it writes a new run), not the first pass
-// after a rotation (it unites the retired runs into a new tree). Every
-// pass must succeed, and the window must then unite to the tree a
-// service fed the same batches with no pass holds, Used column
-// included.
+// running while batches arrive. Passes share the window's runs with
+// ingest and snapshot saves, one run or several, so under -race this
+// pins that nothing writes a shared run: not a pass (it writes nothing
+// it reads, and builds its level index for itself), not a merge (it
+// writes a new run), not the first pass after a rotation (it unites the
+// retired runs into a new tree). Every pass must succeed, and the
+// window must then unite to the tree a service fed the same batches
+// with no pass holds, Used column included.
 func TestPassSharesRunsDuringIngest(t *testing.T) {
 	cfg := testConfig()
 	cfg.WindowPoints = 300
@@ -433,7 +432,8 @@ func TestPassSharesRunsDuringIngest(t *testing.T) {
 	defer cancel()
 	s.Start(ctx)
 
-	// The clone case: a pass over a window of one run and no aging tree.
+	// The shared one-run case: a pass over a window of one run and no
+	// aging tree, which the pass reads in place.
 	ingestBatches(t, s, batches[:1])
 	s.Kick()
 	for deadline := time.Now().Add(10 * time.Second); s.cur.Load() == nil; time.Sleep(time.Millisecond) {

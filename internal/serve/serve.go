@@ -209,7 +209,7 @@ type view struct {
 	seq       uint64
 	builtAt   time.Time
 	points    int    // η the view was clustered from
-	treeBytes uint64 // footprint of what the pass held: the level index, and the clone of a one-tree window
+	treeBytes uint64 // footprint of what the pass held: its level index over the window
 	res       *core.Result
 	// labeler classifies queries by res's β-clusters: it is the
 	// pipeline's own labeler (core.Labeler), built once at publish, so
@@ -577,15 +577,12 @@ func (s *Server) apply(norm [][]float64, seq uint64) (rotated bool, err error) {
 
 // snapshotTrees captures the clustering input: the window's runs, taken
 // under mu and shared with the pass, not copied, since no run changes
-// once stored and a pass writes nothing it reads. A window that is one
-// tree is cloned instead, for one reason: a run over one tree caches
-// its level index on it, and on the clone the index goes when the pass
-// ends rather than living on with the window's tree. The first pass
-// after a rotation unites the retired runs into one aging tree, outside
-// the lock, and swaps it in under the lock unless a later rotation
-// dropped them meanwhile, so later passes and snapshots read one aging
-// tree; retired is the points of the aging tree this call swapped in, 0
-// when it swapped none.
+// once stored and a pass writes nothing it reads, one run or several.
+// The first pass after a rotation unites the retired runs into one
+// aging tree, outside the lock, and swaps it in under the lock unless a
+// later rotation dropped them meanwhile, so later passes and snapshots
+// read one aging tree; retired is the points of the aging tree this
+// call swapped in, 0 when it swapped none.
 func (s *Server) snapshotTrees() (trees ctree.Runs, retired int) {
 	s.mu.Lock()
 	runs := s.aging
@@ -606,11 +603,7 @@ func (s *Server) snapshotTrees() (trees ctree.Runs, retired int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sinceRecl = 0
-	trees = s.window()
-	if len(trees) == 1 {
-		trees[0] = trees[0].Clone()
-	}
-	return trees, retired
+	return s.window(), retired
 }
 
 // recluster runs one β-search pass over the window's trees and
@@ -624,10 +617,7 @@ func (s *Server) recluster(ctx context.Context) error {
 	if retired > 0 {
 		s.logf("window rotated: %d points retired to the aging slot", retired)
 	}
-	points, shared := trees.Points(), uint64(0)
-	if len(trees) > 1 {
-		shared = trees.MemoryBytes()
-	}
+	points := trees.Points()
 	if points == 0 {
 		return nil // nothing ingested yet; keep whatever view exists
 	}
@@ -645,9 +635,9 @@ func (s *Server) recluster(ctx context.Context) error {
 		seq:     s.seq.Add(1),
 		builtAt: time.Now(),
 		points:  points,
-		// The run's footprint counts every tree it read; shared runs are
-		// the server's, held between passes, not the pass's.
-		treeBytes: res.TreeMemoryBytes - shared,
+		// The run's footprint counts every tree it read; the runs are the
+		// server's, held between passes, not the pass's.
+		treeBytes: res.TreeMemoryBytes - trees.MemoryBytes(),
 		res:       res,
 		labeler:   core.NewLabeler(res.Betas, res.Clusters, s.cfg.Dims),
 	}

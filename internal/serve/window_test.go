@@ -138,10 +138,9 @@ func TestSnapshotBytesMatchBuild(t *testing.T) {
 
 // TestViewTreeBytesIsThePass pins what /stats view.treeBytes reports
 // after a pass: what the pass held and the server does not keep
-// between passes. Over a window of one run that is the run's clone
-// plus its level index; over a rotated window of several runs, which
-// the pass shares with the server, it is the level index over them
-// alone.
+// between passes. The pass shares the window's runs with the server,
+// one run or several, so over a window of one run as over a rotated
+// window it is the level index over them alone.
 func TestViewTreeBytesIsThePass(t *testing.T) {
 	cfg := testConfig()
 	cfg.WindowPoints = 150
@@ -172,9 +171,6 @@ func TestViewTreeBytesIsThePass(t *testing.T) {
 		var want uint64
 		for _, ix := range idx {
 			want += ix.MemoryBytes()
-		}
-		if len(trees) == 1 {
-			want += trees[0].MemoryBytes() // the pass's clone
 		}
 		if got := s.cur.Load().treeBytes; got != want {
 			t.Fatalf("%s: view.treeBytes = %d, want what the pass held: %d", tc.name, got, want)

@@ -121,7 +121,9 @@ type Dataset = dataset.Dataset
 // Config.KeepTree (Result.Tree), persist it with SaveTree, restore it
 // with LoadTree, and recluster on it with Run (Input.Tree) — e.g. to
 // sweep α values without re-counting the data, or to warm-start a run
-// from a snapshot built by an earlier process. It holds the tree as
+// from a snapshot built by an earlier process. Each such run builds the
+// level index it searches again (Stats.LevelIndex), as every run does;
+// a Tree holds no index, only its counts. It holds the tree as
 // immutable runs whose counts add up (one run once built or loaded);
 // its layout is private. A zero Tree holds no Counting-tree, and the
 // calls that need one refuse it with an error.
